@@ -1,7 +1,7 @@
-// Ablation bench: gutter tree geometry (DESIGN.md section 5 /
-// paper Section 5.1). Sweeps internal-buffer size and fan-out and
-// reports ingestion rate plus the tree's own I/O volume — the knobs the
-// paper fixes at 8 MB / fan-out 512 for SATA SSDs.
+// Ablation bench: gutter tree geometry (paper Section 5.1). Sweeps
+// internal-buffer size and fan-out and reports ingestion rate plus the
+// tree's own I/O volume — the knobs the paper fixes at 8 MB / fan-out
+// 512 for SATA SSDs.
 #include <cstdio>
 #include <vector>
 

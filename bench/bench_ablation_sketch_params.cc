@@ -1,5 +1,5 @@
 // Ablation bench: the design choices behind CubeSketch and the
-// ingestion pipeline (DESIGN.md section 5).
+// ingestion pipeline (paper Sections 3.1 and 4.1).
 //   (a) column count vs failure rate vs speed/size — the delta knob;
 //   (b) Boruvka round budget vs query success;
 //   (c) batch size vs node-sketch update throughput — why buffering

@@ -67,8 +67,9 @@ inline Workload MakeKronWorkload(int scale, uint64_t seed = 1,
   return w;
 }
 
-// Real-world dataset stand-ins (offline substitution; see DESIGN.md §2).
-// Shapes mirror the paper's Table 10 rows at reduced scale.
+// Real-world dataset stand-ins: the paper's Table 10 graphs are external
+// downloads, so the benches build synthetic graphs of the same shape
+// (node count, density, skew) at reduced scale instead.
 inline std::vector<Workload> MakeRealWorldWorkloads(int divisor = 16) {
   std::vector<Workload> workloads;
   auto add = [&workloads](const std::string& name, uint64_t nodes,

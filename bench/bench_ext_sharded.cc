@@ -2,21 +2,21 @@
 // linearity lets shards ingest disjoint stream partitions with zero
 // coordination; a query XORs shard snapshots node-wise.
 //
-// Three execution modes run per shard count: in-process shard
-// instances (routing + per-shard pipelines + in-place merge), real
-// gz_shard worker processes over socketpairs (the same routing, plus
-// socket framing, and a query-time aggregation of serialized
-// GraphSnapshot bytes), and listener-mode gz_shards dialed over
-// loopback TCP with an authenticated handshake — the full tcp://
-// transport column, so BENCH trajectories track the framing, checksum
-// AND network-stack overhead directly. Each process/tcp row also
-// reports the measured CRC32C throughput and the estimated share of
-// ingest wall time the v3 per-frame checksum costs over v2 framing
-// (v2 shipped the same bytes unchecksummed, so the delta is exactly
-// one CRC pass over the frame bytes on each side). GZ_BENCH_SHARDS_MAX
-// caps the shard-count sweep (CI smokes with 2). On this container's
-// single core the per-shard pipelines add overhead; with real
-// cores/machines per shard, rates multiply (paper Section 8).
+// One ShardCluster coordinator runs per shard count over each of the
+// three endpoint kinds: thread: shards (ShardServer threads in this
+// process over socketpairs — the framing and serialized-snapshot fold
+// with no process boundary), local: gz_shard worker processes over
+// socketpairs (the same frames plus the process boundary), and
+// listener-mode gz_shards dialed over loopback TCP with an
+// authenticated handshake — the full tcp:// transport column, so BENCH
+// trajectories track the framing, checksum AND network-stack overhead
+// directly. Each row also reports the measured CRC32C throughput and
+// the estimated share of ingest wall time the v3 per-frame checksum
+// costs over v2 framing (v2 shipped the same bytes unchecksummed, so
+// the delta is exactly one CRC pass over the frame bytes on each
+// side). GZ_BENCH_SHARDS_MAX caps the shard-count sweep (CI smokes
+// with 2). On a single core the per-shard pipelines add overhead; with
+// real cores/machines per shard, rates multiply (paper Section 8).
 // With --rebalance, a second benchmark runs instead: elastic reshard
 // operations (split, then remove) fire while the stream is flowing,
 // and the JSON reports the migration wall time plus the worst
@@ -32,26 +32,25 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "core/connectivity.h"
+#include "distributed/shard_cluster.h"
 #include "distributed/shard_transport.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "util/crc32c.h"
 #include "util/timer.h"
 
 namespace {
 
-using gz::ShardedGraphZeppelin;
-using Mode = ShardedGraphZeppelin::Mode;
-
-// The transport column: in-process, worker processes over socketpairs,
-// or listener-mode worker processes over loopback TCP (+ handshake).
-enum class BenchMode { kInProcess, kProcess, kProcessTcp };
+// The transport column: server threads over socketpairs, worker
+// processes over socketpairs, or listener-mode worker processes over
+// loopback TCP (+ handshake).
+enum class BenchMode { kThread, kProcess, kProcessTcp };
 
 constexpr char kBenchSecret[] = "bench-secret";
 
 const char* BenchModeName(BenchMode mode) {
   switch (mode) {
-    case BenchMode::kInProcess:
-      return "in_process";
+    case BenchMode::kThread:
+      return "thread";
     case BenchMode::kProcess:
       return "process";
     default:
@@ -59,21 +58,21 @@ const char* BenchModeName(BenchMode mode) {
   }
 }
 
-Mode ExecMode(BenchMode mode) {
-  return mode == BenchMode::kInProcess ? Mode::kInProcess : Mode::kProcess;
-}
-
-// Stands up `shards` listener-mode gz_shards and returns options
-// dialing them (TCP mode), or leaves the options untouched.
+// Options placing `endpoints` shard replicas on the mode's substrate:
+// thread: endpoints, local children (the default), or freshly stood-up
+// listener-mode gz_shards dialed over TCP.
 gz::ShardClusterOptions OptionsFor(
-    BenchMode mode, int shards,
+    BenchMode mode, int endpoints,
     std::vector<std::unique_ptr<gz::ListenerShard>>* listeners,
     gz::ShardClusterOptions options = {}) {
-  if (mode != BenchMode::kProcessTcp) return options;
-  options.auth_secret = kBenchSecret;
-  GZ_CHECK_OK(gz::StartListenerShards(
-      gz::DefaultShardBinary(), shards, "/tmp", /*log_prefix=*/"",
-      options.auth_secret, listeners, &options.shard_endpoints));
+  if (mode == BenchMode::kThread) {
+    options.shard_endpoints.assign(endpoints, "thread:");
+  } else if (mode == BenchMode::kProcessTcp) {
+    options.auth_secret = kBenchSecret;
+    GZ_CHECK_OK(gz::StartListenerShards(
+        gz::DefaultShardBinary(), endpoints, "/tmp", /*log_prefix=*/"",
+        options.auth_secret, listeners, &options.shard_endpoints));
+  }
   return options;
 }
 
@@ -107,7 +106,7 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
   std::printf("[\n");
   bool first = true;
   for (const BenchMode mode :
-       {BenchMode::kInProcess, BenchMode::kProcess, BenchMode::kProcessTcp}) {
+       {BenchMode::kThread, BenchMode::kProcess, BenchMode::kProcessTcp}) {
     GraphZeppelinConfig base = bench::DefaultGzConfig();
     base.num_nodes = w.num_nodes;
     base.num_workers = 1;
@@ -116,8 +115,8 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
         std::max<uint64_t>(1, w.num_nodes / 64);
     std::vector<std::unique_ptr<ListenerShard>> listeners;
     options = OptionsFor(mode, 2, &listeners, std::move(options));
-    ShardedGraphZeppelin sharded(base, 2, ExecMode(mode), options);
-    GZ_CHECK_OK(sharded.Init());
+    ShardCluster cluster(base, 2, options);
+    GZ_CHECK_OK(cluster.Start());
 
     const std::vector<GraphUpdate>& updates = w.stream.updates;
     const size_t burst = 4096;
@@ -128,7 +127,7 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
       if (fed >= updates.size()) return false;
       const size_t count = std::min(burst, updates.size() - fed);
       WallTimer t;
-      sharded.Update(updates.data() + fed, count);
+      GZ_CHECK_OK(cluster.Update(updates.data() + fed, count));
       *max_burst = std::max(*max_burst, t.Seconds());
       fed += count;
       return true;
@@ -137,13 +136,15 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
     // Phase 1: steady state over the first third (baseline latency).
     while (fed < updates.size() / 3) feed_burst(&max_burst_baseline);
 
-    // Phase 2: split shard 0 under load.
+    // Phase 2: split shard 0 under load (the child on the same
+    // substrate, except tcp, which grows a local child).
     WallTimer split_timer;
-    Result<int> split = sharded.BeginSplitShard(0);
+    Result<int> split = cluster.BeginSplitShard(
+        0, mode == BenchMode::kThread ? "thread:" : "");
     GZ_CHECK_MSG(split.ok(), split.status().ToString().c_str());
-    while (sharded.migration_active()) {
+    while (cluster.migration_active()) {
       bursts_during_migration += feed_burst(&max_burst_migrating);
-      GZ_CHECK_OK(sharded.PumpMigration());
+      GZ_CHECK_OK(cluster.PumpMigration());
     }
     const double split_seconds = split_timer.Seconds();
 
@@ -153,18 +154,21 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
       if (!feed_burst(&max_burst_baseline)) break;
     }
     WallTimer remove_timer;
-    GZ_CHECK_OK(sharded.BeginRemoveShard(split.value()));
-    while (sharded.migration_active()) {
+    GZ_CHECK_OK(cluster.BeginRemoveShard(split.value()));
+    while (cluster.migration_active()) {
       bursts_during_migration += feed_burst(&max_burst_migrating);
-      GZ_CHECK_OK(sharded.PumpMigration());
+      GZ_CHECK_OK(cluster.PumpMigration());
     }
     const double remove_seconds = remove_timer.Seconds();
 
     while (feed_burst(&max_burst_baseline)) {
     }
-    sharded.Flush();
+    GZ_CHECK_OK(cluster.Flush());
 
-    const ConnectivityResult r = sharded.ListSpanningForest();
+    Result<GraphSnapshot> merged = cluster.Snapshot();
+    GZ_CHECK_OK(merged.status());
+    const ConnectivityResult r =
+        Connectivity(std::move(merged).value(), base.query_threads);
     GZ_CHECK(!r.failed);
     std::printf(
         "%s  {\"bench\": \"ext_sharded_rebalance\", \"workload\": \"%s\",\n"
@@ -306,30 +310,31 @@ int main(int argc, char** argv) {
   for (int shards : {1, 2, 4, 8}) {
     if (shards > max_shards) continue;
     for (const BenchMode mode :
-         {BenchMode::kInProcess, BenchMode::kProcess,
-          BenchMode::kProcessTcp}) {
+         {BenchMode::kThread, BenchMode::kProcess, BenchMode::kProcessTcp}) {
       GraphZeppelinConfig base = bench::DefaultGzConfig();
       base.num_nodes = w.num_nodes;
       base.num_workers = 1;  // One worker per shard: shards ARE parallelism.
       std::vector<std::unique_ptr<ListenerShard>> listeners;
-      ShardedGraphZeppelin sharded(base, shards, ExecMode(mode),
-                                   OptionsFor(mode, shards, &listeners));
-      GZ_CHECK_OK(sharded.Init());
+      ShardCluster cluster(base, shards,
+                           OptionsFor(mode, shards, &listeners));
+      GZ_CHECK_OK(cluster.Start());
 
       WallTimer timer;
-      sharded.Update(w.stream.updates.data(), w.stream.updates.size());
-      sharded.Flush();  // Ingestion includes applying all updates.
+      GZ_CHECK_OK(
+          cluster.Update(w.stream.updates.data(), w.stream.updates.size()));
+      GZ_CHECK_OK(cluster.Flush());  // Ingestion includes applying all.
       const double ingest_seconds = timer.Seconds();
 
       // Query split: aggregation (shard snapshots -> one merged
-      // snapshot; in process mode this is the serialized-bytes fold
-      // over the sockets) vs the Boruvka solve on the result.
+      // snapshot: the serialized-bytes fold over the sockets) vs the
+      // Boruvka solve on the result.
       WallTimer agg_timer;
-      GraphSnapshot merged = sharded.Snapshot();
+      Result<GraphSnapshot> merged = cluster.Snapshot();
+      GZ_CHECK_OK(merged.status());
       const double agg_seconds = agg_timer.Seconds();
       WallTimer solve_timer;
       const ConnectivityResult r =
-          Connectivity(std::move(merged), base.query_threads);
+          Connectivity(std::move(merged).value(), base.query_threads);
       const double solve_seconds = solve_timer.Seconds();
       GZ_CHECK(!r.failed);
       if (!have_expectation) {
@@ -340,13 +345,9 @@ int main(int argc, char** argv) {
         GZ_CHECK(r.num_components == expect_components);
       }
 
-      // The v3 checksum's share of this row's ingest wall time (zero
-      // for in-process: no frames, no checksums).
-      const double checksum_seconds =
-          mode == BenchMode::kInProcess
-              ? 0.0
-              : EstimatedChecksumSeconds(w.stream.updates.size(),
-                                         crc_bytes_per_sec);
+      // The v3 checksum's share of this row's ingest wall time.
+      const double checksum_seconds = EstimatedChecksumSeconds(
+          w.stream.updates.size(), crc_bytes_per_sec);
       std::printf(
           "%s  {\"bench\": \"ext_sharded\", \"workload\": \"%s\",\n"
           "   \"shards\": %d, \"mode\": \"%s\",\n"

@@ -25,7 +25,7 @@ int main() {
   }
   std::printf(
       "\nNote: kron streams are dense (~half of all possible edges);\n"
-      "real-world rows are offline stand-ins shaped like the paper's\n"
-      "Table 10 datasets (see DESIGN.md section 2).\n");
+      "real-world rows are synthetic stand-ins shaped like the paper's\n"
+      "Table 10 datasets, which are external downloads.\n");
   return 0;
 }

@@ -34,9 +34,9 @@
 #include "core/standing_query.h"
 #include "core/graph_snapshot.h"
 #include "distributed/query_session.h"
+#include "distributed/shard_cluster.h"
 #include "distributed/shard_process.h"
 #include "distributed/shard_transport.h"
-#include "distributed/sharded_graph_zeppelin.h"
 
 namespace {
 
@@ -161,15 +161,18 @@ int main() {
     updates.reserve(edges.size());
     for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
 
-    // (a) Cache economics, in-process (no transport noise in the ratio).
+    // (a) Cache economics over thread: shards (no process or network
+    // noise in the ratio).
     double cold_s = 0, cached_s = 0, refold_s = 0;
     {
       GraphZeppelinConfig config = bench::DefaultGzConfig();
       config.num_nodes = n;
-      ShardedGraphZeppelin sharded(config, kShards);
-      GZ_CHECK_OK(sharded.Init());
-      sharded.Update(updates.data(), updates.size());
-      sharded.Flush();
+      ShardClusterOptions options;
+      options.shard_endpoints.assign(kShards, "thread:");
+      ShardCluster sharded(config, kShards, options);
+      GZ_CHECK_OK(sharded.Start());
+      GZ_CHECK_OK(sharded.Update(updates.data(), updates.size()));
+      GZ_CHECK_OK(sharded.Flush());
 
       const GraphSnapshot* cached = nullptr;
       WallTimer cold_timer;
@@ -178,9 +181,10 @@ int main() {
 
       const int refolds = 5;
       WallTimer refold_timer;
-      GraphSnapshot full = sharded.Snapshot();
+      Result<GraphSnapshot> full = sharded.Snapshot();
       for (int i = 1; i < refolds; ++i) full = sharded.Snapshot();
       refold_s = refold_timer.Seconds() / refolds;
+      GZ_CHECK_OK(full.status());
 
       const int reps = 50;
       WallTimer cached_timer;
@@ -189,7 +193,7 @@ int main() {
       }
       cached_s = cached_timer.Seconds() / reps;
 
-      GZ_CHECK(*cached == full);
+      GZ_CHECK(*cached == full.value());
       GZ_CHECK(sharded.snapshot_cache().cold_builds() == 1);
       // The serving tier's reason to exist; regressing this means a
       // cached hit re-folded.

@@ -2,9 +2,9 @@
 // neighbor arrays per vertex, updated by applying sorted batches with a
 // two-way merge (insert batches and delete batches, mirroring the
 // batch-parallel model Aspen/Terrace are optimized for — see paper
-// Section 6.2's batching protocol and DESIGN.md §2 for the substitution
-// note). Memory is ~4 B per directed edge, the constant the paper
-// quotes for Aspen.
+// Section 6.2's batching protocol). It stands in for the Aspen system,
+// an external C++ codebase this repository does not vendor. Memory is
+// ~4 B per directed edge, the constant the paper quotes for Aspen.
 #ifndef GZ_BASELINE_CSR_BATCH_GRAPH_H_
 #define GZ_BASELINE_CSR_BATCH_GRAPH_H_
 

@@ -2,8 +2,8 @@
 // neighbors per vertex. Fast point inserts/deletes, O(V + E) BFS
 // connectivity, but Θ(E) memory with hash-table constant factors —
 // the explicit-representation cost profile the paper contrasts
-// GraphZeppelin against. (See DESIGN.md §2 for the substitution note:
-// this stands in for the Terrace system, which is not available here.)
+// GraphZeppelin against. It stands in for the Terrace system, an
+// external C++ codebase this repository does not vendor.
 #ifndef GZ_BASELINE_HASH_ADJACENCY_GRAPH_H_
 #define GZ_BASELINE_HASH_ADJACENCY_GRAPH_H_
 

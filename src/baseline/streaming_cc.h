@@ -2,7 +2,8 @@
 // the straw-man the paper analyzes in Section 3 to show why a direct
 // implementation of the best known general sampler is infeasibly slow
 // and large. Functionally correct; used at small scales by tests and by
-// the Figure 4 benchmark's system-level comparison.
+// the Figure 4 benchmark, whose Section 3 feasibility row measures
+// Update()'s edge-update rate.
 //
 // Characteristic vectors here are over the integers: edge {u, v} with
 // u < v contributes +1 to f_u and -1 to f_v, which cancel when the

@@ -62,7 +62,7 @@ struct GraphZeppelinConfig {
   std::string disk_dir = "/tmp";
 
   // Disambiguates backing-file names when several instances share a
-  // seed in one process (e.g. shards of a ShardedGraphZeppelin).
+  // seed in one process (e.g. thread: shards of one ShardCluster).
   std::string instance_tag;
 
   // Gutter tree geometry (paper: 8 MB buffers, fan-out 512; defaults

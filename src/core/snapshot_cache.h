@@ -26,8 +26,8 @@
 // content that actually moved. Queries between watermarks are O(1) —
 // they never touch the ingest path.
 //
-// Not thread-safe; the owner (ShardCluster, ShardedGraphZeppelin,
-// QuerySession) serializes access like every other coordinator call.
+// Not thread-safe; the owner (ShardCluster, QuerySession) serializes
+// access like every other coordinator call.
 #ifndef GZ_CORE_SNAPSHOT_CACHE_H_
 #define GZ_CORE_SNAPSHOT_CACHE_H_
 

@@ -54,10 +54,10 @@ Status QuerySession::Connect() {
   for (const std::string& uri : options_.endpoints) {
     Result<ShardEndpoint> parsed = ParseShardEndpoint(uri);
     if (!parsed.ok()) return parsed.status();
-    if (parsed.value().local()) {
+    if (parsed.value().kind != ShardEndpoint::Kind::kTcp) {
       return Status::InvalidArgument(
-          "query sessions dial listeners, not local: endpoints (" + uri +
-          ")");
+          "query sessions dial tcp:// listeners, not " +
+          parsed.value().ToString() + " endpoints (" + uri + ")");
     }
     auto conn = std::make_unique<TcpShardTransport>(
         std::move(parsed).value(), options_.auth_secret,

@@ -1,10 +1,20 @@
-// ShardCluster: the multi-process coordinator. Owns N gz_shard worker
-// processes (one GraphZeppelin each, same seed/geometry), routes update
-// spans to them through a versioned slot table, aggregates query-time
-// snapshot replies with the GraphSnapshot merge algebra, and manages
-// shard lifecycle: spawn, health checks, checkpoints, orderly shutdown,
+// ShardCluster: the sharded coordinator — the distributed extension the
+// paper sketches in its conclusion ("sketches can be updated
+// independently ... they can be partitioned throughout a distributed
+// cluster without sacrificing stream ingestion rate"). Owns N shards
+// (one GraphZeppelin each, same seed/geometry), routes update spans to
+// them through a versioned slot table, aggregates query-time snapshot
+// replies with the GraphSnapshot merge algebra, and manages shard
+// lifecycle: spawn, health checks, checkpoints, orderly shutdown,
 // restart-from-checkpoint of a crashed shard — and elastic resharding:
 // shards can be added, removed or split WITHOUT pausing the stream.
+//
+// Where a shard lives is its endpoint's business (shard_endpoint.h):
+// a fork/exec'd gz_shard child (local:), a ShardServer thread in this
+// process (thread:), or a gz_shard listener on another machine
+// (tcp://). The coordinator speaks the same frames to all three, so
+// every model below holds on every substrate; the unsharded
+// GraphZeppelin is the zero-transport ground truth they are pinned to.
 //
 // Durability model: the coordinator retains every update sent to a
 // shard since that shard's last acknowledged checkpoint (its "unacked"
@@ -67,8 +77,9 @@ namespace gz {
 struct ShardClusterOptions {
   // Path of the gz_shard binary; empty = DefaultShardBinary().
   std::string shard_binary;
-  // Where each replica lives: "local:" (fork/exec, the default) or
-  // "tcp://host:port" (a running `gz_shard --listen`). Shard-major with
+  // Where each replica lives: "local:" (fork/exec, the default),
+  // "thread:" (a server thread in this process) or "tcp://host:port" (a
+  // running `gz_shard --listen`). Shard-major with
   // replication_factor consecutive entries per shard id —
   // [s0r0, s0r1, s1r0, s1r1, ...]; shorter than num_shards *
   // replication_factor = the rest are local. See shard_endpoint.h for
@@ -131,9 +142,9 @@ class ShardCluster {
   // Spawns and configures every shard process (all replicas).
   Status Start();
 
-  // Shard an update routes to under the current table; identical to the
-  // in-process router and to any external partitioner holding the same
-  // table.
+  // Shard an update routes to under the current table: a pure function
+  // of (edge, table), identical for every shard and for any external
+  // partitioner holding the same table.
   int ShardFor(const Edge& e) const {
     return RouteToShard(e, base_.num_nodes, table_);
   }
@@ -243,8 +254,9 @@ class ShardCluster {
   // answering pings (removed ids report false).
   std::vector<bool> HealthCheck();
   // Hard-stop for fault injection / fencing — SIGKILL for a local
-  // shard, connection abort for a tcp one (the listener drops its
-  // instance, the same state loss); updates keep buffering. Kills
+  // shard, socket shutdown + join for a thread one, connection abort
+  // for a tcp one (the listener drops its instance) — the same state
+  // loss on every substrate; updates keep buffering. Kills
   // every replica of the shard. With observed=false the coordinator
   // does NOT fence the shard — modeling a spontaneous crash it has not
   // detected yet, so tests can drive the paths that must self-fence on
@@ -343,7 +355,7 @@ class ShardCluster {
   std::string LogPath(int shard, int replica) const;
   GraphZeppelinConfig ShardConfigFor(int shard, int replica) const;
   // Transport for one replica from endpoints_[shard][replica]
-  // (local -> fork/exec, tcp -> connect).
+  // (local -> fork/exec, thread -> server thread, tcp -> connect).
   std::unique_ptr<ShardTransport> MakeTransportFor(int shard,
                                                    int replica) const;
   // "" = all local; otherwise a comma-separated endpoint list, at most
@@ -354,7 +366,8 @@ class ShardCluster {
   // its replicas' endpoints.
   int AllocateShardSlot(std::vector<ShardEndpoint> endpoints);
   // Rolls a just-allocated (still-last) id back out after a failed
-  // spawn, keeping id assignment in lockstep with the in-process mode.
+  // spawn, so a failed grow burns no id: identical op sequences hand
+  // out identical ids — and tables — whatever the substrate.
   void ReleaseLastShardSlot(int id);
   // Lowest-index replica of `shard` the coordinator has not fenced
   // (-1 if none). What the send paths target.

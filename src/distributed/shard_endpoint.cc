@@ -4,6 +4,7 @@ namespace gz {
 
 std::string ShardEndpoint::ToString() const {
   if (kind == Kind::kLocal) return "local:";
+  if (kind == Kind::kThread) return "thread:";
   return "tcp://" + host + ":" + std::to_string(port);
 }
 
@@ -11,11 +12,12 @@ Result<ShardEndpoint> ParseShardEndpoint(const std::string& uri) {
   if (uri.empty() || uri == "local:" || uri == "local") {
     return ShardEndpoint::Local();
   }
+  if (uri == "thread:") return ShardEndpoint::Thread();
   const std::string scheme = "tcp://";
   if (uri.rfind(scheme, 0) != 0) {
     return Status::InvalidArgument(
         "shard endpoint '" + uri +
-        "': expected 'local:' or 'tcp://host:port'");
+        "': expected 'local:', 'thread:' or 'tcp://host:port'");
   }
   const std::string rest = uri.substr(scheme.size());
   const size_t colon = rest.rfind(':');

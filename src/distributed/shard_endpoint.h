@@ -6,6 +6,9 @@
 // URI grammar:
 //   "local:"              fork/exec gz_shard over a socketpair (the
 //                         default; "" means the same)
+//   "thread:"             run the shard loop on a thread of this
+//                         process, over a socketpair (one address
+//                         space: no fork, same frames)
 //   "tcp://host:port"     connect to a running `gz_shard --listen`
 //                         (host is a name or IPv4 literal; port 1-65535)
 #ifndef GZ_DISTRIBUTED_SHARD_ENDPOINT_H_
@@ -20,8 +23,9 @@ namespace gz {
 
 struct ShardEndpoint {
   enum class Kind {
-    kLocal,  // Fork/exec over a socketpair.
-    kTcp,    // TCP connect to a listener-mode gz_shard.
+    kLocal,   // Fork/exec over a socketpair.
+    kThread,  // ShardServer on a thread of this process, over a socketpair.
+    kTcp,     // TCP connect to a listener-mode gz_shard.
   };
 
   Kind kind = Kind::kLocal;
@@ -29,6 +33,11 @@ struct ShardEndpoint {
   uint16_t port = 0;   // kTcp only.
 
   static ShardEndpoint Local() { return ShardEndpoint{}; }
+  static ShardEndpoint Thread() {
+    ShardEndpoint e;
+    e.kind = Kind::kThread;
+    return e;
+  }
   static ShardEndpoint Tcp(std::string host, uint16_t port) {
     ShardEndpoint e;
     e.kind = Kind::kTcp;
@@ -37,9 +46,7 @@ struct ShardEndpoint {
     return e;
   }
 
-  bool local() const { return kind == Kind::kLocal; }
-
-  // Canonical URI form ("local:" or "tcp://host:port").
+  // Canonical URI form ("local:", "thread:" or "tcp://host:port").
   std::string ToString() const;
 
   friend bool operator==(const ShardEndpoint& a, const ShardEndpoint& b) {

@@ -305,9 +305,9 @@ RoutingTable MakeRoutingTable(int num_shards);
 uint32_t RouteSlot(const Edge& e, uint64_t num_nodes);
 
 // The shard an update belongs to: a pure function of (edge, table),
-// shared by the in-process and process-backed coordinators, the shards
-// themselves, and any external stream partitioner — all parties with
-// the same table agree on every placement.
+// shared by the coordinator, the shards themselves, and any external
+// stream partitioner — all parties with the same table agree on every
+// placement.
 int RouteToShard(const Edge& e, uint64_t num_nodes,
                  const RoutingTable& table);
 

@@ -1,8 +1,9 @@
 // Shard-side runtime: owns one GraphZeppelin instance and serves the
 // shard protocol over a stream socket until kShutdown or a fatal
 // framing error. The gz_shard tool is a thin main() around this class;
-// keeping the loop in the library lets conformance tests drive it over
-// an in-process socketpair, no fork required.
+// keeping the loop in the library lets the thread: transport
+// (ThreadShardTransport) and the conformance tests run it over an
+// in-process socketpair, no fork required.
 //
 // Sessions come in two roles (see ShardSessionRole): a *writer* — the
 // coordinator, full protocol — and *readers*, which may only observe

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include <fcntl.h>
 #include <netdb.h>
@@ -16,6 +17,7 @@
 #include <unistd.h>
 
 #include "distributed/shard_process.h"
+#include "distributed/shard_server.h"
 #include "util/check.h"
 
 namespace gz {
@@ -34,11 +36,69 @@ Status ShardTransport::CallAck(ShardMessageType type, const void* payload,
 
 std::unique_ptr<ShardTransport> MakeShardTransport(
     const ShardEndpoint& endpoint, const ShardTransportOptions& options) {
-  if (endpoint.local()) {
-    return std::make_unique<ShardProcess>(options.binary, options.log_path,
-                                          options.auth_secret);
+  if (endpoint.kind == ShardEndpoint::Kind::kTcp) {
+    return std::make_unique<TcpShardTransport>(endpoint, options.auth_secret);
   }
-  return std::make_unique<TcpShardTransport>(endpoint, options.auth_secret);
+  if (endpoint.kind == ShardEndpoint::Kind::kThread) {
+    return std::make_unique<ThreadShardTransport>(options.auth_secret);
+  }
+  return std::make_unique<ShardProcess>(options.binary, options.log_path,
+                                        options.auth_secret);
+}
+
+// ---- ThreadShardTransport -------------------------------------------------
+
+ThreadShardTransport::ThreadShardTransport(std::string auth_secret)
+    : auth_secret_(std::move(auth_secret)) {}
+
+ThreadShardTransport::~ThreadShardTransport() {
+  Terminate();
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status ThreadShardTransport::Connect() {
+  if (Alive()) {
+    return Status::FailedPrecondition("shard thread already running");
+  }
+  Terminate();  // Joins a thread that already left Serve() on its own.
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+    return Status::IoError(std::string("socketpair: ") +
+                           std::strerror(errno));
+  }
+  fd_ = sv[0];
+  server_fd_ = sv[1];
+  serving_.store(true);
+  server_ = std::thread([this, fd = server_fd_] {
+    // The Serve() status is the coordinator's to observe, through the
+    // socket it shares with the loop. However the loop ends, the
+    // coordinator sees EOF, as it does when a local: child exits — an
+    // escaped exception included, which a child would die of but a
+    // thread would take the whole process down with.
+    try {
+      (void)ShardServer(fd, auth_secret_).Serve();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "thread: shard aborted: %s\n", e.what());
+    }
+    ::shutdown(fd, SHUT_RDWR);
+    serving_.store(false);
+  });
+  const Status s = ClientHandshake(fd_, auth_secret_);
+  if (!s.ok()) Terminate();
+  return s;
+}
+
+void ThreadShardTransport::Terminate() {
+  if (server_fd_ >= 0) ::shutdown(server_fd_, SHUT_RDWR);
+  if (server_.joinable()) server_.join();
+  if (server_fd_ >= 0) {
+    ::close(server_fd_);
+    server_fd_ = -1;
+  }
 }
 
 // ---- Child-process plumbing -----------------------------------------------
@@ -157,7 +217,7 @@ TcpShardTransport::TcpShardTransport(ShardEndpoint endpoint,
     : endpoint_(std::move(endpoint)),
       auth_secret_(std::move(auth_secret)),
       role_(role) {
-  GZ_CHECK(!endpoint_.local());
+  GZ_CHECK(endpoint_.kind == ShardEndpoint::Kind::kTcp);
 }
 
 TcpShardTransport::~TcpShardTransport() { Terminate(); }

@@ -1,26 +1,32 @@
 // Transport abstraction under ShardCluster: one connected, authenticated
 // stream socket per shard, created from a ShardEndpoint. The cluster
 // sees only this interface — where the bytes go (a forked child over a
-// socketpair, a TCP listener on another machine) is the transport's
-// business, and the protocol state machines above never branch on it.
+// socketpair, a server thread in this process, a TCP listener on
+// another machine) is the transport's business, and the protocol state
+// machines above never branch on it.
 //
-//   Connect()    establish the connection (fork/exec or TCP connect)
-//                and run the client half of the authenticated
-//                handshake. Re-callable after Terminate() — that is
-//                what RestartShard does.
-//   Alive()      the substrate still exists (child not reaped /
-//                connection open). Liveness of the *shard logic* is
-//                the cluster's health check (PING), not ours.
-//   Terminate()  hard-stop: SIGKILL + reap for a local child,
-//                connection abort for a TCP shard (the listener drops
-//                its instance and returns to accept — the same state
-//                loss a SIGKILL inflicts, recovered the same way:
-//                Connect() + checkpoint restore + replay).
+//   Connect()    establish the connection (fork/exec, thread start or
+//                TCP connect) and run the client half of the
+//                authenticated handshake. Re-callable after
+//                Terminate() — that is what RestartShard does.
+//   Alive()      the substrate still exists (child not reaped / server
+//                thread still serving / connection open). Liveness of
+//                the *shard logic* is the cluster's health check
+//                (PING), not ours.
+//   Terminate()  hard-stop: SIGKILL + reap for a local child, socket
+//                shutdown + join for a thread shard (its instance dies
+//                with its ShardServer), connection abort for a TCP
+//                shard (the listener drops its instance and returns to
+//                accept). Every kind is the same state loss a SIGKILL
+//                inflicts, recovered the same way: Connect() +
+//                checkpoint restore + replay.
 #ifndef GZ_DISTRIBUTED_SHARD_TRANSPORT_H_
 #define GZ_DISTRIBUTED_SHARD_TRANSPORT_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/types.h>
@@ -65,9 +71,45 @@ struct ShardTransportOptions {
 };
 
 // Endpoint -> transport factory: local: -> ShardProcess (fork/exec,
-// see shard_process.h), tcp:// -> TcpShardTransport.
+// see shard_process.h), thread: -> ThreadShardTransport, tcp:// ->
+// TcpShardTransport.
 std::unique_ptr<ShardTransport> MakeShardTransport(
     const ShardEndpoint& endpoint, const ShardTransportOptions& options);
+
+// The thread: transport. Connect() runs the single-session
+// `ShardServer(fd, secret).Serve()` loop — the exact loop a local:
+// child runs — on a std::thread of this process, over a CLOEXEC
+// socketpair, then authenticates like any other transport. Same frames,
+// same handshake, same instance lifecycle, one address space: no fork,
+// and coordinator and shard threads are visible to one race detector.
+class ThreadShardTransport : public ShardTransport {
+ public:
+  explicit ThreadShardTransport(std::string auth_secret);
+  // Terminate()s a still-serving shard; orderly shutdown is the
+  // cluster's job.
+  ~ThreadShardTransport() override;
+  ThreadShardTransport(const ThreadShardTransport&) = delete;
+  ThreadShardTransport& operator=(const ThreadShardTransport&) = delete;
+
+  Status Connect() override;
+  // True until Serve() returns (kShutdown, a lost connection, or
+  // Terminate()).
+  bool Alive() override { return serving_.load(); }
+  // shutdown(SHUT_RDWR) on the server's end fails the loop's next
+  // socket read or write, then the thread is joined; idempotent. The
+  // coordinator's end stays open, as with ShardProcess, so queued
+  // replies can be drained, but any further call fails with IoError.
+  void Terminate() override;
+  int fd() const override { return fd_; }
+  std::string Describe() const override { return "thread:"; }
+
+ private:
+  std::string auth_secret_;
+  int fd_ = -1;         // Coordinator's end.
+  int server_fd_ = -1;  // The server thread's end.
+  std::atomic<bool> serving_{false};
+  std::thread server_;  // Last: it uses the members above.
+};
 
 // ---- Child-process plumbing shared by ShardProcess and ListenerShard ------
 

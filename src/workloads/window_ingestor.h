@@ -1,14 +1,14 @@
 // Sliding-window connectivity: `connected(u, v) within the last W
 // observations` answered by the UNCHANGED sketch stack. The window
 // layer sits in front of any ingestion surface (GraphZeppelin,
-// ShardedGraphZeppelin, ShardCluster — anything that takes GraphUpdate
-// spans): it records each observed edge in a W-slot ring and, when an
-// observation falls out of the ring, issues the expiring DELETE through
-// the same span. Downstream, the instance simply holds the windowed
-// graph, so every existing query — snapshot folds, Boruvka, standing
-// queries over the kSubscribe push stream — is automatically a
-// sliding-window query. No new query algebra, no decay factors in the
-// sketches: the delete path the paper already supports IS the decay.
+// ShardCluster — anything that takes GraphUpdate spans): it records
+// each observed edge in a W-slot ring and, when an observation falls
+// out of the ring, issues the expiring DELETE through the same span.
+// Downstream, the instance simply holds the windowed graph, so every
+// existing query — snapshot folds, Boruvka, standing queries over the
+// kSubscribe push stream — is automatically a sliding-window query.
+// No new query algebra, no decay factors in the sketches: the delete
+// path the paper already supports IS the decay.
 //
 // Delete discipline (the part that guards XOR set semantics): sketches
 // toggle, so a duplicate insert would REMOVE the edge. The ingestor

@@ -8,8 +8,8 @@
 
 #include "algos/bipartiteness.h"
 #include "algos/bridges.h"
+#include "cluster_substrate.h"
 #include "core/connectivity.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "dsu/dsu.h"
 #include "sketch/cube_sketch.h"
 #include "sketch/l0_standard.h"
@@ -164,37 +164,38 @@ TEST(ExhaustiveTest, BridgesMatchNaiveOnAllFiveNodeGraphs) {
   }
 }
 
-// ---- Every graph, sharded, in both execution modes -----------------------
+// ---- Every graph, sharded, on both substrates -----------------------------
 
-class ExhaustiveShardedTest
-    : public ::testing::TestWithParam<ShardedGraphZeppelin::Mode> {};
+class ExhaustiveShardedTest : public ::testing::TestWithParam<Substrate> {};
 
 TEST_P(ExhaustiveShardedTest, ShardedMatchesDsuOnAllFourNodeGraphs) {
   // 4 nodes, 6 possible edges: all 64 graphs through 3 shards. One
-  // instance serves every mask — after each query the mask's edges are
+  // cluster serves every mask — after each query the mask's edges are
   // inserted again, which XOR-cancels the sketch state back to the
-  // empty graph (linearity), so process mode spawns its worker
-  // processes once, not 64 times. The seed is fixed: both modes ingest
-  // identical update multisets, so their sketch states — and any
-  // sampling failures — are bitwise-identical by construction.
+  // empty graph (linearity), so the shards start once, not 64 times.
+  // The seed is fixed: both substrates ingest identical update
+  // multisets, so their sketch states — and any sampling failures —
+  // are bitwise-identical by construction.
   const uint64_t n = 4;
   GraphZeppelinConfig config;
   config.num_nodes = n;
   config.seed = 501;
   config.num_workers = 1;
   config.disk_dir = ::testing::TempDir();
-  ShardedGraphZeppelin sharded(config, 3, GetParam());
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(config, 3, OnSubstrate(GetParam(), 3));
+  ASSERT_TRUE(sharded.Start().ok());
 
   for (uint32_t mask = 0; mask < 64; ++mask) {
     Dsu truth(n);
     for (uint64_t idx = 0; idx < 6; ++idx) {
       if (!(mask & (1u << idx))) continue;
       const Edge e = IndexToEdge(idx, n);
-      sharded.Update({e, UpdateType::kInsert});
+      ASSERT_TRUE(sharded.Update({e, UpdateType::kInsert}).ok());
       truth.Union(e.u, e.v);
     }
-    const ConnectivityResult r = sharded.ListSpanningForest();
+    Result<GraphSnapshot> snapshot = sharded.Snapshot();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    const ConnectivityResult r = Connectivity(std::move(snapshot).value());
     ASSERT_FALSE(r.failed) << "mask " << mask;
     EXPECT_EQ(r.num_components, truth.num_sets()) << "mask " << mask;
     for (uint64_t i = 0; i < n; ++i) {
@@ -206,20 +207,18 @@ TEST_P(ExhaustiveShardedTest, ShardedMatchesDsuOnAllFourNodeGraphs) {
     // Toggle the mask back out: the next iteration starts empty.
     for (uint64_t idx = 0; idx < 6; ++idx) {
       if (mask & (1u << idx)) {
-        sharded.Update({IndexToEdge(idx, n), UpdateType::kInsert});
+        ASSERT_TRUE(
+            sharded.Update({IndexToEdge(idx, n), UpdateType::kInsert}).ok());
       }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Modes, ExhaustiveShardedTest,
-    ::testing::Values(ShardedGraphZeppelin::Mode::kInProcess,
-                      ShardedGraphZeppelin::Mode::kProcess),
-    [](const ::testing::TestParamInfo<ShardedGraphZeppelin::Mode>& info) {
-      return info.param == ShardedGraphZeppelin::Mode::kInProcess
-                 ? "InProcess"
-                 : "Process";
+    Substrates, ExhaustiveShardedTest,
+    ::testing::Values(Substrate::kThread, Substrate::kProcess),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
 // Brute-force bipartiteness of the subgraph induced by each component.

@@ -24,19 +24,17 @@
 
 #include <chrono>
 
+#include "cluster_substrate.h"
 #include "core/graph_zeppelin.h"
 #include "distributed/query_session.h"
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_process.h"
 #include "distributed/shard_transport.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "util/check.h"
 
 namespace gz {
 namespace {
-
-using Mode = ShardedGraphZeppelin::Mode;
 
 constexpr uint64_t kNumNodes = 96;
 constexpr char kSecret[] = "serving-tier-secret";
@@ -85,27 +83,29 @@ std::vector<GraphUpdate> BuildStream(uint64_t seed) {
 constexpr uint64_t kChunk = 16;
 constexpr uint64_t kChunksPerShard = (kNumNodes + kChunk - 1) / kChunk;
 
-class ServingTierModeTest : public ::testing::TestWithParam<Mode> {};
+class ServingTierSubstrateTest : public ::testing::TestWithParam<Substrate> {
+};
 
-TEST_P(ServingTierModeTest, CachedSnapshotBitwiseEqualsFullFold) {
+TEST_P(ServingTierSubstrateTest, CachedSnapshotBitwiseEqualsFullFold) {
   // The acceptance pin: at every position along an ingest + reshard
   // schedule, CachedSnapshot() == Snapshot() bitwise — sketches AND
   // update count — and a repeat call at an unmoved position is
   // answered with ZERO data pulls.
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = kChunk;
-  ShardedGraphZeppelin sharded(BaseConfig(21), 3, GetParam(), options);
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(21), 3, OnSubstrate(GetParam(), 3, options));
+  ASSERT_TRUE(sharded.Start().ok());
+  const std::string grow = SubstrateEndpoint(GetParam());
   const std::vector<GraphUpdate> updates = BuildStream(21);
   const size_t burst = updates.size() / 6 + 1;
   size_t fed = 0;
   const auto feed_burst = [&] {
     const size_t count = std::min(burst, updates.size() - fed);
-    sharded.Update(updates.data() + fed, count);
+    ASSERT_TRUE(sharded.Update(updates.data() + fed, count).ok());
     fed += count;
   };
   const auto check_pinned = [&](const char* step) {
-    GraphSnapshot full = sharded.Snapshot();
+    GraphSnapshot full = FoldedSnapshot(&sharded);
     const GraphSnapshot* cached = nullptr;
     Status s = sharded.CachedSnapshot(&cached);
     ASSERT_TRUE(s.ok()) << step << ": " << s.ToString();
@@ -126,12 +126,12 @@ TEST_P(ServingTierModeTest, CachedSnapshotBitwiseEqualsFullFold) {
   feed_burst();
   check_pinned("second burst");
 
-  Result<int> added = sharded.AddShard();
+  Result<int> added = sharded.AddShard(grow);
   ASSERT_TRUE(added.ok());
   feed_burst();
   check_pinned("after add");
 
-  ASSERT_TRUE(sharded.SplitShard(0).ok());
+  ASSERT_TRUE(sharded.SplitShard(0, grow).ok());
   feed_burst();
   check_pinned("after split");
 
@@ -140,16 +140,16 @@ TEST_P(ServingTierModeTest, CachedSnapshotBitwiseEqualsFullFold) {
   check_pinned("after remove, stream done");
 }
 
-TEST_P(ServingTierModeTest, DeltaRefreshPullsOnlyMovedShards) {
+TEST_P(ServingTierSubstrateTest, DeltaRefreshPullsOnlyMovedShards) {
   // Cache freshness is per shard: a reshard that touches shards A and
   // B must refresh by pulling node deltas from A and B ONLY — the
   // unmoved third shard contributes its cached content untouched.
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = kChunk;
-  ShardedGraphZeppelin sharded(BaseConfig(33), 3, GetParam(), options);
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(33), 3, OnSubstrate(GetParam(), 3, options));
+  ASSERT_TRUE(sharded.Start().ok());
   const std::vector<GraphUpdate> updates = BuildStream(33);
-  sharded.Update(updates.data(), updates.size());
+  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
 
   const GraphSnapshot* cached = nullptr;
   ASSERT_TRUE(sharded.CachedSnapshot(&cached).ok());
@@ -160,23 +160,21 @@ TEST_P(ServingTierModeTest, DeltaRefreshPullsOnlyMovedShards) {
   // A split with no interleaved ingest moves exactly two watermarks:
   // the source (its delta_seq advances per extracted chunk) and the
   // new target.
-  ASSERT_TRUE(sharded.SplitShard(0).ok());
+  ASSERT_TRUE(sharded.SplitShard(0, SubstrateEndpoint(GetParam())).ok());
   ASSERT_TRUE(sharded.CachedSnapshot(&cached).ok());
   EXPECT_EQ(sharded.snapshot_cache().range_pulls() - cold_pulls,
             2 * kChunksPerShard)
       << "refresh must pull from the two moved shards, not all four";
   EXPECT_EQ(sharded.snapshot_cache().cold_builds(), 1u)
       << "a delta refresh must not rebuild from scratch";
-  GraphSnapshot full = sharded.Snapshot();
-  EXPECT_TRUE(*cached == full);
+  EXPECT_TRUE(*cached == FoldedSnapshot(&sharded));
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, ServingTierModeTest,
-                         ::testing::Values(Mode::kInProcess, Mode::kProcess),
+INSTANTIATE_TEST_SUITE_P(Substrates, ServingTierSubstrateTest,
+                         ::testing::Values(Substrate::kThread,
+                                           Substrate::kProcess),
                          [](const auto& info) {
-                           return info.param == Mode::kInProcess
-                                      ? "InProcess"
-                                      : "Process";
+                           return SubstrateName(info.param);
                          });
 
 TEST(ServingTierFaultTest, CacheServesAtLastPositionWhileShardIsDown) {
@@ -256,8 +254,8 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
   options.auth_secret = kSecret;
   options.shard_endpoints = endpoints_;
   options.migrate_nodes_per_chunk = kChunk;
-  ShardedGraphZeppelin sharded(BaseConfig(77), 3, Mode::kProcess, options);
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(77), 3, options);
+  ASSERT_TRUE(sharded.Start().ok());
   // A fourth listener for the split target: the new shard must serve
   // readers too, so it gets a real endpoint rather than a local child.
   std::vector<std::string> grown_endpoints;
@@ -268,8 +266,8 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
 
   const std::vector<GraphUpdate> updates = BuildStream(77);
   const size_t half = updates.size() / 2;
-  sharded.Update(updates.data(), half);
-  sharded.Flush();
+  ASSERT_TRUE(sharded.Update(updates.data(), half).ok());
+  ASSERT_TRUE(sharded.Flush().ok());
 
   // Quiesced bitwise pin, reader vs coordinator.
   QuerySession session(ReaderOptions());
@@ -278,7 +276,7 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
   Status s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
   {
-    GraphSnapshot full = sharded.Snapshot();
+    GraphSnapshot full = FoldedSnapshot(&sharded);
     EXPECT_TRUE(*served == full);
     EXPECT_EQ(served->num_updates(), full.num_updates());
   }
@@ -330,17 +328,17 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
   while (sharded.migration_active()) {
     const size_t count = std::min<size_t>(64, updates.size() - fed);
     if (count > 0) {
-      sharded.Update(updates.data() + fed, count);
+      ASSERT_TRUE(sharded.Update(updates.data() + fed, count).ok());
       fed += count;
     }
     ASSERT_TRUE(sharded.PumpMigration().ok());
   }
   while (fed < updates.size()) {
     const size_t count = std::min<size_t>(256, updates.size() - fed);
-    sharded.Update(updates.data() + fed, count);
+    ASSERT_TRUE(sharded.Update(updates.data() + fed, count).ok());
     fed += count;
   }
-  sharded.Flush();
+  ASSERT_TRUE(sharded.Flush().ok());
   stop.store(true);
   for (std::thread& t : readers) t.join();
   EXPECT_GT(served_ok.load(), 0) << "no reader ever served an answer";
@@ -356,12 +354,12 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
   ASSERT_TRUE(grown_session.Connect().ok());
   s = grown_session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  GraphSnapshot full = sharded.Snapshot();
+  GraphSnapshot full = FoldedSnapshot(&sharded);
   EXPECT_TRUE(*served == full);
   EXPECT_EQ(served->num_updates(), updates.size());
 
   // And the writer path survived every reader drill above.
-  const ConnectivityResult coord = sharded.ListSpanningForest();
+  const ConnectivityResult coord = Connectivity(full);
   const ConnectivityResult reader_cc = Connectivity(*served, 1);
   ASSERT_FALSE(coord.failed);
   ASSERT_FALSE(reader_cc.failed);

@@ -1,21 +1,28 @@
-// Multi-process sharded ingestion: real gz_shard worker processes fed
+// Sharded ingestion through the ShardCluster coordinator: shards fed
 // over sockets, queried via serialized-snapshot aggregation, with fault
 // injection (SIGKILL mid-stream, restart from checkpoint, replay) that
 // must be invisible in the final result.
 //
-// Every drill runs over BOTH transports: local (fork/exec children
+// Every drill runs over ALL THREE transports: thread (ShardServer
+// threads in this process over socketpairs), local (fork/exec children
 // over socketpairs) and loopback TCP (real `gz_shard --listen`
 // processes dialed by endpoint, with an auth secret) — the transport
-// must be invisible in every result too. A TCP "SIGKILL" is a
-// connection abort: the listener discards its instance and re-accepts,
-// the same state loss recovered the same way.
+// must be invisible in every result too. A thread "SIGKILL" is a socket
+// shutdown + join that destroys the instance with its server; a TCP
+// one is a connection abort: the listener discards its instance and
+// re-accepts. Both are the same state loss, recovered the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <dirent.h>
+
+#include "cluster_substrate.h"
 #include "core/graph_zeppelin.h"
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_transport.h"
@@ -34,36 +41,19 @@ GraphZeppelinConfig BaseConfig(uint64_t n, uint64_t seed) {
   return c;
 }
 
-enum class Transport { kLocal, kTcp };
-
-constexpr char kTestSecret[] = "cluster-test-secret";
-
-class ShardClusterTest : public ::testing::TestWithParam<Transport> {
+class ShardClusterTest : public ::testing::TestWithParam<Substrate> {
  protected:
-  // Options for an `num_shards`-shard cluster on the transport under
-  // test: local mode leaves `options` untouched; TCP mode stands up
-  // one listener-mode gz_shard per shard and points an endpoint at it.
-  ShardClusterOptions MakeOptions(int num_shards,
+  // Options for `endpoints` shard replicas on the substrate under test.
+  ShardClusterOptions MakeOptions(int endpoints,
                                   ShardClusterOptions options = {}) {
-    if (GetParam() == Transport::kTcp) {
-      options.auth_secret = kTestSecret;
-      GZ_CHECK_OK(StartListenerShards(
-          DefaultShardBinary(), num_shards, ::testing::TempDir(),
-          ::testing::TempDir() + "/gz_listener_", kTestSecret, &listeners_,
-          &options.shard_endpoints));
-    }
-    return options;
+    return OnSubstrate(GetParam(), endpoints, std::move(options),
+                       &listeners_);
   }
 
-  // One more listener (for AddShard-onto-a-new-machine drills). Harness
-  // failure aborts at the cause rather than surfacing as a confusing
-  // endpoint-parse error deep inside the drill.
+  // One more listener (for AddShard-onto-a-new-machine drills).
   std::string SpawnListener() {
     std::vector<std::string> endpoints;
-    GZ_CHECK_OK(StartListenerShards(
-        DefaultShardBinary(), 1, ::testing::TempDir(),
-        ::testing::TempDir() + "/gz_listener_", kTestSecret, &listeners_,
-        &endpoints));
+    StartSubstrateListeners(1, &listeners_, &endpoints);
     return endpoints.back();
   }
 
@@ -422,13 +412,14 @@ TEST_P(ShardClusterTest, AddAndSplitShardsUnderLoadMatchBitwise) {
   ASSERT_TRUE(cluster.Update(updates.data(), third).ok());
 
   // 1 -> 2 by AddShard: instant (an empty shard is the XOR identity).
-  Result<int> added = cluster.AddShard();
+  Result<int> added = cluster.AddShard(SubstrateEndpoint(GetParam()));
   ASSERT_TRUE(added.ok()) << added.status().ToString();
   EXPECT_EQ(added.value(), 1);
   ASSERT_TRUE(cluster.Update(updates.data() + third, third).ok());
 
   // 2 -> 3 by splitting shard 0, feeding between pump steps.
-  Result<int> split = cluster.BeginSplitShard(0);
+  Result<int> split =
+      cluster.BeginSplitShard(0, SubstrateEndpoint(GetParam()));
   ASSERT_TRUE(split.ok()) << split.status().ToString();
   EXPECT_EQ(split.value(), 2);
   size_t fed = 2 * third;
@@ -574,7 +565,8 @@ TEST_P(ShardClusterTest, TargetDiesUndetectedMidSplitStillConverges) {
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
 
-  Result<int> split = cluster.BeginSplitShard(0);
+  Result<int> split =
+      cluster.BeginSplitShard(0, SubstrateEndpoint(GetParam()));
   ASSERT_TRUE(split.ok()) << split.status().ToString();
   ASSERT_TRUE(cluster.PumpMigration().ok());
   cluster.KillShard(split.value(), /*observed=*/false);
@@ -640,8 +632,9 @@ TEST_P(ShardClusterTest, CheckpointMidMigrationCoversDeltasExactly) {
 }
 
 TEST_P(ShardClusterTest, DiskBackedShardProcessesWork) {
-  // Disk-backed gutter tree + on-disk sketch store inside each worker
-  // process; per-process pids keep backing files separate.
+  // Disk-backed gutter tree + on-disk sketch store inside each shard;
+  // per-shard instance tags (and per-process pids, or the per-instance
+  // counter for thread shards) keep backing files separate.
   GraphZeppelinConfig base = BaseConfig(64, 7);
   base.storage = GraphZeppelinConfig::Storage::kDisk;
   base.buffering = GraphZeppelinConfig::Buffering::kGutterTree;
@@ -663,7 +656,7 @@ TEST_P(ShardClusterTest, DiskBackedShardProcessesWork) {
 TEST_P(ShardClusterTest, AddShardOnTcpEndpointGrowsAcrossMachines) {
   // Elastic growth onto "another machine": AddShard with a tcp://
   // endpoint attaches a listener-mode shard to a running cluster (a
-  // mixed local+tcp cluster when the base transport is local). The
+  // mixed cluster when the base transport is thread or local). The
   // result must stay bitwise-identical to an unsharded instance.
   const uint64_t n = 96;
   ErdosRenyiParams ep;
@@ -677,7 +670,7 @@ TEST_P(ShardClusterTest, AddShardOnTcpEndpointGrowsAcrossMachines) {
   const GraphZeppelinConfig base = BaseConfig(n, 231);
   ShardClusterOptions options = MakeOptions(2);
   // TCP endpoints need the handshake secret even in local base mode.
-  options.auth_secret = kTestSecret;
+  options.auth_secret = kSubstrateSecret;
   ShardCluster cluster(base, 2, options);
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
@@ -896,11 +889,80 @@ TEST_P(ShardClusterTest, ReconcileIsANoOpOnAHealthyUnreplicatedCluster) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Transports, ShardClusterTest,
-    ::testing::Values(Transport::kLocal, Transport::kTcp),
-    [](const ::testing::TestParamInfo<Transport>& info) {
-      return info.param == Transport::kLocal ? "Local" : "Tcp";
+    Substrates, ShardClusterTest,
+    ::testing::Values(Substrate::kThread, Substrate::kProcess,
+                      Substrate::kTcp),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
+
+// Threads of this process, from /proc/self/task.
+size_t ThreadCount() {
+  DIR* dir = ::opendir("/proc/self/task");
+  GZ_CHECK(dir != nullptr);
+  size_t count = 0;
+  while (const struct dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++count;
+  }
+  ::closedir(dir);
+  return count;
+}
+
+TEST(ShardClusterThreadTest, KillRestartDestroyLoopLeavesNoShardThreads) {
+  // thread: shards live in the test's own address space, so a leaked
+  // server thread (or one of its Graph Workers) would outlive the
+  // cluster here, where a leaked child process would not. Each round
+  // kills one shard mid-stream, restarts it (or, every third round,
+  // destroys the cluster with the shard still down), checks the fold
+  // bitwise, and destroys the cluster — with an explicit Shutdown()
+  // on even rounds, through the destructor on odd ones. Afterwards the
+  // process's thread count must be back at its baseline.
+  const uint64_t n = 64;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.08;
+  ep.seed = 301;
+  const std::vector<GraphUpdate> updates =
+      ToggleStream(ErdosRenyiGenerator(ep).Generate(), 3);
+  const size_t half = updates.size() / 2;
+  const GraphZeppelinConfig base = BaseConfig(n, 307);
+  const GraphSnapshot expect = SingleProcessSnapshot(base, updates);
+
+  const size_t baseline = ThreadCount();
+  for (int round = 0; round < 6; ++round) {
+    {
+      ShardCluster cluster(base, 3, OnSubstrate(Substrate::kThread, 3));
+      ASSERT_TRUE(cluster.Start().ok());
+      EXPECT_GT(ThreadCount(), baseline);
+      ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
+      if (round % 2 == 1) {
+        ASSERT_TRUE(cluster.Checkpoint().ok());
+      }
+      const int victim = round % 3;
+      cluster.KillShard(victim);
+      ASSERT_TRUE(cluster
+                      .Update(updates.data() + half, updates.size() - half)
+                      .ok());
+      if (round % 3 == 2) continue;  // Destroyed with the shard down.
+      ASSERT_TRUE(cluster.RestartShard(victim).ok()) << "round " << round;
+      Result<GraphSnapshot> folded = cluster.Snapshot();
+      ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+      EXPECT_TRUE(folded.value() == expect) << "round " << round;
+      if (round % 2 == 0) {
+        ASSERT_TRUE(cluster.Shutdown().ok());
+      }
+    }
+    // A joined thread leaves /proc/self/task a moment after its join
+    // returns; allow that, never a live thread.
+    size_t now = ThreadCount();
+    for (int wait = 0; wait < 200 && now != baseline; ++wait) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      now = ThreadCount();
+    }
+    EXPECT_EQ(now, baseline) << "threads outlived the cluster in round "
+                             << round;
+  }
+}
 
 TEST(ShardClusterTcpTest, WrongAuthSecretFailsStartWithoutCrash) {
   // A coordinator holding the wrong secret must be told so at Start()

@@ -14,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "distributed/query_session.h"
 #include "distributed/shard_endpoint.h"
 #include "distributed/shard_protocol.h"
 #include "distributed/shard_server.h"
@@ -1022,13 +1023,24 @@ TEST_F(ShardServerFixture, HandshakeFrameMidSessionIsErrorNotCrash) {
 TEST(ShardEndpointTest, ParsesTheGrammar) {
   Result<ShardEndpoint> local = ParseShardEndpoint("local:");
   ASSERT_TRUE(local.ok());
-  EXPECT_TRUE(local.value().local());
+  EXPECT_EQ(local.value().kind, ShardEndpoint::Kind::kLocal);
   EXPECT_EQ(local.value().ToString(), "local:");
-  EXPECT_TRUE(ParseShardEndpoint("").ok());  // Unset slot = local.
+  Result<ShardEndpoint> unset = ParseShardEndpoint("");
+  ASSERT_TRUE(unset.ok());
+  EXPECT_EQ(unset.value().kind, ShardEndpoint::Kind::kLocal);
+
+  Result<ShardEndpoint> thread = ParseShardEndpoint("thread:");
+  ASSERT_TRUE(thread.ok());
+  EXPECT_EQ(thread.value().kind, ShardEndpoint::Kind::kThread);
+  EXPECT_EQ(thread.value().ToString(), "thread:");
+  Result<ShardEndpoint> round_trip =
+      ParseShardEndpoint(thread.value().ToString());
+  ASSERT_TRUE(round_trip.ok());
+  EXPECT_TRUE(round_trip.value() == thread.value());
 
   Result<ShardEndpoint> tcp = ParseShardEndpoint("tcp://10.0.0.7:9001");
   ASSERT_TRUE(tcp.ok());
-  EXPECT_FALSE(tcp.value().local());
+  EXPECT_EQ(tcp.value().kind, ShardEndpoint::Kind::kTcp);
   EXPECT_EQ(tcp.value().host, "10.0.0.7");
   EXPECT_EQ(tcp.value().port, 9001);
   EXPECT_EQ(tcp.value().ToString(), "tcp://10.0.0.7:9001");
@@ -1036,10 +1048,24 @@ TEST(ShardEndpointTest, ParsesTheGrammar) {
   for (const char* bad :
        {"tcp://", "tcp://host", "tcp://host:", "tcp://:80",
         "tcp://host:0", "tcp://host:65536", "tcp://host:12x",
-        "udp://host:80", "host:80"}) {
+        "udp://host:80", "host:80", "thread:x", "thread://", "thread"}) {
     EXPECT_EQ(ParseShardEndpoint(bad).status().code(),
               StatusCode::kInvalidArgument)
         << bad;
+  }
+}
+
+TEST(ShardEndpointTest, QuerySessionsRefuseNonTcpEndpoints) {
+  // Reader sessions dial listeners: a local: or thread: endpoint names
+  // no listener, so Connect() refuses it up front rather than failing
+  // later with a misleading resolve error.
+  for (const char* endpoint : {"local:", "thread:"}) {
+    QuerySessionOptions options;
+    options.endpoints = {endpoint};
+    QuerySession session(options);
+    const Status s = session.Connect();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << endpoint;
+    EXPECT_NE(s.message().find(endpoint), std::string::npos) << s.ToString();
   }
 }
 

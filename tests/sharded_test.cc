@@ -1,24 +1,26 @@
 // Tests for sharded (distributed-style) ingestion: linearity makes
-// shard-merged queries exact. Every correctness case runs in both
-// execution modes — in-process shard instances and real gz_shard
-// worker processes fed over sockets — against one shared ground-truth
-// check, since the two modes must be indistinguishable above the API.
+// shard-merged queries exact. Every correctness case runs on both
+// single-machine substrates — shard threads in this process and real
+// gz_shard worker processes, both fed over sockets by the one
+// ShardCluster coordinator — against one shared ground-truth check,
+// since the substrate must be invisible above the API.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "algos/bridges.h"
 #include "algos/spanning_forests.h"
 #include "baseline/matrix_checker.h"
-#include "distributed/sharded_graph_zeppelin.h"
+#include "cluster_substrate.h"
+#include "core/connectivity.h"
 #include "stream/erdos_renyi_generator.h"
 #include "stream/stream_transform.h"
 
 namespace gz {
 namespace {
-
-using Mode = ShardedGraphZeppelin::Mode;
 
 GraphZeppelinConfig BaseConfig(uint64_t n, uint64_t seed) {
   GraphZeppelinConfig c;
@@ -29,25 +31,21 @@ GraphZeppelinConfig BaseConfig(uint64_t n, uint64_t seed) {
   return c;
 }
 
-std::string ModeName(Mode mode) {
-  return mode == Mode::kInProcess ? "InProcess" : "Process";
+// A started cluster of `shards` shards on `substrate`.
+std::unique_ptr<ShardCluster> StartCluster(const GraphZeppelinConfig& base,
+                                           int shards, Substrate substrate) {
+  auto cluster = std::make_unique<ShardCluster>(
+      base, shards, OnSubstrate(substrate, shards));
+  GZ_CHECK_OK(cluster->Start());
+  return cluster;
 }
 
-TEST(ShardedTest, InProcessModeRefusesRemoteEndpoints) {
-  // In-process shards have nowhere remote to live: an endpoint list
-  // naming tcp:// shards must fail Init() loudly, never silently run
-  // everything locally while the user's listeners sit undailed.
-  ShardClusterOptions options;
-  options.shard_endpoints = {"local:", "tcp://far-away:9001"};
-  ShardedGraphZeppelin sharded(BaseConfig(64, 9), 2,
-                               ShardedGraphZeppelin::Mode::kInProcess,
-                               options);
-  const Status s = sharded.Init();
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+ConnectivityResult Components(ShardCluster* cluster) {
+  return Connectivity(FoldedSnapshot(cluster));
 }
 
 TEST(ShardedTest, ShardRoutingDeterministicAndBounded) {
-  ShardedGraphZeppelin sharded(BaseConfig(64, 1), 4);
+  ShardCluster sharded(BaseConfig(64, 1), 4);
   for (NodeId u = 0; u < 20; ++u) {
     const Edge e(u, static_cast<NodeId>(u + 10));
     const int shard = sharded.ShardFor(e);
@@ -58,7 +56,7 @@ TEST(ShardedTest, ShardRoutingDeterministicAndBounded) {
 }
 
 TEST(ShardedTest, RoutingRoughlyBalanced) {
-  ShardedGraphZeppelin sharded(BaseConfig(256, 2), 4);
+  ShardCluster sharded(BaseConfig(256, 2), 4);
   int counts[4] = {0, 0, 0, 0};
   for (NodeId u = 0; u < 255; ++u) {
     for (NodeId v = u + 1; v < 256; v += 17) {
@@ -72,130 +70,134 @@ TEST(ShardedTest, RoutingRoughlyBalanced) {
   }
 }
 
-TEST(ShardedTest, RoutingIdenticalAcrossModes) {
+TEST(ShardedTest, RoutingIdenticalAcrossSubstrates) {
   // An external stream partitioner must be able to pre-split a stream
-  // for either deployment; the hash may not depend on the mode.
-  ShardedGraphZeppelin in_process(BaseConfig(128, 5), 5, Mode::kInProcess);
-  ShardedGraphZeppelin process(BaseConfig(128, 5), 5, Mode::kProcess);
+  // for either deployment; the hash may not depend on the substrate.
+  ShardCluster thread(BaseConfig(128, 5), 5,
+                      OnSubstrate(Substrate::kThread, 5));
+  ShardCluster process(BaseConfig(128, 5), 5,
+                       OnSubstrate(Substrate::kProcess, 5));
   for (NodeId u = 0; u < 60; ++u) {
     const Edge e(u, static_cast<NodeId>(u + 13));
-    EXPECT_EQ(in_process.ShardFor(e), process.ShardFor(e));
+    EXPECT_EQ(thread.ShardFor(e), process.ShardFor(e));
   }
 }
 
-TEST(ShardedTest, RoutingIsPureFunctionOfTableAcrossModesAndReshards) {
+TEST(ShardedTest, RoutingIsPureFunctionOfTableAcrossSubstratesAndReshards) {
   // The regression the epoch table exists for: routing must be a pure
   // function of (edge, table) that coordinator, shards and any
-  // external partitioner share — in both modes, through elastic
-  // reshard operations, with no hidden mode- or history-dependent
-  // state. Both facades run the same reshard schedule; after every
+  // external partitioner share — on every substrate, through elastic
+  // reshard operations, with no hidden substrate- or history-dependent
+  // state. Both clusters run the same reshard schedule; after every
   // step their tables are identical and every edge routes identically
   // (and identically to the raw pure function).
   const uint64_t n = 128;
-  ShardedGraphZeppelin in_process(BaseConfig(n, 6), 2, Mode::kInProcess);
-  ShardedGraphZeppelin process(BaseConfig(n, 6), 2, Mode::kProcess);
-  ASSERT_TRUE(in_process.Init().ok());
-  ASSERT_TRUE(process.Init().ok());
+  const std::unique_ptr<ShardCluster> thread =
+      StartCluster(BaseConfig(n, 6), 2, Substrate::kThread);
+  const std::unique_ptr<ShardCluster> process =
+      StartCluster(BaseConfig(n, 6), 2, Substrate::kProcess);
 
   auto check_agreement = [&](const char* step) {
-    ASSERT_TRUE(in_process.routing_table() == process.routing_table())
+    ASSERT_TRUE(thread->routing_table() == process->routing_table())
         << step;
     for (NodeId u = 0; u < 80; ++u) {
       const Edge e(u, static_cast<NodeId>(u + 11));
-      const int expect =
-          RouteToShard(e, n, in_process.routing_table());
-      EXPECT_EQ(in_process.ShardFor(e), expect) << step;
-      EXPECT_EQ(process.ShardFor(e), expect) << step;
+      const int expect = RouteToShard(e, n, thread->routing_table());
+      EXPECT_EQ(thread->ShardFor(e), expect) << step;
+      EXPECT_EQ(process->ShardFor(e), expect) << step;
     }
   };
   check_agreement("initial");
 
-  ASSERT_TRUE(in_process.AddShard().ok());
-  ASSERT_TRUE(process.AddShard().ok());
+  ASSERT_TRUE(thread->AddShard("thread:").ok());
+  ASSERT_TRUE(process->AddShard().ok());
   check_agreement("after add");
 
-  ASSERT_TRUE(in_process.SplitShard(0).ok());
-  ASSERT_TRUE(process.SplitShard(0).ok());
+  ASSERT_TRUE(thread->SplitShard(0, "thread:").ok());
+  ASSERT_TRUE(process->SplitShard(0).ok());
   check_agreement("after split");
 
-  ASSERT_TRUE(in_process.RemoveShard(1).ok());
-  ASSERT_TRUE(process.RemoveShard(1).ok());
+  ASSERT_TRUE(thread->RemoveShard(1).ok());
+  ASSERT_TRUE(process->RemoveShard(1).ok());
   check_agreement("after remove");
 }
 
-// ---- Dual-mode matrix -----------------------------------------------------
+// ---- Dual-substrate matrix ------------------------------------------------
 
-class ShardedModeTest : public ::testing::TestWithParam<Mode> {};
+class ShardedSubstrateTest : public ::testing::TestWithParam<Substrate> {};
 
-TEST_P(ShardedModeTest, ElasticOpsBeforeInitAreErrorsNotCrashes) {
-  ShardedGraphZeppelin sharded(BaseConfig(32, 9), 2, GetParam());
-  EXPECT_EQ(sharded.AddShard().status().code(),
+TEST_P(ShardedSubstrateTest, ElasticOpsBeforeStartAreErrorsNotCrashes) {
+  ShardCluster sharded(BaseConfig(32, 9), 2, OnSubstrate(GetParam(), 2));
+  const std::string grow = SubstrateEndpoint(GetParam());
+  EXPECT_EQ(sharded.AddShard(grow).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(sharded.BeginRemoveShard(0).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(sharded.BeginSplitShard(0).status().code(),
+  EXPECT_EQ(sharded.BeginSplitShard(0, grow).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(sharded.PumpMigration().code(),
             StatusCode::kFailedPrecondition);
-  // And Init() afterwards still brings the facade up normally.
-  ASSERT_TRUE(sharded.Init().ok());
-  ASSERT_TRUE(sharded.AddShard().ok());
+  // And Start() afterwards still brings the cluster up normally.
+  ASSERT_TRUE(sharded.Start().ok());
+  ASSERT_TRUE(sharded.AddShard(grow).ok());
 }
 
-TEST_P(ShardedModeTest, SingleShardMatchesPlainInstance) {
+TEST_P(ShardedSubstrateTest, SingleShardMatchesPlainInstance) {
   const uint64_t n = 32;
-  ShardedGraphZeppelin sharded(BaseConfig(n, 3), 1, GetParam());
-  ASSERT_TRUE(sharded.Init().ok());
+  const std::unique_ptr<ShardCluster> sharded =
+      StartCluster(BaseConfig(n, 3), 1, GetParam());
   GraphZeppelin plain(BaseConfig(n, 3));
   ASSERT_TRUE(plain.Init().ok());
 
   for (NodeId i = 0; i + 1 < 12; ++i) {
     const GraphUpdate u{Edge(i, i + 1), UpdateType::kInsert};
-    sharded.Update(u);
+    ASSERT_TRUE(sharded->Update(u).ok());
     plain.Update(u);
   }
-  const ConnectivityResult a = sharded.ListSpanningForest();
+  const ConnectivityResult a = Components(sharded.get());
   const ConnectivityResult b = plain.ListSpanningForest();
   ASSERT_FALSE(a.failed);
   ASSERT_FALSE(b.failed);
   EXPECT_EQ(a.num_components, b.num_components);
 }
 
-TEST_P(ShardedModeTest, UpdateCountsSumToTotal) {
-  ShardedGraphZeppelin sharded(BaseConfig(64, 4), 3, GetParam());
-  ASSERT_TRUE(sharded.Init().ok());
+TEST_P(ShardedSubstrateTest, UpdateCountsSumToTotal) {
+  const std::unique_ptr<ShardCluster> sharded =
+      StartCluster(BaseConfig(64, 4), 3, GetParam());
   const int total = 200;
   int ingested = 0;
   for (NodeId u = 0; u < 63 && ingested < total; ++u) {
     for (NodeId v = u + 1; v < 64 && ingested < total; v += 3) {
-      sharded.Update({Edge(u, v), UpdateType::kInsert});
+      ASSERT_TRUE(sharded->Update({Edge(u, v), UpdateType::kInsert}).ok());
       ++ingested;
     }
   }
   uint64_t sum = 0;
-  for (int s = 0; s < sharded.num_shards(); ++s) {
-    sum += sharded.updates_in_shard(s);
+  for (int s = 0; s < sharded->num_shards(); ++s) {
+    Result<ShardStats> stats = sharded->Stats(s);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    sum += stats.value().num_updates;
   }
   EXPECT_EQ(sum, static_cast<uint64_t>(ingested));
 }
 
-TEST_P(ShardedModeTest, ForestDecompositionOverShardedSnapshot) {
+TEST_P(ShardedSubstrateTest, ForestDecompositionOverShardedSnapshot) {
   // Composition: the k-edge-connectivity certificate extracted from a
   // *sharded* ingest must expose the same bridge as a single instance.
   const uint64_t n = 16;
   GraphZeppelinConfig base = BaseConfig(n, 8);
   base.rounds = RoundsForForests(n, 2);
-  ShardedGraphZeppelin sharded(base, 3, GetParam());
-  ASSERT_TRUE(sharded.Init().ok());
+  const std::unique_ptr<ShardCluster> sharded =
+      StartCluster(base, 3, GetParam());
 
   // Two triangles joined by one bridge.
   const Edge edges[] = {Edge(0, 1), Edge(1, 2), Edge(0, 2),
                         Edge(3, 4), Edge(4, 5), Edge(3, 5),
                         Edge(2, 3)};
   for (const Edge& e : edges) {
-    sharded.Update({e, UpdateType::kInsert});
+    ASSERT_TRUE(sharded->Update({e, UpdateType::kInsert}).ok());
   }
-  const GraphSnapshot snapshot = sharded.Snapshot();
+  const GraphSnapshot snapshot = FoldedSnapshot(sharded.get());
   const Result<ForestDecomposition> extracted =
       ExtractSpanningForests(snapshot, 2);
   ASSERT_TRUE(extracted.ok()) << extracted.status().ToString();
@@ -206,11 +208,10 @@ TEST_P(ShardedModeTest, ForestDecompositionOverShardedSnapshot) {
   EXPECT_EQ(bridges[0], Edge(2, 3));
 }
 
-TEST_P(ShardedModeTest, SnapshotFoldMatchesSingleInstanceBitwise) {
-  // The coordinator's fold — in place for in-process shards, via
-  // serialized snapshot frames for worker processes — must produce
+TEST_P(ShardedSubstrateTest, SnapshotFoldMatchesSingleInstanceBitwise) {
+  // The coordinator's fold of serialized snapshot frames must produce
   // exactly the snapshot a single instance ingesting the whole stream
-  // would: the shard partition of the stream (and the transport) is
+  // would: the shard partition of the stream (and the substrate) is
   // invisible after aggregation.
   const uint64_t n = 48;
   ErdosRenyiParams ep;
@@ -219,38 +220,38 @@ TEST_P(ShardedModeTest, SnapshotFoldMatchesSingleInstanceBitwise) {
   ep.seed = 6;
   const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
 
-  ShardedGraphZeppelin sharded(BaseConfig(n, 31), 3, GetParam());
-  ASSERT_TRUE(sharded.Init().ok());
+  const std::unique_ptr<ShardCluster> sharded =
+      StartCluster(BaseConfig(n, 31), 3, GetParam());
   GraphZeppelin single(BaseConfig(n, 31));
   ASSERT_TRUE(single.Init().ok());
   for (const Edge& e : edges) {
-    sharded.Update({e, UpdateType::kInsert});
+    ASSERT_TRUE(sharded->Update({e, UpdateType::kInsert}).ok());
     single.Update({e, UpdateType::kInsert});
   }
 
-  const GraphSnapshot folded = sharded.Snapshot();
+  const GraphSnapshot folded = FoldedSnapshot(sharded.get());
   const GraphSnapshot expect = single.Snapshot();
   EXPECT_TRUE(folded == expect);
   EXPECT_EQ(folded.num_updates(), edges.size());
 }
 
-TEST_P(ShardedModeTest, DiskShardsDoNotCollide) {
+TEST_P(ShardedSubstrateTest, DiskShardsDoNotCollide) {
   // Several disk-backed shards share a seed; per-shard instance tags
-  // (and, in process mode, per-process pids) must keep their backing
-  // files separate.
+  // (plus per-process pids, or the per-instance counter for thread
+  // shards) must keep their backing files separate.
   GraphZeppelinConfig base = BaseConfig(32, 7);
   base.storage = GraphZeppelinConfig::Storage::kDisk;
-  ShardedGraphZeppelin sharded(base, 3, GetParam());
-  ASSERT_TRUE(sharded.Init().ok());
+  const std::unique_ptr<ShardCluster> sharded =
+      StartCluster(base, 3, GetParam());
   for (NodeId i = 0; i + 1 < 16; ++i) {
-    sharded.Update({Edge(i, i + 1), UpdateType::kInsert});
+    ASSERT_TRUE(sharded->Update({Edge(i, i + 1), UpdateType::kInsert}).ok());
   }
-  const ConnectivityResult r = sharded.ListSpanningForest();
+  const ConnectivityResult r = Components(sharded.get());
   ASSERT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 32u - 16u + 1u);
 }
 
-TEST_P(ShardedModeTest, BulkSpanIngestionMatchesSingleUpdates) {
+TEST_P(ShardedSubstrateTest, BulkSpanIngestionMatchesSingleUpdates) {
   const uint64_t n = 64;
   ErdosRenyiParams ep;
   ep.num_nodes = n;
@@ -260,31 +261,32 @@ TEST_P(ShardedModeTest, BulkSpanIngestionMatchesSingleUpdates) {
   std::vector<GraphUpdate> updates;
   for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
 
-  ShardedGraphZeppelin bulk(BaseConfig(n, 13), 3, GetParam());
-  ASSERT_TRUE(bulk.Init().ok());
-  bulk.Update(updates.data(), updates.size());
+  const std::unique_ptr<ShardCluster> bulk =
+      StartCluster(BaseConfig(n, 13), 3, GetParam());
+  ASSERT_TRUE(bulk->Update(updates.data(), updates.size()).ok());
 
-  ShardedGraphZeppelin single(BaseConfig(n, 13), 3, GetParam());
-  ASSERT_TRUE(single.Init().ok());
-  for (const GraphUpdate& u : updates) single.Update(u);
+  const std::unique_ptr<ShardCluster> single =
+      StartCluster(BaseConfig(n, 13), 3, GetParam());
+  for (const GraphUpdate& u : updates) ASSERT_TRUE(single->Update(u).ok());
 
-  EXPECT_TRUE(bulk.Snapshot() == single.Snapshot());
+  EXPECT_TRUE(FoldedSnapshot(bulk.get()) == FoldedSnapshot(single.get()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Modes, ShardedModeTest,
-    ::testing::Values(Mode::kInProcess, Mode::kProcess),
-    [](const ::testing::TestParamInfo<Mode>& info) {
-      return ModeName(info.param);
+    Substrates, ShardedSubstrateTest,
+    ::testing::Values(Substrate::kThread, Substrate::kProcess),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
-// ---- Randomized correctness sweep, both modes -----------------------------
+// ---- Randomized correctness sweep, both substrates ------------------------
 
 class ShardedCorrectnessTest
-    : public ::testing::TestWithParam<std::tuple<int, uint64_t, Mode>> {};
+    : public ::testing::TestWithParam<std::tuple<int, uint64_t, Substrate>> {
+};
 
 TEST_P(ShardedCorrectnessTest, MatchesExactCheckerOnRandomStream) {
-  const auto [num_shards, seed, mode] = GetParam();
+  const auto [num_shards, seed, substrate] = GetParam();
   const uint64_t n = 48;
   ErdosRenyiParams ep;
   ep.num_nodes = n;
@@ -297,14 +299,14 @@ TEST_P(ShardedCorrectnessTest, MatchesExactCheckerOnRandomStream) {
   const StreamTransformResult stream =
       BuildStream(ErdosRenyiGenerator(ep).Generate(), tp);
 
-  ShardedGraphZeppelin sharded(BaseConfig(n, seed + 20), num_shards, mode);
-  ASSERT_TRUE(sharded.Init().ok());
+  const std::unique_ptr<ShardCluster> sharded =
+      StartCluster(BaseConfig(n, seed + 20), num_shards, substrate);
   AdjacencyMatrixChecker checker(n);
   for (const GraphUpdate& u : stream.updates) {
-    sharded.Update(u);
+    ASSERT_TRUE(sharded->Update(u).ok());
     checker.Update(u);
   }
-  const ConnectivityResult got = sharded.ListSpanningForest();
+  const ConnectivityResult got = Components(sharded.get());
   const ConnectivityResult expect = checker.ConnectedComponents();
   ASSERT_FALSE(got.failed);
   EXPECT_EQ(got.num_components, expect.num_components);
@@ -320,12 +322,13 @@ INSTANTIATE_TEST_SUITE_P(
     ShardsAndSeeds, ShardedCorrectnessTest,
     ::testing::Combine(::testing::Values(2, 3, 5),
                        ::testing::Values<uint64_t>(1, 2, 3),
-                       ::testing::Values(Mode::kInProcess, Mode::kProcess)),
-    [](const ::testing::TestParamInfo<std::tuple<int, uint64_t, Mode>>&
+                       ::testing::Values(Substrate::kThread,
+                                         Substrate::kProcess)),
+    [](const ::testing::TestParamInfo<std::tuple<int, uint64_t, Substrate>>&
            info) {
       return "Shards" + std::to_string(std::get<0>(info.param)) + "Seed" +
              std::to_string(std::get<1>(info.param)) +
-             ModeName(std::get<2>(info.param));
+             SubstrateName(std::get<2>(info.param));
     });
 
 }  // namespace

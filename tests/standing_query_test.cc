@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "baseline/matrix_checker.h"
+#include "cluster_substrate.h"
 #include "core/connectivity.h"
 #include "core/graph_zeppelin.h"
 #include "core/standing_query.h"
@@ -25,14 +26,11 @@
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_process.h"
 #include "distributed/shard_transport.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "util/check.h"
 
 namespace gz {
 namespace {
-
-using Mode = ShardedGraphZeppelin::Mode;
 
 constexpr uint64_t kNumNodes = 96;
 constexpr char kSecret[] = "standing-query-secret";
@@ -208,11 +206,12 @@ TEST_F(StandingQueryRegistryTest, LateAddedQueryGetsItsInitialAnswer) {
 
 // ---- Coordinator surface --------------------------------------------------
 
-class StandingQueryCoordinatorTest : public ::testing::TestWithParam<Mode> {};
+class StandingQueryCoordinatorTest
+    : public ::testing::TestWithParam<Substrate> {};
 
 TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
-  ShardedGraphZeppelin sharded(BaseConfig(33), 3, GetParam());
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(33), 3, OnSubstrate(GetParam(), 3));
+  ASSERT_TRUE(sharded.Start().ok());
   StandingQueryRegistry& reg = sharded.standing_queries();
   reg.Add({StandingQueryKind::kConnected, 0, 5});
   reg.Add({StandingQueryKind::kComponentCount, 0, 0});
@@ -232,7 +231,7 @@ TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
   size_t last_components = 0;
   while (fed < updates.size()) {
     const size_t count = std::min(burst, updates.size() - fed);
-    sharded.Update(updates.data() + fed, count);
+    ASSERT_TRUE(sharded.Update(updates.data() + fed, count).ok());
     for (size_t i = 0; i < count; ++i) checker.Update(updates[fed + i]);
     fed += count;
     const Result<size_t> n = sharded.EvaluateStandingQueries(1, notifier);
@@ -258,40 +257,29 @@ TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Modes, StandingQueryCoordinatorTest,
-    ::testing::Values(Mode::kInProcess, Mode::kProcess),
-    [](const ::testing::TestParamInfo<Mode>& info) {
-      return info.param == Mode::kInProcess ? "InProcess" : "Process";
+    Substrates, StandingQueryCoordinatorTest,
+    ::testing::Values(Substrate::kThread, Substrate::kProcess),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
 // ---- Chaos: a live split under standing queries ---------------------------
 
-enum class Transport { kLocal, kTcp };
-
-class StandingQueryClusterTest : public ::testing::TestWithParam<Transport> {
+class StandingQueryClusterTest : public ::testing::TestWithParam<Substrate> {
  protected:
   ShardClusterOptions MakeOptions(int num_shards) {
     ShardClusterOptions options;
     options.migrate_nodes_per_chunk = 16;
-    if (GetParam() == Transport::kTcp) {
-      options.auth_secret = kSecret;
-      GZ_CHECK_OK(StartListenerShards(
-          DefaultShardBinary(), num_shards, ::testing::TempDir(),
-          ::testing::TempDir() + "/gz_standing_l", kSecret, &listeners_,
-          &options.shard_endpoints));
-    }
-    return options;
+    return OnSubstrate(GetParam(), num_shards, std::move(options),
+                       &listeners_);
   }
 
   // Where a grown shard lives: a fresh listener on TCP, a local child
   // otherwise.
   std::string GrowEndpoint() {
-    if (GetParam() == Transport::kLocal) return std::string();
+    if (GetParam() != Substrate::kTcp) return SubstrateEndpoint(GetParam());
     std::vector<std::string> endpoints;
-    GZ_CHECK_OK(StartListenerShards(
-        DefaultShardBinary(), 1, ::testing::TempDir(),
-        ::testing::TempDir() + "/gz_standing_x", kSecret, &listeners_,
-        &endpoints));
+    StartSubstrateListeners(1, &listeners_, &endpoints);
     return endpoints.back();
   }
 
@@ -304,9 +292,8 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
   // ingest interleaved. Every notification must pass the bitwise bar
   // at its own position, and the component count must track the dense
   // baseline at every evaluated position.
-  ShardedGraphZeppelin sharded(BaseConfig(55), 3, Mode::kProcess,
-                               MakeOptions(3));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(55), 3, MakeOptions(3));
+  ASSERT_TRUE(sharded.Start().ok());
   StandingQueryRegistry& reg = sharded.standing_queries();
   reg.Add({StandingQueryKind::kConnected, 1, 2});
   reg.Add({StandingQueryKind::kComponentCount, 0, 0});
@@ -335,7 +322,7 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
         << step;
   };
   const auto feed = [&](size_t from, size_t count) {
-    sharded.Update(updates.data() + from, count);
+    ASSERT_TRUE(sharded.Update(updates.data() + from, count).ok());
     for (size_t i = 0; i < count; ++i) checker.Update(updates[from + i]);
   };
 
@@ -361,16 +348,16 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
   if (fed < updates.size()) {
     feed(fed, updates.size() - fed);
   }
-  sharded.Flush();
+  ASSERT_TRUE(sharded.Flush().ok());
   evaluate_and_pin("post-split");
   EXPECT_GE(fired.size(), 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Transports, StandingQueryClusterTest,
-    ::testing::Values(Transport::kLocal, Transport::kTcp),
-    [](const ::testing::TestParamInfo<Transport>& info) {
-      return info.param == Transport::kLocal ? "Local" : "Tcp";
+    Substrates, StandingQueryClusterTest,
+    ::testing::Values(Substrate::kProcess, Substrate::kTcp),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
 // ---- The push-notified watch over the serving tier ------------------------

@@ -8,7 +8,7 @@
 // The distributed cases mirror sharded_test / shard_cluster_test: every
 // answer must be identical — bitwise for serialized folds, exact for
 // CM counters — between a single-process instance and a sharded
-// cluster, in both execution modes and over both transports.
+// cluster, on thread and process shards and over both transports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,11 +22,11 @@
 
 #include "algos/spanning_forests.h"
 #include "baseline/matrix_checker.h"
+#include "cluster_substrate.h"
 #include "core/connectivity.h"
 #include "core/graph_zeppelin.h"
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_transport.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "workloads/count_min.h"
 #include "workloads/k_connectivity.h"
@@ -35,8 +35,6 @@
 
 namespace gz {
 namespace {
-
-using Mode = ShardedGraphZeppelin::Mode;
 
 GraphZeppelinConfig BaseConfig(uint64_t n, uint64_t seed) {
   GraphZeppelinConfig c;
@@ -57,10 +55,6 @@ GraphZeppelinConfig HHConfig(uint64_t n, uint64_t seed) {
   c.heavy_hitter_depth = 4;
   c.heavy_hitter_candidates = 1 << 14;
   return c;
-}
-
-std::string ModeName(Mode mode) {
-  return mode == Mode::kInProcess ? "InProcess" : "Process";
 }
 
 // ---- CountMinSketch -------------------------------------------------------
@@ -283,9 +277,9 @@ TEST(HeavyHitterTest, InstanceTracksOnBothUpdatePaths) {
   EXPECT_EQ(gz.heavy_hitters()->DegreeCount(0), 1);
 }
 
-// ---- Distributed identity, both modes -------------------------------------
+// ---- Distributed identity, both substrates --------------------------------
 
-class WorkloadShardedTest : public ::testing::TestWithParam<Mode> {};
+class WorkloadShardedTest : public ::testing::TestWithParam<Substrate> {};
 
 TEST_P(WorkloadShardedTest, HeavyHitterFoldMatchesSingleInstanceBitwise) {
   const uint64_t n = 48;
@@ -302,11 +296,11 @@ TEST_P(WorkloadShardedTest, HeavyHitterFoldMatchesSingleInstanceBitwise) {
   }
 
   const GraphZeppelinConfig config = HHConfig(n, 23);
-  ShardedGraphZeppelin sharded(config, 3, GetParam());
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(config, 3, OnSubstrate(GetParam(), 3));
+  ASSERT_TRUE(sharded.Start().ok());
   GraphZeppelin single(config);
   ASSERT_TRUE(single.Init().ok());
-  sharded.Update(updates.data(), updates.size());
+  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
   single.Update(updates.data(), updates.size());
 
   Result<HeavyHitterSketch> folded = sharded.HeavyHitters();
@@ -317,8 +311,8 @@ TEST_P(WorkloadShardedTest, HeavyHitterFoldMatchesSingleInstanceBitwise) {
 }
 
 TEST_P(WorkloadShardedTest, HeavyHittersDisabledIsFailedPrecondition) {
-  ShardedGraphZeppelin sharded(BaseConfig(32, 5), 2, GetParam());
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(32, 5), 2, OnSubstrate(GetParam(), 2));
+  ASSERT_TRUE(sharded.Start().ok());
   EXPECT_EQ(sharded.HeavyHitters().status().code(),
             StatusCode::kFailedPrecondition);
 }
@@ -339,8 +333,8 @@ TEST_P(WorkloadShardedTest, HeavyHittersSurviveLiveSplitAndRemove) {
   for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
 
   const GraphZeppelinConfig config = HHConfig(n, 31);
-  ShardedGraphZeppelin sharded(config, 2, GetParam());
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(config, 2, OnSubstrate(GetParam(), 2));
+  ASSERT_TRUE(sharded.Start().ok());
   GraphZeppelin single(config);
   ASSERT_TRUE(single.Init().ok());
 
@@ -348,13 +342,14 @@ TEST_P(WorkloadShardedTest, HeavyHittersSurviveLiveSplitAndRemove) {
   auto feed_burst = [&](size_t count) {
     count = std::min(count, updates.size() - fed);
     if (count == 0) return;
-    sharded.Update(updates.data() + fed, count);
+    ASSERT_TRUE(sharded.Update(updates.data() + fed, count).ok());
     single.Update(updates.data() + fed, count);
     fed += count;
   };
 
   feed_burst(updates.size() / 3);
-  Result<int> target = sharded.BeginSplitShard(0);
+  Result<int> target =
+      sharded.BeginSplitShard(0, SubstrateEndpoint(GetParam()));
   ASSERT_TRUE(target.ok()) << target.status().ToString();
   while (sharded.migration_active()) {
     feed_burst(64);  // Live split: ingestion interleaves with chunks.
@@ -372,37 +367,29 @@ TEST_P(WorkloadShardedTest, HeavyHittersSurviveLiveSplitAndRemove) {
 
   // And the connectivity answer still matches too (the split/remove
   // was invisible on both planes).
-  const ConnectivityResult got = sharded.ListSpanningForest();
+  Result<GraphSnapshot> snapshot = sharded.Snapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const ConnectivityResult got = Connectivity(std::move(snapshot).value());
   const ConnectivityResult want = single.ListSpanningForest();
   ASSERT_FALSE(got.failed);
   EXPECT_EQ(got.num_components, want.num_components);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Modes, WorkloadShardedTest,
-    ::testing::Values(Mode::kInProcess, Mode::kProcess),
-    [](const ::testing::TestParamInfo<Mode>& info) {
-      return ModeName(info.param);
+    Substrates, WorkloadShardedTest,
+    ::testing::Values(Substrate::kThread, Substrate::kProcess),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
 // ---- Cluster-level workloads over both transports -------------------------
 
-enum class Transport { kLocal, kTcp };
-
-constexpr char kWorkloadSecret[] = "workloads-test-secret";
-
-class WorkloadClusterTest : public ::testing::TestWithParam<Transport> {
+class WorkloadClusterTest : public ::testing::TestWithParam<Substrate> {
  protected:
-  ShardClusterOptions MakeOptions(int num_listeners,
+  ShardClusterOptions MakeOptions(int endpoints,
                                   ShardClusterOptions options = {}) {
-    if (GetParam() == Transport::kTcp) {
-      options.auth_secret = kWorkloadSecret;
-      GZ_CHECK_OK(StartListenerShards(
-          DefaultShardBinary(), num_listeners, ::testing::TempDir(),
-          ::testing::TempDir() + "/gz_wl_listener_", kWorkloadSecret,
-          &listeners_, &options.shard_endpoints));
-    }
-    return options;
+    return OnSubstrate(GetParam(), endpoints, std::move(options),
+                       &listeners_);
   }
 
   std::vector<std::unique_ptr<ListenerShard>> listeners_;
@@ -487,10 +474,10 @@ TEST_P(WorkloadClusterTest, ErdosRenyiForestsArePairwiseEdgeDisjoint) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Transports, WorkloadClusterTest,
-    ::testing::Values(Transport::kLocal, Transport::kTcp),
-    [](const ::testing::TestParamInfo<Transport>& info) {
-      return info.param == Transport::kLocal ? "Local" : "Tcp";
+    Substrates, WorkloadClusterTest,
+    ::testing::Values(Substrate::kProcess, Substrate::kTcp),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
 // ---- Sliding window -------------------------------------------------------

@@ -12,12 +12,14 @@
 //                          from the writer's own fold — in sharded mode
 //                          the coordinator's sum-merge over the shards)
 //
-// Sharded coordinator mode — ingest the stream through a running
-// `gz_shard --listen` fleet instead of an in-process instance (one
-// listener per shard; this process holds the writer session):
+// Sharded coordinator mode — ingest the stream through a ShardCluster
+// instead of one unsharded instance (one endpoint per shard replica:
+// local: children, thread: shards in this process, or running
+// `gz_shard --listen` fleets at tcp://H:P, where this process holds the
+// writer session):
 //   gz_components --stream stream.gzst
-//     --shard-endpoints tcp://H:P,tcp://H:P,...
-//     [--replication R]    (R listeners per shard, shard-major: the
+//     --shard-endpoints URI,URI,...
+//     [--replication R]    (R endpoints per shard, shard-major: the
 //                           endpoint list is replica 0..R-1 of shard 0,
 //                           then of shard 1, ...; its length must be a
 //                           multiple of R)
@@ -28,6 +30,9 @@
 //
 // The checkpoint file is a serialized GraphSnapshot: gz_snapshot can
 // re-query it or merge it with snapshots from same-seed instances.
+//
+// Exit codes: 0 success, 1 runtime failure (the Status is printed),
+// 2 usage error.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,9 +40,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/connectivity.h"
 #include "core/graph_zeppelin.h"
 #include "core/stream_ingestor.h"
-#include "distributed/sharded_graph_zeppelin.h"
+#include "distributed/shard_cluster.h"
 #include "stream/stream_file.h"
 #include "tools/flags.h"
 #include "util/mem_usage.h"
@@ -67,10 +73,17 @@ void PrintHeavyHitters(const gz::HeavyHitterSketch& hh, int top) {
   }
 }
 
+// Prints a failed cluster step and yields the tool's runtime-error exit.
+int ClusterFailure(const char* step, const gz::Status& s) {
+  std::fprintf(stderr, "cluster %s failed: %s\n", step,
+               s.ToString().c_str());
+  return 1;
+}
+
 // Sharded coordinator mode: this process is the cluster's writer —
-// routes the stream to a listener fleet, folds the shard snapshots for
-// the query, and (with --hold-seconds) stays connected afterwards so
-// the shard instances keep serving gz_query reader sessions.
+// routes the stream to the shard endpoints, folds the shard snapshots
+// for the query, and (with --hold-seconds) stays connected afterwards
+// so listener shard instances keep serving gz_query reader sessions.
 int RunSharded(const gz::tools::Flags& flags,
                gz::GraphZeppelinConfig config,
                const std::string& stream_path) {
@@ -84,9 +97,13 @@ int RunSharded(const gz::tools::Flags& flags,
                  replication);
     return 2;
   }
+  if (endpoints.empty()) {
+    std::fprintf(stderr, "--shard-endpoints lists no endpoints\n");
+    return 2;
+  }
   if (endpoints.size() % replication != 0) {
     std::fprintf(stderr,
-                 "--shard-endpoints lists %zu listeners, not a multiple of "
+                 "--shard-endpoints lists %zu endpoints, not a multiple of "
                  "--replication %d (shard-major: R consecutive endpoints "
                  "per shard)\n",
                  endpoints.size(), replication);
@@ -96,14 +113,11 @@ int RunSharded(const gz::tools::Flags& flags,
   copts.auth_secret = tools::ResolveAuthSecret(flags, "gz_components");
   copts.shard_endpoints = endpoints;
   copts.replication_factor = replication;
-  ShardedGraphZeppelin sharded(
-      config, static_cast<int>(endpoints.size()) / replication,
-      ShardedGraphZeppelin::Mode::kProcess, copts);
-  Status s = sharded.Init();
-  if (!s.ok()) {
-    std::fprintf(stderr, "cluster init failed: %s\n", s.ToString().c_str());
-    return 1;
-  }
+  ShardCluster cluster(config,
+                       static_cast<int>(endpoints.size()) / replication,
+                       copts);
+  Status s = cluster.Start();
+  if (!s.ok()) return ClusterFailure("start", s);
 
   StreamReader reader;
   s = reader.Open(stream_path);
@@ -119,7 +133,8 @@ int RunSharded(const gz::tools::Flags& flags,
   while (reader.Next(&update)) {
     chunk.push_back(update);
     if (chunk.size() == chunk.capacity()) {
-      sharded.Update(chunk.data(), chunk.size());
+      s = cluster.Update(chunk.data(), chunk.size());
+      if (!s.ok()) return ClusterFailure("update", s);
       ingested += chunk.size();
       chunk.clear();
     }
@@ -130,14 +145,19 @@ int RunSharded(const gz::tools::Flags& flags,
     return 1;
   }
   if (!chunk.empty()) {
-    sharded.Update(chunk.data(), chunk.size());
+    s = cluster.Update(chunk.data(), chunk.size());
+    if (!s.ok()) return ClusterFailure("update", s);
     ingested += chunk.size();
   }
-  sharded.Flush();
+  s = cluster.Flush();
+  if (!s.ok()) return ClusterFailure("flush", s);
   const double ingest_seconds = timer.Seconds();
 
   WallTimer query_timer;
-  const ConnectivityResult result = sharded.ListSpanningForest();
+  Result<GraphSnapshot> snapshot = cluster.Snapshot();
+  if (!snapshot.ok()) return ClusterFailure("snapshot", snapshot.status());
+  const ConnectivityResult result =
+      Connectivity(std::move(snapshot).value(), config.query_threads);
   const double query_seconds = query_timer.Seconds();
   if (result.failed) {
     std::fprintf(stderr, "sketch query failed; re-run with another seed\n");
@@ -148,7 +168,7 @@ int RunSharded(const gz::tools::Flags& flags,
   std::printf("ingested  %llu updates across %d shards in %.2fs "
               "(%s updates/s)\n",
               static_cast<unsigned long long>(ingested),
-              sharded.num_shards(), ingest_seconds,
+              cluster.num_shards(), ingest_seconds,
               FormatRate(static_cast<double>(ingested) / ingest_seconds,
                          rate_buf, sizeof(rate_buf)));
   std::printf("query     %.3fs, %d Boruvka rounds\n", query_seconds,
@@ -158,7 +178,7 @@ int RunSharded(const gz::tools::Flags& flags,
 
   const int hh_top = static_cast<int>(flags.GetInt("heavy-hitters", 0));
   if (hh_top > 0) {
-    const Result<HeavyHitterSketch> hh = sharded.HeavyHitters();
+    const Result<HeavyHitterSketch> hh = cluster.HeavyHitters();
     if (!hh.ok()) {
       std::fprintf(stderr, "heavy-hitter fold failed: %s\n",
                    hh.status().ToString().c_str());
@@ -191,7 +211,8 @@ int main(int argc, char** argv) {
                  "       [--gutter-fraction F] [--seed N] "
                  "[--checkpoint FILE] [--query-threads N] [--top K] "
                  "[--heavy-hitters K]\n"
-                 "       [--shard-endpoints tcp://H:P,...] "
+                 "       [--shard-endpoints URI,... "
+                 "(local: | thread: | tcp://H:P)] "
                  "[--replication R] "
                  "[--auth-secret S | --auth-secret-file PATH] "
                  "[--hold-seconds N]\n");
