@@ -10,107 +10,101 @@ namespace {
 
 // Shared by checkpoint files and network frames; bump the trailing
 // version digits on layout changes.
-constexpr char kSnapshotMagic[8] = {'G', 'Z', 'S', 'N', 'A', 'P', '0', '1'};
-// Pre-GraphSnapshot checkpoints: identical byte layout under a
-// different magic. Accepted on read so old checkpoints stay restorable.
-constexpr char kLegacyCheckpointMagic[8] = {'G', 'Z', 'C', 'K',
-                                            'P', 'T', '0', '1'};
+constexpr char kMagic[8] = {'G', 'Z', 'S', 'N', 'A', 'P', '0', '2'};
+static_assert(GraphSnapshot::kHeaderBytes ==
+                  sizeof(kMagic) +
+                      2 * sizeof(uint64_t) +  // num_nodes, seed
+                      2 * sizeof(int32_t) +   // cols, rounds
+                      3 * sizeof(uint64_t),   // lo, hi, num_updates
+              "header layout");
 
-constexpr size_t kHeaderBytes = sizeof(kSnapshotMagic) +
-                                sizeof(uint64_t) +  // num_nodes
-                                sizeof(uint64_t) +  // seed
-                                sizeof(int32_t) +   // cols
-                                sizeof(int32_t) +   // rounds
-                                sizeof(uint64_t);   // num_updates
-
-// Node-range deltas (migration units) use their own magic: a range is
-// not a whole snapshot and must never be mistaken for one.
-constexpr char kRangeMagic[8] = {'G', 'Z', 'S', 'N', 'R', 'G', '0', '1'};
-
-constexpr size_t kRangeHeaderBytes = sizeof(kRangeMagic) +
-                                     sizeof(uint64_t) +  // num_nodes
-                                     sizeof(uint64_t) +  // seed
-                                     sizeof(int32_t) +   // cols
-                                     sizeof(int32_t) +   // rounds
-                                     sizeof(uint64_t) +  // lo
-                                     sizeof(uint64_t);   // hi
-
-struct SnapshotHeader {
+struct Header {
   NodeSketchParams params;
+  uint64_t lo = 0;
+  uint64_t hi = 0;
   uint64_t num_updates = 0;
 };
 
-void WriteHeader(const NodeSketchParams& params, uint64_t num_updates,
-                 uint8_t* out) {
-  std::memcpy(out, kSnapshotMagic, sizeof(kSnapshotMagic));
-  out += sizeof(kSnapshotMagic);
-  const uint64_t num_nodes = params.num_nodes;
-  const uint64_t seed = params.seed;
-  const int32_t cols = params.cols;
-  const int32_t rounds = params.rounds;
-  std::memcpy(out, &num_nodes, sizeof(num_nodes));
-  out += sizeof(num_nodes);
-  std::memcpy(out, &seed, sizeof(seed));
-  out += sizeof(seed);
-  std::memcpy(out, &cols, sizeof(cols));
-  out += sizeof(cols);
-  std::memcpy(out, &rounds, sizeof(rounds));
-  out += sizeof(rounds);
-  std::memcpy(out, &num_updates, sizeof(num_updates));
+void WriteHeader(const Header& h, uint8_t* out) {
+  const uint64_t num_nodes = h.params.num_nodes;
+  const uint64_t seed = h.params.seed;
+  const int32_t cols = h.params.cols;
+  const int32_t rounds = h.params.rounds;
+  std::memcpy(out, kMagic, 8);
+  std::memcpy(out + 8, &num_nodes, 8);
+  std::memcpy(out + 16, &seed, 8);
+  std::memcpy(out + 24, &cols, 4);
+  std::memcpy(out + 28, &rounds, 4);
+  std::memcpy(out + 32, &h.lo, 8);
+  std::memcpy(out + 40, &h.hi, 8);
+  std::memcpy(out + 48, &h.num_updates, 8);
 }
 
-// Parses and sanity-checks the fixed-size header. The bounds are
-// generous but keep a garbage header from driving a huge allocation.
-Status ParseHeader(const uint8_t* in, SnapshotHeader* header) {
-  if (std::memcmp(in, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0 &&
-      std::memcmp(in, kLegacyCheckpointMagic,
-                  sizeof(kLegacyCheckpointMagic)) != 0) {
+// Parses and sanity-checks the fixed-size header. num_nodes is capped
+// at the NodeId (uint32) range, the geometry caps keep one record's
+// size sane, and [lo, hi) must lie inside the node bound; with the
+// overflow guard below they make a garbage header an error, never a
+// huge allocation.
+Status ParseHeader(const uint8_t* in, Header* h) {
+  if (std::memcmp(in, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("not a GraphSnapshot: bad magic");
   }
-  in += sizeof(kSnapshotMagic);
-  uint64_t num_nodes = 0, seed = 0, num_updates = 0;
+  uint64_t num_nodes = 0, seed = 0;
   int32_t cols = 0, rounds = 0;
-  std::memcpy(&num_nodes, in, sizeof(num_nodes));
-  in += sizeof(num_nodes);
-  std::memcpy(&seed, in, sizeof(seed));
-  in += sizeof(seed);
-  std::memcpy(&cols, in, sizeof(cols));
-  in += sizeof(cols);
-  std::memcpy(&rounds, in, sizeof(rounds));
-  in += sizeof(rounds);
-  std::memcpy(&num_updates, in, sizeof(num_updates));
-  // num_nodes is capped at the NodeId (uint32) range; the geometry caps
-  // keep one record's size sane. Together with the overflow guard below
-  // they make a garbage header an error, never a huge allocation.
+  std::memcpy(&num_nodes, in + 8, 8);
+  std::memcpy(&seed, in + 16, 8);
+  std::memcpy(&cols, in + 24, 4);
+  std::memcpy(&rounds, in + 28, 4);
+  std::memcpy(&h->lo, in + 32, 8);
+  std::memcpy(&h->hi, in + 40, 8);
+  std::memcpy(&h->num_updates, in + 48, 8);
   if (num_nodes < 2 || num_nodes > (1ULL << 32) || cols < 1 ||
-      cols > 1024 || rounds < 1 || rounds > 4096) {
+      cols > 1024 || rounds < 1 || rounds > 4096 ||
+      !(h->lo < h->hi && h->hi <= num_nodes)) {
     return Status::InvalidArgument("malformed GraphSnapshot header");
   }
-  header->params.num_nodes = num_nodes;
-  header->params.seed = seed;
-  header->params.cols = cols;
-  header->params.rounds = rounds;
-  header->num_updates = num_updates;
-  const size_t record = NodeSketch::SerializedSizeFor(header->params);
-  if (num_nodes > (SIZE_MAX - kHeaderBytes) / record) {
+  h->params.num_nodes = num_nodes;
+  h->params.seed = seed;
+  h->params.cols = cols;
+  h->params.rounds = rounds;
+  const size_t record = NodeSketch::SerializedSizeFor(h->params);
+  if (h->hi - h->lo > (SIZE_MAX - GraphSnapshot::kHeaderBytes) / record) {
     return Status::InvalidArgument("malformed GraphSnapshot header");
   }
   return Status::Ok();
 }
 
-// Expected total byte size of the snapshot `header` describes.
-size_t ExpectedBytes(const SnapshotHeader& header) {
-  return kHeaderBytes + header.params.num_nodes *
-                            NodeSketch::SerializedSizeFor(header.params);
+// Parses an in-memory buffer, whose length must match its header.
+Status ParseBuffer(const uint8_t* data, size_t size, Header* h) {
+  if (data == nullptr || size < GraphSnapshot::kHeaderBytes) {
+    return Status::InvalidArgument("GraphSnapshot buffer too short");
+  }
+  Status s = ParseHeader(data, h);
+  if (!s.ok()) return s;
+  if (size != GraphSnapshot::SerializedSizeFor(h->params, h->lo, h->hi)) {
+    return Status::InvalidArgument(
+        "GraphSnapshot buffer size does not match its header");
+  }
+  return Status::Ok();
 }
 
-// Opens `path` and parses the snapshot header found at `offset` bytes
-// in (callers embedding a snapshot stream after their own prefix pass
-// its size). On success the stream is positioned at the first node
+// Whole-snapshot consumers (Deserialize and the file loaders) adopt the
+// header's update count, which only means something for all of [0, V).
+Status RequireWhole(const Header& h) {
+  if (h.lo != 0 || h.hi != h.params.num_nodes) {
+    return Status::InvalidArgument(
+        "serialized node range is not a whole GraphSnapshot");
+  }
+  return Status::Ok();
+}
+
+// Opens `path` and parses the whole-snapshot header found at `offset`
+// bytes in (callers embedding a snapshot stream after their own prefix
+// pass its size). On success the stream is positioned at the first node
 // record and the body length has been verified to cover every record
 // (trailing bytes are tolerated).
-Status OpenSnapshotFile(const std::string& path, FILE** out,
-                        SnapshotHeader* header, size_t offset = 0) {
+Status OpenSnapshotFile(const std::string& path, FILE** out, Header* header,
+                        size_t offset = 0) {
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::NotFound("cannot open snapshot file: " + path);
@@ -120,12 +114,14 @@ Status OpenSnapshotFile(const std::string& path, FILE** out,
     std::fclose(f);
     return Status::IoError("cannot seek snapshot file: " + path);
   }
-  uint8_t header_buf[kHeaderBytes];
-  if (std::fread(header_buf, 1, kHeaderBytes, f) != kHeaderBytes) {
+  uint8_t header_buf[GraphSnapshot::kHeaderBytes];
+  if (std::fread(header_buf, 1, sizeof(header_buf), f) !=
+      sizeof(header_buf)) {
     std::fclose(f);
     return Status::InvalidArgument("malformed snapshot header: " + path);
   }
   Status s = ParseHeader(header_buf, header);
+  if (s.ok()) s = RequireWhole(*header);
   if (!s.ok()) {
     std::fclose(f);
     return s;
@@ -137,13 +133,15 @@ Status OpenSnapshotFile(const std::string& path, FILE** out,
     return Status::IoError("cannot seek snapshot file: " + path);
   }
   const long file_bytes = std::ftell(f);
-  if (file_bytes < 0 || static_cast<size_t>(file_bytes) <
-                            offset + ExpectedBytes(*header)) {
+  if (file_bytes < 0 ||
+      static_cast<size_t>(file_bytes) <
+          offset + GraphSnapshot::SerializedSizeFor(header->params, 0,
+                                                    header->hi)) {
     std::fclose(f);
     return Status::IoError("truncated snapshot file: " + path);
   }
-  if (std::fseek(f, static_cast<long>(offset + kHeaderBytes), SEEK_SET) !=
-      0) {
+  if (std::fseek(f, static_cast<long>(offset + sizeof(header_buf)),
+                 SEEK_SET) != 0) {
     std::fclose(f);
     return Status::IoError("cannot seek snapshot file: " + path);
   }
@@ -191,55 +189,41 @@ Status GraphSnapshot::Merge(const GraphSnapshot& other) {
   return Status::Ok();
 }
 
-Status GraphSnapshot::MergeNodeDelta(NodeId node, const NodeSketch& delta) {
-  if (!valid()) return Status::InvalidArgument("empty snapshot");
-  if (node >= sketches_.size()) {
-    return Status::InvalidArgument("node id out of range");
-  }
-  if (!(delta.params() == params())) {
-    return Status::InvalidArgument(
-        "delta sketch params do not match this snapshot");
-  }
-  sketches_[node].Merge(delta);
-  return Status::Ok();
+size_t GraphSnapshot::SerializedSizeFor(const NodeSketchParams& params,
+                                        uint64_t lo, uint64_t hi) {
+  GZ_CHECK_MSG(lo < hi && hi <= params.num_nodes, "bad node range");
+  return kHeaderBytes + (hi - lo) * NodeSketch::SerializedSizeFor(params);
 }
 
 size_t GraphSnapshot::SerializedSize() const {
-  GZ_CHECK_MSG(valid(), "empty snapshot");
-  return kHeaderBytes + sketches_.size() * sketches_[0].SerializedSize();
-}
-
-size_t GraphSnapshot::SerializedSizeFor(const NodeSketchParams& params) {
-  return kHeaderBytes +
-         params.num_nodes * NodeSketch::SerializedSizeFor(params);
+  return SerializedSizeFor(params(), 0, num_nodes());
 }
 
 std::vector<uint8_t> GraphSnapshot::Serialize() const {
-  std::vector<uint8_t> out(SerializedSize());
-  WriteHeader(params(), num_updates_, out.data());
-  uint8_t* cursor = out.data() + kHeaderBytes;
-  const size_t record = sketches_[0].SerializedSize();
-  for (const NodeSketch& s : sketches_) {
-    s.SerializeTo(cursor);
-    cursor += record;
-  }
+  return ExtractNodeRange(0, num_nodes());
+}
+
+std::vector<uint8_t> GraphSnapshot::ExtractNodeRange(uint64_t lo,
+                                                     uint64_t hi) const {
+  std::vector<uint8_t> out;
+  out.reserve(SerializedSizeFor(params(), lo, hi));
+  GZ_CHECK_OK(SaveToSink(
+      [&out](const void* data, size_t size) {
+        const uint8_t* p = static_cast<const uint8_t*>(data);
+        out.insert(out.end(), p, p + size);
+        return Status::Ok();
+      },
+      params(), lo, hi, num_updates_,
+      [this](NodeId i) -> const NodeSketch& { return sketches_[i]; }));
   return out;
 }
 
 Result<GraphSnapshot> GraphSnapshot::Deserialize(const uint8_t* data,
                                                  size_t size) {
-  if (data == nullptr || size < kHeaderBytes) {
-    return Status::InvalidArgument("GraphSnapshot buffer too short");
-  }
-  SnapshotHeader header;
-  Status s = ParseHeader(data, &header);
+  Header header;
+  Status s = ParseBuffer(data, size, &header);
+  if (s.ok()) s = RequireWhole(header);
   if (!s.ok()) return s;
-  // Size check before any allocation: a corrupt node count must fail,
-  // not drive a huge reserve.
-  if (size != ExpectedBytes(header)) {
-    return Status::InvalidArgument(
-        "GraphSnapshot buffer size does not match its header");
-  }
   const size_t record = NodeSketch::SerializedSizeFor(header.params);
   std::vector<NodeSketch> sketches;
   sketches.reserve(header.params.num_nodes);
@@ -252,120 +236,60 @@ Result<GraphSnapshot> GraphSnapshot::Deserialize(const uint8_t* data,
   return GraphSnapshot(std::move(sketches), header.num_updates);
 }
 
-Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
-  if (!valid()) return Status::InvalidArgument("empty snapshot");
-  if (data == nullptr || size < kHeaderBytes) {
-    return Status::InvalidArgument("GraphSnapshot buffer too short");
-  }
-  SnapshotHeader header;
-  Status s = ParseHeader(data, &header);
+Status GraphSnapshot::FoldSerialized(
+    const uint8_t* data, size_t size, const NodeSketchParams& params,
+    const std::function<void(NodeId, const NodeSketch&)>& fold) {
+  Header header;
+  Status s = ParseBuffer(data, size, &header);
   if (!s.ok()) return s;
-  if (size != ExpectedBytes(header)) {
-    return Status::InvalidArgument(
-        "GraphSnapshot buffer size does not match its header");
-  }
-  if (!(header.params == params())) {
+  if (!(header.params == params)) {
     return Status::InvalidArgument(
         "snapshot params mismatch: merge requires identical seed, node "
         "bound and sketch geometry");
   }
-  // Past this point nothing can fail, so the fold never leaves the
-  // snapshot half-merged.
-  NodeSketch scratch(header.params);
-  const size_t record = NodeSketch::SerializedSizeFor(header.params);
+  // Past this point nothing can fail, so a fold never stops half-way.
+  NodeSketch scratch(params);
+  const size_t record = NodeSketch::SerializedSizeFor(params);
   const uint8_t* cursor = data + kHeaderBytes;
-  for (uint64_t i = 0; i < header.params.num_nodes; ++i) {
+  for (uint64_t i = header.lo; i < header.hi; ++i) {
     scratch.DeserializeFrom(cursor);
-    sketches_[i].Merge(scratch);
+    fold(static_cast<NodeId>(i), scratch);
     cursor += record;
   }
-  num_updates_ += header.num_updates;
   return Status::Ok();
 }
 
-size_t GraphSnapshot::SerializedRangeSizeFor(const NodeSketchParams& params,
-                                             uint64_t lo, uint64_t hi) {
-  GZ_CHECK_MSG(lo < hi && hi <= params.num_nodes, "bad node range");
-  return kRangeHeaderBytes +
-         (hi - lo) * NodeSketch::SerializedSizeFor(params);
+Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
+  if (!valid()) return Status::InvalidArgument("empty snapshot");
+  return FoldSerialized(data, size, params(),
+                        [this](NodeId i, const NodeSketch& delta) {
+                          sketches_[i].Merge(delta);
+                        });
 }
 
-namespace {
-
-void WriteRangeHeader(const NodeSketchParams& params, uint64_t lo,
-                      uint64_t hi, uint8_t* out) {
-  std::memcpy(out, kRangeMagic, sizeof(kRangeMagic));
-  out += sizeof(kRangeMagic);
-  const uint64_t num_nodes = params.num_nodes;
-  const uint64_t seed = params.seed;
-  const int32_t cols = params.cols;
-  const int32_t rounds = params.rounds;
-  std::memcpy(out, &num_nodes, sizeof(num_nodes));
-  out += sizeof(num_nodes);
-  std::memcpy(out, &seed, sizeof(seed));
-  out += sizeof(seed);
-  std::memcpy(out, &cols, sizeof(cols));
-  out += sizeof(cols);
-  std::memcpy(out, &rounds, sizeof(rounds));
-  out += sizeof(rounds);
-  std::memcpy(out, &lo, sizeof(lo));
-  out += sizeof(lo);
-  std::memcpy(out, &hi, sizeof(hi));
+std::vector<NodeSketch> GraphSnapshot::ReleaseSketches() {
+  std::vector<NodeSketch> out = std::move(sketches_);
+  sketches_.clear();
+  num_updates_ = 0;
+  return out;
 }
 
-}  // namespace
-
-Status GraphSnapshot::ParseSerializedNodeRange(
-    const uint8_t* data, size_t size, const NodeSketchParams& expect_params,
-    uint64_t* lo, uint64_t* hi, size_t* payload_offset) {
-  if (data == nullptr || size < kRangeHeaderBytes) {
-    return Status::InvalidArgument("node-range delta buffer too short");
-  }
-  if (std::memcmp(data, kRangeMagic, sizeof(kRangeMagic)) != 0) {
-    return Status::InvalidArgument("not a node-range delta: bad magic");
-  }
-  const uint8_t* in = data + sizeof(kRangeMagic);
-  uint64_t num_nodes = 0, seed = 0, range_lo = 0, range_hi = 0;
-  int32_t cols = 0, rounds = 0;
-  std::memcpy(&num_nodes, in, sizeof(num_nodes));
-  in += sizeof(num_nodes);
-  std::memcpy(&seed, in, sizeof(seed));
-  in += sizeof(seed);
-  std::memcpy(&cols, in, sizeof(cols));
-  in += sizeof(cols);
-  std::memcpy(&rounds, in, sizeof(rounds));
-  in += sizeof(rounds);
-  std::memcpy(&range_lo, in, sizeof(range_lo));
-  in += sizeof(range_lo);
-  std::memcpy(&range_hi, in, sizeof(range_hi));
-  if (num_nodes != expect_params.num_nodes || seed != expect_params.seed ||
-      cols != expect_params.cols || rounds != expect_params.rounds) {
-    return Status::InvalidArgument(
-        "node-range delta params mismatch: fold requires identical seed, "
-        "node bound and sketch geometry");
-  }
-  if (!(range_lo < range_hi && range_hi <= num_nodes)) {
-    return Status::InvalidArgument("node-range delta has a bad range");
-  }
-  const size_t record = NodeSketch::SerializedSizeFor(expect_params);
-  if (size != kRangeHeaderBytes + (range_hi - range_lo) * record) {
-    return Status::InvalidArgument(
-        "node-range delta size does not match its header");
-  }
-  *lo = range_lo;
-  *hi = range_hi;
-  if (payload_offset != nullptr) *payload_offset = kRangeHeaderBytes;
-  return Status::Ok();
-}
-
-Status GraphSnapshot::SaveRangeToSink(
+Status GraphSnapshot::SaveToSink(
     const std::function<Status(const void* data, size_t size)>& sink,
     const NodeSketchParams& params, uint64_t lo, uint64_t hi,
+    uint64_t num_updates,
     const std::function<const NodeSketch&(NodeId)>& load) {
   GZ_CHECK_MSG(lo < hi && hi <= params.num_nodes, "bad node range");
-  uint8_t header[kRangeHeaderBytes];
-  WriteRangeHeader(params, lo, hi, header);
-  Status s = sink(header, kRangeHeaderBytes);
+  Header header;
+  header.params = params;
+  header.lo = lo;
+  header.hi = hi;
+  header.num_updates = num_updates;
+  uint8_t header_buf[kHeaderBytes];
+  WriteHeader(header, header_buf);
+  Status s = sink(header_buf, sizeof(header_buf));
+  // One record in flight: a sink (file or socket) never needs the
+  // doubled footprint of a full Serialize() buffer.
   std::vector<uint8_t> buf(NodeSketch::SerializedSizeFor(params));
   for (uint64_t i = lo; s.ok() && i < hi; ++i) {
     const NodeSketch& sketch = load(static_cast<NodeId>(i));
@@ -376,73 +300,11 @@ Status GraphSnapshot::SaveRangeToSink(
   return s;
 }
 
-std::vector<uint8_t> GraphSnapshot::ExtractNodeRange(uint64_t lo,
-                                                     uint64_t hi) const {
-  GZ_CHECK_MSG(valid(), "empty snapshot");
-  std::vector<uint8_t> out;
-  out.reserve(SerializedRangeSizeFor(params(), lo, hi));
-  GZ_CHECK_OK(SaveRangeToSink(
-      [&out](const void* data, size_t size) {
-        const uint8_t* p = static_cast<const uint8_t*>(data);
-        out.insert(out.end(), p, p + size);
-        return Status::Ok();
-      },
-      params(), lo, hi,
-      [this](NodeId i) -> const NodeSketch& { return sketches_[i]; }));
-  return out;
-}
-
-Status GraphSnapshot::MergeSerializedNodeRange(const uint8_t* data,
-                                               size_t size) {
-  if (!valid()) return Status::InvalidArgument("empty snapshot");
-  uint64_t lo = 0, hi = 0;
-  Status s = ParseSerializedNodeRange(data, size, params(), &lo, &hi);
-  if (!s.ok()) return s;
-  // Past this point nothing can fail, so the fold never leaves the
-  // snapshot half-merged.
-  NodeSketch scratch(params());
-  const size_t record = NodeSketch::SerializedSizeFor(params());
-  const uint8_t* cursor = data + kRangeHeaderBytes;
-  for (uint64_t i = lo; i < hi; ++i) {
-    scratch.DeserializeFrom(cursor);
-    sketches_[i].Merge(scratch);
-    cursor += record;
-  }
-  return Status::Ok();
-}
-
-std::vector<NodeSketch> GraphSnapshot::ReleaseSketches() {
-  std::vector<NodeSketch> out = std::move(sketches_);
-  sketches_.clear();
-  num_updates_ = 0;
-  return out;
-}
-
 Status GraphSnapshot::SaveToFile(const std::string& path) const {
-  GZ_CHECK_MSG(valid(), "empty snapshot");
   return SaveStream(path, params(), num_updates_,
                     [this](NodeId i) -> const NodeSketch& {
                       return sketches_[i];
                     });
-}
-
-Status GraphSnapshot::SaveToSink(
-    const std::function<Status(const void* data, size_t size)>& sink,
-    const NodeSketchParams& params, uint64_t num_updates,
-    const std::function<const NodeSketch&(NodeId)>& load) {
-  uint8_t header[kHeaderBytes];
-  WriteHeader(params, num_updates, header);
-  Status s = sink(header, kHeaderBytes);
-  // One record in flight: a sink (file or socket) never needs the
-  // doubled footprint of a full Serialize() buffer.
-  std::vector<uint8_t> buf(NodeSketch::SerializedSizeFor(params));
-  for (uint64_t i = 0; s.ok() && i < params.num_nodes; ++i) {
-    const NodeSketch& sketch = load(static_cast<NodeId>(i));
-    GZ_CHECK_MSG(sketch.params() == params, "loader returned wrong params");
-    sketch.SerializeTo(buf.data());
-    s = sink(buf.data(), buf.size());
-  }
-  return s;
 }
 
 Status GraphSnapshot::SaveStream(
@@ -460,14 +322,14 @@ Status GraphSnapshot::SaveStream(
         }
         return Status::Ok();
       },
-      params, num_updates, load);
+      params, 0, params.num_nodes, num_updates, load);
   std::fclose(f);
   return s;
 }
 
 Result<GraphSnapshot> GraphSnapshot::LoadFromFile(const std::string& path) {
   FILE* f = nullptr;
-  SnapshotHeader header;
+  Header header;
   Status s = OpenSnapshotFile(path, &f, &header);
   if (!s.ok()) return s;
   const size_t record = NodeSketch::SerializedSizeFor(header.params);
@@ -492,7 +354,7 @@ Status GraphSnapshot::LoadStream(
     const std::function<void(NodeId, const NodeSketch&)>& store,
     size_t offset) {
   FILE* f = nullptr;
-  SnapshotHeader header;
+  Header header;
   Status s = OpenSnapshotFile(path, &f, &header, offset);
   if (!s.ok()) return s;
   if (!(header.params == expect_params)) {

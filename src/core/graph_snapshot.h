@@ -8,9 +8,10 @@
 // same seed and geometry can be XOR-merged with Merge(), and the result
 // is exactly the snapshot a single instance would have produced for the
 // combined stream. That algebra is the sharded coordinator's
-// aggregation step, and — via Serialize()/Deserialize() — the natural
-// network frame for a multi-process split. Checkpointing is snapshot
-// serialization to a file.
+// aggregation step. Sketches are per node, so every transfer of sketch
+// state has one serialized form, the records of a node range [lo, hi):
+// a shard's reply, a migration or repair delta, and a checkpoint file
+// (the whole range [0, V)) are all the same bytes.
 //
 // All query algorithms (connectivity, spanning-forest decomposition,
 // bipartiteness, MSF weight) consume `const GraphSnapshot&`; the
@@ -73,96 +74,74 @@ class GraphSnapshot {
   // since only then is the merge a sketch of the combined stream.
   Status Merge(const GraphSnapshot& other);
 
-  // Node-granular merge: XORs `delta` (a sketch of some update subset
-  // for `node`) into that node's sketch. This is the unit a sharded
-  // coordinator uses to fold a shard in while materializing only one
-  // scratch sketch at a time; call AddUpdates() once per folded source.
-  Status MergeNodeDelta(NodeId node, const NodeSketch& delta);
-  void AddUpdates(uint64_t count) { num_updates_ += count; }
-  // Pins the stream position outright — for aggregators (the snapshot
-  // cache) that rebuild sketch content from range deltas, which carry
-  // no counts, and know the true total from their own bookkeeping.
+  // Pins the stream position outright — for aggregators that rebuild
+  // sketch content from serialized ranges (whose folds never touch
+  // counts) and know the true total from their own bookkeeping.
   void SetUpdates(uint64_t count) { num_updates_ = count; }
 
-  // --- Serialization -----------------------------------------------------
-  // Byte layout: 8-byte magic, params (num_nodes, seed, cols, rounds),
-  // update count, then num_nodes fixed-size node-sketch records.
+  // --- Serialization -------------------------------------------------------
+  // One byte format carries every transfer of sketch state — checkpoint
+  // files, shard replies, migration and repair deltas: the records of
+  // the nodes [lo, hi).
+  //
+  //   header  magic "GZSNAP02" | u64 num_nodes | u64 seed | i32 cols |
+  //           i32 rounds | u64 lo | u64 hi | u64 num_updates
+  //   body    hi - lo fixed-size node-sketch records
+  //
+  // A whole snapshot is the range [0, V). num_updates is the producer's
+  // stream position when the bytes were written; only whole-snapshot
+  // loads adopt it, and range folds never touch counts (stream positions
+  // stay with the instance that ingested the updates).
+  static constexpr size_t kHeaderBytes = 56;
+  static size_t SerializedSizeFor(const NodeSketchParams& params, uint64_t lo,
+                                  uint64_t hi);
+
+  // The whole snapshot, [0, V).
   size_t SerializedSize() const;
-  // Same, computed from params alone. A producer streaming records into
-  // a length-prefixed frame (e.g. a shard replying over a socket) needs
-  // the total before the first record exists.
-  static size_t SerializedSizeFor(const NodeSketchParams& params);
   std::vector<uint8_t> Serialize() const;
+  // Any range of this snapshot's nodes. The unit of elastic migration
+  // and replica repair: folding a shard's own extracted range back into
+  // it zeroes that range, which is how linearity expresses "move".
+  std::vector<uint8_t> ExtractNodeRange(uint64_t lo, uint64_t hi) const;
+  // Whole snapshots only: InvalidArgument for any other range, for
+  // malformed bytes, or for a size that does not match the header.
   static Result<GraphSnapshot> Deserialize(const uint8_t* data, size_t size);
 
-  // Streaming merge from serialized bytes: validates the header, checks
-  // params against this snapshot, then XOR-folds each node record in
-  // with one scratch sketch in flight — the coordinator's aggregation of
-  // a shard's snapshot reply without materializing a second snapshot.
-  // InvalidArgument on malformed bytes or a params mismatch; this
-  // snapshot is unchanged on any error.
+  // XOR-folds serialized bytes of any in-bounds range — [0, V) included
+  // — into this snapshot, one scratch sketch in flight: how the
+  // coordinator aggregates shard replies without materializing a second
+  // snapshot. num_updates() is never affected. InvalidArgument on
+  // malformed bytes or a params mismatch; this snapshot is unchanged on
+  // any error.
   Status MergeSerialized(const uint8_t* data, size_t size);
+  // The fold behind every MergeSerialized: validates `data` in full
+  // against `params`, then hands each node record to `fold` in order.
+  // `fold` never sees bytes that failed validation.
+  static Status FoldSerialized(
+      const uint8_t* data, size_t size, const NodeSketchParams& params,
+      const std::function<void(NodeId, const NodeSketch&)>& fold);
 
-  // --- Node-range deltas ---------------------------------------------------
-  // A serialized node-range delta is the sketch content of nodes
-  // [lo, hi) under its own magic: 8-byte magic, params, the range
-  // bounds, then hi-lo fixed-size node records. It is the unit of
-  // elastic shard migration — a departing or splitting shard extracts
-  // ranges of its state, the coordinator XOR-folds them into the
-  // successor (and XOR-folds the same bytes back into the source to
-  // cancel them there, which is how linearity expresses "move").
-  //
-  // Deltas deliberately carry NO update count: stream positions stay
-  // with the shard that ingested the updates, and the coordinator
-  // accounts for removed shards separately, so folding a delta never
-  // perturbs replay reconciliation.
-  static size_t SerializedRangeSizeFor(const NodeSketchParams& params,
-                                       uint64_t lo, uint64_t hi);
-  // Serializes this snapshot's nodes [lo, hi) as a range delta.
-  std::vector<uint8_t> ExtractNodeRange(uint64_t lo, uint64_t hi) const;
-  // XOR-folds a serialized range delta into this snapshot (one scratch
-  // sketch in flight). InvalidArgument on malformed bytes or a params
-  // mismatch; this snapshot is unchanged on any error. num_updates() is
-  // never affected.
-  Status MergeSerializedNodeRange(const uint8_t* data, size_t size);
-  // Streaming producer of the ExtractNodeRange byte stream (header
-  // first, then one record per `load` call) — how a shard streams a
-  // migration delta into a socket frame without materializing it.
-  static Status SaveRangeToSink(
-      const std::function<Status(const void* data, size_t size)>& sink,
-      const NodeSketchParams& params, uint64_t lo, uint64_t hi,
-      const std::function<const NodeSketch&(NodeId)>& load);
-  // Validates a range delta's header against `expect_params` and
-  // returns its bounds; the payload must cover exactly hi-lo records.
-  // `payload_offset` (optional) receives where the records start, so
-  // consumers never re-derive the header size.
-  static Status ParseSerializedNodeRange(const uint8_t* data, size_t size,
-                                         const NodeSketchParams& expect_params,
-                                         uint64_t* lo, uint64_t* hi,
-                                         size_t* payload_offset = nullptr);
-
-  // Generalized streaming producer: writes the exact Serialize() byte
-  // stream through `sink` (header first, then one node record per call)
-  // with only one record materialized at a time. SaveStream is this with
-  // a file sink; a shard uses a socket sink to stream a snapshot into
-  // its reply frame.
+  // Streaming producer of the byte stream for [lo, hi): header first,
+  // then one record per `load` call (the returned reference only needs
+  // to stay valid until the next call), so only one record is ever
+  // materialized — how a shard streams sketch state into a socket frame
+  // or a checkpoint file.
   static Status SaveToSink(
       const std::function<Status(const void* data, size_t size)>& sink,
-      const NodeSketchParams& params, uint64_t num_updates,
+      const NodeSketchParams& params, uint64_t lo, uint64_t hi,
+      uint64_t num_updates,
       const std::function<const NodeSketch&(NodeId)>& load);
 
-  // File forms, used by checkpointing. LoadFromFile distinguishes a
-  // missing file (NotFound), a malformed header (InvalidArgument) and a
-  // short body (IoError).
+  // File forms, always whole snapshots. LoadFromFile distinguishes a
+  // missing file (NotFound), a malformed header or partial range
+  // (InvalidArgument) and a short body (IoError).
   Status SaveToFile(const std::string& path) const;
   static Result<GraphSnapshot> LoadFromFile(const std::string& path);
 
   // Streaming file forms: identical file format, but only one node
   // record is in flight, for producers/consumers that cannot afford a
-  // materialized snapshot (e.g. checkpointing an out-of-core sketch
-  // store). SaveStream pulls each node's sketch from `load` (the
-  // returned reference only needs to stay valid until the next call);
-  // LoadStream validates the header against `expect_params`
+  // materialized snapshot. SaveStream pulls each node's sketch from
+  // `load`; LoadStream validates the header against `expect_params`
   // (InvalidArgument on mismatch), hands each record to `store`, and
   // returns the saved update count. `offset` skips a caller-owned
   // prefix first — how a shard checkpoint embeds a snapshot stream

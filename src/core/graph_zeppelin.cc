@@ -179,37 +179,6 @@ GraphSnapshot GraphZeppelin::Snapshot() {
   return GraphSnapshot(std::move(sketches), num_updates_);
 }
 
-Status GraphZeppelin::WriteSnapshotTo(
-    const std::function<Status(const void* data, size_t size)>& write) {
-  GZ_CHECK_MSG(initialized_, "Init() not called");
-  Flush();
-  NodeSketch scratch(store_->params());
-  return GraphSnapshot::SaveToSink(
-      write, store_->params(), num_updates_,
-      [this, &scratch](NodeId i) -> const NodeSketch& {
-        store_->Load(i, &scratch);
-        return scratch;
-      });
-}
-
-Status GraphZeppelin::MergeSnapshotInto(GraphSnapshot* snapshot) {
-  GZ_CHECK_MSG(initialized_, "Init() not called");
-  GZ_CHECK(snapshot != nullptr);
-  if (!snapshot->valid() || !(snapshot->params() == store_->params())) {
-    return Status::InvalidArgument(
-        "snapshot params do not match this instance");
-  }
-  Flush();
-  NodeSketch scratch(store_->params());
-  for (NodeId i = 0; i < config_.num_nodes; ++i) {
-    store_->Load(i, &scratch);
-    Status s = snapshot->MergeNodeDelta(i, scratch);
-    if (!s.ok()) return s;
-  }
-  snapshot->AddUpdates(num_updates_);
-  return Status::Ok();
-}
-
 Status GraphZeppelin::WriteNodeRangeTo(
     uint64_t lo, uint64_t hi,
     const std::function<Status(const void* data, size_t size)>& write) {
@@ -219,34 +188,24 @@ Status GraphZeppelin::WriteNodeRangeTo(
   }
   Flush();
   NodeSketch scratch(store_->params());
-  return GraphSnapshot::SaveRangeToSink(
-      write, store_->params(), lo, hi,
+  return GraphSnapshot::SaveToSink(
+      write, store_->params(), lo, hi, num_updates_,
       [this, &scratch](NodeId i) -> const NodeSketch& {
         store_->Load(i, &scratch);
         return scratch;
       });
 }
 
-Status GraphZeppelin::MergeSerializedNodeRange(const uint8_t* data,
-                                               size_t size) {
+Status GraphZeppelin::MergeSerialized(const uint8_t* data, size_t size) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
-  uint64_t lo = 0, hi = 0;
-  size_t payload_offset = 0;
-  Status s = GraphSnapshot::ParseSerializedNodeRange(
-      data, size, store_->params(), &lo, &hi, &payload_offset);
-  if (!s.ok()) return s;
   Flush();
-  // The store's MergeDelta is the ingestion-path XOR; a migration delta
+  // The store's MergeDelta is the ingestion-path XOR; a serialized range
   // folds in exactly like a worker's batch delta.
-  NodeSketch scratch(store_->params());
-  const size_t record = NodeSketch::SerializedSizeFor(store_->params());
-  const uint8_t* cursor = data + payload_offset;
-  for (uint64_t i = lo; i < hi; ++i) {
-    scratch.DeserializeFrom(cursor);
-    store_->MergeDelta(static_cast<NodeId>(i), scratch);
-    cursor += record;
-  }
-  return Status::Ok();
+  return GraphSnapshot::FoldSerialized(
+      data, size, store_->params(),
+      [this](NodeId i, const NodeSketch& delta) {
+        store_->MergeDelta(i, delta);
+      });
 }
 
 Status GraphZeppelin::LoadSnapshot(const GraphSnapshot& snapshot) {
@@ -267,18 +226,24 @@ ConnectivityResult GraphZeppelin::ListSpanningForest() {
 }
 
 Status GraphZeppelin::SaveCheckpoint(const std::string& path) {
-  GZ_CHECK_MSG(initialized_, "Init() not called");
-  // Streaming form of Snapshot().SaveToFile(path): same file format
-  // (checkpoints ARE snapshots), but only one record in flight, so a
-  // disk-backed store larger than RAM can still checkpoint.
-  Flush();
-  NodeSketch scratch(store_->params());
-  return GraphSnapshot::SaveStream(
-      path, store_->params(), num_updates_,
-      [this, &scratch](NodeId i) -> const NodeSketch& {
-        store_->Load(i, &scratch);
-        return scratch;
+  // Streaming form of Snapshot().SaveToFile(path): the same bytes, but
+  // only one record in flight, so a disk-backed store larger than RAM
+  // can still checkpoint.
+  FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    return Status::IoError("cannot create checkpoint: " + path);
+  }
+  Status s = WriteNodeRangeTo(
+      0, config_.num_nodes, [f, &path](const void* data, size_t size) {
+        if (std::fwrite(data, 1, size, f) != size) {
+          return Status::IoError("short write to checkpoint: " + path);
+        }
+        return Status::Ok();
       });
+  if (std::fclose(f) != 0 && s.ok()) {
+    s = Status::IoError("cannot finish checkpoint: " + path);
+  }
+  return s;
 }
 
 Status GraphZeppelin::LoadCheckpoint(const std::string& path,

@@ -127,40 +127,30 @@ class GraphZeppelin {
   // snapshots from same-seed instances XOR-mergeable.
   GraphSnapshot Snapshot();
 
-  // Streaming form of Snapshot().Serialize(): flushes, then writes the
-  // serialized snapshot through `write` with one node record in flight
-  // — a shard streams its snapshot straight into a socket frame this
-  // way, so even an out-of-core sketch store never materializes the
-  // snapshot. The total byte count is GraphSnapshot::SerializedSizeFor
-  // (sketch_params()), known before the first call.
-  Status WriteSnapshotTo(
-      const std::function<Status(const void* data, size_t size)>& write);
-
-  // Coordinator-side fold: flushes, then XOR-merges this instance's
-  // sketch state into `snapshot` node by node, materializing only one
-  // scratch sketch (not a second full snapshot). InvalidArgument if the
-  // snapshot's params don't match this instance.
-  Status MergeSnapshotInto(GraphSnapshot* snapshot);
-
-  // --- Elastic-migration primitives ---------------------------------------
-  // Streams the serialized node-range delta [lo, hi) of this instance's
-  // current state through `write` (flushes first; one record in flight)
-  // — how a shard answers a MIGRATE_EXTRACT request straight into a
-  // socket frame. The range comes off the wire, so a bad one is an
-  // InvalidArgument, not a check failure.
+  // --- Serialized sketch state -------------------------------------------
+  // The one producer of this instance's serialized sketch state: flushes,
+  // then streams the records of nodes [lo, hi) through `write`, one
+  // record in flight, under a header carrying num_updates_ingested() —
+  // so even an out-of-core sketch store never materializes them. A
+  // shard answers MIGRATE_EXTRACT this way straight into its socket, and
+  // a checkpoint is the range [0, V) written to a file. The byte count is
+  // GraphSnapshot::SerializedSizeFor(sketch_params(), lo, hi), known
+  // before the first call. The range comes off the wire, so a bad one is
+  // an InvalidArgument, not a check failure.
   Status WriteNodeRangeTo(
       uint64_t lo, uint64_t hi,
       const std::function<Status(const void* data, size_t size)>& write);
 
-  // XOR-folds a serialized node-range delta into this instance's sketch
-  // store (flushes first so the fold lands on a consistent state). The
-  // same call installs migrated state on a successor and cancels it on
-  // the source — XORing a shard's own extracted bytes back into it
-  // zeroes that range, which is how linearity expresses "move" without
-  // a destructive (and replay-order-sensitive) clear operation.
+  // XOR-folds serialized bytes of any node range into this instance's
+  // sketch store (flushes first so the fold lands on a consistent
+  // state). The same call installs migrated state on a successor and
+  // cancels it on the source — XORing a shard's own extracted bytes back
+  // into it zeroes that range, which is how linearity expresses "move"
+  // without a destructive (and replay-order-sensitive) clear operation.
   // num_updates_ingested() is never affected: stream positions stay
-  // with the shard that ingested the updates.
-  Status MergeSerializedNodeRange(const uint8_t* data, size_t size);
+  // with the shard that ingested the updates. InvalidArgument on
+  // malformed bytes or a params mismatch, with the store untouched.
+  Status MergeSerialized(const uint8_t* data, size_t size);
 
   // Overwrites this instance's sketch state with `snapshot` (e.g. one
   // received from a peer or loaded from a file) and adopts its update
@@ -168,18 +158,18 @@ class GraphZeppelin {
   Status LoadSnapshot(const GraphSnapshot& snapshot);
 
   // --- Checkpointing -----------------------------------------------------
-  // Thin wrappers over snapshot serialization: SaveCheckpoint is
-  // Snapshot().SaveToFile(path) — buffered updates are flushed first,
-  // so a restore resumes exactly here — and LoadCheckpoint is
-  // GraphSnapshot::LoadFromFile + LoadSnapshot. `offset` skips a
-  // caller-owned file prefix (e.g. a shard checkpoint's epoch header)
-  // before the snapshot stream.
+  // SaveCheckpoint is WriteNodeRangeTo(0, V) into a file — the bytes of
+  // Snapshot().SaveToFile(path), buffered updates flushed first so a
+  // restore resumes exactly here — and LoadCheckpoint is
+  // GraphSnapshot::LoadFromFile + LoadSnapshot, streamed record by
+  // record into the store. `offset` skips a caller-owned file prefix
+  // (e.g. a shard checkpoint's epoch header) before the snapshot stream.
   Status SaveCheckpoint(const std::string& path);
   Status LoadCheckpoint(const std::string& path, size_t offset = 0);
 
   // Overwrites the ingested-update count without touching sketch
   // state. Replication repair needs this split: an anti-entropy pass
-  // fixes a replica's content with XOR deltas (which carry no counts),
+  // fixes a replica's content with range folds (which never touch counts),
   // then asserts the logical position the repaired content represents.
   void SetUpdatesIngested(uint64_t count) { num_updates_ = count; }
 

@@ -45,13 +45,13 @@ Status SnapshotCache::PullShard(int shard, const NodeSketchParams& params,
     Status s = puller(shard, lo, hi, &fresh);
     if (!s.ok()) return s;
     ++range_pulls_;
-    s = merged_.MergeSerializedNodeRange(old.data(), old.size());
+    s = merged_.MergeSerialized(old.data(), old.size());
     if (!s.ok()) return s;
-    s = merged_.MergeSerializedNodeRange(fresh.data(), fresh.size());
+    s = merged_.MergeSerialized(fresh.data(), fresh.size());
     if (!s.ok()) return s;
-    s = content.MergeSerializedNodeRange(old.data(), old.size());
+    s = content.MergeSerialized(old.data(), old.size());
     if (!s.ok()) return s;
-    s = content.MergeSerializedNodeRange(fresh.data(), fresh.size());
+    s = content.MergeSerialized(fresh.data(), fresh.size());
     if (!s.ok()) return s;
   }
   return Status::Ok();
@@ -59,16 +59,8 @@ Status SnapshotCache::PullShard(int shard, const NodeSketchParams& params,
 
 Status SnapshotCache::Refresh(uint64_t epoch, const ShardWatermarks& marks,
                               uint64_t total_updates,
-                              const NodeSketchParams& caller_params,
+                              const NodeSketchParams& params,
                               const RangePuller& puller) {
-  // Normalize rounds = 0 ("pick the default") to its resolved value:
-  // snapshots and range-delta headers always carry the resolved count,
-  // and an unresolved params here would read as a geometry change and
-  // force a cold rebuild on every refresh.
-  NodeSketchParams params = caller_params;
-  if (params.rounds <= 0) {
-    params.rounds = NodeSketch::DefaultRounds(params.num_nodes);
-  }
   if (!valid() || !(merged_.params() == params)) {
     Invalidate();
     merged_ = ZeroSnapshot(params);
@@ -91,8 +83,7 @@ Status SnapshotCache::Refresh(uint64_t epoch, const ShardWatermarks& marks,
     for (uint64_t lo = 0; lo < num_nodes; lo += step) {
       const uint64_t hi = std::min(num_nodes, lo + step);
       const std::vector<uint8_t> old = content.ExtractNodeRange(lo, hi);
-      const Status s = merged_.MergeSerializedNodeRange(old.data(),
-                                                        old.size());
+      const Status s = merged_.MergeSerialized(old.data(), old.size());
       if (!s.ok()) {
         Invalidate();
         return s;
@@ -117,7 +108,7 @@ Status SnapshotCache::Refresh(uint64_t epoch, const ShardWatermarks& marks,
       return s;
     }
   }
-  // Range deltas carry no update counts by design; the owner's durable
+  // Range folds never touch update counts; the owner's durable
   // bookkeeping supplies the stream position.
   merged_.SetUpdates(total_updates);
   epoch_ = epoch;

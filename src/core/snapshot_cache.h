@@ -62,8 +62,8 @@ using ShardWatermarks = std::map<int, ShardWatermark>;
 
 class SnapshotCache {
  public:
-  // Pulls one serialized node-range delta ([lo, hi), ExtractNodeRange
-  // wire format) of `shard`'s current content into *delta. The cache
+  // Pulls the serialized node range [lo, hi) (GraphSnapshot byte
+  // format) of `shard`'s current content into *delta. The cache
   // never cares where the bytes come from: a live RPC, an in-process
   // extract, or a pre-staged buffer.
   using RangePuller = std::function<Status(int shard, uint64_t lo,
@@ -93,8 +93,10 @@ class SnapshotCache {
   // Brings the merged snapshot to (epoch, marks): cancels vanished
   // shards, delta-refreshes moved ones (chunked pulls through
   // `puller`), installs new ones, then pins the update count to
-  // `total_updates` (range deltas carry no counts; the owner's
-  // bookkeeping is the truth). On any pull/fold error the cache is
+  // `total_updates` (range folds never touch counts; the owner's
+  // bookkeeping is the truth). `params` must be resolved (rounds > 0,
+  // as shards report them): any other params read as a geometry change
+  // and force a cold rebuild. On any pull/fold error the cache is
   // invalidated — a half-applied refresh must never serve.
   Status Refresh(uint64_t epoch, const ShardWatermarks& marks,
                  uint64_t total_updates, const NodeSketchParams& params,

@@ -404,33 +404,43 @@ Status ShardCluster::Flush() {
 
 Result<GraphSnapshot> ShardCluster::Snapshot() {
   if (!started_) return Status::FailedPrecondition("cluster not started");
-  // Replies fold in arrival order: the first one materializes the
-  // snapshot, every later reply streams through MergeSerialized with
-  // one scratch sketch in flight. Peak memory is one snapshot + one
-  // reply buffer regardless of shard count. One live replica answers
-  // per shard — all live replicas are bitwise-equal, so any one is the
-  // shard. (On a barrier failure the helper still runs the fold for
-  // drained replies; the result is discarded with the error.)
+  // One live replica per shard streams its whole node range [0, V) —
+  // the read-only extract that migration and the serving cache use —
+  // and the replies fold in arrival order: the first is deserialized,
+  // every later one XOR-folds through MergeSerialized with one scratch
+  // sketch in flight, so peak memory is one snapshot + one reply buffer
+  // regardless of shard count. All live replicas of a shard are
+  // bitwise-equal, so any one is the shard. (On a barrier failure the
+  // helper still runs the fold for drained replies; the result is
+  // discarded with the error.)
+  const NodeSketchParams params = SketchParams();
+  const std::vector<uint8_t> request =
+      EncodeMigrateExtract(0, params.num_nodes);
+  const std::string payload(request.begin(), request.end());
   GraphSnapshot merged;
   Status s = PipelinedBarrier(
-      ShardMessageType::kSnapshot, ShardMessageType::kSnapshotBytes, nullptr,
-      [&merged](int, int, const ShardFrame& reply) {
-        if (!merged.valid()) {
-          Result<GraphSnapshot> r = GraphSnapshot::Deserialize(
-              reply.payload.data(), reply.payload.size());
-          if (!r.ok()) return r.status();
-          merged = std::move(r).value();
-          return Status::Ok();
+      ShardMessageType::kMigrateExtract, ShardMessageType::kMigrateData,
+      [&payload](int, int) { return payload; },
+      [&merged, &params](int, int, const ShardFrame& reply) {
+        if (merged.valid()) {
+          return merged.MergeSerialized(reply.payload.data(),
+                                        reply.payload.size());
         }
-        return merged.MergeSerialized(reply.payload.data(),
-                                      reply.payload.size());
+        Result<GraphSnapshot> r = GraphSnapshot::Deserialize(
+            reply.payload.data(), reply.payload.size());
+        if (!r.ok()) return r.status();
+        if (!(r.value().params() == params)) {
+          return Status::InvalidArgument(
+              "shard sketch params differ from the cluster's");
+        }
+        merged = std::move(r).value();
+        return Status::Ok();
       },
       BarrierScope::kOnePerShard);
   if (!s.ok()) return s;
-  // Removed shards' ingested counts live on here: their sketch content
-  // migrated to survivors (count-free deltas), so the aggregate count
-  // is survivors' positions plus this adjustment.
-  merged.AddUpdates(migrated_updates_);
+  // Range folds carry no counts: the stream position comes from the
+  // same books CachedSnapshot() pins, removed shards included.
+  merged.SetUpdates(TotalUpdates(Watermarks()));
   return merged;
 }
 
@@ -484,21 +494,8 @@ Status ShardCluster::Checkpoint() {
         ShardAck ack;
         Status d = DecodeShardAck(reply.payload.data(), reply.payload.size(),
                                   &ack);
-        if (!d.ok()) return d;
-        // The checkpoint covers everything sent before it (the socket
-        // is FIFO and the shard single-threaded): all unacked updates
-        // AND all pending deltas, so both logs restart empty.
-        has_checkpoint_[i][r] = true;
-        checkpoint_updates_[i][r] = ack.value0;
-        checkpoint_delta_seq_[i][r] = ack.value1;
-        unacked_[i][r].clear();
-        std::vector<PendingDelta>& deltas = pending_deltas_[i][r];
-        deltas.erase(std::remove_if(deltas.begin(), deltas.end(),
-                                    [&ack](const PendingDelta& d) {
-                                      return d.seq <= ack.value1;
-                                    }),
-                     deltas.end());
-        return Status::Ok();
+        if (d.ok()) CommitCheckpoint(i, r, ack);
+        return d;
       });
   if (s.ok()) updates_since_checkpoint_ = 0;
   return s;
@@ -713,21 +710,9 @@ Status ShardCluster::PumpMigration() {
     // Extract is read-only on the source (its internal flush makes the
     // chunk cover everything framed to it so far), so a failure here
     // mutates nothing and the chunk is simply retried after repair.
-    const std::vector<uint8_t> req = EncodeMigrateExtract(lo, hi);
-    Status s = SendFrame(procs_[m.source][src]->fd(),
-                         ShardMessageType::kMigrateExtract, req.data(),
-                         req.size());
-    if (!s.ok()) {
-      down_[m.source][src] = true;
-      return s;
-    }
-    bool in_sync = false;
-    s = RecvReply(procs_[m.source][src]->fd(),
-                  ShardMessageType::kMigrateData, &reply_buf_, &in_sync);
-    if (!s.ok()) {
-      if (!in_sync) down_[m.source][src] = true;
-      return s;
-    }
+    std::vector<uint8_t> chunk;
+    Status s = ExtractRange(m.source, src, lo, hi, &chunk);
+    if (!s.ok()) return s;
     // Durability before transport, as with the update logs: both folds
     // — install on the target, XOR-cancel on the source — enter EVERY
     // replica's pending-delta log and the cursor advances BEFORE any
@@ -737,13 +722,12 @@ Status ShardCluster::PumpMigration() {
     // missing folds, and the migration resumes at the next chunk.
     for (int r = 0; r < replication_; ++r) {
       pending_deltas_[m.target][r].push_back(
-          {++delta_seq_sent_[m.target][r], reply_buf_.payload});
+          {++delta_seq_sent_[m.target][r], chunk});
     }
     for (int r = 0; r < replication_; ++r) {
       pending_deltas_[m.source][r].push_back(
           {++delta_seq_sent_[m.source][r],
-           r == replication_ - 1 ? std::move(reply_buf_.payload)
-                                 : reply_buf_.payload});
+           r == replication_ - 1 ? std::move(chunk) : chunk});
     }
     m.next_node = hi;
     // BOTH sides' sends must be attempted even if the first fails: a
@@ -801,20 +785,16 @@ Status ShardCluster::PumpMigration() {
       if (!hh.ok()) return hh.status();
       source_hh = std::move(hh).value();
     }
-    ShardAck ack;
     // The source is quiescent (no slots since the epoch bump, flushed
     // by every extract), so its position is final; it must survive in
     // the aggregate update count after the process goes away. A sticky
     // divergence error surfaces here and blocks the removal.
-    Status s = procs_[m.source][src]->CallAck(ShardMessageType::kStats,
-                                              nullptr, 0, &ack);
-    if (!s.ok()) {
-      down_[m.source][src] = true;
-      return s;
-    }
+    ShardStatsEx retiring;
+    Status s = ReplicaStatsEx(m.source, src, &retiring);
+    if (!s.ok()) return s;
     // Commit point: nothing below can fail, so the captured counters
     // and the update count land exactly once.
-    migrated_updates_ += ack.value0;
+    migrated_updates_ += retiring.num_updates;
     if (source_hh.valid()) {
       if (!retired_hh_.valid()) {
         retired_hh_ = std::move(source_hh);
@@ -1047,10 +1027,6 @@ Result<ShardStats> ShardCluster::Stats(int shard) {
     return Status::FailedPrecondition("shard " + std::to_string(shard) +
                                       " is down");
   }
-  // STATS_EX rather than the legacy STATS: the reply carries the
-  // shard's serving watermark (epoch, update count, delta sequence) on
-  // top of the RAM figure, which is what the serving tier keys its
-  // cache by.
   ShardStatsEx ex;
   Status s = ReplicaStatsEx(shard, replica, &ex);
   if (!s.ok()) return s;
@@ -1085,16 +1061,11 @@ Status ShardCluster::ExtractRange(int shard, int replica, uint64_t lo,
   return Status::Ok();
 }
 
-Status ShardCluster::CheckpointReplica(int shard, int replica) {
-  const std::string path = CheckpointPath(shard, replica);
-  ShardAck ack;
-  Status s = procs_[shard][replica]->CallAck(ShardMessageType::kCheckpoint,
-                                             path.data(), path.size(), &ack);
-  if (!s.ok()) {
-    down_[shard][replica] = true;
-    return s;
-  }
-  // Same per-replica commit the Checkpoint() barrier runs.
+void ShardCluster::CommitCheckpoint(int shard, int replica,
+                                    const ShardAck& ack) {
+  // The checkpoint covers everything sent before it (the socket is FIFO
+  // and the shard single-threaded): all unacked updates AND all pending
+  // deltas up to the acked sequence number, so both logs restart there.
   has_checkpoint_[shard][replica] = true;
   checkpoint_updates_[shard][replica] = ack.value0;
   checkpoint_delta_seq_[shard][replica] = ack.value1;
@@ -1105,7 +1076,6 @@ Status ShardCluster::CheckpointReplica(int shard, int replica) {
                                 return d.seq <= ack.value1;
                               }),
                deltas.end());
-  return Status::Ok();
 }
 
 Status ShardCluster::RepairReplica(int shard, int replica, int reference,
@@ -1151,7 +1121,14 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
     if (!st.ok()) return st;
     st = ExtractRange(shard, replica, lo, hi, &have);
     if (!st.ok()) return st;
-    if (want == have) continue;  // Bitwise-equal chunk: nothing to do.
+    // Bitwise-equal records: nothing to do. (The headers carry each
+    // replica's own update count, which the finalize step below syncs.)
+    if (want.size() == have.size() &&
+        want.size() >= GraphSnapshot::kHeaderBytes &&
+        std::equal(want.begin() + GraphSnapshot::kHeaderBytes, want.end(),
+                   have.begin() + GraphSnapshot::kHeaderBytes)) {
+      continue;
+    }
     ++diffs;
     // XOR-diff through the scratch snapshot: fold both serializations
     // in (the range now holds reference XOR suspect), extract that
@@ -1160,22 +1137,16 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
     // suspect makes it equal to the reference — whichever copy was
     // behind, the XOR moves it forward.
     if (!scratch->valid()) {
-      NodeSketchParams params;
-      params.num_nodes = base_.num_nodes;
-      params.seed = base_.seed;
-      params.cols = base_.cols;
-      params.rounds = base_.rounds > 0
-                          ? base_.rounds
-                          : NodeSketch::DefaultRounds(base_.num_nodes);
+      const NodeSketchParams params = SketchParams();
       *scratch = GraphSnapshot(
           std::vector<NodeSketch>(params.num_nodes, NodeSketch(params)), 0);
     }
-    st = scratch->MergeSerializedNodeRange(want.data(), want.size());
+    st = scratch->MergeSerialized(want.data(), want.size());
     if (!st.ok()) return st;
-    st = scratch->MergeSerializedNodeRange(have.data(), have.size());
+    st = scratch->MergeSerialized(have.data(), have.size());
     if (!st.ok()) return st;
     const std::vector<uint8_t> diff = scratch->ExtractNodeRange(lo, hi);
-    st = scratch->MergeSerializedNodeRange(diff.data(), diff.size());
+    st = scratch->MergeSerialized(diff.data(), diff.size());
     if (!st.ok()) return st;
     // Deliberately UNLOGGED (see Reconcile's contract): repair deltas
     // are content transfer, not replay lineage.
@@ -1196,15 +1167,19 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
   // land does the replica rejoin the live set.
   const std::vector<uint8_t> sync =
       EncodeSyncPosition(expected_updates, delta_seq_sent_[shard][replica]);
+  const std::string path = CheckpointPath(shard, replica);
   ShardAck ack;
   Status st = procs_[shard][replica]->CallAck(
       ShardMessageType::kSyncPosition, sync.data(), sync.size(), &ack);
+  if (st.ok()) {
+    st = procs_[shard][replica]->CallAck(ShardMessageType::kCheckpoint,
+                                         path.data(), path.size(), &ack);
+  }
   if (!st.ok()) {
     down_[shard][replica] = true;
     return st;
   }
-  st = CheckpointReplica(shard, replica);
-  if (!st.ok()) return st;
+  CommitCheckpoint(shard, replica, ack);
   down_[shard][replica] = false;
   if (repaired_chunks != nullptr) *repaired_chunks += diffs;
   return Status::Ok();
@@ -1284,26 +1259,33 @@ ShardWatermarks ShardCluster::Watermarks() const {
   return marks;
 }
 
+uint64_t ShardCluster::TotalUpdates(const ShardWatermarks& marks) const {
+  uint64_t total = migrated_updates_;
+  for (const auto& [shard, mark] : marks) total += mark.num_updates;
+  return total;
+}
+
+NodeSketchParams ShardCluster::SketchParams() const {
+  NodeSketchParams params;
+  params.num_nodes = base_.num_nodes;
+  params.seed = base_.seed;
+  params.cols = base_.cols;
+  params.rounds = base_.rounds > 0 ? base_.rounds
+                                   : NodeSketch::DefaultRounds(base_.num_nodes);
+  return params;
+}
+
 Status ShardCluster::CachedSnapshot(const GraphSnapshot** out) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   const ShardWatermarks marks = Watermarks();
-  uint64_t total_updates = migrated_updates_;
-  for (const auto& [shard, mark] : marks) {
-    total_updates += mark.num_updates;
-  }
   if (!cache_.Fresh(table_.epoch, marks)) {
-    NodeSketchParams params;
-    params.num_nodes = base_.num_nodes;
-    params.seed = base_.seed;
-    params.cols = base_.cols;
-    params.rounds = base_.rounds;
     // The puller is the read-only extract RPC migration already uses;
     // FIFO ordering means the extracted bytes cover every frame sent
     // before the pull, i.e. exactly the watermark the key promises.
     // Any live replica serves — all of them are bitwise-equal at the
     // keyed position — so the pull fails over past dead ones.
     const Status s = cache_.Refresh(
-        table_.epoch, marks, total_updates, params,
+        table_.epoch, marks, TotalUpdates(marks), SketchParams(),
         [this](int shard, uint64_t lo, uint64_t hi,
                std::vector<uint8_t>* delta) {
           if (procs_[shard].empty() || FirstUnfencedReplica(shard) < 0) {

@@ -161,9 +161,10 @@ class ShardCluster {
 
   // Barriers (every replica of every shard must be healthy).
   Status Flush();
-  // Aggregated query surface: streams one live replica per shard's
-  // serialized snapshot back and XOR-folds the replies (one
-  // deserialized snapshot plus one scratch sketch in flight). Exact
+  // Aggregated query surface: pulls one live replica per shard's whole
+  // node range [0, V) and XOR-folds the replies (one deserialized
+  // snapshot plus one scratch sketch in flight); the update count is
+  // the coordinator's books, exactly as CachedSnapshot() pins it. Exact
   // even mid-migration: chunk moves are install+cancel pairs, so the
   // global XOR never double-counts. Survives dead replicas as long as
   // every shard keeps one live one.
@@ -211,7 +212,7 @@ class ShardCluster {
   bool replica_down(int shard, int replica) const {
     return down_[shard][replica];
   }
-  // Test hook: folds `delta_bytes` (a serialized node-range delta) into
+  // Test hook: folds `delta_bytes` (a serialized node range) into
   // one replica as an UNLOGGED kMergeDelta — silent divergence, exactly
   // the corruption Reconcile() exists to detect and repair.
   Status CorruptReplicaForTest(int shard, int replica,
@@ -405,9 +406,16 @@ class ShardCluster {
   // fences it on failure. Read-only on the shard.
   Status ExtractRange(int shard, int replica, uint64_t lo, uint64_t hi,
                       std::vector<uint8_t>* bytes);
-  // Per-replica kCheckpoint RPC, committing the coordinator's books for
-  // that replica exactly as the cluster-wide Checkpoint() barrier does.
-  Status CheckpointReplica(int shard, int replica);
+  // Moves one replica's books to its acked checkpoint (ack = its stream
+  // position and delta sequence number) and truncates the logs it
+  // covers.
+  void CommitCheckpoint(int shard, int replica, const ShardAck& ack);
+  // The cluster's stream position at `marks`: every shard's books plus
+  // what removed shards ingested — the count both folds report.
+  uint64_t TotalUpdates(const ShardWatermarks& marks) const;
+  // The sketch params every shard runs with: base_'s geometry, with
+  // rounds = 0 resolved exactly as a shard resolves it.
+  NodeSketchParams SketchParams() const;
   // Reconcile's inner loop: repair `replica` against `reference`.
   Status RepairReplica(int shard, int replica, int reference,
                        uint64_t expected_updates, GraphSnapshot* scratch,

@@ -52,8 +52,10 @@ Status DecodeHeader(const uint8_t in[ShardFrameHeader::kBytes],
         std::to_string(version) + ", speak " +
         std::to_string(ShardFrameHeader::kVersion) + ")");
   }
+  // 4, 6 and 10 are retired type numbers (see ShardMessageType).
   if (type16 < static_cast<uint16_t>(ShardMessageType::kConfig) ||
-      type16 > static_cast<uint16_t>(ShardMessageType::kHeavyHitterBytes)) {
+      type16 > static_cast<uint16_t>(ShardMessageType::kHeavyHitterBytes) ||
+      type16 == 4 || type16 == 6 || type16 == 10) {
     return Status::InvalidArgument("shard frame: unknown message type " +
                                    std::to_string(type16));
   }

@@ -6,16 +6,17 @@
 // learn where the bytes come from; everything transport-specific —
 // framing integrity, peer authentication — lives here.
 //
-// Frame (v3) = 16-byte header (magic, version, message type, payload
+// Frame (v4) = 16-byte header (magic, version, message type, payload
 // bytes) + payload + a 4-byte CRC32C trailer over header AND payload.
 // The receiver verifies the checksum before any payload decode; a
 // mismatch is a Status error and, because the stream can no longer be
 // trusted byte-for-byte, the connection is fenced. Updates travel as
-// flat GraphUpdate slabs — the exact in-memory layout the PR 1
-// pooled-batch pipeline routes, so the coordinator frames a routing
-// buffer with scatter-gather I/O and never copies it — and snapshots
-// travel as GraphSnapshot::Serialize bytes, the same self-describing
-// format checkpoint files use.
+// flat GraphUpdate slabs — the exact in-memory layout the pooled-batch
+// pipeline routes, so the coordinator frames a routing buffer with
+// scatter-gather I/O and never copies it — and sketch state travels in
+// one form, a serialized GraphSnapshot node range (MIGRATE_EXTRACT /
+// MIGRATE_DATA / MERGE_DELTA; a whole snapshot is the range [0, V)),
+// the same self-describing bytes checkpoint files hold.
 //
 // Sessions open with a challenge–response HELLO handshake keyed by a
 // shared secret (HMAC-SHA256 over fresh nonces, mutual): an untrusted
@@ -53,24 +54,25 @@ enum class ShardMessageType : uint16_t {
   kUpdateBatch = 2,  // u64 routing epoch + flat GraphUpdate slab.
                      // Fire-and-forget (no reply).
   kFlush = 3,        // Drain gutters + workers.
-  kSnapshot = 4,     // Reply: kSnapshotBytes.
   kCheckpoint = 5,   // Payload: file path. Shard saves a checkpoint.
-  kStats = 6,        // Reply: kAck{num_updates, ram_bytes}.
   kPing = 7,         // Health probe.
   kShutdown = 8,     // Orderly exit; shard acks, then terminates.
   // Shard -> coordinator.
-  kAck = 9,            // Two u64 values; meaning depends on the request.
-  kSnapshotBytes = 10,  // GraphSnapshot::Serialize payload.
-  kError = 11,          // u32 StatusCode + message string.
+  kAck = 9,    // Two u64 values; meaning depends on the request.
+  kError = 11,  // u32 StatusCode + message string.
+  // 4, 6 and 10 were the whole-snapshot request/reply pair and the
+  // two-u64 stats request before v4; retired, never reused, and refused
+  // as unknown types.
   // Elastic resharding (coordinator -> shard, except kMigrateData).
   kEpoch = 12,           // RoutingTable payload; shard adopts the new
                          // epoch. Reply: kAck{num_updates, delta_seq}.
   kMigrateExtract = 13,  // Two u64s [lo, hi): serialize that node range
-                         // of the shard's state. Reply: kMigrateData.
-  kMergeDelta = 14,      // Node-range delta payload; shard XOR-folds it
+                         // of the shard's state ([0, V) = the whole
+                         // snapshot). Reply: kMigrateData.
+  kMergeDelta = 14,      // Serialized node range; shard XOR-folds it
                          // in. Reply: kAck{num_updates, delta_seq}.
-  kMigrateData = 15,     // Shard -> coordinator: serialized node-range
-                         // delta (GraphSnapshot range format).
+  kMigrateData = 15,     // Shard -> client: the serialized node range
+                         // (GraphSnapshot byte format).
   // Handshake (first frames on every connection; see Client/Server
   // Handshake below).
   kHello = 16,      // Client -> shard: 16-byte client nonce, optionally
@@ -81,9 +83,9 @@ enum class ShardMessageType : uint16_t {
   kAuth = 18,       // Client -> shard: 32-byte client proof.
                     // Reply: kAck on success, kError on mismatch.
   // Serving tier (any session -> shard).
-  kStatsEx = 19,    // Empty payload. Reply: kStatsReply — the extended
-                    // stats the snapshot cache keys on (kStats keeps
-                    // its two-u64 kAck reply for wire compatibility).
+  kStatsEx = 19,    // Empty payload. Reply: kStatsReply — the shard's
+                    // position and geometry, which the snapshot cache
+                    // keys on.
   kStatsReply = 20,  // Shard -> client: ShardStatsEx payload.
   // Replication (coordinator -> shard, writer session only).
   kSyncPosition = 21,  // Two u64s {num_updates, delta_seq}: the
@@ -122,8 +124,8 @@ enum class ShardMessageType : uint16_t {
 // byte fails authentication rather than silently escalating). A writer
 // session is the coordinator: full protocol, its disconnect discards
 // the shard instance. A reader session may only observe — kPing /
-// kStats / kStatsEx / kSnapshot / kMigrateExtract — and its disconnect
-// never touches the instance.
+// kStatsEx / kMigrateExtract / kHeavyHitters — and its disconnect never
+// touches the instance.
 enum class ShardSessionRole : uint8_t {
   kWriter = 0,
   kReader = 1,
@@ -131,7 +133,9 @@ enum class ShardSessionRole : uint8_t {
 
 struct ShardFrameHeader {
   static constexpr uint32_t kMagic = 0x50535A47;  // "GZSP" little-endian.
-  static constexpr uint16_t kVersion = 3;  // v3: CRC32C trailer + auth.
+  // v3: CRC32C trailer + auth. v4: one sketch byte format (node ranges);
+  // the whole-snapshot and two-u64 stats frames retired.
+  static constexpr uint16_t kVersion = 4;
   static constexpr size_t kBytes = 16;
   // CRC32C over header + payload, appended after the payload.
   static constexpr size_t kCrcBytes = 4;
@@ -182,7 +186,7 @@ class FrameCrc {
 // Sends just the header, seeding `crc`; the caller streams
 // `payload_bytes` of payload afterwards with WriteFull — folding each
 // piece into `crc` — and finishes with SendFrameTrailer (how a shard
-// streams a snapshot reply without materializing it).
+// streams a node-range reply without materializing it).
 Status SendFrameHeader(int fd, ShardMessageType type, uint64_t payload_bytes,
                        FrameCrc* crc);
 Status SendFrameTrailer(int fd, const FrameCrc& crc);
@@ -200,7 +204,7 @@ Status RecvFrame(int fd, ShardFrame* frame);
 Status RecvFrameCapped(int fd, ShardFrame* frame, uint64_t max_payload);
 
 // The reader-session receive cap: every read-only request (PING,
-// STATS, STATS_EX, SNAPSHOT, MIGRATE_EXTRACT) fits with room to spare.
+// STATS_EX, MIGRATE_EXTRACT, HEAVY_HITTERS) fits with room to spare.
 constexpr uint64_t kReaderMaxRequestBytes = 4096;
 
 // Receives one *reply* frame and classifies it — the one reply-handling
@@ -252,8 +256,8 @@ constexpr size_t kHandshakeNonceBytes = 16;
 // acked ours. FailedPrecondition("authentication failed") on a proof
 // mismatch; transport/framing errors pass through. A reader session
 // appends its role byte to HELLO and proves under the reader HMAC
-// domains; the default (writer) sends the bare 16-byte HELLO every v3
-// coordinator already speaks.
+// domains; the default (writer) sends the bare 16-byte HELLO that
+// predates session roles.
 Status ClientHandshake(int fd, const std::string& secret,
                        ShardSessionRole role = ShardSessionRole::kWriter);
 

@@ -57,6 +57,140 @@ std::vector<uint8_t> BuildStatsEx(const ShardInstanceState& state) {
   return EncodeShardStatsEx(stats);
 }
 
+// The read-only requests: all a reader session may send, answered by
+// ServeRead on writer and reader sessions alike.
+bool IsReadOnlyRequest(ShardMessageType type) {
+  return type == ShardMessageType::kPing ||
+         type == ShardMessageType::kStatsEx ||
+         type == ShardMessageType::kMigrateExtract ||
+         type == ShardMessageType::kHeavyHitters;
+}
+
+// Where a read-only reply goes: Begin announces the frame, Write
+// streams its payload in pieces, End closes it.
+class ReplySink {
+ public:
+  virtual Status Begin(ShardMessageType type, uint64_t payload_bytes) = 0;
+  virtual Status Write(const void* data, size_t size) = 0;
+  virtual Status End() = 0;
+
+  // A whole reply already in hand.
+  virtual Status Send(ShardMessageType type,
+                      const std::vector<uint8_t>& payload) {
+    Status s = Begin(type, payload.size());
+    if (s.ok()) s = Write(payload.data(), payload.size());
+    if (s.ok()) s = End();
+    return s;
+  }
+  Status Error(const Status& error) {
+    return Send(ShardMessageType::kError, EncodeShardError(error));
+  }
+
+ protected:
+  ~ReplySink() = default;  // Sinks live on the stack, never deleted here.
+};
+
+// The writer session's sink: straight into the socket under the
+// instance lock, checksummed as it goes, so an out-of-core shard never
+// materializes a node range.
+class SocketSink final : public ReplySink {
+ public:
+  explicit SocketSink(int fd) : fd_(fd) {}
+  Status Begin(ShardMessageType type, uint64_t payload_bytes) override {
+    crc_ = FrameCrc();
+    return SendFrameHeader(fd_, type, payload_bytes, &crc_);
+  }
+  Status Write(const void* data, size_t size) override {
+    crc_.Fold(data, size);
+    return WriteFull(fd_, data, size);
+  }
+  Status End() override { return SendFrameTrailer(fd_, crc_); }
+  Status Send(ShardMessageType type,
+              const std::vector<uint8_t>& payload) override {
+    return SendFrame(fd_, type, payload.data(), payload.size());
+  }
+
+ private:
+  int fd_;
+  FrameCrc crc_;
+};
+
+// The reader session's sink: filled under the instance lock, sent after
+// release — a reader with a full socket buffer must stall on its OWN
+// send deadline, never while holding the lock the writer's ingest path
+// needs.
+class BufferSink final : public ReplySink {
+ public:
+  Status Begin(ShardMessageType type, uint64_t payload_bytes) override {
+    type_ = type;
+    payload_.clear();
+    payload_.reserve(payload_bytes);
+    return Status::Ok();
+  }
+  Status Write(const void* data, size_t size) override {
+    const uint8_t* p = static_cast<const uint8_t*>(data);
+    payload_.insert(payload_.end(), p, p + size);
+    return Status::Ok();
+  }
+  Status End() override { return Status::Ok(); }
+  Status SendTo(int fd) const {
+    return SendFrame(fd, type_, payload_.data(), payload_.size());
+  }
+
+ private:
+  ShardMessageType type_ = ShardMessageType::kError;
+  std::vector<uint8_t> payload_;
+};
+
+// The one handler for IsReadOnlyRequest frames; the caller holds
+// state.mutex. PING needs no instance. Everything else needs a
+// configured one whose ingest has not diverged: a diverged shard must
+// neither serve stale answers nor donate state. Returns non-OK only
+// when the sink failed, i.e. the connection is unusable.
+Status ServeRead(ShardInstanceState& state, const ShardFrame& frame,
+                 ReplySink* sink) {
+  if (frame.type == ShardMessageType::kPing) {
+    return sink->Send(ShardMessageType::kAck, EncodeShardAck(ShardAck{}));
+  }
+  if (state.gz == nullptr) {
+    return sink->Error(Status::FailedPrecondition("shard not configured"));
+  }
+  if (!state.async_error.ok()) return sink->Error(state.async_error);
+  if (frame.type == ShardMessageType::kStatsEx) {
+    return sink->Send(ShardMessageType::kStatsReply, BuildStatsEx(state));
+  }
+  if (frame.type == ShardMessageType::kHeavyHitters) {
+    const HeavyHitterSketch* hh = state.gz->heavy_hitters();
+    if (hh == nullptr) {
+      return sink->Error(Status::FailedPrecondition(
+          "heavy-hitter tracking disabled (heavy_hitter_width == 0)"));
+    }
+    return sink->Send(ShardMessageType::kHeavyHitterBytes, hh->Serialize());
+  }
+  // kMigrateExtract. Read-only: extraction mutates nothing, so a client
+  // can retry it freely after any failure. The flush inside
+  // WriteNodeRangeTo guarantees every update framed before this request
+  // is inside the extracted bytes.
+  uint64_t lo = 0, hi = 0;
+  Status s = DecodeMigrateExtract(frame.payload.data(), frame.payload.size(),
+                                  &lo, &hi);
+  if (s.ok() && !(lo < hi && hi <= state.gz->config().num_nodes)) {
+    s = Status::InvalidArgument("migrate-extract range out of bounds");
+  }
+  if (!s.ok()) return sink->Error(s);
+  s = sink->Begin(ShardMessageType::kMigrateData,
+                  GraphSnapshot::SerializedSizeFor(
+                      state.gz->sketch_params(), lo, hi));
+  if (s.ok()) {
+    s = state.gz->WriteNodeRangeTo(
+        lo, hi, [sink](const void* data, size_t size) {
+          return sink->Write(data, size);
+        });
+  }
+  if (s.ok()) s = sink->End();
+  return s;
+}
+
 }  // namespace
 
 Status ShardServer::ReplyAck(uint64_t value0, uint64_t value1) {
@@ -183,26 +317,6 @@ Status ShardServer::HandleUpdateBatch(const ShardFrame& frame) {
   return Status::Ok();
 }
 
-Status ShardServer::HandleSnapshot() {
-  // Stream the reply: frame length is known from the params alone, then
-  // records flow store -> scratch sketch -> socket one at a time, so
-  // even an out-of-core shard never materializes its snapshot. The
-  // checksum accumulates alongside the stream and closes the frame.
-  const uint64_t bytes =
-      GraphSnapshot::SerializedSizeFor(state_->gz->sketch_params());
-  FrameCrc crc;
-  Status s =
-      SendFrameHeader(fd_, ShardMessageType::kSnapshotBytes, bytes, &crc);
-  if (!s.ok()) return s;
-  s = state_->gz->WriteSnapshotTo(
-      [this, &crc](const void* data, size_t size) {
-        crc.Fold(data, size);
-        return WriteFull(fd_, data, size);
-      });
-  if (!s.ok()) return s;
-  return SendFrameTrailer(fd_, crc);
-}
-
 Status ShardServer::HandleCheckpoint(const ShardFrame& frame) {
   const std::string path(
       reinterpret_cast<const char*>(frame.payload.data()),
@@ -225,7 +339,8 @@ Status ShardServer::HandleCheckpoint(const ShardFrame& frame) {
   EncodeCheckpointHeader(header, header_buf);
   Status s = WriteTo(f, header_buf, sizeof(header_buf), tmp);
   if (s.ok()) {
-    s = state_->gz->WriteSnapshotTo(
+    s = state_->gz->WriteNodeRangeTo(
+        0, state_->gz->config().num_nodes,
         [f, &tmp](const void* data, size_t size) {
           return WriteTo(f, data, size, tmp);
         });
@@ -262,36 +377,9 @@ Status ShardServer::HandleEpoch(const ShardFrame& frame) {
   return ReplyAck(state_->gz->num_updates_ingested(), state_->delta_seq);
 }
 
-Status ShardServer::HandleMigrateExtract(const ShardFrame& frame) {
-  uint64_t lo = 0, hi = 0;
-  Status s = DecodeMigrateExtract(frame.payload.data(),
-                                  frame.payload.size(), &lo, &hi);
-  if (!s.ok()) return ReplyError(s);
-  if (!(lo < hi && hi <= state_->gz->config().num_nodes)) {
-    return ReplyError(
-        Status::InvalidArgument("migrate-extract range out of bounds"));
-  }
-  // Read-only: extraction mutates nothing, so the coordinator can
-  // retry it freely after any failure. The flush inside
-  // WriteNodeRangeTo guarantees every update framed before this
-  // request is inside the extracted bytes.
-  const uint64_t bytes = GraphSnapshot::SerializedRangeSizeFor(
-      state_->gz->sketch_params(), lo, hi);
-  FrameCrc crc;
-  s = SendFrameHeader(fd_, ShardMessageType::kMigrateData, bytes, &crc);
-  if (!s.ok()) return s;
-  s = state_->gz->WriteNodeRangeTo(
-      lo, hi, [this, &crc](const void* data, size_t size) {
-        crc.Fold(data, size);
-        return WriteFull(fd_, data, size);
-      });
-  if (!s.ok()) return s;
-  return SendFrameTrailer(fd_, crc);
-}
-
 Status ShardServer::HandleMergeDelta(const ShardFrame& frame) {
-  Status s = state_->gz->MergeSerializedNodeRange(frame.payload.data(),
-                                                  frame.payload.size());
+  Status s = state_->gz->MergeSerialized(frame.payload.data(),
+                                         frame.payload.size());
   if (!s.ok()) return ReplyError(s);
   ++state_->delta_seq;
   state_->NotifyPositionChanged();
@@ -304,146 +392,32 @@ Status ShardServer::HandleSyncPosition(const ShardFrame& frame) {
                                 &num_updates, &delta_seq);
   if (!s.ok()) return ReplyError(s);
   // The coordinator asserts the logical position this shard's
-  // (repaired) content represents. Content itself moved via XOR deltas
-  // — which carry no counts — so only the bookkeeping changes here.
+  // (repaired) content represents. Content itself moved via range folds
+  // — which never touch counts — so only the bookkeeping changes here.
   state_->gz->SetUpdatesIngested(num_updates);
   state_->delta_seq = delta_seq;
   state_->NotifyPositionChanged();
   return ReplyAck(state_->gz->num_updates_ingested(), state_->delta_seq);
 }
 
-Status ShardServer::HandleStatsEx() {
-  const std::vector<uint8_t> payload = BuildStatsEx(*state_);
-  return SendFrame(fd_, ShardMessageType::kStatsReply, payload.data(),
-                   payload.size());
-}
-
-Status ShardServer::HandleHeavyHitters() {
-  const HeavyHitterSketch* hh = state_->gz->heavy_hitters();
-  if (hh == nullptr) {
-    return ReplyError(Status::FailedPrecondition(
-        "heavy-hitter tracking disabled (heavy_hitter_width == 0)"));
-  }
-  const std::vector<uint8_t> payload = hh->Serialize();
-  return SendFrame(fd_, ShardMessageType::kHeavyHitterBytes, payload.data(),
-                   payload.size());
-}
-
 Status ShardServer::ServeReaderFrame(const ShardFrame& frame) {
-  // Materialize the whole reply under the instance mutex, send it
-  // after release: a reader with a full socket buffer must stall on
-  // its OWN send deadline, never while holding the lock the writer's
-  // ingest path needs.
-  ShardMessageType reply_type = ShardMessageType::kError;
-  std::vector<uint8_t> reply;
-  const auto fail = [&](const Status& error) {
-    reply_type = ShardMessageType::kError;
-    reply = EncodeShardError(error);
-  };
+  BufferSink reply;
   {
     std::lock_guard<std::mutex> lock(state_->mutex);
-    const bool needs_instance = frame.type != ShardMessageType::kPing;
-    if (frame.type != ShardMessageType::kPing &&
-        frame.type != ShardMessageType::kStats &&
-        frame.type != ShardMessageType::kStatsEx &&
-        frame.type != ShardMessageType::kSnapshot &&
-        frame.type != ShardMessageType::kMigrateExtract &&
-        frame.type != ShardMessageType::kHeavyHitters) {
+    if (!IsReadOnlyRequest(frame.type)) {
       // The read-only contract: a reader cannot configure, ingest,
       // migrate state in, checkpoint, or retire the shard. The session
       // survives — a confused client gets errors, not a dead socket.
-      fail(Status::FailedPrecondition(
+      reply.Error(Status::FailedPrecondition(
           "read-only session: frame type " +
           std::to_string(static_cast<uint16_t>(frame.type)) +
           " requires the writer session"));
-    } else if (needs_instance && state_->gz == nullptr) {
-      fail(Status::FailedPrecondition("shard not configured"));
-    } else if (needs_instance && !state_->async_error.ok()) {
-      // A diverged shard must not serve answers as if current.
-      fail(state_->async_error);
     } else {
-      switch (frame.type) {
-        case ShardMessageType::kPing:
-          reply_type = ShardMessageType::kAck;
-          reply = EncodeShardAck(ShardAck{0, 0});
-          break;
-        case ShardMessageType::kStats: {
-          reply_type = ShardMessageType::kAck;
-          reply = EncodeShardAck(
-              ShardAck{state_->gz->num_updates_ingested(),
-                       state_->gz->RamByteSize()});
-          break;
-        }
-        case ShardMessageType::kStatsEx:
-          reply_type = ShardMessageType::kStatsReply;
-          reply = BuildStatsEx(*state_);
-          break;
-        case ShardMessageType::kSnapshot: {
-          std::vector<uint8_t> bytes;
-          bytes.reserve(GraphSnapshot::SerializedSizeFor(
-              state_->gz->sketch_params()));
-          const Status s = state_->gz->WriteSnapshotTo(
-              [&bytes](const void* data, size_t size) {
-                const uint8_t* p = static_cast<const uint8_t*>(data);
-                bytes.insert(bytes.end(), p, p + size);
-                return Status::Ok();
-              });
-          if (!s.ok()) {
-            fail(s);
-          } else {
-            reply_type = ShardMessageType::kSnapshotBytes;
-            reply = std::move(bytes);
-          }
-          break;
-        }
-        case ShardMessageType::kHeavyHitters: {
-          const HeavyHitterSketch* hh = state_->gz->heavy_hitters();
-          if (hh == nullptr) {
-            fail(Status::FailedPrecondition(
-                "heavy-hitter tracking disabled (heavy_hitter_width == "
-                "0)"));
-          } else {
-            reply_type = ShardMessageType::kHeavyHitterBytes;
-            reply = hh->Serialize();
-          }
-          break;
-        }
-        case ShardMessageType::kMigrateExtract: {
-          uint64_t lo = 0, hi = 0;
-          Status s = DecodeMigrateExtract(frame.payload.data(),
-                                          frame.payload.size(), &lo, &hi);
-          if (s.ok() && !(lo < hi && hi <= state_->gz->config().num_nodes)) {
-            s = Status::InvalidArgument(
-                "migrate-extract range out of bounds");
-          }
-          if (!s.ok()) {
-            fail(s);
-            break;
-          }
-          std::vector<uint8_t> bytes;
-          bytes.reserve(GraphSnapshot::SerializedRangeSizeFor(
-              state_->gz->sketch_params(), lo, hi));
-          s = state_->gz->WriteNodeRangeTo(
-              lo, hi, [&bytes](const void* data, size_t size) {
-                const uint8_t* p = static_cast<const uint8_t*>(data);
-                bytes.insert(bytes.end(), p, p + size);
-                return Status::Ok();
-              });
-          if (!s.ok()) {
-            fail(s);
-          } else {
-            reply_type = ShardMessageType::kMigrateData;
-            reply = std::move(bytes);
-          }
-          break;
-        }
-        default:
-          fail(Status::Internal("unreachable reader frame"));
-          break;
-      }
+      const Status s = ServeRead(*state_, frame, &reply);
+      if (!s.ok()) reply.Error(s);
     }
   }
-  return SendFrame(fd_, reply_type, reply.data(), reply.size());
+  return reply.SendTo(fd_);
 }
 
 Status ShardServer::ServeSubscription(std::vector<uint8_t> last_notified) {
@@ -592,9 +566,14 @@ Status ShardServer::Serve() {
       if (!s.ok()) return s;
       continue;
     }
+    if (IsReadOnlyRequest(frame.type)) {
+      SocketSink sink(fd_);
+      s = ServeRead(*state_, frame, &sink);
+      if (!s.ok()) return s;
+      continue;
+    }
     // Every request except the config itself needs a configured shard.
     if (state_->gz == nullptr && frame.type != ShardMessageType::kConfig &&
-        frame.type != ShardMessageType::kPing &&
         frame.type != ShardMessageType::kShutdown) {
       // Fire-and-forget requests must not draw an unsolicited reply
       // even here — defer, like every other UPDATE_BATCH problem.
@@ -619,20 +598,14 @@ Status ShardServer::Serve() {
     // barrier consumed it, a retried CHECKPOINT would succeed, the
     // coordinator would truncate its unacked log (the only copy of the
     // dropped updates), and the divergence would become silently
-    // unrecoverable. Migration and serving frames are gated too: a
-    // diverged shard must neither donate state nor serve stale
-    // watermarks.
+    // unrecoverable. (ServeRead gates the read-only frames the same
+    // way.)
     if (!state_->async_error.ok() &&
         (frame.type == ShardMessageType::kFlush ||
-         frame.type == ShardMessageType::kSnapshot ||
          frame.type == ShardMessageType::kCheckpoint ||
-         frame.type == ShardMessageType::kStats ||
-         frame.type == ShardMessageType::kStatsEx ||
          frame.type == ShardMessageType::kEpoch ||
-         frame.type == ShardMessageType::kMigrateExtract ||
          frame.type == ShardMessageType::kMergeDelta ||
-         frame.type == ShardMessageType::kSyncPosition ||
-         frame.type == ShardMessageType::kHeavyHitters)) {
+         frame.type == ShardMessageType::kSyncPosition)) {
       s = ReplyError(state_->async_error);
       if (!s.ok()) return s;
       continue;
@@ -648,36 +621,17 @@ Status ShardServer::Serve() {
         state_->gz->Flush();
         s = ReplyAck(state_->gz->num_updates_ingested());
         break;
-      case ShardMessageType::kSnapshot:
-        s = HandleSnapshot();
-        break;
       case ShardMessageType::kCheckpoint:
         s = HandleCheckpoint(frame);
         break;
-      case ShardMessageType::kStats:
-        s = ReplyAck(state_->gz->num_updates_ingested(),
-                     state_->gz->RamByteSize());
-        break;
-      case ShardMessageType::kStatsEx:
-        s = HandleStatsEx();
-        break;
-      case ShardMessageType::kPing:
-        s = ReplyAck(0);
-        break;
       case ShardMessageType::kEpoch:
         s = HandleEpoch(frame);
-        break;
-      case ShardMessageType::kMigrateExtract:
-        s = HandleMigrateExtract(frame);
         break;
       case ShardMessageType::kMergeDelta:
         s = HandleMergeDelta(frame);
         break;
       case ShardMessageType::kSyncPosition:
         s = HandleSyncPosition(frame);
-        break;
-      case ShardMessageType::kHeavyHitters:
-        s = HandleHeavyHitters();
         break;
       case ShardMessageType::kSubscribe:
         // Subscriptions are a reader-session feature: converting the

@@ -7,10 +7,10 @@
 //
 // Sessions come in two roles (see ShardSessionRole): a *writer* — the
 // coordinator, full protocol — and *readers*, which may only observe
-// (PING / STATS / STATS_EX / SNAPSHOT / MIGRATE_EXTRACT /
-// HEAVY_HITTERS; anything else draws a kError and the session
-// continues). One ShardServer serves
-// one session; when several sessions share a shard (the multi-session
+// (PING / STATS_EX / MIGRATE_EXTRACT / HEAVY_HITTERS; anything else
+// draws a kError and the session continues). Both roles answer those
+// read-only frames through one handler. One ShardServer serves one
+// session; when several sessions share a shard (the multi-session
 // listener, shard_listener.h), they share one ShardInstanceState and
 // every access to the instance goes through its mutex.
 #ifndef GZ_DISTRIBUTED_SHARD_SERVER_H_
@@ -30,7 +30,7 @@ namespace gz {
 
 // Shard checkpoint file: a fixed 24-byte header — magic, the routing
 // epoch the shard was at, and its merge-delta sequence number — then
-// the standard GraphSnapshot byte stream. The epoch makes a checkpoint
+// the shard's whole node range [0, V) in the GraphSnapshot byte format. The epoch makes a checkpoint
 // self-describing across reshard operations (a restore under an OLDER
 // coordinator table is refused), and the delta sequence number lets
 // the coordinator reconcile which migration deltas the checkpoint
@@ -138,23 +138,20 @@ class ShardServer {
   Status Serve();
 
  private:
-  // Handlers reply on fd_ and return a non-OK status only when the
-  // connection is no longer usable. All of them are called with
-  // state_->mutex held; the reader-session handlers below materialize
-  // their reply under the lock and stream it after release.
+  // Writer-session handlers for the frames that change the instance.
+  // They reply on fd_, are called with state_->mutex held, and return a
+  // non-OK status only when the connection is no longer usable. The
+  // read-only frames have one handler for both roles (ServeRead in
+  // shard_server.cc).
   Status HandleConfig(const ShardFrame& frame);
   Status HandleUpdateBatch(const ShardFrame& frame);
-  Status HandleSnapshot();
   Status HandleCheckpoint(const ShardFrame& frame);
   Status HandleEpoch(const ShardFrame& frame);
-  Status HandleMigrateExtract(const ShardFrame& frame);
   Status HandleMergeDelta(const ShardFrame& frame);
   Status HandleSyncPosition(const ShardFrame& frame);
-  Status HandleStatsEx();
-  Status HandleHeavyHitters();
 
-  // One reader request: dispatch + materialize under the lock, stream
-  // outside it (a slow reader must not hold the instance hostage).
+  // One reader request: answered into a buffer under the lock, sent
+  // after it (a slow reader must not hold the instance hostage).
   Status ServeReaderFrame(const ShardFrame& frame);
 
   // The notify stream a reader session becomes after kSubscribe: waits

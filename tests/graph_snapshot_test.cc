@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -158,13 +159,10 @@ TEST(GraphSnapshotTest, MergeRejectsIncompatibleParams) {
   EXPECT_EQ(base.Merge(empty).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(empty.Merge(base).code(), StatusCode::kInvalidArgument);
 
-  // Node-granular deltas get the same checks.
-  NodeSketchParams p;
-  p.num_nodes = 16;
-  p.seed = 99;
-  EXPECT_EQ(base.MergeNodeDelta(0, NodeSketch(p)).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(base.MergeNodeDelta(999, base.sketch(0)).code(),
+  // Serialized folds get the same checks.
+  const std::vector<uint8_t> other_bytes = other_seed.Serialize();
+  EXPECT_EQ(base.MergeSerialized(other_bytes.data(), other_bytes.size())
+                .code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -245,35 +243,48 @@ TEST(GraphSnapshotTest, FileRoundTripAndLoadIntoInstance) {
   std::remove(path.c_str());
 }
 
-TEST(GraphSnapshotTest, LegacyCheckpointMagicStillLoads) {
-  // Pre-GraphSnapshot checkpoints used magic "GZCKPT01" over the same
-  // byte layout; they must stay restorable.
-  const std::string path =
-      std::string(::testing::TempDir()) + "/legacy_magic.snap";
-  const GraphSnapshot snapshot = SnapshotOf(16, 3, {Edge(1, 2)});
-  std::vector<uint8_t> bytes = snapshot.Serialize();
-  std::memcpy(bytes.data(), "GZCKPT01", 8);
+TEST(GraphSnapshotTest, RetiredMagicsAreRefused) {
+  // Version-1 snapshots and the older pre-snapshot checkpoints shared a
+  // layout without range bounds: magic, num_nodes, seed, cols, rounds,
+  // num_updates, then the records. Both are refused, from bytes, from a
+  // file and as a checkpoint, rather than misread as the current format.
+  constexpr char kSnapshotV1[8] = {'G', 'Z', 'S', 'N', 'A', 'P', '0', '1'};
+  constexpr char kCheckpointV1[8] = {'G', 'Z', 'C', 'K', 'P', 'T', '0', '1'};
+  const uint64_t n = 16;
+  const GraphSnapshot snapshot = SnapshotOf(n, 3, {Edge(1, 2)});
+  const std::vector<uint8_t> current = snapshot.Serialize();
+  for (const char* magic : {kSnapshotV1, kCheckpointV1}) {
+    std::vector<uint8_t> old(current.begin(), current.begin() + 32);
+    std::memcpy(old.data(), magic, 8);
+    old.insert(old.end(), current.begin() + 48, current.end());
+    EXPECT_EQ(GraphSnapshot::Deserialize(old.data(), old.size())
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << std::string(magic, 8);
 
-  Result<GraphSnapshot> from_bytes =
-      GraphSnapshot::Deserialize(bytes.data(), bytes.size());
-  ASSERT_TRUE(from_bytes.ok()) << from_bytes.status().ToString();
-  EXPECT_TRUE(from_bytes.value() == snapshot);
-
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-  Result<GraphSnapshot> from_file = GraphSnapshot::LoadFromFile(path);
-  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
-  EXPECT_TRUE(from_file.value() == snapshot);
-  std::remove(path.c_str());
+    const std::string path =
+        std::string(::testing::TempDir()) + "/retired_magic.snap";
+    FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(old.data(), 1, old.size(), f), old.size());
+    std::fclose(f);
+    EXPECT_EQ(GraphSnapshot::LoadFromFile(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << std::string(magic, 8);
+    GraphZeppelin gz(MakeConfig(n, 3));
+    ASSERT_TRUE(gz.Init().ok());
+    EXPECT_EQ(gz.LoadCheckpoint(path).code(), StatusCode::kInvalidArgument)
+        << std::string(magic, 8);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(GraphSnapshotTest, NodeRangeDeltasMoveStateExactly) {
   // The elastic-migration algebra: extracting ranges of A and folding
   // them into an empty snapshot rebuilds A's sketches; folding the same
-  // delta back into A cancels it there (XOR "move"). Deltas carry no
-  // update count by design.
+  // range back into A cancels it there (XOR "move"). Range folds never
+  // touch update counts.
   const uint64_t n = 48;
   ErdosRenyiParams ep;
   ep.num_nodes = n;
@@ -289,21 +300,20 @@ TEST(GraphSnapshotTest, NodeRangeDeltasMoveStateExactly) {
        std::vector<std::pair<uint64_t, uint64_t>>{{0, 17}, {17, 48}}) {
     const std::vector<uint8_t> delta = a.ExtractNodeRange(lo, hi);
     EXPECT_EQ(delta.size(),
-              GraphSnapshot::SerializedRangeSizeFor(a.params(), lo, hi));
-    ASSERT_TRUE(
-        rebuilt.MergeSerializedNodeRange(delta.data(), delta.size()).ok());
-    ASSERT_TRUE(
-        drained.MergeSerializedNodeRange(delta.data(), delta.size()).ok());
+              GraphSnapshot::SerializedSizeFor(a.params(), lo, hi));
+    ASSERT_TRUE(rebuilt.MergeSerialized(delta.data(), delta.size()).ok());
+    ASSERT_TRUE(drained.MergeSerialized(delta.data(), delta.size()).ok());
   }
-  // Counts are untouched by deltas; align them before bitwise compare.
+  // Counts are untouched by range folds; align them before bitwise
+  // compare.
   EXPECT_EQ(rebuilt.num_updates(), 0u);
-  rebuilt.AddUpdates(a.num_updates());
+  EXPECT_EQ(drained.num_updates(), a.num_updates());
+  rebuilt.SetUpdates(a.num_updates());
   EXPECT_TRUE(rebuilt == a);
-  drained.AddUpdates(a.num_updates() - drained.num_updates());
   // Every sketch in the drained snapshot is zeroed — it equals the
   // empty instance's snapshot (after count alignment).
   GraphSnapshot zero = empty;
-  zero.AddUpdates(a.num_updates());
+  zero.SetUpdates(a.num_updates());
   EXPECT_TRUE(drained == zero);
 }
 
@@ -317,33 +327,147 @@ TEST(GraphSnapshotTest, NodeRangeDeltaRejectsGarbage) {
   // Truncation, trailing garbage, a bad magic and a params mismatch
   // all bounce without touching the snapshot.
   const GraphSnapshot before = snap;
-  EXPECT_EQ(snap.MergeSerializedNodeRange(delta.data(), delta.size() - 1)
+  EXPECT_EQ(snap.MergeSerialized(delta.data(), delta.size() - 1)
                 .code(),
             StatusCode::kInvalidArgument);
   std::vector<uint8_t> padded = delta;
   padded.push_back(0);
   EXPECT_EQ(
-      snap.MergeSerializedNodeRange(padded.data(), padded.size()).code(),
+      snap.MergeSerialized(padded.data(), padded.size()).code(),
       StatusCode::kInvalidArgument);
   std::vector<uint8_t> bad_magic = delta;
   bad_magic[0] ^= 0xFF;
   EXPECT_EQ(
-      snap.MergeSerializedNodeRange(bad_magic.data(), bad_magic.size())
+      snap.MergeSerialized(bad_magic.data(), bad_magic.size())
           .code(),
       StatusCode::kInvalidArgument);
   GraphSnapshot other_seed = SnapshotOf(n, 4, edges);
   EXPECT_EQ(
-      other_seed.MergeSerializedNodeRange(delta.data(), delta.size())
+      other_seed.MergeSerialized(delta.data(), delta.size())
           .code(),
       StatusCode::kInvalidArgument);
   EXPECT_TRUE(snap == before);
 
-  // A whole-snapshot byte stream is not a range delta and vice versa.
+  // A range is not a whole snapshot, but a whole snapshot is just the
+  // range [0, V): it folds like any other, and folding a snapshot into
+  // itself zeroes every sketch without touching the count.
+  EXPECT_EQ(GraphSnapshot::Deserialize(delta.data(), delta.size())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   const std::vector<uint8_t> full = snap.Serialize();
-  EXPECT_EQ(snap.MergeSerializedNodeRange(full.data(), full.size()).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(snap.MergeSerialized(delta.data(), delta.size()).code(),
-            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(snap.MergeSerialized(full.data(), full.size()).ok());
+  GraphSnapshot zero = SnapshotOf(n, 3, {});
+  zero.SetUpdates(before.num_updates());
+  EXPECT_TRUE(snap == zero);
+}
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return bytes;
+  uint8_t buf[4096];
+  size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + got);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
+  std::fclose(f);
+}
+
+TEST(GraphSnapshotTest, EveryTruncationAndHeaderFlipIsACleanStatus) {
+  // The one decoder, swept: every truncation length and every
+  // single-byte flip of the header of a whole snapshot, a mid-graph
+  // range and a GraphZeppelin checkpoint file, each fed to Deserialize,
+  // both MergeSerialized folds and LoadCheckpoint. Every call returns a
+  // Status or a valid object, never aborts, and leaves its target
+  // unchanged when it fails. A small geometry keeps the sweep quick.
+  const uint64_t n = 16;
+  GraphZeppelinConfig config = MakeConfig(n, 31);
+  config.cols = 1;
+  config.rounds = 2;
+  const auto make = [&config](const EdgeList& edges) {
+    auto gz = std::make_unique<GraphZeppelin>(config);
+    GZ_CHECK_OK(gz->Init());
+    Ingest(gz.get(), edges);
+    return gz;
+  };
+  EdgeList path_edges;
+  for (NodeId i = 0; i + 1 < 12; ++i) path_edges.emplace_back(i, i + 1);
+  const std::unique_ptr<GraphZeppelin> source = make(path_edges);
+  const GraphSnapshot snap = source->Snapshot();
+  const std::string ckpt =
+      std::string(::testing::TempDir()) + "/decoder_sweep.ckpt";
+  ASSERT_TRUE(source->SaveCheckpoint(ckpt).ok());
+  const std::vector<std::vector<uint8_t>> inputs = {
+      snap.Serialize(), snap.ExtractNodeRange(5, 11), ReadFile(ckpt)};
+  EXPECT_EQ(inputs[2], inputs[0]) << "a checkpoint is a whole snapshot";
+
+  GraphSnapshot target = make({Edge(2, 9)})->Snapshot();
+  const std::unique_ptr<GraphZeppelin> gz = make({Edge(3, 4)});
+  const GraphSnapshot gz_before = gz->Snapshot();
+  const std::string corrupt_path =
+      std::string(::testing::TempDir()) + "/decoder_sweep.corrupt";
+  size_t accepted = 0, refused = 0;
+  const auto feed = [&](const std::vector<uint8_t>& bytes) {
+    Result<GraphSnapshot> thawed =
+        GraphSnapshot::Deserialize(bytes.data(), bytes.size());
+    if (thawed.ok()) {
+      EXPECT_TRUE(thawed.value().valid());
+    }
+
+    const GraphSnapshot target_before = target;
+    Status s = target.MergeSerialized(bytes.data(), bytes.size());
+    if (!s.ok()) {
+      EXPECT_TRUE(target == target_before) << s.ToString();
+    }
+    target = target_before;
+
+    s = gz->MergeSerialized(bytes.data(), bytes.size());
+    if (s.ok()) {
+      // XOR is its own inverse: folding the same bytes again undoes it.
+      ASSERT_TRUE(gz->MergeSerialized(bytes.data(), bytes.size()).ok());
+    }
+    EXPECT_TRUE(gz->Snapshot() == gz_before) << s.ToString();
+
+    WriteFile(corrupt_path, bytes);
+    s = gz->LoadCheckpoint(corrupt_path);
+    if (s.ok()) {
+      ASSERT_TRUE(gz->LoadSnapshot(gz_before).ok());
+      ++accepted;
+    } else {
+      ++refused;
+    }
+    EXPECT_TRUE(gz->Snapshot() == gz_before) << s.ToString();
+  };
+  for (const std::vector<uint8_t>& input : inputs) {
+    for (size_t cut = 0; cut < input.size(); ++cut) {
+      feed(std::vector<uint8_t>(input.begin(), input.begin() + cut));
+    }
+    for (size_t i = 0; i < GraphSnapshot::kHeaderBytes; ++i) {
+      for (const uint8_t mask : {0x01, 0xFF}) {
+        std::vector<uint8_t> flipped = input;
+        flipped[i] ^= mask;
+        feed(flipped);
+      }
+    }
+  }
+  // Truncations never load; some header flips (the update count, for
+  // one) legitimately still describe a loadable snapshot.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+  std::remove(ckpt.c_str());
+  std::remove(corrupt_path.c_str());
 }
 
 TEST(GraphSnapshotTest, ParallelBoruvkaMatchesSequentialBitwise) {

@@ -2,9 +2,10 @@
 // malformed / truncated / corrupted / version-mismatched input must
 // surface as Status errors — never a crash, never an accepted frame —
 // on both the coordinator side (RecvFrame and the payload codecs) and
-// the shard side (ShardServer over an in-process socketpair). v3 adds
+// the shard side (ShardServer over an in-process socketpair). v3 added
 // the CRC32C trailer (exhaustive byte-flip sweep below), the
-// authenticated HELLO handshake, and the ShardEndpoint grammar.
+// authenticated HELLO handshake, and the ShardEndpoint grammar; v4
+// retired the whole-snapshot and two-u64 stats frames.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -52,6 +53,9 @@ class SocketPair {
   int fds_[2] = {-1, -1};
 };
 
+// Type numbers v4 retired; never reused, refused as unknown.
+bool Retired(uint16_t type) { return type == 4 || type == 6 || type == 10; }
+
 // Hand-crafts a frame header; `magic`/`version` default to valid so a
 // test can corrupt exactly one field.
 void WriteRawHeader(int fd, uint16_t type, uint64_t payload_bytes,
@@ -73,6 +77,7 @@ TEST(ShardProtocolTest, EveryMessageTypeRoundTrips) {
   ShardFrame frame;
   for (uint16_t t = static_cast<uint16_t>(ShardMessageType::kConfig);
        t <= static_cast<uint16_t>(ShardMessageType::kStatsReply); ++t) {
+    if (Retired(t)) continue;
     const ShardMessageType type = static_cast<ShardMessageType>(t);
     ASSERT_TRUE(SendFrame(sp.a(), type, payload, sizeof(payload)).ok());
     ASSERT_TRUE(RecvFrame(sp.b(), &frame).ok());
@@ -109,12 +114,12 @@ TEST(ShardProtocolTest, ScatterGatherSendMatchesPlainSend) {
 }
 
 TEST(ShardProtocolTest, HeaderThenStreamedPayloadRoundTrips) {
-  // The shard's snapshot reply path: header first, payload streamed in
-  // pieces afterwards, checksum accumulated alongside and sent last.
+  // The shard's node-range reply path: header first, payload streamed
+  // in pieces afterwards, checksum accumulated alongside and sent last.
   SocketPair sp;
   FrameCrc crc;
   ASSERT_TRUE(
-      SendFrameHeader(sp.a(), ShardMessageType::kSnapshotBytes, 6, &crc)
+      SendFrameHeader(sp.a(), ShardMessageType::kMigrateData, 6, &crc)
           .ok());
   crc.Fold("abc", 3);
   ASSERT_TRUE(WriteFull(sp.a(), "abc", 3).ok());
@@ -123,7 +128,7 @@ TEST(ShardProtocolTest, HeaderThenStreamedPayloadRoundTrips) {
   ASSERT_TRUE(SendFrameTrailer(sp.a(), crc).ok());
   ShardFrame frame;
   ASSERT_TRUE(RecvFrame(sp.b(), &frame).ok());
-  EXPECT_EQ(frame.type, ShardMessageType::kSnapshotBytes);
+  EXPECT_EQ(frame.type, ShardMessageType::kMigrateData);
   EXPECT_EQ(std::string(frame.payload.begin(), frame.payload.end()),
             "abcdef");
 }
@@ -134,7 +139,7 @@ TEST(ShardProtocolTest, StreamedFrameWithWrongCrcIsRejected) {
   SocketPair sp;
   FrameCrc crc;
   ASSERT_TRUE(
-      SendFrameHeader(sp.a(), ShardMessageType::kSnapshotBytes, 3, &crc)
+      SendFrameHeader(sp.a(), ShardMessageType::kMigrateData, 3, &crc)
           .ok());
   crc.Fold("abc", 3);
   ASSERT_TRUE(WriteFull(sp.a(), "abX", 3).ok());  // Wrote differently.
@@ -172,6 +177,73 @@ TEST(ShardProtocolTest, UnknownTypeIsInvalidArgument) {
   WriteRawHeader(sp.a(), /*type=*/999, 0);
   ShardFrame frame;
   EXPECT_EQ(RecvFrame(sp.b(), &frame).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ShardProtocolTest, V4DefinesExactly22TypesAndRefusesRetiredOnes) {
+  EXPECT_EQ(ShardFrameHeader::kVersion, 4);
+  int known = 0;
+  for (uint16_t t = 0; t < 64; ++t) {
+    SocketPair sp;
+    ASSERT_TRUE(
+        SendFrame(sp.a(), static_cast<ShardMessageType>(t), nullptr, 0)
+            .ok());
+    ShardFrame frame;
+    const Status s = RecvFrame(sp.b(), &frame);
+    if (s.ok()) {
+      ++known;
+      EXPECT_FALSE(Retired(t)) << "retired type " << t << " was accepted";
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "type " << t;
+      EXPECT_NE(s.message().find("unknown message type"), std::string::npos)
+          << s.ToString();
+    }
+  }
+  EXPECT_EQ(known, 22);
+}
+
+TEST(ShardProtocolTest, V3HeaderIsAVersionMismatch) {
+  SocketPair sp;
+  WriteRawHeader(sp.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
+                 ShardFrameHeader::kMagic, /*version=*/3);
+  ShardFrame frame;
+  const Status s = RecvFrame(sp.b(), &frame);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("version mismatch"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(ShardProtocolTest, RetiredTypesAreRefusedOnWriterAndReaderSessions) {
+  // A pre-v4 SNAPSHOT, STATS or SNAPSHOT_BYTES frame is an unknown type
+  // to either session role: the shard replies kError and ends the
+  // session (framing can no longer be trusted), never crashing.
+  for (const uint16_t type : {4, 6, 10}) {
+    for (const ShardSessionRole role :
+         {ShardSessionRole::kWriter, ShardSessionRole::kReader}) {
+      SocketPair sp;
+      ShardInstanceState state;
+      Status served;
+      std::thread server([&] {
+        served = ShardServer(sp.b(), &state, role, 30).Serve();
+      });
+      EXPECT_TRUE(
+          SendFrame(sp.a(), static_cast<ShardMessageType>(type), nullptr, 0)
+              .ok());
+      ShardFrame frame;
+      const Status got = RecvFrame(sp.a(), &frame);
+      server.join();
+      ASSERT_TRUE(got.ok()) << got.ToString();
+      ASSERT_EQ(frame.type, ShardMessageType::kError) << "type " << type;
+      bool decode_ok = false;
+      const Status error = DecodeShardError(frame.payload.data(),
+                                            frame.payload.size(), &decode_ok);
+      EXPECT_TRUE(decode_ok);
+      EXPECT_EQ(error.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(error.message().find("unknown message type"),
+                std::string::npos)
+          << error.ToString();
+      EXPECT_EQ(served.code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(ShardProtocolTest, OversizedPayloadLengthIsInvalidArgument) {
@@ -434,10 +506,10 @@ TEST_F(ShardServerFixture, RequestBeforeConfigIsErrorNotCrash) {
   // The server survived; configure and use it normally.
   Configure();
   ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStats, nullptr, 0).ok());
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ShardFrame frame;
   ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
-  EXPECT_EQ(frame.type, ShardMessageType::kAck);
+  EXPECT_EQ(frame.type, ShardMessageType::kStatsReply);
 }
 
 TEST_F(ShardServerFixture, MalformedConfigPayloadIsErrorNotCrash) {
@@ -485,11 +557,18 @@ TEST_F(ShardServerFixture, OutOfRangeUpdateDropsBatchAndPoisonsBarriers) {
   bad.type = UpdateType::kInsert;
   SendUpdateBatch(&bad, sizeof(bad));
   ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStats, nullptr, 0).ok());
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ExpectErrorReply(StatusCode::kInvalidArgument);
   ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStats, nullptr, 0).ok());
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ExpectErrorReply(StatusCode::kInvalidArgument);  // Sticky.
+  // The read-only frames are gated too: a diverged shard donates no
+  // state.
+  const std::vector<uint8_t> req = EncodeMigrateExtract(0, 16);
+  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
+                        req.data(), req.size())
+                  .ok());
+  ExpectErrorReply(StatusCode::kInvalidArgument);
 }
 
 TEST_F(ShardServerFixture, UpdateBatchBeforeConfigDefersErrorToo) {
@@ -600,7 +679,7 @@ TEST_F(ShardServerFixture, FutureEpochUpdateBatchIsDeferredStatusError) {
   GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
   SendUpdateBatch(&u, sizeof(u), /*epoch=*/9);  // From the future.
   ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStats, nullptr, 0).ok());
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ExpectErrorReply(StatusCode::kInvalidArgument);
 }
 
@@ -622,13 +701,15 @@ TEST_F(ShardServerFixture, EpochFrameAdvancesWhatBatchesMustStamp) {
   GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
   SendUpdateBatch(&u, sizeof(u), /*epoch=*/5);
   ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStats, nullptr, 0).ok());
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
-  ASSERT_EQ(frame.type, ShardMessageType::kAck);
-  ShardAck ack;
-  ASSERT_TRUE(
-      DecodeShardAck(frame.payload.data(), frame.payload.size(), &ack).ok());
-  EXPECT_EQ(ack.value0, 1u);  // The stamped-current batch was ingested.
+  ASSERT_EQ(frame.type, ShardMessageType::kStatsReply);
+  ShardStatsEx stats;
+  ASSERT_TRUE(DecodeShardStatsEx(frame.payload.data(), frame.payload.size(),
+                                 &stats)
+                  .ok());
+  EXPECT_EQ(stats.epoch, 5u);
+  EXPECT_EQ(stats.num_updates, 1u);  // The stamped-current batch ingested.
 }
 
 TEST_F(ShardServerFixture, EpochRegressionIsErrorNotCrash) {
@@ -691,8 +772,9 @@ TEST_F(ShardServerFixture, TruncatedMergeDeltaPayloadIsErrorNotCrash) {
 
 TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
   // The migration algebra over the wire: extracting [0, k) and [k, n)
-  // and folding both deltas into an empty same-params instance must
-  // reproduce the source's snapshot exactly.
+  // and folding both ranges into an empty same-params instance must
+  // reproduce the source's snapshot — itself the extract of [0, n) —
+  // exactly.
   StartServer();
   Configure(/*num_nodes=*/16);
   GraphUpdate updates[3] = {{Edge(0, 1), UpdateType::kInsert},
@@ -701,11 +783,13 @@ TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
   SendUpdateBatch(updates, sizeof(updates));
 
   auto request_snapshot = [this](GraphSnapshot* out) {
-    ASSERT_TRUE(
-        SendFrame(sp_.a(), ShardMessageType::kSnapshot, nullptr, 0).ok());
+    const std::vector<uint8_t> req = EncodeMigrateExtract(0, 16);
+    ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
+                          req.data(), req.size())
+                    .ok());
     ShardFrame frame;
     ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
-    ASSERT_EQ(frame.type, ShardMessageType::kSnapshotBytes);
+    ASSERT_EQ(frame.type, ShardMessageType::kMigrateData);
     Result<GraphSnapshot> r =
         GraphSnapshot::Deserialize(frame.payload.data(),
                                    frame.payload.size());
@@ -714,6 +798,7 @@ TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
   };
   GraphSnapshot source;
   request_snapshot(&source);
+  EXPECT_EQ(source.num_updates(), 3u);
 
   GraphZeppelinConfig twin_config;
   twin_config.num_nodes = 16;
@@ -732,13 +817,13 @@ TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
     ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
     ASSERT_EQ(frame.type, ShardMessageType::kMigrateData);
     ASSERT_TRUE(
-        twin.MergeSerializedNodeRange(frame.payload.data(),
-                                      frame.payload.size())
+        twin.MergeSerialized(frame.payload.data(), frame.payload.size())
             .ok());
   }
   GraphSnapshot rebuilt = twin.Snapshot();
-  // Deltas carry no update counts by design; compare sketch content.
-  rebuilt.AddUpdates(source.num_updates());
+  // Range folds never touch update counts; compare sketch content.
+  EXPECT_EQ(rebuilt.num_updates(), 0u);
+  rebuilt.SetUpdates(source.num_updates());
   EXPECT_TRUE(rebuilt == source);
 }
 
@@ -830,7 +915,6 @@ std::vector<uint8_t> RepresentativePayload(ShardMessageType type) {
     }
     case ShardMessageType::kAck:
       return EncodeShardAck(ShardAck{42, 7});
-    case ShardMessageType::kSnapshotBytes:
     case ShardMessageType::kMigrateData:
     case ShardMessageType::kMergeDelta:
       return std::vector<uint8_t>(48, 0xA5);  // Opaque snapshot bytes.
@@ -860,19 +944,20 @@ std::vector<uint8_t> RepresentativePayload(ShardMessageType type) {
       return EncodeShardStatsEx(stats);
     }
     default:
-      // kFlush/kSnapshot/kStats/kStatsEx/kPing/kShutdown: empty.
+      // kFlush/kStatsEx/kPing/kShutdown: empty.
       return {};
   }
 }
 
 TEST(ShardProtocolTest, EveryByteFlipOfEveryFrameTypeIsACleanStatus) {
-  // The v3 integrity claim, pinned exhaustively: flip each byte of
+  // The integrity claim, pinned exhaustively: flip each byte of
   // every frame type — header, payload, trailer — and the receiver
   // must return a Status (checksum or decode error). Never a crash,
   // and NEVER an accepted frame: any accepted flip would mean a
   // corruption the protocol cannot see.
   for (uint16_t t = static_cast<uint16_t>(ShardMessageType::kConfig);
        t <= static_cast<uint16_t>(ShardMessageType::kStatsReply); ++t) {
+    if (Retired(t)) continue;
     const ShardMessageType type = static_cast<ShardMessageType>(t);
     const std::vector<uint8_t> good = FrameBytes(type,
                                                  RepresentativePayload(type));
@@ -1521,12 +1606,17 @@ TEST_F(ReaderSessionFixture, ReaderServesReadOnlyFramesConcurrently) {
   EXPECT_EQ(stats.epoch, 1u);
   EXPECT_EQ(stats.num_updates, 1u);
   EXPECT_EQ(stats.num_nodes, 16u);
-  // SNAPSHOT streams the serialized sketch state.
-  ASSERT_TRUE(
-      SendFrame(rp_.a(), ShardMessageType::kSnapshot, nullptr, 0).ok());
+  // MIGRATE_EXTRACT of [0, V) is the whole serialized snapshot.
+  const std::vector<uint8_t> req = EncodeMigrateExtract(0, 16);
+  ASSERT_TRUE(SendFrame(rp_.a(), ShardMessageType::kMigrateExtract,
+                        req.data(), req.size())
+                  .ok());
   ASSERT_TRUE(RecvFrame(rp_.a(), &frame).ok());
-  EXPECT_EQ(frame.type, ShardMessageType::kSnapshotBytes);
-  EXPECT_FALSE(frame.payload.empty());
+  ASSERT_EQ(frame.type, ShardMessageType::kMigrateData);
+  Result<GraphSnapshot> snapshot =
+      GraphSnapshot::Deserialize(frame.payload.data(), frame.payload.size());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(snapshot.value().num_updates(), 1u);
 }
 
 TEST_F(ReaderSessionFixture, ReaderCannotMutateAndSessionSurvives) {

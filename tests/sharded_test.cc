@@ -209,10 +209,10 @@ TEST_P(ShardedSubstrateTest, ForestDecompositionOverShardedSnapshot) {
 }
 
 TEST_P(ShardedSubstrateTest, SnapshotFoldMatchesSingleInstanceBitwise) {
-  // The coordinator's fold of serialized snapshot frames must produce
-  // exactly the snapshot a single instance ingesting the whole stream
-  // would: the shard partition of the stream (and the substrate) is
-  // invisible after aggregation.
+  // The coordinator's fold of the shards' serialized [0, V) ranges must
+  // produce exactly the snapshot a single instance ingesting the whole
+  // stream would: the shard partition of the stream (and the substrate)
+  // is invisible after aggregation.
   const uint64_t n = 48;
   ErdosRenyiParams ep;
   ep.num_nodes = n;

@@ -8,8 +8,8 @@
 //                        endpoint as a multi-session listener — one
 //                        authenticated writer (the coordinator, full
 //                        protocol) plus up to --max-sessions-1
-//                        authenticated readers (PING / STATS /
-//                        STATS_EX / SNAPSHOT / MIGRATE_EXTRACT only),
+//                        authenticated readers (PING / STATS_EX /
+//                        MIGRATE_EXTRACT / HEAVY_HITTERS only),
 //                        the serving tier's data plane. Port 0 asks
 //                        the kernel for a free port; --port-file PATH
 //                        publishes the bound port (for harnesses that
