@@ -4,16 +4,6 @@
 #include <utility>
 
 namespace gz {
-namespace {
-
-// A same-params all-zero snapshot: the XOR identity, and the starting
-// content of every shard the cache has not pulled from yet.
-GraphSnapshot ZeroSnapshot(const NodeSketchParams& params) {
-  return GraphSnapshot(
-      std::vector<NodeSketch>(params.num_nodes, NodeSketch(params)), 0);
-}
-
-}  // namespace
 
 std::vector<int> SnapshotCache::PlannedPulls(
     uint64_t epoch, const ShardWatermarks& marks) const {
@@ -28,31 +18,30 @@ std::vector<int> SnapshotCache::PlannedPulls(
 
 Status SnapshotCache::PullShard(int shard, const NodeSketchParams& params,
                                 const RangePuller& puller) {
-  GraphSnapshot& content = shard_content_.at(shard);
   const uint64_t num_nodes = params.num_nodes;
   const uint64_t step =
       nodes_per_chunk_ == 0 ? num_nodes : nodes_per_chunk_;
-  std::vector<uint8_t> fresh;
-  for (uint64_t lo = 0; lo < num_nodes; lo += step) {
+  // The chunk layout is fixed by (params, nodes_per_chunk_); a chunk
+  // with no retained bytes (the shard was never pulled) is empty.
+  std::vector<std::vector<uint8_t>>& retained = shard_bytes_[shard];
+  retained.resize((num_nodes + step - 1) / step);
+  for (uint64_t lo = 0, chunk = 0; lo < num_nodes; lo += step, ++chunk) {
     const uint64_t hi = std::min(num_nodes, lo + step);
-    // The transition old -> new, expressed in XOR: folding the old
-    // chunk cancels its prior contribution, folding the new chunk
-    // installs the current one — in the merged snapshot AND in the
-    // retained per-shard content (where old ^ old zeroes the chunk
-    // first).
-    const std::vector<uint8_t> old = content.ExtractNodeRange(lo, hi);
-    fresh.clear();
+    std::vector<uint8_t> fresh;
     Status s = puller(shard, lo, hi, &fresh);
     if (!s.ok()) return s;
     ++range_pulls_;
-    s = merged_.MergeSerialized(old.data(), old.size());
-    if (!s.ok()) return s;
+    // The transition old -> new in XOR: the retained bytes cancel the
+    // chunk's prior contribution, the fresh bytes install the current
+    // one and become the next refresh's cancel material.
+    std::vector<uint8_t>& old = retained[chunk];
+    if (!old.empty()) {
+      s = merged_.MergeSerialized(old.data(), old.size());
+      if (!s.ok()) return s;
+    }
     s = merged_.MergeSerialized(fresh.data(), fresh.size());
     if (!s.ok()) return s;
-    s = content.MergeSerialized(old.data(), old.size());
-    if (!s.ok()) return s;
-    s = content.MergeSerialized(fresh.data(), fresh.size());
-    if (!s.ok()) return s;
+    old = std::move(fresh);
   }
   return Status::Ok();
 }
@@ -63,44 +52,37 @@ Status SnapshotCache::Refresh(uint64_t epoch, const ShardWatermarks& marks,
                               const RangePuller& puller) {
   if (!valid() || !(merged_.params() == params)) {
     Invalidate();
-    merged_ = ZeroSnapshot(params);
+    // The XOR identity; every shard's bytes are then folded in once.
+    merged_ = GraphSnapshot(
+        std::vector<NodeSketch>(params.num_nodes, NodeSketch(params)), 0);
     ++cold_builds_;
   }
   ++refreshes_;
   // Vanished shards (removed from the table; their content migrated to
   // survivors, whose watermarks moved): the shard's true final state is
-  // zero, so one more fold of its last-known content cancels it out of
-  // the merged snapshot.
-  for (auto it = shard_content_.begin(); it != shard_content_.end();) {
+  // zero, so one more fold of its retained bytes cancels it out of the
+  // merged snapshot.
+  for (auto it = shard_bytes_.begin(); it != shard_bytes_.end();) {
     if (marks.count(it->first) > 0) {
       ++it;
       continue;
     }
-    const GraphSnapshot& content = it->second;
-    const uint64_t num_nodes = params.num_nodes;
-    const uint64_t step =
-        nodes_per_chunk_ == 0 ? num_nodes : nodes_per_chunk_;
-    for (uint64_t lo = 0; lo < num_nodes; lo += step) {
-      const uint64_t hi = std::min(num_nodes, lo + step);
-      const std::vector<uint8_t> old = content.ExtractNodeRange(lo, hi);
-      const Status s = merged_.MergeSerialized(old.data(), old.size());
+    for (const std::vector<uint8_t>& chunk : it->second) {
+      const Status s = merged_.MergeSerialized(chunk.data(), chunk.size());
       if (!s.ok()) {
         Invalidate();
         return s;
       }
     }
-    it = shard_content_.erase(it);
+    it = shard_bytes_.erase(it);
   }
   // New and moved shards, pulled exactly when the shared NeedsPull
   // predicate says so — the same predicate PlannedPulls() consulted, so
   // a pre-staging caller's plan always matches the pulls made here. A
   // shard whose watermark is unchanged is skipped outright (its sketch
   // content cannot have changed); a brand-new shard at the zero
-  // watermark is installed as the XOR identity without a pull.
+  // watermark is the XOR identity and needs no pull.
   for (const auto& [shard, mark] : marks) {
-    if (shard_content_.find(shard) == shard_content_.end()) {
-      shard_content_.emplace(shard, ZeroSnapshot(params));
-    }
     if (!NeedsPull(shard, mark)) continue;
     const Status s = PullShard(shard, params, puller);
     if (!s.ok()) {
@@ -118,7 +100,7 @@ Status SnapshotCache::Refresh(uint64_t epoch, const ShardWatermarks& marks,
 
 void SnapshotCache::Invalidate() {
   merged_ = GraphSnapshot();
-  shard_content_.clear();
+  shard_bytes_.clear();
   marks_.clear();
   epoch_ = 0;
 }

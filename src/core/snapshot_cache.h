@@ -1,8 +1,8 @@
 // SnapshotCache: the epoch-versioned merged-snapshot cache behind the
 // serving tier. The expensive query object in a sharded deployment is
-// the merged GraphSnapshot — today every query re-pulls and re-folds
-// every shard. The cache keeps that merged snapshot alive between
-// queries, keyed by the cluster's exact position:
+// the merged GraphSnapshot, the XOR of every shard's sketches. The
+// cache keeps that merged snapshot alive between queries, keyed by the
+// cluster's exact position:
 //
 //   key = (routing-table epoch, per-shard watermark)
 //   watermark = (updates ingested, migration deltas folded)
@@ -14,17 +14,23 @@
 // its watermark — which is what makes the key sound.
 //
 // Refresh is incremental, riding the same XOR linearity as elastic
-// migration: the cache also retains each shard's last-known content,
-// so when shard s moves from content A to content B, folding A then B
-// into the merged snapshot cancels A and installs B (A ^ A ^ B = B) —
-// node-range pulls from ONLY the moved shards, never a full re-fold.
-// A shard that vanished from the table (removed; its content migrated
-// away) is cancelled the same way: fold its cached content once more.
+// migration: the cache also retains the bytes it last pulled from each
+// shard (one serialized node range per chunk). Those bytes are the
+// cancel material: when shard s moves from content A to content B,
+// folding A's retained bytes and then B's pulled bytes into the merged
+// snapshot cancels A and installs B (A ^ A ^ B = B), and B's bytes are
+// retained in A's place — node-range pulls from ONLY the moved shards,
+// never a full re-fold. A shard with no retained bytes (new, or after a
+// cold rebuild) has nothing to cancel, and a shard that vanished from
+// the table (removed; its content migrated away) is cancelled by one
+// more fold of its retained bytes.
 //
-// Cost model: memory is (num_shards + 1) x one snapshot (per-shard
-// content + the merged result); refresh traffic is proportional to the
-// content that actually moved. Queries between watermarks are O(1) —
-// they never touch the ingest path.
+// Cost model: a cold refresh costs one fold per pulled byte; a moved
+// shard costs two (cancel, install); a vanished one costs one. Memory
+// is (num_shards + 1) x one snapshot (retained bytes + the merged
+// result); refresh traffic is proportional to the content that
+// actually moved. Queries between watermarks are O(1) — they never
+// touch the ingest path.
 //
 // Not thread-safe; the owner (ShardCluster, QuerySession) serializes
 // access like every other coordinator call.
@@ -130,8 +136,9 @@ class SnapshotCache {
     return known ? it->second != mark : mark != ShardWatermark{};
   }
 
-  // Chunk-folds `shard`'s transition old-content -> new-content into
-  // both the merged snapshot and the shard's cached content.
+  // Pulls `shard` chunk by chunk; each chunk's retained bytes (if any)
+  // are folded out of the merged snapshot, the pulled bytes folded in
+  // and retained in their place.
   Status PullShard(int shard, const NodeSketchParams& params,
                    const RangePuller& puller);
 
@@ -139,9 +146,10 @@ class SnapshotCache {
   uint64_t epoch_ = 0;
   ShardWatermarks marks_;
   GraphSnapshot merged_;
-  // Last-known content per shard, as a same-params snapshot (update
-  // counts unused). The XOR "cancel" material for the next refresh.
-  std::map<int, GraphSnapshot> shard_content_;
+  // The bytes last pulled from each shard, one serialized node range
+  // per chunk, in node order: the XOR cancel material for the next
+  // refresh. A shard never pulled has no entry.
+  std::map<int, std::vector<std::vector<uint8_t>>> shard_bytes_;
 
   uint64_t refreshes_ = 0;
   uint64_t cold_builds_ = 0;

@@ -200,29 +200,75 @@ Status QuerySession::BuildView(const std::vector<ShardStatsEx>& stats,
   return Status::Ok();
 }
 
-Status QuerySession::PullRange(size_t conn, uint64_t lo, uint64_t hi,
-                               std::vector<uint8_t>* delta) {
-  const std::vector<uint8_t> req = EncodeMigrateExtract(lo, hi);
-  Status s = SendFrame(conns_[conn]->fd(),
-                       ShardMessageType::kMigrateExtract, req.data(),
-                       req.size());
-  if (!s.ok()) {
-    conn_alive_[conn] = false;
-    conn_error_ = s;
-    return s;
-  }
-  bool in_sync = false;
-  s = RecvReply(conns_[conn]->fd(), ShardMessageType::kMigrateData,
-                &reply_buf_, &in_sync);
-  if (!s.ok()) {
-    if (!in_sync) {
-      conn_alive_[conn] = false;
-      conn_error_ = s;
+Status QuerySession::StagePulls(const PositionView& view,
+                                StagedPulls* staged, Status* round_error) {
+  *round_error = Status::Ok();
+  const uint64_t num_nodes = view.params.num_nodes;
+  const uint64_t step =
+      options_.nodes_per_chunk == 0 ? num_nodes : options_.nodes_per_chunk;
+  // Planned shard -> lo of its next unstaged chunk.
+  std::map<int, uint64_t> next;
+  for (const int shard : cache_.PlannedPulls(view.epoch, view.marks)) {
+    if (view.groups.find(shard) == view.groups.end()) {
+      return Status::Internal("planned pull for an unknown shard id");
     }
-    return s;
+    next.emplace(shard, 0);
   }
-  *delta = std::move(reply_buf_.payload);
-  return Status::Ok();
+  Status fatal = Status::Ok();
+  while (!next.empty() && round_error->ok() && fatal.ok()) {
+    // Send: one chunk request per shard, to its first live replica.
+    std::vector<std::pair<int, size_t>> wave;  // (shard, conn), send order.
+    for (const auto& [shard, lo] : next) {
+      const std::vector<uint8_t> req =
+          EncodeMigrateExtract(lo, std::min(num_nodes, lo + step));
+      size_t sent_to = conns_.size();
+      for (const size_t conn : view.groups.at(shard)) {
+        if (!conn_alive_[conn]) continue;
+        const Status s =
+            SendFrame(conns_[conn]->fd(), ShardMessageType::kMigrateExtract,
+                      req.data(), req.size());
+        if (s.ok()) {
+          sent_to = conn;
+          break;
+        }
+        conn_alive_[conn] = false;
+        conn_error_ = s;
+      }
+      if (sent_to == conns_.size()) {
+        // The shard's last live replica died during the stage. The
+        // alive-set changed, so retry the round; the next round's
+        // coverage check surfaces a shard left uncovered.
+        *round_error = conn_error_;
+        break;
+      }
+      wave.emplace_back(shard, sent_to);
+    }
+    // Receive in send order. Every sent request is read, whatever its
+    // outcome, so no reply outlives the wave to answer a later request.
+    for (const auto& [shard, conn] : wave) {
+      bool in_sync = false;
+      const Status s =
+          RecvReply(conns_[conn]->fd(), ShardMessageType::kMigrateData,
+                    &reply_buf_, &in_sync);
+      if (s.ok()) {
+        uint64_t& lo = next.at(shard);
+        (*staged)[{shard, lo}] = std::move(reply_buf_.payload);
+        lo += step;
+        if (lo >= num_nodes) next.erase(shard);
+      } else if (!in_sync) {
+        // The next wave re-sends this chunk to the next live replica.
+        conn_alive_[conn] = false;
+        conn_error_ = s;
+      } else if (s.code() == StatusCode::kFailedPrecondition) {
+        // "shard not configured": a writer bounce mid-stage. The
+        // position will have moved; retry the round.
+        if (round_error->ok()) *round_error = s;
+      } else if (fatal.ok()) {
+        fatal = s;
+      }
+    }
+  }
+  return fatal;
 }
 
 Status QuerySession::Snapshot(const GraphSnapshot** out) {
@@ -260,45 +306,14 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
     // Each chunk comes from any live replica of its shard: replicas
     // are bitwise-equal at the position t0 == t1 certifies, so the
     // pull fails over past a replica that dies mid-stage.
-    std::map<std::pair<int, uint64_t>, std::vector<uint8_t>> staged;
-    bool stage_error = false;
-    for (const int shard : cache_.PlannedPulls(view.epoch, view.marks)) {
-      const auto group = view.groups.find(shard);
-      if (group == view.groups.end()) {
-        return Status::Internal("planned pull for an unknown shard id");
-      }
-      const uint64_t step = options_.nodes_per_chunk == 0
-                                ? view.params.num_nodes
-                                : options_.nodes_per_chunk;
-      for (uint64_t lo = 0; lo < view.params.num_nodes && !stage_error;
-           lo += step) {
-        const uint64_t hi =
-            std::min<uint64_t>(view.params.num_nodes, lo + step);
-        s = Status::Ok();
-        bool pulled = false;
-        for (const size_t conn : group->second) {
-          if (!conn_alive_[conn]) continue;
-          s = PullRange(conn, lo, hi, &staged[{shard, lo}]);
-          if (s.ok()) {
-            pulled = true;
-            break;
-          }
-          if (s.code() == StatusCode::kFailedPrecondition) break;
-        }
-        if (pulled) continue;
-        if (s.ok() || s.code() == StatusCode::kFailedPrecondition) {
-          // "shard not configured" (a writer bounce mid-stage), or the
-          // last replica died earlier in the stage: the position will
-          // have moved or the alive-set changed; retry the round. (The
-          // next round's coverage check surfaces an uncovered shard.)
-          last = s.ok() ? conn_error_ : s;
-          stage_error = true;
-        } else {
-          return s;
-        }
-      }
+    StagedPulls staged;
+    Status round_error;
+    s = StagePulls(view, &staged, &round_error);
+    if (!s.ok()) return s;
+    if (!round_error.ok()) {
+      last = round_error;
+      continue;
     }
-    if (stage_error) continue;
     s = ReadPositions(&t1);
     if (!s.ok()) return s;
     if (!SamePosition(t0, alive0, t1, conn_alive_)) {

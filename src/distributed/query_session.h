@@ -16,6 +16,16 @@
 // A moving cluster just makes the refresh retry; a bounded number of
 // failed rounds returns an error rather than spinning forever.
 //
+// Staging runs in waves so the shards extract in parallel: each wave
+// sends one MIGRATE_EXTRACT per planned shard, for that shard's next
+// chunk, to one live replica, then reads the replies in send order. A
+// connection never has more than one pull outstanding — with several,
+// a shard blocked writing replies the reader has not read yet could
+// stop reading requests while the reader blocks sending them. A
+// replica that fails in transport is marked dead and the next wave
+// re-sends its chunk to the shard's next live replica; an in-sync
+// FailedPrecondition (a shard bounced mid-stage) retries the round.
+//
 // Replication: endpoints may include several listeners serving the
 // SAME shard id (its replicas). The session groups connections by the
 // shard id each reports, verifies the group sizes against the
@@ -50,6 +60,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/connectivity.h"
@@ -205,10 +216,17 @@ class QuerySession {
   // (or was never learned) surfaces the saved transport error.
   Status BuildView(const std::vector<ShardStatsEx>& stats,
                    PositionView* view);
-  // kMigrateExtract -> kMigrateData pull of [lo, hi) from conns_[i];
-  // marks the connection dead on transport failure.
-  Status PullRange(size_t conn, uint64_t lo, uint64_t hi,
-                   std::vector<uint8_t>* delta);
+  // Pulled chunk bytes, keyed by (shard id, chunk lo).
+  using StagedPulls =
+      std::map<std::pair<int, uint64_t>, std::vector<uint8_t>>;
+  // Stages every chunk of every shard the cache plans to pull at
+  // `view`, in waves (see the consistency protocol above). Returns a
+  // shard's error that no retry can fix; *round_error says the round
+  // must be retried instead (a shard lost its last live replica, or
+  // answered FailedPrecondition). Either way, every request sent has
+  // had its reply read.
+  Status StagePulls(const PositionView& view, StagedPulls* staged,
+                    Status* round_error);
 
   // Dials every endpoint as an extra reader session and converts each
   // into a kSubscribe notify stream. Failures drop the stream, never

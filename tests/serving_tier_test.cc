@@ -604,5 +604,143 @@ TEST_F(ServingTierTcpTest, ReaderFailsOverToAliveReplicaMidSweep) {
   cluster.Shutdown();  // Both children are already gone; best effort.
 }
 
+TEST_F(ServingTierTcpTest, ChunkedParallelPullsStayBitwiseThroughFailover) {
+  // Staging pulls every shard at once, one chunk per shard per wave, so
+  // with small chunks each connection serves many pulls in turn. The
+  // served snapshot must stay bitwise the coordinator's fold on a cold
+  // refresh, on a one-shard delta refresh, and after a replica of each
+  // shard dies.
+  StartFleet(4);  // 2 shards x R=2, shard-major: [s0r0, s0r1, s1r0, s1r1].
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  options.replication_factor = 2;
+  ShardCluster cluster(BaseConfig(131), 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(131);
+  const size_t half = updates.size() / 2;
+  ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+
+  constexpr uint64_t kSmallChunk = 5;  // 96 nodes: 19 chunks of 5, then 1.
+  constexpr uint64_t kChunks = (kNumNodes + kSmallChunk - 1) / kSmallChunk;
+  QuerySessionOptions qo = ReaderOptions();
+  qo.nodes_per_chunk = kSmallChunk;
+  QuerySession session(qo);
+  ASSERT_TRUE(session.Connect().ok());
+  const GraphSnapshot* served = nullptr;
+  Status s = session.Snapshot(&served);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
+  EXPECT_EQ(session.cache().range_pulls(), 2 * kChunks);
+  EXPECT_EQ(session.cache().cold_builds(), 1u);
+
+  // Ingest into shard 1 only: the refresh pulls its chunks alone.
+  std::vector<GraphUpdate> to_shard1;
+  for (size_t i = half; i < updates.size() && to_shard1.size() < 8; ++i) {
+    if (cluster.ShardFor(updates[i].edge) == 1) {
+      to_shard1.push_back(updates[i]);
+    }
+  }
+  ASSERT_FALSE(to_shard1.empty());
+  ASSERT_TRUE(cluster.Update(to_shard1.data(), to_shard1.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  uint64_t pulls = session.cache().range_pulls();
+  s = session.Snapshot(&served);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(session.cache().range_pulls() - pulls, kChunks);
+  EXPECT_EQ(session.cache().cold_builds(), 1u);
+  EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
+
+  // Replica 0 of each shard dies, then both shards move. The refresh
+  // pulls every chunk from the surviving replicas.
+  listeners_[0]->Stop();
+  listeners_[2]->Stop();
+  // The fan-out to the dead replicas fences them; the live ones ingest.
+  (void)cluster.Update(updates.data() + half, updates.size() - half);
+  (void)cluster.Flush();
+  pulls = session.cache().range_pulls();
+  s = session.Snapshot(&served);
+  ASSERT_TRUE(s.ok()) << "one live replica per shard: " << s.ToString();
+  EXPECT_EQ(session.cache().range_pulls() - pulls, 2 * kChunks);
+  EXPECT_EQ(session.cache().cold_builds(), 1u);
+  EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
+  cluster.Shutdown();  // Two children are already gone; best effort.
+}
+
+TEST_F(ServingTierTcpTest, ReplicaLostMidStageFailsOverToItsPeer) {
+  // A replica that answers the t0 position sweep, then dies on its
+  // first pull: the next staging wave re-sends that chunk to the
+  // shard's other replica. The alive-set changed, so the seqlock
+  // retries the round, and the served snapshot is still the fold.
+  StartFleet(2);  // One shard at R=2.
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  options.replication_factor = 2;
+  ShardCluster cluster(BaseConfig(141), 1, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(141);
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+
+  // A relay in front of replica 0: it forwards each request over its
+  // own reader session to the replica until the first MIGRATE_EXTRACT,
+  // then drops the reader's connection without a reply.
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  struct sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listen_fd,
+                          reinterpret_cast<struct sockaddr*>(&addr),
+                          &addr_len),
+            0);
+  const Result<ShardEndpoint> replica0 = ParseShardEndpoint(endpoints_[0]);
+  ASSERT_TRUE(replica0.ok());
+  std::thread relay([&] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    TcpShardTransport upstream(replica0.value(), kSecret,
+                               ShardSessionRole::kReader);
+    ShardFrame frame;
+    if (upstream.Connect().ok() && ServerHandshake(fd, kSecret).ok()) {
+      while (RecvFrame(fd, &frame).ok() &&
+             frame.type != ShardMessageType::kMigrateExtract &&
+             SendFrame(upstream.fd(), frame.type, frame.payload.data(),
+                       frame.payload.size())
+                 .ok() &&
+             RecvFrame(upstream.fd(), &frame).ok() &&
+             SendFrame(fd, frame.type, frame.payload.data(),
+                       frame.payload.size())
+                 .ok()) {
+      }
+    }
+    ::close(fd);
+  });
+
+  QuerySessionOptions qo = ReaderOptions();
+  qo.endpoints = {"tcp://127.0.0.1:" + std::to_string(ntohs(addr.sin_port)),
+                  endpoints_[1]};
+  QuerySession session(qo);
+  const Status connected = session.Connect();
+  const GraphSnapshot* served = nullptr;
+  const Status s = connected.ok() ? session.Snapshot(&served) : connected;
+  ::shutdown(listen_fd, SHUT_RDWR);  // Wakes the relay if never dialed.
+  relay.join();
+  ::close(listen_fd);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
+  EXPECT_EQ(session.last_refresh_rounds(), 2);
+  EXPECT_EQ(session.cache().range_pulls(), kChunksPerShard);
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
 }  // namespace
 }  // namespace gz

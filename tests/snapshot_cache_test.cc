@@ -3,11 +3,14 @@
 // two consult one shared needs-pull predicate, and QuerySession's
 // seqlock depends on the plan being exact (it pre-stages one buffer
 // per planned pull; an unplanned pull inside Refresh would fail the
-// refresh, a planned-but-skipped one would leak a stale stage).
+// refresh, a planned-but-skipped one would leak a stale stage). Every
+// refresh is checked bitwise against an XOR re-fold, so the retained
+// pulled bytes must cancel exactly, chunk by chunk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/graph_zeppelin.h"
@@ -28,9 +31,15 @@ GraphZeppelinConfig Config() {
 }
 
 // A toy "cluster": per-shard in-process instances, watermarks tracked
-// the way a coordinator tracks them (ingested count, delta_seq 0).
-class SnapshotCachePlanTest : public ::testing::Test {
+// the way a coordinator tracks them (ingested count, delta_seq 0). The
+// parameter is the cache's nodes_per_chunk: 0 (one chunk per shard) or
+// 5 (five chunks, the last one ragged).
+class SnapshotCachePlanTest : public ::testing::TestWithParam<uint64_t> {
  protected:
+  uint64_t ChunksPerShard() const {
+    return GetParam() == 0 ? 1 : (kNodes + GetParam() - 1) / GetParam();
+  }
+
   void SetUp() override {
     for (int s = 0; s < 3; ++s) AddShard();
     // A path spread across the shards: 0-1-2-...-8.
@@ -65,26 +74,41 @@ class SnapshotCachePlanTest : public ::testing::Test {
     return marks;
   }
 
+  // Pulls [lo, hi) of `shard`'s current content.
+  Status Pull(int shard, uint64_t lo, uint64_t hi,
+              std::vector<uint8_t>* delta) {
+    *delta = shards_[shard]->Snapshot().ExtractNodeRange(lo, hi);
+    return Status::Ok();
+  }
+
+  Status Refresh(uint64_t epoch, const ShardWatermarks& marks,
+                 const SnapshotCache::RangePuller& puller) {
+    return cache_.Refresh(epoch, marks, /*total_updates=*/0,
+                          shards_[0]->sketch_params(), puller);
+  }
+
   // Refresh + the assertion under test: the shards the puller was
   // actually asked for are exactly PlannedPulls(), in count AND in
-  // identity (nodes_per_chunk = 0, so one pull per pulled shard).
+  // identity — every chunk of each planned shard, nothing else.
   void RefreshAndCheckPlan(uint64_t epoch, const ShardWatermarks& marks) {
-    std::vector<int> plan = cache_.PlannedPulls(epoch, marks);
+    std::vector<int> want;
+    for (const int shard : cache_.PlannedPulls(epoch, marks)) {
+      want.insert(want.end(), ChunksPerShard(), shard);
+    }
     const uint64_t pulls_before = cache_.range_pulls();
     std::vector<int> pulled;
-    const Status s = cache_.Refresh(
-        epoch, marks, /*total_updates=*/0, shards_[0]->sketch_params(),
+    const Status s = Refresh(
+        epoch, marks,
         [this, &pulled](int shard, uint64_t lo, uint64_t hi,
                         std::vector<uint8_t>* delta) {
           pulled.push_back(shard);
-          *delta = shards_[shard]->Snapshot().ExtractNodeRange(lo, hi);
-          return Status::Ok();
+          return Pull(shard, lo, hi, delta);
         });
     ASSERT_TRUE(s.ok()) << s.ToString();
-    std::sort(plan.begin(), plan.end());
+    std::sort(want.begin(), want.end());
     std::sort(pulled.begin(), pulled.end());
-    EXPECT_EQ(pulled, plan);
-    EXPECT_EQ(cache_.range_pulls() - pulls_before, plan.size());
+    EXPECT_EQ(pulled, want);
+    EXPECT_EQ(cache_.range_pulls() - pulls_before, want.size());
   }
 
   // Bitwise ground truth: the cached merged snapshot must equal the
@@ -100,10 +124,10 @@ class SnapshotCachePlanTest : public ::testing::Test {
   }
 
   std::vector<std::unique_ptr<GraphZeppelin>> shards_;
-  SnapshotCache cache_{/*nodes_per_chunk=*/0};
+  SnapshotCache cache_{GetParam()};
 };
 
-TEST_F(SnapshotCachePlanTest, PlanPredictsPullsThroughCacheLifecycle) {
+TEST_P(SnapshotCachePlanTest, PlanPredictsPullsThroughCacheLifecycle) {
   // Cold build: every shard with a nonzero watermark is planned.
   {
     const ShardWatermarks marks = Marks({0, 1, 2});
@@ -151,7 +175,7 @@ TEST_F(SnapshotCachePlanTest, PlanPredictsPullsThroughCacheLifecycle) {
   }
 }
 
-TEST_F(SnapshotCachePlanTest, InvalidatedCachePlansEveryShard) {
+TEST_P(SnapshotCachePlanTest, InvalidatedCachePlansEveryShard) {
   RefreshAndCheckPlan(1, Marks({0, 1, 2}));
   cache_.Invalidate();
   // After invalidation nothing is recorded: every nonzero-watermark
@@ -164,6 +188,45 @@ TEST_F(SnapshotCachePlanTest, InvalidatedCachePlansEveryShard) {
   RefreshAndCheckPlan(1, marks);
   CheckMergedBitwise({0, 1, 2, 3});
 }
+
+TEST_P(SnapshotCachePlanTest, HalfAppliedRefreshNeverServes) {
+  // Two shards move; the second one's last chunk fails after the first
+  // shard's new bytes (and the second's earlier chunks) were already
+  // folded and retained. That half-applied state must not serve: the
+  // cache invalidates, and the next refresh cold-rebuilds from fresh
+  // pulls of every shard, bitwise-equal to the fold.
+  RefreshAndCheckPlan(1, Marks({0, 1, 2}));
+  CheckMergedBitwise({0, 1, 2});
+  Ingest(1, {{Edge(9, 10), UpdateType::kInsert}});
+  Ingest(2, {{Edge(10, 11), UpdateType::kInsert}});
+  const ShardWatermarks marks = Marks({0, 1, 2});
+  ASSERT_EQ(cache_.PlannedPulls(1, marks), (std::vector<int>{1, 2}));
+  const Status s = Refresh(
+      1, marks,
+      [this](int shard, uint64_t lo, uint64_t hi,
+             std::vector<uint8_t>* delta) {
+        if (shard == 2 && hi == kNodes) {
+          return Status::IoError("replica lost mid-refresh");
+        }
+        return Pull(shard, lo, hi, delta);
+      });
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_FALSE(cache_.valid());
+  EXPECT_FALSE(cache_.Fresh(1, marks));
+
+  const uint64_t cold_before = cache_.cold_builds();
+  EXPECT_EQ(cache_.PlannedPulls(1, marks), (std::vector<int>{0, 1, 2}));
+  RefreshAndCheckPlan(1, marks);
+  EXPECT_EQ(cache_.cold_builds(), cold_before + 1);
+  CheckMergedBitwise({0, 1, 2});
+}
+
+INSTANTIATE_TEST_SUITE_P(NodesPerChunk, SnapshotCachePlanTest,
+                         ::testing::Values(uint64_t{0}, uint64_t{5}),
+                         [](const auto& info) {
+                           return "Chunk" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace gz
