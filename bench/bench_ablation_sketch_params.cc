@@ -79,7 +79,8 @@ void AblateRounds() {
         sketches[e.u].Update(idx);
         sketches[e.v].Update(idx);
       }
-      const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+      const ConnectivityResult r =
+          BoruvkaConnectivity(GraphSnapshot(std::move(sketches), 0));
       if (!r.failed && r.num_components == 1) ++successes;
     }
     if (rounds == 0) {

@@ -102,9 +102,9 @@ int main() {
     const double deserialize_s = deser_timer.Seconds();
     GZ_CHECK(thawed.ok() && thawed.value() == snapshot);
 
-    // Untimed warmup: the first query after a capture pays first-touch
-    // page faults for its scratch copy; without this the second timed
-    // run would win on warm pages, not on algorithm.
+    // Untimed warmup: the first query pays first-touch page faults for
+    // its component-sketch buffers; without this the second timed run
+    // would win on warm pages, not on algorithm.
     GZ_CHECK(!Connectivity(snapshot, 1).failed);
 
     WallTimer seq_timer;

@@ -27,20 +27,6 @@ int MaxForestsForRounds(uint64_t num_nodes, int rounds) {
 Result<ForestDecomposition> ExtractSpanningForests(
     const GraphSnapshot& snapshot, int k) {
   GZ_CHECK_MSG(snapshot.valid(), "decomposing an empty snapshot");
-  std::vector<NodeSketch> scratch = snapshot.CopySketches();
-  return ExtractSpanningForests(&scratch, k);
-}
-
-Result<ForestDecomposition> ExtractSpanningForests(GraphSnapshot&& snapshot,
-                                                   int k) {
-  GZ_CHECK_MSG(snapshot.valid(), "decomposing an empty snapshot");
-  std::vector<NodeSketch> scratch = snapshot.ReleaseSketches();
-  return ExtractSpanningForests(&scratch, k);
-}
-
-Result<ForestDecomposition> ExtractSpanningForests(
-    std::vector<NodeSketch>* snapshot, int k) {
-  GZ_CHECK(snapshot != nullptr && !snapshot->empty());
   // k arrives from CLIs and wire queries: validate, don't abort, and
   // never clamp (a clamped k would certify less than the caller asked
   // for while claiming otherwise).
@@ -48,9 +34,8 @@ Result<ForestDecomposition> ExtractSpanningForests(
     return Status::InvalidArgument("forest count k must be >= 1, got " +
                                    std::to_string(k));
   }
-  std::vector<NodeSketch>& pristine = *snapshot;
-  const uint64_t num_nodes = pristine[0].params().num_nodes;
-  const int total_rounds = pristine[0].rounds();
+  const uint64_t num_nodes = snapshot.num_nodes();
+  const int total_rounds = snapshot.rounds();
   if (k > MaxForestsForRounds(num_nodes, total_rounds)) {
     return Status::InvalidArgument(
         "snapshot has too few rounds for the requested k: k=" +
@@ -61,25 +46,23 @@ Result<ForestDecomposition> ExtractSpanningForests(
   }
   const int rounds_per_phase = total_rounds / k;
 
+  // The graph still to decompose. It starts as a copy-on-write copy of
+  // the input, so the peel below clones only the forest endpoints and
+  // the caller's snapshot is never written.
+  GraphSnapshot remaining = snapshot;
   ForestDecomposition result;
   for (int phase = 0; phase < k; ++phase) {
-    // Boruvka consumes the working copy; the pristine snapshot stays a
-    // faithful sketch of the remaining graph.
-    std::vector<NodeSketch> working = pristine;
     const ConnectivityResult cc = BoruvkaConnectivity(
-        &working, phase * rounds_per_phase, rounds_per_phase);
+        remaining, phase * rounds_per_phase, rounds_per_phase);
     if (cc.failed) {
       result.failed = true;
       break;
     }
     if (cc.spanning_forest.empty()) break;  // No edges left to peel.
     result.forests.push_back(cc.spanning_forest);
+    if (phase + 1 == k) break;  // Nothing reads the graph after this.
     // Peel: toggle the forest's edges out of the remaining graph.
-    for (const Edge& e : cc.spanning_forest) {
-      const uint64_t idx = EdgeToIndex(e, num_nodes);
-      pristine[e.u].Update(idx);
-      pristine[e.v].Update(idx);
-    }
+    for (const Edge& e : cc.spanning_forest) remaining.ToggleEdge(e);
   }
   return result;
 }

@@ -5,11 +5,11 @@
 //
 // Phase i runs Boruvka over a dedicated window of sketch rounds to
 // extract a spanning forest F_i of G \ (F_1 ∪ ... ∪ F_{i-1}), then
-// toggles F_i's edges out of the pristine sketches (linearity makes
-// the deletion exact, not approximate). The union F_1 ∪ ... ∪ F_k is a
-// k-edge-connectivity certificate of G: it preserves every cut of size
-// <= k, so e.g. the bridges of G are exactly the bridges of the k=2
-// certificate.
+// toggles F_i's edges out of the remaining graph's sketches (linearity
+// makes the deletion exact, not approximate). The union F_1 ∪ ... ∪ F_k
+// is a k-edge-connectivity certificate of G: it preserves every cut of
+// size <= k, so e.g. the bridges of G are exactly the bridges of the
+// k=2 certificate.
 #ifndef GZ_ALGOS_SPANNING_FORESTS_H_
 #define GZ_ALGOS_SPANNING_FORESTS_H_
 
@@ -47,8 +47,8 @@ int MaxForestsForRounds(uint64_t num_nodes, int rounds);
 // Extracts up to `k` edge-disjoint spanning forests from the snapshot,
 // which must carry at least RoundsForForests(V, k) rounds (configure
 // the producing instance with `rounds = RoundsForForests(V, k)`). The
-// snapshot itself is untouched: the destructive working copy is taken
-// internally, once.
+// snapshot itself is untouched: the peel writes a copy-on-write copy
+// of it, which clones only the forests' endpoints.
 //
 // `k` is validated, not trusted: k < 1, or a k whose per-phase round
 // budget exceeds what the snapshot carries, is an InvalidArgument —
@@ -57,16 +57,6 @@ int MaxForestsForRounds(uint64_t num_nodes, int rounds);
 // an under-provisioned snapshot as a certified answer).
 Result<ForestDecomposition> ExtractSpanningForests(
     const GraphSnapshot& snapshot, int k);
-
-// Rvalue form: consumes a temporary snapshot's sketches as the pristine
-// working set directly (no extra full copy of the sketch state).
-Result<ForestDecomposition> ExtractSpanningForests(GraphSnapshot&& snapshot,
-                                                   int k);
-
-// Raw-sketch form used by the engine and by tests that build sketches
-// directly; `sketches` is consumed destructively.
-Result<ForestDecomposition> ExtractSpanningForests(
-    std::vector<NodeSketch>* sketches, int k);
 
 }  // namespace gz
 

@@ -6,8 +6,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
-#include <utility>
 
 #include "dsu/dsu.h"
 #include "stream/stream_file.h"
@@ -20,8 +20,11 @@ namespace {
 // pool exists: late Boruvka rounds are tiny and cost less than the pool
 // barrier.
 constexpr uint64_t kMinParallelSampleRoots = 1024;
-constexpr size_t kMinParallelFoldPairs = 16;
+constexpr size_t kMinParallelBuildMembers = 1024;
 constexpr uint64_t kSampleBlockNodes = 1024;
+// Members one build task XORs together: small enough that one giant
+// component spreads over the pool, large enough to amortize the grab.
+constexpr size_t kBuildChunkMembers = 64;
 
 // A minimal fixed-size pool for query-time parallelism. One pool lives
 // for the duration of a BoruvkaConnectivity call; each Run() is a
@@ -116,6 +119,24 @@ struct SampleBlock {
   bool any_fail = false;
 };
 
+// One build task: members [begin, end) of the round's member list,
+// all of component `comp`. `partial` is the chunk's slot in the round's
+// partial sums, or -1 when the chunk is the whole component.
+struct BuildChunk {
+  size_t begin;
+  size_t end;
+  size_t comp;
+  int64_t partial;
+};
+
+// A component built from several chunks: its chunk sums are the
+// partials [first_partial, end_partial).
+struct SpreadComponent {
+  size_t comp;
+  size_t first_partial;
+  size_t end_partial;
+};
+
 }  // namespace
 
 int ResolveQueryThreads(int num_threads) {
@@ -126,33 +147,20 @@ int ResolveQueryThreads(int num_threads) {
 
 ConnectivityResult Connectivity(const GraphSnapshot& snapshot,
                                 int num_threads) {
-  GZ_CHECK_MSG(snapshot.valid(), "querying an empty snapshot");
-  // The one place the destructive scratch copy is made.
-  std::vector<NodeSketch> scratch = snapshot.CopySketches();
-  return BoruvkaConnectivity(&scratch, /*first_round=*/0, /*num_rounds=*/-1,
+  return BoruvkaConnectivity(snapshot, /*first_round=*/0, /*num_rounds=*/-1,
                              ResolveQueryThreads(num_threads));
 }
 
-ConnectivityResult Connectivity(GraphSnapshot&& snapshot, int num_threads) {
-  GZ_CHECK_MSG(snapshot.valid(), "querying an empty snapshot");
-  std::vector<NodeSketch> scratch = snapshot.ReleaseSketches();
-  return BoruvkaConnectivity(&scratch, /*first_round=*/0, /*num_rounds=*/-1,
-                             ResolveQueryThreads(num_threads));
-}
-
-ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
+ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
                                        int first_round, int num_rounds,
                                        int num_threads) {
-  GZ_CHECK(sketches != nullptr && !sketches->empty());
-  std::vector<NodeSketch>& sk = *sketches;
-  const uint64_t num_nodes = sk[0].params().num_nodes;
-  GZ_CHECK_MSG(sk.size() == num_nodes,
-               "need one node sketch per vertex");
-  GZ_CHECK(first_round >= 0 && first_round < sk[0].rounds());
+  GZ_CHECK_MSG(snapshot.valid(), "querying an empty snapshot");
+  const uint64_t num_nodes = snapshot.num_nodes();
+  const int rounds = snapshot.rounds();
+  GZ_CHECK(first_round >= 0 && first_round < rounds);
   const int last_round = num_rounds < 0
-                             ? sk[0].rounds()
-                             : std::min(sk[0].rounds(),
-                                        first_round + num_rounds);
+                             ? rounds
+                             : std::min(rounds, first_round + num_rounds);
 
   // Spawn the pool only when a parallel gate can actually fire: below
   // the sampling floor neither phase ever goes parallel, and thread
@@ -162,6 +170,14 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
   if (threads > 1 && num_nodes >= kMinParallelSampleRoots) {
     pool = std::make_unique<QueryThreadPool>(threads - 1);
   }
+  auto run = [&pool](bool parallel, size_t n,
+                     const std::function<void(size_t)>& body) {
+    if (pool != nullptr && parallel) {
+      pool->Run(n, body);
+    } else {
+      for (size_t i = 0; i < n; ++i) body(i);
+    }
+  };
 
   ConnectivityResult result;
   Dsu dsu(num_nodes);
@@ -169,7 +185,20 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
   // the parallel phases read it instead of calling Dsu::Find, whose
   // path compression is not safe under concurrency.
   std::vector<NodeId> root_of(num_nodes);
-  std::vector<int64_t> group_slot(num_nodes, -1);
+  // The round's multi-member components, k = 0, 1, ... in ascending
+  // root order: slot_of[root] = k (-1 for a singleton, which is queried
+  // in place), members grouped by root (cursor counts, then places
+  // them) and cut into build chunks, and the component's cut sample in
+  // samples[k]. Only components spanning several chunks park their
+  // chunk sums in `partials` (CubeSketch per chunk) until folded.
+  // The index buffers live across rounds so later rounds reuse them.
+  std::vector<uint64_t> cursor(num_nodes);
+  std::vector<int64_t> slot_of(num_nodes);
+  std::vector<NodeId> members;
+  std::vector<BuildChunk> chunks;
+  std::vector<SpreadComponent> spread;
+  std::vector<std::optional<CubeSketch>> partials;
+  std::vector<SketchSample> samples;
   const size_t num_blocks =
       (num_nodes + kSampleBlockNodes - 1) / kSampleBlockNodes;
   std::vector<SampleBlock> blocks(num_blocks);
@@ -182,11 +211,76 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
     }
     const uint64_t live_roots = dsu.num_sets();
 
-    // Phase 1: sample one candidate cut edge per live component, in
-    // parallel over contiguous node-id blocks. Per-block result slots
-    // keep the gathered candidate order equal to the sequential
-    // ascending-id order regardless of which thread ran which block.
-    auto sample_block = [&](size_t b) {
+    // Phase 1: build each multi-member component's round-`round` sketch,
+    // the XOR of its members' subsketches, in parallel over chunks of
+    // members, and sample its cut; a component spanning several chunks
+    // is sampled once its chunk sums are folded. The layout depends only
+    // on the DSU, and XOR is order-free, so every sample is identical
+    // for any thread count.
+    chunks.clear();
+    spread.clear();
+    samples.clear();
+    std::fill(cursor.begin(), cursor.end(), 0);
+    for (uint64_t i = 0; i < num_nodes; ++i) ++cursor[root_of[i]];
+    size_t num_members = 0;
+    size_t num_partials = 0;
+    for (uint64_t root = 0; root < num_nodes; ++root) {
+      const uint64_t size = cursor[root];
+      slot_of[root] = -1;
+      if (size < 2) continue;
+      const size_t comp = samples.size();
+      slot_of[root] = static_cast<int64_t>(comp);
+      samples.emplace_back();
+      const size_t end = num_members + size;
+      if (size <= kBuildChunkMembers) {
+        chunks.push_back({num_members, end, comp, -1});
+      } else {
+        const size_t first = num_partials;
+        for (size_t b = num_members; b < end; b += kBuildChunkMembers) {
+          chunks.push_back({b, std::min(b + kBuildChunkMembers, end), comp,
+                            static_cast<int64_t>(num_partials++)});
+        }
+        spread.push_back({comp, first, num_partials});
+      }
+      cursor[root] = num_members;
+      num_members = end;
+    }
+    members.resize(num_members);
+    for (uint64_t i = 0; i < num_nodes; ++i) {
+      if (slot_of[root_of[i]] >= 0) {
+        members[cursor[root_of[i]]++] = static_cast<NodeId>(i);
+      }
+    }
+    partials.assign(num_partials, std::nullopt);
+    run(num_members >= kMinParallelBuildMembers, chunks.size(),
+        [&](size_t c) {
+          const BuildChunk& ch = chunks[c];
+          CubeSketch sum = snapshot.sketch(members[ch.begin]).subsketch(round);
+          for (size_t k = ch.begin + 1; k < ch.end; ++k) {
+            sum.Merge(snapshot.sketch(members[k]).subsketch(round));
+          }
+          if (ch.partial < 0) {
+            samples[ch.comp] = sum.Query();
+          } else {
+            partials[ch.partial] = std::move(sum);
+          }
+        });
+    run(spread.size() > 1, spread.size(), [&](size_t g) {
+      CubeSketch& sum = *partials[spread[g].first_partial];
+      for (size_t p = spread[g].first_partial + 1;
+           p < spread[g].end_partial; ++p) {
+        sum.Merge(*partials[p]);
+      }
+      samples[spread[g].comp] = sum.Query();
+    });
+
+    // Phase 2: gather one candidate cut edge per live component, in
+    // parallel over contiguous node-id blocks: singletons are sampled
+    // here, multi-member components read their phase-1 sample. Per-block
+    // result slots keep the gathered candidate order equal to the
+    // sequential ascending-id order regardless of which thread ran which
+    // block.
+    run(live_roots >= kMinParallelSampleRoots, num_blocks, [&](size_t b) {
       SampleBlock& out = blocks[b];
       out.candidates.clear();
       out.any_fail = false;
@@ -194,7 +288,10 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
       const uint64_t end = std::min(begin + kSampleBlockNodes, num_nodes);
       for (uint64_t i = begin; i < end; ++i) {
         if (root_of[i] != i) continue;  // Only component representatives.
-        const SketchSample sample = sk[i].Query(round);
+        const SketchSample sample =
+            slot_of[i] < 0
+                ? snapshot.sketch(static_cast<NodeId>(i)).Query(round)
+                : samples[slot_of[i]];
         switch (sample.kind) {
           case SampleKind::kGood:
             out.candidates.push_back(IndexToEdge(sample.index, num_nodes));
@@ -206,14 +303,9 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
             break;
         }
       }
-    };
-    if (pool != nullptr && live_roots >= kMinParallelSampleRoots) {
-      pool->Run(num_blocks, sample_block);
-    } else {
-      for (size_t b = 0; b < num_blocks; ++b) sample_block(b);
-    }
+    });
 
-    // Phase 2 (sequential): drive the DSU over the candidates in
+    // Phase 3 (sequential): drive the DSU over the candidates in
     // ascending-representative order, recording forest edges. No sketch
     // is touched here, so the merge structure this induces is identical
     // for every thread count.
@@ -230,70 +322,7 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
         found_edge = true;
       }
     }
-    if (!found_edge && !any_fail) {
-      complete = true;  // All cuts empty.
-      break;
-    }
-    // After the window's final round nothing is queried again, so the
-    // fold below would be dead work.
-    if (round + 1 >= last_round) continue;
-
-    // Phase 3: XOR-fold each merged component's sketches into its new
-    // representative, as a pairwise tree reduction levelled ACROSS all
-    // groups: every level folds disjoint (dst, src) pairs — dst keeps
-    // the running sum, src is dead afterwards — halving each group's
-    // survivor list until only its root remains. Parallelism therefore
-    // spans components AND the inside of one giant component: a
-    // star-like graph whose single group used to fold sequentially now
-    // spreads n/2 merges per level over the pool, log2(n) levels deep,
-    // with the same n-1 total merges. Every pair's sketches are
-    // disjoint within a level, and the XOR sum is bitwise
-    // order-independent, so the folded state is identical for any
-    // thread count and any tree shape. Rounds at or before `round` are
-    // never queried again and are skipped.
-    struct FoldGroup {
-      // nodes[0] is the new representative; the rest fold into it.
-      std::vector<NodeId> nodes;
-    };
-    std::vector<FoldGroup> groups;
-    for (uint64_t i = 0; i < num_nodes; ++i) {
-      if (root_of[i] != i) continue;  // This round's roots only.
-      const NodeId new_root = static_cast<NodeId>(dsu.Find(i));
-      if (new_root == i) continue;    // Still its own representative.
-      if (group_slot[new_root] < 0) {
-        group_slot[new_root] = static_cast<int64_t>(groups.size());
-        groups.push_back({{new_root}});
-      }
-      groups[group_slot[new_root]].nodes.push_back(static_cast<NodeId>(i));
-    }
-    std::vector<std::pair<NodeId, NodeId>> fold_pairs;
-    auto fold_pair = [&](size_t p) {
-      sk[fold_pairs[p].first].MergeRounds(sk[fold_pairs[p].second],
-                                          round + 1);
-    };
-    for (;;) {
-      fold_pairs.clear();
-      for (FoldGroup& g : groups) {
-        for (size_t k = 0; 2 * k + 1 < g.nodes.size(); ++k) {
-          fold_pairs.push_back({g.nodes[2 * k], g.nodes[2 * k + 1]});
-        }
-      }
-      if (fold_pairs.empty()) break;
-      if (pool != nullptr && fold_pairs.size() >= kMinParallelFoldPairs) {
-        pool->Run(fold_pairs.size(), fold_pair);
-      } else {
-        for (size_t p = 0; p < fold_pairs.size(); ++p) fold_pair(p);
-      }
-      for (FoldGroup& g : groups) {
-        // Survivors are the even indices; nodes[0] (the root) stays 0.
-        size_t keep = 0;
-        for (size_t k = 0; k < g.nodes.size(); k += 2) {
-          g.nodes[keep++] = g.nodes[k];
-        }
-        g.nodes.resize(keep);
-      }
-    }
-    for (const FoldGroup& g : groups) group_slot[g.nodes[0]] = -1;
+    if (!found_edge && !any_fail) complete = true;  // All cuts empty.
   }
 
   result.failed = !complete;

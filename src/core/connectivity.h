@@ -1,16 +1,19 @@
 // Boruvka-over-sketches connectivity computation (paper Figure 9).
 //
 // Each round queries one fresh subsketch per current component for a cut
-// edge, merges the endpoints' components in a DSU, and XOR-sums the
-// merged components' sketches (linearity makes the sum a sketch of the
-// merged component's cut vector). Rounds use independent subsketches
-// because query answers feed back into later merges (adaptivity).
+// edge and merges the endpoints' components in a DSU. A component's
+// round-r sketch is the XOR of its members' round-r subsketches
+// (linearity makes the sum a sketch of the component's cut vector), so
+// round r builds exactly those sums, for multi-member components only,
+// and queries a singleton's own subsketch in place: the snapshot is
+// only ever read. Rounds use independent subsketches because query
+// answers feed back into later merges (adaptivity).
 //
 // The engine parallelizes each round's two heavy phases across a small
-// thread pool — per-component cut sampling, and the XOR fold of merged
-// components' sketches — while keeping the round barrier and a
-// deterministic merge order, so the result is bitwise identical for any
-// thread count.
+// thread pool — the XOR build of the component sketches, over chunks of
+// members, and per-component cut sampling — while keeping the round
+// barrier and a deterministic merge order. XOR is order-free, so the
+// result is bitwise identical for any thread count.
 #ifndef GZ_CORE_CONNECTIVITY_H_
 #define GZ_CORE_CONNECTIVITY_H_
 
@@ -47,9 +50,8 @@ struct ConnectivityResult {
 };
 
 // The snapshot-facing query: computes the connected components and a
-// spanning forest of the sketched graph. The destructive Boruvka
-// scratch copy is taken internally; the snapshot is untouched and can
-// be queried again, merged, or serialized afterwards.
+// spanning forest of the sketched graph. The snapshot is only read; it
+// can be queried again, merged, or serialized afterwards.
 //
 // `num_threads`: 0 picks a small pool automatically (bounded by the
 // hardware), 1 forces the sequential path, N uses N threads. Results
@@ -57,26 +59,17 @@ struct ConnectivityResult {
 ConnectivityResult Connectivity(const GraphSnapshot& snapshot,
                                 int num_threads = 0);
 
-// Rvalue form: consumes the snapshot's sketches as the Boruvka scratch
-// directly, so querying a temporary (e.g. Connectivity(gz.Snapshot()))
-// holds one copy of the sketch state, not two.
-ConnectivityResult Connectivity(GraphSnapshot&& snapshot,
-                                int num_threads = 0);
-
 // Resolution of num_threads = 0 ("auto"): min(hardware_concurrency, 8),
 // at least 1. Exposed so benchmarks can report the pool size.
 int ResolveQueryThreads(int num_threads);
 
-// Destructively computes a spanning forest from the given node sketches
-// (they are merged in place; pass copies/snapshots). `sketches[i]` must
-// be the node sketch of vertex i, all built with identical params.
-//
-// `first_round`/`num_rounds` restrict Boruvka to a window of sketch
-// rounds (default: all of them) so that multi-phase algorithms — e.g.
-// the spanning-forest decomposition in algos/ — can give each phase
-// fresh, adaptivity-safe rounds. num_rounds < 0 means "through the
-// last round". `num_threads` as in Connectivity().
-ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
+// Connectivity() over a window of the snapshot's sketch rounds:
+// `first_round`/`num_rounds` (default: all of them) let multi-phase
+// algorithms — e.g. the spanning-forest decomposition in algos/ — give
+// each phase fresh, adaptivity-safe rounds. num_rounds < 0 means
+// "through the last round". `num_threads` as in Connectivity(), except
+// that 0 is sequential here.
+ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
                                        int first_round = 0,
                                        int num_rounds = -1,
                                        int num_threads = 1);

@@ -149,28 +149,57 @@ Status OpenSnapshotFile(const std::string& path, FILE** out, Header* header,
   return Status::Ok();
 }
 
+std::vector<CowSketch> ToHandles(std::vector<NodeSketch> sketches) {
+  std::vector<CowSketch> out;
+  out.reserve(sketches.size());
+  for (NodeSketch& s : sketches) out.emplace_back(std::move(s));
+  return out;
+}
+
 }  // namespace
 
 GraphSnapshot::GraphSnapshot(std::vector<NodeSketch> sketches,
                              uint64_t num_updates)
+    : GraphSnapshot(ToHandles(std::move(sketches)), num_updates) {}
+
+GraphSnapshot::GraphSnapshot(std::vector<CowSketch> sketches,
+                             uint64_t num_updates)
     : num_updates_(num_updates), sketches_(std::move(sketches)) {
   GZ_CHECK_MSG(!sketches_.empty(), "snapshot needs at least one sketch");
-  GZ_CHECK_MSG(sketches_.size() == sketches_[0].params().num_nodes,
+  const NodeSketchParams& params = sketches_[0]->params();
+  GZ_CHECK_MSG(sketches_.size() == params.num_nodes,
                "need one node sketch per vertex");
-  for (const NodeSketch& s : sketches_) {
-    GZ_CHECK_MSG(s.params() == sketches_[0].params(),
+  for (const CowSketch& s : sketches_) {
+    GZ_CHECK_MSG(s->params() == params,
                  "snapshot sketches must share params");
   }
 }
 
+GraphSnapshot GraphSnapshot::Zero(const NodeSketchParams& params) {
+  return GraphSnapshot(
+      std::vector<CowSketch>(params.num_nodes, CowSketch(NodeSketch(params))),
+      0);
+}
+
 const NodeSketchParams& GraphSnapshot::params() const {
   GZ_CHECK_MSG(valid(), "empty snapshot");
-  return sketches_[0].params();
+  return sketches_[0]->params();
 }
 
 const NodeSketch& GraphSnapshot::sketch(NodeId node) const {
   GZ_CHECK_MSG(node < sketches_.size(), "node id out of range");
-  return sketches_[node];
+  return *sketches_[node];
+}
+
+bool operator==(const GraphSnapshot& a, const GraphSnapshot& b) {
+  if (a.num_updates_ != b.num_updates_ ||
+      a.sketches_.size() != b.sketches_.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.sketches_.size(); ++i) {
+    if (!(*a.sketches_[i] == *b.sketches_[i])) return false;
+  }
+  return true;
 }
 
 Status GraphSnapshot::Merge(const GraphSnapshot& other) {
@@ -183,10 +212,16 @@ Status GraphSnapshot::Merge(const GraphSnapshot& other) {
         "bound and sketch geometry");
   }
   for (uint64_t i = 0; i < sketches_.size(); ++i) {
-    sketches_[i].Merge(other.sketches_[i]);
+    sketches_[i].Mutable().Merge(*other.sketches_[i]);
   }
   num_updates_ += other.num_updates_;
   return Status::Ok();
+}
+
+void GraphSnapshot::ToggleEdge(const Edge& e) {
+  const uint64_t idx = EdgeToIndex(e, num_nodes());
+  sketches_[e.u].Mutable().Update(idx);
+  sketches_[e.v].Mutable().Update(idx);
 }
 
 size_t GraphSnapshot::SerializedSizeFor(const NodeSketchParams& params,
@@ -214,7 +249,7 @@ std::vector<uint8_t> GraphSnapshot::ExtractNodeRange(uint64_t lo,
         return Status::Ok();
       },
       params(), lo, hi, num_updates_,
-      [this](NodeId i) -> const NodeSketch& { return sketches_[i]; }));
+      [this](NodeId i) -> const NodeSketch& { return *sketches_[i]; }));
   return out;
 }
 
@@ -238,7 +273,7 @@ Result<GraphSnapshot> GraphSnapshot::Deserialize(const uint8_t* data,
 
 Status GraphSnapshot::FoldSerialized(
     const uint8_t* data, size_t size, const NodeSketchParams& params,
-    const std::function<void(NodeId, const NodeSketch&)>& fold) {
+    const std::function<void(NodeId, const uint8_t* record)>& fold) {
   Header header;
   Status s = ParseBuffer(data, size, &header);
   if (!s.ok()) return s;
@@ -248,12 +283,10 @@ Status GraphSnapshot::FoldSerialized(
         "bound and sketch geometry");
   }
   // Past this point nothing can fail, so a fold never stops half-way.
-  NodeSketch scratch(params);
   const size_t record = NodeSketch::SerializedSizeFor(params);
   const uint8_t* cursor = data + kHeaderBytes;
   for (uint64_t i = header.lo; i < header.hi; ++i) {
-    scratch.DeserializeFrom(cursor);
-    fold(static_cast<NodeId>(i), scratch);
+    fold(static_cast<NodeId>(i), cursor);
     cursor += record;
   }
   return Status::Ok();
@@ -262,16 +295,9 @@ Status GraphSnapshot::FoldSerialized(
 Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
   if (!valid()) return Status::InvalidArgument("empty snapshot");
   return FoldSerialized(data, size, params(),
-                        [this](NodeId i, const NodeSketch& delta) {
-                          sketches_[i].Merge(delta);
+                        [this](NodeId i, const uint8_t* record) {
+                          sketches_[i].Mutable().MergeSerialized(record);
                         });
-}
-
-std::vector<NodeSketch> GraphSnapshot::ReleaseSketches() {
-  std::vector<NodeSketch> out = std::move(sketches_);
-  sketches_.clear();
-  num_updates_ = 0;
-  return out;
 }
 
 Status GraphSnapshot::SaveToSink(
@@ -303,7 +329,7 @@ Status GraphSnapshot::SaveToSink(
 Status GraphSnapshot::SaveToFile(const std::string& path) const {
   return SaveStream(path, params(), num_updates_,
                     [this](NodeId i) -> const NodeSketch& {
-                      return sketches_[i];
+                      return *sketches_[i];
                     });
 }
 

@@ -14,9 +14,14 @@
 // (the whole range [0, V)) are all the same bytes.
 //
 // All query algorithms (connectivity, spanning-forest decomposition,
-// bipartiteness, MSF weight) consume `const GraphSnapshot&`; the
-// destructive Boruvka scratch copy happens once inside the query
-// engine, never at call sites.
+// bipartiteness, MSF weight) consume `const GraphSnapshot&` and only
+// read it: Boruvka builds each round's component sketches fresh from
+// the node sketches, so no query copies the snapshot.
+//
+// Node sketches are held through copy-on-write handles (cow_sketch.h).
+// Copying a snapshot, or capturing one from an in-RAM GraphZeppelin,
+// shares every node sketch; the mutators below (Merge, MergeSerialized,
+// ToggleEdge) clone a node only while another holder still shares it.
 #ifndef GZ_CORE_GRAPH_SNAPSHOT_H_
 #define GZ_CORE_GRAPH_SNAPSHOT_H_
 
@@ -26,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cow_sketch.h"
 #include "sketch/node_sketch.h"
 #include "stream/stream_types.h"
 #include "util/status.h"
@@ -42,6 +48,12 @@ class GraphSnapshot {
   // identical params). `num_updates` is the stream position the capture
   // represents.
   GraphSnapshot(std::vector<NodeSketch> sketches, uint64_t num_updates);
+  // Same, sharing the sketches behind the handles.
+  GraphSnapshot(std::vector<CowSketch> sketches, uint64_t num_updates);
+
+  // The XOR identity for `params`: every node shares one zero sketch,
+  // so nothing is materialized until a fold writes a node.
+  static GraphSnapshot Zero(const NodeSketchParams& params);
 
   GraphSnapshot(GraphSnapshot&&) = default;
   GraphSnapshot& operator=(GraphSnapshot&&) = default;
@@ -56,23 +68,17 @@ class GraphSnapshot {
   uint64_t num_updates() const { return num_updates_; }
 
   const NodeSketch& sketch(NodeId node) const;
-  const std::vector<NodeSketch>& sketches() const { return sketches_; }
-
-  // Mutable copy of the sketch vector — the scratch the destructive
-  // Boruvka engine consumes. Query entry points call this internally;
-  // external callers rarely need it.
-  std::vector<NodeSketch> CopySketches() const { return sketches_; }
-
-  // Moves the sketches out, leaving this snapshot empty (valid() ==
-  // false). Lets a query consume a temporary snapshot without a second
-  // full copy of the sketch state.
-  std::vector<NodeSketch> ReleaseSketches();
 
   // XOR-merges `other` into this snapshot (node-wise sketch sum, update
   // counts add). Fails with InvalidArgument unless both snapshots were
   // built with identical params — same seed, node bound and geometry —
   // since only then is the merge a sketch of the combined stream.
   Status Merge(const GraphSnapshot& other);
+
+  // Toggles edge `e` in both endpoints' sketches, leaving num_updates()
+  // alone: how forest peeling deletes a found forest from the graph the
+  // snapshot sketches.
+  void ToggleEdge(const Edge& e);
 
   // Pins the stream position outright — for aggregators that rebuild
   // sketch content from serialized ranges (whose folds never touch
@@ -108,18 +114,18 @@ class GraphSnapshot {
   static Result<GraphSnapshot> Deserialize(const uint8_t* data, size_t size);
 
   // XOR-folds serialized bytes of any in-bounds range — [0, V) included
-  // — into this snapshot, one scratch sketch in flight: how the
-  // coordinator aggregates shard replies without materializing a second
-  // snapshot. num_updates() is never affected. InvalidArgument on
-  // malformed bytes or a params mismatch; this snapshot is unchanged on
-  // any error.
+  // — into this snapshot, straight from the bytes: how the coordinator
+  // aggregates shard replies without materializing a second snapshot.
+  // num_updates() is never affected. InvalidArgument on malformed bytes
+  // or a params mismatch; this snapshot is unchanged on any error.
   Status MergeSerialized(const uint8_t* data, size_t size);
   // The fold behind every MergeSerialized: validates `data` in full
-  // against `params`, then hands each node record to `fold` in order.
+  // against `params`, then hands each node's record bytes
+  // (NodeSketch::SerializedSizeFor(params) of them) to `fold` in order.
   // `fold` never sees bytes that failed validation.
   static Status FoldSerialized(
       const uint8_t* data, size_t size, const NodeSketchParams& params,
-      const std::function<void(NodeId, const NodeSketch&)>& fold);
+      const std::function<void(NodeId, const uint8_t* record)>& fold);
 
   // Streaming producer of the byte stream for [lo, hi): header first,
   // then one record per `load` call (the returned reference only needs
@@ -156,13 +162,11 @@ class GraphSnapshot {
       const std::function<void(NodeId, const NodeSketch&)>& store,
       size_t offset = 0);
 
-  friend bool operator==(const GraphSnapshot& a, const GraphSnapshot& b) {
-    return a.num_updates_ == b.num_updates_ && a.sketches_ == b.sketches_;
-  }
+  friend bool operator==(const GraphSnapshot& a, const GraphSnapshot& b);
 
  private:
   uint64_t num_updates_ = 0;
-  std::vector<NodeSketch> sketches_;
+  std::vector<CowSketch> sketches_;
 };
 
 }  // namespace gz

@@ -170,11 +170,10 @@ GraphSnapshot GraphZeppelin::Snapshot() {
   // cleanup(): force updates out of buffers and wait for the workers,
   // so the capture is a consistent stream position.
   Flush();
-  std::vector<NodeSketch> sketches;
+  std::vector<CowSketch> sketches;
   sketches.reserve(config_.num_nodes);
   for (NodeId i = 0; i < config_.num_nodes; ++i) {
-    sketches.emplace_back(store_->params());
-    store_->Load(i, &sketches.back());
+    sketches.push_back(store_->Share(i));
   }
   return GraphSnapshot(std::move(sketches), num_updates_);
 }
@@ -200,10 +199,12 @@ Status GraphZeppelin::MergeSerialized(const uint8_t* data, size_t size) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   Flush();
   // The store's MergeDelta is the ingestion-path XOR; a serialized range
-  // folds in exactly like a worker's batch delta.
+  // folds in exactly like a worker's batch delta, through one scratch.
+  NodeSketch delta(store_->params());
   return GraphSnapshot::FoldSerialized(
       data, size, store_->params(),
-      [this](NodeId i, const NodeSketch& delta) {
+      [this, &delta](NodeId i, const uint8_t* record) {
+        delta.DeserializeFrom(record);
         store_->MergeDelta(i, delta);
       });
 }

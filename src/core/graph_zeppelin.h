@@ -119,12 +119,15 @@ class GraphZeppelin {
   // may continue afterwards.
   ConnectivityResult ListSpanningForest();
 
-  // Flushes and captures the sketch state as an immutable GraphSnapshot
-  // (move-based: the sketches are loaded once and handed to the
-  // snapshot, never re-copied). The snapshot is the system's query
-  // surface — every query algorithm, the sharded coordinator's
-  // aggregation, and checkpointing consume it; linearity makes
-  // snapshots from same-seed instances XOR-mergeable.
+  // Flushes and captures the sketch state as an immutable GraphSnapshot.
+  // A RAM store shares its node sketches with the snapshot
+  // copy-on-write (one reference per node, taken under that node's
+  // lock), so a capture copies nothing, and ingestion that continues
+  // while the snapshot lives clones only the nodes it touches. A disk
+  // store loads each node into the snapshot. The snapshot is the
+  // system's query surface — every query algorithm, the sharded
+  // coordinator's aggregation, and checkpointing consume it; linearity
+  // makes snapshots from same-seed instances XOR-mergeable.
   GraphSnapshot Snapshot();
 
   // --- Serialized sketch state -------------------------------------------

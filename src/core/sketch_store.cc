@@ -9,43 +9,55 @@
 
 namespace gz {
 
+CowSketch SketchStore::Share(NodeId node) {
+  NodeSketch sketch(params_);
+  Load(node, &sketch);
+  return CowSketch(std::move(sketch));
+}
+
 // ---------------- InMemorySketchStore ---------------------------------
 
 InMemorySketchStore::InMemorySketchStore(const NodeSketchParams& params)
     : SketchStore(params) {
+  // One sketch per node, never shared at birth: ingestion merges in
+  // place until a snapshot takes a reference.
   sketches_.reserve(params.num_nodes);
   for (uint64_t i = 0; i < params.num_nodes; ++i) {
-    sketches_.emplace_back(params);
+    sketches_.emplace_back(NodeSketch(params));
   }
   // Normalize params_ (rounds may have been auto-filled).
-  params_ = sketches_.front().params();
+  params_ = sketches_.front()->params();
+  node_bytes_ = sketches_.front()->ByteSize();
   locks_ = std::make_unique<std::mutex[]>(params.num_nodes);
 }
 
 void InMemorySketchStore::MergeDelta(NodeId node, const NodeSketch& delta) {
   GZ_CHECK(node < params_.num_nodes);
   std::lock_guard<std::mutex> lock(locks_[node]);
-  sketches_[node].Merge(delta);
+  sketches_[node].Mutable().Merge(delta);
 }
 
 void InMemorySketchStore::Load(NodeId node, NodeSketch* out) {
   GZ_CHECK(node < params_.num_nodes);
   std::lock_guard<std::mutex> lock(locks_[node]);
-  *out = sketches_[node];
+  *out = *sketches_[node];
+}
+
+CowSketch InMemorySketchStore::Share(NodeId node) {
+  GZ_CHECK(node < params_.num_nodes);
+  std::lock_guard<std::mutex> lock(locks_[node]);
+  return sketches_[node];
 }
 
 void InMemorySketchStore::Store(NodeId node, const NodeSketch& sketch) {
   GZ_CHECK(node < params_.num_nodes);
   GZ_CHECK(sketch.params() == params_);
   std::lock_guard<std::mutex> lock(locks_[node]);
-  sketches_[node] = sketch;
+  sketches_[node].Mutable() = sketch;
 }
 
 size_t InMemorySketchStore::RamByteSize() const {
-  size_t total = sizeof(*this);
-  for (const NodeSketch& s : sketches_) total += s.ByteSize();
-  total += params_.num_nodes * sizeof(std::mutex);
-  return total;
+  return sizeof(*this) + params_.num_nodes * (node_bytes_ + sizeof(std::mutex));
 }
 
 // ---------------- OnDiskSketchStore ------------------------------------

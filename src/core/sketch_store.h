@@ -6,10 +6,13 @@
 // streaming model of Section 4, where batching (gutters) amortizes the
 // per-update I/O cost.
 //
-// Thread safety: MergeDelta/Load are safe to call concurrently from
-// many Graph Workers; stores lock per node. Following Section 5.1,
-// workers accumulate a batch into a private delta sketch and the store
-// only holds the lock for the XOR merge.
+// Thread safety: MergeDelta/Load/Share/Store are safe to call
+// concurrently from many Graph Workers; stores lock per node. Following
+// Section 5.1, workers accumulate a batch into a private delta sketch
+// and the store only holds the lock for the XOR merge. The in-RAM store
+// shares its node sketches with snapshots copy-on-write (cow_sketch.h):
+// a merge into a node that a live snapshot still holds clones that node
+// first, under the node's lock, so the snapshot never sees the write.
 #ifndef GZ_CORE_SKETCH_STORE_H_
 #define GZ_CORE_SKETCH_STORE_H_
 
@@ -20,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cow_sketch.h"
 #include "sketch/node_sketch.h"
 #include "stream/stream_types.h"
 #include "util/status.h"
@@ -35,8 +39,12 @@ class SketchStore {
   virtual void MergeDelta(NodeId node, const NodeSketch& delta) = 0;
 
   // Copies `node`'s current sketch into `out` (constructed with the
-  // store's params). Used by the connectivity query to take a snapshot.
+  // store's params).
   virtual void Load(NodeId node, NodeSketch* out) = 0;
+
+  // `node`'s current sketch as a snapshot handle: how a snapshot is
+  // captured. This loads a fresh copy; the in-RAM store shares its own.
+  virtual CowSketch Share(NodeId node);
 
   // Overwrites `node`'s sketch with `sketch` (params must match).
   // Used by checkpoint restore.
@@ -59,14 +67,18 @@ class InMemorySketchStore : public SketchStore {
 
   void MergeDelta(NodeId node, const NodeSketch& delta) override;
   void Load(NodeId node, NodeSketch* out) override;
+  CowSketch Share(NodeId node) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override { return 0; }
 
  private:
-  std::vector<NodeSketch> sketches_;
+  std::vector<CowSketch> sketches_;
   // One lock per node; 40 B each is negligible next to the sketches.
   std::unique_ptr<std::mutex[]> locks_;
+  // Every node sketch has this size; RamByteSize counts each node once
+  // without reading handles a worker may be swapping.
+  size_t node_bytes_ = 0;
 };
 
 class OnDiskSketchStore : public SketchStore {

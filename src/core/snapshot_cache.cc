@@ -52,9 +52,9 @@ Status SnapshotCache::Refresh(uint64_t epoch, const ShardWatermarks& marks,
                               const RangePuller& puller) {
   if (!valid() || !(merged_.params() == params)) {
     Invalidate();
-    // The XOR identity; every shard's bytes are then folded in once.
-    merged_ = GraphSnapshot(
-        std::vector<NodeSketch>(params.num_nodes, NodeSketch(params)), 0);
+    // The XOR identity, one shared zero sketch: a node is materialized
+    // by its first fold, and every shard's bytes are folded in once.
+    merged_ = GraphSnapshot::Zero(params);
     ++cold_builds_;
   }
   ++refreshes_;

@@ -25,8 +25,10 @@
 // the table (removed; its content migrated away) is cancelled by one
 // more fold of its retained bytes.
 //
-// Cost model: a cold refresh costs one fold per pulled byte; a moved
-// shard costs two (cancel, install); a vanished one costs one. Memory
+// Cost model: a cold refresh costs one fold per pulled byte, starting
+// from GraphSnapshot::Zero (no zeros are materialized: a node's first
+// fold clones the shared zero sketch); a moved shard costs two
+// (cancel, install); a vanished one costs one. Memory
 // is (num_shards + 1) x one snapshot (retained bytes + the merged
 // result); refresh traffic is proportional to the content that
 // actually moved. Queries between watermarks are O(1) — they never

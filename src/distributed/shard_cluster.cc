@@ -1136,11 +1136,7 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
     // to zero for the next chunk. Folding the difference into the
     // suspect makes it equal to the reference — whichever copy was
     // behind, the XOR moves it forward.
-    if (!scratch->valid()) {
-      const NodeSketchParams params = SketchParams();
-      *scratch = GraphSnapshot(
-          std::vector<NodeSketch>(params.num_nodes, NodeSketch(params)), 0);
-    }
+    if (!scratch->valid()) *scratch = GraphSnapshot::Zero(SketchParams());
     st = scratch->MergeSerialized(want.data(), want.size());
     if (!st.ok()) return st;
     st = scratch->MergeSerialized(have.data(), have.size());

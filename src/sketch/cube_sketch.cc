@@ -171,4 +171,27 @@ void CubeSketch::DeserializeFrom(const uint8_t* in) {
   std::memcpy(&det_gamma_, in, sizeof(det_gamma_));
 }
 
+void CubeSketch::MergeSerialized(const uint8_t* in) {
+  // Same layout as DeserializeFrom; memcpy per word keeps unaligned
+  // reads defined and still vectorizes.
+  for (uint64_t& a : alphas_) {
+    uint64_t v;
+    std::memcpy(&v, in, sizeof(v));
+    a ^= v;
+    in += sizeof(v);
+  }
+  for (uint32_t& g : gammas_) {
+    uint32_t v;
+    std::memcpy(&v, in, sizeof(v));
+    g ^= v;
+    in += sizeof(v);
+  }
+  uint64_t alpha;
+  uint32_t gamma;
+  std::memcpy(&alpha, in, sizeof(alpha));
+  std::memcpy(&gamma, in + sizeof(alpha), sizeof(gamma));
+  det_alpha_ ^= alpha;
+  det_gamma_ ^= gamma;
+}
+
 }  // namespace gz

@@ -92,6 +92,8 @@ class CubeSketch {
   static size_t SerializedSizeFor(const CubeSketchParams& params);
   void SerializeTo(uint8_t* out) const;
   void DeserializeFrom(const uint8_t* in);
+  // Merge() with a serialized same-params sketch, read from the bytes.
+  void MergeSerialized(const uint8_t* in);
 
   friend bool operator==(const CubeSketch& a, const CubeSketch& b) {
     return a.params_ == b.params_ && a.alphas_ == b.alphas_ &&

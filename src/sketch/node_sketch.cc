@@ -60,14 +60,18 @@ SketchSample NodeSketch::Query(int round) const {
   return subsketches_[round].Query();
 }
 
-void NodeSketch::Merge(const NodeSketch& other) { MergeRounds(other, 0); }
-
-void NodeSketch::MergeRounds(const NodeSketch& other, int first_round) {
+void NodeSketch::Merge(const NodeSketch& other) {
   GZ_CHECK_MSG(params_ == other.params_,
                "merging node sketches with different parameters");
-  GZ_CHECK(first_round >= 0 && first_round <= rounds());
-  for (int r = first_round; r < rounds(); ++r) {
+  for (int r = 0; r < rounds(); ++r) {
     subsketches_[r].Merge(other.subsketches_[r]);
+  }
+}
+
+void NodeSketch::MergeSerialized(const uint8_t* in) {
+  for (CubeSketch& s : subsketches_) {
+    s.MergeSerialized(in);
+    in += s.SerializedSize();
   }
 }
 

@@ -58,11 +58,10 @@ class NodeSketch {
   // Elementwise merge; both sketches must share params (and hence seeds).
   void Merge(const NodeSketch& other);
 
-  // Merges only the subsketches of rounds [first_round, rounds()).
-  // Boruvka's component fold uses this: rounds at or before the current
-  // one are never queried again, so merging them is wasted memory
-  // traffic. first_round == rounds() is a no-op.
-  void MergeRounds(const NodeSketch& other, int first_round);
+  // Merge with a serialized record of a same-params sketch (the
+  // SerializeTo layout), XORed straight from the bytes: what
+  // Merge(DeserializeFrom(in)) computes, without the scratch sketch.
+  void MergeSerialized(const uint8_t* in);
 
   void Clear();
 

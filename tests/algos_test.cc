@@ -17,8 +17,8 @@
 namespace gz {
 namespace {
 
-std::vector<NodeSketch> SketchGraph(uint64_t num_nodes, uint64_t seed,
-                                    const EdgeList& edges, int rounds) {
+GraphSnapshot SketchGraph(uint64_t num_nodes, uint64_t seed,
+                          const EdgeList& edges, int rounds) {
   NodeSketchParams p;
   p.num_nodes = num_nodes;
   p.seed = seed;
@@ -31,7 +31,7 @@ std::vector<NodeSketch> SketchGraph(uint64_t num_nodes, uint64_t seed,
     sketches[e.u].Update(idx);
     sketches[e.v].Update(idx);
   }
-  return sketches;
+  return GraphSnapshot(std::move(sketches), 0);
 }
 
 std::set<std::pair<NodeId, NodeId>> ToSet(const EdgeList& edges) {
@@ -46,9 +46,9 @@ TEST(SpanningForestsTest, TreePeelsToOneForest) {
   const uint64_t n = 16;
   EdgeList edges;
   for (NodeId i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
-  auto sketches = SketchGraph(n, 1, edges, RoundsForForests(n, 2));
+  const GraphSnapshot snap = SketchGraph(n, 1, edges, RoundsForForests(n, 2));
   const ForestDecomposition d =
-      ExtractSpanningForests(&sketches, 2).value();
+      ExtractSpanningForests(snap, 2).value();
   ASSERT_FALSE(d.failed);
   ASSERT_EQ(d.forests.size(), 1u);  // Second phase finds no edges.
   EXPECT_EQ(ToSet(d.forests[0]), ToSet(edges));
@@ -60,9 +60,9 @@ TEST(SpanningForestsTest, CyclePeelsToTreePlusEdge) {
   for (NodeId i = 0; i < n; ++i) {
     edges.emplace_back(i, static_cast<NodeId>((i + 1) % n));
   }
-  auto sketches = SketchGraph(n, 2, edges, RoundsForForests(n, 2));
+  const GraphSnapshot snap = SketchGraph(n, 2, edges, RoundsForForests(n, 2));
   const ForestDecomposition d =
-      ExtractSpanningForests(&sketches, 2).value();
+      ExtractSpanningForests(snap, 2).value();
   ASSERT_FALSE(d.failed);
   ASSERT_EQ(d.forests.size(), 2u);
   EXPECT_EQ(d.forests[0].size(), n - 1);
@@ -79,9 +79,10 @@ TEST_P(SpanningForestsPropertyTest, ForestsAreEdgeDisjointSubForests) {
   const uint64_t n = 48;
   const EdgeList edges = RandomConnectedGraph(n, 140, seed);
   const int k = 3;
-  auto sketches = SketchGraph(n, seed + 50, edges, RoundsForForests(n, k));
+  const GraphSnapshot snap =
+      SketchGraph(n, seed + 50, edges, RoundsForForests(n, k));
   const ForestDecomposition d =
-      ExtractSpanningForests(&sketches, k).value();
+      ExtractSpanningForests(snap, k).value();
   ASSERT_FALSE(d.failed);
   ASSERT_GE(d.forests.size(), 1u);
 
@@ -105,10 +106,28 @@ TEST_P(SpanningForestsPropertyTest, ForestsAreEdgeDisjointSubForests) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SpanningForestsPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
+TEST(SpanningForestsTest, InputSnapshotIsUntouchedAfterPeeling) {
+  // Each phase toggles its forest out of the remaining graph, through a
+  // copy-on-write copy of the input: after k = 3 phases the caller's
+  // snapshot still holds every byte it held before, and decomposing it
+  // again finds the same forests.
+  const uint64_t n = 48;
+  const int k = 3;
+  const EdgeList edges = RandomConnectedGraph(n, 140, 9);
+  const GraphSnapshot snap = SketchGraph(n, 59, edges, RoundsForForests(n, k));
+  const std::vector<uint8_t> bytes = snap.Serialize();
+  const ForestDecomposition first = ExtractSpanningForests(snap, k).value();
+  ASSERT_FALSE(first.failed);
+  ASSERT_EQ(first.forests.size(), 3u);
+  EXPECT_TRUE(snap.Serialize() == bytes) << "the peel wrote the input";
+  const ForestDecomposition again = ExtractSpanningForests(snap, k).value();
+  EXPECT_EQ(again.forests, first.forests);
+}
+
 TEST(SpanningForestsTest, EmptyGraphYieldsNoForests) {
-  auto sketches = SketchGraph(8, 3, {}, RoundsForForests(8, 2));
+  const GraphSnapshot snap = SketchGraph(8, 3, {}, RoundsForForests(8, 2));
   const ForestDecomposition d =
-      ExtractSpanningForests(&sketches, 2).value();
+      ExtractSpanningForests(snap, 2).value();
   EXPECT_FALSE(d.failed);
   EXPECT_TRUE(d.forests.empty());
 }
@@ -117,10 +136,10 @@ TEST(SpanningForestsTest, EmptyGraphYieldsNoForests) {
 // from a CLI or a wire query, so a bad k must bounce as InvalidArgument
 // (never clamp, never abort).
 TEST(SpanningForestsTest, RejectsKBelowOne) {
-  auto sketches = SketchGraph(8, 3, {Edge(0, 1)}, RoundsForForests(8, 2));
+  const GraphSnapshot snap =
+      SketchGraph(8, 3, {Edge(0, 1)}, RoundsForForests(8, 2));
   for (const int k : {0, -1, -7}) {
-    auto copy = sketches;
-    const Result<ForestDecomposition> r = ExtractSpanningForests(&copy, k);
+    const Result<ForestDecomposition> r = ExtractSpanningForests(snap, k);
     ASSERT_FALSE(r.ok()) << "k=" << k;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
@@ -129,16 +148,14 @@ TEST(SpanningForestsTest, RejectsKBelowOne) {
 TEST(SpanningForestsTest, RejectsKBeyondRoundBudget) {
   // rounds = budget for exactly 2 forests: k = 3 must be refused, and
   // the refusal must not silently clamp to a smaller certificate.
-  auto sketches = SketchGraph(8, 3, {Edge(0, 1)}, RoundsForForests(8, 2));
+  const GraphSnapshot snap =
+      SketchGraph(8, 3, {Edge(0, 1)}, RoundsForForests(8, 2));
   EXPECT_EQ(MaxForestsForRounds(8, RoundsForForests(8, 2)), 2);
-  {
-    auto copy = sketches;
-    const Result<ForestDecomposition> r = ExtractSpanningForests(&copy, 3);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
+  const Result<ForestDecomposition> r = ExtractSpanningForests(snap, 3);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   // The largest admissible k still works.
-  const Result<ForestDecomposition> ok = ExtractSpanningForests(&sketches, 2);
+  const Result<ForestDecomposition> ok = ExtractSpanningForests(snap, 2);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
 }
 
@@ -238,9 +255,9 @@ TEST(BridgesTest, CertificateFromSketchesPreservesBridges) {
   edges.emplace_back(9, 10);   // Pendant path 9-10-11.
   edges.emplace_back(10, 11);
 
-  auto sketches = SketchGraph(n, 9, edges, RoundsForForests(n, 2));
+  const GraphSnapshot snap = SketchGraph(n, 9, edges, RoundsForForests(n, 2));
   const ForestDecomposition d =
-      ExtractSpanningForests(&sketches, 2).value();
+      ExtractSpanningForests(snap, 2).value();
   ASSERT_FALSE(d.failed);
   const EdgeList cert = d.CertificateEdges();
 

@@ -2,10 +2,12 @@
 // references on structured and random graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baseline/matrix_checker.h"
@@ -19,9 +21,9 @@
 namespace gz {
 namespace {
 
-// Builds per-node sketches directly from an edge list (no buffering).
-std::vector<NodeSketch> SketchGraph(uint64_t num_nodes, uint64_t seed,
-                                    const EdgeList& edges) {
+// Per-node sketches built directly from an edge list (no buffering).
+std::vector<NodeSketch> NodeSketches(uint64_t num_nodes, uint64_t seed,
+                                     const EdgeList& edges) {
   NodeSketchParams p;
   p.num_nodes = num_nodes;
   p.seed = seed;
@@ -34,6 +36,70 @@ std::vector<NodeSketch> SketchGraph(uint64_t num_nodes, uint64_t seed,
     sketches[e.v].Update(idx);
   }
   return sketches;
+}
+
+GraphSnapshot SketchGraph(uint64_t num_nodes, uint64_t seed,
+                          const EdgeList& edges) {
+  return GraphSnapshot(NodeSketches(num_nodes, seed, edges), 0);
+}
+
+// The engine's specification, written the way it used to run: one
+// thread, folding each merged component's node sketches destructively
+// into its new root after every round. Same round window semantics and
+// the same ascending-root candidate order, so its result must equal the
+// engine's exactly.
+ConnectivityResult ReferenceBoruvka(std::vector<NodeSketch> sk,
+                                    int first_round, int num_rounds) {
+  const uint64_t n = sk.size();
+  const int rounds = sk[0].rounds();
+  const int last_round =
+      num_rounds < 0 ? rounds : std::min(rounds, first_round + num_rounds);
+  ConnectivityResult result;
+  Dsu dsu(n);
+  bool complete = false;
+  for (int round = first_round; round < last_round && !complete; ++round) {
+    result.rounds_used = round - first_round + 1;
+    std::vector<NodeId> roots;
+    for (NodeId i = 0; i < n; ++i) {
+      if (dsu.Find(i) == i) roots.push_back(i);
+    }
+    EdgeList candidates;
+    bool any_fail = false;
+    for (const NodeId r : roots) {
+      const SketchSample s = sk[r].Query(round);
+      if (s.kind == SampleKind::kGood) {
+        candidates.push_back(IndexToEdge(s.index, n));
+      }
+      any_fail |= s.kind == SampleKind::kFail;
+    }
+    bool found_edge = false;
+    for (const Edge& e : candidates) {
+      if (!dsu.Union(dsu.Find(e.u), dsu.Find(e.v))) continue;
+      result.spanning_forest.push_back(e);
+      found_edge = true;
+    }
+    complete = !found_edge && !any_fail;
+    for (const NodeId r : roots) {
+      const size_t new_root = dsu.Find(r);
+      if (new_root != r) sk[new_root].Merge(sk[r]);
+    }
+  }
+  result.failed = !complete;
+  result.num_components = dsu.num_sets();
+  for (NodeId i = 0; i < n; ++i) {
+    result.component_of.push_back(static_cast<NodeId>(dsu.Find(i)));
+  }
+  return result;
+}
+
+void ExpectSameResult(const ConnectivityResult& got,
+                      const ConnectivityResult& want,
+                      const std::string& label) {
+  EXPECT_EQ(got.failed, want.failed) << label;
+  EXPECT_EQ(got.rounds_used, want.rounds_used) << label;
+  EXPECT_EQ(got.num_components, want.num_components) << label;
+  EXPECT_EQ(got.spanning_forest, want.spanning_forest) << label;
+  EXPECT_EQ(got.component_of, want.component_of) << label;
 }
 
 // Verifies a claimed spanning forest against the true edge set and the
@@ -65,16 +131,16 @@ void CheckForest(const ConnectivityResult& result, uint64_t num_nodes,
 }
 
 TEST(ConnectivityTest, EmptyGraphAllIsolated) {
-  auto sketches = SketchGraph(8, 1, {});
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snap = SketchGraph(8, 1, {});
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 8u);
   EXPECT_TRUE(r.spanning_forest.empty());
 }
 
 TEST(ConnectivityTest, SingleEdge) {
-  auto sketches = SketchGraph(4, 2, {Edge(1, 2)});
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snap = SketchGraph(4, 2, {Edge(1, 2)});
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 3u);
   ASSERT_EQ(r.spanning_forest.size(), 1u);
@@ -85,8 +151,8 @@ TEST(ConnectivityTest, PathGraph) {
   EdgeList edges;
   const uint64_t n = 32;
   for (NodeId i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
-  auto sketches = SketchGraph(n, 3, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snap = SketchGraph(n, 3, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 1u);
   EXPECT_EQ(r.spanning_forest.size(), n - 1);
@@ -97,46 +163,37 @@ TEST(ConnectivityTest, StarGraph) {
   EdgeList edges;
   const uint64_t n = 64;
   for (NodeId i = 1; i < n; ++i) edges.emplace_back(0, i);
-  auto sketches = SketchGraph(n, 4, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snap = SketchGraph(n, 4, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 1u);
   CheckForest(r, n, edges);
 }
 
 TEST(ConnectivityTest, GiantStarFoldIsBitwiseIdenticalForAnyThreadCount) {
-  // A star is the worst case the tree-reduction fold exists for: after
-  // round one EVERYTHING merges into a single component, so the whole
-  // per-round XOR fold lands in one group. The pairwise reduction must
-  // spread that group over the pool AND stay bitwise-invisible: the
-  // result and the post-run scratch sketches (the folded bytes
-  // themselves) must be identical for every thread count.
+  // A star is the worst case the chunked build exists for: after round
+  // one EVERYTHING merges into a single component, so each later
+  // round's whole XOR build lands in one component. Its chunks must
+  // spread over the pool AND stay invisible: the result must be
+  // identical for every thread count, and no query may write a byte of
+  // the snapshot.
   EdgeList edges;
   const uint64_t n = 4096;  // Above the pool-spawn floor.
   for (NodeId i = 1; i < n; ++i) edges.emplace_back(0, i);
 
-  auto baseline = SketchGraph(n, 6, edges);
+  const GraphSnapshot snap = SketchGraph(n, 6, edges);
+  const std::vector<uint8_t> bytes = snap.Serialize();
   const ConnectivityResult want =
-      BoruvkaConnectivity(&baseline, 0, -1, /*num_threads=*/1);
+      BoruvkaConnectivity(snap, 0, -1, /*num_threads=*/1);
   EXPECT_FALSE(want.failed);
   EXPECT_EQ(want.num_components, 1u);
   CheckForest(want, n, edges);
 
   for (const int threads : {2, 4, 8}) {
-    auto sketches = SketchGraph(n, 6, edges);
-    const ConnectivityResult got =
-        BoruvkaConnectivity(&sketches, 0, -1, threads);
-    EXPECT_EQ(got.failed, want.failed) << threads << " threads";
-    EXPECT_EQ(got.num_components, want.num_components);
-    EXPECT_EQ(got.rounds_used, want.rounds_used);
-    EXPECT_EQ(got.spanning_forest, want.spanning_forest)
-        << threads << " threads";
-    EXPECT_EQ(got.component_of, want.component_of);
-    for (uint64_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(sketches[i] == baseline[i])
-          << "sketch " << i << " diverged at " << threads << " threads";
-    }
+    ExpectSameResult(BoruvkaConnectivity(snap, 0, -1, threads), want,
+                     std::to_string(threads) + " threads");
   }
+  EXPECT_TRUE(snap.Serialize() == bytes) << "a query wrote the snapshot";
 }
 
 TEST(ConnectivityTest, CompleteGraph) {
@@ -145,8 +202,8 @@ TEST(ConnectivityTest, CompleteGraph) {
   for (NodeId u = 0; u + 1 < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
   }
-  auto sketches = SketchGraph(n, 5, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snap = SketchGraph(n, 5, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 1u);
   CheckForest(r, n, edges);
@@ -161,8 +218,8 @@ TEST(ConnectivityTest, TwoCliquesStayApart) {
   for (NodeId u = 10; u < 20; ++u) {
     for (NodeId v = u + 1; v < 20; ++v) edges.emplace_back(u, v);
   }
-  auto sketches = SketchGraph(n, 6, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snap = SketchGraph(n, 6, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 2u);
   CheckForest(r, n, edges);
@@ -191,8 +248,8 @@ TEST_P(ConnectivityRandomTest, MatchesKruskalReference) {
   ep.seed = seed;
   const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
 
-  auto sketches = SketchGraph(num_nodes, seed * 101 + 7, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snap = SketchGraph(num_nodes, seed * 101 + 7, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
   ASSERT_FALSE(r.failed);
   CheckForest(r, num_nodes, edges);
 
@@ -203,6 +260,12 @@ TEST_P(ConnectivityRandomTest, MatchesKruskalReference) {
   }
   const ConnectivityResult kruskal = checker.ConnectedComponents();
   EXPECT_EQ(r.num_components, kruskal.num_components);
+
+  // And result for result against the destructive reference.
+  ExpectSameResult(r, ReferenceBoruvka(NodeSketches(num_nodes, seed * 101 + 7,
+                                                    edges),
+                                       0, -1),
+                   "reference");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -212,8 +275,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<uint64_t>(1, 2, 3)));
 
 TEST(ConnectivityTest, ConnectedPointQuery) {
-  auto sketches = SketchGraph(8, 9, {Edge(0, 1), Edge(1, 2), Edge(4, 5)});
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snap =
+      SketchGraph(8, 9, {Edge(0, 1), Edge(1, 2), Edge(4, 5)});
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
   ASSERT_FALSE(r.failed);
   EXPECT_TRUE(r.Connected(0, 2));
   EXPECT_TRUE(r.Connected(4, 5));
@@ -225,8 +289,8 @@ TEST(ConnectivityTest, ConnectedPointQuery) {
 TEST(ConnectivityTest, ConnectedOutOfRangeNodeIsFalse) {
   // Regression: out-of-range node ids used to index component_of
   // unchecked (UB); they must simply report "not connected".
-  auto sketches = SketchGraph(8, 9, {Edge(0, 1)});
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snap = SketchGraph(8, 9, {Edge(0, 1)});
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
   ASSERT_FALSE(r.failed);
   EXPECT_FALSE(r.Connected(0, 8));
   EXPECT_FALSE(r.Connected(8, 0));
@@ -245,8 +309,8 @@ TEST(ConnectivityTest, SpanningForestStreamOutput) {
   const uint64_t n = 16;
   EdgeList edges;
   for (NodeId i = 0; i + 1 < 10; ++i) edges.emplace_back(i, i + 1);
-  auto sketches = SketchGraph(n, 10, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snap = SketchGraph(n, 10, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
   ASSERT_FALSE(r.failed);
 
   const std::string path =
@@ -273,9 +337,9 @@ TEST(ConnectivityTest, RoundWindowRestrictsWork) {
   // must report failure.
   EdgeList edges;
   for (NodeId i = 0; i + 1 < 16; ++i) edges.emplace_back(i, i + 1);
-  auto sketches = SketchGraph(16, 11, edges);
+  const GraphSnapshot snap = SketchGraph(16, 11, edges);
   const ConnectivityResult r =
-      BoruvkaConnectivity(&sketches, /*first_round=*/0, /*num_rounds=*/1);
+      BoruvkaConnectivity(snap, /*first_round=*/0, /*num_rounds=*/1);
   EXPECT_TRUE(r.failed);
   EXPECT_EQ(r.rounds_used, 1);
 }
@@ -286,14 +350,13 @@ TEST(ConnectivityTest, WrongSketchCountAborts) {
   p.seed = 1;
   std::vector<NodeSketch> sketches;
   for (int i = 0; i < 4; ++i) sketches.emplace_back(p);  // Too few.
-  EXPECT_DEATH(BoruvkaConnectivity(&sketches), "one node sketch per vertex");
+  EXPECT_DEATH(GraphSnapshot(std::move(sketches), 0),
+               "one node sketch per vertex");
 }
 
 TEST(ConnectivityTest, BadRoundWindowAborts) {
-  auto sketches = SketchGraph(8, 12, {Edge(0, 1)});
-  const int rounds = sketches[0].rounds();
-  EXPECT_DEATH(BoruvkaConnectivity(&sketches, rounds, 1),
-               "first_round");
+  const GraphSnapshot snap = SketchGraph(8, 12, {Edge(0, 1)});
+  EXPECT_DEATH(BoruvkaConnectivity(snap, snap.rounds(), 1), "first_round");
 }
 
 TEST(ConnectivityTest, ManySmallComponents) {
@@ -305,12 +368,69 @@ TEST(ConnectivityTest, ManySmallComponents) {
     edges.emplace_back(base + 1, base + 2);
     edges.emplace_back(base, base + 2);
   }
-  auto sketches = SketchGraph(n, 8, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snap = SketchGraph(n, 8, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, n / 3);
   CheckForest(r, n, edges);
 }
+
+// The engine against the destructive sequential reference at a size
+// where the pool, the chunked build and the multi-chunk fold all run:
+// a random ER graph (many components merging at once), a star (one
+// giant component from round one) and a path fed in random order (long
+// merge chains), each over the whole round budget and over windows,
+// at 1 and 4 threads.
+class ConnectivityReferenceTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(ConnectivityReferenceTest, MatchesSequentialReference) {
+  const uint64_t seed = GetParam();
+  const uint64_t n = 1100;  // Above the pool and parallel-build floors.
+  SplitMix64 rng(seed);
+  std::vector<std::pair<std::string, EdgeList>> graphs;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 4.0 / n;
+  ep.seed = seed;
+  graphs.push_back({"er", ErdosRenyiGenerator(ep).Generate()});
+  EdgeList star, path;
+  const NodeId center = static_cast<NodeId>(rng.NextBelow(n));
+  std::vector<NodeId> order(n);
+  for (NodeId i = 0; i < n; ++i) {
+    if (i != center) star.emplace_back(center, i);
+    order[i] = i;
+  }
+  for (size_t i = n - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.NextBelow(i + 1)]);
+  }
+  for (size_t i = 0; i + 1 < n; ++i) path.emplace_back(order[i], order[i + 1]);
+  graphs.push_back({"star", star});
+  graphs.push_back({"path", path});
+
+  for (const auto& [name, edges] : graphs) {
+    const std::vector<NodeSketch> nodes = NodeSketches(n, seed + 77, edges);
+    const GraphSnapshot snap(nodes, 0);
+    for (const auto& [first, count] :
+         std::vector<std::pair<int, int>>{{0, -1}, {0, 2}, {1, 3}, {2, -1}}) {
+      const ConnectivityResult want = ReferenceBoruvka(nodes, first, count);
+      if (first == 0 && count < 0) {
+        ASSERT_FALSE(want.failed) << name;
+        CheckForest(want, n, edges);
+      }
+      for (const int threads : {1, 4}) {
+        ExpectSameResult(BoruvkaConnectivity(snap, first, count, threads),
+                         want,
+                         name + " window [" + std::to_string(first) + ", +" +
+                             std::to_string(count) + ") at " +
+                             std::to_string(threads) + " threads");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConnectivityReferenceTest,
+                         ::testing::Values<uint64_t>(1, 2, 3));
 
 }  // namespace
 }  // namespace gz

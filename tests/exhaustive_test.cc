@@ -121,7 +121,8 @@ TEST(ExhaustiveTest, BoruvkaMatchesDsuOnAllFourNodeGraphs) {
       sketches[e.v].Update(idx);
       truth.Union(e.u, e.v);
     }
-    const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+    const ConnectivityResult r =
+        BoruvkaConnectivity(GraphSnapshot(std::move(sketches), 0));
     ASSERT_FALSE(r.failed) << "mask " << mask;
     EXPECT_EQ(r.num_components, truth.num_sets()) << "mask " << mask;
     for (uint64_t i = 0; i < n; ++i) {

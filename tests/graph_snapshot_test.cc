@@ -1,13 +1,21 @@
 // Tests for the GraphSnapshot query surface: the merge algebra
 // (commutative, associative, exact vs a single-instance ground truth),
-// parameter-compatibility rejection, serialization round trips, and the
+// parameter-compatibility rejection, serialization round trips,
+// copy-on-write sharing with copies and with a live store, and the
 // determinism of the parallel Boruvka engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baseline/matrix_checker.h"
@@ -494,6 +502,171 @@ TEST(GraphSnapshotTest, ParallelBoruvkaMatchesSequentialBitwise) {
   for (const Edge& e : edges) checker.Update({e, UpdateType::kInsert});
   EXPECT_EQ(seq.num_components,
             checker.ConnectedComponents().num_components);
+}
+
+// ---- Copy-on-write sharing ---------------------------------------------
+
+// `edges`, each inserted, as one stream.
+std::vector<GraphUpdate> Inserts(const EdgeList& edges) {
+  std::vector<GraphUpdate> out;
+  for (const Edge& e : edges) out.push_back({e, UpdateType::kInsert});
+  return out;
+}
+
+EdgeList RandomEdges(uint64_t n, double p, uint64_t seed) {
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = p;
+  ep.seed = seed;
+  return ErdosRenyiGenerator(ep).Generate();
+}
+
+TEST(GraphSnapshotTest, HeldSnapshotKeepsItsBytesWhileIngestContinues) {
+  // A RAM instance shares its node sketches with the snapshot; the
+  // ingest that follows must clone what it touches, never write the
+  // snapshot's copy, and must itself end where a fresh instance fed the
+  // whole stream ends.
+  const uint64_t n = 64;
+  const std::vector<GraphUpdate> stream = Inserts(RandomEdges(n, 0.2, 41));
+  const size_t cut = stream.size() / 3;
+  GraphZeppelin gz(MakeConfig(n, 43));
+  ASSERT_TRUE(gz.Init().ok());
+  gz.Update(stream.data(), cut);
+  const GraphSnapshot held = gz.Snapshot();
+  const std::vector<uint8_t> at_capture = held.Serialize();
+  gz.Update(stream.data() + cut, stream.size() - cut);
+  const GraphSnapshot later = gz.Snapshot();  // Flushes the rest.
+  EXPECT_TRUE(held.Serialize() == at_capture);
+  EXPECT_EQ(held.num_updates(), cut);
+
+  GraphZeppelin fresh(MakeConfig(n, 43));
+  ASSERT_TRUE(fresh.Init().ok());
+  fresh.Update(stream.data(), stream.size());
+  EXPECT_TRUE(later == fresh.Snapshot());
+}
+
+TEST(GraphSnapshotTest, WritesToACopyNeverReachTheOriginal) {
+  // Merge and MergeSerialized clone a shared node before writing, in
+  // either direction of a copy.
+  const uint64_t n = 40;
+  const uint64_t seed = 45;
+  const GraphSnapshot a = SnapshotOf(n, seed, RandomEdges(n, 0.2, 1));
+  const GraphSnapshot b = SnapshotOf(n, seed, RandomEdges(n, 0.2, 2));
+  const std::vector<uint8_t> a_bytes = a.Serialize();
+  const std::vector<uint8_t> b_bytes = b.Serialize();
+  const std::vector<uint8_t> b_range = b.ExtractNodeRange(7, 29);
+
+  GraphSnapshot merged = a;  // Copy, then write the copy.
+  ASSERT_TRUE(merged.Merge(b).ok());
+  GraphSnapshot folded = a;
+  ASSERT_TRUE(folded.MergeSerialized(b_range.data(), b_range.size()).ok());
+  EXPECT_TRUE(a.Serialize() == a_bytes);
+  EXPECT_TRUE(b.Serialize() == b_bytes);
+  EXPECT_FALSE(merged == a);
+  EXPECT_FALSE(folded == a);
+
+  GraphSnapshot original = b;  // Copy, then write the original.
+  const GraphSnapshot copy = original;
+  ASSERT_TRUE(original.Merge(a).ok());
+  ASSERT_TRUE(original.MergeSerialized(b_range.data(), b_range.size()).ok());
+  EXPECT_TRUE(copy.Serialize() == b_bytes);
+  EXPECT_FALSE(original == copy);
+
+  // The writes themselves are the plain algebra: a + b either way.
+  GraphSnapshot ba = b;
+  ASSERT_TRUE(ba.Merge(a).ok());
+  EXPECT_TRUE(merged == ba);
+}
+
+TEST(GraphSnapshotTest, FoldIntoASnapshotLeavesTheLiveStoreAlone) {
+  // A snapshot of a RAM instance shares the store's node sketches;
+  // folding bytes into it must clone them, not write the store.
+  const uint64_t n = 32;
+  GraphZeppelin gz(MakeConfig(n, 47));
+  ASSERT_TRUE(gz.Init().ok());
+  Ingest(&gz, RandomEdges(n, 0.3, 3));
+  const std::vector<uint8_t> store_bytes = gz.Snapshot().Serialize();
+  GraphSnapshot shared = gz.Snapshot();
+  const std::vector<uint8_t> other =
+      SnapshotOf(n, 47, RandomEdges(n, 0.3, 4)).Serialize();
+  ASSERT_TRUE(shared.MergeSerialized(other.data(), other.size()).ok());
+  ASSERT_TRUE(shared.Merge(SnapshotOf(n, 47, {Edge(1, 2)})).ok());
+  EXPECT_TRUE(gz.Snapshot().Serialize() == store_bytes);
+  EXPECT_FALSE(shared.Serialize() == store_bytes);
+}
+
+TEST(GraphSnapshotTest, ColdBuildFromASharedZeroMatchesAZeroFilledFold) {
+  // The cold build (SnapshotCache, replica repair) starts from V
+  // handles to one zero sketch; folding ranges into it must produce
+  // exactly the bytes the same folds give over V zero-filled sketches.
+  const uint64_t n = 48;
+  const GraphSnapshot source = SnapshotOf(n, 49, RandomEdges(n, 0.15, 5));
+  const GraphSnapshot other = SnapshotOf(n, 49, RandomEdges(n, 0.15, 6));
+  const NodeSketchParams& params = source.params();
+  GraphSnapshot shared = GraphSnapshot::Zero(params);
+  GraphSnapshot filled(std::vector<NodeSketch>(n, NodeSketch(params)), 0);
+  EXPECT_TRUE(shared == filled);
+  for (const auto& [snap, lo, hi] :
+       std::vector<std::tuple<const GraphSnapshot*, uint64_t, uint64_t>>{
+           {&source, 0, 20}, {&other, 10, 48}, {&source, 20, 48}}) {
+    const std::vector<uint8_t> bytes = snap->ExtractNodeRange(lo, hi);
+    ASSERT_TRUE(shared.MergeSerialized(bytes.data(), bytes.size()).ok());
+    ASSERT_TRUE(filled.MergeSerialized(bytes.data(), bytes.size()).ok());
+  }
+  EXPECT_TRUE(shared.Serialize() == filled.Serialize());
+}
+
+TEST(GraphSnapshotTest, SnapshotsDroppedOnAnotherThreadWhileWorkersIngest) {
+  // Two Graph Workers merge batches into shared nodes while another
+  // thread queries and drops the snapshots taken between spans. Every
+  // snapshot must still hold its capture-time bytes when that thread
+  // reads it, and the instance must end bitwise equal to a fresh one.
+  const uint64_t n = 128;
+  const std::vector<GraphUpdate> stream = Inserts(RandomEdges(n, 0.3, 7));
+  GraphZeppelin gz(MakeConfig(n, 53));
+  ASSERT_TRUE(gz.Init().ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<std::pair<GraphSnapshot, std::vector<uint8_t>>> handoff;
+  bool done = false;
+  size_t checked = 0;
+  std::thread dropper([&] {
+    for (;;) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return done || !handoff.empty(); });
+      if (handoff.empty()) return;
+      auto [snap, bytes] = std::move(handoff.front());
+      handoff.pop_front();
+      lock.unlock();
+      EXPECT_FALSE(Connectivity(snap, 1).failed);
+      EXPECT_TRUE(snap.Serialize() == bytes);
+      ++checked;
+    }  // The snapshot drops here, racing the workers' next merges.
+  });
+  const size_t span = 64;
+  for (size_t off = 0; off < stream.size(); off += span) {
+    gz.Update(stream.data() + off, std::min(span, stream.size() - off));
+    GraphSnapshot snap = gz.Snapshot();
+    std::vector<uint8_t> bytes = snap.Serialize();
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      handoff.emplace_back(std::move(snap), std::move(bytes));
+    }
+    cv.notify_one();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_one();
+  dropper.join();
+  EXPECT_EQ(checked, (stream.size() + span - 1) / span);
+
+  GraphZeppelin fresh(MakeConfig(n, 53));
+  ASSERT_TRUE(fresh.Init().ok());
+  fresh.Update(stream.data(), stream.size());
+  EXPECT_TRUE(gz.Snapshot() == fresh.Snapshot());
 }
 
 TEST(GraphSnapshotTest, MidStreamSnapshotThenContinue) {

@@ -1,6 +1,7 @@
 // Tests for the in-memory and on-disk sketch stores.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -154,6 +155,89 @@ TEST_P(SketchStoreTest, StoreOverwrites) {
   NodeSketch got(real);
   store->Load(2, &got);
   EXPECT_EQ(got, SketchOf(real, {4}));
+}
+
+TEST_P(SketchStoreTest, SharedSketchIsUnchangedByLaterWrites) {
+  // A handle from Share() is a snapshot's view of the node: merges and
+  // overwrites that land after it was taken never show through it.
+  const NodeSketchParams params = MakeParams(6, 10);
+  auto store = MakeStore(params, "store_share.bin");
+  const NodeSketchParams real = store->params();
+  store->MergeDelta(4, SketchOf(real, {2, 7}));
+  const CowSketch held = store->Share(4);
+  store->MergeDelta(4, SketchOf(real, {9}));
+  EXPECT_EQ(*held, SketchOf(real, {2, 7}));
+  store->Store(4, SketchOf(real, {1}));
+  EXPECT_EQ(*held, SketchOf(real, {2, 7}));
+  NodeSketch got(real);
+  store->Load(4, &got);
+  EXPECT_EQ(got, SketchOf(real, {1}));
+}
+
+TEST_P(SketchStoreTest, SharesDroppedOnAnotherThreadWhileMerging) {
+  // 2 merging threads against a thread that keeps taking and dropping
+  // handles to the same nodes: every merge either clones a shared node
+  // or lands in place, and the final state must equal a serial fold.
+  const NodeSketchParams params = MakeParams(8, 11);
+  auto store = MakeStore(params, "store_share_conc.bin");
+  const NodeSketchParams real = store->params();
+  constexpr int kWriters = 2;
+  constexpr int kDeltas = 200;
+  std::vector<std::vector<NodeSketch>> deltas(kWriters);
+  SplitMix64 rng(7);
+  for (int t = 0; t < kWriters; ++t) {
+    for (int d = 0; d < kDeltas; ++d) {
+      deltas[t].push_back(
+          SketchOf(real, {rng.NextBelow(NumPossibleEdges(8))}));
+    }
+  }
+  std::atomic<bool> done{false};
+  std::thread sharer([&] {
+    std::vector<CowSketch> held;
+    while (!done.load()) {
+      for (NodeId node = 0; node < 3; ++node) {
+        held.push_back(store->Share(node));
+      }
+      if (held.size() > 30) held.clear();
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      for (int d = 0; d < kDeltas; ++d) {
+        store->MergeDelta(static_cast<NodeId>(d % 3), deltas[t][d]);
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  done = true;
+  sharer.join();
+
+  std::vector<NodeSketch> expect(3, NodeSketch(real));
+  for (int t = 0; t < kWriters; ++t) {
+    for (int d = 0; d < kDeltas; ++d) expect[d % 3].Merge(deltas[t][d]);
+  }
+  for (NodeId node = 0; node < 3; ++node) {
+    EXPECT_EQ(*store->Share(node), expect[node]) << "node " << node;
+  }
+}
+
+TEST(InMemorySketchStoreTest, ClonesANodeOnlyWhileItIsShared) {
+  // Copy-on-write, observed through object identity: a merge into a
+  // node nobody else holds lands in place; a merge into a held node
+  // moves the store to a clone and leaves the holder's object alone.
+  InMemorySketchStore store(MakeParams(4, 12));
+  const NodeSketchParams real = store.params();
+  const NodeSketch* before = &*store.Share(1);  // Handle dropped at once.
+  store.MergeDelta(1, SketchOf(real, {3}));
+  EXPECT_EQ(&*store.Share(1), before) << "unshared node was cloned";
+
+  const CowSketch held = store.Share(1);
+  store.MergeDelta(1, SketchOf(real, {5}));
+  EXPECT_EQ(&*held, before);
+  EXPECT_NE(&*store.Share(1), before) << "shared node was written in place";
+  EXPECT_EQ(*held, SketchOf(real, {3}));
+  EXPECT_EQ(*store.Share(1), SketchOf(real, {3, 5}));
 }
 
 TEST(OnDiskSketchStoreTest, DiskByteSizeMatchesRecords) {

@@ -120,7 +120,9 @@ class SnapshotCachePlanTest : public ::testing::TestWithParam<uint64_t> {
           shards_[live[i]]->Snapshot().ExtractNodeRange(0, kNodes);
       ASSERT_TRUE(want.MergeSerialized(bytes.data(), bytes.size()).ok());
     }
-    EXPECT_EQ(want.sketches(), cache_.merged().sketches());
+    // Range folds carry no counts: compare the sketches.
+    want.SetUpdates(cache_.merged().num_updates());
+    EXPECT_TRUE(want == cache_.merged());
   }
 
   std::vector<std::unique_ptr<GraphZeppelin>> shards_;
