@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
@@ -24,6 +25,8 @@
 #include "core/graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "stream/stream_types.h"
+#include "util/random.h"
+#include "util/sha256.h"
 
 namespace gz {
 namespace {
@@ -197,6 +200,76 @@ TEST(GraphSnapshotTest, ByteSerializationRoundTripsExactly) {
   EXPECT_EQ(live.spanning_forest, thawed.spanning_forest);
   EXPECT_EQ(live.component_of, thawed.component_of);
 }
+
+// The byte format pinned to fixed values: the round-trip suites above
+// would pass for any self-consistent layout, these only for GZSNAP02.
+// V=45 gives cols*rows = 77 (odd: the det bucket sits at 4 mod 8 in a
+// round), V=64 gives 84 (even: a 1,020 B round, 4 mod 8).
+struct BytePin {
+  uint64_t num_nodes;
+  const char* sha256;
+};
+
+class GraphSnapshotBytePinTest : public ::testing::TestWithParam<BytePin> {};
+
+TEST_P(GraphSnapshotBytePinTest, SerializeMatchesPinnedSha256) {
+  const uint64_t n = GetParam().num_nodes;
+  // A fixed seeded stream with deletions over nodes [0, n - 1), then one
+  // edge to node n - 1, which so has exactly one incident edge.
+  SplitMix64 rng(0x5eed);
+  GraphZeppelin gz(MakeConfig(n, 2024));
+  ASSERT_TRUE(gz.Init().ok());
+  std::vector<uint8_t> present(NumPossibleEdges(n), 0);
+  for (int i = 0; i < 600; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.NextBelow(n - 1));
+    NodeId v = static_cast<NodeId>(rng.NextBelow(n - 2));
+    if (v >= u) ++v;
+    const Edge e(u, v);
+    uint8_t& bit = present[EdgeToIndex(e, n)];
+    gz.Update({e, bit ? UpdateType::kDelete : UpdateType::kInsert});
+    bit ^= 1;
+  }
+  const NodeId leaf = static_cast<NodeId>(n - 1);
+  const Edge pendant(static_cast<NodeId>(rng.NextBelow(n - 1)), leaf);
+  gz.Update({pendant, UpdateType::kInsert});
+  const GraphSnapshot snapshot = gz.Snapshot();
+  const std::vector<uint8_t> bytes = snapshot.Serialize();
+
+  uint8_t digest[kSha256Bytes];
+  Sha256(bytes.data(), bytes.size(), digest);
+  char hex[2 * kSha256Bytes + 1];
+  for (size_t i = 0; i < kSha256Bytes; ++i) {
+    std::snprintf(hex + 2 * i, 3, "%02x", digest[i]);
+  }
+  EXPECT_STREQ(hex, GetParam().sha256);
+
+  // Structure: the leaf's record holds the pendant edge's encoded index
+  // (index + 1) in every round's deterministic bucket, which sits right
+  // after the round's cols*rows column buckets.
+  const NodeSketchParams& params = snapshot.params();
+  const int rows = std::bit_width(NumPossibleEdges(n) - 1) + 1;
+  const size_t column_buckets = static_cast<size_t>(params.cols) * rows;
+  const size_t round_bytes = 12 * (column_buckets + 1);
+  const size_t record = round_bytes * params.rounds;
+  ASSERT_EQ(bytes.size(), GraphSnapshot::kHeaderBytes + n * record);
+  const uint8_t* rec =
+      bytes.data() + GraphSnapshot::kHeaderBytes + leaf * record;
+  for (int r = 0; r < params.rounds; ++r) {
+    uint64_t det_alpha = 0;
+    std::memcpy(&det_alpha, rec + r * round_bytes + 12 * column_buckets, 8);
+    EXPECT_EQ(det_alpha, EdgeToIndex(pendant, n) + 1) << "round " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, GraphSnapshotBytePinTest,
+    ::testing::Values(
+        BytePin{45,
+                "24db630998cfddcd2c1e27093c295ab4"
+                "989a48a3ee22d8cef82471a4acffdca8"},
+        BytePin{64,
+                "bd6b6bfe056ecf2f953c604a2e1404b1"
+                "aedef069804b74f2a09c2f2b053c75d3"}));
 
 TEST(GraphSnapshotTest, DeserializeRejectsGarbage) {
   const uint8_t junk[64] = {'n', 'o', 't', ' ', 'a', ' ', 's', 'n'};
