@@ -12,6 +12,11 @@
 // whose internal flush buffers are recycled per level the way leaf
 // gutters recycle slabs. Enforced with GZ_CHECK, so a regression fails
 // the run, not just a JSON field.
+//
+// Two sketch-state gates ride along: copying a node sketch is exactly
+// one allocation (its bucket block; the seeds live in a shared layout),
+// and GraphZeppelin::Snapshot() over the on-disk store allocates at most
+// a block and a copy-on-write handle per node, plus a constant.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -125,6 +130,54 @@ int main() {
     first = false;
     GZ_CHECK_MSG(allocs == 0, "steady-state ingestion allocated");
   }
+
+  // Copy gate: a kron-geometry node sketch with content, copied once.
+  NodeSketchParams np;
+  np.num_nodes = w.num_nodes;
+  np.seed = 42;
+  NodeSketch sketch(np);
+  for (size_t i = 0; i < 64 && i < n_updates; ++i) {
+    sketch.Update(EdgeToIndex(w.stream.updates[i].edge, w.num_nodes));
+  }
+  g_alloc_count.store(0);
+  g_track.store(true);
+  const NodeSketch copy = sketch;
+  g_track.store(false);
+  const uint64_t copy_allocs = g_alloc_count.load();
+  GZ_CHECK(copy == sketch);
+  std::printf(
+      ",\n  {\"bench\": \"pipeline_alloc\", \"config\": \"node_sketch_copy\",\n"
+      "   \"workload\": \"%s\", \"sketch_bytes\": %zu, \"allocs\": %llu}",
+      w.name.c_str(), copy.ByteSize(),
+      static_cast<unsigned long long>(copy_allocs));
+  GZ_CHECK_MSG(copy_allocs == 1, "copying a node sketch allocated != 1");
+
+  // Disk snapshot gate: block + COW handle per node, plus a constant
+  // (the handle vector and the loader's per-thread record buffer).
+  constexpr uint64_t kSnapshotConstAllocs = 16;
+  GraphZeppelinConfig config = bench::DefaultGzConfig();
+  config.num_nodes = w.num_nodes;
+  config.storage = GraphZeppelinConfig::Storage::kDisk;
+  GraphZeppelin gz(config);
+  GZ_CHECK_OK(gz.Init());
+  gz.Update(w.stream.updates.data(), n_updates);
+  gz.Flush();
+  g_alloc_count.store(0);
+  g_track.store(true);
+  const GraphSnapshot snapshot = gz.Snapshot();
+  g_track.store(false);
+  const uint64_t snapshot_allocs = g_alloc_count.load();
+  GZ_CHECK(snapshot.num_nodes() == w.num_nodes);
+  std::printf(
+      ",\n  {\"bench\": \"pipeline_alloc\", \"config\": \"disk_snapshot\",\n"
+      "   \"workload\": \"%s\", \"nodes\": %llu, \"allocs\": %llu,\n"
+      "   \"allocs_per_node\": %.3f}",
+      w.name.c_str(), static_cast<unsigned long long>(w.num_nodes),
+      static_cast<unsigned long long>(snapshot_allocs),
+      static_cast<double>(snapshot_allocs) /
+          static_cast<double>(w.num_nodes));
+  GZ_CHECK_MSG(snapshot_allocs <= 2 * w.num_nodes + kSnapshotConstAllocs,
+               "disk snapshot allocated more than 2 per node");
   std::printf("\n]\n");
   return 0;
 }

@@ -62,8 +62,11 @@ DiskAdjacencyGraph::CacheEntry& DiskAdjacencyGraph::Fetch(NodeId v) {
   std::memcpy(&degree, buf.data(), sizeof(degree));
   GZ_CHECK(degree <= params_.max_degree);
   entry.neighbors.resize(degree);
-  std::memcpy(entry.neighbors.data(), buf.data() + sizeof(degree),
-              degree * sizeof(NodeId));
+  // An empty vector's data() may be null, which memcpy must never see.
+  if (degree > 0) {
+    std::memcpy(entry.neighbors.data(), buf.data() + sizeof(degree),
+                degree * sizeof(NodeId));
+  }
   lru_.push_front(v);
   entry.lru_pos = lru_.begin();
   return cache_.emplace(v, std::move(entry)).first->second;
@@ -84,8 +87,10 @@ void DiskAdjacencyGraph::WriteBack(NodeId v, const CacheEntry& entry) {
   std::vector<uint8_t> buf(region_bytes_, 0);
   const uint32_t degree = static_cast<uint32_t>(entry.neighbors.size());
   std::memcpy(buf.data(), &degree, sizeof(degree));
-  std::memcpy(buf.data() + sizeof(degree), entry.neighbors.data(),
-              degree * sizeof(NodeId));
+  if (degree > 0) {
+    std::memcpy(buf.data() + sizeof(degree), entry.neighbors.data(),
+                degree * sizeof(NodeId));
+  }
   const off_t offset = static_cast<off_t>(region_bytes_) * v;
   const ssize_t wrote = ::pwrite(fd_, buf.data(), region_bytes_, offset);
   GZ_CHECK_MSG(wrote == static_cast<ssize_t>(region_bytes_),

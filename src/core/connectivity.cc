@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "dsu/dsu.h"
@@ -190,14 +190,18 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
   // in place), members grouped by root (cursor counts, then places
   // them) and cut into build chunks, and the component's cut sample in
   // samples[k]. Only components spanning several chunks park their
-  // chunk sums in `partials` (CubeSketch per chunk) until folded.
-  // The index buffers live across rounds so later rounds reuse them.
+  // chunk sums in `partials` (one round_stride slot per chunk, in one
+  // flat buffer) until folded. The buffers live across rounds so later
+  // rounds reuse them.
+  const SketchLayout& layout = snapshot.sketch(0).layout();
+  const size_t round_bytes = layout.round_bytes();
+  const size_t stride = layout.round_stride();
   std::vector<uint64_t> cursor(num_nodes);
   std::vector<int64_t> slot_of(num_nodes);
   std::vector<NodeId> members;
   std::vector<BuildChunk> chunks;
   std::vector<SpreadComponent> spread;
-  std::vector<std::optional<CubeSketch>> partials;
+  std::vector<uint8_t> partials;  // operator new aligns it to 16.
   std::vector<SketchSample> samples;
   const size_t num_blocks =
       (num_nodes + kSampleBlockNodes - 1) / kSampleBlockNodes;
@@ -251,27 +255,28 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
         members[cursor[root_of[i]]++] = static_cast<NodeId>(i);
       }
     }
-    partials.assign(num_partials, std::nullopt);
+    partials.resize(num_partials * stride);
+    auto slot = [&](size_t p) { return partials.data() + p * stride; };
     run(num_members >= kMinParallelBuildMembers, chunks.size(),
         [&](size_t c) {
           const BuildChunk& ch = chunks[c];
-          CubeSketch sum = snapshot.sketch(members[ch.begin]).subsketch(round);
+          std::vector<uint8_t> whole(ch.partial < 0 ? stride : 0);
+          uint8_t* sum = ch.partial < 0 ? whole.data() : slot(ch.partial);
+          std::memcpy(sum, snapshot.sketch(members[ch.begin]).subsketch(round),
+                      round_bytes);
           for (size_t k = ch.begin + 1; k < ch.end; ++k) {
-            sum.Merge(snapshot.sketch(members[k]).subsketch(round));
+            XorBytes(sum, snapshot.sketch(members[k]).subsketch(round),
+                     round_bytes);
           }
-          if (ch.partial < 0) {
-            samples[ch.comp] = sum.Query();
-          } else {
-            partials[ch.partial] = std::move(sum);
-          }
+          if (ch.partial < 0) samples[ch.comp] = layout.Query(round, sum);
         });
     run(spread.size() > 1, spread.size(), [&](size_t g) {
-      CubeSketch& sum = *partials[spread[g].first_partial];
+      uint8_t* sum = slot(spread[g].first_partial);
       for (size_t p = spread[g].first_partial + 1;
            p < spread[g].end_partial; ++p) {
-        sum.Merge(*partials[p]);
+        XorBytes(sum, slot(p), round_bytes);
       }
-      samples[spread[g].comp] = sum.Query();
+      samples[spread[g].comp] = layout.Query(round, sum);
     });
 
     // Phase 2: gather one candidate cut edge per live component, in

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "util/check.h"
 
@@ -149,18 +150,14 @@ Status OpenSnapshotFile(const std::string& path, FILE** out, Header* header,
   return Status::Ok();
 }
 
-std::vector<CowSketch> ToHandles(std::vector<NodeSketch> sketches) {
-  std::vector<CowSketch> out;
-  out.reserve(sketches.size());
-  for (NodeSketch& s : sketches) out.emplace_back(std::move(s));
-  return out;
-}
-
 }  // namespace
 
 GraphSnapshot::GraphSnapshot(std::vector<NodeSketch> sketches,
                              uint64_t num_updates)
-    : GraphSnapshot(ToHandles(std::move(sketches)), num_updates) {}
+    : GraphSnapshot(std::vector<CowSketch>(
+                        std::make_move_iterator(sketches.begin()),
+                        std::make_move_iterator(sketches.end())),
+                    num_updates) {}
 
 GraphSnapshot::GraphSnapshot(std::vector<CowSketch> sketches,
                              uint64_t num_updates)
@@ -259,16 +256,12 @@ Result<GraphSnapshot> GraphSnapshot::Deserialize(const uint8_t* data,
   Status s = ParseBuffer(data, size, &header);
   if (s.ok()) s = RequireWhole(header);
   if (!s.ok()) return s;
-  const size_t record = NodeSketch::SerializedSizeFor(header.params);
-  std::vector<NodeSketch> sketches;
-  sketches.reserve(header.params.num_nodes);
-  const uint8_t* cursor = data + kHeaderBytes;
-  for (uint64_t i = 0; i < header.params.num_nodes; ++i) {
-    sketches.emplace_back(header.params);
-    sketches.back().DeserializeFrom(cursor);
-    cursor += record;
-  }
-  return GraphSnapshot(std::move(sketches), header.num_updates);
+  // A fold into the zero snapshot: each node clones the one shared zero
+  // sketch as its record lands.
+  GraphSnapshot snapshot = Zero(header.params);
+  snapshot.num_updates_ = header.num_updates;
+  GZ_CHECK_OK(snapshot.MergeSerialized(data, size));
+  return snapshot;
 }
 
 Status GraphSnapshot::FoldSerialized(
@@ -327,16 +320,6 @@ Status GraphSnapshot::SaveToSink(
 }
 
 Status GraphSnapshot::SaveToFile(const std::string& path) const {
-  return SaveStream(path, params(), num_updates_,
-                    [this](NodeId i) -> const NodeSketch& {
-                      return *sketches_[i];
-                    });
-}
-
-Status GraphSnapshot::SaveStream(
-    const std::string& path, const NodeSketchParams& params,
-    uint64_t num_updates,
-    const std::function<const NodeSketch&(NodeId)>& load) {
   FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::IoError("cannot create snapshot file: " + path);
@@ -348,7 +331,8 @@ Status GraphSnapshot::SaveStream(
         }
         return Status::Ok();
       },
-      params, 0, params.num_nodes, num_updates, load);
+      params(), 0, num_nodes(), num_updates_,
+      [this](NodeId i) -> const NodeSketch& { return *sketches_[i]; });
   std::fclose(f);
   return s;
 }
@@ -358,20 +342,15 @@ Result<GraphSnapshot> GraphSnapshot::LoadFromFile(const std::string& path) {
   Header header;
   Status s = OpenSnapshotFile(path, &f, &header);
   if (!s.ok()) return s;
-  const size_t record = NodeSketch::SerializedSizeFor(header.params);
-  std::vector<NodeSketch> sketches;
-  sketches.reserve(header.params.num_nodes);
-  std::vector<uint8_t> buf(record);
-  for (uint64_t i = 0; i < header.params.num_nodes; ++i) {
-    if (std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
-      std::fclose(f);
-      return Status::IoError("truncated snapshot file: " + path);
-    }
-    sketches.emplace_back(header.params);
-    sketches.back().DeserializeFrom(buf.data());
-  }
   std::fclose(f);
-  return GraphSnapshot(std::move(sketches), header.num_updates);
+  // The streaming loader, storing each record over the shared zero.
+  GraphSnapshot snapshot = Zero(header.params);
+  s = LoadStream(path, header.params, &snapshot.num_updates_,
+                 [&snapshot](NodeId i, const NodeSketch& sketch) {
+                   snapshot.sketches_[i] = CowSketch(sketch);
+                 });
+  if (!s.ok()) return s;
+  return snapshot;
 }
 
 Status GraphSnapshot::LoadStream(

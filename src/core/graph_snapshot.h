@@ -138,24 +138,18 @@ class GraphSnapshot {
       uint64_t num_updates,
       const std::function<const NodeSketch&(NodeId)>& load);
 
-  // File forms, always whole snapshots. LoadFromFile distinguishes a
-  // missing file (NotFound), a malformed header or partial range
-  // (InvalidArgument) and a short body (IoError).
+  // File forms, always whole snapshots, streamed one record at a time.
+  // LoadFromFile distinguishes a missing file (NotFound), a malformed
+  // header or partial range (InvalidArgument) and a short body (IoError).
   Status SaveToFile(const std::string& path) const;
   static Result<GraphSnapshot> LoadFromFile(const std::string& path);
 
-  // Streaming file forms: identical file format, but only one node
-  // record is in flight, for producers/consumers that cannot afford a
-  // materialized snapshot. SaveStream pulls each node's sketch from
-  // `load`; LoadStream validates the header against `expect_params`
-  // (InvalidArgument on mismatch), hands each record to `store`, and
-  // returns the saved update count. `offset` skips a caller-owned
-  // prefix first — how a shard checkpoint embeds a snapshot stream
-  // after its own header.
-  static Status SaveStream(
-      const std::string& path, const NodeSketchParams& params,
-      uint64_t num_updates,
-      const std::function<const NodeSketch&(NodeId)>& load);
+  // The streaming loader behind LoadFromFile, for consumers that cannot
+  // afford a materialized snapshot: validates the header against
+  // `expect_params` (InvalidArgument on mismatch), hands each record to
+  // `store`, and returns the saved update count. `offset` skips a
+  // caller-owned prefix first — how a shard checkpoint embeds a
+  // snapshot stream after its own header.
   static Status LoadStream(
       const std::string& path, const NodeSketchParams& expect_params,
       uint64_t* num_updates,

@@ -66,10 +66,7 @@ Status GraphZeppelin::Init() {
     if (!s.ok()) return s;
     store_ = std::move(disk_store);
   }
-  {
-    NodeSketch prototype(store_->params());
-    node_sketch_bytes_ = prototype.ByteSize();
-  }
+  node_sketch_bytes_ = NodeSketch::SerializedSizeFor(store_->params());
 
   // Work queue: 8 batches per worker, as in the paper.
   queue_ = std::make_unique<WorkQueue>(

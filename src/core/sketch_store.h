@@ -6,6 +6,9 @@
 // streaming model of Section 4, where batching (gutters) amortizes the
 // per-update I/O cost.
 //
+// Every sketch a store creates copies one zero sketch, so the graph's
+// seeds are hashed once per store.
+//
 // Thread safety: MergeDelta/Load/Share/Store are safe to call
 // concurrently from many Graph Workers; stores lock per node. Following
 // Section 5.1, workers accumulate a batch into a private delta sketch
@@ -13,6 +16,7 @@
 // shares its node sketches with snapshots copy-on-write (cow_sketch.h):
 // a merge into a node that a live snapshot still holds clones that node
 // first, under the node's lock, so the snapshot never sees the write.
+// The on-disk store XORs the delta straight into the record bytes.
 #ifndef GZ_CORE_SKETCH_STORE_H_
 #define GZ_CORE_SKETCH_STORE_H_
 
@@ -43,7 +47,8 @@ class SketchStore {
   virtual void Load(NodeId node, NodeSketch* out) = 0;
 
   // `node`'s current sketch as a snapshot handle: how a snapshot is
-  // captured. This loads a fresh copy; the in-RAM store shares its own.
+  // captured. This loads into a copy of the zero sketch; the in-RAM
+  // store shares its own.
   virtual CowSketch Share(NodeId node);
 
   // Overwrites `node`'s sketch with `sketch` (params must match).
@@ -53,12 +58,13 @@ class SketchStore {
   virtual size_t RamByteSize() const = 0;
   virtual size_t DiskByteSize() const = 0;
 
-  const NodeSketchParams& params() const { return params_; }
-  uint64_t num_nodes() const { return params_.num_nodes; }
+  // Normalized: rounds filled in when the config left them automatic.
+  const NodeSketchParams& params() const { return zero_.params(); }
+  uint64_t num_nodes() const { return params().num_nodes; }
 
  protected:
-  explicit SketchStore(const NodeSketchParams& params) : params_(params) {}
-  NodeSketchParams params_;
+  explicit SketchStore(const NodeSketchParams& params) : zero_(params) {}
+  const NodeSketch zero_;  // The empty sketch every node starts from.
 };
 
 class InMemorySketchStore : public SketchStore {
@@ -76,9 +82,6 @@ class InMemorySketchStore : public SketchStore {
   std::vector<CowSketch> sketches_;
   // One lock per node; 40 B each is negligible next to the sketches.
   std::unique_ptr<std::mutex[]> locks_;
-  // Every node sketch has this size; RamByteSize counts each node once
-  // without reading handles a worker may be swapping.
-  size_t node_bytes_ = 0;
 };
 
 class OnDiskSketchStore : public SketchStore {
@@ -100,9 +103,12 @@ class OnDiskSketchStore : public SketchStore {
   uint64_t bytes_written() const { return bytes_written_; }
 
  private:
+  uint8_t* ReadRecord(NodeId node);
+  void WriteRecord(NodeId node, const uint8_t* record);
+
   std::string path_;
   int fd_ = -1;
-  size_t record_bytes_ = 0;  // Serialized node-sketch size (uniform).
+  size_t record_bytes_;  // Serialized node-sketch size (uniform).
   std::unique_ptr<std::mutex[]> locks_;
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};

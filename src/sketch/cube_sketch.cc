@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "util/check.h"
 #include "util/xxhash.h"
@@ -14,6 +15,8 @@ constexpr uint64_t kColSeedTag = 0x636f6c5f73656564ULL;    // "col_seed"
 constexpr uint64_t kGammaSeedTag = 0x67616d6d615f7364ULL;  // "gamma_sd"
 constexpr uint64_t kDetSeedTag = 0x6465745f73656564ULL;    // "det_seed"
 
+constexpr size_t kBucketBytes = sizeof(uint64_t) + sizeof(uint32_t);
+
 int RowsForLength(uint64_t n) {
   GZ_CHECK(n >= 1);
   // ceil(log2(n)) geometric levels plus the always-on row 0.
@@ -23,175 +26,176 @@ int RowsForLength(uint64_t n) {
 
 }  // namespace
 
-size_t CubeSketch::NumBuckets(const CubeSketchParams& params) {
-  GZ_CHECK(params.cols >= 1);
+size_t SketchLayout::RoundBytes(uint64_t vector_len, int cols) {
+  GZ_CHECK(cols >= 1);
   // cols * rows column buckets plus the deterministic bucket.
-  return static_cast<size_t>(params.cols) * RowsForLength(params.vector_len) +
-         1;
+  return (static_cast<size_t>(cols) * RowsForLength(vector_len) + 1) *
+         kBucketBytes;
 }
 
-CubeSketch::CubeSketch(const CubeSketchParams& params)
-    : params_(params), rows_(RowsForLength(params.vector_len)) {
-  GZ_CHECK(params_.vector_len >= 1);
-  GZ_CHECK(params_.cols >= 1);
-  const size_t column_buckets = NumBuckets(params_) - 1;
-  alphas_.assign(column_buckets, 0);
-  gammas_.assign(column_buckets, 0);
-  col_seeds_.reserve(params_.cols);
-  gamma_seeds_.reserve(params_.cols + 1);
-  for (int c = 0; c < params_.cols; ++c) {
-    col_seeds_.push_back(XxHash64Word(kColSeedTag + c, params_.seed));
-    gamma_seeds_.push_back(XxHash64Word(kGammaSeedTag + c, params_.seed));
+SketchLayout::SketchLayout(uint64_t vector_len, int cols,
+                           const std::vector<uint64_t>& round_seeds)
+    : vector_len_(vector_len),
+      cols_(cols),
+      rows_(RowsForLength(vector_len)),
+      rounds_(static_cast<int>(round_seeds.size())),
+      column_buckets_(static_cast<size_t>(cols) * rows_),
+      round_bytes_(RoundBytes(vector_len, cols)),
+      round_stride_((round_bytes_ + 7) & ~size_t{7}) {
+  GZ_CHECK(rounds_ >= 1);
+  seeds_.reserve(round_seeds.size() * (2 * cols_ + 1));
+  for (uint64_t seed : round_seeds) {
+    for (int c = 0; c < cols_; ++c) {
+      seeds_.push_back(XxHash64Word(kColSeedTag + c, seed));
+    }
+    for (int c = 0; c < cols_; ++c) {
+      seeds_.push_back(XxHash64Word(kGammaSeedTag + c, seed));
+    }
+    // Seed for the deterministic bucket's checksum.
+    seeds_.push_back(XxHash64Word(kDetSeedTag, seed));
   }
-  // Seed for the deterministic bucket's checksum.
-  gamma_seeds_.push_back(XxHash64Word(kDetSeedTag, params_.seed));
 }
 
 // The update math itself lives in sketch_kernel.cc (UpdateOneScalar and
-// the SIMD kernels); this file only owns storage and bounds checks.
-void CubeSketch::Update(uint64_t idx) {
-  GZ_CHECK(idx < params_.vector_len);
-  // A single update can't fill a lane group; the scalar kernel is the
-  // reference path and the fastest choice here.
-  CubeSketchUpdateBatch(SketchKernel::kScalar, KernelArgs(&idx, 1));
-}
-
-void CubeSketch::UpdateBatch(const uint64_t* indices, size_t count) {
-  if (count == 0) return;
-  // Span-level bounds check, hoisted out of the per-update path: one
-  // max-reduction pass (vectorizable) instead of a branch per update.
-  uint64_t max_idx = 0;
-  for (size_t i = 0; i < count; ++i) {
-    max_idx = indices[i] > max_idx ? indices[i] : max_idx;
-  }
-  GZ_CHECK_MSG(max_idx < params_.vector_len, "batch index out of range");
-  UpdateBatchPrechecked(indices, count);
-}
-
-void CubeSketch::UpdateBatchPrechecked(const uint64_t* indices, size_t count) {
-  CubeSketchUpdateBatch(ActiveSketchKernel(), KernelArgs(indices, count));
-}
-
-void CubeSketch::UpdateBatchWithKernel(SketchKernel kernel,
-                                       const uint64_t* indices, size_t count) {
-  if (count == 0) return;
-  uint64_t max_idx = 0;
-  for (size_t i = 0; i < count; ++i) {
-    max_idx = indices[i] > max_idx ? indices[i] : max_idx;
-  }
-  GZ_CHECK_MSG(max_idx < params_.vector_len, "batch index out of range");
-  CubeSketchUpdateBatch(kernel, KernelArgs(indices, count));
-}
-
-CubeSketchKernelArgs CubeSketch::KernelArgs(const uint64_t* indices,
-                                            size_t count) {
+// the SIMD kernels); the layout only points the kernel at one round.
+void SketchLayout::Update(int round, uint8_t* slice, SketchKernel kernel,
+                          const uint64_t* indices, size_t count) const {
+  uint8_t* det = slice + column_buckets_ * kBucketBytes;
+  uint64_t det_alpha;
+  std::memcpy(&det_alpha, det, sizeof(det_alpha));
   CubeSketchKernelArgs args;
   args.indices = indices;
   args.count = count;
-  args.cols = params_.cols;
+  args.cols = cols_;
   args.rows = rows_;
-  args.col_seeds = col_seeds_.data();
-  args.gamma_seeds = gamma_seeds_.data();
-  args.alphas = alphas_.data();
-  args.gammas = gammas_.data();
-  args.det_alpha = &det_alpha_;
-  args.det_gamma = &det_gamma_;
-  return args;
+  args.col_seeds = col_seeds(round);
+  args.gamma_seeds = col_seeds(round) + cols_;
+  args.alphas = reinterpret_cast<uint64_t*>(slice);
+  args.gammas = reinterpret_cast<uint32_t*>(
+      slice + column_buckets_ * sizeof(uint64_t));
+  args.det_alpha = &det_alpha;
+  args.det_gamma = reinterpret_cast<uint32_t*>(det + sizeof(uint64_t));
+  CubeSketchUpdateBatch(kernel, args);
+  std::memcpy(det, &det_alpha, sizeof(det_alpha));
 }
 
-SketchSample CubeSketch::Query() const {
+SketchSample SketchLayout::Query(int round, const uint8_t* slice) const {
+  const uint64_t* alphas = reinterpret_cast<const uint64_t*>(slice);
+  const uint32_t* gammas = reinterpret_cast<const uint32_t*>(
+      slice + column_buckets_ * sizeof(uint64_t));
+  const uint64_t* gamma_seeds = col_seeds(round) + cols_;
+  const uint8_t* det = slice + column_buckets_ * kBucketBytes;
+  uint64_t det_alpha;
+  uint32_t det_gamma;
+  std::memcpy(&det_alpha, det, sizeof(det_alpha));
+  std::memcpy(&det_gamma, det + sizeof(det_alpha), sizeof(det_gamma));
+
   // Deterministic bucket: zero detection and O(1) singleton recovery.
-  if (det_alpha_ == 0 && det_gamma_ == 0) return SketchSample::Zero();
-  if (det_alpha_ != 0 && det_alpha_ <= params_.vector_len) {
+  if (det_alpha == 0 && det_gamma == 0) return SketchSample::Zero();
+  if (det_alpha != 0 && det_alpha <= vector_len_) {
     const uint32_t expect =
-        static_cast<uint32_t>(XxHash64Word(det_alpha_, gamma_seeds_.back()));
-    if (expect == det_gamma_) return SketchSample::Good(det_alpha_ - 1);
+        static_cast<uint32_t>(XxHash64Word(det_alpha, gamma_seeds[cols_]));
+    if (expect == det_gamma) return SketchSample::Good(det_alpha - 1);
   }
 
   // Scan each column from the deepest (sparsest) row upward: deep rows
   // are the most likely to hold a single survivor.
-  for (int c = 0; c < params_.cols; ++c) {
+  for (int c = 0; c < cols_; ++c) {
     for (int r = rows_ - 1; r >= 0; --r) {
-      const uint64_t alpha = alphas_[BucketIndex(c, r)];
-      const uint32_t gamma = gammas_[BucketIndex(c, r)];
-      if (alpha == 0 || alpha > params_.vector_len) continue;
+      const size_t b = static_cast<size_t>(c) * rows_ + r;
+      const uint64_t alpha = alphas[b];
+      if (alpha == 0 || alpha > vector_len_) continue;
       const uint32_t expect =
-          static_cast<uint32_t>(XxHash64Word(alpha, gamma_seeds_[c]));
-      if (expect == gamma) return SketchSample::Good(alpha - 1);
+          static_cast<uint32_t>(XxHash64Word(alpha, gamma_seeds[c]));
+      if (expect == gammas[b]) return SketchSample::Good(alpha - 1);
     }
   }
   return SketchSample::Fail();
 }
 
+void XorBytes(uint8_t* dst, const uint8_t* src, size_t bytes) {
+  // A plain byte loop: defined for any alignment, and -O3 vectorizes it.
+  for (size_t i = 0; i < bytes; ++i) dst[i] ^= src[i];
+}
+
+SketchBlock::SketchBlock(std::shared_ptr<const SketchLayout> layout)
+    : layout_(std::move(layout)),
+      bytes_(layout_->rounds() * layout_->round_stride(), 0) {}
+
+void SketchBlock::Clear() {
+  std::memset(bytes_.data(), 0, bytes_.size());
+}
+
+void SketchBlock::UpdateRounds(SketchKernel kernel, const uint64_t* indices,
+                               size_t count, const char* range_error) {
+  if (count == 0) return;
+  // One vectorizable max-reduction instead of a branch per update.
+  uint64_t max_idx = 0;
+  for (size_t i = 0; i < count; ++i) {
+    max_idx = indices[i] > max_idx ? indices[i] : max_idx;
+  }
+  GZ_CHECK_MSG(max_idx < layout_->vector_len(), range_error);
+  // Round-major: each round's buckets stay cache-resident (the unit of
+  // the paper's sketch-level parallelism).
+  for (int r = 0; r < layout_->rounds(); ++r) {
+    layout_->Update(r, round_data(r), kernel, indices, count);
+  }
+}
+
+void SketchBlock::MergeBlock(const SketchBlock& other) {
+  XorBytes(bytes_.data(), other.bytes_.data(), bytes_.size());
+}
+
+void SketchBlock::SerializeTo(uint8_t* out) const {
+  const size_t bytes = layout_->round_bytes();
+  for (int r = 0; r < layout_->rounds(); ++r) {
+    std::memcpy(out + r * bytes, subsketch(r), bytes);
+  }
+}
+
+void SketchBlock::DeserializeFrom(const uint8_t* in) {
+  const size_t bytes = layout_->round_bytes();
+  for (int r = 0; r < layout_->rounds(); ++r) {
+    std::memcpy(round_data(r), in + r * bytes, bytes);
+  }
+}
+
+void SketchBlock::MergeSerialized(const uint8_t* in) {
+  const size_t bytes = layout_->round_bytes();
+  for (int r = 0; r < layout_->rounds(); ++r) {
+    XorBytes(round_data(r), in + r * bytes, bytes);
+  }
+}
+
+void SketchBlock::MergeIntoSerialized(uint8_t* record) const {
+  const size_t bytes = layout_->round_bytes();
+  for (int r = 0; r < layout_->rounds(); ++r) {
+    XorBytes(record + r * bytes, subsketch(r), bytes);
+  }
+}
+
+CubeSketch::CubeSketch(const CubeSketchParams& params)
+    : SketchBlock(std::make_shared<const SketchLayout>(
+          params.vector_len, params.cols,
+          std::vector<uint64_t>{params.seed})),
+      params_(params) {}
+
+void CubeSketch::Update(uint64_t idx) {
+  GZ_CHECK(idx < params_.vector_len);
+  // A single update can't fill a lane group; the scalar kernel is the
+  // reference path and the fastest choice here.
+  UpdateRounds(SketchKernel::kScalar, &idx, 1, "index out of range");
+}
+
+void CubeSketch::UpdateBatchWithKernel(SketchKernel kernel,
+                                       const uint64_t* indices, size_t count) {
+  UpdateRounds(kernel, indices, count, "batch index out of range");
+}
+
 void CubeSketch::Merge(const CubeSketch& other) {
   GZ_CHECK_MSG(params_ == other.params_,
                "merging sketches with different parameters");
-  for (size_t i = 0; i < alphas_.size(); ++i) {
-    alphas_[i] ^= other.alphas_[i];
-    gammas_[i] ^= other.gammas_[i];
-  }
-  det_alpha_ ^= other.det_alpha_;
-  det_gamma_ ^= other.det_gamma_;
-}
-
-void CubeSketch::Clear() {
-  std::memset(alphas_.data(), 0, alphas_.size() * sizeof(uint64_t));
-  std::memset(gammas_.data(), 0, gammas_.size() * sizeof(uint32_t));
-  det_alpha_ = 0;
-  det_gamma_ = 0;
-}
-
-size_t CubeSketch::ByteSize() const {
-  // 12 bytes per bucket (alpha u64 + gamma u32), including the
-  // deterministic bucket.
-  return NumBuckets(params_) * (sizeof(uint64_t) + sizeof(uint32_t));
-}
-
-size_t CubeSketch::SerializedSizeFor(const CubeSketchParams& params) {
-  return NumBuckets(params) * (sizeof(uint64_t) + sizeof(uint32_t));
-}
-
-void CubeSketch::SerializeTo(uint8_t* out) const {
-  std::memcpy(out, alphas_.data(), alphas_.size() * sizeof(uint64_t));
-  out += alphas_.size() * sizeof(uint64_t);
-  std::memcpy(out, gammas_.data(), gammas_.size() * sizeof(uint32_t));
-  out += gammas_.size() * sizeof(uint32_t);
-  std::memcpy(out, &det_alpha_, sizeof(det_alpha_));
-  out += sizeof(det_alpha_);
-  std::memcpy(out, &det_gamma_, sizeof(det_gamma_));
-}
-
-void CubeSketch::DeserializeFrom(const uint8_t* in) {
-  std::memcpy(alphas_.data(), in, alphas_.size() * sizeof(uint64_t));
-  in += alphas_.size() * sizeof(uint64_t);
-  std::memcpy(gammas_.data(), in, gammas_.size() * sizeof(uint32_t));
-  in += gammas_.size() * sizeof(uint32_t);
-  std::memcpy(&det_alpha_, in, sizeof(det_alpha_));
-  in += sizeof(det_alpha_);
-  std::memcpy(&det_gamma_, in, sizeof(det_gamma_));
-}
-
-void CubeSketch::MergeSerialized(const uint8_t* in) {
-  // Same layout as DeserializeFrom; memcpy per word keeps unaligned
-  // reads defined and still vectorizes.
-  for (uint64_t& a : alphas_) {
-    uint64_t v;
-    std::memcpy(&v, in, sizeof(v));
-    a ^= v;
-    in += sizeof(v);
-  }
-  for (uint32_t& g : gammas_) {
-    uint32_t v;
-    std::memcpy(&v, in, sizeof(v));
-    g ^= v;
-    in += sizeof(v);
-  }
-  uint64_t alpha;
-  uint32_t gamma;
-  std::memcpy(&alpha, in, sizeof(alpha));
-  std::memcpy(&gamma, in + sizeof(alpha), sizeof(gamma));
-  det_alpha_ ^= alpha;
-  det_gamma_ ^= gamma;
+  MergeBlock(other);
 }
 
 }  // namespace gz

@@ -11,6 +11,11 @@
 // every update and is used both for O(1) recovery of singleton vectors
 // and for zero-vector detection.
 //
+// Storage: one flat bucket block per sketch, laid out by a SketchLayout
+// that every sketch of one vector family shares. A NodeSketch
+// (node_sketch.h) is such a block with one round per Boruvka round; a
+// CubeSketch is the same machinery with a single round.
+//
 // Linearity: two CubeSketches built with the same parameters and seed can
 // be merged with Merge() (elementwise XOR); the result is exactly the
 // sketch of the XOR (mod-2 sum) of the two input vectors.
@@ -19,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sketch/sketch_kernel.h"
@@ -38,24 +44,119 @@ struct CubeSketchParams {
   }
 };
 
-class CubeSketch {
+// Immutable geometry and hash seeds of `rounds` CubeSketch rounds over
+// one vector length, one seed per round, hashed once here. Round r of a
+// block sits at byte r * round_stride, in serialized record order:
+//
+//   cols*rows alphas (u64, column-major) | cols*rows gammas (u32) |
+//   det alpha (u64) | det gamma (u32)
+//
+// round_bytes = 12 * (cols*rows + 1), and a sketch's record is its
+// rounds' records concatenated. The stride rounds round_bytes up to 8 so
+// every round's alphas are 8-aligned; the det alpha's offset 12*cols*rows
+// is 8-aligned only when round_bytes is not, so it is accessed through
+// memcpy alone.
+class SketchLayout {
+ public:
+  SketchLayout(uint64_t vector_len, int cols,
+               const std::vector<uint64_t>& round_seeds);
+
+  // One round's record size from the geometry alone (no seeds hashed).
+  static size_t RoundBytes(uint64_t vector_len, int cols);
+
+  uint64_t vector_len() const { return vector_len_; }
+  int rows() const { return rows_; }
+  int rounds() const { return rounds_; }
+  size_t round_bytes() const { return round_bytes_; }
+  size_t round_stride() const { return round_stride_; }
+  size_t record_bytes() const { return round_bytes_ * rounds_; }
+
+  // Runs `kernel` over a bounds-checked span in the round at `slice`.
+  void Update(int round, uint8_t* slice, SketchKernel kernel,
+              const uint64_t* indices, size_t count) const;
+
+  // Samples the round at `slice`: a block's, or an XOR of several.
+  SketchSample Query(int round, const uint8_t* slice) const;
+
+ private:
+  const uint64_t* col_seeds(int round) const {
+    return seeds_.data() + static_cast<size_t>(round) * (2 * cols_ + 1);
+  }
+
+  uint64_t vector_len_;
+  int cols_;
+  int rows_;
+  int rounds_;
+  size_t column_buckets_;  // cols * rows.
+  size_t round_bytes_;
+  size_t round_stride_;
+  // Per round: cols placement seeds, then cols + 1 checksum seeds.
+  std::vector<uint64_t> seeds_;
+};
+
+// dst ^= src over `bytes` bytes: the one XOR routine behind every merge
+// of sketch state, in memory or against serialized records.
+void XorBytes(uint8_t* dst, const uint8_t* src, size_t bytes);
+
+// One bucket block and its shared layout: the storage and operations of
+// CubeSketch and NodeSketch. A copy is one allocation.
+class SketchBlock {
+ public:
+  const SketchLayout& layout() const { return *layout_; }
+
+  // Round `round`'s layout().round_bytes() bytes, 8-aligned.
+  const uint8_t* subsketch(int round) const {
+    return bytes_.data() + round * layout_->round_stride();
+  }
+
+  // Resets to the sketch of the zero vector.
+  void Clear();
+
+  // The paper's accounting, 12 bytes per bucket: the record size. The
+  // block's stride padding (at most 4 B per round) is not counted.
+  size_t ByteSize() const { return layout_->record_bytes(); }
+
+  // Flat serialization, one memcpy or XOR pass per round.
+  size_t SerializedSize() const { return layout_->record_bytes(); }
+  void SerializeTo(uint8_t* out) const;
+  void DeserializeFrom(const uint8_t* in);
+  // this ^= a same-params sketch's record, and record ^= this.
+  void MergeSerialized(const uint8_t* in);
+  void MergeIntoSerialized(uint8_t* record) const;
+
+ protected:
+  explicit SketchBlock(std::shared_ptr<const SketchLayout> layout);
+
+  // Bounds-checks the span once, then runs `kernel` in every round.
+  void UpdateRounds(SketchKernel kernel, const uint64_t* indices,
+                    size_t count, const char* range_error);
+  // Elementwise XOR; the caller has checked the params match.
+  void MergeBlock(const SketchBlock& other);
+
+  std::shared_ptr<const SketchLayout> layout_;
+  // rounds * round_stride bytes of raw storage, accessed as typed
+  // buckets; operator new aligns it to 16. Padding stays zero.
+  std::vector<uint8_t> bytes_;
+
+ private:
+  uint8_t* round_data(int round) {
+    return const_cast<uint8_t*>(subsketch(round));
+  }
+};
+
+class CubeSketch : public SketchBlock {
  public:
   explicit CubeSketch(const CubeSketchParams& params);
 
   // Toggles vector index `idx` (addition of 1 over Z_2).
   void Update(uint64_t idx);
 
-  // Applies a batch of toggles through the active sketch kernel
-  // (sketch_kernel.h): indices are bounds-checked once for the whole
-  // span, then processed in lane groups — 4 (AVX2) or 8 (AVX-512)
-  // placement hashes, checksums, and bucket depths per column computed
-  // in SIMD, followed by a scalar scatter-XOR into the bucket rows.
-  // Bitwise-identical to calling Update() per index, for every kernel.
-  void UpdateBatch(const uint64_t* indices, size_t count);
-
-  // Same, for callers that already validated every index against
-  // vector_len (NodeSketch hoists one span check over all rounds).
-  void UpdateBatchPrechecked(const uint64_t* indices, size_t count);
+  // Applies a batch of toggles through the active SIMD sketch kernel
+  // (sketch_kernel.h), bounds-checking the span once. Bitwise-identical
+  // to calling Update() per index, for every kernel.
+  void UpdateBatch(const uint64_t* indices, size_t count) {
+    UpdateBatchWithKernel(ActiveSketchKernel(), indices, count);
+  }
 
   // Same as UpdateBatch but with an explicit kernel, so tests and
   // benches can compare kernels within one process.
@@ -63,63 +164,22 @@ class CubeSketch {
                              size_t count);
 
   // Returns a nonzero coordinate, or kZero / kFail (see SketchSample).
-  SketchSample Query() const;
+  SketchSample Query() const { return layout().Query(0, subsketch(0)); }
 
   // Elementwise XOR with `other`, which must have identical params.
   // After the call, this sketch represents the mod-2 sum of both vectors.
   void Merge(const CubeSketch& other);
 
-  // Resets to the sketch of the zero vector.
-  void Clear();
-
   const CubeSketchParams& params() const { return params_; }
-  int rows() const { return rows_; }
+  int rows() const { return layout().rows(); }
   int cols() const { return params_.cols; }
 
-  // Total bucket count for the given params: cols * rows plus the
-  // deterministic bucket. The single source of bucket geometry shared
-  // by the constructor, ByteSize(), and SerializedSizeFor().
-  static size_t NumBuckets(const CubeSketchParams& params);
-
-  // Exact in-memory payload size: 12 bytes per bucket (64-bit alpha +
-  // 32-bit gamma), matching the paper's accounting.
-  size_t ByteSize() const;
-
-  // --- Flat serialization (used by the on-disk sketch store) -----------
-  size_t SerializedSize() const { return ByteSize(); }
-  // Record size for the given params without constructing a sketch;
-  // lets deserializers validate a buffer length before allocating.
-  static size_t SerializedSizeFor(const CubeSketchParams& params);
-  void SerializeTo(uint8_t* out) const;
-  void DeserializeFrom(const uint8_t* in);
-  // Merge() with a serialized same-params sketch, read from the bytes.
-  void MergeSerialized(const uint8_t* in);
-
   friend bool operator==(const CubeSketch& a, const CubeSketch& b) {
-    return a.params_ == b.params_ && a.alphas_ == b.alphas_ &&
-           a.gammas_ == b.gammas_ && a.det_alpha_ == b.det_alpha_ &&
-           a.det_gamma_ == b.det_gamma_;
+    return a.params_ == b.params_ && a.bytes_ == b.bytes_;
   }
 
  private:
-  // Bucket index within the flattened column-major arrays.
-  int BucketIndex(int col, int row) const { return col * rows_ + row; }
-
-  // Borrowing view of this sketch's geometry/buckets for the kernel.
-  CubeSketchKernelArgs KernelArgs(const uint64_t* indices, size_t count);
-
   CubeSketchParams params_;
-  int rows_;
-  // Structure-of-arrays bucket storage: alphas_[b] is the XOR of encoded
-  // indices in bucket b, gammas_[b] the XOR of their checksums.
-  std::vector<uint64_t> alphas_;
-  std::vector<uint32_t> gammas_;
-  // Deterministic bucket: receives every update.
-  uint64_t det_alpha_ = 0;
-  uint32_t det_gamma_ = 0;
-  // Per-column seeds for the placement hash h1 and checksum hash h2.
-  std::vector<uint64_t> col_seeds_;
-  std::vector<uint64_t> gamma_seeds_;
 };
 
 }  // namespace gz

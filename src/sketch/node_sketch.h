@@ -6,13 +6,16 @@
 //
 // All node sketches in one graph share hash seeds per (round, column):
 // that is what makes cross-node merging (summing sketches of a connected
-// component) yield a sketch of the component's cut vector.
+// component) yield a sketch of the component's cut vector. So the seeds
+// live in one SketchLayout (cube_sketch.h) per graph, and a node sketch
+// is one bucket block, its rounds laid out back to back exactly as in
+// its serialized record, each padded to 8 bytes. Copying a node sketch
+// is one allocation; sketches copied from one another share the layout.
 #ifndef GZ_SKETCH_NODE_SKETCH_H_
 #define GZ_SKETCH_NODE_SKETCH_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "sketch/cube_sketch.h"
 #include "sketch/sketch_sample.h"
@@ -32,62 +35,43 @@ struct NodeSketchParams {
   }
 };
 
-class NodeSketch {
+class NodeSketch : public SketchBlock {
  public:
+  // Builds the graph's layout, hashing every round's seeds. Code that
+  // needs many sketches of one graph builds one and copies it.
   explicit NodeSketch(const NodeSketchParams& params);
 
   // Number of Boruvka rounds supported: ceil(log_{3/2} V), following the
   // paper's failure check in list_spanning_forest().
   static int DefaultRounds(uint64_t num_nodes);
 
-  // Applies one edge-index toggle to every round's subsketch.
+  // Applies one edge-index toggle to every round.
   void Update(uint64_t edge_index);
 
-  // Applies a batch of edge-index toggles. Iterates subsketch-major so
-  // each CubeSketch's buckets stay cache-resident across the batch
-  // (this ordering is also the unit of the paper's sketch-level
-  // parallelism). Bounds-checks the span once, then feeds each round's
-  // CubeSketch the whole index span through the active SIMD sketch
-  // kernel (sketch_kernel.h) — the ingest workers' delta sketches go
-  // through exactly this path.
+  // Applies a batch of edge-index toggles: one span bounds check, then
+  // the active SIMD kernel over the whole span, round by round — the
+  // ingest workers' delta sketches go through exactly this path.
   void UpdateBatch(const uint64_t* indices, size_t count);
 
-  // Samples an incident (cut) edge index from round `round`'s subsketch.
+  // Samples an incident (cut) edge index from round `round`.
   SketchSample Query(int round) const;
 
   // Elementwise merge; both sketches must share params (and hence seeds).
   void Merge(const NodeSketch& other);
 
-  // Merge with a serialized record of a same-params sketch (the
-  // SerializeTo layout), XORed straight from the bytes: what
-  // Merge(DeserializeFrom(in)) computes, without the scratch sketch.
-  void MergeSerialized(const uint8_t* in);
-
-  void Clear();
-
-  int rounds() const { return static_cast<int>(subsketches_.size()); }
+  int rounds() const { return params_.rounds; }
   const NodeSketchParams& params() const { return params_; }
-  const CubeSketch& subsketch(int round) const { return subsketches_[round]; }
-  CubeSketch& mutable_subsketch(int round) { return subsketches_[round]; }
 
-  size_t ByteSize() const;
-
-  // Flat serialization for the on-disk sketch store. Size depends only
-  // on params, so every node's record has identical length.
-  size_t SerializedSize() const;
-  // Same, computed from params alone (no sketch construction); lets
+  // Record size from params alone (no layout, no seeds); lets
   // deserializers validate sizes before allocating anything.
   static size_t SerializedSizeFor(const NodeSketchParams& params);
-  void SerializeTo(uint8_t* out) const;
-  void DeserializeFrom(const uint8_t* in);
 
   friend bool operator==(const NodeSketch& a, const NodeSketch& b) {
-    return a.params_ == b.params_ && a.subsketches_ == b.subsketches_;
+    return a.params_ == b.params_ && a.bytes_ == b.bytes_;
   }
 
  private:
   NodeSketchParams params_;
-  std::vector<CubeSketch> subsketches_;
 };
 
 }  // namespace gz

@@ -59,10 +59,11 @@ SketchKernel ActiveSketchKernel();
 // must be supported on this CPU.
 void ForceSketchKernel(SketchKernel kernel);
 
-// One CubeSketch's geometry and bucket storage, flattened for the
-// kernel. All pointers borrow from the sketch; `indices` are raw vector
-// indices already validated < vector_len by the caller (the span-level
-// bounds check hoisted out of the per-update path).
+// One sketch round's geometry and bucket storage, flattened for the
+// kernel. All pointers borrow from the round's block slice and its
+// SketchLayout (cube_sketch.h); `indices` are raw vector indices already
+// validated < vector_len by the caller (the span-level bounds check
+// hoisted out of the per-update path).
 struct CubeSketchKernelArgs {
   const uint64_t* indices = nullptr;
   size_t count = 0;
