@@ -47,12 +47,6 @@ void WorkQueue::Close() {
   not_empty_.notify_all();
 }
 
-void WorkQueue::Reopen() {
-  std::lock_guard<std::mutex> lock(mu_);
-  GZ_CHECK_MSG(size_ == 0, "reopening a non-drained queue");
-  closed_ = false;
-}
-
 size_t WorkQueue::ApproxSize() {
   std::lock_guard<std::mutex> lock(mu_);
   return size_;

@@ -40,9 +40,6 @@ class WorkQueue {
   // After Close(), pushes fail and pops drain the remaining batches.
   void Close();
 
-  // Re-opens a closed, drained queue for another ingestion phase.
-  void Reopen();
-
   size_t ApproxSize();
 
   // In-flight accounting: a successful Push() increments; consumers

@@ -34,8 +34,6 @@ void WorkerPool::WorkerLoop() {
     delta.Clear();
     delta.UpdateBatch(batch->edge_indices(), batch->count);
     store_->MergeDelta(batch->node, delta);
-    updates_applied_.fetch_add(batch->count, std::memory_order_relaxed);
-    batches_applied_.fetch_add(1, std::memory_order_relaxed);
     batch_pool_->Release(batch);
     queue_->MarkDone();
   }

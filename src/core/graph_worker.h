@@ -10,7 +10,6 @@
 #ifndef GZ_CORE_GRAPH_WORKER_H_
 #define GZ_CORE_GRAPH_WORKER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -41,9 +40,6 @@ class WorkerPool {
   // destructor.
   void Stop();
 
-  uint64_t updates_applied() const { return updates_applied_.load(); }
-  uint64_t batches_applied() const { return batches_applied_.load(); }
-
  private:
   void WorkerLoop();
 
@@ -52,8 +48,6 @@ class WorkerPool {
   SketchStore* store_;
   int num_workers_;
   std::vector<std::thread> threads_;
-  std::atomic<uint64_t> updates_applied_{0};
-  std::atomic<uint64_t> batches_applied_{0};
   bool started_ = false;
 };
 

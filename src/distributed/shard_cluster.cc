@@ -7,13 +7,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "sketch/cube_sketch.h"
 #include "util/check.h"
 
 namespace gz {
 namespace {
 
 // Replay and routing frames are chunked so a shard's receive buffer
-// stays bounded no matter how long an unacked log grows.
+// stays bounded no matter how long an update log grows.
 constexpr size_t kMaxUpdatesPerFrame = 1 << 18;
 
 }  // namespace
@@ -75,11 +76,8 @@ ShardCluster::ShardCluster(const GraphZeppelinConfig& base, int num_shards,
         endpoint_error_ = parsed.status();
       }
     }
-    const int id = AllocateShardSlot(std::move(endpoints));
+    const int id = AllocateShardSlot(endpoints);
     GZ_CHECK(id == s);
-    for (int r = 0; r < replication_; ++r) {
-      procs_[id][r] = MakeTransportFor(id, r);
-    }
   }
 }
 
@@ -96,28 +94,19 @@ ShardCluster::~ShardCluster() {
   }
 }
 
-std::unique_ptr<ShardTransport> ShardCluster::MakeTransportFor(
-    int shard, int replica) const {
+int ShardCluster::AllocateShardSlot(
+    const std::vector<ShardEndpoint>& endpoints) {
+  GZ_CHECK(endpoints.size() == static_cast<size_t>(replication_));
+  const int id = num_shards();
+  Shard& shard = shards_.emplace_back();
+  shard.replicas.resize(replication_);
   ShardTransportOptions topts;
   topts.binary = binary_;
-  topts.log_path = LogPath(shard, replica);
   topts.auth_secret = options_.auth_secret;
-  return MakeShardTransport(endpoints_[shard][replica], topts);
-}
-
-int ShardCluster::AllocateShardSlot(std::vector<ShardEndpoint> endpoints) {
-  GZ_CHECK(endpoints.size() == static_cast<size_t>(replication_));
-  const int id = static_cast<int>(procs_.size());
-  procs_.emplace_back(replication_);  // Replica transports, still null.
-  endpoints_.push_back(std::move(endpoints));
-  down_.emplace_back(replication_, true);  // Up only once configured.
-  route_bufs_.emplace_back();
-  unacked_.emplace_back(replication_);
-  pending_deltas_.emplace_back(replication_);
-  delta_seq_sent_.emplace_back(replication_, 0);
-  checkpoint_delta_seq_.emplace_back(replication_, 0);
-  has_checkpoint_.emplace_back(replication_, false);
-  checkpoint_updates_.emplace_back(replication_, 0);
+  for (int r = 0; r < replication_; ++r) {
+    topts.log_path = LogPath(id, r);
+    shard.replicas[r].proc = MakeShardTransport(endpoints[r], topts);
+  }
   return id;
 }
 
@@ -125,43 +114,35 @@ void ShardCluster::ReleaseLastShardSlot(int id) {
   // Full rollback of a just-allocated id whose spawn failed: a burned
   // id would make identical op sequences hand out different ids — and
   // different tables — depending on whether a spawn happened to fail.
-  GZ_CHECK(id == static_cast<int>(procs_.size()) - 1);
-  procs_.pop_back();
-  endpoints_.pop_back();
-  down_.pop_back();
-  route_bufs_.pop_back();
-  unacked_.pop_back();
-  pending_deltas_.pop_back();
-  delta_seq_sent_.pop_back();
-  checkpoint_delta_seq_.pop_back();
-  has_checkpoint_.pop_back();
-  checkpoint_updates_.pop_back();
+  // Destroying a transport terminates its replica.
+  GZ_CHECK(id == num_shards() - 1);
+  shards_.pop_back();
 }
 
 std::vector<int> ShardCluster::ActiveShards() const {
   std::vector<int> ids;
   for (int s = 0; s < num_shards(); ++s) {
-    if (!procs_[s].empty()) ids.push_back(s);
+    if (!shard_removed(s)) ids.push_back(s);
   }
   return ids;
 }
 
 int ShardCluster::num_active_shards() const {
-  int n = 0;
-  for (const auto& p : procs_) n += !p.empty();
-  return n;
+  return static_cast<int>(ActiveShards().size());
 }
 
 int ShardCluster::FirstUnfencedReplica(int shard) const {
   for (int r = 0; r < replication_; ++r) {
-    if (!down_[shard][r]) return r;
+    if (!replica_down(shard, r)) return r;
   }
   return -1;
 }
 
 int ShardCluster::FirstLiveReplica(int shard) {
   for (int r = 0; r < replication_; ++r) {
-    if (!down_[shard][r] && procs_[shard][r]->Alive()) return r;
+    if (!replica_down(shard, r) && shards_[shard].replicas[r].proc->Alive()) {
+      return r;
+    }
   }
   return -1;
 }
@@ -187,23 +168,23 @@ std::string ShardCluster::LogPath(int shard, int replica) const {
 GraphZeppelinConfig ShardCluster::ShardConfigFor(int shard,
                                                  int replica) const {
   GraphZeppelinConfig config = base_;
-  config.instance_tag =
-      "shard" + std::to_string(shard) +
-      (replica > 0 ? "r" + std::to_string(replica) : std::string());
+  config.instance_tag = "shard" + std::to_string(shard);
+  if (replica > 0) config.instance_tag += "r" + std::to_string(replica);
   return config;
 }
 
 Status ShardCluster::SpawnAndConfigure(int shard, int replica, bool restore,
                                        uint64_t* restored,
                                        uint64_t* restored_delta_seq) {
-  ShardTransport& proc = *procs_[shard][replica];
+  Replica& rep = shards_[shard].replicas[replica];
+  ShardTransport& proc = *rep.proc;
   Status s = proc.Connect();
   if (!s.ok()) return s;
   ShardConfig sc;
   sc.config = ShardConfigFor(shard, replica);
   sc.shard_id = shard;
   sc.table = table_;
-  if (restore && has_checkpoint_[shard][replica]) {
+  if (restore && rep.has_checkpoint) {
     sc.restore_checkpoint = CheckpointPath(shard, replica);
   }
   const std::vector<uint8_t> payload = EncodeShardConfig(sc);
@@ -216,7 +197,7 @@ Status ShardCluster::SpawnAndConfigure(int shard, int replica, bool restore,
   }
   if (restored != nullptr) *restored = ack.value0;
   if (restored_delta_seq != nullptr) *restored_delta_seq = ack.value1;
-  down_[shard][replica] = false;
+  rep.down = false;
   return Status::Ok();
 }
 
@@ -234,7 +215,7 @@ Status ShardCluster::Start() {
   return Status::Ok();
 }
 
-Status ShardCluster::SendUpdateFrames(int shard, int replica,
+Status ShardCluster::SendUpdateFrames(const Replica& replica,
                                       const GraphUpdate* updates,
                                       size_t count) {
   // Every frame is stamped with the epoch it is sent (not originally
@@ -244,7 +225,7 @@ Status ShardCluster::SendUpdateFrames(int shard, int replica,
   const uint64_t epoch = table_.epoch;
   for (size_t off = 0; off < count; off += kMaxUpdatesPerFrame) {
     const size_t n = std::min(kMaxUpdatesPerFrame, count - off);
-    Status s = SendFrame2(procs_[shard][replica]->fd(),
+    Status s = SendFrame2(replica.proc->fd(),
                           ShardMessageType::kUpdateBatch, &epoch,
                           sizeof(epoch), updates + off,
                           n * sizeof(GraphUpdate));
@@ -262,31 +243,29 @@ Status ShardCluster::Update(const GraphUpdate* updates, size_t count) {
     // drop the whole frame it rides in.
     GZ_CHECK_MSG(static_cast<uint8_t>(updates[i].type) <= 1,
                  "invalid GraphUpdate type byte");
-    route_bufs_[ShardFor(updates[i].edge)].push_back(updates[i]);
+    shards_[ShardFor(updates[i].edge)].route_buf.push_back(updates[i]);
   }
-  for (int s = 0; s < num_shards(); ++s) {
-    std::vector<GraphUpdate>& buf = route_bufs_[s];
+  for (Shard& shard : shards_) {
+    std::vector<GraphUpdate>& buf = shard.route_buf;
     if (buf.empty()) continue;
-    GZ_CHECK_MSG(!procs_[s].empty(),
+    GZ_CHECK_MSG(!shard.replicas.empty(),
                  "table routed an update to a removed shard");
-    for (int r = 0; r < replication_; ++r) {
-      // Durability before transport: every replica's log must already
-      // cover these updates when a mid-frame send failure strikes, so
-      // repair can reconstruct the replica without loss.
-      unacked_[s][r].insert(unacked_[s][r].end(), buf.begin(), buf.end());
-      if (!down_[s][r]) {
-        Status st = SendUpdateFrames(s, r, buf.data(), buf.size());
-        if (!st.ok()) {
-          // Replica unreachable: fence it and keep buffering. Nothing
-          // is lost — the log holds everything since its checkpoint,
-          // and the other replicas keep ingesting.
-          down_[s][r] = true;
-        }
+    // Durability before transport: the shard's log must already cover
+    // these updates when a mid-frame send failure strikes, so repair
+    // can reconstruct any replica without loss.
+    shard.log.insert(shard.log.end(), buf.begin(), buf.end());
+    for (Replica& rep : shard.replicas) {
+      if (rep.down) continue;
+      if (!SendUpdateFrames(rep, buf.data(), buf.size()).ok()) {
+        // Replica unreachable: fence it. Nothing is lost — the log
+        // holds everything past its cursor — and the other replicas
+        // keep ingesting.
+        rep.down = true;
       }
     }
     buf.clear();  // Keeps capacity for the next span.
   }
-  // Periodic auto-checkpoint bounds the unacked logs: without it the
+  // Periodic auto-checkpoint bounds the update logs: without it the
   // coordinator would retain the whole stream in RAM. Best-effort — a
   // failure (down shard, unwritable checkpoint dir) defers truncation
   // to the next interval; ingestion itself keeps going, so the error
@@ -324,10 +303,10 @@ Status ShardCluster::Update(const GraphUpdate* updates, size_t count) {
 }
 
 Status ShardCluster::RequireAllHealthy() {
-  for (int s = 0; s < num_shards(); ++s) {
-    if (procs_[s].empty()) continue;  // Removed ids are not shards.
+  for (const int s : ActiveShards()) {  // Removed ids are not shards.
     for (int r = 0; r < replication_; ++r) {
-      if (down_[s][r] || !procs_[s][r]->Alive()) {
+      const Replica& rep = shards_[s].replicas[r];
+      if (rep.down || !rep.proc->Alive()) {
         return Status::FailedPrecondition(
             "shard " + std::to_string(s) +
             (r > 0 ? " replica " + std::to_string(r) : std::string()) +
@@ -348,15 +327,13 @@ Status ShardCluster::PipelinedBarrier(
   if (scope == BarrierScope::kAllReplicas) {
     Status s = RequireAllHealthy();
     if (!s.ok()) return s;
-    for (int i = 0; i < num_shards(); ++i) {
-      if (procs_[i].empty()) continue;
+    for (const int i : ActiveShards()) {
       for (int r = 0; r < replication_; ++r) targets.emplace_back(i, r);
     }
   } else {
     // One live replica per shard; a shard with none fails the fold the
     // same way the all-replica barrier reports a down shard.
-    for (int i = 0; i < num_shards(); ++i) {
-      if (procs_[i].empty()) continue;
+    for (const int i : ActiveShards()) {
       const int r = FirstLiveReplica(i);
       if (r < 0) {
         return Status::FailedPrecondition(
@@ -370,26 +347,26 @@ Status ShardCluster::PipelinedBarrier(
   Status first_error = Status::Ok();
   for (size_t t = 0; t < targets.size(); ++t) {
     const auto [i, r] = targets[t];
+    Replica& rep = shards_[i].replicas[r];
     const std::string payload =
         payload_for ? payload_for(i, r) : std::string();
-    Status s =
-        SendFrame(procs_[i][r]->fd(), type, payload.data(), payload.size());
+    Status s = SendFrame(rep.proc->fd(), type, payload.data(), payload.size());
     if (s.ok()) {
       sent[t] = true;
     } else {
-      down_[i][r] = true;
+      rep.down = true;
       if (first_error.ok()) first_error = s;
     }
   }
   for (size_t t = 0; t < targets.size(); ++t) {
     if (!sent[t]) continue;
     const auto [i, r] = targets[t];
+    Replica& rep = shards_[i].replicas[r];
     bool in_sync = false;
-    Status s =
-        RecvReply(procs_[i][r]->fd(), expected_reply, &reply_buf_, &in_sync);
+    Status s = RecvReply(rep.proc->fd(), expected_reply, &reply_buf_, &in_sync);
     if (s.ok() && on_reply) s = on_reply(i, r, reply_buf_);
     if (!s.ok()) {
-      if (!in_sync) down_[i][r] = true;
+      if (!in_sync) rep.down = true;
       if (first_error.ok()) first_error = s;
     }
   }
@@ -511,16 +488,15 @@ Status ShardCluster::BroadcastTable() {
       [&payload_str](int, int) { return payload_str; }, nullptr);
 }
 
-Status ShardCluster::SendDelta(int shard, int replica,
+Status ShardCluster::SendDelta(Replica& replica,
                                const std::vector<uint8_t>& bytes) {
   ShardAck ack;
-  Status s = procs_[shard][replica]->CallAck(ShardMessageType::kMergeDelta,
-                                             bytes.data(), bytes.size(),
-                                             &ack);
+  Status s = replica.proc->CallAck(ShardMessageType::kMergeDelta, bytes.data(),
+                                   bytes.size(), &ack);
   if (!s.ok()) {
     // Transport loss or a diverged shard; either way repair — replay or
     // reconcile — re-delivers the content.
-    down_[shard][replica] = true;
+    replica.down = true;
   }
   return s;
 }
@@ -567,10 +543,7 @@ Result<int> ShardCluster::AddShard(const std::string& endpoint) {
   Status s = RequireAllHealthy();
   if (!s.ok()) return s;
   const RoutingTable old_table = table_;
-  const int id = AllocateShardSlot(std::move(parsed).value());
-  for (int r = 0; r < replication_; ++r) {
-    procs_[id][r] = MakeTransportFor(id, r);
-  }
+  const int id = AllocateShardSlot(parsed.value());
   table_ = TableWithShardAdded(old_table, id);
   // The new shard's CONFIG already carries the new table, so it comes
   // up at the current epoch; everyone else learns it from the
@@ -580,7 +553,6 @@ Result<int> ShardCluster::AddShard(const std::string& endpoint) {
     s = SpawnAndConfigure(id, r, /*restore=*/false, nullptr, nullptr);
   }
   if (!s.ok()) {
-    for (auto& proc : procs_[id]) proc->Terminate();
     ReleaseLastShardSlot(id);
     table_ = old_table;
     return s;
@@ -593,7 +565,7 @@ Result<int> ShardCluster::AddShard(const std::string& endpoint) {
 Status ShardCluster::BeginRemoveShard(int shard) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   GZ_CHECK(shard >= 0 && shard < num_shards());
-  if (procs_[shard].empty()) {
+  if (shard_removed(shard)) {
     return Status::FailedPrecondition("shard already removed");
   }
   if (migration_.has_value()) {
@@ -630,7 +602,7 @@ Result<int> ShardCluster::BeginSplitShard(int shard,
                                           const std::string& endpoint) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   GZ_CHECK(shard >= 0 && shard < num_shards());
-  if (procs_[shard].empty()) {
+  if (shard_removed(shard)) {
     return Status::FailedPrecondition("shard already removed");
   }
   if (migration_.has_value()) {
@@ -649,16 +621,12 @@ Result<int> ShardCluster::BeginSplitShard(int shard,
   Status s = RequireAllHealthy();
   if (!s.ok()) return s;
   const RoutingTable old_table = table_;
-  const int id = AllocateShardSlot(std::move(parsed).value());
-  for (int r = 0; r < replication_; ++r) {
-    procs_[id][r] = MakeTransportFor(id, r);
-  }
+  const int id = AllocateShardSlot(parsed.value());
   table_ = TableWithShardSplit(old_table, shard, id);
   for (int r = 0; r < replication_ && s.ok(); ++r) {
     s = SpawnAndConfigure(id, r, /*restore=*/false, nullptr, nullptr);
   }
   if (!s.ok()) {
-    for (auto& proc : procs_[id]) proc->Terminate();
     ReleaseLastShardSlot(id);
     table_ = old_table;
     return s;
@@ -703,6 +671,8 @@ Status ShardCluster::PumpMigration() {
     return Status::FailedPrecondition(
         "migration shard is down; RestartShard() it, then keep pumping");
   }
+  Shard& source = shards_[m.source];
+  Shard& target = shards_[m.target];
   if (m.next_node < m.end_node) {
     const uint64_t lo = m.next_node;
     const uint64_t hi =
@@ -711,24 +681,17 @@ Status ShardCluster::PumpMigration() {
     // chunk cover everything framed to it so far), so a failure here
     // mutates nothing and the chunk is simply retried after repair.
     std::vector<uint8_t> chunk;
-    Status s = ExtractRange(m.source, src, lo, hi, &chunk);
+    Status s = ExtractRange(source.replicas[src], lo, hi, &chunk);
     if (!s.ok()) return s;
     // Durability before transport, as with the update logs: both folds
-    // — install on the target, XOR-cancel on the source — enter EVERY
-    // replica's pending-delta log and the cursor advances BEFORE any
+    // — install on the target, XOR-cancel on the source — enter their
+    // shard's pending-delta log and the cursor advances BEFORE any
     // frame is sent. Whatever dies after this point, restart replay
     // (with the checkpoint's delta sequence number skipping what a
     // published checkpoint already covers) re-delivers exactly the
     // missing folds, and the migration resumes at the next chunk.
-    for (int r = 0; r < replication_; ++r) {
-      pending_deltas_[m.target][r].push_back(
-          {++delta_seq_sent_[m.target][r], chunk});
-    }
-    for (int r = 0; r < replication_; ++r) {
-      pending_deltas_[m.source][r].push_back(
-          {++delta_seq_sent_[m.source][r],
-           r == replication_ - 1 ? std::move(chunk) : chunk});
-    }
+    target.deltas.push_back({++target.delta_seq_sent, chunk});
+    source.deltas.push_back({++source.delta_seq_sent, std::move(chunk)});
     m.next_node = hi;
     // BOTH sides' sends must be attempted even if the first fails: a
     // logged delta must either reach its replica now or leave that
@@ -739,25 +702,23 @@ Status ShardCluster::PumpMigration() {
     // truncate the one unsent fold, silently cancelling the chunk out
     // of the global XOR. Fenced replicas are skipped the same way: the
     // logged entry is their delivery.
-    Status install = Status::Ok();
-    for (int r = 0; r < replication_; ++r) {
-      if (down_[m.target][r]) continue;
-      Status st =
-          SendDelta(m.target, r, pending_deltas_[m.target][r].back().bytes);
-      if (!st.ok() && install.ok()) install = st;
-    }
-    Status cancel = Status::Ok();
-    for (int r = 0; r < replication_; ++r) {
-      if (down_[m.source][r]) continue;
-      Status st =
-          SendDelta(m.source, r, pending_deltas_[m.source][r].back().bytes);
-      if (!st.ok() && cancel.ok()) cancel = st;
-    }
+    const auto deliver = [this](Shard& shard) {
+      Status first_error = Status::Ok();
+      for (Replica& rep : shard.replicas) {
+        if (rep.down) continue;
+        Status st = SendDelta(rep, shard.deltas.back().bytes);
+        if (!st.ok() && first_error.ok()) first_error = st;
+      }
+      return first_error;
+    };
+    const Status install = deliver(target);
+    const Status cancel = deliver(source);
     return install.ok() ? cancel : install;
   }
   // Final step. For a split there is nothing left to do; for a removal
   // the source — now a zero sketch holding no routed slots — retires.
   if (m.kind == Migration::Kind::kRemove) {
+    Replica& retiring_rep = source.replicas[src];
     // The retiring shard's heavy-hitter counters are additive state
     // that no migration delta carries (deltas move XOR sketch content
     // only), so they are captured here, before the process goes away,
@@ -766,20 +727,9 @@ Status ShardCluster::PumpMigration() {
     // this step leaves nothing applied, so the step retries cleanly.
     HeavyHitterSketch source_hh;
     if (base_.heavy_hitter_width > 0) {
-      Status s = SendFrame(procs_[m.source][src]->fd(),
-                           ShardMessageType::kHeavyHitters, nullptr, 0);
-      if (!s.ok()) {
-        down_[m.source][src] = true;
-        return s;
-      }
-      bool in_sync = false;
-      s = RecvReply(procs_[m.source][src]->fd(),
-                    ShardMessageType::kHeavyHitterBytes, &reply_buf_,
-                    &in_sync);
-      if (!s.ok()) {
-        if (!in_sync) down_[m.source][src] = true;
-        return s;
-      }
+      Status s = RoundTrip(retiring_rep, ShardMessageType::kHeavyHitters,
+                           nullptr, 0, ShardMessageType::kHeavyHitterBytes);
+      if (!s.ok()) return s;
       Result<HeavyHitterSketch> hh = HeavyHitterSketch::Deserialize(
           reply_buf_.payload.data(), reply_buf_.payload.size());
       if (!hh.ok()) return hh.status();
@@ -790,7 +740,7 @@ Status ShardCluster::PumpMigration() {
     // the aggregate update count after the process goes away. A sticky
     // divergence error surfaces here and blocks the removal.
     ShardStatsEx retiring;
-    Status s = ReplicaStatsEx(m.source, src, &retiring);
+    Status s = ReplicaStatsEx(retiring_rep, &retiring);
     if (!s.ok()) return s;
     // Commit point: nothing below can fail, so the captured counters
     // and the update count land exactly once.
@@ -804,20 +754,17 @@ Status ShardCluster::PumpMigration() {
       }
     }
     for (int r = 0; r < replication_; ++r) {
-      if (!down_[m.source][r]) {
+      Replica& rep = source.replicas[r];
+      if (!rep.down) {
         ShardAck ignored;
-        procs_[m.source][r]->CallAck(ShardMessageType::kShutdown, nullptr, 0,
-                                     &ignored);  // Best-effort orderly exit.
+        rep.proc->CallAck(ShardMessageType::kShutdown, nullptr, 0,
+                          &ignored);  // Best-effort orderly exit.
       }
-      procs_[m.source][r]->Terminate();  // Degenerates to a reap.
+      rep.proc->Terminate();  // Degenerates to a reap.
       ::unlink(CheckpointPath(m.source, r).c_str());
       ::unlink((CheckpointPath(m.source, r) + ".tmp").c_str());
-      down_[m.source][r] = true;
-      unacked_[m.source][r].clear();
-      pending_deltas_[m.source][r].clear();
-      has_checkpoint_[m.source][r] = false;
     }
-    procs_[m.source].clear();
+    source = Shard();  // A removed id: no replicas, no books.
   }
   migration_.reset();
   return Status::Ok();
@@ -843,19 +790,16 @@ Result<int> ShardCluster::SplitShard(int shard,
 
 std::vector<bool> ShardCluster::HealthCheck() {
   std::vector<bool> alive(num_shards(), false);
-  for (int s = 0; s < num_shards(); ++s) {
-    if (procs_[s].empty()) continue;
+  for (const int s : ActiveShards()) {
     bool all_alive = true;
-    for (int r = 0; r < replication_; ++r) {
-      if (down_[s][r] || !procs_[s][r]->Alive()) {
+    for (Replica& rep : shards_[s].replicas) {
+      if (rep.down || !rep.proc->Alive()) {
         all_alive = false;
         continue;
       }
       ShardAck ack;
-      if (!procs_[s][r]
-               ->CallAck(ShardMessageType::kPing, nullptr, 0, &ack)
-               .ok()) {
-        down_[s][r] = true;
+      if (!rep.proc->CallAck(ShardMessageType::kPing, nullptr, 0, &ack).ok()) {
+        rep.down = true;
         all_alive = false;
       }
     }
@@ -866,41 +810,44 @@ std::vector<bool> ShardCluster::HealthCheck() {
 
 void ShardCluster::KillShard(int shard, bool observed) {
   GZ_CHECK(shard >= 0 && shard < num_shards());
-  GZ_CHECK_MSG(!procs_[shard].empty(), "shard already removed");
+  GZ_CHECK_MSG(!shard_removed(shard), "shard already removed");
   for (int r = 0; r < replication_; ++r) KillReplica(shard, r, observed);
 }
 
 void ShardCluster::KillReplica(int shard, int replica, bool observed) {
   GZ_CHECK(shard >= 0 && shard < num_shards());
   GZ_CHECK(replica >= 0 && replica < replication_);
-  GZ_CHECK_MSG(!procs_[shard].empty(), "shard already removed");
-  procs_[shard][replica]->Terminate();
-  if (observed) down_[shard][replica] = true;
+  GZ_CHECK_MSG(!shard_removed(shard), "shard already removed");
+  Replica& rep = shards_[shard].replicas[replica];
+  rep.proc->Terminate();
+  if (observed) rep.down = true;
 }
 
 Status ShardCluster::CorruptReplicaForTest(
     int shard, int replica, const std::vector<uint8_t>& delta_bytes) {
   GZ_CHECK(shard >= 0 && shard < num_shards());
   GZ_CHECK(replica >= 0 && replica < replication_);
-  GZ_CHECK_MSG(!procs_[shard].empty(), "shard already removed");
-  // Deliberately bypasses the pending-delta log AND delta_seq_sent_:
+  GZ_CHECK_MSG(!shard_removed(shard), "shard already removed");
+  // Deliberately bypasses the pending-delta log AND delta_seq_sent:
   // the fold lands on the shard but the coordinator's books never hear
   // of it. The replica's content and reported delta_seq now both
   // disagree with the books — silent divergence.
   ShardAck ack;
-  return procs_[shard][replica]->CallAck(ShardMessageType::kMergeDelta,
-                                         delta_bytes.data(),
-                                         delta_bytes.size(), &ack);
+  return shards_[shard].replicas[replica].proc->CallAck(
+      ShardMessageType::kMergeDelta, delta_bytes.data(), delta_bytes.size(),
+      &ack);
 }
 
 Status ShardCluster::RestartReplica(int shard, int replica) {
   GZ_CHECK(shard >= 0 && shard < num_shards());
   GZ_CHECK(replica >= 0 && replica < replication_);
   if (!started_) return Status::FailedPrecondition("cluster not started");
-  if (procs_[shard].empty()) {
+  if (shard_removed(shard)) {
     return Status::FailedPrecondition("shard was removed");
   }
-  procs_[shard][replica]->Terminate();  // Reaps; no-op if already dead.
+  Shard& books = shards_[shard];
+  Replica& rep = books.replicas[replica];
+  rep.proc->Terminate();  // Reaps; no-op if already dead.
   uint64_t restored = 0, restored_seq = 0;
   Status s = SpawnAndConfigure(shard, replica, /*restore=*/true, &restored,
                                &restored_seq);
@@ -908,46 +855,42 @@ Status ShardCluster::RestartReplica(int shard, int replica) {
   // Replay everything the restored checkpoint does not cover. The
   // on-disk checkpoint may be AHEAD of the last acked one (the shard
   // published it, then died before the ack): a checkpoint covers
-  // exactly the updates sent before its request — a prefix of the
-  // unacked log — so the restored position tells how much of the log
-  // to skip. The same reconciliation runs for migration deltas via the
-  // checkpoint's delta sequence number. Linearity makes the replayed
-  // replica bitwise-identical to one that never crashed either way.
-  const std::vector<GraphUpdate>& log = unacked_[shard][replica];
-  const uint64_t acked = has_checkpoint_[shard][replica]
-                             ? checkpoint_updates_[shard][replica]
-                             : 0;
-  if (restored < acked || restored - acked > log.size()) {
-    procs_[shard][replica]->Terminate();
-    down_[shard][replica] = true;
+  // exactly the updates sent before its request, so the restored
+  // stream position — anywhere from the replica's cursor to everything
+  // routed — says where in the shard's log replay starts. The same
+  // reconciliation runs for migration deltas via the checkpoint's
+  // delta sequence number. Linearity makes the replayed replica
+  // bitwise-identical to one that never crashed either way.
+  if (restored < rep.checkpoint_updates || restored < books.log_start ||
+      restored > books.position()) {
+    rep.proc->Terminate();
+    rep.down = true;
     return Status::Internal(
         "restored shard position " + std::to_string(restored) +
-        " is outside what the checkpoint plus the unacked log can "
-        "explain");
+        " is outside what the checkpoint plus the update log can explain");
   }
-  if (restored_seq < checkpoint_delta_seq_[shard][replica] ||
-      restored_seq > delta_seq_sent_[shard][replica]) {
-    procs_[shard][replica]->Terminate();
-    down_[shard][replica] = true;
+  if (restored_seq < rep.checkpoint_delta_seq ||
+      restored_seq > books.delta_seq_sent) {
+    rep.proc->Terminate();
+    rep.down = true;
     return Status::Internal(
         "restored shard delta sequence " + std::to_string(restored_seq) +
         " is outside what the checkpoint plus the pending deltas can "
         "explain");
   }
-  const size_t skip = static_cast<size_t>(restored - acked);
-  if (skip < log.size()) {
-    s = SendUpdateFrames(shard, replica, log.data() + skip,
-                         log.size() - skip);
+  if (restored < books.position()) {
+    s = SendUpdateFrames(rep, books.log.data() + (restored - books.log_start),
+                         books.position() - restored);
     if (!s.ok()) {
-      down_[shard][replica] = true;
+      rep.down = true;
       return s;
     }
   }
   // Replay order between updates and deltas does not matter — all XOR
   // folds commute — so deltas go second wholesale.
-  for (const PendingDelta& delta : pending_deltas_[shard][replica]) {
+  for (const PendingDelta& delta : books.deltas) {
     if (delta.seq <= restored_seq) continue;  // Checkpoint covers it.
-    s = SendDelta(shard, replica, delta.bytes);
+    s = SendDelta(rep, delta.bytes);
     if (!s.ok()) return s;
   }
   return Status::Ok();
@@ -956,7 +899,7 @@ Status ShardCluster::RestartReplica(int shard, int replica) {
 Status ShardCluster::RestartShard(int shard) {
   GZ_CHECK(shard >= 0 && shard < num_shards());
   if (!started_) return Status::FailedPrecondition("cluster not started");
-  if (procs_[shard].empty()) {
+  if (shard_removed(shard)) {
     return Status::FailedPrecondition("shard was removed");
   }
   Status first_error = Status::Ok();
@@ -970,47 +913,49 @@ Status ShardCluster::RestartShard(int shard) {
 Status ShardCluster::Shutdown() {
   if (!started_) return Status::Ok();
   Status first_error = Status::Ok();
-  for (int s = 0; s < num_shards(); ++s) {
-    if (procs_[s].empty()) continue;
-    for (int r = 0; r < replication_; ++r) {
-      if (down_[s][r] || !procs_[s][r]->Alive()) {
-        procs_[s][r]->Terminate();  // Reap whatever is left.
+  for (Shard& shard : shards_) {
+    for (Replica& rep : shard.replicas) {
+      if (rep.down || !rep.proc->Alive()) {
+        rep.proc->Terminate();  // Reap whatever is left.
         continue;
       }
       ShardAck ack;
-      Status st = procs_[s][r]->CallAck(ShardMessageType::kShutdown, nullptr,
-                                        0, &ack);
+      Status st =
+          rep.proc->CallAck(ShardMessageType::kShutdown, nullptr, 0, &ack);
       if (!st.ok() && first_error.ok()) first_error = st;
       // Orderly exit follows the ack; Kill() degenerates to a reap (the
       // SIGKILL lands on an exiting or exited process) and guarantees
       // no zombie either way.
-      procs_[s][r]->Terminate();
-      down_[s][r] = true;
+      rep.proc->Terminate();
+      rep.down = true;
     }
   }
   started_ = false;
   return first_error;
 }
 
-Status ShardCluster::ReplicaStatsEx(int shard, int replica,
-                                    ShardStatsEx* ex) {
-  Status s = SendFrame(procs_[shard][replica]->fd(),
-                       ShardMessageType::kStatsEx, nullptr, 0);
+Status ShardCluster::RoundTrip(Replica& replica, ShardMessageType type,
+                               const void* payload, size_t payload_bytes,
+                               ShardMessageType expected_reply) {
+  Status s = SendFrame(replica.proc->fd(), type, payload, payload_bytes);
   if (!s.ok()) {
-    down_[shard][replica] = true;
+    replica.down = true;
     return s;
   }
   bool in_sync = false;
-  s = RecvReply(procs_[shard][replica]->fd(),
-                ShardMessageType::kStatsReply, &reply_buf_, &in_sync);
-  if (!s.ok()) {
-    if (!in_sync) down_[shard][replica] = true;
-    return s;
-  }
+  s = RecvReply(replica.proc->fd(), expected_reply, &reply_buf_, &in_sync);
+  if (!s.ok() && !in_sync) replica.down = true;
+  return s;
+}
+
+Status ShardCluster::ReplicaStatsEx(Replica& replica, ShardStatsEx* ex) {
+  Status s = RoundTrip(replica, ShardMessageType::kStatsEx, nullptr, 0,
+                       ShardMessageType::kStatsReply);
+  if (!s.ok()) return s;
   s = DecodeShardStatsEx(reply_buf_.payload.data(),
                          reply_buf_.payload.size(), ex);
   if (!s.ok()) {
-    down_[shard][replica] = true;  // A garbled reply payload: lost sync.
+    replica.down = true;  // A garbled reply payload: lost sync.
   }
   return s;
 }
@@ -1018,7 +963,7 @@ Status ShardCluster::ReplicaStatsEx(int shard, int replica,
 Result<ShardStats> ShardCluster::Stats(int shard) {
   GZ_CHECK(shard >= 0 && shard < num_shards());
   if (!started_) return Status::FailedPrecondition("cluster not started");
-  if (procs_[shard].empty()) {
+  if (shard_removed(shard)) {
     return Status::FailedPrecondition("shard " + std::to_string(shard) +
                                       " was removed");
   }
@@ -1028,7 +973,7 @@ Result<ShardStats> ShardCluster::Stats(int shard) {
                                       " is down");
   }
   ShardStatsEx ex;
-  Status s = ReplicaStatsEx(shard, replica, &ex);
+  Status s = ReplicaStatsEx(shards_[shard].replicas[replica], &ex);
   if (!s.ok()) return s;
   ShardStats stats;
   stats.num_updates = ex.num_updates;
@@ -1040,64 +985,64 @@ Result<ShardStats> ShardCluster::Stats(int shard) {
 
 // ---- Replication -----------------------------------------------------------
 
-Status ShardCluster::ExtractRange(int shard, int replica, uint64_t lo,
-                                  uint64_t hi, std::vector<uint8_t>* bytes) {
+Status ShardCluster::ExtractRange(Replica& replica, uint64_t lo, uint64_t hi,
+                                  std::vector<uint8_t>* bytes) {
   const std::vector<uint8_t> req = EncodeMigrateExtract(lo, hi);
-  Status s = SendFrame(procs_[shard][replica]->fd(),
-                       ShardMessageType::kMigrateExtract, req.data(),
-                       req.size());
-  if (!s.ok()) {
-    down_[shard][replica] = true;
-    return s;
-  }
-  bool in_sync = false;
-  s = RecvReply(procs_[shard][replica]->fd(),
-                ShardMessageType::kMigrateData, &reply_buf_, &in_sync);
-  if (!s.ok()) {
-    if (!in_sync) down_[shard][replica] = true;
-    return s;
-  }
-  *bytes = std::move(reply_buf_.payload);
-  return Status::Ok();
+  Status s = RoundTrip(replica, ShardMessageType::kMigrateExtract, req.data(),
+                       req.size(), ShardMessageType::kMigrateData);
+  if (s.ok()) *bytes = std::move(reply_buf_.payload);
+  return s;
+}
+
+bool ShardCluster::AtBooksPosition(const Shard& shard,
+                                   const ShardStatsEx& ex) const {
+  return ex.num_updates == shard.position() &&
+         ex.delta_seq == shard.delta_seq_sent && ex.epoch == table_.epoch;
 }
 
 void ShardCluster::CommitCheckpoint(int shard, int replica,
                                     const ShardAck& ack) {
   // The checkpoint covers everything sent before it (the socket is FIFO
-  // and the shard single-threaded): all unacked updates AND all pending
-  // deltas up to the acked sequence number, so both logs restart there.
-  has_checkpoint_[shard][replica] = true;
-  checkpoint_updates_[shard][replica] = ack.value0;
-  checkpoint_delta_seq_[shard][replica] = ack.value1;
-  unacked_[shard][replica].clear();
-  std::vector<PendingDelta>& deltas = pending_deltas_[shard][replica];
-  deltas.erase(std::remove_if(deltas.begin(), deltas.end(),
-                              [&ack](const PendingDelta& d) {
-                                return d.seq <= ack.value1;
-                              }),
-               deltas.end());
+  // and the shard single-threaded): every logged update up to the acked
+  // stream position and every delta up to the acked sequence number.
+  Shard& books = shards_[shard];
+  Replica& rep = books.replicas[replica];
+  rep.has_checkpoint = true;
+  rep.checkpoint_updates = ack.value0;
+  rep.checkpoint_delta_seq = ack.value1;
+  // Trim what EVERY replica's checkpoint covers; a replica still behind
+  // (fenced, or without a checkpoint at all) pins the rest.
+  uint64_t updates = books.position(), seq = books.delta_seq_sent;
+  for (const Replica& r : books.replicas) {
+    updates = std::min(updates, r.checkpoint_updates);
+    seq = std::min(seq, r.checkpoint_delta_seq);
+  }
+  if (updates > books.log_start) {
+    books.log.erase(books.log.begin(),
+                    books.log.begin() + (updates - books.log_start));
+    books.log_start = updates;
+  }
+  std::erase_if(books.deltas,
+                [seq](const PendingDelta& d) { return d.seq <= seq; });
 }
 
 Status ShardCluster::RepairReplica(int shard, int replica, int reference,
-                                   uint64_t expected_updates,
-                                   GraphSnapshot* scratch,
                                    uint64_t* repaired_chunks) {
-  const bool rejoined = down_[shard][replica];
+  Shard& books = shards_[shard];
+  Replica& rep = books.replicas[replica];
+  const bool rejoined = rep.down;
   if (rejoined) {
     // Rejoin is reconnect + reconcile: the replica comes back EMPTY (a
     // zero sketch — the XOR identity) and the diff sweep below
-    // transfers exactly the reference's content. Its books and logs
-    // stay untouched until the repair completes, so a crash mid-repair
-    // leaves the classic restore+replay lineage intact — RestartShard
-    // still works, and so does another Reconcile.
-    procs_[shard][replica]->Terminate();
+    // transfers exactly the reference's content. Its cursor stays put
+    // until the repair completes, so a crash mid-repair leaves the
+    // classic restore+replay lineage intact — RestartShard still works,
+    // and so does another Reconcile.
+    rep.proc->Terminate();
     Status st = SpawnAndConfigure(shard, replica, /*restore=*/false, nullptr,
                                   nullptr);
-    if (!st.ok()) {
-      down_[shard][replica] = true;
-      return st;
-    }
-    down_[shard][replica] = true;  // Fenced until fully repaired.
+    rep.down = true;  // Fenced until fully repaired.
+    if (!st.ok()) return st;
   }
   // A live replica whose reported position matches the books AND whose
   // content sweep finds nothing needs no finalization — the common
@@ -1105,52 +1050,46 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
   bool position_ok = false;
   if (!rejoined) {
     ShardStatsEx ex;
-    Status st = ReplicaStatsEx(shard, replica, &ex);
+    Status st = ReplicaStatsEx(rep, &ex);
     if (!st.ok()) return st;
-    position_ok = ex.num_updates == expected_updates &&
-                  ex.delta_seq == delta_seq_sent_[shard][replica] &&
-                  ex.epoch == table_.epoch;
+    position_ok = AtBooksPosition(books, ex);
   }
+  constexpr size_t kHeader = GraphSnapshot::kHeaderBytes;
   uint64_t diffs = 0;
   for (uint64_t lo = 0; lo < base_.num_nodes;
        lo += options_.migrate_nodes_per_chunk) {
     const uint64_t hi =
         std::min(base_.num_nodes, lo + options_.migrate_nodes_per_chunk);
-    std::vector<uint8_t> want, have;
-    Status st = ExtractRange(shard, reference, lo, hi, &want);
+    std::vector<uint8_t> diff, have;
+    Status st = ExtractRange(books.replicas[reference], lo, hi, &diff);
     if (!st.ok()) return st;
-    st = ExtractRange(shard, replica, lo, hi, &have);
+    st = ExtractRange(rep, lo, hi, &have);
     if (!st.ok()) return st;
+    if (diff.size() != have.size() || diff.size() < kHeader) {
+      return Status::InvalidArgument(
+          "replica range replies for the same nodes differ in size");
+    }
     // Bitwise-equal records: nothing to do. (The headers carry each
     // replica's own update count, which the finalize step below syncs.)
-    if (want.size() == have.size() &&
-        want.size() >= GraphSnapshot::kHeaderBytes &&
-        std::equal(want.begin() + GraphSnapshot::kHeaderBytes, want.end(),
-                   have.begin() + GraphSnapshot::kHeaderBytes)) {
+    if (std::equal(diff.begin() + kHeader, diff.end(),
+                   have.begin() + kHeader)) {
       continue;
     }
     ++diffs;
-    // XOR-diff through the scratch snapshot: fold both serializations
-    // in (the range now holds reference XOR suspect), extract that
-    // difference, then fold the extraction back so the scratch returns
-    // to zero for the next chunk. Folding the difference into the
-    // suspect makes it equal to the reference — whichever copy was
-    // behind, the XOR moves it forward.
-    if (!scratch->valid()) *scratch = GraphSnapshot::Zero(SketchParams());
-    st = scratch->MergeSerialized(want.data(), want.size());
-    if (!st.ok()) return st;
-    st = scratch->MergeSerialized(have.data(), have.size());
-    if (!st.ok()) return st;
-    const std::vector<uint8_t> diff = scratch->ExtractNodeRange(lo, hi);
-    st = scratch->MergeSerialized(diff.data(), diff.size());
-    if (!st.ok()) return st;
+    // XOR-diff in place: both replies hold the same node range after a
+    // header whose update count range folds ignore, so XOR-ing the
+    // suspect's records into the reference's leaves exactly their
+    // difference. Folding it into the suspect makes it equal to the
+    // reference — whichever copy was behind, the XOR moves it forward.
+    XorBytes(diff.data() + kHeader, have.data() + kHeader,
+             diff.size() - kHeader);
     // Deliberately UNLOGGED (see Reconcile's contract): repair deltas
     // are content transfer, not replay lineage.
     ShardAck ack;
-    st = procs_[shard][replica]->CallAck(ShardMessageType::kMergeDelta,
-                                         diff.data(), diff.size(), &ack);
+    st = rep.proc->CallAck(ShardMessageType::kMergeDelta, diff.data(),
+                           diff.size(), &ack);
     if (!st.ok()) {
-      down_[shard][replica] = true;
+      rep.down = true;
       return st;
     }
   }
@@ -1159,24 +1098,24 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
   // fold carried no counts and the repair folds bumped the shard-side
   // delta sequence — assert the logical position the content
   // represents, then anchor everything with the replica's own
-  // checkpoint so its books and logs truncate to here. Only after both
-  // land does the replica rejoin the live set.
+  // checkpoint so its cursor moves to here. Only after both land does
+  // the replica rejoin the live set.
   const std::vector<uint8_t> sync =
-      EncodeSyncPosition(expected_updates, delta_seq_sent_[shard][replica]);
+      EncodeSyncPosition(books.position(), books.delta_seq_sent);
   const std::string path = CheckpointPath(shard, replica);
   ShardAck ack;
-  Status st = procs_[shard][replica]->CallAck(
-      ShardMessageType::kSyncPosition, sync.data(), sync.size(), &ack);
+  Status st = rep.proc->CallAck(ShardMessageType::kSyncPosition, sync.data(),
+                                sync.size(), &ack);
   if (st.ok()) {
-    st = procs_[shard][replica]->CallAck(ShardMessageType::kCheckpoint,
-                                         path.data(), path.size(), &ack);
+    st = rep.proc->CallAck(ShardMessageType::kCheckpoint, path.data(),
+                           path.size(), &ack);
   }
   if (!st.ok()) {
-    down_[shard][replica] = true;
+    rep.down = true;
     return st;
   }
   CommitCheckpoint(shard, replica, ack);
-  down_[shard][replica] = false;
+  rep.down = false;
   if (repaired_chunks != nullptr) *repaired_chunks += diffs;
   return Status::Ok();
 }
@@ -1184,35 +1123,23 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
 Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   if (repaired_chunks != nullptr) *repaired_chunks = 0;
-  // One scratch snapshot for every XOR diff, built lazily on the first
-  // differing chunk and re-zeroed after each use.
-  GraphSnapshot scratch;
   Status first_error = Status::Ok();
-  for (int s = 0; s < num_shards(); ++s) {
-    if (procs_[s].empty()) continue;
-    // What the books say the shard has ingested (identical across
-    // replicas: checkpointed + unacked always sums to every routed
-    // update). Replica 0's pair is also the serving watermark.
-    const uint64_t expected =
-        checkpoint_updates_[s][0] + unacked_[s][0].size();
+  for (const int s : ActiveShards()) {
     // Reference: the lowest-index live replica whose reported position
     // matches the books exactly. A diverged replica (an unlogged fold
     // moved its delta sequence past what the coordinator ever sent)
     // fails this check and becomes a repair target instead.
     int ref = -1;
     for (int r = 0; r < replication_ && ref < 0; ++r) {
-      if (down_[s][r] || !procs_[s][r]->Alive()) continue;
+      Replica& rep = shards_[s].replicas[r];
+      if (rep.down || !rep.proc->Alive()) continue;
       ShardStatsEx ex;
-      Status st = ReplicaStatsEx(s, r, &ex);
+      Status st = ReplicaStatsEx(rep, &ex);
       if (!st.ok()) {
         if (first_error.ok()) first_error = st;
         continue;
       }
-      if (ex.num_updates == expected &&
-          ex.delta_seq == delta_seq_sent_[s][r] &&
-          ex.epoch == table_.epoch) {
-        ref = r;
-      }
+      if (AtBooksPosition(shards_[s], ex)) ref = r;
     }
     if (ref < 0) {
       if (first_error.ok()) {
@@ -1225,8 +1152,7 @@ Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
     }
     for (int r = 0; r < replication_; ++r) {
       if (r == ref) continue;
-      Status st = RepairReplica(s, r, ref, expected, &scratch,
-                                repaired_chunks);
+      Status st = RepairReplica(s, r, ref, repaired_chunks);
       if (!st.ok() && first_error.ok()) first_error = st;
     }
   }
@@ -1236,20 +1162,16 @@ Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
 // ---- Serving tier ----------------------------------------------------------
 
 ShardWatermarks ShardCluster::Watermarks() const {
-  // Pure bookkeeping, no RPC: a shard's eventual update count is its
-  // last acked checkpoint position plus its unacked log (the log holds
-  // everything since, including updates buffered for a down replica),
-  // and its delta position is the deltas framed to it. FIFO sockets
-  // make shard content a pure function of this pair. Replica 0's books
-  // stand for the shard: every replica carries the same logical
-  // position, and repair-side checkpoints never move replica 0's
-  // delta sequence.
+  // Pure bookkeeping, no RPC: a shard's eventual update count is every
+  // update routed to it (the log holds whatever some replica's
+  // checkpoint does not cover, including updates waiting for a down
+  // replica), and its delta position is the deltas framed to it. FIFO
+  // sockets make shard content a pure function of this pair.
   ShardWatermarks marks;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (procs_[s].empty()) continue;
+  for (const int s : ActiveShards()) {
     ShardWatermark mark;
-    mark.num_updates = checkpoint_updates_[s][0] + unacked_[s][0].size();
-    mark.delta_seq = delta_seq_sent_[s][0];
+    mark.num_updates = shards_[s].position();
+    mark.delta_seq = shards_[s].delta_seq_sent;
     marks.emplace(s, mark);
   }
   return marks;
@@ -1284,16 +1206,16 @@ Status ShardCluster::CachedSnapshot(const GraphSnapshot** out) {
         table_.epoch, marks, TotalUpdates(marks), SketchParams(),
         [this](int shard, uint64_t lo, uint64_t hi,
                std::vector<uint8_t>* delta) {
-          if (procs_[shard].empty() || FirstUnfencedReplica(shard) < 0) {
+          if (FirstUnfencedReplica(shard) < 0) {
             return Status::FailedPrecondition(
                 "snapshot-cache refresh needs shard " +
                 std::to_string(shard) +
                 ", which is down; RestartShard() it first");
           }
           Status st = Status::Ok();
-          for (int r = 0; r < replication_; ++r) {
-            if (down_[shard][r]) continue;
-            st = ExtractRange(shard, r, lo, hi, delta);
+          for (Replica& rep : shards_[shard].replicas) {
+            if (rep.down) continue;
+            st = ExtractRange(rep, lo, hi, delta);
             if (st.ok()) return st;  // Fenced on failure; try the next.
           }
           return st;

@@ -16,21 +16,28 @@
 // every model below holds on every substrate; the unsharded
 // GraphZeppelin is the zero-transport ground truth they are pinned to.
 //
-// Durability model: the coordinator retains every update sent to a
-// shard since that shard's last acknowledged checkpoint (its "unacked"
-// log), plus every migration delta sent since then (its "pending
-// delta" log, with a per-shard sequence number the shard persists in
-// its checkpoint header). A shard that dies mid-stream is restarted
-// from its checkpoint and both logs are replayed — sketch linearity
-// makes replay order irrelevant and the rebuilt state bitwise-identical
-// to a run that never crashed. Updates routed to a down shard buffer in
-// the same log, so ingestion never stalls on a failure; only
+// Durability model: the coordinator keeps one set of books per shard
+// id, because every replica of a shard is sent the same stream. The
+// shard's update log holds every update routed to it from stream
+// position `log_start` on; its pending-delta log holds every migration
+// delta sent to it, under a per-shard sequence number the shard
+// persists in its checkpoint header. A replica keeps only its cursor
+// into those logs: the stream position and delta sequence number of
+// its last acknowledged checkpoint. Both logs are trimmed to the
+// lowest cursor over the shard's replicas, so a replica without a
+// checkpoint (or fenced with a stale one) pins them. A replica that
+// dies mid-stream is restarted from its checkpoint and both log
+// suffixes past its own cursor are replayed — sketch linearity makes
+// replay order irrelevant and the rebuilt state bitwise-identical to a
+// run that never crashed. Updates routed to a down replica wait in the
+// same log, so ingestion never stalls on a failure; only
 // Flush/Snapshot/Checkpoint require every shard healthy.
 //
 // Replication model: with replication_factor R > 1 every shard id is
-// backed by R replica processes. Each routed slab fans out to every
-// replica (each with its own unacked/pending-delta log), so all live
-// replicas of a shard are bitwise-identical at all times; folds
+// backed by R replica processes. Each routed slab is logged once for
+// the shard and fans out to every replica (each migration chunk is
+// logged once per side and sent the same way), so all live replicas
+// of a shard are bitwise-identical at all times; folds
 // (Snapshot, the serving cache) read any ONE live replica per shard
 // and fail over past dead ones. The repair path is anti-entropy, not
 // replay: Reconcile() pulls node-range chunks from a position-verified
@@ -150,10 +157,10 @@ class ShardCluster {
   }
   const RoutingTable& routing_table() const { return table_; }
 
-  // Routes the span: each shard's slice is appended to every replica's
-  // unacked log, then framed (scatter-gather, no copy, stamped with the
+  // Routes the span: each shard's slice is appended once to the shard's
+  // update log, then framed (scatter-gather, no copy, stamped with the
   // routing epoch) onto each live replica's socket. A replica that
-  // fails mid-send is fenced and its updates stay buffered; the call
+  // fails mid-send is fenced and the log keeps its updates; the call
   // still returns Ok because no update was lost. Reconcile() (or
   // RestartShard()) drains the backlog.
   Status Update(const GraphUpdate* updates, size_t count);
@@ -180,12 +187,12 @@ class ShardCluster {
   // unacked tail's counts) and are not repaired by anti-entropy
   // (Reconcile moves XOR sketch content, not additive counters).
   Result<HeavyHitterSketch> HeavyHitters();
-  // Checkpoints every replica of every shard. Each replica's unacked
-  // log and pending-delta log are truncated as its ack arrives —
-  // commits are per-replica, so a failure on one leaves the others'
-  // coordinator state consistent with their disk checkpoints (a
-  // replica whose checkpoint landed but whose ack was lost is
-  // reconciled at restart; see RestartShard).
+  // Checkpoints every replica of every shard. Each replica's cursor
+  // moves as its ack arrives and the shard's logs are trimmed to the
+  // lowest cursor — commits are per-replica, so a failure on one leaves
+  // the others' coordinator state consistent with their disk
+  // checkpoints (a replica whose checkpoint landed but whose ack was
+  // lost is reconciled at restart; see RestartShard).
   Status Checkpoint();
 
   // --- Replication ---------------------------------------------------------
@@ -210,7 +217,8 @@ class ShardCluster {
   // crash it has not detected yet.
   void KillReplica(int shard, int replica, bool observed = true);
   bool replica_down(int shard, int replica) const {
-    return down_[shard][replica];
+    const std::vector<Replica>& replicas = shards_[shard].replicas;
+    return replicas.empty() || replicas[replica].down;
   }
   // Test hook: folds `delta_bytes` (a serialized node range) into
   // one replica as an UNLOGGED kMergeDelta — silent divergence, exactly
@@ -264,7 +272,7 @@ class ShardCluster {
   // a failed send.
   void KillShard(int shard, bool observed = true);
   // Respawn one replica, restore its last checkpoint (if any), replay
-  // its unacked updates and its pending migration deltas (the
+  // the shard's logged updates and migration deltas past it (the
   // checkpoint's stream position and delta sequence number say exactly
   // which are already covered). Afterwards the replica is exactly
   // where it would be had it never died. This is the classic
@@ -292,7 +300,7 @@ class ShardCluster {
   // when a shard has none.
   Status CachedSnapshot(const GraphSnapshot** out);
   // The cluster's current serving position: per-shard watermarks from
-  // the durability logs (checkpointed + unacked updates, deltas sent).
+  // the shard books (updates routed, deltas sent).
   ShardWatermarks Watermarks() const;
   const SnapshotCache& snapshot_cache() const { return cache_; }
 
@@ -309,30 +317,61 @@ class ShardCluster {
 
   // Size of the shard-id space (ids are never reused; removed ids stay
   // allocated). Equals the active count until the first RemoveShard.
-  int num_shards() const { return static_cast<int>(procs_.size()); }
+  int num_shards() const { return static_cast<int>(shards_.size()); }
   // Ids of shards that currently exist, ascending.
   std::vector<int> ActiveShards() const;
   int num_active_shards() const;
-  bool shard_removed(int shard) const { return procs_[shard].empty(); }
+  bool shard_removed(int shard) const {
+    return shards_[shard].replicas.empty();
+  }
   // A shard counts as down when ANY of its replicas is fenced (the
-  // all-replica barriers refuse it).
+  // all-replica barriers refuse it). A removed id reads as down.
   bool shard_down(int shard) const {
-    for (const bool d : down_[shard]) {
-      if (d) return true;
+    for (int r = 0; r < replication_; ++r) {
+      if (replica_down(shard, r)) return true;
     }
     return false;
   }
+  // Updates and migration deltas the shard's logs retain: what its
+  // least-advanced replica's acked checkpoint does not cover.
   uint64_t unacked_updates(int shard) const {
-    return unacked_[shard][0].size();
+    return shards_[shard].log.size();
   }
   uint64_t pending_delta_count(int shard) const {
-    return pending_deltas_[shard][0].size();
+    return shards_[shard].deltas.size();
   }
 
  private:
   struct PendingDelta {
-    uint64_t seq = 0;  // 1-based per-replica kMergeDelta sequence number.
+    uint64_t seq = 0;  // 1-based per-shard kMergeDelta sequence number.
     std::vector<uint8_t> bytes;
+  };
+  // One replica: its connection, whether the coordinator has fenced it,
+  // and its cursor into the shard's logs — the position of its last
+  // ACKED checkpoint (the on-disk file may be newer if an ack was lost
+  // to a crash).
+  struct Replica {
+    std::unique_ptr<ShardTransport> proc;
+    bool down = true;  // Up only once configured.
+    bool has_checkpoint = false;
+    uint64_t checkpoint_updates = 0;    // Stream position; 0 = none yet.
+    uint64_t checkpoint_delta_seq = 0;  // Delta sequence number.
+  };
+  // One shard id's books, shared by all its replicas.
+  struct Shard {
+    std::vector<Replica> replicas;  // Empty marks a removed id.
+    // Routing buffer (capacity persists across spans); the fan-out to
+    // replicas happens at send time.
+    std::vector<GraphUpdate> route_buf;
+    // Every update routed to the shard from stream position log_start
+    // on; log_start is the lowest replica cursor.
+    uint64_t log_start = 0;
+    std::vector<GraphUpdate> log;
+    // Migration deltas past the lowest replica delta cursor.
+    std::vector<PendingDelta> deltas;
+    uint64_t delta_seq_sent = 0;  // Total ever sent.
+    // Every update ever routed to the shard.
+    uint64_t position() const { return log_start + log.size(); }
   };
   struct Migration {
     enum class Kind { kRemove, kSplit };
@@ -355,20 +394,18 @@ class ShardCluster {
   std::string CheckpointPath(int shard, int replica) const;
   std::string LogPath(int shard, int replica) const;
   GraphZeppelinConfig ShardConfigFor(int shard, int replica) const;
-  // Transport for one replica from endpoints_[shard][replica]
-  // (local -> fork/exec, thread -> server thread, tcp -> connect).
-  std::unique_ptr<ShardTransport> MakeTransportFor(int shard,
-                                                   int replica) const;
   // "" = all local; otherwise a comma-separated endpoint list, at most
   // one entry per replica (missing entries are local).
   Result<std::vector<ShardEndpoint>> ParseReplicaEndpoints(
       const std::string& endpoint) const;
-  // Grows every per-shard vector for a freshly allocated id, recording
-  // its replicas' endpoints.
-  int AllocateShardSlot(std::vector<ShardEndpoint> endpoints);
+  // Appends the books of a freshly allocated id, with one (not yet
+  // connected) transport per replica endpoint (local -> fork/exec,
+  // thread -> server thread, tcp -> connect).
+  int AllocateShardSlot(const std::vector<ShardEndpoint>& endpoints);
   // Rolls a just-allocated (still-last) id back out after a failed
-  // spawn, so a failed grow burns no id: identical op sequences hand
-  // out identical ids — and tables — whatever the substrate.
+  // spawn, terminating its replicas, so a failed grow burns no id:
+  // identical op sequences hand out identical ids — and tables —
+  // whatever the substrate.
   void ReleaseLastShardSlot(int id);
   // Lowest-index replica of `shard` the coordinator has not fenced
   // (-1 if none). What the send paths target.
@@ -380,16 +417,16 @@ class ShardCluster {
   Status BroadcastTable();
   // kMergeDelta RPC to one replica; fences it on failure (transport
   // loss or a diverged shard — either way repair re-delivers).
-  Status SendDelta(int shard, int replica, const std::vector<uint8_t>& bytes);
-  // Sends one epoch-stamped update frame chain for `buf[off..)`.
-  Status SendUpdateFrames(int shard, int replica, const GraphUpdate* updates,
+  Status SendDelta(Replica& replica, const std::vector<uint8_t>& bytes);
+  // Sends `updates` to one replica as epoch-stamped update frames.
+  Status SendUpdateFrames(const Replica& replica, const GraphUpdate* updates,
                           size_t count);
   // The one pipelined-barrier implementation every cluster-wide
   // operation shares: sends `type` (payload from `payload_for`, if
   // given) to every targeted replica, then collects a reply from EVERY
   // replica that got a request — even after a failure, so no reply is
   // ever left queued to desync a later barrier. A replica is fenced
-  // (down_) only when its connection lost sync, not on an
+  // (down) only when its connection lost sync, not on an
   // application-level kError. `on_reply` (optional) runs per
   // well-formed `expected_reply` frame; its error fails the barrier
   // without fencing. Returns the first error encountered.
@@ -400,15 +437,23 @@ class ShardCluster {
                                  const ShardFrame& reply)>& on_reply,
       BarrierScope scope = BarrierScope::kAllReplicas);
   Status RequireAllHealthy();
+  // One request/reply round trip to one replica; the reply lands in
+  // reply_buf_. Fences the replica when its connection lost sync, not
+  // on an application-level kError.
+  Status RoundTrip(Replica& replica, ShardMessageType type,
+                   const void* payload, size_t payload_bytes,
+                   ShardMessageType expected_reply);
   // One STATS_EX round trip to one replica; fences it on failure.
-  Status ReplicaStatsEx(int shard, int replica, ShardStatsEx* ex);
+  Status ReplicaStatsEx(Replica& replica, ShardStatsEx* ex);
+  // Whether a replica's reported position is exactly the shard's books.
+  bool AtBooksPosition(const Shard& shard, const ShardStatsEx& ex) const;
   // kMigrateExtract -> kMigrateData pull of [lo, hi) from one replica;
   // fences it on failure. Read-only on the shard.
-  Status ExtractRange(int shard, int replica, uint64_t lo, uint64_t hi,
+  Status ExtractRange(Replica& replica, uint64_t lo, uint64_t hi,
                       std::vector<uint8_t>* bytes);
-  // Moves one replica's books to its acked checkpoint (ack = its stream
-  // position and delta sequence number) and truncates the logs it
-  // covers.
+  // Moves one replica's cursor to its acked checkpoint (ack = its
+  // stream position and delta sequence number), then trims the shard's
+  // logs to what every replica's checkpoint covers.
   void CommitCheckpoint(int shard, int replica, const ShardAck& ack);
   // The cluster's stream position at `marks`: every shard's books plus
   // what removed shards ingested — the count both folds report.
@@ -418,7 +463,6 @@ class ShardCluster {
   NodeSketchParams SketchParams() const;
   // Reconcile's inner loop: repair `replica` against `reference`.
   Status RepairReplica(int shard, int replica, int reference,
-                       uint64_t expected_updates, GraphSnapshot* scratch,
                        uint64_t* repaired_chunks);
 
   GraphZeppelinConfig base_;
@@ -432,30 +476,9 @@ class ShardCluster {
   bool started_ = false;
 
   RoutingTable table_;
-  // Outer index = shard id (empty marks a removed id — never reused);
-  // inner index = replica.
-  std::vector<std::vector<std::unique_ptr<ShardTransport>>> procs_;
-  // Where each replica lives (kept for removed ids too; the id space
-  // never shrinks).
-  std::vector<std::vector<ShardEndpoint>> endpoints_;
-  std::vector<std::vector<bool>> down_;
-  // Per-shard routing buffers (capacity persists across spans); one per
-  // shard, not per replica — the fan-out happens at send time.
-  std::vector<std::vector<GraphUpdate>> route_bufs_;
-  // Per-replica updates sent since that replica's last acked
-  // checkpoint. All replicas of a shard carry the same SUM of
-  // checkpointed + unacked updates; the split point is per-replica.
-  std::vector<std::vector<std::vector<GraphUpdate>>> unacked_;
-  // Per-replica migration deltas sent since the last acked checkpoint,
-  // with the sequence numbers the shard's checkpoint header reconciles
-  // against on restart.
-  std::vector<std::vector<std::vector<PendingDelta>>> pending_deltas_;
-  std::vector<std::vector<uint64_t>> delta_seq_sent_;  // Total ever sent.
-  std::vector<std::vector<uint64_t>> checkpoint_delta_seq_;  // At last ack.
-  std::vector<std::vector<bool>> has_checkpoint_;
-  // Stream position of each replica's last ACKED checkpoint; the
-  // on-disk file may be newer if an ack was lost to a crash.
-  std::vector<std::vector<uint64_t>> checkpoint_updates_;
+  // Indexed by shard id; ids are never reused, so the vector never
+  // shrinks except to roll back a failed grow.
+  std::vector<Shard> shards_;
   // Stream positions of removed shards: their ingested counts fold into
   // every Snapshot() so the aggregate update count survives removal.
   uint64_t migrated_updates_ = 0;

@@ -46,7 +46,6 @@ class ShardProcess : public ShardTransport {
   void Terminate() override;
 
   int fd() const override { return fd_; }
-  std::string Describe() const override { return "local:" + binary_; }
 
   pid_t pid() const { return pid_; }
   const std::string& log_path() const { return log_path_; }

@@ -45,9 +45,6 @@ class ShardTransport {
   virtual bool Alive() = 0;
   virtual void Terminate() = 0;
   virtual int fd() const = 0;
-  // Human-readable target for error messages ("local:gz_shard",
-  // "tcp://host:port").
-  virtual std::string Describe() const = 0;
 
   // Sends one request and awaits its kAck reply (via RecvReply, so a
   // kError reply decodes into the shard's Status and transport
@@ -101,7 +98,6 @@ class ThreadShardTransport : public ShardTransport {
   // replies can be drained, but any further call fails with IoError.
   void Terminate() override;
   int fd() const override { return fd_; }
-  std::string Describe() const override { return "thread:"; }
 
  private:
   std::string auth_secret_;
@@ -151,7 +147,6 @@ class TcpShardTransport : public ShardTransport {
   bool Alive() override { return fd_ >= 0; }
   void Terminate() override;
   int fd() const override { return fd_; }
-  std::string Describe() const override { return endpoint_.ToString(); }
 
  private:
   ShardEndpoint endpoint_;

@@ -888,6 +888,85 @@ TEST_P(ShardClusterTest, ReconcileIsANoOpOnAHealthyUnreplicatedCluster) {
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
+TEST_P(ShardClusterTest, ReplicaCursorsDivergeOverOneSharedLog) {
+  // The two replicas of shard 1 end up with DIFFERENT checkpoint
+  // cursors into the shard's one update log and one delta log: replica
+  // 0 checkpoints at P1, replica 1 rejoins through Reconcile and
+  // checkpoints at P2 mid-split. The log must stay pinned at the lower
+  // cursor, so a classic restore+replay of replica 0 still finds every
+  // update from P1 on and every delta past its checkpoint's sequence
+  // number, although its sibling's cursor is ahead.
+  const uint64_t n = 128;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.05;
+  ep.seed = 281;
+  const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
+  const std::vector<GraphUpdate> updates = ToggleStream(edges, 5);
+  const size_t p1 = updates.size() / 4;
+  const size_t p2 = updates.size() / 2;
+
+  const GraphZeppelinConfig base = BaseConfig(n, 291);
+  ShardClusterOptions options;
+  options.replication_factor = 2;
+  options.migrate_nodes_per_chunk = 16;
+  ShardCluster cluster(base, 2, MakeOptions(2 * 2, options));
+  ASSERT_TRUE(cluster.Start().ok());
+
+  ASSERT_TRUE(cluster.Update(updates.data(), p1).ok());
+  ASSERT_TRUE(cluster.Checkpoint().ok());  // Both replicas commit P1.
+  ASSERT_TRUE(cluster.Update(updates.data() + p1, p2 - p1).ok());
+  const std::string grow = SubstrateEndpoint(GetParam());
+  ASSERT_TRUE(cluster.BeginSplitShard(1, grow + "," + grow).ok());
+  ASSERT_TRUE(cluster.PumpMigration().ok());
+  EXPECT_GT(cluster.pending_delta_count(1), 0u);
+
+  // Replica 1 rejoins from empty and commits its own checkpoint at P2;
+  // replica 0's cursor stays at P1 and pins the log.
+  cluster.KillReplica(1, 1);
+  uint64_t repaired = 0;
+  ASSERT_TRUE(cluster.Reconcile(&repaired).ok());
+  EXPECT_GT(repaired, 0u);
+  EXPECT_FALSE(cluster.replica_down(1, 1));
+  EXPECT_GT(cluster.unacked_updates(1), 0u);
+
+  ASSERT_TRUE(cluster.Update(updates.data() + p2, updates.size() - p2).ok());
+  while (cluster.migration_active()) {
+    ASSERT_TRUE(cluster.PumpMigration().ok());
+  }
+
+  // Restore replica 0 from its P1 checkpoint and replay past it.
+  cluster.KillReplica(1, 0);
+  {
+    const Status restarted = cluster.RestartReplica(1, 0);
+    ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+  }
+  const GraphSnapshot expect = SingleProcessSnapshot(base, updates);
+  {
+    Result<GraphSnapshot> folded = cluster.Snapshot();  // Reads replica 0.
+    ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+    EXPECT_EQ(folded.value().num_updates(), updates.size());
+    EXPECT_TRUE(folded.value() == expect);
+  }
+  // The same fold through replica 1 alone.
+  cluster.KillReplica(1, 0);
+  {
+    Result<GraphSnapshot> folded = cluster.Snapshot();
+    ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+    EXPECT_TRUE(folded.value() == expect);
+  }
+  {
+    const Status restarted = cluster.RestartReplica(1, 0);
+    ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+  }
+
+  // With every cursor at the head, both logs drain.
+  ASSERT_TRUE(cluster.Checkpoint().ok());
+  EXPECT_EQ(cluster.unacked_updates(1), 0u);
+  EXPECT_EQ(cluster.pending_delta_count(1), 0u);
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Substrates, ShardClusterTest,
     ::testing::Values(Substrate::kThread, Substrate::kProcess,

@@ -1,5 +1,4 @@
-// Tests for the stream-file ingestion driver and the string node-id
-// mapper.
+// Tests for the stream-file ingestion driver.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,7 +8,6 @@
 #include "baseline/matrix_checker.h"
 #include "core/stream_ingestor.h"
 #include "stream/erdos_renyi_generator.h"
-#include "stream/node_id_mapper.h"
 #include "stream/stream_file.h"
 #include "stream/stream_transform.h"
 
@@ -129,59 +127,6 @@ TEST(StreamIngestorTest, NodeCountMismatchRejected) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
-}
-
-// ---------------- NodeIdMapper -------------------------------------------
-
-TEST(NodeIdMapperTest, AssignsDenseIdsInOrder) {
-  NodeIdMapper mapper(10);
-  EXPECT_EQ(mapper.IdFor("alice"), 0u);
-  EXPECT_EQ(mapper.IdFor("bob"), 1u);
-  EXPECT_EQ(mapper.IdFor("alice"), 0u);  // Stable.
-  EXPECT_EQ(mapper.size(), 2u);
-}
-
-TEST(NodeIdMapperTest, FindDoesNotAssign) {
-  NodeIdMapper mapper(10);
-  EXPECT_FALSE(mapper.Find("carol").has_value());
-  mapper.IdFor("carol");
-  ASSERT_TRUE(mapper.Find("carol").has_value());
-  EXPECT_EQ(*mapper.Find("carol"), 0u);
-  EXPECT_EQ(mapper.size(), 1u);
-}
-
-TEST(NodeIdMapperTest, NameOfInverts) {
-  NodeIdMapper mapper(10);
-  const NodeId a = mapper.IdFor("gene_X");
-  const NodeId b = mapper.IdFor("gene_Y");
-  EXPECT_EQ(mapper.NameOf(a), "gene_X");
-  EXPECT_EQ(mapper.NameOf(b), "gene_Y");
-}
-
-TEST(NodeIdMapperTest, CapacityEnforced) {
-  NodeIdMapper mapper(2);
-  mapper.IdFor("a");
-  mapper.IdFor("b");
-  EXPECT_DEATH(mapper.IdFor("c"), "capacity exhausted");
-}
-
-TEST(NodeIdMapperTest, DrivesAStringNamedStream) {
-  // End-to-end: a stream naming nodes by strings, mapped on the fly.
-  NodeIdMapper mapper(8);
-  GraphZeppelin gz(MakeConfig(8, 11));
-  ASSERT_TRUE(gz.Init().ok());
-  const std::pair<const char*, const char*> string_edges[] = {
-      {"server-a", "server-b"},
-      {"server-b", "server-c"},
-      {"db-1", "db-2"},
-  };
-  for (const auto& [x, y] : string_edges) {
-    gz.Update({Edge(mapper.IdFor(x), mapper.IdFor(y)), UpdateType::kInsert});
-  }
-  const ConnectivityResult r = gz.ListSpanningForest();
-  ASSERT_FALSE(r.failed);
-  EXPECT_TRUE(r.Connected(*mapper.Find("server-a"), *mapper.Find("server-c")));
-  EXPECT_FALSE(r.Connected(*mapper.Find("server-a"), *mapper.Find("db-1")));
 }
 
 }  // namespace

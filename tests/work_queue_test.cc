@@ -127,20 +127,6 @@ TEST(WorkQueueTest, BlockedPushRejectedByCloseDoesNotLeakInFlight) {
   EXPECT_EQ(q.InFlight(), 0);
 }
 
-TEST(WorkQueueTest, ReopenAllowsAnotherPhase) {
-  BatchPool pool(8);
-  WorkQueue q(4);
-  q.Push(MakeBatch(&pool, 1, {}));
-  pool.Release(q.Pop());
-  q.Close();
-  q.Reopen();
-  EXPECT_TRUE(q.Push(MakeBatch(&pool, 2, {})));
-  UpdateBatch* out = q.Pop();
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->node, 2u);
-  pool.Release(out);
-}
-
 TEST(WorkQueueTest, BoundedCapacityBlocksProducer) {
   BatchPool pool(8);
   WorkQueue q(2);
