@@ -110,7 +110,7 @@ struct ShardClusterOptions {
   int replication_factor = 1;
   // Auto-checkpoint cadence: after this many routed updates the next
   // Update() call checkpoints every shard (best-effort), truncating the
-  // unacked logs so coordinator memory stays bounded by the interval
+  // update logs so coordinator memory stays bounded by the interval
   // instead of growing with the stream. 0 = manual Checkpoint() only.
   uint64_t checkpoint_interval_updates = 1 << 22;
   // Anti-entropy cadence: after this many routed updates the next
