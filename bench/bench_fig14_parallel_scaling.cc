@@ -5,6 +5,10 @@
 // single CPU core, so the curve here shows the *overhead* profile of
 // batch-level parallelism rather than speedup; run on a multicore box
 // (GZ_BENCH_WORKERS_MAX) to see the paper's scaling.
+//
+// A "workers = N" row runs N Graph Worker threads. The ingesting thread
+// also applies batches while the work queue is full (during Flush and
+// under backpressure in Update), so up to N + 1 threads run the kernel.
 #include <cstdio>
 #include <thread>
 

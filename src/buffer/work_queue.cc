@@ -12,6 +12,12 @@ WorkQueue::WorkQueue(size_t capacity)
 bool WorkQueue::Push(UpdateBatch* batch) {
   GZ_CHECK(batch != nullptr);
   std::unique_lock<std::mutex> lock(mu_);
+  if (!closed_ && size_ == capacity_ && runner_ != nullptr) {
+    BatchRunner* runner = runner_;
+    lock.unlock();
+    if (runner->TryRun(batch)) return true;
+    lock.lock();
+  }
   not_full_.wait(lock, [this] { return closed_ || size_ < capacity_; });
   // The closed check must come before any accounting: a batch rejected
   // here is handed back to the caller, so bumping in_flight_ for it
@@ -25,14 +31,28 @@ bool WorkQueue::Push(UpdateBatch* batch) {
   return true;
 }
 
-UpdateBatch* WorkQueue::Pop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [this] { return closed_ || size_ > 0; });
-  if (size_ == 0) return nullptr;  // Closed and drained.
+UpdateBatch* WorkQueue::PopLocked() {
   UpdateBatch* batch = ring_[head_];
   ring_[head_] = nullptr;
   head_ = (head_ + 1) % capacity_;
   --size_;
+  return batch;
+}
+
+UpdateBatch* WorkQueue::Pop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  not_empty_.wait(lock, [this] { return closed_ || size_ > 0; });
+  if (size_ == 0) return nullptr;  // Closed and drained.
+  UpdateBatch* batch = PopLocked();
+  lock.unlock();
+  not_full_.notify_one();
+  return batch;
+}
+
+UpdateBatch* WorkQueue::TryPop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (size_ == 0) return nullptr;
+  UpdateBatch* batch = PopLocked();
   lock.unlock();
   not_full_.notify_one();
   return batch;
@@ -47,9 +67,21 @@ void WorkQueue::Close() {
   not_empty_.notify_all();
 }
 
+void WorkQueue::SetRunner(BatchRunner* runner) {
+  std::lock_guard<std::mutex> lock(mu_);
+  runner_ = runner;
+}
+
 size_t WorkQueue::ApproxSize() {
   std::lock_guard<std::mutex> lock(mu_);
   return size_;
+}
+
+void WorkQueue::WaitIdle() const {
+  int64_t n;
+  while ((n = in_flight_.load(std::memory_order_acquire)) > 0) {
+    in_flight_.wait(n, std::memory_order_acquire);
+  }
 }
 
 }  // namespace gz

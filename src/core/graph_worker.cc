@@ -1,7 +1,5 @@
 #include "core/graph_worker.h"
 
-#include <chrono>
-
 #include "util/check.h"
 
 namespace gz {
@@ -9,7 +7,7 @@ namespace gz {
 WorkerPool::WorkerPool(WorkQueue* queue, BatchPool* batch_pool,
                        SketchStore* store, int num_workers)
     : queue_(queue), batch_pool_(batch_pool), store_(store),
-      num_workers_(num_workers) {
+      num_workers_(num_workers), caller_delta_(store->params()) {
   GZ_CHECK(queue_ != nullptr && batch_pool_ != nullptr && store_ != nullptr);
   GZ_CHECK(num_workers_ >= 1);
 }
@@ -19,6 +17,7 @@ WorkerPool::~WorkerPool() { Stop(); }
 void WorkerPool::Start() {
   GZ_CHECK_MSG(!started_, "pool already started");
   started_ = true;
+  queue_->SetRunner(this);
   threads_.reserve(num_workers_);
   for (int i = 0; i < num_workers_; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -31,22 +30,40 @@ void WorkerPool::WorkerLoop() {
   NodeSketch delta(store_->params());
   UpdateBatch* batch = nullptr;
   while ((batch = queue_->Pop()) != nullptr) {
-    delta.Clear();
-    delta.UpdateBatch(batch->edge_indices(), batch->count);
-    store_->MergeDelta(batch->node, delta);
-    batch_pool_->Release(batch);
+    Apply(batch, &delta);
     queue_->MarkDone();
   }
 }
 
+void WorkerPool::Apply(UpdateBatch* batch, NodeSketch* delta) {
+  delta->Clear();
+  delta->UpdateBatch(batch->edge_indices(), batch->count);
+  store_->MergeDelta(batch->node, *delta);
+  batch_pool_->Release(batch);
+}
+
+bool WorkerPool::TryRun(UpdateBatch* batch) {
+  std::unique_lock<std::mutex> lock(caller_mu_, std::try_to_lock);
+  if (!lock.owns_lock()) return false;
+  Apply(batch, &caller_delta_);
+  return true;
+}
+
 void WorkerPool::Drain() {
-  while (queue_->InFlight() > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  {
+    std::unique_lock<std::mutex> lock(caller_mu_, std::try_to_lock);
+    UpdateBatch* batch = nullptr;
+    while (lock.owns_lock() && (batch = queue_->TryPop()) != nullptr) {
+      Apply(batch, &caller_delta_);
+      queue_->MarkDone();
+    }
   }
+  queue_->WaitIdle();
 }
 
 void WorkerPool::Stop() {
   if (!started_) return;
+  queue_->SetRunner(nullptr);
   queue_->Close();
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();

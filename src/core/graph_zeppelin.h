@@ -41,7 +41,10 @@ struct GraphZeppelinConfig {
   int cols = 7;
   int rounds = 0;
 
-  // Ingestion parallelism (Graph Workers).
+  // Ingestion parallelism: the number of Graph Worker threads. The
+  // thread calling Update()/Flush() also applies batches, but only while
+  // it would otherwise block on a full work queue (caller-runs, see
+  // core/graph_worker.h).
   int num_workers = 2;
 
   enum class Buffering { kLeafOnly, kGutterTree };

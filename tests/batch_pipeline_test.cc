@@ -1,16 +1,29 @@
 // End-to-end tests for the flat pooled-batch ingestion pipeline
 // (gutters -> BatchPool slabs -> ring WorkQueue -> Graph Workers ->
 // sketch store): a 4-way buffering x storage matrix with mid-stream
-// queries, plus a multithreaded BatchPool stress test.
+// queries, the caller-runs path pinned bitwise against per-node
+// sketches, plus a multithreaded BatchPool stress test.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "baseline/hash_adjacency_graph.h"
+#include "buffer/gutter_tree.h"
+#include "buffer/leaf_gutters.h"
 #include "buffer/update_batch.h"
+#include "core/connectivity.h"
+#include "core/graph_worker.h"
 #include "core/graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "stream/stream_transform.h"
@@ -107,6 +120,207 @@ INSTANTIATE_TEST_SUITE_P(
                      GraphZeppelinConfig::Storage::kDisk, "tree_disk"}),
     [](const ::testing::TestParamInfo<PipelineCase>& info) {
       return info.param.name;
+    });
+
+// ---- caller-runs: a producer blocked on a full queue applies the batch --
+
+// Delegates to a real store and counts the merges run on the producing
+// (test) thread. Worker-thread merges wait until the producer has run
+// one more merge than when the store was last armed. With a one-slot
+// queue and one-update slabs the workers stall holding their batches,
+// the queue fills, and the producer's next push must run on the caller
+// path: the gate makes it certain instead of likely. If the producer
+// never merges, the first wait times out and opens the gate, so a
+// broken build fails the caller-merge checks instead of hanging.
+class CallerGateStore : public SketchStore {
+ public:
+  explicit CallerGateStore(SketchStore* inner)
+      : SketchStore(inner->params()), inner_(inner),
+        producer_(std::this_thread::get_id()) {}
+
+  void MergeDelta(NodeId node, const NodeSketch& delta) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (std::this_thread::get_id() == producer_) {
+      ++caller_merges_;
+      cv_.notify_all();
+    } else {
+      const bool producer_merged =
+          cv_.wait_for(lock, std::chrono::seconds(5), [this] {
+            return open_ || caller_merges_ > armed_at_;
+          });
+      if (!producer_merged) open_ = true;
+    }
+    lock.unlock();
+    inner_->MergeDelta(node, delta);
+  }
+  void Load(NodeId node, NodeSketch* out) override { inner_->Load(node, out); }
+  CowSketch Share(NodeId node) override { return inner_->Share(node); }
+  void Store(NodeId node, const NodeSketch& sketch) override {
+    inner_->Store(node, sketch);
+  }
+  size_t RamByteSize() const override { return inner_->RamByteSize(); }
+  size_t DiskByteSize() const override { return inner_->DiskByteSize(); }
+
+  // Holds worker merges again until the producer runs one more.
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_at_ = caller_merges_;
+    open_ = false;
+  }
+  uint64_t caller_merges() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return caller_merges_;
+  }
+
+ private:
+  SketchStore* inner_;
+  const std::thread::id producer_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  uint64_t caller_merges_ = 0;  // Guarded by mu_.
+  uint64_t armed_at_ = 0;       // Guarded by mu_.
+  bool open_ = false;           // Guarded by mu_; set by a timed-out wait.
+};
+
+using CallerRunsCase = std::tuple<PipelineCase, int /*workers*/>;
+
+class CallerRunsPipelineTest
+    : public ::testing::TestWithParam<CallerRunsCase> {};
+
+// Every node's sketch built one update at a time, no pipeline at all.
+GraphSnapshot SequentialReference(const NodeSketchParams& params,
+                                  const std::vector<GraphUpdate>& updates,
+                                  size_t count) {
+  std::vector<NodeSketch> sketches(params.num_nodes, NodeSketch(params));
+  for (size_t i = 0; i < count; ++i) {
+    const Edge& e = updates[i].edge;
+    const uint64_t idx = EdgeToIndex(e, params.num_nodes);
+    sketches[e.u].Update(idx);
+    sketches[e.v].Update(idx);
+  }
+  return GraphSnapshot(std::move(sketches), count);
+}
+
+GraphSnapshot ShareAll(SketchStore* store, uint64_t num_updates) {
+  std::vector<CowSketch> sketches;
+  for (NodeId i = 0; i < store->num_nodes(); ++i) {
+    sketches.push_back(store->Share(i));
+  }
+  return GraphSnapshot(std::move(sketches), num_updates);
+}
+
+TEST_P(CallerRunsPipelineTest, BitwiseEqualToPerNodeSketches) {
+  const auto& [c, workers] = GetParam();
+  const uint64_t n = 64;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.08;
+  ep.seed = 11;
+  StreamTransformParams tp;
+  tp.num_nodes = n;
+  tp.seed = 11;
+  const std::vector<GraphUpdate> updates =
+      BuildStream(ErdosRenyiGenerator(ep).Generate(), tp).updates;
+  ASSERT_GT(updates.size(), 100u);
+  const size_t half = updates.size() / 2;
+
+  NodeSketchParams sp;
+  sp.num_nodes = n;
+  sp.seed = 17;
+  const std::string tag = std::string(c.name) + "_" +
+                          std::to_string(workers) + "_" +
+                          std::to_string(::getpid());
+  std::unique_ptr<SketchStore> inner;
+  const std::string store_path =
+      ::testing::TempDir() + "/caller_runs_store_" + tag + ".bin";
+  if (c.storage == GraphZeppelinConfig::Storage::kRam) {
+    inner = std::make_unique<InMemorySketchStore>(sp);
+  } else {
+    auto disk = std::make_unique<OnDiskSketchStore>(sp, store_path);
+    ASSERT_TRUE(disk->Init().ok());
+    inner = std::move(disk);
+  }
+  CallerGateStore store(inner.get());
+
+  // The tiny queue and slab: every half-update is its own batch, and
+  // one queued batch makes the queue full.
+  BatchPool batch_pool(1);
+  WorkQueue queue(1);
+  std::unique_ptr<GutteringSystem> gutters;
+  const std::string tree_path =
+      ::testing::TempDir() + "/caller_runs_tree_" + tag + ".bin";
+  if (c.buffering == GraphZeppelinConfig::Buffering::kLeafOnly) {
+    LeafGuttersParams lp;
+    lp.num_nodes = n;
+    lp.gutter_capacity = 1;
+    gutters = std::make_unique<LeafGutters>(lp, &batch_pool, &queue);
+  } else {
+    GutterTreeParams gp;
+    gp.num_nodes = n;
+    gp.file_path = tree_path;
+    gp.fanout = 4;
+    gp.buffer_bytes = GutterTree::kRecordBytes * gp.fanout * 4;
+    gp.leaf_gutter_updates = 1;
+    auto tree = std::make_unique<GutterTree>(gp, &batch_pool, &queue);
+    ASSERT_TRUE(tree->Init().ok());
+    gutters = std::move(tree);
+  }
+  WorkerPool pool(&queue, &batch_pool, &store, workers);
+  pool.Start();
+
+  // Far more batches than workers plus the one slot: the producer must
+  // have run some of them in Update or ForceFlush, before Drain.
+  gutters->InsertBatch(updates.data(), half);
+  gutters->ForceFlush();
+  const uint64_t first_half_caller_merges = store.caller_merges();
+  EXPECT_GT(first_half_caller_merges, 0u);
+  pool.Drain();
+  // Mid-stream query: the snapshot shares the in-RAM store's nodes, so
+  // the caller-run merges below must clone the nodes it holds.
+  const GraphSnapshot mid = ShareAll(&store, half);
+  EXPECT_TRUE(mid == SequentialReference(sp, updates, half)) << c.name;
+  HashAdjacencyGraph reference(n);
+  for (size_t i = 0; i < half; ++i) reference.Update(updates[i]);
+  ExpectSameComponents(Connectivity(mid), reference.ConnectedComponents(), n,
+                       c.name);
+
+  store.Arm();
+  const uint64_t armed_caller_merges = store.caller_merges();
+  gutters->InsertBatch(updates.data() + half, updates.size() - half);
+  gutters->ForceFlush();
+  EXPECT_GT(store.caller_merges(), armed_caller_merges);
+  pool.Drain();
+  EXPECT_EQ(queue.InFlight(), 0);
+  EXPECT_TRUE(ShareAll(&store, updates.size()) ==
+              SequentialReference(sp, updates, updates.size()))
+      << c.name;
+  // The held snapshot never saw the second half.
+  EXPECT_TRUE(mid == SequentialReference(sp, updates, half)) << c.name;
+
+  pool.Stop();
+  EXPECT_EQ(batch_pool.outstanding(), 0);
+  gutters.reset();
+  inner.reset();
+  ::unlink(tree_path.c_str());
+  ::unlink(store_path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, CallerRunsPipelineTest,
+    ::testing::Combine(
+        ::testing::Values(
+            PipelineCase{GraphZeppelinConfig::Buffering::kLeafOnly,
+                         GraphZeppelinConfig::Storage::kRam, "leaf_ram"},
+            PipelineCase{GraphZeppelinConfig::Buffering::kLeafOnly,
+                         GraphZeppelinConfig::Storage::kDisk, "leaf_disk"},
+            PipelineCase{GraphZeppelinConfig::Buffering::kGutterTree,
+                         GraphZeppelinConfig::Storage::kRam, "tree_ram"},
+            PipelineCase{GraphZeppelinConfig::Buffering::kGutterTree,
+                         GraphZeppelinConfig::Storage::kDisk, "tree_disk"}),
+        ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<CallerRunsCase>& info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
+             std::to_string(std::get<1>(info.param)) + "w";
     });
 
 // ---- BatchPool ----------------------------------------------------------

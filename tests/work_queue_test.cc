@@ -1,8 +1,10 @@
 // Tests for the bounded MPMC work queue (ring of pooled UpdateBatch
-// pointers) and its in-flight lifecycle accounting.
+// pointers), its in-flight lifecycle accounting and its caller-runs
+// hook.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -196,6 +198,154 @@ TEST(WorkQueueTest, ManyProducersManyConsumers) {
   EXPECT_EQ(sum_consumed.load(), sum_produced.load());
   EXPECT_EQ(q.InFlight(), 0);
   EXPECT_EQ(pool.outstanding(), 0);  // Every slab came back.
+}
+
+// Records every batch it is handed and the thread it ran on; releases
+// the batch (as a real runner would) unless told to decline.
+class RecordingRunner : public BatchRunner {
+ public:
+  explicit RecordingRunner(BatchPool* pool, bool accept = true)
+      : pool_(pool), accept_(accept) {}
+  bool TryRun(UpdateBatch* batch) override {
+    ++calls;
+    if (!accept_) return false;
+    nodes.push_back(batch->node);
+    thread = std::this_thread::get_id();
+    pool_->Release(batch);
+    return true;
+  }
+  std::atomic<int> calls{0};
+  std::vector<NodeId> nodes;
+  std::thread::id thread;
+
+ private:
+  BatchPool* pool_;
+  bool accept_;
+};
+
+TEST(WorkQueueTest, FullRingRunsBatchOnPushingThread) {
+  BatchPool pool(8);
+  WorkQueue q(2);
+  RecordingRunner runner(&pool);
+  q.SetRunner(&runner);
+  ASSERT_TRUE(q.Push(MakeBatch(&pool, 1, {})));
+  ASSERT_TRUE(q.Push(MakeBatch(&pool, 2, {})));
+  EXPECT_EQ(runner.calls.load(), 0);  // Room in the ring: enqueued.
+  ASSERT_TRUE(q.Push(MakeBatch(&pool, 3, {})));
+  ASSERT_TRUE(q.Push(MakeBatch(&pool, 4, {})));
+  EXPECT_EQ(runner.nodes, (std::vector<NodeId>{3, 4}));
+  EXPECT_EQ(runner.thread, std::this_thread::get_id());
+  // The caller-run batches never entered the ring or InFlight().
+  EXPECT_EQ(q.ApproxSize(), 2u);
+  EXPECT_EQ(q.InFlight(), 2);
+  for (NodeId want : {1, 2}) {
+    UpdateBatch* out = q.Pop();
+    ASSERT_NE(out, nullptr);
+    EXPECT_EQ(out->node, want);
+    pool.Release(out);
+    q.MarkDone();
+  }
+  EXPECT_EQ(q.InFlight(), 0);
+  EXPECT_EQ(pool.outstanding(), 0);
+}
+
+TEST(WorkQueueTest, ClosedQueueNeverCallsRunner) {
+  BatchPool pool(8);
+  WorkQueue q(1);
+  RecordingRunner runner(&pool);
+  q.SetRunner(&runner);
+  ASSERT_TRUE(q.Push(MakeBatch(&pool, 1, {})));
+  q.Close();
+  UpdateBatch* rejected = MakeBatch(&pool, 2, {});
+  EXPECT_FALSE(q.Push(rejected));  // Full and closed: rejected, not run.
+  EXPECT_EQ(runner.calls.load(), 0);
+  EXPECT_EQ(q.InFlight(), 1);
+  pool.Release(rejected);
+  pool.Release(q.Pop());
+  q.MarkDone();
+}
+
+TEST(WorkQueueTest, RemovedRunnerIsNotCalled) {
+  BatchPool pool(8);
+  WorkQueue q(1);
+  RecordingRunner runner(&pool);
+  q.SetRunner(&runner);
+  q.SetRunner(nullptr);
+  ASSERT_TRUE(q.Push(MakeBatch(&pool, 1, {})));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    q.Push(MakeBatch(&pool, 2, {}));  // Blocks: no runner.
+    pushed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(pushed.load());
+  pool.Release(q.Pop());
+  producer.join();
+  EXPECT_EQ(runner.calls.load(), 0);
+  pool.Release(q.Pop());
+}
+
+// A runner that declines (its caller-side state is busy) sends the push
+// back to the blocking wait, which then enqueues it normally.
+TEST(WorkQueueTest, DecliningRunnerFallsBackToBlockingPush) {
+  BatchPool pool(8);
+  WorkQueue q(1);
+  RecordingRunner runner(&pool, /*accept=*/false);
+  q.SetRunner(&runner);
+  ASSERT_TRUE(q.Push(MakeBatch(&pool, 1, {})));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(q.Push(MakeBatch(&pool, 2, {})));
+    pushed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(pushed.load());
+  EXPECT_EQ(runner.calls.load(), 1);
+  pool.Release(q.Pop());
+  q.MarkDone();
+  producer.join();
+  EXPECT_EQ(q.InFlight(), 1);  // The fallback push was enqueued.
+  UpdateBatch* out = q.Pop();
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->node, 2u);
+  pool.Release(out);
+  q.MarkDone();
+}
+
+TEST(WorkQueueTest, TryPopNeverBlocks) {
+  BatchPool pool(8);
+  WorkQueue q(2);
+  EXPECT_EQ(q.TryPop(), nullptr);
+  ASSERT_TRUE(q.Push(MakeBatch(&pool, 5, {})));
+  UpdateBatch* out = q.TryPop();
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->node, 5u);
+  EXPECT_EQ(q.TryPop(), nullptr);
+  EXPECT_EQ(q.InFlight(), 1);  // Popped but not done.
+  pool.Release(out);
+  q.MarkDone();
+}
+
+TEST(WorkQueueTest, WaitIdleReturnsWhenLastBatchIsDone) {
+  BatchPool pool(8);
+  WorkQueue q(4);
+  q.WaitIdle();  // Nothing in flight: returns at once.
+  ASSERT_TRUE(q.Push(MakeBatch(&pool, 1, {})));
+  ASSERT_TRUE(q.Push(MakeBatch(&pool, 2, {})));
+  std::atomic<bool> idle{false};
+  std::thread waiter([&] {
+    q.WaitIdle();
+    idle = true;
+  });
+  pool.Release(q.Pop());
+  q.MarkDone();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(idle.load());  // One batch still in flight.
+  pool.Release(q.Pop());
+  q.MarkDone();
+  waiter.join();
+  EXPECT_TRUE(idle.load());
+  EXPECT_EQ(q.InFlight(), 0);
 }
 
 }  // namespace
