@@ -40,6 +40,16 @@ struct PipelineCase {
   const char* name;
 };
 
+const PipelineCase kPipelineCases[] = {
+    {GraphZeppelinConfig::Buffering::kLeafOnly,
+     GraphZeppelinConfig::Storage::kRam, "leaf_ram"},
+    {GraphZeppelinConfig::Buffering::kLeafOnly,
+     GraphZeppelinConfig::Storage::kDisk, "leaf_disk"},
+    {GraphZeppelinConfig::Buffering::kGutterTree,
+     GraphZeppelinConfig::Storage::kRam, "tree_ram"},
+    {GraphZeppelinConfig::Buffering::kGutterTree,
+     GraphZeppelinConfig::Storage::kDisk, "tree_disk"}};
+
 class BatchPipelineMatrixTest
     : public ::testing::TestWithParam<PipelineCase> {};
 
@@ -109,15 +119,7 @@ TEST_P(BatchPipelineMatrixTest, IngestQueryContinueRequery) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, BatchPipelineMatrixTest,
-    ::testing::Values(
-        PipelineCase{GraphZeppelinConfig::Buffering::kLeafOnly,
-                     GraphZeppelinConfig::Storage::kRam, "leaf_ram"},
-        PipelineCase{GraphZeppelinConfig::Buffering::kLeafOnly,
-                     GraphZeppelinConfig::Storage::kDisk, "leaf_disk"},
-        PipelineCase{GraphZeppelinConfig::Buffering::kGutterTree,
-                     GraphZeppelinConfig::Storage::kRam, "tree_ram"},
-        PipelineCase{GraphZeppelinConfig::Buffering::kGutterTree,
-                     GraphZeppelinConfig::Storage::kDisk, "tree_disk"}),
+    ::testing::ValuesIn(kPipelineCases),
     [](const ::testing::TestParamInfo<PipelineCase>& info) {
       return info.param.name;
     });
@@ -308,15 +310,7 @@ TEST_P(CallerRunsPipelineTest, BitwiseEqualToPerNodeSketches) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, CallerRunsPipelineTest,
     ::testing::Combine(
-        ::testing::Values(
-            PipelineCase{GraphZeppelinConfig::Buffering::kLeafOnly,
-                         GraphZeppelinConfig::Storage::kRam, "leaf_ram"},
-            PipelineCase{GraphZeppelinConfig::Buffering::kLeafOnly,
-                         GraphZeppelinConfig::Storage::kDisk, "leaf_disk"},
-            PipelineCase{GraphZeppelinConfig::Buffering::kGutterTree,
-                         GraphZeppelinConfig::Storage::kRam, "tree_ram"},
-            PipelineCase{GraphZeppelinConfig::Buffering::kGutterTree,
-                         GraphZeppelinConfig::Storage::kDisk, "tree_disk"}),
+        ::testing::ValuesIn(kPipelineCases),
         ::testing::Values(1, 4)),
     [](const ::testing::TestParamInfo<CallerRunsCase>& info) {
       return std::string(std::get<0>(info.param).name) + "_" +
