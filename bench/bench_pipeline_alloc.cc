@@ -6,12 +6,13 @@
 //
 // Method: global operator new/delete are overridden with a counting
 // hook (the C++ analogue of malloc_count). Phase 1 ingests the whole
-// stream once to warm the BatchPool, gutters and worker deltas; phase 2
-// re-ingests with the counter armed. Pool recycling means phase 2 must
-// allocate nothing — on the leaf+RAM path AND the gutter-tree path,
-// whose internal flush buffers are recycled per level the way leaf
-// gutters recycle slabs. Enforced with GZ_CHECK, so a regression fails
-// the run, not just a JSON field.
+// stream once to warm the BatchPool, gutters and the disk store's
+// per-thread delta sketches and record buffers; phase 2 re-ingests with
+// the counter armed. Pool recycling means phase 2 must allocate nothing
+// — on the leaf and gutter-tree paths (the tree's internal flush
+// buffers are recycled per level the way leaf gutters recycle slabs),
+// over both the RAM and the on-disk store. Enforced with GZ_CHECK, so a
+// regression fails the run, not just a JSON field.
 //
 // Two sketch-state gates ride along: copying a node sketch is exactly
 // one allocation (its bucket block; the seeds live in a shared layout),
@@ -76,13 +77,18 @@ int main() {
   std::fprintf(stderr, "pipeline alloc bench: %s, %llu updates\n",
                w.name.c_str(), static_cast<unsigned long long>(n_updates));
 
+  using Buffering = GraphZeppelinConfig::Buffering;
+  using Storage = GraphZeppelinConfig::Storage;
   struct Case {
-    GraphZeppelinConfig::Buffering buffering;
+    Buffering buffering;
+    Storage storage;
     const char* name;
   };
   const Case cases[] = {
-      {GraphZeppelinConfig::Buffering::kLeafOnly, "leaf_ram"},
-      {GraphZeppelinConfig::Buffering::kGutterTree, "tree_ram"},
+      {Buffering::kLeafOnly, Storage::kRam, "leaf_ram"},
+      {Buffering::kGutterTree, Storage::kRam, "tree_ram"},
+      {Buffering::kLeafOnly, Storage::kDisk, "leaf_disk"},
+      {Buffering::kGutterTree, Storage::kDisk, "tree_disk"},
   };
 
   std::printf("[\n");
@@ -91,11 +97,13 @@ int main() {
     GraphZeppelinConfig config = bench::DefaultGzConfig();
     config.num_nodes = w.num_nodes;
     config.buffering = c.buffering;
+    config.storage = c.storage;
     GraphZeppelin gz(config);
     GZ_CHECK_OK(gz.Init());
 
     // Phase 1: warm-up pass. Grows the BatchPool to the pipeline's peak
-    // depth and lets every worker build its delta sketch.
+    // depth and lets every thread that applies batches build the disk
+    // store's per-thread delta sketch and record buffer.
     gz.Update(w.stream.updates.data(), n_updates);
     gz.Flush();
 

@@ -15,8 +15,8 @@ bool WorkQueue::Push(UpdateBatch* batch) {
   if (!closed_ && size_ == capacity_ && runner_ != nullptr) {
     BatchRunner* runner = runner_;
     lock.unlock();
-    if (runner->TryRun(batch)) return true;
-    lock.lock();
+    runner->Run(batch);
+    return true;
   }
   not_full_.wait(lock, [this] { return closed_ || size_ < capacity_; });
   // The closed check must come before any accounting: a batch rejected

@@ -30,9 +30,9 @@ namespace gz {
 // Applies a batch on the thread that pushes it (see WorkQueue).
 class BatchRunner {
  public:
-  // Either applies `batch` and releases it to its pool, returning true,
-  // or leaves it untouched and returns false when it cannot run now.
-  virtual bool TryRun(UpdateBatch* batch) = 0;
+  // Applies `batch` and releases it to its pool. May be called from
+  // several pushing threads at once.
+  virtual void Run(UpdateBatch* batch) = 0;
 
  protected:
   ~BatchRunner() = default;
@@ -47,10 +47,9 @@ class WorkQueue {
   // Otherwise the batch is consumed: enqueued, or, when the ring is full
   // and a runner is installed, run by the runner on this thread. A
   // caller-run batch never enters the ring or InFlight(). When the ring
-  // is full and there is no runner (or it declines), Push blocks until
-  // a slot frees or the queue closes. InFlight() is incremented only
-  // when the batch is enqueued, so a rejected push can never strand the
-  // drain barrier.
+  // is full and there is no runner, Push blocks until a slot frees or
+  // the queue closes. InFlight() is incremented only when the batch is
+  // enqueued, so a rejected push can never strand the drain barrier.
   bool Push(UpdateBatch* batch);
 
   // Blocks while the queue is empty. Returns the next batch, or nullptr

@@ -1,27 +1,21 @@
 // Graph Workers (paper Section 5.1): a pool of threads that pop
-// per-node pooled batches from the work queue, sketch each batch into a
-// private delta NodeSketch, and XOR-merge the delta into the store.
-// Sketching the batch needs no lock (linearity); only the final merge
-// synchronizes, which is the paper's small-critical-section trick.
-//
-// Each worker keeps one reusable delta sketch for its whole life and
-// returns every consumed slab to the BatchPool, so the apply path does
-// no heap allocation in steady state.
+// per-node pooled batches from the work queue and apply each one to the
+// store with SketchStore::ApplyBatch, which locks only that node. The
+// in-RAM store runs the sketch kernel straight into the node's sketch;
+// the on-disk store sketches into a per-thread delta and XORs it into
+// the node's record. Every consumed slab goes back to the BatchPool, so
+// the apply path does no heap allocation in steady state.
 //
 // Caller-runs: while the pool is started it is the queue's BatchRunner.
 // A producer whose push finds the queue full (gutter or tree emission
 // under backpressure in Update, GutteringSystem::ForceFlush in Flush)
-// applies that batch itself, through the same delta-then-merge path,
-// instead of sleeping; Drain applies what is still queued on the
-// calling thread before it waits. The caller side has one delta sketch,
-// allocated once and guarded by a try-lock: a second concurrent pusher
-// falls back to the queue's blocking wait. So num_workers Graph Workers
-// run throughout, plus the caller while it would otherwise block.
+// applies that batch itself, through the same Run, instead of sleeping;
+// Drain applies what is still queued on the calling thread before it
+// waits. So num_workers Graph Workers run throughout, plus every pusher
+// while it would otherwise block.
 #ifndef GZ_CORE_GRAPH_WORKER_H_
 #define GZ_CORE_GRAPH_WORKER_H_
 
-#include <cstdint>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -53,10 +47,8 @@ class WorkerPool : private BatchRunner {
 
  private:
   void WorkerLoop();
-  // The one apply routine: sketch `batch` into `delta`, merge it into
-  // the store and release the slab.
-  void Apply(UpdateBatch* batch, NodeSketch* delta);
-  bool TryRun(UpdateBatch* batch) override;
+  // The one apply routine: ApplyBatch into the store, release the slab.
+  void Run(UpdateBatch* batch) override;
 
   WorkQueue* queue_;
   BatchPool* batch_pool_;
@@ -64,8 +56,6 @@ class WorkerPool : private BatchRunner {
   int num_workers_;
   std::vector<std::thread> threads_;
   bool started_ = false;
-  std::mutex caller_mu_;     // Try-locked by the caller-runs paths.
-  NodeSketch caller_delta_;  // Guarded by caller_mu_.
 };
 
 }  // namespace gz

@@ -195,8 +195,8 @@ Status GraphZeppelin::WriteNodeRangeTo(
 Status GraphZeppelin::MergeSerialized(const uint8_t* data, size_t size) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   Flush();
-  // The store's MergeDelta is the ingestion-path XOR; a serialized range
-  // folds in exactly like a worker's batch delta, through one scratch.
+  // Each record folds in through one scratch sketch and the store's
+  // MergeDelta, the XOR the disk store's ApplyBatch also ends in.
   NodeSketch delta(store_->params());
   return GraphSnapshot::FoldSerialized(
       data, size, store_->params(),

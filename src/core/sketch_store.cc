@@ -3,6 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <optional>
+
 #include "util/check.h"
 
 namespace gz {
@@ -17,6 +19,16 @@ uint8_t* RecordScratch(size_t bytes) {
 }
 
 }  // namespace
+
+void SketchStore::ApplyBatch(NodeId node, const uint64_t* indices,
+                             size_t count) {
+  // Per thread and reused, like RecordScratch; rebuilt for other params.
+  thread_local std::optional<NodeSketch> delta;
+  if (!delta || !(delta->params() == params())) delta.emplace(zero_);
+  delta->Clear();
+  delta->UpdateBatch(indices, count);
+  MergeDelta(node, *delta);
+}
 
 CowSketch SketchStore::Share(NodeId node) {
   NodeSketch sketch = zero_;
@@ -35,6 +47,13 @@ InMemorySketchStore::InMemorySketchStore(const NodeSketchParams& params)
     sketches_.emplace_back(zero_);
   }
   locks_ = std::make_unique<std::mutex[]>(params.num_nodes);
+}
+
+void InMemorySketchStore::ApplyBatch(NodeId node, const uint64_t* indices,
+                                     size_t count) {
+  GZ_CHECK(node < num_nodes());
+  std::lock_guard<std::mutex> lock(locks_[node]);
+  sketches_[node].Mutable().UpdateBatch(indices, count);
 }
 
 void InMemorySketchStore::MergeDelta(NodeId node, const NodeSketch& delta) {

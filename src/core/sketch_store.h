@@ -9,14 +9,14 @@
 // Every sketch a store creates copies one zero sketch, so the graph's
 // seeds are hashed once per store.
 //
-// Thread safety: MergeDelta/Load/Share/Store are safe to call
-// concurrently from many Graph Workers; stores lock per node. Following
-// Section 5.1, workers accumulate a batch into a private delta sketch
-// and the store only holds the lock for the XOR merge. The in-RAM store
-// shares its node sketches with snapshots copy-on-write (cow_sketch.h):
-// a merge into a node that a live snapshot still holds clones that node
-// first, under the node's lock, so the snapshot never sees the write.
-// The on-disk store XORs the delta straight into the record bytes.
+// Thread safety: every method is safe to call concurrently from many
+// Graph Workers; stores lock per node. The in-RAM store runs a batch
+// straight into the node's sketch and shares its sketches with
+// snapshots copy-on-write (cow_sketch.h): a write to a node that a live
+// snapshot still holds clones that node first, under the node's lock.
+// The on-disk store sketches a batch into a per-thread delta (a record's
+// rounds are not 8-byte aligned, so the kernel cannot run on the record
+// bytes) and XORs it into the record.
 #ifndef GZ_CORE_SKETCH_STORE_H_
 #define GZ_CORE_SKETCH_STORE_H_
 
@@ -37,6 +37,11 @@ namespace gz {
 class SketchStore {
  public:
   virtual ~SketchStore() = default;
+
+  // Applies `count` edge-index toggles to `node`'s sketch; by default
+  // through a per-thread delta sketch and MergeDelta.
+  virtual void ApplyBatch(NodeId node, const uint64_t* indices,
+                          size_t count);
 
   // XOR-merges `delta` (a sketch of a batch of updates) into `node`'s
   // sketch. `delta` must have been built with the store's params.
@@ -71,6 +76,7 @@ class InMemorySketchStore : public SketchStore {
  public:
   explicit InMemorySketchStore(const NodeSketchParams& params);
 
+  void ApplyBatch(NodeId node, const uint64_t* indices, size_t count) override;
   void MergeDelta(NodeId node, const NodeSketch& delta) override;
   void Load(NodeId node, NodeSketch* out) override;
   CowSketch Share(NodeId node) override;

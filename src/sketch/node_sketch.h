@@ -49,8 +49,8 @@ class NodeSketch : public SketchBlock {
   void Update(uint64_t edge_index);
 
   // Applies a batch of edge-index toggles: one span bounds check, then
-  // the active SIMD kernel over the whole span, round by round — the
-  // ingest workers' delta sketches go through exactly this path.
+  // the active SIMD kernel over the whole span, round by round. This is
+  // the ingest path: SketchStore::ApplyBatch runs it on a node's sketch.
   void UpdateBatch(const uint64_t* indices, size_t count);
 
   // Samples an incident (cut) edge index from round `round`.

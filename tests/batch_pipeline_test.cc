@@ -126,33 +126,38 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- caller-runs: a producer blocked on a full queue applies the batch --
 
-// Delegates to a real store and counts the merges run on the producing
-// (test) thread. Worker-thread merges wait until the producer has run
-// one more merge than when the store was last armed. With a one-slot
-// queue and one-update slabs the workers stall holding their batches,
-// the queue fills, and the producer's next push must run on the caller
-// path: the gate makes it certain instead of likely. If the producer
-// never merges, the first wait times out and opens the gate, so a
-// broken build fails the caller-merge checks instead of hanging.
+// Delegates to a real store and counts the batches applied on the
+// producing (test) thread. Worker-thread applies wait until the
+// producer has applied one more batch than when the store was last
+// armed. With a one-slot queue and one-update slabs the workers stall
+// holding their batches, the queue fills, and the producer's next push
+// must run on the caller path: the gate makes it certain instead of
+// likely. If the producer never applies one, the first wait times out
+// and opens the gate, so a broken build fails the caller-apply checks
+// instead of hanging.
 class CallerGateStore : public SketchStore {
  public:
   explicit CallerGateStore(SketchStore* inner)
       : SketchStore(inner->params()), inner_(inner),
         producer_(std::this_thread::get_id()) {}
 
-  void MergeDelta(NodeId node, const NodeSketch& delta) override {
+  void ApplyBatch(NodeId node, const uint64_t* indices,
+                  size_t count) override {
     std::unique_lock<std::mutex> lock(mu_);
     if (std::this_thread::get_id() == producer_) {
-      ++caller_merges_;
+      ++caller_applies_;
       cv_.notify_all();
     } else {
-      const bool producer_merged =
+      const bool producer_applied =
           cv_.wait_for(lock, std::chrono::seconds(5), [this] {
-            return open_ || caller_merges_ > armed_at_;
+            return open_ || caller_applies_ > armed_at_;
           });
-      if (!producer_merged) open_ = true;
+      if (!producer_applied) open_ = true;
     }
     lock.unlock();
+    inner_->ApplyBatch(node, indices, count);
+  }
+  void MergeDelta(NodeId node, const NodeSketch& delta) override {
     inner_->MergeDelta(node, delta);
   }
   void Load(NodeId node, NodeSketch* out) override { inner_->Load(node, out); }
@@ -163,15 +168,15 @@ class CallerGateStore : public SketchStore {
   size_t RamByteSize() const override { return inner_->RamByteSize(); }
   size_t DiskByteSize() const override { return inner_->DiskByteSize(); }
 
-  // Holds worker merges again until the producer runs one more.
+  // Holds worker applies again until the producer runs one more.
   void Arm() {
     std::lock_guard<std::mutex> lock(mu_);
-    armed_at_ = caller_merges_;
+    armed_at_ = caller_applies_;
     open_ = false;
   }
-  uint64_t caller_merges() {
+  uint64_t caller_applies() {
     std::lock_guard<std::mutex> lock(mu_);
-    return caller_merges_;
+    return caller_applies_;
   }
 
  private:
@@ -179,8 +184,8 @@ class CallerGateStore : public SketchStore {
   const std::thread::id producer_;
   std::mutex mu_;
   std::condition_variable cv_;
-  uint64_t caller_merges_ = 0;  // Guarded by mu_.
-  uint64_t armed_at_ = 0;       // Guarded by mu_.
+  uint64_t caller_applies_ = 0;  // Guarded by mu_.
+  uint64_t armed_at_ = 0;        // Guarded by mu_.
   bool open_ = false;           // Guarded by mu_; set by a timed-out wait.
 };
 
@@ -274,11 +279,11 @@ TEST_P(CallerRunsPipelineTest, BitwiseEqualToPerNodeSketches) {
   // have run some of them in Update or ForceFlush, before Drain.
   gutters->InsertBatch(updates.data(), half);
   gutters->ForceFlush();
-  const uint64_t first_half_caller_merges = store.caller_merges();
-  EXPECT_GT(first_half_caller_merges, 0u);
+  const uint64_t first_half_caller_applies = store.caller_applies();
+  EXPECT_GT(first_half_caller_applies, 0u);
   pool.Drain();
   // Mid-stream query: the snapshot shares the in-RAM store's nodes, so
-  // the caller-run merges below must clone the nodes it holds.
+  // the in-place writes below must clone the nodes it holds.
   const GraphSnapshot mid = ShareAll(&store, half);
   EXPECT_TRUE(mid == SequentialReference(sp, updates, half)) << c.name;
   HashAdjacencyGraph reference(n);
@@ -287,10 +292,10 @@ TEST_P(CallerRunsPipelineTest, BitwiseEqualToPerNodeSketches) {
                        c.name);
 
   store.Arm();
-  const uint64_t armed_caller_merges = store.caller_merges();
+  const uint64_t armed_caller_applies = store.caller_applies();
   gutters->InsertBatch(updates.data() + half, updates.size() - half);
   gutters->ForceFlush();
-  EXPECT_GT(store.caller_merges(), armed_caller_merges);
+  EXPECT_GT(store.caller_applies(), armed_caller_applies);
   pool.Drain();
   EXPECT_EQ(queue.InFlight(), 0);
   EXPECT_TRUE(ShareAll(&store, updates.size()) ==

@@ -94,6 +94,22 @@ TEST_P(SketchStoreTest, XorCancellation) {
   EXPECT_EQ(got, empty);
 }
 
+TEST_P(SketchStoreTest, ApplyBatchEqualsSketchOfTheXor) {
+  // The ingest write path: toggles land in the node's sketch, and an
+  // index applied in both batches cancels.
+  const NodeSketchParams params = MakeParams(8, 13);
+  auto store = MakeStore(params, "store_apply.bin");
+  const NodeSketchParams real = store->params();
+  const std::vector<uint64_t> first = {1, 5, 9};
+  const std::vector<uint64_t> second = {5, 7};
+  store->ApplyBatch(2, first.data(), first.size());
+  store->ApplyBatch(2, second.data(), second.size());
+  NodeSketch got(real);
+  store->Load(2, &got);
+  EXPECT_EQ(got, SketchOf(real, {1, 9, 7}));
+  EXPECT_NE(got, SketchOf(real, {1, 5, 9, 7}));
+}
+
 TEST_P(SketchStoreTest, ConcurrentMergesMatchSerial) {
   const NodeSketchParams params = MakeParams(16, 5);
   auto store = MakeStore(params, "store_conc.bin");
@@ -223,21 +239,38 @@ TEST_P(SketchStoreTest, SharesDroppedOnAnotherThreadWhileMerging) {
 }
 
 TEST(InMemorySketchStoreTest, ClonesANodeOnlyWhileItIsShared) {
-  // Copy-on-write, observed through object identity: a merge into a
-  // node nobody else holds lands in place; a merge into a held node
-  // moves the store to a clone and leaves the holder's object alone.
+  // Copy-on-write, observed through object identity, for both write
+  // paths (MergeDelta and ApplyBatch): a write to a node nobody else
+  // holds lands in place; a write to a held node moves the store to a
+  // clone and leaves the holder's object alone.
   InMemorySketchStore store(MakeParams(4, 12));
   const NodeSketchParams real = store.params();
   const NodeSketch* before = &*store.Share(1);  // Handle dropped at once.
   store.MergeDelta(1, SketchOf(real, {3}));
   EXPECT_EQ(&*store.Share(1), before) << "unshared node was cloned";
+  const uint64_t four = 4;
+  store.ApplyBatch(1, &four, 1);
+  EXPECT_EQ(&*store.Share(1), before) << "unshared node was cloned";
 
   const CowSketch held = store.Share(1);
   store.MergeDelta(1, SketchOf(real, {5}));
   EXPECT_EQ(&*held, before);
-  EXPECT_NE(&*store.Share(1), before) << "shared node was written in place";
-  EXPECT_EQ(*held, SketchOf(real, {3}));
-  EXPECT_EQ(*store.Share(1), SketchOf(real, {3, 5}));
+  const NodeSketch* clone = &*store.Share(1);
+  EXPECT_NE(clone, before) << "shared node was written in place";
+  EXPECT_EQ(*held, SketchOf(real, {3, 4}));
+  EXPECT_EQ(*store.Share(1), SketchOf(real, {3, 4, 5}));
+
+  // ApplyBatch into a held node: the clone is shared with a fresh
+  // handle, so the write clones again and both holders stay unchanged.
+  const CowSketch held_clone = store.Share(1);
+  const uint64_t two = 2;
+  store.ApplyBatch(1, &two, 1);
+  EXPECT_EQ(&*held, before);
+  EXPECT_EQ(&*held_clone, clone);
+  EXPECT_NE(&*store.Share(1), clone) << "shared node was written in place";
+  EXPECT_EQ(*held, SketchOf(real, {3, 4}));
+  EXPECT_EQ(*held_clone, SketchOf(real, {3, 4, 5}));
+  EXPECT_EQ(*store.Share(1), SketchOf(real, {3, 4, 5, 2}));
 }
 
 TEST(OnDiskSketchStoreTest, DiskByteSizeMatchesRecords) {

@@ -201,18 +201,15 @@ TEST(WorkQueueTest, ManyProducersManyConsumers) {
 }
 
 // Records every batch it is handed and the thread it ran on; releases
-// the batch (as a real runner would) unless told to decline.
+// the batch as a real runner would.
 class RecordingRunner : public BatchRunner {
  public:
-  explicit RecordingRunner(BatchPool* pool, bool accept = true)
-      : pool_(pool), accept_(accept) {}
-  bool TryRun(UpdateBatch* batch) override {
+  explicit RecordingRunner(BatchPool* pool) : pool_(pool) {}
+  void Run(UpdateBatch* batch) override {
     ++calls;
-    if (!accept_) return false;
     nodes.push_back(batch->node);
     thread = std::this_thread::get_id();
     pool_->Release(batch);
-    return true;
   }
   std::atomic<int> calls{0};
   std::vector<NodeId> nodes;
@@ -220,7 +217,6 @@ class RecordingRunner : public BatchRunner {
 
  private:
   BatchPool* pool_;
-  bool accept_;
 };
 
 TEST(WorkQueueTest, FullRingRunsBatchOnPushingThread) {
@@ -283,33 +279,6 @@ TEST(WorkQueueTest, RemovedRunnerIsNotCalled) {
   producer.join();
   EXPECT_EQ(runner.calls.load(), 0);
   pool.Release(q.Pop());
-}
-
-// A runner that declines (its caller-side state is busy) sends the push
-// back to the blocking wait, which then enqueues it normally.
-TEST(WorkQueueTest, DecliningRunnerFallsBackToBlockingPush) {
-  BatchPool pool(8);
-  WorkQueue q(1);
-  RecordingRunner runner(&pool, /*accept=*/false);
-  q.SetRunner(&runner);
-  ASSERT_TRUE(q.Push(MakeBatch(&pool, 1, {})));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(q.Push(MakeBatch(&pool, 2, {})));
-    pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(runner.calls.load(), 1);
-  pool.Release(q.Pop());
-  q.MarkDone();
-  producer.join();
-  EXPECT_EQ(q.InFlight(), 1);  // The fallback push was enqueued.
-  UpdateBatch* out = q.Pop();
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->node, 2u);
-  pool.Release(out);
-  q.MarkDone();
 }
 
 TEST(WorkQueueTest, TryPopNeverBlocks) {

@@ -3,6 +3,8 @@
 #ifndef GZ_TOOLS_FLAGS_H_
 #define GZ_TOOLS_FLAGS_H_
 
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +60,24 @@ class Flags {
  private:
   std::map<std::string, std::string> values_;
 };
+
+// Checks the ingest flags that GraphZeppelinConfig would abort on, when
+// given: --workers must be a count >= 1 (a non-numeric value parses as
+// 0) and --gutter-fraction finite and > 0. Prints the first problem and
+// returns false; the tool then prints its usage and exits 2.
+inline bool ValidIngestFlags(const Flags& flags) {
+  const int64_t workers = flags.GetInt("workers", 1);
+  if (workers < 1 || workers > INT_MAX) {
+    std::fprintf(stderr, "--workers wants a count >= 1\n");
+    return false;
+  }
+  const double fraction = flags.GetDouble("gutter-fraction", 1.0);
+  if (!(std::isfinite(fraction) && fraction > 0.0)) {
+    std::fprintf(stderr, "--gutter-fraction wants a finite value > 0\n");
+    return false;
+  }
+  return true;
+}
 
 // Splits a comma-separated endpoint list (empty entries dropped) — the
 // shared grammar of every tool that dials a shard fleet.

@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   tools::Flags flags(argc, argv);
 
   const std::string stream_path = flags.GetString("stream", "");
-  if (stream_path.empty()) {
+  if (stream_path.empty() || !tools::ValidIngestFlags(flags)) {
     std::fprintf(stderr,
                  "usage: gz_components --stream FILE [--buffering leaf|tree]"
                  " [--storage ram|disk] [--workers N]\n"
