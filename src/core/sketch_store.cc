@@ -3,8 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <optional>
-
 #include "util/check.h"
 
 namespace gz {
@@ -23,11 +21,11 @@ uint8_t* RecordScratch(size_t bytes) {
 void SketchStore::ApplyBatch(NodeId node, const uint64_t* indices,
                              size_t count) {
   // Per thread and reused, like RecordScratch; rebuilt for other params.
-  thread_local std::optional<NodeSketch> delta;
-  if (!delta || !(delta->params() == params())) delta.emplace(zero_);
-  delta->Clear();
-  delta->UpdateBatch(indices, count);
-  MergeDelta(node, *delta);
+  thread_local NodeSketch delta = zero_;
+  if (!(delta.params() == params())) delta = zero_;
+  delta.Clear();
+  delta.UpdateBatch(indices, count);
+  MergeDelta(node, delta);
 }
 
 CowSketch SketchStore::Share(NodeId node) {
