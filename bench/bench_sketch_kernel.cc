@@ -86,7 +86,7 @@ int main() {
                  "kernel diverged from scalar; refusing to report timing");
 
     // Ingest-shaped: one NodeSketch (all rounds) through the forced
-    // kernel, exactly what a Graph Worker's delta sketch does.
+    // kernel, exactly what SketchStore::ApplyBatch runs per batch.
     ForceSketchKernel(k);
     NodeSketch node(np);
     const int node_iters = std::max(1, iters / 8);
