@@ -1,7 +1,8 @@
 // Query-layer benchmark: parallel vs single-thread Boruvka, plus the
 // GraphSnapshot lifecycle costs (capture, XOR merge, serialize,
-// deserialize), plus the serving tier — cached vs delta-refresh vs
-// cold snapshot serving, reader-session query qps/p99 at 1/4/16
+// deserialize), plus the serving tier — a reader session's cold vs
+// cached snapshot vs the coordinator's re-fold, reader-session query
+// qps/p99 at 1/4/16
 // concurrent readers with the ingest-rate impact on the writer, and
 // the standing-query watch — push vs poll notification latency
 // p50/p99 and the writer's ingest rate with 16 live subscriptions.
@@ -137,13 +138,15 @@ int main() {
   }
 
   // ---- Serving tier ---------------------------------------------------------
-  // Two phases, one JSON object (always the array's last element):
-  //   (a) the coordinator's SnapshotCache — cold build vs cached hit vs
-  //       a full re-fold, bitwise-checked and with the ISSUE's "cached
-  //       >= 10x faster than re-fold" floor enforced;
-  //   (b) a loopback-TCP listener fleet with QuerySession readers —
-  //       quiesced query qps/p50/p99 and the writer's ingest rate with
-  //       readers polling, at 1/4/16 readers, vs a no-reader baseline.
+  // Two phases over one loopback-TCP listener fleet, one JSON object
+  // (always the array's last element):
+  //   (a) a QuerySession's SnapshotCache — its cold Snapshot() vs a
+  //       cached repeat at an unmoved position vs the coordinator's
+  //       full re-fold, bitwise-checked and with the "cached >= 10x
+  //       faster than re-fold" floor enforced;
+  //   (b) QuerySession readers — quiesced query qps/p50/p99 and the
+  //       writer's ingest rate with readers polling, at 1/4/16
+  //       readers, vs a no-reader baseline.
   {
     const int logv = bench::GetEnvInt("GZ_BENCH_SERVING_LOGV", 11);
     const int ingest_ms = bench::GetEnvInt("GZ_BENCH_SERVING_MS", 250);
@@ -163,46 +166,7 @@ int main() {
     updates.reserve(edges.size());
     for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
 
-    // (a) Cache economics over thread: shards (no process or network
-    // noise in the ratio).
-    double cold_s = 0, cached_s = 0, refold_s = 0;
-    {
-      GraphZeppelinConfig config = bench::DefaultGzConfig();
-      config.num_nodes = n;
-      ShardClusterOptions options;
-      options.shard_endpoints.assign(kShards, "thread:");
-      ShardCluster sharded(config, kShards, options);
-      GZ_CHECK_OK(sharded.Start());
-      GZ_CHECK_OK(sharded.Update(updates.data(), updates.size()));
-      GZ_CHECK_OK(sharded.Flush());
-
-      const GraphSnapshot* cached = nullptr;
-      WallTimer cold_timer;
-      GZ_CHECK_OK(sharded.CachedSnapshot(&cached));
-      cold_s = cold_timer.Seconds();
-
-      const int refolds = 5;
-      WallTimer refold_timer;
-      Result<GraphSnapshot> full = sharded.Snapshot();
-      for (int i = 1; i < refolds; ++i) full = sharded.Snapshot();
-      refold_s = refold_timer.Seconds() / refolds;
-      GZ_CHECK_OK(full.status());
-
-      const int reps = 50;
-      WallTimer cached_timer;
-      for (int i = 0; i < reps; ++i) {
-        GZ_CHECK_OK(sharded.CachedSnapshot(&cached));
-      }
-      cached_s = cached_timer.Seconds() / reps;
-
-      GZ_CHECK(*cached == full.value());
-      GZ_CHECK(sharded.snapshot_cache().cold_builds() == 1);
-      // The serving tier's reason to exist; regressing this means a
-      // cached hit re-folded.
-      GZ_CHECK(cached_s * 10.0 <= refold_s);
-    }
-
-    // (b) TCP fleet. 16 readers + the writer + a pin session exceed the
+    // The TCP fleet. 16 readers + the writer + a pin session exceed the
     // listener's default session budget, so raise it for the children.
     const std::string kSecret = "bench-serving";
     ::setenv("GZ_SHARD_MAX_SESSIONS", "40", 1);
@@ -235,16 +199,37 @@ int main() {
     qopts.endpoints = fleet;
     qopts.auth_secret = kSecret;
 
-    // Bitwise pin before any timing: a reader session serves exactly
-    // the coordinator's fold.
+    // (a) Reader-cache economics at a quiesced position: the first
+    // Snapshot() of a fresh session pulls every shard (cold), a repeat
+    // only sweeps positions (cached), and the coordinator's Snapshot()
+    // re-folds every shard's full range (refold). The served snapshot
+    // must be exactly the coordinator's fold.
+    double cold_s = 0, cached_s = 0, refold_s = 0;
     {
       QuerySession pin(qopts);
       GZ_CHECK_OK(pin.Connect());
       const GraphSnapshot* served = nullptr;
+      WallTimer cold_timer;
       GZ_CHECK_OK(pin.Snapshot(&served));
+      cold_s = cold_timer.Seconds();
+
+      const int refolds = 5;
+      WallTimer refold_timer;
       Result<GraphSnapshot> full = cluster.Snapshot();
-      GZ_CHECK(full.ok());
+      for (int i = 1; i < refolds; ++i) full = cluster.Snapshot();
+      refold_s = refold_timer.Seconds() / refolds;
+      GZ_CHECK_OK(full.status());
+
+      const int reps = 50;
+      WallTimer cached_timer;
+      for (int i = 0; i < reps; ++i) GZ_CHECK_OK(pin.Snapshot(&served));
+      cached_s = cached_timer.Seconds() / reps;
+
       GZ_CHECK(*served == full.value());
+      GZ_CHECK(pin.cache().cold_builds() == 1);
+      // The serving tier's reason to exist; regressing this means a
+      // cached hit re-folded.
+      GZ_CHECK(cached_s * 10.0 <= refold_s);
     }
 
     // Ingest windows recycle the second half of the stream in bursts

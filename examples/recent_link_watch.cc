@@ -1,10 +1,11 @@
-// Sliding-window connectivity with a standing query — exercises the
-// WindowedConnectivity workload: a WindowIngestor turns "connected
-// within the last W observations?" into plain connectivity on an
-// instance that always holds exactly the windowed graph (expiry
-// deletes through the unchanged delete path ARE the decay), and a
-// StandingQueryRegistry notifies only when the windowed answer
-// CHANGES.
+// Sliding-window connectivity with a standing query, composed from its
+// three parts: a WindowIngestor turns "connected within the last W
+// observations?" into plain connectivity on a GraphZeppelin instance
+// that always holds exactly the windowed graph (expiry deletes through
+// the unchanged delete path ARE the decay), and a StandingQueryRegistry
+// notifies only when the windowed answer CHANGES. The one rule the
+// composition needs: flush the window layer before each evaluation, so
+// its most recent transitions have reached the instance.
 //
 // Scenario: two sites exchange traffic through relays. The operator
 // watches "are site A and site B linked by RECENT traffic?" — old
@@ -13,22 +14,31 @@
 #include <cstdio>
 #include <vector>
 
-#include "workloads/windowed_connectivity.h"
+#include "core/graph_zeppelin.h"
+#include "core/standing_query.h"
+#include "workloads/window_ingestor.h"
 
 int main() {
   using namespace gz;
 
   constexpr uint64_t kHosts = 32;
   constexpr NodeId kSiteA = 0, kSiteB = 31;
-  WindowedConnectivityParams params;
-  params.config.num_nodes = kHosts;
-  params.config.seed = 19;
-  params.window.num_nodes = kHosts;
-  params.window.window = 12;  // Only the last 12 flows count.
+  GraphZeppelinConfig config;
+  config.num_nodes = kHosts;
+  config.seed = 19;
+  GraphZeppelin gz(config);
+  if (!gz.Init().ok()) return 1;
 
-  WindowedConnectivity wc(params);
-  if (!wc.Init().ok()) return 1;
-  wc.standing_queries().Add({StandingQueryKind::kConnected, kSiteA, kSiteB});
+  WindowIngestorParams window_params;
+  window_params.num_nodes = kHosts;
+  window_params.window = 12;  // Only the last 12 flows count.
+  WindowIngestor window(window_params,
+                        [&gz](const GraphUpdate* updates, size_t count) {
+                          gz.Update(updates, count);
+                        });
+
+  StandingQueryRegistry registry;
+  registry.Add({StandingQueryKind::kConnected, kSiteA, kSiteB});
 
   // Phase 1: a relay chain A -> 10 -> 20 -> B comes up.
   // Phase 2: unrelated chatter pushes the chain out of the window.
@@ -44,11 +54,13 @@ int main() {
 
   uint64_t observed = 0;
   for (const Edge& flow : flows) {
-    wc.Observe(flow);
+    window.Observe(flow);
     ++observed;
-    const Result<size_t> fired = wc.EvaluateStandingQueries(
-        1, [observed](const StandingQueryNotification& n,
-                      const GraphSnapshot&) {
+    window.Flush();
+    // Epoch 0: a single instance has no routing epochs.
+    const Result<size_t> fired = registry.Evaluate(
+        gz.Snapshot(), 0, 1,
+        [observed](const StandingQueryNotification& n, const GraphSnapshot&) {
           std::printf("  after %3llu flows: sites %s (notification #%llu)\n",
                       static_cast<unsigned long long>(observed),
                       n.answer.connected ? "LINKED" : "not linked",
@@ -63,8 +75,8 @@ int main() {
 
   std::printf("window now holds %zu distinct recent flows "
               "(%llu observed in total)\n",
-              wc.window().live_edges(),
-              static_cast<unsigned long long>(wc.window().observations()));
+              window.live_edges(),
+              static_cast<unsigned long long>(window.observations()));
   // The answer flipped with the WINDOW, not the cumulative stream: a
   // cumulative graph would have reported LINKED from flow 3 onward,
   // forever.

@@ -34,8 +34,7 @@
 // actually moved. Queries between watermarks are O(1) — they never
 // touch the ingest path.
 //
-// Not thread-safe; the owner (ShardCluster, QuerySession) serializes
-// access like every other coordinator call.
+// Not thread-safe; the owner (QuerySession) serializes access.
 #ifndef GZ_CORE_SNAPSHOT_CACHE_H_
 #define GZ_CORE_SNAPSHOT_CACHE_H_
 

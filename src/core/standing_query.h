@@ -1,9 +1,9 @@
 // Standing queries: the registry + answer-diff engine behind the
 // continuous-connectivity surface. A client registers a query —
 // connected(u,v)?, component count, or a spanning-forest watch — and a
-// driver (QuerySession's watcher thread, or the coordinator calling
-// EvaluateStandingQueries between updates) re-evaluates all of them
-// whenever the cluster position moves, firing a notification for each
+// driver (QuerySession's watcher thread, or a single-process caller
+// evaluating on its own snapshots between updates) re-evaluates all of
+// them whenever the position moves, firing a notification for each
 // query whose ANSWER changed since its last notification.
 //
 // One evaluation runs Boruvka ONCE per position, however many queries
@@ -27,8 +27,8 @@
 // answer bitwise.
 //
 // Not thread-safe; the owner serializes access (QuerySession guards it
-// with the watch mutex, the coordinator is single-driver like all its
-// other calls).
+// with the watch mutex; a single-process caller drives it from one
+// thread).
 #ifndef GZ_CORE_STANDING_QUERY_H_
 #define GZ_CORE_STANDING_QUERY_H_
 

@@ -21,9 +21,7 @@ constexpr size_t kMaxUpdatesPerFrame = 1 << 18;
 
 ShardCluster::ShardCluster(const GraphZeppelinConfig& base, int num_shards,
                            ShardClusterOptions options)
-    : base_(base),
-      options_(std::move(options)),
-      cache_(options_.migrate_nodes_per_chunk) {
+    : base_(base), options_(std::move(options)) {
   GZ_CHECK(num_shards >= 1);
   GZ_CHECK(options_.migrate_nodes_per_chunk >= 1);
   replication_ = options_.replication_factor;
@@ -169,7 +167,10 @@ GraphZeppelinConfig ShardCluster::ShardConfigFor(int shard,
                                                  int replica) const {
   GraphZeppelinConfig config = base_;
   config.instance_tag = "shard" + std::to_string(shard);
-  if (replica > 0) config.instance_tag += "r" + std::to_string(replica);
+  // append(), not "r" + to_string(), which GCC 12 flags (-Wrestrict).
+  if (replica > 0) {
+    config.instance_tag.append("r").append(std::to_string(replica));
+  }
   return config;
 }
 
@@ -382,7 +383,7 @@ Status ShardCluster::Flush() {
 Result<GraphSnapshot> ShardCluster::Snapshot() {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   // One live replica per shard streams its whole node range [0, V) —
-  // the read-only extract that migration and the serving cache use —
+  // the read-only extract that migration and reader sessions use —
   // and the replies fold in arrival order: the first is deserialized,
   // every later one XOR-folds through MergeSerialized with one scratch
   // sketch in flight, so peak memory is one snapshot + one reply buffer
@@ -416,8 +417,8 @@ Result<GraphSnapshot> ShardCluster::Snapshot() {
       BarrierScope::kOnePerShard);
   if (!s.ok()) return s;
   // Range folds carry no counts: the stream position comes from the
-  // same books CachedSnapshot() pins, removed shards included.
-  merged.SetUpdates(TotalUpdates(Watermarks()));
+  // coordinator's books, removed shards included.
+  merged.SetUpdates(TotalUpdates());
   return merged;
 }
 
@@ -1159,27 +1160,11 @@ Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
   return first_error;
 }
 
-// ---- Serving tier ----------------------------------------------------------
-
-ShardWatermarks ShardCluster::Watermarks() const {
+uint64_t ShardCluster::TotalUpdates() const {
   // Pure bookkeeping, no RPC: a shard's eventual update count is every
-  // update routed to it (the log holds whatever some replica's
-  // checkpoint does not cover, including updates waiting for a down
-  // replica), and its delta position is the deltas framed to it. FIFO
-  // sockets make shard content a pure function of this pair.
-  ShardWatermarks marks;
-  for (const int s : ActiveShards()) {
-    ShardWatermark mark;
-    mark.num_updates = shards_[s].position();
-    mark.delta_seq = shards_[s].delta_seq_sent;
-    marks.emplace(s, mark);
-  }
-  return marks;
-}
-
-uint64_t ShardCluster::TotalUpdates(const ShardWatermarks& marks) const {
+  // update routed to it, including updates waiting for a down replica.
   uint64_t total = migrated_updates_;
-  for (const auto& [shard, mark] : marks) total += mark.num_updates;
+  for (const int s : ActiveShards()) total += shards_[s].position();
   return total;
 }
 
@@ -1191,49 +1176,6 @@ NodeSketchParams ShardCluster::SketchParams() const {
   params.rounds = base_.rounds > 0 ? base_.rounds
                                    : NodeSketch::DefaultRounds(base_.num_nodes);
   return params;
-}
-
-Status ShardCluster::CachedSnapshot(const GraphSnapshot** out) {
-  if (!started_) return Status::FailedPrecondition("cluster not started");
-  const ShardWatermarks marks = Watermarks();
-  if (!cache_.Fresh(table_.epoch, marks)) {
-    // The puller is the read-only extract RPC migration already uses;
-    // FIFO ordering means the extracted bytes cover every frame sent
-    // before the pull, i.e. exactly the watermark the key promises.
-    // Any live replica serves — all of them are bitwise-equal at the
-    // keyed position — so the pull fails over past dead ones.
-    const Status s = cache_.Refresh(
-        table_.epoch, marks, TotalUpdates(marks), SketchParams(),
-        [this](int shard, uint64_t lo, uint64_t hi,
-               std::vector<uint8_t>* delta) {
-          if (FirstUnfencedReplica(shard) < 0) {
-            return Status::FailedPrecondition(
-                "snapshot-cache refresh needs shard " +
-                std::to_string(shard) +
-                ", which is down; RestartShard() it first");
-          }
-          Status st = Status::Ok();
-          for (Replica& rep : shards_[shard].replicas) {
-            if (rep.down) continue;
-            st = ExtractRange(rep, lo, hi, delta);
-            if (st.ok()) return st;  // Fenced on failure; try the next.
-          }
-          return st;
-        });
-    if (!s.ok()) return s;
-  }
-  *out = &cache_.merged();
-  return Status::Ok();
-}
-
-Result<size_t> ShardCluster::EvaluateStandingQueries(
-    int threads, const StandingQueryNotifier& notifier) {
-  if (standing_queries_.size() == 0) return size_t{0};
-  const GraphSnapshot* snap = nullptr;
-  const Status s = CachedSnapshot(&snap);
-  if (!s.ok()) return s;
-  return standing_queries_.Evaluate(*snap, table_.epoch, threads,
-                                    notifier);
 }
 
 }  // namespace gz

@@ -37,9 +37,9 @@
 // backed by R replica processes. Each routed slab is logged once for
 // the shard and fans out to every replica (each migration chunk is
 // logged once per side and sent the same way), so all live replicas
-// of a shard are bitwise-identical at all times; folds
-// (Snapshot, the serving cache) read any ONE live replica per shard
-// and fail over past dead ones. The repair path is anti-entropy, not
+// of a shard are bitwise-identical at all times; a fold (Snapshot,
+// HeavyHitters) reads any ONE live replica per shard and fails over
+// past dead ones. The repair path is anti-entropy, not
 // replay: Reconcile() pulls node-range chunks from a position-verified
 // reference replica and from the suspect, XOR-diffs them, and folds
 // exactly the difference into whichever copy is behind. Because the
@@ -71,8 +71,6 @@
 
 #include "core/graph_snapshot.h"
 #include "core/graph_zeppelin.h"
-#include "core/snapshot_cache.h"
-#include "core/standing_query.h"
 #include "distributed/shard_endpoint.h"
 #include "distributed/shard_process.h"
 #include "distributed/shard_protocol.h"
@@ -127,10 +125,9 @@ struct ShardClusterOptions {
 struct ShardStats {
   uint64_t num_updates = 0;
   uint64_t ram_bytes = 0;
-  // The routing epoch the shard is at and its migration-delta count —
-  // together with num_updates, the shard's serving watermark (see
-  // snapshot_cache.h): equal watermarks at equal epochs imply
-  // bitwise-equal sketch content.
+  // The routing epoch the shard is at and its migration-delta count.
+  // Together with num_updates they fix the shard's sketch content:
+  // equal counts at equal epochs imply bitwise-equal sketches.
   uint64_t epoch = 0;
   uint64_t delta_seq = 0;
 };
@@ -171,7 +168,7 @@ class ShardCluster {
   // Aggregated query surface: pulls one live replica per shard's whole
   // node range [0, V) and XOR-folds the replies (one deserialized
   // snapshot plus one scratch sketch in flight); the update count is
-  // the coordinator's books, exactly as CachedSnapshot() pins it. Exact
+  // the coordinator's books, removed shards included. Exact
   // even mid-migration: chunk moves are install+cancel pairs, so the
   // global XOR never double-counts. Survives dead replicas as long as
   // every shard keeps one live one.
@@ -284,36 +281,6 @@ class ShardCluster {
   Status Shutdown();
 
   Result<ShardStats> Stats(int shard);
-
-  // --- Serving tier ----------------------------------------------------------
-  // Like Snapshot(), but answered from the epoch/watermark-keyed
-  // SnapshotCache: O(1) — zero RPCs — while the cluster position is
-  // unchanged since the last call, and node-delta pulls from ONLY the
-  // shards whose watermark moved otherwise (a reshard refreshes by
-  // pulling the moved shards, never a full re-fold). Bitwise identical
-  // to Snapshot() at the same (epoch, watermarks) position — enforced
-  // by tests. *out stays valid until the next CachedSnapshot() call or
-  // cluster mutation. Watermarks come from the coordinator's own
-  // durability bookkeeping, so no barrier runs: a query can even be
-  // served at the last position while a shard is down, as long as
-  // nothing moved; a refresh pulls from any live replica and fails only
-  // when a shard has none.
-  Status CachedSnapshot(const GraphSnapshot** out);
-  // The cluster's current serving position: per-shard watermarks from
-  // the shard books (updates routed, deltas sent).
-  ShardWatermarks Watermarks() const;
-  const SnapshotCache& snapshot_cache() const { return cache_; }
-
-  // Standing queries, coordinator-driven: register specs here, then
-  // call EvaluateStandingQueries() wherever the stream pauses (between
-  // batches, after a reshard step). One CachedSnapshot() refresh + one
-  // fold serves every registered query; `notifier` fires once per
-  // changed answer (see core/standing_query.h for the contract).
-  // Returns the number of notifications fired. Single-driver, like
-  // every other coordinator call.
-  StandingQueryRegistry& standing_queries() { return standing_queries_; }
-  Result<size_t> EvaluateStandingQueries(
-      int threads, const StandingQueryNotifier& notifier);
 
   // Size of the shard-id space (ids are never reused; removed ids stay
   // allocated). Equals the active count until the first RemoveShard.
@@ -455,9 +422,9 @@ class ShardCluster {
   // stream position and delta sequence number), then trims the shard's
   // logs to what every replica's checkpoint covers.
   void CommitCheckpoint(int shard, int replica, const ShardAck& ack);
-  // The cluster's stream position at `marks`: every shard's books plus
-  // what removed shards ingested — the count both folds report.
-  uint64_t TotalUpdates(const ShardWatermarks& marks) const;
+  // The cluster's stream position: every active shard's books plus
+  // what removed shards ingested — the count Snapshot() reports.
+  uint64_t TotalUpdates() const;
   // The sketch params every shard runs with: base_'s geometry, with
   // rounds = 0 resolved exactly as a shard resolves it.
   NodeSketchParams SketchParams() const;
@@ -491,9 +458,6 @@ class ShardCluster {
   uint64_t updates_since_checkpoint_ = 0;  // Drives auto-checkpointing.
   uint64_t updates_since_reconcile_ = 0;   // Drives periodic anti-entropy.
   ShardFrame reply_buf_;  // Reused for pipelined replies.
-  // The serving tier's merged-snapshot cache (see CachedSnapshot()).
-  SnapshotCache cache_;
-  StandingQueryRegistry standing_queries_;
 };
 
 }  // namespace gz

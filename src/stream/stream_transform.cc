@@ -47,8 +47,9 @@ StreamTransformResult BuildStream(const EdgeList& input_edges,
   std::unordered_set<NodeId> disconnected;
   int want = params.disconnect_count;
   if (want == 0) {
-    want = static_cast<int>(
-        std::min<uint64_t>(149, std::max<uint64_t>(2, params.num_nodes / 64)));
+    want = static_cast<int>(std::min<uint64_t>(
+        {149, std::max<uint64_t>(2, params.num_nodes / 64),
+         params.num_nodes - 1}));
   }
   if (want > 0) {
     GZ_CHECK(static_cast<uint64_t>(want) < params.num_nodes);
@@ -92,6 +93,10 @@ StreamTransformResult BuildStream(const EdgeList& input_edges,
     for (const Edge& e : input_edges) {
       present.insert(EdgeToIndex(e, params.num_nodes));
     }
+    // Phantoms are distinct non-edges; asking for more never returns.
+    GZ_CHECK_MSG(num_phantoms <= NumPossibleEdges(params.num_nodes) -
+                                     present.size(),
+                 "more phantom edges than the graph has non-edges");
     size_t made = 0;
     while (made < num_phantoms) {
       NodeId u = static_cast<NodeId>(rng.NextBelow(params.num_nodes));

@@ -29,8 +29,9 @@ struct StreamTransformParams {
   // Phantom (never-present-in-input) edges as a fraction of input edges;
   // each contributes an insert+delete pair.
   double phantom_fraction = 0.02;
-  // Number of nodes to disconnect; 0 picks the paper-style default
-  // min(149, max(2, V/64)). Set negative to disable disconnection.
+  // Number of nodes to disconnect, below num_nodes; 0 picks the
+  // paper-style default min(149, max(2, V/64), V - 1). Set negative to
+  // disable disconnection.
   int disconnect_count = 0;
 };
 

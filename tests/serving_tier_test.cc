@@ -1,12 +1,12 @@
-// Serving-tier suite: the epoch/watermark-keyed SnapshotCache behind
-// CachedSnapshot(), the multi-session listener, and QuerySession — the
-// read-side client that answers queries from shard listeners without
-// ever touching the coordinator.
+// Serving-tier suite: the multi-session listener and QuerySession — the
+// read-side client that answers queries from shard listeners, through
+// its epoch/watermark-keyed SnapshotCache, without ever touching the
+// coordinator.
 //
 // The load-bearing property everywhere: a cached or delta-refreshed
-// snapshot must be BITWISE identical to a full re-fold at the same
-// (epoch, watermark) position — through ingest, add/split/remove
-// schedules, shard kill/restart, and concurrent reader sessions.
+// snapshot must be BITWISE identical to the coordinator's full fold at
+// the same (epoch, watermark) position — through ingest, a live split,
+// replica failover, and concurrent reader sessions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,143 +82,6 @@ std::vector<GraphUpdate> BuildStream(uint64_t seed) {
 // nodes-per-chunk granularity.
 constexpr uint64_t kChunk = 16;
 constexpr uint64_t kChunksPerShard = (kNumNodes + kChunk - 1) / kChunk;
-
-class ServingTierSubstrateTest : public ::testing::TestWithParam<Substrate> {
-};
-
-TEST_P(ServingTierSubstrateTest, CachedSnapshotBitwiseEqualsFullFold) {
-  // The acceptance pin: at every position along an ingest + reshard
-  // schedule, CachedSnapshot() == Snapshot() bitwise — sketches AND
-  // update count — and a repeat call at an unmoved position is
-  // answered with ZERO data pulls.
-  ShardClusterOptions options;
-  options.migrate_nodes_per_chunk = kChunk;
-  ShardCluster sharded(BaseConfig(21), 3, OnSubstrate(GetParam(), 3, options));
-  ASSERT_TRUE(sharded.Start().ok());
-  const std::string grow = SubstrateEndpoint(GetParam());
-  const std::vector<GraphUpdate> updates = BuildStream(21);
-  const size_t burst = updates.size() / 6 + 1;
-  size_t fed = 0;
-  const auto feed_burst = [&] {
-    const size_t count = std::min(burst, updates.size() - fed);
-    ASSERT_TRUE(sharded.Update(updates.data() + fed, count).ok());
-    fed += count;
-  };
-  const auto check_pinned = [&](const char* step) {
-    GraphSnapshot full = FoldedSnapshot(&sharded);
-    const GraphSnapshot* cached = nullptr;
-    Status s = sharded.CachedSnapshot(&cached);
-    ASSERT_TRUE(s.ok()) << step << ": " << s.ToString();
-    EXPECT_TRUE(*cached == full) << step;
-    EXPECT_EQ(cached->num_updates(), full.num_updates()) << step;
-    // Nothing moved since: the repeat is served from cache, bitwise
-    // identical, zero pulls.
-    const uint64_t pulls = sharded.snapshot_cache().range_pulls();
-    s = sharded.CachedSnapshot(&cached);
-    ASSERT_TRUE(s.ok()) << step;
-    EXPECT_TRUE(*cached == full) << step << " (cached repeat)";
-    EXPECT_EQ(sharded.snapshot_cache().range_pulls(), pulls)
-        << step << ": a fresh cache must not pull";
-  };
-
-  feed_burst();
-  check_pinned("first burst");
-  feed_burst();
-  check_pinned("second burst");
-
-  Result<int> added = sharded.AddShard(grow);
-  ASSERT_TRUE(added.ok());
-  feed_burst();
-  check_pinned("after add");
-
-  ASSERT_TRUE(sharded.SplitShard(0, grow).ok());
-  feed_burst();
-  check_pinned("after split");
-
-  ASSERT_TRUE(sharded.RemoveShard(added.value()).ok());
-  while (fed < updates.size()) feed_burst();
-  check_pinned("after remove, stream done");
-}
-
-TEST_P(ServingTierSubstrateTest, DeltaRefreshPullsOnlyMovedShards) {
-  // Cache freshness is per shard: a reshard that touches shards A and
-  // B must refresh by pulling node deltas from A and B ONLY — the
-  // unmoved third shard contributes its cached content untouched.
-  ShardClusterOptions options;
-  options.migrate_nodes_per_chunk = kChunk;
-  ShardCluster sharded(BaseConfig(33), 3, OnSubstrate(GetParam(), 3, options));
-  ASSERT_TRUE(sharded.Start().ok());
-  const std::vector<GraphUpdate> updates = BuildStream(33);
-  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
-
-  const GraphSnapshot* cached = nullptr;
-  ASSERT_TRUE(sharded.CachedSnapshot(&cached).ok());
-  const uint64_t cold_pulls = sharded.snapshot_cache().range_pulls();
-  EXPECT_EQ(sharded.snapshot_cache().cold_builds(), 1u);
-  EXPECT_EQ(cold_pulls, 3 * kChunksPerShard);  // Cold: every shard.
-
-  // A split with no interleaved ingest moves exactly two watermarks:
-  // the source (its delta_seq advances per extracted chunk) and the
-  // new target.
-  ASSERT_TRUE(sharded.SplitShard(0, SubstrateEndpoint(GetParam())).ok());
-  ASSERT_TRUE(sharded.CachedSnapshot(&cached).ok());
-  EXPECT_EQ(sharded.snapshot_cache().range_pulls() - cold_pulls,
-            2 * kChunksPerShard)
-      << "refresh must pull from the two moved shards, not all four";
-  EXPECT_EQ(sharded.snapshot_cache().cold_builds(), 1u)
-      << "a delta refresh must not rebuild from scratch";
-  EXPECT_TRUE(*cached == FoldedSnapshot(&sharded));
-}
-
-INSTANTIATE_TEST_SUITE_P(Substrates, ServingTierSubstrateTest,
-                         ::testing::Values(Substrate::kThread,
-                                           Substrate::kProcess),
-                         [](const auto& info) {
-                           return SubstrateName(info.param);
-                         });
-
-TEST(ServingTierFaultTest, CacheServesAtLastPositionWhileShardIsDown) {
-  // Watermarks come from the coordinator's own durability bookkeeping,
-  // so a FRESH cache answers with zero RPCs even while a shard is down;
-  // a refresh that needs the dead shard fails with a precise error; a
-  // restart (checkpoint restore + replay) makes the next refresh exact.
-  ShardClusterOptions options;
-  options.migrate_nodes_per_chunk = kChunk;
-  ShardCluster cluster(BaseConfig(55), 3, options);
-  ASSERT_TRUE(cluster.Start().ok());
-  const std::vector<GraphUpdate> updates = BuildStream(55);
-  const size_t half = updates.size() / 2;
-  ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
-  ASSERT_TRUE(cluster.Checkpoint().ok());  // Replay budget for restart.
-
-  const GraphSnapshot* cached = nullptr;
-  ASSERT_TRUE(cluster.CachedSnapshot(&cached).ok());
-  Result<GraphSnapshot> full = cluster.Snapshot();
-  ASSERT_TRUE(full.ok());
-  ASSERT_TRUE(*cached == full.value());
-
-  cluster.KillShard(1);
-  const uint64_t pulls = cluster.snapshot_cache().range_pulls();
-  ASSERT_TRUE(cluster.CachedSnapshot(&cached).ok())
-      << "a fresh cache must serve with a shard down";
-  EXPECT_TRUE(*cached == full.value());
-  EXPECT_EQ(cluster.snapshot_cache().range_pulls(), pulls);
-
-  // Push the position forward; the refresh now needs the dead shard.
-  (void)cluster.Update(updates.data() + half, updates.size() - half);
-  const Status stale = cluster.CachedSnapshot(&cached);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(stale.message().find("down"), std::string::npos);
-
-  ASSERT_TRUE(cluster.RestartShard(1).ok());
-  ASSERT_TRUE(cluster.CachedSnapshot(&cached).ok());
-  full = cluster.Snapshot();
-  ASSERT_TRUE(full.ok());
-  EXPECT_TRUE(*cached == full.value())
-      << "post-restart refresh must fold replayed state exactly";
-  ASSERT_TRUE(cluster.Shutdown().ok());
-}
 
 // ---- TCP serving tier -----------------------------------------------------
 

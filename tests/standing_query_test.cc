@@ -1,6 +1,6 @@
-// Standing-query suite: the registry's answer-diff contract, the
-// coordinator evaluation surface, and the push-notified watch over the
-// serving tier.
+// Standing-query suite: the registry's answer-diff contract, a registry
+// evaluated on the coordinator's fold and on reader sessions, and the
+// push-notified watch over the serving tier.
 //
 // The load-bearing property everywhere: every notification's answer is
 // bitwise-equal to a fresh connectivity fold of the snapshot it was
@@ -204,7 +204,7 @@ TEST_F(StandingQueryRegistryTest, LateAddedQueryGetsItsInitialAnswer) {
   EXPECT_TRUE(fired_.back().answer.connected);
 }
 
-// ---- Coordinator surface --------------------------------------------------
+// ---- A registry over the coordinator's fold ---------------------------------
 
 class StandingQueryCoordinatorTest
     : public ::testing::TestWithParam<Substrate> {};
@@ -212,7 +212,7 @@ class StandingQueryCoordinatorTest
 TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
   ShardCluster sharded(BaseConfig(33), 3, OnSubstrate(GetParam(), 3));
   ASSERT_TRUE(sharded.Start().ok());
-  StandingQueryRegistry& reg = sharded.standing_queries();
+  StandingQueryRegistry reg;
   reg.Add({StandingQueryKind::kConnected, 0, 5});
   reg.Add({StandingQueryKind::kComponentCount, 0, 0});
   reg.Add({StandingQueryKind::kSpanningForest, 0, 0});
@@ -234,7 +234,8 @@ TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
     ASSERT_TRUE(sharded.Update(updates.data() + fed, count).ok());
     for (size_t i = 0; i < count; ++i) checker.Update(updates[fed + i]);
     fed += count;
-    const Result<size_t> n = sharded.EvaluateStandingQueries(1, notifier);
+    const Result<size_t> n = reg.Evaluate(
+        FoldedSnapshot(&sharded), sharded.routing_table().epoch, 1, notifier);
     ASSERT_TRUE(n.ok()) << n.status().ToString();
     // The exact-answer pin, against the dense baseline: the component
     // count notified at this position (or the unchanged one standing
@@ -251,7 +252,8 @@ TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
   }
   EXPECT_GE(fired.size(), 3u);  // At least every initial answer.
   // An evaluation at the final (unmoved) position fires nothing.
-  const Result<size_t> again = sharded.EvaluateStandingQueries(1, notifier);
+  const Result<size_t> again = reg.Evaluate(
+      FoldedSnapshot(&sharded), sharded.routing_table().epoch, 1, notifier);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value(), 0u);
 }
@@ -270,31 +272,49 @@ class StandingQueryClusterTest : public ::testing::TestWithParam<Substrate> {
   ShardClusterOptions MakeOptions(int num_shards) {
     ShardClusterOptions options;
     options.migrate_nodes_per_chunk = 16;
-    return OnSubstrate(GetParam(), num_shards, std::move(options),
-                       &listeners_);
+    options = OnSubstrate(GetParam(), num_shards, std::move(options),
+                          &listeners_);
+    if (GetParam() == Substrate::kTcp) endpoints_ = options.shard_endpoints;
+    return options;
   }
 
   // Where a grown shard lives: a fresh listener on TCP, a local child
   // otherwise.
   std::string GrowEndpoint() {
     if (GetParam() != Substrate::kTcp) return SubstrateEndpoint(GetParam());
-    std::vector<std::string> endpoints;
-    StartSubstrateListeners(1, &listeners_, &endpoints);
-    return endpoints.back();
+    StartSubstrateListeners(1, &listeners_, &endpoints_);
+    return endpoints_.back();
+  }
+
+  // A reader session over every listener started so far (kTcp only).
+  std::unique_ptr<QuerySession> OpenSession() {
+    QuerySessionOptions qo;
+    qo.endpoints = endpoints_;
+    qo.auth_secret = kSubstrateSecret;
+    qo.nodes_per_chunk = 16;
+    auto session = std::make_unique<QuerySession>(std::move(qo));
+    GZ_CHECK_OK(session->Connect());
+    return session;
   }
 
   std::vector<std::unique_ptr<ListenerShard>> listeners_;
+  std::vector<std::string> endpoints_;
 };
 
 TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
-  // The tentpole drill, coordinator-driven: standing queries evaluated
-  // between pump steps of a LIVE BeginSplitShard migration, with
-  // ingest interleaved. Every notification must pass the bitwise bar
-  // at its own position, and the component count must track the dense
-  // baseline at every evaluated position.
+  // The tentpole drill: standing queries evaluated between pump steps
+  // of a LIVE BeginSplitShard migration, with ingest interleaved. The
+  // process case evaluates on the coordinator's fold; the TCP case on
+  // a reader session, after a flush so the session sees every routed
+  // update. Every notification must pass the bitwise bar at its own
+  // position, and the component count must track the dense baseline
+  // at every evaluated position.
   ShardCluster sharded(BaseConfig(55), 3, MakeOptions(3));
   ASSERT_TRUE(sharded.Start().ok());
-  StandingQueryRegistry& reg = sharded.standing_queries();
+  const bool tcp = GetParam() == Substrate::kTcp;
+  std::unique_ptr<QuerySession> session;
+  if (tcp) session = OpenSession();
+  StandingQueryRegistry reg;
   reg.Add({StandingQueryKind::kConnected, 1, 2});
   reg.Add({StandingQueryKind::kComponentCount, 0, 0});
   reg.Add({StandingQueryKind::kSpanningForest, 0, 0});
@@ -308,8 +328,20 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
     VerifyNotificationBitwise(n, snapshot);
     fired.push_back(n);
   };
+  const auto evaluate = [&]() -> Result<size_t> {
+    if (!tcp) {
+      return reg.Evaluate(FoldedSnapshot(&sharded),
+                          sharded.routing_table().epoch, 1, notifier);
+    }
+    const Status flushed = sharded.Flush();
+    if (!flushed.ok()) return flushed;
+    const GraphSnapshot* snap = nullptr;
+    const Status s = session->Snapshot(&snap);
+    if (!s.ok()) return s;
+    return reg.Evaluate(*snap, session->cache().epoch(), 1, notifier);
+  };
   const auto evaluate_and_pin = [&](const char* step) {
-    const Result<size_t> n = sharded.EvaluateStandingQueries(1, notifier);
+    const Result<size_t> n = evaluate();
     ASSERT_TRUE(n.ok()) << step << ": " << n.status().ToString();
     for (auto it = fired.rbegin(); it != fired.rend(); ++it) {
       if (it->spec.kind == StandingQueryKind::kComponentCount) {
@@ -332,6 +364,8 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
 
   Result<int> target = sharded.BeginSplitShard(0, GrowEndpoint());
   ASSERT_TRUE(target.ok()) << target.status().ToString();
+  // The split target's listener serves readers too: reconnect with it.
+  if (tcp) session = OpenSession();
   size_t fed = half;
   int pumps = 0;
   while (sharded.migration_active()) {

@@ -25,13 +25,13 @@
 #include "cluster_substrate.h"
 #include "core/connectivity.h"
 #include "core/graph_zeppelin.h"
+#include "core/standing_query.h"
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_transport.h"
 #include "stream/erdos_renyi_generator.h"
 #include "workloads/count_min.h"
 #include "workloads/k_connectivity.h"
 #include "workloads/window_ingestor.h"
-#include "workloads/windowed_connectivity.h"
 
 namespace gz {
 namespace {
@@ -646,22 +646,30 @@ TEST(WindowIngestorTest, MixedInsertAndExpiryDeleteSlabFoldsToEmpty) {
   EXPECT_TRUE(folded == fresh.Snapshot());
 }
 
-TEST(WindowedConnectivityTest, NotificationsVerifyAgainstFreshWindowedFold) {
-  // Watchable window queries: every notification must (a) reproduce
-  // from the snapshot it carries, and (b) match a FRESH windowed
-  // instance driven to the same observation position — the window
-  // fold, not the cumulative graph.
+TEST(SlidingWindowConnectivityTest,
+     NotificationsVerifyAgainstFreshWindowedFold) {
+  // Watchable window queries, composed from their three parts: a
+  // WindowIngestor feeding a GraphZeppelin, and a StandingQueryRegistry
+  // evaluated on the instance's snapshot after each window flush. Every
+  // notification must (a) reproduce from the snapshot it carries, and
+  // (b) match a FRESH windowed instance driven to the same observation
+  // position — the window fold, not the cumulative graph.
   const uint64_t n = 12;
   const size_t W = 8;
-  WindowedConnectivityParams params;
-  params.config = BaseConfig(n, 67);
-  params.window.num_nodes = n;
-  params.window.window = W;
+  const GraphZeppelinConfig config = BaseConfig(n, 67);
+  WindowIngestorParams window_params;
+  window_params.num_nodes = n;
+  window_params.window = W;
 
-  WindowedConnectivity wc(params);
-  ASSERT_TRUE(wc.Init().ok());
-  wc.standing_queries().Add({StandingQueryKind::kConnected, 0, 11});
-  wc.standing_queries().Add({StandingQueryKind::kComponentCount, 0, 0});
+  GraphZeppelin gz(config);
+  ASSERT_TRUE(gz.Init().ok());
+  WindowIngestor window(window_params,
+                        [&gz](const GraphUpdate* updates, size_t count) {
+                          gz.Update(updates, count);
+                        });
+  StandingQueryRegistry registry;
+  registry.Add({StandingQueryKind::kConnected, 0, 11});
+  registry.Add({StandingQueryKind::kComponentCount, 0, 0});
 
   // A path 0-..-11 built left to right; with W=8 the early edges expire
   // as later ones arrive, so connected(0,11) is NEVER true and the
@@ -678,12 +686,14 @@ TEST(WindowedConnectivityTest, NotificationsVerifyAgainstFreshWindowedFold) {
   std::vector<Seen> seen;
   uint64_t observed = 0;
   for (const Edge& e : stream) {
-    wc.Observe(e);
+    window.Observe(e);
     ++observed;
     if (observed % 4 == 0) {
-      const Result<size_t> fired = wc.EvaluateStandingQueries(
-          1, [&](const StandingQueryNotification& notification,
-                 const GraphSnapshot& snapshot) {
+      window.Flush();
+      const Result<size_t> fired = registry.Evaluate(
+          gz.Snapshot(), 0, 1,
+          [&](const StandingQueryNotification& notification,
+              const GraphSnapshot& snapshot) {
             // (a) The carried snapshot reproduces the answer bitwise.
             const ConnectivityResult fold = Connectivity(snapshot, 1);
             EXPECT_TRUE(DeriveStandingAnswer(notification.spec, fold) ==
@@ -699,10 +709,18 @@ TEST(WindowedConnectivityTest, NotificationsVerifyAgainstFreshWindowedFold) {
 
   // (b) Replay a fresh windowed instance to each notified position.
   for (const Seen& s : seen) {
-    WindowedConnectivity replay(params);
+    GraphZeppelin replay(config);
     ASSERT_TRUE(replay.Init().ok());
-    for (uint64_t i = 0; i < s.position; ++i) replay.Observe(stream[i]);
-    const ConnectivityResult fold = replay.Connectivity();
+    WindowIngestor replay_window(
+        window_params, [&replay](const GraphUpdate* updates, size_t count) {
+          replay.Update(updates, count);
+        });
+    for (uint64_t i = 0; i < s.position; ++i) {
+      replay_window.Observe(stream[i]);
+    }
+    replay_window.Flush();
+    const ConnectivityResult fold =
+        Connectivity(replay.Snapshot(), config.query_threads);
     EXPECT_TRUE(DeriveStandingAnswer(s.spec, fold) == s.answer)
         << "position " << s.position;
     if (s.spec.kind == StandingQueryKind::kConnected) {
