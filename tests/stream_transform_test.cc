@@ -96,6 +96,30 @@ TEST(StreamTransformTest, DisconnectDisabled) {
   }
 }
 
+TEST(StreamTransformTest, DefaultDisconnectLeavesANodeOnTwoNodes) {
+  // The default disconnect count is capped at V - 1.
+  StreamTransformParams p;
+  p.num_nodes = 2;
+  const StreamTransformResult r = BuildStream({Edge(0, 1)}, p);
+  EXPECT_EQ(r.disconnected_nodes.size(), 1u);
+  EXPECT_TRUE(r.final_edges.empty());
+}
+
+TEST(StreamTransformDeathTest, MorePhantomsThanNonEdgesFailsACheck) {
+  // K4 minus one edge leaves one non-edge: one phantom fits, and a
+  // request for two is a check failure rather than an endless draw.
+  const EdgeList edges = {Edge(0, 1), Edge(0, 2), Edge(0, 3), Edge(1, 2),
+                          Edge(1, 3)};
+  StreamTransformParams p;
+  p.num_nodes = 4;
+  p.churn_fraction = 0.0;
+  p.disconnect_count = -1;
+  p.phantom_fraction = 0.2;  // floor(0.2 * 5) = 1 phantom.
+  EXPECT_EQ(BuildStream(edges, p).updates.size(), edges.size() + 2);
+  p.phantom_fraction = 0.4;  // 2 phantoms.
+  EXPECT_DEATH(BuildStream(edges, p), "non-edges");
+}
+
 TEST(StreamTransformTest, ChurnAndPhantomsAddDeletes) {
   EdgeList edges = RandomConnectedGraph(300, 1200, 7);
   StreamTransformParams p;
