@@ -2,8 +2,9 @@
 // end, each with a built-in correctness gate (GZ_CHECK) so a timing
 // row can never be printed for a wrong answer.
 //
-//   heavy_hitters    count-min side-sketch ingest overhead (tracking
-//                    on vs off through the bulk span path), top-k
+//   heavy_hitters    count-min ingest overhead (a HeavyHitterSketch
+//                    fed the same bulk span as GraphZeppelin, vs
+//                    GraphZeppelin alone), top-k
 //                    query latency, and the partitioned-fold bitwise
 //                    gate: S shard-partitioned sketches sum-merged
 //                    must serialize identically to the single-stream
@@ -60,24 +61,26 @@ int main() {
     std::fprintf(stderr, "heavy_hitters: %s, %zu updates\n", w.name.c_str(),
                  w.stream.updates.size());
 
-    GraphZeppelinConfig off = bench::DefaultGzConfig();
-    const bench::IngestResult base = bench::RunGraphZeppelin(w, off);
+    GraphZeppelinConfig config = bench::DefaultGzConfig();
+    const bench::IngestResult base = bench::RunGraphZeppelin(w, config);
 
-    GraphZeppelinConfig on = off;
-    on.heavy_hitter_width = 1u << 15;
-    on.heavy_hitter_candidates = 1u << 22;  // No saturation: fold gate.
-    on.num_nodes = w.num_nodes;
-    GraphZeppelin gz(on);
+    HeavyHitterParams hp;
+    hp.num_nodes = w.num_nodes;
+    hp.seed = config.seed;
+    hp.width = 1u << 15;
+    hp.candidates = 1u << 22;  // No saturation: fold gate.
+    HeavyHitterSketch tracked(hp);
+    config.num_nodes = w.num_nodes;
+    GraphZeppelin gz(config);
     GZ_CHECK_OK(gz.Init());
     WallTimer ingest_timer;
+    tracked.Update(w.stream.updates.data(), w.stream.updates.size());
     gz.Update(w.stream.updates.data(), w.stream.updates.size());
     gz.Flush();
     const double tracked_seconds = ingest_timer.Seconds();
-    const HeavyHitterSketch* hh = gz.heavy_hitters();
-    GZ_CHECK(hh != nullptr);
 
     WallTimer query_timer;
-    const auto top = hh->TopEdges(10);
+    const auto top = tracked.TopEdges(10);
     const double query_seconds = query_timer.Seconds();
 
     // Gate 1: the ranked counts are EXACT (CM overestimates collapse
@@ -91,12 +94,6 @@ int main() {
       GZ_CHECK(e.count >= it->second);
     }
     // Gate 2: partitioned fold is bitwise-identical to single-stream.
-    HeavyHitterParams hp;
-    hp.num_nodes = w.num_nodes;
-    hp.seed = on.seed;
-    hp.width = on.heavy_hitter_width;
-    hp.depth = on.heavy_hitter_depth;
-    hp.candidates = on.heavy_hitter_candidates;
     HeavyHitterSketch parts[3] = {HeavyHitterSketch(hp),
                                   HeavyHitterSketch(hp),
                                   HeavyHitterSketch(hp)};
@@ -105,7 +102,7 @@ int main() {
     }
     GZ_CHECK_OK(parts[0].Merge(parts[1]));
     GZ_CHECK_OK(parts[0].Merge(parts[2]));
-    GZ_CHECK(parts[0].Serialize() == hh->Serialize());
+    GZ_CHECK(parts[0].Serialize() == tracked.Serialize());
 
     std::printf(
         "  {\"workload\": \"heavy_hitters\", \"stream\": \"%s\","

@@ -1,9 +1,9 @@
-// Heavy-hitter analysis of a follow-graph stream — exercises the
-// count-min side sketch riding the ingest path: while the linear XOR
-// sketches maintain connectivity, a turnstile CM sketch (insert = +1,
-// delete = -1) tracks per-node degrees and per-edge multiplicities,
-// and answers "who are the hub accounts?" in O(k) candidate
-// re-estimation, no adjacency storage.
+// Heavy-hitter analysis of a follow-graph stream — composes a
+// count-min sketch beside GraphZeppelin: every update goes to both, so
+// while the linear XOR sketches maintain connectivity, a turnstile CM
+// sketch (insert = +1, delete = -1) tracks per-node degrees and
+// per-edge multiplicities, and answers "who are the hub accounts?" in
+// O(k) candidate re-estimation, no adjacency storage.
 //
 // Scenario: a social service streams follow/unfollow events. The
 // operator wants the highest-degree accounts (hubs) live, from the
@@ -23,9 +23,18 @@ int main() {
   GraphZeppelinConfig config;
   config.num_nodes = kAccounts;
   config.seed = 12;
-  config.heavy_hitter_width = 2048;  // Enables the side sketch.
   GraphZeppelin gz(config);
   if (!gz.Init().ok()) return 1;
+  HeavyHitterParams hp;
+  hp.num_nodes = kAccounts;
+  hp.seed = config.seed;
+  HeavyHitterSketch hh(hp);
+  // The CM sketch must see each signed update before GraphZeppelin's
+  // gutters erase the sign, so both are fed the same update.
+  const auto update = [&](const GraphUpdate& u) {
+    hh.Update(&u, 1);
+    gz.Update(u);
+  };
 
   // Three celebrity accounts accumulate followers; everyone else
   // follows a couple of random peers. Set semantics: each pair is
@@ -40,14 +49,14 @@ int main() {
       if (fan == star) continue;
       if (!rng.NextBool(fan % 3 == 0 ? 0.9 : 0.4)) continue;
       const Edge e(std::min(fan, star), std::max(fan, star));
-      gz.Update({e, UpdateType::kInsert});
+      update({e, UpdateType::kInsert});
       if (star == 42) follows_of_42.push_back(e);
       ++events;
     }
     const NodeId peer = static_cast<NodeId>(rng.Next() % kAccounts);
     if (peer != fan) {
-      gz.Update({Edge(std::min(fan, peer), std::max(fan, peer)),
-                 UpdateType::kInsert});
+      update({Edge(std::min(fan, peer), std::max(fan, peer)),
+              UpdateType::kInsert});
       ++events;
     }
   }
@@ -56,24 +65,22 @@ int main() {
   // unfollow decrements exactly what the follow incremented.
   const size_t unfollows = std::min<size_t>(50, follows_of_42.size());
   for (size_t i = 0; i < unfollows; ++i) {
-    gz.Update({follows_of_42[i], UpdateType::kDelete});
+    update({follows_of_42[i], UpdateType::kDelete});
   }
   events += unfollows;
 
-  const HeavyHitterSketch* hh = gz.heavy_hitters();
   std::printf("stream: %llu events over %llu accounts (%llu tracked)\n",
               static_cast<unsigned long long>(events),
               static_cast<unsigned long long>(kAccounts),
-              static_cast<unsigned long long>(hh->updates_applied()));
+              static_cast<unsigned long long>(hh.updates_applied()));
 
   std::printf("top accounts by live degree:\n");
-  for (const HeavyHitterEntry& entry : hh->TopDegrees(5)) {
+  for (const HeavyHitterEntry& entry : hh.TopDegrees(5)) {
     std::printf("  account %4llu  degree %lld\n",
                 static_cast<unsigned long long>(entry.key),
                 static_cast<long long>(entry.count));
   }
-  // The CM fold is linear, so a sharded deployment answers this
-  // identically: per-shard sketches sum-merge at the coordinator
-  // (gz_query --heavy-hitters over a live cluster does exactly that).
+  // The CM sketch is linear, so sketches built over disjoint parts of
+  // the stream sum-merge (HeavyHitterSketch::Merge) to exactly this one.
   return 0;
 }

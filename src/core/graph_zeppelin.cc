@@ -104,18 +104,6 @@ Status GraphZeppelin::Init() {
     gutters_ = std::move(tree);
   }
 
-  // Heavy-hitter side sketch: hooked at the API boundary, so it sees
-  // the signed updates the gutters are about to erase the sign of.
-  if (config_.heavy_hitter_width > 0) {
-    HeavyHitterParams hp;
-    hp.num_nodes = config_.num_nodes;
-    hp.seed = config_.seed;
-    hp.width = config_.heavy_hitter_width;
-    hp.depth = config_.heavy_hitter_depth;
-    hp.candidates = config_.heavy_hitter_candidates;
-    hh_ = std::make_unique<HeavyHitterSketch>(hp);
-  }
-
   ingest_span_.reserve(kIngestSpanUpdates);
   pool_ = std::make_unique<WorkerPool>(queue_.get(), batch_pool_.get(),
                                        store_.get(), config_.num_workers);
@@ -141,7 +129,6 @@ void GraphZeppelin::Update(const GraphUpdate& update) {
   GZ_CHECK_MSG(update.edge.u < update.edge.v &&
                    update.edge.v < config_.num_nodes,
                "u < v && v < num_nodes");
-  if (hh_ != nullptr) hh_->Update(update);
   ingest_span_.push_back(update);
   ++num_updates_;
   if (ingest_span_.size() >= kIngestSpanUpdates) DrainIngestSpan();
@@ -149,7 +136,6 @@ void GraphZeppelin::Update(const GraphUpdate& update) {
 
 void GraphZeppelin::Update(const GraphUpdate* updates, size_t count) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
-  if (hh_ != nullptr) hh_->Update(updates, count);
   DrainIngestSpan();  // Preserve stream order with singly fed updates.
   gutters_->InsertBatch(updates, count);
   num_updates_ += count;

@@ -28,7 +28,6 @@
 #include "core/sketch_store.h"
 #include "stream/stream_types.h"
 #include "util/status.h"
-#include "workloads/count_min.h"
 
 namespace gz {
 
@@ -76,16 +75,6 @@ struct GraphZeppelinConfig {
   // Query-time parallelism for Boruvka (0 = auto-size a small pool,
   // 1 = sequential). Results are identical for every value.
   int query_threads = 0;
-
-  // Heavy-hitter side sketch (workloads/count_min.h). 0 disables
-  // tracking entirely (no memory, no per-update work). When > 0, every
-  // Update() also feeds a turnstile count-min pair (edge
-  // multiplicities + degrees) hooked on the flat update span BEFORE
-  // the gutters erase the insert/delete sign. Width must be a power of
-  // two; the sketch seeds from `seed`, so same-seed shards fold.
-  uint32_t heavy_hitter_width = 0;
-  uint32_t heavy_hitter_depth = 4;
-  uint32_t heavy_hitter_candidates = 8192;
 };
 
 class GraphZeppelin {
@@ -179,12 +168,6 @@ class GraphZeppelin {
   // then asserts the logical position the repaired content represents.
   void SetUpdatesIngested(uint64_t count) { num_updates_ = count; }
 
-  // ----- Heavy hitters ---------------------------------------------------
-  // The side count-min sketch, or nullptr when heavy_hitter_width == 0.
-  // Valid after Init(); reading it mid-stream is safe (updates land on
-  // the caller's thread at the API boundary, before the gutters).
-  const HeavyHitterSketch* heavy_hitters() const { return hh_.get(); }
-
   // ----- Introspection ---------------------------------------------------
   uint64_t num_updates_ingested() const { return num_updates_; }
   const NodeSketchParams& sketch_params() const;
@@ -209,7 +192,6 @@ class GraphZeppelin {
   std::string gutter_tree_path_;
   std::string sketch_store_path_;
   std::vector<GraphUpdate> ingest_span_;  // Reserved once in Init().
-  std::unique_ptr<HeavyHitterSketch> hh_;  // Null when disabled.
 
   // Declaration order doubles as reverse destruction order: the worker
   // pool must die before the queue/store it references, and everything

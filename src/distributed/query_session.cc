@@ -351,66 +351,6 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
                     " rounds (last: " + last.ToString() + ")");
 }
 
-Result<HeavyHitterSketch> QuerySession::HeavyHitters() {
-  if (conns_.empty()) {
-    return Status::FailedPrecondition("query session not connected");
-  }
-  // One position sweep builds the replica groups (and verifies
-  // coverage); then one kHeavyHitters pull per shard, failing over
-  // within the group like a refresh pull does.
-  std::vector<ShardStatsEx> stats;
-  Status s = ReadPositions(&stats);
-  if (!s.ok()) return s;
-  PositionView view;
-  s = BuildView(stats, &view);
-  if (!s.ok()) return s;
-  HeavyHitterSketch merged;
-  for (const auto& [shard, group] : view.groups) {
-    (void)shard;
-    bool pulled = false;
-    Status err = Status::Ok();
-    for (const size_t conn : group) {
-      if (!conn_alive_[conn]) continue;
-      s = SendFrame(conns_[conn]->fd(), ShardMessageType::kHeavyHitters,
-                    nullptr, 0);
-      if (!s.ok()) {
-        conn_alive_[conn] = false;
-        conn_error_ = s;
-        err = s;
-        continue;
-      }
-      bool in_sync = false;
-      s = RecvReply(conns_[conn]->fd(), ShardMessageType::kHeavyHitterBytes,
-                    &reply_buf_, &in_sync);
-      if (!s.ok()) {
-        if (!in_sync) {
-          conn_alive_[conn] = false;
-          conn_error_ = s;
-          err = s;
-          continue;
-        }
-        // An in-sync kError (tracking disabled, shard diverged) is the
-        // same answer every replica would give; report it.
-        return s;
-      }
-      Result<HeavyHitterSketch> hh = HeavyHitterSketch::Deserialize(
-          reply_buf_.payload.data(), reply_buf_.payload.size());
-      if (!hh.ok()) return hh.status();
-      if (!merged.valid()) {
-        merged = std::move(hh).value();
-      } else {
-        Status ms = merged.Merge(hh.value());
-        if (!ms.ok()) return ms;
-      }
-      pulled = true;
-      break;
-    }
-    if (!pulled) return err.ok() ? conn_error_ : err;
-  }
-  if (!merged.valid()) return Status::Internal("no heavy-hitter replies");
-  return merged;
-}
-
 Status QuerySession::PollPositions(bool* fresh) {
   *fresh = false;
   if (conns_.empty()) {

@@ -69,7 +69,6 @@
 #include "distributed/shard_protocol.h"
 #include "distributed/shard_transport.h"
 #include "util/status.h"
-#include "workloads/count_min.h"
 
 namespace gz {
 
@@ -126,16 +125,6 @@ class QuerySession {
 
   // Convenience: Snapshot() + the parallel Boruvka query.
   Result<ConnectivityResult> Connectivity(int threads = 1);
-
-  // Heavy-hitter fold over the reader sessions: one kHeavyHitters pull
-  // from any live replica per shard, sum-merged (replicas of a shard
-  // hold identical counters, so any one is the shard). Same caveat as
-  // num_updates(): counters a RemoveShard retired live only at the
-  // coordinator, so a reader's fold misses them; the per-shard reads
-  // are not position-locked either, so a fold taken mid-ingest is a
-  // consistent-per-shard point-in-time, not a global barrier. Fails
-  // with the shards' FailedPrecondition when tracking is disabled.
-  Result<HeavyHitterSketch> HeavyHitters();
 
   // Staleness probe: one STATS_EX position sweep, no content pulls.
   // *fresh says whether the cached snapshot (cache().merged()) is still

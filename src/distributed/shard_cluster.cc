@@ -422,43 +422,6 @@ Result<GraphSnapshot> ShardCluster::Snapshot() {
   return merged;
 }
 
-Result<HeavyHitterSketch> ShardCluster::HeavyHitters() {
-  if (!started_) return Status::FailedPrecondition("cluster not started");
-  if (base_.heavy_hitter_width == 0) {
-    return Status::FailedPrecondition(
-        "heavy-hitter tracking disabled (heavy_hitter_width == 0)");
-  }
-  // Sum-merge one live replica per shard (all replicas of a shard hold
-  // identical counters — every routed slab fans out to all of them),
-  // then fold in what removed shards contributed before retiring.
-  HeavyHitterSketch merged;
-  Status s = PipelinedBarrier(
-      ShardMessageType::kHeavyHitters, ShardMessageType::kHeavyHitterBytes,
-      nullptr,
-      [&merged](int, int, const ShardFrame& reply) {
-        Result<HeavyHitterSketch> r = HeavyHitterSketch::Deserialize(
-            reply.payload.data(), reply.payload.size());
-        if (!r.ok()) return r.status();
-        if (!merged.valid()) {
-          merged = std::move(r).value();
-          return Status::Ok();
-        }
-        return merged.Merge(r.value());
-      },
-      BarrierScope::kOnePerShard);
-  if (!s.ok()) return s;
-  if (retired_hh_.valid()) {
-    if (!merged.valid()) {
-      merged = retired_hh_;
-    } else {
-      s = merged.Merge(retired_hh_);
-      if (!s.ok()) return s;
-    }
-  }
-  if (!merged.valid()) return Status::Internal("no heavy-hitter replies");
-  return merged;
-}
-
 Status ShardCluster::Checkpoint() {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   // Per-replica commit as each ack arrives: a failure on one replica
@@ -720,22 +683,6 @@ Status ShardCluster::PumpMigration() {
   // the source — now a zero sketch holding no routed slots — retires.
   if (m.kind == Migration::Kind::kRemove) {
     Replica& retiring_rep = source.replicas[src];
-    // The retiring shard's heavy-hitter counters are additive state
-    // that no migration delta carries (deltas move XOR sketch content
-    // only), so they are captured here, before the process goes away,
-    // and folded into every later HeavyHitters() answer. Fetched and
-    // staged BEFORE any bookkeeping commits: a failure anywhere in
-    // this step leaves nothing applied, so the step retries cleanly.
-    HeavyHitterSketch source_hh;
-    if (base_.heavy_hitter_width > 0) {
-      Status s = RoundTrip(retiring_rep, ShardMessageType::kHeavyHitters,
-                           nullptr, 0, ShardMessageType::kHeavyHitterBytes);
-      if (!s.ok()) return s;
-      Result<HeavyHitterSketch> hh = HeavyHitterSketch::Deserialize(
-          reply_buf_.payload.data(), reply_buf_.payload.size());
-      if (!hh.ok()) return hh.status();
-      source_hh = std::move(hh).value();
-    }
     // The source is quiescent (no slots since the epoch bump, flushed
     // by every extract), so its position is final; it must survive in
     // the aggregate update count after the process goes away. A sticky
@@ -743,17 +690,9 @@ Status ShardCluster::PumpMigration() {
     ShardStatsEx retiring;
     Status s = ReplicaStatsEx(retiring_rep, &retiring);
     if (!s.ok()) return s;
-    // Commit point: nothing below can fail, so the captured counters
-    // and the update count land exactly once.
+    // Commit point: nothing below can fail, so the update count lands
+    // exactly once.
     migrated_updates_ += retiring.num_updates;
-    if (source_hh.valid()) {
-      if (!retired_hh_.valid()) {
-        retired_hh_ = std::move(source_hh);
-      } else {
-        // Same cluster-wide params by construction.
-        GZ_CHECK(retired_hh_.Merge(source_hh).ok());
-      }
-    }
     for (int r = 0; r < replication_; ++r) {
       Replica& rep = source.replicas[r];
       if (!rep.down) {

@@ -37,9 +37,8 @@
 // backed by R replica processes. Each routed slab is logged once for
 // the shard and fans out to every replica (each migration chunk is
 // logged once per side and sent the same way), so all live replicas
-// of a shard are bitwise-identical at all times; a fold (Snapshot,
-// HeavyHitters) reads any ONE live replica per shard and fails over
-// past dead ones. The repair path is anti-entropy, not
+// of a shard are bitwise-identical at all times; a fold (Snapshot)
+// reads any ONE live replica per shard and fails over past dead ones. The repair path is anti-entropy, not
 // replay: Reconcile() pulls node-range chunks from a position-verified
 // reference replica and from the suspect, XOR-diffs them, and folds
 // exactly the difference into whichever copy is behind. Because the
@@ -173,17 +172,6 @@ class ShardCluster {
   // global XOR never double-counts. Survives dead replicas as long as
   // every shard keeps one live one.
   Result<GraphSnapshot> Snapshot();
-  // Aggregated heavy-hitter surface: folds one live replica per
-  // shard's serialized HeavyHitterSketch (sum-merge — the CM grids are
-  // linear and routing partitions edges disjointly) plus the counters
-  // captured from retired shards, yielding exactly — bitwise, thanks
-  // to canonical serialization — the single-process sketch over the
-  // whole stream. FailedPrecondition when the cluster was configured
-  // with heavy_hitter_width == 0. Two documented gaps: CM counters are
-  // not part of checkpoints (a restore+replay repair recovers only the
-  // unacked tail's counts) and are not repaired by anti-entropy
-  // (Reconcile moves XOR sketch content, not additive counters).
-  Result<HeavyHitterSketch> HeavyHitters();
   // Checkpoints every replica of every shard. Each replica's cursor
   // moves as its ack arrives and the shard's logs are trimmed to the
   // lowest cursor — commits are per-replica, so a failure on one leaves
@@ -449,11 +437,6 @@ class ShardCluster {
   // Stream positions of removed shards: their ingested counts fold into
   // every Snapshot() so the aggregate update count survives removal.
   uint64_t migrated_updates_ = 0;
-  // Heavy-hitter counters of removed shards, captured before their
-  // processes retire (migration deltas carry XOR sketch content only,
-  // never additive CM counters) and folded into every HeavyHitters()
-  // answer. Invalid until the first removal of a tracking shard.
-  HeavyHitterSketch retired_hh_;
   std::optional<Migration> migration_;
   uint64_t updates_since_checkpoint_ = 0;  // Drives auto-checkpointing.
   uint64_t updates_since_reconcile_ = 0;   // Drives periodic anti-entropy.

@@ -52,9 +52,10 @@ Status DecodeHeader(const uint8_t in[ShardFrameHeader::kBytes],
         std::to_string(version) + ", speak " +
         std::to_string(ShardFrameHeader::kVersion) + ")");
   }
-  // 4, 6 and 10 are retired type numbers (see ShardMessageType).
+  // 4, 6 and 10 are retired type numbers, and so are 24 and 25 past
+  // kNotify (see ShardMessageType).
   if (type16 < static_cast<uint16_t>(ShardMessageType::kConfig) ||
-      type16 > static_cast<uint16_t>(ShardMessageType::kHeavyHitterBytes) ||
+      type16 > static_cast<uint16_t>(ShardMessageType::kNotify) ||
       type16 == 4 || type16 == 6 || type16 == 10) {
     return Status::InvalidArgument("shard frame: unknown message type " +
                                    std::to_string(type16));
@@ -627,9 +628,6 @@ std::vector<uint8_t> EncodeShardConfig(const ShardConfig& sc) {
   w.U64(c.gutter_tree_buffer_bytes);
   w.U64(c.gutter_tree_fanout);
   w.I32(c.query_threads);
-  w.U32(c.heavy_hitter_width);
-  w.U32(c.heavy_hitter_depth);
-  w.U32(c.heavy_hitter_candidates);
   w.Str(c.disk_dir);
   w.Str(c.instance_tag);
   w.I32(sc.shard_id);
@@ -649,9 +647,7 @@ Status DecodeShardConfig(const uint8_t* data, size_t size,
       r.U8(&storage) && r.F64(&c.gutter_fraction) &&
       r.U64(&c.nodes_per_gutter_group) &&
       r.U64(&c.gutter_tree_buffer_bytes) && r.U64(&c.gutter_tree_fanout) &&
-      r.I32(&c.query_threads) && r.U32(&c.heavy_hitter_width) &&
-      r.U32(&c.heavy_hitter_depth) && r.U32(&c.heavy_hitter_candidates) &&
-      r.Str(&c.disk_dir) && r.Str(&c.instance_tag) && r.I32(&out->shard_id) &&
+      r.I32(&c.query_threads) && r.Str(&c.disk_dir) && r.Str(&c.instance_tag) && r.I32(&out->shard_id) &&
       ReadTable(&r, &out->table) && r.Str(&out->restore_checkpoint) &&
       r.Done();
   if (!ok) return Status::InvalidArgument("malformed shard config payload");
@@ -674,18 +670,6 @@ Status DecodeShardConfig(const uint8_t* data, size_t size,
       c.gutter_tree_buffer_bytes > (1ULL << 31) ||
       c.gutter_tree_buffer_bytes < 12 * c.gutter_tree_fanout ||
       c.query_threads < 0) {
-    return Status::InvalidArgument("shard config payload out of range");
-  }
-  // Heavy-hitter knobs: width 0 disables the side sketch entirely;
-  // otherwise the HeavyHitterSketch constructor's GZ_CHECKs (power-of-
-  // two width, bounded depth/candidates) must bounce here first.
-  if (c.heavy_hitter_width != 0 &&
-      (c.heavy_hitter_width > CountMinSketch::kMaxWidth ||
-       (c.heavy_hitter_width & (c.heavy_hitter_width - 1)) != 0 ||
-       c.heavy_hitter_depth < 1 ||
-       c.heavy_hitter_depth > CountMinSketch::kMaxDepth ||
-       c.heavy_hitter_candidates < 1 ||
-       c.heavy_hitter_candidates > HeavyHitterSketch::kMaxCandidates)) {
     return Status::InvalidArgument("shard config payload out of range");
   }
   c.buffering = static_cast<GraphZeppelinConfig::Buffering>(buffering);

@@ -6,7 +6,7 @@
 // learn where the bytes come from; everything transport-specific —
 // framing integrity, peer authentication — lives here.
 //
-// Frame (v4) = 16-byte header (magic, version, message type, payload
+// Frame (v5) = 16-byte header (magic, version, message type, payload
 // bytes) + payload + a 4-byte CRC32C trailer over header AND payload.
 // The receiver verifies the checksum before any payload decode; a
 // mismatch is a Status error and, because the stream can no longer be
@@ -107,16 +107,8 @@ enum class ShardMessageType : uint16_t {
                     // is kError and the session continues unconverted.
   kNotify = 23,     // Shard -> subscriber: ShardStatsEx payload, the
                     // position that changed. Never a valid request.
-  // Heavy hitters (any session -> shard).
-  kHeavyHitters = 24,  // Empty payload. Reply: kHeavyHitterBytes with
-                       // the shard's serialized HeavyHitterSketch
-                       // (workloads/count_min.h), or kError when the
-                       // shard was configured with tracking off
-                       // (heavy_hitter_width == 0).
-  kHeavyHitterBytes = 25,  // Shard -> client: HeavyHitterSketch::
-                           // Serialize payload. Linear, so the
-                           // coordinator sum-merges per-shard replies
-                           // into the exact whole-stream sketch.
+  // 24 and 25 were the heavy-hitter request/reply pair before v5;
+  // retired, never reused, and refused as unknown types.
 };
 
 // Session role, declared in the HELLO frame and bound into the
@@ -124,7 +116,7 @@ enum class ShardMessageType : uint16_t {
 // byte fails authentication rather than silently escalating). A writer
 // session is the coordinator: full protocol, its disconnect discards
 // the shard instance. A reader session may only observe — kPing /
-// kStatsEx / kMigrateExtract / kHeavyHitters — and its disconnect never
+// kStatsEx / kMigrateExtract — and its disconnect never
 // touches the instance.
 enum class ShardSessionRole : uint8_t {
   kWriter = 0,
@@ -134,8 +126,9 @@ enum class ShardSessionRole : uint8_t {
 struct ShardFrameHeader {
   static constexpr uint32_t kMagic = 0x50535A47;  // "GZSP" little-endian.
   // v3: CRC32C trailer + auth. v4: one sketch byte format (node ranges);
-  // the whole-snapshot and two-u64 stats frames retired.
-  static constexpr uint16_t kVersion = 4;
+  // the whole-snapshot and two-u64 stats frames retired. v5: the
+  // heavy-hitter frames and ShardConfig fields retired.
+  static constexpr uint16_t kVersion = 5;
   static constexpr size_t kBytes = 16;
   // CRC32C over header + payload, appended after the payload.
   static constexpr size_t kCrcBytes = 4;
@@ -204,7 +197,7 @@ Status RecvFrame(int fd, ShardFrame* frame);
 Status RecvFrameCapped(int fd, ShardFrame* frame, uint64_t max_payload);
 
 // The reader-session receive cap: every read-only request (PING,
-// STATS_EX, MIGRATE_EXTRACT, HEAVY_HITTERS) fits with room to spare.
+// STATS_EX, MIGRATE_EXTRACT) fits with room to spare.
 constexpr uint64_t kReaderMaxRequestBytes = 4096;
 
 // Receives one *reply* frame and classifies it — the one reply-handling

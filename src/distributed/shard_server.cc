@@ -62,8 +62,7 @@ std::vector<uint8_t> BuildStatsEx(const ShardInstanceState& state) {
 bool IsReadOnlyRequest(ShardMessageType type) {
   return type == ShardMessageType::kPing ||
          type == ShardMessageType::kStatsEx ||
-         type == ShardMessageType::kMigrateExtract ||
-         type == ShardMessageType::kHeavyHitters;
+         type == ShardMessageType::kMigrateExtract;
 }
 
 // Where a read-only reply goes: Begin announces the frame, Write
@@ -158,14 +157,6 @@ Status ServeRead(ShardInstanceState& state, const ShardFrame& frame,
   if (!state.async_error.ok()) return sink->Error(state.async_error);
   if (frame.type == ShardMessageType::kStatsEx) {
     return sink->Send(ShardMessageType::kStatsReply, BuildStatsEx(state));
-  }
-  if (frame.type == ShardMessageType::kHeavyHitters) {
-    const HeavyHitterSketch* hh = state.gz->heavy_hitters();
-    if (hh == nullptr) {
-      return sink->Error(Status::FailedPrecondition(
-          "heavy-hitter tracking disabled (heavy_hitter_width == 0)"));
-    }
-    return sink->Send(ShardMessageType::kHeavyHitterBytes, hh->Serialize());
   }
   // kMigrateExtract. Read-only: extraction mutates nothing, so a client
   // can retry it freely after any failure. The flush inside

@@ -7,9 +7,9 @@
 //
 // Sessions come in two roles (see ShardSessionRole): a *writer* — the
 // coordinator, full protocol — and *readers*, which may only observe
-// (PING / STATS_EX / MIGRATE_EXTRACT / HEAVY_HITTERS; anything else
-// draws a kError and the session continues). Both roles answer those
-// read-only frames through one handler. One ShardServer serves one
+// (PING / STATS_EX / MIGRATE_EXTRACT; anything else draws a kError
+// and the session continues). Both roles answer those read-only
+// frames through one handler. One ShardServer serves one
 // session; when several sessions share a shard (the multi-session
 // listener, shard_listener.h), they share one ShardInstanceState and
 // every access to the instance goes through its mutex.

@@ -23,10 +23,10 @@
 //
 // Update cost is O(depth) counter writes per stream update with zero
 // allocation, applied on the same flat GraphUpdate spans the batch
-// pipeline routes (the side sketch hooks the span at the API boundary:
+// pipeline routes (the caller feeds it the spans it gives
+// GraphZeppelin::Update, before the gutters erase the sign:
 // post-gutter UpdateBatch slabs carry only unsigned edge indices —
-// XOR needs no sign — so the turnstile ±1 must ride the span before
-// the sign is erased).
+// XOR needs no sign — so the turnstile ±1 must ride the span).
 //
 // Exemplars: SNIPPETS.md Snippets 1-2 (rlz-store count_min_sketch.hpp,
 // SketchConf BaseSketch) — power-of-two row width with mask reduction,

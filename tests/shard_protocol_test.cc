@@ -5,7 +5,8 @@
 // the shard side (ShardServer over an in-process socketpair). v3 added
 // the CRC32C trailer (exhaustive byte-flip sweep below), the
 // authenticated HELLO handshake, and the ShardEndpoint grammar; v4
-// retired the whole-snapshot and two-u64 stats frames.
+// retired the whole-snapshot and two-u64 stats frames, and v5 the
+// heavy-hitter frames.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -53,8 +54,10 @@ class SocketPair {
   int fds_[2] = {-1, -1};
 };
 
-// Type numbers v4 retired; never reused, refused as unknown.
-bool Retired(uint16_t type) { return type == 4 || type == 6 || type == 10; }
+// Type numbers v4 and v5 retired; never reused, refused as unknown.
+bool Retired(uint16_t type) {
+  return type == 4 || type == 6 || type == 10 || type == 24 || type == 25;
+}
 
 // Hand-crafts a frame header; `magic`/`version` default to valid so a
 // test can corrupt exactly one field.
@@ -179,8 +182,8 @@ TEST(ShardProtocolTest, UnknownTypeIsInvalidArgument) {
   EXPECT_EQ(RecvFrame(sp.b(), &frame).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardProtocolTest, V4DefinesExactly22TypesAndRefusesRetiredOnes) {
-  EXPECT_EQ(ShardFrameHeader::kVersion, 4);
+TEST(ShardProtocolTest, V5DefinesExactly20TypesAndRefusesRetiredOnes) {
+  EXPECT_EQ(ShardFrameHeader::kVersion, 5);
   int known = 0;
   for (uint16_t t = 0; t < 64; ++t) {
     SocketPair sp;
@@ -198,25 +201,29 @@ TEST(ShardProtocolTest, V4DefinesExactly22TypesAndRefusesRetiredOnes) {
           << s.ToString();
     }
   }
-  EXPECT_EQ(known, 22);
+  EXPECT_EQ(known, 20);
 }
 
 TEST(ShardProtocolTest, V3HeaderIsAVersionMismatch) {
-  SocketPair sp;
-  WriteRawHeader(sp.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
-                 ShardFrameHeader::kMagic, /*version=*/3);
-  ShardFrame frame;
-  const Status s = RecvFrame(sp.b(), &frame);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("version mismatch"), std::string::npos)
-      << s.ToString();
+  // So is a v4 peer's: both sides must be rebuilt together.
+  for (const uint16_t version : {3, 4}) {
+    SocketPair sp;
+    WriteRawHeader(sp.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
+                   ShardFrameHeader::kMagic, version);
+    ShardFrame frame;
+    const Status s = RecvFrame(sp.b(), &frame);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "v" << version;
+    EXPECT_NE(s.message().find("version mismatch"), std::string::npos)
+        << s.ToString();
+  }
 }
 
 TEST(ShardProtocolTest, RetiredTypesAreRefusedOnWriterAndReaderSessions) {
-  // A pre-v4 SNAPSHOT, STATS or SNAPSHOT_BYTES frame is an unknown type
-  // to either session role: the shard replies kError and ends the
-  // session (framing can no longer be trusted), never crashing.
-  for (const uint16_t type : {4, 6, 10}) {
+  // A pre-v4 SNAPSHOT, STATS or SNAPSHOT_BYTES frame, or a pre-v5
+  // HEAVY_HITTERS or HEAVY_HITTER_BYTES frame, is an unknown type to
+  // either session role: the shard replies kError and ends the session
+  // (framing can no longer be trusted), never crashing.
+  for (const uint16_t type : {4, 6, 10, 24, 25}) {
     for (const ShardSessionRole role :
          {ShardSessionRole::kWriter, ShardSessionRole::kReader}) {
       SocketPair sp;
@@ -303,9 +310,6 @@ TEST(ShardProtocolTest, ConfigPayloadRoundTrips) {
   in.config.gutter_tree_buffer_bytes = 1 << 20;
   in.config.gutter_tree_fanout = 32;
   in.config.query_threads = 2;
-  in.config.heavy_hitter_width = 4096;
-  in.config.heavy_hitter_depth = 5;
-  in.config.heavy_hitter_candidates = 777;
   in.shard_id = 7;
   in.table = MakeRoutingTable(9);
   in.table.epoch = 42;
@@ -332,50 +336,7 @@ TEST(ShardProtocolTest, ConfigPayloadRoundTrips) {
             in.config.gutter_tree_buffer_bytes);
   EXPECT_EQ(out.config.gutter_tree_fanout, in.config.gutter_tree_fanout);
   EXPECT_EQ(out.config.query_threads, in.config.query_threads);
-  EXPECT_EQ(out.config.heavy_hitter_width, in.config.heavy_hitter_width);
-  EXPECT_EQ(out.config.heavy_hitter_depth, in.config.heavy_hitter_depth);
-  EXPECT_EQ(out.config.heavy_hitter_candidates,
-            in.config.heavy_hitter_candidates);
   EXPECT_EQ(out.restore_checkpoint, in.restore_checkpoint);
-}
-
-TEST(ShardProtocolTest, ConfigPayloadRejectsBadHeavyHitterGeometry) {
-  // The heavy-hitter knobs cross the wire; out-of-range values must
-  // bounce in the decoder, not abort sketch construction in the shard.
-  ShardConfig base;
-  base.config.num_nodes = 64;
-  base.table = MakeRoutingTable(1);
-  auto expect_rejected = [&](GraphZeppelinConfig mutate) {
-    ShardConfig in = base;
-    in.config = mutate;
-    const std::vector<uint8_t> bytes = EncodeShardConfig(in);
-    ShardConfig out;
-    EXPECT_EQ(DecodeShardConfig(bytes.data(), bytes.size(), &out).code(),
-              StatusCode::kInvalidArgument);
-  };
-  GraphZeppelinConfig c = base.config;
-  c.heavy_hitter_width = 1000;  // Not a power of two.
-  expect_rejected(c);
-  c = base.config;
-  c.heavy_hitter_width = CountMinSketch::kMaxWidth * 2;
-  expect_rejected(c);
-  c = base.config;
-  c.heavy_hitter_width = 1024;
-  c.heavy_hitter_depth = CountMinSketch::kMaxDepth + 1;
-  expect_rejected(c);
-  c = base.config;
-  c.heavy_hitter_width = 1024;
-  c.heavy_hitter_candidates = 0;
-  expect_rejected(c);
-  // Width 0 (tracking off) ignores the other knobs entirely.
-  c = base.config;
-  c.heavy_hitter_width = 0;
-  c.heavy_hitter_depth = 200;
-  ShardConfig in = base;
-  in.config = c;
-  const std::vector<uint8_t> bytes = EncodeShardConfig(in);
-  ShardConfig out;
-  EXPECT_TRUE(DecodeShardConfig(bytes.data(), bytes.size(), &out).ok());
 }
 
 TEST(ShardProtocolTest, TruncatedConfigPayloadIsInvalidArgument) {

@@ -1,14 +1,13 @@
-// Workload subsystem tests: the count-min heavy-hitter side sketch
-// (exactness of the linear fold, canonical serialization, distributed
-// identity through live resharding), sliding-window connectivity (the
-// expiry-delete discipline against an explicit last-W ground truth,
-// the mixed-slab XOR-cancellation regression, watchable window
-// queries), and k-edge-connectivity certification on known graphs.
+// Workload subsystem tests: the count-min heavy-hitter sketch
+// (exactness of the linear fold, canonical serialization),
+// sliding-window connectivity (the expiry-delete discipline against an
+// explicit last-W ground truth, the mixed-slab XOR-cancellation
+// regression, watchable window queries), and k-edge-connectivity
+// certification on known graphs.
 //
-// The distributed cases mirror sharded_test / shard_cluster_test: every
-// answer must be identical — bitwise for serialized folds, exact for
-// CM counters — between a single-process instance and a sharded
-// cluster, on thread and process shards and over both transports.
+// The distributed cases mirror sharded_test / shard_cluster_test: a
+// cluster's folded snapshot answers like a single-process instance,
+// over both transports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,18 +41,6 @@ GraphZeppelinConfig BaseConfig(uint64_t n, uint64_t seed) {
   c.seed = seed;
   c.num_workers = 1;
   c.disk_dir = ::testing::TempDir();
-  return c;
-}
-
-// A config with heavy-hitter tracking on. The candidate budget is
-// roomy on purpose: bitwise fold identity holds only while no
-// candidate table saturates (admission order differs across
-// partitions once keys are dropped).
-GraphZeppelinConfig HHConfig(uint64_t n, uint64_t seed) {
-  GraphZeppelinConfig c = BaseConfig(n, seed);
-  c.heavy_hitter_width = 512;
-  c.heavy_hitter_depth = 4;
-  c.heavy_hitter_candidates = 1 << 14;
   return c;
 }
 
@@ -251,137 +238,6 @@ TEST(HeavyHitterTest, SaturationIsReportedNotSilent) {
   EXPECT_LE(hh.TopEdges(20).size(), 4u);
 }
 
-// ---- GraphZeppelin integration --------------------------------------------
-
-TEST(HeavyHitterTest, InstanceTracksOnBothUpdatePaths) {
-  const uint64_t n = 32;
-  GraphZeppelin off(BaseConfig(n, 3));
-  ASSERT_TRUE(off.Init().ok());
-  EXPECT_EQ(off.heavy_hitters(), nullptr);  // Disabled by default.
-
-  GraphZeppelin gz(HHConfig(n, 3));
-  ASSERT_TRUE(gz.Init().ok());
-  ASSERT_NE(gz.heavy_hitters(), nullptr);
-  // Single-update path.
-  gz.Update({Edge(0, 1), UpdateType::kInsert});
-  // Span path (the zero-alloc bulk route).
-  std::vector<GraphUpdate> span;
-  span.push_back({Edge(0, 1), UpdateType::kInsert});
-  span.push_back({Edge(0, 1), UpdateType::kDelete});
-  span.push_back({Edge(2, 3), UpdateType::kInsert});
-  gz.Update(span.data(), span.size());
-
-  EXPECT_EQ(gz.heavy_hitters()->updates_applied(), 4u);
-  EXPECT_EQ(gz.heavy_hitters()->EdgeCount(Edge(0, 1)), 1);
-  EXPECT_EQ(gz.heavy_hitters()->EdgeCount(Edge(2, 3)), 1);
-  EXPECT_EQ(gz.heavy_hitters()->DegreeCount(0), 1);
-}
-
-// ---- Distributed identity, both substrates --------------------------------
-
-class WorkloadShardedTest : public ::testing::TestWithParam<Substrate> {};
-
-TEST_P(WorkloadShardedTest, HeavyHitterFoldMatchesSingleInstanceBitwise) {
-  const uint64_t n = 48;
-  ErdosRenyiParams ep;
-  ep.num_nodes = n;
-  ep.p = 0.12;
-  ep.seed = 17;
-  const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
-  std::vector<GraphUpdate> updates;
-  for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
-  // A few deletes so the turnstile path is exercised end to end.
-  for (size_t i = 0; i < 5 && i < edges.size(); ++i) {
-    updates.push_back({edges[i], UpdateType::kDelete});
-  }
-
-  const GraphZeppelinConfig config = HHConfig(n, 23);
-  ShardCluster sharded(config, 3, OnSubstrate(GetParam(), 3));
-  ASSERT_TRUE(sharded.Start().ok());
-  GraphZeppelin single(config);
-  ASSERT_TRUE(single.Init().ok());
-  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
-  single.Update(updates.data(), updates.size());
-
-  Result<HeavyHitterSketch> folded = sharded.HeavyHitters();
-  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
-  ASSERT_NE(single.heavy_hitters(), nullptr);
-  EXPECT_EQ(folded.value().Serialize(), single.heavy_hitters()->Serialize());
-  EXPECT_EQ(folded.value().updates_applied(), updates.size());
-}
-
-TEST_P(WorkloadShardedTest, HeavyHittersDisabledIsFailedPrecondition) {
-  ShardCluster sharded(BaseConfig(32, 5), 2, OnSubstrate(GetParam(), 2));
-  ASSERT_TRUE(sharded.Start().ok());
-  EXPECT_EQ(sharded.HeavyHitters().status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST_P(WorkloadShardedTest, HeavyHittersSurviveLiveSplitAndRemove) {
-  // CM counters are additive state the XOR migration deltas do not
-  // carry: a split must leave the sum untouched (source keeps its
-  // counters, target starts empty) and a remove must fold the retired
-  // shard's counters into every later answer. Ingestion stays live
-  // through the split, exactly like the reshard chaos drills.
-  const uint64_t n = 48;
-  ErdosRenyiParams ep;
-  ep.num_nodes = n;
-  ep.p = 0.15;
-  ep.seed = 29;
-  const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
-  std::vector<GraphUpdate> updates;
-  for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
-
-  const GraphZeppelinConfig config = HHConfig(n, 31);
-  ShardCluster sharded(config, 2, OnSubstrate(GetParam(), 2));
-  ASSERT_TRUE(sharded.Start().ok());
-  GraphZeppelin single(config);
-  ASSERT_TRUE(single.Init().ok());
-
-  size_t fed = 0;
-  auto feed_burst = [&](size_t count) {
-    count = std::min(count, updates.size() - fed);
-    if (count == 0) return;
-    ASSERT_TRUE(sharded.Update(updates.data() + fed, count).ok());
-    single.Update(updates.data() + fed, count);
-    fed += count;
-  };
-
-  feed_burst(updates.size() / 3);
-  Result<int> target =
-      sharded.BeginSplitShard(0, SubstrateEndpoint(GetParam()));
-  ASSERT_TRUE(target.ok()) << target.status().ToString();
-  while (sharded.migration_active()) {
-    feed_burst(64);  // Live split: ingestion interleaves with chunks.
-    ASSERT_TRUE(sharded.PumpMigration().ok());
-  }
-  feed_burst(updates.size() / 3);
-  // Remove a shard: its counters retire into the coordinator.
-  ASSERT_TRUE(sharded.RemoveShard(1).ok());
-  feed_burst(updates.size());  // The rest.
-  ASSERT_EQ(fed, updates.size());
-
-  Result<HeavyHitterSketch> folded = sharded.HeavyHitters();
-  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
-  EXPECT_EQ(folded.value().Serialize(), single.heavy_hitters()->Serialize());
-
-  // And the connectivity answer still matches too (the split/remove
-  // was invisible on both planes).
-  Result<GraphSnapshot> snapshot = sharded.Snapshot();
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  const ConnectivityResult got = Connectivity(std::move(snapshot).value());
-  const ConnectivityResult want = single.ListSpanningForest();
-  ASSERT_FALSE(got.failed);
-  EXPECT_EQ(got.num_components, want.num_components);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Substrates, WorkloadShardedTest,
-    ::testing::Values(Substrate::kThread, Substrate::kProcess),
-    [](const ::testing::TestParamInfo<Substrate>& info) {
-      return SubstrateName(info.param);
-    });
-
 // ---- Cluster-level workloads over both transports -------------------------
 
 class WorkloadClusterTest : public ::testing::TestWithParam<Substrate> {
@@ -394,36 +250,6 @@ class WorkloadClusterTest : public ::testing::TestWithParam<Substrate> {
 
   std::vector<std::unique_ptr<ListenerShard>> listeners_;
 };
-
-TEST_P(WorkloadClusterTest, ReplicatedHeavyHittersMatchSingleProcess) {
-  // R=2: replicas of a shard ingest the same updates, so the fold must
-  // read ONE replica per shard (kOnePerShard), not sum both. The
-  // cluster's answer equals a single unsharded instance's, bitwise.
-  const uint64_t n = 64;
-  ErdosRenyiParams ep;
-  ep.num_nodes = n;
-  ep.p = 0.08;
-  ep.seed = 37;
-  const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
-  std::vector<GraphUpdate> updates;
-  for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
-
-  const GraphZeppelinConfig config = HHConfig(n, 41);
-  ShardClusterOptions options;
-  options.replication_factor = 2;
-  ShardCluster cluster(config, 2, MakeOptions(2 * 2, options));
-  ASSERT_TRUE(cluster.Start().ok());
-  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
-
-  GraphZeppelin single(config);
-  ASSERT_TRUE(single.Init().ok());
-  single.Update(updates.data(), updates.size());
-
-  Result<HeavyHitterSketch> folded = cluster.HeavyHitters();
-  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
-  EXPECT_EQ(folded.value().Serialize(), single.heavy_hitters()->Serialize());
-  ASSERT_TRUE(cluster.Shutdown().ok());
-}
 
 TEST_P(WorkloadClusterTest, ErdosRenyiForestsArePairwiseEdgeDisjoint) {
   // The decomposition pin on the full distributed path: peel k forests

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -56,6 +57,21 @@ class Flags {
   }
 
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
+
+  // Checks that every flag given is one of `known` (names without the
+  // leading "--"). Prints the first that is not and returns false; the
+  // tool then prints its usage and exits 2.
+  bool AllKnown(std::initializer_list<const char*> known) const {
+    for (const auto& entry : values_) {
+      bool found = false;
+      for (const char* name : known) found = found || entry.first == name;
+      if (!found) {
+        std::fprintf(stderr, "unknown flag --%s\n", entry.first.c_str());
+        return false;
+      }
+    }
+    return true;
+  }
 
  private:
   std::map<std::string, std::string> values_;

@@ -7,10 +7,6 @@
 //     [--gutter-fraction F] [--seed N] [--checkpoint out.ckpt]
 //     [--query-threads N] (Boruvka pool; 0 = auto)
 //     [--top K]   (print the K largest components)
-//     [--heavy-hitters K] (track a count-min side sketch during the
-//                          ingest and print the top-K edges and degrees
-//                          from the writer's own fold — in sharded mode
-//                          the coordinator's sum-merge over the shards)
 //
 // Sharded coordinator mode — ingest the stream through a ShardCluster
 // instead of one unsharded instance (one endpoint per shard replica:
@@ -50,28 +46,6 @@
 #include "util/timer.h"
 
 namespace {
-
-// Writer-side heavy-hitter report: one regexable line per ranked entry
-// (the CI e2e step compares these against a gz_query reader's fold of
-// the same cluster).
-void PrintHeavyHitters(const gz::HeavyHitterSketch& hh, int top) {
-  using namespace gz;
-  const uint64_t num_nodes = hh.params().num_nodes;
-  for (const HeavyHitterEntry& entry :
-       hh.TopEdges(static_cast<size_t>(top))) {
-    const Edge e = IndexToEdge(entry.key, num_nodes);
-    std::printf("heavy-hitter edge %llu-%llu count %lld\n",
-                static_cast<unsigned long long>(e.u),
-                static_cast<unsigned long long>(e.v),
-                static_cast<long long>(entry.count));
-  }
-  for (const HeavyHitterEntry& entry :
-       hh.TopDegrees(static_cast<size_t>(top))) {
-    std::printf("heavy-hitter degree %llu count %lld\n",
-                static_cast<unsigned long long>(entry.key),
-                static_cast<long long>(entry.count));
-  }
-}
 
 // Prints a failed cluster step and yields the tool's runtime-error exit.
 int ClusterFailure(const char* step, const gz::Status& s) {
@@ -176,17 +150,6 @@ int RunSharded(const gz::tools::Flags& flags,
   std::printf("components %zu, spanning forest %zu edges\n",
               result.num_components, result.spanning_forest.size());
 
-  const int hh_top = static_cast<int>(flags.GetInt("heavy-hitters", 0));
-  if (hh_top > 0) {
-    const Result<HeavyHitterSketch> hh = cluster.HeavyHitters();
-    if (!hh.ok()) {
-      std::fprintf(stderr, "heavy-hitter fold failed: %s\n",
-                   hh.status().ToString().c_str());
-      return 1;
-    }
-    PrintHeavyHitters(hh.value(), hh_top);
-  }
-
   const int hold = static_cast<int>(flags.GetInt("hold-seconds", 0));
   if (hold > 0) {
     std::printf("holding writer session for %ds (readers may query)\n",
@@ -204,13 +167,16 @@ int main(int argc, char** argv) {
   tools::Flags flags(argc, argv);
 
   const std::string stream_path = flags.GetString("stream", "");
-  if (stream_path.empty() || !tools::ValidIngestFlags(flags)) {
+  const bool known = flags.AllKnown(
+      {"stream", "buffering", "storage", "workers", "gutter-fraction", "seed",
+       "checkpoint", "query-threads", "top", "shard-endpoints", "replication",
+       "auth-secret", "auth-secret-file", "hold-seconds"});
+  if (!known || stream_path.empty() || !tools::ValidIngestFlags(flags)) {
     std::fprintf(stderr,
                  "usage: gz_components --stream FILE [--buffering leaf|tree]"
                  " [--storage ram|disk] [--workers N]\n"
                  "       [--gutter-fraction F] [--seed N] "
-                 "[--checkpoint FILE] [--query-threads N] [--top K] "
-                 "[--heavy-hitters K]\n"
+                 "[--checkpoint FILE] [--query-threads N] [--top K]\n"
                  "       [--shard-endpoints URI,... "
                  "(local: | thread: | tcp://H:P)] "
                  "[--replication R] "
@@ -238,10 +204,6 @@ int main(int argc, char** argv) {
     config.storage = GraphZeppelinConfig::Storage::kDisk;
   }
   config.query_threads = static_cast<int>(flags.GetInt("query-threads", 0));
-  const int hh_top = static_cast<int>(flags.GetInt("heavy-hitters", 0));
-  if (hh_top > 0) {
-    config.heavy_hitter_width = 2048;  // Defaults elsewhere in the struct.
-  }
 
   if (!flags.GetString("shard-endpoints", "").empty()) {
     reader.Close();  // Only needed it for the node count.
@@ -294,10 +256,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\ncomponents %zu, spanning forest %zu edges\n",
               result.num_components, result.spanning_forest.size());
-
-  if (hh_top > 0 && gz.heavy_hitters() != nullptr) {
-    PrintHeavyHitters(*gz.heavy_hitters(), hh_top);
-  }
 
   const int top = static_cast<int>(flags.GetInt("top", 5));
   if (top > 0) {

@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
   tools::Flags flags(argc, argv);
   const std::string in = flags.GetString("stream", "");
   const std::string out = flags.GetString("out", "");
-  if (in.empty() || out.empty() || !tools::ValidIngestFlags(flags)) {
+  if (!flags.AllKnown({"stream", "out", "workers", "seed"}) || in.empty() ||
+      out.empty() || !tools::ValidIngestFlags(flags)) {
     std::fprintf(stderr,
                  "usage: gz_forest --stream IN.gzst --out FOREST.gzst "
                  "[--workers N] [--seed N]\n");

@@ -33,6 +33,11 @@ int main(int argc, char** argv) {
                  "[--weighted-out FILE --max-weight N]\n");
     return 2;
   };
+  if (!flags.AllKnown({"out", "kind", "seed", "scale", "density", "nodes",
+                       "p", "churn", "phantom", "disconnect", "weighted-out",
+                       "max-weight"})) {
+    return usage(nullptr);
+  }
   const std::string out = flags.GetString("out", "");
   if (out.empty()) return usage(nullptr);
 

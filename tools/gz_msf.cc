@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   const std::string in = flags.GetString("stream", "");
   const uint32_t max_weight =
       static_cast<uint32_t>(flags.GetInt("max-weight", 0));
-  if (in.empty() || max_weight == 0 || !tools::ValidIngestFlags(flags)) {
+  if (!flags.AllKnown({"stream", "max-weight", "seed", "workers"}) ||
+      in.empty() || max_weight == 0 || !tools::ValidIngestFlags(flags)) {
     std::fprintf(stderr,
                  "usage: gz_msf --stream FILE.gzws --max-weight W "
                  "[--seed N] [--workers N]\n");

@@ -13,7 +13,6 @@
 //     [--auth-secret SECRET | --auth-secret-file PATH]
 //     [--threads N] [--json] [--top K]
 //   gz_query --mode forest --endpoints ... --forest-out forest.gzst
-//   gz_query --heavy-hitters K --endpoints ...       (count-min fold)
 //   gz_query --k-connectivity K --endpoints ...      (forest peeling)
 //   gz_query --mode bipartite --endpoints ... --doubled-endpoints ...
 //   gz_query --watch --endpoints ... --watch-count
@@ -46,7 +45,6 @@
 #include "distributed/query_session.h"
 #include "tools/flags.h"
 #include "util/timer.h"
-#include "workloads/count_min.h"
 #include "workloads/k_connectivity.h"
 
 namespace {
@@ -67,10 +65,6 @@ int Usage() {
       "                        --auth-secret-file / $GZ_SHARD_AUTH_SECRET)\n"
       "  --threads             Boruvka pool (0 = auto)\n"
       "  --json                one machine-readable JSON line on stdout\n"
-      "  --heavy-hitters K     fold the shards' count-min side sketches\n"
-      "                        and print the top-K edges and degrees\n"
-      "                        (needs a cluster configured with\n"
-      "                        heavy_hitter_width > 0)\n"
       "  --k-connectivity K    certify min(edge connectivity, K) from\n"
       "                        the merged snapshot (k forest peels)\n"
       "  --watch               stream standing-query notifications; add\n"
@@ -196,67 +190,6 @@ int RunWatch(const gz::tools::Flags& flags, gz::QuerySession* session) {
   return 0;
 }
 
-// Heavy-hitter mode: folds one count-min side sketch per shard (see
-// QuerySession::HeavyHitters for the exactness argument and caveats)
-// and prints the top-K edges and degrees re-estimated against the
-// merged grids.
-int RunHeavyHitters(gz::QuerySession* session, int top, bool json) {
-  using namespace gz;
-  WallTimer fold_timer;
-  const Result<HeavyHitterSketch> folded = session->HeavyHitters();
-  if (!folded.ok()) {
-    std::fprintf(stderr, "gz_query: heavy-hitters: %s\n",
-                 folded.status().ToString().c_str());
-    return 1;
-  }
-  const double fold_seconds = fold_timer.Seconds();
-  const HeavyHitterSketch& hh = folded.value();
-  const uint64_t num_nodes = hh.params().num_nodes;
-  const std::vector<HeavyHitterEntry> edges =
-      hh.TopEdges(static_cast<size_t>(top));
-  const std::vector<HeavyHitterEntry> degrees =
-      hh.TopDegrees(static_cast<size_t>(top));
-  if (json) {
-    std::printf("{\"mode\":\"heavy_hitters\",\"updates\":%llu,"
-                "\"saturated\":%s,\"fold_seconds\":%.6f,\"edges\":[",
-                static_cast<unsigned long long>(hh.updates_applied()),
-                hh.saturated() ? "true" : "false", fold_seconds);
-    for (size_t i = 0; i < edges.size(); ++i) {
-      const Edge e = IndexToEdge(edges[i].key, num_nodes);
-      std::printf("%s{\"u\":%llu,\"v\":%llu,\"count\":%lld}",
-                  i == 0 ? "" : ",",
-                  static_cast<unsigned long long>(e.u),
-                  static_cast<unsigned long long>(e.v),
-                  static_cast<long long>(edges[i].count));
-    }
-    std::printf("],\"degrees\":[");
-    for (size_t i = 0; i < degrees.size(); ++i) {
-      std::printf("%s{\"node\":%llu,\"count\":%lld}", i == 0 ? "" : ",",
-                  static_cast<unsigned long long>(degrees[i].key),
-                  static_cast<long long>(degrees[i].count));
-    }
-    std::printf("]}\n");
-  } else {
-    std::printf("heavy hitters  %llu updates folded (%.3fs)%s\n",
-                static_cast<unsigned long long>(hh.updates_applied()),
-                fold_seconds,
-                hh.saturated() ? " [candidate tables saturated]" : "");
-    for (const HeavyHitterEntry& entry : edges) {
-      const Edge e = IndexToEdge(entry.key, num_nodes);
-      std::printf("  edge %llu-%llu count %lld\n",
-                  static_cast<unsigned long long>(e.u),
-                  static_cast<unsigned long long>(e.v),
-                  static_cast<long long>(entry.count));
-    }
-    for (const HeavyHitterEntry& entry : degrees) {
-      std::printf("  degree %llu count %lld\n",
-                  static_cast<unsigned long long>(entry.key),
-                  static_cast<long long>(entry.count));
-    }
-  }
-  return 0;
-}
-
 // Connects a reader session to the given listener endpoints, failing
 // the process with a useful message otherwise.
 std::unique_ptr<gz::QuerySession> Dial(const std::string& endpoint_list,
@@ -280,6 +213,14 @@ std::unique_ptr<gz::QuerySession> Dial(const std::string& endpoint_list,
 int main(int argc, char** argv) {
   using namespace gz;
   tools::Flags flags(argc, argv);
+  if (!flags.AllKnown({"endpoints", "mode", "auth-secret", "auth-secret-file",
+                       "threads", "json", "top", "forest-out",
+                       "doubled-endpoints", "k-connectivity", "watch",
+                       "watch-count", "watch-forest", "watch-connected",
+                       "poll-ms", "no-subscribe", "watch-duration",
+                       "watch-max"})) {
+    return Usage();
+  }
   const std::string endpoints = flags.GetString("endpoints", "");
   if (endpoints.empty()) return Usage();
   const std::string mode = flags.GetString("mode", "connectivity");
@@ -294,11 +235,6 @@ int main(int argc, char** argv) {
 
   if (flags.GetBool("watch", false)) {
     return RunWatch(flags, session.get());
-  }
-
-  const int hh_top = static_cast<int>(flags.GetInt("heavy-hitters", 0));
-  if (hh_top > 0) {
-    return RunHeavyHitters(session.get(), hh_top, json);
   }
 
   WallTimer refresh_timer;

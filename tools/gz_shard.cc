@@ -9,8 +9,8 @@
 //                        authenticated writer (the coordinator, full
 //                        protocol) plus up to --max-sessions-1
 //                        authenticated readers (PING / STATS_EX /
-//                        MIGRATE_EXTRACT / HEAVY_HITTERS only),
-//                        the serving tier's data plane. Port 0 asks
+//                        MIGRATE_EXTRACT only), the serving tier's
+//                        data plane. Port 0 asks
 //                        the kernel for a free port; --port-file PATH
 //                        publishes the bound port (for harnesses that
 //                        need to discover it). A dropped writer
@@ -100,6 +100,10 @@ int RunListener(const gz::tools::Flags& flags, const std::string& secret) {
 
 int main(int argc, char** argv) {
   gz::tools::Flags flags(argc, argv);
+  if (!flags.AllKnown({"fd", "listen", "port-file", "max-sessions",
+                       "reader-timeout", "auth-secret", "auth-secret-file"})) {
+    return Usage();
+  }
   const std::string secret = gz::tools::ResolveAuthSecret(flags, "gz_shard");
   if (flags.Has("listen")) return RunListener(flags, secret);
   const int fd = static_cast<int>(flags.GetInt("fd", -1));

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   using namespace gz;
   tools::Flags flags(argc, argv);
   const std::string in = flags.GetString("in", "");
-  if (in.empty()) {
+  if (!flags.AllKnown({"in", "out", "threads", "top"}) || in.empty()) {
     std::fprintf(stderr,
                  "usage: gz_snapshot --in A.snap[,B.snap,...] "
                  "[--out MERGED.snap] [--threads N] [--top K]\n");
