@@ -38,13 +38,14 @@
 // the shard and fans out to every replica (each migration chunk is
 // logged once per side and sent the same way), so all live replicas
 // of a shard are bitwise-identical at all times; a fold (Snapshot)
-// reads any ONE live replica per shard and fails over past dead ones. The repair path is anti-entropy, not
-// replay: Reconcile() pulls node-range chunks from a position-verified
-// reference replica and from the suspect, XOR-diffs them, and folds
-// exactly the difference into whichever copy is behind. Because the
-// diff is linear it commutes with concurrent ingestion and with an
-// in-flight migration — a killed replica rejoins by reconnect +
-// reconcile with zero stream pause, no checkpoint restore, no replay.
+// reads any ONE live replica per shard and fails over past dead ones.
+// The repair path is anti-entropy, not replay: Reconcile() pulls
+// node-range chunks from a position-verified reference replica and
+// from the suspect, XOR-diffs them, and folds exactly the difference
+// into whichever copy is behind. Because the diff is linear it
+// commutes with concurrent ingestion and with an in-flight migration —
+// a killed replica rejoins by reconnect + reconcile with zero stream
+// pause, no checkpoint restore, no replay.
 // R = 1 is bitwise-identical to the pre-replication cluster.
 //
 // Elasticity model: routing is a pure function of (edge, table); see

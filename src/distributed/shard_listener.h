@@ -5,10 +5,10 @@
 // the coordinator, full protocol, byte-identical to the single-session
 // server — plus any number of authenticated readers (bounded by
 // max_sessions) issuing read-only frames (PING / STATS_EX /
-// MIGRATE_EXTRACT). That asymmetry is the whole design: the
-// ingest path stays a single FIFO stream (which is what makes shard
-// state a pure function of its watermark), while the serving tier
-// scales out by adding reader sessions.
+// MIGRATE_EXTRACT). That asymmetry is the whole design: the ingest
+// path stays a single FIFO stream (which is what makes shard state a
+// pure function of its watermark), while the serving tier scales out
+// by adding reader sessions.
 //
 // Concurrency: the accept loop runs on the caller's thread (poll on
 // the listen socket plus a stop pipe); each accepted connection gets a

@@ -647,7 +647,8 @@ Status DecodeShardConfig(const uint8_t* data, size_t size,
       r.U8(&storage) && r.F64(&c.gutter_fraction) &&
       r.U64(&c.nodes_per_gutter_group) &&
       r.U64(&c.gutter_tree_buffer_bytes) && r.U64(&c.gutter_tree_fanout) &&
-      r.I32(&c.query_threads) && r.Str(&c.disk_dir) && r.Str(&c.instance_tag) && r.I32(&out->shard_id) &&
+      r.I32(&c.query_threads) && r.Str(&c.disk_dir) &&
+      r.Str(&c.instance_tag) && r.I32(&out->shard_id) &&
       ReadTable(&r, &out->table) && r.Str(&out->restore_checkpoint) &&
       r.Done();
   if (!ok) return Status::InvalidArgument("malformed shard config payload");
