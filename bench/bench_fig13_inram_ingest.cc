@@ -62,7 +62,8 @@ int main() {
   std::printf(
       "\nShape check vs paper: GraphZeppelin's rate is roughly flat in\n"
       "density/scale; explicit baselines degrade as per-vertex structures\n"
-      "grow. Absolute rates here are single-core (paper: 46 threads).\n\n");
+      "grow. GZ columns run GZ_BENCH_WORKERS Graph Workers (default 2;\n"
+      "paper: 46 threads).\n\n");
 
   std::printf("{\n  \"bench\": \"fig13_inram_ingest\", "
               "\"best_kernel\": \"%s\",\n  \"rows\": [\n",

@@ -1,10 +1,10 @@
 // Figure 14: ingestion rate vs number of Graph Worker threads.
 //
 // Paper shape to reproduce: near-linear scaling with workers (26x at 46
-// threads on a 24-core machine). NOTE: this environment exposes a
-// single CPU core, so the curve here shows the *overhead* profile of
-// batch-level parallelism rather than speedup; run on a multicore box
-// (GZ_BENCH_WORKERS_MAX) to see the paper's scaling.
+// threads on a 24-core machine). Speedup can only track the hardware
+// threads the host exposes (printed first): rows past that count add
+// workers that contend for the same cores, so the curve flattens there.
+// Run on a larger box (GZ_BENCH_WORKERS_MAX) to see the paper's scaling.
 //
 // A "workers = N" row runs N Graph Worker threads. The ingesting thread
 // also applies batches while the work queue is full (during Flush and

@@ -12,6 +12,10 @@
 namespace gz {
 namespace {
 
+// Refresh rounds Snapshot() attempts while the cluster position keeps
+// moving under the seqlock before giving up.
+constexpr int kMaxPositionRetries = 16;
+
 // Two position sweeps agree iff the same connections are alive and
 // every live one reports the same (shard, epoch, updates, delta_seq)
 // tuple — the seqlock's "sequence unchanged" check. Monotonicity of
@@ -278,8 +282,7 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
   last_refresh_rounds_ = 0;
   Status last = Status::Ok();
   std::vector<ShardStatsEx> t0, t1;
-  for (int attempt = 0; attempt < options_.max_position_retries;
-       ++attempt) {
+  for (int attempt = 0; attempt < kMaxPositionRetries; ++attempt) {
     ++last_refresh_rounds_;
     Status s = ReadPositions(&t0);
     if (!s.ok()) return s;
@@ -347,7 +350,7 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
   return Status(StatusCode::kResourceExhausted,
                 "cluster position kept moving; refresh did not stabilize "
                 "within " +
-                    std::to_string(options_.max_position_retries) +
+                    std::to_string(kMaxPositionRetries) +
                     " rounds (last: " + last.ToString() + ")");
 }
 

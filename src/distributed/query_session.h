@@ -80,9 +80,6 @@ struct QuerySessionOptions {
   std::string auth_secret;
   // Chunking of refresh pulls (see SnapshotCache).
   uint64_t nodes_per_chunk = 1 << 14;
-  // Refresh rounds to attempt while the cluster position keeps moving
-  // under the seqlock before giving up.
-  int max_position_retries = 16;
   // Per-request receive deadline. A listener that stops answering
   // mid-request fails with DeadlineExceeded after this long instead of
   // blocking the reader forever. 0 = wait forever.
@@ -120,7 +117,7 @@ class QuerySession {
   // position — zero data pulls when nothing moved — and returns the
   // merged snapshot. *out stays valid until the next Snapshot() call.
   // Fails when a shard is unreachable/unconfigured, or when the
-  // position kept moving for max_position_retries rounds.
+  // position kept moving for 16 refresh rounds.
   Status Snapshot(const GraphSnapshot** out);
 
   // Convenience: Snapshot() + the parallel Boruvka query.

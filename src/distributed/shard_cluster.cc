@@ -282,24 +282,6 @@ Status ShardCluster::Update(const GraphUpdate* updates, size_t count) {
                    ckpt.ToString().c_str());
     }
   }
-  // Periodic anti-entropy rejoins dead replicas and repairs divergence
-  // without the caller having to notice. Best-effort like the
-  // checkpoint, and paced by the interval even when it fails (a
-  // permanently unrepairable replica must not turn every span into a
-  // repair attempt).
-  updates_since_reconcile_ += count;
-  if (options_.reconcile_interval_updates > 0 &&
-      updates_since_reconcile_ >= options_.reconcile_interval_updates) {
-    updates_since_reconcile_ = 0;
-    if (replication_ > 1) {
-      Status rec = Reconcile(nullptr);
-      if (!rec.ok()) {
-        std::fprintf(stderr,
-                     "ShardCluster: periodic reconcile failed (%s)\n",
-                     rec.ToString().c_str());
-      }
-    }
-  }
   return Status::Ok();
 }
 
@@ -492,15 +474,38 @@ Result<std::vector<ShardEndpoint>> ShardCluster::ParseReplicaEndpoints(
 }
 
 Result<int> ShardCluster::AddShard(const std::string& endpoint) {
+  return GrowShard(/*split_source=*/-1, endpoint);
+}
+
+Result<int> ShardCluster::SplitShard(int shard, const std::string& endpoint) {
+  GZ_CHECK(shard >= 0);
+  return GrowShard(shard, endpoint);
+}
+
+Result<int> ShardCluster::GrowShard(int split_source,
+                                    const std::string& endpoint) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   if (migration_.has_value()) {
     return Status::FailedPrecondition(
         "a migration is active; pump it to completion first");
   }
-  if (num_active_shards() >=
-      static_cast<int>(RoutingTable::kNumSlots)) {
-    return Status::FailedPrecondition(
-        "slot table is full; cannot add another shard");
+  if (split_source < 0) {
+    if (num_active_shards() >= static_cast<int>(RoutingTable::kNumSlots)) {
+      return Status::FailedPrecondition(
+          "slot table is full; cannot add another shard");
+    }
+  } else {
+    GZ_CHECK(split_source < num_shards());
+    if (shard_removed(split_source)) {
+      return Status::FailedPrecondition("shard already removed");
+    }
+    // Keeps the every-live-shard-owns-a-slot invariant: the child takes
+    // half the source's slots, so the source needs at least two.
+    if (TableSlotCount(table_, split_source) < 2) {
+      return Status::FailedPrecondition(
+          "shard " + std::to_string(split_source) +
+          " owns too few routing slots to split");
+    }
   }
   Result<std::vector<ShardEndpoint>> parsed = ParseReplicaEndpoints(endpoint);
   if (!parsed.ok()) return parsed.status();
@@ -508,11 +513,15 @@ Result<int> ShardCluster::AddShard(const std::string& endpoint) {
   if (!s.ok()) return s;
   const RoutingTable old_table = table_;
   const int id = AllocateShardSlot(parsed.value());
-  table_ = TableWithShardAdded(old_table, id);
+  table_ = split_source < 0
+               ? TableWithShardAdded(old_table, id)
+               : TableWithShardSplit(old_table, split_source, id);
   // The new shard's CONFIG already carries the new table, so it comes
   // up at the current epoch; everyone else learns it from the
   // broadcast. No state migrates: an empty shard is a zero sketch, and
-  // zero is the XOR identity.
+  // zero is the XOR identity. A split source keeps what it ingested —
+  // every shard's store holds all V node sketches whatever their
+  // content, so moving part of it would balance nothing.
   for (int r = 0; r < replication_ && s.ok(); ++r) {
     s = SpawnAndConfigure(id, r, /*restore=*/false, nullptr, nullptr);
   }
@@ -548,7 +557,6 @@ Status ShardCluster::BeginRemoveShard(int shard) {
   // drains into the smallest surviving shard. Any single survivor is a
   // correct fold target — the global XOR is what queries see.
   Migration m;
-  m.kind = Migration::Kind::kRemove;
   m.source = shard;
   for (const int id : ActiveShards()) {
     if (id != shard) {
@@ -556,59 +564,8 @@ Status ShardCluster::BeginRemoveShard(int shard) {
       break;
     }
   }
-  m.next_node = 0;
-  m.end_node = base_.num_nodes;
   migration_ = m;
   return Status::Ok();
-}
-
-Result<int> ShardCluster::BeginSplitShard(int shard,
-                                          const std::string& endpoint) {
-  if (!started_) return Status::FailedPrecondition("cluster not started");
-  GZ_CHECK(shard >= 0 && shard < num_shards());
-  if (shard_removed(shard)) {
-    return Status::FailedPrecondition("shard already removed");
-  }
-  if (migration_.has_value()) {
-    return Status::FailedPrecondition(
-        "a migration is active; pump it to completion first");
-  }
-  // Keeps the every-live-shard-owns-a-slot invariant: the child takes
-  // half the source's slots, so the source needs at least two.
-  if (TableSlotCount(table_, shard) < 2) {
-    return Status::FailedPrecondition(
-        "shard " + std::to_string(shard) +
-        " owns too few routing slots to split");
-  }
-  Result<std::vector<ShardEndpoint>> parsed = ParseReplicaEndpoints(endpoint);
-  if (!parsed.ok()) return parsed.status();
-  Status s = RequireAllHealthy();
-  if (!s.ok()) return s;
-  const RoutingTable old_table = table_;
-  const int id = AllocateShardSlot(parsed.value());
-  table_ = TableWithShardSplit(old_table, shard, id);
-  for (int r = 0; r < replication_ && s.ok(); ++r) {
-    s = SpawnAndConfigure(id, r, /*restore=*/false, nullptr, nullptr);
-  }
-  if (!s.ok()) {
-    ReleaseLastShardSlot(id);
-    table_ = old_table;
-    return s;
-  }
-  s = BroadcastTable();
-  if (!s.ok()) return s;
-  // Balance memory too, not just routing: the upper half of the node
-  // range of the source's accumulated state moves to the new shard.
-  // (Any fixed range is exact under the XOR fold; half keeps the two
-  // sides' footprints comparable.)
-  Migration m;
-  m.kind = Migration::Kind::kSplit;
-  m.source = shard;
-  m.target = id;
-  m.next_node = base_.num_nodes / 2;
-  m.end_node = base_.num_nodes;
-  migration_ = m;
-  return id;
 }
 
 int ShardCluster::migration_source() const {
@@ -637,10 +594,10 @@ Status ShardCluster::PumpMigration() {
   }
   Shard& source = shards_[m.source];
   Shard& target = shards_[m.target];
-  if (m.next_node < m.end_node) {
+  if (m.next_node < base_.num_nodes) {
     const uint64_t lo = m.next_node;
     const uint64_t hi =
-        std::min(m.end_node, lo + options_.migrate_nodes_per_chunk);
+        std::min(base_.num_nodes, lo + options_.migrate_nodes_per_chunk);
     // Extract is read-only on the source (its internal flush makes the
     // chunk cover everything framed to it so far), so a failure here
     // mutates nothing and the chunk is simply retried after repair.
@@ -679,33 +636,31 @@ Status ShardCluster::PumpMigration() {
     const Status cancel = deliver(source);
     return install.ok() ? cancel : install;
   }
-  // Final step. For a split there is nothing left to do; for a removal
-  // the source — now a zero sketch holding no routed slots — retires.
-  if (m.kind == Migration::Kind::kRemove) {
-    Replica& retiring_rep = source.replicas[src];
-    // The source is quiescent (no slots since the epoch bump, flushed
-    // by every extract), so its position is final; it must survive in
-    // the aggregate update count after the process goes away. A sticky
-    // divergence error surfaces here and blocks the removal.
-    ShardStatsEx retiring;
-    Status s = ReplicaStatsEx(retiring_rep, &retiring);
-    if (!s.ok()) return s;
-    // Commit point: nothing below can fail, so the update count lands
-    // exactly once.
-    migrated_updates_ += retiring.num_updates;
-    for (int r = 0; r < replication_; ++r) {
-      Replica& rep = source.replicas[r];
-      if (!rep.down) {
-        ShardAck ignored;
-        rep.proc->CallAck(ShardMessageType::kShutdown, nullptr, 0,
-                          &ignored);  // Best-effort orderly exit.
-      }
-      rep.proc->Terminate();  // Degenerates to a reap.
-      ::unlink(CheckpointPath(m.source, r).c_str());
-      ::unlink((CheckpointPath(m.source, r) + ".tmp").c_str());
+  // Final step: the source — now a zero sketch holding no routed
+  // slots — retires.
+  Replica& retiring_rep = source.replicas[src];
+  // The source is quiescent (no slots since the epoch bump, flushed
+  // by every extract), so its position is final; it must survive in
+  // the aggregate update count after the process goes away. A sticky
+  // divergence error surfaces here and blocks the removal.
+  ShardStatsEx retiring;
+  Status s = ReplicaStatsEx(retiring_rep, &retiring);
+  if (!s.ok()) return s;
+  // Commit point: nothing below can fail, so the update count lands
+  // exactly once.
+  migrated_updates_ += retiring.num_updates;
+  for (int r = 0; r < replication_; ++r) {
+    Replica& rep = source.replicas[r];
+    if (!rep.down) {
+      ShardAck ignored;
+      rep.proc->CallAck(ShardMessageType::kShutdown, nullptr, 0,
+                        &ignored);  // Best-effort orderly exit.
     }
-    source = Shard();  // A removed id: no replicas, no books.
+    rep.proc->Terminate();  // Degenerates to a reap.
+    ::unlink(CheckpointPath(m.source, r).c_str());
+    ::unlink((CheckpointPath(m.source, r) + ".tmp").c_str());
   }
+  source = Shard();  // A removed id: no replicas, no books.
   migration_.reset();
   return Status::Ok();
 }
@@ -714,16 +669,6 @@ Status ShardCluster::RemoveShard(int shard) {
   Status s = BeginRemoveShard(shard);
   while (s.ok() && migration_.has_value()) s = PumpMigration();
   return s;
-}
-
-Result<int> ShardCluster::SplitShard(int shard,
-                                     const std::string& endpoint) {
-  Result<int> id = BeginSplitShard(shard, endpoint);
-  if (!id.ok()) return id;
-  Status s = Status::Ok();
-  while (s.ok() && migration_.has_value()) s = PumpMigration();
-  if (!s.ok()) return s;
-  return id;
 }
 
 // ---- Lifecycle -------------------------------------------------------------

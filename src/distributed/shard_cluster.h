@@ -7,7 +7,7 @@
 // replies with the GraphSnapshot merge algebra, and manages shard
 // lifecycle: spawn, health checks, checkpoints, orderly shutdown,
 // restart-from-checkpoint of a crashed shard — and elastic resharding:
-// shards can be added, removed or split WITHOUT pausing the stream.
+// shards can be added, split or removed WITHOUT pausing the stream.
 //
 // Where a shard lives is its endpoint's business (shard_endpoint.h):
 // a fork/exec'd gz_shard child (local:), a ShardServer thread in this
@@ -49,8 +49,11 @@
 // R = 1 is bitwise-identical to the pre-replication cluster.
 //
 // Elasticity model: routing is a pure function of (edge, table); see
-// RoutingTable. A reshard bumps the table's epoch, broadcasts it, and
-// then — for RemoveShard/SplitShard — migrates sketch state in
+// RoutingTable. A reshard bumps the table's epoch and broadcasts it.
+// Growing the cluster (AddShard, SplitShard) moves routing slots and
+// nothing else: the fold is the XOR of all shards whichever shard holds
+// which contribution, so a new shard starts as a zero sketch. Only a
+// removal migrates sketch state, draining the leaving shard's [0, V) in
 // node-range chunks: each chunk is extracted from the source (read-only
 // RPC), XOR-folded into the target, and XOR-folded BACK into the source
 // to cancel it there. Because every step is a linear XOR, a chunk
@@ -111,10 +114,6 @@ struct ShardClusterOptions {
   // update logs so coordinator memory stays bounded by the interval
   // instead of growing with the stream. 0 = manual Checkpoint() only.
   uint64_t checkpoint_interval_updates = 1 << 22;
-  // Anti-entropy cadence: after this many routed updates the next
-  // Update() call runs Reconcile() (best-effort), re-converging any
-  // replica that died or diverged. 0 = manual Reconcile() only.
-  uint64_t reconcile_interval_updates = 0;
   // Node-range granularity of one PumpMigration() step and of one
   // Reconcile() diff chunk. Smaller chunks mean more interleaving
   // opportunities for Update() (and finer kill points in fault tests)
@@ -220,16 +219,16 @@ class ShardCluster {
   // No state migrates — the new shard starts empty and linearity makes
   // that exact. Returns the new id.
   Result<int> AddShard(const std::string& endpoint = std::string());
+  // AddShard, except the fresh shard takes every second routing slot of
+  // `shard` (which must own at least two) instead of a balanced share.
+  // No state migrates: `shard` keeps what it ingested, and both halves
+  // of its slots keep folding exactly. Returns the new id.
+  Result<int> SplitShard(int shard,
+                         const std::string& endpoint = std::string());
   // Starts removing `shard`: its slots are dealt to the remaining
   // shards (epoch bump, broadcast), then PumpMigration() drains its
   // state chunk-by-chunk into a successor and finally shuts it down.
   Status BeginRemoveShard(int shard);
-  // Starts splitting `shard`: a fresh shard (new highest id, at
-  // `endpoint` like AddShard) takes half its slots (epoch bump,
-  // broadcast), then PumpMigration() moves the upper half of the node
-  // range of its accumulated state across. Returns the new shard's id.
-  Result<int> BeginSplitShard(int shard,
-                              const std::string& endpoint = std::string());
   // Advances the active migration by one step (one node-range chunk,
   // or the final shutdown/bookkeeping step). Interleave with Update()
   // at will. On a shard failure the step's effects are already in the
@@ -239,10 +238,8 @@ class ShardCluster {
   bool migration_active() const { return migration_.has_value(); }
   int migration_source() const;
   int migration_target() const;
-  // Synchronous conveniences: Begin* + pump to completion.
+  // Synchronous convenience: BeginRemoveShard + pump to completion.
   Status RemoveShard(int shard);
-  Result<int> SplitShard(int shard,
-                         const std::string& endpoint = std::string());
 
   // Lifecycle.
   // Liveness per shard id: every replica's transport alive and
@@ -329,13 +326,11 @@ class ShardCluster {
     // Every update ever routed to the shard.
     uint64_t position() const { return log_start + log.size(); }
   };
+  // A removal in flight: `source` drains [0, V) into `target`.
   struct Migration {
-    enum class Kind { kRemove, kSplit };
-    Kind kind = Kind::kRemove;
     int source = -1;
     int target = -1;
     uint64_t next_node = 0;  // First node of the next chunk.
-    uint64_t end_node = 0;   // One past the last node to migrate.
   };
   // Which replicas a barrier touches: every replica of every shard
   // (mutations: flush, checkpoint, epoch) or one live replica per
@@ -354,6 +349,9 @@ class ShardCluster {
   // one entry per replica (missing entries are local).
   Result<std::vector<ShardEndpoint>> ParseReplicaEndpoints(
       const std::string& endpoint) const;
+  // AddShard (split_source < 0) and SplitShard: allocate, route by the
+  // grown table, spawn + configure every replica, broadcast the epoch.
+  Result<int> GrowShard(int split_source, const std::string& endpoint);
   // Appends the books of a freshly allocated id, with one (not yet
   // connected) transport per replica endpoint (local -> fork/exec,
   // thread -> server thread, tcp -> connect).
@@ -440,7 +438,6 @@ class ShardCluster {
   uint64_t migrated_updates_ = 0;
   std::optional<Migration> migration_;
   uint64_t updates_since_checkpoint_ = 0;  // Drives auto-checkpointing.
-  uint64_t updates_since_reconcile_ = 0;   // Drives periodic anti-entropy.
   ShardFrame reply_buf_;  // Reused for pipelined replies.
 };
 

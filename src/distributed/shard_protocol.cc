@@ -627,7 +627,6 @@ std::vector<uint8_t> EncodeShardConfig(const ShardConfig& sc) {
   w.U64(c.nodes_per_gutter_group);
   w.U64(c.gutter_tree_buffer_bytes);
   w.U64(c.gutter_tree_fanout);
-  w.I32(c.query_threads);
   w.Str(c.disk_dir);
   w.Str(c.instance_tag);
   w.I32(sc.shard_id);
@@ -647,8 +646,7 @@ Status DecodeShardConfig(const uint8_t* data, size_t size,
       r.U8(&storage) && r.F64(&c.gutter_fraction) &&
       r.U64(&c.nodes_per_gutter_group) &&
       r.U64(&c.gutter_tree_buffer_bytes) && r.U64(&c.gutter_tree_fanout) &&
-      r.I32(&c.query_threads) && r.Str(&c.disk_dir) &&
-      r.Str(&c.instance_tag) && r.I32(&out->shard_id) &&
+      r.Str(&c.disk_dir) && r.Str(&c.instance_tag) && r.I32(&out->shard_id) &&
       ReadTable(&r, &out->table) && r.Str(&out->restore_checkpoint) &&
       r.Done();
   if (!ok) return Status::InvalidArgument("malformed shard config payload");
@@ -669,8 +667,7 @@ Status DecodeShardConfig(const uint8_t* data, size_t size,
       c.gutter_fraction > 1024.0 || c.nodes_per_gutter_group < 1 ||
       c.gutter_tree_fanout < 2 || c.gutter_tree_fanout > (1ULL << 20) ||
       c.gutter_tree_buffer_bytes > (1ULL << 31) ||
-      c.gutter_tree_buffer_bytes < 12 * c.gutter_tree_fanout ||
-      c.query_threads < 0) {
+      c.gutter_tree_buffer_bytes < 12 * c.gutter_tree_fanout) {
     return Status::InvalidArgument("shard config payload out of range");
   }
   c.buffering = static_cast<GraphZeppelinConfig::Buffering>(buffering);

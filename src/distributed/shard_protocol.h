@@ -6,7 +6,7 @@
 // learn where the bytes come from; everything transport-specific —
 // framing integrity, peer authentication — lives here.
 //
-// Frame (v5) = 16-byte header (magic, version, message type, payload
+// Frame (v6) = 16-byte header (magic, version, message type, payload
 // bytes) + payload + a 4-byte CRC32C trailer over header AND payload.
 // The receiver verifies the checksum before any payload decode; a
 // mismatch is a Status error and, because the stream can no longer be
@@ -127,8 +127,9 @@ struct ShardFrameHeader {
   static constexpr uint32_t kMagic = 0x50535A47;  // "GZSP" little-endian.
   // v3: CRC32C trailer + auth. v4: one sketch byte format (node ranges);
   // the whole-snapshot and two-u64 stats frames retired. v5: the
-  // heavy-hitter frames and ShardConfig fields retired.
-  static constexpr uint16_t kVersion = 5;
+  // heavy-hitter frames and ShardConfig fields retired. v6: CONFIG no
+  // longer carries query_threads (shards never run a query).
+  static constexpr uint16_t kVersion = 6;
   static constexpr size_t kBytes = 16;
   // CRC32C over header + payload, appended after the payload.
   static constexpr size_t kCrcBytes = 4;

@@ -1,6 +1,6 @@
 // Randomized resharding chaos suite: a seeded random schedule of
-// insert/delete updates interleaved with AddShard / RemoveShard /
-// SplitShard operations at random points, on ALL shard substrates:
+// insert/delete updates interleaved with AddShard / SplitShard /
+// RemoveShard operations at random points, on ALL shard substrates:
 // ShardServer threads in this process, real gz_shard worker processes
 // over socketpairs, and worker processes attached over loopback TCP
 // (`gz_shard --listen` + auth secret) — the full listener-mode
@@ -97,11 +97,12 @@ std::string RandomReshardOp(ShardCluster* sharded, std::mt19937_64* rng,
     grow = ((*rng)() % 2) == 0;
   }
   if (grow) {
-    // Split moves state and exercises migration; Add is the cheap
-    // path. Flip between them.
+    // Both grow paths move routing slots only (a removal is the one
+    // migration); they differ in which slots the child takes. Flip
+    // between them.
     if (((*rng)() % 2) == 0) {
       const int source = active[(*rng)() % active.size()];
-      Result<int> id = sharded->BeginSplitShard(source, grow_endpoint);
+      Result<int> id = sharded->SplitShard(source, grow_endpoint);
       EXPECT_TRUE(id.ok()) << id.status().ToString();
       return "split(" + std::to_string(source) + ")";
     }
@@ -215,11 +216,11 @@ TEST_P(ReshardChaosTest, FoldedSnapshotBitwiseEqualsSingleInstance) {
   EXPECT_EQ(got.component_of, want.component_of);
 }
 
-TEST(ReshardReplicationTest, ReconcileUnderALiveSplitStaysBitwise) {
+TEST(ReshardReplicationTest, ReconcileUnderALiveRemovalStaysBitwise) {
   // Replication meets elasticity: at R=2, kill one replica of the
-  // split SOURCE while its migration is mid-flight, reconcile it back
-  // WITHOUT pausing the migration or the stream, finish the split, and
-  // the final fold — including one served by the repaired replica
+  // migration TARGET while a removal drains into it, reconcile it back
+  // WITHOUT pausing the migration or the stream, finish the removal,
+  // and the final fold — including one served by the repaired replica
   // alone — must be bitwise-identical to an unsharded instance.
   const uint64_t seed = 171;
   const std::vector<GraphUpdate> updates = BuildChaosStream(seed);
@@ -240,13 +241,13 @@ TEST(ReshardReplicationTest, ReconcileUnderALiveSplitStaysBitwise) {
   };
   for (int i = 0; i < 8; ++i) feed_burst();
 
-  Result<int> target = cluster.BeginSplitShard(0);
-  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  ASSERT_TRUE(cluster.BeginRemoveShard(0).ok());
+  ASSERT_EQ(cluster.migration_target(), 1);
   ASSERT_TRUE(cluster.PumpMigration().ok());
   feed_burst();
   ASSERT_TRUE(cluster.PumpMigration().ok());
 
-  cluster.KillReplica(0, 1);  // The source loses a replica mid-split.
+  cluster.KillReplica(1, 1);  // The target loses a replica mid-removal.
   // The migration keeps pumping on the surviving replicas, with
   // ingestion interleaved — zero pause on either axis.
   feed_burst();
@@ -259,7 +260,7 @@ TEST(ReshardReplicationTest, ReconcileUnderALiveSplitStaysBitwise) {
   uint64_t repaired = 0;
   ASSERT_TRUE(cluster.Reconcile(&repaired).ok());
   EXPECT_GT(repaired, 0u);
-  EXPECT_FALSE(cluster.replica_down(0, 1));
+  EXPECT_FALSE(cluster.replica_down(1, 1));
 
   while (cluster.migration_active()) {
     feed_burst();
@@ -277,9 +278,9 @@ TEST(ReshardReplicationTest, ReconcileUnderALiveSplitStaysBitwise) {
   EXPECT_EQ(folded.value().num_updates(), updates.size());
   EXPECT_TRUE(folded.value() == expect);
 
-  // The mid-split repair really converged: the repaired replica can
-  // carry the post-split source by itself.
-  cluster.KillReplica(0, 0);
+  // The mid-removal repair really converged: the repaired replica can
+  // carry the surviving shard by itself.
+  cluster.KillReplica(1, 0);
   folded = cluster.Snapshot();
   ASSERT_TRUE(folded.ok()) << folded.status().ToString();
   EXPECT_TRUE(folded.value() == expect);

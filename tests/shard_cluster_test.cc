@@ -417,30 +417,67 @@ TEST_P(ShardClusterTest, AddAndSplitShardsUnderLoadMatchBitwise) {
   EXPECT_EQ(added.value(), 1);
   ASSERT_TRUE(cluster.Update(updates.data() + third, third).ok());
 
-  // 2 -> 3 by splitting shard 0, feeding between pump steps.
-  Result<int> split =
-      cluster.BeginSplitShard(0, SubstrateEndpoint(GetParam()));
+  // 2 -> 3 by splitting shard 0, also instant, then the rest in bursts.
+  Result<int> split = cluster.SplitShard(0, SubstrateEndpoint(GetParam()));
   ASSERT_TRUE(split.ok()) << split.status().ToString();
   EXPECT_EQ(split.value(), 2);
   size_t fed = 2 * third;
-  while (cluster.migration_active()) {
-    if (fed < updates.size()) {
-      const size_t count = std::min(third / 4 + 1, updates.size() - fed);
-      ASSERT_TRUE(cluster.Update(updates.data() + fed, count).ok());
-      fed += count;
-    }
-    ASSERT_TRUE(cluster.PumpMigration().ok());
-  }
   while (fed < updates.size()) {
     const size_t count = std::min(third / 4 + 1, updates.size() - fed);
     ASSERT_TRUE(cluster.Update(updates.data() + fed, count).ok());
     fed += count;
   }
   EXPECT_EQ(cluster.num_active_shards(), 3);
-  // The split moved real state: the new shard is not empty.
-  Result<ShardStats> stats = cluster.Stats(2);
-  ASSERT_TRUE(stats.ok());
 
+  Result<GraphSnapshot> folded = cluster.Snapshot();
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_EQ(folded.value().num_updates(), updates.size());
+  EXPECT_TRUE(folded.value() == SingleProcessSnapshot(base, updates));
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_P(ShardClusterTest, SplitMovesRoutingSlotsButNoState) {
+  // A split is a routing change only: the child takes every second
+  // slot of the source and starts as a zero sketch, the source keeps
+  // everything it ingested, and neither is sent a migration delta. The
+  // XOR fold stays exact because it never cared which shard holds
+  // which contribution.
+  const uint64_t n = 96;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.06;
+  ep.seed = 83;
+  const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
+  const std::vector<GraphUpdate> updates = ToggleStream(edges, 3);
+  const size_t half = updates.size() / 2;
+
+  const GraphZeppelinConfig base = BaseConfig(n, 137);
+  ShardClusterOptions options;
+  options.migrate_nodes_per_chunk = 16;
+  ShardCluster cluster(base, 2, MakeOptions(2, options));
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
+  Result<ShardStats> before = cluster.Stats(0);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  Result<int> child = cluster.SplitShard(0, SubstrateEndpoint(GetParam()));
+  ASSERT_TRUE(child.ok()) << child.status().ToString();
+  EXPECT_EQ(child.value(), 2);
+  EXPECT_FALSE(cluster.migration_active());
+  EXPECT_EQ(cluster.pending_delta_count(0), 0u);
+  EXPECT_EQ(cluster.pending_delta_count(child.value()), 0u);
+  EXPECT_GT(TableSlotCount(cluster.routing_table(), child.value()), 0);
+  Result<ShardStats> source = cluster.Stats(0);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  EXPECT_EQ(source.value().num_updates, before.value().num_updates);
+  EXPECT_EQ(source.value().delta_seq, before.value().delta_seq);
+  Result<ShardStats> grown = cluster.Stats(child.value());
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  EXPECT_EQ(grown.value().num_updates, 0u);
+  EXPECT_EQ(grown.value().delta_seq, 0u);
+
+  ASSERT_TRUE(cluster.Update(updates.data() + half, updates.size() - half)
+                  .ok());
   Result<GraphSnapshot> folded = cluster.Snapshot();
   ASSERT_TRUE(folded.ok()) << folded.status().ToString();
   EXPECT_EQ(folded.value().num_updates(), updates.size());
@@ -541,7 +578,7 @@ TEST_P(ShardClusterTest, KillTargetMidMigrationRestartConverges) {
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
-TEST_P(ShardClusterTest, TargetDiesUndetectedMidSplitStillConverges) {
+TEST_P(ShardClusterTest, TargetDiesUndetectedMidRemovalStillConverges) {
   // The nastiest chunk-failure interleaving: the migration target dies
   // WITHOUT the coordinator noticing (no KillShard fencing), so the
   // next pump extracts fine and only the install send fails. The
@@ -556,33 +593,36 @@ TEST_P(ShardClusterTest, TargetDiesUndetectedMidSplitStillConverges) {
   ep.seed = 107;
   const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
   const std::vector<GraphUpdate> updates = ToggleStream(edges, 3);
-  const size_t half = updates.size() / 2;
+  const size_t quarter = updates.size() / 4;
 
   const GraphZeppelinConfig base = BaseConfig(n, 211);
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = 16;
   ShardCluster cluster(base, 2, MakeOptions(2, options));
   ASSERT_TRUE(cluster.Start().ok());
-  ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
+  ASSERT_TRUE(cluster.Update(updates.data(), 2 * quarter).ok());
 
-  Result<int> split =
-      cluster.BeginSplitShard(0, SubstrateEndpoint(GetParam()));
-  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  ASSERT_TRUE(cluster.BeginRemoveShard(0).ok());
   ASSERT_TRUE(cluster.PumpMigration().ok());
-  cluster.KillShard(split.value(), /*observed=*/false);
+  ASSERT_TRUE(cluster.Update(updates.data() + 2 * quarter, quarter).ok());
+  const int target = cluster.migration_target();
+  cluster.KillShard(target, /*observed=*/false);
   // This pump extracts from the healthy source, then fails to install
   // on the dead target; the coordinator must fence the target itself.
   EXPECT_FALSE(cluster.PumpMigration().ok());
-  EXPECT_TRUE(cluster.shard_down(split.value()));
+  EXPECT_TRUE(cluster.shard_down(target));
 
-  ASSERT_TRUE(cluster.RestartShard(split.value()).ok());
+  ASSERT_TRUE(cluster.RestartShard(target).ok());
   while (cluster.migration_active()) {
     ASSERT_TRUE(cluster.PumpMigration().ok());
   }
-  ASSERT_TRUE(cluster.Update(updates.data() + half, updates.size() - half)
+  ASSERT_TRUE(cluster
+                  .Update(updates.data() + 3 * quarter,
+                          updates.size() - 3 * quarter)
                   .ok());
   Result<GraphSnapshot> folded = cluster.Snapshot();
   ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_EQ(folded.value().num_updates(), updates.size());
   EXPECT_TRUE(folded.value() == SingleProcessSnapshot(base, updates));
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
@@ -770,47 +810,6 @@ TEST_P(ShardClusterTest, ReplicaKillDrillRepairsWithZeroStreamPause) {
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
-TEST_P(ShardClusterTest, PeriodicReconcileRejoinsAKilledReplica) {
-  // The cadence knob: with reconcile_interval_updates set, ingestion
-  // alone rejoins a dead replica — no manual Reconcile() call.
-  const uint64_t n = 64;
-  ErdosRenyiParams ep;
-  ep.num_nodes = n;
-  ep.p = 0.08;
-  ep.seed = 231;
-  const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
-  const std::vector<GraphUpdate> updates = ToggleStream(edges, 5);
-
-  const GraphZeppelinConfig base = BaseConfig(n, 251);
-  ShardClusterOptions options;
-  options.replication_factor = 2;
-  options.reconcile_interval_updates = 200;
-  options.migrate_nodes_per_chunk = 16;
-  ShardCluster cluster(base, 2, MakeOptions(2 * 2, options));
-  ASSERT_TRUE(cluster.Start().ok());
-
-  const size_t quarter = updates.size() / 4;
-  ASSERT_TRUE(cluster.Update(updates.data(), quarter).ok());
-  cluster.KillReplica(0, 1);
-  // Feed well past the interval in driver-sized bursts; a periodic
-  // pass fires inside Update() and repairs the replica along the way.
-  size_t fed = quarter;
-  while (fed < updates.size()) {
-    const size_t count = std::min<size_t>(100, updates.size() - fed);
-    ASSERT_TRUE(cluster.Update(updates.data() + fed, count).ok());
-    fed += count;
-  }
-  EXPECT_FALSE(cluster.replica_down(0, 1))
-      << "periodic reconcile never rejoined the replica";
-
-  // The rejoined replica serves the shard alone, bitwise.
-  cluster.KillReplica(0, 0);
-  Result<GraphSnapshot> folded = cluster.Snapshot();
-  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
-  EXPECT_TRUE(folded.value() == SingleProcessSnapshot(base, updates));
-  ASSERT_TRUE(cluster.Shutdown().ok());
-}
-
 TEST_P(ShardClusterTest, ReconcileDetectsAndRepairsInjectedDivergence) {
   // Silent corruption drill: fold a rogue delta into one replica
   // BEHIND the coordinator's books. Folds from the healthy replica are
@@ -892,7 +891,7 @@ TEST_P(ShardClusterTest, ReplicaCursorsDivergeOverOneSharedLog) {
   // The two replicas of shard 1 end up with DIFFERENT checkpoint
   // cursors into the shard's one update log and one delta log: replica
   // 0 checkpoints at P1, replica 1 rejoins through Reconcile and
-  // checkpoints at P2 mid-split. The log must stay pinned at the lower
+  // checkpoints at P2 while shard 0 drains into shard 1. The log must stay pinned at the lower
   // cursor, so a classic restore+replay of replica 0 still finds every
   // update from P1 on and every delta past its checkpoint's sequence
   // number, although its sibling's cursor is ahead.
@@ -916,8 +915,8 @@ TEST_P(ShardClusterTest, ReplicaCursorsDivergeOverOneSharedLog) {
   ASSERT_TRUE(cluster.Update(updates.data(), p1).ok());
   ASSERT_TRUE(cluster.Checkpoint().ok());  // Both replicas commit P1.
   ASSERT_TRUE(cluster.Update(updates.data() + p1, p2 - p1).ok());
-  const std::string grow = SubstrateEndpoint(GetParam());
-  ASSERT_TRUE(cluster.BeginSplitShard(1, grow + "," + grow).ok());
+  ASSERT_TRUE(cluster.BeginRemoveShard(0).ok());
+  ASSERT_EQ(cluster.migration_target(), 1);  // Shard 1 gets the deltas.
   ASSERT_TRUE(cluster.PumpMigration().ok());
   EXPECT_GT(cluster.pending_delta_count(1), 0u);
 

@@ -5,8 +5,8 @@
 // the shard side (ShardServer over an in-process socketpair). v3 added
 // the CRC32C trailer (exhaustive byte-flip sweep below), the
 // authenticated HELLO handshake, and the ShardEndpoint grammar; v4
-// retired the whole-snapshot and two-u64 stats frames, and v5 the
-// heavy-hitter frames.
+// retired the whole-snapshot and two-u64 stats frames, v5 the
+// heavy-hitter frames, and v6 the CONFIG payload's query_threads.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -182,8 +182,8 @@ TEST(ShardProtocolTest, UnknownTypeIsInvalidArgument) {
   EXPECT_EQ(RecvFrame(sp.b(), &frame).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardProtocolTest, V5DefinesExactly20TypesAndRefusesRetiredOnes) {
-  EXPECT_EQ(ShardFrameHeader::kVersion, 5);
+TEST(ShardProtocolTest, V6DefinesExactly20TypesAndRefusesRetiredOnes) {
+  EXPECT_EQ(ShardFrameHeader::kVersion, 6);
   int known = 0;
   for (uint16_t t = 0; t < 64; ++t) {
     SocketPair sp;
@@ -205,8 +205,8 @@ TEST(ShardProtocolTest, V5DefinesExactly20TypesAndRefusesRetiredOnes) {
 }
 
 TEST(ShardProtocolTest, V3HeaderIsAVersionMismatch) {
-  // So is a v4 peer's: both sides must be rebuilt together.
-  for (const uint16_t version : {3, 4}) {
+  // So is a v4 or v5 peer's: both sides must be rebuilt together.
+  for (const uint16_t version : {3, 4, 5}) {
     SocketPair sp;
     WriteRawHeader(sp.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
                    ShardFrameHeader::kMagic, version);
@@ -309,7 +309,6 @@ TEST(ShardProtocolTest, ConfigPayloadRoundTrips) {
   in.config.instance_tag = "shard7";
   in.config.gutter_tree_buffer_bytes = 1 << 20;
   in.config.gutter_tree_fanout = 32;
-  in.config.query_threads = 2;
   in.shard_id = 7;
   in.table = MakeRoutingTable(9);
   in.table.epoch = 42;
@@ -335,7 +334,6 @@ TEST(ShardProtocolTest, ConfigPayloadRoundTrips) {
   EXPECT_EQ(out.config.gutter_tree_buffer_bytes,
             in.config.gutter_tree_buffer_bytes);
   EXPECT_EQ(out.config.gutter_tree_fanout, in.config.gutter_tree_fanout);
-  EXPECT_EQ(out.config.query_threads, in.config.query_threads);
   EXPECT_EQ(out.restore_checkpoint, in.restore_checkpoint);
 }
 

@@ -133,7 +133,7 @@ TEST_P(ShardedSubstrateTest, ElasticOpsBeforeStartAreErrorsNotCrashes) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(sharded.BeginRemoveShard(0).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(sharded.BeginSplitShard(0, grow).status().code(),
+  EXPECT_EQ(sharded.SplitShard(0, grow).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(sharded.PumpMigration().code(),
             StatusCode::kFailedPrecondition);

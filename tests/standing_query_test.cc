@@ -4,8 +4,9 @@
 //
 // The load-bearing property everywhere: every notification's answer is
 // bitwise-equal to a fresh connectivity fold of the snapshot it was
-// evaluated from, at the position it reports — through ingest, a live
-// split migration, and a replica SIGKILL with active subscriptions.
+// evaluated from, at the position it reports — through ingest, a split
+// and a live removal migration, and a replica SIGKILL with active
+// subscriptions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -265,7 +266,7 @@ INSTANTIATE_TEST_SUITE_P(
       return SubstrateName(info.param);
     });
 
-// ---- Chaos: a live split under standing queries ---------------------------
+// ---- Chaos: a split and a live removal under standing queries -------------
 
 class StandingQueryClusterTest : public ::testing::TestWithParam<Substrate> {
  protected:
@@ -301,9 +302,10 @@ class StandingQueryClusterTest : public ::testing::TestWithParam<Substrate> {
   std::vector<std::string> endpoints_;
 };
 
-TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
-  // The tentpole drill: standing queries evaluated between pump steps
-  // of a LIVE BeginSplitShard migration, with ingest interleaved. The
+TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughALiveRemoval) {
+  // The tentpole drill: a split, then standing queries evaluated
+  // between pump steps of a LIVE removal migration, with ingest
+  // interleaved. The
   // process case evaluates on the coordinator's fold; the TCP case on
   // a reader session, after a flush so the session sees every routed
   // update. Every notification must pass the bitwise bar at its own
@@ -362,11 +364,17 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
   feed(0, half);
   evaluate_and_pin("pre-split");
 
-  Result<int> target = sharded.BeginSplitShard(0, GrowEndpoint());
-  ASSERT_TRUE(target.ok()) << target.status().ToString();
-  // The split target's listener serves readers too: reconnect with it.
+  Result<int> child = sharded.SplitShard(0, GrowEndpoint());
+  ASSERT_TRUE(child.ok()) << child.status().ToString();
+  // The split child's listener serves readers too: reconnect with it.
   if (tcp) session = OpenSession();
   size_t fed = half;
+  const size_t span = std::min<size_t>(256, updates.size() - fed);
+  feed(fed, span);
+  fed += span;
+  evaluate_and_pin("post-split");
+
+  ASSERT_TRUE(sharded.BeginRemoveShard(2).ok());
   int pumps = 0;
   while (sharded.migration_active()) {
     const size_t count = std::min<size_t>(48, updates.size() - fed);
@@ -377,13 +385,22 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
     ASSERT_TRUE(sharded.PumpMigration().ok());
     // Evaluate on a cadence MID-migration: standing queries must stay
     // exact while chunks are in flight.
-    if (++pumps % 3 == 0) evaluate_and_pin("mid-split");
+    if (++pumps % 3 == 0 && sharded.migration_active()) {
+      evaluate_and_pin("mid-removal");
+    }
+  }
+  EXPECT_GE(pumps, 3);
+  // Shard 2 has retired and its listener holds no instance: reopen the
+  // session over the endpoints that still serve a shard.
+  if (tcp) {
+    endpoints_.erase(endpoints_.begin() + 2);
+    session = OpenSession();
   }
   if (fed < updates.size()) {
     feed(fed, updates.size() - fed);
   }
   ASSERT_TRUE(sharded.Flush().ok());
-  evaluate_and_pin("post-split");
+  evaluate_and_pin("post-removal");
   EXPECT_GE(fired.size(), 3u);
 }
 
