@@ -305,10 +305,9 @@ class StandingQueryClusterTest : public ::testing::TestWithParam<Substrate> {
 TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughALiveRemoval) {
   // The tentpole drill: a split, then standing queries evaluated
   // between pump steps of a LIVE removal migration, with ingest
-  // interleaved. The
-  // process case evaluates on the coordinator's fold; the TCP case on
-  // a reader session, after a flush so the session sees every routed
-  // update. Every notification must pass the bitwise bar at its own
+  // interleaved. The process case evaluates on the coordinator's fold;
+  // the TCP case on a reader session, after a flush so the session
+  // sees every routed update. Every notification must pass the bitwise bar at its own
   // position, and the component count must track the dense baseline
   // at every evaluated position.
   ShardCluster sharded(BaseConfig(55), 3, MakeOptions(3));
