@@ -568,11 +568,6 @@ Status ShardCluster::BeginRemoveShard(int shard) {
   return Status::Ok();
 }
 
-int ShardCluster::migration_source() const {
-  GZ_CHECK(migration_.has_value());
-  return migration_->source;
-}
-
 int ShardCluster::migration_target() const {
   GZ_CHECK(migration_.has_value());
   return migration_->target;

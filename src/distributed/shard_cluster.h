@@ -236,7 +236,7 @@ class ShardCluster {
   // pumping — the migration converges to the same bytes.
   Status PumpMigration();
   bool migration_active() const { return migration_.has_value(); }
-  int migration_source() const;
+  // The survivor the active removal drains into.
   int migration_target() const;
   // Synchronous convenience: BeginRemoveShard + pump to completion.
   Status RemoveShard(int shard);
