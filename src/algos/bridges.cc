@@ -1,8 +1,8 @@
 #include "algos/bridges.h"
 
 #include <algorithm>
+#include <vector>
 
-#include "dsu/dsu.h"
 #include "util/check.h"
 
 namespace gz {
@@ -71,26 +71,6 @@ EdgeList FindBridges(uint64_t num_nodes, const EdgeList& edges) {
     }
   }
   return bridges;
-}
-
-std::vector<NodeId> TwoEdgeConnectedComponents(uint64_t num_nodes,
-                                               const EdgeList& edges) {
-  const EdgeList bridges = FindBridges(num_nodes, edges);
-  // Union everything except the bridges.
-  std::vector<Edge> sorted_bridges = bridges;
-  std::sort(sorted_bridges.begin(), sorted_bridges.end());
-  Dsu dsu(num_nodes);
-  for (const Edge& e : edges) {
-    if (std::binary_search(sorted_bridges.begin(), sorted_bridges.end(), e)) {
-      continue;
-    }
-    dsu.Union(e.u, e.v);
-  }
-  std::vector<NodeId> labels(num_nodes);
-  for (uint64_t i = 0; i < num_nodes; ++i) {
-    labels[i] = static_cast<NodeId>(dsu.Find(i));
-  }
-  return labels;
 }
 
 }  // namespace gz

@@ -1,14 +1,12 @@
-// Bridge finding and 2-edge-connected components on explicit edge
-// lists (Tarjan low-link DFS). Combined with the k=2 spanning-forest
-// certificate from algos/spanning_forests.h this answers
-// 2-edge-connectivity queries on sketched graph streams: the
-// certificate preserves all cuts of size <= 2, so its bridges are
-// exactly the bridges of the streamed graph.
+// Bridge finding on explicit edge lists (Tarjan low-link DFS).
+// Combined with the k=2 spanning-forest certificate from
+// algos/spanning_forests.h this answers 2-edge-connectivity queries on
+// sketched graph streams: the certificate preserves all cuts of size
+// <= 2, so its bridges are exactly the bridges of the streamed graph.
 #ifndef GZ_ALGOS_BRIDGES_H_
 #define GZ_ALGOS_BRIDGES_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "stream/stream_types.h"
 
@@ -16,12 +14,6 @@ namespace gz {
 
 // All bridges (cut edges) of the graph defined by `edges`.
 EdgeList FindBridges(uint64_t num_nodes, const EdgeList& edges);
-
-// Label per node: two nodes share a label iff they are in the same
-// 2-edge-connected component (connected after removing all bridges;
-// isolated vertices get singleton labels).
-std::vector<NodeId> TwoEdgeConnectedComponents(uint64_t num_nodes,
-                                               const EdgeList& edges);
 
 }  // namespace gz
 

@@ -192,19 +192,6 @@ Status GraphZeppelin::MergeSerialized(const uint8_t* data, size_t size) {
       });
 }
 
-Status GraphZeppelin::LoadSnapshot(const GraphSnapshot& snapshot) {
-  GZ_CHECK_MSG(initialized_, "Init() not called");
-  if (!snapshot.valid() || !(snapshot.params() == store_->params())) {
-    return Status::InvalidArgument(
-        "snapshot sketch parameters do not match this instance");
-  }
-  for (NodeId i = 0; i < config_.num_nodes; ++i) {
-    store_->Store(i, snapshot.sketch(i));
-  }
-  num_updates_ = snapshot.num_updates();
-  return Status::Ok();
-}
-
 ConnectivityResult GraphZeppelin::ListSpanningForest() {
   return Connectivity(Snapshot(), config_.query_threads);
 }
@@ -233,8 +220,8 @@ Status GraphZeppelin::SaveCheckpoint(const std::string& path) {
 Status GraphZeppelin::LoadCheckpoint(const std::string& path,
                                      size_t offset) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
-  // Streaming counterpart of LoadFromFile + LoadSnapshot: records go
-  // straight into the store without materializing a snapshot.
+  // Records go straight into the store without materializing a
+  // snapshot.
   uint64_t saved_updates = 0;
   Status s = GraphSnapshot::LoadStream(
       path, store_->params(), &saved_updates,

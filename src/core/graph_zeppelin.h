@@ -147,18 +147,16 @@ class GraphZeppelin {
   // malformed bytes or a params mismatch, with the store untouched.
   Status MergeSerialized(const uint8_t* data, size_t size);
 
-  // Overwrites this instance's sketch state with `snapshot` (e.g. one
-  // received from a peer or loaded from a file) and adopts its update
-  // count. Params must match; fails with InvalidArgument otherwise.
-  Status LoadSnapshot(const GraphSnapshot& snapshot);
-
   // --- Checkpointing -----------------------------------------------------
   // SaveCheckpoint is WriteNodeRangeTo(0, V) into a file — the bytes of
   // Snapshot().SaveToFile(path), buffered updates flushed first so a
-  // restore resumes exactly here — and LoadCheckpoint is
-  // GraphSnapshot::LoadFromFile + LoadSnapshot, streamed record by
-  // record into the store. `offset` skips a caller-owned file prefix
-  // (e.g. a shard checkpoint's epoch header) before the snapshot stream.
+  // restore resumes exactly here. LoadCheckpoint overwrites this
+  // instance's sketch state with such a file, streamed record by record
+  // into the store, and adopts its update count; a params mismatch is an
+  // InvalidArgument. These are the two ways GZSNAP02 bytes come in: a
+  // whole file here, any node range through MergeSerialized. `offset`
+  // skips a caller-owned file prefix (e.g. a shard checkpoint's epoch
+  // header) before the snapshot stream.
   Status SaveCheckpoint(const std::string& path);
   Status LoadCheckpoint(const std::string& path, size_t offset = 0);
 

@@ -366,35 +366,23 @@ Result<GraphSnapshot> ShardCluster::Snapshot() {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   // One live replica per shard streams its whole node range [0, V) —
   // the read-only extract that migration and reader sessions use —
-  // and the replies fold in arrival order: the first is deserialized,
-  // every later one XOR-folds through MergeSerialized with one scratch
-  // sketch in flight, so peak memory is one snapshot + one reply buffer
-  // regardless of shard count. All live replicas of a shard are
-  // bitwise-equal, so any one is the shard. (On a barrier failure the
-  // helper still runs the fold for drained replies; the result is
-  // discarded with the error.)
+  // and every reply XOR-folds into the zero snapshot in arrival order
+  // through MergeSerialized (which refuses a params mismatch), so peak
+  // memory is one snapshot + one reply buffer regardless of shard
+  // count. All live replicas of a shard are bitwise-equal, so any one
+  // is the shard. (On a barrier failure the helper still runs the fold
+  // for drained replies; the result is discarded with the error.)
   const NodeSketchParams params = SketchParams();
   const std::vector<uint8_t> request =
       EncodeMigrateExtract(0, params.num_nodes);
   const std::string payload(request.begin(), request.end());
-  GraphSnapshot merged;
+  GraphSnapshot merged = GraphSnapshot::Zero(params);
   Status s = PipelinedBarrier(
       ShardMessageType::kMigrateExtract, ShardMessageType::kMigrateData,
       [&payload](int, int) { return payload; },
-      [&merged, &params](int, int, const ShardFrame& reply) {
-        if (merged.valid()) {
-          return merged.MergeSerialized(reply.payload.data(),
-                                        reply.payload.size());
-        }
-        Result<GraphSnapshot> r = GraphSnapshot::Deserialize(
-            reply.payload.data(), reply.payload.size());
-        if (!r.ok()) return r.status();
-        if (!(r.value().params() == params)) {
-          return Status::InvalidArgument(
-              "shard sketch params differ from the cluster's");
-        }
-        merged = std::move(r).value();
-        return Status::Ok();
+      [&merged](int, int, const ShardFrame& reply) {
+        return merged.MergeSerialized(reply.payload.data(),
+                                      reply.payload.size());
       },
       BarrierScope::kOnePerShard);
   if (!s.ok()) return s;

@@ -165,8 +165,8 @@ class ShardCluster {
   // Barriers (every replica of every shard must be healthy).
   Status Flush();
   // Aggregated query surface: pulls one live replica per shard's whole
-  // node range [0, V) and XOR-folds the replies (one deserialized
-  // snapshot plus one scratch sketch in flight); the update count is
+  // node range [0, V) and XOR-folds the replies into the zero snapshot
+  // (one snapshot plus one reply in flight); the update count is
   // the coordinator's books, removed shards included. Exact
   // even mid-migration: chunk moves are install+cancel pairs, so the
   // global XOR never double-counts. Survives dead replicas as long as

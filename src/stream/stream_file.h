@@ -1,6 +1,17 @@
 // Binary stream files: the on-disk representation of a graph stream.
-// Format: 24-byte header (magic, version, node count, update count)
-// followed by packed 9-byte records (u: u32, v: u32, type: u8).
+// One codec serves two record kinds; the record type picks the kind at
+// compile time:
+//
+//   record type     magic   record (packed, little-endian)        bytes
+//   GraphUpdate     GZST    u: u32, v: u32, type: u8                  9
+//   WeightedUpdate  GZWS    u: u32, v: u32, type: u8, weight: u32    13
+//
+// Both kinds share a 24-byte header: magic, version (u32, 1), node count
+// (u64) and update count (u64, rewritten by Close()). A reader refuses
+// the other kind's magic, and checks every record it returns: endpoints
+// distinct and below the header's node count, type 0 (insert) or 1
+// (delete), and a weighted record's weight non-zero. A bad record ends
+// the read with an InvalidArgument naming its index.
 #ifndef GZ_STREAM_STREAM_FILE_H_
 #define GZ_STREAM_STREAM_FILE_H_
 
@@ -14,19 +25,31 @@
 
 namespace gz {
 
-class StreamWriter {
+// A stream update carrying an integer edge weight, feeding the
+// MSF-weight sketch (algos/msf_weight.h).
+struct WeightedUpdate {
+  GraphUpdate update;
+  uint32_t weight = 1;
+
+  friend bool operator==(const WeightedUpdate& a, const WeightedUpdate& b) {
+    return a.update == b.update && a.weight == b.weight;
+  }
+};
+
+// Instantiated for GraphUpdate and WeightedUpdate only.
+template <typename Record>
+class StreamFileWriter {
  public:
-  StreamWriter() = default;
-  ~StreamWriter();
-  StreamWriter(const StreamWriter&) = delete;
-  StreamWriter& operator=(const StreamWriter&) = delete;
+  StreamFileWriter() = default;
+  ~StreamFileWriter();
+  StreamFileWriter(const StreamFileWriter&) = delete;
+  StreamFileWriter& operator=(const StreamFileWriter&) = delete;
 
   // Creates/truncates `path` and writes the header. `num_nodes` is the
   // node-count upper bound consumers should size their structures for.
   Status Open(const std::string& path, uint64_t num_nodes);
 
-  Status Append(const GraphUpdate& update);
-  Status AppendAll(const std::vector<GraphUpdate>& updates);
+  Status Append(const Record& record);
 
   // Rewrites the header with the final update count and closes the file.
   Status Close();
@@ -37,21 +60,23 @@ class StreamWriter {
   uint64_t count_ = 0;
 };
 
-class StreamReader {
+template <typename Record>
+class StreamFileReader {
  public:
-  StreamReader() = default;
-  ~StreamReader();
-  StreamReader(const StreamReader&) = delete;
-  StreamReader& operator=(const StreamReader&) = delete;
+  StreamFileReader() = default;
+  ~StreamFileReader();
+  StreamFileReader(const StreamFileReader&) = delete;
+  StreamFileReader& operator=(const StreamFileReader&) = delete;
 
   Status Open(const std::string& path);
 
   uint64_t num_nodes() const { return num_nodes_; }
   uint64_t num_updates() const { return num_updates_; }
 
-  // Reads the next update. Returns true on success, false at EOF.
-  // I/O errors are reported through `status()`.
-  bool Next(GraphUpdate* update);
+  // Reads the next record. Returns true on success, false at EOF or on
+  // the first error, which `status()` then holds: IoError for a
+  // truncated file, InvalidArgument for a malformed record.
+  bool Next(Record* record);
 
   const Status& status() const { return status_; }
 
@@ -65,11 +90,38 @@ class StreamReader {
   Status status_;
 };
 
-// Convenience round-trips for tests and examples.
+using StreamWriter = StreamFileWriter<GraphUpdate>;
+using StreamReader = StreamFileReader<GraphUpdate>;
+using WeightedStreamWriter = StreamFileWriter<WeightedUpdate>;
+using WeightedStreamReader = StreamFileReader<WeightedUpdate>;
+
+// Whole-file conveniences for tests, tools and examples.
+template <typename Record = GraphUpdate>
 Status WriteStreamFile(const std::string& path, uint64_t num_nodes,
-                       const std::vector<GraphUpdate>& updates);
-Result<std::vector<GraphUpdate>> ReadStreamFile(const std::string& path,
-                                                uint64_t* num_nodes_out);
+                       const std::vector<Record>& records) {
+  StreamFileWriter<Record> writer;
+  Status s = writer.Open(path, num_nodes);
+  for (size_t i = 0; s.ok() && i < records.size(); ++i) {
+    s = writer.Append(records[i]);
+  }
+  return s.ok() ? writer.Close() : s;
+}
+
+template <typename Record = GraphUpdate>
+Result<std::vector<Record>> ReadStreamFile(const std::string& path,
+                                           uint64_t* num_nodes_out) {
+  StreamFileReader<Record> reader;
+  Status s = reader.Open(path);
+  if (!s.ok()) return s;
+  if (num_nodes_out != nullptr) *num_nodes_out = reader.num_nodes();
+  // No reserve: the header's count is unchecked until the records
+  // arrive.
+  std::vector<Record> records;
+  Record record;
+  while (reader.Next(&record)) records.push_back(record);
+  if (!reader.status().ok()) return reader.status();
+  return records;
+}
 
 }  // namespace gz
 

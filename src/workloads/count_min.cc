@@ -1,7 +1,6 @@
 #include "workloads/count_min.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/check.h"
 
@@ -9,42 +8,6 @@ namespace gz {
 namespace {
 
 bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
-
-// Little-endian append/read helpers for the canonical byte form.
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-struct ByteReader {
-  const uint8_t* data;
-  size_t size;
-  size_t pos = 0;
-
-  bool U32(uint32_t* v) {
-    if (size - pos < 4) return false;
-    uint32_t x = 0;
-    for (int i = 0; i < 4; ++i) x |= static_cast<uint32_t>(data[pos + i])
-                                     << (8 * i);
-    pos += 4;
-    *v = x;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (size - pos < 8) return false;
-    uint64_t x = 0;
-    for (int i = 0; i < 8; ++i) x |= static_cast<uint64_t>(data[pos + i])
-                                     << (8 * i);
-    pos += 8;
-    *v = x;
-    return true;
-  }
-};
-
-constexpr uint32_t kHeavyHitterMagic = 0x48485A47;  // "GZHH" little-endian.
-constexpr uint32_t kHeavyHitterVersion = 1;
 
 }  // namespace
 
@@ -84,14 +47,6 @@ int64_t CountMinSketch::Estimate(uint64_t key) const {
                     counters_[static_cast<size_t>(d) * params_.width + col]);
   }
   return best;
-}
-
-Status CountMinSketch::LoadCounters(const int64_t* values, size_t count) {
-  if (!valid() || count != counters_.size()) {
-    return Status::InvalidArgument("counter grid size mismatch");
-  }
-  std::memcpy(counters_.data(), values, count * sizeof(int64_t));
-  return Status::Ok();
 }
 
 Status CountMinSketch::Merge(const CountMinSketch& other) {
@@ -259,105 +214,16 @@ Status HeavyHitterSketch::Merge(const HeavyHitterSketch& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> HeavyHitterSketch::Serialize() const {
-  GZ_CHECK_MSG(valid(), "Serialize on an invalid HeavyHitterSketch");
-  std::vector<uint8_t> out;
-  const std::vector<uint64_t> edge_keys = edge_keys_.SortedKeys();
-  const std::vector<uint64_t> degree_keys = degree_keys_.SortedKeys();
-  out.reserve(64 + 8 * (edge_grid_.counters().size() +
-                        degree_grid_.counters().size() + edge_keys.size() +
-                        degree_keys.size()));
-  PutU32(&out, kHeavyHitterMagic);
-  PutU32(&out, kHeavyHitterVersion);
-  PutU64(&out, params_.num_nodes);
-  PutU64(&out, params_.seed);
-  PutU32(&out, params_.width);
-  PutU32(&out, params_.depth);
-  PutU32(&out, params_.candidates);
-  PutU32(&out, (edge_saturated_ ? 1u : 0u) | (degree_saturated_ ? 2u : 0u));
-  PutU64(&out, updates_);
-  for (const int64_t c : edge_grid_.counters()) {
-    PutU64(&out, static_cast<uint64_t>(c));
-  }
-  for (const int64_t c : degree_grid_.counters()) {
-    PutU64(&out, static_cast<uint64_t>(c));
-  }
-  // Candidates in sorted key order: the canonical form that makes a
-  // coordinator fold byte-identical to the single-process sketch.
-  PutU64(&out, edge_keys.size());
-  for (const uint64_t key : edge_keys) PutU64(&out, key);
-  PutU64(&out, degree_keys.size());
-  for (const uint64_t key : degree_keys) PutU64(&out, key);
-  return out;
-}
-
-Result<HeavyHitterSketch> HeavyHitterSketch::Deserialize(const uint8_t* data,
-                                                         size_t size) {
-  ByteReader r{data, size};
-  uint32_t magic = 0, version = 0;
-  if (!r.U32(&magic) || !r.U32(&version) || magic != kHeavyHitterMagic ||
-      version != kHeavyHitterVersion) {
-    return Status::InvalidArgument("bad heavy-hitter sketch header");
-  }
-  HeavyHitterParams p;
-  uint32_t flags = 0;
-  uint64_t updates = 0;
-  if (!r.U64(&p.num_nodes) || !r.U64(&p.seed) || !r.U32(&p.width) ||
-      !r.U32(&p.depth) || !r.U32(&p.candidates) || !r.U32(&flags) ||
-      !r.U64(&updates)) {
-    return Status::InvalidArgument("truncated heavy-hitter sketch header");
-  }
-  if (p.num_nodes < 2 || !IsPowerOfTwo(p.width) ||
-      p.width > CountMinSketch::kMaxWidth || p.depth < 1 ||
-      p.depth > CountMinSketch::kMaxDepth || p.candidates < 1 ||
-      p.candidates > kMaxCandidates || flags > 3) {
-    return Status::InvalidArgument("heavy-hitter sketch params out of range");
-  }
-  HeavyHitterSketch sketch(p);
-  sketch.updates_ = updates;
-  sketch.edge_saturated_ = (flags & 1) != 0;
-  sketch.degree_saturated_ = (flags & 2) != 0;
-  const size_t cells = static_cast<size_t>(p.depth) * p.width;
-  // Bound the allocation by the actual payload before trusting the
-  // header's geometry (these bytes come off the wire).
-  if (size - r.pos < 2 * cells * sizeof(int64_t)) {
-    return Status::InvalidArgument("truncated heavy-hitter counters");
-  }
-  std::vector<int64_t> grid_buf(cells);
-  auto read_grid = [&r, &grid_buf, cells](CountMinSketch* grid) {
-    for (size_t i = 0; i < cells; ++i) {
-      uint64_t v = 0;
-      if (!r.U64(&v)) return false;
-      grid_buf[i] = static_cast<int64_t>(v);
-    }
-    return grid->LoadCounters(grid_buf.data(), cells).ok();
-  };
-  if (!read_grid(&sketch.edge_grid_) || !read_grid(&sketch.degree_grid_)) {
-    return Status::InvalidArgument("truncated heavy-hitter counters");
-  }
-  const uint64_t max_edge_key = NumPossibleEdges(p.num_nodes);
-  auto read_keys = [&r](KeySet* set, uint64_t key_limit) {
-    uint64_t count = 0;
-    if (!r.U64(&count) || count > kMaxCandidates) return false;
-    if (count > set->capacity) set->Reset(count);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t key = 0;
-      if (!r.U64(&key) || key >= key_limit) return false;
-      if (i > 0 && key <= prev) return false;  // Canonical = sorted+unique.
-      prev = key;
-      if (!set->Admit(key)) return false;
-    }
-    return true;
-  };
-  if (!read_keys(&sketch.edge_keys_, max_edge_key) ||
-      !read_keys(&sketch.degree_keys_, p.num_nodes)) {
-    return Status::InvalidArgument("bad heavy-hitter candidate list");
-  }
-  if (r.pos != size) {
-    return Status::InvalidArgument("trailing bytes after heavy-hitter sketch");
-  }
-  return sketch;
+bool operator==(const HeavyHitterSketch& a, const HeavyHitterSketch& b) {
+  // Candidate tables compare as sorted key lists: a merged table may be
+  // larger, and lay its keys out differently, than a single-stream one.
+  return a.params_ == b.params_ && a.updates_ == b.updates_ &&
+         a.edge_grid_.counters() == b.edge_grid_.counters() &&
+         a.degree_grid_.counters() == b.degree_grid_.counters() &&
+         a.edge_keys_.SortedKeys() == b.edge_keys_.SortedKeys() &&
+         a.degree_keys_.SortedKeys() == b.degree_keys_.SortedKeys() &&
+         a.edge_saturated_ == b.edge_saturated_ &&
+         a.degree_saturated_ == b.degree_saturated_;
 }
 
 }  // namespace gz

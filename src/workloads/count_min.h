@@ -16,10 +16,9 @@
 // admitted to an open-addressing table, and TopEdges/TopDegrees
 // re-estimate the candidates against the (merged) grid. Routing
 // partitions edges disjointly across shards, so the union of per-shard
-// candidate sets equals the single-process set; Serialize() emits
-// candidates in sorted key order, which makes the folded sketch's
-// bytes IDENTICAL to the single-process sketch's, not merely
-// equivalent.
+// candidate sets equals the single-process set, and the folded sketch
+// compares EQUAL (operator==: grids, candidate keys, flags) to the
+// single-process sketch, not merely equivalent.
 //
 // Update cost is O(depth) counter writes per stream update with zero
 // allocation, applied on the same flat GraphUpdate spans the batch
@@ -57,7 +56,7 @@ struct CountMinParams {
 // pin its linearity/estimate properties without the candidate layer.
 class CountMinSketch {
  public:
-  // Hard caps a wire decode enforces (and any sane config respects).
+  // Hard caps the constructor enforces.
   static constexpr uint32_t kMaxDepth = 16;
   static constexpr uint32_t kMaxWidth = 1u << 26;
 
@@ -78,9 +77,6 @@ class CountMinSketch {
   Status Merge(const CountMinSketch& other);
 
   const std::vector<int64_t>& counters() const { return counters_; }
-  // Overwrites the grid (deserialization); `count` must equal
-  // depth * width.
-  Status LoadCounters(const int64_t* values, size_t count);
 
  private:
   CountMinParams params_;
@@ -121,6 +117,7 @@ struct HeavyHitterEntry {
 
 class HeavyHitterSketch {
  public:
+  // Hard cap the constructor enforces.
   static constexpr uint32_t kMaxCandidates = 1u << 24;
 
   HeavyHitterSketch() = default;  // Invalid until assigned.
@@ -151,15 +148,11 @@ class HeavyHitterSketch {
   // allocate). InvalidArgument unless params match.
   Status Merge(const HeavyHitterSketch& other);
 
-  // Canonical bytes: params, update count, both grids, candidate keys
-  // in sorted order, saturation flags. Same logical content => same
-  // bytes, so a coordinator fold of per-shard sketches serializes
-  // bitwise-identically to the single-process sketch.
-  std::vector<uint8_t> Serialize() const;
-  // Fully validated — these bytes cross the wire, so truncation, bad
-  // geometry or a garbage count is an InvalidArgument, never UB.
-  static Result<HeavyHitterSketch> Deserialize(const uint8_t* data,
-                                               size_t size);
+  // Equal logical state: params, update count, both grids, candidate
+  // keys as sorted sets, saturation flags. A fold of per-shard sketches
+  // compares equal to the single-process sketch.
+  friend bool operator==(const HeavyHitterSketch& a,
+                         const HeavyHitterSketch& b);
 
   uint64_t updates_applied() const { return updates_; }
   // True when a candidate table overflowed: top-k may then be missing

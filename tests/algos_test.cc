@@ -1,5 +1,5 @@
 // Tests for the extended sketch algorithms: spanning-forest
-// decomposition, bridges / 2-edge-connected components, bipartiteness.
+// decomposition, bridges, bipartiteness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,13 +182,6 @@ TEST(BridgesTest, TwoTrianglesJoinedByBridge) {
   const EdgeList bridges = FindBridges(6, edges);
   ASSERT_EQ(bridges.size(), 1u);
   EXPECT_EQ(bridges[0], Edge(2, 3));
-
-  const std::vector<NodeId> labels = TwoEdgeConnectedComponents(6, edges);
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[0], labels[2]);
-  EXPECT_EQ(labels[3], labels[4]);
-  EXPECT_EQ(labels[3], labels[5]);
-  EXPECT_NE(labels[0], labels[3]);
 }
 
 TEST(BridgesTest, DisconnectedGraph) {

@@ -300,11 +300,12 @@ TEST(GraphSnapshotTest, FileRoundTripAndLoadIntoInstance) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded.value() == snapshot);
 
-  // Install the loaded snapshot into a fresh same-params instance and
-  // keep streaming: this is checkpoint restore through the public API.
+  // Load the saved file into a fresh same-params instance and keep
+  // streaming: this is checkpoint restore through the public API.
   GraphZeppelin gz(MakeConfig(n, 17));
   ASSERT_TRUE(gz.Init().ok());
-  ASSERT_TRUE(gz.LoadSnapshot(loaded.value()).ok());
+  ASSERT_TRUE(gz.LoadCheckpoint(path).ok());
+  EXPECT_TRUE(gz.Snapshot() == snapshot);
   EXPECT_EQ(gz.num_updates_ingested(), edges.size());
   gz.Update({Edge(20, 21), UpdateType::kInsert});
   const ConnectivityResult r = gz.ListSpanningForest();
@@ -313,11 +314,10 @@ TEST(GraphSnapshotTest, FileRoundTripAndLoadIntoInstance) {
   EXPECT_TRUE(r.Connected(20, 21));
   EXPECT_FALSE(r.Connected(0, 21));
 
-  // Params mismatch on install is rejected.
+  // Params mismatch on load is rejected.
   GraphZeppelin other(MakeConfig(n, 18));
   ASSERT_TRUE(other.Init().ok());
-  EXPECT_EQ(other.LoadSnapshot(loaded.value()).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(other.LoadCheckpoint(path).code(), StatusCode::kInvalidArgument);
 
   EXPECT_EQ(GraphSnapshot::LoadFromFile(path + ".missing").status().code(),
             StatusCode::kNotFound);
@@ -497,6 +497,11 @@ TEST(GraphSnapshotTest, EveryTruncationAndHeaderFlipIsACleanStatus) {
   GraphSnapshot target = make({Edge(2, 9)})->Snapshot();
   const std::unique_ptr<GraphZeppelin> gz = make({Edge(3, 4)});
   const GraphSnapshot gz_before = gz->Snapshot();
+  // An accepted corrupt checkpoint overwrote gz; this good file, saved
+  // once, rolls it back.
+  const std::string good_path =
+      std::string(::testing::TempDir()) + "/decoder_sweep.good";
+  ASSERT_TRUE(gz->SaveCheckpoint(good_path).ok());
   const std::string corrupt_path =
       std::string(::testing::TempDir()) + "/decoder_sweep.corrupt";
   size_t accepted = 0, refused = 0;
@@ -524,7 +529,7 @@ TEST(GraphSnapshotTest, EveryTruncationAndHeaderFlipIsACleanStatus) {
     WriteFile(corrupt_path, bytes);
     s = gz->LoadCheckpoint(corrupt_path);
     if (s.ok()) {
-      ASSERT_TRUE(gz->LoadSnapshot(gz_before).ok());
+      ASSERT_TRUE(gz->LoadCheckpoint(good_path).ok());
       ++accepted;
     } else {
       ++refused;
@@ -548,6 +553,7 @@ TEST(GraphSnapshotTest, EveryTruncationAndHeaderFlipIsACleanStatus) {
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(refused, 0u);
   std::remove(ckpt.c_str());
+  std::remove(good_path.c_str());
   std::remove(corrupt_path.c_str());
 }
 

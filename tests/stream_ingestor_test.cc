@@ -129,5 +129,21 @@ TEST(StreamIngestorTest, NodeCountMismatchRejected) {
   std::remove(path.c_str());
 }
 
+TEST(StreamIngestorTest, MalformedRecordIsInvalidArgument) {
+  // An endpoint beyond the header's node count would otherwise reach a
+  // Graph Worker's edge indexing; the reader stops it with a Status.
+  const std::string path = TempPath("ingest_malformed.gzst");
+  ASSERT_TRUE(WriteStreamFile(path, 8,
+                              std::vector<GraphUpdate>{
+                                  {Edge(0, 1), UpdateType::kInsert},
+                                  {Edge(2, 900), UpdateType::kInsert}})
+                  .ok());
+  GraphZeppelin gz(MakeConfig(8, 11));
+  ASSERT_TRUE(gz.Init().ok());
+  const Result<uint64_t> r = IngestStreamFile(&gz, path);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace gz

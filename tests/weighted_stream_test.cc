@@ -6,7 +6,7 @@
 #include <string>
 
 #include "algos/msf_weight.h"
-#include "stream/weighted_stream_file.h"
+#include "stream/stream_file.h"
 
 namespace gz {
 namespace {
@@ -22,10 +22,10 @@ TEST(WeightedStreamFileTest, RoundTrip) {
       {{Edge(1, 2), UpdateType::kInsert}, 7},
       {{Edge(0, 1), UpdateType::kDelete}, 3},
   };
-  ASSERT_TRUE(WriteWeightedStreamFile(path, 10, updates).ok());
+  ASSERT_TRUE(WriteStreamFile(path, 10, updates).ok());
 
   uint64_t num_nodes = 0;
-  auto readback = ReadWeightedStreamFile(path, &num_nodes);
+  auto readback = ReadStreamFile<WeightedUpdate>(path, &num_nodes);
   ASSERT_TRUE(readback.ok());
   EXPECT_EQ(num_nodes, 10u);
   EXPECT_EQ(readback.value(), updates);
@@ -50,6 +50,30 @@ TEST(WeightedStreamFileTest, MissingFileNotFound) {
             StatusCode::kNotFound);
 }
 
+TEST(WeightedStreamFileTest, MalformedRecordsAreInvalidArgument) {
+  // A zero weight, and an endpoint beyond the header's 4 nodes, each
+  // after one good record.
+  const WeightedUpdate bad[] = {{{Edge(1, 2), UpdateType::kInsert}, 0},
+                                {{Edge(1, 4), UpdateType::kInsert}, 2}};
+  const std::string path = TempPath("weighted_malformed.gzws");
+  for (const WeightedUpdate& wu : bad) {
+    ASSERT_TRUE(WriteStreamFile(path, 4,
+                                std::vector<WeightedUpdate>{
+                                    {{Edge(0, 1), UpdateType::kInsert}, 3},
+                                    wu})
+                    .ok());
+    WeightedStreamReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    WeightedUpdate got;
+    EXPECT_TRUE(reader.Next(&got));
+    EXPECT_FALSE(reader.Next(&got));
+    EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(reader.status().message().find("record 1"), std::string::npos)
+        << reader.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(WeightedStreamFileTest, FeedsMsfSketchEndToEnd) {
   // Triangle weights 1,1,5 plus an insert/delete pair: MSF = 2.
   const std::string path = TempPath("weighted_msf.gzws");
@@ -60,7 +84,7 @@ TEST(WeightedStreamFileTest, FeedsMsfSketchEndToEnd) {
       {{Edge(3, 4), UpdateType::kInsert}, 2},
       {{Edge(3, 4), UpdateType::kDelete}, 2},
   };
-  ASSERT_TRUE(WriteWeightedStreamFile(path, 8, updates).ok());
+  ASSERT_TRUE(WriteStreamFile(path, 8, updates).ok());
 
   WeightedStreamReader reader;
   ASSERT_TRUE(reader.Open(path).ok());

@@ -16,7 +16,6 @@
 #include "stream/kronecker_generator.h"
 #include "stream/stream_file.h"
 #include "stream/stream_transform.h"
-#include "stream/weighted_stream_file.h"
 #include "tools/flags.h"
 #include "util/xxhash.h"
 
@@ -138,8 +137,7 @@ int main(int argc, char** argv) {
                                             static_cast<uint64_t>(max_weight));
       weighted.push_back(wu);
     }
-    const Status ws =
-        WriteWeightedStreamFile(weighted_out, num_nodes, weighted);
+    const Status ws = WriteStreamFile(weighted_out, num_nodes, weighted);
     if (!ws.ok()) {
       std::fprintf(stderr, "weighted write failed: %s\n",
                    ws.ToString().c_str());

@@ -4,12 +4,14 @@
 // Usage:
 //   gz_msf --stream weighted.gzws --max-weight W [--seed N] [--workers N]
 // Generate an input with gz_generate's --weighted-out/--max-weight flags,
-// or write the weighted format directly via the library API.
+// or write the weighted (GZWS) format directly with WeightedStreamWriter
+// (stream/stream_file.h). A malformed record, or a weight above
+// --max-weight, exits 1 with a message naming the record.
 #include <cstdio>
 #include <string>
 
 #include "algos/msf_weight.h"
-#include "stream/weighted_stream_file.h"
+#include "stream/stream_file.h"
 #include "tools/flags.h"
 #include "util/timer.h"
 
@@ -49,6 +51,14 @@ int main(int argc, char** argv) {
   WeightedUpdate wu;
   uint64_t consumed = 0;
   while (reader.Next(&wu)) {
+    if (wu.weight > max_weight) {
+      std::fprintf(stderr,
+                   "read failed: stream record %llu: weight %u is above "
+                   "--max-weight %u\n",
+                   static_cast<unsigned long long>(consumed), wu.weight,
+                   max_weight);
+      return 1;
+    }
     msf.Update(wu.update.edge, wu.weight, wu.update.type);
     ++consumed;
   }
