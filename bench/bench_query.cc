@@ -1,24 +1,22 @@
-// Query-layer benchmark: parallel vs single-thread Boruvka, plus the
-// GraphSnapshot lifecycle costs (capture, XOR merge, serialize,
-// deserialize), plus the serving tier — a reader session's cold vs
-// cached snapshot vs the coordinator's re-fold, reader-session query
-// qps/p99 at 1/4/16
-// concurrent readers with the ingest-rate impact on the writer, and
-// the standing-query watch — push vs poll notification latency
+// Query-layer benchmark. Per vertex scale V it times, once each, a
+// GraphSnapshot's capture, XOR merge, serialize and deserialize, and
+// one Boruvka query on one thread and on the parallel pool, and
+// GZ_CHECKs that both queries return the identical forest. Then it
+// times the serving tier over a loopback-TCP listener fleet: a reader
+// session's cold Snapshot() vs a cached repeat at an unmoved position
+// vs the coordinator's re-fold (GZ_CHECKed: the served snapshot equals
+// the re-fold bitwise, and a cached repeat pulls nothing and is at least
+// 10x faster than the re-fold), reader-session query qps/p50/p99 at
+// 1/4/16 concurrent readers with the writer's ingest rate beside them,
+// and the standing-query watch: push vs poll notification latency
 // p50/p99 and the writer's ingest rate with 16 live subscriptions.
-// Emits
-// one JSON object per vertex scale (the serving object last) so
-// BENCH_*.json trajectories can track the query path across builds.
+// Emits one JSON object per vertex scale, the serving object last.
 //
 // Sizes: V = 2^GZ_BENCH_QUERY_LOGV_MIN .. 2^GZ_BENCH_QUERY_LOGV_MAX
-// (defaults 12..14; raise to 17 on many-core hardware to reproduce the
-// headline "parallel Boruvka >= 1.5x at V = 2^17" point — the pool
-// auto-sizes via GZ_BENCH_QUERY_THREADS=0). Every parallel result is
-// GZ_CHECK'd bitwise-identical to the single-thread result, and every
-// served snapshot bitwise-identical to a full re-fold. Serving knobs:
-// GZ_BENCH_SERVING_LOGV (default 11), GZ_BENCH_SERVING_MS (ingest
-// window per reader count, default 250), GZ_BENCH_SERVING_QUERIES
-// (latency samples per reader, default 25).
+// (defaults 12..14); GZ_BENCH_QUERY_THREADS sizes the pool (0 = auto).
+// Serving knobs: GZ_BENCH_SERVING_LOGV (default 11),
+// GZ_BENCH_SERVING_MS (ingest window per reader count, default 250),
+// GZ_BENCH_SERVING_QUERIES (latency samples per reader, default 25).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -140,7 +138,7 @@ int main() {
   // ---- Serving tier ---------------------------------------------------------
   // Two phases over one loopback-TCP listener fleet, one JSON object
   // (always the array's last element):
-  //   (a) a QuerySession's SnapshotCache — its cold Snapshot() vs a
+  //   (a) a QuerySession's cached snapshot — its cold Snapshot() vs a
   //       cached repeat at an unmoved position vs the coordinator's
   //       full re-fold, bitwise-checked and with the "cached >= 10x
   //       faster than re-fold" floor enforced;
@@ -221,12 +219,14 @@ int main() {
       GZ_CHECK_OK(full.status());
 
       const int reps = 50;
+      const uint64_t cold_pulls = pin.range_pulls();
       WallTimer cached_timer;
       for (int i = 0; i < reps; ++i) GZ_CHECK_OK(pin.Snapshot(&served));
       cached_s = cached_timer.Seconds() / reps;
 
       GZ_CHECK(*served == full.value());
-      GZ_CHECK(pin.cache().cold_builds() == 1);
+      // Every cached repeat answered from the cache: no chunk pulled.
+      GZ_CHECK(pin.range_pulls() == cold_pulls);
       // The serving tier's reason to exist; regressing this means a
       // cached hit re-folded.
       GZ_CHECK(cached_s * 10.0 <= refold_s);
@@ -338,7 +338,7 @@ int main() {
           QuerySession session(qopts);
           GZ_CHECK_OK(session.Connect());
           const GraphSnapshot* snap = nullptr;
-          GZ_CHECK_OK(session.Snapshot(&snap));  // Quiesced warm refresh.
+          GZ_CHECK_OK(session.Snapshot(&snap));  // Quiesced cold build.
           ready.fetch_add(1);
           bool fresh = false;
           while (!stop.load(std::memory_order_relaxed)) {

@@ -21,7 +21,7 @@ constexpr int kMaxPositionRetries = 16;
 // tuple — the seqlock's "sequence unchanged" check. Monotonicity of
 // the position components makes equality proof of an unmoved position,
 // not a coincidence; an alive-set change is treated as movement too
-// (the staged pulls may have come from a connection that then died
+// (the folded pulls may have come from a connection that then died
 // mid-sweep).
 bool SamePosition(const std::vector<ShardStatsEx>& a,
                   const std::vector<bool>& alive_a,
@@ -42,7 +42,7 @@ bool SamePosition(const std::vector<ShardStatsEx>& a,
 }  // namespace
 
 QuerySession::QuerySession(QuerySessionOptions options)
-    : options_(std::move(options)), cache_(options_.nodes_per_chunk) {}
+    : options_(std::move(options)) {}
 
 QuerySession::~QuerySession() { StopWatch(); }
 
@@ -51,7 +51,8 @@ Status QuerySession::Connect() {
   conn_alive_.clear();
   conn_shard_ids_.clear();
   conn_error_ = Status::Ok();
-  cache_.Invalidate();  // Cached content may predate a re-dial.
+  merged_ = GraphSnapshot();  // Cached content may predate a re-dial.
+  epoch_ = 0;
   if (options_.endpoints.empty()) {
     return Status::InvalidArgument("query session has no endpoints");
   }
@@ -204,19 +205,21 @@ Status QuerySession::BuildView(const std::vector<ShardStatsEx>& stats,
   return Status::Ok();
 }
 
-Status QuerySession::StagePulls(const PositionView& view,
-                                StagedPulls* staged, Status* round_error) {
+bool QuerySession::Cached(const PositionView& view) const {
+  return merged_.valid() && view.epoch == epoch_ && view.marks == marks_;
+}
+
+Status QuerySession::PullAndFold(const PositionView& view,
+                                 GraphSnapshot* fresh, Status* round_error) {
   *round_error = Status::Ok();
   const uint64_t num_nodes = view.params.num_nodes;
   const uint64_t step =
       options_.nodes_per_chunk == 0 ? num_nodes : options_.nodes_per_chunk;
-  // Planned shard -> lo of its next unstaged chunk.
+  // Shard -> lo of its next unpulled chunk. A shard at the zero
+  // watermark (a fresh split child) holds the XOR identity: no pull.
   std::map<int, uint64_t> next;
-  for (const int shard : cache_.PlannedPulls(view.epoch, view.marks)) {
-    if (view.groups.find(shard) == view.groups.end()) {
-      return Status::Internal("planned pull for an unknown shard id");
-    }
-    next.emplace(shard, 0);
+  for (const auto& [shard, mark] : view.marks) {
+    if (mark != ShardWatermark{}) next.emplace(shard, 0);
   }
   Status fatal = Status::Ok();
   while (!next.empty() && round_error->ok() && fatal.ok()) {
@@ -239,7 +242,7 @@ Status QuerySession::StagePulls(const PositionView& view,
         conn_error_ = s;
       }
       if (sent_to == conns_.size()) {
-        // The shard's last live replica died during the stage. The
+        // The shard's last live replica died during the pull. The
         // alive-set changed, so retry the round; the next round's
         // coverage check surfaces a shard left uncovered.
         *round_error = conn_error_;
@@ -251,12 +254,18 @@ Status QuerySession::StagePulls(const PositionView& view,
     // outcome, so no reply outlives the wave to answer a later request.
     for (const auto& [shard, conn] : wave) {
       bool in_sync = false;
-      const Status s =
-          RecvReply(conns_[conn]->fd(), ShardMessageType::kMigrateData,
-                    &reply_buf_, &in_sync);
+      Status s = RecvReply(conns_[conn]->fd(), ShardMessageType::kMigrateData,
+                           &reply_buf_, &in_sync);
       if (s.ok()) {
+        ++range_pulls_;
+        s = fresh->MergeSerialized(reply_buf_.payload.data(),
+                                   reply_buf_.payload.size());
+        if (!s.ok()) {
+          // Well framed, but not a range of this graph: void the round.
+          if (round_error->ok()) *round_error = s;
+          continue;
+        }
         uint64_t& lo = next.at(shard);
-        (*staged)[{shard, lo}] = std::move(reply_buf_.payload);
         lo += step;
         if (lo >= num_nodes) next.erase(shard);
       } else if (!in_sync) {
@@ -264,7 +273,7 @@ Status QuerySession::StagePulls(const PositionView& view,
         conn_alive_[conn] = false;
         conn_error_ = s;
       } else if (s.code() == StatusCode::kFailedPrecondition) {
-        // "shard not configured": a writer bounce mid-stage. The
+        // "shard not configured": a writer bounce mid-pull. The
         // position will have moved; retry the round.
         if (round_error->ok()) *round_error = s;
       } else if (fatal.ok()) {
@@ -298,20 +307,19 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
           "shards straddle a routing-epoch broadcast");
       continue;
     }
-    if (cache_.Fresh(view.epoch, view.marks)) {
-      *out = &cache_.merged();
+    if (Cached(view)) {
+      *out = &merged_;
       return Status::Ok();
     }
-    // Pre-stage every pull the refresh will make, THEN re-read the
-    // positions: only if nothing moved do the staged bytes enter the
-    // cache. (Staging everything first is what makes the t0 == t1
-    // check meaningful — a pull after the check would be unverified.)
-    // Each chunk comes from any live replica of its shard: replicas
-    // are bitwise-equal at the position t0 == t1 certifies, so the
-    // pull fails over past a replica that dies mid-stage.
-    StagedPulls staged;
+    // Positions only grow, so the stale cache goes before the candidate
+    // is built. Pull and fold everything, THEN re-read the positions (a
+    // pull after the t0 == t1 check would be unverified); any live
+    // replica may serve a chunk, since replicas are bitwise-equal at the
+    // position t0 == t1 certifies.
+    merged_ = GraphSnapshot();
+    GraphSnapshot fresh = GraphSnapshot::Zero(view.params);
     Status round_error;
-    s = StagePulls(view, &staged, &round_error);
+    s = PullAndFold(view, &fresh, &round_error);
     if (!s.ok()) return s;
     if (!round_error.ok()) {
       last = round_error;
@@ -324,27 +332,12 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
           "cluster position moved during the refresh");
       continue;
     }
-    s = cache_.Refresh(
-        view.epoch, view.marks, view.total_updates, view.params,
-        [&staged](int shard, uint64_t lo, uint64_t hi,
-                  std::vector<uint8_t>* delta) {
-          (void)hi;
-          auto it = staged.find({shard, lo});
-          if (it == staged.end()) {
-            // A cold rebuild wanted a chunk the plan did not stage
-            // (cache was valid, then a geometry-level invalidation
-            // struck mid-round). Refresh invalidates on this error, so
-            // the NEXT round plans — and stages — every shard.
-            return Status::Internal("refresh chunk was not pre-staged");
-          }
-          *delta = std::move(it->second);
-          return Status::Ok();
-        });
-    if (!s.ok()) {
-      last = s;
-      continue;
-    }
-    *out = &cache_.merged();
+    // Range folds never touch update counts; the positions supply them.
+    fresh.SetUpdates(view.total_updates);
+    merged_ = std::move(fresh);
+    epoch_ = view.epoch;
+    marks_ = std::move(view.marks);
+    *out = &merged_;
     return Status::Ok();
   }
   return Status(StatusCode::kResourceExhausted,
@@ -371,7 +364,7 @@ Status QuerySession::PollPositions(bool* fresh) {
   s = BuildView(stats, &view);
   if (!s.ok()) return s;
   if (view.skew) return Status::Ok();  // Mid-flight position = stale.
-  *fresh = cache_.Fresh(view.epoch, view.marks);
+  *fresh = Cached(view);
   return Status::Ok();
 }
 
@@ -557,7 +550,7 @@ void QuerySession::WatchEvaluate() {
     return;
   }
   const Result<size_t> fired = registry_.Evaluate(
-      *snap, cache_.epoch(), watch_options_.threads, watch_notifier_);
+      *snap, epoch_, watch_options_.threads, watch_notifier_);
   watch_error_ = fired.ok() ? Status::Ok() : fired.status();
 }
 

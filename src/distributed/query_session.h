@@ -1,30 +1,36 @@
 // QuerySession: a read-side client of the serving tier. Dials every
 // shard listener of a cluster as a *reader* session (role-restricted:
 // the handshake proves the shared secret and binds the reader role, so
-// the session can observe but never mutate — see shard_protocol.h),
-// maintains its own epoch/watermark-keyed SnapshotCache, and serves
-// merged snapshots WITHOUT ever touching the coordinator: queries
-// scale out by adding QuerySessions, not coordinator load.
+// the session can observe but never mutate — see shard_protocol.h) and
+// serves merged snapshots WITHOUT ever touching the coordinator:
+// queries scale out by adding QuerySessions, not coordinator load.
+//
+// The session caches the merged snapshot of the last position it read,
+// keyed by (routing epoch, per-shard watermark). Given FIFO per-shard
+// sockets a shard's sketch state is a pure function of its watermark,
+// so an unmoved position is answered with zero pulls. A moved one is
+// rebuilt cold, folding every shard's [0, V) into GraphSnapshot::Zero
+// like ShardCluster::Snapshot(): ingest hashes edges over routing slots
+// dealt across all shards, so any span of updates moves every shard.
 //
 // Consistency protocol (a seqlock over shard positions): one refresh
-// reads every shard's STATS_EX position (t0), pre-stages node-range
-// pulls for exactly the shards whose watermark moved, re-reads the
-// positions (t1), and only installs the pulls if t1 == t0. Positions
-// are monotone (update counts, delta sequence numbers and the epoch
-// only grow), so t0 == t1 proves every staged byte corresponds to the
-// keyed position — no ABA, no torn reads across shards mid-migration.
-// A moving cluster just makes the refresh retry; a bounded number of
-// failed rounds returns an error rather than spinning forever.
+// reads every shard's STATS_EX position (t0), pulls and folds every
+// shard into a fresh candidate, re-reads the positions (t1), and
+// installs the candidate only if t1 == t0. Positions are monotone, so
+// t0 == t1 proves every folded byte belongs to the keyed position — no
+// ABA, no torn reads across shards mid-migration. A moving position, a
+// lost replica or a reply that does not fold discards the candidate
+// and retries; a bounded number of failed rounds returns an error.
 //
-// Staging runs in waves so the shards extract in parallel: each wave
-// sends one MIGRATE_EXTRACT per planned shard, for that shard's next
-// chunk, to one live replica, then reads the replies in send order. A
-// connection never has more than one pull outstanding — with several,
-// a shard blocked writing replies the reader has not read yet could
-// stop reading requests while the reader blocks sending them. A
-// replica that fails in transport is marked dead and the next wave
-// re-sends its chunk to the shard's next live replica; an in-sync
-// FailedPrecondition (a shard bounced mid-stage) retries the round.
+// Pulls run in waves so the shards extract in parallel: each wave
+// sends one MIGRATE_EXTRACT per shard, for its next chunk, to one live
+// replica, then folds the replies in send order. A connection never has
+// more than one pull outstanding — with several, a shard blocked
+// writing replies the reader has not read could stop reading requests
+// while the reader blocks sending them. A replica that fails in
+// transport is marked dead and the next wave re-sends its chunk to the
+// shard's next live replica; an in-sync FailedPrecondition (a shard
+// bounced mid-pull) retries the round.
 //
 // Replication: endpoints may include several listeners serving the
 // SAME shard id (its replicas). The session groups connections by the
@@ -64,7 +70,7 @@
 #include <vector>
 
 #include "core/connectivity.h"
-#include "core/snapshot_cache.h"
+#include "core/graph_snapshot.h"
 #include "core/standing_query.h"
 #include "distributed/shard_protocol.h"
 #include "distributed/shard_transport.h"
@@ -72,13 +78,27 @@
 
 namespace gz {
 
+// One shard's position (updates ingested, migration deltas folded);
+// equal watermarks at one epoch imply bitwise-equal sketch content.
+struct ShardWatermark {
+  uint64_t num_updates = 0;
+  uint64_t delta_seq = 0;
+
+  friend bool operator==(const ShardWatermark&,
+                         const ShardWatermark&) = default;
+};
+
+// The cluster's full position, one entry per shard id.
+using ShardWatermarks = std::map<int, ShardWatermark>;
+
 struct QuerySessionOptions {
   // tcp:// endpoints of the cluster's shard listeners — one per shard,
   // or one per replica when the cluster replicates.
   std::vector<std::string> endpoints;
   // Shared handshake secret; must match the listeners'.
   std::string auth_secret;
-  // Chunking of refresh pulls (see SnapshotCache).
+  // Nodes per refresh pull, so reply buffers stay small regardless of
+  // graph size. 0 = one chunk per shard.
   uint64_t nodes_per_chunk = 1 << 14;
   // Per-request receive deadline. A listener that stops answering
   // mid-request fails with DeadlineExceeded after this long instead of
@@ -99,8 +119,9 @@ struct StandingWatchOptions {
   // refused (shard not yet configured) or dies later is simply dropped
   // — the cadence poll still covers its shard.
   bool subscribe = true;
-  // Threads for the Boruvka fold each evaluation runs.
-  int threads = 1;
+  // Threads for the Boruvka fold each evaluation runs (0 = auto, as in
+  // Connectivity()).
+  int threads = 0;
 };
 
 class QuerySession {
@@ -113,31 +134,34 @@ class QuerySession {
   // Dials and authenticates a reader session to every endpoint.
   Status Connect();
 
-  // Brings the cache to the cluster's current (epoch, watermarks)
-  // position — zero data pulls when nothing moved — and returns the
-  // merged snapshot. *out stays valid until the next Snapshot() call.
-  // Fails when a shard is unreachable/unconfigured, or when the
-  // position kept moving for 16 refresh rounds.
+  // Returns the merged snapshot at the cluster's current position:
+  // the cached one when nothing moved (zero pulls), else a cold rebuild.
+  // *out stays valid until the next Snapshot() call. Fails when a shard
+  // is unreachable/unconfigured, or when the position kept moving for
+  // 16 refresh rounds.
   Status Snapshot(const GraphSnapshot** out);
 
-  // Convenience: Snapshot() + the parallel Boruvka query.
-  Result<ConnectivityResult> Connectivity(int threads = 1);
+  // Convenience: Snapshot() + the Boruvka query (`threads` as in
+  // gz::Connectivity(): 0 = auto).
+  Result<ConnectivityResult> Connectivity(int threads = 0);
 
   // Staleness probe: one STATS_EX position sweep, no content pulls.
-  // *fresh says whether the cached snapshot (cache().merged()) is still
-  // exactly the cluster's position — readers that serve slightly-stale
-  // answers poll this cheaply and pay Snapshot()'s refresh only when it
-  // reports false. A position caught mid-reshard (epoch skew) or with
+  // *fresh says whether the cached snapshot is still exactly the
+  // cluster's position — readers that serve slightly-stale answers
+  // poll this cheaply and pay Snapshot()'s refresh only when it reports
+  // false. A position caught mid-reshard (epoch skew) or with
   // replica position skew is reported as stale, not an error; a
   // MISCONFIGURATION — more endpoints serving one shard id than the
   // cluster replicates — is FailedPrecondition, exactly as Snapshot()
   // reports it (a config error must never masquerade as staleness).
   Status PollPositions(bool* fresh);
 
-  // Observability: cache counters, plus how many seqlock rounds the
-  // last Snapshot() needed (1 = stable on the first try).
-  const SnapshotCache& cache() const { return cache_; }
+  // Observability: chunk replies received (discarded rounds included),
+  // seqlock rounds the last Snapshot() needed (1 = stable at once), and
+  // the routing epoch the cached snapshot is keyed at (0 before one).
+  uint64_t range_pulls() const { return range_pulls_; }
   int last_refresh_rounds() const { return last_refresh_rounds_; }
+  uint64_t epoch() const { return epoch_; }
 
   // ---- Standing queries -------------------------------------------
   //
@@ -202,17 +226,15 @@ class QuerySession {
   // (or was never learned) surfaces the saved transport error.
   Status BuildView(const std::vector<ShardStatsEx>& stats,
                    PositionView* view);
-  // Pulled chunk bytes, keyed by (shard id, chunk lo).
-  using StagedPulls =
-      std::map<std::pair<int, uint64_t>, std::vector<uint8_t>>;
-  // Stages every chunk of every shard the cache plans to pull at
-  // `view`, in waves (see the consistency protocol above). Returns a
-  // shard's error that no retry can fix; *round_error says the round
-  // must be retried instead (a shard lost its last live replica, or
-  // answered FailedPrecondition). Either way, every request sent has
-  // had its reply read.
-  Status StagePulls(const PositionView& view, StagedPulls* staged,
-                    Status* round_error);
+  // True iff the cached snapshot is exactly the cluster at `view`.
+  bool Cached(const PositionView& view) const;
+  // Pulls every shard at `view` in waves, folding each reply into
+  // *fresh. Returns an error no retry can fix; *round_error says the
+  // round must be retried instead (a shard lost its last live replica,
+  // answered FailedPrecondition, or sent bytes that do not fold).
+  // Either way, every request sent has had its reply read.
+  Status PullAndFold(const PositionView& view, GraphSnapshot* fresh,
+                     Status* round_error);
 
   // Dials every endpoint as an extra reader session and converts each
   // into a kSubscribe notify stream. Failures drop the stream, never
@@ -235,8 +257,12 @@ class QuerySession {
   std::vector<int> conn_shard_ids_;
   // Most recent transport error from a connection marked dead.
   Status conn_error_;
-  SnapshotCache cache_;
+  // The cache: the cluster's content at (epoch_, marks_), if valid().
+  uint64_t epoch_ = 0;
+  ShardWatermarks marks_;
+  GraphSnapshot merged_;
   ShardFrame reply_buf_;
+  uint64_t range_pulls_ = 0;
   int last_refresh_rounds_ = 0;
 
   // ---- Watch state ------------------------------------------------

@@ -1,10 +1,10 @@
 // Serving-tier suite: the multi-session listener and QuerySession — the
 // read-side client that answers queries from shard listeners, through
-// its epoch/watermark-keyed SnapshotCache, without ever touching the
+// its epoch/watermark-keyed cached snapshot, without ever touching the
 // coordinator.
 //
-// The load-bearing property everywhere: a cached or delta-refreshed
-// snapshot must be BITWISE identical to the coordinator's full fold at
+// The load-bearing property everywhere: a cached or rebuilt snapshot
+// must be BITWISE identical to the coordinator's full fold at
 // the same (epoch, watermark) position — through ingest, a split, a live
 // removal, replica failover, and concurrent reader sessions.
 #include <gtest/gtest.h>
@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -83,6 +85,69 @@ std::vector<GraphUpdate> BuildStream(uint64_t seed) {
 constexpr uint64_t kChunk = 16;
 constexpr uint64_t kChunksPerShard = (kNumNodes + kChunk - 1) / kChunk;
 
+// A one-connection relay on a loopback port in front of the listener at
+// `upstream`: it answers the reader's handshake itself, then forwards
+// each request over its own reader session and each reply back. `edit`
+// sees every frame before it is forwarded (`reply` says which way) and
+// may rewrite it, or return false to drop the reader's connection. The
+// relay ends when the reader hangs up, so destroy it after the session
+// that dialed it.
+class ReaderRelay {
+ public:
+  using Edit = std::function<bool(ShardFrame* frame, bool reply)>;
+
+  ReaderRelay(const std::string& upstream, Edit edit) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    GZ_CHECK(listen_fd_ >= 0);
+    struct sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    GZ_CHECK(::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
+                    sizeof(addr)) == 0);
+    GZ_CHECK(::listen(listen_fd_, 1) == 0);
+    socklen_t addr_len = sizeof(addr);
+    GZ_CHECK(::getsockname(listen_fd_,
+                           reinterpret_cast<struct sockaddr*>(&addr),
+                           &addr_len) == 0);
+    port_ = ntohs(addr.sin_port);
+    Result<ShardEndpoint> target = ParseShardEndpoint(upstream);
+    GZ_CHECK_OK(target.status());
+    thread_ = std::thread([this, target = std::move(target).value(),
+                           edit = std::move(edit)] {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      TcpShardTransport up(target, kSecret, ShardSessionRole::kReader);
+      ShardFrame frame;
+      if (up.Connect().ok() && ServerHandshake(fd, kSecret).ok()) {
+        while (RecvFrame(fd, &frame).ok() && edit(&frame, false) &&
+               SendFrame(up.fd(), frame.type, frame.payload.data(),
+                         frame.payload.size())
+                   .ok() &&
+               RecvFrame(up.fd(), &frame).ok() && edit(&frame, true) &&
+               SendFrame(fd, frame.type, frame.payload.data(),
+                         frame.payload.size())
+                   .ok()) {
+        }
+      }
+      ::close(fd);
+    });
+  }
+  ~ReaderRelay() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // Wakes the relay if never dialed.
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  std::string endpoint() const {
+    return "tcp://127.0.0.1:" + std::to_string(port_);
+  }
+
+ private:
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::thread thread_;
+};
+
 // ---- TCP serving tier -----------------------------------------------------
 
 // Listener fleet + coordinator + QuerySession readers over loopback.
@@ -146,9 +211,9 @@ TEST_F(ServingTierTcpTest,
     EXPECT_EQ(served->num_updates(), full.num_updates());
   }
   // Unmoved position: answered from the reader's cache, zero pulls.
-  const uint64_t pulls = session.cache().range_pulls();
+  const uint64_t pulls = session.range_pulls();
   ASSERT_TRUE(session.Snapshot(&served).ok());
-  EXPECT_EQ(session.cache().range_pulls(), pulls);
+  EXPECT_EQ(session.range_pulls(), pulls);
   EXPECT_EQ(session.last_refresh_rounds(), 1);
 
   // Wrong-secret reader drill: refused at the handshake, before any
@@ -477,10 +542,10 @@ TEST_F(ServingTierTcpTest, ReaderFailsOverToAliveReplicaMidSweep) {
 }
 
 TEST_F(ServingTierTcpTest, ChunkedParallelPullsStayBitwiseThroughFailover) {
-  // Staging pulls every shard at once, one chunk per shard per wave, so
-  // with small chunks each connection serves many pulls in turn. The
-  // served snapshot must stay bitwise the coordinator's fold on a cold
-  // refresh, on a one-shard delta refresh, and after a replica of each
+  // A refresh pulls every shard at once, one chunk per shard per wave,
+  // so with small chunks each connection serves many pulls in turn. The
+  // served snapshot must stay bitwise the coordinator's fold on the
+  // first build, after only shard 1 moved, and after a replica of each
   // shard dies.
   StartFleet(4);  // 2 shards x R=2, shard-major: [s0r0, s0r1, s1r0, s1r1].
   ShardClusterOptions options;
@@ -504,10 +569,9 @@ TEST_F(ServingTierTcpTest, ChunkedParallelPullsStayBitwiseThroughFailover) {
   Status s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
-  EXPECT_EQ(session.cache().range_pulls(), 2 * kChunks);
-  EXPECT_EQ(session.cache().cold_builds(), 1u);
+  EXPECT_EQ(session.range_pulls(), 2 * kChunks);
 
-  // Ingest into shard 1 only: the refresh pulls its chunks alone.
+  // Ingest into shard 1 only: the rebuild still pulls both shards.
   std::vector<GraphUpdate> to_shard1;
   for (size_t i = half; i < updates.size() && to_shard1.size() < 8; ++i) {
     if (cluster.ShardFor(updates[i].edge) == 1) {
@@ -517,11 +581,10 @@ TEST_F(ServingTierTcpTest, ChunkedParallelPullsStayBitwiseThroughFailover) {
   ASSERT_FALSE(to_shard1.empty());
   ASSERT_TRUE(cluster.Update(to_shard1.data(), to_shard1.size()).ok());
   ASSERT_TRUE(cluster.Flush().ok());
-  uint64_t pulls = session.cache().range_pulls();
+  uint64_t pulls = session.range_pulls();
   s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(session.cache().range_pulls() - pulls, kChunks);
-  EXPECT_EQ(session.cache().cold_builds(), 1u);
+  EXPECT_EQ(session.range_pulls() - pulls, 2 * kChunks);
   EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
 
   // Replica 0 of each shard dies, then both shards move. The refresh
@@ -531,20 +594,19 @@ TEST_F(ServingTierTcpTest, ChunkedParallelPullsStayBitwiseThroughFailover) {
   // The fan-out to the dead replicas fences them; the live ones ingest.
   (void)cluster.Update(updates.data() + half, updates.size() - half);
   (void)cluster.Flush();
-  pulls = session.cache().range_pulls();
+  pulls = session.range_pulls();
   s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << "one live replica per shard: " << s.ToString();
-  EXPECT_EQ(session.cache().range_pulls() - pulls, 2 * kChunks);
-  EXPECT_EQ(session.cache().cold_builds(), 1u);
+  EXPECT_EQ(session.range_pulls() - pulls, 2 * kChunks);
   EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
   cluster.Shutdown();  // Two children are already gone; best effort.
 }
 
 TEST_F(ServingTierTcpTest, ReplicaLostMidStageFailsOverToItsPeer) {
   // A replica that answers the t0 position sweep, then dies on its
-  // first pull: the next staging wave re-sends that chunk to the
-  // shard's other replica. The alive-set changed, so the seqlock
-  // retries the round, and the served snapshot is still the fold.
+  // first pull: the next wave re-sends that chunk to the shard's other
+  // replica. The alive-set changed, so the seqlock retries the round,
+  // and the served snapshot is still the fold.
   StartFleet(2);  // One shard at R=2.
   ShardClusterOptions options;
   options.auth_secret = kSecret;
@@ -556,61 +618,73 @@ TEST_F(ServingTierTcpTest, ReplicaLostMidStageFailsOverToItsPeer) {
   ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
   ASSERT_TRUE(cluster.Flush().ok());
 
-  // A relay in front of replica 0: it forwards each request over its
-  // own reader session to the replica until the first MIGRATE_EXTRACT,
-  // then drops the reader's connection without a reply.
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listen_fd, 1), 0);
-  socklen_t addr_len = sizeof(addr);
-  ASSERT_EQ(::getsockname(listen_fd,
-                          reinterpret_cast<struct sockaddr*>(&addr),
-                          &addr_len),
-            0);
-  const Result<ShardEndpoint> replica0 = ParseShardEndpoint(endpoints_[0]);
-  ASSERT_TRUE(replica0.ok());
-  std::thread relay([&] {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) return;
-    TcpShardTransport upstream(replica0.value(), kSecret,
-                               ShardSessionRole::kReader);
-    ShardFrame frame;
-    if (upstream.Connect().ok() && ServerHandshake(fd, kSecret).ok()) {
-      while (RecvFrame(fd, &frame).ok() &&
-             frame.type != ShardMessageType::kMigrateExtract &&
-             SendFrame(upstream.fd(), frame.type, frame.payload.data(),
-                       frame.payload.size())
-                 .ok() &&
-             RecvFrame(upstream.fd(), &frame).ok() &&
-             SendFrame(fd, frame.type, frame.payload.data(),
-                       frame.payload.size())
-                 .ok()) {
-      }
-    }
-    ::close(fd);
+  // A relay in front of replica 0 that drops the reader's connection,
+  // without a reply, on the first MIGRATE_EXTRACT.
+  ReaderRelay relay(endpoints_[0], [](ShardFrame* frame, bool reply) {
+    return reply || frame->type != ShardMessageType::kMigrateExtract;
   });
-
   QuerySessionOptions qo = ReaderOptions();
-  qo.endpoints = {"tcp://127.0.0.1:" + std::to_string(ntohs(addr.sin_port)),
-                  endpoints_[1]};
+  qo.endpoints = {relay.endpoint(), endpoints_[1]};
   QuerySession session(qo);
   const Status connected = session.Connect();
   const GraphSnapshot* served = nullptr;
   const Status s = connected.ok() ? session.Snapshot(&served) : connected;
-  ::shutdown(listen_fd, SHUT_RDWR);  // Wakes the relay if never dialed.
-  relay.join();
-  ::close(listen_fd);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
   EXPECT_EQ(session.last_refresh_rounds(), 2);
-  EXPECT_EQ(session.cache().range_pulls(), kChunksPerShard);
+  // Both rounds pulled every chunk; the first round's candidate was
+  // discarded.
+  EXPECT_EQ(session.range_pulls(), 2 * kChunksPerShard);
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_F(ServingTierTcpTest, ReplyThatDoesNotFoldVoidsTheRound) {
+  // A replica whose first MIGRATE_DATA reply arrives well framed (a
+  // valid CRC) but with a GZSNAP02 header naming another graph: the fold
+  // refuses it, the round's half-folded candidate is discarded, and the
+  // second round serves exactly the coordinator's fold.
+  StartFleet(2);  // One shard at R=2.
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  options.replication_factor = 2;
+  ShardCluster cluster(BaseConfig(151), 1, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(151);
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+
+  // The relay fronts replica 0, which the session pulls from first.
+  // It bumps the header's node count (bytes 8..15, after the magic) of
+  // the first range reply and forwards it re-framed.
+  std::atomic<bool> rewritten{false};
+  ReaderRelay relay(endpoints_[0], [&rewritten](ShardFrame* frame,
+                                                bool reply) {
+    if (reply && frame->type == ShardMessageType::kMigrateData &&
+        !rewritten.load() &&
+        frame->payload.size() >= GraphSnapshot::kHeaderBytes) {
+      uint64_t num_nodes = 0;
+      std::memcpy(&num_nodes, frame->payload.data() + 8, sizeof(num_nodes));
+      ++num_nodes;
+      std::memcpy(frame->payload.data() + 8, &num_nodes, sizeof(num_nodes));
+      rewritten.store(true);
+    }
+    return true;
+  });
+  QuerySessionOptions qo = ReaderOptions();
+  qo.endpoints = {relay.endpoint(), endpoints_[1]};
+  QuerySession session(qo);
+  ASSERT_TRUE(session.Connect().ok());
+  const GraphSnapshot* served = nullptr;
+  const Status s = session.Snapshot(&served);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(rewritten.load());
+  const GraphSnapshot full = FoldedSnapshot(&cluster);
+  EXPECT_TRUE(*served == full);
+  EXPECT_EQ(served->num_updates(), full.num_updates());
+  EXPECT_EQ(session.last_refresh_rounds(), 2);
+  // The first round stopped after the wave that carried the bad reply.
+  EXPECT_EQ(session.range_pulls(), 1 + kChunksPerShard);
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 

@@ -339,7 +339,7 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughALiveRemoval) {
     const GraphSnapshot* snap = nullptr;
     const Status s = session->Snapshot(&snap);
     if (!s.ok()) return s;
-    return reg.Evaluate(*snap, session->cache().epoch(), 1, notifier);
+    return reg.Evaluate(*snap, session->epoch(), 1, notifier);
   };
   const auto evaluate_and_pin = [&](const char* step) {
     const Result<size_t> n = evaluate();

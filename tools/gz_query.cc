@@ -358,22 +358,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  const SnapshotCache& cache = session->cache();
   if (json) {
     std::printf(
         "{\"mode\":\"%s\",\"num_nodes\":%llu,\"num_updates\":%llu,"
         "\"components\":%zu,\"forest_edges\":%zu,\"rounds\":%d,"
         "\"refresh_seconds\":%.6f,\"query_seconds\":%.6f,"
-        "\"seqlock_rounds\":%d,\"range_pulls\":%llu,"
-        "\"cold_builds\":%llu}\n",
+        "\"seqlock_rounds\":%d,\"range_pulls\":%llu}\n",
         mode.c_str(),
         static_cast<unsigned long long>(snap->params().num_nodes),
         static_cast<unsigned long long>(snap->num_updates()),
         result.num_components, result.spanning_forest.size(),
         result.rounds_used, refresh_seconds, query_seconds,
         session->last_refresh_rounds(),
-        static_cast<unsigned long long>(cache.range_pulls()),
-        static_cast<unsigned long long>(cache.cold_builds()));
+        static_cast<unsigned long long>(session->range_pulls()));
   } else {
     std::printf("snapshot  %llu nodes, %llu updates served "
                 "(refresh %.3fs, %d seqlock round%s, %llu range pulls)\n",
@@ -381,7 +378,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(snap->num_updates()),
                 refresh_seconds, session->last_refresh_rounds(),
                 session->last_refresh_rounds() == 1 ? "" : "s",
-                static_cast<unsigned long long>(cache.range_pulls()));
+                static_cast<unsigned long long>(session->range_pulls()));
     std::printf("query     %.3fs, %d Boruvka rounds\n", query_seconds,
                 result.rounds_used);
     std::printf("components %zu, spanning forest %zu edges\n",
