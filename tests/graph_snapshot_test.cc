@@ -675,9 +675,10 @@ TEST(GraphSnapshotTest, FoldIntoASnapshotLeavesTheLiveStoreAlone) {
 }
 
 TEST(GraphSnapshotTest, ColdBuildFromASharedZeroMatchesAZeroFilledFold) {
-  // The cold build (SnapshotCache, replica repair) starts from V
-  // handles to one zero sketch; folding ranges into it must produce
-  // exactly the bytes the same folds give over V zero-filled sketches.
+  // Both cold builds (ShardCluster::Snapshot() and a QuerySession's
+  // rebuild) start from V handles to one zero sketch; folding ranges
+  // into it must produce exactly the bytes the same folds give over V
+  // zero-filled sketches.
   const uint64_t n = 48;
   const GraphSnapshot source = SnapshotOf(n, 49, RandomEdges(n, 0.15, 5));
   const GraphSnapshot other = SnapshotOf(n, 49, RandomEdges(n, 0.15, 6));
