@@ -404,8 +404,8 @@ int main() {
     // edge, toggled by the otherwise-quiesced writer. The sample is
     // Update() -> the notifier firing with the flipped answer, so it
     // covers the full path: shard position push (or cadence poll),
-    // delta refresh, the fold, and the answer diff. Push subscriptions
-    // vs pure polling at the same cadence.
+    // the session's cold rebuild, the Boruvka query, and the answer
+    // diff. Push subscriptions vs pure polling at the same cadence.
     const int toggles = bench::GetEnvInt("GZ_BENCH_WATCH_TOGGLES", 20);
     const int watch_poll_ms = bench::GetEnvInt("GZ_BENCH_WATCH_POLL_MS", 200);
     const Edge probe(static_cast<NodeId>(n), static_cast<NodeId>(n + 1));

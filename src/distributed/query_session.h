@@ -119,9 +119,8 @@ struct StandingWatchOptions {
   // refused (shard not yet configured) or dies later is simply dropped
   // — the cadence poll still covers its shard.
   bool subscribe = true;
-  // Threads for the Boruvka fold each evaluation runs (0 = auto, as in
-  // Connectivity()).
-  int threads = 0;
+  // Threads for the Boruvka fold each evaluation runs.
+  int threads = 1;
 };
 
 class QuerySession {
@@ -141,9 +140,8 @@ class QuerySession {
   // 16 refresh rounds.
   Status Snapshot(const GraphSnapshot** out);
 
-  // Convenience: Snapshot() + the Boruvka query (`threads` as in
-  // gz::Connectivity(): 0 = auto).
-  Result<ConnectivityResult> Connectivity(int threads = 0);
+  // Convenience: Snapshot() + the parallel Boruvka query.
+  Result<ConnectivityResult> Connectivity(int threads = 1);
 
   // Staleness probe: one STATS_EX position sweep, no content pulls.
   // *fresh says whether the cached snapshot is still exactly the

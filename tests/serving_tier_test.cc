@@ -254,6 +254,20 @@ TEST_F(ServingTierTcpTest,
 
   Result<int> child = sharded.SplitShard(0, grown_endpoints[0]);
   ASSERT_TRUE(child.ok()) << child.status().ToString();
+  // Before any ingest the child sits at the zero watermark, the XOR
+  // identity: a session over all four listeners pulls only the three
+  // original shards and still serves the coordinator's fold.
+  {
+    QuerySessionOptions grown = ReaderOptions();
+    grown.endpoints.push_back(grown_endpoints[0]);
+    QuerySession split_reader(grown);
+    ASSERT_TRUE(split_reader.Connect().ok());
+    const GraphSnapshot* snap = nullptr;
+    s = split_reader.Snapshot(&snap);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(split_reader.range_pulls(), 3 * kChunksPerShard);
+    EXPECT_TRUE(*snap == FoldedSnapshot(&sharded));
+  }
   // One span lands partly on the child, so its removal drains real
   // state into shard 0.
   size_t fed = half;
