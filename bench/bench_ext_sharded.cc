@@ -139,8 +139,8 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
 
     // Phase 2: split shard 0 under load (the child on the same
     // substrate, except tcp, which grows a local child). A split moves
-    // routing slots only, so this times spawning the child and the
-    // epoch broadcast.
+    // routing slots only, so this times spawning and configuring the
+    // child.
     WallTimer split_timer;
     Result<int> split =
         cluster.SplitShard(0, mode == BenchMode::kThread ? "thread:" : "");

@@ -57,9 +57,8 @@ int main() {
     window.Observe(flow);
     ++observed;
     window.Flush();
-    // Epoch 0: a single instance has no routing epochs.
     const Result<size_t> fired = registry.Evaluate(
-        gz.Snapshot(), 0, 1,
+        gz.Snapshot(), 1,
         [observed](const StandingQueryNotification& n, const GraphSnapshot&) {
           std::printf("  after %3llu flows: sites %s (notification #%llu)\n",
                       static_cast<unsigned long long>(observed),

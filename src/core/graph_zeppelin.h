@@ -155,7 +155,7 @@ class GraphZeppelin {
   // into the store, and adopts its update count; a params mismatch is an
   // InvalidArgument. These are the two ways GZSNAP02 bytes come in: a
   // whole file here, any node range through MergeSerialized. `offset`
-  // skips a caller-owned file prefix (e.g. a shard checkpoint's epoch
+  // skips a caller-owned file prefix (e.g. a shard checkpoint's
   // header) before the snapshot stream.
   Status SaveCheckpoint(const std::string& path);
   Status LoadCheckpoint(const std::string& path, size_t offset = 0);

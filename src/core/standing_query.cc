@@ -48,7 +48,7 @@ bool StandingQueryRegistry::HasUnevaluated() const {
 }
 
 Result<size_t> StandingQueryRegistry::Evaluate(
-    const GraphSnapshot& snapshot, uint64_t epoch, int threads,
+    const GraphSnapshot& snapshot, int threads,
     const StandingQueryNotifier& notifier) {
   if (queries_.empty()) return size_t{0};
   // One fold serves every registered query at this position.
@@ -72,7 +72,6 @@ Result<size_t> StandingQueryRegistry::Evaluate(
       StandingQueryNotification notification;
       notification.query_id = id;
       notification.sequence = entry.sequence;
-      notification.epoch = epoch;
       notification.num_updates = snapshot.num_updates();
       notification.spec = entry.spec;
       notification.answer = entry.last_notified;

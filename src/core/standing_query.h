@@ -20,8 +20,8 @@
 // NOTIFIED answer. Positions between evaluations coalesce: if the
 // answer flips A -> B -> A entirely between two evaluations, nothing
 // fires — the contract is "the latest answer, when it changed", not a
-// total history. Every notification carries the (epoch, num_updates)
-// position it was evaluated at, and the notifier also receives the
+// total history. Every notification carries the num_updates position
+// it was evaluated at, and the notifier also receives the
 // evaluated snapshot itself, so a subscriber (or a chaos test) can
 // re-run the fold at exactly the reported position and check the
 // answer bitwise.
@@ -85,8 +85,7 @@ struct StandingQueryNotification {
   uint64_t query_id = 0;
   // Per-query notification sequence, 1-based: 1 is the initial answer.
   uint64_t sequence = 0;
-  // The position the answer was evaluated at.
-  uint64_t epoch = 0;
+  // The position (stream updates folded) the answer was evaluated at.
   uint64_t num_updates = 0;
   StandingQuerySpec spec;
   StandingQueryAnswer answer;
@@ -120,8 +119,8 @@ class StandingQueryRegistry {
   // notified answers. Returns the number of notifications fired, or an
   // error when the sketch query failed (nothing is recorded then — the
   // next evaluation retries from the last notified answers).
-  Result<size_t> Evaluate(const GraphSnapshot& snapshot, uint64_t epoch,
-                          int threads, const StandingQueryNotifier& notifier);
+  Result<size_t> Evaluate(const GraphSnapshot& snapshot, int threads,
+                          const StandingQueryNotifier& notifier);
 
   // Total notifications fired across all Evaluate calls.
   uint64_t notifications() const { return notifications_; }

@@ -17,8 +17,8 @@ namespace {
 constexpr int kMaxPositionRetries = 16;
 
 // Two position sweeps agree iff the same connections are alive and
-// every live one reports the same (shard, epoch, updates, delta_seq)
-// tuple — the seqlock's "sequence unchanged" check. Monotonicity of
+// every live one reports the same (shard, updates, delta_seq) tuple —
+// the seqlock's "sequence unchanged" check. Monotonicity of
 // the position components makes equality proof of an unmoved position,
 // not a coincidence; an alive-set change is treated as movement too
 // (the folded pulls may have come from a connection that then died
@@ -30,7 +30,7 @@ bool SamePosition(const std::vector<ShardStatsEx>& a,
   if (alive_a != alive_b) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (!alive_a[i]) continue;
-    if (a[i].shard_id != b[i].shard_id || a[i].epoch != b[i].epoch ||
+    if (a[i].shard_id != b[i].shard_id ||
         a[i].num_updates != b[i].num_updates ||
         a[i].delta_seq != b[i].delta_seq) {
       return false;
@@ -52,7 +52,6 @@ Status QuerySession::Connect() {
   conn_shard_ids_.clear();
   conn_error_ = Status::Ok();
   merged_ = GraphSnapshot();  // Cached content may predate a re-dial.
-  epoch_ = 0;
   if (options_.endpoints.empty()) {
     return Status::InvalidArgument("query session has no endpoints");
   }
@@ -136,7 +135,6 @@ Status QuerySession::BuildView(const std::vector<ShardStatsEx>& stats,
     }
   }
   // ReadPositions already failed the sweep if nothing was alive.
-  view->epoch = stats[first].epoch;
   view->params.num_nodes = stats[first].num_nodes;
   view->params.seed = stats[first].seed;
   view->params.cols = stats[first].cols;
@@ -157,7 +155,6 @@ Status QuerySession::BuildView(const std::vector<ShardStatsEx>& stats,
           "shard listeners disagree on the replication factor; these "
           "endpoints are not one cluster");
     }
-    if (st.epoch != view->epoch) view->skew = true;
     view->groups[static_cast<int>(st.shard_id)].push_back(i);
   }
   for (const auto& [shard, members] : view->groups) {
@@ -177,7 +174,7 @@ Status QuerySession::BuildView(const std::vector<ShardStatsEx>& stats,
     }
     // Replicas of one shard are bitwise-equal AT ONE POSITION; an
     // update fan-out or repair caught mid-flight makes them disagree
-    // transiently. Skew, like an epoch straddle — never an error.
+    // transiently. Skew, like any moving position — never an error.
     const ShardStatsEx& lead = stats[members[0]];
     for (const size_t m : members) {
       if (stats[m].num_updates != lead.num_updates ||
@@ -206,7 +203,7 @@ Status QuerySession::BuildView(const std::vector<ShardStatsEx>& stats,
 }
 
 bool QuerySession::Cached(const PositionView& view) const {
-  return merged_.valid() && view.epoch == epoch_ && view.marks == marks_;
+  return merged_.valid() && view.marks == marks_;
 }
 
 Status QuerySession::PullAndFold(const PositionView& view,
@@ -296,15 +293,15 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
     Status s = ReadPositions(&t0);
     if (!s.ok()) return s;
     const std::vector<bool> alive0 = conn_alive_;
-    // One cluster position: every shard at the same epoch and geometry,
-    // replicas in agreement. Skew is a broadcast or fan-out caught
-    // mid-flight — a moving position, so retry.
+    // One cluster position: every shard at the same geometry, replicas
+    // in agreement. Skew is a fan-out caught mid-flight — a moving
+    // position, so retry.
     PositionView view;
     s = BuildView(t0, &view);
     if (!s.ok()) return s;
     if (view.skew) {
       last = Status::FailedPrecondition(
-          "shards straddle a routing-epoch broadcast");
+          "replicas of one shard report different positions");
       continue;
     }
     if (Cached(view)) {
@@ -335,7 +332,6 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
     // Range folds never touch update counts; the positions supply them.
     fresh.SetUpdates(view.total_updates);
     merged_ = std::move(fresh);
-    epoch_ = view.epoch;
     marks_ = std::move(view.marks);
     *out = &merged_;
     return Status::Ok();
@@ -359,7 +355,7 @@ Status QuerySession::PollPositions(bool* fresh) {
   // shard beyond the replication factor, mixed geometry) is an ERROR
   // here too — reporting it as mere staleness would have a poller
   // serving its stale cache forever, never learning the deployment is
-  // broken. Only genuine movement (epoch or replica skew) is stale.
+  // broken. Only genuine movement (replica skew) is stale.
   PositionView view;
   s = BuildView(stats, &view);
   if (!s.ok()) return s;
@@ -549,8 +545,8 @@ void QuerySession::WatchEvaluate() {
     watch_error_ = s;
     return;
   }
-  const Result<size_t> fired = registry_.Evaluate(
-      *snap, epoch_, watch_options_.threads, watch_notifier_);
+  const Result<size_t> fired =
+      registry_.Evaluate(*snap, watch_options_.threads, watch_notifier_);
   watch_error_ = fired.ok() ? Status::Ok() : fired.status();
 }
 

@@ -6,9 +6,10 @@
 // queries scale out by adding QuerySessions, not coordinator load.
 //
 // The session caches the merged snapshot of the last position it read,
-// keyed by (routing epoch, per-shard watermark). Given FIFO per-shard
-// sockets a shard's sketch state is a pure function of its watermark,
-// so an unmoved position is answered with zero pulls. A moved one is
+// keyed by the per-shard watermarks. Given FIFO per-shard sockets a
+// shard's sketch state is a pure function of its watermark, so an
+// unmoved position is answered with zero pulls — a split that moves no
+// content included, since routing never reaches a shard. A moved one is
 // rebuilt cold, folding every shard's [0, V) into GraphSnapshot::Zero
 // like ShardCluster::Snapshot(): ingest hashes edges over routing slots
 // dealt across all shards, so any span of updates moves every shard.
@@ -17,10 +18,17 @@
 // reads every shard's STATS_EX position (t0), pulls and folds every
 // shard into a fresh candidate, re-reads the positions (t1), and
 // installs the candidate only if t1 == t0. Positions are monotone, so
-// t0 == t1 proves every folded byte belongs to the keyed position — no
-// ABA, no torn reads across shards mid-migration. A moving position, a
-// lost replica or a reply that does not fold discards the candidate
-// and retries; a bounded number of failed rounds returns an error.
+// t0 == t1 proves every folded byte of a shard belongs to that shard's
+// keyed position — no ABA. A moving position, a lost replica or a
+// reply that does not fold discards the candidate and retries; a
+// bounded number of failed rounds returns an error.
+//
+// Known gap, torn reads during a removal: a chunk is installed on its
+// target and cancelled on its source in two round trips. A refresh
+// that falls wholly between them sees both shards at stable positions,
+// yet folds the chunk from both, so it cancels out and the snapshot
+// differs from the coordinator's. The window is one round trip per
+// chunk (see ROADMAP).
 //
 // Pulls run in waves so the shards extract in parallel: each wave
 // sends one MIGRATE_EXTRACT per shard, for its next chunk, to one live
@@ -79,7 +87,7 @@
 namespace gz {
 
 // One shard's position (updates ingested, migration deltas folded);
-// equal watermarks at one epoch imply bitwise-equal sketch content.
+// equal watermarks imply bitwise-equal sketch content.
 struct ShardWatermark {
   uint64_t num_updates = 0;
   uint64_t delta_seq = 0;
@@ -147,19 +155,17 @@ class QuerySession {
   // *fresh says whether the cached snapshot is still exactly the
   // cluster's position — readers that serve slightly-stale answers
   // poll this cheaply and pay Snapshot()'s refresh only when it reports
-  // false. A position caught mid-reshard (epoch skew) or with
-  // replica position skew is reported as stale, not an error; a
+  // false. A position with replica position skew (an update fan-out
+  // caught mid-flight) is reported as stale, not an error; a
   // MISCONFIGURATION — more endpoints serving one shard id than the
   // cluster replicates — is FailedPrecondition, exactly as Snapshot()
   // reports it (a config error must never masquerade as staleness).
   Status PollPositions(bool* fresh);
 
-  // Observability: chunk replies received (discarded rounds included),
-  // seqlock rounds the last Snapshot() needed (1 = stable at once), and
-  // the routing epoch the cached snapshot is keyed at (0 before one).
+  // Observability: chunk replies received (discarded rounds included)
+  // and seqlock rounds the last Snapshot() needed (1 = stable at once).
   uint64_t range_pulls() const { return range_pulls_; }
   int last_refresh_rounds() const { return last_refresh_rounds_; }
-  uint64_t epoch() const { return epoch_; }
 
   // ---- Standing queries -------------------------------------------
   //
@@ -200,9 +206,8 @@ class QuerySession {
   // One position sweep, grouped: every live connection's STATS_EX reply
   // validated into a single cluster view.
   struct PositionView {
-    uint64_t epoch = 0;
-    // Epoch skew across shards, or replicas of one shard reporting
-    // different positions — a moving cluster, not an error.
+    // Replicas of one shard reporting different positions — a moving
+    // cluster, not an error.
     bool skew = false;
     ShardWatermarks marks;  // One entry per shard (not per conn).
     uint64_t total_updates = 0;
@@ -255,8 +260,7 @@ class QuerySession {
   std::vector<int> conn_shard_ids_;
   // Most recent transport error from a connection marked dead.
   Status conn_error_;
-  // The cache: the cluster's content at (epoch_, marks_), if valid().
-  uint64_t epoch_ = 0;
+  // The cache: the cluster's content at marks_, if valid().
   ShardWatermarks marks_;
   GraphSnapshot merged_;
   ShardFrame reply_buf_;

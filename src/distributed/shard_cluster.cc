@@ -55,7 +55,6 @@ ShardCluster::ShardCluster(const GraphZeppelinConfig& base, int num_shards,
   ::mkdir(log_dir_.c_str(), 0755);  // Best-effort; EEXIST is the norm.
 
   table_ = MakeRoutingTable(num_shards);
-  table_.replication = static_cast<uint32_t>(replication_);
   for (int s = 0; s < num_shards; ++s) {
     // A malformed endpoint URI surfaces from Start(); construction
     // itself cannot return a Status (the slot still allocates, as a
@@ -184,7 +183,7 @@ Status ShardCluster::SpawnAndConfigure(int shard, int replica, bool restore,
   ShardConfig sc;
   sc.config = ShardConfigFor(shard, replica);
   sc.shard_id = shard;
-  sc.table = table_;
+  sc.replication = static_cast<uint32_t>(replication_);
   if (restore && rep.has_checkpoint) {
     sc.restore_checkpoint = CheckpointPath(shard, replica);
   }
@@ -219,17 +218,10 @@ Status ShardCluster::Start() {
 Status ShardCluster::SendUpdateFrames(const Replica& replica,
                                       const GraphUpdate* updates,
                                       size_t count) {
-  // Every frame is stamped with the epoch it is sent (not originally
-  // routed) under: the stamp asserts "coordinator and shard agree on
-  // the current table", and the durability log — not the table — owns
-  // the placement of already-routed updates, so replays re-stamp.
-  const uint64_t epoch = table_.epoch;
   for (size_t off = 0; off < count; off += kMaxUpdatesPerFrame) {
     const size_t n = std::min(kMaxUpdatesPerFrame, count - off);
-    Status s = SendFrame2(replica.proc->fd(),
-                          ShardMessageType::kUpdateBatch, &epoch,
-                          sizeof(epoch), updates + off,
-                          n * sizeof(GraphUpdate));
+    Status s = SendFrame(replica.proc->fd(), ShardMessageType::kUpdateBatch,
+                         updates + off, n * sizeof(GraphUpdate));
     if (!s.ok()) return s;
   }
   return Status::Ok();
@@ -414,14 +406,6 @@ Status ShardCluster::Checkpoint() {
 
 // ---- Elastic resharding ----------------------------------------------------
 
-Status ShardCluster::BroadcastTable() {
-  const std::vector<uint8_t> payload = EncodeRoutingTable(table_);
-  const std::string payload_str(payload.begin(), payload.end());
-  return PipelinedBarrier(
-      ShardMessageType::kEpoch, ShardMessageType::kAck,
-      [&payload_str](int, int) { return payload_str; }, nullptr);
-}
-
 Status ShardCluster::SendDelta(Replica& replica,
                                const std::vector<uint8_t>& bytes) {
   ShardAck ack;
@@ -504,12 +488,11 @@ Result<int> ShardCluster::GrowShard(int split_source,
   table_ = split_source < 0
                ? TableWithShardAdded(old_table, id)
                : TableWithShardSplit(old_table, split_source, id);
-  // The new shard's CONFIG already carries the new table, so it comes
-  // up at the current epoch; everyone else learns it from the
-  // broadcast. No state migrates: an empty shard is a zero sketch, and
-  // zero is the XOR identity. A split source keeps what it ingested —
-  // every shard's store holds all V node sketches whatever their
-  // content, so moving part of it would balance nothing.
+  // Only the coordinator's table changes. No state migrates: an empty
+  // shard is a zero sketch, and zero is the XOR identity. A split
+  // source keeps what it ingested — every shard's store holds all V
+  // node sketches whatever their content, so moving part of it would
+  // balance nothing.
   for (int r = 0; r < replication_ && s.ok(); ++r) {
     s = SpawnAndConfigure(id, r, /*restore=*/false, nullptr, nullptr);
   }
@@ -518,8 +501,6 @@ Result<int> ShardCluster::GrowShard(int split_source,
     table_ = old_table;
     return s;
   }
-  s = BroadcastTable();
-  if (!s.ok()) return s;
   return id;
 }
 
@@ -539,9 +520,7 @@ Status ShardCluster::BeginRemoveShard(int shard) {
   Status s = RequireAllHealthy();
   if (!s.ok()) return s;
   table_ = TableWithShardRemoved(table_, shard);
-  s = BroadcastTable();
-  if (!s.ok()) return s;
-  // From this epoch on nothing routes to `shard`; its accumulated state
+  // From here on nothing routes to `shard`; its accumulated state
   // drains into the smallest surviving shard. Any single survivor is a
   // correct fold target — the global XOR is what queries see.
   Migration m;
@@ -622,7 +601,7 @@ Status ShardCluster::PumpMigration() {
   // Final step: the source — now a zero sketch holding no routed
   // slots — retires.
   Replica& retiring_rep = source.replicas[src];
-  // The source is quiescent (no slots since the epoch bump, flushed
+  // The source is quiescent (no slots since the table changed, flushed
   // by every extract), so its position is final; it must survive in
   // the aggregate update count after the process goes away. A sticky
   // divergence error surfaces here and blocks the removal.
@@ -846,7 +825,6 @@ Result<ShardStats> ShardCluster::Stats(int shard) {
   ShardStats stats;
   stats.num_updates = ex.num_updates;
   stats.ram_bytes = ex.ram_bytes;
-  stats.epoch = ex.epoch;
   stats.delta_seq = ex.delta_seq;
   return stats;
 }
@@ -865,7 +843,7 @@ Status ShardCluster::ExtractRange(Replica& replica, uint64_t lo, uint64_t hi,
 bool ShardCluster::AtBooksPosition(const Shard& shard,
                                    const ShardStatsEx& ex) const {
   return ex.num_updates == shard.position() &&
-         ex.delta_seq == shard.delta_seq_sent && ex.epoch == table_.epoch;
+         ex.delta_seq == shard.delta_seq_sent;
 }
 
 void ShardCluster::CommitCheckpoint(int shard, int replica,

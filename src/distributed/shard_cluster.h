@@ -49,8 +49,10 @@
 // R = 1 is bitwise-identical to the pre-replication cluster.
 //
 // Elasticity model: routing is a pure function of (edge, table); see
-// RoutingTable. A reshard bumps the table's epoch and broadcasts it.
-// Growing the cluster (AddShard, SplitShard) moves routing slots and
+// RoutingTable. A reshard bumps the table's epoch in the coordinator
+// only — no shard holds the table, and no frame carries it: a shard's
+// content is whatever it was sent, and the fold is the XOR of all of
+// them. Growing the cluster (AddShard, SplitShard) moves routing slots and
 // nothing else: the fold is the XOR of all shards whichever shard holds
 // which contribution, so a new shard starts as a zero sketch. Only a
 // removal migrates sketch state, draining the leaving shard's [0, V) in
@@ -124,10 +126,9 @@ struct ShardClusterOptions {
 struct ShardStats {
   uint64_t num_updates = 0;
   uint64_t ram_bytes = 0;
-  // The routing epoch the shard is at and its migration-delta count.
-  // Together with num_updates they fix the shard's sketch content:
-  // equal counts at equal epochs imply bitwise-equal sketches.
-  uint64_t epoch = 0;
+  // The shard's migration-delta count. Together with num_updates it
+  // fixes the shard's sketch content: equal counts imply bitwise-equal
+  // sketches.
   uint64_t delta_seq = 0;
 };
 
@@ -154,8 +155,8 @@ class ShardCluster {
   const RoutingTable& routing_table() const { return table_; }
 
   // Routes the span: each shard's slice is appended once to the shard's
-  // update log, then framed (scatter-gather, no copy, stamped with the
-  // routing epoch) onto each live replica's socket. A replica that
+  // update log, then framed (one sendmsg, no copy) onto each live
+  // replica's socket. A replica that
   // fails mid-send is fenced and the log keeps its updates; the call
   // still returns Ok because no update was lost. Reconcile() (or
   // RestartShard()) drains the backlog.
@@ -215,9 +216,9 @@ class ShardCluster {
   // Adds a fresh shard (new highest id) at `endpoint` ("" = all
   // replicas local; with replication a comma-separated list places each
   // replica — this is how a cluster grows onto other machines):
-  // connects it, rebalances slots to it, bumps + broadcasts the epoch.
-  // No state migrates — the new shard starts empty and linearity makes
-  // that exact. Returns the new id.
+  // connects it and rebalances slots to it. No state migrates — the
+  // new shard starts empty and linearity makes that exact. Returns the
+  // new id.
   Result<int> AddShard(const std::string& endpoint = std::string());
   // AddShard, except the fresh shard takes every second routing slot of
   // `shard` (which must own at least two) instead of a balanced share.
@@ -226,7 +227,7 @@ class ShardCluster {
   Result<int> SplitShard(int shard,
                          const std::string& endpoint = std::string());
   // Starts removing `shard`: its slots are dealt to the remaining
-  // shards (epoch bump, broadcast), then PumpMigration() drains its
+  // shards, then PumpMigration() drains its
   // state chunk-by-chunk into a successor and finally shuts it down.
   Status BeginRemoveShard(int shard);
   // Advances the active migration by one step (one node-range chunk,
@@ -333,7 +334,7 @@ class ShardCluster {
     uint64_t next_node = 0;  // First node of the next chunk.
   };
   // Which replicas a barrier touches: every replica of every shard
-  // (mutations: flush, checkpoint, epoch) or one live replica per
+  // (mutations: flush, checkpoint) or one live replica per
   // shard (read-only folds: snapshot).
   enum class BarrierScope { kAllReplicas, kOnePerShard };
 
@@ -350,7 +351,7 @@ class ShardCluster {
   Result<std::vector<ShardEndpoint>> ParseReplicaEndpoints(
       const std::string& endpoint) const;
   // AddShard (split_source < 0) and SplitShard: allocate, route by the
-  // grown table, spawn + configure every replica, broadcast the epoch.
+  // grown table, spawn + configure every replica.
   Result<int> GrowShard(int split_source, const std::string& endpoint);
   // Appends the books of a freshly allocated id, with one (not yet
   // connected) transport per replica endpoint (local -> fork/exec,
@@ -367,12 +368,10 @@ class ShardCluster {
   // Lowest-index replica that is unfenced AND whose transport is still
   // alive (-1 if none). What the fold paths target.
   int FirstLiveReplica(int shard);
-  // Sends the current table to every replica (kEpoch barrier).
-  Status BroadcastTable();
   // kMergeDelta RPC to one replica; fences it on failure (transport
   // loss or a diverged shard — either way repair re-delivers).
   Status SendDelta(Replica& replica, const std::vector<uint8_t>& bytes);
-  // Sends `updates` to one replica as epoch-stamped update frames.
+  // Sends `updates` to one replica as update frames.
   Status SendUpdateFrames(const Replica& replica, const GraphUpdate* updates,
                           size_t count);
   // The one pipelined-barrier implementation every cluster-wide

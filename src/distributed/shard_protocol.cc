@@ -52,11 +52,11 @@ Status DecodeHeader(const uint8_t in[ShardFrameHeader::kBytes],
         std::to_string(version) + ", speak " +
         std::to_string(ShardFrameHeader::kVersion) + ")");
   }
-  // 4, 6 and 10 are retired type numbers, and so are 24 and 25 past
-  // kNotify (see ShardMessageType).
+  // 4, 6, 10 and 12 are retired type numbers, and so are 24 and 25
+  // past kNotify (see ShardMessageType).
   if (type16 < static_cast<uint16_t>(ShardMessageType::kConfig) ||
       type16 > static_cast<uint16_t>(ShardMessageType::kNotify) ||
-      type16 == 4 || type16 == 6 || type16 == 10) {
+      type16 == 4 || type16 == 6 || type16 == 10 || type16 == 12) {
     return Status::InvalidArgument("shard frame: unknown message type " +
                                    std::to_string(type16));
   }
@@ -201,12 +201,6 @@ Status SendFrameTrailer(int fd, const FrameCrc& crc) {
 
 Status SendFrame(int fd, ShardMessageType type, const void* payload,
                  size_t payload_bytes) {
-  return SendFrame2(fd, type, payload, payload_bytes, nullptr, 0);
-}
-
-Status SendFrame2(int fd, ShardMessageType type, const void* a,
-                  size_t a_bytes, const void* b, size_t b_bytes) {
-  const uint64_t payload_bytes = a_bytes + b_bytes;
   if (payload_bytes > ShardFrameHeader::kMaxPayloadBytes) {
     return Status::InvalidArgument("shard frame: payload exceeds cap");
   }
@@ -214,25 +208,18 @@ Status SendFrame2(int fd, ShardMessageType type, const void* a,
   EncodeHeader(type, payload_bytes, header);
   FrameCrc crc;
   crc.Fold(header, sizeof(header));
-  crc.Fold(a, a_bytes);
-  crc.Fold(b, b_bytes);
+  crc.Fold(payload, payload_bytes);
   const uint32_t trailer = crc.value();
-  // One sendmsg for header + payload spans + trailer: the routing
-  // buffer crosses into the kernel straight from where the router
-  // filled it.
-  struct iovec iov[4];
+  // One sendmsg for header + payload + trailer: a routing buffer
+  // crosses into the kernel straight from where the router filled it.
+  struct iovec iov[3];
   int iovcnt = 0;
   iov[iovcnt].iov_base = header;
   iov[iovcnt].iov_len = sizeof(header);
   ++iovcnt;
-  if (a_bytes > 0) {
-    iov[iovcnt].iov_base = const_cast<void*>(a);
-    iov[iovcnt].iov_len = a_bytes;
-    ++iovcnt;
-  }
-  if (b_bytes > 0) {
-    iov[iovcnt].iov_base = const_cast<void*>(b);
-    iov[iovcnt].iov_len = b_bytes;
+  if (payload_bytes > 0) {
+    iov[iovcnt].iov_base = const_cast<void*>(payload);
+    iov[iovcnt].iov_len = payload_bytes;
     ++iovcnt;
   }
   iov[iovcnt].iov_base = const_cast<uint32_t*>(&trailer);
@@ -561,58 +548,6 @@ Status ServerHandshake(int fd, const std::string& secret,
   return s;
 }
 
-namespace {
-
-// Routing-table fields shared by the standalone kEpoch payload and the
-// embedded copy inside kConfig.
-void WriteTable(const RoutingTable& table, ByteWriter* w) {
-  GZ_CHECK(table.owners.size() == RoutingTable::kNumSlots);
-  w->U64(table.epoch);
-  w->U32(RoutingTable::kNumSlots);
-  for (const int32_t owner : table.owners) w->I32(owner);
-  w->U32(table.replication);
-}
-
-// Structural + range validation in one place: a table off the wire must
-// be directly usable (every slot owned by a sane shard id, real epoch,
-// sane replica count).
-bool ReadTable(ByteReader* r, RoutingTable* table) {
-  uint32_t num_slots = 0;
-  if (!r->U64(&table->epoch) || !r->U32(&num_slots) ||
-      num_slots != RoutingTable::kNumSlots || table->epoch == 0) {
-    return false;
-  }
-  table->owners.assign(RoutingTable::kNumSlots, 0);
-  for (int32_t& owner : table->owners) {
-    if (!r->I32(&owner) || owner < 0 ||
-        owner >= RoutingTable::kMaxShardId) {
-      return false;
-    }
-  }
-  if (!r->U32(&table->replication) || table->replication < 1 ||
-      table->replication > RoutingTable::kMaxReplication) {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::vector<uint8_t> EncodeRoutingTable(const RoutingTable& table) {
-  ByteWriter w;
-  WriteTable(table, &w);
-  return w.Take();
-}
-
-Status DecodeRoutingTable(const uint8_t* data, size_t size,
-                          RoutingTable* out) {
-  ByteReader r(data, size);
-  if (!ReadTable(&r, out) || !r.Done()) {
-    return Status::InvalidArgument("malformed routing table payload");
-  }
-  return Status::Ok();
-}
-
 std::vector<uint8_t> EncodeShardConfig(const ShardConfig& sc) {
   const GraphZeppelinConfig& c = sc.config;
   ByteWriter w;
@@ -630,7 +565,7 @@ std::vector<uint8_t> EncodeShardConfig(const ShardConfig& sc) {
   w.Str(c.disk_dir);
   w.Str(c.instance_tag);
   w.I32(sc.shard_id);
-  WriteTable(sc.table, &w);
+  w.U32(sc.replication);
   w.Str(sc.restore_checkpoint);
   return w.Take();
 }
@@ -647,10 +582,12 @@ Status DecodeShardConfig(const uint8_t* data, size_t size,
       r.U64(&c.nodes_per_gutter_group) &&
       r.U64(&c.gutter_tree_buffer_bytes) && r.U64(&c.gutter_tree_fanout) &&
       r.Str(&c.disk_dir) && r.Str(&c.instance_tag) && r.I32(&out->shard_id) &&
-      ReadTable(&r, &out->table) && r.Str(&out->restore_checkpoint) &&
+      r.U32(&out->replication) && r.Str(&out->restore_checkpoint) &&
       r.Done();
   if (!ok) return Status::InvalidArgument("malformed shard config payload");
-  if (out->shard_id < 0 || out->shard_id >= RoutingTable::kMaxShardId) {
+  if (out->shard_id < 0 || out->shard_id >= RoutingTable::kMaxShardId ||
+      out->replication < 1 ||
+      out->replication > RoutingTable::kMaxReplication) {
     return Status::InvalidArgument("shard config payload out of range");
   }
   // Full range validation: every field a GraphZeppelin GZ_CHECK (or a
@@ -747,7 +684,6 @@ Status DecodeSyncPosition(const uint8_t* data, size_t size,
 std::vector<uint8_t> EncodeShardStatsEx(const ShardStatsEx& stats) {
   ByteWriter w;
   w.I32(stats.shard_id);
-  w.U64(stats.epoch);
   w.U64(stats.num_updates);
   w.U64(stats.delta_seq);
   w.U64(stats.ram_bytes);
@@ -762,8 +698,8 @@ std::vector<uint8_t> EncodeShardStatsEx(const ShardStatsEx& stats) {
 Status DecodeShardStatsEx(const uint8_t* data, size_t size,
                           ShardStatsEx* out) {
   ByteReader r(data, size);
-  const bool ok = r.I32(&out->shard_id) && r.U64(&out->epoch) &&
-                  r.U64(&out->num_updates) && r.U64(&out->delta_seq) &&
+  const bool ok = r.I32(&out->shard_id) && r.U64(&out->num_updates) &&
+                  r.U64(&out->delta_seq) &&
                   r.U64(&out->ram_bytes) && r.U64(&out->num_nodes) &&
                   r.U64(&out->seed) && r.I32(&out->cols) &&
                   r.I32(&out->rounds) && r.U32(&out->replication) &&
@@ -772,7 +708,7 @@ Status DecodeShardStatsEx(const uint8_t* data, size_t size,
   // The geometry came off a socket and feeds zero-snapshot
   // construction; the caps mirror the config decoder's.
   if (out->shard_id < 0 || out->shard_id >= RoutingTable::kMaxShardId ||
-      out->epoch == 0 || out->num_nodes < 2 ||
+      out->num_nodes < 2 ||
       out->num_nodes > (1ULL << 32) || out->cols < 1 || out->cols > 1024 ||
       out->rounds < 1 || out->rounds > 4096 || out->replication < 1 ||
       out->replication > RoutingTable::kMaxReplication) {

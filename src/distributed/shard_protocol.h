@@ -6,17 +6,18 @@
 // learn where the bytes come from; everything transport-specific —
 // framing integrity, peer authentication — lives here.
 //
-// Frame (v6) = 16-byte header (magic, version, message type, payload
+// Frame (v7) = 16-byte header (magic, version, message type, payload
 // bytes) + payload + a 4-byte CRC32C trailer over header AND payload.
 // The receiver verifies the checksum before any payload decode; a
 // mismatch is a Status error and, because the stream can no longer be
 // trusted byte-for-byte, the connection is fenced. Updates travel as
-// flat GraphUpdate slabs — the exact in-memory layout the pooled-batch
-// pipeline routes, so the coordinator frames a routing buffer with
-// scatter-gather I/O and never copies it — and sketch state travels in
-// one form, a serialized GraphSnapshot node range (MIGRATE_EXTRACT /
-// MIGRATE_DATA / MERGE_DELTA; a whole snapshot is the range [0, V)),
-// the same self-describing bytes checkpoint files hold.
+// bare GraphUpdate slabs — the exact in-memory layout the coordinator
+// routes, so a routing buffer is framed with one sendmsg and never
+// copied — and sketch state travels in one form, a serialized
+// GraphSnapshot node range (MIGRATE_EXTRACT / MIGRATE_DATA /
+// MERGE_DELTA; a whole snapshot is the range [0, V)), the same
+// self-describing bytes checkpoint files hold. The routing table never
+// crosses the wire (see RoutingTable).
 //
 // Sessions open with a challenge–response HELLO handshake keyed by a
 // shared secret (HMAC-SHA256 over fresh nonces, mutual): an untrusted
@@ -51,8 +52,7 @@ static_assert(sizeof(GraphUpdate) == 12, "wire layout of GraphUpdate");
 enum class ShardMessageType : uint16_t {
   // Coordinator -> shard.
   kConfig = 1,       // Config payload; shard Init()s (+ checkpoint restore).
-  kUpdateBatch = 2,  // u64 routing epoch + flat GraphUpdate slab.
-                     // Fire-and-forget (no reply).
+  kUpdateBatch = 2,  // Flat GraphUpdate slab. Fire-and-forget.
   kFlush = 3,        // Drain gutters + workers.
   kCheckpoint = 5,   // Payload: file path. Shard saves a checkpoint.
   kPing = 7,         // Health probe.
@@ -63,9 +63,9 @@ enum class ShardMessageType : uint16_t {
   // 4, 6 and 10 were the whole-snapshot request/reply pair and the
   // two-u64 stats request before v4; retired, never reused, and refused
   // as unknown types.
+  // 12 was the routing-table broadcast before v7; retired, never
+  // reused, and refused as an unknown type.
   // Elastic resharding (coordinator -> shard, except kMigrateData).
-  kEpoch = 12,           // RoutingTable payload; shard adopts the new
-                         // epoch. Reply: kAck{num_updates, delta_seq}.
   kMigrateExtract = 13,  // Two u64s [lo, hi): serialize that node range
                          // of the shard's state ([0, V) = the whole
                          // snapshot). Reply: kMigrateData.
@@ -128,8 +128,11 @@ struct ShardFrameHeader {
   // v3: CRC32C trailer + auth. v4: one sketch byte format (node ranges);
   // the whole-snapshot and two-u64 stats frames retired. v5: the
   // heavy-hitter frames and ShardConfig fields retired. v6: CONFIG no
-  // longer carries query_threads (shards never run a query).
-  static constexpr uint16_t kVersion = 6;
+  // longer carries query_threads (shards never run a query). v7: the
+  // routing table stays in the coordinator — CONFIG carries the
+  // replication factor instead, UPDATE_BATCH loses its epoch stamp,
+  // STATS_EX its epoch, and the EPOCH frame (12) is retired.
+  static constexpr uint16_t kVersion = 7;
   static constexpr size_t kBytes = 16;
   // CRC32C over header + payload, appended after the payload.
   static constexpr size_t kCrcBytes = 4;
@@ -155,15 +158,10 @@ struct ShardFrame {
 // send computes and appends the CRC32C trailer; RecvFrame verifies it
 // before the payload reaches any decoder.
 
-// Sends one frame: header + optional payload (+ trailer).
+// Sends one frame: header + optional payload + trailer in one sendmsg,
+// so a routing buffer is framed without being copied.
 Status SendFrame(int fd, ShardMessageType type, const void* payload,
                  size_t payload_bytes);
-
-// Scatter-gather send: header + two payload spans + trailer in one
-// sendmsg, so a routing buffer is framed without being copied (span b
-// may be empty).
-Status SendFrame2(int fd, ShardMessageType type, const void* a,
-                  size_t a_bytes, const void* b, size_t b_bytes);
 
 // Running checksum of a streamed frame. SendFrameHeader seeds it with
 // the header bytes; the caller folds every payload piece it writes,
@@ -267,31 +265,25 @@ Status ServerHandshake(int fd, const std::string& secret,
 // The versioned routing table: the edge hash picks one of kNumSlots
 // virtual slots (a power of two, so the reduction is a mask — no
 // modulo bias for ANY shard count), and the table assigns each slot to
-// a shard id. Elastic operations reassign slots and bump the epoch;
-// the coordinator owns the table, ships it to shards in CONFIG/EPOCH
-// frames, and stamps the epoch on every UPDATE_BATCH so a frame routed
-// under a different table is detected, never silently ingested.
+// a shard id. Elastic operations reassign slots and bump the epoch.
+// The table is the coordinator's private bookkeeping: no shard needs
+// it, because a shard's sketch content is the XOR of whatever updates
+// it was sent, and the fold over all shards is the same whichever
+// shard ingested which update.
 struct RoutingTable {
   static constexpr uint32_t kNumSlots = 256;
   // Shard ids are small non-negative integers; this caps what a wire
   // decode accepts (and what any deployment remotely needs).
   static constexpr int32_t kMaxShardId = 4096;
-  // Caps the per-slot replica-set size a wire decode accepts.
+  // Caps the replicas-per-shard count (ShardClusterOptions and the
+  // CONFIG / STATS_EX replication fields).
   static constexpr uint32_t kMaxReplication = 8;
 
   uint64_t epoch = 0;  // 0 = unset; real tables start at 1.
   std::vector<int32_t> owners;  // kNumSlots entries: slot -> shard id.
-  // Every slot's owner is served by `replication` copies: replica r of
-  // shard s is the instance at endpoint index s * replication + r, and
-  // replica 0 is the primary. 1 = unreplicated (the pre-replication
-  // wire form and behavior, bit for bit). The replica set is derived,
-  // not stored per slot: all slots of a shard share its replicas, so
-  // elastic reassignment (add/split/remove) never touches this field.
-  uint32_t replication = 1;
 
   friend bool operator==(const RoutingTable& a, const RoutingTable& b) {
-    return a.epoch == b.epoch && a.owners == b.owners &&
-           a.replication == b.replication;
+    return a.epoch == b.epoch && a.owners == b.owners;
   }
 };
 
@@ -303,9 +295,8 @@ RoutingTable MakeRoutingTable(int num_shards);
 uint32_t RouteSlot(const Edge& e, uint64_t num_nodes);
 
 // The shard an update belongs to: a pure function of (edge, table),
-// shared by the coordinator, the shards themselves, and any external
-// stream partitioner — all parties with the same table agree on every
-// placement.
+// so the coordinator and any external stream partitioner holding the
+// same table agree on every placement.
 int RouteToShard(const Edge& e, uint64_t num_nodes,
                  const RoutingTable& table);
 
@@ -330,19 +321,16 @@ int TableSlotCount(const RoutingTable& table, int shard);
 // Distinct shard ids owning at least one slot, ascending.
 std::vector<int> TableOwners(const RoutingTable& table);
 
-std::vector<uint8_t> EncodeRoutingTable(const RoutingTable& table);
-Status DecodeRoutingTable(const uint8_t* data, size_t size,
-                          RoutingTable* out);
-
 // ---- Payload codecs -------------------------------------------------------
 
 // kConfig payload: the shard's GraphZeppelinConfig, its shard id, the
-// current routing table, plus an optional checkpoint path to restore
-// from before serving.
+// cluster's replication factor (which the shard only reports back in
+// STATS_EX, so readers can group replicas), plus an optional
+// checkpoint path to restore from before serving.
 struct ShardConfig {
   GraphZeppelinConfig config;
   int32_t shard_id = 0;
-  RoutingTable table;
+  uint32_t replication = 1;  // 1..RoutingTable::kMaxReplication.
   std::string restore_checkpoint;  // Empty = fresh start.
 };
 
@@ -379,13 +367,12 @@ Status DecodeSyncPosition(const uint8_t* data, size_t size,
 
 // kStatsReply payload: everything a serving-tier client needs to key a
 // snapshot cache and build same-params zero snapshots without ever
-// having seen the shard's config. (epoch, num_updates, delta_seq) is
-// the shard's watermark: num_updates counts ingested stream updates,
+// having seen the shard's config. (num_updates, delta_seq) is the
+// shard's watermark: num_updates counts ingested stream updates,
 // delta_seq counts folded migration deltas — which change sketch
 // content without changing the update count, so both are needed.
 struct ShardStatsEx {
   int32_t shard_id = 0;
-  uint64_t epoch = 0;
   uint64_t num_updates = 0;
   uint64_t delta_seq = 0;
   uint64_t ram_bytes = 0;
@@ -394,8 +381,8 @@ struct ShardStatsEx {
   uint64_t seed = 0;
   int32_t cols = 0;
   int32_t rounds = 0;
-  // The routing table's replica count, so a reader session can group
-  // its endpoints into replica sets and fail over within one.
+  // The cluster's replica count (from CONFIG), so a reader session can
+  // group its endpoints into replica sets and fail over within one.
   uint32_t replication = 1;
 };
 std::vector<uint8_t> EncodeShardStatsEx(const ShardStatsEx& stats);

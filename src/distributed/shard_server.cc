@@ -25,8 +25,7 @@ Status WriteTo(FILE* f, const void* data, size_t size,
 void EncodeCheckpointHeader(const ShardCheckpointHeader& header,
                             uint8_t out[ShardCheckpointHeader::kBytes]) {
   std::memcpy(out, ShardCheckpointHeader::kMagic, 8);
-  std::memcpy(out + 8, &header.epoch, 8);
-  std::memcpy(out + 16, &header.delta_seq, 8);
+  std::memcpy(out + 8, &header.delta_seq, 8);
 }
 
 Status DecodeCheckpointHeader(
@@ -35,8 +34,7 @@ Status DecodeCheckpointHeader(
   if (std::memcmp(in, ShardCheckpointHeader::kMagic, 8) != 0) {
     return Status::InvalidArgument("not a shard checkpoint: bad magic");
   }
-  std::memcpy(&header->epoch, in + 8, 8);
-  std::memcpy(&header->delta_seq, in + 16, 8);
+  std::memcpy(&header->delta_seq, in + 8, 8);
   return Status::Ok();
 }
 
@@ -44,7 +42,6 @@ Status DecodeCheckpointHeader(
 std::vector<uint8_t> BuildStatsEx(const ShardInstanceState& state) {
   ShardStatsEx stats;
   stats.shard_id = state.shard_id;
-  stats.epoch = state.table.epoch;
   stats.num_updates = state.gz->num_updates_ingested();
   stats.delta_seq = state.delta_seq;
   stats.ram_bytes = state.gz->RamByteSize();
@@ -53,7 +50,7 @@ std::vector<uint8_t> BuildStatsEx(const ShardInstanceState& state) {
   stats.seed = params.seed;
   stats.cols = params.cols;
   stats.rounds = params.rounds;
-  stats.replication = state.table.replication;
+  stats.replication = state.replication;
   return EncodeShardStatsEx(stats);
 }
 
@@ -212,10 +209,6 @@ Status ShardServer::HandleConfig(const ShardFrame& frame) {
   if (!s.ok()) return ReplyError(s);
   uint64_t delta_seq = 0;
   if (!sc.restore_checkpoint.empty()) {
-    // The checkpoint's own epoch gates the restore: state saved under
-    // epoch E folded back under an OLDER table would silently disagree
-    // with the coordinator about every placement since E — that is an
-    // inconsistent hand-off, not a recovery.
     FILE* f = std::fopen(sc.restore_checkpoint.c_str(), "rb");
     if (f == nullptr) {
       return ReplyError(Status::NotFound("cannot open shard checkpoint: " +
@@ -232,13 +225,6 @@ Status ShardServer::HandleConfig(const ShardFrame& frame) {
     ShardCheckpointHeader header;
     s = DecodeCheckpointHeader(header_buf, &header);
     if (!s.ok()) return ReplyError(s);
-    if (header.epoch > sc.table.epoch) {
-      return ReplyError(Status::FailedPrecondition(
-          "checkpoint epoch " + std::to_string(header.epoch) +
-          " is newer than the config's routing epoch " +
-          std::to_string(sc.table.epoch) +
-          "; refusing an inconsistent restore"));
-    }
     s = gz->LoadCheckpoint(sc.restore_checkpoint,
                            ShardCheckpointHeader::kBytes);
     if (!s.ok()) return ReplyError(s);
@@ -246,7 +232,7 @@ Status ShardServer::HandleConfig(const ShardFrame& frame) {
   }
   state_->gz = std::move(gz);
   state_->shard_id = sc.shard_id;
-  state_->table = std::move(sc.table);
+  state_->replication = sc.replication;
   state_->delta_seq = delta_seq;
   state_->NotifyPositionChanged();
   return ReplyAck(state_->gz->num_updates_ingested(), state_->delta_seq);
@@ -264,36 +250,18 @@ Status ShardServer::HandleUpdateBatch(const ShardFrame& frame) {
     if (state_->async_error.ok()) state_->async_error = std::move(error);
     return Status::Ok();
   };
-  if (frame.payload.size() < sizeof(uint64_t) ||
-      (frame.payload.size() - sizeof(uint64_t)) % sizeof(GraphUpdate) !=
-          0) {
+  if (frame.payload.size() % sizeof(GraphUpdate) != 0) {
     return defer(Status::InvalidArgument(
-        "update batch payload is not an epoch stamp plus a whole number "
-        "of updates"));
+        "update batch payload is not a whole number of updates"));
   }
-  uint64_t epoch = 0;
-  std::memcpy(&epoch, frame.payload.data(), sizeof(epoch));
-  if (epoch != state_->table.epoch) {
-    // The stamp proves which table the batch was routed under; any
-    // mismatch means coordinator and shard disagree about placement.
-    // FIFO framing makes this impossible from a correct coordinator
-    // (EPOCH frames precede re-stamped traffic), so a mismatch is a
-    // dropped-frame-level fault, handled the same way.
-    return defer(Status::InvalidArgument(
-        "update batch stamped with routing epoch " + std::to_string(epoch) +
-        " but shard is at epoch " + std::to_string(state_->table.epoch)));
-  }
-  const size_t count =
-      (frame.payload.size() - sizeof(uint64_t)) / sizeof(GraphUpdate);
-  const GraphUpdate* updates = reinterpret_cast<const GraphUpdate*>(
-      frame.payload.data() + sizeof(uint64_t));
+  const size_t count = frame.payload.size() / sizeof(GraphUpdate);
+  const GraphUpdate* updates =
+      reinterpret_cast<const GraphUpdate*>(frame.payload.data());
   // Validate before ingesting: GraphZeppelin treats a malformed update
   // as a programmer error (GZ_CHECK), but here the bytes came off a
-  // socket and must bounce, not abort. Note no per-update ownership
-  // check against the table: a replayed batch legitimately lands here
-  // even when the CURRENT table routes its edges elsewhere — the
-  // coordinator's durability log, not the table, owns placement of
-  // already-routed updates.
+  // socket and must bounce, not abort. Placement is not checked: the
+  // shard never sees the routing table, and any update it is sent is a
+  // correct contribution to the XOR fold.
   const uint64_t n = state_->gz->config().num_nodes;
   for (size_t i = 0; i < count; ++i) {
     const GraphUpdate& u = updates[i];
@@ -324,7 +292,6 @@ Status ShardServer::HandleCheckpoint(const ShardFrame& frame) {
     return ReplyError(Status::IoError("cannot create checkpoint: " + tmp));
   }
   ShardCheckpointHeader header;
-  header.epoch = state_->table.epoch;
   header.delta_seq = state_->delta_seq;
   uint8_t header_buf[ShardCheckpointHeader::kBytes];
   EncodeCheckpointHeader(header, header_buf);
@@ -348,23 +315,6 @@ Status ShardServer::HandleCheckpoint(const ShardFrame& frame) {
     return ReplyError(
         Status::IoError("cannot publish checkpoint: " + path));
   }
-  return ReplyAck(state_->gz->num_updates_ingested(), state_->delta_seq);
-}
-
-Status ShardServer::HandleEpoch(const ShardFrame& frame) {
-  RoutingTable table;
-  Status s = DecodeRoutingTable(frame.payload.data(), frame.payload.size(),
-                                &table);
-  if (!s.ok()) return ReplyError(s);
-  if (table.epoch < state_->table.epoch) {
-    // Epochs only move forward; a regression means a stale coordinator.
-    return ReplyError(Status::FailedPrecondition(
-        "routing epoch regression: shard at " +
-        std::to_string(state_->table.epoch) + ", offered " +
-        std::to_string(table.epoch)));
-  }
-  state_->table = std::move(table);
-  state_->NotifyPositionChanged();
   return ReplyAck(state_->gz->num_updates_ingested(), state_->delta_seq);
 }
 
@@ -594,7 +544,6 @@ Status ShardServer::Serve() {
     if (!state_->async_error.ok() &&
         (frame.type == ShardMessageType::kFlush ||
          frame.type == ShardMessageType::kCheckpoint ||
-         frame.type == ShardMessageType::kEpoch ||
          frame.type == ShardMessageType::kMergeDelta ||
          frame.type == ShardMessageType::kSyncPosition)) {
       s = ReplyError(state_->async_error);
@@ -614,9 +563,6 @@ Status ShardServer::Serve() {
         break;
       case ShardMessageType::kCheckpoint:
         s = HandleCheckpoint(frame);
-        break;
-      case ShardMessageType::kEpoch:
-        s = HandleEpoch(frame);
         break;
       case ShardMessageType::kMergeDelta:
         s = HandleMergeDelta(frame);

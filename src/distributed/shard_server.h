@@ -28,20 +28,17 @@
 
 namespace gz {
 
-// Shard checkpoint file: a fixed 24-byte header — magic, the routing
-// epoch the shard was at, and its merge-delta sequence number — then
-// the shard's whole node range [0, V) in the GraphSnapshot byte format. The epoch makes a checkpoint
-// self-describing across reshard operations (a restore under an OLDER
-// coordinator table is refused), and the delta sequence number lets
-// the coordinator reconcile which migration deltas the checkpoint
-// already covers, exactly as the snapshot's update count reconciles
-// the unacked update log.
+// Shard checkpoint file: a fixed 16-byte header — magic and the
+// shard's merge-delta sequence number — then the shard's whole node
+// range [0, V) in the GraphSnapshot byte format. The delta sequence
+// number lets the coordinator reconcile which migration deltas the
+// checkpoint already covers, exactly as the snapshot's update count
+// reconciles the unacked update log.
 struct ShardCheckpointHeader {
   static constexpr char kMagic[8] = {'G', 'Z', 'S', 'C', 'K', 'P', '0',
-                                     '1'};
-  static constexpr size_t kBytes = 24;
+                                     '2'};
+  static constexpr size_t kBytes = 16;
 
-  uint64_t epoch = 0;
   uint64_t delta_seq = 0;
 };
 
@@ -52,12 +49,9 @@ struct ShardInstanceState {
   std::mutex mutex;
   std::unique_ptr<GraphZeppelin> gz;
   int32_t shard_id = -1;
-  // The routing table this shard last adopted (CONFIG or EPOCH frame).
-  // UPDATE_BATCH frames stamped with any other epoch are dropped: the
-  // stamp proves coordinator and shard agree on the table a batch was
-  // routed under. (Replayed batches are re-stamped by the coordinator
-  // at send time, so a correct coordinator never trips this.)
-  RoutingTable table;
+  // The cluster's replication factor from CONFIG; only reported back
+  // in STATS_EX, so readers can group replicas.
+  uint32_t replication = 1;
   // Count of kMergeDelta frames applied since Init; persisted in the
   // checkpoint header so the coordinator can skip already-covered
   // deltas on restart replay.
@@ -71,7 +65,7 @@ struct ShardInstanceState {
   // curable only by restart + replay.
   Status async_error;
   // Signaled (under `mutex`) on every serving-position change — ingest,
-  // delta fold, position sync, epoch adoption, configure, reset — so
+  // delta fold, position sync, configure, reset — so
   // subscribed reader sessions (kSubscribe) push a kNotify instead of
   // the client polling. `position_changes` counts the signals, letting
   // a subscription wait on a predicate (no change can slip between its
@@ -94,7 +88,7 @@ struct ShardInstanceState {
   void Reset() {
     gz.reset();
     shard_id = -1;
-    table = RoutingTable();
+    replication = 1;
     delta_seq = 0;
     async_error = Status::Ok();
     NotifyPositionChanged();  // Subscribers must learn of the loss.
@@ -130,7 +124,7 @@ class ShardServer {
   // multi-session constructor marked it done), then serves frames until
   // an orderly kShutdown (returns Ok) or the connection dies / loses
   // framing / fails authentication (returns the error). Recoverable
-  // request problems — an out-of-range update, a stale-epoch batch, a
+  // request problems — an out-of-range update, a ragged batch, a
   // checkpoint path that cannot be written, a request before kConfig, a
   // write-class frame on a reader session — are answered with a kError
   // frame (or deferred, for fire-and-forget frames) and the loop
@@ -146,7 +140,6 @@ class ShardServer {
   Status HandleConfig(const ShardFrame& frame);
   Status HandleUpdateBatch(const ShardFrame& frame);
   Status HandleCheckpoint(const ShardFrame& frame);
-  Status HandleEpoch(const ShardFrame& frame);
   Status HandleMergeDelta(const ShardFrame& frame);
   Status HandleSyncPosition(const ShardFrame& frame);
 

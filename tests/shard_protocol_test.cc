@@ -6,9 +6,12 @@
 // the CRC32C trailer (exhaustive byte-flip sweep below), the
 // authenticated HELLO handshake, and the ShardEndpoint grammar; v4
 // retired the whole-snapshot and two-u64 stats frames, v5 the
-// heavy-hitter frames, and v6 the CONFIG payload's query_threads.
+// heavy-hitter frames, v6 the CONFIG payload's query_threads, and v7
+// the routing table on the wire (the EPOCH frame, the batch epoch
+// stamp, the STATS_EX epoch and the checkpoint's epoch).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -54,9 +57,10 @@ class SocketPair {
   int fds_[2] = {-1, -1};
 };
 
-// Type numbers v4 and v5 retired; never reused, refused as unknown.
+// Type numbers v4, v5 and v7 retired; never reused, refused as unknown.
 bool Retired(uint16_t type) {
-  return type == 4 || type == 6 || type == 10 || type == 24 || type == 25;
+  return type == 4 || type == 6 || type == 10 || type == 12 ||
+         type == 24 || type == 25;
 }
 
 // Hand-crafts a frame header; `magic`/`version` default to valid so a
@@ -99,21 +103,6 @@ TEST(ShardProtocolTest, EmptyPayloadRoundTrips) {
   ASSERT_TRUE(RecvFrame(sp.b(), &frame).ok());
   EXPECT_EQ(frame.type, ShardMessageType::kPing);
   EXPECT_TRUE(frame.payload.empty());
-}
-
-TEST(ShardProtocolTest, ScatterGatherSendMatchesPlainSend) {
-  SocketPair sp;
-  const uint8_t a[3] = {10, 11, 12};
-  const uint8_t b[4] = {20, 21, 22, 23};
-  ASSERT_TRUE(SendFrame2(sp.a(), ShardMessageType::kUpdateBatch, a,
-                         sizeof(a), b, sizeof(b))
-                  .ok());
-  ShardFrame frame;
-  ASSERT_TRUE(RecvFrame(sp.b(), &frame).ok());
-  ASSERT_EQ(frame.payload.size(), 7u);
-  EXPECT_EQ(frame.payload[0], 10);
-  EXPECT_EQ(frame.payload[3], 20);
-  EXPECT_EQ(frame.payload[6], 23);
 }
 
 TEST(ShardProtocolTest, HeaderThenStreamedPayloadRoundTrips) {
@@ -182,8 +171,8 @@ TEST(ShardProtocolTest, UnknownTypeIsInvalidArgument) {
   EXPECT_EQ(RecvFrame(sp.b(), &frame).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardProtocolTest, V6DefinesExactly20TypesAndRefusesRetiredOnes) {
-  EXPECT_EQ(ShardFrameHeader::kVersion, 6);
+TEST(ShardProtocolTest, V7DefinesExactly19TypesAndRefusesRetiredOnes) {
+  EXPECT_EQ(ShardFrameHeader::kVersion, 7);
   int known = 0;
   for (uint16_t t = 0; t < 64; ++t) {
     SocketPair sp;
@@ -201,12 +190,12 @@ TEST(ShardProtocolTest, V6DefinesExactly20TypesAndRefusesRetiredOnes) {
           << s.ToString();
     }
   }
-  EXPECT_EQ(known, 20);
+  EXPECT_EQ(known, 19);
 }
 
 TEST(ShardProtocolTest, V3HeaderIsAVersionMismatch) {
-  // So is a v4 or v5 peer's: both sides must be rebuilt together.
-  for (const uint16_t version : {3, 4, 5}) {
+  // So is a v4, v5 or v6 peer's: both sides must be rebuilt together.
+  for (const uint16_t version : {3, 4, 5, 6}) {
     SocketPair sp;
     WriteRawHeader(sp.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
                    ShardFrameHeader::kMagic, version);
@@ -219,11 +208,12 @@ TEST(ShardProtocolTest, V3HeaderIsAVersionMismatch) {
 }
 
 TEST(ShardProtocolTest, RetiredTypesAreRefusedOnWriterAndReaderSessions) {
-  // A pre-v4 SNAPSHOT, STATS or SNAPSHOT_BYTES frame, or a pre-v5
-  // HEAVY_HITTERS or HEAVY_HITTER_BYTES frame, is an unknown type to
-  // either session role: the shard replies kError and ends the session
-  // (framing can no longer be trusted), never crashing.
-  for (const uint16_t type : {4, 6, 10, 24, 25}) {
+  // A pre-v4 SNAPSHOT, STATS or SNAPSHOT_BYTES frame, a pre-v5
+  // HEAVY_HITTERS or HEAVY_HITTER_BYTES frame, or a pre-v7 EPOCH frame,
+  // is an unknown type to either session role: the shard replies kError
+  // and ends the session (framing can no longer be trusted), never
+  // crashing.
+  for (const uint16_t type : {4, 6, 10, 12, 24, 25}) {
     for (const ShardSessionRole role :
          {ShardSessionRole::kWriter, ShardSessionRole::kReader}) {
       SocketPair sp;
@@ -310,15 +300,14 @@ TEST(ShardProtocolTest, ConfigPayloadRoundTrips) {
   in.config.gutter_tree_buffer_bytes = 1 << 20;
   in.config.gutter_tree_fanout = 32;
   in.shard_id = 7;
-  in.table = MakeRoutingTable(9);
-  in.table.epoch = 42;
+  in.replication = 4;
   in.restore_checkpoint = "/tmp/ckpt.bin";
 
   const std::vector<uint8_t> bytes = EncodeShardConfig(in);
   ShardConfig out;
   ASSERT_TRUE(DecodeShardConfig(bytes.data(), bytes.size(), &out).ok());
   EXPECT_EQ(out.shard_id, 7);
-  EXPECT_TRUE(out.table == in.table);
+  EXPECT_EQ(out.replication, 4u);
   EXPECT_EQ(out.config.num_nodes, in.config.num_nodes);
   EXPECT_EQ(out.config.seed, in.config.seed);
   EXPECT_EQ(out.config.cols, in.config.cols);
@@ -335,12 +324,21 @@ TEST(ShardProtocolTest, ConfigPayloadRoundTrips) {
             in.config.gutter_tree_buffer_bytes);
   EXPECT_EQ(out.config.gutter_tree_fanout, in.config.gutter_tree_fanout);
   EXPECT_EQ(out.restore_checkpoint, in.restore_checkpoint);
+  // The replication factor feeds reader-side replica grouping (it comes
+  // back in STATS_EX), so the decoder bounds it to [1, kMaxReplication].
+  for (const uint32_t bad : {0u, RoutingTable::kMaxReplication + 1}) {
+    ShardConfig garbled = in;
+    garbled.replication = bad;
+    const std::vector<uint8_t> enc = EncodeShardConfig(garbled);
+    EXPECT_EQ(DecodeShardConfig(enc.data(), enc.size(), &out).code(),
+              StatusCode::kInvalidArgument)
+        << "replication " << bad << " was accepted";
+  }
 }
 
 TEST(ShardProtocolTest, TruncatedConfigPayloadIsInvalidArgument) {
   ShardConfig in;
   in.config.num_nodes = 64;
-  in.table = MakeRoutingTable(2);
   const std::vector<uint8_t> bytes = EncodeShardConfig(in);
   ShardConfig out;
   for (size_t cut : {0ul, 1ul, 8ul, bytes.size() - 1}) {
@@ -408,20 +406,24 @@ class ShardServerFixture : public ::testing::Test {
   }
   void TearDown() override { StopServer(); }
 
-  // Sends a valid config; expects the ack. The shard comes up as shard
-  // 0 of a single-shard table at `epoch`.
-  void Configure(uint64_t num_nodes = 16, uint64_t epoch = 1,
-                 const std::string& restore_checkpoint = "") {
+  // The CONFIG payload of shard 0 of an unreplicated cluster.
+  static ShardConfig ConfigFor(uint64_t num_nodes,
+                               const std::string& restore_checkpoint) {
     ShardConfig sc;
     sc.config.num_nodes = num_nodes;
     sc.config.seed = 5;
     sc.config.num_workers = 1;
     sc.config.disk_dir = ::testing::TempDir();
     sc.shard_id = 0;
-    sc.table = MakeRoutingTable(1);
-    sc.table.epoch = epoch;
     sc.restore_checkpoint = restore_checkpoint;
-    const std::vector<uint8_t> payload = EncodeShardConfig(sc);
+    return sc;
+  }
+
+  // Sends a valid config; expects the ack.
+  void Configure(uint64_t num_nodes = 16,
+                 const std::string& restore_checkpoint = "") {
+    const std::vector<uint8_t> payload =
+        EncodeShardConfig(ConfigFor(num_nodes, restore_checkpoint));
     ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kConfig,
                           payload.data(), payload.size())
                     .ok());
@@ -430,12 +432,10 @@ class ShardServerFixture : public ::testing::Test {
     ASSERT_EQ(frame.type, ShardMessageType::kAck);
   }
 
-  // Frames `bytes` as an UPDATE_BATCH stamped with `epoch` (the wire
-  // prefix every batch carries).
-  void SendUpdateBatch(const void* bytes, size_t size, uint64_t epoch = 1) {
-    ASSERT_TRUE(SendFrame2(sp_.a(), ShardMessageType::kUpdateBatch, &epoch,
-                           sizeof(epoch), bytes, size)
-                    .ok());
+  // Frames `bytes` as an UPDATE_BATCH (a bare GraphUpdate slab).
+  void SendUpdateBatch(const void* bytes, size_t size) {
+    ASSERT_TRUE(
+        SendFrame(sp_.a(), ShardMessageType::kUpdateBatch, bytes, size).ok());
   }
 
   // Expects the next reply to be a kError decoding to `code`.
@@ -551,7 +551,6 @@ TEST_F(ShardServerFixture, OutOfRangeConfigIsErrorNotCrash) {
   sc.config.num_nodes = 16;
   sc.config.cols = 0;  // Would abort sketch construction.
   sc.config.disk_dir = ::testing::TempDir();
-  sc.table = MakeRoutingTable(1);
   const std::vector<uint8_t> payload = EncodeShardConfig(sc);
   ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kConfig, payload.data(),
                         payload.size())
@@ -600,7 +599,7 @@ TEST_F(ShardServerFixture, BadMagicTerminatesServeWithErrorReply) {
 TEST_F(ShardServerFixture, VersionMismatchTerminatesServeWithErrorReply) {
   StartServer(/*handshake=*/false);
   WriteRawHeader(sp_.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
-                 ShardFrameHeader::kMagic, /*version=*/7);
+                 ShardFrameHeader::kMagic, /*version=*/8);
   ExpectErrorReply(StatusCode::kInvalidArgument);
   if (server_thread_.joinable()) server_thread_.join();
   EXPECT_FALSE(serve_status_.ok());
@@ -617,82 +616,6 @@ TEST_F(ShardServerFixture, CoordinatorHangupEndsServeCleanly) {
 }
 
 // ---- Elastic-resharding conformance ---------------------------------------
-
-TEST_F(ShardServerFixture, StaleEpochUpdateBatchIsDeferredStatusError) {
-  // A batch stamped with any epoch other than the shard's current one
-  // must be dropped with a deferred Status error (fire-and-forget
-  // frames never draw unsolicited replies) — never ingested, never a
-  // crash.
-  StartServer();
-  Configure(/*num_nodes=*/16, /*epoch=*/3);
-  GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
-  SendUpdateBatch(&u, sizeof(u), /*epoch=*/2);  // Stale.
-  ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kFlush, nullptr, 0).ok());
-  ExpectErrorReply(StatusCode::kInvalidArgument);
-}
-
-TEST_F(ShardServerFixture, FutureEpochUpdateBatchIsDeferredStatusError) {
-  StartServer();
-  Configure(/*num_nodes=*/16, /*epoch=*/3);
-  GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
-  SendUpdateBatch(&u, sizeof(u), /*epoch=*/9);  // From the future.
-  ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
-  ExpectErrorReply(StatusCode::kInvalidArgument);
-}
-
-TEST_F(ShardServerFixture, EpochFrameAdvancesWhatBatchesMustStamp) {
-  StartServer();
-  Configure(/*num_nodes=*/16, /*epoch=*/1);
-  // Advance to epoch 5; batches stamped 5 now ingest, batches stamped
-  // 1 now bounce.
-  RoutingTable table = MakeRoutingTable(1);
-  table.epoch = 5;
-  const std::vector<uint8_t> payload = EncodeRoutingTable(table);
-  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kEpoch, payload.data(),
-                        payload.size())
-                  .ok());
-  ShardFrame frame;
-  ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
-  ASSERT_EQ(frame.type, ShardMessageType::kAck);
-
-  GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
-  SendUpdateBatch(&u, sizeof(u), /*epoch=*/5);
-  ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
-  ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
-  ASSERT_EQ(frame.type, ShardMessageType::kStatsReply);
-  ShardStatsEx stats;
-  ASSERT_TRUE(DecodeShardStatsEx(frame.payload.data(), frame.payload.size(),
-                                 &stats)
-                  .ok());
-  EXPECT_EQ(stats.epoch, 5u);
-  EXPECT_EQ(stats.num_updates, 1u);  // The stamped-current batch ingested.
-}
-
-TEST_F(ShardServerFixture, EpochRegressionIsErrorNotCrash) {
-  StartServer();
-  Configure(/*num_nodes=*/16, /*epoch=*/6);
-  RoutingTable stale = MakeRoutingTable(1);
-  stale.epoch = 2;
-  const std::vector<uint8_t> payload = EncodeRoutingTable(stale);
-  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kEpoch, payload.data(),
-                        payload.size())
-                  .ok());
-  ExpectErrorReply(StatusCode::kFailedPrecondition);
-}
-
-TEST_F(ShardServerFixture, TruncatedEpochTablePayloadIsErrorNotCrash) {
-  StartServer();
-  Configure();
-  const std::vector<uint8_t> payload =
-      EncodeRoutingTable(MakeRoutingTable(1));
-  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kEpoch, payload.data(),
-                        payload.size() / 2)
-                  .ok());
-  ExpectErrorReply(StatusCode::kInvalidArgument);
-}
 
 TEST_F(ShardServerFixture, TruncatedMigrateExtractPayloadIsErrorNotCrash) {
   StartServer();
@@ -786,51 +709,72 @@ TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
   EXPECT_TRUE(rebuilt == source);
 }
 
-TEST_F(ShardServerFixture, ConfigEpochOlderThanCheckpointIsErrorNotCrash) {
-  // Restore hand-off consistency: a checkpoint saved at epoch 7 must
-  // not come back under a config whose table says epoch 3 — that
-  // coordinator's view of placement predates the checkpoint.
+TEST_F(ShardServerFixture, V6CheckpointIsRefusedAndShardStaysUnconfigured) {
+  // A v6 checkpoint (24-byte GZSCKP01 header: magic, routing epoch,
+  // delta sequence) is not a v7 one. Restoring it must be refused with
+  // InvalidArgument before any state is adopted; the same content under
+  // the v7 16-byte header restores.
   StartServer();
-  Configure(/*num_nodes=*/16, /*epoch=*/1);
-  RoutingTable table = MakeRoutingTable(1);
-  table.epoch = 7;
-  const std::vector<uint8_t> epoch_payload = EncodeRoutingTable(table);
-  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kEpoch,
-                        epoch_payload.data(), epoch_payload.size())
+  Configure(/*num_nodes=*/16);
+  GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
+  SendUpdateBatch(&u, sizeof(u));
+  const std::string v7 = ::testing::TempDir() + "/gz_v7_ckpt.bin";
+  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kCheckpoint, v7.data(),
+                        v7.size())
                   .ok());
   ShardFrame frame;
   ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
   ASSERT_EQ(frame.type, ShardMessageType::kAck);
-  const std::string ckpt =
-      ::testing::TempDir() + "/gz_epoch_mismatch_ckpt.bin";
-  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kCheckpoint,
-                        ckpt.data(), ckpt.size())
-                  .ok());
-  ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
-  ASSERT_EQ(frame.type, ShardMessageType::kAck);
   StopServer();
 
-  // Fresh server, config at an OLDER epoch than the checkpoint.
+  // Rewrite the same snapshot bytes behind a v6 header.
+  FILE* in = std::fopen(v7.c_str(), "rb");
+  ASSERT_NE(in, nullptr);
+  std::vector<uint8_t> bytes;
+  for (int c; (c = std::fgetc(in)) != EOF;) {
+    bytes.push_back(static_cast<uint8_t>(c));
+  }
+  std::fclose(in);
+  ASSERT_GT(bytes.size(), ShardCheckpointHeader::kBytes);
+  ASSERT_EQ(std::memcmp(bytes.data(), "GZSCKP02", 8), 0);
+  std::vector<uint8_t> old(24, 0);
+  std::memcpy(old.data(), "GZSCKP01", 8);
+  const uint64_t epoch = 1;
+  std::memcpy(old.data() + 8, &epoch, 8);  // delta_seq at +16 stays 0.
+  old.insert(old.end(), bytes.begin() + ShardCheckpointHeader::kBytes,
+             bytes.end());
+  const std::string v6 = ::testing::TempDir() + "/gz_v6_ckpt.bin";
+  FILE* out = std::fopen(v6.c_str(), "wb");
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(std::fwrite(old.data(), 1, old.size(), out), old.size());
+  ASSERT_EQ(std::fclose(out), 0);
+
   sp_.Reset();
   stopped_ = false;
   StartServer();
-  ShardConfig sc;
-  sc.config.num_nodes = 16;
-  sc.config.seed = 5;
-  sc.config.num_workers = 1;
-  sc.config.disk_dir = ::testing::TempDir();
-  sc.table = MakeRoutingTable(1);
-  sc.table.epoch = 3;
-  sc.restore_checkpoint = ckpt;
-  const std::vector<uint8_t> payload = EncodeShardConfig(sc);
+  const std::vector<uint8_t> payload =
+      EncodeShardConfig(ConfigFor(/*num_nodes=*/16, v6));
   ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kConfig, payload.data(),
                         payload.size())
                   .ok());
+  ExpectErrorReply(StatusCode::kInvalidArgument);
+  // Still unconfigured: no request past CONFIG is served.
+  ASSERT_TRUE(
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ExpectErrorReply(StatusCode::kFailedPrecondition);
-  // Same checkpoint under epoch >= 7 restores fine (same server: the
-  // failed restore left it unconfigured).
-  Configure(/*num_nodes=*/16, /*epoch=*/8, /*restore_checkpoint=*/ckpt);
-  ::unlink(ckpt.c_str());
+  // The v7 file restores on the same server, at the saved position.
+  Configure(/*num_nodes=*/16, v7);
+  ASSERT_TRUE(
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
+  ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+  ASSERT_EQ(frame.type, ShardMessageType::kStatsReply);
+  ShardStatsEx stats;
+  ASSERT_TRUE(DecodeShardStatsEx(frame.payload.data(), frame.payload.size(),
+                                 &stats)
+                  .ok());
+  EXPECT_EQ(stats.num_updates, 1u);
+  ::unlink(v6.c_str());
+  ::unlink(v7.c_str());
 }
 
 // ---- Frame-corruption conformance sweep -----------------------------------
@@ -857,15 +801,12 @@ std::vector<uint8_t> RepresentativePayload(ShardMessageType type) {
       ShardConfig sc;
       sc.config.num_nodes = 64;
       sc.config.disk_dir = "/tmp/x";
-      sc.table = MakeRoutingTable(2);
       return EncodeShardConfig(sc);
     }
     case ShardMessageType::kUpdateBatch: {
-      std::vector<uint8_t> payload(sizeof(uint64_t) + sizeof(GraphUpdate));
-      const uint64_t epoch = 1;
+      std::vector<uint8_t> payload(sizeof(GraphUpdate));
       GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
-      std::memcpy(payload.data(), &epoch, sizeof(epoch));
-      std::memcpy(payload.data() + sizeof(epoch), &u, sizeof(u));
+      std::memcpy(payload.data(), &u, sizeof(u));
       return payload;
     }
     case ShardMessageType::kCheckpoint: {
@@ -879,8 +820,6 @@ std::vector<uint8_t> RepresentativePayload(ShardMessageType type) {
       return std::vector<uint8_t>(48, 0xA5);  // Opaque snapshot bytes.
     case ShardMessageType::kError:
       return EncodeShardError(Status::NotFound("x"));
-    case ShardMessageType::kEpoch:
-      return EncodeRoutingTable(MakeRoutingTable(3));
     case ShardMessageType::kMigrateExtract:
       return EncodeMigrateExtract(0, 32);
     case ShardMessageType::kHello:
@@ -892,7 +831,6 @@ std::vector<uint8_t> RepresentativePayload(ShardMessageType type) {
     case ShardMessageType::kStatsReply: {
       ShardStatsEx stats;
       stats.shard_id = 2;
-      stats.epoch = 7;
       stats.num_updates = 1234;
       stats.delta_seq = 3;
       stats.ram_bytes = 1 << 20;
@@ -953,13 +891,11 @@ TEST_F(ShardServerFixture, CorruptedFrameFencesTheServerConnection) {
   StartServer();
   Configure(/*num_nodes=*/16);
   GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
-  std::vector<uint8_t> payload(sizeof(uint64_t) + sizeof(u));
-  const uint64_t epoch = 1;
-  std::memcpy(payload.data(), &epoch, sizeof(epoch));
-  std::memcpy(payload.data() + sizeof(epoch), &u, sizeof(u));
+  std::vector<uint8_t> payload(sizeof(u));
+  std::memcpy(payload.data(), &u, sizeof(u));
   std::vector<uint8_t> bytes =
       FrameBytes(ShardMessageType::kUpdateBatch, payload);
-  bytes[ShardFrameHeader::kBytes + sizeof(uint64_t)] ^= 0xFF;  // Edge bits.
+  bytes[ShardFrameHeader::kBytes] ^= 0xFF;  // Edge bits.
   ASSERT_TRUE(WriteFull(sp_.a(), bytes.data(), bytes.size()).ok());
   ExpectErrorReply(StatusCode::kInvalidArgument);
   if (server_thread_.joinable()) server_thread_.join();
@@ -1020,13 +956,8 @@ TEST_F(ShardServerFixture, UpdateBatchCannotBeInjectedBeforeAuth) {
   // connection — the frame never reaches the ingest path.
   StartServer(/*handshake=*/false, "server-secret");
   GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
-  std::vector<uint8_t> payload(sizeof(uint64_t) + sizeof(u));
-  const uint64_t epoch = 1;
-  std::memcpy(payload.data(), &epoch, sizeof(epoch));
-  std::memcpy(payload.data() + sizeof(epoch), &u, sizeof(u));
-  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kUpdateBatch,
-                        payload.data(), payload.size())
-                  .ok());
+  ASSERT_TRUE(
+      SendFrame(sp_.a(), ShardMessageType::kUpdateBatch, &u, sizeof(u)).ok());
   ExpectErrorReply(StatusCode::kFailedPrecondition);
   if (server_thread_.joinable()) server_thread_.join();
   EXPECT_FALSE(serve_status_.ok());
@@ -1123,51 +1054,6 @@ TEST(ShardProtocolTest, RoutingIsDeterministicAndBounded) {
     EXPECT_GE(shard, 0);
     EXPECT_LT(shard, 5);
     EXPECT_EQ(shard, RouteToShard(e, 64, table));
-  }
-}
-
-TEST(ShardProtocolTest, RoutingTablePayloadRoundTrips) {
-  RoutingTable table = MakeRoutingTable(7);
-  table.epoch = 19;
-  const std::vector<uint8_t> bytes = EncodeRoutingTable(table);
-  RoutingTable out;
-  ASSERT_TRUE(DecodeRoutingTable(bytes.data(), bytes.size(), &out).ok());
-  EXPECT_TRUE(out == table);
-  // Truncation and trailing garbage are both rejected.
-  EXPECT_EQ(DecodeRoutingTable(bytes.data(), bytes.size() - 1, &out).code(),
-            StatusCode::kInvalidArgument);
-  std::vector<uint8_t> padded = bytes;
-  padded.push_back(0);
-  EXPECT_EQ(DecodeRoutingTable(padded.data(), padded.size(), &out).code(),
-            StatusCode::kInvalidArgument);
-  // Epoch 0 (unset) and negative owners are structural errors.
-  RoutingTable zero = table;
-  zero.epoch = 0;
-  const std::vector<uint8_t> zero_bytes = EncodeRoutingTable(zero);
-  EXPECT_EQ(
-      DecodeRoutingTable(zero_bytes.data(), zero_bytes.size(), &out).code(),
-      StatusCode::kInvalidArgument);
-}
-
-TEST(ShardProtocolTest, RoutingTableCarriesAndBoundsTheReplicationFactor) {
-  // Replication rides the routing-table broadcast: the factor must
-  // round-trip exactly, default to 1 (the pre-replication wire form),
-  // and die in the decoder when out of [1, kMaxReplication].
-  RoutingTable table = MakeRoutingTable(3);
-  EXPECT_EQ(table.replication, 1u);  // Unreplicated by default.
-  table.replication = 4;
-  const std::vector<uint8_t> bytes = EncodeRoutingTable(table);
-  RoutingTable out;
-  ASSERT_TRUE(DecodeRoutingTable(bytes.data(), bytes.size(), &out).ok());
-  EXPECT_TRUE(out == table);
-  EXPECT_EQ(out.replication, 4u);
-  for (const uint32_t bad : {0u, RoutingTable::kMaxReplication + 1}) {
-    RoutingTable garbled = table;
-    garbled.replication = bad;
-    const std::vector<uint8_t> enc = EncodeRoutingTable(garbled);
-    EXPECT_EQ(DecodeRoutingTable(enc.data(), enc.size(), &out).code(),
-              StatusCode::kInvalidArgument)
-        << "replication " << bad << " was accepted";
   }
 }
 
@@ -1296,7 +1182,6 @@ TEST(ShardProtocolTest, EveryLiveShardAlwaysOwnsAtLeastOneSlot) {
 TEST(ShardStatsExTest, RoundTrips) {
   ShardStatsEx stats;
   stats.shard_id = 3;
-  stats.epoch = 9;
   stats.num_updates = 1ULL << 40;
   stats.delta_seq = 17;
   stats.ram_bytes = 123456789;
@@ -1308,7 +1193,6 @@ TEST(ShardStatsExTest, RoundTrips) {
   ShardStatsEx decoded;
   ASSERT_TRUE(DecodeShardStatsEx(bytes.data(), bytes.size(), &decoded).ok());
   EXPECT_EQ(decoded.shard_id, stats.shard_id);
-  EXPECT_EQ(decoded.epoch, stats.epoch);
   EXPECT_EQ(decoded.num_updates, stats.num_updates);
   EXPECT_EQ(decoded.delta_seq, stats.delta_seq);
   EXPECT_EQ(decoded.ram_bytes, stats.ram_bytes);
@@ -1321,7 +1205,6 @@ TEST(ShardStatsExTest, RoundTrips) {
 TEST(ShardStatsExTest, RejectsTruncationTrailingBytesAndBadRanges) {
   ShardStatsEx stats;
   stats.shard_id = 1;
-  stats.epoch = 2;
   stats.num_nodes = 64;
   stats.seed = 5;
   stats.cols = 4;
@@ -1349,9 +1232,6 @@ TEST(ShardStatsExTest, RejectsTruncationTrailingBytesAndBadRanges) {
   bad.shard_id = -1;
   rejects(bad);
   bad = stats;
-  bad.epoch = 0;
-  rejects(bad);
-  bad = stats;
   bad.num_nodes = 1;
   rejects(bad);
   bad = stats;
@@ -1373,7 +1253,6 @@ TEST(ShardStatsExTest, RejectsTruncationTrailingBytesAndBadRanges) {
 TEST(ShardStatsExTest, ReplicationFactorRoundTrips) {
   ShardStatsEx stats;
   stats.shard_id = 0;
-  stats.epoch = 1;
   stats.num_nodes = 64;
   stats.seed = 5;
   stats.cols = 4;
@@ -1510,8 +1389,6 @@ class ReaderSessionFixture : public ::testing::Test {
     sc.config.num_workers = 1;
     sc.config.disk_dir = ::testing::TempDir();
     sc.shard_id = 0;
-    sc.table = MakeRoutingTable(1);
-    sc.table.epoch = 1;
     const std::vector<uint8_t> payload = EncodeShardConfig(sc);
     ASSERT_TRUE(SendFrame(wp_.a(), ShardMessageType::kConfig,
                           payload.data(), payload.size())
@@ -1524,10 +1401,9 @@ class ReaderSessionFixture : public ::testing::Test {
   // One insert through the writer, then a flush (its ack is the
   // barrier that makes the update visible to reader stats).
   void IngestOneEdge() {
-    const uint64_t epoch = 1;
     GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
-    ASSERT_TRUE(SendFrame2(wp_.a(), ShardMessageType::kUpdateBatch, &epoch,
-                           sizeof(epoch), &u, sizeof(u))
+    ASSERT_TRUE(SendFrame(wp_.a(), ShardMessageType::kUpdateBatch, &u,
+                          sizeof(u))
                     .ok());
     ASSERT_TRUE(
         SendFrame(wp_.a(), ShardMessageType::kFlush, nullptr, 0).ok());
@@ -1562,7 +1438,6 @@ TEST_F(ReaderSessionFixture, ReaderServesReadOnlyFramesConcurrently) {
                                  frame.payload.size(), &stats)
                   .ok());
   EXPECT_EQ(stats.shard_id, 0);
-  EXPECT_EQ(stats.epoch, 1u);
   EXPECT_EQ(stats.num_updates, 1u);
   EXPECT_EQ(stats.num_nodes, 16u);
   // MIGRATE_EXTRACT of [0, V) is the whole serialized snapshot.
@@ -1594,14 +1469,10 @@ TEST_F(ReaderSessionFixture, ReaderCannotMutateAndSessionSurvives) {
     ASSERT_TRUE(decode_ok);
     EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
   };
-  // The whole write surface: ingest, reconfigure, checkpoint, epoch
-  // bump, migration fold-in, retire.
-  const uint64_t epoch = 1;
+  // The whole write surface: ingest, reconfigure, checkpoint,
+  // migration fold-in, retire.
   GraphUpdate u{Edge(2, 3), UpdateType::kInsert};
-  std::vector<uint8_t> batch(sizeof(epoch) + sizeof(u));
-  std::memcpy(batch.data(), &epoch, sizeof(epoch));
-  std::memcpy(batch.data() + sizeof(epoch), &u, sizeof(u));
-  expect_refused(ShardMessageType::kUpdateBatch, batch.data(), batch.size());
+  expect_refused(ShardMessageType::kUpdateBatch, &u, sizeof(u));
   expect_refused(ShardMessageType::kFlush, nullptr, 0);
   expect_refused(ShardMessageType::kCheckpoint, nullptr, 0);
   expect_refused(ShardMessageType::kMergeDelta, nullptr, 0);
@@ -1656,7 +1527,6 @@ TEST_F(ReaderSessionFixture, SubscribeStreamsNotifiesOnPositionChanges) {
                                  frame.payload.size(), &stats)
                   .ok());
   EXPECT_EQ(stats.num_updates, 0u);
-  EXPECT_EQ(stats.epoch, 1u);
   // Writer ingest pushes a second kNotify without the subscriber
   // sending anything.
   IngestOneEdge();

@@ -106,10 +106,9 @@ class StandingQueryRegistryTest : public ::testing::Test {
   }
 
   // Evaluate + collect, verifying every notification bitwise.
-  size_t Evaluate(StandingQueryRegistry* reg, const GraphSnapshot& snap,
-                  uint64_t epoch) {
+  size_t Evaluate(StandingQueryRegistry* reg, const GraphSnapshot& snap) {
     const Result<size_t> fired = reg->Evaluate(
-        snap, epoch, 1,
+        snap, 1,
         [this](const StandingQueryNotification& n,
                const GraphSnapshot& snapshot) {
           VerifyNotificationBitwise(n, snapshot);
@@ -133,12 +132,11 @@ TEST_F(StandingQueryRegistryTest, FirstEvaluationNotifiesEveryQuery) {
 
   const GraphSnapshot snap =
       SnapAfter({{Edge(0, 1), UpdateType::kInsert}});
-  EXPECT_EQ(Evaluate(&reg, snap, 1), 3u);
+  EXPECT_EQ(Evaluate(&reg, snap), 3u);
   EXPECT_FALSE(reg.HasUnevaluated());
   ASSERT_EQ(fired_.size(), 3u);
   for (const StandingQueryNotification& n : fired_) {
     EXPECT_EQ(n.sequence, 1u) << "initial answers are sequence 1";
-    EXPECT_EQ(n.epoch, 1u);
     EXPECT_EQ(n.num_updates, 1u);
     if (n.query_id == connected_id) {
       EXPECT_TRUE(n.answer.connected);
@@ -150,7 +148,7 @@ TEST_F(StandingQueryRegistryTest, FirstEvaluationNotifiesEveryQuery) {
     }
   }
   // Same position again: one more fold, zero notifications.
-  EXPECT_EQ(Evaluate(&reg, snap, 1), 0u);
+  EXPECT_EQ(Evaluate(&reg, snap), 0u);
   EXPECT_EQ(reg.evaluations(), 2u);
   EXPECT_EQ(reg.notifications(), 3u);
 }
@@ -165,12 +163,12 @@ TEST_F(StandingQueryRegistryTest, ChangedAnswersNotifyAndCoalesce) {
   const GraphSnapshot s3 =
       SnapAfter({{Edge(1, 2), UpdateType::kDelete}});
 
-  EXPECT_EQ(Evaluate(&reg, s1, 1), 1u);  // Initial: not connected.
+  EXPECT_EQ(Evaluate(&reg, s1), 1u);  // Initial: not connected.
   EXPECT_FALSE(fired_.back().answer.connected);
-  EXPECT_EQ(Evaluate(&reg, s2, 1), 1u);  // Flipped: connected.
+  EXPECT_EQ(Evaluate(&reg, s2), 1u);  // Flipped: connected.
   EXPECT_TRUE(fired_.back().answer.connected);
   EXPECT_EQ(fired_.back().sequence, 2u);
-  EXPECT_EQ(Evaluate(&reg, s3, 1), 1u);  // Flipped back.
+  EXPECT_EQ(Evaluate(&reg, s3), 1u);  // Flipped back.
   EXPECT_FALSE(fired_.back().answer.connected);
   EXPECT_EQ(fired_.back().sequence, 3u);
 
@@ -180,14 +178,14 @@ TEST_F(StandingQueryRegistryTest, ChangedAnswersNotifyAndCoalesce) {
   // position moved).
   StandingQueryRegistry fresh;
   fresh.Add({StandingQueryKind::kConnected, 0, 2});
-  EXPECT_EQ(Evaluate(&fresh, s1, 1), 1u);
-  EXPECT_EQ(Evaluate(&fresh, s3, 1), 0u);
+  EXPECT_EQ(Evaluate(&fresh, s1), 1u);
+  EXPECT_EQ(Evaluate(&fresh, s3), 0u);
 
   // Remove: the id is gone (idempotently), and nothing fires for it.
   EXPECT_TRUE(reg.Remove(id));
   EXPECT_FALSE(reg.Remove(id));
   EXPECT_EQ(reg.size(), 0u);
-  EXPECT_EQ(Evaluate(&reg, s2, 1), 0u);
+  EXPECT_EQ(Evaluate(&reg, s2), 0u);
 }
 
 TEST_F(StandingQueryRegistryTest, LateAddedQueryGetsItsInitialAnswer) {
@@ -195,12 +193,12 @@ TEST_F(StandingQueryRegistryTest, LateAddedQueryGetsItsInitialAnswer) {
   reg.Add({StandingQueryKind::kComponentCount, 0, 0});
   const GraphSnapshot snap =
       SnapAfter({{Edge(0, 1), UpdateType::kInsert}});
-  EXPECT_EQ(Evaluate(&reg, snap, 1), 1u);
+  EXPECT_EQ(Evaluate(&reg, snap), 1u);
   // A new query at an UNMOVED position: HasUnevaluated() tells the
   // driver to evaluate anyway, and only the newcomer fires.
   reg.Add({StandingQueryKind::kConnected, 0, 1});
   EXPECT_TRUE(reg.HasUnevaluated());
-  EXPECT_EQ(Evaluate(&reg, snap, 1), 1u);
+  EXPECT_EQ(Evaluate(&reg, snap), 1u);
   EXPECT_EQ(fired_.back().sequence, 1u);
   EXPECT_TRUE(fired_.back().answer.connected);
 }
@@ -235,8 +233,8 @@ TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
     ASSERT_TRUE(sharded.Update(updates.data() + fed, count).ok());
     for (size_t i = 0; i < count; ++i) checker.Update(updates[fed + i]);
     fed += count;
-    const Result<size_t> n = reg.Evaluate(
-        FoldedSnapshot(&sharded), sharded.routing_table().epoch, 1, notifier);
+    const Result<size_t> n =
+        reg.Evaluate(FoldedSnapshot(&sharded), 1, notifier);
     ASSERT_TRUE(n.ok()) << n.status().ToString();
     // The exact-answer pin, against the dense baseline: the component
     // count notified at this position (or the unchanged one standing
@@ -253,8 +251,8 @@ TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
   }
   EXPECT_GE(fired.size(), 3u);  // At least every initial answer.
   // An evaluation at the final (unmoved) position fires nothing.
-  const Result<size_t> again = reg.Evaluate(
-      FoldedSnapshot(&sharded), sharded.routing_table().epoch, 1, notifier);
+  const Result<size_t> again =
+      reg.Evaluate(FoldedSnapshot(&sharded), 1, notifier);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value(), 0u);
 }
@@ -331,15 +329,14 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughALiveRemoval) {
   };
   const auto evaluate = [&]() -> Result<size_t> {
     if (!tcp) {
-      return reg.Evaluate(FoldedSnapshot(&sharded),
-                          sharded.routing_table().epoch, 1, notifier);
+      return reg.Evaluate(FoldedSnapshot(&sharded), 1, notifier);
     }
     const Status flushed = sharded.Flush();
     if (!flushed.ok()) return flushed;
     const GraphSnapshot* snap = nullptr;
     const Status s = session->Snapshot(&snap);
     if (!s.ok()) return s;
-    return reg.Evaluate(*snap, session->epoch(), 1, notifier);
+    return reg.Evaluate(*snap, 1, notifier);
   };
   const auto evaluate_and_pin = [&](const char* step) {
     const Result<size_t> n = evaluate();

@@ -481,7 +481,7 @@ TEST(SlidingWindowConnectivityTest,
     if (observed % 4 == 0) {
       window.Flush();
       const Result<size_t> fired = registry.Evaluate(
-          gz.Snapshot(), 0, 1,
+          gz.Snapshot(), 1,
           [&](const StandingQueryNotification& notification,
               const GraphSnapshot& snapshot) {
             // (a) The carried snapshot reproduces the answer bitwise.

@@ -1,8 +1,8 @@
 // gz_query: a serving-tier client. Dials every shard listener of a
 // cluster as an authenticated *reader* session (QuerySession), pulls a
-// consistent merged snapshot keyed by the cluster's (epoch, watermark)
-// position, and answers graph queries from it — without touching the
-// coordinator, whose write path keeps streaming unimpeded.
+// consistent merged snapshot keyed by the shards' watermarks, and
+// answers graph queries from it — without touching the coordinator,
+// whose write path keeps streaming unimpeded.
 //
 // Replicated clusters need no extra flags: list every replica's
 // endpoint and the session groups them by the shard id each reports,
@@ -145,13 +145,12 @@ int RunWatch(const gz::tools::Flags& flags, gz::QuerySession* session) {
         // One line per changed answer, flushed: a pipe consumer (the CI
         // subscriber, a dashboard) sees it immediately.
         std::printf("{\"event\":\"notify\",\"query_id\":%llu,"
-                    "\"seq\":%llu,\"epoch\":%llu,\"num_updates\":%llu,"
+                    "\"seq\":%llu,\"num_updates\":%llu,"
                     "\"kind\":\"%s\",\"u\":%llu,\"v\":%llu,"
                     "\"connected\":%s,\"components\":%zu,"
                     "\"forest_edges\":%zu}\n",
                     static_cast<unsigned long long>(n.query_id),
                     static_cast<unsigned long long>(n.sequence),
-                    static_cast<unsigned long long>(n.epoch),
                     static_cast<unsigned long long>(n.num_updates),
                     KindName(n.spec.kind),
                     static_cast<unsigned long long>(n.spec.u),
