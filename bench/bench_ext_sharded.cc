@@ -3,14 +3,12 @@
 // coordination; a query XORs shard snapshots node-wise.
 //
 // One ShardCluster coordinator runs per shard count over each of the
-// three endpoint kinds: thread: shards (ShardServer threads in this
-// process over socketpairs — the framing and serialized-snapshot fold
-// with no process boundary), local: gz_shard worker processes over
-// socketpairs (the same frames plus the process boundary), and
-// listener-mode gz_shards dialed over loopback TCP with an
-// authenticated handshake — the full tcp:// transport column, so BENCH
-// trajectories track the framing, checksum AND network-stack overhead
-// directly. Each row also reports the measured CRC32C throughput and
+// three endpoint kinds, every shard a listener dialed over loopback
+// TCP: thread: shards (listeners on threads of this process — the
+// framing and serialized-snapshot fold with no process boundary),
+// local: gz_shard children the coordinator spawns (the same frames
+// plus the process boundary), and gz_shard listeners the bench starts
+// and names by tcp:// endpoint with the cluster's auth secret. Each row also reports the measured CRC32C throughput and
 // the estimated share of ingest wall time the v3 per-frame checksum
 // costs over v2 framing (v2 shipped the same bytes unchecksummed, so
 // the delta is exactly one CRC pass over the frame bytes on each
@@ -41,9 +39,8 @@
 
 namespace {
 
-// The transport column: server threads over socketpairs, worker
-// processes over socketpairs, or listener-mode worker processes over
-// loopback TCP (+ handshake).
+// The substrate column: listener threads, spawned gz_shard children, or
+// gz_shard listeners started here and dialed by tcp:// endpoint.
 enum class BenchMode { kThread, kProcess, kProcessTcp };
 
 constexpr char kBenchSecret[] = "bench-secret";

@@ -196,24 +196,34 @@ ConnectivityResult GraphZeppelin::ListSpanningForest() {
   return Connectivity(Snapshot(), config_.query_threads);
 }
 
-Status GraphZeppelin::SaveCheckpoint(const std::string& path) {
+Status GraphZeppelin::SaveCheckpoint(const std::string& path,
+                                     const void* prefix,
+                                     size_t prefix_bytes) {
   // Streaming form of Snapshot().SaveToFile(path): the same bytes, but
   // only one record in flight, so a disk-backed store larger than RAM
-  // can still checkpoint.
-  FILE* f = std::fopen(path.c_str(), "wb");
+  // can still checkpoint. Write-then-rename: a crash or a full disk
+  // mid-save must never destroy the previous good checkpoint, which
+  // truncating `path` in place would.
+  const std::string tmp = path + ".tmp";
+  FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
-    return Status::IoError("cannot create checkpoint: " + path);
+    return Status::IoError("cannot create checkpoint: " + tmp);
   }
-  Status s = WriteNodeRangeTo(
-      0, config_.num_nodes, [f, &path](const void* data, size_t size) {
-        if (std::fwrite(data, 1, size, f) != size) {
-          return Status::IoError("short write to checkpoint: " + path);
-        }
-        return Status::Ok();
-      });
+  const auto write = [f, &tmp](const void* data, size_t size) {
+    if (std::fwrite(data, 1, size, f) != size) {
+      return Status::IoError("short write to checkpoint: " + tmp);
+    }
+    return Status::Ok();
+  };
+  Status s = prefix_bytes > 0 ? write(prefix, prefix_bytes) : Status::Ok();
+  if (s.ok()) s = WriteNodeRangeTo(0, config_.num_nodes, write);
   if (std::fclose(f) != 0 && s.ok()) {
-    s = Status::IoError("cannot finish checkpoint: " + path);
+    s = Status::IoError("cannot finish checkpoint: " + tmp);
   }
+  if (s.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    s = Status::IoError("cannot publish checkpoint: " + path);
+  }
+  if (!s.ok()) ::unlink(tmp.c_str());
   return s;
 }
 

@@ -150,14 +150,17 @@ class GraphZeppelin {
   // --- Checkpointing -----------------------------------------------------
   // SaveCheckpoint is WriteNodeRangeTo(0, V) into a file — the bytes of
   // Snapshot().SaveToFile(path), buffered updates flushed first so a
-  // restore resumes exactly here. LoadCheckpoint overwrites this
+  // restore resumes exactly here — after `prefix_bytes` of a
+  // caller-owned prefix (e.g. a shard checkpoint's header). It writes
+  // `path`.tmp and renames it over `path`, so a failed save (IoError)
+  // leaves the previous file intact. LoadCheckpoint overwrites this
   // instance's sketch state with such a file, streamed record by record
   // into the store, and adopts its update count; a params mismatch is an
   // InvalidArgument. These are the two ways GZSNAP02 bytes come in: a
   // whole file here, any node range through MergeSerialized. `offset`
-  // skips a caller-owned file prefix (e.g. a shard checkpoint's
-  // header) before the snapshot stream.
-  Status SaveCheckpoint(const std::string& path);
+  // skips the prefix before the snapshot stream.
+  Status SaveCheckpoint(const std::string& path, const void* prefix = nullptr,
+                        size_t prefix_bytes = 0);
   Status LoadCheckpoint(const std::string& path, size_t offset = 0);
 
   // Overwrites the ingested-update count without touching sketch

@@ -55,6 +55,7 @@ Status QuerySession::Connect() {
   if (options_.endpoints.empty()) {
     return Status::InvalidArgument("query session has no endpoints");
   }
+  std::vector<std::unique_ptr<TcpShardTransport>> conns;
   for (const std::string& uri : options_.endpoints) {
     Result<ShardEndpoint> parsed = ParseShardEndpoint(uri);
     if (!parsed.ok()) return parsed.status();
@@ -75,10 +76,13 @@ Status QuerySession::Connect() {
     if (options_.receive_deadline_seconds > 0) {
       SetShardSocketTimeout(conn->fd(), options_.receive_deadline_seconds);
     }
-    conns_.push_back(std::move(conn));
-    conn_alive_.push_back(true);
-    conn_shard_ids_.push_back(-1);
+    conns.push_back(std::move(conn));
   }
+  // All or nothing: a session holding only the reachable shards would
+  // fold a partial graph and call it the answer.
+  conns_ = std::move(conns);
+  conn_alive_.assign(conns_.size(), true);
+  conn_shard_ids_.assign(conns_.size(), -1);
   return Status::Ok();
 }
 

@@ -138,7 +138,9 @@ class QuerySession {
   QuerySession(const QuerySession&) = delete;
   QuerySession& operator=(const QuerySession&) = delete;
 
-  // Dials and authenticates a reader session to every endpoint.
+  // Dials and authenticates a reader session to every endpoint. All or
+  // nothing: on any failure the session holds no connection, and
+  // Snapshot() fails until a Connect() succeeds.
   Status Connect();
 
   // Returns the merged snapshot at the cluster's current position:

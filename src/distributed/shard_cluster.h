@@ -10,9 +10,10 @@
 // shards can be added, split or removed WITHOUT pausing the stream.
 //
 // Where a shard lives is its endpoint's business (shard_endpoint.h):
-// a fork/exec'd gz_shard child (local:), a ShardServer thread in this
-// process (thread:), or a gz_shard listener on another machine
-// (tcp://). The coordinator speaks the same frames to all three, so
+// every shard is a ShardListener dialed over TCP, run by a gz_shard
+// child this coordinator spawns (local:), by a thread of this process
+// (thread:), or by a gz_shard on another machine (tcp://). The
+// coordinator speaks the same frames to all three, so
 // every model below holds on every substrate; the unsharded
 // GraphZeppelin is the zero-transport ground truth they are pinned to.
 //
@@ -87,9 +88,9 @@ namespace gz {
 struct ShardClusterOptions {
   // Path of the gz_shard binary; empty = DefaultShardBinary().
   std::string shard_binary;
-  // Where each replica lives: "local:" (fork/exec, the default),
-  // "thread:" (a server thread in this process) or "tcp://host:port" (a
-  // running `gz_shard --listen`). Shard-major with
+  // Where each replica lives: "local:" (a spawned gz_shard listener,
+  // the default), "thread:" (a listener thread in this process) or
+  // "tcp://host:port" (a running `gz_shard --listen`). Shard-major with
   // replication_factor consecutive entries per shard id —
   // [s0r0, s0r1, s1r0, s1r1, ...]; shorter than num_shards *
   // replication_factor = the rest are local. See shard_endpoint.h for
@@ -247,13 +248,12 @@ class ShardCluster {
   // answering pings (removed ids report false).
   std::vector<bool> HealthCheck();
   // Hard-stop for fault injection / fencing — SIGKILL for a local
-  // shard, socket shutdown + join for a thread one, connection abort
-  // for a tcp one (the listener drops its instance) — the same state
-  // loss on every substrate; updates keep buffering. Kills
-  // every replica of the shard. With observed=false the coordinator
-  // does NOT fence the shard — modeling a spontaneous crash it has not
-  // detected yet, so tests can drive the paths that must self-fence on
-  // a failed send.
+  // shard, connection abort for a thread or tcp one (the listener drops
+  // its instance) — the same state loss on every substrate; updates
+  // keep buffering. Kills every replica of the shard. With
+  // observed=false the coordinator does NOT fence the shard — modeling
+  // a spontaneous crash it has not detected yet, so tests can drive the
+  // paths that must self-fence on a failed send.
   void KillShard(int shard, bool observed = true);
   // Respawn one replica, restore its last checkpoint (if any), replay
   // the shard's logged updates and migration deltas past it (the
@@ -354,8 +354,8 @@ class ShardCluster {
   // grown table, spawn + configure every replica.
   Result<int> GrowShard(int split_source, const std::string& endpoint);
   // Appends the books of a freshly allocated id, with one (not yet
-  // connected) transport per replica endpoint (local -> fork/exec,
-  // thread -> server thread, tcp -> connect).
+  // connected) transport per replica endpoint (see
+  // MakeShardTransport).
   int AllocateShardSlot(const std::vector<ShardEndpoint>& endpoints);
   // Rolls a just-allocated (still-last) id back out after a failed
   // spawn, terminating its replicas, so a failed grow burns no id:

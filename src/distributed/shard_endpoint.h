@@ -4,10 +4,10 @@
 // shard_transport.h) turns it into a connected socket.
 //
 // URI grammar:
-//   "local:"              fork/exec gz_shard over a socketpair (the
-//                         default; "" means the same)
-//   "thread:"             run the shard loop on a thread of this
-//                         process, over a socketpair (one address
+//   "local:"              fork/exec `gz_shard --listen 127.0.0.1:0`
+//                         and dial it (the default; "" means the same)
+//   "thread:"             run a ShardListener on a thread of this
+//                         process and dial it on loopback (one address
 //                         space: no fork, same frames)
 //   "tcp://host:port"     connect to a running `gz_shard --listen`
 //                         (host is a name or IPv4 literal; port 1-65535)
@@ -23,8 +23,8 @@ namespace gz {
 
 struct ShardEndpoint {
   enum class Kind {
-    kLocal,   // Fork/exec over a socketpair.
-    kThread,  // ShardServer on a thread of this process, over a socketpair.
+    kLocal,   // A gz_shard listener child on loopback.
+    kThread,  // A ShardListener on a thread of this process, on loopback.
     kTcp,     // TCP connect to a listener-mode gz_shard.
   };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include <netdb.h>
 #include <netinet/in.h>
@@ -24,6 +25,19 @@ void RefuseAndClose(int fd, const Status& error) {
   const std::vector<uint8_t> payload = EncodeShardError(error);
   SendFrame(fd, ShardMessageType::kError, payload.data(), payload.size());
   ::close(fd);
+}
+
+// One session's frame loop. An exception escaping it ends the session
+// like a lost connection would: a shard running on a thread of a
+// coordinator's process must not take that process down.
+Status ServeSession(int fd, ShardInstanceState* state, ShardSessionRole role,
+                    int reader_timeout_seconds) {
+  try {
+    return ShardServer(fd, state, role, reader_timeout_seconds).Serve();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "gz_shard: session aborted: %s\n", e.what());
+    return Status::Internal(std::string("session aborted: ") + e.what());
+  }
 }
 
 }  // namespace
@@ -148,20 +162,18 @@ void ShardListener::RunSession(Session* session) {
       }
       writer_active_ = true;
     }
-    s = ShardServer(fd, &state_, ShardSessionRole::kWriter,
-                    options_.reader_timeout_seconds)
-            .Serve();
+    s = ServeSession(fd, &state_, ShardSessionRole::kWriter,
+                     options_.reader_timeout_seconds);
     std::lock_guard<std::mutex> lock(mu_);
     writer_active_ = false;
     writer_cv_.notify_all();
     if (s.ok()) {
       // Orderly kShutdown: retire the whole listener.
       shutdown_requested_ = true;
-      const char byte = 's';
-      (void)!::write(stop_pipe_[1], &byte, 1);
+      Stop();
     } else {
       // Writer gone mid-session: the instance is discarded — exactly
-      // the state loss of a SIGKILLed local shard, recovered by the
+      // the state loss of a SIGKILLed shard process, recovered by the
       // coordinator the same way (reconnect + restore + replay).
       // Readers keep their sessions and observe an unconfigured shard.
       std::lock_guard<std::mutex> state_lock(state_.mutex);
@@ -172,12 +184,16 @@ void ShardListener::RunSession(Session* session) {
           s.ToString().c_str());
     }
   } else {
-    s = ShardServer(fd, &state_, ShardSessionRole::kReader,
-                    options_.reader_timeout_seconds)
-            .Serve();
+    s = ServeSession(fd, &state_, ShardSessionRole::kReader,
+                     options_.reader_timeout_seconds);
     // Reader disconnects are unremarkable by design; nothing to reset.
   }
   session->done.store(true);
+}
+
+void ShardListener::Stop() {
+  const char byte = 's';
+  (void)!::write(stop_pipe_[1], &byte, 1);
 }
 
 size_t ShardListener::SweepSessionsLocked() {
@@ -206,7 +222,7 @@ Status ShardListener::Run() {
       if (errno == EINTR) continue;
       break;
     }
-    if (pfds[1].revents != 0) break;  // Writer-driven shutdown.
+    if (pfds[1].revents != 0) break;  // Writer shutdown or Stop().
     if (pfds[0].revents == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {

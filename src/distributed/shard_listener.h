@@ -1,9 +1,10 @@
-// ShardListener: the multi-session server behind `gz_shard --listen`.
+// ShardListener: the one shard runtime. `gz_shard --listen` runs it for
+// local: and tcp:// shards, and a thread: shard runs it on a thread of
+// the coordinator's process (shard_transport.h).
 //
 // One listener owns one shard instance (ShardInstanceState) and serves
 // it to many concurrent sessions: at most ONE authenticated writer —
-// the coordinator, full protocol, byte-identical to the single-session
-// server — plus any number of authenticated readers (bounded by
+// the coordinator, full protocol — plus any number of authenticated readers (bounded by
 // max_sessions) issuing read-only frames (PING / STATS_EX /
 // MIGRATE_EXTRACT). That asymmetry is the whole design: the ingest
 // path stays a single FIFO stream (which is what makes shard state a
@@ -15,17 +16,17 @@
 // session thread. The authentication handshake runs INSIDE the session
 // thread, so a peer that connects and stalls pre-auth occupies one
 // bounded session slot for at most the handshake deadline — it can
-// never wedge the accept loop (the single-session listener's DoS
-// window). Sessions over max_sessions are refused with a clean kError
+// never wedge the accept loop. Sessions over max_sessions are refused with a clean kError
 // before any handshake work.
 //
 // Lifecycle: the writer's orderly kShutdown retires the listener —
 // remaining reader sessions are shut down, everything joins, Run()
-// returns Ok. A writer that drops mid-session discards the in-memory
-// instance (exactly the state loss of a SIGKILLed local shard — the
-// coordinator recovers it by reconnect + restore + replay) but reader
-// sessions survive, observing an unconfigured shard until the writer
-// returns. Reader disconnects never affect anything.
+// returns Ok; Stop() winds down the same way. A writer that drops
+// mid-session discards the in-memory instance (exactly the state loss
+// of a SIGKILLed shard process — the coordinator recovers it by
+// reconnect + restore + replay) but reader sessions survive, observing
+// an unconfigured shard until the writer returns. Reader disconnects
+// never affect anything.
 #ifndef GZ_DISTRIBUTED_SHARD_LISTENER_H_
 #define GZ_DISTRIBUTED_SHARD_LISTENER_H_
 
@@ -80,11 +81,15 @@ class ShardListener {
   // echoes it; with port 0 it is the kernel's pick.
   uint16_t port() const { return port_; }
 
-  // Serves sessions until the writer's orderly kShutdown (returns Ok)
-  // or a fatal listener error. Joins every session thread before
-  // returning, so the caller may destroy the listener immediately
-  // after.
+  // Serves sessions until the writer's orderly kShutdown (returns Ok),
+  // Stop() or a fatal listener error. Joins every session thread
+  // before returning, so the caller may destroy the listener
+  // immediately after.
   Status Run();
+
+  // Wakes Run() from another thread to wind down as if the writer had
+  // hung up: Run() returns IoError. Callable once Bind() succeeded.
+  void Stop();
 
  private:
   struct Session {

@@ -1,11 +1,7 @@
 #include "distributed/shard_process.h"
 
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
-#include <fcntl.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "util/check.h"
@@ -24,64 +20,5 @@ std::string DefaultShardBinary() {
   GZ_CHECK(slash != std::string::npos);
   return path.substr(0, slash + 1) + "gz_shard";
 }
-
-ShardProcess::ShardProcess(std::string binary, std::string log_path,
-                           std::string auth_secret)
-    : binary_(std::move(binary)),
-      log_path_(std::move(log_path)),
-      auth_secret_(std::move(auth_secret)) {}
-
-ShardProcess::~ShardProcess() {
-  Terminate();
-  CloseSocket();
-}
-
-void ShardProcess::CloseSocket() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-Status ShardProcess::Connect() {
-  if (pid_ >= 0 && Alive()) {
-    return Status::FailedPrecondition("shard process already running");
-  }
-  CloseSocket();
-  int sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-    return Status::IoError(std::string("socketpair: ") +
-                           std::strerror(errno));
-  }
-  // Coordinator's end must not leak into later-spawned shards: a
-  // sibling holding a copy would keep the socket half-open after this
-  // shard dies. The child's end (sv[1]) stays inheritable.
-  ::fcntl(sv[0], F_SETFD, FD_CLOEXEC);
-  Result<pid_t> pid = SpawnShardChild(
-      binary_, {"--fd", std::to_string(sv[1])}, log_path_, auth_secret_,
-      /*inherit_fd=*/sv[1]);
-  if (!pid.ok()) {
-    ::close(sv[0]);
-    ::close(sv[1]);
-    return pid.status();
-  }
-  ::close(sv[1]);
-  pid_ = pid.value();
-  fd_ = sv[0];
-  reaped_ = false;
-  // The handshake runs even over the trusted socketpair: one frame
-  // flow, and a secret mismatch (a stale binary, a polluted child
-  // environment) surfaces at spawn, not mid-stream.
-  Status s = ClientHandshake(fd_, auth_secret_);
-  if (!s.ok()) {
-    Terminate();
-    return s;
-  }
-  return Status::Ok();
-}
-
-bool ShardProcess::Alive() { return ShardChildRunning(pid_, &reaped_); }
-
-void ShardProcess::Terminate() { KillShardChild(pid_, &reaped_); }
 
 }  // namespace gz

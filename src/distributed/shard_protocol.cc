@@ -348,10 +348,8 @@ constexpr uint64_t kHandshakeMaxFrameBytes = 4096;
 // Public so the shard server can arm per-read deadlines on reader
 // sessions. The handshake's own use is the best-effort pre-auth
 // deadline: an unauthenticated peer that connects and goes silent must
-// not wedge a server (a session thread stalled pre-auth, or — for the
-// single-session server — the whole accept loop, with a legitimate
-// coordinator hanging in the listen backlog). 0 clears the deadline —
-// an established writer session returns to blocking I/O, where long
+// not hold a session slot past it. 0 clears the deadline — an
+// established writer session returns to blocking I/O, where long
 // silences are legitimate (a coordinator simply has nothing to send).
 void SetShardSocketTimeout(int fd, int seconds) {
   struct timeval tv;

@@ -1,8 +1,8 @@
 // Wire protocol between the ShardCluster coordinator and gz_shard
-// worker processes: length-prefixed binary frames over any stream
-// socket — a socketpair to a forked child or a TCP connection to a
-// `gz_shard --listen` on another machine (see shard_endpoint.h /
-// shard_transport.h). The coordinator and server state machines never
+// shards: length-prefixed binary frames over a stream socket — a TCP
+// connection to a shard listener, on loopback for local: and thread:
+// shards (see shard_endpoint.h / shard_transport.h), or a socketpair
+// in the conformance tests. The coordinator and server state machines never
 // learn where the bytes come from; everything transport-specific —
 // framing integrity, peer authentication — lives here.
 //
@@ -23,9 +23,8 @@
 // shared secret (HMAC-SHA256 over fresh nonces, mutual): an untrusted
 // network cannot inject UPDATE_BATCHes, and a coordinator cannot be
 // fed state by an impostor shard. The handshake runs on every
-// connection — an empty secret keeps the frame flow identical for
-// trusted socketpairs — and until it completes a server accepts no
-// other frame.
+// connection, even under an empty secret (trusted networks), and until
+// it completes a server accepts no other frame.
 //
 // Everything here returns Status: a malformed, truncated, corrupted or
 // version-mismatched frame is an error on whichever side read it, never

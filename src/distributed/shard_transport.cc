@@ -1,10 +1,12 @@
 #include "distributed/shard_transport.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <exception>
+#include <random>
+#include <thread>
 
 #include <fcntl.h>
 #include <netdb.h>
@@ -12,12 +14,12 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "distributed/shard_process.h"
-#include "distributed/shard_server.h"
+#include "distributed/shard_listener.h"
 #include "util/check.h"
 
 namespace gz {
@@ -34,82 +36,21 @@ Status ShardTransport::CallAck(ShardMessageType type, const void* payload,
                         ack);
 }
 
-std::unique_ptr<ShardTransport> MakeShardTransport(
-    const ShardEndpoint& endpoint, const ShardTransportOptions& options) {
-  if (endpoint.kind == ShardEndpoint::Kind::kTcp) {
-    return std::make_unique<TcpShardTransport>(endpoint, options.auth_secret);
-  }
-  if (endpoint.kind == ShardEndpoint::Kind::kThread) {
-    return std::make_unique<ThreadShardTransport>(options.auth_secret);
-  }
-  return std::make_unique<ShardProcess>(options.binary, options.log_path,
-                                        options.auth_secret);
-}
-
-// ---- ThreadShardTransport -------------------------------------------------
-
-ThreadShardTransport::ThreadShardTransport(std::string auth_secret)
-    : auth_secret_(std::move(auth_secret)) {}
-
-ThreadShardTransport::~ThreadShardTransport() {
-  Terminate();
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status ThreadShardTransport::Connect() {
-  if (Alive()) {
-    return Status::FailedPrecondition("shard thread already running");
-  }
-  Terminate();  // Joins a thread that already left Serve() on its own.
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  int sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
-    return Status::IoError(std::string("socketpair: ") +
-                           std::strerror(errno));
-  }
-  fd_ = sv[0];
-  server_fd_ = sv[1];
-  serving_.store(true);
-  server_ = std::thread([this, fd = server_fd_] {
-    // The Serve() status is the coordinator's to observe, through the
-    // socket it shares with the loop. However the loop ends, the
-    // coordinator sees EOF, as it does when a local: child exits — an
-    // escaped exception included, which a child would die of but a
-    // thread would take the whole process down with.
-    try {
-      (void)ShardServer(fd, auth_secret_).Serve();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "thread: shard aborted: %s\n", e.what());
-    }
-    ::shutdown(fd, SHUT_RDWR);
-    serving_.store(false);
-  });
-  const Status s = ClientHandshake(fd_, auth_secret_);
-  if (!s.ok()) Terminate();
-  return s;
-}
-
-void ThreadShardTransport::Terminate() {
-  if (server_fd_ >= 0) ::shutdown(server_fd_, SHUT_RDWR);
-  if (server_.joinable()) server_.join();
-  if (server_fd_ >= 0) {
-    ::close(server_fd_);
-    server_fd_ = -1;
-  }
-}
-
-// ---- Child-process plumbing -----------------------------------------------
-
 extern "C" char** environ;
 
+namespace {
+
+// fork/execs `binary` with the given argv tail, stderr appended to
+// `log_path` (empty = inherit), and GZ_SHARD_AUTH_SECRET pinned in the
+// child's environment — never argv, which is world-readable through
+// /proc/<pid>/cmdline, and always set (even empty) so an inherited
+// env var can't silently override the coordinator's secret. The child
+// gets SIGKILL when the spawning thread exits, so a coordinator that
+// crashes leaves no listener holding its ports and pipes.
 Result<pid_t> SpawnShardChild(const std::string& binary,
                               const std::vector<std::string>& args,
                               const std::string& log_path,
-                              const std::string& auth_secret,
-                              int inherit_fd) {
+                              const std::string& auth_secret) {
   // Everything the child dereferences is materialized BEFORE fork():
   // between fork and exec only async-signal-safe calls are allowed,
   // and that includes no allocation.
@@ -126,12 +67,14 @@ Result<pid_t> SpawnShardChild(const std::string& binary,
   envp.push_back(secret_entry.c_str());
   envp.push_back(nullptr);
 
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     return Status::IoError(std::string("fork: ") + std::strerror(errno));
   }
   if (pid == 0) {
-    (void)inherit_fd;  // Stays open (no CLOEXEC on it by contract).
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(127);  // Parent died before prctl.
     if (!log_path.empty()) {
       const int log_fd =
           ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
@@ -150,6 +93,8 @@ Result<pid_t> SpawnShardChild(const std::string& binary,
   return pid;
 }
 
+// waitpid bookkeeping: true while the child has neither exited nor
+// been reaped (`*reaped` tracks the reap across calls).
 bool ShardChildRunning(pid_t pid, bool* reaped) {
   if (pid < 0 || *reaped) return false;
   int status = 0;
@@ -161,6 +106,7 @@ bool ShardChildRunning(pid_t pid, bool* reaped) {
   return r == 0;
 }
 
+// SIGKILL + blocking reap; idempotent via `*reaped`.
 void KillShardChild(pid_t pid, bool* reaped) {
   if (pid < 0 || *reaped) return;
   ::kill(pid, SIGKILL);
@@ -170,9 +116,125 @@ void KillShardChild(pid_t pid, bool* reaped) {
   *reaped = true;
 }
 
-// ---- TcpShardTransport ----------------------------------------------------
+// What local: and thread: shards share: a loopback listener this
+// transport starts, dialed with TcpShardTransport under the cluster's
+// secret or, when that is empty, one minted here at random — a
+// loopback port any local process can reach must admit only us.
+class LoopbackShardTransport : public ShardTransport {
+ public:
+  int fd() const override { return conn_ == nullptr ? -1 : conn_->fd(); }
 
-namespace {
+ protected:
+  explicit LoopbackShardTransport(const std::string& cluster_secret)
+      : secret_(cluster_secret.empty() ? MintSecret() : cluster_secret) {}
+
+  Status Dial(uint16_t port) {
+    conn_ = std::make_unique<TcpShardTransport>(
+        ShardEndpoint::Tcp("127.0.0.1", port), secret_);
+    return conn_->Connect();
+  }
+  void HangUp() {
+    if (conn_ != nullptr) conn_->Terminate();
+  }
+
+  const std::string secret_;
+
+ private:
+  static std::string MintSecret() {
+    std::random_device rd;
+    std::string secret;
+    for (int i = 0; i < 4; ++i) {
+      char word[9];
+      std::snprintf(word, sizeof(word), "%08x", rd());
+      secret += word;
+    }
+    return secret;
+  }
+
+  std::unique_ptr<TcpShardTransport> conn_;
+};
+
+// local: a `gz_shard --listen 127.0.0.1:0` child per Connect().
+class LocalShardTransport final : public LoopbackShardTransport {
+ public:
+  explicit LocalShardTransport(const ShardTransportOptions& options)
+      : LoopbackShardTransport(options.auth_secret),
+        binary_(options.binary),
+        log_path_(options.log_path) {}
+
+  // Spawns the child (FailedPrecondition while one runs) and dials it.
+  Status Connect() override {
+    const size_t slash = log_path_.rfind('/');
+    const std::string dir =
+        slash == std::string::npos ? "." : log_path_.substr(0, slash);
+    Status s = child_.Start(binary_, dir, log_path_, secret_);
+    if (!s.ok()) return s;  // A failed Start() reaps its own child.
+    s = Dial(child_.port());
+    if (!s.ok()) Terminate();
+    return s;
+  }
+  bool Alive() override { return child_.Running(); }
+  void Terminate() override {
+    child_.Stop();
+    HangUp();
+  }
+
+ private:
+  std::string binary_;
+  std::string log_path_;
+  ListenerShard child_;
+};
+
+// thread: a ShardListener running on a thread of this process.
+class ThreadShardTransport final : public LoopbackShardTransport {
+ public:
+  explicit ThreadShardTransport(const std::string& auth_secret)
+      : LoopbackShardTransport(auth_secret) {}
+  ~ThreadShardTransport() override {
+    HangUp();
+    StopListener();
+  }
+
+  // Starts the listener unless it runs (an orderly kShutdown retires
+  // it), then dials it.
+  Status Connect() override {
+    if (!running_.load()) {
+      StopListener();
+      ShardListenerOptions options;
+      options.listen = "127.0.0.1:0";
+      options.auth_secret = secret_;
+      listener_ = std::make_unique<ShardListener>(std::move(options));
+      const Status s = listener_->Bind();
+      if (!s.ok()) {
+        listener_.reset();
+        return s;
+      }
+      running_.store(true);
+      runner_ = std::thread([this] {
+        (void)listener_->Run();
+        running_.store(false);
+      });
+    }
+    return Dial(listener_->port());
+  }
+  bool Alive() override { return running_.load() && fd() >= 0; }
+  // The listener sees the writer hang up and discards the instance,
+  // exactly as a tcp:// shard does.
+  void Terminate() override { HangUp(); }
+
+ private:
+  void StopListener() {
+    if (runner_.joinable()) {
+      listener_->Stop();
+      runner_.join();
+    }
+    listener_.reset();
+  }
+
+  std::unique_ptr<ShardListener> listener_;
+  std::atomic<bool> running_{false};
+  std::thread runner_;
+};
 
 // connect() bounded by a deadline instead of the kernel's SYN-retry
 // budget (~2 minutes): a blackholed endpoint — DROP firewall, powered-
@@ -210,6 +272,22 @@ bool ConnectWithDeadline(int fd, const struct sockaddr* addr,
 }
 
 }  // namespace
+
+std::unique_ptr<ShardTransport> MakeShardTransport(
+    const ShardEndpoint& endpoint, const ShardTransportOptions& options) {
+  switch (endpoint.kind) {
+    case ShardEndpoint::Kind::kTcp:
+      return std::make_unique<TcpShardTransport>(endpoint,
+                                                 options.auth_secret);
+    case ShardEndpoint::Kind::kThread:
+      return std::make_unique<ThreadShardTransport>(options.auth_secret);
+    case ShardEndpoint::Kind::kLocal:
+      break;
+  }
+  return std::make_unique<LocalShardTransport>(options);
+}
+
+// ---- TcpShardTransport ----------------------------------------------------
 
 TcpShardTransport::TcpShardTransport(ShardEndpoint endpoint,
                                      std::string auth_secret,
@@ -299,7 +377,7 @@ Status ListenerShard::Start(const std::string& binary,
   if (pid_ >= 0 && Running()) {
     return Status::FailedPrecondition("listener shard already running");
   }
-  static int counter = 0;
+  static std::atomic<int> counter{0};
   const std::string port_file = scratch_dir + "/gz_listener_p" +
                                 std::to_string(::getpid()) + "_" +
                                 std::to_string(counter++) + ".port";
@@ -311,8 +389,10 @@ Status ListenerShard::Start(const std::string& binary,
   pid_ = pid.value();
   reaped_ = false;
   // The child publishes the kernel-assigned port once bound; poll for
-  // it (the write is tiny and atomic via rename on the child side).
-  for (int attempt = 0; attempt < 1500; ++attempt) {
+  // it (the write is tiny and atomic via rename on the child side)
+  // every millisecond, since every local: shard spawn waits here, for
+  // up to 15 s.
+  for (int attempt = 0; attempt < 15000; ++attempt) {
     FILE* f = std::fopen(port_file.c_str(), "rb");
     if (f != nullptr) {
       long port = 0;
@@ -325,7 +405,7 @@ Status ListenerShard::Start(const std::string& binary,
       }
     }
     if (!Running()) break;
-    ::usleep(10 * 1000);
+    ::usleep(1000);
   }
   Stop();
   ::unlink(port_file.c_str());

@@ -1,9 +1,12 @@
 // Tests for GraphZeppelin checkpoint save/restore.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <string>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "baseline/matrix_checker.h"
@@ -46,6 +49,47 @@ TEST(CheckpointTest, SaveRestoreRoundTrip) {
   const ConnectivityResult got = restored.ListSpanningForest();
   ASSERT_FALSE(got.failed);
   EXPECT_EQ(got.num_components, expect.num_components);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, FailedSaveLeavesThePreviousCheckpointIntact) {
+  // A save that runs out of room must return IoError and leave the
+  // previous good checkpoint loadable, bit for bit. A forked child
+  // saves under RLIMIT_FSIZE with SIGXFSZ ignored, so its writes fail
+  // with EFBIG instead of killing it.
+  const std::string path = TempPath("ckpt_failed_save.bin");
+  const uint64_t n = 64;
+  GraphSnapshot expect;
+  {
+    GraphZeppelin good(MakeConfig(n, 9));
+    ASSERT_TRUE(good.Init().ok());
+    good.Update({Edge(0, 1), UpdateType::kInsert});
+    ASSERT_TRUE(good.SaveCheckpoint(path).ok());
+    expect = good.Snapshot();
+  }
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    GraphZeppelin other(MakeConfig(n, 9));
+    if (!other.Init().ok()) ::_exit(2);
+    other.Update({Edge(2, 3), UpdateType::kInsert});
+    std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit limit;
+    limit.rlim_cur = limit.rlim_max = 4096;
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(3);
+    const Status s = other.SaveCheckpoint(path);
+    ::_exit(s.code() == StatusCode::kIoError ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  GraphZeppelin restored(MakeConfig(n, 9));
+  ASSERT_TRUE(restored.Init().ok());
+  const Status s = restored.LoadCheckpoint(path);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(restored.Snapshot() == expect);
   std::remove(path.c_str());
 }
 

@@ -1,8 +1,9 @@
-// The shard substrates the cluster suites run every case on: ShardServer
-// threads inside the test process (thread:), fork/exec'd gz_shard
-// children (local:), and `gz_shard --listen` processes dialed over
-// loopback TCP with an auth secret (tcp://). All sit behind the one
-// ShardCluster coordinator and must give bitwise-identical answers.
+// The shard substrates the cluster suites run every case on, each a
+// ShardListener dialed over loopback TCP: listener threads inside the
+// test process (thread:), `gz_shard --listen` children the coordinator
+// spawns (local:), and `gz_shard --listen` processes the suite starts,
+// dialed by endpoint with an auth secret (tcp://). All sit behind the
+// one ShardCluster coordinator and must give bitwise-identical answers.
 #ifndef GZ_TESTS_CLUSTER_SUBSTRATE_H_
 #define GZ_TESTS_CLUSTER_SUBSTRATE_H_
 

@@ -1,10 +1,10 @@
 // Randomized resharding chaos suite: a seeded random schedule of
 // insert/delete updates interleaved with AddShard / SplitShard /
 // RemoveShard operations at random points, on ALL shard substrates:
-// ShardServer threads in this process, real gz_shard worker processes
-// over socketpairs, and worker processes attached over loopback TCP
-// (`gz_shard --listen` + auth secret) — the full listener-mode
-// transport under every resharding drill.
+// shard listeners on threads in this process, gz_shard listener
+// children the coordinator spawns, and listener processes the suite
+// starts and names by tcp:// endpoint (+ auth secret) — every one
+// dialed over loopback TCP under every resharding drill.
 //
 // The property under test is the tentpole claim of elastic resharding:
 // through ANY reshard schedule the stream never pauses (updates are fed

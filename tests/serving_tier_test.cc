@@ -384,6 +384,64 @@ TEST_F(ServingTierTcpTest, SessionLimitRefusesTheOverflowReaderCleanly) {
       second.CallAck(ShardMessageType::kPing, nullptr, 0, &ack).ok());
 }
 
+TEST_F(ServingTierTcpTest, FailedConnectLeavesNoPartialSession) {
+  // Connect() is all or nothing: a dial that fails part-way must not
+  // keep the shards it did reach, or the next Snapshot() would fold a
+  // partial graph and return it as the answer.
+  StartFleet(2);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  ShardCluster sharded(BaseConfig(97), 2, options);
+  ASSERT_TRUE(sharded.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(97);
+  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(sharded.Flush().ok());
+
+  QuerySessionOptions qo = ReaderOptions();
+  qo.endpoints = {endpoints_[0], "tcp://127.0.0.1:1"};
+  QuerySession session(qo);
+  ASSERT_FALSE(session.Connect().ok());
+  const GraphSnapshot* served = nullptr;
+  const Status s = session.Snapshot(&served);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  ASSERT_TRUE(sharded.Shutdown().ok());
+}
+
+TEST(LoopbackShardTest, MintedSecretAdmitsOnlyTheOwningCoordinator) {
+  // local: and thread: shards listen on a loopback port any process on
+  // the machine can reach. Under a cluster with no secret, each
+  // transport mints its own, so a peer that finds the port but dials
+  // with the cluster's empty secret fails authentication.
+  ShardTransportOptions options;
+  options.binary = DefaultShardBinary();
+  options.log_path = ::testing::TempDir() + "/gz_loopback_" +
+                     std::to_string(::getpid()) + ".log";
+  for (const char* uri : {"local:", "thread:"}) {
+    Result<ShardEndpoint> endpoint = ParseShardEndpoint(uri);
+    ASSERT_TRUE(endpoint.ok());
+    std::unique_ptr<ShardTransport> shard =
+        MakeShardTransport(endpoint.value(), options);
+    Status s = shard->Connect();
+    ASSERT_TRUE(s.ok()) << uri << ": " << s.ToString();
+    struct sockaddr_in peer;
+    socklen_t peer_len = sizeof(peer);
+    ASSERT_EQ(::getpeername(shard->fd(),
+                            reinterpret_cast<struct sockaddr*>(&peer),
+                            &peer_len),
+              0);
+    TcpShardTransport intruder(
+        ShardEndpoint::Tcp("127.0.0.1", ntohs(peer.sin_port)), "");
+    s = intruder.Connect();
+    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition)
+        << uri << ": " << s.ToString();
+    EXPECT_NE(s.message().find("authentication"), std::string::npos)
+        << uri << ": " << s.ToString();
+    shard->Terminate();
+  }
+  ::unlink(options.log_path.c_str());
+}
+
 TEST_F(ServingTierTcpTest, StalledPreAuthPeerDoesNotBlockTheWriter) {
   // The DoS window the multi-session listener closes: a peer that
   // connects and goes silent — pre-handshake, or mid-frame as a reader

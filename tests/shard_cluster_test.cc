@@ -3,14 +3,14 @@
 // injection (SIGKILL mid-stream, restart from checkpoint, replay) that
 // must be invisible in the final result.
 //
-// Every drill runs over ALL THREE transports: thread (ShardServer
-// threads in this process over socketpairs), local (fork/exec children
-// over socketpairs) and loopback TCP (real `gz_shard --listen`
-// processes dialed by endpoint, with an auth secret) — the transport
-// must be invisible in every result too. A thread "SIGKILL" is a socket
-// shutdown + join that destroys the instance with its server; a TCP
+// Every drill runs over ALL THREE substrates, each a ShardListener
+// dialed over loopback TCP: thread (listeners on threads of this
+// process), local (fork/exec'd `gz_shard --listen` children) and tcp
+// (`gz_shard --listen` processes started by the suite and dialed by
+// endpoint, with an auth secret) — the substrate must be invisible in
+// every result too. A local "SIGKILL" is a real one; a thread or tcp
 // one is a connection abort: the listener discards its instance and
-// re-accepts. Both are the same state loss, recovered the same way.
+// re-accepts. All are the same state loss, recovered the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>

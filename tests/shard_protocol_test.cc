@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <thread>
 
 #include <sys/socket.h>
@@ -380,16 +381,24 @@ TEST(ShardProtocolTest, AckAndErrorPayloadsRoundTrip) {
   EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
 }
 
-// ---- Shard-side conformance (ShardServer over a socketpair) ---------------
+// ---- Shard-side conformance (a listener session over a socketpair) --------
 
 class ShardServerFixture : public ::testing::Test {
  protected:
-  // Launches Serve() on the b side and, by default, completes the
+  // Runs a listener session on the b side — ServerHandshake, then
+  // ShardServer::Serve() in the role the client declared, the two calls
+  // ShardListener's RunSession makes — and, by default, completes the
   // client handshake on the a side so tests exercise an established
-  // session. Pass handshake=false to poke at the pre-auth state.
+  // session. Pass handshake=false to poke at the pre-auth state. Each
+  // start serves a fresh instance, as a fresh listener would.
   void StartServer(bool handshake = true, const std::string& secret = "") {
-    server_thread_ = std::thread([this, secret] {
-      serve_status_ = ShardServer(sp_.b(), secret).Serve();
+    state_ = std::make_unique<ShardInstanceState>();
+    server_thread_ = std::thread([this, secret, state = state_.get()] {
+      ShardSessionRole role = ShardSessionRole::kWriter;
+      serve_status_ = ServerHandshake(sp_.b(), secret, &role);
+      if (serve_status_.ok()) {
+        serve_status_ = ShardServer(sp_.b(), state, role, 30).Serve();
+      }
     });
     if (handshake) {
       ASSERT_TRUE(ClientHandshake(sp_.a(), secret).ok());
@@ -452,6 +461,7 @@ class ShardServerFixture : public ::testing::Test {
   }
 
   SocketPair sp_;
+  std::unique_ptr<ShardInstanceState> state_;
   std::thread server_thread_;
   Status serve_status_;
   bool stopped_ = false;

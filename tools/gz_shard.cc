@@ -1,39 +1,35 @@
-// gz_shard: one shard of a multi-process sharded deployment. Two ways
-// to attach it to a coordinator:
+// gz_shard: one shard of a multi-process sharded deployment.
 //
-//   --fd N               spawned by ShardCluster (fork/exec) with a
-//                        connected socketpair end as fd N — the local:
-//                        endpoint. Single session.
-//   --listen host:port   standalone: bind and serve the tcp://host:port
-//                        endpoint as a multi-session listener — one
-//                        authenticated writer (the coordinator, full
-//                        protocol) plus up to --max-sessions-1
-//                        authenticated readers (PING / STATS_EX /
-//                        MIGRATE_EXTRACT only), the serving tier's
-//                        data plane. Port 0 asks
-//                        the kernel for a free port; --port-file PATH
-//                        publishes the bound port (for harnesses that
-//                        need to discover it). A dropped writer
-//                        connection discards the in-memory instance —
-//                        exactly the state loss of a SIGKILLed local
-//                        shard, recovered the same way (reconnect +
-//                        checkpoint restore + replay) — while reader
-//                        sessions ride through. An orderly SHUTDOWN
-//                        from the writer retires the process.
+//   --listen host:port   bind and serve the shard as a multi-session
+//                        listener — one authenticated writer (the
+//                        coordinator, full protocol) plus up to
+//                        --max-sessions-1 authenticated readers (PING /
+//                        STATS_EX / MIGRATE_EXTRACT only), the serving
+//                        tier's data plane. Port 0 asks the kernel for
+//                        a free port; --port-file PATH publishes the
+//                        bound port (for harnesses that need to
+//                        discover it). A coordinator's local: endpoint
+//                        spawns `gz_shard --listen 127.0.0.1:0` itself;
+//                        a tcp:// endpoint dials one started by hand.
+//                        A dropped writer connection discards the
+//                        in-memory instance — exactly the state loss of
+//                        a SIGKILLed shard, recovered the same way
+//                        (reconnect + checkpoint restore + replay) —
+//                        while reader sessions ride through. An orderly
+//                        SHUTDOWN from the writer retires the process.
 //
-// Either way the first protocol exchange is the authenticated HELLO
-// handshake (--auth-secret SECRET or --auth-secret-file PATH, else
+// Every session starts with the authenticated HELLO handshake
+// (--auth-secret SECRET or --auth-secret-file PATH, else
 // $GZ_SHARD_AUTH_SECRET; default open). A listener on an untrusted
 // network MUST carry a secret: without one, anyone who can reach the
 // port can inject UPDATE_BATCHes — or read the whole graph state
 // through a reader session. Everything interesting lives in
-// ShardServer / ShardListener; this is only argv + socket plumbing.
+// ShardListener / ShardServer; this is only argv plumbing.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "distributed/shard_listener.h"
-#include "distributed/shard_server.h"
 #include "tools/flags.h"
 #include "util/status.h"
 
@@ -42,10 +38,9 @@ namespace {
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: gz_shard --fd N | --listen host:port [--port-file PATH]\n"
+      "usage: gz_shard --listen host:port [--port-file PATH]\n"
       "       [--auth-secret SECRET | --auth-secret-file PATH]\n"
       "       [--max-sessions N] [--reader-timeout SECONDS]\n"
-      "  --fd N        serve the shard protocol on an inherited socket\n"
       "  --listen      bind host:port (port 0 = kernel-assigned) and\n"
       "                serve one writer plus concurrent reader sessions\n"
       "  --port-file   write the bound port here once listening\n"
@@ -100,18 +95,10 @@ int RunListener(const gz::tools::Flags& flags, const std::string& secret) {
 
 int main(int argc, char** argv) {
   gz::tools::Flags flags(argc, argv);
-  if (!flags.AllKnown({"fd", "listen", "port-file", "max-sessions",
-                       "reader-timeout", "auth-secret", "auth-secret-file"})) {
+  if (!flags.AllKnown({"listen", "port-file", "max-sessions",
+                       "reader-timeout", "auth-secret", "auth-secret-file"}) ||
+      !flags.Has("listen")) {
     return Usage();
   }
-  const std::string secret = gz::tools::ResolveAuthSecret(flags, "gz_shard");
-  if (flags.Has("listen")) return RunListener(flags, secret);
-  const int fd = static_cast<int>(flags.GetInt("fd", -1));
-  if (fd < 0) return Usage();
-  const gz::Status s = gz::ShardServer(fd, secret).Serve();
-  if (!s.ok()) {
-    std::fprintf(stderr, "gz_shard: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  return RunListener(flags, gz::tools::ResolveAuthSecret(flags, "gz_shard"));
 }
