@@ -1,7 +1,9 @@
 // Query-layer benchmark. Per vertex scale V it times, once each, a
 // GraphSnapshot's capture, XOR merge, serialize and deserialize, and
 // one Boruvka query on one thread and on the parallel pool, and
-// GZ_CHECKs that both queries return the identical forest. Then it
+// GZ_CHECKs that both queries return the identical forest. Each row's
+// "rounds" is the snapshot's round budget (NodeSketch::DefaultRounds);
+// "rounds_used" is how many of them the 1-thread query ran. Then it
 // times the serving tier over a loopback-TCP listener fleet: a reader
 // session's cold Snapshot() vs a cached repeat at an unmoved position
 // vs the coordinator's re-fold (GZ_CHECKed: the served snapshot equals
@@ -121,14 +123,14 @@ int main() {
 
     const double mb = static_cast<double>(bytes.size()) / (1024.0 * 1024.0);
     std::printf(
-        "  {\"v\": %llu, \"edges\": %zu, \"rounds\": %d,\n"
+        "  {\"v\": %llu, \"edges\": %zu, \"rounds\": %d, \"rounds_used\": %d,\n"
         "   \"snapshot_s\": %.4f, \"merge_s\": %.4f,\n"
         "   \"serialize_s\": %.4f, \"deserialize_s\": %.4f,\n"
         "   \"snapshot_mb\": %.1f, \"serialize_mb_per_s\": %.0f,\n"
         "   \"boruvka_1t_s\": %.4f, \"boruvka_par_s\": %.4f,\n"
         "   \"par_threads\": %d, \"speedup\": %.2f}%s\n",
         static_cast<unsigned long long>(n), edges.size(), snapshot.rounds(),
-        snapshot_s, merge_s, serialize_s, deserialize_s, mb,
+        seq.rounds_used, snapshot_s, merge_s, serialize_s, deserialize_s, mb,
         serialize_s > 0 ? mb / serialize_s : 0.0, boruvka_1t_s,
         boruvka_par_s, par_threads,
         boruvka_par_s > 0 ? boruvka_1t_s / boruvka_par_s : 0.0,

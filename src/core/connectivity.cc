@@ -113,9 +113,11 @@ class QueryThreadPool {
   bool stop_ = false;
 };
 
-// Per-block output slot of the sampling phase.
+// Per-block output slot of the sampling phase. `picks` is the block's
+// cols-wide sample slot for the singletons it samples in place.
 struct SampleBlock {
   EdgeList candidates;
+  std::vector<uint64_t> picks;
   bool any_fail = false;
 };
 
@@ -188,24 +190,28 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
   // The round's multi-member components, k = 0, 1, ... in ascending
   // root order: slot_of[root] = k (-1 for a singleton, which is queried
   // in place), members grouped by root (cursor counts, then places
-  // them) and cut into build chunks, and the component's cut sample in
-  // samples[k]. Only components spanning several chunks park their
-  // chunk sums in `partials` (one round_stride slot per chunk, in one
-  // flat buffer) until folded. The buffers live across rounds so later
-  // rounds reuse them.
+  // them) and cut into build chunks, and the component's cut samples in
+  // samples[k], their coordinates in the cols-wide slot k of `picks`.
+  // Only components spanning several chunks park their chunk sums in
+  // `partials` (one round_stride slot per chunk, in one flat buffer)
+  // until folded. The buffers live across rounds so later rounds reuse
+  // them.
   const SketchLayout& layout = snapshot.sketch(0).layout();
   const size_t round_bytes = layout.round_bytes();
   const size_t stride = layout.round_stride();
+  const int cols = layout.cols();
   std::vector<uint64_t> cursor(num_nodes);
   std::vector<int64_t> slot_of(num_nodes);
   std::vector<NodeId> members;
   std::vector<BuildChunk> chunks;
   std::vector<SpreadComponent> spread;
   std::vector<uint8_t> partials;  // operator new aligns it to 16.
-  std::vector<SketchSample> samples;
+  std::vector<ColumnSamples> samples;
+  std::vector<uint64_t> picks;
   const size_t num_blocks =
       (num_nodes + kSampleBlockNodes - 1) / kSampleBlockNodes;
   std::vector<SampleBlock> blocks(num_blocks);
+  for (SampleBlock& block : blocks) block.picks.resize(cols);
   bool complete = false;
 
   for (int round = first_round; round < last_round && !complete; ++round) {
@@ -217,7 +223,8 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
 
     // Phase 1: build each multi-member component's round-`round` sketch,
     // the XOR of its members' subsketches, in parallel over chunks of
-    // members, and sample its cut; a component spanning several chunks
+    // members, and sample its cut, one sample per column (see
+    // SketchLayout::SampleColumns); a component spanning several chunks
     // is sampled once its chunk sums are folded. The layout depends only
     // on the DSU, and XOR is order-free, so every sample is identical
     // for any thread count.
@@ -256,7 +263,12 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
       }
     }
     partials.resize(num_partials * stride);
+    picks.resize(samples.size() * cols);
     auto slot = [&](size_t p) { return partials.data() + p * stride; };
+    auto sample = [&](size_t comp, const uint8_t* sum) {
+      samples[comp] =
+          layout.SampleColumns(round, sum, picks.data() + comp * cols, cols);
+    };
     run(num_members >= kMinParallelBuildMembers, chunks.size(),
         [&](size_t c) {
           const BuildChunk& ch = chunks[c];
@@ -268,7 +280,7 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
             XorBytes(sum, snapshot.sketch(members[k]).subsketch(round),
                      round_bytes);
           }
-          if (ch.partial < 0) samples[ch.comp] = layout.Query(round, sum);
+          if (ch.partial < 0) sample(ch.comp, sum);
         });
     run(spread.size() > 1, spread.size(), [&](size_t g) {
       uint8_t* sum = slot(spread[g].first_partial);
@@ -276,15 +288,15 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
            p < spread[g].end_partial; ++p) {
         XorBytes(sum, slot(p), round_bytes);
       }
-      samples[spread[g].comp] = layout.Query(round, sum);
+      sample(spread[g].comp, sum);
     });
 
-    // Phase 2: gather one candidate cut edge per live component, in
+    // Phase 2: gather every live component's candidate cut edges, in
     // parallel over contiguous node-id blocks: singletons are sampled
-    // here, multi-member components read their phase-1 sample. Per-block
+    // here, multi-member components read their phase-1 samples. Per-block
     // result slots keep the gathered candidate order equal to the
-    // sequential ascending-id order regardless of which thread ran which
-    // block.
+    // sequential order (ascending representative, then column)
+    // regardless of which thread ran which block.
     run(live_roots >= kMinParallelSampleRoots, num_blocks, [&](size_t b) {
       SampleBlock& out = blocks[b];
       out.candidates.clear();
@@ -293,13 +305,22 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
       const uint64_t end = std::min(begin + kSampleBlockNodes, num_nodes);
       for (uint64_t i = begin; i < end; ++i) {
         if (root_of[i] != i) continue;  // Only component representatives.
-        const SketchSample sample =
-            slot_of[i] < 0
-                ? snapshot.sketch(static_cast<NodeId>(i)).Query(round)
-                : samples[slot_of[i]];
-        switch (sample.kind) {
+        const uint64_t* got;
+        ColumnSamples s;
+        if (slot_of[i] < 0) {
+          got = out.picks.data();
+          s = layout.SampleColumns(
+              round, snapshot.sketch(static_cast<NodeId>(i)).subsketch(round),
+              out.picks.data(), cols);
+        } else {
+          got = picks.data() + slot_of[i] * cols;
+          s = samples[slot_of[i]];
+        }
+        switch (s.kind) {
           case SampleKind::kGood:
-            out.candidates.push_back(IndexToEdge(sample.index, num_nodes));
+            for (int k = 0; k < s.count; ++k) {
+              out.candidates.push_back(IndexToEdge(got[k], num_nodes));
+            }
             break;
           case SampleKind::kZero:
             break;  // Empty cut: this component is finished.
@@ -311,9 +332,9 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
     });
 
     // Phase 3 (sequential): drive the DSU over the candidates in
-    // ascending-representative order, recording forest edges. No sketch
-    // is touched here, so the merge structure this induces is identical
-    // for every thread count.
+    // ascending-representative, then column order, recording forest
+    // edges. No sketch is touched here, so the merge structure this
+    // induces is identical for every thread count.
     bool any_fail = false;
     bool found_edge = false;
     for (const SampleBlock& block : blocks) {

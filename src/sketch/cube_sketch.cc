@@ -79,7 +79,8 @@ void SketchLayout::Update(int round, uint8_t* slice, SketchKernel kernel,
   std::memcpy(det, &det_alpha, sizeof(det_alpha));
 }
 
-SketchSample SketchLayout::Query(int round, const uint8_t* slice) const {
+ColumnSamples SketchLayout::SampleColumns(int round, const uint8_t* slice,
+                                          uint64_t* out, int max_out) const {
   const uint64_t* alphas = reinterpret_cast<const uint64_t*>(slice);
   const uint32_t* gammas = reinterpret_cast<const uint32_t*>(
       slice + column_buckets_ * sizeof(uint64_t));
@@ -91,26 +92,41 @@ SketchSample SketchLayout::Query(int round, const uint8_t* slice) const {
   std::memcpy(&det_gamma, det + sizeof(det_alpha), sizeof(det_gamma));
 
   // Deterministic bucket: zero detection and O(1) singleton recovery.
-  if (det_alpha == 0 && det_gamma == 0) return SketchSample::Zero();
+  if (det_alpha == 0 && det_gamma == 0) return {SampleKind::kZero, 0};
   if (det_alpha != 0 && det_alpha <= vector_len_) {
     const uint32_t expect =
         static_cast<uint32_t>(XxHash64Word(det_alpha, gamma_seeds[cols_]));
-    if (expect == det_gamma) return SketchSample::Good(det_alpha - 1);
+    if (expect == det_gamma) {
+      out[0] = det_alpha - 1;
+      return {SampleKind::kGood, 1};
+    }
   }
 
   // Scan each column from the deepest (sparsest) row upward: deep rows
-  // are the most likely to hold a single survivor.
-  for (int c = 0; c < cols_; ++c) {
+  // are the most likely to hold a single survivor. The first verified
+  // bucket is the column's one sample.
+  int count = 0;
+  for (int c = 0; c < cols_ && count < max_out; ++c) {
     for (int r = rows_ - 1; r >= 0; --r) {
       const size_t b = static_cast<size_t>(c) * rows_ + r;
       const uint64_t alpha = alphas[b];
       if (alpha == 0 || alpha > vector_len_) continue;
       const uint32_t expect =
           static_cast<uint32_t>(XxHash64Word(alpha, gamma_seeds[c]));
-      if (expect == gammas[b]) return SketchSample::Good(alpha - 1);
+      if (expect == gammas[b]) {
+        out[count++] = alpha - 1;
+        break;
+      }
     }
   }
-  return SketchSample::Fail();
+  if (count == 0) return {SampleKind::kFail, 0};
+  return {SampleKind::kGood, count};
+}
+
+SketchSample SketchLayout::Query(int round, const uint8_t* slice) const {
+  uint64_t index = 0;
+  const ColumnSamples s = SampleColumns(round, slice, &index, 1);
+  return {s.kind, index};
 }
 
 void XorBytes(uint8_t* dst, const uint8_t* src, size_t bytes) {

@@ -56,6 +56,16 @@ struct CubeSketchParams {
 // every round's alphas are 8-aligned; the det alpha's offset 12*cols*rows
 // is 8-aligned only when round_bytes is not, so it is accessed through
 // memcpy alone.
+//
+// Sampling is one bucket scan, SampleColumns(). A verified
+// deterministic bucket is the one sample, as before; otherwise the scan
+// takes the deepest checksum-verified bucket of each column, so up to
+// `cols` independent samples in column order. Query() is the first
+// element of that scan. False positives: a bucket holding several
+// indices passes its 32-bit checksum with probability 2^-32, and the
+// scan accepts at most one bucket per column, so one round sketch
+// contributes at most cols * 2^-32 false-sample chance. It examines at
+// most cols * rows + 1 buckets, the same bound as a first-hit scan.
 class SketchLayout {
  public:
   SketchLayout(uint64_t vector_len, int cols,
@@ -65,6 +75,7 @@ class SketchLayout {
   static size_t RoundBytes(uint64_t vector_len, int cols);
 
   uint64_t vector_len() const { return vector_len_; }
+  int cols() const { return cols_; }
   int rows() const { return rows_; }
   int rounds() const { return rounds_; }
   size_t round_bytes() const { return round_bytes_; }
@@ -76,6 +87,13 @@ class SketchLayout {
               const uint64_t* indices, size_t count) const;
 
   // Samples the round at `slice`: a block's, or an XOR of several.
+  // Writes at most `max_out` (>= 1) nonzero coordinates to `out`: the
+  // deterministic bucket's alone, or else the deepest verified bucket
+  // of each column in column order, stopping after `max_out` samples.
+  ColumnSamples SampleColumns(int round, const uint8_t* slice,
+                              uint64_t* out, int max_out) const;
+
+  // The first sample of SampleColumns().
   SketchSample Query(int round, const uint8_t* slice) const;
 
  private:

@@ -21,6 +21,14 @@ struct SketchSample {
   static SketchSample Fail() { return {SampleKind::kFail, 0}; }
 };
 
+// Outcome of sampling every column of one round sketch
+// (SketchLayout::SampleColumns): kGood with `count` >= 1 coordinates
+// written to the caller's buffer, or kZero / kFail with none.
+struct ColumnSamples {
+  SampleKind kind = SampleKind::kFail;
+  int count = 0;
+};
+
 }  // namespace gz
 
 #endif  // GZ_SKETCH_SKETCH_SAMPLE_H_

@@ -45,9 +45,10 @@ GraphSnapshot SketchGraph(uint64_t num_nodes, uint64_t seed,
 
 // The engine's specification, written the way it used to run: one
 // thread, folding each merged component's node sketches destructively
-// into its new root after every round. Same round window semantics and
-// the same ascending-root candidate order, so its result must equal the
-// engine's exactly.
+// into its new root after every round. Same round window semantics,
+// the same sampling rule (every column's deepest verified bucket) and
+// the same candidate order (ascending root, then column), so its result
+// must equal the engine's exactly.
 ConnectivityResult ReferenceBoruvka(std::vector<NodeSketch> sk,
                                     int first_round, int num_rounds) {
   const uint64_t n = sk.size();
@@ -65,10 +66,13 @@ ConnectivityResult ReferenceBoruvka(std::vector<NodeSketch> sk,
     }
     EdgeList candidates;
     bool any_fail = false;
+    const SketchLayout& layout = sk[0].layout();
+    std::vector<uint64_t> picks(layout.cols());
     for (const NodeId r : roots) {
-      const SketchSample s = sk[r].Query(round);
-      if (s.kind == SampleKind::kGood) {
-        candidates.push_back(IndexToEdge(s.index, n));
+      const ColumnSamples s = layout.SampleColumns(
+          round, sk[r].subsketch(round), picks.data(), layout.cols());
+      for (int k = 0; k < s.count; ++k) {
+        candidates.push_back(IndexToEdge(picks[k], n));
       }
       any_fail |= s.kind == SampleKind::kFail;
     }
@@ -330,6 +334,20 @@ TEST(ConnectivityTest, SpanningForestStreamOutput) {
   }
   EXPECT_EQ(dsu.num_sets(), r.num_components);
   std::remove(path.c_str());
+}
+
+// Every column's sample joins the round's candidates, so a sparse
+// random connected graph finishes within 3 rounds; with one sample per
+// component per round it takes 6 here.
+TEST(ConnectivityTest, ColumnSamplesFinishWithinThreeRounds) {
+  const uint64_t n = 1 << 11;
+  const EdgeList edges = RandomConnectedGraph(n, 1 << 13, 1011);
+  const GraphSnapshot snap = SketchGraph(n, 42, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snap);
+  ASSERT_FALSE(r.failed);
+  EXPECT_EQ(r.num_components, 1u);
+  EXPECT_LE(r.rounds_used, 3);
+  CheckForest(r, n, edges);
 }
 
 TEST(ConnectivityTest, RoundWindowRestrictsWork) {

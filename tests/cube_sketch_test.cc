@@ -1,5 +1,5 @@
 // Tests for CubeSketch: recovery, zero detection, linearity, failure
-// probability, serialization.
+// probability, per-column sampling, serialization.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -18,6 +18,17 @@ CubeSketchParams MakeParams(uint64_t n, uint64_t seed, int cols = 7) {
   p.seed = seed;
   p.cols = cols;
   return p;
+}
+
+// The one bucket scan over a CubeSketch's single round, asked for every
+// column's sample; `kind` gets the scan's outcome.
+std::vector<uint64_t> SampleColumns(const CubeSketch& s, SampleKind* kind) {
+  std::vector<uint64_t> picks(s.cols());
+  const ColumnSamples got =
+      s.layout().SampleColumns(0, s.subsketch(0), picks.data(), s.cols());
+  *kind = got.kind;
+  picks.resize(got.count);
+  return picks;
 }
 
 TEST(CubeSketchTest, EmptySketchReportsZero) {
@@ -178,6 +189,78 @@ TEST(CubeSketchTest, FailureRateBelowDelta) {
   }
   // Expected failures ~ trials * delta = 4. Allow generous slack.
   EXPECT_LE(failures, 12);
+}
+
+// --- Per-column sampling --------------------------------------------------
+
+TEST(CubeSketchColumnSampleTest, ZeroVectorGivesNoCandidates) {
+  CubeSketch s(MakeParams(1000, 31));
+  s.Update(17);
+  s.Update(17);
+  SampleKind kind;
+  EXPECT_TRUE(SampleColumns(s, &kind).empty());
+  EXPECT_EQ(kind, SampleKind::kZero);
+}
+
+TEST(CubeSketchColumnSampleTest, SingleIndexGivesTheDeterministicIndex) {
+  for (uint64_t idx : {0ULL, 1ULL, 500ULL, 999ULL}) {
+    CubeSketch s(MakeParams(1000, 37));
+    s.Update(idx);
+    SampleKind kind;
+    EXPECT_EQ(SampleColumns(s, &kind), std::vector<uint64_t>{idx});
+    EXPECT_EQ(kind, SampleKind::kGood);
+  }
+}
+
+TEST(CubeSketchColumnSampleTest, SparseVectorGivesTrueCoordinatesPerColumn) {
+  SplitMix64 rng(4343);
+  const uint64_t n = 100000;
+  size_t multi = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    CubeSketch s(MakeParams(n, 7000 + trial));
+    const int support = 2 + static_cast<int>(rng.NextBelow(60));
+    std::set<uint64_t> in;
+    while (in.size() < static_cast<size_t>(support)) {
+      in.insert(rng.NextBelow(n));
+    }
+    for (uint64_t idx : in) s.Update(idx);
+    SampleKind kind;
+    const std::vector<uint64_t> picks = SampleColumns(s, &kind);
+    const SketchSample first = s.Query();
+    ASSERT_EQ(kind, first.kind);
+    if (kind != SampleKind::kGood) {
+      EXPECT_TRUE(picks.empty());
+      continue;
+    }
+    ASSERT_FALSE(picks.empty());
+    EXPECT_LE(picks.size(), static_cast<size_t>(s.cols()));
+    EXPECT_EQ(picks[0], first.index);
+    for (uint64_t idx : picks) {
+      EXPECT_TRUE(in.count(idx) > 0) << "returned non-member " << idx;
+    }
+    multi += picks.size() > 1;
+  }
+  // The columns are independent samplers: most sparse vectors yield
+  // more than one sample.
+  EXPECT_GE(multi, 50u);
+}
+
+TEST(CubeSketchColumnSampleTest, IdenticalForScalarAndDispatchedKernel) {
+  SplitMix64 rng(99);
+  const uint64_t n = 1 << 20;
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<uint64_t> indices(1 + rng.NextBelow(200));
+    for (uint64_t& idx : indices) idx = rng.NextBelow(n);
+    CubeSketch scalar(MakeParams(n, 300 + trial));
+    CubeSketch dispatched(MakeParams(n, 300 + trial));
+    scalar.UpdateBatchWithKernel(SketchKernel::kScalar, indices.data(),
+                                 indices.size());
+    dispatched.UpdateBatch(indices.data(), indices.size());
+    SampleKind scalar_kind, dispatched_kind;
+    EXPECT_EQ(SampleColumns(scalar, &scalar_kind),
+              SampleColumns(dispatched, &dispatched_kind));
+    EXPECT_EQ(scalar_kind, dispatched_kind);
+  }
 }
 
 // --- Serialization --------------------------------------------------------

@@ -131,7 +131,7 @@ int RunSharded(const gz::tools::Flags& flags,
   Result<GraphSnapshot> snapshot = cluster.Snapshot();
   if (!snapshot.ok()) return ClusterFailure("snapshot", snapshot.status());
   const ConnectivityResult result =
-      Connectivity(std::move(snapshot).value(), config.query_threads);
+      Connectivity(snapshot.value(), config.query_threads);
   const double query_seconds = query_timer.Seconds();
   if (result.failed) {
     std::fprintf(stderr, "sketch query failed; re-run with another seed\n");
@@ -145,8 +145,8 @@ int RunSharded(const gz::tools::Flags& flags,
               cluster.num_shards(), ingest_seconds,
               FormatRate(static_cast<double>(ingested) / ingest_seconds,
                          rate_buf, sizeof(rate_buf)));
-  std::printf("query     %.3fs, %d Boruvka rounds\n", query_seconds,
-              result.rounds_used);
+  std::printf("query     %.3fs, %d of %d Boruvka rounds\n", query_seconds,
+              result.rounds_used, snapshot.value().rounds());
   std::printf("components %zu, spanning forest %zu edges\n",
               result.num_components, result.spanning_forest.size());
 
@@ -245,8 +245,8 @@ int main(int argc, char** argv) {
               FormatRate(static_cast<double>(gz.num_updates_ingested()) /
                              ingest_seconds,
                          rate_buf, sizeof(rate_buf)));
-  std::printf("query     %.3fs, %d Boruvka rounds\n", query_seconds,
-              result.rounds_used);
+  std::printf("query     %.3fs, %d of %d Boruvka rounds\n", query_seconds,
+              result.rounds_used, gz.sketch_params().rounds);
   std::printf("memory    %s RAM",
               FormatBytes(gz.RamByteSize(), ram_buf, sizeof(ram_buf)));
   if (gz.DiskByteSize() > 0) {

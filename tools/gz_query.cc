@@ -361,13 +361,13 @@ int main(int argc, char** argv) {
     std::printf(
         "{\"mode\":\"%s\",\"num_nodes\":%llu,\"num_updates\":%llu,"
         "\"components\":%zu,\"forest_edges\":%zu,\"rounds\":%d,"
-        "\"refresh_seconds\":%.6f,\"query_seconds\":%.6f,"
+        "\"round_budget\":%d,\"refresh_seconds\":%.6f,\"query_seconds\":%.6f,"
         "\"seqlock_rounds\":%d,\"range_pulls\":%llu}\n",
         mode.c_str(),
         static_cast<unsigned long long>(snap->params().num_nodes),
         static_cast<unsigned long long>(snap->num_updates()),
         result.num_components, result.spanning_forest.size(),
-        result.rounds_used, refresh_seconds, query_seconds,
+        result.rounds_used, snap->rounds(), refresh_seconds, query_seconds,
         session->last_refresh_rounds(),
         static_cast<unsigned long long>(session->range_pulls()));
   } else {
@@ -378,8 +378,8 @@ int main(int argc, char** argv) {
                 refresh_seconds, session->last_refresh_rounds(),
                 session->last_refresh_rounds() == 1 ? "" : "s",
                 static_cast<unsigned long long>(session->range_pulls()));
-    std::printf("query     %.3fs, %d Boruvka rounds\n", query_seconds,
-                result.rounds_used);
+    std::printf("query     %.3fs, %d of %d Boruvka rounds\n",
+                query_seconds, result.rounds_used, snap->rounds());
     std::printf("components %zu, spanning forest %zu edges\n",
                 result.num_components, result.spanning_forest.size());
     const int top = static_cast<int>(flags.GetInt("top", 0));

@@ -75,9 +75,9 @@ int main(int argc, char** argv) {
                          "seed\n");
     return 1;
   }
-  std::printf("query     %.3fs (%d threads), %d Boruvka rounds\n",
+  std::printf("query     %.3fs (%d threads), %d of %d Boruvka rounds\n",
               timer.Seconds(), ResolveQueryThreads(threads),
-              result.rounds_used);
+              result.rounds_used, merged.rounds());
   std::printf("components %zu, spanning forest %zu edges\n",
               result.num_components, result.spanning_forest.size());
 
