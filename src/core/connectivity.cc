@@ -21,7 +21,10 @@ namespace {
 // barrier.
 constexpr uint64_t kMinParallelSampleRoots = 1024;
 constexpr size_t kMinParallelBuildMembers = 1024;
-constexpr uint64_t kSampleBlockNodes = 1024;
+// Node ids one sampling task covers: a quarter of the sampling floor,
+// so a round at the floor already spreads over a 4-thread pool (round
+// one samples every column of every node).
+constexpr uint64_t kSampleBlockNodes = 256;
 // Members one build task XORs together: small enough that one giant
 // component spreads over the pool, large enough to amortize the grab.
 constexpr size_t kBuildChunkMembers = 64;

@@ -62,10 +62,11 @@ struct CubeSketchParams {
 // takes the deepest checksum-verified bucket of each column, so up to
 // `cols` independent samples in column order. Query() is the first
 // element of that scan. False positives: a bucket holding several
-// indices passes its 32-bit checksum with probability 2^-32, and the
-// scan accepts at most one bucket per column, so one round sketch
-// contributes at most cols * 2^-32 false-sample chance. It examines at
-// most cols * rows + 1 buckets, the same bound as a first-hit scan.
+// indices passes its 32-bit checksum with probability 2^-32. The scan
+// accepts at most one bucket per column, so a round sketch yields at
+// most `cols` samples, each one such 2^-32 chance, and it checks at
+// most cols * rows + 1 buckets, as a first-hit scan does: the chance
+// that any sample is false stays below (cols * rows + 1) * 2^-32.
 class SketchLayout {
  public:
   SketchLayout(uint64_t vector_len, int cols,
