@@ -3,19 +3,19 @@
 // Each round samples one fresh subsketch per current component for cut
 // edges, one per sketch column (up to `cols`, see
 // SketchLayout::SampleColumns), and merges the endpoints' components in
-// a DSU: the columns are independent samplers, so taking every column's
-// sample instead of the first finishes in about a third of the rounds
-// (2-3 instead of 6-7 on sparse random graphs). A sample is wrong only
-// if a bucket holding several indices passed its 32-bit checksum, so a
-// component takes at most cols * 2^-32 false-edge chance per round. The
-// round budget (NodeSketch::DefaultRounds) is unchanged: it is the
-// worst-case guarantee, not the typical need. A component's
-// round-r sketch is the XOR of its members' round-r subsketches
-// (linearity makes the sum a sketch of the component's cut vector), so
-// round r builds exactly those sums, for multi-member components only,
-// and queries a singleton's own subsketch in place: the snapshot is
-// only ever read. Rounds use independent subsketches because query
-// answers feed back into later merges (adaptivity).
+// a DSU. The columns are independent samplers, so one round merges most
+// components at once: sparse random graphs finish in 2-3 rounds
+// (BENCH_multi_sample.json). A sample is wrong only if a bucket holding
+// several indices passed its 32-bit checksum, so a component's samples
+// carry at most cols * 2^-32 false-edge chance per round. The round
+// budget (NodeSketch::DefaultRounds) is the worst-case guarantee, not
+// the typical need. A component's round-r sketch is the XOR of its
+// members' round-r subsketches (linearity makes the sum a sketch of the
+// component's cut vector), so round r builds exactly those sums, for
+// multi-member components only, and samples a singleton's own
+// subsketch in place: the snapshot is only ever read. Rounds use
+// independent subsketches because query answers feed back into later
+// merges (adaptivity).
 //
 // The engine parallelizes each round's two heavy phases across a small
 // thread pool — the XOR build of the component sketches, over chunks of

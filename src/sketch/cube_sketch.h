@@ -58,9 +58,9 @@ struct CubeSketchParams {
 // memcpy alone.
 //
 // Sampling is one bucket scan, SampleColumns(). A verified
-// deterministic bucket is the one sample, as before; otherwise the scan
-// takes the deepest checksum-verified bucket of each column, so up to
-// `cols` independent samples in column order. Query() is the first
+// deterministic bucket is the one sample; otherwise the scan takes the
+// deepest checksum-verified bucket of each column, so up to `cols`
+// independent samples in column order. Query() is the first
 // element of that scan. False positives: a bucket holding several
 // indices passes its 32-bit checksum with probability 2^-32. The scan
 // accepts at most one bucket per column, so a round sketch yields at
