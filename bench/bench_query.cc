@@ -21,6 +21,7 @@
 // GZ_BENCH_SERVING_QUERIES (latency samples per reader, default 25).
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -287,9 +288,12 @@ int main() {
     for (const int readers : {1, 4, 16}) {
       // Quiesced latency: each reader warms its session cache once
       // (untimed cold pull), then times cache-hit round trips — the
-      // steady state a dashboard poller lives in.
+      // steady state a dashboard poller lives in. No reader starts
+      // timing until every reader is warm, so cold folds never share
+      // the host with timed hits.
       std::vector<std::vector<double>> lat(readers);
       {
+        std::barrier warm(readers);
         std::vector<std::thread> threads;
         for (int r = 0; r < readers; ++r) {
           threads.emplace_back([&, r] {
@@ -297,6 +301,7 @@ int main() {
             GZ_CHECK_OK(session.Connect());
             const GraphSnapshot* snap = nullptr;
             GZ_CHECK_OK(session.Snapshot(&snap));
+            warm.arrive_and_wait();
             lat[r].reserve(queries);
             for (int q = 0; q < queries; ++q) {
               WallTimer qt;

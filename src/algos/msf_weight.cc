@@ -10,10 +10,7 @@ MsfWeightSketch::MsfWeightSketch(const GraphZeppelinConfig& config,
   GZ_CHECK(max_weight >= 1);
   levels_.reserve(max_weight);
   for (uint32_t i = 1; i <= max_weight; ++i) {
-    GraphZeppelinConfig level_config = config;
-    level_config.instance_tag =
-        config.instance_tag + "msf_level" + std::to_string(i);
-    levels_.push_back(std::make_unique<GraphZeppelin>(level_config));
+    levels_.push_back(std::make_unique<GraphZeppelin>(config));
   }
 }
 

@@ -99,21 +99,13 @@ Status RequireWhole(const Header& h) {
   return Status::Ok();
 }
 
-// Opens `path` and parses the whole-snapshot header found at `offset`
-// bytes in (callers embedding a snapshot stream after their own prefix
-// pass its size). On success the stream is positioned at the first node
-// record and the body length has been verified to cover every record
-// (trailing bytes are tolerated).
-Status OpenSnapshotFile(const std::string& path, FILE** out, Header* header,
-                        size_t offset = 0) {
+// Opens `path` and parses its whole-snapshot header. On success the
+// stream is positioned at the first node record and the body length has
+// been verified to cover every record (trailing bytes are tolerated).
+Status OpenSnapshotFile(const std::string& path, FILE** out, Header* header) {
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::NotFound("cannot open snapshot file: " + path);
-  }
-  if (offset != 0 &&
-      std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
-    std::fclose(f);
-    return Status::IoError("cannot seek snapshot file: " + path);
   }
   uint8_t header_buf[GraphSnapshot::kHeaderBytes];
   if (std::fread(header_buf, 1, sizeof(header_buf), f) !=
@@ -136,18 +128,36 @@ Status OpenSnapshotFile(const std::string& path, FILE** out, Header* header,
   const long file_bytes = std::ftell(f);
   if (file_bytes < 0 ||
       static_cast<size_t>(file_bytes) <
-          offset + GraphSnapshot::SerializedSizeFor(header->params, 0,
-                                                    header->hi)) {
+          GraphSnapshot::SerializedSizeFor(header->params, 0, header->hi)) {
     std::fclose(f);
     return Status::IoError("truncated snapshot file: " + path);
   }
-  if (std::fseek(f, static_cast<long>(offset + sizeof(header_buf)),
-                 SEEK_SET) != 0) {
+  if (std::fseek(f, static_cast<long>(sizeof(header_buf)), SEEK_SET) != 0) {
     std::fclose(f);
     return Status::IoError("cannot seek snapshot file: " + path);
   }
   *out = f;
   return Status::Ok();
+}
+
+// Hands every record of the file OpenSnapshotFile opened to `store`,
+// then closes it.
+Status ReadRecords(FILE* f, const std::string& path,
+                   const NodeSketchParams& params,
+                   const std::function<void(NodeId, const NodeSketch&)>& store) {
+  NodeSketch scratch(params);
+  std::vector<uint8_t> buf(scratch.SerializedSize());
+  Status s = Status::Ok();
+  for (uint64_t i = 0; i < params.num_nodes; ++i) {
+    if (std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
+      s = Status::IoError("truncated snapshot file: " + path);
+      break;
+    }
+    scratch.DeserializeFrom(buf.data());
+    store(static_cast<NodeId>(i), scratch);
+  }
+  std::fclose(f);
+  return s;
 }
 
 }  // namespace
@@ -294,9 +304,8 @@ Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
 }
 
 Status GraphSnapshot::SaveToSink(
-    const std::function<Status(const void* data, size_t size)>& sink,
-    const NodeSketchParams& params, uint64_t lo, uint64_t hi,
-    uint64_t num_updates,
+    const ByteSink& sink, const NodeSketchParams& params, uint64_t lo,
+    uint64_t hi, uint64_t num_updates,
     const std::function<const NodeSketch&(NodeId)>& load) {
   GZ_CHECK_MSG(lo < hi && hi <= params.num_nodes, "bad node range");
   Header header;
@@ -320,20 +329,36 @@ Status GraphSnapshot::SaveToSink(
 }
 
 Status GraphSnapshot::SaveToFile(const std::string& path) const {
-  FILE* f = std::fopen(path.c_str(), "wb");
+  return SaveStream(path, [this](const ByteSink& sink) {
+    return SaveToSink(
+        sink, params(), 0, num_nodes(), num_updates_,
+        [this](NodeId i) -> const NodeSketch& { return *sketches_[i]; });
+  });
+}
+
+Status GraphSnapshot::SaveStream(
+    const std::string& path,
+    const std::function<Status(const ByteSink&)>& produce) {
+  // Write-then-rename: a crash or a full disk mid-save must never
+  // destroy the previous file, which truncating `path` in place would.
+  const std::string tmp = path + ".tmp";
+  FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
-    return Status::IoError("cannot create snapshot file: " + path);
+    return Status::IoError("cannot create snapshot file: " + tmp);
   }
-  Status s = SaveToSink(
-      [f, &path](const void* data, size_t size) {
-        if (std::fwrite(data, 1, size, f) != size) {
-          return Status::IoError("short write to snapshot file: " + path);
-        }
-        return Status::Ok();
-      },
-      params(), 0, num_nodes(), num_updates_,
-      [this](NodeId i) -> const NodeSketch& { return *sketches_[i]; });
-  std::fclose(f);
+  Status s = produce([f, &tmp](const void* data, size_t size) {
+    if (std::fwrite(data, 1, size, f) != size) {
+      return Status::IoError("short write to snapshot file: " + tmp);
+    }
+    return Status::Ok();
+  });
+  if (std::fclose(f) != 0 && s.ok()) {
+    s = Status::IoError("cannot finish snapshot file: " + tmp);
+  }
+  if (s.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    s = Status::IoError("cannot publish snapshot file: " + path);
+  }
+  if (!s.ok()) std::remove(tmp.c_str());
   return s;
 }
 
@@ -342,13 +367,13 @@ Result<GraphSnapshot> GraphSnapshot::LoadFromFile(const std::string& path) {
   Header header;
   Status s = OpenSnapshotFile(path, &f, &header);
   if (!s.ok()) return s;
-  std::fclose(f);
-  // The streaming loader, storing each record over the shared zero.
+  // Each record is stored over the shared zero.
   GraphSnapshot snapshot = Zero(header.params);
-  s = LoadStream(path, header.params, &snapshot.num_updates_,
-                 [&snapshot](NodeId i, const NodeSketch& sketch) {
-                   snapshot.sketches_[i] = CowSketch(sketch);
-                 });
+  snapshot.num_updates_ = header.num_updates;
+  s = ReadRecords(f, path, header.params,
+                  [&snapshot](NodeId i, const NodeSketch& sketch) {
+                    snapshot.sketches_[i] = CowSketch(sketch);
+                  });
   if (!s.ok()) return s;
   return snapshot;
 }
@@ -356,30 +381,19 @@ Result<GraphSnapshot> GraphSnapshot::LoadFromFile(const std::string& path) {
 Status GraphSnapshot::LoadStream(
     const std::string& path, const NodeSketchParams& expect_params,
     uint64_t* num_updates,
-    const std::function<void(NodeId, const NodeSketch&)>& store,
-    size_t offset) {
+    const std::function<void(NodeId, const NodeSketch&)>& store) {
   FILE* f = nullptr;
   Header header;
-  Status s = OpenSnapshotFile(path, &f, &header, offset);
+  Status s = OpenSnapshotFile(path, &f, &header);
   if (!s.ok()) return s;
   if (!(header.params == expect_params)) {
     std::fclose(f);
     return Status::InvalidArgument(
         "snapshot sketch parameters do not match this instance");
   }
-  NodeSketch scratch(header.params);
-  std::vector<uint8_t> buf(scratch.SerializedSize());
-  for (uint64_t i = 0; i < header.params.num_nodes; ++i) {
-    if (std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
-      std::fclose(f);
-      return Status::IoError("truncated snapshot file: " + path);
-    }
-    scratch.DeserializeFrom(buf.data());
-    store(static_cast<NodeId>(i), scratch);
-  }
-  std::fclose(f);
-  if (num_updates != nullptr) *num_updates = header.num_updates;
-  return Status::Ok();
+  s = ReadRecords(f, path, header.params, store);
+  if (s.ok() && num_updates != nullptr) *num_updates = header.num_updates;
+  return s;
 }
 
 }  // namespace gz

@@ -127,34 +127,42 @@ class GraphSnapshot {
       const uint8_t* data, size_t size, const NodeSketchParams& params,
       const std::function<void(NodeId, const uint8_t* record)>& fold);
 
+  // Where streamed bytes go: a file, a socket frame or a buffer.
+  using ByteSink = std::function<Status(const void* data, size_t size)>;
+
   // Streaming producer of the byte stream for [lo, hi): header first,
   // then one record per `load` call (the returned reference only needs
   // to stay valid until the next call), so only one record is ever
   // materialized — how a shard streams sketch state into a socket frame
   // or a checkpoint file.
   static Status SaveToSink(
-      const std::function<Status(const void* data, size_t size)>& sink,
-      const NodeSketchParams& params, uint64_t lo, uint64_t hi,
-      uint64_t num_updates,
+      const ByteSink& sink, const NodeSketchParams& params, uint64_t lo,
+      uint64_t hi, uint64_t num_updates,
       const std::function<const NodeSketch&(NodeId)>& load);
 
   // File forms, always whole snapshots, streamed one record at a time.
-  // LoadFromFile distinguishes a missing file (NotFound), a malformed
-  // header or partial range (InvalidArgument) and a short body (IoError).
+  // SaveToFile publishes atomically (see SaveStream). LoadFromFile
+  // distinguishes a missing file (NotFound), a malformed header or
+  // partial range (InvalidArgument) and a short body (IoError).
   Status SaveToFile(const std::string& path) const;
   static Result<GraphSnapshot> LoadFromFile(const std::string& path);
+
+  // The one snapshot-file writer, behind SaveToFile and
+  // GraphZeppelin::SaveCheckpoint: `produce` streams a whole snapshot
+  // into the sink it is handed, which writes `path`.tmp; only a
+  // complete file is renamed over `path`, so a failed save (IoError)
+  // leaves the previous file intact.
+  static Status SaveStream(const std::string& path,
+                           const std::function<Status(const ByteSink&)>& produce);
 
   // The streaming loader behind LoadFromFile, for consumers that cannot
   // afford a materialized snapshot: validates the header against
   // `expect_params` (InvalidArgument on mismatch), hands each record to
-  // `store`, and returns the saved update count. `offset` skips a
-  // caller-owned prefix first — how a shard checkpoint embeds a
-  // snapshot stream after its own header.
+  // `store`, and returns the saved update count.
   static Status LoadStream(
       const std::string& path, const NodeSketchParams& expect_params,
       uint64_t* num_updates,
-      const std::function<void(NodeId, const NodeSketch&)>& store,
-      size_t offset = 0);
+      const std::function<void(NodeId, const NodeSketch&)>& store);
 
   friend bool operator==(const GraphSnapshot& a, const GraphSnapshot& b);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include <unistd.h>
@@ -15,18 +13,16 @@
 namespace gz {
 namespace {
 
-// Backing-file names combine seed, instance tag and PID so two
-// processes sharing one disk_dir cannot clobber each other, plus a
-// process-wide counter so two same-seed instances in one process (e.g.
-// untagged shards, or a test creating twins) cannot either.
+// Backing-file names combine seed and PID so two processes sharing one
+// disk_dir cannot clobber each other, plus a process-wide counter so two
+// same-seed instances in one process (e.g. thread: shards, or a test
+// creating twins) cannot either.
 std::string UniquePath(const std::string& dir, const char* stem,
-                       uint64_t seed, const std::string& tag) {
+                       uint64_t seed) {
   static std::atomic<uint64_t> instance_counter{0};
-  std::string path = dir + "/" + stem + "_p" + std::to_string(::getpid()) +
-                     "_s" + std::to_string(seed);
-  if (!tag.empty()) path += "_" + tag;
-  path += "_i" + std::to_string(instance_counter.fetch_add(1));
-  return path + ".bin";
+  return dir + "/" + stem + "_p" + std::to_string(::getpid()) + "_s" +
+         std::to_string(seed) + "_i" +
+         std::to_string(instance_counter.fetch_add(1)) + ".bin";
 }
 
 }  // namespace
@@ -58,8 +54,8 @@ Status GraphZeppelin::Init() {
   if (config_.storage == GraphZeppelinConfig::Storage::kRam) {
     store_ = std::make_unique<InMemorySketchStore>(sp);
   } else {
-    sketch_store_path_ = UniquePath(config_.disk_dir, "gz_sketches",
-                                    config_.seed, config_.instance_tag);
+    sketch_store_path_ =
+        UniquePath(config_.disk_dir, "gz_sketches", config_.seed);
     auto disk_store =
         std::make_unique<OnDiskSketchStore>(sp, sketch_store_path_);
     Status s = disk_store->Init();
@@ -88,8 +84,8 @@ Status GraphZeppelin::Init() {
     gutters_ = std::make_unique<LeafGutters>(lp, batch_pool_.get(),
                                              queue_.get());
   } else {
-    gutter_tree_path_ = UniquePath(config_.disk_dir, "gz_gutter_tree",
-                                   config_.seed, config_.instance_tag);
+    gutter_tree_path_ =
+        UniquePath(config_.disk_dir, "gz_gutter_tree", config_.seed);
     GutterTreeParams tp;
     tp.num_nodes = config_.num_nodes;
     tp.file_path = gutter_tree_path_;
@@ -196,39 +192,17 @@ ConnectivityResult GraphZeppelin::ListSpanningForest() {
   return Connectivity(Snapshot(), config_.query_threads);
 }
 
-Status GraphZeppelin::SaveCheckpoint(const std::string& path,
-                                     const void* prefix,
-                                     size_t prefix_bytes) {
+Status GraphZeppelin::SaveCheckpoint(const std::string& path) {
   // Streaming form of Snapshot().SaveToFile(path): the same bytes, but
   // only one record in flight, so a disk-backed store larger than RAM
-  // can still checkpoint. Write-then-rename: a crash or a full disk
-  // mid-save must never destroy the previous good checkpoint, which
-  // truncating `path` in place would.
-  const std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot create checkpoint: " + tmp);
-  }
-  const auto write = [f, &tmp](const void* data, size_t size) {
-    if (std::fwrite(data, 1, size, f) != size) {
-      return Status::IoError("short write to checkpoint: " + tmp);
-    }
-    return Status::Ok();
-  };
-  Status s = prefix_bytes > 0 ? write(prefix, prefix_bytes) : Status::Ok();
-  if (s.ok()) s = WriteNodeRangeTo(0, config_.num_nodes, write);
-  if (std::fclose(f) != 0 && s.ok()) {
-    s = Status::IoError("cannot finish checkpoint: " + tmp);
-  }
-  if (s.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
-    s = Status::IoError("cannot publish checkpoint: " + path);
-  }
-  if (!s.ok()) ::unlink(tmp.c_str());
-  return s;
+  // can still checkpoint.
+  return GraphSnapshot::SaveStream(
+      path, [this](const GraphSnapshot::ByteSink& sink) {
+        return WriteNodeRangeTo(0, config_.num_nodes, sink);
+      });
 }
 
-Status GraphZeppelin::LoadCheckpoint(const std::string& path,
-                                     size_t offset) {
+Status GraphZeppelin::LoadCheckpoint(const std::string& path) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   // Records go straight into the store without materializing a
   // snapshot.
@@ -237,8 +211,7 @@ Status GraphZeppelin::LoadCheckpoint(const std::string& path,
       path, store_->params(), &saved_updates,
       [this](NodeId i, const NodeSketch& sketch) {
         store_->Store(i, sketch);
-      },
-      offset);
+      });
   if (!s.ok()) return s;
   num_updates_ = saved_updates;
   return Status::Ok();

@@ -63,10 +63,6 @@ struct GraphZeppelinConfig {
   // Directory for the gutter tree and on-disk sketch store files.
   std::string disk_dir = "/tmp";
 
-  // Disambiguates backing-file names when several instances share a
-  // seed in one process (e.g. thread: shards of one ShardCluster).
-  std::string instance_tag;
-
   // Gutter tree geometry (paper: 8 MB buffers, fan-out 512; defaults
   // here are scaled to this environment but configurable back up).
   size_t gutter_tree_buffer_bytes = 1 << 22;
@@ -150,18 +146,16 @@ class GraphZeppelin {
   // --- Checkpointing -----------------------------------------------------
   // SaveCheckpoint is WriteNodeRangeTo(0, V) into a file — the bytes of
   // Snapshot().SaveToFile(path), buffered updates flushed first so a
-  // restore resumes exactly here — after `prefix_bytes` of a
-  // caller-owned prefix (e.g. a shard checkpoint's header). It writes
-  // `path`.tmp and renames it over `path`, so a failed save (IoError)
-  // leaves the previous file intact. LoadCheckpoint overwrites this
-  // instance's sketch state with such a file, streamed record by record
-  // into the store, and adopts its update count; a params mismatch is an
-  // InvalidArgument. These are the two ways GZSNAP02 bytes come in: a
-  // whole file here, any node range through MergeSerialized. `offset`
-  // skips the prefix before the snapshot stream.
-  Status SaveCheckpoint(const std::string& path, const void* prefix = nullptr,
-                        size_t prefix_bytes = 0);
-  Status LoadCheckpoint(const std::string& path, size_t offset = 0);
+  // restore resumes exactly here. It publishes through
+  // GraphSnapshot::SaveStream (`path`.tmp, then a rename), so a failed
+  // save (IoError) leaves the previous file intact. LoadCheckpoint
+  // overwrites this instance's sketch state with such a file, streamed
+  // record by record into the store, and adopts its update count; a
+  // params mismatch is an InvalidArgument. These are the two ways
+  // GZSNAP02 bytes come in: a whole file here, any node range through
+  // MergeSerialized.
+  Status SaveCheckpoint(const std::string& path);
+  Status LoadCheckpoint(const std::string& path);
 
   // Overwrites the ingested-update count without touching sketch
   // state. Replication repair needs this split: an anti-entropy pass

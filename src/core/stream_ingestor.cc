@@ -1,10 +1,8 @@
 #include "core/stream_ingestor.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "stream/stream_file.h"
-#include "util/timer.h"
 
 namespace gz {
 
@@ -14,9 +12,7 @@ namespace {
 constexpr size_t kChunkUpdates = 4096;
 }  // namespace
 
-Result<uint64_t> IngestStreamFile(GraphZeppelin* gz, const std::string& path,
-                                  uint64_t callback_every,
-                                  IngestProgressCallback callback) {
+Result<uint64_t> IngestStreamFile(GraphZeppelin* gz, const std::string& path) {
   StreamReader reader;
   Status s = reader.Open(path);
   if (!s.ok()) return s;
@@ -25,50 +21,23 @@ Result<uint64_t> IngestStreamFile(GraphZeppelin* gz, const std::string& path,
         "stream has more nodes than the GraphZeppelin instance");
   }
 
-  WallTimer timer;
-  IngestProgress progress;
-  progress.total = reader.num_updates();
+  uint64_t consumed = 0;
   std::vector<GraphUpdate> chunk;
   chunk.reserve(kChunkUpdates);
-  const bool callbacks_on = callback != nullptr && callback_every > 0;
-  // The consumed count last reported through a boundary callback, so
-  // the completion callback below can be suppressed when the stream
-  // length is an exact multiple of callback_every (the boundary
-  // callback at the last chunk already reported that exact count).
-  uint64_t reported = UINT64_MAX;
-  bool eof = false;
-  while (!eof) {
-    // Cap the chunk at the next progress boundary so callbacks fire at
-    // exactly the consumed counts single-update ingestion would report.
-    size_t limit = kChunkUpdates;
-    if (callbacks_on) {
-      const uint64_t to_boundary =
-          callback_every - (progress.consumed % callback_every);
-      limit = static_cast<size_t>(
-          std::min<uint64_t>(limit, to_boundary));
-    }
-    chunk.clear();
-    GraphUpdate update;
-    while (chunk.size() < limit && reader.Next(&update)) {
-      chunk.push_back(update);
-    }
-    eof = chunk.size() < limit;
-    if (chunk.empty()) break;
+  const auto hand_off = [&] {
     gz->Update(chunk.data(), chunk.size());
-    progress.consumed += chunk.size();
-    if (callbacks_on && progress.consumed % callback_every == 0) {
-      progress.seconds = timer.Seconds();
-      callback(progress);
-      reported = progress.consumed;
-    }
+    consumed += chunk.size();
+    chunk.clear();
+  };
+  GraphUpdate update;
+  while (reader.Next(&update)) {
+    chunk.push_back(update);
+    if (chunk.size() == kChunkUpdates) hand_off();
   }
+  if (!chunk.empty()) hand_off();
   if (!reader.status().ok()) return reader.status();
   gz->Flush();
-  if (callback != nullptr && progress.consumed != reported) {
-    progress.seconds = timer.Seconds();
-    callback(progress);
-  }
-  return progress.consumed;
+  return consumed;
 }
 
 }  // namespace gz

@@ -1,11 +1,9 @@
-// Drives a GraphZeppelin instance from a binary stream file, with
-// periodic progress callbacks — the glue between stored streams and the
-// system that tools, benchmarks and long-running jobs share.
+// Drives a GraphZeppelin instance from a binary stream file — the glue
+// between stored streams and the system that the tools share.
 #ifndef GZ_CORE_STREAM_INGESTOR_H_
 #define GZ_CORE_STREAM_INGESTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "core/graph_zeppelin.h"
@@ -13,21 +11,10 @@
 
 namespace gz {
 
-struct IngestProgress {
-  uint64_t consumed = 0;  // Updates ingested so far.
-  uint64_t total = 0;     // Updates in the stream.
-  double seconds = 0.0;   // Elapsed wall time.
-};
-
-// Called every `callback_every` updates and once at completion.
-using IngestProgressCallback = std::function<void(const IngestProgress&)>;
-
 // Streams `path` into `gz` (which must be initialized with at least the
-// file's node count). Returns the number of updates ingested. The final
-// flush is included in the reported time.
-Result<uint64_t> IngestStreamFile(GraphZeppelin* gz, const std::string& path,
-                                  uint64_t callback_every = 0,
-                                  IngestProgressCallback callback = nullptr);
+// file's node count), then flushes. Returns the number of updates
+// ingested.
+Result<uint64_t> IngestStreamFile(GraphZeppelin* gz, const std::string& path);
 
 }  // namespace gz
 

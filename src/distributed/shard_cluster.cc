@@ -80,14 +80,11 @@ ShardCluster::ShardCluster(const GraphZeppelinConfig& base, int num_shards,
 
 ShardCluster::~ShardCluster() {
   if (started_) Shutdown();
+  // Unconditional: a checkpoint file can exist without an ack (shard
+  // crashed between publishing and replying), and a removed shard's may
+  // linger if its final unlink raced a crash.
   for (int s = 0; s < num_shards(); ++s) {
-    for (int r = 0; r < replication_; ++r) {
-      // Unconditional: a checkpoint file can exist without an ack
-      // (shard crashed between publishing and replying), and a removed
-      // shard's may linger if its final unlink raced a crash.
-      ::unlink(CheckpointPath(s, r).c_str());
-      ::unlink((CheckpointPath(s, r) + ".tmp").c_str());
-    }
+    for (int r = 0; r < replication_; ++r) RemoveCheckpointFiles(s, r);
   }
 }
 
@@ -144,15 +141,27 @@ int ShardCluster::FirstLiveReplica(int shard) {
   return -1;
 }
 
-std::string ShardCluster::CheckpointPath(int shard, int replica) const {
+std::string ShardCluster::CheckpointPath(int shard, int replica,
+                                         int slot) const {
   // Coordinator pid + seed + shard index: concurrent clusters sharing
-  // one checkpoint_dir cannot clobber each other. Replica 0 keeps the
-  // unsuffixed pre-replication name.
+  // one checkpoint_dir cannot clobber each other.
   return options_.checkpoint_dir + "/gz_shard_ckpt_p" +
          std::to_string(::getpid()) + "_s" + std::to_string(base_.seed) +
-         "_" + std::to_string(shard) +
-         (replica > 0 ? "_r" + std::to_string(replica) : std::string()) +
-         ".bin";
+         "_" + std::to_string(shard) + "_r" + std::to_string(replica) +
+         "_c" + std::to_string(slot) + ".bin";
+}
+
+std::string ShardCluster::NextCheckpointPath(int shard, int replica) const {
+  return CheckpointPath(shard, replica,
+                        1 - shards_[shard].replicas[replica].acked_slot);
+}
+
+void ShardCluster::RemoveCheckpointFiles(int shard, int replica) const {
+  for (int slot = 0; slot < 2; ++slot) {
+    const std::string path = CheckpointPath(shard, replica, slot);
+    ::unlink(path.c_str());
+    ::unlink((path + ".tmp").c_str());
+  }
 }
 
 std::string ShardCluster::LogPath(int shard, int replica) const {
@@ -162,30 +171,19 @@ std::string ShardCluster::LogPath(int shard, int replica) const {
          ".log";
 }
 
-GraphZeppelinConfig ShardCluster::ShardConfigFor(int shard,
-                                                 int replica) const {
-  GraphZeppelinConfig config = base_;
-  config.instance_tag = "shard" + std::to_string(shard);
-  // append(), not "r" + to_string(), which GCC 12 flags (-Wrestrict).
-  if (replica > 0) {
-    config.instance_tag.append("r").append(std::to_string(replica));
-  }
-  return config;
-}
-
 Status ShardCluster::SpawnAndConfigure(int shard, int replica, bool restore,
-                                       uint64_t* restored,
-                                       uint64_t* restored_delta_seq) {
+                                       uint64_t* restored) {
   Replica& rep = shards_[shard].replicas[replica];
   ShardTransport& proc = *rep.proc;
   Status s = proc.Connect();
   if (!s.ok()) return s;
   ShardConfig sc;
-  sc.config = ShardConfigFor(shard, replica);
+  sc.config = base_;
   sc.shard_id = shard;
   sc.replication = static_cast<uint32_t>(replication_);
   if (restore && rep.has_checkpoint) {
-    sc.restore_checkpoint = CheckpointPath(shard, replica);
+    sc.restore_checkpoint = CheckpointPath(shard, replica, rep.acked_slot);
+    sc.delta_seq = rep.checkpoint_delta_seq;
   }
   const std::vector<uint8_t> payload = EncodeShardConfig(sc);
   ShardAck ack;
@@ -196,7 +194,6 @@ Status ShardCluster::SpawnAndConfigure(int shard, int replica, bool restore,
     return s;
   }
   if (restored != nullptr) *restored = ack.value0;
-  if (restored_delta_seq != nullptr) *restored_delta_seq = ack.value1;
   rep.down = false;
   return Status::Ok();
 }
@@ -206,8 +203,7 @@ Status ShardCluster::Start() {
   if (!endpoint_error_.ok()) return endpoint_error_;
   for (int s = 0; s < num_shards(); ++s) {
     for (int r = 0; r < replication_; ++r) {
-      Status st =
-          SpawnAndConfigure(s, r, /*restore=*/false, nullptr, nullptr);
+      Status st = SpawnAndConfigure(s, r, /*restore=*/false, nullptr);
       if (!st.ok()) return st;
     }
   }
@@ -392,7 +388,7 @@ Status ShardCluster::Checkpoint() {
   // to move with it.
   Status s = PipelinedBarrier(
       ShardMessageType::kCheckpoint, ShardMessageType::kAck,
-      [this](int i, int r) { return CheckpointPath(i, r); },
+      [this](int i, int r) { return NextCheckpointPath(i, r); },
       [this](int i, int r, const ShardFrame& reply) {
         ShardAck ack;
         Status d = DecodeShardAck(reply.payload.data(), reply.payload.size(),
@@ -494,7 +490,7 @@ Result<int> ShardCluster::GrowShard(int split_source,
   // node sketches whatever their content, so moving part of it would
   // balance nothing.
   for (int r = 0; r < replication_ && s.ok(); ++r) {
-    s = SpawnAndConfigure(id, r, /*restore=*/false, nullptr, nullptr);
+    s = SpawnAndConfigure(id, r, /*restore=*/false, nullptr);
   }
   if (!s.ok()) {
     ReleaseLastShardSlot(id);
@@ -619,8 +615,7 @@ Status ShardCluster::PumpMigration() {
                         &ignored);  // Best-effort orderly exit.
     }
     rep.proc->Terminate();  // Degenerates to a reap.
-    ::unlink(CheckpointPath(m.source, r).c_str());
-    ::unlink((CheckpointPath(m.source, r) + ".tmp").c_str());
+    RemoveCheckpointFiles(m.source, r);
   }
   source = Shard();  // A removed id: no replicas, no books.
   migration_.reset();
@@ -695,36 +690,24 @@ Status ShardCluster::RestartReplica(int shard, int replica) {
   Shard& books = shards_[shard];
   Replica& rep = books.replicas[replica];
   rep.proc->Terminate();  // Reaps; no-op if already dead.
-  uint64_t restored = 0, restored_seq = 0;
-  Status s = SpawnAndConfigure(shard, replica, /*restore=*/true, &restored,
-                               &restored_seq);
+  uint64_t restored = 0;
+  Status s = SpawnAndConfigure(shard, replica, /*restore=*/true, &restored);
   if (!s.ok()) return s;
-  // Replay everything the restored checkpoint does not cover. The
-  // on-disk checkpoint may be AHEAD of the last acked one (the shard
-  // published it, then died before the ack): a checkpoint covers
-  // exactly the updates sent before its request, so the restored
-  // stream position — anywhere from the replica's cursor to everything
-  // routed — says where in the shard's log replay starts. The same
-  // reconciliation runs for migration deltas via the checkpoint's
-  // delta sequence number. Linearity makes the replayed replica
-  // bitwise-identical to one that never crashed either way.
-  if (restored < rep.checkpoint_updates || restored < books.log_start ||
-      restored > books.position()) {
+  // The replica restored its acked checkpoint (or nothing, before its
+  // first), so it stands exactly at its cursor; any other position
+  // means the file is not the one that was acked.
+  if (restored != rep.checkpoint_updates) {
     rep.proc->Terminate();
     rep.down = true;
     return Status::Internal(
         "restored shard position " + std::to_string(restored) +
-        " is outside what the checkpoint plus the update log can explain");
+        " is not the acked checkpoint's " +
+        std::to_string(rep.checkpoint_updates));
   }
-  if (restored_seq < rep.checkpoint_delta_seq ||
-      restored_seq > books.delta_seq_sent) {
-    rep.proc->Terminate();
-    rep.down = true;
-    return Status::Internal(
-        "restored shard delta sequence " + std::to_string(restored_seq) +
-        " is outside what the checkpoint plus the pending deltas can "
-        "explain");
-  }
+  // Replay everything past the cursor: the log from the cursor's stream
+  // position on, and every delta past its sequence number. Linearity
+  // makes the replayed replica bitwise-identical to one that never
+  // crashed.
   if (restored < books.position()) {
     s = SendUpdateFrames(rep, books.log.data() + (restored - books.log_start),
                          books.position() - restored);
@@ -736,7 +719,7 @@ Status ShardCluster::RestartReplica(int shard, int replica) {
   // Replay order between updates and deltas does not matter — all XOR
   // folds commute — so deltas go second wholesale.
   for (const PendingDelta& delta : books.deltas) {
-    if (delta.seq <= restored_seq) continue;  // Checkpoint covers it.
+    if (delta.seq <= rep.checkpoint_delta_seq) continue;  // Covered.
     s = SendDelta(rep, delta.bytes);
     if (!s.ok()) return s;
   }
@@ -854,6 +837,7 @@ void ShardCluster::CommitCheckpoint(int shard, int replica,
   Shard& books = shards_[shard];
   Replica& rep = books.replicas[replica];
   rep.has_checkpoint = true;
+  rep.acked_slot = 1 - rep.acked_slot;  // The slot just written.
   rep.checkpoint_updates = ack.value0;
   rep.checkpoint_delta_seq = ack.value1;
   // Trim what EVERY replica's checkpoint covers; a replica still behind
@@ -885,8 +869,7 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
     // classic restore+replay lineage intact — RestartShard still works,
     // and so does another Reconcile.
     rep.proc->Terminate();
-    Status st = SpawnAndConfigure(shard, replica, /*restore=*/false, nullptr,
-                                  nullptr);
+    Status st = SpawnAndConfigure(shard, replica, /*restore=*/false, nullptr);
     rep.down = true;  // Fenced until fully repaired.
     if (!st.ok()) return st;
   }
@@ -948,7 +931,7 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
   // the replica rejoin the live set.
   const std::vector<uint8_t> sync =
       EncodeSyncPosition(books.position(), books.delta_seq_sent);
-  const std::string path = CheckpointPath(shard, replica);
+  const std::string path = NextCheckpointPath(shard, replica);
   ShardAck ack;
   Status st = rep.proc->CallAck(ShardMessageType::kSyncPosition, sync.data(),
                                 sync.size(), &ack);

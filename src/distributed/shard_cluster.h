@@ -21,16 +21,20 @@
 // id, because every replica of a shard is sent the same stream. The
 // shard's update log holds every update routed to it from stream
 // position `log_start` on; its pending-delta log holds every migration
-// delta sent to it, under a per-shard sequence number the shard
-// persists in its checkpoint header. A replica keeps only its cursor
-// into those logs: the stream position and delta sequence number of
-// its last acknowledged checkpoint. Both logs are trimmed to the
-// lowest cursor over the shard's replicas, so a replica without a
-// checkpoint (or fenced with a stale one) pins them. A replica that
-// dies mid-stream is restarted from its checkpoint and both log
-// suffixes past its own cursor are replayed — sketch linearity makes
-// replay order irrelevant and the rebuilt state bitwise-identical to a
-// run that never crashed. Updates routed to a down replica wait in the
+// delta sent to it, under a per-shard sequence number. A replica keeps
+// only its cursor into those logs: the stream position and delta
+// sequence number its last checkpoint's ack reported. Both logs are
+// trimmed to the lowest cursor over the shard's replicas, so a replica
+// without a checkpoint (or fenced with a stale one) pins them. A
+// checkpoint is a plain GraphSnapshot file, and each replica has two
+// slots for one: a checkpoint writes the slot the ack does not point
+// at, and only its ack flips the pointer, so a checkpoint whose ack was
+// lost is never restored and the next one overwrites it. A replica
+// that dies mid-stream is restarted from its acked checkpoint — CONFIG
+// carries the file and its delta sequence number — and both log
+// suffixes past its cursor are replayed; sketch linearity makes replay
+// order irrelevant and the rebuilt state bitwise-identical to a run
+// that never crashed. Updates routed to a down replica wait in the
 // same log, so ingestion never stalls on a failure; only
 // Flush/Snapshot/Checkpoint require every shard healthy.
 //
@@ -135,8 +139,7 @@ struct ShardStats {
 
 class ShardCluster {
  public:
-  // `base` configures every shard (same num_nodes and sketch seed;
-  // per-shard instance tags are added automatically).
+  // `base` configures every shard (same num_nodes and sketch seed).
   ShardCluster(const GraphZeppelinConfig& base, int num_shards,
                ShardClusterOptions options = {});
   // Best-effort orderly shutdown, then removes shard checkpoints.
@@ -174,12 +177,12 @@ class ShardCluster {
   // global XOR never double-counts. Survives dead replicas as long as
   // every shard keeps one live one.
   Result<GraphSnapshot> Snapshot();
-  // Checkpoints every replica of every shard. Each replica's cursor
-  // moves as its ack arrives and the shard's logs are trimmed to the
-  // lowest cursor — commits are per-replica, so a failure on one leaves
-  // the others' coordinator state consistent with their disk
-  // checkpoints (a replica whose checkpoint landed but whose ack was
-  // lost is reconciled at restart; see RestartShard).
+  // Checkpoints every replica of every shard into its unacked slot.
+  // Each replica's cursor moves as its ack arrives and the shard's logs
+  // are trimmed to the lowest cursor — commits are per-replica, so a
+  // failure on one leaves the others' coordinator state consistent with
+  // their acked checkpoints (a checkpoint that landed but whose ack was
+  // lost stays unacked and is never restored).
   Status Checkpoint();
 
   // --- Replication ---------------------------------------------------------
@@ -255,12 +258,12 @@ class ShardCluster {
   // a spontaneous crash it has not detected yet, so tests can drive the
   // paths that must self-fence on a failed send.
   void KillShard(int shard, bool observed = true);
-  // Respawn one replica, restore its last checkpoint (if any), replay
-  // the shard's logged updates and migration deltas past it (the
-  // checkpoint's stream position and delta sequence number say exactly
-  // which are already covered). Afterwards the replica is exactly
-  // where it would be had it never died. This is the classic
-  // restore+replay repair; Reconcile() is the anti-entropy alternative.
+  // Respawn one replica, restore its acked checkpoint (if any), replay
+  // the shard's logged updates and migration deltas past its cursor. A
+  // restored position other than the cursor is Internal and fences the
+  // replica. Afterwards the replica is exactly where it would be had it
+  // never died. This is the classic restore+replay repair; Reconcile()
+  // is the anti-entropy alternative.
   Status RestartReplica(int shard, int replica);
   // RestartReplica over every replica of `shard`.
   Status RestartShard(int shard);
@@ -302,12 +305,12 @@ class ShardCluster {
   };
   // One replica: its connection, whether the coordinator has fenced it,
   // and its cursor into the shard's logs — the position of its last
-  // ACKED checkpoint (the on-disk file may be newer if an ack was lost
-  // to a crash).
+  // acked checkpoint, which sits in checkpoint slot `acked_slot`.
   struct Replica {
     std::unique_ptr<ShardTransport> proc;
     bool down = true;  // Up only once configured.
     bool has_checkpoint = false;
+    int acked_slot = 0;  // 0 or 1; meaningful once has_checkpoint.
     uint64_t checkpoint_updates = 0;    // Stream position; 0 = none yet.
     uint64_t checkpoint_delta_seq = 0;  // Delta sequence number.
   };
@@ -338,14 +341,18 @@ class ShardCluster {
   // shard (read-only folds: snapshot).
   enum class BarrierScope { kAllReplicas, kOnePerShard };
 
-  // Connects + configures one replica; `restored` /
-  // `restored_delta_seq` receive its stream position and delta
-  // sequence number after any checkpoint restore.
+  // Connects + configures one replica, restoring its acked checkpoint
+  // if `restore` and it has one; `restored` receives the stream
+  // position the replica then reports.
   Status SpawnAndConfigure(int shard, int replica, bool restore,
-                           uint64_t* restored, uint64_t* restored_delta_seq);
-  std::string CheckpointPath(int shard, int replica) const;
+                           uint64_t* restored);
+  // Checkpoint slot `slot` (0 or 1) of one replica.
+  std::string CheckpointPath(int shard, int replica, int slot) const;
+  // The slot the replica's next checkpoint writes: not the acked one.
+  std::string NextCheckpointPath(int shard, int replica) const;
+  // Unlinks both slots of one replica and their .tmp files.
+  void RemoveCheckpointFiles(int shard, int replica) const;
   std::string LogPath(int shard, int replica) const;
-  GraphZeppelinConfig ShardConfigFor(int shard, int replica) const;
   // "" = all local; otherwise a comma-separated endpoint list, at most
   // one entry per replica (missing entries are local).
   Result<std::vector<ShardEndpoint>> ParseReplicaEndpoints(
@@ -405,8 +412,9 @@ class ShardCluster {
   Status ExtractRange(Replica& replica, uint64_t lo, uint64_t hi,
                       std::vector<uint8_t>* bytes);
   // Moves one replica's cursor to its acked checkpoint (ack = its
-  // stream position and delta sequence number), then trims the shard's
-  // logs to what every replica's checkpoint covers.
+  // stream position and delta sequence number) and flips its acked
+  // slot to the one just written, then trims the shard's logs to what
+  // every replica's checkpoint covers.
   void CommitCheckpoint(int shard, int replica, const ShardAck& ack);
   // The cluster's stream position: every active shard's books plus
   // what removed shards ingested — the count Snapshot() reports.

@@ -561,10 +561,10 @@ std::vector<uint8_t> EncodeShardConfig(const ShardConfig& sc) {
   w.U64(c.gutter_tree_buffer_bytes);
   w.U64(c.gutter_tree_fanout);
   w.Str(c.disk_dir);
-  w.Str(c.instance_tag);
   w.I32(sc.shard_id);
   w.U32(sc.replication);
   w.Str(sc.restore_checkpoint);
+  w.U64(sc.delta_seq);
   return w.Take();
 }
 
@@ -579,13 +579,16 @@ Status DecodeShardConfig(const uint8_t* data, size_t size,
       r.U8(&storage) && r.F64(&c.gutter_fraction) &&
       r.U64(&c.nodes_per_gutter_group) &&
       r.U64(&c.gutter_tree_buffer_bytes) && r.U64(&c.gutter_tree_fanout) &&
-      r.Str(&c.disk_dir) && r.Str(&c.instance_tag) && r.I32(&out->shard_id) &&
+      r.Str(&c.disk_dir) && r.I32(&out->shard_id) &&
       r.U32(&out->replication) && r.Str(&out->restore_checkpoint) &&
-      r.Done();
+      r.U64(&out->delta_seq) && r.Done();
   if (!ok) return Status::InvalidArgument("malformed shard config payload");
+  // A delta sequence number describes a restored checkpoint; a fresh
+  // shard has folded no deltas.
   if (out->shard_id < 0 || out->shard_id >= RoutingTable::kMaxShardId ||
       out->replication < 1 ||
-      out->replication > RoutingTable::kMaxReplication) {
+      out->replication > RoutingTable::kMaxReplication ||
+      (out->restore_checkpoint.empty() && out->delta_seq != 0)) {
     return Status::InvalidArgument("shard config payload out of range");
   }
   // Full range validation: every field a GraphZeppelin GZ_CHECK (or a

@@ -6,7 +6,7 @@
 // learn where the bytes come from; everything transport-specific —
 // framing integrity, peer authentication — lives here.
 //
-// Frame (v7) = 16-byte header (magic, version, message type, payload
+// Frame (v8) = 16-byte header (magic, version, message type, payload
 // bytes) + payload + a 4-byte CRC32C trailer over header AND payload.
 // The receiver verifies the checksum before any payload decode; a
 // mismatch is a Status error and, because the stream can no longer be
@@ -53,7 +53,8 @@ enum class ShardMessageType : uint16_t {
   kConfig = 1,       // Config payload; shard Init()s (+ checkpoint restore).
   kUpdateBatch = 2,  // Flat GraphUpdate slab. Fire-and-forget.
   kFlush = 3,        // Drain gutters + workers.
-  kCheckpoint = 5,   // Payload: file path. Shard saves a checkpoint.
+  kCheckpoint = 5,   // Payload: file path. Shard saves a GraphSnapshot
+                     // file there. Reply: kAck{num_updates, delta_seq}.
   kPing = 7,         // Health probe.
   kShutdown = 8,     // Orderly exit; shard acks, then terminates.
   // Shard -> coordinator.
@@ -130,8 +131,11 @@ struct ShardFrameHeader {
   // longer carries query_threads (shards never run a query). v7: the
   // routing table stays in the coordinator — CONFIG carries the
   // replication factor instead, UPDATE_BATCH loses its epoch stamp,
-  // STATS_EX its epoch, and the EPOCH frame (12) is retired.
-  static constexpr uint16_t kVersion = 7;
+  // STATS_EX its epoch, and the EPOCH frame (12) is retired. v8: a shard
+  // checkpoint is a plain GraphSnapshot file with no header of its own,
+  // so CONFIG carries the restored checkpoint's delta sequence number;
+  // CONFIG's instance tag is retired.
+  static constexpr uint16_t kVersion = 8;
   static constexpr size_t kBytes = 16;
   // CRC32C over header + payload, appended after the payload.
   static constexpr size_t kCrcBytes = 4;
@@ -325,12 +329,16 @@ std::vector<int> TableOwners(const RoutingTable& table);
 // kConfig payload: the shard's GraphZeppelinConfig, its shard id, the
 // cluster's replication factor (which the shard only reports back in
 // STATS_EX, so readers can group replicas), plus an optional
-// checkpoint path to restore from before serving.
+// checkpoint path to restore from before serving and the migration-delta
+// sequence number that checkpoint covers. The coordinator knows that
+// number from the checkpoint's ack; the file itself is a plain
+// GraphSnapshot.
 struct ShardConfig {
   GraphZeppelinConfig config;
   int32_t shard_id = 0;
   uint32_t replication = 1;  // 1..RoutingTable::kMaxReplication.
   std::string restore_checkpoint;  // Empty = fresh start.
+  uint64_t delta_seq = 0;  // Must be 0 on a fresh start.
 };
 
 std::vector<uint8_t> EncodeShardConfig(const ShardConfig& config);

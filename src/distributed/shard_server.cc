@@ -12,22 +12,6 @@
 namespace gz {
 namespace {
 
-void EncodeCheckpointHeader(const ShardCheckpointHeader& header,
-                            uint8_t out[ShardCheckpointHeader::kBytes]) {
-  std::memcpy(out, ShardCheckpointHeader::kMagic, 8);
-  std::memcpy(out + 8, &header.delta_seq, 8);
-}
-
-Status DecodeCheckpointHeader(
-    const uint8_t in[ShardCheckpointHeader::kBytes],
-    ShardCheckpointHeader* header) {
-  if (std::memcmp(in, ShardCheckpointHeader::kMagic, 8) != 0) {
-    return Status::InvalidArgument("not a shard checkpoint: bad magic");
-  }
-  std::memcpy(&header->delta_seq, in + 8, 8);
-  return Status::Ok();
-}
-
 // The extended-stats payload; caller holds the instance mutex.
 std::vector<uint8_t> BuildStatsEx(const ShardInstanceState& state) {
   ShardStatsEx stats;
@@ -197,33 +181,16 @@ Status ShardServer::HandleConfig(const ShardFrame& frame) {
   auto gz = std::make_unique<GraphZeppelin>(sc.config);
   s = gz->Init();
   if (!s.ok()) return ReplyError(s);
-  uint64_t delta_seq = 0;
+  // A restart restores the checkpoint the coordinator acked, and the
+  // coordinator says which migration deltas it covers.
   if (!sc.restore_checkpoint.empty()) {
-    FILE* f = std::fopen(sc.restore_checkpoint.c_str(), "rb");
-    if (f == nullptr) {
-      return ReplyError(Status::NotFound("cannot open shard checkpoint: " +
-                                         sc.restore_checkpoint));
-    }
-    uint8_t header_buf[ShardCheckpointHeader::kBytes];
-    if (std::fread(header_buf, 1, sizeof(header_buf), f) !=
-        sizeof(header_buf)) {
-      std::fclose(f);
-      return ReplyError(Status::InvalidArgument(
-          "truncated shard checkpoint header: " + sc.restore_checkpoint));
-    }
-    std::fclose(f);
-    ShardCheckpointHeader header;
-    s = DecodeCheckpointHeader(header_buf, &header);
+    s = gz->LoadCheckpoint(sc.restore_checkpoint);
     if (!s.ok()) return ReplyError(s);
-    s = gz->LoadCheckpoint(sc.restore_checkpoint,
-                           ShardCheckpointHeader::kBytes);
-    if (!s.ok()) return ReplyError(s);
-    delta_seq = header.delta_seq;
   }
   state_->gz = std::move(gz);
   state_->shard_id = sc.shard_id;
   state_->replication = sc.replication;
-  state_->delta_seq = delta_seq;
+  state_->delta_seq = sc.delta_seq;
   state_->NotifyPositionChanged();
   return ReplyAck(state_->gz->num_updates_ingested(), state_->delta_seq);
 }
@@ -273,12 +240,7 @@ Status ShardServer::HandleCheckpoint(const ShardFrame& frame) {
   if (path.empty()) {
     return ReplyError(Status::InvalidArgument("empty checkpoint path"));
   }
-  ShardCheckpointHeader header;
-  header.delta_seq = state_->delta_seq;
-  uint8_t header_buf[ShardCheckpointHeader::kBytes];
-  EncodeCheckpointHeader(header, header_buf);
-  const Status s =
-      state_->gz->SaveCheckpoint(path, header_buf, sizeof(header_buf));
+  const Status s = state_->gz->SaveCheckpoint(path);
   if (!s.ok()) return ReplyError(s);
   return ReplyAck(state_->gz->num_updates_ingested(), state_->delta_seq);
 }

@@ -14,6 +14,12 @@
 // frames through one handler. Sessions of one shard share one
 // ShardInstanceState, and every access to the instance goes through
 // its mutex.
+//
+// The shard keeps no checkpoint policy of its own: CHECKPOINT writes a
+// plain GraphSnapshot file (GraphZeppelin::SaveCheckpoint) at the path
+// the coordinator names and acks its position, and CONFIG restores the
+// file the coordinator names and adopts the delta sequence number it
+// carries. Which file a restart trusts is the coordinator's decision.
 #ifndef GZ_DISTRIBUTED_SHARD_SERVER_H_
 #define GZ_DISTRIBUTED_SHARD_SERVER_H_
 
@@ -29,20 +35,6 @@
 
 namespace gz {
 
-// Shard checkpoint file: a fixed 16-byte header — magic and the
-// shard's merge-delta sequence number — then the shard's whole node
-// range [0, V) in the GraphSnapshot byte format. The delta sequence
-// number lets the coordinator reconcile which migration deltas the
-// checkpoint already covers, exactly as the snapshot's update count
-// reconciles the unacked update log.
-struct ShardCheckpointHeader {
-  static constexpr char kMagic[8] = {'G', 'Z', 'S', 'C', 'K', 'P', '0',
-                                     '2'};
-  static constexpr size_t kBytes = 16;
-
-  uint64_t delta_seq = 0;
-};
-
 // The shard instance one or more sessions serve. Sessions lock `mutex`
 // around every access; the writer session (or the listener, on writer
 // disconnect) is the only party that configures or resets it.
@@ -53,9 +45,10 @@ struct ShardInstanceState {
   // The cluster's replication factor from CONFIG; only reported back
   // in STATS_EX, so readers can group replicas.
   uint32_t replication = 1;
-  // Count of kMergeDelta frames applied since Init; persisted in the
-  // checkpoint header so the coordinator can skip already-covered
-  // deltas on restart replay.
+  // Count of kMergeDelta frames applied since Init, or since the
+  // restored checkpoint's count that CONFIG carried. Acked with every
+  // checkpoint, so the coordinator knows which deltas that checkpoint
+  // covers and replays only the rest on restart.
   uint64_t delta_seq = 0;
   // A problem in a fire-and-forget UPDATE_BATCH cannot be answered
   // inline — an unsolicited reply would desynchronize the 1:1

@@ -148,7 +148,6 @@ TEST(CheckpointTest, WorksWithDiskStore) {
 
   GraphZeppelinConfig config_b = MakeConfig(16, 31);
   config_b.storage = GraphZeppelinConfig::Storage::kDisk;
-  config_b.instance_tag = "restore";
   GraphZeppelin b(config_b);
   ASSERT_TRUE(b.Init().ok());
   ASSERT_TRUE(b.LoadCheckpoint(path).ok());
@@ -159,7 +158,7 @@ TEST(CheckpointTest, WorksWithDiskStore) {
 }
 
 TEST(CheckpointTest, SameSeedDiskInstancesSharingDirDoNotCollide) {
-  // Two disk-backed instances with identical seed, no instance_tag and
+  // Two disk-backed instances with identical seed and config and
   // the same disk_dir (the two-processes-sharing-/tmp hazard, modeled
   // in-process where it is strictly harder: PIDs match too). Backing
   // file names must still differ, so neither corrupts the other.

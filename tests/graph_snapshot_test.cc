@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <condition_variable>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -18,6 +19,10 @@
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "baseline/matrix_checker.h"
 #include "core/connectivity.h"
@@ -321,6 +326,39 @@ TEST(GraphSnapshotTest, FileRoundTripAndLoadIntoInstance) {
 
   EXPECT_EQ(GraphSnapshot::LoadFromFile(path + ".missing").status().code(),
             StatusCode::kNotFound);
+  std::remove(path.c_str());
+}
+
+TEST(GraphSnapshotTest, FailedSaveToFileLeavesThePreviousFileIntact) {
+  // SaveToFile publishes like a checkpoint: a save that runs out of
+  // room must return IoError and leave the previous file loadable, bit
+  // for bit. A forked child saves under RLIMIT_FSIZE with SIGXFSZ
+  // ignored, so its writes fail with EFBIG instead of killing it.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/snapshot_failed_save.snap";
+  const uint64_t n = 64;
+  const GraphSnapshot expect = SnapshotOf(n, 9, {Edge(0, 1)});
+  ASSERT_GT(expect.SerializedSize(), 4096u);  // The limit must bite.
+  ASSERT_TRUE(expect.SaveToFile(path).ok());
+  const GraphSnapshot other = SnapshotOf(n, 9, {Edge(2, 3)});
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit limit;
+    limit.rlim_cur = limit.rlim_max = 4096;
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(3);
+    const Status s = other.SaveToFile(path);
+    ::_exit(s.code() == StatusCode::kIoError ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  Result<GraphSnapshot> loaded = GraphSnapshot::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value() == expect);
   std::remove(path.c_str());
 }
 

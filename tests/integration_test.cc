@@ -184,7 +184,6 @@ TEST(IntegrationTest, SoakAllConfigsWithCheckpointHandoff) {
     first_config.storage = storage;
     first_config.num_workers = 2;
     first_config.disk_dir = ::testing::TempDir();
-    first_config.instance_tag = "soak_a" + std::to_string(config_index);
     GraphZeppelin first(first_config);
     ASSERT_TRUE(first.Init().ok());
     for (size_t i = 0; i < half; ++i) first.Update(stream.updates[i]);
@@ -198,7 +197,6 @@ TEST(IntegrationTest, SoakAllConfigsWithCheckpointHandoff) {
     second_config.buffering = buffering == Buffering::kLeafOnly
                                   ? Buffering::kGutterTree
                                   : Buffering::kLeafOnly;
-    second_config.instance_tag = "soak_b" + std::to_string(config_index);
     GraphZeppelin second(second_config);
     ASSERT_TRUE(second.Init().ok());
     ASSERT_TRUE(second.LoadCheckpoint(ckpt).ok());

@@ -15,12 +15,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <dirent.h>
+#include <unistd.h>
 
 #include "cluster_substrate.h"
 #include "core/graph_zeppelin.h"
@@ -964,6 +967,122 @@ TEST_P(ShardClusterTest, ReplicaCursorsDivergeOverOneSharedLog) {
   EXPECT_EQ(cluster.unacked_updates(1), 0u);
   EXPECT_EQ(cluster.pending_delta_count(1), 0u);
   ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+// A fresh directory under the test temp dir, so a scan of it finds only
+// the checkpoint files one cluster writes.
+std::string MakeCheckpointDir(const char* name) {
+  std::string dir = ::testing::TempDir() + "/" + name + "_XXXXXX";
+  GZ_CHECK(::mkdtemp(dir.data()) != nullptr);
+  return dir;
+}
+
+// The published files in `dir` (no .tmp leftovers), sorted.
+std::vector<std::string> CheckpointFiles(const std::string& dir) {
+  std::vector<std::string> files;
+  DIR* d = ::opendir(dir.c_str());
+  GZ_CHECK(d != nullptr);
+  while (const struct dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name[0] == '.' || name.ends_with(".tmp")) continue;
+    files.push_back(dir + "/" + name);
+  }
+  ::closedir(d);
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST_P(ShardClusterTest, CheckpointIsAPlainSnapshotFile) {
+  // A shard checkpoint is the GraphSnapshot byte format and nothing
+  // else: with one shard, the one file Checkpoint() writes loads with
+  // GraphSnapshot::LoadFromFile and equals the cluster's fold bitwise.
+  const uint64_t n = 64;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.08;
+  ep.seed = 311;
+  const std::vector<GraphUpdate> updates =
+      ToggleStream(ErdosRenyiGenerator(ep).Generate(), 3);
+  const GraphZeppelinConfig base = BaseConfig(n, 313);
+  ShardClusterOptions options;
+  options.checkpoint_dir = MakeCheckpointDir("gz_plain_ckpt");
+  {
+    ShardCluster cluster(base, 1, MakeOptions(1, options));
+    ASSERT_TRUE(cluster.Start().ok());
+    ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+    ASSERT_TRUE(cluster.Checkpoint().ok());
+    const std::vector<std::string> files =
+        CheckpointFiles(options.checkpoint_dir);
+    ASSERT_EQ(files.size(), 1u);
+    Result<GraphSnapshot> loaded = GraphSnapshot::LoadFromFile(files[0]);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    Result<GraphSnapshot> folded = cluster.Snapshot();
+    ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+    EXPECT_TRUE(loaded.value() == folded.value());
+    EXPECT_TRUE(loaded.value() == SingleProcessSnapshot(base, updates));
+    ASSERT_TRUE(cluster.Shutdown().ok());
+  }
+  EXPECT_TRUE(CheckpointFiles(options.checkpoint_dir).empty());
+  ::rmdir(options.checkpoint_dir.c_str());
+}
+
+TEST_P(ShardClusterTest, RestartNeverReadsTheUnackedCheckpointSlot) {
+  // Two checkpoints fill both slots of the one replica; the older, at
+  // P1, is no longer the acked one. What that slot holds must not
+  // matter — it stands in for a checkpoint whose ack was lost — so it
+  // is overwritten with garbage, and a restart from the acked P2
+  // checkpoint plus replay must still fold bitwise to one instance.
+  const uint64_t n = 128;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.05;
+  ep.seed = 317;
+  const std::vector<GraphUpdate> updates =
+      ToggleStream(ErdosRenyiGenerator(ep).Generate(), 5);
+  const size_t p1 = updates.size() / 3;
+  const size_t p2 = 2 * updates.size() / 3;
+  const GraphZeppelinConfig base = BaseConfig(n, 331);
+  ShardClusterOptions options;
+  options.checkpoint_dir = MakeCheckpointDir("gz_slot_ckpt");
+  {
+    ShardCluster cluster(base, 1, MakeOptions(1, options));
+    ASSERT_TRUE(cluster.Start().ok());
+    ASSERT_TRUE(cluster.Update(updates.data(), p1).ok());
+    ASSERT_TRUE(cluster.Checkpoint().ok());
+    ASSERT_TRUE(cluster.Update(updates.data() + p1, p2 - p1).ok());
+    ASSERT_TRUE(cluster.Checkpoint().ok());
+    ASSERT_TRUE(
+        cluster.Update(updates.data() + p2, updates.size() - p2).ok());
+    cluster.KillReplica(0, 0);
+
+    // The unacked slot is the file at P1 (one shard: its count is the
+    // stream position).
+    const std::vector<std::string> files =
+        CheckpointFiles(options.checkpoint_dir);
+    ASSERT_EQ(files.size(), 2u);
+    std::string unacked;
+    for (const std::string& file : files) {
+      Result<GraphSnapshot> loaded = GraphSnapshot::LoadFromFile(file);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      if (loaded.value().num_updates() == p1) unacked = file;
+    }
+    ASSERT_FALSE(unacked.empty());
+    FILE* f = std::fopen(unacked.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const char junk[64] = "not a checkpoint";
+    ASSERT_EQ(std::fwrite(junk, 1, sizeof(junk), f), sizeof(junk));
+    ASSERT_EQ(std::fclose(f), 0);
+
+    const Status restarted = cluster.RestartReplica(0, 0);
+    ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+    Result<GraphSnapshot> folded = cluster.Snapshot();
+    ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+    EXPECT_EQ(folded.value().num_updates(), updates.size());
+    EXPECT_TRUE(folded.value() == SingleProcessSnapshot(base, updates));
+    ASSERT_TRUE(cluster.Shutdown().ok());
+  }
+  EXPECT_TRUE(CheckpointFiles(options.checkpoint_dir).empty());
+  ::rmdir(options.checkpoint_dir.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(

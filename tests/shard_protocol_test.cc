@@ -16,6 +16,7 @@
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -172,8 +173,8 @@ TEST(ShardProtocolTest, UnknownTypeIsInvalidArgument) {
   EXPECT_EQ(RecvFrame(sp.b(), &frame).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardProtocolTest, V7DefinesExactly19TypesAndRefusesRetiredOnes) {
-  EXPECT_EQ(ShardFrameHeader::kVersion, 7);
+TEST(ShardProtocolTest, V8DefinesExactly19TypesAndRefusesRetiredOnes) {
+  EXPECT_EQ(ShardFrameHeader::kVersion, 8);
   int known = 0;
   for (uint16_t t = 0; t < 64; ++t) {
     SocketPair sp;
@@ -195,8 +196,9 @@ TEST(ShardProtocolTest, V7DefinesExactly19TypesAndRefusesRetiredOnes) {
 }
 
 TEST(ShardProtocolTest, V3HeaderIsAVersionMismatch) {
-  // So is a v4, v5 or v6 peer's: both sides must be rebuilt together.
-  for (const uint16_t version : {3, 4, 5, 6}) {
+  // So is a v4, v5, v6 or v7 peer's: both sides must be rebuilt
+  // together.
+  for (const uint16_t version : {3, 4, 5, 6, 7}) {
     SocketPair sp;
     WriteRawHeader(sp.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
                    ShardFrameHeader::kMagic, version);
@@ -297,12 +299,12 @@ TEST(ShardProtocolTest, ConfigPayloadRoundTrips) {
   in.config.gutter_fraction = 0.25;
   in.config.nodes_per_gutter_group = 4;
   in.config.disk_dir = "/tmp/somewhere";
-  in.config.instance_tag = "shard7";
   in.config.gutter_tree_buffer_bytes = 1 << 20;
   in.config.gutter_tree_fanout = 32;
   in.shard_id = 7;
   in.replication = 4;
   in.restore_checkpoint = "/tmp/ckpt.bin";
+  in.delta_seq = 12;
 
   const std::vector<uint8_t> bytes = EncodeShardConfig(in);
   ShardConfig out;
@@ -320,11 +322,23 @@ TEST(ShardProtocolTest, ConfigPayloadRoundTrips) {
   EXPECT_EQ(out.config.nodes_per_gutter_group,
             in.config.nodes_per_gutter_group);
   EXPECT_EQ(out.config.disk_dir, in.config.disk_dir);
-  EXPECT_EQ(out.config.instance_tag, in.config.instance_tag);
   EXPECT_EQ(out.config.gutter_tree_buffer_bytes,
             in.config.gutter_tree_buffer_bytes);
   EXPECT_EQ(out.config.gutter_tree_fanout, in.config.gutter_tree_fanout);
   EXPECT_EQ(out.restore_checkpoint, in.restore_checkpoint);
+  EXPECT_EQ(out.delta_seq, 12u);
+  // A delta sequence number describes a restored checkpoint: a fresh
+  // start with one is refused.
+  {
+    ShardConfig fresh = in;
+    fresh.restore_checkpoint.clear();
+    const std::vector<uint8_t> enc = EncodeShardConfig(fresh);
+    EXPECT_EQ(DecodeShardConfig(enc.data(), enc.size(), &out).code(),
+              StatusCode::kInvalidArgument);
+    fresh.delta_seq = 0;
+    const std::vector<uint8_t> zero = EncodeShardConfig(fresh);
+    EXPECT_TRUE(DecodeShardConfig(zero.data(), zero.size(), &out).ok());
+  }
   // The replication factor feeds reader-side replica grouping (it comes
   // back in STATS_EX), so the decoder bounds it to [1, kMaxReplication].
   for (const uint32_t bad : {0u, RoutingTable::kMaxReplication + 1}) {
@@ -609,7 +623,8 @@ TEST_F(ShardServerFixture, BadMagicTerminatesServeWithErrorReply) {
 TEST_F(ShardServerFixture, VersionMismatchTerminatesServeWithErrorReply) {
   StartServer(/*handshake=*/false);
   WriteRawHeader(sp_.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
-                 ShardFrameHeader::kMagic, /*version=*/8);
+                 ShardFrameHeader::kMagic,
+                 /*version=*/ShardFrameHeader::kVersion + 1);
   ExpectErrorReply(StatusCode::kInvalidArgument);
   if (server_thread_.joinable()) server_thread_.join();
   EXPECT_FALSE(serve_status_.ok());
@@ -719,61 +734,75 @@ TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
   EXPECT_TRUE(rebuilt == source);
 }
 
-TEST_F(ShardServerFixture, V6CheckpointIsRefusedAndShardStaysUnconfigured) {
-  // A v6 checkpoint (24-byte GZSCKP01 header: magic, routing epoch,
-  // delta sequence) is not a v7 one. Restoring it must be refused with
-  // InvalidArgument before any state is adopted; the same content under
-  // the v7 16-byte header restores.
+// Reads a whole file into memory.
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  FILE* in = std::fopen(path.c_str(), "rb");
+  if (in == nullptr) return bytes;
+  for (int c; (c = std::fgetc(in)) != EOF;) {
+    bytes.push_back(static_cast<uint8_t>(c));
+  }
+  std::fclose(in);
+  return bytes;
+}
+
+TEST_F(ShardServerFixture, PrefixedCheckpointsAreRefusedAndShardStaysUnconfigured) {
+  // A shard checkpoint is a plain GraphSnapshot file. Older builds put
+  // a header in front of the snapshot: v7 a 16-byte GZSCKP02 one (magic,
+  // delta sequence), v6 a 24-byte GZSCKP01 one (magic, routing epoch,
+  // delta sequence). Restoring either must be refused with
+  // InvalidArgument before any state is adopted; the plain file they
+  // wrap restores.
   StartServer();
   Configure(/*num_nodes=*/16);
   GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
   SendUpdateBatch(&u, sizeof(u));
-  const std::string v7 = ::testing::TempDir() + "/gz_v7_ckpt.bin";
-  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kCheckpoint, v7.data(),
-                        v7.size())
+  const std::string plain = ::testing::TempDir() + "/gz_v8_ckpt.bin";
+  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kCheckpoint, plain.data(),
+                        plain.size())
                   .ok());
   ShardFrame frame;
   ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
   ASSERT_EQ(frame.type, ShardMessageType::kAck);
   StopServer();
 
-  // Rewrite the same snapshot bytes behind a v6 header.
-  FILE* in = std::fopen(v7.c_str(), "rb");
-  ASSERT_NE(in, nullptr);
-  std::vector<uint8_t> bytes;
-  for (int c; (c = std::fgetc(in)) != EOF;) {
-    bytes.push_back(static_cast<uint8_t>(c));
+  const std::vector<uint8_t> bytes = ReadFileBytes(plain);
+  ASSERT_GT(bytes.size(), GraphSnapshot::kHeaderBytes);
+  ASSERT_EQ(std::memcmp(bytes.data(), "GZSNAP02", 8), 0);
+  std::vector<std::string> prefixed;
+  for (const auto& [magic, prefix_bytes] :
+       {std::pair<const char*, size_t>{"GZSCKP02", 16},
+        std::pair<const char*, size_t>{"GZSCKP01", 24}}) {
+    std::vector<uint8_t> old(prefix_bytes, 0);
+    std::memcpy(old.data(), magic, 8);
+    old.insert(old.end(), bytes.begin(), bytes.end());
+    const std::string path =
+        ::testing::TempDir() + "/gz_" + magic + "_ckpt.bin";
+    FILE* out = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    ASSERT_EQ(std::fwrite(old.data(), 1, old.size(), out), old.size());
+    ASSERT_EQ(std::fclose(out), 0);
+    prefixed.push_back(path);
   }
-  std::fclose(in);
-  ASSERT_GT(bytes.size(), ShardCheckpointHeader::kBytes);
-  ASSERT_EQ(std::memcmp(bytes.data(), "GZSCKP02", 8), 0);
-  std::vector<uint8_t> old(24, 0);
-  std::memcpy(old.data(), "GZSCKP01", 8);
-  const uint64_t epoch = 1;
-  std::memcpy(old.data() + 8, &epoch, 8);  // delta_seq at +16 stays 0.
-  old.insert(old.end(), bytes.begin() + ShardCheckpointHeader::kBytes,
-             bytes.end());
-  const std::string v6 = ::testing::TempDir() + "/gz_v6_ckpt.bin";
-  FILE* out = std::fopen(v6.c_str(), "wb");
-  ASSERT_NE(out, nullptr);
-  ASSERT_EQ(std::fwrite(old.data(), 1, old.size(), out), old.size());
-  ASSERT_EQ(std::fclose(out), 0);
 
   sp_.Reset();
   stopped_ = false;
   StartServer();
-  const std::vector<uint8_t> payload =
-      EncodeShardConfig(ConfigFor(/*num_nodes=*/16, v6));
-  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kConfig, payload.data(),
-                        payload.size())
-                  .ok());
-  ExpectErrorReply(StatusCode::kInvalidArgument);
-  // Still unconfigured: no request past CONFIG is served.
-  ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
-  ExpectErrorReply(StatusCode::kFailedPrecondition);
-  // The v7 file restores on the same server, at the saved position.
-  Configure(/*num_nodes=*/16, v7);
+  for (const std::string& path : prefixed) {
+    const std::vector<uint8_t> payload =
+        EncodeShardConfig(ConfigFor(/*num_nodes=*/16, path));
+    ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kConfig, payload.data(),
+                          payload.size())
+                    .ok());
+    ExpectErrorReply(StatusCode::kInvalidArgument);
+    // Still unconfigured: no request past CONFIG is served.
+    ASSERT_TRUE(
+        SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
+    ExpectErrorReply(StatusCode::kFailedPrecondition);
+    ::unlink(path.c_str());
+  }
+  // The plain file restores on the same server, at the saved position.
+  Configure(/*num_nodes=*/16, plain);
   ASSERT_TRUE(
       SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
@@ -783,8 +812,58 @@ TEST_F(ShardServerFixture, V6CheckpointIsRefusedAndShardStaysUnconfigured) {
                                  &stats)
                   .ok());
   EXPECT_EQ(stats.num_updates, 1u);
-  ::unlink(v6.c_str());
-  ::unlink(v7.c_str());
+  ::unlink(plain.c_str());
+}
+
+TEST_F(ShardServerFixture, RestoreAdoptsTheDeltaSequenceConfigCarries) {
+  // The checkpoint file holds the stream position (its GZSNAP02 update
+  // count); the delta sequence number it covers comes from CONFIG,
+  // which the coordinator fills from the checkpoint's ack.
+  StartServer();
+  Configure(/*num_nodes=*/16);
+  GraphUpdate updates[2] = {{Edge(0, 1), UpdateType::kInsert},
+                            {Edge(2, 5), UpdateType::kInsert}};
+  SendUpdateBatch(updates, sizeof(updates));
+  const std::string path = ::testing::TempDir() + "/gz_delta_seq_ckpt.bin";
+  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kCheckpoint, path.data(),
+                        path.size())
+                  .ok());
+  ShardFrame frame;
+  ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+  ASSERT_EQ(frame.type, ShardMessageType::kAck);
+  StopServer();
+  // The file is a plain snapshot: any GraphSnapshot reader loads it.
+  Result<GraphSnapshot> loaded = GraphSnapshot::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().num_updates(), 2u);
+
+  sp_.Reset();
+  stopped_ = false;
+  StartServer();
+  ShardConfig sc = ConfigFor(/*num_nodes=*/16, path);
+  sc.delta_seq = 5;
+  const std::vector<uint8_t> payload = EncodeShardConfig(sc);
+  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kConfig, payload.data(),
+                        payload.size())
+                  .ok());
+  ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+  ASSERT_EQ(frame.type, ShardMessageType::kAck);
+  ShardAck ack;
+  ASSERT_TRUE(
+      DecodeShardAck(frame.payload.data(), frame.payload.size(), &ack).ok());
+  EXPECT_EQ(ack.value0, 2u);
+  EXPECT_EQ(ack.value1, 5u);
+  ASSERT_TRUE(
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
+  ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+  ASSERT_EQ(frame.type, ShardMessageType::kStatsReply);
+  ShardStatsEx stats;
+  ASSERT_TRUE(DecodeShardStatsEx(frame.payload.data(), frame.payload.size(),
+                                 &stats)
+                  .ok());
+  EXPECT_EQ(stats.num_updates, 2u);
+  EXPECT_EQ(stats.delta_seq, 5u);
+  ::unlink(path.c_str());
 }
 
 // ---- Frame-corruption conformance sweep -----------------------------------

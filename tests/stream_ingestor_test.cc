@@ -56,58 +56,6 @@ TEST(StreamIngestorTest, IngestsWholeFileAndMatchesChecker) {
   std::remove(path.c_str());
 }
 
-TEST(StreamIngestorTest, ProgressCallbacksFire) {
-  const uint64_t n = 16;
-  std::vector<GraphUpdate> updates;
-  for (NodeId i = 0; i + 1 < 11; ++i) {
-    updates.push_back({Edge(i, i + 1), UpdateType::kInsert});
-  }
-  const std::string path = TempPath("ingest_progress.gzst");
-  ASSERT_TRUE(WriteStreamFile(path, n, updates).ok());
-
-  GraphZeppelin gz(MakeConfig(n, 8));
-  ASSERT_TRUE(gz.Init().ok());
-  std::vector<uint64_t> checkpoints;
-  const Result<uint64_t> ingested = IngestStreamFile(
-      &gz, path, /*callback_every=*/3,
-      [&checkpoints](const IngestProgress& p) {
-        checkpoints.push_back(p.consumed);
-        EXPECT_EQ(p.total, 10u);
-      });
-  ASSERT_TRUE(ingested.ok());
-  // Every 3 updates plus the final call: 3, 6, 9, 10.
-  EXPECT_EQ(checkpoints, (std::vector<uint64_t>{3, 6, 9, 10}));
-  std::remove(path.c_str());
-}
-
-TEST(StreamIngestorTest, ProgressCallbackNotDuplicatedOnExactMultiple) {
-  // Regression: when the stream length is an exact multiple of
-  // callback_every, the boundary callback at the last update IS the
-  // completion callback — it must not fire a second time ({3, 6, 9},
-  // not {3, 6, 9, 9}).
-  const uint64_t n = 16;
-  std::vector<GraphUpdate> updates;
-  for (NodeId i = 0; i + 1 < 10; ++i) {
-    updates.push_back({Edge(i, i + 1), UpdateType::kInsert});
-  }
-  ASSERT_EQ(updates.size(), 9u);
-  const std::string path = TempPath("ingest_progress_exact.gzst");
-  ASSERT_TRUE(WriteStreamFile(path, n, updates).ok());
-
-  GraphZeppelin gz(MakeConfig(n, 8));
-  ASSERT_TRUE(gz.Init().ok());
-  std::vector<uint64_t> checkpoints;
-  const Result<uint64_t> ingested = IngestStreamFile(
-      &gz, path, /*callback_every=*/3,
-      [&checkpoints](const IngestProgress& p) {
-        checkpoints.push_back(p.consumed);
-        EXPECT_EQ(p.total, 9u);
-      });
-  ASSERT_TRUE(ingested.ok());
-  EXPECT_EQ(checkpoints, (std::vector<uint64_t>{3, 6, 9}));
-  std::remove(path.c_str());
-}
-
 TEST(StreamIngestorTest, MissingFileReported) {
   GraphZeppelin gz(MakeConfig(8, 9));
   ASSERT_TRUE(gz.Init().ok());
