@@ -142,9 +142,9 @@ Status OpenSnapshotFile(const std::string& path, FILE** out, Header* header) {
 
 // Hands every record of the file OpenSnapshotFile opened to `store`,
 // then closes it.
-Status ReadRecords(FILE* f, const std::string& path,
-                   const NodeSketchParams& params,
-                   const std::function<void(NodeId, const NodeSketch&)>& store) {
+Status ReadRecords(
+    FILE* f, const std::string& path, const NodeSketchParams& params,
+    const std::function<void(NodeId, const NodeSketch&)>& store) {
   NodeSketch scratch(params);
   std::vector<uint8_t> buf(scratch.SerializedSize());
   Status s = Status::Ok();

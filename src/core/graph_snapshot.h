@@ -152,8 +152,9 @@ class GraphSnapshot {
   // into the sink it is handed, which writes `path`.tmp; only a
   // complete file is renamed over `path`, so a failed save (IoError)
   // leaves the previous file intact.
-  static Status SaveStream(const std::string& path,
-                           const std::function<Status(const ByteSink&)>& produce);
+  static Status SaveStream(
+      const std::string& path,
+      const std::function<Status(const ByteSink&)>& produce);
 
   // The streaming loader behind LoadFromFile, for consumers that cannot
   // afford a materialized snapshot: validates the header against

@@ -746,7 +746,7 @@ std::vector<uint8_t> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
-TEST_F(ShardServerFixture, PrefixedCheckpointsAreRefusedAndShardStaysUnconfigured) {
+TEST_F(ShardServerFixture, PrefixedCheckpointLeavesShardUnconfigured) {
   // A shard checkpoint is a plain GraphSnapshot file. Older builds put
   // a header in front of the snapshot: v7 a 16-byte GZSCKP02 one (magic,
   // delta sequence), v6 a 24-byte GZSCKP01 one (magic, routing epoch,
