@@ -14,10 +14,12 @@
 // over both the RAM and the on-disk store. Enforced with GZ_CHECK, so a
 // regression fails the run, not just a JSON field.
 //
-// Two sketch-state gates ride along: copying a node sketch is exactly
-// one allocation (its bucket block; the seeds live in a shared layout),
-// and GraphZeppelin::Snapshot() over the on-disk store allocates at most
-// a block and a copy-on-write handle per node, plus a constant.
+// Sketch-state gates ride along: copying a node sketch is exactly one
+// allocation (its bucket block; the seeds live in a shared layout);
+// GraphZeppelin::Snapshot() over the on-disk store is round-lazy and
+// allocates a small constant, whatever V; and Connectivity() over that
+// capture allocates a constant plus a few per round it loads, never per
+// node.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -160,9 +162,16 @@ int main() {
       static_cast<unsigned long long>(copy_allocs));
   GZ_CHECK_MSG(copy_allocs == 1, "copying a node sketch allocated != 1");
 
-  // Disk snapshot gate: block + COW handle per node, plus a constant
-  // (the handle vector and the loader's per-thread record buffer).
-  constexpr uint64_t kSnapshotConstAllocs = 16;
+  // Disk snapshot gate: the capture holds a zero sketch (for the
+  // layout), the shared round state and its flags, and the instance's
+  // weak handle to it; no node is read.
+  constexpr uint64_t kSnapshotAllocs = 8;
+  // Connectivity gate: the query pool's threads and Boruvka's buffers
+  // (sized once from V), plus per round the loaded round buffer, the
+  // loader's and the phases' task closures and buffer growth.
+  constexpr int kQueryThreads = 4;
+  constexpr uint64_t kQueryConstAllocs = 48;
+  constexpr uint64_t kQueryRoundAllocs = 8;
   GraphZeppelinConfig config = bench::DefaultGzConfig();
   config.num_nodes = w.num_nodes;
   config.storage = GraphZeppelinConfig::Storage::kDisk;
@@ -184,8 +193,25 @@ int main() {
       static_cast<unsigned long long>(snapshot_allocs),
       static_cast<double>(snapshot_allocs) /
           static_cast<double>(w.num_nodes));
-  GZ_CHECK_MSG(snapshot_allocs <= 2 * w.num_nodes + kSnapshotConstAllocs,
-               "disk snapshot allocated more than 2 per node");
+  GZ_CHECK_MSG(snapshot_allocs <= kSnapshotAllocs,
+               "disk snapshot allocated more than a constant");
+
+  g_alloc_count.store(0);
+  g_track.store(true);
+  const ConnectivityResult r = Connectivity(snapshot, kQueryThreads);
+  g_track.store(false);
+  const uint64_t query_allocs = g_alloc_count.load();
+  GZ_CHECK(!r.failed);
+  std::printf(
+      ",\n  {\"bench\": \"pipeline_alloc\", \"config\": \"disk_query\",\n"
+      "   \"workload\": \"%s\", \"nodes\": %llu, \"threads\": %d,\n"
+      "   \"rounds_used\": %d, \"allocs\": %llu}",
+      w.name.c_str(), static_cast<unsigned long long>(w.num_nodes),
+      kQueryThreads, r.rounds_used,
+      static_cast<unsigned long long>(query_allocs));
+  GZ_CHECK_MSG(query_allocs <= kQueryConstAllocs +
+                                   kQueryRoundAllocs * r.rounds_used,
+               "query over a disk snapshot allocated more than its rounds");
   std::printf("\n]\n");
   return 0;
 }

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 
 #include "dsu/dsu.h"
@@ -116,11 +117,12 @@ class QueryThreadPool {
   bool stop_ = false;
 };
 
-// Per-block output slot of the sampling phase. `picks` is the block's
-// cols-wide sample slot for the singletons it samples in place.
+// Per-block output of the sampling phase: the block's candidate cut
+// edges are the first `count` of its slot in the round's candidate
+// buffer (kSampleBlockNodes * cols entries, at most one per column per
+// representative).
 struct SampleBlock {
-  EdgeList candidates;
-  std::vector<uint64_t> picks;
+  size_t count = 0;
   bool any_fail = false;
 };
 
@@ -198,8 +200,9 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
   // Only components spanning several chunks park their chunk sums in
   // `partials` (one round_stride slot per chunk, in one flat buffer)
   // until folded. The buffers live across rounds so later rounds reuse
-  // them.
-  const SketchLayout& layout = snapshot.sketch(0).layout();
+  // them; the ones filled by push_back are reserved to their bound up
+  // front, so a query allocates per round, not per component or node.
+  const SketchLayout& layout = snapshot.layout();
   const size_t round_bytes = layout.round_bytes();
   const size_t stride = layout.round_stride();
   const int cols = layout.cols();
@@ -207,18 +210,31 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
   std::vector<int64_t> slot_of(num_nodes);
   std::vector<NodeId> members;
   std::vector<BuildChunk> chunks;
+  chunks.reserve(num_nodes / 2 + num_nodes / kBuildChunkMembers + 1);
   std::vector<SpreadComponent> spread;
+  spread.reserve(num_nodes / (kBuildChunkMembers + 1) + 1);
   std::vector<uint8_t> partials;  // operator new aligns it to 16.
   std::vector<ColumnSamples> samples;
+  samples.reserve(num_nodes / 2);
   std::vector<uint64_t> picks;
   const size_t num_blocks =
       (num_nodes + kSampleBlockNodes - 1) / kSampleBlockNodes;
   std::vector<SampleBlock> blocks(num_blocks);
-  for (SampleBlock& block : blocks) block.picks.resize(cols);
+  std::vector<uint64_t> block_picks(num_blocks * cols);
+  std::vector<Edge> candidates(num_blocks * kSampleBlockNodes * cols);
+  result.spanning_forest.reserve(num_nodes - 1);
+  const GraphSnapshot::BlockRunner load_blocks =
+      [&run](size_t n, const std::function<void(size_t)>& body) {
+        run(true, n, body);
+      };
   bool complete = false;
 
   for (int round = first_round; round < last_round && !complete; ++round) {
     result.rounds_used = round - first_round + 1;
+    // A lazy snapshot reads this round from its store now, spread over
+    // the pool in the sampling phase's node blocks.
+    const GraphSnapshot::RoundView sketches =
+        snapshot.Round(round, kSampleBlockNodes, load_blocks);
     for (uint64_t i = 0; i < num_nodes; ++i) {
       root_of[i] = static_cast<NodeId>(dsu.Find(i));
     }
@@ -275,13 +291,14 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
     run(num_members >= kMinParallelBuildMembers, chunks.size(),
         [&](size_t c) {
           const BuildChunk& ch = chunks[c];
-          std::vector<uint8_t> whole(ch.partial < 0 ? stride : 0);
+          // A whole component's sum is sampled at once: one scratch
+          // slot per thread.
+          thread_local std::vector<uint8_t> whole;
+          if (whole.size() < stride) whole.resize(stride);
           uint8_t* sum = ch.partial < 0 ? whole.data() : slot(ch.partial);
-          std::memcpy(sum, snapshot.sketch(members[ch.begin]).subsketch(round),
-                      round_bytes);
+          std::memcpy(sum, sketches.node(members[ch.begin]), round_bytes);
           for (size_t k = ch.begin + 1; k < ch.end; ++k) {
-            XorBytes(sum, snapshot.sketch(members[k]).subsketch(round),
-                     round_bytes);
+            XorBytes(sum, sketches.node(members[k]), round_bytes);
           }
           if (ch.partial < 0) sample(ch.comp, sum);
         });
@@ -302,7 +319,9 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
     // regardless of which thread ran which block.
     run(live_roots >= kMinParallelSampleRoots, num_blocks, [&](size_t b) {
       SampleBlock& out = blocks[b];
-      out.candidates.clear();
+      Edge* found = candidates.data() + b * kSampleBlockNodes * cols;
+      uint64_t* own = block_picks.data() + b * cols;
+      out.count = 0;
       out.any_fail = false;
       const uint64_t begin = b * kSampleBlockNodes;
       const uint64_t end = std::min(begin + kSampleBlockNodes, num_nodes);
@@ -311,10 +330,9 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
         const uint64_t* got;
         ColumnSamples s;
         if (slot_of[i] < 0) {
-          got = out.picks.data();
+          got = own;
           s = layout.SampleColumns(
-              round, snapshot.sketch(static_cast<NodeId>(i)).subsketch(round),
-              out.picks.data(), cols);
+              round, sketches.node(static_cast<NodeId>(i)), own, cols);
         } else {
           got = picks.data() + slot_of[i] * cols;
           s = samples[slot_of[i]];
@@ -322,7 +340,7 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
         switch (s.kind) {
           case SampleKind::kGood:
             for (int k = 0; k < s.count; ++k) {
-              out.candidates.push_back(IndexToEdge(got[k], num_nodes));
+              found[out.count++] = IndexToEdge(got[k], num_nodes);
             }
             break;
           case SampleKind::kZero:
@@ -340,9 +358,10 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
     // induces is identical for every thread count.
     bool any_fail = false;
     bool found_edge = false;
-    for (const SampleBlock& block : blocks) {
-      any_fail |= block.any_fail;
-      for (const Edge& e : block.candidates) {
+    for (size_t b = 0; b < num_blocks; ++b) {
+      any_fail |= blocks[b].any_fail;
+      const Edge* found = candidates.data() + b * kSampleBlockNodes * cols;
+      for (const Edge& e : std::span(found, blocks[b].count)) {
         const size_t ra = dsu.Find(e.u);
         const size_t rb = dsu.Find(e.v);
         if (ra == rb) continue;  // Already merged transitively this round.

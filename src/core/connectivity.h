@@ -13,7 +13,9 @@
 // members' round-r subsketches (linearity makes the sum a sketch of the
 // component's cut vector), so round r builds exactly those sums, for
 // multi-member components only, and samples a singleton's own
-// subsketch in place: the snapshot is only ever read. Rounds use
+// subsketch in place: the snapshot is only ever read, one round at a
+// time (GraphSnapshot::Round), so a round-lazy capture of an on-disk
+// store reads from the file only the rounds a query reaches. Rounds use
 // independent subsketches because query answers feed back into later
 // merges (adaptivity).
 //

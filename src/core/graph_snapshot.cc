@@ -1,8 +1,10 @@
 #include "core/graph_snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <mutex>
 
 #include "util/check.h"
 
@@ -162,6 +164,56 @@ Status ReadRecords(
 
 }  // namespace
 
+// The shared state of a round-lazy snapshot: one buffer per round, each
+// filled by one call of the loader's blocks behind the round's once
+// flag. std::call_once makes a concurrent caller wait for the fill and
+// publishes the buffer to every caller that returns from it.
+class GraphSnapshot::LazyRounds {
+ public:
+  LazyRounds(const NodeSketch& zero, RoundLoader load)
+      : zero_(zero),
+        load_(std::move(load)),
+        loaded_(std::make_unique<std::once_flag[]>(zero.rounds())),
+        rounds_(zero.rounds()) {}
+
+  const NodeSketch& zero() const { return zero_; }
+
+  // Round `round`'s buffer, node i's slice at i * round_stride.
+  const uint8_t* Round(int round, uint64_t block_nodes,
+                       const BlockRunner& run) {
+    std::call_once(loaded_[round], [&] {
+      const uint64_t n = zero_.params().num_nodes;
+      const size_t stride = zero_.layout().round_stride();
+      std::vector<uint8_t>& buf = rounds_[round];
+      buf.resize(n * stride);  // operator new aligns it to 16.
+      const std::function<void(size_t)> block = [&](size_t b) {
+        const uint64_t lo = b * block_nodes;
+        load_(round, lo, std::min(lo + block_nodes, n),
+              buf.data() + lo * stride);
+      };
+      const size_t num_blocks = (n + block_nodes - 1) / block_nodes;
+      if (run) {
+        run(num_blocks, block);
+      } else {
+        for (size_t b = 0; b < num_blocks; ++b) block(b);
+      }
+    });
+    return rounds_[round].data();
+  }
+
+  void LoadAll() {
+    for (int r = 0; r < zero_.rounds(); ++r) {
+      Round(r, zero_.params().num_nodes, nullptr);
+    }
+  }
+
+ private:
+  const NodeSketch zero_;  // Params and the shared layout.
+  const RoundLoader load_;
+  std::unique_ptr<std::once_flag[]> loaded_;
+  std::vector<std::vector<uint8_t>> rounds_;
+};
+
 GraphSnapshot::GraphSnapshot(std::vector<NodeSketch> sketches,
                              uint64_t num_updates)
     : GraphSnapshot(std::vector<CowSketch>(
@@ -188,23 +240,80 @@ GraphSnapshot GraphSnapshot::Zero(const NodeSketchParams& params) {
       0);
 }
 
+GraphSnapshot GraphSnapshot::Lazy(const NodeSketch& zero,
+                                  uint64_t num_updates, RoundLoader load) {
+  GraphSnapshot snapshot;
+  snapshot.num_updates_ = num_updates;
+  snapshot.lazy_ = std::make_shared<LazyRounds>(zero, std::move(load));
+  return snapshot;
+}
+
 const NodeSketchParams& GraphSnapshot::params() const {
   GZ_CHECK_MSG(valid(), "empty snapshot");
-  return sketches_[0]->params();
+  return lazy_ != nullptr ? lazy_->zero().params() : sketches_[0]->params();
 }
 
-const NodeSketch& GraphSnapshot::sketch(NodeId node) const {
-  GZ_CHECK_MSG(node < sketches_.size(), "node id out of range");
-  return *sketches_[node];
+const SketchLayout& GraphSnapshot::layout() const {
+  GZ_CHECK_MSG(valid(), "empty snapshot");
+  return lazy_ != nullptr ? lazy_->zero().layout() : sketches_[0]->layout();
 }
 
+GraphSnapshot::RoundView GraphSnapshot::Round(int round, uint64_t block_nodes,
+                                              const BlockRunner& run) const {
+  GZ_CHECK_MSG(round >= 0 && round < rounds(), "round out of range");
+  GZ_CHECK(block_nodes > 0);
+  RoundView view;
+  view.round_ = round;
+  if (lazy_ != nullptr) {
+    view.flat_ = lazy_->Round(round, block_nodes, run);
+    view.stride_ = layout().round_stride();
+  } else {
+    view.nodes_ = sketches_.data();
+  }
+  return view;
+}
+
+void GraphSnapshot::Seal(const std::weak_ptr<LazyRounds>& handle) {
+  if (const std::shared_ptr<LazyRounds> lazy = handle.lock()) lazy->LoadAll();
+}
+
+void GraphSnapshot::MakeEager() {
+  if (lazy_ == nullptr) return;
+  const size_t round_bytes = layout().round_bytes();
+  std::vector<RoundView> views;
+  for (int r = 0; r < rounds(); ++r) {
+    views.push_back(Round(r, num_nodes(), nullptr));
+  }
+  std::vector<uint8_t> record(layout().record_bytes());
+  std::vector<CowSketch> sketches;
+  sketches.reserve(num_nodes());
+  for (NodeId i = 0; i < num_nodes(); ++i) {
+    for (int r = 0; r < rounds(); ++r) {
+      std::memcpy(&record[r * round_bytes], views[r].node(i), round_bytes);
+    }
+    NodeSketch sketch = lazy_->zero();
+    sketch.DeserializeFrom(record.data());
+    sketches.emplace_back(std::move(sketch));
+  }
+  sketches_ = std::move(sketches);
+  lazy_.reset();
+}
+
+// Compares round by round, so either side may be lazy; only the
+// round_bytes of each slice count (an eager block's padding is zero).
 bool operator==(const GraphSnapshot& a, const GraphSnapshot& b) {
-  if (a.num_updates_ != b.num_updates_ ||
-      a.sketches_.size() != b.sketches_.size()) {
+  if (a.num_updates_ != b.num_updates_ || a.valid() != b.valid()) {
     return false;
   }
-  for (size_t i = 0; i < a.sketches_.size(); ++i) {
-    if (!(*a.sketches_[i] == *b.sketches_[i])) return false;
+  if (!a.valid()) return true;
+  if (!(a.params() == b.params())) return false;
+  const size_t bytes = a.layout().round_bytes();
+  for (int r = 0; r < a.rounds(); ++r) {
+    const GraphSnapshot::RoundView va = a.Round(r, a.num_nodes(), nullptr);
+    const GraphSnapshot::RoundView vb = b.Round(r, b.num_nodes(), nullptr);
+    for (NodeId i = 0; i < a.num_nodes(); ++i) {
+      if (std::memcmp(va.node(i), vb.node(i), bytes) != 0) return false;
+    }
   }
   return true;
 }
@@ -218,6 +327,12 @@ Status GraphSnapshot::Merge(const GraphSnapshot& other) {
         "snapshot params mismatch: merge requires identical seed, node "
         "bound and sketch geometry");
   }
+  if (other.lazy_ != nullptr) {
+    GraphSnapshot eager = other;
+    eager.MakeEager();
+    return Merge(eager);
+  }
+  MakeEager();
   for (uint64_t i = 0; i < sketches_.size(); ++i) {
     sketches_[i].Mutable().Merge(*other.sketches_[i]);
   }
@@ -226,6 +341,7 @@ Status GraphSnapshot::Merge(const GraphSnapshot& other) {
 }
 
 void GraphSnapshot::ToggleEdge(const Edge& e) {
+  MakeEager();
   const uint64_t idx = EdgeToIndex(e, num_nodes());
   sketches_[e.u].Mutable().Update(idx);
   sketches_[e.v].Mutable().Update(idx);
@@ -249,15 +365,26 @@ std::vector<uint8_t> GraphSnapshot::ExtractNodeRange(uint64_t lo,
                                                      uint64_t hi) const {
   std::vector<uint8_t> out;
   out.reserve(SerializedSizeFor(params(), lo, hi));
-  GZ_CHECK_OK(SaveToSink(
+  GZ_CHECK_OK(SaveRange(
       [&out](const void* data, size_t size) {
         const uint8_t* p = static_cast<const uint8_t*>(data);
         out.insert(out.end(), p, p + size);
         return Status::Ok();
       },
-      params(), lo, hi, num_updates_,
-      [this](NodeId i) -> const NodeSketch& { return *sketches_[i]; }));
+      lo, hi));
   return out;
+}
+
+Status GraphSnapshot::SaveRange(const ByteSink& sink, uint64_t lo,
+                                uint64_t hi) const {
+  if (lazy_ != nullptr) {
+    GraphSnapshot eager = *this;
+    eager.MakeEager();
+    return eager.SaveRange(sink, lo, hi);
+  }
+  return SaveToSink(
+      sink, params(), lo, hi, num_updates_,
+      [this](NodeId i) -> const NodeSketch& { return *sketches_[i]; });
 }
 
 Result<GraphSnapshot> GraphSnapshot::Deserialize(const uint8_t* data,
@@ -297,6 +424,7 @@ Status GraphSnapshot::FoldSerialized(
 
 Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
   if (!valid()) return Status::InvalidArgument("empty snapshot");
+  MakeEager();
   return FoldSerialized(data, size, params(),
                         [this](NodeId i, const uint8_t* record) {
                           sketches_[i].Mutable().MergeSerialized(record);
@@ -330,9 +458,7 @@ Status GraphSnapshot::SaveToSink(
 
 Status GraphSnapshot::SaveToFile(const std::string& path) const {
   return SaveStream(path, [this](const ByteSink& sink) {
-    return SaveToSink(
-        sink, params(), 0, num_nodes(), num_updates_,
-        [this](NodeId i) -> const NodeSketch& { return *sketches_[i]; });
+    return SaveRange(sink, 0, num_nodes());
   });
 }
 

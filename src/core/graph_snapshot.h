@@ -15,19 +15,33 @@
 //
 // All query algorithms (connectivity, spanning-forest decomposition,
 // bipartiteness, MSF weight) consume `const GraphSnapshot&` and only
-// read it: Boruvka builds each round's component sketches fresh from
-// the node sketches, so no query copies the snapshot.
+// read it: Boruvka reads one round of every node at a time through
+// Round() and builds each round's component sketches fresh, so no
+// query copies the snapshot.
 //
-// Node sketches are held through copy-on-write handles (cow_sketch.h).
-// Copying a snapshot, or capturing one from an in-RAM GraphZeppelin,
-// shares every node sketch; the mutators below (Merge, MergeSerialized,
-// ToggleEdge) clone a node only while another holder still shares it.
+// A snapshot has one of two forms, with identical contents:
+// - eager: one copy-on-write node-sketch handle per vertex
+//   (cow_sketch.h). Copying a snapshot, or capturing one from an
+//   in-RAM store, shares every node sketch; the mutators below (Merge,
+//   MergeSerialized, ToggleEdge) clone a node only while another holder
+//   still shares it.
+// - round-lazy (Lazy()): a capture of an out-of-core store holds a
+//   round loader and one V x round_stride buffer per round, filled the
+//   first time any copy asks for that round (Round()) and never again;
+//   copies share the buffers. A query that stops after two rounds
+//   reads two rounds from the store. Everything that needs whole node
+//   sketches (Merge, MergeSerialized, ToggleEdge, serialization, ==)
+//   loads every remaining round first, so it sees exactly the bytes an
+//   eager capture holds. Seal() loads every remaining round too: after
+//   it the capture never calls its loader again, which is what the
+//   store's owner must ensure before the store changes.
 #ifndef GZ_CORE_GRAPH_SNAPSHOT_H_
 #define GZ_CORE_GRAPH_SNAPSHOT_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,19 +69,64 @@ class GraphSnapshot {
   // so nothing is materialized until a fold writes a node.
   static GraphSnapshot Zero(const NodeSketchParams& params);
 
+  // Fills round `round`'s slices of nodes [lo, hi): node i's
+  // layout().round_bytes() bytes go to out + (i - lo) * round_stride.
+  // Called at most once per (round, node), from any thread.
+  using RoundLoader =
+      std::function<void(int round, uint64_t lo, uint64_t hi, uint8_t* out)>;
+  // A round-lazy snapshot of the sketches `load` reads, all built with
+  // `zero`'s params (`zero` is the empty sketch; it lends its layout).
+  static GraphSnapshot Lazy(const NodeSketch& zero, uint64_t num_updates,
+                            RoundLoader load);
+
   GraphSnapshot(GraphSnapshot&&) = default;
   GraphSnapshot& operator=(GraphSnapshot&&) = default;
   GraphSnapshot(const GraphSnapshot&) = default;
   GraphSnapshot& operator=(const GraphSnapshot&) = default;
 
-  bool valid() const { return !sketches_.empty(); }
+  bool valid() const { return !sketches_.empty() || lazy_ != nullptr; }
   const NodeSketchParams& params() const;
-  uint64_t num_nodes() const { return sketches_.size(); }
+  // The graph's shared sketch layout: geometry and seeds.
+  const SketchLayout& layout() const;
+  uint64_t num_nodes() const { return valid() ? params().num_nodes : 0; }
   uint64_t seed() const { return params().seed; }
   int rounds() const { return params().rounds; }
   uint64_t num_updates() const { return num_updates_; }
 
-  const NodeSketch& sketch(NodeId node) const;
+  // One round of every node's sketch: node i's round_bytes slice. Valid
+  // while the snapshot (or a copy sharing its sketches) lives.
+  class RoundView {
+   public:
+    const uint8_t* node(NodeId i) const {
+      return flat_ != nullptr ? flat_ + i * stride_
+                              : nodes_[i]->subsketch(round_);
+    }
+
+   private:
+    friend class GraphSnapshot;
+    const uint8_t* flat_ = nullptr;    // Lazy: the round's buffer.
+    size_t stride_ = 0;
+    const CowSketch* nodes_ = nullptr;  // Eager: the node handles.
+    int round_ = 0;
+  };
+  // Runs body(b) once for every b in [0, num_blocks), on any threads,
+  // and returns when all have run.
+  using BlockRunner = std::function<void(
+      size_t num_blocks, const std::function<void(size_t)>& body)>;
+  // Round `round` of every node. A lazy snapshot loads it here the first
+  // time any copy asks, in blocks of `block_nodes` nodes handed to `run`
+  // (a query pool; null runs the blocks in order on this thread); a
+  // concurrent caller waits for that load.
+  RoundView Round(int round, uint64_t block_nodes,
+                  const BlockRunner& run) const;
+
+  // A weak handle to a lazy snapshot's shared rounds (empty for an eager
+  // one), and Seal(), which loads every round not loaded yet in every
+  // copy of that capture without keeping any alive (a no-op once the
+  // handle expired).
+  class LazyRounds;
+  std::weak_ptr<LazyRounds> lazy_rounds() const { return lazy_; }
+  static void Seal(const std::weak_ptr<LazyRounds>& handle);
 
   // XOR-merges `other` into this snapshot (node-wise sketch sum, update
   // counts add). Fails with InvalidArgument unless both snapshots were
@@ -168,8 +227,15 @@ class GraphSnapshot {
   friend bool operator==(const GraphSnapshot& a, const GraphSnapshot& b);
 
  private:
+  // Turns a lazy snapshot into the eager form with the same contents,
+  // loading every remaining round; no-op when already eager.
+  void MakeEager();
+  // Streams the records of [lo, hi) through `sink`.
+  Status SaveRange(const ByteSink& sink, uint64_t lo, uint64_t hi) const;
+
   uint64_t num_updates_ = 0;
-  std::vector<CowSketch> sketches_;
+  std::vector<CowSketch> sketches_;    // Eager form: one per vertex.
+  std::shared_ptr<LazyRounds> lazy_;   // Lazy form: shared by copies.
 };
 
 }  // namespace gz

@@ -35,6 +35,7 @@ GraphZeppelin::GraphZeppelin(const GraphZeppelinConfig& config)
 }
 
 GraphZeppelin::~GraphZeppelin() {
+  SealCaptures();  // They read the store file, removed below.
   if (pool_ != nullptr) pool_->Stop();
   // Remove backing files; they are per-instance scratch state.
   if (!gutter_tree_path_.empty()) ::unlink(gutter_tree_path_.c_str());
@@ -108,8 +109,14 @@ Status GraphZeppelin::Init() {
   return Status::Ok();
 }
 
+void GraphZeppelin::SealCaptures() {
+  for (const auto& handle : unsealed_) GraphSnapshot::Seal(handle);
+  unsealed_.clear();
+}
+
 void GraphZeppelin::DrainIngestSpan() {
   if (ingest_span_.empty()) return;
+  if (!unsealed_.empty()) SealCaptures();
   // Both endpoints' characteristic vectors toggle the same coordinate
   // (paper Figure 8): InsertBatch inserts each edge's index twice.
   gutters_->InsertBatch(ingest_span_.data(), ingest_span_.size());
@@ -133,6 +140,7 @@ void GraphZeppelin::Update(const GraphUpdate& update) {
 void GraphZeppelin::Update(const GraphUpdate* updates, size_t count) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   DrainIngestSpan();  // Preserve stream order with singly fed updates.
+  if (!unsealed_.empty()) SealCaptures();
   gutters_->InsertBatch(updates, count);
   num_updates_ += count;
 }
@@ -149,12 +157,13 @@ GraphSnapshot GraphZeppelin::Snapshot() {
   // cleanup(): force updates out of buffers and wait for the workers,
   // so the capture is a consistent stream position.
   Flush();
-  std::vector<CowSketch> sketches;
-  sketches.reserve(config_.num_nodes);
-  for (NodeId i = 0; i < config_.num_nodes; ++i) {
-    sketches.push_back(store_->Share(i));
+  GraphSnapshot snapshot = store_->Capture(num_updates_);
+  std::weak_ptr<GraphSnapshot::LazyRounds> handle = snapshot.lazy_rounds();
+  if (!handle.expired()) {
+    std::erase_if(unsealed_, [](const auto& h) { return h.expired(); });
+    unsealed_.push_back(std::move(handle));
   }
-  return GraphSnapshot(std::move(sketches), num_updates_);
+  return snapshot;
 }
 
 Status GraphZeppelin::WriteNodeRangeTo(
@@ -177,6 +186,7 @@ Status GraphZeppelin::WriteNodeRangeTo(
 Status GraphZeppelin::MergeSerialized(const uint8_t* data, size_t size) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   Flush();
+  SealCaptures();
   // Each record folds in through one scratch sketch and the store's
   // MergeDelta, the XOR the disk store's ApplyBatch also ends in.
   NodeSketch delta(store_->params());
@@ -204,6 +214,7 @@ Status GraphZeppelin::SaveCheckpoint(const std::string& path) {
 
 Status GraphZeppelin::LoadCheckpoint(const std::string& path) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
+  SealCaptures();
   // Records go straight into the store without materializing a
   // snapshot.
   uint64_t saved_updates = 0;

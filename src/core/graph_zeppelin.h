@@ -112,10 +112,15 @@ class GraphZeppelin {
   // copy-on-write (one reference per node, taken under that node's
   // lock), so a capture copies nothing, and ingestion that continues
   // while the snapshot lives clones only the nodes it touches. A disk
-  // store loads each node into the snapshot. The snapshot is the
-  // system's query surface — every query algorithm, the sharded
-  // coordinator's aggregation, and checkpointing consume it; linearity
-  // makes snapshots from same-seed instances XOR-mergeable.
+  // store's capture is round-lazy: a query reads from the file only the
+  // rounds Boruvka reaches. This instance keeps a weak handle to each
+  // such capture and seals it (loads its remaining rounds) before the
+  // store's next write: before the first later update reaches the
+  // gutters, in MergeSerialized and LoadCheckpoint, and on destruction.
+  // So a capture never changes, whatever the instance does after it.
+  // The snapshot is the system's query surface — every query algorithm,
+  // the sharded coordinator's aggregation, and checkpointing consume it;
+  // linearity makes snapshots from same-seed instances XOR-mergeable.
   GraphSnapshot Snapshot();
 
   // --- Serialized sketch state -------------------------------------------
@@ -180,6 +185,9 @@ class GraphZeppelin {
 
   // Hands the API-boundary span buffer to the gutters.
   void DrainIngestSpan();
+  // Seals every live lazy capture: called before any store write that
+  // follows a capture.
+  void SealCaptures();
 
   GraphZeppelinConfig config_;
   size_t node_sketch_bytes_ = 0;
@@ -187,6 +195,9 @@ class GraphZeppelin {
   std::string gutter_tree_path_;
   std::string sketch_store_path_;
   std::vector<GraphUpdate> ingest_span_;  // Reserved once in Init().
+  // Lazy captures not sealed yet; empty whenever the store may be
+  // written, so ingestion tests one pointer per span.
+  std::vector<std::weak_ptr<GraphSnapshot::LazyRounds>> unsealed_;
 
   // Declaration order doubles as reverse destruction order: the worker
   // pool must die before the queue/store it references, and everything

@@ -28,12 +28,6 @@ void SketchStore::ApplyBatch(NodeId node, const uint64_t* indices,
   MergeDelta(node, delta);
 }
 
-CowSketch SketchStore::Share(NodeId node) {
-  NodeSketch sketch = zero_;
-  Load(node, &sketch);
-  return CowSketch(std::move(sketch));
-}
-
 // ---------------- InMemorySketchStore ---------------------------------
 
 InMemorySketchStore::InMemorySketchStore(const NodeSketchParams& params)
@@ -70,6 +64,13 @@ CowSketch InMemorySketchStore::Share(NodeId node) {
   GZ_CHECK(node < num_nodes());
   std::lock_guard<std::mutex> lock(locks_[node]);
   return sketches_[node];
+}
+
+GraphSnapshot InMemorySketchStore::Capture(uint64_t num_updates) {
+  std::vector<CowSketch> sketches;
+  sketches.reserve(num_nodes());
+  for (NodeId i = 0; i < num_nodes(); ++i) sketches.push_back(Share(i));
+  return GraphSnapshot(std::move(sketches), num_updates);
 }
 
 void InMemorySketchStore::Store(NodeId node, const NodeSketch& sketch) {
@@ -127,6 +128,7 @@ uint8_t* OnDiskSketchStore::ReadRecord(NodeId node) {
 
 void OnDiskSketchStore::WriteRecord(NodeId node, const uint8_t* record) {
   GZ_CHECK_MSG(fd_ >= 0, "Init() not called");
+  ++writes_;
   const ssize_t wrote = ::pwrite(fd_, record, record_bytes_,
                                  static_cast<off_t>(record_bytes_) * node);
   GZ_CHECK_MSG(wrote == static_cast<ssize_t>(record_bytes_),
@@ -149,6 +151,31 @@ void OnDiskSketchStore::Load(NodeId node, NodeSketch* out) {
   const uint8_t* record = ReadRecord(node);
   lock.unlock();
   out->DeserializeFrom(record);
+}
+
+void OnDiskSketchStore::ReadRound(int round, uint64_t lo, uint64_t hi,
+                                  uint8_t* out) {
+  GZ_CHECK_MSG(fd_ >= 0, "Init() not called");
+  const SketchLayout& layout = zero_.layout();
+  const size_t bytes = layout.round_bytes();
+  for (uint64_t i = lo; i < hi; ++i) {
+    const ssize_t got = ::pread(
+        fd_, out + (i - lo) * layout.round_stride(), bytes,
+        static_cast<off_t>(record_bytes_ * i + bytes * round));
+    GZ_CHECK_MSG(got == static_cast<ssize_t>(bytes), "sketch store pread");
+  }
+  bytes_read_ += bytes * (hi - lo);
+}
+
+GraphSnapshot OnDiskSketchStore::Capture(uint64_t num_updates) {
+  const uint64_t generation = writes_;
+  return GraphSnapshot::Lazy(
+      zero_, num_updates,
+      [this, generation](int round, uint64_t lo, uint64_t hi, uint8_t* out) {
+        ReadRound(round, lo, hi, out);
+        GZ_CHECK_MSG(writes_ == generation,
+                     "sketch store written under an unsealed capture");
+      });
 }
 
 void OnDiskSketchStore::Store(NodeId node, const NodeSketch& sketch) {

@@ -17,6 +17,14 @@
 // The on-disk store sketches a batch into a per-thread delta (a record's
 // rounds are not 8-byte aligned, so the kernel cannot run on the record
 // bytes) and XORs it into the record.
+//
+// Captures: the in-RAM store's Capture() shares every node; the on-disk
+// store's is round-lazy (GraphSnapshot::Lazy) and reads a round of
+// every node from the file only when a query reaches that round. Such a
+// capture reads the live file, so its owner must seal it
+// (GraphSnapshot::Seal) before the store's next write; the store counts
+// its writes, and a lazy load after one is a check failure, never a
+// stale answer.
 #ifndef GZ_CORE_SKETCH_STORE_H_
 #define GZ_CORE_SKETCH_STORE_H_
 
@@ -28,6 +36,7 @@
 #include <vector>
 
 #include "core/cow_sketch.h"
+#include "core/graph_snapshot.h"
 #include "sketch/node_sketch.h"
 #include "stream/stream_types.h"
 #include "util/status.h"
@@ -51,10 +60,9 @@ class SketchStore {
   // store's params).
   virtual void Load(NodeId node, NodeSketch* out) = 0;
 
-  // `node`'s current sketch as a snapshot handle: how a snapshot is
-  // captured. This loads into a copy of the zero sketch; the in-RAM
-  // store shares its own.
-  virtual CowSketch Share(NodeId node);
+  // Every node's current sketch as a snapshot at stream position
+  // `num_updates`, taken while no write is in flight.
+  virtual GraphSnapshot Capture(uint64_t num_updates) = 0;
 
   // Overwrites `node`'s sketch with `sketch` (params must match).
   // Used by checkpoint restore.
@@ -79,10 +87,13 @@ class InMemorySketchStore : public SketchStore {
   void ApplyBatch(NodeId node, const uint64_t* indices, size_t count) override;
   void MergeDelta(NodeId node, const NodeSketch& delta) override;
   void Load(NodeId node, NodeSketch* out) override;
-  CowSketch Share(NodeId node) override;
+  GraphSnapshot Capture(uint64_t num_updates) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override { return 0; }
+
+  // `node`'s sketch as a copy-on-write handle, shared with the store.
+  CowSketch Share(NodeId node);
 
  private:
   std::vector<CowSketch> sketches_;
@@ -101,6 +112,8 @@ class OnDiskSketchStore : public SketchStore {
 
   void MergeDelta(NodeId node, const NodeSketch& delta) override;
   void Load(NodeId node, NodeSketch* out) override;
+  // Round-lazy: the loader preads round r's slice of each node's record.
+  GraphSnapshot Capture(uint64_t num_updates) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override;
@@ -111,6 +124,9 @@ class OnDiskSketchStore : public SketchStore {
  private:
   uint8_t* ReadRecord(NodeId node);
   void WriteRecord(NodeId node, const uint8_t* record);
+  // One pread per node of round `round`'s slice, for nodes [lo, hi),
+  // node i's to out + (i - lo) * round_stride.
+  void ReadRound(int round, uint64_t lo, uint64_t hi, uint8_t* out);
 
   std::string path_;
   int fd_ = -1;
@@ -118,6 +134,9 @@ class OnDiskSketchStore : public SketchStore {
   std::unique_ptr<std::mutex[]> locks_;
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};
+  // Record writes so far, counted before each pwrite: the generation a
+  // lazy capture checks its loads against.
+  std::atomic<uint64_t> writes_{0};
 };
 
 }  // namespace gz

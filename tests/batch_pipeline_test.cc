@@ -161,7 +161,9 @@ class CallerGateStore : public SketchStore {
     inner_->MergeDelta(node, delta);
   }
   void Load(NodeId node, NodeSketch* out) override { inner_->Load(node, out); }
-  CowSketch Share(NodeId node) override { return inner_->Share(node); }
+  GraphSnapshot Capture(uint64_t num_updates) override {
+    return inner_->Capture(num_updates);
+  }
   void Store(NodeId node, const NodeSketch& sketch) override {
     inner_->Store(node, sketch);
   }
@@ -206,14 +208,6 @@ GraphSnapshot SequentialReference(const NodeSketchParams& params,
     sketches[e.v].Update(idx);
   }
   return GraphSnapshot(std::move(sketches), count);
-}
-
-GraphSnapshot ShareAll(SketchStore* store, uint64_t num_updates) {
-  std::vector<CowSketch> sketches;
-  for (NodeId i = 0; i < store->num_nodes(); ++i) {
-    sketches.push_back(store->Share(i));
-  }
-  return GraphSnapshot(std::move(sketches), num_updates);
 }
 
 TEST_P(CallerRunsPipelineTest, BitwiseEqualToPerNodeSketches) {
@@ -283,8 +277,11 @@ TEST_P(CallerRunsPipelineTest, BitwiseEqualToPerNodeSketches) {
   EXPECT_GT(first_half_caller_applies, 0u);
   pool.Drain();
   // Mid-stream query: the snapshot shares the in-RAM store's nodes, so
-  // the in-place writes below must clone the nodes it holds.
-  const GraphSnapshot mid = ShareAll(&store, half);
+  // the in-place writes below must clone the nodes it holds. The disk
+  // store's capture is round-lazy, so it is sealed before those writes,
+  // as GraphZeppelin seals its captures.
+  const GraphSnapshot mid = store.Capture(half);
+  GraphSnapshot::Seal(mid.lazy_rounds());
   EXPECT_TRUE(mid == SequentialReference(sp, updates, half)) << c.name;
   HashAdjacencyGraph reference(n);
   for (size_t i = 0; i < half; ++i) reference.Update(updates[i]);
@@ -298,7 +295,7 @@ TEST_P(CallerRunsPipelineTest, BitwiseEqualToPerNodeSketches) {
   EXPECT_GT(store.caller_applies(), armed_caller_applies);
   pool.Drain();
   EXPECT_EQ(queue.InFlight(), 0);
-  EXPECT_TRUE(ShareAll(&store, updates.size()) ==
+  EXPECT_TRUE(store.Capture(updates.size()) ==
               SequentialReference(sp, updates, updates.size()))
       << c.name;
   // The held snapshot never saw the second half.

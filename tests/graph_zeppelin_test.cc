@@ -2,8 +2,11 @@
 // buffering x storage configurations.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "baseline/matrix_checker.h"
 #include "core/graph_zeppelin.h"
@@ -350,6 +353,155 @@ TEST(GraphZeppelinTest, ManyWorkersProduceSameAnswer) {
   ASSERT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 1u);
 }
+
+
+// ---- Round-lazy disk captures ---------------------------------------------
+//
+// A disk store's Snapshot() reads a round from the file only when a
+// query reaches it. These pin that such a capture is bitwise the eager
+// capture at its stream position, whatever happens to the instance
+// afterwards.
+
+// 1024 nodes: the query pool engages from there (kMinParallelSampleRoots).
+constexpr uint64_t kLazyNodes = 1024;
+
+std::vector<GraphUpdate> LazyStream(uint64_t seed) {
+  ErdosRenyiParams ep;
+  ep.num_nodes = kLazyNodes;
+  ep.p = 2.5 / kLazyNodes;  // Sparse: many components, 2-3 rounds.
+  ep.seed = seed;
+  StreamTransformParams tp;
+  tp.num_nodes = kLazyNodes;
+  tp.seed = seed;
+  return BuildStream(ErdosRenyiGenerator(ep).Generate(), tp).updates;
+}
+
+// The eager capture at `gz`'s position: its whole records, as
+// WriteNodeRangeTo streams them, deserialized.
+GraphSnapshot EagerCapture(GraphZeppelin& gz) {
+  std::vector<uint8_t> bytes;
+  GZ_CHECK_OK(gz.WriteNodeRangeTo(
+      0, gz.sketch_params().num_nodes, [&bytes](const void* data, size_t n) {
+        const uint8_t* p = static_cast<const uint8_t*>(data);
+        bytes.insert(bytes.end(), p, p + n);
+        return Status::Ok();
+      }));
+  return GraphSnapshot::Deserialize(bytes.data(), bytes.size()).value();
+}
+
+void ExpectSameResult(const ConnectivityResult& got,
+                      const ConnectivityResult& want) {
+  EXPECT_EQ(got.failed, want.failed);
+  EXPECT_EQ(got.rounds_used, want.rounds_used);
+  EXPECT_EQ(got.num_components, want.num_components);
+  EXPECT_TRUE(got.spanning_forest == want.spanning_forest);
+  EXPECT_EQ(got.component_of, want.component_of);
+}
+
+class LazyCaptureTest : public ::testing::TestWithParam<Buffering> {};
+
+TEST_P(LazyCaptureTest, EqualsEagerCaptureBitwise) {
+  GraphZeppelin gz(MakeConfig(kLazyNodes, 61, GetParam(), Storage::kDisk));
+  ASSERT_TRUE(gz.Init().ok());
+  const std::vector<GraphUpdate> updates = LazyStream(61);
+  gz.Update(updates.data(), updates.size());
+  const GraphSnapshot eager = EagerCapture(gz);
+  {
+    const GraphSnapshot lazy = gz.Snapshot();
+    ASSERT_FALSE(lazy.lazy_rounds().expired()) << "capture is not lazy";
+    EXPECT_TRUE(lazy == eager);
+  }
+  EXPECT_EQ(gz.Snapshot().Serialize(), eager.Serialize());
+
+  // Fresh captures, so each loads its rounds under its own thread count;
+  // windows that start past round 0 load only their own rounds.
+  const std::pair<int, int> windows[] = {{0, -1}, {1, -1}, {2, 2}};
+  for (const auto& [first, count] : windows) {
+    // A two-round window may end unfinished; it must do so identically.
+    const ConnectivityResult want =
+        BoruvkaConnectivity(eager, first, count, 1);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("first " + std::to_string(first) + ", threads " +
+                   std::to_string(threads));
+      ExpectSameResult(
+          BoruvkaConnectivity(gz.Snapshot(), first, count, threads), want);
+    }
+  }
+  for (int threads : {1, 4}) {
+    ExpectSameResult(Connectivity(gz.Snapshot(), threads),
+                     BoruvkaConnectivity(eager, 0, -1, 1));
+  }
+}
+
+TEST_P(LazyCaptureTest, HeldCaptureSurvivesLaterWrites) {
+  // Each capture is taken unloaded and held across one kind of store
+  // write; the instance must seal it first, or it would read the
+  // changed (or removed) file.
+  const std::vector<GraphUpdate> updates = LazyStream(62);
+  const size_t half = updates.size() / 2;
+  auto gz = std::make_unique<GraphZeppelin>(
+      MakeConfig(kLazyNodes, 62, GetParam(), Storage::kDisk));
+  ASSERT_TRUE(gz->Init().ok());
+  gz->Update(updates.data(), half);
+  const std::string checkpoint = ::testing::TempDir() + "/lazy_capture_" +
+                                 std::to_string(static_cast<int>(GetParam())) +
+                                 ".snap";
+  ASSERT_TRUE(gz->SaveCheckpoint(checkpoint).ok());
+
+  GraphSnapshot held = gz->Snapshot();
+  GraphSnapshot want = EagerCapture(*gz);
+  for (size_t i = half; i < updates.size(); ++i) gz->Update(updates[i]);
+  gz->Flush();
+  EXPECT_FALSE(EagerCapture(*gz) == want);
+  EXPECT_TRUE(held == want) << "after Update";
+
+  held = gz->Snapshot();
+  want = EagerCapture(*gz);
+  const std::vector<uint8_t> range = want.ExtractNodeRange(0, kLazyNodes / 2);
+  ASSERT_TRUE(gz->MergeSerialized(range.data(), range.size()).ok());
+  EXPECT_FALSE(EagerCapture(*gz) == want);
+  EXPECT_TRUE(held == want) << "after MergeSerialized";
+
+  held = gz->Snapshot();
+  want = EagerCapture(*gz);
+  ASSERT_TRUE(gz->LoadCheckpoint(checkpoint).ok());
+  EXPECT_FALSE(EagerCapture(*gz) == want);
+  EXPECT_TRUE(held == want) << "after LoadCheckpoint";
+
+  held = gz->Snapshot();
+  want = EagerCapture(*gz);
+  gz.reset();
+  EXPECT_TRUE(held == want) << "after destruction";
+  ExpectSameResult(Connectivity(held, 4), BoruvkaConnectivity(want, 0, -1, 1));
+}
+
+TEST_P(LazyCaptureTest, QueryOnAnotherThreadWhileUpdateSeals) {
+  // A reader thread queries a capture while the owner's next Update
+  // seals it: both load rounds of one capture, each round once.
+  const std::vector<GraphUpdate> updates = LazyStream(63);
+  GraphZeppelin gz(MakeConfig(kLazyNodes, 63, GetParam(), Storage::kDisk));
+  ASSERT_TRUE(gz.Init().ok());
+  constexpr size_t kParts = 4;
+  const size_t part = updates.size() / kParts;
+  for (size_t p = 0; p + 1 < kParts; ++p) {
+    gz.Update(updates.data() + p * part, part);
+    const GraphSnapshot held = gz.Snapshot();
+    const GraphSnapshot want = EagerCapture(gz);
+    ConnectivityResult got;
+    std::thread reader([&] { got = Connectivity(held, 4); });
+    gz.Update(updates.data() + (p + 1) * part, 1);
+    reader.join();
+    ExpectSameResult(got, BoruvkaConnectivity(want, 0, -1, 1));
+    EXPECT_TRUE(held == want);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Disk, LazyCaptureTest,
+    ::testing::Values(Buffering::kLeafOnly, Buffering::kGutterTree),
+    [](const ::testing::TestParamInfo<Buffering>& info) {
+      return info.param == Buffering::kLeafOnly ? "LeafOnly" : "GutterTree";
+    });
 
 }  // namespace
 }  // namespace gz

@@ -1,11 +1,14 @@
 // Tests for the in-memory and on-disk sketch stores.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/connectivity.h"
 #include "core/sketch_store.h"
 #include "util/random.h"
 
@@ -173,27 +176,32 @@ TEST_P(SketchStoreTest, StoreOverwrites) {
   EXPECT_EQ(got, SketchOf(real, {4}));
 }
 
-TEST_P(SketchStoreTest, SharedSketchIsUnchangedByLaterWrites) {
-  // A handle from Share() is a snapshot's view of the node: merges and
-  // overwrites that land after it was taken never show through it.
+TEST_P(SketchStoreTest, SealedCaptureIsUnchangedByLaterWrites) {
+  // A capture is a snapshot of the store: merges and overwrites that
+  // land after it was taken and sealed never show through it.
   const NodeSketchParams params = MakeParams(6, 10);
   auto store = MakeStore(params, "store_share.bin");
   const NodeSketchParams real = store->params();
   store->MergeDelta(4, SketchOf(real, {2, 7}));
-  const CowSketch held = store->Share(4);
+  const GraphSnapshot held = store->Capture(5);
+  GraphSnapshot::Seal(held.lazy_rounds());
+  std::vector<NodeSketch> expect(6, NodeSketch(real));
+  expect[4] = SketchOf(real, {2, 7});
+  const GraphSnapshot want(expect, 5);
   store->MergeDelta(4, SketchOf(real, {9}));
-  EXPECT_EQ(*held, SketchOf(real, {2, 7}));
+  EXPECT_TRUE(held == want);
   store->Store(4, SketchOf(real, {1}));
-  EXPECT_EQ(*held, SketchOf(real, {2, 7}));
+  EXPECT_TRUE(held == want);
   NodeSketch got(real);
   store->Load(4, &got);
   EXPECT_EQ(got, SketchOf(real, {1}));
 }
 
-TEST_P(SketchStoreTest, SharesDroppedOnAnotherThreadWhileMerging) {
+TEST_P(SketchStoreTest, CapturesDroppedOnAnotherThreadWhileMerging) {
   // 2 merging threads against a thread that keeps taking and dropping
-  // handles to the same nodes: every merge either clones a shared node
-  // or lands in place, and the final state must equal a serial fold.
+  // captures (in RAM, handles to every node): every merge either clones
+  // a shared node or lands in place, and the final state must equal a
+  // serial fold. A disk capture that is never queried reads nothing.
   const NodeSketchParams params = MakeParams(8, 11);
   auto store = MakeStore(params, "store_share_conc.bin");
   const NodeSketchParams real = store->params();
@@ -209,12 +217,10 @@ TEST_P(SketchStoreTest, SharesDroppedOnAnotherThreadWhileMerging) {
   }
   std::atomic<bool> done{false};
   std::thread sharer([&] {
-    std::vector<CowSketch> held;
+    std::vector<GraphSnapshot> held;
     while (!done.load()) {
-      for (NodeId node = 0; node < 3; ++node) {
-        held.push_back(store->Share(node));
-      }
-      if (held.size() > 30) held.clear();
+      held.push_back(store->Capture(0));
+      if (held.size() > 10) held.clear();
     }
   });
   std::vector<std::thread> writers;
@@ -229,13 +235,11 @@ TEST_P(SketchStoreTest, SharesDroppedOnAnotherThreadWhileMerging) {
   done = true;
   sharer.join();
 
-  std::vector<NodeSketch> expect(3, NodeSketch(real));
+  std::vector<NodeSketch> expect(8, NodeSketch(real));
   for (int t = 0; t < kWriters; ++t) {
     for (int d = 0; d < kDeltas; ++d) expect[d % 3].Merge(deltas[t][d]);
   }
-  for (NodeId node = 0; node < 3; ++node) {
-    EXPECT_EQ(*store->Share(node), expect[node]) << "node " << node;
-  }
+  EXPECT_TRUE(store->Capture(0) == GraphSnapshot(expect, 0));
 }
 
 TEST(InMemorySketchStoreTest, ClonesANodeOnlyWhileItIsShared) {
@@ -297,6 +301,61 @@ TEST(InMemorySketchStoreTest, RamByteSizeCountsSketches) {
   InMemorySketchStore store(params);
   NodeSketch prototype(store.params());
   EXPECT_GE(store.RamByteSize(), prototype.ByteSize() * 8);
+}
+
+// ---- Round-lazy captures of the disk store ---------------------------------
+
+// A disk store, default round budget, holding the path 0 - 1 - ... - n-1.
+std::unique_ptr<OnDiskSketchStore> PathStore(uint64_t n, const char* name) {
+  NodeSketchParams params;
+  params.num_nodes = n;
+  params.seed = 31;
+  auto store = std::make_unique<OnDiskSketchStore>(params, TempPath(name));
+  GZ_CHECK_OK(store->Init());
+  for (NodeId i = 0; i + 1 < n; ++i) {
+    const uint64_t index = EdgeToIndex(Edge(i, i + 1), n);
+    store->ApplyBatch(i, &index, 1);
+    store->ApplyBatch(i + 1, &index, 1);
+  }
+  return store;
+}
+
+TEST(OnDiskSketchStoreTest, CaptureReadsOnlyTheRoundsAQueryUses) {
+  constexpr uint64_t n = 64;
+  auto store = PathStore(n, "store_lazy_bytes.bin");
+  const size_t round_bytes =
+      NodeSketch(store->params()).layout().round_bytes();
+  const uint64_t before = store->bytes_read();
+  const GraphSnapshot snapshot = store->Capture(n - 1);
+  EXPECT_EQ(store->bytes_read(), before) << "a capture reads nothing";
+  const ConnectivityResult r = Connectivity(snapshot, 1);
+  ASSERT_FALSE(r.failed);
+  EXPECT_EQ(r.num_components, 1u);
+  ASSERT_LT(r.rounds_used, store->params().rounds);
+  // rounds_used x V x round_bytes, where a whole-record capture read
+  // V x record_bytes (every round).
+  const uint64_t query_bytes = r.rounds_used * n * round_bytes;
+  EXPECT_EQ(store->bytes_read() - before, query_bytes);
+  // A second query over the capture reads nothing new.
+  EXPECT_EQ(Connectivity(snapshot, 1).rounds_used, r.rounds_used);
+  EXPECT_EQ(store->bytes_read() - before, query_bytes);
+}
+
+// The disk store's I/O fails stop, never wrong: a lazy load that could
+// return bytes other than the capture's aborts on a GZ_CHECK.
+TEST(OnDiskSketchStoreDeathTest, LazyLoadAfterUnsealedWriteAborts) {
+  auto store = PathStore(16, "store_lazy_write.bin");
+  const GraphSnapshot snapshot = store->Capture(15);
+  const uint64_t index = 0;
+  store->ApplyBatch(0, &index, 1);  // Written without sealing the capture.
+  EXPECT_DEATH(Connectivity(snapshot, 1), "unsealed capture");
+}
+
+TEST(OnDiskSketchStoreDeathTest, ShortReadUnderACaptureAborts) {
+  auto store = PathStore(16, "store_lazy_short.bin");
+  const GraphSnapshot snapshot = store->Capture(15);
+  ASSERT_EQ(::truncate(TempPath("store_lazy_short.bin").c_str(), 0), 0);
+  EXPECT_DEATH(Connectivity(snapshot, 1), "sketch store pread");
 }
 
 }  // namespace
