@@ -2,6 +2,7 @@
 // buffering x storage configurations.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -473,6 +474,7 @@ TEST_P(LazyCaptureTest, HeldCaptureSurvivesLaterWrites) {
   gz.reset();
   EXPECT_TRUE(held == want) << "after destruction";
   ExpectSameResult(Connectivity(held, 4), BoruvkaConnectivity(want, 0, -1, 1));
+  std::remove(checkpoint.c_str());
 }
 
 TEST_P(LazyCaptureTest, QueryOnAnotherThreadWhileUpdateSeals) {
