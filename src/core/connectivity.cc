@@ -232,9 +232,13 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
   for (int round = first_round; round < last_round && !complete; ++round) {
     result.rounds_used = round - first_round + 1;
     // A lazy snapshot reads this round from its store now, spread over
-    // the pool in the sampling phase's node blocks.
-    const GraphSnapshot::RoundView sketches =
-        snapshot.Round(round, kSampleBlockNodes, load_blocks);
+    // the pool in the sampling phase's node blocks. A round that fails
+    // to load ends the query as failed: no answer mixes in other bytes.
+    GraphSnapshot::RoundView sketches;
+    if (!snapshot.Round(round, kSampleBlockNodes, load_blocks, &sketches)
+             .ok()) {
+      break;
+    }
     for (uint64_t i = 0; i < num_nodes; ++i) {
       root_of[i] = static_cast<NodeId>(dsu.Find(i));
     }

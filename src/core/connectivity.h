@@ -41,7 +41,9 @@ namespace gz {
 struct ConnectivityResult {
   // True when the sketches could not complete Boruvka within the round
   // budget (probability polynomially small; Section 6.3 observes zero
-  // failures in practice).
+  // failures in practice), or when a round of a lazy snapshot failed to
+  // load (GraphSnapshot::load_status() then says why; rounds_used
+  // counts that round).
   bool failed = false;
   EdgeList spanning_forest;
   // Component id (the DSU root) per node.

@@ -12,13 +12,15 @@ namespace gz {
 namespace {
 
 // Shared by checkpoint files and network frames; bump the trailing
-// version digits on layout changes.
-constexpr char kMagic[8] = {'G', 'Z', 'S', 'N', 'A', 'P', '0', '2'};
+// version digits on layout changes. GZSNAP02 had no round window.
+constexpr char kMagic[8] = {'G', 'Z', 'S', 'N', 'A', 'P', '0', '3'};
+constexpr size_t kVersionDigits = 2;
 static_assert(GraphSnapshot::kHeaderBytes ==
                   sizeof(kMagic) +
                       2 * sizeof(uint64_t) +  // num_nodes, seed
                       2 * sizeof(int32_t) +   // cols, rounds
-                      3 * sizeof(uint64_t),   // lo, hi, num_updates
+                      3 * sizeof(uint64_t) +  // lo, hi, num_updates
+                      2 * sizeof(int32_t),    // r_lo, r_hi
               "header layout");
 
 struct Header {
@@ -26,7 +28,16 @@ struct Header {
   uint64_t lo = 0;
   uint64_t hi = 0;
   uint64_t num_updates = 0;
+  int32_t r_lo = 0;
+  int32_t r_hi = 0;
 };
+
+// One record of the window [r_lo, r_hi).
+size_t RecordBytes(const NodeSketchParams& params, int r_lo, int r_hi) {
+  return SketchLayout::RoundBytes(NumPossibleEdges(params.num_nodes),
+                                  params.cols) *
+         static_cast<size_t>(r_hi - r_lo);
+}
 
 void WriteHeader(const Header& h, uint8_t* out) {
   const uint64_t num_nodes = h.params.num_nodes;
@@ -41,14 +52,25 @@ void WriteHeader(const Header& h, uint8_t* out) {
   std::memcpy(out + 32, &h.lo, 8);
   std::memcpy(out + 40, &h.hi, 8);
   std::memcpy(out + 48, &h.num_updates, 8);
+  std::memcpy(out + 56, &h.r_lo, 4);
+  std::memcpy(out + 60, &h.r_hi, 4);
 }
 
 // Parses and sanity-checks the fixed-size header. num_nodes is capped
 // at the NodeId (uint32) range, the geometry caps keep one record's
-// size sane, and [lo, hi) must lie inside the node bound; with the
-// overflow guard below they make a garbage header an error, never a
-// huge allocation.
+// size sane, [lo, hi) must lie inside the node bound and [r_lo, r_hi)
+// inside the round budget; with the overflow guard below they make a
+// garbage header an error, never a huge allocation.
 Status ParseHeader(const uint8_t* in, Header* h) {
+  const size_t family = sizeof(kMagic) - kVersionDigits;
+  if (std::memcmp(in, kMagic, family) == 0 &&
+      std::memcmp(in + family, kMagic + family, kVersionDigits) != 0) {
+    return Status::InvalidArgument(
+        "GraphSnapshot version " +
+        std::string(reinterpret_cast<const char*>(in), sizeof(kMagic)) +
+        " is not readable by this build, which reads " +
+        std::string(kMagic, sizeof(kMagic)) + "; regenerate it");
+  }
   if (std::memcmp(in, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("not a GraphSnapshot: bad magic");
   }
@@ -61,16 +83,19 @@ Status ParseHeader(const uint8_t* in, Header* h) {
   std::memcpy(&h->lo, in + 32, 8);
   std::memcpy(&h->hi, in + 40, 8);
   std::memcpy(&h->num_updates, in + 48, 8);
+  std::memcpy(&h->r_lo, in + 56, 4);
+  std::memcpy(&h->r_hi, in + 60, 4);
   if (num_nodes < 2 || num_nodes > (1ULL << 32) || cols < 1 ||
       cols > 1024 || rounds < 1 || rounds > 4096 ||
-      !(h->lo < h->hi && h->hi <= num_nodes)) {
+      !(h->lo < h->hi && h->hi <= num_nodes) ||
+      !(0 <= h->r_lo && h->r_lo < h->r_hi && h->r_hi <= rounds)) {
     return Status::InvalidArgument("malformed GraphSnapshot header");
   }
   h->params.num_nodes = num_nodes;
   h->params.seed = seed;
   h->params.cols = cols;
   h->params.rounds = rounds;
-  const size_t record = NodeSketch::SerializedSizeFor(h->params);
+  const size_t record = RecordBytes(h->params, h->r_lo, h->r_hi);
   if (h->hi - h->lo > (SIZE_MAX - GraphSnapshot::kHeaderBytes) / record) {
     return Status::InvalidArgument("malformed GraphSnapshot header");
   }
@@ -84,7 +109,8 @@ Status ParseBuffer(const uint8_t* data, size_t size, Header* h) {
   }
   Status s = ParseHeader(data, h);
   if (!s.ok()) return s;
-  if (size != GraphSnapshot::SerializedSizeFor(h->params, h->lo, h->hi)) {
+  if (size != GraphSnapshot::SerializedSizeFor(h->params, h->lo, h->hi,
+                                               h->r_lo, h->r_hi)) {
     return Status::InvalidArgument(
         "GraphSnapshot buffer size does not match its header");
   }
@@ -92,9 +118,11 @@ Status ParseBuffer(const uint8_t* data, size_t size, Header* h) {
 }
 
 // Whole-snapshot consumers (Deserialize and the file loaders) adopt the
-// header's update count, which only means something for all of [0, V).
+// header's update count, which only means something for all of
+// [0, V) x [0, R).
 Status RequireWhole(const Header& h) {
-  if (h.lo != 0 || h.hi != h.params.num_nodes) {
+  if (h.lo != 0 || h.hi != h.params.num_nodes || h.r_lo != 0 ||
+      h.r_hi != h.params.rounds) {
     return Status::InvalidArgument(
         "serialized node range is not a whole GraphSnapshot");
   }
@@ -165,46 +193,58 @@ Status ReadRecords(
 }  // namespace
 
 // The shared state of a round-lazy snapshot: one buffer per round, each
-// filled by one call of the loader's blocks behind the round's once
-// flag. std::call_once makes a concurrent caller wait for the fill and
-// publishes the buffer to every caller that returns from it.
+// filled by one loader call behind the round's once flag. std::call_once
+// makes a concurrent caller wait for the fill and publishes the buffer
+// (or the round's failure) to every caller that returns from it.
 class GraphSnapshot::LazyRounds {
  public:
   LazyRounds(const NodeSketch& zero, RoundLoader load)
       : zero_(zero),
         load_(std::move(load)),
         loaded_(std::make_unique<std::once_flag[]>(zero.rounds())),
-        rounds_(zero.rounds()) {}
+        rounds_(zero.rounds()),
+        round_status_(zero.rounds()) {}
 
   const NodeSketch& zero() const { return zero_; }
 
-  // Round `round`'s buffer, node i's slice at i * round_stride.
-  const uint8_t* Round(int round, uint64_t block_nodes,
-                       const BlockRunner& run) {
+  // Round `round`'s buffer, node i's slice at i * round_stride, or
+  // null with *status set when the round failed to load.
+  const uint8_t* Round(int round, uint64_t block_nodes, const BlockRunner& run,
+                       Status* status) {
     std::call_once(loaded_[round], [&] {
-      const uint64_t n = zero_.params().num_nodes;
-      const size_t stride = zero_.layout().round_stride();
+      const BlockRunner in_order =
+          [](size_t n, const std::function<void(size_t)>& body) {
+            for (size_t b = 0; b < n; ++b) body(b);
+          };
       std::vector<uint8_t>& buf = rounds_[round];
-      buf.resize(n * stride);  // operator new aligns it to 16.
-      const std::function<void(size_t)> block = [&](size_t b) {
-        const uint64_t lo = b * block_nodes;
-        load_(round, lo, std::min(lo + block_nodes, n),
-              buf.data() + lo * stride);
-      };
-      const size_t num_blocks = (n + block_nodes - 1) / block_nodes;
-      if (run) {
-        run(num_blocks, block);
-      } else {
-        for (size_t b = 0; b < num_blocks; ++b) block(b);
+      const Status s = load_(round, block_nodes, run ? run : in_order, &buf);
+      GZ_CHECK_MSG(!s.ok() || buf.size() == zero_.params().num_nodes *
+                                               zero_.layout().round_stride(),
+                   "round loader filled a wrong-sized buffer");
+      if (!s.ok()) {
+        buf = std::vector<uint8_t>();
+        round_status_[round] = s;
+        std::lock_guard<std::mutex> lock(mu_);
+        if (failed_.ok()) failed_ = s;
       }
     });
-    return rounds_[round].data();
+    *status = round_status_[round];
+    return status->ok() ? rounds_[round].data() : nullptr;
   }
 
-  void LoadAll() {
+  Status LoadAll() {
+    Status first = Status::Ok();
     for (int r = 0; r < zero_.rounds(); ++r) {
-      Round(r, zero_.params().num_nodes, nullptr);
+      Status s;
+      Round(r, zero_.params().num_nodes, nullptr, &s);
+      if (first.ok()) first = s;
     }
+    return first;
+  }
+
+  Status failed() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return failed_;
   }
 
  private:
@@ -212,6 +252,9 @@ class GraphSnapshot::LazyRounds {
   const RoundLoader load_;
   std::unique_ptr<std::once_flag[]> loaded_;
   std::vector<std::vector<uint8_t>> rounds_;
+  std::vector<Status> round_status_;  // Written once, under the flag.
+  std::mutex mu_;
+  Status failed_;  // The first failed load, for load_status().
 };
 
 GraphSnapshot::GraphSnapshot(std::vector<NodeSketch> sketches,
@@ -258,31 +301,46 @@ const SketchLayout& GraphSnapshot::layout() const {
   return lazy_ != nullptr ? lazy_->zero().layout() : sketches_[0]->layout();
 }
 
-GraphSnapshot::RoundView GraphSnapshot::Round(int round, uint64_t block_nodes,
-                                              const BlockRunner& run) const {
+Status GraphSnapshot::Round(int round, uint64_t block_nodes,
+                            const BlockRunner& run, RoundView* view) const {
   GZ_CHECK_MSG(round >= 0 && round < rounds(), "round out of range");
   GZ_CHECK(block_nodes > 0);
-  RoundView view;
-  view.round_ = round;
-  if (lazy_ != nullptr) {
-    view.flat_ = lazy_->Round(round, block_nodes, run);
-    view.stride_ = layout().round_stride();
-  } else {
-    view.nodes_ = sketches_.data();
+  if (lazy_ == nullptr) {
+    view->flat_ = nullptr;
+    view->nodes_ = sketches_.data();
+    view->round_ = round;
+    return Status::Ok();
   }
-  return view;
+  Status s;
+  const uint8_t* flat = lazy_->Round(round, block_nodes, run, &s);
+  if (!s.ok()) return s;
+  view->flat_ = flat;
+  view->stride_ = layout().round_stride();
+  view->round_ = round;
+  return Status::Ok();
+}
+
+Status GraphSnapshot::LoadAllRounds() const {
+  return lazy_ == nullptr ? Status::Ok() : lazy_->LoadAll();
+}
+
+Status GraphSnapshot::load_status() const {
+  return lazy_ == nullptr ? Status::Ok() : lazy_->failed();
 }
 
 void GraphSnapshot::Seal(const std::weak_ptr<LazyRounds>& handle) {
-  if (const std::shared_ptr<LazyRounds> lazy = handle.lock()) lazy->LoadAll();
+  if (const std::shared_ptr<LazyRounds> lazy = handle.lock()) {
+    (void)lazy->LoadAll();
+  }
 }
 
-void GraphSnapshot::MakeEager() {
-  if (lazy_ == nullptr) return;
+Status GraphSnapshot::MakeEager() {
+  if (lazy_ == nullptr) return Status::Ok();
   const size_t round_bytes = layout().round_bytes();
-  std::vector<RoundView> views;
+  std::vector<RoundView> views(rounds());
   for (int r = 0; r < rounds(); ++r) {
-    views.push_back(Round(r, num_nodes(), nullptr));
+    Status s = Round(r, num_nodes(), nullptr, &views[r]);
+    if (!s.ok()) return s;
   }
   std::vector<uint8_t> record(layout().record_bytes());
   std::vector<CowSketch> sketches;
@@ -297,10 +355,12 @@ void GraphSnapshot::MakeEager() {
   }
   sketches_ = std::move(sketches);
   lazy_.reset();
+  return Status::Ok();
 }
 
 // Compares round by round, so either side may be lazy; only the
-// round_bytes of each slice count (an eager block's padding is zero).
+// round_bytes of each slice count (an eager block's padding is zero). A
+// round that fails to load compares unequal.
 bool operator==(const GraphSnapshot& a, const GraphSnapshot& b) {
   if (a.num_updates_ != b.num_updates_ || a.valid() != b.valid()) {
     return false;
@@ -309,8 +369,11 @@ bool operator==(const GraphSnapshot& a, const GraphSnapshot& b) {
   if (!(a.params() == b.params())) return false;
   const size_t bytes = a.layout().round_bytes();
   for (int r = 0; r < a.rounds(); ++r) {
-    const GraphSnapshot::RoundView va = a.Round(r, a.num_nodes(), nullptr);
-    const GraphSnapshot::RoundView vb = b.Round(r, b.num_nodes(), nullptr);
+    GraphSnapshot::RoundView va, vb;
+    if (!a.Round(r, a.num_nodes(), nullptr, &va).ok() ||
+        !b.Round(r, b.num_nodes(), nullptr, &vb).ok()) {
+      return false;
+    }
     for (NodeId i = 0; i < a.num_nodes(); ++i) {
       if (std::memcmp(va.node(i), vb.node(i), bytes) != 0) return false;
     }
@@ -329,10 +392,11 @@ Status GraphSnapshot::Merge(const GraphSnapshot& other) {
   }
   if (other.lazy_ != nullptr) {
     GraphSnapshot eager = other;
-    eager.MakeEager();
-    return Merge(eager);
+    Status s = eager.MakeEager();
+    return s.ok() ? Merge(eager) : s;
   }
-  MakeEager();
+  Status s = MakeEager();
+  if (!s.ok()) return s;
   for (uint64_t i = 0; i < sketches_.size(); ++i) {
     sketches_[i].Mutable().Merge(*other.sketches_[i]);
   }
@@ -341,7 +405,7 @@ Status GraphSnapshot::Merge(const GraphSnapshot& other) {
 }
 
 void GraphSnapshot::ToggleEdge(const Edge& e) {
-  MakeEager();
+  GZ_CHECK_OK(MakeEager());
   const uint64_t idx = EdgeToIndex(e, num_nodes());
   sketches_[e.u].Mutable().Update(idx);
   sketches_[e.v].Mutable().Update(idx);
@@ -349,8 +413,16 @@ void GraphSnapshot::ToggleEdge(const Edge& e) {
 
 size_t GraphSnapshot::SerializedSizeFor(const NodeSketchParams& params,
                                         uint64_t lo, uint64_t hi) {
+  return SerializedSizeFor(params, lo, hi, 0, params.rounds);
+}
+
+size_t GraphSnapshot::SerializedSizeFor(const NodeSketchParams& params,
+                                        uint64_t lo, uint64_t hi, int r_lo,
+                                        int r_hi) {
   GZ_CHECK_MSG(lo < hi && hi <= params.num_nodes, "bad node range");
-  return kHeaderBytes + (hi - lo) * NodeSketch::SerializedSizeFor(params);
+  GZ_CHECK_MSG(0 <= r_lo && r_lo < r_hi && r_hi <= params.rounds,
+               "bad round window");
+  return kHeaderBytes + (hi - lo) * RecordBytes(params, r_lo, r_hi);
 }
 
 size_t GraphSnapshot::SerializedSize() const {
@@ -379,12 +451,13 @@ Status GraphSnapshot::SaveRange(const ByteSink& sink, uint64_t lo,
                                 uint64_t hi) const {
   if (lazy_ != nullptr) {
     GraphSnapshot eager = *this;
-    eager.MakeEager();
-    return eager.SaveRange(sink, lo, hi);
+    Status s = eager.MakeEager();
+    return s.ok() ? eager.SaveRange(sink, lo, hi) : s;
   }
-  return SaveToSink(
-      sink, params(), lo, hi, num_updates_,
-      [this](NodeId i) -> const NodeSketch& { return *sketches_[i]; });
+  return SaveToSink(sink, params(), lo, hi, 0, rounds(), num_updates_,
+                    [this](NodeId i, uint8_t* record) {
+                      sketches_[i]->SerializeTo(record);
+                    });
 }
 
 Result<GraphSnapshot> GraphSnapshot::Deserialize(const uint8_t* data,
@@ -403,6 +476,7 @@ Result<GraphSnapshot> GraphSnapshot::Deserialize(const uint8_t* data,
 
 Status GraphSnapshot::FoldSerialized(
     const uint8_t* data, size_t size, const NodeSketchParams& params,
+    int r_lo, int r_hi,
     const std::function<void(NodeId, const uint8_t* record)>& fold) {
   Header header;
   Status s = ParseBuffer(data, size, &header);
@@ -412,8 +486,14 @@ Status GraphSnapshot::FoldSerialized(
         "snapshot params mismatch: merge requires identical seed, node "
         "bound and sketch geometry");
   }
+  if (header.r_lo != r_lo || header.r_hi != r_hi) {
+    return Status::InvalidArgument(
+        "serialized round window [" + std::to_string(header.r_lo) + ", " +
+        std::to_string(header.r_hi) + ") is not the expected [" +
+        std::to_string(r_lo) + ", " + std::to_string(r_hi) + ")");
+  }
   // Past this point nothing can fail, so a fold never stops half-way.
-  const size_t record = NodeSketch::SerializedSizeFor(params);
+  const size_t record = RecordBytes(params, r_lo, r_hi);
   const uint8_t* cursor = data + kHeaderBytes;
   for (uint64_t i = header.lo; i < header.hi; ++i) {
     fold(static_cast<NodeId>(i), cursor);
@@ -424,8 +504,9 @@ Status GraphSnapshot::FoldSerialized(
 
 Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
   if (!valid()) return Status::InvalidArgument("empty snapshot");
-  MakeEager();
-  return FoldSerialized(data, size, params(),
+  Status s = MakeEager();
+  if (!s.ok()) return s;
+  return FoldSerialized(data, size, params(), 0, rounds(),
                         [this](NodeId i, const uint8_t* record) {
                           sketches_[i].Mutable().MergeSerialized(record);
                         });
@@ -433,24 +514,26 @@ Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
 
 Status GraphSnapshot::SaveToSink(
     const ByteSink& sink, const NodeSketchParams& params, uint64_t lo,
-    uint64_t hi, uint64_t num_updates,
-    const std::function<const NodeSketch&(NodeId)>& load) {
+    uint64_t hi, int r_lo, int r_hi, uint64_t num_updates,
+    const std::function<void(NodeId, uint8_t* record)>& load) {
   GZ_CHECK_MSG(lo < hi && hi <= params.num_nodes, "bad node range");
+  GZ_CHECK_MSG(0 <= r_lo && r_lo < r_hi && r_hi <= params.rounds,
+               "bad round window");
   Header header;
   header.params = params;
   header.lo = lo;
   header.hi = hi;
   header.num_updates = num_updates;
+  header.r_lo = r_lo;
+  header.r_hi = r_hi;
   uint8_t header_buf[kHeaderBytes];
   WriteHeader(header, header_buf);
   Status s = sink(header_buf, sizeof(header_buf));
   // One record in flight: a sink (file or socket) never needs the
   // doubled footprint of a full Serialize() buffer.
-  std::vector<uint8_t> buf(NodeSketch::SerializedSizeFor(params));
+  std::vector<uint8_t> buf(RecordBytes(params, r_lo, r_hi));
   for (uint64_t i = lo; s.ok() && i < hi; ++i) {
-    const NodeSketch& sketch = load(static_cast<NodeId>(i));
-    GZ_CHECK_MSG(sketch.params() == params, "loader returned wrong params");
-    sketch.SerializeTo(buf.data());
+    load(static_cast<NodeId>(i), buf.data());
     s = sink(buf.data(), buf.size());
   }
   return s;

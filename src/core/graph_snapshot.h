@@ -8,10 +8,12 @@
 // same seed and geometry can be XOR-merged with Merge(), and the result
 // is exactly the snapshot a single instance would have produced for the
 // combined stream. That algebra is the sharded coordinator's
-// aggregation step. Sketches are per node, so every transfer of sketch
-// state has one serialized form, the records of a node range [lo, hi):
-// a shard's reply, a migration or repair delta, and a checkpoint file
-// (the whole range [0, V)) are all the same bytes.
+// aggregation step. Sketches are per node and per round, so every
+// transfer of sketch state has one serialized form, the records of a
+// node range [lo, hi) x round window [r_lo, r_hi): a shard's reply, a
+// migration or repair delta, and a checkpoint file (the whole range
+// [0, V) x [0, R)) are all the same bytes, and a reader pulls the
+// rounds a query reaches a window at a time.
 //
 // All query algorithms (connectivity, spanning-forest decomposition,
 // bipartiteness, MSF weight) consume `const GraphSnapshot&` and only
@@ -25,16 +27,20 @@
 //   in-RAM store, shares every node sketch; the mutators below (Merge,
 //   MergeSerialized, ToggleEdge) clone a node only while another holder
 //   still shares it.
-// - round-lazy (Lazy()): a capture of an out-of-core store holds a
-//   round loader and one V x round_stride buffer per round, filled the
-//   first time any copy asks for that round (Round()) and never again;
-//   copies share the buffers. A query that stops after two rounds
-//   reads two rounds from the store. Everything that needs whole node
-//   sketches (Merge, MergeSerialized, ToggleEdge, serialization, ==)
-//   loads every remaining round first, so it sees exactly the bytes an
-//   eager capture holds. Seal() loads every remaining round too: after
-//   it the capture never calls its loader again, which is what the
-//   store's owner must ensure before the store changes.
+// - round-lazy (Lazy()): a capture of an out-of-core store, or a
+//   reader session's snapshot of a cluster, holds a round loader and
+//   one V x round_stride buffer per round, filled the first time any
+//   copy asks for that round (Round()) and never again; copies share
+//   the buffers. A query that stops after two rounds loads two rounds.
+//   A load may fail (a reader's cluster moved on): the snapshot then
+//   keeps the first failure as load_status(), Round() returns it for
+//   every round not loaded yet, and nothing is ever built from a round
+//   that did not load. Everything that needs whole node sketches
+//   (Merge, MergeSerialized, ToggleEdge, serialization, ==) loads every
+//   remaining round first (LoadAllRounds()), so it sees exactly the
+//   bytes an eager capture holds. Seal() loads every remaining round
+//   too: after it the capture never calls its loader again, which is
+//   what the store's owner must ensure before the store changes.
 #ifndef GZ_CORE_GRAPH_SNAPSHOT_H_
 #define GZ_CORE_GRAPH_SNAPSHOT_H_
 
@@ -69,11 +75,18 @@ class GraphSnapshot {
   // so nothing is materialized until a fold writes a node.
   static GraphSnapshot Zero(const NodeSketchParams& params);
 
-  // Fills round `round`'s slices of nodes [lo, hi): node i's
-  // layout().round_bytes() bytes go to out + (i - lo) * round_stride.
-  // Called at most once per (round, node), from any thread.
-  using RoundLoader =
-      std::function<void(int round, uint64_t lo, uint64_t hi, uint8_t* out)>;
+  // Runs body(b) once for every b in [0, num_blocks), on any threads,
+  // and returns when all have run.
+  using BlockRunner = std::function<void(
+      size_t num_blocks, const std::function<void(size_t)>& body)>;
+  // Fills `out` with round `round` of every node: V * round_stride
+  // bytes, node i's layout().round_bytes() at i * round_stride (the
+  // padding zero). `run` spreads work in blocks of `block_nodes` nodes
+  // over a query pool. Called at most once per round, from any thread;
+  // a non-Ok status fails the round (and the snapshot's load_status()).
+  using RoundLoader = std::function<Status(
+      int round, uint64_t block_nodes, const BlockRunner& run,
+      std::vector<uint8_t>* out)>;
   // A round-lazy snapshot of the sketches `load` reads, all built with
   // `zero`'s params (`zero` is the empty sketch; it lends its layout).
   static GraphSnapshot Lazy(const NodeSketch& zero, uint64_t num_updates,
@@ -109,16 +122,19 @@ class GraphSnapshot {
     const CowSketch* nodes_ = nullptr;  // Eager: the node handles.
     int round_ = 0;
   };
-  // Runs body(b) once for every b in [0, num_blocks), on any threads,
-  // and returns when all have run.
-  using BlockRunner = std::function<void(
-      size_t num_blocks, const std::function<void(size_t)>& body)>;
-  // Round `round` of every node. A lazy snapshot loads it here the first
-  // time any copy asks, in blocks of `block_nodes` nodes handed to `run`
-  // (a query pool; null runs the blocks in order on this thread); a
-  // concurrent caller waits for that load.
-  RoundView Round(int round, uint64_t block_nodes,
-                  const BlockRunner& run) const;
+  // Round `round` of every node, into *view. A lazy snapshot loads it
+  // here the first time any copy asks, in blocks of `block_nodes` nodes
+  // handed to `run` (a query pool; null runs the blocks in order on
+  // this thread); a concurrent caller waits for that load. Returns the
+  // load's failure, with *view untouched, when the round did not load.
+  Status Round(int round, uint64_t block_nodes, const BlockRunner& run,
+               RoundView* view) const;
+  // Loads every round not loaded yet; the first failed load's status
+  // (Ok for an eager snapshot). Callers that need whole sketches from a
+  // snapshot whose loads can fail call it first and surface the error.
+  Status LoadAllRounds() const;
+  // The first failed load's status: Ok while every load succeeded.
+  Status load_status() const;
 
   // A weak handle to a lazy snapshot's shared rounds (empty for an eager
   // one), and Seal(), which loads every round not loaded yet in every
@@ -131,12 +147,13 @@ class GraphSnapshot {
   // XOR-merges `other` into this snapshot (node-wise sketch sum, update
   // counts add). Fails with InvalidArgument unless both snapshots were
   // built with identical params — same seed, node bound and geometry —
-  // since only then is the merge a sketch of the combined stream.
+  // since only then is the merge a sketch of the combined stream; a
+  // lazy side whose rounds fail to load returns that load's status.
   Status Merge(const GraphSnapshot& other);
 
   // Toggles edge `e` in both endpoints' sketches, leaving num_updates()
   // alone: how forest peeling deletes a found forest from the graph the
-  // snapshot sketches.
+  // snapshot sketches. A lazy snapshot must load (LoadAllRounds()).
   void ToggleEdge(const Edge& e);
 
   // Pins the stream position outright — for aggregators that rebuild
@@ -146,58 +163,69 @@ class GraphSnapshot {
 
   // --- Serialization -------------------------------------------------------
   // One byte format carries every transfer of sketch state — checkpoint
-  // files, shard replies, migration and repair deltas: the records of
-  // the nodes [lo, hi).
+  // files, shard replies, reader pulls, migration and repair deltas: the
+  // records of the nodes [lo, hi), each holding the rounds [r_lo, r_hi).
   //
-  //   header  magic "GZSNAP02" | u64 num_nodes | u64 seed | i32 cols |
-  //           i32 rounds | u64 lo | u64 hi | u64 num_updates
-  //   body    hi - lo fixed-size node-sketch records
+  //   header  magic "GZSNAP03" | u64 num_nodes | u64 seed | i32 cols |
+  //           i32 rounds | u64 lo | u64 hi | u64 num_updates |
+  //           i32 r_lo | i32 r_hi
+  //   body    hi - lo records of (r_hi - r_lo) * round_bytes: round
+  //           r_lo's bytes, then r_lo + 1's, ... (a whole record is
+  //           [0, rounds), the node sketch's serialized form)
   //
-  // A whole snapshot is the range [0, V). num_updates is the producer's
+  // A whole snapshot is [0, V) x [0, R). num_updates is the producer's
   // stream position when the bytes were written; only whole-snapshot
   // loads adopt it, and range folds never touch counts (stream positions
-  // stay with the instance that ingested the updates).
-  static constexpr size_t kHeaderBytes = 56;
+  // stay with the instance that ingested the updates). Bytes with an
+  // older magic (GZSNAP02, GZSNAP01) are refused with InvalidArgument.
+  static constexpr size_t kHeaderBytes = 64;
   static size_t SerializedSizeFor(const NodeSketchParams& params, uint64_t lo,
                                   uint64_t hi);
+  static size_t SerializedSizeFor(const NodeSketchParams& params, uint64_t lo,
+                                  uint64_t hi, int r_lo, int r_hi);
 
-  // The whole snapshot, [0, V).
+  // The whole snapshot, [0, V) x [0, R).
   size_t SerializedSize() const;
   std::vector<uint8_t> Serialize() const;
-  // Any range of this snapshot's nodes. The unit of elastic migration
-  // and replica repair: folding a shard's own extracted range back into
-  // it zeroes that range, which is how linearity expresses "move".
+  // Any range of this snapshot's nodes, whole records. The unit of
+  // elastic migration and replica repair: folding a shard's own
+  // extracted range back into it zeroes that range, which is how
+  // linearity expresses "move".
   std::vector<uint8_t> ExtractNodeRange(uint64_t lo, uint64_t hi) const;
   // Whole snapshots only: InvalidArgument for any other range, for
   // malformed bytes, or for a size that does not match the header.
   static Result<GraphSnapshot> Deserialize(const uint8_t* data, size_t size);
 
-  // XOR-folds serialized bytes of any in-bounds range — [0, V) included
-  // — into this snapshot, straight from the bytes: how the coordinator
-  // aggregates shard replies without materializing a second snapshot.
-  // num_updates() is never affected. InvalidArgument on malformed bytes
-  // or a params mismatch; this snapshot is unchanged on any error.
+  // XOR-folds serialized bytes of any in-bounds node range — [0, V)
+  // included — of whole records into this snapshot, straight from the
+  // bytes: how the coordinator aggregates shard replies without
+  // materializing a second snapshot. num_updates() is never affected.
+  // InvalidArgument on malformed bytes, a params mismatch or a partial
+  // round window; a failed load's status for a lazy snapshot that does
+  // not load. This snapshot is unchanged on any error.
   Status MergeSerialized(const uint8_t* data, size_t size);
-  // The fold behind every MergeSerialized: validates `data` in full
-  // against `params`, then hands each node's record bytes
-  // (NodeSketch::SerializedSizeFor(params) of them) to `fold` in order.
-  // `fold` never sees bytes that failed validation.
+  // The fold behind every consumer of serialized bytes: validates `data`
+  // in full against `params` and the round window [r_lo, r_hi) the
+  // caller expects (InvalidArgument on any mismatch), then hands each
+  // node's record bytes ((r_hi - r_lo) * round_bytes of them) to `fold`
+  // in order. `fold` never sees bytes that failed validation.
   static Status FoldSerialized(
       const uint8_t* data, size_t size, const NodeSketchParams& params,
+      int r_lo, int r_hi,
       const std::function<void(NodeId, const uint8_t* record)>& fold);
 
   // Where streamed bytes go: a file, a socket frame or a buffer.
   using ByteSink = std::function<Status(const void* data, size_t size)>;
 
-  // Streaming producer of the byte stream for [lo, hi): header first,
-  // then one record per `load` call (the returned reference only needs
-  // to stay valid until the next call), so only one record is ever
-  // materialized — how a shard streams sketch state into a socket frame
-  // or a checkpoint file.
+  // Streaming producer of the byte stream for [lo, hi) x [r_lo, r_hi):
+  // header first, then one record per node, which `load` writes into the
+  // buffer it is handed ((r_hi - r_lo) * round_bytes bytes), so only one
+  // record is ever materialized — how a shard streams sketch state into
+  // a socket frame or a checkpoint file.
   static Status SaveToSink(
       const ByteSink& sink, const NodeSketchParams& params, uint64_t lo,
-      uint64_t hi, uint64_t num_updates,
-      const std::function<const NodeSketch&(NodeId)>& load);
+      uint64_t hi, int r_lo, int r_hi, uint64_t num_updates,
+      const std::function<void(NodeId, uint8_t* record)>& load);
 
   // File forms, always whole snapshots, streamed one record at a time.
   // SaveToFile publishes atomically (see SaveStream). LoadFromFile
@@ -228,8 +256,9 @@ class GraphSnapshot {
 
  private:
   // Turns a lazy snapshot into the eager form with the same contents,
-  // loading every remaining round; no-op when already eager.
-  void MakeEager();
+  // loading every remaining round; no-op when already eager. A failed
+  // load leaves the snapshot lazy and returns its status.
+  Status MakeEager();
   // Streams the records of [lo, hi) through `sink`.
   Status SaveRange(const ByteSink& sink, uint64_t lo, uint64_t hi) const;
 

@@ -167,19 +167,20 @@ GraphSnapshot GraphZeppelin::Snapshot() {
 }
 
 Status GraphZeppelin::WriteNodeRangeTo(
-    uint64_t lo, uint64_t hi,
+    uint64_t lo, uint64_t hi, int r_lo, int r_hi,
     const std::function<Status(const void* data, size_t size)>& write) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   if (!(lo < hi && hi <= config_.num_nodes)) {
     return Status::InvalidArgument("bad node range");
   }
+  if (!(0 <= r_lo && r_lo < r_hi && r_hi <= store_->params().rounds)) {
+    return Status::InvalidArgument("bad round window");
+  }
   Flush();
-  NodeSketch scratch(store_->params());
   return GraphSnapshot::SaveToSink(
-      write, store_->params(), lo, hi, num_updates_,
-      [this, &scratch](NodeId i) -> const NodeSketch& {
-        store_->Load(i, &scratch);
-        return scratch;
+      write, store_->params(), lo, hi, r_lo, r_hi, num_updates_,
+      [this, r_lo, r_hi](NodeId i, uint8_t* record) {
+        store_->ReadRounds(i, r_lo, r_hi, record);
       });
 }
 
@@ -191,7 +192,7 @@ Status GraphZeppelin::MergeSerialized(const uint8_t* data, size_t size) {
   // MergeDelta, the XOR the disk store's ApplyBatch also ends in.
   NodeSketch delta(store_->params());
   return GraphSnapshot::FoldSerialized(
-      data, size, store_->params(),
+      data, size, store_->params(), 0, store_->params().rounds,
       [this, &delta](NodeId i, const uint8_t* record) {
         delta.DeserializeFrom(record);
         store_->MergeDelta(i, delta);
@@ -208,7 +209,8 @@ Status GraphZeppelin::SaveCheckpoint(const std::string& path) {
   // can still checkpoint.
   return GraphSnapshot::SaveStream(
       path, [this](const GraphSnapshot::ByteSink& sink) {
-        return WriteNodeRangeTo(0, config_.num_nodes, sink);
+        return WriteNodeRangeTo(0, config_.num_nodes, 0,
+                                sketch_params().rounds, sink);
       });
 }
 

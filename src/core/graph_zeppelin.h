@@ -125,16 +125,18 @@ class GraphZeppelin {
 
   // --- Serialized sketch state -------------------------------------------
   // The one producer of this instance's serialized sketch state: flushes,
-  // then streams the records of nodes [lo, hi) through `write`, one
-  // record in flight, under a header carrying num_updates_ingested() —
-  // so even an out-of-core sketch store never materializes them. A
-  // shard answers MIGRATE_EXTRACT this way straight into its socket, and
-  // a checkpoint is the range [0, V) written to a file. The byte count is
-  // GraphSnapshot::SerializedSizeFor(sketch_params(), lo, hi), known
-  // before the first call. The range comes off the wire, so a bad one is
-  // an InvalidArgument, not a check failure.
+  // then streams the records of nodes [lo, hi), each holding only the
+  // rounds [r_lo, r_hi), through `write`, one record in flight, under a
+  // header carrying num_updates_ingested() — so even an out-of-core
+  // sketch store never materializes them, and a window reads only its
+  // rounds from the store (SketchStore::ReadRounds). A shard answers
+  // MIGRATE_EXTRACT this way straight into its socket, and a checkpoint
+  // is [0, V) x [0, R) written to a file. The byte count is
+  // GraphSnapshot::SerializedSizeFor(sketch_params(), lo, hi, r_lo,
+  // r_hi), known before the first call. The range comes off the wire, so
+  // a bad one is an InvalidArgument, not a check failure.
   Status WriteNodeRangeTo(
-      uint64_t lo, uint64_t hi,
+      uint64_t lo, uint64_t hi, int r_lo, int r_hi,
       const std::function<Status(const void* data, size_t size)>& write);
 
   // XOR-folds serialized bytes of any node range into this instance's
@@ -149,7 +151,7 @@ class GraphZeppelin {
   Status MergeSerialized(const uint8_t* data, size_t size);
 
   // --- Checkpointing -----------------------------------------------------
-  // SaveCheckpoint is WriteNodeRangeTo(0, V) into a file — the bytes of
+  // SaveCheckpoint is WriteNodeRangeTo(0, V, 0, R) into a file — the bytes of
   // Snapshot().SaveToFile(path), buffered updates flushed first so a
   // restore resumes exactly here. It publishes through
   // GraphSnapshot::SaveStream (`path`.tmp, then a rename), so a failed
@@ -157,8 +159,8 @@ class GraphZeppelin {
   // overwrites this instance's sketch state with such a file, streamed
   // record by record into the store, and adopts its update count; a
   // params mismatch is an InvalidArgument. These are the two ways
-  // GZSNAP02 bytes come in: a whole file here, any node range through
-  // MergeSerialized.
+  // GZSNAP03 bytes come in: a whole file here, any node range of whole
+  // records through MergeSerialized.
   Status SaveCheckpoint(const std::string& path);
   Status LoadCheckpoint(const std::string& path);
 

@@ -3,6 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "util/check.h"
 
 namespace gz {
@@ -58,6 +61,18 @@ void InMemorySketchStore::Load(NodeId node, NodeSketch* out) {
   GZ_CHECK(node < num_nodes());
   std::lock_guard<std::mutex> lock(locks_[node]);
   *out = *sketches_[node];
+}
+
+void InMemorySketchStore::ReadRounds(NodeId node, int r_lo, int r_hi,
+                                     uint8_t* out) {
+  GZ_CHECK(node < num_nodes() && 0 <= r_lo && r_lo < r_hi &&
+           r_hi <= params().rounds);
+  const size_t bytes = zero_.layout().round_bytes();
+  std::lock_guard<std::mutex> lock(locks_[node]);
+  for (int r = r_lo; r < r_hi; ++r) {
+    std::memcpy(out + (r - r_lo) * bytes, sketches_[node]->subsketch(r),
+                bytes);
+  }
 }
 
 CowSketch InMemorySketchStore::Share(NodeId node) {
@@ -153,28 +168,54 @@ void OnDiskSketchStore::Load(NodeId node, NodeSketch* out) {
   out->DeserializeFrom(record);
 }
 
+void OnDiskSketchStore::PreadRounds(NodeId node, int r_lo, int r_hi,
+                                    uint8_t* out) {
+  GZ_CHECK_MSG(fd_ >= 0, "Init() not called");
+  const size_t round_bytes = zero_.layout().round_bytes();
+  const size_t bytes = round_bytes * static_cast<size_t>(r_hi - r_lo);
+  const ssize_t got =
+      ::pread(fd_, out, bytes,
+              static_cast<off_t>(record_bytes_ * node + round_bytes * r_lo));
+  GZ_CHECK_MSG(got == static_cast<ssize_t>(bytes), "sketch store pread");
+}
+
+void OnDiskSketchStore::ReadRounds(NodeId node, int r_lo, int r_hi,
+                                   uint8_t* out) {
+  GZ_CHECK(node < num_nodes() && 0 <= r_lo && r_lo < r_hi &&
+           r_hi <= params().rounds);
+  std::lock_guard<std::mutex> lock(locks_[node]);
+  PreadRounds(node, r_lo, r_hi, out);
+  bytes_read_ += zero_.layout().round_bytes() * (r_hi - r_lo);
+}
+
 void OnDiskSketchStore::ReadRound(int round, uint64_t lo, uint64_t hi,
                                   uint8_t* out) {
-  GZ_CHECK_MSG(fd_ >= 0, "Init() not called");
-  const SketchLayout& layout = zero_.layout();
-  const size_t bytes = layout.round_bytes();
+  const size_t stride = zero_.layout().round_stride();
   for (uint64_t i = lo; i < hi; ++i) {
-    const ssize_t got = ::pread(
-        fd_, out + (i - lo) * layout.round_stride(), bytes,
-        static_cast<off_t>(record_bytes_ * i + bytes * round));
-    GZ_CHECK_MSG(got == static_cast<ssize_t>(bytes), "sketch store pread");
+    PreadRounds(static_cast<NodeId>(i), round, round + 1,
+                out + (i - lo) * stride);
   }
-  bytes_read_ += bytes * (hi - lo);
+  bytes_read_ += zero_.layout().round_bytes() * (hi - lo);
 }
 
 GraphSnapshot OnDiskSketchStore::Capture(uint64_t num_updates) {
   const uint64_t generation = writes_;
   return GraphSnapshot::Lazy(
       zero_, num_updates,
-      [this, generation](int round, uint64_t lo, uint64_t hi, uint8_t* out) {
-        ReadRound(round, lo, hi, out);
+      [this, generation](int round, uint64_t block_nodes,
+                         const GraphSnapshot::BlockRunner& run,
+                         std::vector<uint8_t>* out) {
+        const uint64_t n = num_nodes();
+        const size_t stride = zero_.layout().round_stride();
+        out->resize(n * stride);
+        run((n + block_nodes - 1) / block_nodes, [&](size_t b) {
+          const uint64_t lo = b * block_nodes;
+          ReadRound(round, lo, std::min(lo + block_nodes, n),
+                    out->data() + lo * stride);
+        });
         GZ_CHECK_MSG(writes_ == generation,
                      "sketch store written under an unsealed capture");
+        return Status::Ok();
       });
 }
 

@@ -60,6 +60,11 @@ class SketchStore {
   // store's params).
   virtual void Load(NodeId node, NodeSketch* out) = 0;
 
+  // Writes rounds [r_lo, r_hi) of `node`'s serialized record to `out`,
+  // round_bytes each, back to back: what a windowed range reply carries
+  // for the node, read without materializing its other rounds.
+  virtual void ReadRounds(NodeId node, int r_lo, int r_hi, uint8_t* out) = 0;
+
   // Every node's current sketch as a snapshot at stream position
   // `num_updates`, taken while no write is in flight.
   virtual GraphSnapshot Capture(uint64_t num_updates) = 0;
@@ -87,6 +92,7 @@ class InMemorySketchStore : public SketchStore {
   void ApplyBatch(NodeId node, const uint64_t* indices, size_t count) override;
   void MergeDelta(NodeId node, const NodeSketch& delta) override;
   void Load(NodeId node, NodeSketch* out) override;
+  void ReadRounds(NodeId node, int r_lo, int r_hi, uint8_t* out) override;
   GraphSnapshot Capture(uint64_t num_updates) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
   size_t RamByteSize() const override;
@@ -112,6 +118,8 @@ class OnDiskSketchStore : public SketchStore {
 
   void MergeDelta(NodeId node, const NodeSketch& delta) override;
   void Load(NodeId node, NodeSketch* out) override;
+  // One pread of the window's contiguous bytes of the record.
+  void ReadRounds(NodeId node, int r_lo, int r_hi, uint8_t* out) override;
   // Round-lazy: the loader preads round r's slice of each node's record.
   GraphSnapshot Capture(uint64_t num_updates) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
@@ -124,6 +132,9 @@ class OnDiskSketchStore : public SketchStore {
  private:
   uint8_t* ReadRecord(NodeId node);
   void WriteRecord(NodeId node, const uint8_t* record);
+  // Preads rounds [r_lo, r_hi) of `node`'s record into `out` (the
+  // callers count bytes_read()).
+  void PreadRounds(NodeId node, int r_lo, int r_hi, uint8_t* out);
   // One pread per node of round `round`'s slice, for nodes [lo, hi),
   // node i's to out + (i - lo) * round_stride.
   void ReadRound(int round, uint64_t lo, uint64_t hi, uint8_t* out);

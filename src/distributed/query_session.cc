@@ -39,21 +39,68 @@ bool SamePosition(const std::vector<ShardStatsEx>& a,
   return true;
 }
 
+Status PositionMoved() {
+  return Status::FailedPrecondition(
+      "cluster position moved since the snapshot was taken");
+}
+
 }  // namespace
+
+struct QuerySession::Lease {
+  explicit Lease(const NodeSketchParams& params) : zero(params) {}
+
+  std::mutex mu;
+  QuerySession* session = nullptr;  // Null once revoked.
+  const NodeSketch zero;            // The snapshot's params and layout.
+  int window = 0;                   // Rounds per later pull.
+  ShardWatermarks marks;
+  // Per round: its folded buffer until the snapshot takes it, and
+  // whether it was ever pulled.
+  std::vector<std::vector<uint8_t>> pulled;
+  std::vector<bool> have;
+  int reached = 0;  // One past the last round any pull attempted.
+};
 
 QuerySession::QuerySession(QuerySessionOptions options)
     : options_(std::move(options)) {}
 
-QuerySession::~QuerySession() { StopWatch(); }
+QuerySession::~QuerySession() {
+  StopWatch();
+  Revoke();
+}
+
+void QuerySession::Revoke() {
+  merged_ = GraphSnapshot();
+  if (lease_ == nullptr) return;
+  std::lock_guard<std::mutex> lock(lease_->mu);
+  lease_->session = nullptr;
+  lease_->pulled.clear();
+}
+
+int QuerySession::rounds_pulled() const {
+  if (lease_ == nullptr) return 0;
+  std::lock_guard<std::mutex> lock(lease_->mu);
+  return static_cast<int>(
+      std::count(lease_->have.begin(), lease_->have.end(), true));
+}
+
+int QuerySession::RoundsReached() const {
+  if (lease_ == nullptr) return 0;
+  std::lock_guard<std::mutex> lock(lease_->mu);
+  return lease_->reached;
+}
 
 Status QuerySession::Connect() {
+  Revoke();  // Cached content may predate a re-dial.
   conns_.clear();
   conn_alive_.clear();
   conn_shard_ids_.clear();
   conn_error_ = Status::Ok();
-  merged_ = GraphSnapshot();  // Cached content may predate a re-dial.
   if (options_.endpoints.empty()) {
     return Status::InvalidArgument("query session has no endpoints");
+  }
+  if (options_.rounds_per_pull < 0) {
+    return Status::InvalidArgument("rounds_per_pull must be >= 0");
   }
   std::vector<std::unique_ptr<TcpShardTransport>> conns;
   for (const std::string& uri : options_.endpoints) {
@@ -207,13 +254,26 @@ Status QuerySession::BuildView(const std::vector<ShardStatsEx>& stats,
 }
 
 bool QuerySession::Cached(const PositionView& view) const {
-  return merged_.valid() && view.marks == marks_;
+  return merged_.valid() && view.marks == marks_ &&
+         merged_.load_status().ok();
 }
 
 Status QuerySession::PullAndFold(const PositionView& view,
-                                 GraphSnapshot* fresh, Status* round_error) {
+                                 const SketchLayout& layout, int r_lo,
+                                 int r_hi,
+                                 std::vector<std::vector<uint8_t>>* rounds,
+                                 Status* round_error) {
   *round_error = Status::Ok();
   const uint64_t num_nodes = view.params.num_nodes;
+  const size_t round_bytes = layout.round_bytes();
+  const size_t stride = layout.round_stride();
+  rounds->assign(r_hi - r_lo, std::vector<uint8_t>(num_nodes * stride));
+  const auto fold = [&](NodeId i, const uint8_t* record) {
+    for (int r = r_lo; r < r_hi; ++r) {
+      XorBytes((*rounds)[r - r_lo].data() + i * stride,
+               record + (r - r_lo) * round_bytes, round_bytes);
+    }
+  };
   const uint64_t step =
       options_.nodes_per_chunk == 0 ? num_nodes : options_.nodes_per_chunk;
   // Shard -> lo of its next unpulled chunk. A shard at the zero
@@ -227,8 +287,8 @@ Status QuerySession::PullAndFold(const PositionView& view,
     // Send: one chunk request per shard, to its first live replica.
     std::vector<std::pair<int, size_t>> wave;  // (shard, conn), send order.
     for (const auto& [shard, lo] : next) {
-      const std::vector<uint8_t> req =
-          EncodeMigrateExtract(lo, std::min(num_nodes, lo + step));
+      const std::vector<uint8_t> req = EncodeMigrateExtract(
+          lo, std::min(num_nodes, lo + step), r_lo, r_hi);
       size_t sent_to = conns_.size();
       for (const size_t conn : view.groups.at(shard)) {
         if (!conn_alive_[conn]) continue;
@@ -259,8 +319,10 @@ Status QuerySession::PullAndFold(const PositionView& view,
                            &reply_buf_, &in_sync);
       if (s.ok()) {
         ++range_pulls_;
-        s = fresh->MergeSerialized(reply_buf_.payload.data(),
-                                   reply_buf_.payload.size());
+        bytes_pulled_ += reply_buf_.payload.size();
+        s = GraphSnapshot::FoldSerialized(reply_buf_.payload.data(),
+                                          reply_buf_.payload.size(),
+                                          view.params, r_lo, r_hi, fold);
         if (!s.ok()) {
           // Well framed, but not a range of this graph: void the round.
           if (round_error->ok()) *round_error = s;
@@ -286,6 +348,10 @@ Status QuerySession::PullAndFold(const PositionView& view,
 }
 
 Status QuerySession::Snapshot(const GraphSnapshot** out) {
+  return Refresh(0, out);
+}
+
+Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
   if (conns_.empty()) {
     return Status::FailedPrecondition("query session not connected");
   }
@@ -313,14 +379,21 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
       return Status::Ok();
     }
     // Positions only grow, so the stale cache goes before the candidate
-    // is built. Pull and fold everything, THEN re-read the positions (a
-    // pull after the t0 == t1 check would be unverified); any live
-    // replica may serve a chunk, since replicas are bitwise-equal at the
-    // position t0 == t1 certifies.
-    merged_ = GraphSnapshot();
-    GraphSnapshot fresh = GraphSnapshot::Zero(view.params);
+    // is built. Pull and fold the first window, THEN re-read the
+    // positions (a pull after the t0 == t1 check would be unverified);
+    // any live replica may serve a chunk, since replicas are
+    // bitwise-equal at the position t0 == t1 certifies.
+    Revoke();
+    auto lease = std::make_shared<Lease>(view.params);
+    const int rounds = view.params.rounds;
+    lease->window = options_.rounds_per_pull == 0
+                        ? rounds
+                        : std::min(rounds, options_.rounds_per_pull);
+    const int r_hi = std::min(rounds, std::max(lease->window, first_rounds));
+    std::vector<std::vector<uint8_t>> fresh;
     Status round_error;
-    s = PullAndFold(view, &fresh, &round_error);
+    s = PullAndFold(view, lease->zero.layout(), 0, r_hi, &fresh,
+                    &round_error);
     if (!s.ok()) return s;
     if (!round_error.ok()) {
       last = round_error;
@@ -333,9 +406,39 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
           "cluster position moved during the refresh");
       continue;
     }
-    // Range folds never touch update counts; the positions supply them.
-    fresh.SetUpdates(view.total_updates);
-    merged_ = std::move(fresh);
+    lease->session = this;
+    lease->marks = view.marks;
+    lease->pulled = std::move(fresh);
+    lease->pulled.resize(rounds);
+    lease->have.assign(rounds, false);
+    std::fill(lease->have.begin(), lease->have.begin() + r_hi, true);
+    lease->reached = r_hi;
+    // Range folds carry no counts; the positions supply them.
+    merged_ = GraphSnapshot::Lazy(
+        lease->zero, view.total_updates,
+        [lease](int round, uint64_t, const GraphSnapshot::BlockRunner&,
+                std::vector<uint8_t>* buf) {
+          std::lock_guard<std::mutex> lock(lease->mu);
+          if (lease->session == nullptr) {
+            return Status::FailedPrecondition(
+                "reader snapshot outlived its session's position (a "
+                "later Snapshot(), Connect(), StartWatch() or the "
+                "session's end); take a new Snapshot()");
+          }
+          if (!lease->have[round]) {
+            // The window from `round`, up to the next round pulled.
+            const int rounds = static_cast<int>(lease->have.size());
+            int hi = std::min(rounds, round + lease->window);
+            for (int r = round + 1; r < hi; ++r) {
+              if (lease->have[r]) hi = r;
+            }
+            Status s = lease->session->PullWindow(lease.get(), round, hi);
+            if (!s.ok()) return s;
+          }
+          *buf = std::move(lease->pulled[round]);
+          return Status::Ok();
+        });
+    lease_ = std::move(lease);
     marks_ = std::move(view.marks);
     *out = &merged_;
     return Status::Ok();
@@ -343,6 +446,51 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
   return Status(StatusCode::kResourceExhausted,
                 "cluster position kept moving; refresh did not stabilize "
                 "within " +
+                    std::to_string(kMaxPositionRetries) +
+                    " rounds (last: " + last.ToString() + ")");
+}
+
+Status QuerySession::PullWindow(Lease* lease, int r_lo, int r_hi) {
+  lease->reached = std::max(lease->reached, r_hi);
+  Status last = Status::Ok();
+  std::vector<ShardStatsEx> t0, t1;
+  for (int attempt = 0; attempt < kMaxPositionRetries; ++attempt) {
+    Status s = ReadPositions(&t0);
+    if (!s.ok()) return s;
+    const std::vector<bool> alive0 = conn_alive_;
+    PositionView view;
+    s = BuildView(t0, &view);
+    if (!s.ok()) return s;
+    if (view.skew || view.marks != lease->marks) return PositionMoved();
+    std::vector<std::vector<uint8_t>> window;
+    Status round_error;
+    s = PullAndFold(view, lease->zero.layout(), r_lo, r_hi, &window,
+                    &round_error);
+    if (!s.ok()) return s;
+    if (!round_error.ok()) {
+      last = round_error;
+      continue;
+    }
+    s = ReadPositions(&t1);
+    if (!s.ok()) return s;
+    if (!SamePosition(t0, alive0, t1, conn_alive_)) {
+      // A replica lost mid-pull with the position unmoved: the pull may
+      // have mixed replicas, so pull the window again, as Snapshot()
+      // retries its round.
+      s = BuildView(t1, &view);
+      if (!s.ok()) return s;
+      if (view.skew || view.marks != lease->marks) return PositionMoved();
+      last = Status::FailedPrecondition("a replica was lost mid-pull");
+      continue;
+    }
+    for (int r = r_lo; r < r_hi; ++r) {
+      lease->pulled[r] = std::move(window[r - r_lo]);
+      lease->have[r] = true;
+    }
+    return Status::Ok();
+  }
+  return Status(StatusCode::kResourceExhausted,
+                "window pull did not stabilize within " +
                     std::to_string(kMaxPositionRetries) +
                     " rounds (last: " + last.ToString() + ")");
 }
@@ -368,11 +516,32 @@ Status QuerySession::PollPositions(bool* fresh) {
   return Status::Ok();
 }
 
+Status QuerySession::RunQuery(
+    const std::function<void(const GraphSnapshot&)>& query) {
+  int first_rounds = 0;
+  Status last = Status::Ok();
+  for (int attempt = 0; attempt < kMaxPositionRetries; ++attempt) {
+    const GraphSnapshot* snap = nullptr;
+    Status s = Refresh(first_rounds, &snap);
+    if (!s.ok()) return s;
+    query(*snap);
+    last = snap->load_status();
+    if (last.ok()) return last;
+    first_rounds = RoundsReached();
+  }
+  return Status(StatusCode::kResourceExhausted,
+                "every query's later window found the position moved; " +
+                    std::to_string(kMaxPositionRetries) +
+                    " attempts (last: " + last.ToString() + ")");
+}
+
 Result<ConnectivityResult> QuerySession::Connectivity(int threads) {
-  const GraphSnapshot* snap = nullptr;
-  Status s = Snapshot(&snap);
+  ConnectivityResult result;
+  const Status s = RunQuery([&](const GraphSnapshot& snap) {
+    result = gz::Connectivity(snap, threads);
+  });
   if (!s.ok()) return s;
-  return gz::Connectivity(*snap, threads);
+  return result;
 }
 
 // ---- Standing queries ---------------------------------------------
@@ -449,6 +618,9 @@ Status QuerySession::StartWatch(const StandingWatchOptions& options,
   if (options.poll_interval_ms <= 0) {
     return Status::InvalidArgument("poll_interval_ms must be positive");
   }
+  // The watcher owns the connections from here on; a snapshot the
+  // owner still holds must not pull through them.
+  Revoke();
   if (::pipe(watch_stop_pipe_) != 0) {
     return Status::IoError(std::string("watch stop pipe: ") +
                            std::strerror(errno));
@@ -540,18 +712,16 @@ void QuerySession::WatchEvaluate() {
     return;
   }
   if (fresh && !registry_.HasUnevaluated()) return;
-  const GraphSnapshot* snap = nullptr;
-  s = Snapshot(&snap);
-  if (!s.ok()) {
-    // Transient by design: a mid-reshard refresh that kept moving, or
-    // a shard waiting on failover. The watch keeps running; the next
-    // wake-up retries.
-    watch_error_ = s;
-    return;
-  }
-  const Result<size_t> fired =
-      registry_.Evaluate(*snap, watch_options_.threads, watch_notifier_);
-  watch_error_ = fired.ok() ? Status::Ok() : fired.status();
+  // An evaluation whose later window found the position moved fires
+  // nothing (Boruvka failed) and is retried by RunQuery.
+  Result<size_t> fired = size_t{0};
+  s = RunQuery([&](const GraphSnapshot& snap) {
+    fired = registry_.Evaluate(snap, watch_options_.threads, watch_notifier_);
+  });
+  // A failed refresh is transient by design: a mid-reshard refresh that
+  // kept moving, or a shard waiting on failover. The watch keeps
+  // running; the next wake-up retries.
+  watch_error_ = !s.ok() ? s : fired.ok() ? Status::Ok() : fired.status();
 }
 
 }  // namespace gz

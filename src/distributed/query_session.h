@@ -10,18 +10,41 @@
 // shard's sketch state is a pure function of its watermark, so an
 // unmoved position is answered with zero pulls — a split that moves no
 // content included, since routing never reaches a shard. A moved one is
-// rebuilt cold, folding every shard's [0, V) into GraphSnapshot::Zero
-// like ShardCluster::Snapshot(): ingest hashes edges over routing slots
-// dealt across all shards, so any span of updates moves every shard.
+// rebuilt cold: ingest hashes edges over routing slots dealt across all
+// shards, so any span of updates moves every shard.
+//
+// Pull windows: the snapshot is round-lazy (GraphSnapshot::Lazy).
+// Boruvka reads one sketch round per step and usually stops after two,
+// so a cold rebuild pulls only the round window [0, rounds_per_pull)
+// of every shard's nodes [0, V) and XOR-folds it into one buffer per
+// round; a query that reads further pulls the next window of every
+// shard when it reaches it, and anything that needs whole sketches
+// (==, Serialize, Merge) pulls every remaining window. Two rounds is
+// the fewest any answer with an edge reads: the last round only proves
+// every cut empty.
 //
 // Consistency protocol (a seqlock over shard positions): one refresh
-// reads every shard's STATS_EX position (t0), pulls and folds every
-// shard into a fresh candidate, re-reads the positions (t1), and
-// installs the candidate only if t1 == t0. Positions are monotone, so
-// t0 == t1 proves every folded byte of a shard belongs to that shard's
-// keyed position — no ABA. A moving position, a lost replica or a
-// reply that does not fold discards the candidate and retries; a
-// bounded number of failed rounds returns an error.
+// reads every shard's STATS_EX position (t0), pulls and folds the first
+// window of every shard into a fresh candidate, re-reads the positions
+// (t1), and installs the candidate only if t1 == t0. Positions are
+// monotone, so t0 == t1 proves every folded byte of a shard belongs to
+// that shard's keyed position — no ABA. A moving position, a lost
+// replica or a reply that does not fold discards the candidate and
+// retries; a bounded number of failed rounds returns an error. Every
+// later window pull is bracketed the same way, and both of its sweeps
+// must equal the snapshot's marks: if the position moved, the load
+// fails (GraphSnapshot::load_status()) and is never folded, so every
+// round behind one answer comes from one position. Boruvka then reports
+// the query failed; Connectivity() and the standing-query watch take a
+// fresh Snapshot() and retry, with a first window covering every round
+// the failed attempt reached.
+//
+// A lazy snapshot's later windows are pulled through this session's
+// connections, on the thread that queries it, so query a snapshot only
+// where the session itself may be used. A copy still held after the
+// Snapshot() that replaces it, Connect(), StartWatch() or the session's
+// destruction fails its remaining loads with FailedPrecondition; it
+// never touches a closed connection.
 //
 // Known gap, torn reads during a removal: a chunk is installed on its
 // target and cancelled on its source in two round trips. A refresh
@@ -31,7 +54,8 @@
 // chunk (see ROADMAP).
 //
 // Pulls run in waves so the shards extract in parallel: each wave
-// sends one MIGRATE_EXTRACT per shard, for its next chunk, to one live
+// sends one MIGRATE_EXTRACT per shard, for its next chunk of the
+// window, to one live
 // replica, then folds the replies in send order. A connection never has
 // more than one pull outstanding — with several, a shard blocked
 // writing replies the reader has not read could stop reading requests
@@ -69,6 +93,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -108,6 +133,10 @@ struct QuerySessionOptions {
   // Nodes per refresh pull, so reply buffers stay small regardless of
   // graph size. 0 = one chunk per shard.
   uint64_t nodes_per_chunk = 1 << 14;
+  // Sketch rounds per pull window: a cold Snapshot() pulls rounds
+  // [0, rounds_per_pull), and a query pulls each later window when it
+  // reaches it. 0 = every round in the first pull.
+  int rounds_per_pull = 2;
   // Per-request receive deadline. A listener that stops answering
   // mid-request fails with DeadlineExceeded after this long instead of
   // blocking the reader forever. 0 = wait forever.
@@ -140,17 +169,20 @@ class QuerySession {
 
   // Dials and authenticates a reader session to every endpoint. All or
   // nothing: on any failure the session holds no connection, and
-  // Snapshot() fails until a Connect() succeeds.
+  // Snapshot() fails until a Connect() succeeds. InvalidArgument for a
+  // negative rounds_per_pull.
   Status Connect();
 
   // Returns the merged snapshot at the cluster's current position:
-  // the cached one when nothing moved (zero pulls), else a cold rebuild.
-  // *out stays valid until the next Snapshot() call. Fails when a shard
-  // is unreachable/unconfigured, or when the position kept moving for
-  // 16 refresh rounds.
+  // the cached one when nothing moved (zero pulls), else a cold rebuild
+  // of its first round window. *out stays valid until the next
+  // Snapshot() call. Fails when a shard is unreachable/unconfigured, or
+  // when the position kept moving for 16 refresh rounds.
   Status Snapshot(const GraphSnapshot** out);
 
-  // Convenience: Snapshot() + the parallel Boruvka query.
+  // Snapshot() + the parallel Boruvka query. A query whose later window
+  // found the position moved restarts from a fresh Snapshot(), at most
+  // 16 times (then ResourceExhausted).
   Result<ConnectivityResult> Connectivity(int threads = 1);
 
   // Staleness probe: one STATS_EX position sweep, no content pulls.
@@ -164,9 +196,13 @@ class QuerySession {
   // reports it (a config error must never masquerade as staleness).
   Status PollPositions(bool* fresh);
 
-  // Observability: chunk replies received (discarded rounds included)
-  // and seqlock rounds the last Snapshot() needed (1 = stable at once).
+  // Observability: chunk replies received and their payload bytes,
+  // headers included (discarded rounds and later windows included), the
+  // sketch rounds of the current snapshot pulled so far, and the seqlock
+  // rounds the last Snapshot() needed (1 = stable at once).
   uint64_t range_pulls() const { return range_pulls_; }
+  uint64_t bytes_pulled() const { return bytes_pulled_; }
+  int rounds_pulled() const;
   int last_refresh_rounds() const { return last_refresh_rounds_; }
 
   // ---- Standing queries -------------------------------------------
@@ -233,13 +269,39 @@ class QuerySession {
                    PositionView* view);
   // True iff the cached snapshot is exactly the cluster at `view`.
   bool Cached(const PositionView& view) const;
-  // Pulls every shard at `view` in waves, folding each reply into
-  // *fresh. Returns an error no retry can fix; *round_error says the
-  // round must be retried instead (a shard lost its last live replica,
-  // answered FailedPrecondition, or sent bytes that do not fold).
-  // Either way, every request sent has had its reply read.
-  Status PullAndFold(const PositionView& view, GraphSnapshot* fresh,
+  // Pulls rounds [r_lo, r_hi) of every shard at `view` in waves,
+  // XOR-folding each reply into (*rounds)[r - r_lo], one zeroed
+  // V x round_stride buffer per round (strides from `layout`). Returns an error no retry can
+  // fix; *round_error says the round must be retried instead (a shard
+  // lost its last live replica, answered FailedPrecondition, or sent
+  // bytes that do not fold). Either way, every request sent has had its
+  // reply read.
+  Status PullAndFold(const PositionView& view, const SketchLayout& layout,
+                     int r_lo, int r_hi,
+                     std::vector<std::vector<uint8_t>>* rounds,
                      Status* round_error);
+  // Snapshot() with a first window of at least `first_rounds` rounds.
+  Status Refresh(int first_rounds, const GraphSnapshot** out);
+  // Runs `query` over Snapshot(); while a later window's load fails,
+  // retries over a fresh snapshot whose first window covers every round
+  // the failed attempt reached, at most 16 times.
+  Status RunQuery(const std::function<void(const GraphSnapshot&)>& query);
+
+  // What the current lazy snapshot's loader shares with this session:
+  // the marks every window must be pulled at and the pulled rounds not
+  // yet handed to the snapshot. Revoked (session = null) when the
+  // snapshot is replaced or the connections change hands.
+  struct Lease;
+  // A later window, [r_lo, r_hi), bracketed by two position sweeps that
+  // must both equal the lease's marks; run by the loader under the
+  // lease's lock.
+  Status PullWindow(Lease* lease, int r_lo, int r_hi);
+  // Drops the cached snapshot and revokes its lease, waiting out a load
+  // in flight on another thread.
+  void Revoke();
+  // The rounds the current snapshot's loads reached, failed ones
+  // included: a retry's first window.
+  int RoundsReached() const;
 
   // Dials every endpoint as an extra reader session and converts each
   // into a kSubscribe notify stream. Failures drop the stream, never
@@ -265,8 +327,10 @@ class QuerySession {
   // The cache: the cluster's content at marks_, if valid().
   ShardWatermarks marks_;
   GraphSnapshot merged_;
+  std::shared_ptr<Lease> lease_;  // merged_'s; null when not valid().
   ShardFrame reply_buf_;
-  uint64_t range_pulls_ = 0;
+  std::atomic<uint64_t> range_pulls_{0};
+  std::atomic<uint64_t> bytes_pulled_{0};
   int last_refresh_rounds_ = 0;
 
   // ---- Watch state ------------------------------------------------

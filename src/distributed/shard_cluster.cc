@@ -352,8 +352,8 @@ Status ShardCluster::Flush() {
 
 Result<GraphSnapshot> ShardCluster::Snapshot() {
   if (!started_) return Status::FailedPrecondition("cluster not started");
-  // One live replica per shard streams its whole node range [0, V) —
-  // the read-only extract that migration and reader sessions use —
+  // One live replica per shard streams its whole state [0, V) x [0, R)
+  // — the read-only extract migration and reader sessions use —
   // and every reply XOR-folds into the zero snapshot in arrival order
   // through MergeSerialized (which refuses a params mismatch), so peak
   // memory is one snapshot + one reply buffer regardless of shard
@@ -362,7 +362,7 @@ Result<GraphSnapshot> ShardCluster::Snapshot() {
   // for drained replies; the result is discarded with the error.)
   const NodeSketchParams params = SketchParams();
   const std::vector<uint8_t> request =
-      EncodeMigrateExtract(0, params.num_nodes);
+      EncodeMigrateExtract(0, params.num_nodes, 0, params.rounds);
   const std::string payload(request.begin(), request.end());
   GraphSnapshot merged = GraphSnapshot::Zero(params);
   Status s = PipelinedBarrier(
@@ -816,7 +816,8 @@ Result<ShardStats> ShardCluster::Stats(int shard) {
 
 Status ShardCluster::ExtractRange(Replica& replica, uint64_t lo, uint64_t hi,
                                   std::vector<uint8_t>* bytes) {
-  const std::vector<uint8_t> req = EncodeMigrateExtract(lo, hi);
+  const std::vector<uint8_t> req =
+      EncodeMigrateExtract(lo, hi, 0, SketchParams().rounds);
   Status s = RoundTrip(replica, ShardMessageType::kMigrateExtract, req.data(),
                        req.size(), ShardMessageType::kMigrateData);
   if (s.ok()) *bytes = std::move(reply_buf_.payload);

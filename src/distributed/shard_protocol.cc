@@ -649,18 +649,26 @@ Status DecodeShardError(const uint8_t* data, size_t size, bool* decode_ok) {
   return Status(static_cast<StatusCode>(code), "shard: " + message);
 }
 
-std::vector<uint8_t> EncodeMigrateExtract(uint64_t lo, uint64_t hi) {
+std::vector<uint8_t> EncodeMigrateExtract(uint64_t lo, uint64_t hi,
+                                          int32_t r_lo, int32_t r_hi) {
   ByteWriter w;
   w.U64(lo);
   w.U64(hi);
+  w.I32(r_lo);
+  w.I32(r_hi);
   return w.Take();
 }
 
 Status DecodeMigrateExtract(const uint8_t* data, size_t size, uint64_t* lo,
-                            uint64_t* hi) {
+                            uint64_t* hi, int32_t* r_lo, int32_t* r_hi) {
   ByteReader r(data, size);
-  if (!r.U64(lo) || !r.U64(hi) || !r.Done()) {
+  if (!r.U64(lo) || !r.U64(hi) || !r.I32(r_lo) || !r.I32(r_hi) ||
+      !r.Done()) {
     return Status::InvalidArgument("malformed migrate-extract payload");
+  }
+  if (*r_lo < 0 || *r_lo >= *r_hi) {
+    return Status::InvalidArgument(
+        "migrate-extract round window is empty or reversed");
   }
   return Status::Ok();
 }

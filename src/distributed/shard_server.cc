@@ -132,20 +132,26 @@ Status ServeRead(ShardInstanceState& state, const ShardFrame& frame,
   // kMigrateExtract. Read-only: extraction mutates nothing, so a client
   // can retry it freely after any failure. The flush inside
   // WriteNodeRangeTo guarantees every update framed before this request
-  // is inside the extracted bytes.
+  // is inside the extracted bytes. Both bounds are checked before the
+  // reply's size is computed or any of it is written.
   uint64_t lo = 0, hi = 0;
+  int32_t r_lo = 0, r_hi = 0;
   Status s = DecodeMigrateExtract(frame.payload.data(), frame.payload.size(),
-                                  &lo, &hi);
+                                  &lo, &hi, &r_lo, &r_hi);
   if (s.ok() && !(lo < hi && hi <= state.gz->config().num_nodes)) {
     s = Status::InvalidArgument("migrate-extract range out of bounds");
+  }
+  if (s.ok() && r_hi > state.gz->sketch_params().rounds) {
+    s = Status::InvalidArgument(
+        "migrate-extract round window past the round budget");
   }
   if (!s.ok()) return sink->Error(s);
   s = sink->Begin(ShardMessageType::kMigrateData,
                   GraphSnapshot::SerializedSizeFor(
-                      state.gz->sketch_params(), lo, hi));
+                      state.gz->sketch_params(), lo, hi, r_lo, r_hi));
   if (s.ok()) {
     s = state.gz->WriteNodeRangeTo(
-        lo, hi, [sink](const void* data, size_t size) {
+        lo, hi, r_lo, r_hi, [sink](const void* data, size_t size) {
           return sink->Write(data, size);
         });
   }

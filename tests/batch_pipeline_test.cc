@@ -161,6 +161,9 @@ class CallerGateStore : public SketchStore {
     inner_->MergeDelta(node, delta);
   }
   void Load(NodeId node, NodeSketch* out) override { inner_->Load(node, out); }
+  void ReadRounds(NodeId node, int r_lo, int r_hi, uint8_t* out) override {
+    inner_->ReadRounds(node, r_lo, r_hi, out);
+  }
   GraphSnapshot Capture(uint64_t num_updates) override {
     return inner_->Capture(num_updates);
   }

@@ -207,13 +207,26 @@ TEST(GraphSnapshotTest, ByteSerializationRoundTripsExactly) {
 }
 
 // The byte format pinned to fixed values: the round-trip suites above
-// would pass for any self-consistent layout, these only for GZSNAP02.
+// would pass for any self-consistent layout, these only for GZSNAP03.
 // V=45 gives cols*rows = 77 (odd: the det bucket sits at 4 mod 8 in a
-// round), V=64 gives 84 (even: a 1,020 B round, 4 mod 8).
+// round), V=64 gives 84 (even: a 1,020 B round, 4 mod 8). The header
+// and the record body are pinned apart: the body digests are the ones
+// GZSNAP02 bodies had, so the round window moved no record byte.
 struct BytePin {
   uint64_t num_nodes;
-  const char* sha256;
+  const char* header_sha256;
+  const char* body_sha256;
 };
+
+std::string Sha256Hex(const uint8_t* data, size_t size) {
+  uint8_t digest[kSha256Bytes];
+  Sha256(data, size, digest);
+  char hex[2 * kSha256Bytes + 1];
+  for (size_t i = 0; i < kSha256Bytes; ++i) {
+    std::snprintf(hex + 2 * i, 3, "%02x", digest[i]);
+  }
+  return hex;
+}
 
 class GraphSnapshotBytePinTest : public ::testing::TestWithParam<BytePin> {};
 
@@ -240,13 +253,12 @@ TEST_P(GraphSnapshotBytePinTest, SerializeMatchesPinnedSha256) {
   const GraphSnapshot snapshot = gz.Snapshot();
   const std::vector<uint8_t> bytes = snapshot.Serialize();
 
-  uint8_t digest[kSha256Bytes];
-  Sha256(bytes.data(), bytes.size(), digest);
-  char hex[2 * kSha256Bytes + 1];
-  for (size_t i = 0; i < kSha256Bytes; ++i) {
-    std::snprintf(hex + 2 * i, 3, "%02x", digest[i]);
-  }
-  EXPECT_STREQ(hex, GetParam().sha256);
+  ASSERT_GT(bytes.size(), GraphSnapshot::kHeaderBytes);
+  EXPECT_EQ(Sha256Hex(bytes.data(), GraphSnapshot::kHeaderBytes),
+            GetParam().header_sha256);
+  EXPECT_EQ(Sha256Hex(bytes.data() + GraphSnapshot::kHeaderBytes,
+                      bytes.size() - GraphSnapshot::kHeaderBytes),
+            GetParam().body_sha256);
 
   // Structure: the leaf's record holds the pendant edge's encoded index
   // (index + 1) in every round's deterministic bucket, which sits right
@@ -270,11 +282,15 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, GraphSnapshotBytePinTest,
     ::testing::Values(
         BytePin{45,
-                "24db630998cfddcd2c1e27093c295ab4"
-                "989a48a3ee22d8cef82471a4acffdca8"},
+                "c0319ac894e6002ff073e4dfa7ddf9b8"
+                "b6009cd2f67973dd97f704afda81cd57",
+                "10333e86adb627f8494af69920dc16d4"
+                "c4046f663e0c5a1fc25f1b395bbd3d16"},
         BytePin{64,
-                "bd6b6bfe056ecf2f953c604a2e1404b1"
-                "aedef069804b74f2a09c2f2b053c75d3"}));
+                "0bff70ae89a2dfc93fe6486fca4a32c2"
+                "b686a61aeb8f78a9f4c22a712fb284ca",
+                "57f80ce414ab1d6f2f2c554c998a36d9"
+                "757604d9dd59976b7a6a199b3c6b89c8"}));
 
 TEST(GraphSnapshotTest, DeserializeRejectsGarbage) {
   const uint8_t junk[64] = {'n', 'o', 't', ' ', 'a', ' ', 's', 'n'};
@@ -397,6 +413,176 @@ TEST(GraphSnapshotTest, RetiredMagicsAreRefused) {
         << std::string(magic, 8);
     std::remove(path.c_str());
   }
+}
+
+TEST(GraphSnapshotTest, Gzsnap02IsRefusedNamingTheVersion) {
+  // The previous format: the same fields up to num_updates, no round
+  // window, a 56-byte header. Refused from bytes, from a file and as a
+  // checkpoint, with a message naming both versions.
+  const uint64_t n = 16;
+  const GraphSnapshot snapshot = SnapshotOf(n, 3, {Edge(1, 2)});
+  const std::vector<uint8_t> current = snapshot.Serialize();
+  std::vector<uint8_t> old(current.begin(), current.begin() + 56);
+  std::memcpy(old.data(), "GZSNAP02", 8);
+  old.insert(old.end(), current.begin() + GraphSnapshot::kHeaderBytes,
+             current.end());
+  const auto expect_refused = [](const Status& s) {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find("GZSNAP02"), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find("GZSNAP03"), std::string::npos)
+        << s.ToString();
+  };
+  expect_refused(GraphSnapshot::Deserialize(old.data(), old.size()).status());
+  const std::string path =
+      std::string(::testing::TempDir()) + "/gzsnap02.snap";
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(old.data(), 1, old.size(), f), old.size());
+  std::fclose(f);
+  expect_refused(GraphSnapshot::LoadFromFile(path).status());
+  GraphZeppelin gz(MakeConfig(n, 3));
+  ASSERT_TRUE(gz.Init().ok());
+  expect_refused(gz.LoadCheckpoint(path));
+  std::remove(path.c_str());
+}
+
+// Streams rounds [r_lo, r_hi) of `snap`'s nodes [lo, hi) as SaveToSink
+// writes them, each record cut from the node's whole record.
+std::vector<uint8_t> WindowBytes(const GraphSnapshot& snap, uint64_t lo,
+                                 uint64_t hi, int r_lo, int r_hi) {
+  const std::vector<uint8_t> whole = snap.Serialize();
+  const size_t round_bytes = snap.layout().round_bytes();
+  const size_t record = snap.layout().record_bytes();
+  std::vector<uint8_t> out;
+  GZ_CHECK_OK(GraphSnapshot::SaveToSink(
+      [&out](const void* data, size_t size) {
+        const uint8_t* p = static_cast<const uint8_t*>(data);
+        out.insert(out.end(), p, p + size);
+        return Status::Ok();
+      },
+      snap.params(), lo, hi, r_lo, r_hi, snap.num_updates(),
+      [&](NodeId i, uint8_t* rec) {
+        std::memcpy(rec,
+                    whole.data() + GraphSnapshot::kHeaderBytes +
+                        i * record + r_lo * round_bytes,
+                    (r_hi - r_lo) * round_bytes);
+      }));
+  return out;
+}
+
+TEST(GraphSnapshotTest, RoundWindowsFoldOnlyWhereTheCallerExpectsThem) {
+  const uint64_t n = 24;
+  EdgeList edges;
+  for (NodeId i = 0; i + 1 < 12; ++i) edges.emplace_back(i, i + 1);
+  GraphSnapshot snap = SnapshotOf(n, 9, edges);
+  const int rounds = snap.rounds();
+  const size_t round_bytes = snap.layout().round_bytes();
+  const std::vector<uint8_t> window = WindowBytes(snap, 3, 10, 1, 3);
+  ASSERT_EQ(window.size(),
+            GraphSnapshot::SerializedSizeFor(snap.params(), 3, 10, 1, 3));
+  EXPECT_EQ(window.size(),
+            GraphSnapshot::kHeaderBytes + 7 * 2 * round_bytes);
+  // The window's records are exactly the rounds' subsketch bytes.
+  NodeId seen = 3;
+  ASSERT_TRUE(GraphSnapshot::FoldSerialized(
+                  window.data(), window.size(), snap.params(), 1, 3,
+                  [&](NodeId i, const uint8_t* record) {
+                    EXPECT_EQ(i, seen++);
+                    for (int r = 1; r < 3; ++r) {
+                      GraphSnapshot::RoundView view;
+                      ASSERT_TRUE(snap.Round(r, n, nullptr, &view).ok());
+                      EXPECT_EQ(std::memcmp(record + (r - 1) * round_bytes,
+                                            view.node(i), round_bytes),
+                                0);
+                    }
+                  })
+                  .ok());
+  EXPECT_EQ(seen, 10u);
+  // Any other expected window, and every whole-record consumer, refuses
+  // it; the whole window [0, R) is the whole-record form.
+  const auto no_fold = [](NodeId, const uint8_t*) { FAIL(); };
+  EXPECT_EQ(GraphSnapshot::FoldSerialized(window.data(), window.size(),
+                                          snap.params(), 0, rounds, no_fold)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(GraphSnapshot::FoldSerialized(window.data(), window.size(),
+                                          snap.params(), 1, 2, no_fold)
+                .code(),
+            StatusCode::kInvalidArgument);
+  const GraphSnapshot before = snap;
+  EXPECT_EQ(snap.MergeSerialized(window.data(), window.size()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(snap == before);
+  EXPECT_EQ(WindowBytes(snap, 0, n, 0, rounds), snap.Serialize());
+  // A header whose window is empty, reversed or past the budget is
+  // malformed.
+  for (const auto& [w_lo, w_hi] : {std::pair<int32_t, int32_t>{2, 2},
+                                   std::pair<int32_t, int32_t>{3, 1},
+                                   std::pair<int32_t, int32_t>{-1, 1},
+                                   std::pair<int32_t, int32_t>{
+                                       0, rounds + 1}}) {
+    std::vector<uint8_t> bad = window;
+    std::memcpy(bad.data() + 56, &w_lo, 4);
+    std::memcpy(bad.data() + 60, &w_hi, 4);
+    EXPECT_EQ(GraphSnapshot::FoldSerialized(bad.data(), bad.size(),
+                                            snap.params(), w_lo, w_hi,
+                                            no_fold)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "[" << w_lo << ", " << w_hi << ")";
+  }
+}
+
+TEST(GraphSnapshotTest, FailedLazyLoadFailsTheQueryAndEveryWholeSketchUse) {
+  // A lazy snapshot whose loader fails from round 1 on: Boruvka stops at
+  // that round and reports failed, the snapshot keeps the load's status,
+  // and every use that needs whole sketches returns it (or compares
+  // unequal) instead of reading a round that never loaded.
+  const uint64_t n = 32;
+  EdgeList edges;
+  for (NodeId i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
+  const GraphSnapshot eager = SnapshotOf(n, 5, edges);
+  const NodeSketch zero(eager.params());
+  int calls = 0;
+  const GraphSnapshot lazy = GraphSnapshot::Lazy(
+      zero, eager.num_updates(),
+      [&](int round, uint64_t, const GraphSnapshot::BlockRunner&,
+          std::vector<uint8_t>* out) {
+        ++calls;
+        if (round >= 1) return Status::FailedPrecondition("moved on");
+        const size_t stride = zero.layout().round_stride();
+        out->assign(n * stride, 0);
+        GraphSnapshot::RoundView view;
+        GZ_CHECK_OK(eager.Round(round, n, nullptr, &view));
+        for (NodeId i = 0; i < n; ++i) {
+          std::memcpy(out->data() + i * stride, view.node(i),
+                      zero.layout().round_bytes());
+        }
+        return Status::Ok();
+      });
+  EXPECT_TRUE(lazy.load_status().ok());
+  const ConnectivityResult r = Connectivity(lazy, 1);
+  EXPECT_TRUE(r.failed);
+  EXPECT_EQ(r.rounds_used, 2);
+  EXPECT_EQ(lazy.load_status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(lazy.LoadAllRounds().code(), StatusCode::kFailedPrecondition);
+  GraphSnapshot::RoundView view;
+  EXPECT_TRUE(lazy.Round(0, n, nullptr, &view).ok());
+  EXPECT_EQ(lazy.Round(1, n, nullptr, &view).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(lazy == eager);
+  GraphSnapshot merged = eager;
+  EXPECT_EQ(merged.Merge(lazy).code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(merged == eager);
+  GraphSnapshot into = lazy;
+  const std::vector<uint8_t> bytes = eager.Serialize();
+  EXPECT_EQ(into.MergeSerialized(bytes.data(), bytes.size()).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(lazy.SaveToFile(::testing::TempDir() + "/never.snap").code(),
+            StatusCode::kFailedPrecondition);
+  // Each round's loader ran at most once, failures included.
+  EXPECT_EQ(calls, lazy.rounds());
 }
 
 TEST(GraphSnapshotTest, NodeRangeDeltasMoveStateExactly) {

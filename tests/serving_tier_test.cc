@@ -6,7 +6,10 @@
 // The load-bearing property: at a quiesced position a cached or rebuilt
 // snapshot must be BITWISE identical to the coordinator's full fold —
 // after ingest, a split, a live removal, replica failover, and
-// concurrent reader sessions. While a removal migrates, a reader answer
+// concurrent reader sessions, for any pull window size. A reader
+// snapshot is round-lazy: a cold Snapshot() pulls its first round
+// window, and a query (or ==, which reads every round) pulls the later
+// windows, each at the snapshot's position or not at all. While a removal migrates, a reader answer
 // may be torn across shards (see query_session.h); the chaos drill
 // below checks only that such answers stay well formed.
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -680,8 +684,9 @@ TEST_F(ServingTierTcpTest, ChunkedParallelPullsStayBitwiseThroughFailover) {
   const GraphSnapshot* served = nullptr;
   Status s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
+  // Read before the compare, which pulls the snapshot's later windows.
   EXPECT_EQ(session.range_pulls(), 2 * kChunks);
+  EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
 
   // Ingest into shard 1 only: the rebuild still pulls both shards.
   std::vector<GraphUpdate> to_shard1;
@@ -742,17 +747,18 @@ TEST_F(ServingTierTcpTest, ReplicaLostMidStageFailsOverToItsPeer) {
   const GraphSnapshot* served = nullptr;
   const Status s = connected.ok() ? session.Snapshot(&served) : connected;
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
   EXPECT_EQ(session.last_refresh_rounds(), 2);
-  // Both rounds pulled every chunk; the first round's candidate was
-  // discarded.
+  // Both rounds pulled every chunk of the first window; the first
+  // round's candidate was discarded. Read before the compare, which
+  // pulls the snapshot's later windows.
   EXPECT_EQ(session.range_pulls(), 2 * kChunksPerShard);
+  EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
 TEST_F(ServingTierTcpTest, ReplyThatDoesNotFoldVoidsTheRound) {
   // A replica whose first MIGRATE_DATA reply arrives well framed (a
-  // valid CRC) but with a GZSNAP02 header naming another graph: the fold
+  // valid CRC) but with a GZSNAP03 header naming another graph: the fold
   // refuses it, the round's half-folded candidate is discarded, and the
   // second round serves exactly the coordinator's fold.
   StartFleet(2);  // One shard at R=2.
@@ -791,12 +797,421 @@ TEST_F(ServingTierTcpTest, ReplyThatDoesNotFoldVoidsTheRound) {
   const Status s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_TRUE(rewritten.load());
+  EXPECT_EQ(session.last_refresh_rounds(), 2);
+  // The first round stopped after the wave that carried the bad reply.
+  // Read before the compare, which pulls the snapshot's later windows.
+  EXPECT_EQ(session.range_pulls(), 1 + kChunksPerShard);
   const GraphSnapshot full = FoldedSnapshot(&cluster);
   EXPECT_TRUE(*served == full);
   EXPECT_EQ(served->num_updates(), full.num_updates());
-  EXPECT_EQ(session.last_refresh_rounds(), 2);
-  // The first round stopped after the wave that carried the bad reply.
-  EXPECT_EQ(session.range_pulls(), 1 + kChunksPerShard);
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+// ---- Round-windowed reader pulls -----------------------------------------
+
+// Boruvka's answer, field by field.
+void ExpectSameAnswer(const ConnectivityResult& got,
+                      const ConnectivityResult& want) {
+  EXPECT_EQ(got.failed, want.failed);
+  EXPECT_EQ(got.rounds_used, want.rounds_used);
+  EXPECT_EQ(got.num_components, want.num_components);
+  EXPECT_EQ(got.spanning_forest, want.spanning_forest);
+  EXPECT_EQ(got.component_of, want.component_of);
+}
+
+// Pull windows of `window` rounds that cover rounds [0, rounds).
+uint64_t Windows(int rounds, int window) {
+  return static_cast<uint64_t>((rounds + window - 1) / window);
+}
+
+TEST_F(ServingTierTcpTest, LazyReaderSnapshotEqualsTheFoldForEveryWindow) {
+  // For a window of 1, 2 or every round: the cold Snapshot() pulls one
+  // window per shard, a query pulls exactly the windows Boruvka reaches
+  // (one pull per shard per window, even with two threads querying
+  // copies at once), its answer equals the eager fold's at 1 and 4
+  // threads, and the whole snapshot is the fold bitwise.
+  StartFleet(2);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  ShardCluster cluster(BaseConfig(161), 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(161);
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  const GraphSnapshot full = FoldedSnapshot(&cluster);
+  const ConnectivityResult want1 = Connectivity(full, 1);
+  const ConnectivityResult want4 = Connectivity(full, 4);
+  ASSERT_FALSE(want1.failed);
+  const int rounds = full.rounds();
+  ASSERT_LT(want1.rounds_used, rounds);
+
+  for (const int window : {1, 2, rounds}) {
+    SCOPED_TRACE("rounds_per_pull " + std::to_string(window));
+    QuerySessionOptions qo = ReaderOptions();
+    qo.rounds_per_pull = window;
+    QuerySession session(qo);
+    ASSERT_TRUE(session.Connect().ok());
+    const GraphSnapshot* served = nullptr;
+    const Status s = session.Snapshot(&served);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(session.range_pulls(), 2 * kChunksPerShard);
+    EXPECT_EQ(session.rounds_pulled(), window);
+
+    // Two threads query copies at once; the loader serializes them.
+    std::vector<ConnectivityResult> racing(2);
+    {
+      const GraphSnapshot a = *served, b = *served;
+      std::thread other([&] { racing[1] = Connectivity(b, 4); });
+      racing[0] = Connectivity(a, 4);
+      other.join();
+    }
+    const uint64_t windows = Windows(want1.rounds_used, window);
+    EXPECT_EQ(session.range_pulls(), windows * 2 * kChunksPerShard);
+    ExpectSameAnswer(racing[0], want4);
+    ExpectSameAnswer(racing[1], want4);
+    ExpectSameAnswer(Connectivity(*served, 1), want1);
+    ExpectSameAnswer(Connectivity(*served, 4), want4);
+    EXPECT_EQ(session.range_pulls(), windows * 2 * kChunksPerShard);
+    EXPECT_TRUE(served->load_status().ok());
+
+    EXPECT_TRUE(*served == full);
+    EXPECT_EQ(served->Serialize(), full.Serialize());
+    EXPECT_EQ(session.range_pulls(),
+              Windows(rounds, window) * 2 * kChunksPerShard);
+    EXPECT_EQ(session.rounds_pulled(), rounds);
+  }
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_F(ServingTierTcpTest, QueryBytesAreTheWindowsItRead) {
+  // A query's pull bytes, summed over shards: each window is
+  // V x rounds_per_pull x round_bytes of records per shard plus one
+  // range header per chunk.
+  StartFleet(2);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  ShardCluster cluster(BaseConfig(163), 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(163);
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+
+  QuerySession session(ReaderOptions());
+  ASSERT_TRUE(session.Connect().ok());
+  Result<ConnectivityResult> cc = session.Connectivity(1);
+  ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+  ASSERT_FALSE(cc.value().failed);
+  const GraphSnapshot* served = nullptr;
+  ASSERT_TRUE(session.Snapshot(&served).ok());  // The cached snapshot.
+  constexpr int kWindow = 2;  // The default rounds_per_pull.
+  const uint64_t windows =
+      Windows(std::max(cc.value().rounds_used, kWindow), kWindow);
+  const uint64_t round_bytes = served->layout().round_bytes();
+  const uint64_t per_window =
+      kNumNodes * kWindow * round_bytes +
+      kChunksPerShard * GraphSnapshot::kHeaderBytes;
+  EXPECT_EQ(session.bytes_pulled(), windows * 2 * per_window);
+  EXPECT_EQ(session.rounds_pulled(), static_cast<int>(windows) * kWindow);
+  // Against every round: what a whole pull of both shards costs.
+  EXPECT_LT(session.bytes_pulled(),
+            2 * (kNumNodes * served->rounds() * round_bytes +
+                 kChunksPerShard * GraphSnapshot::kHeaderBytes));
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_F(ServingTierTcpTest, LaterWindowFailsOverWhenItsReplicaDies) {
+  // The replica that served the first window dies before the second:
+  // the window's position sweep marks it dead and the shard's other
+  // replica serves every later window, bitwise the same.
+  StartFleet(2);  // One shard at R=2.
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  options.replication_factor = 2;
+  ShardCluster cluster(BaseConfig(167), 1, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(167);
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  const GraphSnapshot full = FoldedSnapshot(&cluster);
+  const ConnectivityResult want = Connectivity(full, 1);
+
+  QuerySessionOptions qo = ReaderOptions();
+  qo.rounds_per_pull = 1;
+  QuerySession session(qo);
+  ASSERT_TRUE(session.Connect().ok());
+  const GraphSnapshot* served = nullptr;
+  ASSERT_TRUE(session.Snapshot(&served).ok());
+  EXPECT_EQ(session.range_pulls(), kChunksPerShard);
+  listeners_[0]->Stop();  // Replica 0 served window 1.
+
+  ExpectSameAnswer(Connectivity(*served, 1), want);
+  EXPECT_TRUE(served->load_status().ok())
+      << served->load_status().ToString();
+  EXPECT_EQ(session.range_pulls(),
+            static_cast<uint64_t>(want.rounds_used) * kChunksPerShard);
+  EXPECT_TRUE(*served == full);
+  EXPECT_EQ(session.range_pulls(),
+            static_cast<uint64_t>(full.rounds()) * kChunksPerShard);
+  cluster.Shutdown();  // One child is already gone; best effort.
+}
+
+TEST_F(ServingTierTcpTest, WriterMoveFailsTheHeldQueryNotTheNextOne) {
+  // A writer Update + Flush between Snapshot() and a query that needs
+  // window 2: the window's position sweep sees the move, the load fails
+  // and Boruvka reports failed; QuerySession::Connectivity then serves
+  // the new position's answer.
+  StartFleet(2);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  ShardCluster cluster(BaseConfig(173), 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(173);
+  const size_t half = updates.size() / 2;
+  ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+
+  QuerySessionOptions qo = ReaderOptions();
+  qo.rounds_per_pull = 1;
+  QuerySession session(qo);
+  ASSERT_TRUE(session.Connect().ok());
+  const GraphSnapshot* served = nullptr;
+  ASSERT_TRUE(session.Snapshot(&served).ok());
+  ASSERT_TRUE(
+      cluster.Update(updates.data() + half, updates.size() - half).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+
+  const uint64_t pulls = session.range_pulls();
+  const ConnectivityResult held = Connectivity(*served, 1);
+  EXPECT_TRUE(held.failed);
+  EXPECT_EQ(held.rounds_used, 2);  // Round 1 did not load.
+  EXPECT_EQ(served->load_status().code(), StatusCode::kFailedPrecondition)
+      << served->load_status().ToString();
+  // The window's first position sweep saw the move: nothing pulled.
+  EXPECT_EQ(session.range_pulls(), pulls);
+
+  Result<ConnectivityResult> fresh = session.Connectivity(1);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectSameAnswer(fresh.value(), Connectivity(FoldedSnapshot(&cluster), 1));
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+// A relay edit that runs `move` (the writer, under `mu`) on the first
+// request for a window starting at round 1, before forwarding it: the
+// position moves between a snapshot's first and second window.
+ReaderRelay::Edit MoveBeforeSecondWindow(std::mutex* mu,
+                                         std::atomic<bool>* moved,
+                                         std::function<void()> move) {
+  return [=](ShardFrame* frame, bool reply) {
+    uint64_t lo = 0, hi = 0;
+    int32_t r_lo = 0, r_hi = 0;
+    if (!reply && frame->type == ShardMessageType::kMigrateExtract &&
+        DecodeMigrateExtract(frame->payload.data(), frame->payload.size(),
+                             &lo, &hi, &r_lo, &r_hi)
+            .ok() &&
+        r_lo == 1 && !moved->load()) {
+      std::lock_guard<std::mutex> lock(*mu);
+      move();
+      moved->store(true);
+    }
+    return true;
+  };
+}
+
+TEST_F(ServingTierTcpTest, ConnectivityRetriesWhenItsNextWindowFindsAMove) {
+  // The position moves inside QuerySession::Connectivity, between the
+  // first window and the second (a relay runs the writer when it sees
+  // the request for round 1). The failed attempt is never an answer:
+  // the retry takes a fresh snapshot whose first window covers both
+  // rounds the failed attempt reached, and answers at the new position.
+  StartFleet(1);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  std::mutex cluster_mu;  // The relay thread runs the writer too.
+  std::unique_lock<std::mutex> hold(cluster_mu);
+  ShardCluster cluster(BaseConfig(179), 1, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(179);
+  const size_t half = updates.size() / 2;
+  ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  hold.unlock();
+
+  std::atomic<bool> moved{false};
+  ReaderRelay relay(endpoints_[0],
+                    MoveBeforeSecondWindow(&cluster_mu, &moved, [&] {
+                      GZ_CHECK_OK(cluster.Update(updates.data() + half,
+                                                 updates.size() - half));
+                      GZ_CHECK_OK(cluster.Flush());
+                    }));
+  QuerySessionOptions qo = ReaderOptions();
+  qo.endpoints = {relay.endpoint()};
+  qo.rounds_per_pull = 1;
+  QuerySession session(qo);
+  ASSERT_TRUE(session.Connect().ok());
+  Result<ConnectivityResult> cc = session.Connectivity(1);
+  ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+  EXPECT_TRUE(moved.load());
+  hold.lock();
+  const GraphSnapshot full = FoldedSnapshot(&cluster);
+  ExpectSameAnswer(cc.value(), Connectivity(full, 1));
+  // Attempt 1: round 0, then round 1 (pulled, discarded). Attempt 2:
+  // rounds [0, 2) at once, then one window per further round.
+  const int used = cc.value().rounds_used;
+  EXPECT_EQ(session.range_pulls(),
+            (3 + static_cast<uint64_t>(std::max(0, used - 2))) *
+                kChunksPerShard);
+  EXPECT_EQ(session.rounds_pulled(), std::max(2, used));
+  const GraphSnapshot* served = nullptr;
+  ASSERT_TRUE(session.Snapshot(&served).ok());
+  EXPECT_TRUE(*served == full);
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_F(ServingTierTcpTest, WatchNeverNotifiesFromAMovedSecondWindow) {
+  // The watch's evaluation meets the same move: its second window finds
+  // the position moved, so that evaluation fires nothing, and the retry
+  // notifies the new position's answer first.
+  StartFleet(1);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  std::mutex cluster_mu;
+  std::unique_lock<std::mutex> hold(cluster_mu);
+  ShardCluster cluster(BaseConfig(191), 1, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(191);
+  const size_t half = updates.size() / 2;
+  ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  hold.unlock();
+
+  std::atomic<bool> moved{false};
+  ReaderRelay relay(endpoints_[0],
+                    MoveBeforeSecondWindow(&cluster_mu, &moved, [&] {
+                      GZ_CHECK_OK(cluster.Update(updates.data() + half,
+                                                 updates.size() - half));
+                      GZ_CHECK_OK(cluster.Flush());
+                    }));
+  QuerySessionOptions qo = ReaderOptions();
+  qo.endpoints = {relay.endpoint()};
+  qo.rounds_per_pull = 1;
+  QuerySession session(qo);
+  ASSERT_TRUE(session.Connect().ok());
+  const StandingQuerySpec spec{StandingQueryKind::kSpanningForest, 0, 0};
+  session.AddStandingQuery(spec);
+  std::mutex notes_mu;
+  std::vector<StandingQueryNotification> notes;
+  StandingWatchOptions wo;
+  wo.subscribe = false;
+  wo.poll_interval_ms = 20;
+  ASSERT_TRUE(session
+                  .StartWatch(wo,
+                              [&](const StandingQueryNotification& n,
+                                  const GraphSnapshot&) {
+                                std::lock_guard<std::mutex> lock(notes_mu);
+                                notes.push_back(n);
+                              })
+                  .ok());
+  for (int i = 0; i < 500; ++i) {
+    {
+      std::lock_guard<std::mutex> lock(notes_mu);
+      if (!notes.empty()) break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  session.StopWatch();
+  EXPECT_TRUE(moved.load());
+  ASSERT_FALSE(notes.empty()) << session.watch_error().ToString();
+  EXPECT_EQ(notes[0].num_updates, updates.size());
+  hold.lock();
+  const StandingQueryAnswer want =
+      DeriveStandingAnswer(spec, Connectivity(FoldedSnapshot(&cluster), 1));
+  EXPECT_TRUE(notes[0].answer == want);
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_F(ServingTierTcpTest, HeldSnapshotFailsCleanlyOnceTheSessionMovesOn) {
+  // A copy of a lazy reader snapshot outliving its session's position:
+  // after the Snapshot() that replaces it, a Connect(), a StartWatch()
+  // or the session's end, its loads fail with FailedPrecondition and
+  // never reach a connection.
+  StartFleet(2);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  ShardCluster cluster(BaseConfig(181), 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(181);
+  const size_t half = updates.size() / 2;
+  ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+
+  QuerySessionOptions qo = ReaderOptions();
+  qo.rounds_per_pull = 1;
+  const auto expect_revoked = [](const GraphSnapshot& held) {
+    const ConnectivityResult r = Connectivity(held, 1);
+    EXPECT_TRUE(r.failed);
+    EXPECT_EQ(held.load_status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(held.load_status().message().find("outlived"),
+              std::string::npos)
+        << held.load_status().ToString();
+    EXPECT_EQ(held.LoadAllRounds().code(), StatusCode::kFailedPrecondition);
+  };
+  QuerySession session(qo);
+  ASSERT_TRUE(session.Connect().ok());
+  const GraphSnapshot* served = nullptr;
+
+  // The next Snapshot(), after the writer moved.
+  ASSERT_TRUE(session.Snapshot(&served).ok());
+  const GraphSnapshot held = *served;
+  ASSERT_TRUE(
+      cluster.Update(updates.data() + half, updates.size() - half).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  ASSERT_TRUE(session.Snapshot(&served).ok());
+  const uint64_t pulls = session.range_pulls();
+  expect_revoked(held);
+  EXPECT_EQ(session.range_pulls(), pulls);
+  EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
+
+  // A re-dial. (The == above loaded every round of the cached
+  // snapshot, so re-dial first: a Connect() drops the cache, and the
+  // next Snapshot() is cold again.)
+  ASSERT_TRUE(session.Connect().ok());
+  ASSERT_TRUE(session.Snapshot(&served).ok());
+  const GraphSnapshot before_connect = *served;
+  ASSERT_TRUE(session.Connect().ok());
+  expect_revoked(before_connect);
+
+  // A watch taking the connections over.
+  ASSERT_TRUE(session.Snapshot(&served).ok());
+  const GraphSnapshot before_watch = *served;
+  StandingWatchOptions wo;
+  wo.subscribe = false;
+  ASSERT_TRUE(session.StartWatch(wo, nullptr).ok());
+  expect_revoked(before_watch);
+  session.StopWatch();
+
+  // The session's end.
+  GraphSnapshot orphan;
+  {
+    QuerySession gone(qo);
+    ASSERT_TRUE(gone.Connect().ok());
+    ASSERT_TRUE(gone.Snapshot(&served).ok());
+    orphan = *served;
+  }
+  expect_revoked(orphan);
+
+  // The session itself serves on, and refuses a negative window.
+  Result<ConnectivityResult> cc = session.Connectivity(1);
+  ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+  EXPECT_FALSE(cc.value().failed);
+  qo.rounds_per_pull = -1;
+  EXPECT_EQ(QuerySession(qo).Connect().code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 

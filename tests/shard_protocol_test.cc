@@ -173,8 +173,8 @@ TEST(ShardProtocolTest, UnknownTypeIsInvalidArgument) {
   EXPECT_EQ(RecvFrame(sp.b(), &frame).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardProtocolTest, V8DefinesExactly19TypesAndRefusesRetiredOnes) {
-  EXPECT_EQ(ShardFrameHeader::kVersion, 8);
+TEST(ShardProtocolTest, V9DefinesExactly19TypesAndRefusesRetiredOnes) {
+  EXPECT_EQ(ShardFrameHeader::kVersion, 9);
   int known = 0;
   for (uint16_t t = 0; t < 64; ++t) {
     SocketPair sp;
@@ -196,9 +196,9 @@ TEST(ShardProtocolTest, V8DefinesExactly19TypesAndRefusesRetiredOnes) {
 }
 
 TEST(ShardProtocolTest, V3HeaderIsAVersionMismatch) {
-  // So is a v4, v5, v6 or v7 peer's: both sides must be rebuilt
+  // So is a v4, v5, v6, v7 or v8 peer's: both sides must be rebuilt
   // together.
-  for (const uint16_t version : {3, 4, 5, 6, 7}) {
+  for (const uint16_t version : {3, 4, 5, 6, 7, 8}) {
     SocketPair sp;
     WriteRawHeader(sp.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
                    ShardFrameHeader::kMagic, version);
@@ -547,7 +547,7 @@ TEST_F(ShardServerFixture, OutOfRangeUpdateDropsBatchAndPoisonsBarriers) {
   ExpectErrorReply(StatusCode::kInvalidArgument);  // Sticky.
   // The read-only frames are gated too: a diverged shard donates no
   // state.
-  const std::vector<uint8_t> req = EncodeMigrateExtract(0, 16);
+  const std::vector<uint8_t> req = EncodeMigrateExtract(0, 16, 0, 1);
   ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
                         req.data(), req.size())
                   .ok());
@@ -645,7 +645,7 @@ TEST_F(ShardServerFixture, CoordinatorHangupEndsServeCleanly) {
 TEST_F(ShardServerFixture, TruncatedMigrateExtractPayloadIsErrorNotCrash) {
   StartServer();
   Configure();
-  const uint8_t short_payload[7] = {0};  // Needs two u64s.
+  const uint8_t short_payload[7] = {0};  // Needs two u64s, two i32s.
   ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
                         short_payload, sizeof(short_payload))
                   .ok());
@@ -655,16 +655,83 @@ TEST_F(ShardServerFixture, TruncatedMigrateExtractPayloadIsErrorNotCrash) {
 TEST_F(ShardServerFixture, OutOfBoundsMigrateRangeIsErrorNotCrash) {
   StartServer();
   Configure(/*num_nodes=*/16);
-  const std::vector<uint8_t> req = EncodeMigrateExtract(4, 99);
+  const std::vector<uint8_t> req = EncodeMigrateExtract(4, 99, 0, 1);
   ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
                         req.data(), req.size())
                   .ok());
   ExpectErrorReply(StatusCode::kInvalidArgument);
-  const std::vector<uint8_t> empty = EncodeMigrateExtract(4, 4);
+  const std::vector<uint8_t> empty = EncodeMigrateExtract(4, 4, 0, 1);
   ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
                         empty.data(), empty.size())
                   .ok());
   ExpectErrorReply(StatusCode::kInvalidArgument);
+}
+
+TEST(ShardProtocolTest, MigrateExtractDecoderRefusesEmptyAndReversedWindows) {
+  uint64_t lo = 0, hi = 0;
+  int32_t r_lo = 0, r_hi = 0;
+  const std::vector<uint8_t> good = EncodeMigrateExtract(2, 9, 1, 3);
+  ASSERT_TRUE(
+      DecodeMigrateExtract(good.data(), good.size(), &lo, &hi, &r_lo, &r_hi)
+          .ok());
+  EXPECT_EQ(lo, 2u);
+  EXPECT_EQ(hi, 9u);
+  EXPECT_EQ(r_lo, 1);
+  EXPECT_EQ(r_hi, 3);
+  for (const auto& [w_lo, w_hi] : {std::pair<int32_t, int32_t>{3, 3},
+                                   std::pair<int32_t, int32_t>{3, 1},
+                                   std::pair<int32_t, int32_t>{-1, 2}}) {
+    const std::vector<uint8_t> bad = EncodeMigrateExtract(0, 4, w_lo, w_hi);
+    EXPECT_EQ(DecodeMigrateExtract(bad.data(), bad.size(), &lo, &hi, &r_lo,
+                                   &r_hi)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "[" << w_lo << ", " << w_hi << ")";
+  }
+}
+
+TEST_F(ShardServerFixture, BadRoundWindowIsRefusedBeforeAnyReplyBytes) {
+  // An empty, reversed or past-the-budget round window is an
+  // InvalidArgument error reply: the shard never sizes (or allocates) a
+  // reply for it, and the session keeps serving.
+  StartServer();
+  Configure(/*num_nodes=*/16);
+  const int rounds = NodeSketch::DefaultRounds(16);
+  for (const auto& [w_lo, w_hi] :
+       {std::pair<int32_t, int32_t>{2, 2}, std::pair<int32_t, int32_t>{3, 1},
+        std::pair<int32_t, int32_t>{0, rounds + 1},
+        std::pair<int32_t, int32_t>{rounds, rounds + 1},
+        std::pair<int32_t, int32_t>{0, INT32_MAX}}) {
+    const std::vector<uint8_t> req = EncodeMigrateExtract(0, 16, w_lo, w_hi);
+    ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
+                          req.data(), req.size())
+                    .ok());
+    ShardFrame frame;
+    ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+    ASSERT_EQ(frame.type, ShardMessageType::kError)
+        << "[" << w_lo << ", " << w_hi << ")";
+    bool decode_ok = false;
+    const Status refused = DecodeShardError(
+        frame.payload.data(), frame.payload.size(), &decode_ok);
+    ASSERT_TRUE(decode_ok);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+        << refused.ToString();
+  }
+  // The last round alone is a valid window, sized as one round per node.
+  const std::vector<uint8_t> last =
+      EncodeMigrateExtract(0, 16, rounds - 1, rounds);
+  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
+                        last.data(), last.size())
+                  .ok());
+  ShardFrame frame;
+  ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+  ASSERT_EQ(frame.type, ShardMessageType::kMigrateData);
+  NodeSketchParams params;
+  params.num_nodes = 16;
+  params.seed = 5;
+  params.rounds = rounds;
+  EXPECT_EQ(frame.payload.size(), GraphSnapshot::SerializedSizeFor(
+                                      params, 0, 16, rounds - 1, rounds));
 }
 
 TEST_F(ShardServerFixture, TruncatedMergeDeltaPayloadIsErrorNotCrash) {
@@ -690,7 +757,8 @@ TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
   SendUpdateBatch(updates, sizeof(updates));
 
   auto request_snapshot = [this](GraphSnapshot* out) {
-    const std::vector<uint8_t> req = EncodeMigrateExtract(0, 16);
+    const std::vector<uint8_t> req = EncodeMigrateExtract(
+        0, 16, 0, NodeSketch::DefaultRounds(16));
     ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
                           req.data(), req.size())
                     .ok());
@@ -715,8 +783,10 @@ TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
   GraphZeppelin twin(twin_config);
   ASSERT_TRUE(twin.Init().ok());
   for (const uint64_t range : {0u, 1u}) {
-    const std::vector<uint8_t> req =
-        range == 0 ? EncodeMigrateExtract(0, 7) : EncodeMigrateExtract(7, 16);
+    const int rounds = NodeSketch::DefaultRounds(16);
+    const std::vector<uint8_t> req = range == 0
+                                         ? EncodeMigrateExtract(0, 7, 0, rounds)
+                                         : EncodeMigrateExtract(7, 16, 0, rounds);
     ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
                           req.data(), req.size())
                     .ok());
@@ -768,7 +838,7 @@ TEST_F(ShardServerFixture, PrefixedCheckpointLeavesShardUnconfigured) {
 
   const std::vector<uint8_t> bytes = ReadFileBytes(plain);
   ASSERT_GT(bytes.size(), GraphSnapshot::kHeaderBytes);
-  ASSERT_EQ(std::memcmp(bytes.data(), "GZSNAP02", 8), 0);
+  ASSERT_EQ(std::memcmp(bytes.data(), "GZSNAP03", 8), 0);
   std::vector<std::string> prefixed;
   for (const auto& [magic, prefix_bytes] :
        {std::pair<const char*, size_t>{"GZSCKP02", 16},
@@ -816,7 +886,7 @@ TEST_F(ShardServerFixture, PrefixedCheckpointLeavesShardUnconfigured) {
 }
 
 TEST_F(ShardServerFixture, RestoreAdoptsTheDeltaSequenceConfigCarries) {
-  // The checkpoint file holds the stream position (its GZSNAP02 update
+  // The checkpoint file holds the stream position (its GZSNAP03 update
   // count); the delta sequence number it covers comes from CONFIG,
   // which the coordinator fills from the checkpoint's ack.
   StartServer();
@@ -904,13 +974,33 @@ std::vector<uint8_t> RepresentativePayload(ShardMessageType type) {
     }
     case ShardMessageType::kAck:
       return EncodeShardAck(ShardAck{42, 7});
-    case ShardMessageType::kMigrateData:
+    case ShardMessageType::kMigrateData: {
+      // A windowed range, as a reader pull carries: nodes [0, 2) x
+      // rounds [1, 3) of a 4-round graph.
+      NodeSketchParams params;
+      params.num_nodes = 8;
+      params.seed = 5;
+      params.cols = 2;
+      params.rounds = 4;
+      std::vector<uint8_t> bytes;
+      GZ_CHECK_OK(GraphSnapshot::SaveToSink(
+          [&bytes](const void* data, size_t size) {
+            const uint8_t* p = static_cast<const uint8_t*>(data);
+            bytes.insert(bytes.end(), p, p + size);
+            return Status::Ok();
+          },
+          params, 0, 2, 1, 3, 9, [&params](NodeId, uint8_t* record) {
+            std::memset(record, 0xA5,
+                        NodeSketch::SerializedSizeFor(params) / 2);
+          }));
+      return bytes;
+    }
     case ShardMessageType::kMergeDelta:
       return std::vector<uint8_t>(48, 0xA5);  // Opaque snapshot bytes.
     case ShardMessageType::kError:
       return EncodeShardError(Status::NotFound("x"));
     case ShardMessageType::kMigrateExtract:
-      return EncodeMigrateExtract(0, 32);
+      return EncodeMigrateExtract(0, 32, 1, 3);  // A reader's window.
     case ShardMessageType::kHello:
       return std::vector<uint8_t>(kHandshakeNonceBytes, 0x11);
     case ShardMessageType::kChallenge:
@@ -1529,8 +1619,9 @@ TEST_F(ReaderSessionFixture, ReaderServesReadOnlyFramesConcurrently) {
   EXPECT_EQ(stats.shard_id, 0);
   EXPECT_EQ(stats.num_updates, 1u);
   EXPECT_EQ(stats.num_nodes, 16u);
-  // MIGRATE_EXTRACT of [0, V) is the whole serialized snapshot.
-  const std::vector<uint8_t> req = EncodeMigrateExtract(0, 16);
+  // MIGRATE_EXTRACT of [0, V) x [0, R) is the whole serialized snapshot.
+  const std::vector<uint8_t> req =
+      EncodeMigrateExtract(0, 16, 0, NodeSketch::DefaultRounds(16));
   ASSERT_TRUE(SendFrame(rp_.a(), ShardMessageType::kMigrateExtract,
                         req.data(), req.size())
                   .ok());

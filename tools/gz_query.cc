@@ -1,6 +1,7 @@
 // gz_query: a serving-tier client. Dials every shard listener of a
 // cluster as an authenticated *reader* session (QuerySession), pulls a
-// consistent merged snapshot keyed by the shards' watermarks, and
+// consistent merged snapshot keyed by the shards' watermarks (only the
+// sketch rounds a query reads, a round window at a time), and
 // answers graph queries from it — without touching the coordinator,
 // whose write path keeps streaming unimpeded.
 //
@@ -248,6 +249,14 @@ int main(int argc, char** argv) {
   const int kconn = static_cast<int>(flags.GetInt("k-connectivity", 0));
   if (kconn > 0) {
     WallTimer query_timer;
+    // Forest peeling edits whole sketches: pull every round first, so a
+    // cluster that moved since the snapshot is an error, not an answer.
+    s = snap->LoadAllRounds();
+    if (!s.ok()) {
+      std::fprintf(stderr, "gz_query: k-connectivity: %s\n",
+                   s.ToString().c_str());
+      return 1;
+    }
     const Result<KConnectivityResult> certified =
         KEdgeConnectivity(*snap, kconn);
     const double query_seconds = query_timer.Seconds();
@@ -308,6 +317,13 @@ int main(int argc, char** argv) {
     const BipartitenessResult verdict =
         BipartitenessFromSnapshots(*snap, *doubled, threads);
     const double query_seconds = query_timer.Seconds();
+    for (const GraphSnapshot* side : {snap, doubled}) {
+      if (!side->load_status().ok()) {
+        std::fprintf(stderr, "gz_query: %s\n",
+                     side->load_status().ToString().c_str());
+        return 1;
+      }
+    }
     if (verdict.failed) {
       std::fprintf(stderr, "gz_query: sketch query failed\n");
       return 1;
@@ -335,9 +351,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Through the session: a later window that finds the cluster moved
+  // retries from a fresh snapshot instead of failing the query.
   WallTimer query_timer;
-  const ConnectivityResult result = gz::Connectivity(*snap, threads);
+  const Result<ConnectivityResult> answered = session->Connectivity(threads);
   const double query_seconds = query_timer.Seconds();
+  if (!answered.ok()) {
+    std::fprintf(stderr, "gz_query: %s\n",
+                 answered.status().ToString().c_str());
+    return 1;
+  }
+  const ConnectivityResult& result = answered.value();
   if (result.failed) {
     std::fprintf(stderr, "gz_query: sketch query failed\n");
     return 1;
@@ -362,22 +386,28 @@ int main(int argc, char** argv) {
         "{\"mode\":\"%s\",\"num_nodes\":%llu,\"num_updates\":%llu,"
         "\"components\":%zu,\"forest_edges\":%zu,\"rounds\":%d,"
         "\"round_budget\":%d,\"refresh_seconds\":%.6f,\"query_seconds\":%.6f,"
-        "\"seqlock_rounds\":%d,\"range_pulls\":%llu}\n",
+        "\"seqlock_rounds\":%d,\"range_pulls\":%llu,\"rounds_pulled\":%d,"
+        "\"bytes_pulled\":%llu}\n",
         mode.c_str(),
         static_cast<unsigned long long>(snap->params().num_nodes),
         static_cast<unsigned long long>(snap->num_updates()),
         result.num_components, result.spanning_forest.size(),
         result.rounds_used, snap->rounds(), refresh_seconds, query_seconds,
         session->last_refresh_rounds(),
-        static_cast<unsigned long long>(session->range_pulls()));
+        static_cast<unsigned long long>(session->range_pulls()),
+        session->rounds_pulled(),
+        static_cast<unsigned long long>(session->bytes_pulled()));
   } else {
     std::printf("snapshot  %llu nodes, %llu updates served "
-                "(refresh %.3fs, %d seqlock round%s, %llu range pulls)\n",
+                "(refresh %.3fs, %d seqlock round%s, %llu range pulls, "
+                "%d of %d rounds, %llu bytes pulled)\n",
                 static_cast<unsigned long long>(snap->params().num_nodes),
                 static_cast<unsigned long long>(snap->num_updates()),
                 refresh_seconds, session->last_refresh_rounds(),
                 session->last_refresh_rounds() == 1 ? "" : "s",
-                static_cast<unsigned long long>(session->range_pulls()));
+                static_cast<unsigned long long>(session->range_pulls()),
+                session->rounds_pulled(), snap->rounds(),
+                static_cast<unsigned long long>(session->bytes_pulled()));
     std::printf("query     %.3fs, %d of %d Boruvka rounds\n",
                 query_seconds, result.rounds_used, snap->rounds());
     std::printf("components %zu, spanning forest %zu edges\n",
