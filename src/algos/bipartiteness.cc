@@ -36,15 +36,21 @@ void BipartitenessSketch::Update(const GraphUpdate& update) {
 BipartitenessResult BipartitenessFromSnapshots(const GraphSnapshot& primal,
                                                const GraphSnapshot& doubled,
                                                int num_threads) {
-  const uint64_t num_nodes = primal.params().num_nodes;
-  GZ_CHECK(doubled.params().num_nodes == 2 * num_nodes);
+  GZ_CHECK(doubled.params().num_nodes == 2 * primal.params().num_nodes);
+  return BipartitenessFromComponents(Connectivity(primal, num_threads),
+                                     Connectivity(doubled, num_threads));
+}
+
+BipartitenessResult BipartitenessFromComponents(
+    const ConnectivityResult& primal_cc,
+    const ConnectivityResult& doubled_cc) {
   BipartitenessResult result;
-  const ConnectivityResult primal_cc = Connectivity(primal, num_threads);
-  const ConnectivityResult doubled_cc = Connectivity(doubled, num_threads);
   if (primal_cc.failed || doubled_cc.failed) {
     result.failed = true;
     return result;
   }
+  const uint64_t num_nodes = primal_cc.component_of.size();
+  GZ_CHECK(doubled_cc.component_of.size() == 2 * num_nodes);
   result.component_of = primal_cc.component_of;
   result.component_bipartite.assign(num_nodes, true);
 

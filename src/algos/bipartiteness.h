@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/connectivity.h"
 #include "core/graph_snapshot.h"
 #include "core/graph_zeppelin.h"
 #include "stream/stream_types.h"
@@ -38,6 +39,12 @@ struct BipartitenessResult {
 BipartitenessResult BipartitenessFromSnapshots(const GraphSnapshot& primal,
                                                const GraphSnapshot& doubled,
                                                int num_threads = 1);
+
+// The same verdict from the two connectivity answers, for callers that
+// run each query themselves (a reader session retries its own). The
+// doubled answer must cover exactly twice the primal node count.
+BipartitenessResult BipartitenessFromComponents(
+    const ConnectivityResult& primal, const ConnectivityResult& doubled);
 
 class BipartitenessSketch {
  public:

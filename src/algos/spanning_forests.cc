@@ -55,14 +55,22 @@ Result<ForestDecomposition> ExtractSpanningForests(
     const ConnectivityResult cc = BoruvkaConnectivity(
         remaining, phase * rounds_per_phase, rounds_per_phase);
     if (cc.failed) {
+      // A round that did not load (a reader whose cluster moved) is an
+      // error, not a sketch failure.
+      Status s = remaining.load_status();
+      if (!s.ok()) return s;
       result.failed = true;
       break;
     }
     if (cc.spanning_forest.empty()) break;  // No edges left to peel.
     result.forests.push_back(cc.spanning_forest);
     if (phase + 1 == k) break;  // Nothing reads the graph after this.
-    // Peel: toggle the forest's edges out of the remaining graph.
-    for (const Edge& e : cc.spanning_forest) remaining.ToggleEdge(e);
+    // Peel: toggle the forest's edges out of the remaining graph. The
+    // first toggle loads a lazy snapshot's every round, or fails.
+    for (const Edge& e : cc.spanning_forest) {
+      Status s = remaining.ToggleEdge(e);
+      if (!s.ok()) return s;
+    }
   }
   return result;
 }

@@ -50,6 +50,9 @@ int MaxForestsForRounds(uint64_t num_nodes, int rounds);
 // snapshot itself is untouched: the peel writes a copy-on-write copy
 // of it, which clones only the forests' endpoints.
 //
+// A lazy snapshot whose rounds fail to load returns that load's status
+// (GraphSnapshot::load_status()), never a decomposition.
+//
 // `k` is validated, not trusted: k < 1, or a k whose per-phase round
 // budget exceeds what the snapshot carries, is an InvalidArgument —
 // the request often comes from a CLI or a wire query, so it must bounce

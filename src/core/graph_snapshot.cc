@@ -404,11 +404,13 @@ Status GraphSnapshot::Merge(const GraphSnapshot& other) {
   return Status::Ok();
 }
 
-void GraphSnapshot::ToggleEdge(const Edge& e) {
-  GZ_CHECK_OK(MakeEager());
+Status GraphSnapshot::ToggleEdge(const Edge& e) {
+  Status s = MakeEager();
+  if (!s.ok()) return s;
   const uint64_t idx = EdgeToIndex(e, num_nodes());
   sketches_[e.u].Mutable().Update(idx);
   sketches_[e.v].Mutable().Update(idx);
+  return Status::Ok();
 }
 
 size_t GraphSnapshot::SerializedSizeFor(const NodeSketchParams& params,

@@ -153,8 +153,9 @@ class GraphSnapshot {
 
   // Toggles edge `e` in both endpoints' sketches, leaving num_updates()
   // alone: how forest peeling deletes a found forest from the graph the
-  // snapshot sketches. A lazy snapshot must load (LoadAllRounds()).
-  void ToggleEdge(const Edge& e);
+  // snapshot sketches. A lazy snapshot loads every round first and
+  // returns a failed load's status, toggling nothing.
+  Status ToggleEdge(const Edge& e);
 
   // Pins the stream position outright — for aggregators that rebuild
   // sketch content from serialized ranges (whose folds never touch

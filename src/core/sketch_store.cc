@@ -168,34 +168,33 @@ void OnDiskSketchStore::Load(NodeId node, NodeSketch* out) {
   out->DeserializeFrom(record);
 }
 
-void OnDiskSketchStore::PreadRounds(NodeId node, int r_lo, int r_hi,
-                                    uint8_t* out) {
+void OnDiskSketchStore::ReadRounds(NodeId node, int r_lo, int r_hi,
+                                   uint8_t* out) {
   GZ_CHECK_MSG(fd_ >= 0, "Init() not called");
+  GZ_CHECK(node < num_nodes() && 0 <= r_lo && r_lo < r_hi &&
+           r_hi <= params().rounds);
   const size_t round_bytes = zero_.layout().round_bytes();
   const size_t bytes = round_bytes * static_cast<size_t>(r_hi - r_lo);
+  std::lock_guard<std::mutex> lock(locks_[node]);
   const ssize_t got =
       ::pread(fd_, out, bytes,
               static_cast<off_t>(record_bytes_ * node + round_bytes * r_lo));
   GZ_CHECK_MSG(got == static_cast<ssize_t>(bytes), "sketch store pread");
-}
-
-void OnDiskSketchStore::ReadRounds(NodeId node, int r_lo, int r_hi,
-                                   uint8_t* out) {
-  GZ_CHECK(node < num_nodes() && 0 <= r_lo && r_lo < r_hi &&
-           r_hi <= params().rounds);
-  std::lock_guard<std::mutex> lock(locks_[node]);
-  PreadRounds(node, r_lo, r_hi, out);
-  bytes_read_ += zero_.layout().round_bytes() * (r_hi - r_lo);
+  bytes_read_ += bytes;
 }
 
 void OnDiskSketchStore::ReadRound(int round, uint64_t lo, uint64_t hi,
                                   uint8_t* out) {
-  const size_t stride = zero_.layout().round_stride();
+  GZ_CHECK_MSG(fd_ >= 0, "Init() not called");
+  const SketchLayout& layout = zero_.layout();
+  const size_t bytes = layout.round_bytes();
   for (uint64_t i = lo; i < hi; ++i) {
-    PreadRounds(static_cast<NodeId>(i), round, round + 1,
-                out + (i - lo) * stride);
+    const ssize_t got = ::pread(
+        fd_, out + (i - lo) * layout.round_stride(), bytes,
+        static_cast<off_t>(record_bytes_ * i + bytes * round));
+    GZ_CHECK_MSG(got == static_cast<ssize_t>(bytes), "sketch store pread");
   }
-  bytes_read_ += zero_.layout().round_bytes() * (hi - lo);
+  bytes_read_ += bytes * (hi - lo);
 }
 
 GraphSnapshot OnDiskSketchStore::Capture(uint64_t num_updates) {

@@ -132,9 +132,6 @@ class OnDiskSketchStore : public SketchStore {
  private:
   uint8_t* ReadRecord(NodeId node);
   void WriteRecord(NodeId node, const uint8_t* record);
-  // Preads rounds [r_lo, r_hi) of `node`'s record into `out` (the
-  // callers count bytes_read()).
-  void PreadRounds(NodeId node, int r_lo, int r_hi, uint8_t* out);
   // One pread per node of round `round`'s slice, for nodes [lo, hi),
   // node i's to out + (i - lo) * round_stride.
   void ReadRound(int round, uint64_t lo, uint64_t hi, uint8_t* out);

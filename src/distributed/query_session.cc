@@ -12,9 +12,14 @@
 namespace gz {
 namespace {
 
-// Refresh rounds Snapshot() attempts while the cluster position keeps
-// moving under the seqlock before giving up.
+// Seqlock rounds a pull attempts while the cluster position keeps
+// moving before giving up; also the attempts RunQuery() gives a query.
 constexpr int kMaxPositionRetries = 16;
+
+// Sketch rounds per pull window: a cold Snapshot() pulls rounds
+// [0, kRoundsPerPull), and a query pulls each later window when it
+// reaches it. Two is the fewest any answer with an edge reads.
+constexpr int kRoundsPerPull = 2;
 
 // Two position sweeps agree iff the same connections are alive and
 // every live one reports the same (shard, updates, delta_seq) tuple —
@@ -52,7 +57,6 @@ struct QuerySession::Lease {
   std::mutex mu;
   QuerySession* session = nullptr;  // Null once revoked.
   const NodeSketch zero;            // The snapshot's params and layout.
-  int window = 0;                   // Rounds per later pull.
   ShardWatermarks marks;
   // Per round: its folded buffer until the snapshot takes it, and
   // whether it was ever pulled.
@@ -98,9 +102,6 @@ Status QuerySession::Connect() {
   conn_error_ = Status::Ok();
   if (options_.endpoints.empty()) {
     return Status::InvalidArgument("query session has no endpoints");
-  }
-  if (options_.rounds_per_pull < 0) {
-    return Status::InvalidArgument("rounds_per_pull must be >= 0");
   }
   std::vector<std::unique_ptr<TcpShardTransport>> conns;
   for (const std::string& uri : options_.endpoints) {
@@ -258,15 +259,17 @@ bool QuerySession::Cached(const PositionView& view) const {
          merged_.load_status().ok();
 }
 
-Status QuerySession::PullAndFold(const PositionView& view,
-                                 const SketchLayout& layout, int r_lo,
+Status QuerySession::PullAndFold(const PositionView& view, int r_lo,
                                  int r_hi,
                                  std::vector<std::vector<uint8_t>>* rounds,
                                  Status* round_error) {
   *round_error = Status::Ok();
   const uint64_t num_nodes = view.params.num_nodes;
-  const size_t round_bytes = layout.round_bytes();
-  const size_t stride = layout.round_stride();
+  const uint64_t vector_len = NumPossibleEdges(num_nodes);
+  const size_t round_bytes =
+      SketchLayout::RoundBytes(vector_len, view.params.cols);
+  const size_t stride =
+      SketchLayout::RoundStride(vector_len, view.params.cols);
   rounds->assign(r_hi - r_lo, std::vector<uint8_t>(num_nodes * stride));
   const auto fold = [&](NodeId i, const uint8_t* record) {
     for (int r = r_lo; r < r_hi; ++r) {
@@ -351,48 +354,45 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
   return Refresh(0, out);
 }
 
-Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
-  if (conns_.empty()) {
-    return Status::FailedPrecondition("query session not connected");
-  }
-  last_refresh_rounds_ = 0;
+Status QuerySession::PullStable(int r_lo, int r_hi,
+                                const ShardWatermarks* required,
+                                PositionView* view,
+                                std::vector<std::vector<uint8_t>>* rounds) {
   Status last = Status::Ok();
   std::vector<ShardStatsEx> t0, t1;
   for (int attempt = 0; attempt < kMaxPositionRetries; ++attempt) {
-    ++last_refresh_rounds_;
+    if (required == nullptr) ++last_refresh_rounds_;
     Status s = ReadPositions(&t0);
     if (!s.ok()) return s;
     const std::vector<bool> alive0 = conn_alive_;
     // One cluster position: every shard at the same geometry, replicas
     // in agreement. Skew is a fan-out caught mid-flight — a moving
     // position, so retry.
-    PositionView view;
-    s = BuildView(t0, &view);
+    s = BuildView(t0, view);
     if (!s.ok()) return s;
-    if (view.skew) {
+    if (required != nullptr && view->marks != *required) {
+      return PositionMoved();
+    }
+    if (view->skew) {
       last = Status::FailedPrecondition(
           "replicas of one shard report different positions");
       continue;
     }
-    if (Cached(view)) {
-      *out = &merged_;
-      return Status::Ok();
+    if (required == nullptr) {
+      if (Cached(*view)) {
+        rounds->clear();
+        return Status::Ok();
+      }
+      // Positions only grow, so the stale cache goes before the
+      // candidate is built.
+      Revoke();
     }
-    // Positions only grow, so the stale cache goes before the candidate
-    // is built. Pull and fold the first window, THEN re-read the
-    // positions (a pull after the t0 == t1 check would be unverified);
-    // any live replica may serve a chunk, since replicas are
-    // bitwise-equal at the position t0 == t1 certifies.
-    Revoke();
-    auto lease = std::make_shared<Lease>(view.params);
-    const int rounds = view.params.rounds;
-    lease->window = options_.rounds_per_pull == 0
-                        ? rounds
-                        : std::min(rounds, options_.rounds_per_pull);
-    const int r_hi = std::min(rounds, std::max(lease->window, first_rounds));
-    std::vector<std::vector<uint8_t>> fresh;
+    // Pull and fold, THEN re-read the positions (a pull after the
+    // t0 == t1 check would be unverified); any live replica may serve a
+    // chunk, since replicas are bitwise-equal at the position t0 == t1
+    // certifies.
     Status round_error;
-    s = PullAndFold(view, lease->zero.layout(), 0, r_hi, &fresh,
+    s = PullAndFold(*view, r_lo, std::min(r_hi, view->params.rounds), rounds,
                     &round_error);
     if (!s.ok()) return s;
     if (!round_error.ok()) {
@@ -402,97 +402,88 @@ Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
     s = ReadPositions(&t1);
     if (!s.ok()) return s;
     if (!SamePosition(t0, alive0, t1, conn_alive_)) {
+      // A moved position, or a replica lost mid-pull (the pull may have
+      // mixed replicas). With required marks, the next t0 sweep tells
+      // the two apart.
       last = Status::FailedPrecondition(
-          "cluster position moved during the refresh");
+          "cluster position moved during the pull");
       continue;
     }
-    lease->session = this;
-    lease->marks = view.marks;
-    lease->pulled = std::move(fresh);
-    lease->pulled.resize(rounds);
-    lease->have.assign(rounds, false);
-    std::fill(lease->have.begin(), lease->have.begin() + r_hi, true);
-    lease->reached = r_hi;
-    // Range folds carry no counts; the positions supply them.
-    merged_ = GraphSnapshot::Lazy(
-        lease->zero, view.total_updates,
-        [lease](int round, uint64_t, const GraphSnapshot::BlockRunner&,
-                std::vector<uint8_t>* buf) {
-          std::lock_guard<std::mutex> lock(lease->mu);
-          if (lease->session == nullptr) {
-            return Status::FailedPrecondition(
-                "reader snapshot outlived its session's position (a "
-                "later Snapshot(), Connect(), StartWatch() or the "
-                "session's end); take a new Snapshot()");
-          }
-          if (!lease->have[round]) {
-            // The window from `round`, up to the next round pulled.
-            const int rounds = static_cast<int>(lease->have.size());
-            int hi = std::min(rounds, round + lease->window);
-            for (int r = round + 1; r < hi; ++r) {
-              if (lease->have[r]) hi = r;
-            }
-            Status s = lease->session->PullWindow(lease.get(), round, hi);
-            if (!s.ok()) return s;
-          }
-          *buf = std::move(lease->pulled[round]);
-          return Status::Ok();
-        });
-    lease_ = std::move(lease);
-    marks_ = std::move(view.marks);
-    *out = &merged_;
     return Status::Ok();
   }
   return Status(StatusCode::kResourceExhausted,
-                "cluster position kept moving; refresh did not stabilize "
+                "cluster position kept moving; the pull did not stabilize "
                 "within " +
                     std::to_string(kMaxPositionRetries) +
                     " rounds (last: " + last.ToString() + ")");
 }
 
-Status QuerySession::PullWindow(Lease* lease, int r_lo, int r_hi) {
-  lease->reached = std::max(lease->reached, r_hi);
-  Status last = Status::Ok();
-  std::vector<ShardStatsEx> t0, t1;
-  for (int attempt = 0; attempt < kMaxPositionRetries; ++attempt) {
-    Status s = ReadPositions(&t0);
-    if (!s.ok()) return s;
-    const std::vector<bool> alive0 = conn_alive_;
-    PositionView view;
-    s = BuildView(t0, &view);
-    if (!s.ok()) return s;
-    if (view.skew || view.marks != lease->marks) return PositionMoved();
-    std::vector<std::vector<uint8_t>> window;
-    Status round_error;
-    s = PullAndFold(view, lease->zero.layout(), r_lo, r_hi, &window,
-                    &round_error);
-    if (!s.ok()) return s;
-    if (!round_error.ok()) {
-      last = round_error;
-      continue;
-    }
-    s = ReadPositions(&t1);
-    if (!s.ok()) return s;
-    if (!SamePosition(t0, alive0, t1, conn_alive_)) {
-      // A replica lost mid-pull with the position unmoved: the pull may
-      // have mixed replicas, so pull the window again, as Snapshot()
-      // retries its round.
-      s = BuildView(t1, &view);
-      if (!s.ok()) return s;
-      if (view.skew || view.marks != lease->marks) return PositionMoved();
-      last = Status::FailedPrecondition("a replica was lost mid-pull");
-      continue;
-    }
-    for (int r = r_lo; r < r_hi; ++r) {
-      lease->pulled[r] = std::move(window[r - r_lo]);
-      lease->have[r] = true;
-    }
+Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
+  if (conns_.empty()) {
+    return Status::FailedPrecondition("query session not connected");
+  }
+  last_refresh_rounds_ = 0;
+  PositionView view;
+  std::vector<std::vector<uint8_t>> fresh;
+  Status s = PullStable(0, std::max(kRoundsPerPull, first_rounds), nullptr,
+                        &view, &fresh);
+  if (!s.ok()) return s;
+  if (fresh.empty()) {  // The cache is the cluster's position.
+    *out = &merged_;
     return Status::Ok();
   }
-  return Status(StatusCode::kResourceExhausted,
-                "window pull did not stabilize within " +
-                    std::to_string(kMaxPositionRetries) +
-                    " rounds (last: " + last.ToString() + ")");
+  auto lease = std::make_shared<Lease>(view.params);
+  const int rounds = view.params.rounds;
+  const int r_hi = static_cast<int>(fresh.size());
+  lease->session = this;
+  lease->marks = view.marks;
+  lease->pulled = std::move(fresh);
+  lease->pulled.resize(rounds);
+  lease->have.assign(rounds, false);
+  std::fill(lease->have.begin(), lease->have.begin() + r_hi, true);
+  lease->reached = r_hi;
+  // Range folds carry no counts; the positions supply them.
+  merged_ = GraphSnapshot::Lazy(
+      lease->zero, view.total_updates,
+      [lease](int round, uint64_t, const GraphSnapshot::BlockRunner&,
+              std::vector<uint8_t>* buf) {
+        std::lock_guard<std::mutex> lock(lease->mu);
+        if (lease->session == nullptr) {
+          return Status::FailedPrecondition(
+              "reader snapshot outlived its session's position (a "
+              "later Snapshot(), Connect(), StartWatch() or the "
+              "session's end); take a new Snapshot()");
+        }
+        if (!lease->have[round]) {
+          // The window from `round`, up to the next round pulled.
+          const int rounds = static_cast<int>(lease->have.size());
+          int hi = std::min(rounds, round + kRoundsPerPull);
+          for (int r = round + 1; r < hi; ++r) {
+            if (lease->have[r]) hi = r;
+          }
+          Status s = lease->session->PullWindow(lease.get(), round, hi);
+          if (!s.ok()) return s;
+        }
+        *buf = std::move(lease->pulled[round]);
+        return Status::Ok();
+      });
+  lease_ = std::move(lease);
+  marks_ = std::move(view.marks);
+  *out = &merged_;
+  return Status::Ok();
+}
+
+Status QuerySession::PullWindow(Lease* lease, int r_lo, int r_hi) {
+  lease->reached = std::max(lease->reached, r_hi);
+  PositionView view;
+  std::vector<std::vector<uint8_t>> window;
+  const Status s = PullStable(r_lo, r_hi, &lease->marks, &view, &window);
+  if (!s.ok()) return s;
+  for (int r = r_lo; r < r_hi; ++r) {
+    lease->pulled[r] = std::move(window[r - r_lo]);
+    lease->have[r] = true;
+  }
+  return Status::Ok();
 }
 
 Status QuerySession::PollPositions(bool* fresh) {

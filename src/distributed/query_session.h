@@ -15,13 +15,13 @@
 //
 // Pull windows: the snapshot is round-lazy (GraphSnapshot::Lazy).
 // Boruvka reads one sketch round per step and usually stops after two,
-// so a cold rebuild pulls only the round window [0, rounds_per_pull)
-// of every shard's nodes [0, V) and XOR-folds it into one buffer per
-// round; a query that reads further pulls the next window of every
+// so a cold rebuild pulls only the round window [0, 2) of every
+// shard's nodes [0, V) and XOR-folds it into one buffer per round; a
+// query that reads further pulls the next two-round window of every
 // shard when it reaches it, and anything that needs whole sketches
-// (==, Serialize, Merge) pulls every remaining window. Two rounds is
-// the fewest any answer with an edge reads: the last round only proves
-// every cut empty.
+// (==, Serialize, Merge, a forest peel) pulls every remaining window.
+// Two rounds is the fewest any answer with an edge reads: the last
+// round only proves every cut empty.
 //
 // Consistency protocol (a seqlock over shard positions): one refresh
 // reads every shard's STATS_EX position (t0), pulls and folds the first
@@ -31,13 +31,13 @@
 // that shard's keyed position — no ABA. A moving position, a lost
 // replica or a reply that does not fold discards the candidate and
 // retries; a bounded number of failed rounds returns an error. Every
-// later window pull is bracketed the same way, and both of its sweeps
-// must equal the snapshot's marks: if the position moved, the load
-// fails (GraphSnapshot::load_status()) and is never folded, so every
-// round behind one answer comes from one position. Boruvka then reports
-// the query failed; Connectivity() and the standing-query watch take a
-// fresh Snapshot() and retry, with a first window covering every round
-// the failed attempt reached.
+// later window pull runs the same seqlock round, and its sweeps must
+// equal the snapshot's marks: if the position moved, the load fails
+// (GraphSnapshot::load_status()) and is never folded, so every round
+// behind one answer comes from one position. Boruvka then reports the
+// query failed; RunQuery() (behind Connectivity() and the
+// standing-query watch) takes a fresh Snapshot() and retries, with a
+// first window covering every round the failed attempt reached.
 //
 // A lazy snapshot's later windows are pulled through this session's
 // connections, on the thread that queries it, so query a snapshot only
@@ -133,10 +133,6 @@ struct QuerySessionOptions {
   // Nodes per refresh pull, so reply buffers stay small regardless of
   // graph size. 0 = one chunk per shard.
   uint64_t nodes_per_chunk = 1 << 14;
-  // Sketch rounds per pull window: a cold Snapshot() pulls rounds
-  // [0, rounds_per_pull), and a query pulls each later window when it
-  // reaches it. 0 = every round in the first pull.
-  int rounds_per_pull = 2;
   // Per-request receive deadline. A listener that stops answering
   // mid-request fails with DeadlineExceeded after this long instead of
   // blocking the reader forever. 0 = wait forever.
@@ -169,8 +165,7 @@ class QuerySession {
 
   // Dials and authenticates a reader session to every endpoint. All or
   // nothing: on any failure the session holds no connection, and
-  // Snapshot() fails until a Connect() succeeds. InvalidArgument for a
-  // negative rounds_per_pull.
+  // Snapshot() fails until a Connect() succeeds.
   Status Connect();
 
   // Returns the merged snapshot at the cluster's current position:
@@ -180,9 +175,16 @@ class QuerySession {
   // when the position kept moving for 16 refresh rounds.
   Status Snapshot(const GraphSnapshot** out);
 
-  // Snapshot() + the parallel Boruvka query. A query whose later window
-  // found the position moved restarts from a fresh Snapshot(), at most
-  // 16 times (then ResourceExhausted).
+  // Runs `query` over Snapshot(). While a load of the snapshot's later
+  // windows fails (the position moved under the query), reruns it over
+  // a fresh Snapshot() whose first window covers every round the failed
+  // attempt reached, at most 16 times (then ResourceExhausted); a query
+  // that needs whole sketches (a forest peel) is retried the same way.
+  // Whatever `query` computed from a failed attempt must be discarded
+  // by its next run. Errors from Snapshot() are returned as they are.
+  Status RunQuery(const std::function<void(const GraphSnapshot&)>& query);
+
+  // RunQuery() of the parallel Boruvka query.
   Result<ConnectivityResult> Connectivity(int threads = 1);
 
   // Staleness probe: one STATS_EX position sweep, no content pulls.
@@ -271,30 +273,36 @@ class QuerySession {
   bool Cached(const PositionView& view) const;
   // Pulls rounds [r_lo, r_hi) of every shard at `view` in waves,
   // XOR-folding each reply into (*rounds)[r - r_lo], one zeroed
-  // V x round_stride buffer per round (strides from `layout`). Returns an error no retry can
+  // V x round_stride buffer per round. Returns an error no retry can
   // fix; *round_error says the round must be retried instead (a shard
   // lost its last live replica, answered FailedPrecondition, or sent
   // bytes that do not fold). Either way, every request sent has had its
   // reply read.
-  Status PullAndFold(const PositionView& view, const SketchLayout& layout,
-                     int r_lo, int r_hi,
+  Status PullAndFold(const PositionView& view, int r_lo, int r_hi,
                      std::vector<std::vector<uint8_t>>* rounds,
                      Status* round_error);
+  // The seqlock round behind Snapshot() and every later window: a t0
+  // position sweep, PullAndFold() of rounds [r_lo, min(r_hi, R)), and a
+  // t1 sweep that must equal t0; *view is the position the rounds
+  // belong to. Replica skew, a moved position, a replica lost mid-pull
+  // or a reply that does not fold retries it, at most 16 times (then
+  // ResourceExhausted). With `required` (a later window), a sweep that
+  // finds other marks returns FailedPrecondition at once. Without (a
+  // refresh), a t0 position the cache already holds returns Ok with
+  // *rounds empty, and otherwise the cache is dropped before the pull.
+  Status PullStable(int r_lo, int r_hi, const ShardWatermarks* required,
+                    PositionView* view,
+                    std::vector<std::vector<uint8_t>>* rounds);
   // Snapshot() with a first window of at least `first_rounds` rounds.
   Status Refresh(int first_rounds, const GraphSnapshot** out);
-  // Runs `query` over Snapshot(); while a later window's load fails,
-  // retries over a fresh snapshot whose first window covers every round
-  // the failed attempt reached, at most 16 times.
-  Status RunQuery(const std::function<void(const GraphSnapshot&)>& query);
 
   // What the current lazy snapshot's loader shares with this session:
   // the marks every window must be pulled at and the pulled rounds not
   // yet handed to the snapshot. Revoked (session = null) when the
   // snapshot is replaced or the connections change hands.
   struct Lease;
-  // A later window, [r_lo, r_hi), bracketed by two position sweeps that
-  // must both equal the lease's marks; run by the loader under the
-  // lease's lock.
+  // A later window, [r_lo, r_hi), pulled by PullStable() at the lease's
+  // marks; run by the loader under the lease's lock.
   Status PullWindow(Lease* lease, int r_lo, int r_hi);
   // Drops the cached snapshot and revokes its lease, waiting out a load
   // in flight on another thread.

@@ -33,6 +33,10 @@ size_t SketchLayout::RoundBytes(uint64_t vector_len, int cols) {
          kBucketBytes;
 }
 
+size_t SketchLayout::RoundStride(uint64_t vector_len, int cols) {
+  return (RoundBytes(vector_len, cols) + 7) & ~size_t{7};
+}
+
 SketchLayout::SketchLayout(uint64_t vector_len, int cols,
                            const std::vector<uint64_t>& round_seeds)
     : vector_len_(vector_len),
@@ -41,7 +45,7 @@ SketchLayout::SketchLayout(uint64_t vector_len, int cols,
       rounds_(static_cast<int>(round_seeds.size())),
       column_buckets_(static_cast<size_t>(cols) * rows_),
       round_bytes_(RoundBytes(vector_len, cols)),
-      round_stride_((round_bytes_ + 7) & ~size_t{7}) {
+      round_stride_(RoundStride(vector_len, cols)) {
   GZ_CHECK(rounds_ >= 1);
   seeds_.reserve(round_seeds.size() * (2 * cols_ + 1));
   for (uint64_t seed : round_seeds) {

@@ -72,8 +72,10 @@ class SketchLayout {
   SketchLayout(uint64_t vector_len, int cols,
                const std::vector<uint64_t>& round_seeds);
 
-  // One round's record size from the geometry alone (no seeds hashed).
+  // One round's record size from the geometry alone (no seeds hashed),
+  // and its 8-byte-padded stride in a block.
   static size_t RoundBytes(uint64_t vector_len, int cols);
+  static size_t RoundStride(uint64_t vector_len, int cols);
 
   uint64_t vector_len() const { return vector_len_; }
   int cols() const { return cols_; }

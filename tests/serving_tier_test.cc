@@ -6,12 +6,12 @@
 // The load-bearing property: at a quiesced position a cached or rebuilt
 // snapshot must be BITWISE identical to the coordinator's full fold —
 // after ingest, a split, a live removal, replica failover, and
-// concurrent reader sessions, for any pull window size. A reader
-// snapshot is round-lazy: a cold Snapshot() pulls its first round
-// window, and a query (or ==, which reads every round) pulls the later
-// windows, each at the snapshot's position or not at all. While a removal migrates, a reader answer
-// may be torn across shards (see query_session.h); the chaos drill
-// below checks only that such answers stay well formed.
+// concurrent reader sessions. A reader snapshot is round-lazy: a cold
+// Snapshot() pulls its first round window, and a query (or ==, which
+// reads every round) pulls the later windows, each at the snapshot's
+// position or not at all. While a removal migrates, a reader answer may
+// be torn across shards (see query_session.h); the chaos drill below
+// checks only that such answers stay well formed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,6 +39,7 @@
 #include "distributed/shard_process.h"
 #include "distributed/shard_transport.h"
 #include "stream/erdos_renyi_generator.h"
+#include "workloads/k_connectivity.h"
 #include "util/check.h"
 
 namespace gz {
@@ -809,6 +810,9 @@ TEST_F(ServingTierTcpTest, ReplyThatDoesNotFoldVoidsTheRound) {
 
 // ---- Round-windowed reader pulls -----------------------------------------
 
+// The session's pull window, in sketch rounds.
+constexpr int kWindow = 2;
+
 // Boruvka's answer, field by field.
 void ExpectSameAnswer(const ConnectivityResult& got,
                       const ConnectivityResult& want) {
@@ -819,17 +823,19 @@ void ExpectSameAnswer(const ConnectivityResult& got,
   EXPECT_EQ(got.component_of, want.component_of);
 }
 
-// Pull windows of `window` rounds that cover rounds [0, rounds).
-uint64_t Windows(int rounds, int window) {
-  return static_cast<uint64_t>((rounds + window - 1) / window);
+// Pull windows that cover rounds [0, rounds); the first window is
+// pulled whatever a query reads.
+uint64_t Windows(int rounds) {
+  return static_cast<uint64_t>((std::max(rounds, kWindow) + kWindow - 1) /
+                               kWindow);
 }
 
-TEST_F(ServingTierTcpTest, LazyReaderSnapshotEqualsTheFoldForEveryWindow) {
-  // For a window of 1, 2 or every round: the cold Snapshot() pulls one
-  // window per shard, a query pulls exactly the windows Boruvka reaches
-  // (one pull per shard per window, even with two threads querying
-  // copies at once), its answer equals the eager fold's at 1 and 4
-  // threads, and the whole snapshot is the fold bitwise.
+TEST_F(ServingTierTcpTest, LazyReaderSnapshotEqualsTheFold) {
+  // The cold Snapshot() pulls one window per shard, a query pulls
+  // exactly the windows Boruvka reaches (one pull per shard per window,
+  // even with two threads querying copies at once), its answers equal
+  // the eager fold's at 1 and 4 threads, and the whole snapshot is the
+  // fold bitwise.
   StartFleet(2);
   ShardClusterOptions options;
   options.auth_secret = kSecret;
@@ -842,52 +848,57 @@ TEST_F(ServingTierTcpTest, LazyReaderSnapshotEqualsTheFoldForEveryWindow) {
   const GraphSnapshot full = FoldedSnapshot(&cluster);
   const ConnectivityResult want1 = Connectivity(full, 1);
   const ConnectivityResult want4 = Connectivity(full, 4);
+  // Boruvka from the second window on, as a forest peel's later phases
+  // run: it reads windows the first query never reached.
+  const ConnectivityResult late1 = BoruvkaConnectivity(full, kWindow, -1, 1);
+  const ConnectivityResult late4 = BoruvkaConnectivity(full, kWindow, -1, 4);
   ASSERT_FALSE(want1.failed);
+  ASSERT_FALSE(late1.failed);
   const int rounds = full.rounds();
-  ASSERT_LT(want1.rounds_used, rounds);
+  ASSERT_LT(kWindow + late1.rounds_used, rounds);
 
-  for (const int window : {1, 2, rounds}) {
-    SCOPED_TRACE("rounds_per_pull " + std::to_string(window));
-    QuerySessionOptions qo = ReaderOptions();
-    qo.rounds_per_pull = window;
-    QuerySession session(qo);
-    ASSERT_TRUE(session.Connect().ok());
-    const GraphSnapshot* served = nullptr;
-    const Status s = session.Snapshot(&served);
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    EXPECT_EQ(session.range_pulls(), 2 * kChunksPerShard);
-    EXPECT_EQ(session.rounds_pulled(), window);
+  QuerySession session(ReaderOptions());
+  ASSERT_TRUE(session.Connect().ok());
+  const GraphSnapshot* served = nullptr;
+  const Status s = session.Snapshot(&served);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(session.range_pulls(), 2 * kChunksPerShard);
+  EXPECT_EQ(session.rounds_pulled(), kWindow);
+  ExpectSameAnswer(Connectivity(*served, 1), want1);
+  ExpectSameAnswer(Connectivity(*served, 4), want4);
+  EXPECT_EQ(session.range_pulls(),
+            Windows(want1.rounds_used) * 2 * kChunksPerShard);
 
-    // Two threads query copies at once; the loader serializes them.
-    std::vector<ConnectivityResult> racing(2);
-    {
-      const GraphSnapshot a = *served, b = *served;
-      std::thread other([&] { racing[1] = Connectivity(b, 4); });
-      racing[0] = Connectivity(a, 4);
-      other.join();
-    }
-    const uint64_t windows = Windows(want1.rounds_used, window);
-    EXPECT_EQ(session.range_pulls(), windows * 2 * kChunksPerShard);
-    ExpectSameAnswer(racing[0], want4);
-    ExpectSameAnswer(racing[1], want4);
-    ExpectSameAnswer(Connectivity(*served, 1), want1);
-    ExpectSameAnswer(Connectivity(*served, 4), want4);
-    EXPECT_EQ(session.range_pulls(), windows * 2 * kChunksPerShard);
-    EXPECT_TRUE(served->load_status().ok());
-
-    EXPECT_TRUE(*served == full);
-    EXPECT_EQ(served->Serialize(), full.Serialize());
-    EXPECT_EQ(session.range_pulls(),
-              Windows(rounds, window) * 2 * kChunksPerShard);
-    EXPECT_EQ(session.rounds_pulled(), rounds);
+  // Two threads run the later query on copies at once; the loader
+  // serializes them.
+  std::vector<ConnectivityResult> racing(2);
+  {
+    const GraphSnapshot a = *served, b = *served;
+    std::thread other(
+        [&] { racing[1] = BoruvkaConnectivity(b, kWindow, -1, 4); });
+    racing[0] = BoruvkaConnectivity(a, kWindow, -1, 4);
+    other.join();
   }
+  const uint64_t windows =
+      Windows(std::max(want1.rounds_used, kWindow + late1.rounds_used));
+  EXPECT_EQ(session.range_pulls(), windows * 2 * kChunksPerShard);
+  ExpectSameAnswer(racing[0], late4);
+  ExpectSameAnswer(racing[1], late4);
+  ExpectSameAnswer(BoruvkaConnectivity(*served, kWindow, -1, 1), late1);
+  EXPECT_EQ(session.range_pulls(), windows * 2 * kChunksPerShard);
+  EXPECT_TRUE(served->load_status().ok());
+
+  EXPECT_TRUE(*served == full);
+  EXPECT_EQ(served->Serialize(), full.Serialize());
+  EXPECT_EQ(session.range_pulls(), Windows(rounds) * 2 * kChunksPerShard);
+  EXPECT_EQ(session.rounds_pulled(), rounds);
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
 TEST_F(ServingTierTcpTest, QueryBytesAreTheWindowsItRead) {
   // A query's pull bytes, summed over shards: each window is
-  // V x rounds_per_pull x round_bytes of records per shard plus one
-  // range header per chunk.
+  // V x kWindow x round_bytes of records per shard plus one range
+  // header per chunk.
   StartFleet(2);
   ShardClusterOptions options;
   options.auth_secret = kSecret;
@@ -905,9 +916,7 @@ TEST_F(ServingTierTcpTest, QueryBytesAreTheWindowsItRead) {
   ASSERT_FALSE(cc.value().failed);
   const GraphSnapshot* served = nullptr;
   ASSERT_TRUE(session.Snapshot(&served).ok());  // The cached snapshot.
-  constexpr int kWindow = 2;  // The default rounds_per_pull.
-  const uint64_t windows =
-      Windows(std::max(cc.value().rounds_used, kWindow), kWindow);
+  const uint64_t windows = Windows(cc.value().rounds_used);
   const uint64_t round_bytes = served->layout().round_bytes();
   const uint64_t per_window =
       kNumNodes * kWindow * round_bytes +
@@ -936,47 +945,49 @@ TEST_F(ServingTierTcpTest, LaterWindowFailsOverWhenItsReplicaDies) {
   ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
   ASSERT_TRUE(cluster.Flush().ok());
   const GraphSnapshot full = FoldedSnapshot(&cluster);
-  const ConnectivityResult want = Connectivity(full, 1);
+  const ConnectivityResult want = BoruvkaConnectivity(full, kWindow);
 
-  QuerySessionOptions qo = ReaderOptions();
-  qo.rounds_per_pull = 1;
-  QuerySession session(qo);
+  QuerySession session(ReaderOptions());
   ASSERT_TRUE(session.Connect().ok());
   const GraphSnapshot* served = nullptr;
   ASSERT_TRUE(session.Snapshot(&served).ok());
   EXPECT_EQ(session.range_pulls(), kChunksPerShard);
   listeners_[0]->Stop();  // Replica 0 served window 1.
 
-  ExpectSameAnswer(Connectivity(*served, 1), want);
+  ExpectSameAnswer(BoruvkaConnectivity(*served, kWindow), want);
   EXPECT_TRUE(served->load_status().ok())
       << served->load_status().ToString();
   EXPECT_EQ(session.range_pulls(),
-            static_cast<uint64_t>(want.rounds_used) * kChunksPerShard);
+            Windows(kWindow + want.rounds_used) * kChunksPerShard);
   EXPECT_TRUE(*served == full);
-  EXPECT_EQ(session.range_pulls(),
-            static_cast<uint64_t>(full.rounds()) * kChunksPerShard);
+  EXPECT_EQ(session.range_pulls(), Windows(full.rounds()) * kChunksPerShard);
   cluster.Shutdown();  // One child is already gone; best effort.
+}
+
+// A config whose sketches budget two forest-peeling phases.
+GraphZeppelinConfig TwoForestConfig(uint64_t seed) {
+  GraphZeppelinConfig c = BaseConfig(seed);
+  c.rounds = RoundsForForests(kNumNodes, 2);
+  return c;
 }
 
 TEST_F(ServingTierTcpTest, WriterMoveFailsTheHeldQueryNotTheNextOne) {
   // A writer Update + Flush between Snapshot() and a query that needs
-  // window 2: the window's position sweep sees the move, the load fails
-  // and Boruvka reports failed; QuerySession::Connectivity then serves
-  // the new position's answer.
+  // window 2: the window's position sweep sees the move, the load fails,
+  // Boruvka reports failed and a forest peel returns the load's status;
+  // QuerySession::Connectivity then serves the new position's answer.
   StartFleet(2);
   ShardClusterOptions options;
   options.auth_secret = kSecret;
   options.shard_endpoints = endpoints_;
-  ShardCluster cluster(BaseConfig(173), 2, options);
+  ShardCluster cluster(TwoForestConfig(173), 2, options);
   ASSERT_TRUE(cluster.Start().ok());
   const std::vector<GraphUpdate> updates = BuildStream(173);
   const size_t half = updates.size() / 2;
   ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
   ASSERT_TRUE(cluster.Flush().ok());
 
-  QuerySessionOptions qo = ReaderOptions();
-  qo.rounds_per_pull = 1;
-  QuerySession session(qo);
+  QuerySession session(ReaderOptions());
   ASSERT_TRUE(session.Connect().ok());
   const GraphSnapshot* served = nullptr;
   ASSERT_TRUE(session.Snapshot(&served).ok());
@@ -985,11 +996,14 @@ TEST_F(ServingTierTcpTest, WriterMoveFailsTheHeldQueryNotTheNextOne) {
   ASSERT_TRUE(cluster.Flush().ok());
 
   const uint64_t pulls = session.range_pulls();
-  const ConnectivityResult held = Connectivity(*served, 1);
+  const ConnectivityResult held = BoruvkaConnectivity(*served, kWindow);
   EXPECT_TRUE(held.failed);
-  EXPECT_EQ(held.rounds_used, 2);  // Round 1 did not load.
+  EXPECT_EQ(held.rounds_used, 1);  // Its first round did not load.
   EXPECT_EQ(served->load_status().code(), StatusCode::kFailedPrecondition)
       << served->load_status().ToString();
+  const Result<KConnectivityResult> peeled = KEdgeConnectivity(*served, 2);
+  EXPECT_EQ(peeled.status().code(), StatusCode::kFailedPrecondition)
+      << peeled.status().ToString();
   // The window's first position sweep saw the move: nothing pulled.
   EXPECT_EQ(session.range_pulls(), pulls);
 
@@ -1000,8 +1014,8 @@ TEST_F(ServingTierTcpTest, WriterMoveFailsTheHeldQueryNotTheNextOne) {
 }
 
 // A relay edit that runs `move` (the writer, under `mu`) on the first
-// request for a window starting at round 1, before forwarding it: the
-// position moves between a snapshot's first and second window.
+// request for the window starting at round kWindow, before forwarding
+// it: the position moves between a snapshot's first and second window.
 ReaderRelay::Edit MoveBeforeSecondWindow(std::mutex* mu,
                                          std::atomic<bool>* moved,
                                          std::function<void()> move) {
@@ -1012,7 +1026,7 @@ ReaderRelay::Edit MoveBeforeSecondWindow(std::mutex* mu,
         DecodeMigrateExtract(frame->payload.data(), frame->payload.size(),
                              &lo, &hi, &r_lo, &r_hi)
             .ok() &&
-        r_lo == 1 && !moved->load()) {
+        r_lo == kWindow && !moved->load()) {
       std::lock_guard<std::mutex> lock(*mu);
       move();
       moved->store(true);
@@ -1021,19 +1035,20 @@ ReaderRelay::Edit MoveBeforeSecondWindow(std::mutex* mu,
   };
 }
 
-TEST_F(ServingTierTcpTest, ConnectivityRetriesWhenItsNextWindowFindsAMove) {
-  // The position moves inside QuerySession::Connectivity, between the
-  // first window and the second (a relay runs the writer when it sees
-  // the request for round 1). The failed attempt is never an answer:
-  // the retry takes a fresh snapshot whose first window covers both
-  // rounds the failed attempt reached, and answers at the new position.
+TEST_F(ServingTierTcpTest, KConnectivityRetriesWhenItsPeelFindsAMove) {
+  // A k-connectivity query through RunQuery, as gz_query runs it: the
+  // position moves between the snapshot's first window and the second,
+  // which the peel needs (a relay runs the writer when it sees the
+  // request for round kWindow). The failed attempt is never an answer:
+  // the retry takes a fresh snapshot whose first window covers every
+  // round the failed attempt reached, and answers at the new position.
   StartFleet(1);
   ShardClusterOptions options;
   options.auth_secret = kSecret;
   options.shard_endpoints = endpoints_;
   std::mutex cluster_mu;  // The relay thread runs the writer too.
   std::unique_lock<std::mutex> hold(cluster_mu);
-  ShardCluster cluster(BaseConfig(179), 1, options);
+  ShardCluster cluster(TwoForestConfig(179), 1, options);
   ASSERT_TRUE(cluster.Start().ok());
   const std::vector<GraphUpdate> updates = BuildStream(179);
   const size_t half = updates.size() / 2;
@@ -1050,88 +1065,35 @@ TEST_F(ServingTierTcpTest, ConnectivityRetriesWhenItsNextWindowFindsAMove) {
                     }));
   QuerySessionOptions qo = ReaderOptions();
   qo.endpoints = {relay.endpoint()};
-  qo.rounds_per_pull = 1;
   QuerySession session(qo);
   ASSERT_TRUE(session.Connect().ok());
-  Result<ConnectivityResult> cc = session.Connectivity(1);
-  ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+  Result<KConnectivityResult> got = KConnectivityResult();
+  int attempts = 0;
+  const Status s = session.RunQuery([&](const GraphSnapshot& snap) {
+    ++attempts;
+    got = KEdgeConnectivity(snap, 2);
+  });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(moved.load());
+  EXPECT_EQ(attempts, 2);
   hold.lock();
   const GraphSnapshot full = FoldedSnapshot(&cluster);
-  ExpectSameAnswer(cc.value(), Connectivity(full, 1));
-  // Attempt 1: round 0, then round 1 (pulled, discarded). Attempt 2:
-  // rounds [0, 2) at once, then one window per further round.
-  const int used = cc.value().rounds_used;
+  const KConnectivityResult want = KEdgeConnectivity(full, 2).value();
+  ASSERT_FALSE(want.sketch_failed);
+  EXPECT_EQ(got.value().certified_connectivity, want.certified_connectivity);
+  EXPECT_EQ(got.value().certificate, want.certificate);
+  // Attempt 1: [0, 2), then [2, 4) (pulled, discarded). Attempt 2:
+  // [0, 4) at once, then the peel pulls every later window.
+  const int rounds = full.rounds();
+  ASSERT_EQ(rounds % kWindow, 0);
   EXPECT_EQ(session.range_pulls(),
-            (3 + static_cast<uint64_t>(std::max(0, used - 2))) *
+            static_cast<uint64_t>(3 + (rounds - 2 * kWindow) / kWindow) *
                 kChunksPerShard);
-  EXPECT_EQ(session.rounds_pulled(), std::max(2, used));
+  EXPECT_EQ(session.rounds_pulled(), rounds);
   const GraphSnapshot* served = nullptr;
   ASSERT_TRUE(session.Snapshot(&served).ok());
   EXPECT_TRUE(*served == full);
-  ASSERT_TRUE(cluster.Shutdown().ok());
-}
-
-TEST_F(ServingTierTcpTest, WatchNeverNotifiesFromAMovedSecondWindow) {
-  // The watch's evaluation meets the same move: its second window finds
-  // the position moved, so that evaluation fires nothing, and the retry
-  // notifies the new position's answer first.
-  StartFleet(1);
-  ShardClusterOptions options;
-  options.auth_secret = kSecret;
-  options.shard_endpoints = endpoints_;
-  std::mutex cluster_mu;
-  std::unique_lock<std::mutex> hold(cluster_mu);
-  ShardCluster cluster(BaseConfig(191), 1, options);
-  ASSERT_TRUE(cluster.Start().ok());
-  const std::vector<GraphUpdate> updates = BuildStream(191);
-  const size_t half = updates.size() / 2;
-  ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
-  ASSERT_TRUE(cluster.Flush().ok());
-  hold.unlock();
-
-  std::atomic<bool> moved{false};
-  ReaderRelay relay(endpoints_[0],
-                    MoveBeforeSecondWindow(&cluster_mu, &moved, [&] {
-                      GZ_CHECK_OK(cluster.Update(updates.data() + half,
-                                                 updates.size() - half));
-                      GZ_CHECK_OK(cluster.Flush());
-                    }));
-  QuerySessionOptions qo = ReaderOptions();
-  qo.endpoints = {relay.endpoint()};
-  qo.rounds_per_pull = 1;
-  QuerySession session(qo);
-  ASSERT_TRUE(session.Connect().ok());
-  const StandingQuerySpec spec{StandingQueryKind::kSpanningForest, 0, 0};
-  session.AddStandingQuery(spec);
-  std::mutex notes_mu;
-  std::vector<StandingQueryNotification> notes;
-  StandingWatchOptions wo;
-  wo.subscribe = false;
-  wo.poll_interval_ms = 20;
-  ASSERT_TRUE(session
-                  .StartWatch(wo,
-                              [&](const StandingQueryNotification& n,
-                                  const GraphSnapshot&) {
-                                std::lock_guard<std::mutex> lock(notes_mu);
-                                notes.push_back(n);
-                              })
-                  .ok());
-  for (int i = 0; i < 500; ++i) {
-    {
-      std::lock_guard<std::mutex> lock(notes_mu);
-      if (!notes.empty()) break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  session.StopWatch();
-  EXPECT_TRUE(moved.load());
-  ASSERT_FALSE(notes.empty()) << session.watch_error().ToString();
-  EXPECT_EQ(notes[0].num_updates, updates.size());
-  hold.lock();
-  const StandingQueryAnswer want =
-      DeriveStandingAnswer(spec, Connectivity(FoldedSnapshot(&cluster), 1));
-  EXPECT_TRUE(notes[0].answer == want);
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
@@ -1151,10 +1113,9 @@ TEST_F(ServingTierTcpTest, HeldSnapshotFailsCleanlyOnceTheSessionMovesOn) {
   ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
   ASSERT_TRUE(cluster.Flush().ok());
 
-  QuerySessionOptions qo = ReaderOptions();
-  qo.rounds_per_pull = 1;
+  const QuerySessionOptions qo = ReaderOptions();
   const auto expect_revoked = [](const GraphSnapshot& held) {
-    const ConnectivityResult r = Connectivity(held, 1);
+    const ConnectivityResult r = BoruvkaConnectivity(held, kWindow);
     EXPECT_TRUE(r.failed);
     EXPECT_EQ(held.load_status().code(), StatusCode::kFailedPrecondition);
     EXPECT_NE(held.load_status().message().find("outlived"),
@@ -1206,12 +1167,10 @@ TEST_F(ServingTierTcpTest, HeldSnapshotFailsCleanlyOnceTheSessionMovesOn) {
   }
   expect_revoked(orphan);
 
-  // The session itself serves on, and refuses a negative window.
+  // The session itself serves on.
   Result<ConnectivityResult> cc = session.Connectivity(1);
   ASSERT_TRUE(cc.ok()) << cc.status().ToString();
   EXPECT_FALSE(cc.value().failed);
-  qo.rounds_per_pull = -1;
-  EXPECT_EQ(QuerySession(qo).Connect().code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 

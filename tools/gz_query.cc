@@ -249,17 +249,19 @@ int main(int argc, char** argv) {
   const int kconn = static_cast<int>(flags.GetInt("k-connectivity", 0));
   if (kconn > 0) {
     WallTimer query_timer;
-    // Forest peeling edits whole sketches: pull every round first, so a
-    // cluster that moved since the snapshot is an error, not an answer.
-    s = snap->LoadAllRounds();
+    // Through the session: the peel pulls every round, and a cluster
+    // that moved since the snapshot reruns the query at its new
+    // position.
+    Result<KConnectivityResult> certified = KConnectivityResult();
+    s = session->RunQuery([&](const GraphSnapshot& current) {
+      certified = KEdgeConnectivity(current, kconn);
+    });
+    const double query_seconds = query_timer.Seconds();
     if (!s.ok()) {
       std::fprintf(stderr, "gz_query: k-connectivity: %s\n",
                    s.ToString().c_str());
       return 1;
     }
-    const Result<KConnectivityResult> certified =
-        KEdgeConnectivity(*snap, kconn);
-    const double query_seconds = query_timer.Seconds();
     if (!certified.ok()) {
       std::fprintf(stderr, "gz_query: k-connectivity: %s\n",
                    certified.status().ToString().c_str());
@@ -313,17 +315,22 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(snap->params().num_nodes));
       return 1;
     }
+    // Each side through its own session, which reruns a query whose
+    // later window found its cluster moved.
     WallTimer query_timer;
-    const BipartitenessResult verdict =
-        BipartitenessFromSnapshots(*snap, *doubled, threads);
+    const Result<ConnectivityResult> primal_cc = session->Connectivity(threads);
+    const Result<ConnectivityResult> doubled_cc =
+        doubled_session->Connectivity(threads);
     const double query_seconds = query_timer.Seconds();
-    for (const GraphSnapshot* side : {snap, doubled}) {
-      if (!side->load_status().ok()) {
+    for (const Result<ConnectivityResult>* side : {&primal_cc, &doubled_cc}) {
+      if (!side->ok()) {
         std::fprintf(stderr, "gz_query: %s\n",
-                     side->load_status().ToString().c_str());
+                     side->status().ToString().c_str());
         return 1;
       }
     }
+    const BipartitenessResult verdict =
+        BipartitenessFromComponents(primal_cc.value(), doubled_cc.value());
     if (verdict.failed) {
       std::fprintf(stderr, "gz_query: sketch query failed\n");
       return 1;
