@@ -229,7 +229,7 @@ int main() {
       cached_s = cached_timer.Seconds() / reps;
 
       // Every cached repeat answered from the cache: no chunk pulled.
-      // (Read before the compare, which pulls the later round windows.)
+      // (Read before the compare, which pulls the later rounds.)
       GZ_CHECK(pin.range_pulls() == cold_pulls);
       GZ_CHECK(*served == full.value());
       // The serving tier's reason to exist; regressing this means a

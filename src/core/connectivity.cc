@@ -120,10 +120,12 @@ class QueryThreadPool {
 // Per-block output of the sampling phase: the block's candidate cut
 // edges are the first `count` of its slot in the round's candidate
 // buffer (kSampleBlockNodes * cols entries, at most one per column per
-// representative).
+// representative). `undecided`: a representative's summary did not
+// decide it, so the block is sampled again from the whole round.
 struct SampleBlock {
   size_t count = 0;
   bool any_fail = false;
+  bool undecided = false;
 };
 
 // One build task: members [begin, end) of the round's member list,
@@ -202,7 +204,9 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
   // until folded. The buffers live across rounds so later rounds reuse
   // them; the ones filled by push_back are reserved to their bound up
   // front, so a query allocates per round, not per component or node.
+  // `summary_partials` holds the same chunks' summary sums.
   const SketchLayout& layout = snapshot.layout();
+  constexpr size_t kSummaryBytes = GraphSnapshot::kSummaryBytes;
   const size_t round_bytes = layout.round_bytes();
   const size_t stride = layout.round_stride();
   const int cols = layout.cols();
@@ -214,6 +218,7 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
   std::vector<SpreadComponent> spread;
   spread.reserve(num_nodes / (kBuildChunkMembers + 1) + 1);
   std::vector<uint8_t> partials;  // operator new aligns it to 16.
+  std::vector<uint8_t> summary_partials;
   std::vector<ColumnSamples> samples;
   samples.reserve(num_nodes / 2);
   std::vector<uint64_t> picks;
@@ -231,11 +236,13 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
 
   for (int round = first_round; round < last_round && !complete; ++round) {
     result.rounds_used = round - first_round + 1;
-    // A lazy snapshot reads this round from its store now, spread over
-    // the pool in the sampling phase's node blocks. A round that fails
-    // to load ends the query as failed: no answer mixes in other bytes.
-    GraphSnapshot::RoundView sketches;
-    if (!snapshot.Round(round, kSampleBlockNodes, load_blocks, &sketches)
+    // The round's summaries first: a lazy snapshot loads them now,
+    // spread over the pool in the sampling phase's node blocks, and the
+    // whole round only if they leave some component undecided. A round
+    // that fails to load ends the query as failed: no answer mixes in
+    // other bytes.
+    GraphSnapshot::RoundView summaries;
+    if (!snapshot.Summary(round, kSampleBlockNodes, load_blocks, &summaries)
              .ok()) {
       break;
     }
@@ -244,13 +251,17 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
     }
     const uint64_t live_roots = dsu.num_sets();
 
-    // Phase 1: build each multi-member component's round-`round` sketch,
-    // the XOR of its members' subsketches, in parallel over chunks of
-    // members, and sample its cut, one sample per column (see
+    // Phase 1: sample each multi-member component's round-`round`
+    // sketch, the XOR of its members' subsketches, in parallel over
+    // chunks of members, one sample per column (see
     // SketchLayout::SampleColumns); a component spanning several chunks
     // is sampled once its chunk sums are folded. The layout depends only
     // on the DSU, and XOR is order-free, so every sample is identical
-    // for any thread count.
+    // for any thread count. The summary pass (1a) XORs only the
+    // members' deterministic buckets: a zero or verified-singleton sum
+    // is the component's sample, exactly what SampleColumns returns on
+    // the whole sum (SketchLayout::SampleDeterministic), and only the
+    // components it leaves undecided (kFail) build the whole sum (1b).
     chunks.clear();
     spread.clear();
     samples.clear();
@@ -285,34 +296,31 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
         members[cursor[root_of[i]]++] = static_cast<NodeId>(i);
       }
     }
-    partials.resize(num_partials * stride);
+    summary_partials.resize(num_partials * kSummaryBytes);
     picks.resize(samples.size() * cols);
-    auto slot = [&](size_t p) { return partials.data() + p * stride; };
-    auto sample = [&](size_t comp, const uint8_t* sum) {
-      samples[comp] =
-          layout.SampleColumns(round, sum, picks.data() + comp * cols, cols);
-    };
-    run(num_members >= kMinParallelBuildMembers, chunks.size(),
-        [&](size_t c) {
-          const BuildChunk& ch = chunks[c];
-          // A whole component's sum is sampled at once: one scratch
-          // slot per thread.
-          thread_local std::vector<uint8_t> whole;
-          if (whole.size() < stride) whole.resize(stride);
-          uint8_t* sum = ch.partial < 0 ? whole.data() : slot(ch.partial);
-          std::memcpy(sum, sketches.node(members[ch.begin]), round_bytes);
-          for (size_t k = ch.begin + 1; k < ch.end; ++k) {
-            XorBytes(sum, sketches.node(members[k]), round_bytes);
-          }
-          if (ch.partial < 0) sample(ch.comp, sum);
-        });
-    run(spread.size() > 1, spread.size(), [&](size_t g) {
-      uint8_t* sum = slot(spread[g].first_partial);
-      for (size_t p = spread[g].first_partial + 1;
-           p < spread[g].end_partial; ++p) {
-        XorBytes(sum, slot(p), round_bytes);
+    const bool parallel_build = num_members >= kMinParallelBuildMembers;
+    run(parallel_build, chunks.size(), [&](size_t c) {
+      const BuildChunk& ch = chunks[c];
+      uint8_t det[kSummaryBytes] = {};
+      for (size_t k = ch.begin; k < ch.end; ++k) {
+        XorDetBucket(det, summaries.node(members[k]));
       }
-      sample(spread[g].comp, sum);
+      if (ch.partial < 0) {
+        samples[ch.comp] = layout.SampleDeterministic(
+            round, det, picks.data() + ch.comp * cols);
+      } else {
+        std::memcpy(&summary_partials[ch.partial * kSummaryBytes], det,
+                    kSummaryBytes);
+      }
+    });
+    run(spread.size() > 1, spread.size(), [&](size_t g) {
+      uint8_t det[kSummaryBytes] = {};
+      for (size_t p = spread[g].first_partial; p < spread[g].end_partial;
+           ++p) {
+        XorDetBucket(det, &summary_partials[p * kSummaryBytes]);
+      }
+      samples[spread[g].comp] = layout.SampleDeterministic(
+          round, det, picks.data() + spread[g].comp * cols);
     });
 
     // Phase 2: gather every live component's candidate cut edges, in
@@ -320,26 +328,38 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
     // here, multi-member components read their phase-1 samples. Per-block
     // result slots keep the gathered candidate order equal to the
     // sequential order (ascending representative, then column)
-    // regardless of which thread ran which block.
-    run(live_roots >= kMinParallelSampleRoots, num_blocks, [&](size_t b) {
+    // regardless of which thread ran which block. With `whole` null a
+    // block samples from the summaries and stops at its first
+    // undecided representative; it is then sampled again, after 1b,
+    // from the whole round.
+    const auto sample_block = [&](size_t b,
+                                  const GraphSnapshot::RoundView* whole) {
       SampleBlock& out = blocks[b];
       Edge* found = candidates.data() + b * kSampleBlockNodes * cols;
       uint64_t* own = block_picks.data() + b * cols;
       out.count = 0;
       out.any_fail = false;
+      out.undecided = false;
       const uint64_t begin = b * kSampleBlockNodes;
       const uint64_t end = std::min(begin + kSampleBlockNodes, num_nodes);
       for (uint64_t i = begin; i < end; ++i) {
         if (root_of[i] != i) continue;  // Only component representatives.
+        const NodeId node = static_cast<NodeId>(i);
         const uint64_t* got;
         ColumnSamples s;
-        if (slot_of[i] < 0) {
-          got = own;
-          s = layout.SampleColumns(
-              round, sketches.node(static_cast<NodeId>(i)), own, cols);
-        } else {
+        if (slot_of[i] >= 0) {
           got = picks.data() + slot_of[i] * cols;
           s = samples[slot_of[i]];
+        } else {
+          got = own;
+          s = whole != nullptr
+                  ? layout.SampleColumns(round, whole->node(node), own, cols)
+                  : layout.SampleDeterministic(round, summaries.node(node),
+                                               own);
+        }
+        if (whole == nullptr && s.kind == SampleKind::kFail) {
+          out.undecided = true;
+          return;
         }
         switch (s.kind) {
           case SampleKind::kGood:
@@ -354,7 +374,53 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
             break;
         }
       }
-    });
+    };
+    const bool parallel_sample = live_roots >= kMinParallelSampleRoots;
+    run(parallel_sample, num_blocks,
+        [&](size_t b) { sample_block(b, nullptr); });
+    const bool decided = std::none_of(
+        blocks.begin(), blocks.end(),
+        [](const SampleBlock& block) { return block.undecided; });
+    if (!decided) {
+      GraphSnapshot::RoundView sketches;
+      if (!snapshot.Round(round, kSampleBlockNodes, load_blocks, &sketches)
+               .ok()) {
+        break;
+      }
+      // Phase 1b: the whole sums of the undecided components.
+      partials.resize(num_partials * stride);
+      auto slot = [&](size_t p) { return partials.data() + p * stride; };
+      auto sample = [&](size_t comp, const uint8_t* sum) {
+        samples[comp] = layout.SampleColumns(
+            round, sum, picks.data() + comp * cols, cols);
+      };
+      run(parallel_build, chunks.size(), [&](size_t c) {
+        const BuildChunk& ch = chunks[c];
+        if (samples[ch.comp].kind != SampleKind::kFail) return;
+        // A whole component's sum is sampled at once: one scratch
+        // slot per thread.
+        thread_local std::vector<uint8_t> whole;
+        if (whole.size() < stride) whole.resize(stride);
+        uint8_t* sum = ch.partial < 0 ? whole.data() : slot(ch.partial);
+        std::memcpy(sum, sketches.node(members[ch.begin]), round_bytes);
+        for (size_t k = ch.begin + 1; k < ch.end; ++k) {
+          XorBytes(sum, sketches.node(members[k]), round_bytes);
+        }
+        if (ch.partial < 0) sample(ch.comp, sum);
+      });
+      run(spread.size() > 1, spread.size(), [&](size_t g) {
+        if (samples[spread[g].comp].kind != SampleKind::kFail) return;
+        uint8_t* sum = slot(spread[g].first_partial);
+        for (size_t p = spread[g].first_partial + 1;
+             p < spread[g].end_partial; ++p) {
+          XorBytes(sum, slot(p), round_bytes);
+        }
+        sample(spread[g].comp, sum);
+      });
+      run(parallel_sample, num_blocks, [&](size_t b) {
+        if (blocks[b].undecided) sample_block(b, &sketches);
+      });
+    }
 
     // Phase 3 (sequential): drive the DSU over the candidates in
     // ascending-representative, then column order, recording forest

@@ -13,17 +13,31 @@
 // members' round-r subsketches (linearity makes the sum a sketch of the
 // component's cut vector), so round r builds exactly those sums, for
 // multi-member components only, and samples a singleton's own
-// subsketch in place: the snapshot is only ever read, one round at a
-// time (GraphSnapshot::Round), so a round-lazy capture of an on-disk
-// store reads from the file only the rounds a query reaches. Rounds use
-// independent subsketches because query answers feed back into later
-// merges (adaptivity).
+// subsketch in place. The snapshot is only ever read, one round at a
+// time.
 //
-// The engine parallelizes each round's two heavy phases across a small
-// thread pool — the XOR build of the component sketches, over chunks of
-// members, and per-component cut sampling — while keeping the round
-// barrier and a deterministic merge order. XOR is order-free, so the
-// result is bitwise identical for any thread count.
+// Summary first: each round starts from its summary, every node's
+// 12-byte deterministic bucket (GraphSnapshot::Summary). The XOR of a
+// component's members' buckets is the deterministic bucket of its sum
+// (Ahn, Guha and McGregor's linear-sketch argument), and when that
+// bucket is zero or a verified singleton it alone is the component's
+// sample, exactly what SampleColumns returns on the whole sum
+// (SketchLayout::SampleDeterministic). Only the components it leaves
+// undecided build the whole round sum, and a round in which every live
+// component is decided never reads the whole round
+// (GraphSnapshot::Round). A query's last round, whose cuts are all
+// empty, is such a round. So a reader snapshot pulls a whole round only
+// where a summary did not decide, and a round-lazy capture of an
+// on-disk store reads from the file only the rounds a query reaches.
+// Rounds use independent subsketches because query answers feed back
+// into later merges (adaptivity).
+//
+// The engine parallelizes each round's heavy phases across a small
+// thread pool — the summary XORs and the whole-sum XOR build of the
+// component sketches, both over chunks of members, and per-component
+// cut sampling — while keeping the round barrier and a deterministic
+// merge order. XOR is order-free, so the result is bitwise identical
+// for any thread count.
 #ifndef GZ_CORE_CONNECTIVITY_H_
 #define GZ_CORE_CONNECTIVITY_H_
 

@@ -12,15 +12,17 @@ namespace gz {
 namespace {
 
 // Shared by checkpoint files and network frames; bump the trailing
-// version digits on layout changes. GZSNAP02 had no round window.
-constexpr char kMagic[8] = {'G', 'Z', 'S', 'N', 'A', 'P', '0', '3'};
+// version digits on layout changes. GZSNAP02 had no round window,
+// GZSNAP03 no part.
+constexpr char kMagic[8] = {'G', 'Z', 'S', 'N', 'A', 'P', '0', '4'};
 constexpr size_t kVersionDigits = 2;
 static_assert(GraphSnapshot::kHeaderBytes ==
                   sizeof(kMagic) +
                       2 * sizeof(uint64_t) +  // num_nodes, seed
                       2 * sizeof(int32_t) +   // cols, rounds
                       3 * sizeof(uint64_t) +  // lo, hi, num_updates
-                      2 * sizeof(int32_t),    // r_lo, r_hi
+                      2 * sizeof(int32_t) +   // r_lo, r_hi
+                      sizeof(uint32_t),       // part
               "header layout");
 
 struct Header {
@@ -30,13 +32,18 @@ struct Header {
   uint64_t num_updates = 0;
   int32_t r_lo = 0;
   int32_t r_hi = 0;
+  RoundPart part = RoundPart::kWhole;
 };
 
-// One record of the window [r_lo, r_hi).
-size_t RecordBytes(const NodeSketchParams& params, int r_lo, int r_hi) {
-  return SketchLayout::RoundBytes(NumPossibleEdges(params.num_nodes),
-                                  params.cols) *
-         static_cast<size_t>(r_hi - r_lo);
+// One record of `part` of the window [r_lo, r_hi).
+size_t RecordBytes(const NodeSketchParams& params, int r_lo, int r_hi,
+                   RoundPart part) {
+  const size_t unit =
+      part == RoundPart::kWhole
+          ? SketchLayout::RoundBytes(NumPossibleEdges(params.num_nodes),
+                                     params.cols)
+          : GraphSnapshot::kSummaryBytes;
+  return unit * static_cast<size_t>(r_hi - r_lo);
 }
 
 void WriteHeader(const Header& h, uint8_t* out) {
@@ -54,13 +61,16 @@ void WriteHeader(const Header& h, uint8_t* out) {
   std::memcpy(out + 48, &h.num_updates, 8);
   std::memcpy(out + 56, &h.r_lo, 4);
   std::memcpy(out + 60, &h.r_hi, 4);
+  const uint32_t part = static_cast<uint32_t>(h.part);
+  std::memcpy(out + 64, &part, 4);
 }
 
 // Parses and sanity-checks the fixed-size header. num_nodes is capped
 // at the NodeId (uint32) range, the geometry caps keep one record's
 // size sane, [lo, hi) must lie inside the node bound and [r_lo, r_hi)
-// inside the round budget; with the overflow guard below they make a
-// garbage header an error, never a huge allocation.
+// inside the round budget, and the part must be one this build knows;
+// with the overflow guard below they make a garbage header an error,
+// never a huge allocation.
 Status ParseHeader(const uint8_t* in, Header* h) {
   const size_t family = sizeof(kMagic) - kVersionDigits;
   if (std::memcmp(in, kMagic, family) == 0 &&
@@ -85,17 +95,25 @@ Status ParseHeader(const uint8_t* in, Header* h) {
   std::memcpy(&h->num_updates, in + 48, 8);
   std::memcpy(&h->r_lo, in + 56, 4);
   std::memcpy(&h->r_hi, in + 60, 4);
+  uint32_t part = 0;
+  std::memcpy(&part, in + 64, 4);
   if (num_nodes < 2 || num_nodes > (1ULL << 32) || cols < 1 ||
       cols > 1024 || rounds < 1 || rounds > 4096 ||
       !(h->lo < h->hi && h->hi <= num_nodes) ||
       !(0 <= h->r_lo && h->r_lo < h->r_hi && h->r_hi <= rounds)) {
     return Status::InvalidArgument("malformed GraphSnapshot header");
   }
+  if (part != static_cast<uint32_t>(RoundPart::kWhole) &&
+      part != static_cast<uint32_t>(RoundPart::kSummary)) {
+    return Status::InvalidArgument("GraphSnapshot header names unknown part " +
+                                   std::to_string(part));
+  }
   h->params.num_nodes = num_nodes;
   h->params.seed = seed;
   h->params.cols = cols;
   h->params.rounds = rounds;
-  const size_t record = RecordBytes(h->params, h->r_lo, h->r_hi);
+  h->part = static_cast<RoundPart>(part);
+  const size_t record = RecordBytes(h->params, h->r_lo, h->r_hi, h->part);
   if (h->hi - h->lo > (SIZE_MAX - GraphSnapshot::kHeaderBytes) / record) {
     return Status::InvalidArgument("malformed GraphSnapshot header");
   }
@@ -110,7 +128,7 @@ Status ParseBuffer(const uint8_t* data, size_t size, Header* h) {
   Status s = ParseHeader(data, h);
   if (!s.ok()) return s;
   if (size != GraphSnapshot::SerializedSizeFor(h->params, h->lo, h->hi,
-                                               h->r_lo, h->r_hi)) {
+                                               h->r_lo, h->r_hi, h->part)) {
     return Status::InvalidArgument(
         "GraphSnapshot buffer size does not match its header");
   }
@@ -118,11 +136,11 @@ Status ParseBuffer(const uint8_t* data, size_t size, Header* h) {
 }
 
 // Whole-snapshot consumers (Deserialize and the file loaders) adopt the
-// header's update count, which only means something for all of
-// [0, V) x [0, R).
+// header's update count, which only means something for whole rounds of
+// all of [0, V) x [0, R).
 Status RequireWhole(const Header& h) {
   if (h.lo != 0 || h.hi != h.params.num_nodes || h.r_lo != 0 ||
-      h.r_hi != h.params.rounds) {
+      h.r_hi != h.params.rounds || h.part != RoundPart::kWhole) {
     return Status::InvalidArgument(
         "serialized node range is not a whole GraphSnapshot");
   }
@@ -192,51 +210,69 @@ Status ReadRecords(
 
 }  // namespace
 
-// The shared state of a round-lazy snapshot: one buffer per round, each
-// filled by one loader call behind the round's once flag. std::call_once
-// makes a concurrent caller wait for the fill and publishes the buffer
-// (or the round's failure) to every caller that returns from it.
+// The shared state of a round-lazy snapshot: per round, its whole
+// buffer and its summary buffer, each filled by at most one loader call
+// under the round's lock, which makes a concurrent caller wait for the
+// fill and publishes the buffer (or the round's failure) to every
+// caller that takes the lock after it. A filled buffer never changes
+// again, so views into it stay valid without the lock.
 class GraphSnapshot::LazyRounds {
  public:
   LazyRounds(const NodeSketch& zero, RoundLoader load)
-      : zero_(zero),
-        load_(std::move(load)),
-        loaded_(std::make_unique<std::once_flag[]>(zero.rounds())),
-        rounds_(zero.rounds()),
-        round_status_(zero.rounds()) {}
+      : zero_(zero), load_(std::move(load)), rounds_(zero.rounds()) {}
 
   const NodeSketch& zero() const { return zero_; }
 
-  // Round `round`'s buffer, node i's slice at i * round_stride, or
-  // null with *status set when the round failed to load.
-  const uint8_t* Round(int round, uint64_t block_nodes, const BlockRunner& run,
-                       Status* status) {
-    std::call_once(loaded_[round], [&] {
+  // `part` of round `round` into *view (node i's slice, or its
+  // deterministic bucket), loading it first if no call has; a summary
+  // is read from the whole round once that is loaded. Returns the
+  // round's failure when a load of it failed.
+  Status Get(int round, RoundPart part, uint64_t block_nodes,
+             const BlockRunner& run, RoundView* view) {
+    PerRound& r = rounds_[round];
+    const SketchLayout& layout = zero_.layout();
+    const size_t whole_bytes = zero_.params().num_nodes * layout.round_stride();
+    std::lock_guard<std::mutex> lock(r.mu);
+    if (r.status.ok() && r.whole.empty() &&
+        (part == RoundPart::kWhole || r.summary.empty())) {
       const BlockRunner in_order =
           [](size_t n, const std::function<void(size_t)>& body) {
             for (size_t b = 0; b < n; ++b) body(b);
           };
-      std::vector<uint8_t>& buf = rounds_[round];
-      const Status s = load_(round, block_nodes, run ? run : in_order, &buf);
-      GZ_CHECK_MSG(!s.ok() || buf.size() == zero_.params().num_nodes *
-                                               zero_.layout().round_stride(),
-                   "round loader filled a wrong-sized buffer");
-      if (!s.ok()) {
-        buf = std::vector<uint8_t>();
-        round_status_[round] = s;
-        std::lock_guard<std::mutex> lock(mu_);
-        if (failed_.ok()) failed_ = s;
+      std::vector<uint8_t> buf;
+      r.status = load_(round, part, block_nodes, run ? run : in_order, &buf);
+      if (!r.status.ok()) {
+        std::lock_guard<std::mutex> failed_lock(mu_);
+        if (failed_.ok()) failed_ = r.status;
+      } else if (buf.size() == whole_bytes) {
+        r.whole = std::move(buf);
+      } else {
+        GZ_CHECK_MSG(part == RoundPart::kSummary &&
+                         buf.size() ==
+                             zero_.params().num_nodes * kSummaryBytes,
+                     "round loader filled a wrong-sized buffer");
+        r.summary = std::move(buf);
       }
-    });
-    *status = round_status_[round];
-    return status->ok() ? rounds_[round].data() : nullptr;
+    }
+    if (!r.status.ok()) return r.status;
+    view->round_ = round;
+    if (!r.whole.empty()) {
+      view->flat_ = r.whole.data();
+      view->stride_ = layout.round_stride();
+      if (part == RoundPart::kSummary) view->flat_ += layout.det_offset();
+    } else {
+      view->flat_ = r.summary.data();
+      view->stride_ = kSummaryBytes;
+    }
+    return Status::Ok();
   }
 
   Status LoadAll() {
     Status first = Status::Ok();
     for (int r = 0; r < zero_.rounds(); ++r) {
-      Status s;
-      Round(r, zero_.params().num_nodes, nullptr, &s);
+      RoundView view;
+      const Status s = Get(r, RoundPart::kWhole, zero_.params().num_nodes,
+                           nullptr, &view);
       if (first.ok()) first = s;
     }
     return first;
@@ -248,11 +284,16 @@ class GraphSnapshot::LazyRounds {
   }
 
  private:
+  struct PerRound {
+    std::mutex mu;
+    std::vector<uint8_t> whole;    // V x round_stride once loaded.
+    std::vector<uint8_t> summary;  // V x kSummaryBytes once loaded.
+    Status status;                 // The round's failed load, if any.
+  };
+
   const NodeSketch zero_;  // Params and the shared layout.
   const RoundLoader load_;
-  std::unique_ptr<std::once_flag[]> loaded_;
-  std::vector<std::vector<uint8_t>> rounds_;
-  std::vector<Status> round_status_;  // Written once, under the flag.
+  std::vector<PerRound> rounds_;
   std::mutex mu_;
   Status failed_;  // The first failed load, for load_status().
 };
@@ -305,18 +346,27 @@ Status GraphSnapshot::Round(int round, uint64_t block_nodes,
                             const BlockRunner& run, RoundView* view) const {
   GZ_CHECK_MSG(round >= 0 && round < rounds(), "round out of range");
   GZ_CHECK(block_nodes > 0);
-  if (lazy_ == nullptr) {
-    view->flat_ = nullptr;
-    view->nodes_ = sketches_.data();
-    view->round_ = round;
-    return Status::Ok();
+  if (lazy_ != nullptr) {
+    return lazy_->Get(round, RoundPart::kWhole, block_nodes, run, view);
   }
-  Status s;
-  const uint8_t* flat = lazy_->Round(round, block_nodes, run, &s);
-  if (!s.ok()) return s;
-  view->flat_ = flat;
-  view->stride_ = layout().round_stride();
+  view->flat_ = nullptr;
+  view->nodes_ = sketches_.data();
   view->round_ = round;
+  view->offset_ = 0;
+  return Status::Ok();
+}
+
+Status GraphSnapshot::Summary(int round, uint64_t block_nodes,
+                              const BlockRunner& run, RoundView* view) const {
+  GZ_CHECK_MSG(round >= 0 && round < rounds(), "round out of range");
+  GZ_CHECK(block_nodes > 0);
+  if (lazy_ != nullptr) {
+    return lazy_->Get(round, RoundPart::kSummary, block_nodes, run, view);
+  }
+  view->flat_ = nullptr;
+  view->nodes_ = sketches_.data();
+  view->round_ = round;
+  view->offset_ = layout().det_offset();
   return Status::Ok();
 }
 
@@ -420,11 +470,11 @@ size_t GraphSnapshot::SerializedSizeFor(const NodeSketchParams& params,
 
 size_t GraphSnapshot::SerializedSizeFor(const NodeSketchParams& params,
                                         uint64_t lo, uint64_t hi, int r_lo,
-                                        int r_hi) {
+                                        int r_hi, RoundPart part) {
   GZ_CHECK_MSG(lo < hi && hi <= params.num_nodes, "bad node range");
   GZ_CHECK_MSG(0 <= r_lo && r_lo < r_hi && r_hi <= params.rounds,
                "bad round window");
-  return kHeaderBytes + (hi - lo) * RecordBytes(params, r_lo, r_hi);
+  return kHeaderBytes + (hi - lo) * RecordBytes(params, r_lo, r_hi, part);
 }
 
 size_t GraphSnapshot::SerializedSize() const {
@@ -479,7 +529,8 @@ Result<GraphSnapshot> GraphSnapshot::Deserialize(const uint8_t* data,
 Status GraphSnapshot::FoldSerialized(
     const uint8_t* data, size_t size, const NodeSketchParams& params,
     int r_lo, int r_hi,
-    const std::function<void(NodeId, const uint8_t* record)>& fold) {
+    const std::function<void(NodeId, const uint8_t* record)>& fold,
+    RoundPart part) {
   Header header;
   Status s = ParseBuffer(data, size, &header);
   if (!s.ok()) return s;
@@ -494,8 +545,14 @@ Status GraphSnapshot::FoldSerialized(
         std::to_string(header.r_hi) + ") is not the expected [" +
         std::to_string(r_lo) + ", " + std::to_string(r_hi) + ")");
   }
+  if (header.part != part) {
+    return Status::InvalidArgument(
+        header.part == RoundPart::kSummary
+            ? "serialized range holds round summaries, not whole rounds"
+            : "serialized range holds whole rounds, not round summaries");
+  }
   // Past this point nothing can fail, so a fold never stops half-way.
-  const size_t record = RecordBytes(params, r_lo, r_hi);
+  const size_t record = RecordBytes(params, r_lo, r_hi, part);
   const uint8_t* cursor = data + kHeaderBytes;
   for (uint64_t i = header.lo; i < header.hi; ++i) {
     fold(static_cast<NodeId>(i), cursor);
@@ -517,7 +574,8 @@ Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
 Status GraphSnapshot::SaveToSink(
     const ByteSink& sink, const NodeSketchParams& params, uint64_t lo,
     uint64_t hi, int r_lo, int r_hi, uint64_t num_updates,
-    const std::function<void(NodeId, uint8_t* record)>& load) {
+    const std::function<void(NodeId, uint8_t* record)>& load,
+    RoundPart part) {
   GZ_CHECK_MSG(lo < hi && hi <= params.num_nodes, "bad node range");
   GZ_CHECK_MSG(0 <= r_lo && r_lo < r_hi && r_hi <= params.rounds,
                "bad round window");
@@ -528,12 +586,13 @@ Status GraphSnapshot::SaveToSink(
   header.num_updates = num_updates;
   header.r_lo = r_lo;
   header.r_hi = r_hi;
+  header.part = part;
   uint8_t header_buf[kHeaderBytes];
   WriteHeader(header, header_buf);
   Status s = sink(header_buf, sizeof(header_buf));
   // One record in flight: a sink (file or socket) never needs the
   // doubled footprint of a full Serialize() buffer.
-  std::vector<uint8_t> buf(RecordBytes(params, r_lo, r_hi));
+  std::vector<uint8_t> buf(RecordBytes(params, r_lo, r_hi, part));
   for (uint64_t i = lo; s.ok() && i < hi; ++i) {
     load(static_cast<NodeId>(i), buf.data());
     s = sink(buf.data(), buf.size());

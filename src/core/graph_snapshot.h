@@ -10,16 +10,19 @@
 // combined stream. That algebra is the sharded coordinator's
 // aggregation step. Sketches are per node and per round, so every
 // transfer of sketch state has one serialized form, the records of a
-// node range [lo, hi) x round window [r_lo, r_hi): a shard's reply, a
-// migration or repair delta, and a checkpoint file (the whole range
-// [0, V) x [0, R)) are all the same bytes, and a reader pulls the
-// rounds a query reaches a window at a time.
+// node range [lo, hi) x round window [r_lo, r_hi), of whole rounds or
+// of their deterministic buckets alone: a shard's reply, a migration or
+// repair delta, and a checkpoint file (the whole range [0, V) x [0, R))
+// are all the same bytes, and a reader pulls the summaries of every
+// round first and a whole round only when a query needs it.
 //
 // All query algorithms (connectivity, spanning-forest decomposition,
 // bipartiteness, MSF weight) consume `const GraphSnapshot&` and only
-// read it: Boruvka reads one round of every node at a time through
-// Round() and builds each round's component sketches fresh, so no
-// query copies the snapshot.
+// read it: Boruvka reads one round of every node at a time, first its
+// summary (Summary(): every node's deterministic bucket) and then, only
+// if the summary does not decide it, the whole round (Round()), and
+// builds each round's component sketches fresh, so no query copies the
+// snapshot.
 //
 // A snapshot has one of two forms, with identical contents:
 // - eager: one copy-on-write node-sketch handle per vertex
@@ -31,7 +34,10 @@
 //   reader session's snapshot of a cluster, holds a round loader and
 //   one V x round_stride buffer per round, filled the first time any
 //   copy asks for that round (Round()) and never again; copies share
-//   the buffers. A query that stops after two rounds loads two rounds.
+//   the buffers. A round's summary is loaded the same way (Summary()),
+//   into a V x 12-byte buffer, unless its whole round is loaded
+//   already. A query whose last round its summaries decide loads only
+//   the rounds before it whole.
 //   A load may fail (a reader's cluster moved on): the snapshot then
 //   keeps the first failure as load_status(), Round() returns it for
 //   every round not loaded yet, and nothing is ever built from a round
@@ -58,6 +64,14 @@
 
 namespace gz {
 
+// The part of each round that a serialized range or a lazy load
+// carries: the whole round slice, or its deterministic bucket alone
+// (SketchLayout::kDetBucketBytes bytes), the round's summary. A summary
+// decides every component whose bucket sum is zero or a verified
+// singleton (SketchLayout::SampleDeterministic). The values are the
+// wire encoding.
+enum class RoundPart : uint32_t { kWhole = 0, kSummary = 1 };
+
 class GraphSnapshot {
  public:
   // Empty snapshot; valid() is false and every other accessor is
@@ -79,14 +93,20 @@ class GraphSnapshot {
   // and returns when all have run.
   using BlockRunner = std::function<void(
       size_t num_blocks, const std::function<void(size_t)>& body)>;
-  // Fills `out` with round `round` of every node: V * round_stride
-  // bytes, node i's layout().round_bytes() at i * round_stride (the
-  // padding zero). `run` spreads work in blocks of `block_nodes` nodes
-  // over a query pool. Called at most once per round, from any thread;
-  // a non-Ok status fails the round (and the snapshot's load_status()).
+  // Fills `out` with `part` of round `round` of every node. kWhole:
+  // V * round_stride bytes, node i's layout().round_bytes() at
+  // i * round_stride (the padding zero). kSummary: V * kSummaryBytes
+  // bytes, node i's deterministic bucket at i * kSummaryBytes; or, from
+  // a loader that cannot read a summary more cheaply, the whole round
+  // as for kWhole (the size tells which). `run` spreads work in blocks
+  // of `block_nodes` nodes over a query pool. Called at most once per
+  // round and part, and never for a part of a round loaded whole, from
+  // any thread; a non-Ok status fails the round (and the snapshot's
+  // load_status()).
   using RoundLoader = std::function<Status(
-      int round, uint64_t block_nodes, const BlockRunner& run,
+      int round, RoundPart part, uint64_t block_nodes, const BlockRunner& run,
       std::vector<uint8_t>* out)>;
+  static constexpr size_t kSummaryBytes = SketchLayout::kDetBucketBytes;
   // A round-lazy snapshot of the sketches `load` reads, all built with
   // `zero`'s params (`zero` is the empty sketch; it lends its layout).
   static GraphSnapshot Lazy(const NodeSketch& zero, uint64_t num_updates,
@@ -106,21 +126,23 @@ class GraphSnapshot {
   int rounds() const { return params().rounds; }
   uint64_t num_updates() const { return num_updates_; }
 
-  // One round of every node's sketch: node i's round_bytes slice. Valid
-  // while the snapshot (or a copy sharing its sketches) lives.
+  // One round of every node's sketch: node i's round_bytes slice, or
+  // for a summary its kSummaryBytes deterministic bucket. Valid while
+  // the snapshot (or a copy sharing its sketches) lives.
   class RoundView {
    public:
     const uint8_t* node(NodeId i) const {
       return flat_ != nullptr ? flat_ + i * stride_
-                              : nodes_[i]->subsketch(round_);
+                              : nodes_[i]->subsketch(round_) + offset_;
     }
 
    private:
     friend class GraphSnapshot;
-    const uint8_t* flat_ = nullptr;    // Lazy: the round's buffer.
+    const uint8_t* flat_ = nullptr;    // Lazy: a loaded buffer.
     size_t stride_ = 0;
     const CowSketch* nodes_ = nullptr;  // Eager: the node handles.
     int round_ = 0;
+    size_t offset_ = 0;  // Eager: where node(i) starts in the slice.
   };
   // Round `round` of every node, into *view. A lazy snapshot loads it
   // here the first time any copy asks, in blocks of `block_nodes` nodes
@@ -129,6 +151,12 @@ class GraphSnapshot {
   // load's failure, with *view untouched, when the round did not load.
   Status Round(int round, uint64_t block_nodes, const BlockRunner& run,
                RoundView* view) const;
+  // The summary of round `round`, into *view: node(i) is node i's
+  // deterministic bucket. An eager snapshot serves it from its slices
+  // in place; a lazy one views the whole round when that is loaded and
+  // otherwise loads the summary part, as Round() loads a round.
+  Status Summary(int round, uint64_t block_nodes, const BlockRunner& run,
+                 RoundView* view) const;
   // Loads every round not loaded yet; the first failed load's status
   // (Ok for an eager snapshot). Callers that need whole sketches from a
   // snapshot whose loads can fail call it first and surface the error.
@@ -165,25 +193,31 @@ class GraphSnapshot {
   // --- Serialization -------------------------------------------------------
   // One byte format carries every transfer of sketch state — checkpoint
   // files, shard replies, reader pulls, migration and repair deltas: the
-  // records of the nodes [lo, hi), each holding the rounds [r_lo, r_hi).
+  // records of the nodes [lo, hi), each holding `part` of the rounds
+  // [r_lo, r_hi).
   //
-  //   header  magic "GZSNAP03" | u64 num_nodes | u64 seed | i32 cols |
+  //   header  magic "GZSNAP04" | u64 num_nodes | u64 seed | i32 cols |
   //           i32 rounds | u64 lo | u64 hi | u64 num_updates |
-  //           i32 r_lo | i32 r_hi
-  //   body    hi - lo records of (r_hi - r_lo) * round_bytes: round
-  //           r_lo's bytes, then r_lo + 1's, ... (a whole record is
-  //           [0, rounds), the node sketch's serialized form)
+  //           i32 r_lo | i32 r_hi | u32 part
+  //   body    hi - lo records of (r_hi - r_lo) * unit bytes: round
+  //           r_lo's bytes, then r_lo + 1's, ... The unit is round_bytes
+  //           for part 0 (RoundPart::kWhole; a whole record is
+  //           [0, rounds), the node sketch's serialized form) and the
+  //           12-byte deterministic bucket for part 1
+  //           (RoundPart::kSummary). Any other part is InvalidArgument.
   //
-  // A whole snapshot is [0, V) x [0, R). num_updates is the producer's
-  // stream position when the bytes were written; only whole-snapshot
-  // loads adopt it, and range folds never touch counts (stream positions
-  // stay with the instance that ingested the updates). Bytes with an
-  // older magic (GZSNAP02, GZSNAP01) are refused with InvalidArgument.
-  static constexpr size_t kHeaderBytes = 64;
+  // A whole snapshot is [0, V) x [0, R) of whole rounds. num_updates is
+  // the producer's stream position when the bytes were written; only
+  // whole-snapshot loads adopt it, and range folds never touch counts
+  // (stream positions stay with the instance that ingested the
+  // updates). Bytes with an older magic (GZSNAP03, GZSNAP02, GZSNAP01)
+  // are refused with InvalidArgument.
+  static constexpr size_t kHeaderBytes = 68;
   static size_t SerializedSizeFor(const NodeSketchParams& params, uint64_t lo,
                                   uint64_t hi);
   static size_t SerializedSizeFor(const NodeSketchParams& params, uint64_t lo,
-                                  uint64_t hi, int r_lo, int r_hi);
+                                  uint64_t hi, int r_lo, int r_hi,
+                                  RoundPart part = RoundPart::kWhole);
 
   // The whole snapshot, [0, V) x [0, R).
   size_t SerializedSize() const;
@@ -193,45 +227,50 @@ class GraphSnapshot {
   // extracted range back into it zeroes that range, which is how
   // linearity expresses "move".
   std::vector<uint8_t> ExtractNodeRange(uint64_t lo, uint64_t hi) const;
-  // Whole snapshots only: InvalidArgument for any other range, for
-  // malformed bytes, or for a size that does not match the header.
+  // Whole snapshots only: InvalidArgument for any other range or part,
+  // for malformed bytes, or for a size that does not match the header.
   static Result<GraphSnapshot> Deserialize(const uint8_t* data, size_t size);
 
   // XOR-folds serialized bytes of any in-bounds node range — [0, V)
   // included — of whole records into this snapshot, straight from the
   // bytes: how the coordinator aggregates shard replies without
   // materializing a second snapshot. num_updates() is never affected.
-  // InvalidArgument on malformed bytes, a params mismatch or a partial
-  // round window; a failed load's status for a lazy snapshot that does
-  // not load. This snapshot is unchanged on any error.
+  // InvalidArgument on malformed bytes, a params mismatch, a partial
+  // round window or summary bytes; a failed load's status for a lazy
+  // snapshot that does not load. This snapshot is unchanged on any
+  // error.
   Status MergeSerialized(const uint8_t* data, size_t size);
   // The fold behind every consumer of serialized bytes: validates `data`
-  // in full against `params` and the round window [r_lo, r_hi) the
-  // caller expects (InvalidArgument on any mismatch), then hands each
-  // node's record bytes ((r_hi - r_lo) * round_bytes of them) to `fold`
-  // in order. `fold` never sees bytes that failed validation.
+  // in full against `params`, the round window [r_lo, r_hi) and the part
+  // the caller expects (InvalidArgument on any mismatch), then hands
+  // each node's record bytes ((r_hi - r_lo) units of round_bytes, or of
+  // kSummaryBytes for a summary) to `fold` in order. `fold` never sees
+  // bytes that failed validation.
   static Status FoldSerialized(
       const uint8_t* data, size_t size, const NodeSketchParams& params,
       int r_lo, int r_hi,
-      const std::function<void(NodeId, const uint8_t* record)>& fold);
+      const std::function<void(NodeId, const uint8_t* record)>& fold,
+      RoundPart part = RoundPart::kWhole);
 
   // Where streamed bytes go: a file, a socket frame or a buffer.
   using ByteSink = std::function<Status(const void* data, size_t size)>;
 
-  // Streaming producer of the byte stream for [lo, hi) x [r_lo, r_hi):
-  // header first, then one record per node, which `load` writes into the
-  // buffer it is handed ((r_hi - r_lo) * round_bytes bytes), so only one
-  // record is ever materialized — how a shard streams sketch state into
-  // a socket frame or a checkpoint file.
+  // Streaming producer of the byte stream for `part` of [lo, hi) x
+  // [r_lo, r_hi): header first, then one record per node, which `load`
+  // writes into the buffer it is handed ((r_hi - r_lo) units, as in
+  // FoldSerialized), so only one record is ever materialized — how a
+  // shard streams sketch state into a socket frame or a checkpoint
+  // file.
   static Status SaveToSink(
       const ByteSink& sink, const NodeSketchParams& params, uint64_t lo,
       uint64_t hi, int r_lo, int r_hi, uint64_t num_updates,
-      const std::function<void(NodeId, uint8_t* record)>& load);
+      const std::function<void(NodeId, uint8_t* record)>& load,
+      RoundPart part = RoundPart::kWhole);
 
   // File forms, always whole snapshots, streamed one record at a time.
   // SaveToFile publishes atomically (see SaveStream). LoadFromFile
-  // distinguishes a missing file (NotFound), a malformed header or
-  // partial range (InvalidArgument) and a short body (IoError).
+  // distinguishes a missing file (NotFound), a malformed header, partial
+  // range or summary part (InvalidArgument) and a short body (IoError).
   Status SaveToFile(const std::string& path) const;
   static Result<GraphSnapshot> LoadFromFile(const std::string& path);
 

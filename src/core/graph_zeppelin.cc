@@ -167,7 +167,7 @@ GraphSnapshot GraphZeppelin::Snapshot() {
 }
 
 Status GraphZeppelin::WriteNodeRangeTo(
-    uint64_t lo, uint64_t hi, int r_lo, int r_hi,
+    uint64_t lo, uint64_t hi, int r_lo, int r_hi, RoundPart part,
     const std::function<Status(const void* data, size_t size)>& write) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   if (!(lo < hi && hi <= config_.num_nodes)) {
@@ -179,9 +179,14 @@ Status GraphZeppelin::WriteNodeRangeTo(
   Flush();
   return GraphSnapshot::SaveToSink(
       write, store_->params(), lo, hi, r_lo, r_hi, num_updates_,
-      [this, r_lo, r_hi](NodeId i, uint8_t* record) {
-        store_->ReadRounds(i, r_lo, r_hi, record);
-      });
+      [this, r_lo, r_hi, part](NodeId i, uint8_t* record) {
+        if (part == RoundPart::kWhole) {
+          store_->ReadRounds(i, r_lo, r_hi, record);
+        } else {
+          store_->ReadSummaries(i, r_lo, r_hi, record);
+        }
+      },
+      part);
 }
 
 Status GraphZeppelin::MergeSerialized(const uint8_t* data, size_t size) {
@@ -210,7 +215,8 @@ Status GraphZeppelin::SaveCheckpoint(const std::string& path) {
   return GraphSnapshot::SaveStream(
       path, [this](const GraphSnapshot::ByteSink& sink) {
         return WriteNodeRangeTo(0, config_.num_nodes, 0,
-                                sketch_params().rounds, sink);
+                                sketch_params().rounds, RoundPart::kWhole,
+                                sink);
       });
 }
 

@@ -125,18 +125,19 @@ class GraphZeppelin {
 
   // --- Serialized sketch state -------------------------------------------
   // The one producer of this instance's serialized sketch state: flushes,
-  // then streams the records of nodes [lo, hi), each holding only the
-  // rounds [r_lo, r_hi), through `write`, one record in flight, under a
-  // header carrying num_updates_ingested() — so even an out-of-core
-  // sketch store never materializes them, and a window reads only its
-  // rounds from the store (SketchStore::ReadRounds). A shard answers
+  // then streams the records of nodes [lo, hi), each holding only `part`
+  // of the rounds [r_lo, r_hi), through `write`, one record in flight,
+  // under a header carrying num_updates_ingested() — so even an
+  // out-of-core sketch store never materializes them, and a window reads
+  // only its rounds, or only their deterministic buckets, from the store
+  // (SketchStore::ReadRounds, ReadSummaries). A shard answers
   // MIGRATE_EXTRACT this way straight into its socket, and a checkpoint
-  // is [0, V) x [0, R) written to a file. The byte count is
-  // GraphSnapshot::SerializedSizeFor(sketch_params(), lo, hi, r_lo,
-  // r_hi), known before the first call. The range comes off the wire, so
-  // a bad one is an InvalidArgument, not a check failure.
+  // is whole rounds of [0, V) x [0, R) written to a file. The byte count
+  // is GraphSnapshot::SerializedSizeFor(sketch_params(), lo, hi, r_lo,
+  // r_hi, part), known before the first call. The range comes off the
+  // wire, so a bad one is an InvalidArgument, not a check failure.
   Status WriteNodeRangeTo(
-      uint64_t lo, uint64_t hi, int r_lo, int r_hi,
+      uint64_t lo, uint64_t hi, int r_lo, int r_hi, RoundPart part,
       const std::function<Status(const void* data, size_t size)>& write);
 
   // XOR-folds serialized bytes of any node range into this instance's
@@ -159,7 +160,7 @@ class GraphZeppelin {
   // overwrites this instance's sketch state with such a file, streamed
   // record by record into the store, and adopts its update count; a
   // params mismatch is an InvalidArgument. These are the two ways
-  // GZSNAP03 bytes come in: a whole file here, any node range of whole
+  // GZSNAP04 bytes come in: a whole file here, any node range of whole
   // records through MergeSerialized.
   Status SaveCheckpoint(const std::string& path);
   Status LoadCheckpoint(const std::string& path);

@@ -63,6 +63,19 @@ void InMemorySketchStore::Load(NodeId node, NodeSketch* out) {
   *out = *sketches_[node];
 }
 
+void SketchStore::ReadSummaries(NodeId node, int r_lo, int r_hi,
+                                uint8_t* out) {
+  const SketchLayout& layout = zero_.layout();
+  uint8_t* window =
+      RecordScratch(layout.round_bytes() * static_cast<size_t>(r_hi - r_lo));
+  ReadRounds(node, r_lo, r_hi, window);
+  for (int r = 0; r < r_hi - r_lo; ++r) {
+    std::memcpy(out + r * GraphSnapshot::kSummaryBytes,
+                window + r * layout.round_bytes() + layout.det_offset(),
+                GraphSnapshot::kSummaryBytes);
+  }
+}
+
 void InMemorySketchStore::ReadRounds(NodeId node, int r_lo, int r_hi,
                                      uint8_t* out) {
   GZ_CHECK(node < num_nodes() && 0 <= r_lo && r_lo < r_hi &&
@@ -72,6 +85,19 @@ void InMemorySketchStore::ReadRounds(NodeId node, int r_lo, int r_hi,
   for (int r = r_lo; r < r_hi; ++r) {
     std::memcpy(out + (r - r_lo) * bytes, sketches_[node]->subsketch(r),
                 bytes);
+  }
+}
+
+void InMemorySketchStore::ReadSummaries(NodeId node, int r_lo, int r_hi,
+                                        uint8_t* out) {
+  GZ_CHECK(node < num_nodes() && 0 <= r_lo && r_lo < r_hi &&
+           r_hi <= params().rounds);
+  const size_t det = zero_.layout().det_offset();
+  std::lock_guard<std::mutex> lock(locks_[node]);
+  for (int r = r_lo; r < r_hi; ++r) {
+    std::memcpy(out + (r - r_lo) * GraphSnapshot::kSummaryBytes,
+                sketches_[node]->subsketch(r) + det,
+                GraphSnapshot::kSummaryBytes);
   }
 }
 
@@ -199,9 +225,11 @@ void OnDiskSketchStore::ReadRound(int round, uint64_t lo, uint64_t hi,
 
 GraphSnapshot OnDiskSketchStore::Capture(uint64_t num_updates) {
   const uint64_t generation = writes_;
+  // A summary costs the same one pread per node as its round, so every
+  // load is of the whole round.
   return GraphSnapshot::Lazy(
       zero_, num_updates,
-      [this, generation](int round, uint64_t block_nodes,
+      [this, generation](int round, RoundPart, uint64_t block_nodes,
                          const GraphSnapshot::BlockRunner& run,
                          std::vector<uint8_t>* out) {
         const uint64_t n = num_nodes();

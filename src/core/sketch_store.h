@@ -64,6 +64,11 @@ class SketchStore {
   // round_bytes each, back to back: what a windowed range reply carries
   // for the node, read without materializing its other rounds.
   virtual void ReadRounds(NodeId node, int r_lo, int r_hi, uint8_t* out) = 0;
+  // Writes the deterministic bucket of each round in [r_lo, r_hi) of
+  // `node`, GraphSnapshot::kSummaryBytes each, back to back: what a
+  // summary range reply carries for the node. By default read out of
+  // ReadRounds() of the window.
+  virtual void ReadSummaries(NodeId node, int r_lo, int r_hi, uint8_t* out);
 
   // Every node's current sketch as a snapshot at stream position
   // `num_updates`, taken while no write is in flight.
@@ -93,6 +98,8 @@ class InMemorySketchStore : public SketchStore {
   void MergeDelta(NodeId node, const NodeSketch& delta) override;
   void Load(NodeId node, NodeSketch* out) override;
   void ReadRounds(NodeId node, int r_lo, int r_hi, uint8_t* out) override;
+  // Copies only the buckets, never a whole round.
+  void ReadSummaries(NodeId node, int r_lo, int r_hi, uint8_t* out) override;
   GraphSnapshot Capture(uint64_t num_updates) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
   size_t RamByteSize() const override;

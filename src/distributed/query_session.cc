@@ -16,11 +16,6 @@ namespace {
 // moving before giving up; also the attempts RunQuery() gives a query.
 constexpr int kMaxPositionRetries = 16;
 
-// Sketch rounds per pull window: a cold Snapshot() pulls rounds
-// [0, kRoundsPerPull), and a query pulls each later window when it
-// reaches it. Two is the fewest any answer with an edge reads.
-constexpr int kRoundsPerPull = 2;
-
 // Two position sweeps agree iff the same connections are alive and
 // every live one reports the same (shard, updates, delta_seq) tuple —
 // the seqlock's "sequence unchanged" check. Monotonicity of
@@ -58,11 +53,12 @@ struct QuerySession::Lease {
   QuerySession* session = nullptr;  // Null once revoked.
   const NodeSketch zero;            // The snapshot's params and layout.
   ShardWatermarks marks;
-  // Per round: its folded buffer until the snapshot takes it, and
-  // whether it was ever pulled.
+  // Per round: its folded whole buffer and its folded summary until the
+  // snapshot takes them, and whether the whole round was ever pulled.
   std::vector<std::vector<uint8_t>> pulled;
+  std::vector<std::vector<uint8_t>> summaries;
   std::vector<bool> have;
-  int reached = 0;  // One past the last round any pull attempted.
+  int reached = 0;  // One past the last round any whole pull attempted.
 };
 
 QuerySession::QuerySession(QuerySessionOptions options)
@@ -79,6 +75,7 @@ void QuerySession::Revoke() {
   std::lock_guard<std::mutex> lock(lease_->mu);
   lease_->session = nullptr;
   lease_->pulled.clear();
+  lease_->summaries.clear();
 }
 
 int QuerySession::rounds_pulled() const {
@@ -259,9 +256,8 @@ bool QuerySession::Cached(const PositionView& view) const {
          merged_.load_status().ok();
 }
 
-Status QuerySession::PullAndFold(const PositionView& view, int r_lo,
-                                 int r_hi,
-                                 std::vector<std::vector<uint8_t>>* rounds,
+Status QuerySession::PullAndFold(const PositionView& view,
+                                 const std::vector<RoundPull>& pulls,
                                  Status* round_error) {
   *round_error = Status::Ok();
   const uint64_t num_nodes = view.params.num_nodes;
@@ -270,30 +266,49 @@ Status QuerySession::PullAndFold(const PositionView& view, int r_lo,
       SketchLayout::RoundBytes(vector_len, view.params.cols);
   const size_t stride =
       SketchLayout::RoundStride(vector_len, view.params.cols);
-  rounds->assign(r_hi - r_lo, std::vector<uint8_t>(num_nodes * stride));
-  const auto fold = [&](NodeId i, const uint8_t* record) {
-    for (int r = r_lo; r < r_hi; ++r) {
-      XorBytes((*rounds)[r - r_lo].data() + i * stride,
-               record + (r - r_lo) * round_bytes, round_bytes);
-    }
-  };
+  // Per pull: a record holds `unit` bytes per round, a buffer `slot`
+  // bytes per node.
+  std::vector<std::function<void(NodeId, const uint8_t*)>> folds;
+  for (const RoundPull& pull : pulls) {
+    const bool whole = pull.part == RoundPart::kWhole;
+    const size_t unit = whole ? round_bytes : GraphSnapshot::kSummaryBytes;
+    const size_t slot = whole ? stride : GraphSnapshot::kSummaryBytes;
+    pull.rounds->assign(pull.r_hi - pull.r_lo,
+                        std::vector<uint8_t>(num_nodes * slot));
+    folds.push_back([&pull, whole, unit, slot](NodeId i,
+                                               const uint8_t* record) {
+      for (int r = pull.r_lo; r < pull.r_hi; ++r) {
+        uint8_t* dst = (*pull.rounds)[r - pull.r_lo].data() + i * slot;
+        const uint8_t* src = record + (r - pull.r_lo) * unit;
+        if (whole) {
+          XorBytes(dst, src, unit);
+        } else {
+          XorDetBucket(dst, src);
+        }
+      }
+    });
+  }
   const uint64_t step =
       options_.nodes_per_chunk == 0 ? num_nodes : options_.nodes_per_chunk;
-  // Shard -> lo of its next unpulled chunk. A shard at the zero
+  // (shard, pull) -> lo of its next unpulled chunk. A shard at the zero
   // watermark (a fresh split child) holds the XOR identity: no pull.
-  std::map<int, uint64_t> next;
+  std::map<std::pair<int, size_t>, uint64_t> next;
   for (const auto& [shard, mark] : view.marks) {
-    if (mark != ShardWatermark{}) next.emplace(shard, 0);
+    if (mark == ShardWatermark{}) continue;
+    for (size_t p = 0; p < pulls.size(); ++p) next.emplace(std::pair(shard, p), 0);
   }
   Status fatal = Status::Ok();
   while (!next.empty() && round_error->ok() && fatal.ok()) {
-    // Send: one chunk request per shard, to its first live replica.
-    std::vector<std::pair<int, size_t>> wave;  // (shard, conn), send order.
-    for (const auto& [shard, lo] : next) {
-      const std::vector<uint8_t> req = EncodeMigrateExtract(
-          lo, std::min(num_nodes, lo + step), r_lo, r_hi);
+    // Send: one chunk request per shard and pull, to the shard's first
+    // live replica. (key, conn) in send order.
+    std::vector<std::pair<std::pair<int, size_t>, size_t>> wave;
+    for (const auto& [key, lo] : next) {
+      const RoundPull& pull = pulls[key.second];
+      const std::vector<uint8_t> req =
+          EncodeMigrateExtract(lo, std::min(num_nodes, lo + step), pull.r_lo,
+                               pull.r_hi, pull.part);
       size_t sent_to = conns_.size();
-      for (const size_t conn : view.groups.at(shard)) {
+      for (const size_t conn : view.groups.at(key.first)) {
         if (!conn_alive_[conn]) continue;
         const Status s =
             SendFrame(conns_[conn]->fd(), ShardMessageType::kMigrateExtract,
@@ -312,28 +327,32 @@ Status QuerySession::PullAndFold(const PositionView& view, int r_lo,
         *round_error = conn_error_;
         break;
       }
-      wave.emplace_back(shard, sent_to);
+      wave.emplace_back(key, sent_to);
     }
-    // Receive in send order. Every sent request is read, whatever its
-    // outcome, so no reply outlives the wave to answer a later request.
-    for (const auto& [shard, conn] : wave) {
+    // Receive in send order. Every request sent to a live connection is
+    // read, whatever its outcome, so no reply outlives the wave to
+    // answer a later request; a connection that failed is never read
+    // again.
+    for (const auto& [key, conn] : wave) {
+      if (!conn_alive_[conn]) continue;  // The next wave re-sends it.
       bool in_sync = false;
       Status s = RecvReply(conns_[conn]->fd(), ShardMessageType::kMigrateData,
                            &reply_buf_, &in_sync);
       if (s.ok()) {
         ++range_pulls_;
         bytes_pulled_ += reply_buf_.payload.size();
-        s = GraphSnapshot::FoldSerialized(reply_buf_.payload.data(),
-                                          reply_buf_.payload.size(),
-                                          view.params, r_lo, r_hi, fold);
+        const RoundPull& pull = pulls[key.second];
+        s = GraphSnapshot::FoldSerialized(
+            reply_buf_.payload.data(), reply_buf_.payload.size(), view.params,
+            pull.r_lo, pull.r_hi, folds[key.second], pull.part);
         if (!s.ok()) {
           // Well framed, but not a range of this graph: void the round.
           if (round_error->ok()) *round_error = s;
           continue;
         }
-        uint64_t& lo = next.at(shard);
+        uint64_t& lo = next.at(key);
         lo += step;
-        if (lo >= num_nodes) next.erase(shard);
+        if (lo >= num_nodes) next.erase(key);
       } else if (!in_sync) {
         // The next wave re-sends this chunk to the next live replica.
         conn_alive_[conn] = false;
@@ -354,10 +373,10 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
   return Refresh(0, out);
 }
 
-Status QuerySession::PullStable(int r_lo, int r_hi,
-                                const ShardWatermarks* required,
-                                PositionView* view,
-                                std::vector<std::vector<uint8_t>>* rounds) {
+Status QuerySession::PullStable(
+    int r_lo, int r_hi, const ShardWatermarks* required, PositionView* view,
+    std::vector<std::vector<uint8_t>>* rounds,
+    std::vector<std::vector<uint8_t>>* summaries) {
   Status last = Status::Ok();
   std::vector<ShardStatsEx> t0, t1;
   for (int attempt = 0; attempt < kMaxPositionRetries; ++attempt) {
@@ -392,8 +411,16 @@ Status QuerySession::PullStable(int r_lo, int r_hi,
     // chunk, since replicas are bitwise-equal at the position t0 == t1
     // certifies.
     Status round_error;
-    s = PullAndFold(*view, r_lo, std::min(r_hi, view->params.rounds), rounds,
-                    &round_error);
+    const int whole_hi = std::min(r_hi, view->params.rounds);
+    std::vector<RoundPull> pulls = {{r_lo, whole_hi, RoundPart::kWhole, rounds}};
+    if (summaries != nullptr) {
+      summaries->clear();
+      if (whole_hi < view->params.rounds) {
+        pulls.push_back(
+            {whole_hi, view->params.rounds, RoundPart::kSummary, summaries});
+      }
+    }
+    s = PullAndFold(*view, pulls, &round_error);
     if (!s.ok()) return s;
     if (!round_error.ok()) {
       last = round_error;
@@ -424,9 +451,9 @@ Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
   }
   last_refresh_rounds_ = 0;
   PositionView view;
-  std::vector<std::vector<uint8_t>> fresh;
-  Status s = PullStable(0, std::max(kRoundsPerPull, first_rounds), nullptr,
-                        &view, &fresh);
+  std::vector<std::vector<uint8_t>> fresh, summaries;
+  Status s = PullStable(0, std::max(1, first_rounds), nullptr, &view, &fresh,
+                        &summaries);
   if (!s.ok()) return s;
   if (fresh.empty()) {  // The cache is the cluster's position.
     *out = &merged_;
@@ -439,14 +466,17 @@ Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
   lease->marks = view.marks;
   lease->pulled = std::move(fresh);
   lease->pulled.resize(rounds);
+  lease->summaries.resize(rounds);
+  std::move(summaries.begin(), summaries.end(),
+            lease->summaries.begin() + r_hi);
   lease->have.assign(rounds, false);
   std::fill(lease->have.begin(), lease->have.begin() + r_hi, true);
   lease->reached = r_hi;
   // Range folds carry no counts; the positions supply them.
   merged_ = GraphSnapshot::Lazy(
       lease->zero, view.total_updates,
-      [lease](int round, uint64_t, const GraphSnapshot::BlockRunner&,
-              std::vector<uint8_t>* buf) {
+      [lease](int round, RoundPart part, uint64_t,
+              const GraphSnapshot::BlockRunner&, std::vector<uint8_t>* buf) {
         std::lock_guard<std::mutex> lock(lease->mu);
         if (lease->session == nullptr) {
           return Status::FailedPrecondition(
@@ -454,14 +484,14 @@ Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
               "later Snapshot(), Connect(), StartWatch() or the "
               "session's end); take a new Snapshot()");
         }
+        // Every round the first pull did not take whole came with its
+        // summary; a round pulled whole serves its summary too.
+        if (part == RoundPart::kSummary && !lease->have[round]) {
+          *buf = std::move(lease->summaries[round]);
+          return Status::Ok();
+        }
         if (!lease->have[round]) {
-          // The window from `round`, up to the next round pulled.
-          const int rounds = static_cast<int>(lease->have.size());
-          int hi = std::min(rounds, round + kRoundsPerPull);
-          for (int r = round + 1; r < hi; ++r) {
-            if (lease->have[r]) hi = r;
-          }
-          Status s = lease->session->PullWindow(lease.get(), round, hi);
+          Status s = lease->session->PullRound(lease.get(), round);
           if (!s.ok()) return s;
         }
         *buf = std::move(lease->pulled[round]);
@@ -473,16 +503,15 @@ Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
   return Status::Ok();
 }
 
-Status QuerySession::PullWindow(Lease* lease, int r_lo, int r_hi) {
-  lease->reached = std::max(lease->reached, r_hi);
+Status QuerySession::PullRound(Lease* lease, int round) {
+  lease->reached = std::max(lease->reached, round + 1);
   PositionView view;
   std::vector<std::vector<uint8_t>> window;
-  const Status s = PullStable(r_lo, r_hi, &lease->marks, &view, &window);
+  const Status s = PullStable(round, round + 1, &lease->marks, &view, &window,
+                              /*summaries=*/nullptr);
   if (!s.ok()) return s;
-  for (int r = r_lo; r < r_hi; ++r) {
-    lease->pulled[r] = std::move(window[r - r_lo]);
-    lease->have[r] = true;
-  }
+  lease->pulled[round] = std::move(window[0]);
+  lease->have[round] = true;
   return Status::Ok();
 }
 
@@ -521,7 +550,7 @@ Status QuerySession::RunQuery(
     first_rounds = RoundsReached();
   }
   return Status(StatusCode::kResourceExhausted,
-                "every query's later window found the position moved; " +
+                "every query's later round found the position moved; " +
                     std::to_string(kMaxPositionRetries) +
                     " attempts (last: " + last.ToString() + ")");
 }
@@ -703,7 +732,7 @@ void QuerySession::WatchEvaluate() {
     return;
   }
   if (fresh && !registry_.HasUnevaluated()) return;
-  // An evaluation whose later window found the position moved fires
+  // An evaluation whose later round found the position moved fires
   // nothing (Boruvka failed) and is retried by RunQuery.
   Result<size_t> fired = size_t{0};
   s = RunQuery([&](const GraphSnapshot& snap) {

@@ -13,33 +13,35 @@
 // rebuilt cold: ingest hashes edges over routing slots dealt across all
 // shards, so any span of updates moves every shard.
 //
-// Pull windows: the snapshot is round-lazy (GraphSnapshot::Lazy).
-// Boruvka reads one sketch round per step and usually stops after two,
-// so a cold rebuild pulls only the round window [0, 2) of every
-// shard's nodes [0, V) and XOR-folds it into one buffer per round; a
-// query that reads further pulls the next two-round window of every
-// shard when it reaches it, and anything that needs whole sketches
-// (==, Serialize, Merge, a forest peel) pulls every remaining window.
-// Two rounds is the fewest any answer with an edge reads: the last
-// round only proves every cut empty.
+// Pulls: the snapshot is round-lazy (GraphSnapshot::Lazy). Boruvka
+// reads one sketch round per step, each from its summary first (every
+// node's 12-byte deterministic bucket), and usually stops after two,
+// the last of which only proves every cut empty, from its summary
+// alone. So a cold rebuild pulls round 0 whole and the summaries of
+// rounds [1, R) from every shard's nodes [0, V) (two range requests per
+// chunk: the part is a field of MIGRATE_EXTRACT) and XOR-folds them
+// into one buffer per round and part. A query pulls a later round
+// whole, from every shard, only when some component's summary does not
+// decide it; anything that needs whole sketches (==, Serialize, Merge,
+// a forest peel) pulls every remaining round, one at a time.
 //
 // Consistency protocol (a seqlock over shard positions): one refresh
 // reads every shard's STATS_EX position (t0), pulls and folds the first
-// window of every shard into a fresh candidate, re-reads the positions
+// pull of every shard into a fresh candidate, re-reads the positions
 // (t1), and installs the candidate only if t1 == t0. Positions are
 // monotone, so t0 == t1 proves every folded byte of a shard belongs to
 // that shard's keyed position — no ABA. A moving position, a lost
 // replica or a reply that does not fold discards the candidate and
 // retries; a bounded number of failed rounds returns an error. Every
-// later window pull runs the same seqlock round, and its sweeps must
+// later round's pull runs the same seqlock round, and its sweeps must
 // equal the snapshot's marks: if the position moved, the load fails
 // (GraphSnapshot::load_status()) and is never folded, so every round
 // behind one answer comes from one position. Boruvka then reports the
 // query failed; RunQuery() (behind Connectivity() and the
 // standing-query watch) takes a fresh Snapshot() and retries, with a
-// first window covering every round the failed attempt reached.
+// first pull taking whole every round the failed attempt reached.
 //
-// A lazy snapshot's later windows are pulled through this session's
+// A lazy snapshot's later rounds are pulled through this session's
 // connections, on the thread that queries it, so query a snapshot only
 // where the session itself may be used. A copy still held after the
 // Snapshot() that replaces it, Connect(), StartWatch() or the session's
@@ -54,15 +56,17 @@
 // chunk (see ROADMAP).
 //
 // Pulls run in waves so the shards extract in parallel: each wave
-// sends one MIGRATE_EXTRACT per shard, for its next chunk of the
-// window, to one live
-// replica, then folds the replies in send order. A connection never has
-// more than one pull outstanding — with several, a shard blocked
-// writing replies the reader has not read could stop reading requests
-// while the reader blocks sending them. A replica that fails in
-// transport is marked dead and the next wave re-sends its chunk to the
-// shard's next live replica; an in-sync FailedPrecondition (a shard
-// bounced mid-pull) retries the round.
+// sends every shard's live replica one MIGRATE_EXTRACT per part being
+// pulled (round 0 whole and the summaries, on a cold rebuild), each for
+// its next chunk, then folds the replies in send order, so a shard
+// builds its summary reply while the reader folds its round 0. A
+// connection never has more than one pull per part outstanding: the
+// requests are a few dozen bytes, so the reader never blocks sending
+// them while a shard blocks writing a reply the reader has not read
+// yet. A replica that fails in transport is marked dead, never read
+// again, and the next wave re-sends its chunks to the shard's next live
+// replica; an in-sync FailedPrecondition (a shard bounced mid-pull)
+// retries the round.
 //
 // Replication: endpoints may include several listeners serving the
 // SAME shard id (its replicas). The session groups connections by the
@@ -170,16 +174,18 @@ class QuerySession {
 
   // Returns the merged snapshot at the cluster's current position:
   // the cached one when nothing moved (zero pulls), else a cold rebuild
-  // of its first round window. *out stays valid until the next
-  // Snapshot() call. Fails when a shard is unreachable/unconfigured, or
-  // when the position kept moving for 16 refresh rounds.
+  // of round 0 and every later round's summary. *out stays valid until
+  // the next Snapshot() call. Fails when a shard is
+  // unreachable/unconfigured, or when the position kept moving for 16
+  // refresh rounds.
   Status Snapshot(const GraphSnapshot** out);
 
   // Runs `query` over Snapshot(). While a load of the snapshot's later
-  // windows fails (the position moved under the query), reruns it over
-  // a fresh Snapshot() whose first window covers every round the failed
-  // attempt reached, at most 16 times (then ResourceExhausted); a query
-  // that needs whole sketches (a forest peel) is retried the same way.
+  // rounds fails (the position moved under the query), reruns it over
+  // a fresh Snapshot() whose first pull takes whole every round the
+  // failed attempt reached, at most 16 times (then ResourceExhausted); a
+  // query that needs whole sketches (a forest peel) is retried the same
+  // way.
   // Whatever `query` computed from a failed attempt must be discarded
   // by its next run. Errors from Snapshot() are returned as they are.
   Status RunQuery(const std::function<void(const GraphSnapshot&)>& query);
@@ -199,9 +205,10 @@ class QuerySession {
   Status PollPositions(bool* fresh);
 
   // Observability: chunk replies received and their payload bytes,
-  // headers included (discarded rounds and later windows included), the
-  // sketch rounds of the current snapshot pulled so far, and the seqlock
-  // rounds the last Snapshot() needed (1 = stable at once).
+  // headers included (discarded rounds, summaries and later rounds
+  // included), the whole sketch rounds of the current snapshot pulled so
+  // far, and the seqlock rounds the last Snapshot() needed (1 = stable
+  // at once).
   uint64_t range_pulls() const { return range_pulls_; }
   uint64_t bytes_pulled() const { return bytes_pulled_; }
   int rounds_pulled() const;
@@ -271,44 +278,59 @@ class QuerySession {
                    PositionView* view);
   // True iff the cached snapshot is exactly the cluster at `view`.
   bool Cached(const PositionView& view) const;
-  // Pulls rounds [r_lo, r_hi) of every shard at `view` in waves,
-  // XOR-folding each reply into (*rounds)[r - r_lo], one zeroed
-  // V x round_stride buffer per round. Returns an error no retry can
-  // fix; *round_error says the round must be retried instead (a shard
-  // lost its last live replica, answered FailedPrecondition, or sent
-  // bytes that do not fold). Either way, every request sent has had its
-  // reply read.
-  Status PullAndFold(const PositionView& view, int r_lo, int r_hi,
-                     std::vector<std::vector<uint8_t>>* rounds,
+  // `part` of rounds [r_lo, r_hi), folded into (*rounds)[r - r_lo]:
+  // one zeroed buffer per round, V x round_stride for whole rounds and
+  // V x kSummaryBytes for summaries.
+  struct RoundPull {
+    int r_lo;
+    int r_hi;
+    RoundPart part;
+    std::vector<std::vector<uint8_t>>* rounds;
+  };
+  // Pulls every one of `pulls` from every shard at `view` in waves,
+  // XOR-folding each reply into its pull's buffers. A wave sends each
+  // shard one chunk request per pull, back to back, so a shard builds
+  // its next reply while the reader folds the last. Returns an error no
+  // retry can fix; *round_error says the round must be retried instead
+  // (a shard lost its last live replica, answered FailedPrecondition,
+  // or sent bytes that do not fold). Either way, every request sent to a
+  // connection still alive has had its reply read.
+  Status PullAndFold(const PositionView& view,
+                     const std::vector<RoundPull>& pulls,
                      Status* round_error);
-  // The seqlock round behind Snapshot() and every later window: a t0
-  // position sweep, PullAndFold() of rounds [r_lo, min(r_hi, R)), and a
-  // t1 sweep that must equal t0; *view is the position the rounds
-  // belong to. Replica skew, a moved position, a replica lost mid-pull
-  // or a reply that does not fold retries it, at most 16 times (then
-  // ResourceExhausted). With `required` (a later window), a sweep that
-  // finds other marks returns FailedPrecondition at once. Without (a
-  // refresh), a t0 position the cache already holds returns Ok with
-  // *rounds empty, and otherwise the cache is dropped before the pull.
+  // The seqlock round behind Snapshot() and every later round: a t0
+  // position sweep, PullAndFold() of the whole rounds [r_lo,
+  // min(r_hi, R)) and, with `summaries`, of the summaries of the rounds
+  // after them into *summaries, in the same waves, and a t1 sweep that
+  // must equal t0;
+  // *view is the position the rounds belong to. Replica skew, a moved
+  // position, a replica lost mid-pull or a reply that does not fold
+  // retries it, at most 16 times (then ResourceExhausted). With
+  // `required` (a later round), a sweep that finds other marks returns
+  // FailedPrecondition at once. Without (a refresh), a t0 position the
+  // cache already holds returns Ok with *rounds empty, and otherwise the
+  // cache is dropped before the pull.
   Status PullStable(int r_lo, int r_hi, const ShardWatermarks* required,
                     PositionView* view,
-                    std::vector<std::vector<uint8_t>>* rounds);
-  // Snapshot() with a first window of at least `first_rounds` rounds.
+                    std::vector<std::vector<uint8_t>>* rounds,
+                    std::vector<std::vector<uint8_t>>* summaries);
+  // Snapshot() with a first pull of at least `first_rounds` whole
+  // rounds.
   Status Refresh(int first_rounds, const GraphSnapshot** out);
 
   // What the current lazy snapshot's loader shares with this session:
-  // the marks every window must be pulled at and the pulled rounds not
-  // yet handed to the snapshot. Revoked (session = null) when the
-  // snapshot is replaced or the connections change hands.
+  // the marks every round must be pulled at and the pulled rounds and
+  // summaries not yet handed to the snapshot. Revoked (session = null)
+  // when the snapshot is replaced or the connections change hands.
   struct Lease;
-  // A later window, [r_lo, r_hi), pulled by PullStable() at the lease's
-  // marks; run by the loader under the lease's lock.
-  Status PullWindow(Lease* lease, int r_lo, int r_hi);
+  // A later whole round, pulled by PullStable() at the lease's marks;
+  // run by the loader under the lease's lock.
+  Status PullRound(Lease* lease, int round);
   // Drops the cached snapshot and revokes its lease, waiting out a load
   // in flight on another thread.
   void Revoke();
-  // The rounds the current snapshot's loads reached, failed ones
-  // included: a retry's first window.
+  // The whole rounds the current snapshot's loads reached, failed ones
+  // included: a retry's first pull.
   int RoundsReached() const;
 
   // Dials every endpoint as an extra reader session and converts each

@@ -170,8 +170,9 @@ class ShardCluster {
   // Barriers (every replica of every shard must be healthy).
   Status Flush();
   // Aggregated query surface: pulls one live replica per shard's whole
-  // state, [0, V) x [0, R) (eager, unlike a reader session's round
-  // windows), and XOR-folds the replies into the zero snapshot
+  // state, whole rounds of [0, V) x [0, R) (eager, unlike a reader
+  // session's summaries and single rounds), and XOR-folds the replies
+  // into the zero snapshot
   // (one snapshot plus one reply in flight); the update count is
   // the coordinator's books, removed shards included. Exact
   // even mid-migration: chunk moves are install+cancel pairs, so the

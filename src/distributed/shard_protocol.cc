@@ -650,26 +650,36 @@ Status DecodeShardError(const uint8_t* data, size_t size, bool* decode_ok) {
 }
 
 std::vector<uint8_t> EncodeMigrateExtract(uint64_t lo, uint64_t hi,
-                                          int32_t r_lo, int32_t r_hi) {
+                                          int32_t r_lo, int32_t r_hi,
+                                          RoundPart part) {
   ByteWriter w;
   w.U64(lo);
   w.U64(hi);
   w.I32(r_lo);
   w.I32(r_hi);
+  w.U32(static_cast<uint32_t>(part));
   return w.Take();
 }
 
 Status DecodeMigrateExtract(const uint8_t* data, size_t size, uint64_t* lo,
-                            uint64_t* hi, int32_t* r_lo, int32_t* r_hi) {
+                            uint64_t* hi, int32_t* r_lo, int32_t* r_hi,
+                            RoundPart* part) {
   ByteReader r(data, size);
+  uint32_t part_value = 0;
   if (!r.U64(lo) || !r.U64(hi) || !r.I32(r_lo) || !r.I32(r_hi) ||
-      !r.Done()) {
+      !r.U32(&part_value) || !r.Done()) {
     return Status::InvalidArgument("malformed migrate-extract payload");
   }
   if (*r_lo < 0 || *r_lo >= *r_hi) {
     return Status::InvalidArgument(
         "migrate-extract round window is empty or reversed");
   }
+  if (part_value != static_cast<uint32_t>(RoundPart::kWhole) &&
+      part_value != static_cast<uint32_t>(RoundPart::kSummary)) {
+    return Status::InvalidArgument("migrate-extract names unknown part " +
+                                   std::to_string(part_value));
+  }
+  *part = static_cast<RoundPart>(part_value);
   return Status::Ok();
 }
 

@@ -6,7 +6,7 @@
 // learn where the bytes come from; everything transport-specific —
 // framing integrity, peer authentication — lives here.
 //
-// Frame (v9) = 16-byte header (magic, version, message type, payload
+// Frame (v10) = 16-byte header (magic, version, message type, payload
 // bytes) + payload + a 4-byte CRC32C trailer over header AND payload.
 // The receiver verifies the checksum before any payload decode; a
 // mismatch is a Status error and, because the stream can no longer be
@@ -14,9 +14,10 @@
 // bare GraphUpdate slabs — the exact in-memory layout the coordinator
 // routes, so a routing buffer is framed with one sendmsg and never
 // copied — and sketch state travels in one form, a serialized
-// GraphSnapshot node range x round window (MIGRATE_EXTRACT /
-// MIGRATE_DATA / MERGE_DELTA; a whole snapshot is [0, V) x [0, R)), the
-// same self-describing bytes checkpoint files hold. The routing table never
+// GraphSnapshot node range x round window of whole rounds or of their
+// deterministic buckets (MIGRATE_EXTRACT / MIGRATE_DATA / MERGE_DELTA; a
+// whole snapshot is whole rounds of [0, V) x [0, R)), the same
+// self-describing bytes checkpoint files hold. The routing table never
 // crosses the wire (see RoutingTable).
 //
 // Sessions open with a challenge–response HELLO handshake keyed by a
@@ -66,14 +67,17 @@ enum class ShardMessageType : uint16_t {
   // 12 was the routing-table broadcast before v7; retired, never
   // reused, and refused as an unknown type.
   // Elastic resharding (coordinator -> shard, except kMigrateData).
-  kMigrateExtract = 13,  // u64s [lo, hi), i32s [r_lo, r_hi): serialize
+  kMigrateExtract = 13,  // u64s [lo, hi), i32s [r_lo, r_hi), u32 part:
+                         // serialize that part (RoundPart: 0 = whole
+                         // rounds, 1 = deterministic buckets only) of
                          // those rounds of that node range of the
-                         // shard's state ([0, V) x [0, R) = the whole
-                         // snapshot). Reply: kMigrateData.
+                         // shard's state (whole rounds of [0, V) x
+                         // [0, R) = the whole snapshot). Reply:
+                         // kMigrateData.
   kMergeDelta = 14,      // Serialized node range; shard XOR-folds it
                          // in. Reply: kAck{num_updates, delta_seq}.
   kMigrateData = 15,     // Shard -> client: the serialized range
-                         // (GraphSnapshot byte format, GZSNAP03).
+                         // (GraphSnapshot byte format, GZSNAP04).
   // Handshake (first frames on every connection; see Client/Server
   // Handshake below).
   kHello = 16,      // Client -> shard: 16-byte client nonce, optionally
@@ -138,7 +142,11 @@ struct ShardFrameHeader {
   // CONFIG's instance tag is retired. v9: MIGRATE_EXTRACT names a round
   // window too, and sketch state travels as GZSNAP03 ranges (node range
   // x round window), so a reader pulls only the rounds a query reads.
-  static constexpr uint16_t kVersion = 9;
+  // v10: MIGRATE_EXTRACT names a part too, and sketch state travels as
+  // GZSNAP04 ranges that carry it, so a reader pulls every round's
+  // deterministic buckets first and a whole round only when a query
+  // needs it.
+  static constexpr uint16_t kVersion = 10;
   static constexpr size_t kBytes = 16;
   // CRC32C over header + payload, appended after the payload.
   static constexpr size_t kCrcBytes = 4;
@@ -363,13 +371,16 @@ std::vector<uint8_t> EncodeShardError(const Status& status);
 // whether the payload itself was well-formed.
 Status DecodeShardError(const uint8_t* data, size_t size, bool* decode_ok);
 
-// kMigrateExtract payload: the node range [lo, hi) x round window
-// [r_lo, r_hi) to serialize. The decoder refuses an empty or reversed
-// window; the shard refuses one past its round budget.
+// kMigrateExtract payload: the part of the node range [lo, hi) x round
+// window [r_lo, r_hi) to serialize. The decoder refuses an empty or
+// reversed window and an unknown part; the shard refuses a window past
+// its round budget.
 std::vector<uint8_t> EncodeMigrateExtract(uint64_t lo, uint64_t hi,
-                                          int32_t r_lo, int32_t r_hi);
+                                          int32_t r_lo, int32_t r_hi,
+                                          RoundPart part = RoundPart::kWhole);
 Status DecodeMigrateExtract(const uint8_t* data, size_t size, uint64_t* lo,
-                            uint64_t* hi, int32_t* r_lo, int32_t* r_hi);
+                            uint64_t* hi, int32_t* r_lo, int32_t* r_hi,
+                            RoundPart* part);
 
 // kSyncPosition payload: the coordinator-asserted logical position
 // {num_updates, delta_seq} a repaired replica must report from now on.

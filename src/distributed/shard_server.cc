@@ -136,8 +136,9 @@ Status ServeRead(ShardInstanceState& state, const ShardFrame& frame,
   // reply's size is computed or any of it is written.
   uint64_t lo = 0, hi = 0;
   int32_t r_lo = 0, r_hi = 0;
+  RoundPart part = RoundPart::kWhole;
   Status s = DecodeMigrateExtract(frame.payload.data(), frame.payload.size(),
-                                  &lo, &hi, &r_lo, &r_hi);
+                                  &lo, &hi, &r_lo, &r_hi, &part);
   if (s.ok() && !(lo < hi && hi <= state.gz->config().num_nodes)) {
     s = Status::InvalidArgument("migrate-extract range out of bounds");
   }
@@ -148,10 +149,10 @@ Status ServeRead(ShardInstanceState& state, const ShardFrame& frame,
   if (!s.ok()) return sink->Error(s);
   s = sink->Begin(ShardMessageType::kMigrateData,
                   GraphSnapshot::SerializedSizeFor(
-                      state.gz->sketch_params(), lo, hi, r_lo, r_hi));
+                      state.gz->sketch_params(), lo, hi, r_lo, r_hi, part));
   if (s.ok()) {
     s = state.gz->WriteNodeRangeTo(
-        lo, hi, r_lo, r_hi, [sink](const void* data, size_t size) {
+        lo, hi, r_lo, r_hi, part, [sink](const void* data, size_t size) {
           return sink->Write(data, size);
         });
   }

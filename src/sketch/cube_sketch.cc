@@ -15,7 +15,7 @@ constexpr uint64_t kColSeedTag = 0x636f6c5f73656564ULL;    // "col_seed"
 constexpr uint64_t kGammaSeedTag = 0x67616d6d615f7364ULL;  // "gamma_sd"
 constexpr uint64_t kDetSeedTag = 0x6465745f73656564ULL;    // "det_seed"
 
-constexpr size_t kBucketBytes = sizeof(uint64_t) + sizeof(uint32_t);
+constexpr size_t kBucketBytes = SketchLayout::kDetBucketBytes;
 
 int RowsForLength(uint64_t n) {
   GZ_CHECK(n >= 1);
@@ -64,7 +64,7 @@ SketchLayout::SketchLayout(uint64_t vector_len, int cols,
 // the SIMD kernels); the layout only points the kernel at one round.
 void SketchLayout::Update(int round, uint8_t* slice, SketchKernel kernel,
                           const uint64_t* indices, size_t count) const {
-  uint8_t* det = slice + column_buckets_ * kBucketBytes;
+  uint8_t* det = slice + det_offset();
   uint64_t det_alpha;
   std::memcpy(&det_alpha, det, sizeof(det_alpha));
   CubeSketchKernelArgs args;
@@ -83,28 +83,35 @@ void SketchLayout::Update(int round, uint8_t* slice, SketchKernel kernel,
   std::memcpy(det, &det_alpha, sizeof(det_alpha));
 }
 
-ColumnSamples SketchLayout::SampleColumns(int round, const uint8_t* slice,
-                                          uint64_t* out, int max_out) const {
-  const uint64_t* alphas = reinterpret_cast<const uint64_t*>(slice);
-  const uint32_t* gammas = reinterpret_cast<const uint32_t*>(
-      slice + column_buckets_ * sizeof(uint64_t));
-  const uint64_t* gamma_seeds = col_seeds(round) + cols_;
-  const uint8_t* det = slice + column_buckets_ * kBucketBytes;
+ColumnSamples SketchLayout::SampleDeterministic(int round, const uint8_t* det,
+                                                uint64_t* out) const {
   uint64_t det_alpha;
   uint32_t det_gamma;
   std::memcpy(&det_alpha, det, sizeof(det_alpha));
   std::memcpy(&det_gamma, det + sizeof(det_alpha), sizeof(det_gamma));
-
-  // Deterministic bucket: zero detection and O(1) singleton recovery.
+  // Zero detection and O(1) singleton recovery.
   if (det_alpha == 0 && det_gamma == 0) return {SampleKind::kZero, 0};
   if (det_alpha != 0 && det_alpha <= vector_len_) {
-    const uint32_t expect =
-        static_cast<uint32_t>(XxHash64Word(det_alpha, gamma_seeds[cols_]));
+    const uint32_t expect = static_cast<uint32_t>(
+        XxHash64Word(det_alpha, col_seeds(round)[2 * cols_]));
     if (expect == det_gamma) {
       out[0] = det_alpha - 1;
       return {SampleKind::kGood, 1};
     }
   }
+  return {SampleKind::kFail, 0};
+}
+
+ColumnSamples SketchLayout::SampleColumns(int round, const uint8_t* slice,
+                                          uint64_t* out, int max_out) const {
+  const ColumnSamples det = SampleDeterministic(round, slice + det_offset(),
+                                                out);
+  if (det.kind != SampleKind::kFail) return det;
+
+  const uint64_t* alphas = reinterpret_cast<const uint64_t*>(slice);
+  const uint32_t* gammas = reinterpret_cast<const uint32_t*>(
+      slice + column_buckets_ * sizeof(uint64_t));
+  const uint64_t* gamma_seeds = col_seeds(round) + cols_;
 
   // Scan each column from the deepest (sparsest) row upward: deep rows
   // are the most likely to hold a single survivor. The first verified

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -69,6 +70,9 @@ struct CubeSketchParams {
 // that any sample is false stays below (cols * rows + 1) * 2^-32.
 class SketchLayout {
  public:
+  // Bytes of one bucket, and so of a round's deterministic bucket.
+  static constexpr size_t kDetBucketBytes = sizeof(uint64_t) + sizeof(uint32_t);
+
   SketchLayout(uint64_t vector_len, int cols,
                const std::vector<uint64_t>& round_seeds);
 
@@ -84,6 +88,9 @@ class SketchLayout {
   size_t round_bytes() const { return round_bytes_; }
   size_t round_stride() const { return round_stride_; }
   size_t record_bytes() const { return round_bytes_ * rounds_; }
+  // Offset of the deterministic bucket in a round slice: its last
+  // kDetBucketBytes bytes.
+  size_t det_offset() const { return column_buckets_ * kDetBucketBytes; }
 
   // Runs `kernel` over a bounds-checked span in the round at `slice`.
   void Update(int round, uint8_t* slice, SketchKernel kernel,
@@ -95,6 +102,14 @@ class SketchLayout {
   // of each column in column order, stopping after `max_out` samples.
   ColumnSamples SampleColumns(int round, const uint8_t* slice,
                               uint64_t* out, int max_out) const;
+
+  // SampleColumns() from the round's deterministic bucket alone (`det`,
+  // kDetBucketBytes bytes): kZero, or kGood with the one coordinate in
+  // out[0], exactly as SampleColumns() returns them on the whole slice.
+  // kFail means the bucket does not decide the round; only the column
+  // scan can.
+  ColumnSamples SampleDeterministic(int round, const uint8_t* det,
+                                    uint64_t* out) const;
 
   // The first sample of SampleColumns().
   SketchSample Query(int round, const uint8_t* slice) const;
@@ -118,6 +133,21 @@ class SketchLayout {
 // dst ^= src over `bytes` bytes: the one XOR routine behind every merge
 // of sketch state, in memory or against serialized records.
 void XorBytes(uint8_t* dst, const uint8_t* src, size_t bytes);
+
+// XorBytes() over one deterministic bucket, inline: a fold of round
+// summaries runs it once per node and round.
+inline void XorDetBucket(uint8_t* dst, const uint8_t* src) {
+  uint64_t alpha_d, alpha_s;
+  uint32_t gamma_d, gamma_s;
+  std::memcpy(&alpha_d, dst, sizeof(alpha_d));
+  std::memcpy(&alpha_s, src, sizeof(alpha_s));
+  std::memcpy(&gamma_d, dst + sizeof(alpha_d), sizeof(gamma_d));
+  std::memcpy(&gamma_s, src + sizeof(alpha_s), sizeof(gamma_s));
+  alpha_d ^= alpha_s;
+  gamma_d ^= gamma_s;
+  std::memcpy(dst, &alpha_d, sizeof(alpha_d));
+  std::memcpy(dst + sizeof(alpha_d), &gamma_d, sizeof(gamma_d));
+}
 
 // One bucket block and its shared layout: the storage and operations of
 // CubeSketch and NodeSketch. A copy is one allocation.

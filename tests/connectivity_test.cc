@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <string>
 #include <tuple>
@@ -449,6 +450,120 @@ TEST_P(ConnectivityReferenceTest, MatchesSequentialReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConnectivityReferenceTest,
                          ::testing::Values<uint64_t>(1, 2, 3));
+
+// Loads of a round-lazy snapshot, per round and part.
+struct LoadCounts {
+  std::vector<int> whole;
+  std::vector<int> summary;
+};
+
+// A round-lazy snapshot over `eager`'s bytes whose loader serves each
+// part as asked (summaries as V x 12 bytes, as a reader's does) and
+// counts the loads in *counts.
+GraphSnapshot CountingLazy(const GraphSnapshot& eager, LoadCounts* counts) {
+  counts->whole.assign(eager.rounds(), 0);
+  counts->summary.assign(eager.rounds(), 0);
+  const NodeSketch zero(eager.params());
+  return GraphSnapshot::Lazy(
+      zero, eager.num_updates(),
+      [&eager, counts](int round, RoundPart part, uint64_t,
+                       const GraphSnapshot::BlockRunner&,
+                       std::vector<uint8_t>* out) {
+        const uint64_t n = eager.num_nodes();
+        const bool whole = part == RoundPart::kWhole;
+        (whole ? counts->whole : counts->summary)[round]++;
+        const size_t slot = whole ? eager.layout().round_stride()
+                                  : GraphSnapshot::kSummaryBytes;
+        const size_t bytes = whole ? eager.layout().round_bytes()
+                                   : GraphSnapshot::kSummaryBytes;
+        GraphSnapshot::RoundView view;
+        GZ_CHECK_OK(whole ? eager.Round(round, n, nullptr, &view)
+                          : eager.Summary(round, n, nullptr, &view));
+        out->assign(n * slot, 0);
+        for (NodeId i = 0; i < n; ++i) {
+          std::memcpy(out->data() + i * slot, view.node(i), bytes);
+        }
+        return Status::Ok();
+      });
+}
+
+TEST(ConnectivityTest, LazySummariesGiveTheEagerAnswerAtAnyThreadCount) {
+  // A round-lazy snapshot decides each round from its summaries and
+  // loads a round whole only where they leave a component undecided;
+  // its answer is the eager snapshot's, field by field, at 1 and 4
+  // threads. Each round a query reaches loads its summary once and its
+  // whole round at most once, the last round of a finished query never
+  // whole, and no round past the query loads at all.
+  const uint64_t n = 2048;  // Above the pool and parallel-build floors.
+  for (const uint64_t seed : {11, 12, 13}) {
+    ErdosRenyiParams ep;
+    ep.num_nodes = n;
+    ep.p = (seed == 13 ? 1.2 : 4.0) / n;  // 13: many components.
+    ep.seed = seed;
+    const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
+    const GraphSnapshot eager = SketchGraph(n, seed + 5, edges);
+    for (const int threads : {1, 4}) {
+      const std::string label =
+          "seed " + std::to_string(seed) + " at " + std::to_string(threads) +
+          " threads";
+      const ConnectivityResult want =
+          BoruvkaConnectivity(eager, 0, -1, threads);
+      ASSERT_FALSE(want.failed) << label;
+      CheckForest(want, n, edges);
+      LoadCounts counts;
+      const GraphSnapshot lazy = CountingLazy(eager, &counts);
+      const ConnectivityResult got = BoruvkaConnectivity(lazy, 0, -1, threads);
+      EXPECT_EQ(got.failed, want.failed) << label;
+      EXPECT_EQ(got.rounds_used, want.rounds_used) << label;
+      EXPECT_EQ(got.spanning_forest, want.spanning_forest) << label;
+      EXPECT_EQ(got.component_of, want.component_of) << label;
+      for (int r = 0; r < eager.rounds(); ++r) {
+        const bool reached = r < want.rounds_used;
+        EXPECT_EQ(counts.summary[r], reached ? 1 : 0) << label << " round " << r;
+        EXPECT_LE(counts.whole[r], reached ? 1 : 0) << label << " round " << r;
+      }
+      EXPECT_EQ(counts.whole[0], 1) << label;  // Round 0 is never decided.
+      EXPECT_EQ(counts.whole[want.rounds_used - 1], 0) << label;
+    }
+  }
+}
+
+TEST(ConnectivityTest, QueryEndingInRoundOneNeverLoadsThatRoundWhole) {
+  // Three stars and isolated nodes: each center needs round 0 whole,
+  // each leaf's summary is its one edge, so round 0 merges every star,
+  // and round 1 proves every cut empty from its summaries alone. The
+  // answer equals the eager snapshot's at 1 and 4 threads.
+  const uint64_t n = 1500;
+  EdgeList edges;
+  for (const auto& [center, end] : {std::pair<NodeId, NodeId>{0, 700},
+                                    std::pair<NodeId, NodeId>{700, 1100},
+                                    std::pair<NodeId, NodeId>{1100, 1300}}) {
+    for (NodeId leaf = center + 1; leaf < end; ++leaf) {
+      edges.emplace_back(center, leaf);
+    }
+  }
+  const GraphSnapshot eager = SketchGraph(n, 21, edges);
+  for (const int threads : {1, 4}) {
+    const std::string label = std::to_string(threads) + " threads";
+    const ConnectivityResult want = BoruvkaConnectivity(eager, 0, -1, threads);
+    ASSERT_FALSE(want.failed) << label;
+    ASSERT_EQ(want.rounds_used, 2) << label;
+    CheckForest(want, n, edges);
+    LoadCounts counts;
+    const GraphSnapshot lazy = CountingLazy(eager, &counts);
+    const ConnectivityResult got = BoruvkaConnectivity(lazy, 0, -1, threads);
+    EXPECT_EQ(got.failed, want.failed) << label;
+    EXPECT_EQ(got.rounds_used, want.rounds_used) << label;
+    EXPECT_EQ(got.spanning_forest, want.spanning_forest) << label;
+    EXPECT_EQ(got.component_of, want.component_of) << label;
+    EXPECT_EQ(counts.whole[0], 1) << label;
+    EXPECT_EQ(counts.summary[1], 1) << label;
+    EXPECT_EQ(counts.whole[1], 0) << label;
+    for (int r = 2; r < eager.rounds(); ++r) {
+      EXPECT_EQ(counts.whole[r] + counts.summary[r], 0) << label;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace gz

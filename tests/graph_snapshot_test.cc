@@ -207,11 +207,12 @@ TEST(GraphSnapshotTest, ByteSerializationRoundTripsExactly) {
 }
 
 // The byte format pinned to fixed values: the round-trip suites above
-// would pass for any self-consistent layout, these only for GZSNAP03.
+// would pass for any self-consistent layout, these only for GZSNAP04.
 // V=45 gives cols*rows = 77 (odd: the det bucket sits at 4 mod 8 in a
 // round), V=64 gives 84 (even: a 1,020 B round, 4 mod 8). The header
 // and the record body are pinned apart: the body digests are the ones
-// GZSNAP02 bodies had, so the round window moved no record byte.
+// GZSNAP02 and GZSNAP03 bodies had, so neither the round window nor the
+// part field moved a record byte.
 struct BytePin {
   uint64_t num_nodes;
   const char* header_sha256;
@@ -282,13 +283,13 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, GraphSnapshotBytePinTest,
     ::testing::Values(
         BytePin{45,
-                "c0319ac894e6002ff073e4dfa7ddf9b8"
-                "b6009cd2f67973dd97f704afda81cd57",
+                "fdd76479c16518e4eae2a9b4dba30582"
+                "167533adada7e7708cdfa2abfc8c03f6",
                 "10333e86adb627f8494af69920dc16d4"
                 "c4046f663e0c5a1fc25f1b395bbd3d16"},
         BytePin{64,
-                "0bff70ae89a2dfc93fe6486fca4a32c2"
-                "b686a61aeb8f78a9f4c22a712fb284ca",
+                "ee71a6b851bfe9a2493d344205169d66"
+                "af3b01cb62bf9e7355c30a8b124d21db",
                 "57f80ce414ab1d6f2f2c554c998a36d9"
                 "757604d9dd59976b7a6a199b3c6b89c8"}));
 
@@ -415,27 +416,31 @@ TEST(GraphSnapshotTest, RetiredMagicsAreRefused) {
   }
 }
 
-TEST(GraphSnapshotTest, Gzsnap02IsRefusedNamingTheVersion) {
-  // The previous format: the same fields up to num_updates, no round
-  // window, a 56-byte header. Refused from bytes, from a file and as a
-  // checkpoint, with a message naming both versions.
-  const uint64_t n = 16;
-  const GraphSnapshot snapshot = SnapshotOf(n, 3, {Edge(1, 2)});
-  const std::vector<uint8_t> current = snapshot.Serialize();
-  std::vector<uint8_t> old(current.begin(), current.begin() + 56);
-  std::memcpy(old.data(), "GZSNAP02", 8);
+// Bytes in a previous format: `magic`, then the fields of `current`
+// (a GZSNAP04 serialization) up to its first `header_bytes` header
+// bytes, then its records.
+std::vector<uint8_t> OlderFormat(const std::vector<uint8_t>& current,
+                                 const char* magic, size_t header_bytes) {
+  std::vector<uint8_t> old(current.begin(), current.begin() + header_bytes);
+  std::memcpy(old.data(), magic, 8);
   old.insert(old.end(), current.begin() + GraphSnapshot::kHeaderBytes,
              current.end());
-  const auto expect_refused = [](const Status& s) {
+  return old;
+}
+
+// Refused from bytes, from a file and as a checkpoint, with a message
+// naming both `old`'s version and the current one.
+void ExpectVersionRefused(const std::vector<uint8_t>& old, uint64_t n,
+                          const std::string& version) {
+  const auto expect_refused = [&version](const Status& s) {
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
-    EXPECT_NE(s.message().find("GZSNAP02"), std::string::npos)
-        << s.ToString();
-    EXPECT_NE(s.message().find("GZSNAP03"), std::string::npos)
+    EXPECT_NE(s.message().find(version), std::string::npos) << s.ToString();
+    EXPECT_NE(s.message().find("GZSNAP04"), std::string::npos)
         << s.ToString();
   };
   expect_refused(GraphSnapshot::Deserialize(old.data(), old.size()).status());
   const std::string path =
-      std::string(::testing::TempDir()) + "/gzsnap02.snap";
+      std::string(::testing::TempDir()) + "/older_version.snap";
   FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fwrite(old.data(), 1, old.size(), f), old.size());
@@ -445,6 +450,24 @@ TEST(GraphSnapshotTest, Gzsnap02IsRefusedNamingTheVersion) {
   ASSERT_TRUE(gz.Init().ok());
   expect_refused(gz.LoadCheckpoint(path));
   std::remove(path.c_str());
+}
+
+TEST(GraphSnapshotTest, Gzsnap02IsRefusedNamingTheVersion) {
+  // The format before GZSNAP03: the same fields up to num_updates, no
+  // round window, a 56-byte header.
+  const uint64_t n = 16;
+  const GraphSnapshot snapshot = SnapshotOf(n, 3, {Edge(1, 2)});
+  ExpectVersionRefused(OlderFormat(snapshot.Serialize(), "GZSNAP02", 56), n,
+                       "GZSNAP02");
+}
+
+TEST(GraphSnapshotTest, Gzsnap03IsRefusedNamingTheVersion) {
+  // The previous format: the same fields up to r_hi, no part, a 64-byte
+  // header.
+  const uint64_t n = 16;
+  const GraphSnapshot snapshot = SnapshotOf(n, 3, {Edge(1, 2)});
+  ExpectVersionRefused(OlderFormat(snapshot.Serialize(), "GZSNAP03", 64), n,
+                       "GZSNAP03");
 }
 
 // Streams rounds [r_lo, r_hi) of `snap`'s nodes [lo, hi) as SaveToSink
@@ -534,6 +557,174 @@ TEST(GraphSnapshotTest, RoundWindowsFoldOnlyWhereTheCallerExpectsThem) {
   }
 }
 
+// `part` of rounds [r_lo, r_hi) of nodes [lo, hi), as `gz` streams it.
+std::vector<uint8_t> RangeBytes(GraphZeppelin& gz, uint64_t lo, uint64_t hi,
+                                int r_lo, int r_hi, RoundPart part) {
+  std::vector<uint8_t> bytes;
+  GZ_CHECK_OK(gz.WriteNodeRangeTo(lo, hi, r_lo, r_hi, part,
+                                  [&bytes](const void* data, size_t n) {
+                                    const uint8_t* p =
+                                        static_cast<const uint8_t*>(data);
+                                    bytes.insert(bytes.end(), p, p + n);
+                                    return Status::Ok();
+                                  }));
+  return bytes;
+}
+
+TEST(GraphSnapshotTest, SummaryRangesCarryEachRoundsDeterministicBucket) {
+  // A summary range holds, per node and round, the 12 bytes at the end
+  // of the round's slice: from the RAM store's bucket read and from the
+  // disk store's read out of the window alike, and the same bytes
+  // Summary() views in place.
+  const uint64_t n = 24;
+  EdgeList edges;
+  for (NodeId i = 0; i + 1 < 12; ++i) edges.emplace_back(i, i + 1);
+  edges.emplace_back(20, 23);
+  for (const auto storage : {GraphZeppelinConfig::Storage::kRam,
+                             GraphZeppelinConfig::Storage::kDisk}) {
+    GraphZeppelinConfig config = MakeConfig(n, 9);
+    config.storage = storage;
+    GraphZeppelin gz(config);
+    ASSERT_TRUE(gz.Init().ok());
+    Ingest(&gz, edges);
+    const GraphSnapshot snap = gz.Snapshot();
+    GZ_CHECK_OK(snap.LoadAllRounds());
+    const int rounds = snap.rounds();
+    const std::vector<uint8_t> summary =
+        RangeBytes(gz, 3, 21, 1, rounds, RoundPart::kSummary);
+    ASSERT_EQ(summary.size(),
+              GraphSnapshot::SerializedSizeFor(snap.params(), 3, 21, 1, rounds,
+                                               RoundPart::kSummary));
+    EXPECT_EQ(summary.size(), GraphSnapshot::kHeaderBytes +
+                                  18 * (rounds - 1) *
+                                      GraphSnapshot::kSummaryBytes);
+    uint32_t part = 0;
+    std::memcpy(&part, summary.data() + 64, 4);
+    EXPECT_EQ(part, 1u);
+    NodeId seen = 3;
+    ASSERT_TRUE(GraphSnapshot::FoldSerialized(
+                    summary.data(), summary.size(), snap.params(), 1, rounds,
+                    [&](NodeId i, const uint8_t* record) {
+                      EXPECT_EQ(i, seen++);
+                      for (int r = 1; r < rounds; ++r) {
+                        GraphSnapshot::RoundView whole, det;
+                        ASSERT_TRUE(snap.Round(r, n, nullptr, &whole).ok());
+                        ASSERT_TRUE(snap.Summary(r, n, nullptr, &det).ok());
+                        const uint8_t* got =
+                            record + (r - 1) * GraphSnapshot::kSummaryBytes;
+                        EXPECT_EQ(std::memcmp(got,
+                                              whole.node(i) +
+                                                  snap.layout().det_offset(),
+                                              GraphSnapshot::kSummaryBytes),
+                                  0);
+                        EXPECT_EQ(std::memcmp(got, det.node(i),
+                                              GraphSnapshot::kSummaryBytes),
+                                  0);
+                      }
+                    },
+                    RoundPart::kSummary)
+                    .ok());
+    EXPECT_EQ(seen, 21u);
+  }
+}
+
+TEST(GraphSnapshotTest, WholeRecordConsumersRefuseSummaryBytes) {
+  // Summaries of the whole range [0, V) x [0, R) have a whole-snapshot
+  // header but for the part: Deserialize, LoadFromFile, MergeSerialized
+  // and a whole-window fold all refuse them, and a summary fold refuses
+  // whole rounds.
+  const uint64_t n = 16;
+  GraphZeppelin gz(MakeConfig(n, 3));
+  ASSERT_TRUE(gz.Init().ok());
+  Ingest(&gz, {Edge(1, 2), Edge(2, 9)});
+  const int rounds = gz.sketch_params().rounds;
+  const std::vector<uint8_t> summary =
+      RangeBytes(gz, 0, n, 0, rounds, RoundPart::kSummary);
+  const std::vector<uint8_t> whole =
+      RangeBytes(gz, 0, n, 0, rounds, RoundPart::kWhole);
+  const auto no_fold = [](NodeId, const uint8_t*) { FAIL(); };
+  EXPECT_EQ(GraphSnapshot::Deserialize(summary.data(), summary.size())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  GraphSnapshot snap = GraphSnapshot::Deserialize(whole.data(), whole.size())
+                           .value();
+  const GraphSnapshot before = snap;
+  EXPECT_EQ(snap.MergeSerialized(summary.data(), summary.size()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(snap == before);
+  EXPECT_EQ(GraphSnapshot::FoldSerialized(summary.data(), summary.size(),
+                                          snap.params(), 0, rounds, no_fold)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(GraphSnapshot::FoldSerialized(whole.data(), whole.size(),
+                                          snap.params(), 0, rounds, no_fold,
+                                          RoundPart::kSummary)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(gz.MergeSerialized(summary.data(), summary.size()).code(),
+            StatusCode::kInvalidArgument);
+  const std::string path =
+      std::string(::testing::TempDir()) + "/summary_part.snap";
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(summary.data(), 1, summary.size(), f),
+            summary.size());
+  std::fclose(f);
+  EXPECT_EQ(GraphSnapshot::LoadFromFile(path).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(gz.LoadCheckpoint(path).code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(GraphSnapshotTest, UnknownPartAndTruncatedSummaryAreInvalidArgument) {
+  // A part value this build does not know, in either kind of bytes, and
+  // a summary body one byte or one record short, are InvalidArgument
+  // from every decoder, never a crash.
+  const uint64_t n = 16;
+  GraphZeppelin gz(MakeConfig(n, 3));
+  ASSERT_TRUE(gz.Init().ok());
+  Ingest(&gz, {Edge(1, 2), Edge(2, 9)});
+  const NodeSketchParams params = gz.sketch_params();
+  const int rounds = params.rounds;
+  const auto no_fold = [](NodeId, const uint8_t*) { FAIL(); };
+  const std::vector<uint8_t> summary =
+      RangeBytes(gz, 2, 9, 1, rounds, RoundPart::kSummary);
+  const std::vector<uint8_t> whole =
+      RangeBytes(gz, 0, n, 0, rounds, RoundPart::kWhole);
+  for (const uint32_t unknown : {2u, 3u, 0xFFFFFFFFu}) {
+    for (const std::vector<uint8_t>* bytes : {&summary, &whole}) {
+      std::vector<uint8_t> bad = *bytes;
+      std::memcpy(bad.data() + 64, &unknown, 4);
+      const int r_lo = bytes == &summary ? 1 : 0;
+      for (const RoundPart part : {RoundPart::kWhole, RoundPart::kSummary}) {
+        EXPECT_EQ(GraphSnapshot::FoldSerialized(bad.data(), bad.size(),
+                                                params, r_lo, rounds, no_fold,
+                                                part)
+                      .code(),
+                  StatusCode::kInvalidArgument)
+            << "part " << unknown;
+      }
+      EXPECT_EQ(
+          GraphSnapshot::Deserialize(bad.data(), bad.size()).status().code(),
+          StatusCode::kInvalidArgument)
+          << "part " << unknown;
+    }
+  }
+  const size_t record = (rounds - 1) * GraphSnapshot::kSummaryBytes;
+  for (const size_t cut : {size_t{1}, record, summary.size() - 64}) {
+    const std::vector<uint8_t> shortened(summary.begin(),
+                                         summary.end() - cut);
+    EXPECT_EQ(GraphSnapshot::FoldSerialized(shortened.data(),
+                                            shortened.size(), params, 1,
+                                            rounds, no_fold,
+                                            RoundPart::kSummary)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "cut " << cut;
+  }
+}
+
 TEST(GraphSnapshotTest, FailedLazyLoadFailsTheQueryAndEveryWholeSketchUse) {
   // A lazy snapshot whose loader fails from round 1 on: Boruvka stops at
   // that round and reports failed, the snapshot keeps the load's status,
@@ -547,7 +738,7 @@ TEST(GraphSnapshotTest, FailedLazyLoadFailsTheQueryAndEveryWholeSketchUse) {
   int calls = 0;
   const GraphSnapshot lazy = GraphSnapshot::Lazy(
       zero, eager.num_updates(),
-      [&](int round, uint64_t, const GraphSnapshot::BlockRunner&,
+      [&](int round, RoundPart, uint64_t, const GraphSnapshot::BlockRunner&,
           std::vector<uint8_t>* out) {
         ++calls;
         if (round >= 1) return Status::FailedPrecondition("moved on");

@@ -383,7 +383,7 @@ GraphSnapshot EagerCapture(GraphZeppelin& gz) {
   std::vector<uint8_t> bytes;
   GZ_CHECK_OK(gz.WriteNodeRangeTo(
       0, gz.sketch_params().num_nodes, 0, gz.sketch_params().rounds,
-      [&bytes](const void* data, size_t n) {
+      RoundPart::kWhole, [&bytes](const void* data, size_t n) {
         const uint8_t* p = static_cast<const uint8_t*>(data);
         bytes.insert(bytes.end(), p, p + n);
         return Status::Ok();

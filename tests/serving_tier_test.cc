@@ -7,9 +7,10 @@
 // snapshot must be BITWISE identical to the coordinator's full fold —
 // after ingest, a split, a live removal, replica failover, and
 // concurrent reader sessions. A reader snapshot is round-lazy: a cold
-// Snapshot() pulls its first round window, and a query (or ==, which
-// reads every round) pulls the later windows, each at the snapshot's
-// position or not at all. While a removal migrates, a reader answer may
+// Snapshot() pulls round 0 whole and every later round's summary, and a
+// query pulls a later round whole only where its summaries do not
+// decide it (and ==, which reads every round, pulls every remaining
+// round), each at the snapshot's position or not at all. While a removal migrates, a reader answer may
 // be torn across shards (see query_session.h); the chaos drill below
 // checks only that such answers stay well formed.
 #include <gtest/gtest.h>
@@ -91,6 +92,9 @@ std::vector<GraphUpdate> BuildStream(uint64_t seed) {
 // nodes-per-chunk granularity.
 constexpr uint64_t kChunk = 16;
 constexpr uint64_t kChunksPerShard = (kNumNodes + kChunk - 1) / kChunk;
+// Range replies of one shard's cold pull: round 0 whole and the later
+// rounds' summaries, one request each per chunk.
+constexpr uint64_t kColdPullsPerShard = 2 * kChunksPerShard;
 
 // A one-connection relay on a loopback port in front of the listener at
 // `upstream`: it answers the reader's handshake itself, then forwards
@@ -272,7 +276,7 @@ TEST_F(ServingTierTcpTest,
     const GraphSnapshot* snap = nullptr;
     s = split_reader.Snapshot(&snap);
     ASSERT_TRUE(s.ok()) << s.ToString();
-    EXPECT_EQ(split_reader.range_pulls(), 3 * kChunksPerShard);
+    EXPECT_EQ(split_reader.range_pulls(), 3 * kColdPullsPerShard);
     EXPECT_TRUE(*snap == FoldedSnapshot(&sharded));
   }
   // One span lands partly on the child, so its removal drains real
@@ -351,7 +355,7 @@ TEST_F(ServingTierTcpTest, ReaderCacheSurvivesASplitThatMovesNoContent) {
   Status s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
   const uint64_t pulls = session.range_pulls();
-  EXPECT_EQ(pulls, 3 * kChunksPerShard);
+  EXPECT_EQ(pulls, 3 * kColdPullsPerShard);
 
   Result<int> child = sharded.SplitShard(0, grown_endpoints[0]);
   ASSERT_TRUE(child.ok()) << child.status().ToString();
@@ -685,8 +689,9 @@ TEST_F(ServingTierTcpTest, ChunkedParallelPullsStayBitwiseThroughFailover) {
   const GraphSnapshot* served = nullptr;
   Status s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  // Read before the compare, which pulls the snapshot's later windows.
-  EXPECT_EQ(session.range_pulls(), 2 * kChunks);
+  // Read before the compare, which pulls the snapshot's later rounds.
+  // Two shards, two parts per chunk.
+  EXPECT_EQ(session.range_pulls(), 2 * 2 * kChunks);
   EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
 
   // Ingest into shard 1 only: the rebuild still pulls both shards.
@@ -702,7 +707,7 @@ TEST_F(ServingTierTcpTest, ChunkedParallelPullsStayBitwiseThroughFailover) {
   uint64_t pulls = session.range_pulls();
   s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(session.range_pulls() - pulls, 2 * kChunks);
+  EXPECT_EQ(session.range_pulls() - pulls, 2 * 2 * kChunks);
   EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
 
   // Replica 0 of each shard dies, then both shards move. The refresh
@@ -715,7 +720,7 @@ TEST_F(ServingTierTcpTest, ChunkedParallelPullsStayBitwiseThroughFailover) {
   pulls = session.range_pulls();
   s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << "one live replica per shard: " << s.ToString();
-  EXPECT_EQ(session.range_pulls() - pulls, 2 * kChunks);
+  EXPECT_EQ(session.range_pulls() - pulls, 2 * 2 * kChunks);
   EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
   cluster.Shutdown();  // Two children are already gone; best effort.
 }
@@ -749,17 +754,17 @@ TEST_F(ServingTierTcpTest, ReplicaLostMidStageFailsOverToItsPeer) {
   const Status s = connected.ok() ? session.Snapshot(&served) : connected;
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(session.last_refresh_rounds(), 2);
-  // Both rounds pulled every chunk of the first window; the first
-  // round's candidate was discarded. Read before the compare, which
-  // pulls the snapshot's later windows.
-  EXPECT_EQ(session.range_pulls(), 2 * kChunksPerShard);
+  // Both rounds pulled every chunk of round 0 and of the summaries; the
+  // first round's candidate was discarded. Read before the compare,
+  // which pulls the snapshot's later rounds.
+  EXPECT_EQ(session.range_pulls(), 2 * kColdPullsPerShard);
   EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
 TEST_F(ServingTierTcpTest, ReplyThatDoesNotFoldVoidsTheRound) {
   // A replica whose first MIGRATE_DATA reply arrives well framed (a
-  // valid CRC) but with a GZSNAP03 header naming another graph: the fold
+  // valid CRC) but with a GZSNAP04 header naming another graph: the fold
   // refuses it, the round's half-folded candidate is discarded, and the
   // second round serves exactly the coordinator's fold.
   StartFleet(2);  // One shard at R=2.
@@ -799,19 +804,21 @@ TEST_F(ServingTierTcpTest, ReplyThatDoesNotFoldVoidsTheRound) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_TRUE(rewritten.load());
   EXPECT_EQ(session.last_refresh_rounds(), 2);
-  // The first round stopped after the wave that carried the bad reply.
-  // Read before the compare, which pulls the snapshot's later windows.
-  EXPECT_EQ(session.range_pulls(), 1 + kChunksPerShard);
+  // The first round stopped after the wave that carried the bad reply
+  // and the first summary chunk. Read before the compare, which pulls
+  // the snapshot's later rounds.
+  EXPECT_EQ(session.range_pulls(), 2 + kColdPullsPerShard);
   const GraphSnapshot full = FoldedSnapshot(&cluster);
   EXPECT_TRUE(*served == full);
   EXPECT_EQ(served->num_updates(), full.num_updates());
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
-// ---- Round-windowed reader pulls -----------------------------------------
+// ---- Summary-first reader pulls --------------------------------------------
 
-// The session's pull window, in sketch rounds.
-constexpr int kWindow = 2;
+// A first round past 0 and 1, where a forest peel's later phases start:
+// queries from it read rounds the first query never reached.
+constexpr int kLaterRound = 2;
 
 // Boruvka's answer, field by field.
 void ExpectSameAnswer(const ConnectivityResult& got,
@@ -823,19 +830,50 @@ void ExpectSameAnswer(const ConnectivityResult& got,
   EXPECT_EQ(got.component_of, want.component_of);
 }
 
-// Pull windows that cover rounds [0, rounds); the first window is
-// pulled whatever a query reads.
-uint64_t Windows(int rounds) {
-  return static_cast<uint64_t>((std::max(rounds, kWindow) + kWindow - 1) /
-                               kWindow);
+// The rounds Boruvka from `first_round` reads whole from `full`'s bytes
+// (true at their index): a round-lazy copy serving summaries and whole
+// rounds apart records which whole rounds it loaded. A reader pulls
+// exactly these rounds, past round 0, for the same query.
+std::vector<bool> WholeRoundsRead(const GraphSnapshot& full,
+                                  int first_round) {
+  auto read = std::make_shared<std::vector<bool>>(full.rounds(), false);
+  const uint64_t n = full.num_nodes();
+  const GraphSnapshot lazy = GraphSnapshot::Lazy(
+      NodeSketch(full.params()), full.num_updates(),
+      [&full, read, n](int round, RoundPart part, uint64_t,
+                       const GraphSnapshot::BlockRunner&,
+                       std::vector<uint8_t>* out) {
+        const bool whole = part == RoundPart::kWhole;
+        if (whole) (*read)[round] = true;
+        const size_t slot = whole ? full.layout().round_stride()
+                                  : GraphSnapshot::kSummaryBytes;
+        const size_t bytes = whole ? full.layout().round_bytes()
+                                   : GraphSnapshot::kSummaryBytes;
+        GraphSnapshot::RoundView view;
+        GZ_CHECK_OK(whole ? full.Round(round, n, nullptr, &view)
+                          : full.Summary(round, n, nullptr, &view));
+        out->assign(n * slot, 0);
+        for (NodeId i = 0; i < n; ++i) {
+          std::memcpy(out->data() + i * slot, view.node(i), bytes);
+        }
+        return Status::Ok();
+      });
+  GZ_CHECK(!BoruvkaConnectivity(lazy, first_round, -1, 1).failed);
+  return *read;
+}
+
+// Rounds past round 0 set in `read`: the later whole rounds a reader
+// pulls for the query `read` came from.
+uint64_t LaterRounds(const std::vector<bool>& read) {
+  return static_cast<uint64_t>(std::count(read.begin() + 1, read.end(), true));
 }
 
 TEST_F(ServingTierTcpTest, LazyReaderSnapshotEqualsTheFold) {
-  // The cold Snapshot() pulls one window per shard, a query pulls
-  // exactly the windows Boruvka reaches (one pull per shard per window,
-  // even with two threads querying copies at once), its answers equal
-  // the eager fold's at 1 and 4 threads, and the whole snapshot is the
-  // fold bitwise.
+  // The cold Snapshot() pulls round 0 and the summaries of every shard,
+  // a query pulls exactly the later rounds its summaries leave
+  // undecided (one pull per shard per round, even with two threads
+  // querying copies at once), its answers equal the eager fold's at 1
+  // and 4 threads, and the whole snapshot is the fold bitwise.
   StartFleet(2);
   ShardClusterOptions options;
   options.auth_secret = kSecret;
@@ -848,26 +886,32 @@ TEST_F(ServingTierTcpTest, LazyReaderSnapshotEqualsTheFold) {
   const GraphSnapshot full = FoldedSnapshot(&cluster);
   const ConnectivityResult want1 = Connectivity(full, 1);
   const ConnectivityResult want4 = Connectivity(full, 4);
-  // Boruvka from the second window on, as a forest peel's later phases
-  // run: it reads windows the first query never reached.
-  const ConnectivityResult late1 = BoruvkaConnectivity(full, kWindow, -1, 1);
-  const ConnectivityResult late4 = BoruvkaConnectivity(full, kWindow, -1, 4);
+  // Boruvka from a later round, as a forest peel's later phases run: it
+  // reads rounds the first query never reached.
+  const ConnectivityResult late1 =
+      BoruvkaConnectivity(full, kLaterRound, -1, 1);
+  const ConnectivityResult late4 =
+      BoruvkaConnectivity(full, kLaterRound, -1, 4);
   ASSERT_FALSE(want1.failed);
   ASSERT_FALSE(late1.failed);
   const int rounds = full.rounds();
-  ASSERT_LT(kWindow + late1.rounds_used, rounds);
+  ASSERT_LT(kLaterRound + late1.rounds_used, rounds);
+  const std::vector<bool> first_read = WholeRoundsRead(full, 0);
+  std::vector<bool> both_read = WholeRoundsRead(full, kLaterRound);
+  ASSERT_TRUE(both_read[kLaterRound]);  // Its first round is all singletons.
+  for (int r = 0; r < rounds; ++r) both_read[r] = both_read[r] || first_read[r];
 
   QuerySession session(ReaderOptions());
   ASSERT_TRUE(session.Connect().ok());
   const GraphSnapshot* served = nullptr;
   const Status s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(session.range_pulls(), 2 * kChunksPerShard);
-  EXPECT_EQ(session.rounds_pulled(), kWindow);
+  EXPECT_EQ(session.range_pulls(), 2 * kColdPullsPerShard);
+  EXPECT_EQ(session.rounds_pulled(), 1);
   ExpectSameAnswer(Connectivity(*served, 1), want1);
   ExpectSameAnswer(Connectivity(*served, 4), want4);
   EXPECT_EQ(session.range_pulls(),
-            Windows(want1.rounds_used) * 2 * kChunksPerShard);
+            2 * (kColdPullsPerShard + LaterRounds(first_read) * kChunksPerShard));
 
   // Two threads run the later query on copies at once; the loader
   // serializes them.
@@ -875,30 +919,36 @@ TEST_F(ServingTierTcpTest, LazyReaderSnapshotEqualsTheFold) {
   {
     const GraphSnapshot a = *served, b = *served;
     std::thread other(
-        [&] { racing[1] = BoruvkaConnectivity(b, kWindow, -1, 4); });
-    racing[0] = BoruvkaConnectivity(a, kWindow, -1, 4);
+        [&] { racing[1] = BoruvkaConnectivity(b, kLaterRound, -1, 4); });
+    racing[0] = BoruvkaConnectivity(a, kLaterRound, -1, 4);
     other.join();
   }
-  const uint64_t windows =
-      Windows(std::max(want1.rounds_used, kWindow + late1.rounds_used));
-  EXPECT_EQ(session.range_pulls(), windows * 2 * kChunksPerShard);
+  const uint64_t pulled =
+      2 * (kColdPullsPerShard + LaterRounds(both_read) * kChunksPerShard);
+  EXPECT_EQ(session.range_pulls(), pulled);
   ExpectSameAnswer(racing[0], late4);
   ExpectSameAnswer(racing[1], late4);
-  ExpectSameAnswer(BoruvkaConnectivity(*served, kWindow, -1, 1), late1);
-  EXPECT_EQ(session.range_pulls(), windows * 2 * kChunksPerShard);
+  ExpectSameAnswer(BoruvkaConnectivity(*served, kLaterRound, -1, 1), late1);
+  EXPECT_EQ(session.range_pulls(), pulled);
+  EXPECT_EQ(session.rounds_pulled(),
+            static_cast<int>(1 + LaterRounds(both_read)));
   EXPECT_TRUE(served->load_status().ok());
 
+  // Every remaining round, once each.
   EXPECT_TRUE(*served == full);
   EXPECT_EQ(served->Serialize(), full.Serialize());
-  EXPECT_EQ(session.range_pulls(), Windows(rounds) * 2 * kChunksPerShard);
+  EXPECT_EQ(session.range_pulls(),
+            2 * (kColdPullsPerShard + (rounds - 1) * kChunksPerShard));
   EXPECT_EQ(session.rounds_pulled(), rounds);
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
-TEST_F(ServingTierTcpTest, QueryBytesAreTheWindowsItRead) {
-  // A query's pull bytes, summed over shards: each window is
-  // V x kWindow x round_bytes of records per shard plus one range
-  // header per chunk.
+TEST_F(ServingTierTcpTest, QueryBytesAreRoundZeroSummariesAndRoundsItRead) {
+  // A cold query's pull bytes, summed over shards: per shard, round 0
+  // whole (V x round_bytes), the summaries of the other R - 1 rounds
+  // (V x (R - 1) x 12) and one range header per chunk for each, plus
+  // V x round_bytes and a header per chunk for each later round pulled
+  // whole.
   StartFleet(2);
   ShardClusterOptions options;
   options.auth_secret = kSecret;
@@ -908,32 +958,80 @@ TEST_F(ServingTierTcpTest, QueryBytesAreTheWindowsItRead) {
   const std::vector<GraphUpdate> updates = BuildStream(163);
   ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
   ASSERT_TRUE(cluster.Flush().ok());
+  const GraphSnapshot full = FoldedSnapshot(&cluster);
+  const uint64_t later = LaterRounds(WholeRoundsRead(full, 0));
 
   QuerySession session(ReaderOptions());
   ASSERT_TRUE(session.Connect().ok());
   Result<ConnectivityResult> cc = session.Connectivity(1);
   ASSERT_TRUE(cc.ok()) << cc.status().ToString();
   ASSERT_FALSE(cc.value().failed);
+  ExpectSameAnswer(cc.value(), Connectivity(full, 1));
   const GraphSnapshot* served = nullptr;
   ASSERT_TRUE(session.Snapshot(&served).ok());  // The cached snapshot.
-  const uint64_t windows = Windows(cc.value().rounds_used);
   const uint64_t round_bytes = served->layout().round_bytes();
-  const uint64_t per_window =
-      kNumNodes * kWindow * round_bytes +
-      kChunksPerShard * GraphSnapshot::kHeaderBytes;
-  EXPECT_EQ(session.bytes_pulled(), windows * 2 * per_window);
-  EXPECT_EQ(session.rounds_pulled(), static_cast<int>(windows) * kWindow);
-  // Against every round: what a whole pull of both shards costs.
-  EXPECT_LT(session.bytes_pulled(),
-            2 * (kNumNodes * served->rounds() * round_bytes +
-                 kChunksPerShard * GraphSnapshot::kHeaderBytes));
+  const uint64_t rounds = served->rounds();
+  const uint64_t headers = kChunksPerShard * GraphSnapshot::kHeaderBytes;
+  const uint64_t whole_round = kNumNodes * round_bytes + headers;
+  const uint64_t summaries =
+      kNumNodes * (rounds - 1) * GraphSnapshot::kSummaryBytes + headers;
+  EXPECT_EQ(session.bytes_pulled(),
+            2 * ((1 + later) * whole_round + summaries));
+  EXPECT_EQ(session.range_pulls(),
+            2 * (kColdPullsPerShard + later * kChunksPerShard));
+  EXPECT_EQ(session.rounds_pulled(), static_cast<int>(1 + later));
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
-TEST_F(ServingTierTcpTest, LaterWindowFailsOverWhenItsReplicaDies) {
-  // The replica that served the first window dies before the second:
-  // the window's position sweep marks it dead and the shard's other
-  // replica serves every later window, bitwise the same.
+TEST_F(ServingTierTcpTest, UndecidedRoundOneIsTheOneLaterRoundPulled) {
+  // Two 40-cliques joined by two edges, each between nodes of degree
+  // 40: round 0 merges each clique but samples neither joining edge, so
+  // round 1's two components each have a two-edge cut, which their
+  // summaries cannot decide. The query pulls round 1 whole, exactly one
+  // later round, and decides round 2 from its summaries; the answer is
+  // the coordinator fold's.
+  StartFleet(2);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  ShardCluster cluster(BaseConfig(193), 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  std::vector<GraphUpdate> updates;
+  for (const NodeId base : {0, 40}) {
+    for (NodeId u = base; u < base + 40; ++u) {
+      for (NodeId v = u + 1; v < base + 40; ++v) {
+        updates.push_back({Edge(u, v), UpdateType::kInsert});
+      }
+    }
+  }
+  updates.push_back({Edge(3, 43), UpdateType::kInsert});
+  updates.push_back({Edge(17, 71), UpdateType::kInsert});
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  const GraphSnapshot full = FoldedSnapshot(&cluster);
+  const ConnectivityResult want = Connectivity(full, 1);
+  ASSERT_FALSE(want.failed);
+  ASSERT_EQ(want.rounds_used, 3);
+  std::vector<bool> read(full.rounds(), false);
+  read[0] = read[1] = true;
+  ASSERT_EQ(WholeRoundsRead(full, 0), read);
+
+  QuerySession session(ReaderOptions());
+  ASSERT_TRUE(session.Connect().ok());
+  Result<ConnectivityResult> cc = session.Connectivity(1);
+  ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+  ExpectSameAnswer(cc.value(), want);
+  EXPECT_EQ(cc.value().num_components, kNumNodes - 79);
+  EXPECT_EQ(session.range_pulls(),
+            2 * (kColdPullsPerShard + kChunksPerShard));
+  EXPECT_EQ(session.rounds_pulled(), 2);
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_F(ServingTierTcpTest, LaterRoundFailsOverWhenItsReplicaDies) {
+  // The replica that served the cold pull dies before a later round:
+  // that round's position sweep marks it dead and the shard's other
+  // replica serves every later round, bitwise the same.
   StartFleet(2);  // One shard at R=2.
   ShardClusterOptions options;
   options.auth_secret = kSecret;
@@ -945,22 +1043,25 @@ TEST_F(ServingTierTcpTest, LaterWindowFailsOverWhenItsReplicaDies) {
   ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
   ASSERT_TRUE(cluster.Flush().ok());
   const GraphSnapshot full = FoldedSnapshot(&cluster);
-  const ConnectivityResult want = BoruvkaConnectivity(full, kWindow);
+  const ConnectivityResult want = BoruvkaConnectivity(full, kLaterRound);
+  const std::vector<bool> read = WholeRoundsRead(full, kLaterRound);
+  ASSERT_TRUE(read[kLaterRound]);  // Its first round is all singletons.
 
   QuerySession session(ReaderOptions());
   ASSERT_TRUE(session.Connect().ok());
   const GraphSnapshot* served = nullptr;
   ASSERT_TRUE(session.Snapshot(&served).ok());
-  EXPECT_EQ(session.range_pulls(), kChunksPerShard);
-  listeners_[0]->Stop();  // Replica 0 served window 1.
+  EXPECT_EQ(session.range_pulls(), kColdPullsPerShard);
+  listeners_[0]->Stop();  // Replica 0 served the cold pull.
 
-  ExpectSameAnswer(BoruvkaConnectivity(*served, kWindow), want);
+  ExpectSameAnswer(BoruvkaConnectivity(*served, kLaterRound), want);
   EXPECT_TRUE(served->load_status().ok())
       << served->load_status().ToString();
   EXPECT_EQ(session.range_pulls(),
-            Windows(kWindow + want.rounds_used) * kChunksPerShard);
+            kColdPullsPerShard + LaterRounds(read) * kChunksPerShard);
   EXPECT_TRUE(*served == full);
-  EXPECT_EQ(session.range_pulls(), Windows(full.rounds()) * kChunksPerShard);
+  EXPECT_EQ(session.range_pulls(),
+            kColdPullsPerShard + (full.rounds() - 1) * kChunksPerShard);
   cluster.Shutdown();  // One child is already gone; best effort.
 }
 
@@ -972,10 +1073,11 @@ GraphZeppelinConfig TwoForestConfig(uint64_t seed) {
 }
 
 TEST_F(ServingTierTcpTest, WriterMoveFailsTheHeldQueryNotTheNextOne) {
-  // A writer Update + Flush between Snapshot() and a query that needs
-  // window 2: the window's position sweep sees the move, the load fails,
-  // Boruvka reports failed and a forest peel returns the load's status;
-  // QuerySession::Connectivity then serves the new position's answer.
+  // A writer Update + Flush between Snapshot() and a query from round
+  // 2, which needs that round whole: the round's position sweep sees the
+  // move, the load fails, Boruvka reports failed and a forest peel
+  // returns the load's status; QuerySession::Connectivity then serves
+  // the new position's answer.
   StartFleet(2);
   ShardClusterOptions options;
   options.auth_secret = kSecret;
@@ -996,7 +1098,7 @@ TEST_F(ServingTierTcpTest, WriterMoveFailsTheHeldQueryNotTheNextOne) {
   ASSERT_TRUE(cluster.Flush().ok());
 
   const uint64_t pulls = session.range_pulls();
-  const ConnectivityResult held = BoruvkaConnectivity(*served, kWindow);
+  const ConnectivityResult held = BoruvkaConnectivity(*served, kLaterRound);
   EXPECT_TRUE(held.failed);
   EXPECT_EQ(held.rounds_used, 1);  // Its first round did not load.
   EXPECT_EQ(served->load_status().code(), StatusCode::kFailedPrecondition)
@@ -1004,7 +1106,7 @@ TEST_F(ServingTierTcpTest, WriterMoveFailsTheHeldQueryNotTheNextOne) {
   const Result<KConnectivityResult> peeled = KEdgeConnectivity(*served, 2);
   EXPECT_EQ(peeled.status().code(), StatusCode::kFailedPrecondition)
       << peeled.status().ToString();
-  // The window's first position sweep saw the move: nothing pulled.
+  // The round's first position sweep saw the move: nothing pulled.
   EXPECT_EQ(session.range_pulls(), pulls);
 
   Result<ConnectivityResult> fresh = session.Connectivity(1);
@@ -1014,22 +1116,24 @@ TEST_F(ServingTierTcpTest, WriterMoveFailsTheHeldQueryNotTheNextOne) {
 }
 
 // A relay edit that runs `move` (the writer, under `mu`) on the first
-// request for the window starting at round kWindow, before forwarding
-// it: the position moves between a snapshot's first and second window.
-ReaderRelay::Edit MoveBeforeSecondWindow(std::mutex* mu,
-                                         std::atomic<bool>* moved,
-                                         std::function<void()> move) {
+// request for a later whole round, before forwarding it, and records
+// that round in *round: the position moves between a snapshot's cold
+// pull and its first later round.
+ReaderRelay::Edit MoveBeforeFirstLaterRound(std::mutex* mu,
+                                            std::atomic<int>* round,
+                                            std::function<void()> move) {
   return [=](ShardFrame* frame, bool reply) {
     uint64_t lo = 0, hi = 0;
     int32_t r_lo = 0, r_hi = 0;
+    RoundPart part = RoundPart::kWhole;
     if (!reply && frame->type == ShardMessageType::kMigrateExtract &&
         DecodeMigrateExtract(frame->payload.data(), frame->payload.size(),
-                             &lo, &hi, &r_lo, &r_hi)
+                             &lo, &hi, &r_lo, &r_hi, &part)
             .ok() &&
-        r_lo == kWindow && !moved->load()) {
+        part == RoundPart::kWhole && r_lo >= 1 && round->load() < 0) {
       std::lock_guard<std::mutex> lock(*mu);
       move();
-      moved->store(true);
+      round->store(r_lo);
     }
     return true;
   };
@@ -1037,11 +1141,11 @@ ReaderRelay::Edit MoveBeforeSecondWindow(std::mutex* mu,
 
 TEST_F(ServingTierTcpTest, KConnectivityRetriesWhenItsPeelFindsAMove) {
   // A k-connectivity query through RunQuery, as gz_query runs it: the
-  // position moves between the snapshot's first window and the second,
-  // which the peel needs (a relay runs the writer when it sees the
-  // request for round kWindow). The failed attempt is never an answer:
-  // the retry takes a fresh snapshot whose first window covers every
-  // round the failed attempt reached, and answers at the new position.
+  // position moves between the snapshot's cold pull and the first later
+  // round the query needs whole (a relay runs the writer when it sees
+  // that request). The failed attempt is never an answer: the retry
+  // takes a fresh snapshot whose first pull takes whole every round the
+  // failed attempt reached, and answers at the new position.
   StartFleet(1);
   ShardClusterOptions options;
   options.auth_secret = kSecret;
@@ -1056,9 +1160,9 @@ TEST_F(ServingTierTcpTest, KConnectivityRetriesWhenItsPeelFindsAMove) {
   ASSERT_TRUE(cluster.Flush().ok());
   hold.unlock();
 
-  std::atomic<bool> moved{false};
+  std::atomic<int> moved_at{-1};
   ReaderRelay relay(endpoints_[0],
-                    MoveBeforeSecondWindow(&cluster_mu, &moved, [&] {
+                    MoveBeforeFirstLaterRound(&cluster_mu, &moved_at, [&] {
                       GZ_CHECK_OK(cluster.Update(updates.data() + half,
                                                  updates.size() - half));
                       GZ_CHECK_OK(cluster.Flush());
@@ -1075,7 +1179,8 @@ TEST_F(ServingTierTcpTest, KConnectivityRetriesWhenItsPeelFindsAMove) {
   });
   ASSERT_TRUE(s.ok()) << s.ToString();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_TRUE(moved.load());
+  const int moved = moved_at.load();
+  ASSERT_GE(moved, 1);
   EXPECT_EQ(attempts, 2);
   hold.lock();
   const GraphSnapshot full = FoldedSnapshot(&cluster);
@@ -1083,13 +1188,14 @@ TEST_F(ServingTierTcpTest, KConnectivityRetriesWhenItsPeelFindsAMove) {
   ASSERT_FALSE(want.sketch_failed);
   EXPECT_EQ(got.value().certified_connectivity, want.certified_connectivity);
   EXPECT_EQ(got.value().certificate, want.certificate);
-  // Attempt 1: [0, 2), then [2, 4) (pulled, discarded). Attempt 2:
-  // [0, 4) at once, then the peel pulls every later window.
+  // Attempt 1: the cold pull, then round `moved` (pulled, discarded).
+  // Attempt 2: rounds [0, moved] whole and the later summaries at once,
+  // then the peel pulls each of the R - moved - 1 remaining rounds.
   const int rounds = full.rounds();
-  ASSERT_EQ(rounds % kWindow, 0);
   EXPECT_EQ(session.range_pulls(),
-            static_cast<uint64_t>(3 + (rounds - 2 * kWindow) / kWindow) *
-                kChunksPerShard);
+            2 * kColdPullsPerShard +
+                static_cast<uint64_t>(1 + rounds - moved - 1) *
+                    kChunksPerShard);
   EXPECT_EQ(session.rounds_pulled(), rounds);
   const GraphSnapshot* served = nullptr;
   ASSERT_TRUE(session.Snapshot(&served).ok());
@@ -1115,7 +1221,7 @@ TEST_F(ServingTierTcpTest, HeldSnapshotFailsCleanlyOnceTheSessionMovesOn) {
 
   const QuerySessionOptions qo = ReaderOptions();
   const auto expect_revoked = [](const GraphSnapshot& held) {
-    const ConnectivityResult r = BoruvkaConnectivity(held, kWindow);
+    const ConnectivityResult r = BoruvkaConnectivity(held, kLaterRound);
     EXPECT_TRUE(r.failed);
     EXPECT_EQ(held.load_status().code(), StatusCode::kFailedPrecondition);
     EXPECT_NE(held.load_status().message().find("outlived"),

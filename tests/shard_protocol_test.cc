@@ -173,8 +173,8 @@ TEST(ShardProtocolTest, UnknownTypeIsInvalidArgument) {
   EXPECT_EQ(RecvFrame(sp.b(), &frame).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardProtocolTest, V9DefinesExactly19TypesAndRefusesRetiredOnes) {
-  EXPECT_EQ(ShardFrameHeader::kVersion, 9);
+TEST(ShardProtocolTest, V10DefinesExactly19TypesAndRefusesRetiredOnes) {
+  EXPECT_EQ(ShardFrameHeader::kVersion, 10);
   int known = 0;
   for (uint16_t t = 0; t < 64; ++t) {
     SocketPair sp;
@@ -196,9 +196,9 @@ TEST(ShardProtocolTest, V9DefinesExactly19TypesAndRefusesRetiredOnes) {
 }
 
 TEST(ShardProtocolTest, V3HeaderIsAVersionMismatch) {
-  // So is a v4, v5, v6, v7 or v8 peer's: both sides must be rebuilt
+  // So is a v4, v5, v6, v7, v8 or v9 peer's: both sides must be rebuilt
   // together.
-  for (const uint16_t version : {3, 4, 5, 6, 7, 8}) {
+  for (const uint16_t version : {3, 4, 5, 6, 7, 8, 9}) {
     SocketPair sp;
     WriteRawHeader(sp.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
                    ShardFrameHeader::kMagic, version);
@@ -645,7 +645,7 @@ TEST_F(ShardServerFixture, CoordinatorHangupEndsServeCleanly) {
 TEST_F(ShardServerFixture, TruncatedMigrateExtractPayloadIsErrorNotCrash) {
   StartServer();
   Configure();
-  const uint8_t short_payload[7] = {0};  // Needs two u64s, two i32s.
+  const uint8_t short_payload[7] = {0};  // Needs two u64s, two i32s, a u32.
   ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
                         short_payload, sizeof(short_payload))
                   .ok());
@@ -670,10 +670,11 @@ TEST_F(ShardServerFixture, OutOfBoundsMigrateRangeIsErrorNotCrash) {
 TEST(ShardProtocolTest, MigrateExtractDecoderRefusesEmptyAndReversedWindows) {
   uint64_t lo = 0, hi = 0;
   int32_t r_lo = 0, r_hi = 0;
+  RoundPart part = RoundPart::kSummary;
   const std::vector<uint8_t> good = EncodeMigrateExtract(2, 9, 1, 3);
-  ASSERT_TRUE(
-      DecodeMigrateExtract(good.data(), good.size(), &lo, &hi, &r_lo, &r_hi)
-          .ok());
+  ASSERT_TRUE(DecodeMigrateExtract(good.data(), good.size(), &lo, &hi, &r_lo,
+                                   &r_hi, &part)
+                  .ok());
   EXPECT_EQ(lo, 2u);
   EXPECT_EQ(hi, 9u);
   EXPECT_EQ(r_lo, 1);
@@ -683,11 +684,122 @@ TEST(ShardProtocolTest, MigrateExtractDecoderRefusesEmptyAndReversedWindows) {
                                    std::pair<int32_t, int32_t>{-1, 2}}) {
     const std::vector<uint8_t> bad = EncodeMigrateExtract(0, 4, w_lo, w_hi);
     EXPECT_EQ(DecodeMigrateExtract(bad.data(), bad.size(), &lo, &hi, &r_lo,
-                                   &r_hi)
+                                   &r_hi, &part)
                   .code(),
               StatusCode::kInvalidArgument)
         << "[" << w_lo << ", " << w_hi << ")";
   }
+}
+
+TEST(ShardProtocolTest, MigrateExtractCarriesItsPartAndRefusesUnknownOnes) {
+  uint64_t lo = 0, hi = 0;
+  int32_t r_lo = 0, r_hi = 0;
+  RoundPart part = RoundPart::kWhole;
+  const std::vector<uint8_t> summary =
+      EncodeMigrateExtract(2, 9, 1, 3, RoundPart::kSummary);
+  ASSERT_TRUE(DecodeMigrateExtract(summary.data(), summary.size(), &lo, &hi,
+                                   &r_lo, &r_hi, &part)
+                  .ok());
+  EXPECT_EQ(part, RoundPart::kSummary);
+  // The part is the payload's last u32, after the round window.
+  for (const uint32_t unknown : {2u, 0xFFFFFFFFu}) {
+    std::vector<uint8_t> bad = summary;
+    std::memcpy(bad.data() + bad.size() - 4, &unknown, 4);
+    EXPECT_EQ(DecodeMigrateExtract(bad.data(), bad.size(), &lo, &hi, &r_lo,
+                                   &r_hi, &part)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "part " << unknown;
+  }
+  // A v9 payload, without the part, is truncated.
+  EXPECT_EQ(DecodeMigrateExtract(summary.data(), summary.size() - 4, &lo, &hi,
+                                 &r_lo, &r_hi, &part)
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(ShardServerFixture, UnknownPartIsRefusedBeforeAnyReplyBytes) {
+  // MIGRATE_EXTRACT naming a part this build does not know gets an
+  // InvalidArgument error reply, never a MIGRATE_DATA frame, and the
+  // session keeps serving: the next reply is the summary range asked
+  // for.
+  StartServer();
+  Configure(/*num_nodes=*/16);
+  const int rounds = NodeSketch::DefaultRounds(16);
+  std::vector<uint8_t> bad =
+      EncodeMigrateExtract(0, 16, 0, rounds, RoundPart::kSummary);
+  const uint32_t unknown = 7;
+  std::memcpy(bad.data() + bad.size() - 4, &unknown, 4);
+  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
+                        bad.data(), bad.size())
+                  .ok());
+  ExpectErrorReply(StatusCode::kInvalidArgument);
+  const std::vector<uint8_t> good =
+      EncodeMigrateExtract(0, 16, 1, rounds, RoundPart::kSummary);
+  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
+                        good.data(), good.size())
+                  .ok());
+  ShardFrame frame;
+  ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+  ASSERT_EQ(frame.type, ShardMessageType::kMigrateData);
+  NodeSketchParams params;
+  params.num_nodes = 16;
+  params.seed = 5;
+  params.rounds = rounds;
+  EXPECT_EQ(frame.payload.size(),
+            GraphSnapshot::SerializedSizeFor(params, 0, 16, 1, rounds,
+                                             RoundPart::kSummary));
+  EXPECT_EQ(frame.payload.size(), GraphSnapshot::kHeaderBytes +
+                                      16 * (rounds - 1) *
+                                          GraphSnapshot::kSummaryBytes);
+}
+
+TEST_F(ShardServerFixture, SummaryExtractIsTheWholeExtractsBuckets) {
+  // The shard's summary reply holds, per node and round, the
+  // deterministic bucket of the same round in its whole reply.
+  StartServer();
+  Configure(/*num_nodes=*/16);
+  GraphUpdate updates[3] = {{Edge(0, 1), UpdateType::kInsert},
+                            {Edge(1, 9), UpdateType::kInsert},
+                            {Edge(12, 15), UpdateType::kInsert}};
+  SendUpdateBatch(updates, sizeof(updates));
+  const int rounds = NodeSketch::DefaultRounds(16);
+  const auto extract = [this, rounds](RoundPart part) {
+    const std::vector<uint8_t> req =
+        EncodeMigrateExtract(0, 16, 0, rounds, part);
+    GZ_CHECK_OK(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
+                          req.data(), req.size()));
+    ShardFrame frame;
+    GZ_CHECK_OK(RecvFrame(sp_.a(), &frame));
+    GZ_CHECK(frame.type == ShardMessageType::kMigrateData);
+    return frame.payload;
+  };
+  const std::vector<uint8_t> whole = extract(RoundPart::kWhole);
+  const std::vector<uint8_t> summary = extract(RoundPart::kSummary);
+  const GraphSnapshot snap =
+      GraphSnapshot::Deserialize(whole.data(), whole.size()).value();
+  const size_t round_bytes = snap.layout().round_bytes();
+  const size_t det = snap.layout().det_offset();
+  const uint8_t* records = whole.data() + GraphSnapshot::kHeaderBytes;
+  int nonzero = 0;
+  ASSERT_TRUE(
+      GraphSnapshot::FoldSerialized(
+          summary.data(), summary.size(), snap.params(), 0, rounds,
+          [&](NodeId i, const uint8_t* record) {
+            for (int r = 0; r < rounds; ++r) {
+              const uint8_t* want =
+                  records + i * snap.layout().record_bytes() +
+                  r * round_bytes + det;
+              const uint8_t* got = record + r * GraphSnapshot::kSummaryBytes;
+              EXPECT_EQ(std::memcmp(got, want, GraphSnapshot::kSummaryBytes),
+                        0)
+                  << "node " << i << " round " << r;
+              nonzero += got[0] != 0;
+            }
+          },
+          RoundPart::kSummary)
+          .ok());
+  EXPECT_GT(nonzero, 0);
 }
 
 TEST_F(ShardServerFixture, BadRoundWindowIsRefusedBeforeAnyReplyBytes) {
@@ -838,7 +950,7 @@ TEST_F(ShardServerFixture, PrefixedCheckpointLeavesShardUnconfigured) {
 
   const std::vector<uint8_t> bytes = ReadFileBytes(plain);
   ASSERT_GT(bytes.size(), GraphSnapshot::kHeaderBytes);
-  ASSERT_EQ(std::memcmp(bytes.data(), "GZSNAP03", 8), 0);
+  ASSERT_EQ(std::memcmp(bytes.data(), "GZSNAP04", 8), 0);
   std::vector<std::string> prefixed;
   for (const auto& [magic, prefix_bytes] :
        {std::pair<const char*, size_t>{"GZSCKP02", 16},
