@@ -83,10 +83,10 @@ struct CubeSketchKernelArgs {
 void CubeSketchUpdateBatch(SketchKernel kernel,
                            const CubeSketchKernelArgs& args);
 
-// out[i] = XxHash64Word(values[i], seed), vectorized per `kernel`.
-// The reusable lane-hash entry point for batch workloads beyond the
-// cube sketch (count-min rows, heavy hitters). Kernel must be
-// supported on this CPU.
+// out[i] = XxHash64Word(values[i], seed), vectorized per `kernel`:
+// the lane hashes the cube-sketch kernel runs, on their own, so
+// bench_sketch_kernel's hash_mhashes_per_sec row can time them. Kernel
+// must be supported on this CPU.
 void XxHash64WordBatch(SketchKernel kernel, const uint64_t* values,
                        size_t count, uint64_t seed, uint64_t* out);
 

@@ -1,11 +1,11 @@
 // SIMD lane implementations of XxHash64Word: hash 4 (AVX2) or 8
 // (AVX-512) 64-bit values against one seed in a single register pass.
 //
-// These are the hashing substrate of the batched sketch-update kernel
-// (sketch/sketch_kernel.cc) and are reusable for any future per-word
-// hash fan-out (count-min rows, heavy-hitter tables). Every function is
-// bit-identical to XxHash64Word lane by lane: same primes, same
-// dataflow, just N lanes wide.
+// These are the hashing substrate of the batched cube-sketch update
+// kernel (sketch/sketch_kernel.cc), which also exposes them as
+// XxHash64WordBatch for bench_sketch_kernel's hash_mhashes_per_sec row.
+// Every function is bit-identical to XxHash64Word lane by lane: same
+// primes, same dataflow, just N lanes wide.
 //
 // All functions carry an explicit __attribute__((target(...))): the
 // translation unit that includes this header is compiled with the

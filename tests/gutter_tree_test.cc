@@ -3,6 +3,9 @@
 // through pooled UpdateBatch slabs.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <map>
 #include <set>
 #include <string>
@@ -305,6 +308,34 @@ TEST(GutterTreeTest, RepeatedFlushCyclesStayConsistent) {
     }
     EXPECT_EQ(got, sent) << "cycle " << cycle;
   }
+  std::remove(path.c_str());
+}
+
+// A buffer spill the file system refuses (here: past RLIMIT_FSIZE, with
+// SIGXFSZ ignored so pwrite returns EFBIG) aborts, even inside the file
+// Init() preallocated.
+TEST(GutterTreeDeathTest, WriteFaultAborts) {
+  constexpr uint64_t n = 1024;
+  const std::string path = TempPath("gt_write_fault.bin");
+  WorkQueue q(1 << 14);
+  BatchPool pool(8);
+  GutterTree tree(SmallParams(n, path), &pool, &q);
+  ASSERT_TRUE(tree.Init().ok());
+  ASSERT_GT(tree.DiskByteSize(), 4096u);
+  EXPECT_DEATH(
+      {
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit limit;
+        limit.rlim_cur = 4096;
+        limit.rlim_max = 4096;
+        ::setrlimit(RLIMIT_FSIZE, &limit);
+        // Every root spill scatters over the whole tree's file.
+        for (uint64_t i = 0; i < n; ++i) {
+          tree.Insert(static_cast<NodeId>(i), i);
+        }
+        tree.ForceFlush();
+      },
+      "gutter tree pwrite");
   std::remove(path.c_str());
 }
 

@@ -998,7 +998,7 @@ TEST_F(ShardServerFixture, PrefixedCheckpointLeavesShardUnconfigured) {
 }
 
 TEST_F(ShardServerFixture, RestoreAdoptsTheDeltaSequenceConfigCarries) {
-  // The checkpoint file holds the stream position (its GZSNAP03 update
+  // The checkpoint file holds the stream position (its GZSNAP04 update
   // count); the delta sequence number it covers comes from CONFIG,
   // which the coordinator fills from the checkpoint's ack.
   StartServer();

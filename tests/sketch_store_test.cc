@@ -1,9 +1,11 @@
 // Tests for the in-memory and on-disk sketch stores.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <string>
 #include <thread>
 #include <vector>
@@ -356,6 +358,27 @@ TEST(OnDiskSketchStoreDeathTest, ShortReadUnderACaptureAborts) {
   const GraphSnapshot snapshot = store->Capture(15);
   ASSERT_EQ(::truncate(TempPath("store_lazy_short.bin").c_str(), 0), 0);
   EXPECT_DEATH(Connectivity(snapshot, 1), "sketch store pread");
+}
+
+// A write the file system refuses (here: past RLIMIT_FSIZE, with SIGXFSZ
+// ignored so pwrite returns EFBIG) aborts too, even inside the file
+// Init() preallocated.
+TEST(OnDiskSketchStoreDeathTest, WriteFaultAborts) {
+  constexpr uint64_t n = 64;
+  auto store = PathStore(n, "store_write_fault.bin");
+  const size_t record_bytes = NodeSketch(store->params()).SerializedSize();
+  ASSERT_GE((n - 1) * record_bytes, 4096u);
+  const uint64_t index = EdgeToIndex(Edge(0, n - 1), n);
+  EXPECT_DEATH(
+      {
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit limit;
+        limit.rlim_cur = 4096;
+        limit.rlim_max = 4096;
+        ::setrlimit(RLIMIT_FSIZE, &limit);
+        store->ApplyBatch(n - 1, &index, 1);
+      },
+      "sketch store pwrite");
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
-// Workload subsystem tests: the count-min heavy-hitter sketch
-// (exactness of the linear fold: merged equals single-stream),
-// sliding-window connectivity (the expiry-delete discipline against an
-// explicit last-W ground truth, the mixed-slab XOR-cancellation
-// regression, watchable window queries), and k-edge-connectivity
-// certification on known graphs.
+// Workload subsystem tests: sliding-window connectivity (the
+// expiry-delete discipline against an explicit last-W ground truth,
+// the mixed-slab XOR-cancellation regression, watchable window
+// queries), and k-edge-connectivity certification on known graphs.
 //
 // The distributed cases mirror sharded_test / shard_cluster_test: a
 // cluster's folded snapshot answers like a single-process instance,
@@ -28,7 +26,6 @@
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_transport.h"
 #include "stream/erdos_renyi_generator.h"
-#include "workloads/count_min.h"
 #include "workloads/k_connectivity.h"
 #include "workloads/window_ingestor.h"
 
@@ -42,164 +39,6 @@ GraphZeppelinConfig BaseConfig(uint64_t n, uint64_t seed) {
   c.num_workers = 1;
   c.disk_dir = ::testing::TempDir();
   return c;
-}
-
-// ---- CountMinSketch -------------------------------------------------------
-
-TEST(CountMinTest, TurnstileEstimatesExactWhenSparse) {
-  CountMinParams p;
-  p.seed = 7;
-  p.width = 1024;
-  p.depth = 4;
-  CountMinSketch cm(p);
-  for (uint64_t k = 1; k <= 20; ++k) {
-    cm.Add(k, static_cast<int64_t>(k));
-  }
-  cm.Add(5, -2);  // Turnstile: deletes subtract.
-  for (uint64_t k = 1; k <= 20; ++k) {
-    const int64_t truth = (k == 5) ? 3 : static_cast<int64_t>(k);
-    EXPECT_EQ(cm.Estimate(k), truth) << "key " << k;
-  }
-  EXPECT_EQ(cm.Estimate(999), 0);  // Untouched key: no false mass here.
-}
-
-TEST(CountMinTest, MergeIsLinear) {
-  CountMinParams p;
-  p.seed = 9;
-  p.width = 256;
-  p.depth = 4;
-  CountMinSketch a(p), b(p), all(p);
-  for (uint64_t k = 0; k < 40; ++k) {
-    // Keys 0..39 split between the halves, with overlap at 10..19.
-    if (k < 20) a.Add(k, 2);
-    if (k >= 10) b.Add(k, 3);
-    if (k < 20) all.Add(k, 2);
-    if (k >= 10) all.Add(k, 3);
-  }
-  ASSERT_TRUE(a.Merge(b).ok());
-  // Counter-wise identity, not just estimate agreement: the merge IS
-  // the sum of the grids.
-  EXPECT_EQ(a.counters(), all.counters());
-}
-
-TEST(CountMinTest, MergeRejectsMismatchedGeometryOrSeed) {
-  CountMinParams p;
-  p.width = 256;
-  p.depth = 4;
-  CountMinSketch base(p);
-  {
-    CountMinParams q = p;
-    q.width = 512;
-    CountMinSketch other(q);
-    EXPECT_EQ(base.Merge(other).code(), StatusCode::kInvalidArgument);
-  }
-  {
-    CountMinParams q = p;
-    q.seed = p.seed + 1;
-    CountMinSketch other(q);
-    EXPECT_EQ(base.Merge(other).code(), StatusCode::kInvalidArgument);
-  }
-}
-
-// ---- HeavyHitterSketch ----------------------------------------------------
-
-HeavyHitterParams SmallHHParams(uint64_t n) {
-  HeavyHitterParams p;
-  p.num_nodes = n;
-  p.seed = 11;
-  p.width = 512;
-  p.depth = 4;
-  p.candidates = 1024;
-  return p;
-}
-
-TEST(HeavyHitterTest, CountsAndTopKExactOnSmallStream) {
-  const uint64_t n = 16;
-  HeavyHitterSketch hh(SmallHHParams(n));
-  std::vector<GraphUpdate> updates;
-  for (int i = 0; i < 5; ++i) updates.push_back({Edge(0, 1), UpdateType::kInsert});
-  for (int i = 0; i < 2; ++i) updates.push_back({Edge(2, 3), UpdateType::kInsert});
-  updates.push_back({Edge(0, 1), UpdateType::kDelete});
-  updates.push_back({Edge(4, 5), UpdateType::kInsert});
-  hh.Update(updates.data(), updates.size());
-
-  EXPECT_EQ(hh.updates_applied(), updates.size());
-  EXPECT_EQ(hh.EdgeCount(Edge(0, 1)), 4);
-  EXPECT_EQ(hh.EdgeCount(Edge(2, 3)), 2);
-  EXPECT_EQ(hh.EdgeCount(Edge(4, 5)), 1);
-  // Degrees count BOTH endpoints per update, signed.
-  EXPECT_EQ(hh.DegreeCount(0), 4);
-  EXPECT_EQ(hh.DegreeCount(1), 4);
-  EXPECT_EQ(hh.DegreeCount(3), 2);
-  EXPECT_EQ(hh.DegreeCount(5), 1);
-  EXPECT_EQ(hh.DegreeCount(9), 0);
-
-  const auto top = hh.TopEdges(2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].key, EdgeToIndex(Edge(0, 1), n));
-  EXPECT_EQ(top[0].count, 4);
-  EXPECT_EQ(top[1].key, EdgeToIndex(Edge(2, 3), n));
-  EXPECT_EQ(top[1].count, 2);
-  const auto degrees = hh.TopDegrees(2);
-  ASSERT_EQ(degrees.size(), 2u);
-  EXPECT_EQ(degrees[0].count, 4);
-  EXPECT_FALSE(hh.saturated());
-}
-
-TEST(HeavyHitterTest, TopKTieBreaksByKeyAscending) {
-  const uint64_t n = 16;
-  HeavyHitterSketch hh(SmallHHParams(n));
-  // Three edges, same count: ranking must be deterministic so folded
-  // and single-process sketches agree.
-  const Edge edges[] = {Edge(7, 9), Edge(0, 3), Edge(2, 5)};
-  for (const Edge& e : edges) hh.Update({e, UpdateType::kInsert});
-  const auto top = hh.TopEdges(3);
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_LT(top[0].key, top[1].key);
-  EXPECT_LT(top[1].key, top[2].key);
-}
-
-TEST(HeavyHitterTest, PartitionedFoldEqualsSingleStream) {
-  // The distributed exactness argument in miniature: partition a
-  // stream across three sketches (as shard routing would), sum-merge,
-  // and the folded sketch equals the single-stream sketch: same grids,
-  // same candidate keys, same flags.
-  const uint64_t n = 64;
-  HeavyHitterSketch parts[3] = {HeavyHitterSketch(SmallHHParams(n)),
-                                HeavyHitterSketch(SmallHHParams(n)),
-                                HeavyHitterSketch(SmallHHParams(n))};
-  HeavyHitterSketch single(SmallHHParams(n));
-  ErdosRenyiParams ep;
-  ep.num_nodes = n;
-  ep.p = 0.1;
-  ep.seed = 13;
-  const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
-  size_t i = 0;
-  for (const Edge& e : edges) {
-    const GraphUpdate u{e, UpdateType::kInsert};
-    parts[i++ % 3].Update(u);
-    single.Update(u);
-  }
-  EXPECT_FALSE(parts[1] == single);
-  ASSERT_TRUE(parts[0].Merge(parts[1]).ok());
-  EXPECT_FALSE(parts[0] == single);
-  ASSERT_TRUE(parts[0].Merge(parts[2]).ok());
-  EXPECT_TRUE(parts[0] == single);
-  EXPECT_EQ(parts[0].TopEdges(10), single.TopEdges(10));
-}
-
-TEST(HeavyHitterTest, SaturationIsReportedNotSilent) {
-  HeavyHitterParams p = SmallHHParams(32);
-  p.candidates = 4;
-  HeavyHitterSketch hh(p);
-  for (NodeId u = 0; u + 1 < 20; ++u) {
-    hh.Update({Edge(u, u + 1), UpdateType::kInsert});
-  }
-  EXPECT_TRUE(hh.saturated());
-  // Counts stay exact even for dropped candidates; only top-k
-  // enumeration is lossy.
-  EXPECT_EQ(hh.EdgeCount(Edge(15, 16)), 1);
-  EXPECT_LE(hh.TopEdges(20).size(), 4u);
 }
 
 // ---- Cluster-level workloads over both transports -------------------------
