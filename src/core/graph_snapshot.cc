@@ -318,12 +318,6 @@ GraphSnapshot::GraphSnapshot(std::vector<CowSketch> sketches,
   }
 }
 
-GraphSnapshot GraphSnapshot::Zero(const NodeSketchParams& params) {
-  return GraphSnapshot(
-      std::vector<CowSketch>(params.num_nodes, CowSketch(NodeSketch(params))),
-      0);
-}
-
 GraphSnapshot GraphSnapshot::Lazy(const NodeSketch& zero,
                                   uint64_t num_updates, RoundLoader load) {
   GraphSnapshot snapshot;
@@ -518,12 +512,17 @@ Result<GraphSnapshot> GraphSnapshot::Deserialize(const uint8_t* data,
   Status s = ParseBuffer(data, size, &header);
   if (s.ok()) s = RequireWhole(header);
   if (!s.ok()) return s;
-  // A fold into the zero snapshot: each node clones the one shared zero
-  // sketch as its record lands.
-  GraphSnapshot snapshot = Zero(header.params);
-  snapshot.num_updates_ = header.num_updates;
-  GZ_CHECK_OK(snapshot.MergeSerialized(data, size));
-  return snapshot;
+  const NodeSketch zero(header.params);
+  std::vector<CowSketch> sketches;
+  sketches.reserve(header.params.num_nodes);
+  GZ_CHECK_OK(FoldSerialized(data, size, header.params, 0,
+                             header.params.rounds,
+                             [&](NodeId, const uint8_t* record) {
+                               NodeSketch sketch = zero;
+                               sketch.DeserializeFrom(record);
+                               sketches.emplace_back(std::move(sketch));
+                             }));
+  return GraphSnapshot(std::move(sketches), header.num_updates);
 }
 
 Status GraphSnapshot::FoldSerialized(
@@ -559,16 +558,6 @@ Status GraphSnapshot::FoldSerialized(
     cursor += record;
   }
   return Status::Ok();
-}
-
-Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
-  if (!valid()) return Status::InvalidArgument("empty snapshot");
-  Status s = MakeEager();
-  if (!s.ok()) return s;
-  return FoldSerialized(data, size, params(), 0, rounds(),
-                        [this](NodeId i, const uint8_t* record) {
-                          sketches_[i].Mutable().MergeSerialized(record);
-                        });
 }
 
 Status GraphSnapshot::SaveToSink(
@@ -637,15 +626,14 @@ Result<GraphSnapshot> GraphSnapshot::LoadFromFile(const std::string& path) {
   Header header;
   Status s = OpenSnapshotFile(path, &f, &header);
   if (!s.ok()) return s;
-  // Each record is stored over the shared zero.
-  GraphSnapshot snapshot = Zero(header.params);
-  snapshot.num_updates_ = header.num_updates;
+  std::vector<CowSketch> sketches;
+  sketches.reserve(header.params.num_nodes);
   s = ReadRecords(f, path, header.params,
-                  [&snapshot](NodeId i, const NodeSketch& sketch) {
-                    snapshot.sketches_[i] = CowSketch(sketch);
+                  [&sketches](NodeId, const NodeSketch& sketch) {
+                    sketches.emplace_back(sketch);
                   });
   if (!s.ok()) return s;
-  return snapshot;
+  return GraphSnapshot(std::move(sketches), header.num_updates);
 }
 
 Status GraphSnapshot::LoadStream(

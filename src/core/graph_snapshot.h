@@ -7,10 +7,12 @@
 // than a container: snapshots taken from *any* instances built with the
 // same seed and geometry can be XOR-merged with Merge(), and the result
 // is exactly the snapshot a single instance would have produced for the
-// combined stream. That algebra is the sharded coordinator's
-// aggregation step. Sketches are per node and per round, so every
-// transfer of sketch state has one serialized form, the records of a
-// node range [lo, hi) x round window [r_lo, r_hi), of whole rounds or
+// combined stream. The same algebra, applied to serialized node ranges
+// round by round, is how the sharded coordinator and reader sessions
+// fold a cluster (distributed/range_pull.h). Sketches are per node and
+// per round, so every transfer of sketch state has one serialized form,
+// the records of a node range [lo, hi) x round window [r_lo, r_hi), of
+// whole rounds or
 // of their deterministic buckets alone: a shard's reply, a migration or
 // repair delta, and a checkpoint file (the whole range [0, V) x [0, R))
 // are all the same bytes, and a reader pulls the summaries of every
@@ -26,14 +28,17 @@
 //
 // A snapshot has one of two forms, with identical contents:
 // - eager: one copy-on-write node-sketch handle per vertex
-//   (cow_sketch.h). Copying a snapshot, or capturing one from an
-//   in-RAM store, shares every node sketch; the mutators below (Merge,
-//   MergeSerialized, ToggleEdge) clone a node only while another holder
-//   still shares it.
-// - round-lazy (Lazy()): a capture of an out-of-core store, or a
-//   reader session's snapshot of a cluster, holds a round loader and
-//   one V x round_stride buffer per round, filled the first time any
-//   copy asks for that round (Round()) and never again; copies share
+//   (cow_sketch.h): a capture of an in-RAM store, a deserialized or
+//   loaded file, or a lazy snapshot made whole. Copying a snapshot, or
+//   capturing one from an in-RAM store, shares every node sketch; the
+//   mutators below (Merge, ToggleEdge) clone a node only while another
+//   holder still shares it.
+// - round-lazy (Lazy()): a capture of an out-of-core store, a reader
+//   session's snapshot of a cluster, or the coordinator's fold of one
+//   (ShardCluster::Snapshot(), whose loader only hands over rounds
+//   already pulled), holds a round loader and one V x round_stride
+//   buffer per round, filled the first time any copy asks for that
+//   round (Round()) and never again; copies share
 //   the buffers. A round's summary is loaded the same way (Summary()),
 //   into a V x 12-byte buffer, unless its whole round is loaded
 //   already. A query whose last round its summaries decide loads only
@@ -42,8 +47,8 @@
 //   keeps the first failure as load_status(), Round() returns it for
 //   every round not loaded yet, and nothing is ever built from a round
 //   that did not load. Everything that needs whole node sketches
-//   (Merge, MergeSerialized, ToggleEdge, serialization, ==) loads every
-//   remaining round first (LoadAllRounds()), so it sees exactly the
+//   (Merge, ToggleEdge, serialization, ==) loads every remaining round
+//   first (LoadAllRounds()), so it sees exactly the
 //   bytes an eager capture holds. Seal() loads every remaining round
 //   too: after it the capture never calls its loader again, which is
 //   what the store's owner must ensure before the store changes.
@@ -84,10 +89,6 @@ class GraphSnapshot {
   GraphSnapshot(std::vector<NodeSketch> sketches, uint64_t num_updates);
   // Same, sharing the sketches behind the handles.
   GraphSnapshot(std::vector<CowSketch> sketches, uint64_t num_updates);
-
-  // The XOR identity for `params`: every node shares one zero sketch,
-  // so nothing is materialized until a fold writes a node.
-  static GraphSnapshot Zero(const NodeSketchParams& params);
 
   // Runs body(b) once for every b in [0, num_blocks), on any threads,
   // and returns when all have run.
@@ -185,7 +186,7 @@ class GraphSnapshot {
   // returns a failed load's status, toggling nothing.
   Status ToggleEdge(const Edge& e);
 
-  // Pins the stream position outright — for aggregators that rebuild
+  // Pins the stream position outright — for callers that rebuild
   // sketch content from serialized ranges (whose folds never touch
   // counts) and know the true total from their own bookkeeping.
   void SetUpdates(uint64_t count) { num_updates_ = count; }
@@ -231,15 +232,6 @@ class GraphSnapshot {
   // for malformed bytes, or for a size that does not match the header.
   static Result<GraphSnapshot> Deserialize(const uint8_t* data, size_t size);
 
-  // XOR-folds serialized bytes of any in-bounds node range — [0, V)
-  // included — of whole records into this snapshot, straight from the
-  // bytes: how the coordinator aggregates shard replies without
-  // materializing a second snapshot. num_updates() is never affected.
-  // InvalidArgument on malformed bytes, a params mismatch, a partial
-  // round window or summary bytes; a failed load's status for a lazy
-  // snapshot that does not load. This snapshot is unchanged on any
-  // error.
-  Status MergeSerialized(const uint8_t* data, size_t size);
   // The fold behind every consumer of serialized bytes: validates `data`
   // in full against `params`, the round window [r_lo, r_hi) and the part
   // the caller expects (InvalidArgument on any mismatch), then hands

@@ -9,6 +9,8 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "distributed/range_pull.h"
+
 namespace gz {
 namespace {
 
@@ -256,119 +258,6 @@ bool QuerySession::Cached(const PositionView& view) const {
          merged_.load_status().ok();
 }
 
-Status QuerySession::PullAndFold(const PositionView& view,
-                                 const std::vector<RoundPull>& pulls,
-                                 Status* round_error) {
-  *round_error = Status::Ok();
-  const uint64_t num_nodes = view.params.num_nodes;
-  const uint64_t vector_len = NumPossibleEdges(num_nodes);
-  const size_t round_bytes =
-      SketchLayout::RoundBytes(vector_len, view.params.cols);
-  const size_t stride =
-      SketchLayout::RoundStride(vector_len, view.params.cols);
-  // Per pull: a record holds `unit` bytes per round, a buffer `slot`
-  // bytes per node.
-  std::vector<std::function<void(NodeId, const uint8_t*)>> folds;
-  for (const RoundPull& pull : pulls) {
-    const bool whole = pull.part == RoundPart::kWhole;
-    const size_t unit = whole ? round_bytes : GraphSnapshot::kSummaryBytes;
-    const size_t slot = whole ? stride : GraphSnapshot::kSummaryBytes;
-    pull.rounds->assign(pull.r_hi - pull.r_lo,
-                        std::vector<uint8_t>(num_nodes * slot));
-    folds.push_back([&pull, whole, unit, slot](NodeId i,
-                                               const uint8_t* record) {
-      for (int r = pull.r_lo; r < pull.r_hi; ++r) {
-        uint8_t* dst = (*pull.rounds)[r - pull.r_lo].data() + i * slot;
-        const uint8_t* src = record + (r - pull.r_lo) * unit;
-        if (whole) {
-          XorBytes(dst, src, unit);
-        } else {
-          XorDetBucket(dst, src);
-        }
-      }
-    });
-  }
-  const uint64_t step =
-      options_.nodes_per_chunk == 0 ? num_nodes : options_.nodes_per_chunk;
-  // (shard, pull) -> lo of its next unpulled chunk. A shard at the zero
-  // watermark (a fresh split child) holds the XOR identity: no pull.
-  std::map<std::pair<int, size_t>, uint64_t> next;
-  for (const auto& [shard, mark] : view.marks) {
-    if (mark == ShardWatermark{}) continue;
-    for (size_t p = 0; p < pulls.size(); ++p) next.emplace(std::pair(shard, p), 0);
-  }
-  Status fatal = Status::Ok();
-  while (!next.empty() && round_error->ok() && fatal.ok()) {
-    // Send: one chunk request per shard and pull, to the shard's first
-    // live replica. (key, conn) in send order.
-    std::vector<std::pair<std::pair<int, size_t>, size_t>> wave;
-    for (const auto& [key, lo] : next) {
-      const RoundPull& pull = pulls[key.second];
-      const std::vector<uint8_t> req =
-          EncodeMigrateExtract(lo, std::min(num_nodes, lo + step), pull.r_lo,
-                               pull.r_hi, pull.part);
-      size_t sent_to = conns_.size();
-      for (const size_t conn : view.groups.at(key.first)) {
-        if (!conn_alive_[conn]) continue;
-        const Status s =
-            SendFrame(conns_[conn]->fd(), ShardMessageType::kMigrateExtract,
-                      req.data(), req.size());
-        if (s.ok()) {
-          sent_to = conn;
-          break;
-        }
-        conn_alive_[conn] = false;
-        conn_error_ = s;
-      }
-      if (sent_to == conns_.size()) {
-        // The shard's last live replica died during the pull. The
-        // alive-set changed, so retry the round; the next round's
-        // coverage check surfaces a shard left uncovered.
-        *round_error = conn_error_;
-        break;
-      }
-      wave.emplace_back(key, sent_to);
-    }
-    // Receive in send order. Every request sent to a live connection is
-    // read, whatever its outcome, so no reply outlives the wave to
-    // answer a later request; a connection that failed is never read
-    // again.
-    for (const auto& [key, conn] : wave) {
-      if (!conn_alive_[conn]) continue;  // The next wave re-sends it.
-      bool in_sync = false;
-      Status s = RecvReply(conns_[conn]->fd(), ShardMessageType::kMigrateData,
-                           &reply_buf_, &in_sync);
-      if (s.ok()) {
-        ++range_pulls_;
-        bytes_pulled_ += reply_buf_.payload.size();
-        const RoundPull& pull = pulls[key.second];
-        s = GraphSnapshot::FoldSerialized(
-            reply_buf_.payload.data(), reply_buf_.payload.size(), view.params,
-            pull.r_lo, pull.r_hi, folds[key.second], pull.part);
-        if (!s.ok()) {
-          // Well framed, but not a range of this graph: void the round.
-          if (round_error->ok()) *round_error = s;
-          continue;
-        }
-        uint64_t& lo = next.at(key);
-        lo += step;
-        if (lo >= num_nodes) next.erase(key);
-      } else if (!in_sync) {
-        // The next wave re-sends this chunk to the next live replica.
-        conn_alive_[conn] = false;
-        conn_error_ = s;
-      } else if (s.code() == StatusCode::kFailedPrecondition) {
-        // "shard not configured": a writer bounce mid-pull. The
-        // position will have moved; retry the round.
-        if (round_error->ok()) *round_error = s;
-      } else if (fatal.ok()) {
-        fatal = s;
-      }
-    }
-  }
-  return fatal;
-}
-
 Status QuerySession::Snapshot(const GraphSnapshot** out) {
   return Refresh(0, out);
 }
@@ -420,7 +309,25 @@ Status QuerySession::PullStable(
             {whole_hi, view->params.rounds, RoundPart::kSummary, summaries});
       }
     }
-    s = PullAndFold(*view, pulls, &round_error);
+    // Replica i of a shard is conn i (-1 when conn i serves another
+    // shard). A shard at the zero watermark (a fresh split child) holds
+    // the XOR identity: no pull.
+    std::vector<std::vector<int>> fds;
+    for (const auto& [shard, conns] : view->groups) {
+      if (view->marks.at(shard) == ShardWatermark{}) continue;
+      std::vector<int>& shard_fds = fds.emplace_back(conns_.size(), -1);
+      for (const size_t conn : conns) shard_fds[conn] = conns_[conn]->fd();
+    }
+    PullTally tally;
+    s = PullAndFold(
+        view->params, fds, pulls, options_.nodes_per_chunk, &reply_buf_,
+        [&](size_t, size_t conn, const Status& error) {
+          conn_alive_[conn] = false;
+          conn_error_ = error;
+        },
+        &tally, &round_error);
+    range_pulls_ += tally.replies;
+    bytes_pulled_ += tally.bytes;
     if (!s.ok()) return s;
     if (!round_error.ok()) {
       last = round_error;

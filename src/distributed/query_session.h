@@ -19,8 +19,8 @@
 // the last of which only proves every cut empty, from its summary
 // alone. So a cold rebuild pulls round 0 whole and the summaries of
 // rounds [1, R) from every shard's nodes [0, V) (two range requests per
-// chunk: the part is a field of MIGRATE_EXTRACT) and XOR-folds them
-// into one buffer per round and part. A query pulls a later round
+// chunk, through the pull engine ShardCluster::Snapshot() uses too,
+// range_pull.h) and XOR-folds them into one buffer per round and part. A query pulls a later round
 // whole, from every shard, only when some component's summary does not
 // decide it; anything that needs whole sketches (==, Serialize, Merge,
 // a forest peel) pulls every remaining round, one at a time.
@@ -31,8 +31,8 @@
 // (t1), and installs the candidate only if t1 == t0. Positions are
 // monotone, so t0 == t1 proves every folded byte of a shard belongs to
 // that shard's keyed position — no ABA. A moving position, a lost
-// replica or a reply that does not fold discards the candidate and
-// retries; a bounded number of failed rounds returns an error. Every
+// replica, a shard bounced mid-pull or a reply that does not fold
+// discards the candidate and retries; a bounded number of failed rounds returns an error. Every
 // later round's pull runs the same seqlock round, and its sweeps must
 // equal the snapshot's marks: if the position moved, the load fails
 // (GraphSnapshot::load_status()) and is never folded, so every round
@@ -55,26 +55,13 @@
 // differs from the coordinator's. The window is one round trip per
 // chunk (see ROADMAP).
 //
-// Pulls run in waves so the shards extract in parallel: each wave
-// sends every shard's live replica one MIGRATE_EXTRACT per part being
-// pulled (round 0 whole and the summaries, on a cold rebuild), each for
-// its next chunk, then folds the replies in send order, so a shard
-// builds its summary reply while the reader folds its round 0. A
-// connection never has more than one pull per part outstanding: the
-// requests are a few dozen bytes, so the reader never blocks sending
-// them while a shard blocks writing a reply the reader has not read
-// yet. A replica that fails in transport is marked dead, never read
-// again, and the next wave re-sends its chunks to the shard's next live
-// replica; an in-sync FailedPrecondition (a shard bounced mid-pull)
-// retries the round.
-//
 // Replication: endpoints may include several listeners serving the
 // SAME shard id (its replicas). The session groups connections by the
 // shard id each reports, verifies the group sizes against the
 // cluster's advertised replication factor, and reads positions / pulls
-// content from any ONE live group member per shard — so a reader
-// survives the death of a listener mid-sweep as long as every shard
-// keeps one live replica. Replicas of one shard reporting different
+// content from any ONE live group member per shard, re-sending a dead
+// one's chunks to the next — so a reader survives the death of a
+// listener mid-sweep as long as every shard keeps one live replica. Replicas of one shard reporting different
 // positions is transient skew (an update fan-out caught mid-flight)
 // and is handled like any moving position: retry / stale.
 //
@@ -278,32 +265,11 @@ class QuerySession {
                    PositionView* view);
   // True iff the cached snapshot is exactly the cluster at `view`.
   bool Cached(const PositionView& view) const;
-  // `part` of rounds [r_lo, r_hi), folded into (*rounds)[r - r_lo]:
-  // one zeroed buffer per round, V x round_stride for whole rounds and
-  // V x kSummaryBytes for summaries.
-  struct RoundPull {
-    int r_lo;
-    int r_hi;
-    RoundPart part;
-    std::vector<std::vector<uint8_t>>* rounds;
-  };
-  // Pulls every one of `pulls` from every shard at `view` in waves,
-  // XOR-folding each reply into its pull's buffers. A wave sends each
-  // shard one chunk request per pull, back to back, so a shard builds
-  // its next reply while the reader folds the last. Returns an error no
-  // retry can fix; *round_error says the round must be retried instead
-  // (a shard lost its last live replica, answered FailedPrecondition,
-  // or sent bytes that do not fold). Either way, every request sent to a
-  // connection still alive has had its reply read.
-  Status PullAndFold(const PositionView& view,
-                     const std::vector<RoundPull>& pulls,
-                     Status* round_error);
   // The seqlock round behind Snapshot() and every later round: a t0
-  // position sweep, PullAndFold() of the whole rounds [r_lo,
-  // min(r_hi, R)) and, with `summaries`, of the summaries of the rounds
-  // after them into *summaries, in the same waves, and a t1 sweep that
-  // must equal t0;
-  // *view is the position the rounds belong to. Replica skew, a moved
+  // position sweep, PullAndFold() (range_pull.h) of the whole rounds
+  // [r_lo, min(r_hi, R)) and, with `summaries`, of the summaries of the
+  // rounds after them into *summaries, in the same waves, and a t1
+  // sweep that must equal t0; *view is the position the rounds belong to. Replica skew, a moved
   // position, a replica lost mid-pull or a reply that does not fold
   // retries it, at most 16 times (then ResourceExhausted). With
   // `required` (a later round), a sweep that finds other marks returns

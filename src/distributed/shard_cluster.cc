@@ -7,6 +7,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "distributed/range_pull.h"
 #include "sketch/cube_sketch.h"
 #include "util/check.h"
 
@@ -128,15 +129,6 @@ int ShardCluster::num_active_shards() const {
 int ShardCluster::FirstUnfencedReplica(int shard) const {
   for (int r = 0; r < replication_; ++r) {
     if (!replica_down(shard, r)) return r;
-  }
-  return -1;
-}
-
-int ShardCluster::FirstLiveReplica(int shard) {
-  for (int r = 0; r < replication_; ++r) {
-    if (!replica_down(shard, r) && shards_[shard].replicas[r].proc->Alive()) {
-      return r;
-    }
   }
   return -1;
 }
@@ -292,27 +284,12 @@ Status ShardCluster::PipelinedBarrier(
     ShardMessageType type, ShardMessageType expected_reply,
     const std::function<std::string(int shard, int replica)>& payload_for,
     const std::function<Status(int shard, int replica,
-                               const ShardFrame& reply)>& on_reply,
-    BarrierScope scope) {
+                               const ShardFrame& reply)>& on_reply) {
+  Status s = RequireAllHealthy();
+  if (!s.ok()) return s;
   std::vector<std::pair<int, int>> targets;
-  if (scope == BarrierScope::kAllReplicas) {
-    Status s = RequireAllHealthy();
-    if (!s.ok()) return s;
-    for (const int i : ActiveShards()) {
-      for (int r = 0; r < replication_; ++r) targets.emplace_back(i, r);
-    }
-  } else {
-    // One live replica per shard; a shard with none fails the fold the
-    // same way the all-replica barrier reports a down shard.
-    for (const int i : ActiveShards()) {
-      const int r = FirstLiveReplica(i);
-      if (r < 0) {
-        return Status::FailedPrecondition(
-            "shard " + std::to_string(i) +
-            " is down; RestartShard() it before a cluster-wide barrier");
-      }
-      targets.emplace_back(i, r);
-    }
+  for (const int i : ActiveShards()) {
+    for (int r = 0; r < replication_; ++r) targets.emplace_back(i, r);
   }
   std::vector<bool> sent(targets.size(), false);
   Status first_error = Status::Ok();
@@ -352,32 +329,42 @@ Status ShardCluster::Flush() {
 
 Result<GraphSnapshot> ShardCluster::Snapshot() {
   if (!started_) return Status::FailedPrecondition("cluster not started");
-  // One live replica per shard streams its whole state [0, V) x [0, R)
-  // — the read-only extract migration and reader sessions use —
-  // and every reply XOR-folds into the zero snapshot in arrival order
-  // through MergeSerialized (which refuses a params mismatch), so peak
-  // memory is one snapshot + one reply buffer regardless of shard
-  // count. All live replicas of a shard are bitwise-equal, so any one
-  // is the shard. (On a barrier failure the helper still runs the fold
-  // for drained replies; the result is discarded with the error.)
+  // Every replica's socket, -1 for one fenced or gone: all live
+  // replicas of a shard are bitwise-equal, so any one is the shard.
+  const std::vector<int> ids = ActiveShards();
+  std::vector<std::vector<int>> fds(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    for (const Replica& rep : shards_[ids[i]].replicas) {
+      fds[i].push_back(rep.down || !rep.proc->Alive() ? -1 : rep.proc->fd());
+    }
+    if (*std::max_element(fds[i].begin(), fds[i].end()) < 0) {
+      return Status::FailedPrecondition(
+          "shard " + std::to_string(ids[i]) +
+          " is down; RestartShard() it before a cluster-wide barrier");
+    }
+  }
   const NodeSketchParams params = SketchParams();
-  const std::vector<uint8_t> request =
-      EncodeMigrateExtract(0, params.num_nodes, 0, params.rounds);
-  const std::string payload(request.begin(), request.end());
-  GraphSnapshot merged = GraphSnapshot::Zero(params);
-  Status s = PipelinedBarrier(
-      ShardMessageType::kMigrateExtract, ShardMessageType::kMigrateData,
-      [&payload](int, int) { return payload; },
-      [&merged](int, int, const ShardFrame& reply) {
-        return merged.MergeSerialized(reply.payload.data(),
-                                      reply.payload.size());
+  auto rounds = std::make_shared<std::vector<std::vector<uint8_t>>>();
+  PullTally tally;
+  Status round_error;
+  Status s = PullAndFold(
+      params, fds, {{0, params.rounds, RoundPart::kWhole, rounds.get()}},
+      options_.migrate_nodes_per_chunk, &reply_buf_,
+      [&](size_t shard, size_t replica, const Status&) {
+        shards_[ids[shard]].replicas[replica].down = true;
       },
-      BarrierScope::kOnePerShard);
+      &tally, &round_error);
+  if (s.ok()) s = round_error;
   if (!s.ok()) return s;
-  // Range folds carry no counts: the stream position comes from the
-  // coordinator's books, removed shards included.
-  merged.SetUpdates(TotalUpdates());
-  return merged;
+  // The loader only hands over rounds already pulled. Range folds carry
+  // no counts: the stream position comes from the coordinator's books.
+  return GraphSnapshot::Lazy(
+      NodeSketch(params), TotalUpdates(),
+      [rounds](int round, RoundPart, uint64_t,
+               const GraphSnapshot::BlockRunner&, std::vector<uint8_t>* buf) {
+        *buf = std::move((*rounds)[round]);
+        return Status::Ok();
+      });
 }
 
 Status ShardCluster::Checkpoint() {

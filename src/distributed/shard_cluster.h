@@ -3,8 +3,9 @@
 // independently ... they can be partitioned throughout a distributed
 // cluster without sacrificing stream ingestion rate"). Owns N shards
 // (one GraphZeppelin each, same seed/geometry), routes update spans to
-// them through a versioned slot table, aggregates query-time snapshot
-// replies with the GraphSnapshot merge algebra, and manages shard
+// them through a slot table, folds query-time snapshots by XOR-ing
+// every shard's node-range replies round by round (the pull engine
+// reader sessions share, range_pull.h), and manages shard
 // lifecycle: spawn, health checks, checkpoints, orderly shutdown,
 // restart-from-checkpoint of a crashed shard — and elastic resharding:
 // shards can be added, split or removed WITHOUT pausing the stream.
@@ -43,7 +44,8 @@
 // the shard and fans out to every replica (each migration chunk is
 // logged once per side and sent the same way), so all live replicas
 // of a shard are bitwise-identical at all times; a fold (Snapshot)
-// reads any ONE live replica per shard and fails over past dead ones.
+// reads any ONE live replica per shard and fails over past dead ones,
+// chunk by chunk.
 // The repair path is anti-entropy, not replay: Reconcile() pulls
 // node-range chunks from a position-verified reference replica and
 // from the suspect, XOR-diffs them, and folds exactly the difference
@@ -54,8 +56,8 @@
 // R = 1 is bitwise-identical to the pre-replication cluster.
 //
 // Elasticity model: routing is a pure function of (edge, table); see
-// RoutingTable. A reshard bumps the table's epoch in the coordinator
-// only — no shard holds the table, and no frame carries it: a shard's
+// RoutingTable. A reshard changes the table in the coordinator only —
+// no shard holds the table, and no frame carries it: a shard's
 // content is whatever it was sent, and the fold is the XOR of all of
 // them. Growing the cluster (AddShard, SplitShard) moves routing slots and
 // nothing else: the fold is the XOR of all shards whichever shard holds
@@ -121,10 +123,10 @@ struct ShardClusterOptions {
   // update logs so coordinator memory stays bounded by the interval
   // instead of growing with the stream. 0 = manual Checkpoint() only.
   uint64_t checkpoint_interval_updates = 1 << 22;
-  // Node-range granularity of one PumpMigration() step and of one
-  // Reconcile() diff chunk. Smaller chunks mean more interleaving
-  // opportunities for Update() (and finer kill points in fault tests)
-  // at more RPCs.
+  // Node-range granularity of one PumpMigration() step, of one
+  // Reconcile() diff chunk and of one Snapshot() pull request. Smaller
+  // chunks mean more interleaving opportunities for Update() (and finer
+  // kill points in fault tests), and smaller reply frames, at more RPCs.
   uint64_t migrate_nodes_per_chunk = 1 << 16;
 };
 
@@ -169,15 +171,17 @@ class ShardCluster {
 
   // Barriers (every replica of every shard must be healthy).
   Status Flush();
-  // Aggregated query surface: pulls one live replica per shard's whole
-  // state, whole rounds of [0, V) x [0, R) (eager, unlike a reader
-  // session's summaries and single rounds), and XOR-folds the replies
-  // into the zero snapshot
-  // (one snapshot plus one reply in flight); the update count is
-  // the coordinator's books, removed shards included. Exact
-  // even mid-migration: chunk moves are install+cancel pairs, so the
-  // global XOR never double-counts. Survives dead replicas as long as
-  // every shard keeps one live one.
+  // Aggregated query surface: pulls every round of every shard's nodes
+  // [0, V) from one live replica per shard, in chunks of
+  // migrate_nodes_per_chunk nodes, XOR-folded into one buffer per round
+  // by the engine reader sessions use (range_pull.h). The result is
+  // round-lazy, but its loads only hand those buffers over: it never
+  // touches the cluster again, and any thread may query it. The update
+  // count is the coordinator's books, removed shards included. Exact
+  // even mid-migration: chunk moves are install+cancel pairs. A replica
+  // that fails in transport is fenced and its chunks re-pulled from the
+  // next live one; a shard with no unfenced live replica fails the call
+  // (FailedPrecondition) before any request is sent.
   Result<GraphSnapshot> Snapshot();
   // Checkpoints every replica of every shard into its unacked slot.
   // Each replica's cursor moves as its ack arrives and the shard's logs
@@ -338,11 +342,6 @@ class ShardCluster {
     int target = -1;
     uint64_t next_node = 0;  // First node of the next chunk.
   };
-  // Which replicas a barrier touches: every replica of every shard
-  // (mutations: flush, checkpoint) or one live replica per
-  // shard (read-only folds: snapshot).
-  enum class BarrierScope { kAllReplicas, kOnePerShard };
-
   // Connects + configures one replica, restoring its acked checkpoint
   // if `restore` and it has one; `restored` receives the stream
   // position the replica then reports.
@@ -374,18 +373,15 @@ class ShardCluster {
   // Lowest-index replica of `shard` the coordinator has not fenced
   // (-1 if none). What the send paths target.
   int FirstUnfencedReplica(int shard) const;
-  // Lowest-index replica that is unfenced AND whose transport is still
-  // alive (-1 if none). What the fold paths target.
-  int FirstLiveReplica(int shard);
   // kMergeDelta RPC to one replica; fences it on failure (transport
   // loss or a diverged shard — either way repair re-delivers).
   Status SendDelta(Replica& replica, const std::vector<uint8_t>& bytes);
   // Sends `updates` to one replica as update frames.
   Status SendUpdateFrames(const Replica& replica, const GraphUpdate* updates,
                           size_t count);
-  // The one pipelined-barrier implementation every cluster-wide
-  // operation shares: sends `type` (payload from `payload_for`, if
-  // given) to every targeted replica, then collects a reply from EVERY
+  // The one pipelined-barrier implementation the cluster-wide
+  // mutations (flush, checkpoint) share: sends `type` (payload from
+  // `payload_for`, if given) to every replica of every shard, then collects a reply from EVERY
   // replica that got a request — even after a failure, so no reply is
   // ever left queued to desync a later barrier. A replica is fenced
   // (down) only when its connection lost sync, not on an
@@ -396,8 +392,7 @@ class ShardCluster {
       ShardMessageType type, ShardMessageType expected_reply,
       const std::function<std::string(int shard, int replica)>& payload_for,
       const std::function<Status(int shard, int replica,
-                                 const ShardFrame& reply)>& on_reply,
-      BarrierScope scope = BarrierScope::kAllReplicas);
+                                 const ShardFrame& reply)>& on_reply);
   Status RequireAllHealthy();
   // One request/reply round trip to one replica; the reply lands in
   // reply_buf_. Fences the replica when its connection lost sync, not

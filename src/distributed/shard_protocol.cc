@@ -759,7 +759,6 @@ int RouteToShard(const Edge& e, uint64_t num_nodes,
 RoutingTable MakeRoutingTable(int num_shards) {
   GZ_CHECK(num_shards >= 1 && num_shards < RoutingTable::kMaxShardId);
   RoutingTable table;
-  table.epoch = 1;
   table.owners.resize(RoutingTable::kNumSlots);
   for (uint32_t s = 0; s < RoutingTable::kNumSlots; ++s) {
     table.owners[s] = static_cast<int32_t>(s % num_shards);
@@ -808,7 +807,6 @@ RoutingTable TableWithShardAdded(const RoutingTable& table, int new_shard) {
   GZ_CHECK_MSG(TableOwners(table).size() < RoutingTable::kNumSlots,
                "slot table is full; cannot add another owner");
   RoutingTable out = table;
-  out.epoch = table.epoch + 1;
   auto counts = OwnershipCounts(out, new_shard);
   const int target =
       static_cast<int>(RoutingTable::kNumSlots / counts.size());
@@ -843,7 +841,6 @@ RoutingTable TableWithShardAdded(const RoutingTable& table, int new_shard) {
 
 RoutingTable TableWithShardRemoved(const RoutingTable& table, int removed) {
   RoutingTable out = table;
-  out.epoch = table.epoch + 1;
   for (uint32_t s = 0; s < RoutingTable::kNumSlots; ++s) {
     if (out.owners[s] != removed) continue;
     // Deal to the remaining owner with the fewest slots (ties:
@@ -872,7 +869,6 @@ RoutingTable TableWithShardSplit(const RoutingTable& table, int source,
   GZ_CHECK_MSG(TableSlotCount(table, source) >= 2,
                "split source owns fewer than two slots");
   RoutingTable out = table;
-  out.epoch = table.epoch + 1;
   bool take = false;
   for (uint32_t s = 0; s < RoutingTable::kNumSlots; ++s) {
     if (out.owners[s] != source) continue;

@@ -135,8 +135,8 @@ struct ShardFrameHeader {
   // heavy-hitter frames and ShardConfig fields retired. v6: CONFIG no
   // longer carries query_threads (shards never run a query). v7: the
   // routing table stays in the coordinator — CONFIG carries the
-  // replication factor instead, UPDATE_BATCH loses its epoch stamp,
-  // STATS_EX its epoch, and the EPOCH frame (12) is retired. v8: a shard
+  // replication factor instead, no frame carries routing state, and
+  // frame type 12 is retired. v8: a shard
   // checkpoint is a plain GraphSnapshot file with no header of its own,
   // so CONFIG carries the restored checkpoint's delta sequence number;
   // CONFIG's instance tag is retired. v9: MIGRATE_EXTRACT names a round
@@ -276,10 +276,10 @@ Status ServerHandshake(int fd, const std::string& secret,
 
 // ---- Routing --------------------------------------------------------------
 
-// The versioned routing table: the edge hash picks one of kNumSlots
-// virtual slots (a power of two, so the reduction is a mask — no
-// modulo bias for ANY shard count), and the table assigns each slot to
-// a shard id. Elastic operations reassign slots and bump the epoch.
+// The routing table: the edge hash picks one of kNumSlots virtual
+// slots (a power of two, so the reduction is a mask — no modulo bias
+// for ANY shard count), and the table assigns each slot to a shard id.
+// Elastic operations reassign slots.
 // The table is the coordinator's private bookkeeping: no shard needs
 // it, because a shard's sketch content is the XOR of whatever updates
 // it was sent, and the fold over all shards is the same whichever
@@ -293,15 +293,12 @@ struct RoutingTable {
   // CONFIG / STATS_EX replication fields).
   static constexpr uint32_t kMaxReplication = 8;
 
-  uint64_t epoch = 0;  // 0 = unset; real tables start at 1.
   std::vector<int32_t> owners;  // kNumSlots entries: slot -> shard id.
 
-  friend bool operator==(const RoutingTable& a, const RoutingTable& b) {
-    return a.epoch == b.epoch && a.owners == b.owners;
-  }
+  friend bool operator==(const RoutingTable&, const RoutingTable&) = default;
 };
 
-// Epoch-1 table for shards {0 .. num_shards-1}: slots dealt round-robin,
+// The table for shards {0 .. num_shards-1}: slots dealt round-robin,
 // so every shard owns floor or ceil of kNumSlots/num_shards slots.
 RoutingTable MakeRoutingTable(int num_shards);
 
@@ -314,7 +311,7 @@ uint32_t RouteSlot(const Edge& e, uint64_t num_nodes);
 int RouteToShard(const Edge& e, uint64_t num_nodes,
                  const RoutingTable& table);
 
-// Pure rebalance steps; each returns a table with epoch + 1. Together
+// Pure rebalance steps, each returning a new table. Together
 // they maintain the invariant that EVERY live shard owns at least one
 // slot (so the active set always equals TableOwners()): Added requires
 // fewer than kNumSlots owners, Split requires the source to own at

@@ -35,19 +35,4 @@ bool Dsu::Union(size_t a, size_t b) {
   return true;
 }
 
-std::vector<size_t> Dsu::Roots() {
-  std::vector<size_t> roots;
-  roots.reserve(num_sets_);
-  for (size_t i = 0; i < parent_.size(); ++i) {
-    if (Find(i) == i) roots.push_back(i);
-  }
-  return roots;
-}
-
-std::vector<size_t> Dsu::Labels() {
-  std::vector<size_t> labels(parent_.size());
-  for (size_t i = 0; i < parent_.size(); ++i) labels[i] = Find(i);
-  return labels;
-}
-
 }  // namespace gz

@@ -22,13 +22,6 @@ class Dsu {
   size_t num_sets() const { return num_sets_; }
   size_t size() const { return parent_.size(); }
 
-  // Representatives of all current sets, sorted ascending.
-  std::vector<size_t> Roots();
-
-  // Component label (root) per element; useful for equality testing of
-  // partitions in tests.
-  std::vector<size_t> Labels();
-
  private:
   std::vector<uint32_t> parent_;
   std::vector<uint8_t> rank_;

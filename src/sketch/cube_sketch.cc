@@ -187,13 +187,6 @@ void SketchBlock::DeserializeFrom(const uint8_t* in) {
   }
 }
 
-void SketchBlock::MergeSerialized(const uint8_t* in) {
-  const size_t bytes = layout_->round_bytes();
-  for (int r = 0; r < layout_->rounds(); ++r) {
-    XorBytes(round_data(r), in + r * bytes, bytes);
-  }
-}
-
 void SketchBlock::MergeIntoSerialized(uint8_t* record) const {
   const size_t bytes = layout_->round_bytes();
   for (int r = 0; r < layout_->rounds(); ++r) {

@@ -171,8 +171,7 @@ class SketchBlock {
   size_t SerializedSize() const { return layout_->record_bytes(); }
   void SerializeTo(uint8_t* out) const;
   void DeserializeFrom(const uint8_t* in);
-  // this ^= a same-params sketch's record, and record ^= this.
-  void MergeSerialized(const uint8_t* in);
+  // record ^= this, for a same-params sketch's record.
   void MergeIntoSerialized(uint8_t* record) const;
 
  protected:

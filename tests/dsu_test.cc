@@ -36,30 +36,6 @@ TEST(DsuTest, FindIsIdempotent) {
   EXPECT_EQ(dsu.Find(1), root);
 }
 
-TEST(DsuTest, RootsEnumeration) {
-  Dsu dsu(6);
-  dsu.Union(0, 1);
-  dsu.Union(2, 3);
-  const std::vector<size_t> roots = dsu.Roots();
-  EXPECT_EQ(roots.size(), 4u);  // {0,1}, {2,3}, {4}, {5}
-  for (size_t i = 0; i + 1 < roots.size(); ++i) {
-    EXPECT_LT(roots[i], roots[i + 1]);  // Sorted.
-  }
-}
-
-TEST(DsuTest, LabelsPartitionConsistently) {
-  Dsu dsu(8);
-  dsu.Union(0, 4);
-  dsu.Union(4, 6);
-  dsu.Union(1, 3);
-  const std::vector<size_t> labels = dsu.Labels();
-  EXPECT_EQ(labels[0], labels[4]);
-  EXPECT_EQ(labels[0], labels[6]);
-  EXPECT_EQ(labels[1], labels[3]);
-  EXPECT_NE(labels[0], labels[1]);
-  EXPECT_NE(labels[2], labels[0]);
-}
-
 TEST(DsuTest, OutOfRangeAborts) {
   Dsu dsu(3);
   EXPECT_DEATH(dsu.Find(3), "x < parent_.size");

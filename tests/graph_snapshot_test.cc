@@ -16,7 +16,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -177,7 +176,9 @@ TEST(GraphSnapshotTest, MergeRejectsIncompatibleParams) {
 
   // Serialized folds get the same checks.
   const std::vector<uint8_t> other_bytes = other_seed.Serialize();
-  EXPECT_EQ(base.MergeSerialized(other_bytes.data(), other_bytes.size())
+  EXPECT_EQ(GraphSnapshot::FoldSerialized(
+                other_bytes.data(), other_bytes.size(), base.params(), 0,
+                base.rounds(), [](NodeId, const uint8_t*) { FAIL(); })
                 .code(),
             StatusCode::kInvalidArgument);
 }
@@ -533,10 +534,10 @@ TEST(GraphSnapshotTest, RoundWindowsFoldOnlyWhereTheCallerExpectsThem) {
                                           snap.params(), 1, 2, no_fold)
                 .code(),
             StatusCode::kInvalidArgument);
-  const GraphSnapshot before = snap;
-  EXPECT_EQ(snap.MergeSerialized(window.data(), window.size()).code(),
+  EXPECT_EQ(GraphSnapshot::Deserialize(window.data(), window.size())
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_TRUE(snap == before);
   EXPECT_EQ(WindowBytes(snap, 0, n, 0, rounds), snap.Serialize());
   // A header whose window is empty, reversed or past the budget is
   // malformed.
@@ -630,9 +631,9 @@ TEST(GraphSnapshotTest, SummaryRangesCarryEachRoundsDeterministicBucket) {
 
 TEST(GraphSnapshotTest, WholeRecordConsumersRefuseSummaryBytes) {
   // Summaries of the whole range [0, V) x [0, R) have a whole-snapshot
-  // header but for the part: Deserialize, LoadFromFile, MergeSerialized
-  // and a whole-window fold all refuse them, and a summary fold refuses
-  // whole rounds.
+  // header but for the part: Deserialize, LoadFromFile,
+  // GraphZeppelin::MergeSerialized and a whole-window fold all refuse
+  // them, and a summary fold refuses whole rounds.
   const uint64_t n = 16;
   GraphZeppelin gz(MakeConfig(n, 3));
   ASSERT_TRUE(gz.Init().ok());
@@ -647,12 +648,8 @@ TEST(GraphSnapshotTest, WholeRecordConsumersRefuseSummaryBytes) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  GraphSnapshot snap = GraphSnapshot::Deserialize(whole.data(), whole.size())
-                           .value();
-  const GraphSnapshot before = snap;
-  EXPECT_EQ(snap.MergeSerialized(summary.data(), summary.size()).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(snap == before);
+  const GraphSnapshot snap =
+      GraphSnapshot::Deserialize(whole.data(), whole.size()).value();
   EXPECT_EQ(GraphSnapshot::FoldSerialized(summary.data(), summary.size(),
                                           snap.params(), 0, rounds, no_fold)
                 .code(),
@@ -766,10 +763,6 @@ TEST(GraphSnapshotTest, FailedLazyLoadFailsTheQueryAndEveryWholeSketchUse) {
   GraphSnapshot merged = eager;
   EXPECT_EQ(merged.Merge(lazy).code(), StatusCode::kFailedPrecondition);
   EXPECT_TRUE(merged == eager);
-  GraphSnapshot into = lazy;
-  const std::vector<uint8_t> bytes = eager.Serialize();
-  EXPECT_EQ(into.MergeSerialized(bytes.data(), bytes.size()).code(),
-            StatusCode::kFailedPrecondition);
   EXPECT_EQ(lazy.SaveToFile(::testing::TempDir() + "/never.snap").code(),
             StatusCode::kFailedPrecondition);
   // Each round's loader ran at most once, failures included.
@@ -790,8 +783,11 @@ TEST(GraphSnapshotTest, NodeRangeDeltasMoveStateExactly) {
   const GraphSnapshot a = SnapshotOf(n, 21, edges);
   const GraphSnapshot empty = SnapshotOf(n, 21, {});
 
-  GraphSnapshot rebuilt = empty;
-  GraphSnapshot drained = a;
+  GraphZeppelin rebuilt(MakeConfig(n, 21));
+  ASSERT_TRUE(rebuilt.Init().ok());
+  GraphZeppelin drained(MakeConfig(n, 21));
+  ASSERT_TRUE(drained.Init().ok());
+  Ingest(&drained, edges);
   for (const auto& [lo, hi] :
        std::vector<std::pair<uint64_t, uint64_t>>{{0, 17}, {17, 48}}) {
     const std::vector<uint8_t> delta = a.ExtractNodeRange(lo, hi);
@@ -802,47 +798,48 @@ TEST(GraphSnapshotTest, NodeRangeDeltasMoveStateExactly) {
   }
   // Counts are untouched by range folds; align them before bitwise
   // compare.
-  EXPECT_EQ(rebuilt.num_updates(), 0u);
-  EXPECT_EQ(drained.num_updates(), a.num_updates());
-  rebuilt.SetUpdates(a.num_updates());
-  EXPECT_TRUE(rebuilt == a);
-  // Every sketch in the drained snapshot is zeroed — it equals the
+  GraphSnapshot rebuilt_snap = rebuilt.Snapshot();
+  EXPECT_EQ(rebuilt_snap.num_updates(), 0u);
+  EXPECT_EQ(drained.num_updates_ingested(), a.num_updates());
+  rebuilt_snap.SetUpdates(a.num_updates());
+  EXPECT_TRUE(rebuilt_snap == a);
+  // Every sketch in the drained instance is zeroed — it equals the
   // empty instance's snapshot (after count alignment).
   GraphSnapshot zero = empty;
   zero.SetUpdates(a.num_updates());
-  EXPECT_TRUE(drained == zero);
+  EXPECT_TRUE(drained.Snapshot() == zero);
 }
 
 TEST(GraphSnapshotTest, NodeRangeDeltaRejectsGarbage) {
   const uint64_t n = 32;
   EdgeList edges;
   for (NodeId i = 0; i + 1 < 10; ++i) edges.emplace_back(i, i + 1);
-  GraphSnapshot snap = SnapshotOf(n, 3, edges);
-  const std::vector<uint8_t> delta = snap.ExtractNodeRange(4, 20);
+  GraphZeppelin gz(MakeConfig(n, 3));
+  ASSERT_TRUE(gz.Init().ok());
+  Ingest(&gz, edges);
+  const GraphSnapshot before = gz.Snapshot();
+  const std::vector<uint8_t> delta = before.ExtractNodeRange(4, 20);
 
   // Truncation, trailing garbage, a bad magic and a params mismatch
-  // all bounce without touching the snapshot.
-  const GraphSnapshot before = snap;
-  EXPECT_EQ(snap.MergeSerialized(delta.data(), delta.size() - 1)
-                .code(),
+  // all bounce without touching the instance.
+  EXPECT_EQ(gz.MergeSerialized(delta.data(), delta.size() - 1).code(),
             StatusCode::kInvalidArgument);
   std::vector<uint8_t> padded = delta;
   padded.push_back(0);
-  EXPECT_EQ(
-      snap.MergeSerialized(padded.data(), padded.size()).code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(gz.MergeSerialized(padded.data(), padded.size()).code(),
+            StatusCode::kInvalidArgument);
   std::vector<uint8_t> bad_magic = delta;
   bad_magic[0] ^= 0xFF;
-  EXPECT_EQ(
-      snap.MergeSerialized(bad_magic.data(), bad_magic.size())
-          .code(),
-      StatusCode::kInvalidArgument);
-  GraphSnapshot other_seed = SnapshotOf(n, 4, edges);
-  EXPECT_EQ(
-      other_seed.MergeSerialized(delta.data(), delta.size())
-          .code(),
-      StatusCode::kInvalidArgument);
-  EXPECT_TRUE(snap == before);
+  EXPECT_EQ(gz.MergeSerialized(bad_magic.data(), bad_magic.size()).code(),
+            StatusCode::kInvalidArgument);
+  GraphZeppelin other_seed(MakeConfig(n, 4));
+  ASSERT_TRUE(other_seed.Init().ok());
+  Ingest(&other_seed, edges);
+  const GraphSnapshot other_before = other_seed.Snapshot();
+  EXPECT_EQ(other_seed.MergeSerialized(delta.data(), delta.size()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(gz.Snapshot() == before);
+  EXPECT_TRUE(other_seed.Snapshot() == other_before);
 
   // A range is not a whole snapshot, but a whole snapshot is just the
   // range [0, V): it folds like any other, and folding a snapshot into
@@ -851,11 +848,11 @@ TEST(GraphSnapshotTest, NodeRangeDeltaRejectsGarbage) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  const std::vector<uint8_t> full = snap.Serialize();
-  ASSERT_TRUE(snap.MergeSerialized(full.data(), full.size()).ok());
+  const std::vector<uint8_t> full = before.Serialize();
+  ASSERT_TRUE(gz.MergeSerialized(full.data(), full.size()).ok());
   GraphSnapshot zero = SnapshotOf(n, 3, {});
   zero.SetUpdates(before.num_updates());
-  EXPECT_TRUE(snap == zero);
+  EXPECT_TRUE(gz.Snapshot() == zero);
 }
 
 std::vector<uint8_t> ReadFile(const std::string& path) {
@@ -885,9 +882,10 @@ TEST(GraphSnapshotTest, EveryTruncationAndHeaderFlipIsACleanStatus) {
   // The one decoder, swept: every truncation length and every
   // single-byte flip of the header of a whole snapshot, a mid-graph
   // range and a GraphZeppelin checkpoint file, each fed to Deserialize,
-  // both MergeSerialized folds and LoadCheckpoint. Every call returns a
-  // Status or a valid object, never aborts, and leaves its target
-  // unchanged when it fails. A small geometry keeps the sweep quick.
+  // FoldSerialized, GraphZeppelin::MergeSerialized and LoadCheckpoint.
+  // Every call returns a Status or a valid object, never aborts, and
+  // leaves its target unchanged (folds nothing) when it fails. A small
+  // geometry keeps the sweep quick.
   const uint64_t n = 16;
   GraphZeppelinConfig config = MakeConfig(n, 31);
   config.cols = 1;
@@ -909,7 +907,6 @@ TEST(GraphSnapshotTest, EveryTruncationAndHeaderFlipIsACleanStatus) {
       snap.Serialize(), snap.ExtractNodeRange(5, 11), ReadFile(ckpt)};
   EXPECT_EQ(inputs[2], inputs[0]) << "a checkpoint is a whole snapshot";
 
-  GraphSnapshot target = make({Edge(2, 9)})->Snapshot();
   const std::unique_ptr<GraphZeppelin> gz = make({Edge(3, 4)});
   const GraphSnapshot gz_before = gz->Snapshot();
   // An accepted corrupt checkpoint overwrote gz; this good file, saved
@@ -927,12 +924,13 @@ TEST(GraphSnapshotTest, EveryTruncationAndHeaderFlipIsACleanStatus) {
       EXPECT_TRUE(thawed.value().valid());
     }
 
-    const GraphSnapshot target_before = target;
-    Status s = target.MergeSerialized(bytes.data(), bytes.size());
+    size_t folded = 0;
+    Status s = GraphSnapshot::FoldSerialized(
+        bytes.data(), bytes.size(), snap.params(), 0, snap.rounds(),
+        [&folded](NodeId, const uint8_t*) { ++folded; });
     if (!s.ok()) {
-      EXPECT_TRUE(target == target_before) << s.ToString();
+      EXPECT_EQ(folded, 0u) << s.ToString();
     }
-    target = target_before;
 
     s = gz->MergeSerialized(bytes.data(), bytes.size());
     if (s.ok()) {
@@ -1040,29 +1038,24 @@ TEST(GraphSnapshotTest, HeldSnapshotKeepsItsBytesWhileIngestContinues) {
 }
 
 TEST(GraphSnapshotTest, WritesToACopyNeverReachTheOriginal) {
-  // Merge and MergeSerialized clone a shared node before writing, in
-  // either direction of a copy.
+  // Merge clones a shared node before writing, in either direction of a
+  // copy.
   const uint64_t n = 40;
   const uint64_t seed = 45;
   const GraphSnapshot a = SnapshotOf(n, seed, RandomEdges(n, 0.2, 1));
   const GraphSnapshot b = SnapshotOf(n, seed, RandomEdges(n, 0.2, 2));
   const std::vector<uint8_t> a_bytes = a.Serialize();
   const std::vector<uint8_t> b_bytes = b.Serialize();
-  const std::vector<uint8_t> b_range = b.ExtractNodeRange(7, 29);
 
   GraphSnapshot merged = a;  // Copy, then write the copy.
   ASSERT_TRUE(merged.Merge(b).ok());
-  GraphSnapshot folded = a;
-  ASSERT_TRUE(folded.MergeSerialized(b_range.data(), b_range.size()).ok());
   EXPECT_TRUE(a.Serialize() == a_bytes);
   EXPECT_TRUE(b.Serialize() == b_bytes);
   EXPECT_FALSE(merged == a);
-  EXPECT_FALSE(folded == a);
 
   GraphSnapshot original = b;  // Copy, then write the original.
   const GraphSnapshot copy = original;
   ASSERT_TRUE(original.Merge(a).ok());
-  ASSERT_TRUE(original.MergeSerialized(b_range.data(), b_range.size()).ok());
   EXPECT_TRUE(copy.Serialize() == b_bytes);
   EXPECT_FALSE(original == copy);
 
@@ -1074,41 +1067,16 @@ TEST(GraphSnapshotTest, WritesToACopyNeverReachTheOriginal) {
 
 TEST(GraphSnapshotTest, FoldIntoASnapshotLeavesTheLiveStoreAlone) {
   // A snapshot of a RAM instance shares the store's node sketches;
-  // folding bytes into it must clone them, not write the store.
+  // merging into it must clone them, not write the store.
   const uint64_t n = 32;
   GraphZeppelin gz(MakeConfig(n, 47));
   ASSERT_TRUE(gz.Init().ok());
   Ingest(&gz, RandomEdges(n, 0.3, 3));
   const std::vector<uint8_t> store_bytes = gz.Snapshot().Serialize();
   GraphSnapshot shared = gz.Snapshot();
-  const std::vector<uint8_t> other =
-      SnapshotOf(n, 47, RandomEdges(n, 0.3, 4)).Serialize();
-  ASSERT_TRUE(shared.MergeSerialized(other.data(), other.size()).ok());
   ASSERT_TRUE(shared.Merge(SnapshotOf(n, 47, {Edge(1, 2)})).ok());
   EXPECT_TRUE(gz.Snapshot().Serialize() == store_bytes);
   EXPECT_FALSE(shared.Serialize() == store_bytes);
-}
-
-TEST(GraphSnapshotTest, ColdBuildFromASharedZeroMatchesAZeroFilledFold) {
-  // Both cold builds (ShardCluster::Snapshot() and a QuerySession's
-  // rebuild) start from V handles to one zero sketch; folding ranges
-  // into it must produce exactly the bytes the same folds give over V
-  // zero-filled sketches.
-  const uint64_t n = 48;
-  const GraphSnapshot source = SnapshotOf(n, 49, RandomEdges(n, 0.15, 5));
-  const GraphSnapshot other = SnapshotOf(n, 49, RandomEdges(n, 0.15, 6));
-  const NodeSketchParams& params = source.params();
-  GraphSnapshot shared = GraphSnapshot::Zero(params);
-  GraphSnapshot filled(std::vector<NodeSketch>(n, NodeSketch(params)), 0);
-  EXPECT_TRUE(shared == filled);
-  for (const auto& [snap, lo, hi] :
-       std::vector<std::tuple<const GraphSnapshot*, uint64_t, uint64_t>>{
-           {&source, 0, 20}, {&other, 10, 48}, {&source, 20, 48}}) {
-    const std::vector<uint8_t> bytes = snap->ExtractNodeRange(lo, hi);
-    ASSERT_TRUE(shared.MergeSerialized(bytes.data(), bytes.size()).ok());
-    ASSERT_TRUE(filled.MergeSerialized(bytes.data(), bytes.size()).ok());
-  }
-  EXPECT_TRUE(shared.Serialize() == filled.Serialize());
 }
 
 TEST(GraphSnapshotTest, SnapshotsDroppedOnAnotherThreadWhileWorkersIngest) {

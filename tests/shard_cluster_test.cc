@@ -23,6 +23,7 @@
 #include <vector>
 
 #include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "cluster_substrate.h"
@@ -1085,6 +1086,73 @@ TEST_P(ShardClusterTest, RestartNeverReadsTheUnackedCheckpointSlot) {
   ::rmdir(options.checkpoint_dir.c_str());
 }
 
+TEST_P(ShardClusterTest, CheckpointWriteFaultKeepsTheAckedSlotAndTheLogs) {
+  // A checkpoint at P1 succeeds; the next one cannot create its file (a
+  // directory sits at the unacked slot's .tmp path). That is a clean
+  // kIoError: no replica fenced, no log trimmed, and a later restart
+  // restores the P1 slot and replays to the single-instance bytes.
+  const uint64_t n = 96;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.06;
+  ep.seed = 337;
+  const std::vector<GraphUpdate> updates =
+      ToggleStream(ErdosRenyiGenerator(ep).Generate(), 5);
+  const size_t p1 = updates.size() / 3;
+  const size_t p2 = 2 * updates.size() / 3;
+  const GraphZeppelinConfig base = BaseConfig(n, 347);
+  ShardClusterOptions options;
+  options.checkpoint_dir = MakeCheckpointDir("gz_fault_ckpt");
+  {
+    ShardCluster cluster(base, 2, MakeOptions(2, options));
+    ASSERT_TRUE(cluster.Start().ok());
+    ASSERT_TRUE(cluster.Update(updates.data(), p1).ok());
+    ASSERT_TRUE(cluster.Checkpoint().ok());
+    ASSERT_TRUE(cluster.Update(updates.data() + p1, p2 - p1).ok());
+
+    // Each published file is a shard's acked P1 slot; its other slot is
+    // where the next checkpoint writes.
+    const std::vector<std::string> acked =
+        CheckpointFiles(options.checkpoint_dir);
+    ASSERT_EQ(acked.size(), 2u);
+    std::vector<std::string> blocked;
+    for (const std::string& file : acked) {
+      ASSERT_TRUE(file.ends_with("_c0.bin") || file.ends_with("_c1.bin"))
+          << file;
+      std::string other = file;
+      char& slot = other[other.size() - std::string("0.bin").size()];
+      slot = slot == '0' ? '1' : '0';
+      blocked.push_back(other + ".tmp");
+      ASSERT_EQ(::mkdir(blocked.back().c_str(), 0755), 0) << blocked.back();
+    }
+    std::vector<uint64_t> unacked;
+    for (int s = 0; s < cluster.num_shards(); ++s) {
+      unacked.push_back(cluster.unacked_updates(s));
+      EXPECT_GT(unacked.back(), 0u) << "shard " << s;
+    }
+
+    EXPECT_EQ(cluster.Checkpoint().code(), StatusCode::kIoError);
+    for (int s = 0; s < cluster.num_shards(); ++s) {
+      EXPECT_FALSE(cluster.shard_down(s)) << "shard " << s;
+      EXPECT_EQ(cluster.unacked_updates(s), unacked[s]) << "shard " << s;
+    }
+
+    ASSERT_TRUE(
+        cluster.Update(updates.data() + p2, updates.size() - p2).ok());
+    cluster.KillReplica(0, 0);
+    const Status restarted = cluster.RestartReplica(0, 0);
+    ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+    Result<GraphSnapshot> folded = cluster.Snapshot();
+    ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+    EXPECT_EQ(folded.value().num_updates(), updates.size());
+    EXPECT_TRUE(folded.value() == SingleProcessSnapshot(base, updates));
+    ASSERT_TRUE(cluster.Shutdown().ok());
+    for (const std::string& dir : blocked) ::rmdir(dir.c_str());
+  }
+  EXPECT_TRUE(CheckpointFiles(options.checkpoint_dir).empty());
+  ::rmdir(options.checkpoint_dir.c_str());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Substrates, ShardClusterTest,
     ::testing::Values(Substrate::kThread, Substrate::kProcess,
@@ -1195,6 +1263,41 @@ TEST(ShardClusterTcpTest, WrongAuthSecretFailsStartWithoutCrash) {
   Result<GraphSnapshot> folded = cluster.Snapshot();
   ASSERT_TRUE(folded.ok()) << folded.status().ToString();
   EXPECT_EQ(folded.value().num_updates(), updates.size());
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST(ShardClusterTcpTest, SnapshotFailsOverPastAListenerThatDiedUnseen) {
+  // Shard 0's first replica's listener process dies without the
+  // coordinator hearing of it, so its socket still looks alive. The
+  // snapshot pull (several chunks per shard) must read that replica's
+  // EOF, fence it, and pull its chunks from the shard's other replica.
+  const uint64_t n = 64;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.1;
+  ep.seed = 349;
+  const std::vector<GraphUpdate> updates =
+      ToggleStream(ErdosRenyiGenerator(ep).Generate(), 3);
+  const GraphZeppelinConfig base = BaseConfig(n, 353);
+  std::vector<std::unique_ptr<ListenerShard>> listeners;
+  ShardClusterOptions options;
+  options.replication_factor = 2;
+  options.migrate_nodes_per_chunk = 16;
+  options.auth_secret = kSubstrateSecret;
+  StartSubstrateListeners(4, &listeners, &options.shard_endpoints);
+  ShardCluster cluster(base, 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  listeners[0]->Stop();  // Shard-major: shard 0, replica 0.
+
+  Result<GraphSnapshot> folded = cluster.Snapshot();
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_TRUE(cluster.replica_down(0, 0));
+  EXPECT_FALSE(cluster.replica_down(0, 1));
+  EXPECT_FALSE(cluster.shard_down(1));
+  EXPECT_EQ(folded.value().num_updates(), updates.size());
+  EXPECT_TRUE(folded.value() == SingleProcessSnapshot(base, updates));
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
