@@ -186,11 +186,6 @@ class GraphSnapshot {
   // returns a failed load's status, toggling nothing.
   Status ToggleEdge(const Edge& e);
 
-  // Pins the stream position outright — for callers that rebuild
-  // sketch content from serialized ranges (whose folds never touch
-  // counts) and know the true total from their own bookkeeping.
-  void SetUpdates(uint64_t count) { num_updates_ = count; }
-
   // --- Serialization -------------------------------------------------------
   // One byte format carries every transfer of sketch state — checkpoint
   // files, shard replies, reader pulls, migration and repair deltas: the

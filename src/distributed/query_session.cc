@@ -18,20 +18,20 @@ namespace {
 // moving before giving up; also the attempts RunQuery() gives a query.
 constexpr int kMaxPositionRetries = 16;
 
-// Two position sweeps agree iff the same connections are alive and
-// every live one reports the same (shard, updates, delta_seq) tuple —
-// the seqlock's "sequence unchanged" check. Monotonicity of
+// Two position sweeps agree iff the same connections answered and
+// every one that did reports the same (shard, updates, delta_seq) tuple
+// — the seqlock's "sequence unchanged" check. Monotonicity of
 // the position components makes equality proof of an unmoved position,
-// not a coincidence; an alive-set change is treated as movement too
-// (the folded pulls may have come from a connection that then died
-// mid-sweep).
+// not a coincidence; a change in who answered is treated as movement
+// too (the folded pulls may have come from a connection that then died
+// or lost its shard mid-sweep).
 bool SamePosition(const std::vector<ShardStatsEx>& a,
-                  const std::vector<bool>& alive_a,
+                  const std::vector<Status>& answers_a,
                   const std::vector<ShardStatsEx>& b,
-                  const std::vector<bool>& alive_b) {
-  if (alive_a != alive_b) return false;
+                  const std::vector<Status>& answers_b) {
   for (size_t i = 0; i < a.size(); ++i) {
-    if (!alive_a[i]) continue;
+    if (answers_a[i].ok() != answers_b[i].ok()) return false;
+    if (!answers_a[i].ok()) continue;
     if (a[i].shard_id != b[i].shard_id ||
         a[i].num_updates != b[i].num_updates ||
         a[i].delta_seq != b[i].delta_seq) {
@@ -133,9 +133,10 @@ Status QuerySession::Connect() {
   return Status::Ok();
 }
 
-Status QuerySession::ReadPositions(std::vector<ShardStatsEx>* stats) {
-  stats->clear();
-  stats->resize(conns_.size());
+Status QuerySession::ReadPositions(std::vector<ShardStatsEx>* stats,
+                                   std::vector<Status>* answers) {
+  stats->assign(conns_.size(), ShardStatsEx());
+  answers->assign(conns_.size(), Status::Ok());
   std::vector<bool> sent(conns_.size(), false);
   for (size_t i = 0; i < conns_.size(); ++i) {
     if (!conn_alive_[i]) continue;
@@ -156,43 +157,54 @@ Status QuerySession::ReadPositions(std::vector<ShardStatsEx>* stats) {
     if (s.ok()) {
       s = DecodeShardStatsEx(reply_buf_.payload.data(),
                              reply_buf_.payload.size(), &(*stats)[i]);
+      in_sync = s.ok();
     }
-    if (!s.ok()) {
-      // Transport loss, a deadline expiry, or a garbled payload: the
-      // request/reply stream is unrecoverable either way (a late reply
-      // would answer the wrong request), so the connection is done.
+    if (in_sync && !s.ok()) {
+      // A kError reply ("shard not configured" while the coordinator
+      // restarts the listener's replica): the stream is intact, so the
+      // connection only sits this sweep out.
+      (*answers)[i] = s;
+    } else if (!s.ok()) {
+      // Transport loss, a deadline expiry, or a garbled frame or
+      // payload: the request/reply stream is unrecoverable (a late
+      // reply would answer the wrong request), so the connection is
+      // done.
       conn_alive_[i] = false;
       conn_error_ = s;
-      continue;
+    } else {
+      conn_shard_ids_[i] = static_cast<int>((*stats)[i].shard_id);
     }
-    conn_shard_ids_[i] = static_cast<int>((*stats)[i].shard_id);
   }
-  for (const bool alive : conn_alive_) {
-    if (alive) return Status::Ok();
+  for (size_t i = 0; i < conns_.size(); ++i) {
+    if (!conn_alive_[i]) (*answers)[i] = conn_error_;
   }
-  return conn_error_.ok()
+  for (const Status& answer : *answers) {
+    if (answer.ok()) return Status::Ok();
+  }
+  return answers->empty()
              ? Status::FailedPrecondition("query session not connected")
-             : conn_error_;
+             : answers->front();
 }
 
 Status QuerySession::BuildView(const std::vector<ShardStatsEx>& stats,
+                               const std::vector<Status>& answers,
                                PositionView* view) {
   *view = PositionView();
   size_t first = conns_.size();
   for (size_t i = 0; i < conns_.size(); ++i) {
-    if (conn_alive_[i]) {
+    if (answers[i].ok()) {
       first = i;
       break;
     }
   }
-  // ReadPositions already failed the sweep if nothing was alive.
+  // ReadPositions already failed the sweep if nothing answered.
   view->params.num_nodes = stats[first].num_nodes;
   view->params.seed = stats[first].seed;
   view->params.cols = stats[first].cols;
   view->params.rounds = stats[first].rounds;
   const uint32_t replication = stats[first].replication;
   for (size_t i = 0; i < conns_.size(); ++i) {
-    if (!conn_alive_[i]) continue;
+    if (!answers[i].ok()) continue;
     const ShardStatsEx& st = stats[i];
     if (st.num_nodes != view->params.num_nodes ||
         st.seed != view->params.seed || st.cols != view->params.cols ||
@@ -239,15 +251,15 @@ Status QuerySession::BuildView(const std::vector<ShardStatsEx>& stats,
     view->marks.emplace(shard, mark);
     view->total_updates += lead.num_updates;
   }
-  // Coverage: a dead connection is survivable only if some live replica
-  // still serves its shard. A dead conn that never reported a shard id
-  // might have been the only one serving it — the saved transport
+  // Coverage: a connection that did not answer is survivable only if
+  // some replica that did still serves its shard. One that never
+  // reported a shard id might have been the only one serving it — its
   // error, not a silently smaller cluster, is the answer.
   for (size_t i = 0; i < conns_.size(); ++i) {
-    if (conn_alive_[i]) continue;
+    if (answers[i].ok()) continue;
     if (conn_shard_ids_[i] < 0 ||
         view->groups.find(conn_shard_ids_[i]) == view->groups.end()) {
-      return conn_error_;
+      return answers[i];
     }
   }
   return Status::Ok();
@@ -268,15 +280,15 @@ Status QuerySession::PullStable(
     std::vector<std::vector<uint8_t>>* summaries) {
   Status last = Status::Ok();
   std::vector<ShardStatsEx> t0, t1;
+  std::vector<Status> answers0, answers1;
   for (int attempt = 0; attempt < kMaxPositionRetries; ++attempt) {
     if (required == nullptr) ++last_refresh_rounds_;
-    Status s = ReadPositions(&t0);
+    Status s = ReadPositions(&t0, &answers0);
     if (!s.ok()) return s;
-    const std::vector<bool> alive0 = conn_alive_;
     // One cluster position: every shard at the same geometry, replicas
     // in agreement. Skew is a fan-out caught mid-flight — a moving
     // position, so retry.
-    s = BuildView(t0, view);
+    s = BuildView(t0, answers0, view);
     if (!s.ok()) return s;
     if (required != nullptr && view->marks != *required) {
       return PositionMoved();
@@ -333,9 +345,9 @@ Status QuerySession::PullStable(
       last = round_error;
       continue;
     }
-    s = ReadPositions(&t1);
+    s = ReadPositions(&t1, &answers1);
     if (!s.ok()) return s;
-    if (!SamePosition(t0, alive0, t1, conn_alive_)) {
+    if (!SamePosition(t0, answers0, t1, answers1)) {
       // A moved position, or a replica lost mid-pull (the pull may have
       // mixed replicas). With required marks, the next t0 sweep tells
       // the two apart.
@@ -428,7 +440,8 @@ Status QuerySession::PollPositions(bool* fresh) {
     return Status::FailedPrecondition("query session not connected");
   }
   std::vector<ShardStatsEx> stats;
-  Status s = ReadPositions(&stats);
+  std::vector<Status> answers;
+  Status s = ReadPositions(&stats, &answers);
   if (!s.ok()) return s;
   // Same validation Snapshot() runs: a configuration error (duplicate
   // shard beyond the replication factor, mixed geometry) is an ERROR
@@ -436,7 +449,7 @@ Status QuerySession::PollPositions(bool* fresh) {
   // serving its stale cache forever, never learning the deployment is
   // broken. Only genuine movement (replica skew) is stale.
   PositionView view;
-  s = BuildView(stats, &view);
+  s = BuildView(stats, answers, &view);
   if (!s.ok()) return s;
   if (view.skew) return Status::Ok();  // Mid-flight position = stale.
   *fresh = Cached(view);

@@ -69,11 +69,15 @@
 // timeout, see QuerySessionOptions): a listener that accepts,
 // authenticates, and then goes silent yields DeadlineExceeded instead
 // of hanging the reader forever, and the dead connection is excluded
-// from later sweeps.
+// from later sweeps. Only a connection that lost sync (transport,
+// framing, an undecodable payload) dies. One that answers in sync with
+// an error — "shard not configured" while the coordinator restarts its
+// listener's replica — stays, sits out that sweep, and serves again
+// once its shard is back.
 //
 // Honest limitation: a QuerySession computes the merged snapshot's
 // update count as the sum over the shards it can see, so after a
-// RemoveShard the retired shard's ingested count (which the
+// removal the retired shard's ingested count (which the
 // coordinator carries forward separately) is missing from
 // num_updates() — the sketch CONTENT is still exact. Sessions must
 // also re-Connect() after the cluster adds or removes listeners; a
@@ -237,32 +241,36 @@ class QuerySession {
   Status watch_error() const;
 
  private:
-  // One position sweep, grouped: every live connection's STATS_EX reply
-  // validated into a single cluster view.
+  // One position sweep, grouped: every answering connection's STATS_EX
+  // reply validated into a single cluster view.
   struct PositionView {
     // Replicas of one shard reporting different positions — a moving
     // cluster, not an error.
     bool skew = false;
     ShardWatermarks marks;  // One entry per shard (not per conn).
     uint64_t total_updates = 0;
-    // shard id -> live conn indices serving it (replicas). Built once
-    // per sweep; both position checks and pull failover walk it — no
-    // per-shard scan over the conn list.
+    // shard id -> answering conn indices serving it (replicas). Built
+    // once per sweep; both position checks and pull failover walk it —
+    // no per-shard scan over the conn list.
     std::map<int, std::vector<size_t>> groups;
     NodeSketchParams params;
   };
 
   // One STATS_EX sweep across every live connection (pipelined: all
-  // requests go out before the first reply is read). A connection that
-  // fails to answer is marked dead and excluded — the sweep itself only
-  // fails when no live connection remains.
-  Status ReadPositions(std::vector<ShardStatsEx>* stats);
-  // Validates one sweep into a PositionView: geometry and replication
-  // agreement, group sizes against the replication factor, and
-  // coverage — a dead connection whose shard id has no live replica
-  // (or was never learned) surfaces the saved transport error.
+  // requests go out before the first reply is read). (*answers)[i] is
+  // Ok when connection i answered, else why not: a connection that lost
+  // sync is marked dead and carries the saved transport error; one that
+  // replied with an in-sync error carries that error and stays live.
+  // The sweep itself only fails when no connection answered.
+  Status ReadPositions(std::vector<ShardStatsEx>* stats,
+                       std::vector<Status>* answers);
+  // Validates one sweep into a PositionView over the connections that
+  // answered: geometry and replication agreement, group sizes against
+  // the replication factor, and coverage — a connection that did not
+  // answer and whose shard id has no answering replica (or was never
+  // learned) surfaces its answer's error.
   Status BuildView(const std::vector<ShardStatsEx>& stats,
-                   PositionView* view);
+                   const std::vector<Status>& answers, PositionView* view);
   // True iff the cached snapshot is exactly the cluster at `view`.
   bool Cached(const PositionView& view) const;
   // The seqlock round behind Snapshot() and every later round: a t0
@@ -310,13 +318,13 @@ class QuerySession {
 
   QuerySessionOptions options_;
   std::vector<std::unique_ptr<TcpShardTransport>> conns_;
-  // Connections that have failed are marked dead rather than torn down:
+  // Connections that lost sync are marked dead rather than torn down:
   // index stability keeps the seqlock's t0/t1 comparison simple, and a
   // dead conn's sticky shard id (below) still drives coverage checks.
   std::vector<bool> conn_alive_;
   // Last shard id each connection reported (-1 before the first reply).
-  // Sticky across its death, so the session knows whether a dead conn's
-  // shard is still covered by a live replica.
+  // Sticky across its death or a sweep it sits out, so the session
+  // knows whether its shard is still covered by an answering replica.
   std::vector<int> conn_shard_ids_;
   // Most recent transport error from a connection marked dead.
   Status conn_error_;

@@ -45,8 +45,7 @@ ShardCluster::ShardCluster(const GraphZeppelinConfig& base, int num_shards,
         " shards with replication factor " + std::to_string(replication_));
     options_.shard_endpoints.resize(max_endpoints);
   }
-  binary_ = options_.shard_binary.empty() ? DefaultShardBinary()
-                                          : options_.shard_binary;
+  binary_ = DefaultShardBinary();
   if (options_.checkpoint_dir.empty()) options_.checkpoint_dir = base_.disk_dir;
   const char* env_log_dir = std::getenv("GZ_SHARD_LOG_DIR");
   log_dir_ = !options_.log_dir.empty() ? options_.log_dir
@@ -273,7 +272,7 @@ Status ShardCluster::RequireAllHealthy() {
         return Status::FailedPrecondition(
             "shard " + std::to_string(s) +
             (r > 0 ? " replica " + std::to_string(r) : std::string()) +
-            " is down; RestartShard() it before a cluster-wide barrier");
+            " is down; RestartReplica() it before a cluster-wide barrier");
       }
     }
   }
@@ -340,7 +339,7 @@ Result<GraphSnapshot> ShardCluster::Snapshot() {
     if (*std::max_element(fds[i].begin(), fds[i].end()) < 0) {
       return Status::FailedPrecondition(
           "shard " + std::to_string(ids[i]) +
-          " is down; RestartShard() it before a cluster-wide barrier");
+          " is down; RestartReplica() it before a cluster-wide barrier");
     }
   }
   const NodeSketchParams params = SketchParams();
@@ -428,39 +427,21 @@ Result<std::vector<ShardEndpoint>> ShardCluster::ParseReplicaEndpoints(
   return endpoints;
 }
 
-Result<int> ShardCluster::AddShard(const std::string& endpoint) {
-  return GrowShard(/*split_source=*/-1, endpoint);
-}
-
 Result<int> ShardCluster::SplitShard(int shard, const std::string& endpoint) {
-  GZ_CHECK(shard >= 0);
-  return GrowShard(shard, endpoint);
-}
-
-Result<int> ShardCluster::GrowShard(int split_source,
-                                    const std::string& endpoint) {
+  GZ_CHECK(shard >= 0 && shard < num_shards());
   if (!started_) return Status::FailedPrecondition("cluster not started");
   if (migration_.has_value()) {
     return Status::FailedPrecondition(
         "a migration is active; pump it to completion first");
   }
-  if (split_source < 0) {
-    if (num_active_shards() >= static_cast<int>(RoutingTable::kNumSlots)) {
-      return Status::FailedPrecondition(
-          "slot table is full; cannot add another shard");
-    }
-  } else {
-    GZ_CHECK(split_source < num_shards());
-    if (shard_removed(split_source)) {
-      return Status::FailedPrecondition("shard already removed");
-    }
-    // Keeps the every-live-shard-owns-a-slot invariant: the child takes
-    // half the source's slots, so the source needs at least two.
-    if (TableSlotCount(table_, split_source) < 2) {
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(split_source) +
-          " owns too few routing slots to split");
-    }
+  if (shard_removed(shard)) {
+    return Status::FailedPrecondition("shard already removed");
+  }
+  // Keeps the every-live-shard-owns-a-slot invariant: the child takes
+  // half the source's slots, so the source needs at least two.
+  if (TableSlotCount(table_, shard) < 2) {
+    return Status::FailedPrecondition("shard " + std::to_string(shard) +
+                                      " owns too few routing slots to split");
   }
   Result<std::vector<ShardEndpoint>> parsed = ParseReplicaEndpoints(endpoint);
   if (!parsed.ok()) return parsed.status();
@@ -468,11 +449,9 @@ Result<int> ShardCluster::GrowShard(int split_source,
   if (!s.ok()) return s;
   const RoutingTable old_table = table_;
   const int id = AllocateShardSlot(parsed.value());
-  table_ = split_source < 0
-               ? TableWithShardAdded(old_table, id)
-               : TableWithShardSplit(old_table, split_source, id);
+  table_ = TableWithShardSplit(old_table, shard, id);
   // Only the coordinator's table changes. No state migrates: an empty
-  // shard is a zero sketch, and zero is the XOR identity. A split
+  // shard is a zero sketch, and zero is the XOR identity. The split
   // source keeps what it ingested — every shard's store holds all V
   // node sketches whatever their content, so moving part of it would
   // balance nothing.
@@ -535,7 +514,7 @@ Status ShardCluster::PumpMigration() {
   const int src = FirstUnfencedReplica(m.source);
   if (src < 0 || FirstUnfencedReplica(m.target) < 0) {
     return Status::FailedPrecondition(
-        "migration shard is down; RestartShard() it, then keep pumping");
+        "migration shard is down; RestartReplica() it, then keep pumping");
   }
   Shard& source = shards_[m.source];
   Shard& target = shards_[m.target];
@@ -609,39 +588,7 @@ Status ShardCluster::PumpMigration() {
   return Status::Ok();
 }
 
-Status ShardCluster::RemoveShard(int shard) {
-  Status s = BeginRemoveShard(shard);
-  while (s.ok() && migration_.has_value()) s = PumpMigration();
-  return s;
-}
-
 // ---- Lifecycle -------------------------------------------------------------
-
-std::vector<bool> ShardCluster::HealthCheck() {
-  std::vector<bool> alive(num_shards(), false);
-  for (const int s : ActiveShards()) {
-    bool all_alive = true;
-    for (Replica& rep : shards_[s].replicas) {
-      if (rep.down || !rep.proc->Alive()) {
-        all_alive = false;
-        continue;
-      }
-      ShardAck ack;
-      if (!rep.proc->CallAck(ShardMessageType::kPing, nullptr, 0, &ack).ok()) {
-        rep.down = true;
-        all_alive = false;
-      }
-    }
-    alive[s] = all_alive;
-  }
-  return alive;
-}
-
-void ShardCluster::KillShard(int shard, bool observed) {
-  GZ_CHECK(shard >= 0 && shard < num_shards());
-  GZ_CHECK_MSG(!shard_removed(shard), "shard already removed");
-  for (int r = 0; r < replication_; ++r) KillReplica(shard, r, observed);
-}
 
 void ShardCluster::KillReplica(int shard, int replica, bool observed) {
   GZ_CHECK(shard >= 0 && shard < num_shards());
@@ -711,20 +658,6 @@ Status ShardCluster::RestartReplica(int shard, int replica) {
     if (!s.ok()) return s;
   }
   return Status::Ok();
-}
-
-Status ShardCluster::RestartShard(int shard) {
-  GZ_CHECK(shard >= 0 && shard < num_shards());
-  if (!started_) return Status::FailedPrecondition("cluster not started");
-  if (shard_removed(shard)) {
-    return Status::FailedPrecondition("shard was removed");
-  }
-  Status first_error = Status::Ok();
-  for (int r = 0; r < replication_; ++r) {
-    Status s = RestartReplica(shard, r);
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
-  return first_error;
 }
 
 Status ShardCluster::Shutdown() {
@@ -854,7 +787,7 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
     // zero sketch — the XOR identity) and the diff sweep below
     // transfers exactly the reference's content. Its cursor stays put
     // until the repair completes, so a crash mid-repair leaves the
-    // classic restore+replay lineage intact — RestartShard still works,
+    // classic restore+replay lineage intact — RestartReplica still works,
     // and so does another Reconcile.
     rep.proc->Terminate();
     Status st = SpawnAndConfigure(shard, replica, /*restore=*/false, nullptr);
@@ -963,7 +896,7 @@ Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
         first_error = Status::FailedPrecondition(
             "shard " + std::to_string(s) +
             " has no position-verified live replica to reconcile from; "
-            "RestartShard() it first");
+            "RestartReplica() it first");
       }
       continue;
     }

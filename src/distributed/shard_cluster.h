@@ -5,10 +5,10 @@
 // (one GraphZeppelin each, same seed/geometry), routes update spans to
 // them through a slot table, folds query-time snapshots by XOR-ing
 // every shard's node-range replies round by round (the pull engine
-// reader sessions share, range_pull.h), and manages shard
-// lifecycle: spawn, health checks, checkpoints, orderly shutdown,
-// restart-from-checkpoint of a crashed shard — and elastic resharding:
-// shards can be added, split or removed WITHOUT pausing the stream.
+// reader sessions share, range_pull.h), and manages replica
+// lifecycle: spawn, checkpoints, orderly shutdown, restart-from-
+// checkpoint of a crashed replica — and elastic resharding: shards can
+// be split or removed WITHOUT pausing the stream.
 //
 // Where a shard lives is its endpoint's business (shard_endpoint.h):
 // every shard is a ShardListener dialed over TCP, run by a gz_shard
@@ -59,7 +59,7 @@
 // RoutingTable. A reshard changes the table in the coordinator only —
 // no shard holds the table, and no frame carries it: a shard's
 // content is whatever it was sent, and the fold is the XOR of all of
-// them. Growing the cluster (AddShard, SplitShard) moves routing slots and
+// them. Growing the cluster (SplitShard) moves routing slots and
 // nothing else: the fold is the XOR of all shards whichever shard holds
 // which contribution, so a new shard starts as a zero sketch. Only a
 // removal migrates sketch state, draining the leaving shard's [0, V) in
@@ -92,8 +92,6 @@
 namespace gz {
 
 struct ShardClusterOptions {
-  // Path of the gz_shard binary; empty = DefaultShardBinary().
-  std::string shard_binary;
   // Where each replica lives: "local:" (a spawned gz_shard listener,
   // the default), "thread:" (a listener thread in this process) or
   // "tcp://host:port" (a running `gz_shard --listen`). Shard-major with
@@ -165,7 +163,7 @@ class ShardCluster {
   // replica's socket. A replica that
   // fails mid-send is fenced and the log keeps its updates; the call
   // still returns Ok because no update was lost. Reconcile() (or
-  // RestartShard()) drains the backlog.
+  // RestartReplica()) drains the backlog.
   Status Update(const GraphUpdate* updates, size_t count);
   Status Update(const GraphUpdate& update) { return Update(&update, 1); }
 
@@ -208,9 +206,13 @@ class ShardCluster {
   Status Reconcile(uint64_t* repaired_chunks = nullptr);
   // Replica count per shard (ShardClusterOptions::replication_factor).
   int replication() const { return replication_; }
-  // Hard-stop ONE replica (KillShard kills all of them). With
-  // observed=false the coordinator does NOT fence it — a spontaneous
-  // crash it has not detected yet.
+  // Hard-stop for fault injection / fencing — SIGKILL for a local
+  // replica, connection abort for a thread or tcp one (the listener
+  // drops its instance) — the same state loss on every substrate;
+  // updates keep buffering in the shard's log. With observed=false the
+  // coordinator does NOT fence it — a spontaneous crash it has not
+  // detected yet, so tests can drive the paths that must self-fence on
+  // a failed send.
   void KillReplica(int shard, int replica, bool observed = true);
   bool replica_down(int shard, int replica) const {
     const std::vector<Replica>& replicas = shards_[shard].replicas;
@@ -225,15 +227,12 @@ class ShardCluster {
   // --- Elastic resharding --------------------------------------------------
   // Adds a fresh shard (new highest id) at `endpoint` ("" = all
   // replicas local; with replication a comma-separated list places each
-  // replica — this is how a cluster grows onto other machines):
-  // connects it and rebalances slots to it. No state migrates — the
-  // new shard starts empty and linearity makes that exact. Returns the
-  // new id.
-  Result<int> AddShard(const std::string& endpoint = std::string());
-  // AddShard, except the fresh shard takes every second routing slot of
-  // `shard` (which must own at least two) instead of a balanced share.
-  // No state migrates: `shard` keeps what it ingested, and both halves
-  // of its slots keep folding exactly. Returns the new id.
+  // replica — this is how a cluster grows onto other machines) and
+  // hands it every second routing slot of `shard`, which must own at
+  // least two (so the shard count never exceeds kNumSlots). No state
+  // migrates: the new shard starts empty, `shard` keeps what it
+  // ingested, and linearity makes both halves of its slots fold
+  // exactly. Returns the new id.
   Result<int> SplitShard(int shard,
                          const std::string& endpoint = std::string());
   // Starts removing `shard`: its slots are dealt to the remaining
@@ -242,28 +241,15 @@ class ShardCluster {
   Status BeginRemoveShard(int shard);
   // Advances the active migration by one step (one node-range chunk,
   // or the final shutdown/bookkeeping step). Interleave with Update()
-  // at will. On a shard failure the step's effects are already in the
-  // durability logs: RestartShard() the fenced shard, then keep
+  // at will. On a replica failure the step's effects are already in the
+  // durability logs: RestartReplica() the fenced replica, then keep
   // pumping — the migration converges to the same bytes.
   Status PumpMigration();
   bool migration_active() const { return migration_.has_value(); }
   // The survivor the active removal drains into.
   int migration_target() const;
-  // Synchronous convenience: BeginRemoveShard + pump to completion.
-  Status RemoveShard(int shard);
 
   // Lifecycle.
-  // Liveness per shard id: every replica's transport alive and
-  // answering pings (removed ids report false).
-  std::vector<bool> HealthCheck();
-  // Hard-stop for fault injection / fencing — SIGKILL for a local
-  // shard, connection abort for a thread or tcp one (the listener drops
-  // its instance) — the same state loss on every substrate; updates
-  // keep buffering. Kills every replica of the shard. With
-  // observed=false the coordinator does NOT fence the shard — modeling
-  // a spontaneous crash it has not detected yet, so tests can drive the
-  // paths that must self-fence on a failed send.
-  void KillShard(int shard, bool observed = true);
   // Respawn one replica, restore its acked checkpoint (if any), replay
   // the shard's logged updates and migration deltas past its cursor. A
   // restored position other than the cursor is Internal and fences the
@@ -271,15 +257,13 @@ class ShardCluster {
   // never died. This is the classic restore+replay repair; Reconcile()
   // is the anti-entropy alternative.
   Status RestartReplica(int shard, int replica);
-  // RestartReplica over every replica of `shard`.
-  Status RestartShard(int shard);
   // Orderly shutdown of every live shard (kShutdown + reap).
   Status Shutdown();
 
   Result<ShardStats> Stats(int shard);
 
   // Size of the shard-id space (ids are never reused; removed ids stay
-  // allocated). Equals the active count until the first RemoveShard.
+  // allocated). Equals the active count until the first removal.
   int num_shards() const { return static_cast<int>(shards_.size()); }
   // Ids of shards that currently exist, ascending.
   std::vector<int> ActiveShards() const;
@@ -358,9 +342,6 @@ class ShardCluster {
   // one entry per replica (missing entries are local).
   Result<std::vector<ShardEndpoint>> ParseReplicaEndpoints(
       const std::string& endpoint) const;
-  // AddShard (split_source < 0) and SplitShard: allocate, route by the
-  // grown table, spawn + configure every replica.
-  Result<int> GrowShard(int split_source, const std::string& endpoint);
   // Appends the books of a freshly allocated id, with one (not yet
   // connected) transport per replica endpoint (see
   // MakeShardTransport).

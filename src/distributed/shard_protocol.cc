@@ -365,7 +365,7 @@ constexpr int kHandshakeTimeoutSeconds = 10;
 // The client side waits out the server-side deadline plus a dead
 // session's drain with margin: a coordinator queued in a wedged
 // listener's backlog must eventually get an error, never hang
-// Start()/RestartShard forever.
+// Start()/RestartReplica forever.
 constexpr int kClientHandshakeTimeoutSeconds = 30;
 
 // RecvReply's classification with the pre-auth allocation cap.
@@ -773,70 +773,10 @@ std::vector<int> TableOwners(const RoutingTable& table) {
   return owners;
 }
 
-namespace {
-
-// Slots owned per shard id, over the ids present in `table` plus
-// `extra` (so a brand-new shard shows up with count 0).
-std::vector<std::pair<int, int>> OwnershipCounts(const RoutingTable& table,
-                                                 int extra) {
-  std::vector<int> ids = TableOwners(table);
-  if (extra >= 0 &&
-      std::find(ids.begin(), ids.end(), extra) == ids.end()) {
-    ids.push_back(extra);
-    std::sort(ids.begin(), ids.end());
-  }
-  std::vector<std::pair<int, int>> counts;
-  for (const int id : ids) {
-    int n = 0;
-    for (const int32_t owner : table.owners) n += (owner == id);
-    counts.push_back({id, n});
-  }
-  return counts;
-}
-
-}  // namespace
-
 int TableSlotCount(const RoutingTable& table, int shard) {
   int n = 0;
   for (const int32_t owner : table.owners) n += (owner == shard);
   return n;
-}
-
-RoutingTable TableWithShardAdded(const RoutingTable& table, int new_shard) {
-  GZ_CHECK(new_shard >= 0 && new_shard < RoutingTable::kMaxShardId);
-  GZ_CHECK_MSG(TableOwners(table).size() < RoutingTable::kNumSlots,
-               "slot table is full; cannot add another owner");
-  RoutingTable out = table;
-  auto counts = OwnershipCounts(out, new_shard);
-  const int target =
-      static_cast<int>(RoutingTable::kNumSlots / counts.size());
-  int own = 0;
-  for (const auto& [id, n] : counts) {
-    if (id == new_shard) own = n;
-  }
-  while (own < target) {
-    // Steal one slot from the current largest owner (ties: smallest
-    // id), taking its lowest-index slot — fully deterministic, so any
-    // two coordinators running the same op sequence derive identical
-    // tables.
-    counts = OwnershipCounts(out, new_shard);
-    int victim = -1, victim_count = -1;
-    for (const auto& [id, n] : counts) {
-      if (id != new_shard && n > victim_count) {
-        victim = id;
-        victim_count = n;
-      }
-    }
-    GZ_CHECK(victim >= 0);
-    for (uint32_t s = 0; s < RoutingTable::kNumSlots; ++s) {
-      if (out.owners[s] == victim) {
-        out.owners[s] = new_shard;
-        break;
-      }
-    }
-    ++own;
-  }
-  return out;
 }
 
 RoutingTable TableWithShardRemoved(const RoutingTable& table, int removed) {
@@ -845,9 +785,9 @@ RoutingTable TableWithShardRemoved(const RoutingTable& table, int removed) {
     if (out.owners[s] != removed) continue;
     // Deal to the remaining owner with the fewest slots (ties:
     // smallest id).
-    auto counts = OwnershipCounts(out, -1);
     int heir = -1, heir_count = -1;
-    for (const auto& [id, n] : counts) {
+    for (const int id : TableOwners(out)) {
+      const int n = TableSlotCount(out, id);
       if (id != removed && (heir < 0 || n < heir_count)) {
         heir = id;
         heir_count = n;

@@ -311,18 +311,15 @@ uint32_t RouteSlot(const Edge& e, uint64_t num_nodes);
 int RouteToShard(const Edge& e, uint64_t num_nodes,
                  const RoutingTable& table);
 
-// Pure rebalance steps, each returning a new table. Together
-// they maintain the invariant that EVERY live shard owns at least one
-// slot (so the active set always equals TableOwners()): Added requires
-// fewer than kNumSlots owners, Split requires the source to own at
-// least two slots (checked — the elastic entry points guard both with
-// Status errors first), and Removed therefore always finds an heir
-// while any other shard remains.
-// AddShard: the new shard takes slots from the current largest owners
-// until ownership is balanced.
-RoutingTable TableWithShardAdded(const RoutingTable& table, int new_shard);
-// RemoveShard: the removed shard's slots are dealt to the remaining
-// owners, smallest-ownership first.
+// Pure rebalance steps, each returning a new table. Together they
+// maintain the invariant that EVERY live shard owns at least one slot
+// (so the active set always equals TableOwners()): Split requires the
+// source to own at least two slots (checked — SplitShard guards it with
+// a Status error first, which also caps the shard count at kNumSlots),
+// and Removed therefore always finds an heir while any other shard
+// remains.
+// BeginRemoveShard: the removed shard's slots are dealt to the
+// remaining owners, smallest-ownership first.
 RoutingTable TableWithShardRemoved(const RoutingTable& table, int removed);
 // SplitShard: every second slot of `source` moves to `new_shard`.
 RoutingTable TableWithShardSplit(const RoutingTable& table, int source,

@@ -238,7 +238,7 @@ class ThreadShardTransport final : public LoopbackShardTransport {
 
 // connect() bounded by a deadline instead of the kernel's SYN-retry
 // budget (~2 minutes): a blackholed endpoint — DROP firewall, powered-
-// off host on a routed subnet — must fail Start()/RestartShard in
+// off host on a routed subnet — must fail Start()/RestartReplica in
 // seconds, not stall them for minutes. True on success; false leaves
 // the reason in errno (ETIMEDOUT for the deadline).
 bool ConnectWithDeadline(int fd, const struct sockaddr* addr,

@@ -10,11 +10,12 @@
 //                the child, start the thread), dial it and run the
 //                client half of the authenticated handshake.
 //                Re-callable after Terminate() — that is what
-//                RestartShard does.
+//                RestartReplica does.
 //   Alive()      the substrate still exists (child not reaped /
 //                listener thread still running and connection open /
-//                connection open). Liveness of the *shard logic* is
-//                the cluster's health check (PING), not ours.
+//                connection open). Liveness of the *shard logic* shows
+//                when a send or a reply fails, and the cluster fences
+//                the replica then.
 //   Terminate()  hard-stop: SIGKILL + reap for a local child; for a
 //                thread or TCP shard, drop the connection (the listener
 //                discards its instance and keeps accepting). Every kind

@@ -27,9 +27,9 @@ enum class Substrate { kThread, kProcess, kTcp };
 // The secret kTcp clusters and their listeners share.
 inline constexpr char kSubstrateSecret[] = "cluster-substrate-secret";
 
-// The endpoint URI elastic ops (AddShard, SplitShard) pass to grow a
-// shard on `substrate`. A kTcp cluster grows onto local: children — a
-// mixed cluster — since a listener is not a URI but a running process.
+// The endpoint URI SplitShard passes to grow a shard on `substrate`. A
+// kTcp cluster grows onto local: children — a mixed cluster — since a
+// listener is not a URI but a running process.
 inline std::string SubstrateEndpoint(Substrate substrate) {
   return substrate == Substrate::kThread ? "thread:" : "local:";
 }

@@ -1,6 +1,6 @@
 // Randomized resharding chaos suite: a seeded random schedule of
-// insert/delete updates interleaved with AddShard / SplitShard /
-// RemoveShard operations at random points, on ALL shard substrates:
+// insert/delete updates interleaved with SplitShard / BeginRemoveShard
+// operations at random points, on ALL shard substrates:
 // shard listeners on threads in this process, gz_shard listener
 // children the coordinator spawns, and listener processes the suite
 // starts and names by tcp:// endpoint (+ auth secret) — every one
@@ -97,18 +97,23 @@ std::string RandomReshardOp(ShardCluster* sharded, std::mt19937_64* rng,
     grow = ((*rng)() % 2) == 0;
   }
   if (grow) {
-    // Both grow paths move routing slots only (a removal is the one
-    // migration); they differ in which slots the child takes. Flip
-    // between them.
+    // A split moves routing slots only (a removal is the one
+    // migration). Flip between a random source and the shard that owns
+    // the most slots.
+    int source = active[0];
     if (((*rng)() % 2) == 0) {
-      const int source = active[(*rng)() % active.size()];
-      Result<int> id = sharded->SplitShard(source, grow_endpoint);
-      EXPECT_TRUE(id.ok()) << id.status().ToString();
-      return "split(" + std::to_string(source) + ")";
+      source = active[(*rng)() % active.size()];
+    } else {
+      for (const int id : active) {
+        if (TableSlotCount(sharded->routing_table(), id) >
+            TableSlotCount(sharded->routing_table(), source)) {
+          source = id;
+        }
+      }
     }
-    Result<int> id = sharded->AddShard(grow_endpoint);
+    Result<int> id = sharded->SplitShard(source, grow_endpoint);
     EXPECT_TRUE(id.ok()) << id.status().ToString();
-    return "add -> " + std::to_string(id.ok() ? id.value() : -1);
+    return "split(" + std::to_string(source) + ")";
   }
   const int victim = active[(*rng)() % active.size()];
   Status s = sharded->BeginRemoveShard(victim);

@@ -39,6 +39,7 @@
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_process.h"
 #include "distributed/shard_transport.h"
+#include "sketch_content.h"
 #include "stream/erdos_renyi_generator.h"
 #include "workloads/k_connectivity.h"
 #include "util/check.h"
@@ -316,9 +317,7 @@ TEST_F(ServingTierTcpTest,
   EXPECT_EQ(full.num_updates(), updates.size());
   // A reader's count omits the retired child's updates (the "Honest
   // limitation" in query_session.h); the sketch content is exact.
-  GraphSnapshot want = full;
-  want.SetUpdates(served->num_updates());
-  EXPECT_TRUE(*served == want);
+  EXPECT_TRUE(SameSketchContent(*served, full));
 
   // And the writer path survived every reader drill above.
   const ConnectivityResult coord = Connectivity(full);
@@ -415,6 +414,49 @@ TEST_F(ServingTierTcpTest, FailedConnectLeavesNoPartialSession) {
   const Status s = session.Snapshot(&served);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
   ASSERT_TRUE(sharded.Shutdown().ok());
+}
+
+TEST_F(ServingTierTcpTest, SessionServesAgainAfterItsReplicaRestarts) {
+  // While the coordinator restarts a replica, its listener answers the
+  // reader "shard not configured". That reply is in sync, so the
+  // session keeps the connection: the same session serves again once
+  // the replica is back, bitwise equal to the coordinator's fold.
+  StartFleet(2);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  ShardCluster sharded(BaseConfig(103), 2, options);
+  ASSERT_TRUE(sharded.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(103);
+  const size_t half = updates.size() / 2;
+  ASSERT_TRUE(sharded.Update(updates.data(), half).ok());
+  ASSERT_TRUE(sharded.Flush().ok());
+
+  QuerySession session(ReaderOptions());
+  ASSERT_TRUE(session.Connect().ok());
+  const GraphSnapshot* served = nullptr;
+  Status s = session.Snapshot(&served);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+
+  // The listener drops its instance once it sees its writer gone.
+  sharded.KillReplica(0, 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (s.ok() && std::chrono::steady_clock::now() < deadline) {
+    s = session.Snapshot(&served);
+  }
+  ASSERT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("not configured"), std::string::npos)
+      << s.ToString();
+
+  ASSERT_TRUE(
+      sharded.Update(updates.data() + half, updates.size() - half).ok());
+  ASSERT_TRUE(sharded.RestartReplica(0, 0).ok());
+  ASSERT_TRUE(sharded.Flush().ok());
+  s = session.Snapshot(&served);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(served->num_updates(), updates.size());
+  EXPECT_TRUE(*served == FoldedSnapshot(&sharded));
 }
 
 TEST(LoopbackShardTest, MintedSecretAdmitsOnlyTheOwningCoordinator) {

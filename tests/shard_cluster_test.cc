@@ -54,7 +54,7 @@ class ShardClusterTest : public ::testing::TestWithParam<Substrate> {
                        &listeners_);
   }
 
-  // One more listener (for AddShard-onto-a-new-machine drills).
+  // One more listener (for split-onto-a-new-machine drills).
   std::string SpawnListener() {
     std::vector<std::string> endpoints;
     StartSubstrateListeners(1, &listeners_, &endpoints);
@@ -153,11 +153,10 @@ TEST_P(ShardClusterTest, KillRestartFromCheckpointReplaysToBitwiseIdentical) {
 
   // Phase 2: second third, then murder shard 1 mid-stream.
   ASSERT_TRUE(cluster.Update(updates.data() + third, third).ok());
-  cluster.KillShard(1);
-  std::vector<bool> alive = cluster.HealthCheck();
-  EXPECT_TRUE(alive[0]);
-  EXPECT_FALSE(alive[1]);
-  EXPECT_TRUE(alive[2]);
+  cluster.KillReplica(1, 0);
+  EXPECT_FALSE(cluster.shard_down(0));
+  EXPECT_TRUE(cluster.shard_down(1));
+  EXPECT_FALSE(cluster.shard_down(2));
 
   // Phase 3: ingestion continues while shard 1 is down — its slice
   // buffers in the coordinator's unacked log. Barriers refuse until the
@@ -170,9 +169,8 @@ TEST_P(ShardClusterTest, KillRestartFromCheckpointReplaysToBitwiseIdentical) {
   EXPECT_FALSE(cluster.Snapshot().ok());
 
   // Restart: restore the checkpoint, replay everything since.
-  ASSERT_TRUE(cluster.RestartShard(1).ok());
-  alive = cluster.HealthCheck();
-  EXPECT_TRUE(alive[1]);
+  ASSERT_TRUE(cluster.RestartReplica(1, 0).ok());
+  EXPECT_FALSE(cluster.shard_down(1));
 
   Result<GraphSnapshot> folded = cluster.Snapshot();
   ASSERT_TRUE(folded.ok()) << folded.status().ToString();
@@ -204,12 +202,12 @@ TEST_P(ShardClusterTest, KillBeforeAnyCheckpointReplaysFromScratch) {
   ShardCluster cluster(base, 3, MakeOptions(3));
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.Update(updates.data(), updates.size() / 2).ok());
-  cluster.KillShard(2);
+  cluster.KillReplica(2, 0);
   ASSERT_TRUE(cluster
                   .Update(updates.data() + updates.size() / 2,
                           updates.size() - updates.size() / 2)
                   .ok());
-  ASSERT_TRUE(cluster.RestartShard(2).ok());
+  ASSERT_TRUE(cluster.RestartReplica(2, 0).ok());
 
   Result<GraphSnapshot> folded = cluster.Snapshot();
   ASSERT_TRUE(folded.ok()) << folded.status().ToString();
@@ -234,24 +232,24 @@ TEST_P(ShardClusterTest, RepeatedKillsOfDifferentShards) {
   ASSERT_TRUE(cluster.Start().ok());
 
   ASSERT_TRUE(cluster.Update(updates.data(), chunk).ok());
-  cluster.KillShard(0);
+  cluster.KillReplica(0, 0);
   {
-    const Status restarted = cluster.RestartShard(0);
+    const Status restarted = cluster.RestartReplica(0, 0);
     ASSERT_TRUE(restarted.ok()) << restarted.ToString();
   }
 
   ASSERT_TRUE(cluster.Update(updates.data() + chunk, chunk).ok());
   ASSERT_TRUE(cluster.Checkpoint().ok());
-  cluster.KillShard(1);
+  cluster.KillReplica(1, 0);
   ASSERT_TRUE(cluster.Update(updates.data() + 2 * chunk, chunk).ok());
-  ASSERT_TRUE(cluster.RestartShard(1).ok());
+  ASSERT_TRUE(cluster.RestartReplica(1, 0).ok());
 
-  cluster.KillShard(2);
+  cluster.KillReplica(2, 0);
   ASSERT_TRUE(cluster
                   .Update(updates.data() + 3 * chunk,
                           updates.size() - 3 * chunk)
                   .ok());
-  ASSERT_TRUE(cluster.RestartShard(2).ok());
+  ASSERT_TRUE(cluster.RestartReplica(2, 0).ok());
 
   Result<GraphSnapshot> folded = cluster.Snapshot();
   ASSERT_TRUE(folded.ok()) << folded.status().ToString();
@@ -286,9 +284,9 @@ TEST_P(ShardClusterTest, AutoCheckpointBoundsTheUnackedLogs) {
     EXPECT_LT(cluster.unacked_updates(s), updates.size() / 2);
   }
   // Auto-checkpoints are real checkpoints: kill + restart recovers.
-  cluster.KillShard(0);
+  cluster.KillReplica(0, 0);
   {
-    const Status restarted = cluster.RestartShard(0);
+    const Status restarted = cluster.RestartReplica(0, 0);
     ASSERT_TRUE(restarted.ok()) << restarted.ToString();
   }
   Result<GraphSnapshot> folded = cluster.Snapshot();
@@ -397,7 +395,7 @@ TEST_P(ShardClusterTest, RemoveShardUnderLoadMatchesBitwise) {
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
-TEST_P(ShardClusterTest, AddAndSplitShardsUnderLoadMatchBitwise) {
+TEST_P(ShardClusterTest, TwoSplitsUnderLoadMatchBitwise) {
   const uint64_t n = 96;
   ErdosRenyiParams ep;
   ep.num_nodes = n;
@@ -415,13 +413,14 @@ TEST_P(ShardClusterTest, AddAndSplitShardsUnderLoadMatchBitwise) {
   const size_t third = updates.size() / 3;
   ASSERT_TRUE(cluster.Update(updates.data(), third).ok());
 
-  // 1 -> 2 by AddShard: instant (an empty shard is the XOR identity).
-  Result<int> added = cluster.AddShard(SubstrateEndpoint(GetParam()));
+  // 1 -> 2 by splitting shard 0: instant (an empty shard is the XOR
+  // identity).
+  Result<int> added = cluster.SplitShard(0, SubstrateEndpoint(GetParam()));
   ASSERT_TRUE(added.ok()) << added.status().ToString();
   EXPECT_EQ(added.value(), 1);
   ASSERT_TRUE(cluster.Update(updates.data() + third, third).ok());
 
-  // 2 -> 3 by splitting shard 0, also instant, then the rest in bursts.
+  // 2 -> 3 by splitting shard 0 again, then the rest in bursts.
   Result<int> split = cluster.SplitShard(0, SubstrateEndpoint(GetParam()));
   ASSERT_TRUE(split.ok()) << split.status().ToString();
   EXPECT_EQ(split.value(), 2);
@@ -516,7 +515,7 @@ TEST_P(ShardClusterTest, KillSourceMidMigrationRestartReissueConverges) {
   ASSERT_TRUE(cluster.BeginRemoveShard(1).ok());  // Epoch bump.
   ASSERT_TRUE(cluster.PumpMigration().ok());      // A couple of chunks...
   ASSERT_TRUE(cluster.PumpMigration().ok());
-  cluster.KillShard(1);  // ...then murder the source.
+  cluster.KillReplica(1, 0);  // ...then murder the source.
   EXPECT_GT(cluster.pending_delta_count(1), 0u);  // Cancels in flight.
 
   // The stream keeps flowing while the source is down.
@@ -524,7 +523,7 @@ TEST_P(ShardClusterTest, KillSourceMidMigrationRestartReissueConverges) {
   // Pumping against a dead source refuses instead of corrupting.
   EXPECT_EQ(cluster.PumpMigration().code(), StatusCode::kFailedPrecondition);
 
-  ASSERT_TRUE(cluster.RestartShard(1).ok());
+  ASSERT_TRUE(cluster.RestartReplica(1, 0).ok());
   while (cluster.migration_active()) {
     ASSERT_TRUE(cluster.PumpMigration().ok());
   }
@@ -562,11 +561,11 @@ TEST_P(ShardClusterTest, KillTargetMidMigrationRestartConverges) {
   ASSERT_TRUE(cluster.BeginRemoveShard(2).ok());
   ASSERT_TRUE(cluster.PumpMigration().ok());
   const int target = cluster.migration_target();
-  cluster.KillShard(target);  // Installed chunks not yet checkpointed.
+  cluster.KillReplica(target, 0);  // Installed chunks not yet checkpointed.
   EXPECT_GT(cluster.pending_delta_count(target), 0u);
 
   ASSERT_TRUE(cluster.Update(updates.data() + third, third).ok());
-  ASSERT_TRUE(cluster.RestartShard(target).ok());
+  ASSERT_TRUE(cluster.RestartReplica(target, 0).ok());
   while (cluster.migration_active()) {
     ASSERT_TRUE(cluster.PumpMigration().ok());
   }
@@ -584,7 +583,7 @@ TEST_P(ShardClusterTest, KillTargetMidMigrationRestartConverges) {
 
 TEST_P(ShardClusterTest, TargetDiesUndetectedMidRemovalStillConverges) {
   // The nastiest chunk-failure interleaving: the migration target dies
-  // WITHOUT the coordinator noticing (no KillShard fencing), so the
+  // WITHOUT the coordinator noticing (no KillReplica fencing), so the
   // next pump extracts fine and only the install send fails. The
   // source's XOR-cancel for that chunk must still be delivered (or its
   // shard fenced) — if it were silently stranded, later deltas would
@@ -610,13 +609,13 @@ TEST_P(ShardClusterTest, TargetDiesUndetectedMidRemovalStillConverges) {
   ASSERT_TRUE(cluster.PumpMigration().ok());
   ASSERT_TRUE(cluster.Update(updates.data() + 2 * quarter, quarter).ok());
   const int target = cluster.migration_target();
-  cluster.KillShard(target, /*observed=*/false);
+  cluster.KillReplica(target, 0, /*observed=*/false);
   // This pump extracts from the healthy source, then fails to install
   // on the dead target; the coordinator must fence the target itself.
   EXPECT_FALSE(cluster.PumpMigration().ok());
   EXPECT_TRUE(cluster.shard_down(target));
 
-  ASSERT_TRUE(cluster.RestartShard(target).ok());
+  ASSERT_TRUE(cluster.RestartReplica(target, 0).ok());
   while (cluster.migration_active()) {
     ASSERT_TRUE(cluster.PumpMigration().ok());
   }
@@ -659,10 +658,10 @@ TEST_P(ShardClusterTest, CheckpointMidMigrationCoversDeltasExactly) {
   EXPECT_EQ(cluster.pending_delta_count(1), 0u);
 
   ASSERT_TRUE(cluster.PumpMigration().ok());  // One uncovered chunk...
-  cluster.KillShard(0);
+  cluster.KillReplica(0, 0);
   ASSERT_TRUE(cluster.Update(updates.data() + half, updates.size() - half)
                   .ok());
-  ASSERT_TRUE(cluster.RestartShard(0).ok());  // ...replayed here.
+  ASSERT_TRUE(cluster.RestartReplica(0, 0).ok());  // ...replayed here.
   while (cluster.migration_active()) {
     ASSERT_TRUE(cluster.PumpMigration().ok());
   }
@@ -697,8 +696,8 @@ TEST_P(ShardClusterTest, DiskBackedShardProcessesWork) {
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
-TEST_P(ShardClusterTest, AddShardOnTcpEndpointGrowsAcrossMachines) {
-  // Elastic growth onto "another machine": AddShard with a tcp://
+TEST_P(ShardClusterTest, SplitOntoTcpEndpointGrowsAcrossMachines) {
+  // Elastic growth onto "another machine": SplitShard with a tcp://
   // endpoint attaches a listener-mode shard to a running cluster (a
   // mixed cluster when the base transport is thread or local). The
   // result must stay bitwise-identical to an unsharded instance.
@@ -719,7 +718,7 @@ TEST_P(ShardClusterTest, AddShardOnTcpEndpointGrowsAcrossMachines) {
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
 
-  Result<int> added = cluster.AddShard(SpawnListener());
+  Result<int> added = cluster.SplitShard(0, SpawnListener());
   ASSERT_TRUE(added.ok()) << added.status().ToString();
   ASSERT_TRUE(cluster.Update(updates.data() + half, updates.size() - half)
                   .ok());
@@ -735,7 +734,10 @@ TEST_P(ShardClusterTest, AddShardOnTcpEndpointGrowsAcrossMachines) {
 
   // And it can be drained back out (remove pumps its state to
   // survivors over the same wire).
-  ASSERT_TRUE(cluster.RemoveShard(added.value()).ok());
+  ASSERT_TRUE(cluster.BeginRemoveShard(added.value()).ok());
+  while (cluster.migration_active()) {
+    ASSERT_TRUE(cluster.PumpMigration().ok());
+  }
   Result<GraphSnapshot> after = cluster.Snapshot();
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_TRUE(after.value() == SingleProcessSnapshot(base, updates));
@@ -792,7 +794,9 @@ TEST_P(ShardClusterTest, ReplicaKillDrillRepairsWithZeroStreamPause) {
   ASSERT_TRUE(cluster.Reconcile(&repaired).ok());
   EXPECT_GT(repaired, 0u);
   EXPECT_FALSE(cluster.replica_down(1, 1));
-  for (const bool alive : cluster.HealthCheck()) EXPECT_TRUE(alive);
+  for (const int s : cluster.ActiveShards()) {
+    EXPECT_FALSE(cluster.shard_down(s));
+  }
 
   // Finish the stream, then kill the OTHER replica: the repaired one
   // now carries the shard alone, and the fold must still be bitwise
@@ -1204,12 +1208,12 @@ TEST(ShardClusterThreadTest, KillRestartDestroyLoopLeavesNoShardThreads) {
         ASSERT_TRUE(cluster.Checkpoint().ok());
       }
       const int victim = round % 3;
-      cluster.KillShard(victim);
+      cluster.KillReplica(victim, 0);
       ASSERT_TRUE(cluster
                       .Update(updates.data() + half, updates.size() - half)
                       .ok());
       if (round % 3 == 2) continue;  // Destroyed with the shard down.
-      ASSERT_TRUE(cluster.RestartShard(victim).ok()) << "round " << round;
+      ASSERT_TRUE(cluster.RestartReplica(victim, 0).ok()) << "round " << round;
       Result<GraphSnapshot> folded = cluster.Snapshot();
       ASSERT_TRUE(folded.ok()) << folded.status().ToString();
       EXPECT_TRUE(folded.value() == expect) << "round " << round;

@@ -25,6 +25,7 @@
 #include "distributed/shard_endpoint.h"
 #include "distributed/shard_protocol.h"
 #include "distributed/shard_server.h"
+#include "sketch_content.h"
 #include "util/crc32c.h"
 #include "util/sha256.h"
 
@@ -909,11 +910,10 @@ TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
         twin.MergeSerialized(frame.payload.data(), frame.payload.size())
             .ok());
   }
-  GraphSnapshot rebuilt = twin.Snapshot();
+  const GraphSnapshot rebuilt = twin.Snapshot();
   // Range folds never touch update counts; compare sketch content.
   EXPECT_EQ(rebuilt.num_updates(), 0u);
-  rebuilt.SetUpdates(source.num_updates());
-  EXPECT_TRUE(rebuilt == source);
+  EXPECT_TRUE(SameSketchContent(rebuilt, source));
 }
 
 // Reads a whole file into memory.
@@ -1400,15 +1400,8 @@ TEST(ShardProtocolTest, SlotOwnershipIsBalancedForAnyShardCount) {
 }
 
 TEST(ShardProtocolTest, RebalanceHelpersKeepOwnershipBalanced) {
-  RoutingTable table = MakeRoutingTable(3);
-  const RoutingTable added = TableWithShardAdded(table, 3);
-  EXPECT_EQ(TableOwners(added), (std::vector<int>{0, 1, 2, 3}));
-  int new_count = 0;
-  for (const int32_t o : added.owners) new_count += (o == 3);
-  EXPECT_EQ(new_count,
-            static_cast<int>(RoutingTable::kNumSlots) / 4);
-
-  const RoutingTable removed = TableWithShardRemoved(added, 1);
+  const RoutingTable table = MakeRoutingTable(4);
+  const RoutingTable removed = TableWithShardRemoved(table, 1);
   EXPECT_EQ(TableOwners(removed), (std::vector<int>{0, 2, 3}));
 
   const RoutingTable split = TableWithShardSplit(removed, 0, 4);
@@ -1430,9 +1423,9 @@ TEST(ShardProtocolTest, RebalanceHelpersKeepOwnershipBalanced) {
 
 TEST(ShardProtocolTest, EveryLiveShardAlwaysOwnsAtLeastOneSlot) {
   // The invariant the elastic entry points guard (split needs >= 2
-  // source slots, add needs a free owner column): no legal sequence of
-  // rebalance steps ever produces a zero-slot owner, so the active set
-  // always equals TableOwners() and a removal always finds an heir.
+  // source slots): no legal sequence of rebalance steps ever produces a
+  // zero-slot owner, so the active set always equals TableOwners() and
+  // a removal always finds an heir.
   // Drive splits all the way down to 1-slot owners to pin the floor.
   RoutingTable table = MakeRoutingTable(1);
   int next_id = 1;

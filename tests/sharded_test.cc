@@ -109,16 +109,20 @@ TEST(ShardedTest, RoutingIsPureFunctionOfTableAcrossSubstratesAndReshards) {
   };
   check_agreement("initial");
 
-  ASSERT_TRUE(thread->AddShard("thread:").ok());
-  ASSERT_TRUE(process->AddShard().ok());
-  check_agreement("after add");
+  ASSERT_TRUE(thread->SplitShard(1, "thread:").ok());
+  ASSERT_TRUE(process->SplitShard(1).ok());
+  check_agreement("after first split");
 
   ASSERT_TRUE(thread->SplitShard(0, "thread:").ok());
   ASSERT_TRUE(process->SplitShard(0).ok());
-  check_agreement("after split");
+  check_agreement("after second split");
 
-  ASSERT_TRUE(thread->RemoveShard(1).ok());
-  ASSERT_TRUE(process->RemoveShard(1).ok());
+  for (ShardCluster* cluster : {thread.get(), process.get()}) {
+    ASSERT_TRUE(cluster->BeginRemoveShard(1).ok());
+    while (cluster->migration_active()) {
+      ASSERT_TRUE(cluster->PumpMigration().ok());
+    }
+  }
   check_agreement("after remove");
 }
 
@@ -129,8 +133,6 @@ class ShardedSubstrateTest : public ::testing::TestWithParam<Substrate> {};
 TEST_P(ShardedSubstrateTest, ElasticOpsBeforeStartAreErrorsNotCrashes) {
   ShardCluster sharded(BaseConfig(32, 9), 2, OnSubstrate(GetParam(), 2));
   const std::string grow = SubstrateEndpoint(GetParam());
-  EXPECT_EQ(sharded.AddShard(grow).status().code(),
-            StatusCode::kFailedPrecondition);
   EXPECT_EQ(sharded.BeginRemoveShard(0).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(sharded.SplitShard(0, grow).status().code(),
@@ -139,7 +141,7 @@ TEST_P(ShardedSubstrateTest, ElasticOpsBeforeStartAreErrorsNotCrashes) {
             StatusCode::kFailedPrecondition);
   // And Start() afterwards still brings the cluster up normally.
   ASSERT_TRUE(sharded.Start().ok());
-  ASSERT_TRUE(sharded.AddShard(grow).ok());
+  ASSERT_TRUE(sharded.SplitShard(0, grow).ok());
 }
 
 TEST_P(ShardedSubstrateTest, SingleShardMatchesPlainInstance) {

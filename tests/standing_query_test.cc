@@ -586,6 +586,66 @@ TEST_F(StandingQueryWatchTest, PollOnlyWatchDeliversWithoutSubscriptions) {
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
+TEST_F(StandingQueryWatchTest, WatchRecoversFromAReplicaRestart) {
+  // A watch never re-Connect()s, so its connections must outlive a
+  // replica restart: the listener answers "shard not configured" until
+  // the coordinator restarts its replica, and the watch serves again
+  // after it.
+  StartFleet(1);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  ShardCluster cluster(BaseConfig(23), 1, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const GraphUpdate connect01{Edge(0, 1), UpdateType::kInsert};
+  ASSERT_TRUE(cluster.Update(&connect01, 1).ok());
+  ASSERT_TRUE(cluster.Checkpoint().ok());
+
+  QuerySession session(ReaderOptions());
+  ASSERT_TRUE(session.Connect().ok());
+  const uint64_t connected_id =
+      session.AddStandingQuery({StandingQueryKind::kConnected, 1, 2});
+  std::mutex mu;
+  std::vector<StandingQueryNotification> fired;
+  StandingWatchOptions watch;
+  watch.poll_interval_ms = 20;
+  ASSERT_TRUE(session
+                  .StartWatch(watch,
+                              [&](const StandingQueryNotification& n,
+                                  const GraphSnapshot& snapshot) {
+                                VerifyNotificationBitwise(n, snapshot);
+                                std::lock_guard<std::mutex> lock(mu);
+                                fired.push_back(n);
+                              })
+                  .ok());
+  ASSERT_TRUE(WaitFor([&] { return session.watch_notifications() >= 1; }))
+      << "initial answer never arrived";
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_FALSE(fired.front().answer.connected);
+  }
+
+  cluster.KillReplica(0, 0);
+  ASSERT_TRUE(WaitFor([&] { return !session.watch_error().ok(); }))
+      << "the watch never saw its shard go";
+  ASSERT_TRUE(cluster.RestartReplica(0, 0).ok());
+  const GraphUpdate connect12{Edge(1, 2), UpdateType::kInsert};
+  ASSERT_TRUE(cluster.Update(&connect12, 1).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  EXPECT_TRUE(WaitFor([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return std::any_of(fired.begin(), fired.end(),
+                       [&](const StandingQueryNotification& n) {
+                         return n.query_id == connected_id &&
+                                n.answer.connected;
+                       });
+  })) << "connected(1, 2) never notified after the restart; last watch "
+         "error: "
+      << session.watch_error().ToString();
+  session.StopWatch();
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
 TEST_F(StandingQueryWatchTest, RemoveDuringAWatchSilencesOnlyThatQuery) {
   // Two queries under a running watch; one is removed while the watcher
   // evaluates. Later position changes notify only the other, and a
