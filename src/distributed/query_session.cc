@@ -137,42 +137,33 @@ Status QuerySession::ReadPositions(std::vector<ShardStatsEx>* stats,
                                    std::vector<Status>* answers) {
   stats->assign(conns_.size(), ShardStatsEx());
   answers->assign(conns_.size(), Status::Ok());
-  std::vector<bool> sent(conns_.size(), false);
-  for (size_t i = 0; i < conns_.size(); ++i) {
-    if (!conn_alive_[i]) continue;
-    Status s =
-        SendFrame(conns_[i]->fd(), ShardMessageType::kStatsEx, nullptr, 0);
-    if (s.ok()) {
-      sent[i] = true;
-    } else {
-      conn_alive_[i] = false;
-      conn_error_ = s;
-    }
+  std::vector<ShardRequest> requests;  // Request i asks connection i.
+  for (size_t i = 0; i < conns_.size(); ++i) {  // -1: dead, not asked.
+    requests.push_back({conn_alive_[i] ? conns_[i]->fd() : -1,
+                        ShardMessageType::kStatsEx});
   }
-  for (size_t i = 0; i < conns_.size(); ++i) {
-    if (!sent[i]) continue;
-    bool in_sync = false;
-    Status s = RecvReply(conns_[i]->fd(), ShardMessageType::kStatsReply,
-                         &reply_buf_, &in_sync);
+  const std::vector<ShardReply> replies =
+      Exchange(requests, &reply_buf_, [stats](size_t i, ShardFrame& reply) {
+        return DecodeShardStatsEx(reply.payload.data(), reply.payload.size(),
+                                  &(*stats)[i]);
+      });
+  for (size_t i = 0; i < replies.size(); ++i) {
+    if (!conn_alive_[i]) continue;
+    const Status& s = replies[i].status;
     if (s.ok()) {
-      s = DecodeShardStatsEx(reply_buf_.payload.data(),
-                             reply_buf_.payload.size(), &(*stats)[i]);
-      in_sync = s.ok();
-    }
-    if (in_sync && !s.ok()) {
-      // A kError reply ("shard not configured" while the coordinator
-      // restarts the listener's replica): the stream is intact, so the
-      // connection only sits this sweep out.
-      (*answers)[i] = s;
-    } else if (!s.ok()) {
-      // Transport loss, a deadline expiry, or a garbled frame or
-      // payload: the request/reply stream is unrecoverable (a late
+      conn_shard_ids_[i] = static_cast<int>((*stats)[i].shard_id);
+    } else if (replies[i].lost || replies[i].replied) {
+      // Lost sync, a deadline expiry included, or a payload that does
+      // not decode: the request/reply stream is unrecoverable (a late
       // reply would answer the wrong request), so the connection is
       // done.
       conn_alive_[i] = false;
       conn_error_ = s;
     } else {
-      conn_shard_ids_[i] = static_cast<int>((*stats)[i].shard_id);
+      // A kError reply ("shard not configured" while the coordinator
+      // restarts the listener's replica): the stream is intact, so the
+      // connection only sits this sweep out.
+      (*answers)[i] = s;
     }
   }
   for (size_t i = 0; i < conns_.size(); ++i) {
@@ -532,14 +523,11 @@ void QuerySession::OpenNotifyStreams() {
     if (options_.receive_deadline_seconds > 0) {
       SetShardSocketTimeout(conn->fd(), options_.receive_deadline_seconds);
     }
-    if (!SendFrame(conn->fd(), ShardMessageType::kSubscribe, nullptr, 0)
-             .ok()) {
-      continue;
-    }
     // The 1:1 reply: the initial kNotify (current position), or kError.
     ShardFrame first;
-    if (!RecvFrame(conn->fd(), &first).ok() ||
-        first.type != ShardMessageType::kNotify) {
+    if (!Exchange({{conn->fd(), ShardMessageType::kSubscribe}}, &first,
+                  nullptr)[0]
+             .status.ok()) {
       continue;
     }
     std::lock_guard<std::mutex> lock(watch_mu_);

@@ -229,7 +229,6 @@ class QuerySession {
                     StandingQueryNotifier notifier);
   // Stops and joins the watcher, closes the notify streams. Idempotent.
   void StopWatch();
-  bool watching() const { return watching_.load(); }
 
   // Watch observability (safe while watching).
   uint64_t watch_notifications() const;
@@ -256,11 +255,11 @@ class QuerySession {
     NodeSketchParams params;
   };
 
-  // One STATS_EX sweep across every live connection (pipelined: all
-  // requests go out before the first reply is read). (*answers)[i] is
-  // Ok when connection i answered, else why not: a connection that lost
-  // sync is marked dead and carries the saved transport error; one that
-  // replied with an in-sync error carries that error and stays live.
+  // One STATS_EX sweep across every live connection, one Exchange().
+  // (*answers)[i] is Ok when connection i answered, else why not: a
+  // connection that lost sync or sent a payload that does not decode is
+  // marked dead and carries the saved error; one that replied with an
+  // in-sync error carries that error and stays live.
   // The sweep itself only fails when no connection answered.
   Status ReadPositions(std::vector<ShardStatsEx>* stats,
                        std::vector<Status>* answers);

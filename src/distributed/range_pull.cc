@@ -60,61 +60,57 @@ Status PullAndFold(const NodeSketchParams& params,
   };
   Status fatal = Status::Ok();
   while (!next.empty() && round_error->ok() && fatal.ok()) {
-    // Send: one chunk request per shard and pull, to the shard's first
-    // live replica. (key, replica) in send order.
+    // One exchange per wave: a chunk request per shard and pull, to the
+    // shard's first live replica; wave[i] = ((shard, pull), replica).
     std::vector<std::pair<std::pair<size_t, size_t>, size_t>> wave;
+    std::vector<std::vector<uint8_t>> payloads;
+    std::vector<ShardRequest> requests;
     for (const auto& [key, lo] : next) {
-      const RoundPull& pull = pulls[key.second];
-      const std::vector<uint8_t> req =
-          EncodeMigrateExtract(lo, std::min(num_nodes, lo + step), pull.r_lo,
-                               pull.r_hi, pull.part);
-      const std::vector<int>& fds = shards[key.first];
-      size_t sent_to = fds.size();
-      for (size_t r = 0; r < fds.size() && sent_to == fds.size(); ++r) {
-        if (dead[key.first][r]) continue;
-        const Status s = SendFrame(fds[r], ShardMessageType::kMigrateExtract,
-                                   req.data(), req.size());
-        if (s.ok()) {
-          sent_to = r;
-        } else {
-          kill(key.first, r, s);
-        }
-      }
-      if (sent_to == fds.size()) {
+      size_t r = 0;  // The shard's first live replica.
+      while (r < dead[key.first].size() && dead[key.first][r]) ++r;
+      if (r == dead[key.first].size()) {
         // The shard's last live replica died during the pull.
         *round_error = last_dead;
         break;
       }
-      wave.emplace_back(key, sent_to);
+      const RoundPull& pull = pulls[key.second];
+      const std::vector<uint8_t>& req = payloads.emplace_back(
+          EncodeMigrateExtract(lo, std::min(num_nodes, lo + step), pull.r_lo,
+                               pull.r_hi, pull.part));
+      wave.emplace_back(key, r);
+      requests.push_back({shards[key.first][r],
+                          ShardMessageType::kMigrateExtract, req.data(),
+                          req.size()});
     }
-    // Receive in send order. Every request sent to a live socket is
-    // read, whatever its outcome, so no reply outlives the wave to
-    // answer a later request; a socket that failed is never read again.
-    for (const auto& [key, r] : wave) {
-      if (dead[key.first][r]) continue;  // The next wave re-sends it.
-      bool in_sync = false;
-      Status s = RecvReply(shards[key.first][r], ShardMessageType::kMigrateData,
-                           reply, &in_sync);
-      if (s.ok()) {
-        ++tally->replies;
-        tally->bytes += reply->payload.size();
-        const RoundPull& pull = pulls[key.second];
-        s = GraphSnapshot::FoldSerialized(
-            reply->payload.data(), reply->payload.size(), params, pull.r_lo,
-            pull.r_hi, folds[key.second], pull.part);
-        if (!s.ok()) {
-          // Well framed, but not a range of this graph: void the pull.
-          if (round_error->ok()) *round_error = s;
-          continue;
-        }
-        uint64_t& lo = next.at(key);
-        lo += step;
-        if (lo >= num_nodes) next.erase(key);
-      } else if (!in_sync) {
-        kill(key.first, r, s);
-      } else if (s.code() == StatusCode::kFailedPrecondition) {
-        // "shard not configured": a writer bounce mid-pull. The
-        // position will have moved; retry the pull.
+    if (!round_error->ok()) break;
+    const std::vector<ShardReply> replies =
+        Exchange(requests, reply, [&](size_t i, ShardFrame& frame) {
+          ++tally->replies;
+          tally->bytes += frame.payload.size();
+          const auto& key = wave[i].first;
+          const RoundPull& pull = pulls[key.second];
+          const Status s = GraphSnapshot::FoldSerialized(
+              frame.payload.data(), frame.payload.size(), params, pull.r_lo,
+              pull.r_hi, folds[key.second], pull.part);
+          if (!s.ok()) return s;
+          uint64_t& lo = next.at(key);
+          lo += step;
+          if (lo >= num_nodes) next.erase(key);
+          return Status::Ok();
+        });
+    // A replica that lost sync is never asked again: the next wave
+    // re-sends its chunk, a failed send included, to the next one.
+    for (size_t i = 0; i < replies.size(); ++i) {
+      const Status& s = replies[i].status;
+      if (s.ok()) continue;
+      const size_t shard = wave[i].first.first, replica = wave[i].second;
+      if (replies[i].lost) {
+        if (!dead[shard][replica]) kill(shard, replica, s);
+      } else if (replies[i].replied ||
+                 s.code() == StatusCode::kFailedPrecondition) {
+        // Well framed, but not a range of this graph; or "shard not
+        // configured", a writer bounce mid-pull whose position will
+        // have moved. Either way the pull is retried.
         if (round_error->ok()) *round_error = s;
       } else if (fatal.ok()) {
         fatal = s;

@@ -4,15 +4,16 @@
 // reply XOR-folded into one buffer per round, so the buffers hold the
 // cluster's sketch (sketch linearity, paper Section 3.1).
 //
-// Pulls run in waves: each wave sends every shard's first live replica
-// one request per pull, for its next chunk of nodes, then folds the
-// replies in send order, so a shard builds its next reply while the
-// last is folded. A connection never has more than one request per
-// pull outstanding, so the caller never blocks sending while a shard
-// blocks writing an unread reply. A replica that fails in transport is
-// reported dead and never used again, and the next wave re-sends its
-// chunk to the shard's next live replica: replicas are bitwise-equal
-// at one position, so any of them serves any chunk.
+// Pulls run in waves, each one Exchange() (shard_protocol.h) that sends
+// every shard's first live replica one request per pull, for its next
+// chunk of nodes, then folds the replies in send order, so a shard
+// builds its next reply while the last is folded. A connection never
+// has more than one request per pull outstanding, so the caller never
+// blocks sending while a shard blocks writing an unread reply. A
+// replica that loses sync (a failed send included) is reported dead
+// and never used again; the next wave re-sends its chunk to the shard's
+// next live replica: replicas are bitwise-equal at one position, so
+// any of them serves any chunk.
 #ifndef GZ_DISTRIBUTED_RANGE_PULL_H_
 #define GZ_DISTRIBUTED_RANGE_PULL_H_
 
@@ -48,7 +49,7 @@ struct PullTally {
 // one that is not live) in chunks of `nodes_per_chunk` nodes (0 = one
 // chunk), XOR-folding each reply, read into `reply`, into its pull's
 // buffers. `on_dead` hears once of each replica (indices into `shards`)
-// whose socket fails in transport. Returns an error no retry can fix
+// whose connection loses sync. Returns an error no retry can fix
 // (an in-sync shard error other than FailedPrecondition); *round_error
 // says the pull must be retried instead (a shard lost its last live
 // replica, answered FailedPrecondition, or sent bytes that do not

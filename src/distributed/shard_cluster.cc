@@ -177,14 +177,14 @@ Status ShardCluster::SpawnAndConfigure(int shard, int replica, bool restore,
     sc.delta_seq = rep.checkpoint_delta_seq;
   }
   const std::vector<uint8_t> payload = EncodeShardConfig(sc);
-  ShardAck ack;
-  s = proc.CallAck(ShardMessageType::kConfig, payload.data(), payload.size(),
-                   &ack);
+  Reply reply;
+  s = Call(rep, ShardMessageType::kConfig, payload.data(), payload.size(),
+           &reply);
   if (!s.ok()) {
     proc.Terminate();
     return s;
   }
-  if (restored != nullptr) *restored = ack.value0;
+  if (restored != nullptr) *restored = reply.ack.value0;
   rep.down = false;
   return Status::Ok();
 }
@@ -280,50 +280,44 @@ Status ShardCluster::RequireAllHealthy() {
 }
 
 Status ShardCluster::PipelinedBarrier(
-    ShardMessageType type, ShardMessageType expected_reply,
+    ShardMessageType type,
     const std::function<std::string(int shard, int replica)>& payload_for,
     const std::function<Status(int shard, int replica,
                                const ShardFrame& reply)>& on_reply) {
   Status s = RequireAllHealthy();
   if (!s.ok()) return s;
-  std::vector<std::pair<int, int>> targets;
-  for (const int i : ActiveShards()) {
-    for (int r = 0; r < replication_; ++r) targets.emplace_back(i, r);
+  // Request t goes to replica t % R of shard ids[t / R].
+  const std::vector<int> ids = ActiveShards();
+  std::vector<std::string> payloads;
+  payloads.reserve(ids.size() * replication_);  // Requests point into it.
+  std::vector<ShardRequest> requests;
+  for (const int i : ids) {
+    for (int r = 0; r < replication_; ++r) {
+      const std::string& payload = payloads.emplace_back(
+          payload_for ? payload_for(i, r) : std::string());
+      requests.push_back({shards_[i].replicas[r].proc->fd(), type,
+                          payload.data(), payload.size()});
+    }
   }
-  std::vector<bool> sent(targets.size(), false);
+  const std::vector<ShardReply> replies =
+      Exchange(requests, &reply_buf_, [&](size_t t, ShardFrame& reply) {
+        return on_reply ? on_reply(ids[t / replication_], t % replication_,
+                                   reply)
+                        : Status::Ok();
+      });
   Status first_error = Status::Ok();
-  for (size_t t = 0; t < targets.size(); ++t) {
-    const auto [i, r] = targets[t];
-    Replica& rep = shards_[i].replicas[r];
-    const std::string payload =
-        payload_for ? payload_for(i, r) : std::string();
-    Status s = SendFrame(rep.proc->fd(), type, payload.data(), payload.size());
-    if (s.ok()) {
-      sent[t] = true;
-    } else {
-      rep.down = true;
-      if (first_error.ok()) first_error = s;
+  for (size_t t = 0; t < replies.size(); ++t) {
+    if (replies[t].lost) {
+      shards_[ids[t / replication_]].replicas[t % replication_].down = true;
     }
-  }
-  for (size_t t = 0; t < targets.size(); ++t) {
-    if (!sent[t]) continue;
-    const auto [i, r] = targets[t];
-    Replica& rep = shards_[i].replicas[r];
-    bool in_sync = false;
-    Status s = RecvReply(rep.proc->fd(), expected_reply, &reply_buf_, &in_sync);
-    if (s.ok() && on_reply) s = on_reply(i, r, reply_buf_);
-    if (!s.ok()) {
-      if (!in_sync) rep.down = true;
-      if (first_error.ok()) first_error = s;
-    }
+    if (first_error.ok()) first_error = replies[t].status;
   }
   return first_error;
 }
 
 Status ShardCluster::Flush() {
   if (!started_) return Status::FailedPrecondition("cluster not started");
-  return PipelinedBarrier(ShardMessageType::kFlush, ShardMessageType::kAck,
-                          nullptr, nullptr);
+  return PipelinedBarrier(ShardMessageType::kFlush, nullptr, nullptr);
 }
 
 Result<GraphSnapshot> ShardCluster::Snapshot() {
@@ -373,7 +367,7 @@ Status ShardCluster::Checkpoint() {
   // landed — their disk state has moved, and the coordinator's view has
   // to move with it.
   Status s = PipelinedBarrier(
-      ShardMessageType::kCheckpoint, ShardMessageType::kAck,
+      ShardMessageType::kCheckpoint,
       [this](int i, int r) { return NextCheckpointPath(i, r); },
       [this](int i, int r, const ShardFrame& reply) {
         ShardAck ack;
@@ -387,19 +381,6 @@ Status ShardCluster::Checkpoint() {
 }
 
 // ---- Elastic resharding ----------------------------------------------------
-
-Status ShardCluster::SendDelta(Replica& replica,
-                               const std::vector<uint8_t>& bytes) {
-  ShardAck ack;
-  Status s = replica.proc->CallAck(ShardMessageType::kMergeDelta, bytes.data(),
-                                   bytes.size(), &ack);
-  if (!s.ok()) {
-    // Transport loss or a diverged shard; either way repair — replay or
-    // reconcile — re-delivers the content.
-    replica.down = true;
-  }
-  return s;
-}
 
 Result<std::vector<ShardEndpoint>> ShardCluster::ParseReplicaEndpoints(
     const std::string& endpoint) const {
@@ -525,8 +506,11 @@ Status ShardCluster::PumpMigration() {
     // Extract is read-only on the source (its internal flush makes the
     // chunk cover everything framed to it so far), so a failure here
     // mutates nothing and the chunk is simply retried after repair.
-    std::vector<uint8_t> chunk;
-    Status s = ExtractRange(source.replicas[src], lo, hi, &chunk);
+    const std::vector<uint8_t> req =
+        EncodeMigrateExtract(lo, hi, 0, SketchParams().rounds);
+    Reply reply;
+    Status s = Call(source.replicas[src], ShardMessageType::kMigrateExtract,
+                    req.data(), req.size(), &reply);
     if (!s.ok()) return s;
     // Durability before transport, as with the update logs: both folds
     // — install on the target, XOR-cancel on the source — enter their
@@ -535,23 +519,25 @@ Status ShardCluster::PumpMigration() {
     // (with the checkpoint's delta sequence number skipping what a
     // published checkpoint already covers) re-delivers exactly the
     // missing folds, and the migration resumes at the next chunk.
-    target.deltas.push_back({++target.delta_seq_sent, chunk});
-    source.deltas.push_back({++source.delta_seq_sent, std::move(chunk)});
+    target.deltas.push_back({++target.delta_seq_sent, reply.range});
+    source.deltas.push_back({++source.delta_seq_sent, std::move(reply.range)});
     m.next_node = hi;
     // BOTH sides' sends must be attempted even if the first fails: a
     // logged delta must either reach its replica now or leave that
-    // replica fenced (SendDelta fences on failure) so repair delivers
-    // it. Returning between the sends would strand the source's cancel
-    // on a HEALTHY replica — nothing would ever deliver it, later
-    // deltas would close the sequence gap, and a checkpoint would
-    // truncate the one unsent fold, silently cancelling the chunk out
-    // of the global XOR. Fenced replicas are skipped the same way: the
-    // logged entry is their delivery.
+    // replica fenced (Call() fences on any MERGE_DELTA error) so repair
+    // — replay or reconcile — delivers it. Returning between the sends
+    // would strand the source's cancel on a HEALTHY replica — nothing
+    // would ever deliver it, later deltas would close the sequence gap,
+    // and a checkpoint would truncate the one unsent fold, silently
+    // cancelling the chunk out of the global XOR. Fenced replicas are
+    // skipped the same way: the logged entry is their delivery.
     const auto deliver = [this](Shard& shard) {
       Status first_error = Status::Ok();
       for (Replica& rep : shard.replicas) {
         if (rep.down) continue;
-        Status st = SendDelta(rep, shard.deltas.back().bytes);
+        const std::vector<uint8_t>& bytes = shard.deltas.back().bytes;
+        Status st = Call(rep, ShardMessageType::kMergeDelta, bytes.data(),
+                         bytes.size());
         if (!st.ok() && first_error.ok()) first_error = st;
       }
       return first_error;
@@ -567,18 +553,17 @@ Status ShardCluster::PumpMigration() {
   // by every extract), so its position is final; it must survive in
   // the aggregate update count after the process goes away. A sticky
   // divergence error surfaces here and blocks the removal.
-  ShardStatsEx retiring;
-  Status s = ReplicaStatsEx(retiring_rep, &retiring);
+  Reply retiring;
+  Status s = Call(retiring_rep, ShardMessageType::kStatsEx, nullptr, 0,
+                  &retiring);
   if (!s.ok()) return s;
   // Commit point: nothing below can fail, so the update count lands
   // exactly once.
-  migrated_updates_ += retiring.num_updates;
+  migrated_updates_ += retiring.stats.num_updates;
   for (int r = 0; r < replication_; ++r) {
     Replica& rep = source.replicas[r];
     if (!rep.down) {
-      ShardAck ignored;
-      rep.proc->CallAck(ShardMessageType::kShutdown, nullptr, 0,
-                        &ignored);  // Best-effort orderly exit.
+      Call(rep, ShardMessageType::kShutdown);  // Best-effort orderly exit.
     }
     rep.proc->Terminate();  // Degenerates to a reap.
     RemoveCheckpointFiles(m.source, r);
@@ -608,10 +593,8 @@ Status ShardCluster::CorruptReplicaForTest(
   // the fold lands on the shard but the coordinator's books never hear
   // of it. The replica's content and reported delta_seq now both
   // disagree with the books — silent divergence.
-  ShardAck ack;
-  return shards_[shard].replicas[replica].proc->CallAck(
-      ShardMessageType::kMergeDelta, delta_bytes.data(), delta_bytes.size(),
-      &ack);
+  return Call(shards_[shard].replicas[replica], ShardMessageType::kMergeDelta,
+              delta_bytes.data(), delta_bytes.size());
 }
 
 Status ShardCluster::RestartReplica(int shard, int replica) {
@@ -654,7 +637,8 @@ Status ShardCluster::RestartReplica(int shard, int replica) {
   // folds commute — so deltas go second wholesale.
   for (const PendingDelta& delta : books.deltas) {
     if (delta.seq <= rep.checkpoint_delta_seq) continue;  // Covered.
-    s = SendDelta(rep, delta.bytes);
+    s = Call(rep, ShardMessageType::kMergeDelta, delta.bytes.data(),
+             delta.bytes.size());
     if (!s.ok()) return s;
   }
   return Status::Ok();
@@ -665,49 +649,46 @@ Status ShardCluster::Shutdown() {
   Status first_error = Status::Ok();
   for (Shard& shard : shards_) {
     for (Replica& rep : shard.replicas) {
-      if (rep.down || !rep.proc->Alive()) {
-        rep.proc->Terminate();  // Reap whatever is left.
-        continue;
+      if (!rep.down && rep.proc->Alive()) {
+        Status st = Call(rep, ShardMessageType::kShutdown);
+        if (!st.ok() && first_error.ok()) first_error = st;
+        rep.down = true;
       }
-      ShardAck ack;
-      Status st =
-          rep.proc->CallAck(ShardMessageType::kShutdown, nullptr, 0, &ack);
-      if (!st.ok() && first_error.ok()) first_error = st;
-      // Orderly exit follows the ack; Kill() degenerates to a reap (the
-      // SIGKILL lands on an exiting or exited process) and guarantees
-      // no zombie either way.
+      // An orderly exit follows the ack, so this degenerates to a reap
+      // (the SIGKILL lands on an exiting or exited process); either way
+      // no zombie is left.
       rep.proc->Terminate();
-      rep.down = true;
     }
   }
   started_ = false;
   return first_error;
 }
 
-Status ShardCluster::RoundTrip(Replica& replica, ShardMessageType type,
-                               const void* payload, size_t payload_bytes,
-                               ShardMessageType expected_reply) {
-  Status s = SendFrame(replica.proc->fd(), type, payload, payload_bytes);
-  if (!s.ok()) {
+Status ShardCluster::Call(Replica& replica, ShardMessageType type,
+                          const void* payload, size_t payload_bytes,
+                          Reply* reply) {
+  Reply ignored;
+  Reply* out = reply != nullptr ? reply : &ignored;
+  const ShardReply r = Exchange(
+      {{replica.proc->fd(), type, payload, payload_bytes}}, &reply_buf_,
+      [out](size_t, ShardFrame& frame) {
+        switch (frame.type) {
+          case ShardMessageType::kStatsReply:
+            return DecodeShardStatsEx(frame.payload.data(),
+                                      frame.payload.size(), &out->stats);
+          case ShardMessageType::kMigrateData:
+            out->range = std::move(frame.payload);
+            return Status::Ok();
+          default:
+            return DecodeShardAck(frame.payload.data(), frame.payload.size(),
+                                  &out->ack);
+        }
+      })[0];
+  if (!r.status.ok() &&
+      (r.lost || r.replied || type == ShardMessageType::kMergeDelta)) {
     replica.down = true;
-    return s;
   }
-  bool in_sync = false;
-  s = RecvReply(replica.proc->fd(), expected_reply, &reply_buf_, &in_sync);
-  if (!s.ok() && !in_sync) replica.down = true;
-  return s;
-}
-
-Status ShardCluster::ReplicaStatsEx(Replica& replica, ShardStatsEx* ex) {
-  Status s = RoundTrip(replica, ShardMessageType::kStatsEx, nullptr, 0,
-                       ShardMessageType::kStatsReply);
-  if (!s.ok()) return s;
-  s = DecodeShardStatsEx(reply_buf_.payload.data(),
-                         reply_buf_.payload.size(), ex);
-  if (!s.ok()) {
-    replica.down = true;  // A garbled reply payload: lost sync.
-  }
-  return s;
+  return r.status;
 }
 
 Result<ShardStats> ShardCluster::Stats(int shard) {
@@ -722,27 +703,15 @@ Result<ShardStats> ShardCluster::Stats(int shard) {
     return Status::FailedPrecondition("shard " + std::to_string(shard) +
                                       " is down");
   }
-  ShardStatsEx ex;
-  Status s = ReplicaStatsEx(shards_[shard].replicas[replica], &ex);
+  Reply reply;
+  Status s = Call(shards_[shard].replicas[replica], ShardMessageType::kStatsEx,
+                  nullptr, 0, &reply);
   if (!s.ok()) return s;
-  ShardStats stats;
-  stats.num_updates = ex.num_updates;
-  stats.ram_bytes = ex.ram_bytes;
-  stats.delta_seq = ex.delta_seq;
-  return stats;
+  return ShardStats{reply.stats.num_updates, reply.stats.ram_bytes,
+                    reply.stats.delta_seq};
 }
 
 // ---- Replication -----------------------------------------------------------
-
-Status ShardCluster::ExtractRange(Replica& replica, uint64_t lo, uint64_t hi,
-                                  std::vector<uint8_t>* bytes) {
-  const std::vector<uint8_t> req =
-      EncodeMigrateExtract(lo, hi, 0, SketchParams().rounds);
-  Status s = RoundTrip(replica, ShardMessageType::kMigrateExtract, req.data(),
-                       req.size(), ShardMessageType::kMigrateData);
-  if (s.ok()) *bytes = std::move(reply_buf_.payload);
-  return s;
-}
 
 bool ShardCluster::AtBooksPosition(const Shard& shard,
                                    const ShardStatsEx& ex) const {
@@ -799,10 +768,10 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
   // all-healthy case costs only the verification pulls.
   bool position_ok = false;
   if (!rejoined) {
-    ShardStatsEx ex;
-    Status st = ReplicaStatsEx(rep, &ex);
+    Reply reply;
+    Status st = Call(rep, ShardMessageType::kStatsEx, nullptr, 0, &reply);
     if (!st.ok()) return st;
-    position_ok = AtBooksPosition(books, ex);
+    position_ok = AtBooksPosition(books, reply.stats);
   }
   constexpr size_t kHeader = GraphSnapshot::kHeaderBytes;
   uint64_t diffs = 0;
@@ -810,11 +779,29 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
        lo += options_.migrate_nodes_per_chunk) {
     const uint64_t hi =
         std::min(base_.num_nodes, lo + options_.migrate_nodes_per_chunk);
-    std::vector<uint8_t> diff, have;
-    Status st = ExtractRange(books.replicas[reference], lo, hi, &diff);
+    // The reference's chunk and the suspect's, pulled in one exchange.
+    const std::vector<uint8_t> req =
+        EncodeMigrateExtract(lo, hi, 0, SketchParams().rounds);
+    Replica* const sides[2] = {&books.replicas[reference], &rep};
+    std::vector<ShardRequest> requests;
+    for (Replica* side : sides) {
+      requests.push_back({side->proc->fd(), ShardMessageType::kMigrateExtract,
+                          req.data(), req.size()});
+    }
+    std::vector<uint8_t> ranges[2];
+    const std::vector<ShardReply> replies =
+        Exchange(requests, &reply_buf_, [&ranges](size_t i, ShardFrame& reply) {
+          ranges[i] = std::move(reply.payload);
+          return Status::Ok();
+        });
+    Status st = Status::Ok();
+    for (size_t i = 0; i < 2; ++i) {
+      if (replies[i].lost) sides[i]->down = true;
+      if (st.ok()) st = replies[i].status;
+    }
     if (!st.ok()) return st;
-    st = ExtractRange(rep, lo, hi, &have);
-    if (!st.ok()) return st;
+    std::vector<uint8_t>& diff = ranges[0];
+    const std::vector<uint8_t>& have = ranges[1];
     if (diff.size() != have.size() || diff.size() < kHeader) {
       return Status::InvalidArgument(
           "replica range replies for the same nodes differ in size");
@@ -835,13 +822,8 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
              diff.size() - kHeader);
     // Deliberately UNLOGGED (see Reconcile's contract): repair deltas
     // are content transfer, not replay lineage.
-    ShardAck ack;
-    st = rep.proc->CallAck(ShardMessageType::kMergeDelta, diff.data(),
-                           diff.size(), &ack);
-    if (!st.ok()) {
-      rep.down = true;
-      return st;
-    }
+    st = Call(rep, ShardMessageType::kMergeDelta, diff.data(), diff.size());
+    if (!st.ok()) return st;
   }
   if (position_ok && diffs == 0) return Status::Ok();
   // Finalize: the repaired content now equals the reference's, but the
@@ -853,18 +835,18 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
   const std::vector<uint8_t> sync =
       EncodeSyncPosition(books.position(), books.delta_seq_sent);
   const std::string path = NextCheckpointPath(shard, replica);
-  ShardAck ack;
-  Status st = rep.proc->CallAck(ShardMessageType::kSyncPosition, sync.data(),
-                                sync.size(), &ack);
+  Reply reply;
+  Status st =
+      Call(rep, ShardMessageType::kSyncPosition, sync.data(), sync.size());
   if (st.ok()) {
-    st = rep.proc->CallAck(ShardMessageType::kCheckpoint, path.data(),
-                           path.size(), &ack);
+    st = Call(rep, ShardMessageType::kCheckpoint, path.data(), path.size(),
+              &reply);
   }
   if (!st.ok()) {
     rep.down = true;
     return st;
   }
-  CommitCheckpoint(shard, replica, ack);
+  CommitCheckpoint(shard, replica, reply.ack);
   rep.down = false;
   if (repaired_chunks != nullptr) *repaired_chunks += diffs;
   return Status::Ok();
@@ -883,13 +865,10 @@ Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
     for (int r = 0; r < replication_ && ref < 0; ++r) {
       Replica& rep = shards_[s].replicas[r];
       if (rep.down || !rep.proc->Alive()) continue;
-      ShardStatsEx ex;
-      Status st = ReplicaStatsEx(rep, &ex);
-      if (!st.ok()) {
-        if (first_error.ok()) first_error = st;
-        continue;
-      }
-      if (AtBooksPosition(shards_[s], ex)) ref = r;
+      Reply reply;
+      Status st = Call(rep, ShardMessageType::kStatsEx, nullptr, 0, &reply);
+      if (st.ok() && AtBooksPosition(shards_[s], reply.stats)) ref = r;
+      if (!st.ok() && first_error.ok()) first_error = st;
     }
     if (ref < 0) {
       if (first_error.ok()) {

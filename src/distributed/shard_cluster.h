@@ -354,41 +354,37 @@ class ShardCluster {
   // Lowest-index replica of `shard` the coordinator has not fenced
   // (-1 if none). What the send paths target.
   int FirstUnfencedReplica(int shard) const;
-  // kMergeDelta RPC to one replica; fences it on failure (transport
-  // loss or a diverged shard — either way repair re-delivers).
-  Status SendDelta(Replica& replica, const std::vector<uint8_t>& bytes);
   // Sends `updates` to one replica as update frames.
   Status SendUpdateFrames(const Replica& replica, const GraphUpdate* updates,
                           size_t count);
-  // The one pipelined-barrier implementation the cluster-wide
-  // mutations (flush, checkpoint) share: sends `type` (payload from
-  // `payload_for`, if given) to every replica of every shard, then collects a reply from EVERY
-  // replica that got a request — even after a failure, so no reply is
-  // ever left queued to desync a later barrier. A replica is fenced
-  // (down) only when its connection lost sync, not on an
-  // application-level kError. `on_reply` (optional) runs per
-  // well-formed `expected_reply` frame; its error fails the barrier
-  // without fencing. Returns the first error encountered.
+  // The cluster-wide barriers (flush, checkpoint): one Exchange() of
+  // `type` (payload from `payload_for`, if given) with every replica of
+  // every shard. A replica is fenced (down) only when its connection
+  // lost sync, not on an in-sync kError. `on_reply` (optional) runs per
+  // well-formed reply; its error fails the barrier without fencing.
+  // Returns the first error.
   Status PipelinedBarrier(
-      ShardMessageType type, ShardMessageType expected_reply,
+      ShardMessageType type,
       const std::function<std::string(int shard, int replica)>& payload_for,
       const std::function<Status(int shard, int replica,
                                  const ShardFrame& reply)>& on_reply);
   Status RequireAllHealthy();
-  // One request/reply round trip to one replica; the reply lands in
-  // reply_buf_. Fences the replica when its connection lost sync, not
-  // on an application-level kError.
-  Status RoundTrip(Replica& replica, ShardMessageType type,
-                   const void* payload, size_t payload_bytes,
-                   ShardMessageType expected_reply);
-  // One STATS_EX round trip to one replica; fences it on failure.
-  Status ReplicaStatsEx(Replica& replica, ShardStatsEx* ex);
+  // A reply to Call(), decoded by its type.
+  struct Reply {
+    ShardAck ack;                // kAck.
+    ShardStatsEx stats;          // kStatsReply, to kStatsEx.
+    std::vector<uint8_t> range;  // kMigrateData, to kMigrateExtract.
+  };
+  // The one single-request exchange: sends `type` (+ payload) to one
+  // replica and decodes its reply into *reply (when given). Fences the
+  // replica when its connection lost sync, its reply does not decode or
+  // a MERGE_DELTA fails (a diverged shard: repair re-delivers the
+  // delta); any other in-sync kError only fails the call.
+  Status Call(Replica& replica, ShardMessageType type,
+              const void* payload = nullptr, size_t payload_bytes = 0,
+              Reply* reply = nullptr);
   // Whether a replica's reported position is exactly the shard's books.
   bool AtBooksPosition(const Shard& shard, const ShardStatsEx& ex) const;
-  // kMigrateExtract -> kMigrateData pull of [lo, hi) from one replica;
-  // fences it on failure. Read-only on the shard.
-  Status ExtractRange(Replica& replica, uint64_t lo, uint64_t hi,
-                      std::vector<uint8_t>* bytes);
   // Moves one replica's cursor to its acked checkpoint (ack = its
   // stream position and delta sequence number) and flips its acked
   // slot to the one just written, then trims the shard's logs to what
@@ -400,7 +396,8 @@ class ShardCluster {
   // The sketch params every shard runs with: base_'s geometry, with
   // rounds = 0 resolved exactly as a shard resolves it.
   NodeSketchParams SketchParams() const;
-  // Reconcile's inner loop: repair `replica` against `reference`.
+  // Reconcile's inner loop: repair `replica` against `reference`, each
+  // chunk pulled from both in one Exchange().
   Status RepairReplica(int shard, int replica, int reference,
                        uint64_t* repaired_chunks);
 
@@ -423,7 +420,7 @@ class ShardCluster {
   uint64_t migrated_updates_ = 0;
   std::optional<Migration> migration_;
   uint64_t updates_since_checkpoint_ = 0;  // Drives auto-checkpointing.
-  ShardFrame reply_buf_;  // Reused for pipelined replies.
+  ShardFrame reply_buf_;  // The frame every Exchange() reads into.
 };
 
 }  // namespace gz

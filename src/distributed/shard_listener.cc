@@ -30,10 +30,9 @@ void RefuseAndClose(int fd, const Status& error) {
 // One session's frame loop. An exception escaping it ends the session
 // like a lost connection would: a shard running on a thread of a
 // coordinator's process must not take that process down.
-Status ServeSession(int fd, ShardInstanceState* state, ShardSessionRole role,
-                    int reader_timeout_seconds) {
+Status ServeSession(int fd, ShardInstanceState* state, ShardSessionRole role) {
   try {
-    return ShardServer(fd, state, role, reader_timeout_seconds).Serve();
+    return ShardServer(fd, state, role).Serve();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gz_shard: session aborted: %s\n", e.what());
     return Status::Internal(std::string("session aborted: ") + e.what());
@@ -162,8 +161,7 @@ void ShardListener::RunSession(Session* session) {
       }
       writer_active_ = true;
     }
-    s = ServeSession(fd, &state_, ShardSessionRole::kWriter,
-                     options_.reader_timeout_seconds);
+    s = ServeSession(fd, &state_, ShardSessionRole::kWriter);
     std::lock_guard<std::mutex> lock(mu_);
     writer_active_ = false;
     writer_cv_.notify_all();
@@ -184,8 +182,7 @@ void ShardListener::RunSession(Session* session) {
           s.ToString().c_str());
     }
   } else {
-    s = ServeSession(fd, &state_, ShardSessionRole::kReader,
-                     options_.reader_timeout_seconds);
+    s = ServeSession(fd, &state_, ShardSessionRole::kReader);
     // Reader disconnects are unremarkable by design; nothing to reset.
   }
   session->done.store(true);

@@ -4,12 +4,12 @@
 //
 // One listener owns one shard instance (ShardInstanceState) and serves
 // it to many concurrent sessions: at most ONE authenticated writer —
-// the coordinator, full protocol — plus any number of authenticated readers (bounded by
-// max_sessions) issuing read-only frames (PING / STATS_EX /
-// MIGRATE_EXTRACT). That asymmetry is the whole design: the ingest
-// path stays a single FIFO stream (which is what makes shard state a
-// pure function of its watermark), while the serving tier scales out
-// by adding reader sessions.
+// the coordinator, full protocol — plus any number of authenticated
+// readers (bounded by max_sessions) issuing read-only frames (PING /
+// STATS_EX / MIGRATE_EXTRACT / SUBSCRIBE). That asymmetry is the whole
+// design: the ingest path stays a single FIFO stream (which is what
+// makes shard state a pure function of its watermark), while the
+// serving tier scales out by adding reader sessions.
 //
 // Concurrency: the accept loop runs on the caller's thread (poll on
 // the listen socket plus a stop pipe); each accepted connection gets a
@@ -57,10 +57,6 @@ struct ShardListenerOptions {
   // kResourceExhausted and closed — the bound is what keeps a
   // connection flood from exhausting threads/fds.
   int max_sessions = 17;  // 1 writer + 16 readers.
-  // Per-read deadline for established reader sessions: once a frame
-  // starts arriving, every read must complete within this many
-  // seconds. Idle time between requests is not limited.
-  int reader_timeout_seconds = 30;
 };
 
 class ShardListener {

@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <random>
+#include <utility>
 
 #include "util/check.h"
 #include "util/crc32c.h"
@@ -123,6 +124,15 @@ class ByteReader {
   size_t size_;
   size_t pos_ = 0;
 };
+
+// The reply type `request` expects (see ShardRequest).
+ShardMessageType ReplyType(ShardMessageType request) {
+  using T = ShardMessageType;
+  return request == T::kStatsEx          ? T::kStatsReply
+         : request == T::kMigrateExtract ? T::kMigrateData
+         : request == T::kSubscribe      ? T::kNotify
+                                         : T::kAck;
+}
 
 }  // namespace
 
@@ -310,26 +320,51 @@ Status RecvFrame(int fd, ShardFrame* frame) {
   return RecvFrameCapped(fd, frame, ShardFrameHeader::kMaxPayloadBytes);
 }
 
-Status RecvReply(int fd, ShardMessageType expected, ShardFrame* frame,
-                 bool* in_sync) {
-  Status s = RecvFrame(fd, frame);
-  if (!s.ok()) {
-    *in_sync = false;
-    return s;
+std::vector<ShardReply> Exchange(
+    const std::vector<ShardRequest>& requests, ShardFrame* frame,
+    const std::function<Status(size_t request, ShardFrame& reply)>&
+        on_reply) {
+  std::vector<ShardReply> replies(requests.size());
+  // A connection is lost once any of its requests is (lists are short:
+  // one request per shard, replica or pull).
+  const auto lost = [&](int fd) -> const ShardReply* {
+    for (size_t j = 0; j < requests.size(); ++j) {
+      if (replies[j].lost && requests[j].fd == fd) return &replies[j];
+    }
+    return nullptr;
+  };
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const ShardRequest& req = requests[i];
+    if (lost(req.fd) != nullptr) continue;  // The read loop reports it.
+    Status s = req.fd < 0 ? Status::IoError("shard socket not open")
+                          : SendFrame(req.fd, req.type, req.payload,
+                                      req.payload_bytes);
+    if (!s.ok()) replies[i] = {std::move(s), true};
   }
-  if (frame->type == ShardMessageType::kError) {
-    bool decode_ok = false;
-    Status err = DecodeShardError(frame->payload.data(),
-                                  frame->payload.size(), &decode_ok);
-    *in_sync = decode_ok;
-    return err;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    // A lost connection's replies are never read, even those to requests
+    // sent before it was lost.
+    if (const ShardReply* gone = lost(requests[i].fd)) {
+      replies[i] = *gone;
+      continue;
+    }
+    ShardReply& r = replies[i];
+    r.status = RecvFrame(requests[i].fd, frame);
+    if (!r.status.ok()) {
+      r.lost = true;
+    } else if (frame->type == ShardMessageType::kError) {
+      bool decode_ok = false;
+      r.status = DecodeShardError(frame->payload.data(), frame->payload.size(),
+                                  &decode_ok);
+      r.lost = !decode_ok;
+    } else if (frame->type != ReplyType(requests[i].type)) {
+      r = {Status::Internal("shard replied with unexpected frame type"), true};
+    } else {
+      r.replied = true;
+      if (on_reply) r.status = on_reply(i, *frame);
+    }
   }
-  if (frame->type != expected) {
-    *in_sync = false;
-    return Status::Internal("shard replied with unexpected frame type");
-  }
-  *in_sync = true;
-  return Status::Ok();
+  return replies;
 }
 
 // ---- Authenticated handshake ----------------------------------------------
@@ -368,7 +403,7 @@ constexpr int kHandshakeTimeoutSeconds = 10;
 // Start()/RestartReplica forever.
 constexpr int kClientHandshakeTimeoutSeconds = 30;
 
-// RecvReply's classification with the pre-auth allocation cap.
+// Exchange()'s reply classification, with the pre-auth allocation cap.
 Status RecvHandshakeReply(int fd, ShardMessageType expected,
                           ShardFrame* frame) {
   Status s = RecvFrameCapped(fd, frame, kHandshakeMaxFrameBytes);

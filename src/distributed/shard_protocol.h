@@ -36,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -121,7 +122,7 @@ enum class ShardMessageType : uint16_t {
 // byte fails authentication rather than silently escalating). A writer
 // session is the coordinator: full protocol, its disconnect discards
 // the shard instance. A reader session may only observe — kPing /
-// kStatsEx / kMigrateExtract — and its disconnect never
+// kStatsEx / kMigrateExtract / kSubscribe — and its disconnect never
 // touches the instance.
 enum class ShardSessionRole : uint8_t {
   kWriter = 0,
@@ -210,19 +211,51 @@ Status RecvFrame(int fd, ShardFrame* frame);
 Status RecvFrameCapped(int fd, ShardFrame* frame, uint64_t max_payload);
 
 // The reader-session receive cap: every read-only request (PING,
-// STATS_EX, MIGRATE_EXTRACT) fits with room to spare.
+// STATS_EX, MIGRATE_EXTRACT, SUBSCRIBE) fits with room to spare.
 constexpr uint64_t kReaderMaxRequestBytes = 4096;
 
-// Receives one *reply* frame and classifies it — the one reply-handling
-// policy every coordinator-side call site shares. Returns Ok when the
-// reply is a well-formed `expected` frame. A well-formed kError reply
-// returns the shard's decoded Status with *in_sync = true: the request
-// failed but the 1:1 request/reply stream is intact, so the connection
-// stays usable. Transport failures, framing errors, malformed error
-// payloads and unexpected frame types return with *in_sync = false:
-// the connection can no longer be trusted.
-Status RecvReply(int fd, ShardMessageType expected, ShardFrame* frame,
-                 bool* in_sync);
+// ---- Request/reply exchange ----------------------------------------------
+// Every request but the fire-and-forget UPDATE_BATCH draws exactly one
+// reply, in order, on its connection; Exchange() reads and classifies
+// them all.
+
+// One request: `type` + payload to send on `fd`. The reply it expects
+// follows from the type: kStatsReply to kStatsEx, kMigrateData to
+// kMigrateExtract, kNotify to kSubscribe, kAck to the rest.
+struct ShardRequest {
+  int fd = -1;
+  ShardMessageType type = ShardMessageType::kPing;
+  const void* payload = nullptr;
+  size_t payload_bytes = 0;
+};
+
+// What became of one request.
+struct ShardReply {
+  Status status;  // Ok, or the handler's error, a kError or the loss.
+  // The connection lost sync — a failed send, a transport or framing
+  // error, an undecodable kError or an unexpected frame type — so a
+  // later reply could answer the wrong request: never use it again. A
+  // well-formed kError fails only its request.
+  bool lost = false;
+  // The expected reply arrived; `status` is the handler's verdict.
+  bool replied = false;
+};
+
+// Sends every request, then reads the replies in send order into
+// `frame` (reused: the handler consumes what it needs), handing each
+// expected reply to `on_reply` (null = accept) with its request's
+// index. Sending first lets shards work in parallel, and keeps two
+// peers that each answer only once both have their request from
+// deadlocking the caller. A lost connection (a negative fd is one) gets
+// no later request or read, and all its requests report lost; every
+// reply an in-sync connection owes is read, so none is left queued to
+// answer a later request. Callers keep requests per connection bounded
+// (at most one per pull today), so a shard never blocks writing a reply
+// while the caller blocks sending.
+std::vector<ShardReply> Exchange(
+    const std::vector<ShardRequest>& requests, ShardFrame* frame,
+    const std::function<Status(size_t request, ShardFrame& reply)>&
+        on_reply);
 
 // Raw full-buffer I/O on the socket (EINTR-safe, SIGPIPE-suppressed).
 Status WriteFull(int fd, const void* data, size_t size);

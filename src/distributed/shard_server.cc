@@ -12,6 +12,8 @@
 namespace gz {
 namespace {
 
+constexpr int kReaderTimeoutSeconds = 30;  // See Serve().
+
 // The extended-stats payload; caller holds the instance mutex.
 std::vector<uint8_t> BuildStatsEx(const ShardInstanceState& state) {
   ShardStatsEx stats;
@@ -28,8 +30,8 @@ std::vector<uint8_t> BuildStatsEx(const ShardInstanceState& state) {
   return EncodeShardStatsEx(stats);
 }
 
-// The read-only requests: all a reader session may send, answered by
-// ServeRead on writer and reader sessions alike.
+// The read-only requests: all a reader session may send besides
+// SUBSCRIBE, answered by ServeRead on writer and reader sessions alike.
 bool IsReadOnlyRequest(ShardMessageType type) {
   return type == ShardMessageType::kPing ||
          type == ShardMessageType::kStatsEx ||
@@ -363,7 +365,7 @@ Status ShardServer::Serve() {
     // *requests* are tiny and fixed-shape, so the handshake-sized
     // receive cap applies for the whole session: a reader can never
     // command a large allocation.
-    SetShardSocketTimeout(fd_, reader_timeout_seconds_);
+    SetShardSocketTimeout(fd_, kReaderTimeoutSeconds);
     while (true) {
       struct pollfd pfd;
       pfd.fd = fd_;

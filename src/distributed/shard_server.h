@@ -9,9 +9,9 @@
 //
 // Sessions come in two roles (see ShardSessionRole): a *writer* — the
 // coordinator, full protocol — and *readers*, which may only observe
-// (PING / STATS_EX / MIGRATE_EXTRACT; anything else draws a kError
-// and the session continues). Both roles answer those read-only
-// frames through one handler. Sessions of one shard share one
+// (PING / STATS_EX / MIGRATE_EXTRACT / SUBSCRIBE; anything else draws
+// a kError and the session continues). Both roles answer the first
+// three through one handler. Sessions of one shard share one
 // ShardInstanceState, and every access to the instance goes through
 // its mutex.
 //
@@ -93,15 +93,11 @@ class ShardServer {
  public:
   // Serves one session against a shared instance. The caller
   // (shard_listener.cc) has already run the handshake and knows the
-  // role; `reader_timeout_seconds` arms the per-read deadline a reader
-  // session runs under (a reader stalled mid-frame must not hold its
-  // slot forever). `fd` is not owned.
-  ShardServer(int fd, ShardInstanceState* state, ShardSessionRole role,
-              int reader_timeout_seconds)
-      : fd_(fd),
-        state_(state),
-        role_(role),
-        reader_timeout_seconds_(reader_timeout_seconds) {}
+  // role. A reader session runs under a 30 s per-read deadline (a
+  // reader stalled mid-frame must not hold its slot forever). `fd` is
+  // not owned.
+  ShardServer(int fd, ShardInstanceState* state, ShardSessionRole role)
+      : fd_(fd), state_(state), role_(role) {}
 
   // Serves frames until an orderly kShutdown (returns Ok) or the
   // connection dies / loses framing (returns the error). Recoverable
@@ -143,7 +139,6 @@ class ShardServer {
   int fd_;
   ShardInstanceState* state_;
   ShardSessionRole role_;
-  int reader_timeout_seconds_;
 };
 
 }  // namespace gz

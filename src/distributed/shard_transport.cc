@@ -24,18 +24,6 @@
 
 namespace gz {
 
-Status ShardTransport::CallAck(ShardMessageType type, const void* payload,
-                               size_t payload_bytes, ShardAck* ack) {
-  if (fd() < 0) return Status::IoError("shard socket not open");
-  Status s = SendFrame(fd(), type, payload, payload_bytes);
-  if (!s.ok()) return s;
-  bool in_sync = false;
-  s = RecvReply(fd(), ShardMessageType::kAck, &reply_buf_, &in_sync);
-  if (!s.ok()) return s;
-  return DecodeShardAck(reply_buf_.payload.data(), reply_buf_.payload.size(),
-                        ack);
-}
-
 extern "C" char** environ;
 
 namespace {

@@ -1,5 +1,8 @@
-// Transport abstraction under ShardCluster: one connected, authenticated
-// stream socket per shard, created from a ShardEndpoint. Every shard is
+// Transport abstraction under ShardCluster: a transport is a connection
+// — one connected, authenticated stream socket per shard replica,
+// created from a ShardEndpoint. It sends and reads nothing itself:
+// requests and their replies go through Exchange() (shard_protocol.h)
+// on fd(), and UPDATE_BATCH frames through SendFrame(). Every shard is
 // a ShardListener (shard_listener.h) on TCP and is dialed with
 // TcpShardTransport; the substrates differ only in who runs the
 // listener — a gz_shard child this transport spawns (local:), a thread
@@ -44,16 +47,6 @@ class ShardTransport {
   virtual bool Alive() = 0;
   virtual void Terminate() = 0;
   virtual int fd() const = 0;
-
-  // Sends one request and awaits its kAck reply (via RecvReply, so a
-  // kError reply decodes into the shard's Status and transport
-  // failures are IoError). UPDATE_BATCH is fire-and-forget: use Send*
-  // directly, no reply.
-  Status CallAck(ShardMessageType type, const void* payload,
-                 size_t payload_bytes, ShardAck* ack);
-
- protected:
-  ShardFrame reply_buf_;  // Reused across CallAck()s.
 };
 
 // Everything a transport needs besides the endpoint itself. A tcp://

@@ -385,11 +385,13 @@ TEST_F(ServingTierTcpTest, SessionLimitRefusesTheOverflowReaderCleanly) {
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(s.message().find("session limit"), std::string::npos);
   // The admitted sessions still answer.
-  ShardAck ack;
-  EXPECT_TRUE(
-      first.CallAck(ShardMessageType::kPing, nullptr, 0, &ack).ok());
-  EXPECT_TRUE(
-      second.CallAck(ShardMessageType::kPing, nullptr, 0, &ack).ok());
+  ShardFrame reply;
+  for (const ShardReply& pong :
+       Exchange({{first.fd(), ShardMessageType::kPing},
+                 {second.fd(), ShardMessageType::kPing}},
+                &reply, nullptr)) {
+    EXPECT_TRUE(pong.status.ok());
+  }
 }
 
 TEST_F(ServingTierTcpTest, FailedConnectLeavesNoPartialSession) {

@@ -11,10 +11,14 @@
 // stamp, the STATS_EX epoch and the checkpoint's epoch).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -224,7 +228,7 @@ TEST(ShardProtocolTest, RetiredTypesAreRefusedOnWriterAndReaderSessions) {
       ShardInstanceState state;
       Status served;
       std::thread server([&] {
-        served = ShardServer(sp.b(), &state, role, 30).Serve();
+        served = ShardServer(sp.b(), &state, role).Serve();
       });
       EXPECT_TRUE(
           SendFrame(sp.a(), static_cast<ShardMessageType>(type), nullptr, 0)
@@ -284,6 +288,178 @@ TEST(ShardProtocolTest, WriteToClosedPeerIsIoErrorNotSignal) {
       SendFrame(sp.a(), ShardMessageType::kUpdateBatch, big.data(),
                 big.size());
   EXPECT_EQ(s.code(), StatusCode::kIoError);
+}
+
+// ---- Exchange -------------------------------------------------------------
+
+// Replies to one request on a scripted peer's end.
+void ReplyAck(int fd, uint64_t value0) {
+  const std::vector<uint8_t> ack = EncodeShardAck({value0, 0});
+  EXPECT_TRUE(
+      SendFrame(fd, ShardMessageType::kAck, ack.data(), ack.size()).ok());
+}
+
+// An Exchange handler that records every acked value0.
+std::function<Status(size_t, ShardFrame&)> RecordAcks(
+    std::vector<uint64_t>* acked) {
+  return [acked](size_t, ShardFrame& reply) {
+    ShardAck ack;
+    const Status s =
+        DecodeShardAck(reply.payload.data(), reply.payload.size(), &ack);
+    acked->push_back(ack.value0);
+    return s;
+  };
+}
+
+TEST(ExchangeTest, InSyncErrorAnswersOnlyItsOwnRequest) {
+  // A shard's kError answers one request; the stream stays in sync, so
+  // the next reply on the connection answers the next request.
+  SocketPair sp;
+  std::thread peer([&] {
+    ShardFrame request;
+    for (uint64_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(RecvFrame(sp.b(), &request).ok());
+      if (i == 0) {
+        const std::vector<uint8_t> error = EncodeShardError(
+            Status::FailedPrecondition("shard not configured"));
+        ASSERT_TRUE(SendFrame(sp.b(), ShardMessageType::kError, error.data(),
+                              error.size())
+                        .ok());
+      } else {
+        ReplyAck(sp.b(), i);
+      }
+    }
+  });
+  ShardFrame reply;
+  std::vector<uint64_t> acked;
+  std::vector<ShardReply> replies =
+      Exchange({{sp.a(), ShardMessageType::kFlush},
+                {sp.a(), ShardMessageType::kFlush}},
+               &reply, RecordAcks(&acked));
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(replies[0].lost);
+  EXPECT_FALSE(replies[0].replied);
+  EXPECT_TRUE(replies[1].status.ok());
+  EXPECT_TRUE(replies[1].replied);
+  replies = Exchange({{sp.a(), ShardMessageType::kPing}}, &reply,
+                     RecordAcks(&acked));
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_TRUE(replies[0].status.ok());
+  EXPECT_EQ(acked, (std::vector<uint64_t>{1, 2}));
+  peer.join();
+}
+
+TEST(ExchangeTest, LostConnectionIsNeverReadAgainWhileOthersAre) {
+  // A reply with a bad checksum, or of a type its request does not
+  // expect, loses its connection: its later request reports lost and
+  // its reply stays unread, while the other connection's replies are
+  // still read.
+  for (const bool bad_crc : {true, false}) {
+    SCOPED_TRACE(bad_crc ? "bad checksum" : "unexpected frame type");
+    SocketPair lost, kept;
+    for (SocketPair* sp : {&lost, &kept}) {  // Fail, not hang, on a bug.
+      SetShardSocketTimeout(sp->a(), 10);
+      SetShardSocketTimeout(sp->b(), 10);
+    }
+    ShardFrame request;
+    std::vector<uint64_t> acked;
+    std::thread peers([&] {
+      ASSERT_TRUE(RecvFrame(lost.b(), &request).ok());
+      ASSERT_TRUE(RecvFrame(lost.b(), &request).ok());
+      if (bad_crc) {
+        FrameCrc crc;
+        ASSERT_TRUE(
+            SendFrameHeader(lost.b(), ShardMessageType::kAck, 16, &crc).ok());
+        const std::vector<uint8_t> ack = EncodeShardAck({1, 0});
+        ASSERT_TRUE(WriteFull(lost.b(), ack.data(), ack.size()).ok());
+        ASSERT_TRUE(SendFrameTrailer(lost.b(), crc).ok());  // Not folded.
+      } else {
+        ASSERT_TRUE(
+            SendFrame(lost.b(), ShardMessageType::kNotify, nullptr, 0).ok());
+      }
+      ReplyAck(lost.b(), 2);  // Answers the second request; never read.
+      for (uint64_t i = 3; i < 5; ++i) {
+        ASSERT_TRUE(RecvFrame(kept.b(), &request).ok());
+        ReplyAck(kept.b(), i);
+      }
+    });
+    ShardFrame reply;
+    const std::vector<ShardReply> replies =
+        Exchange({{lost.a(), ShardMessageType::kFlush},
+                  {kept.a(), ShardMessageType::kFlush},
+                  {lost.a(), ShardMessageType::kFlush},
+                  {kept.a(), ShardMessageType::kFlush}},
+                 &reply, RecordAcks(&acked));
+    peers.join();
+    ASSERT_EQ(replies.size(), 4u);
+    EXPECT_TRUE(replies[0].lost);
+    EXPECT_FALSE(replies[0].status.ok());
+    EXPECT_TRUE(replies[2].lost);
+    EXPECT_EQ(replies[2].status.code(), replies[0].status.code());
+    EXPECT_TRUE(replies[1].status.ok());
+    EXPECT_TRUE(replies[3].status.ok());
+    EXPECT_EQ(acked, (std::vector<uint64_t>{3, 4}));
+    // The lost connection's second reply is still queued, unread.
+    ASSERT_TRUE(RecvFrame(lost.a(), &reply).ok());
+    EXPECT_EQ(reply.type, ShardMessageType::kAck);
+  }
+}
+
+TEST(ExchangeTest, ClosedPeerIsReportedLostWithoutBlocking) {
+  SocketPair sp;
+  sp.CloseB();
+  ShardFrame reply;
+  const std::vector<ShardReply> replies =
+      Exchange({{sp.a(), ShardMessageType::kPing},
+                {sp.a(), ShardMessageType::kPing},
+                {-1, ShardMessageType::kPing}},
+               &reply, nullptr);
+  ASSERT_EQ(replies.size(), 3u);
+  for (const ShardReply& r : replies) {
+    EXPECT_TRUE(r.lost);
+    EXPECT_EQ(r.status.code(), StatusCode::kIoError);
+  }
+}
+
+TEST(ExchangeTest, SendsEveryRequestBeforeReadingAnyReply) {
+  // Two peers that each answer only once BOTH have their request: a
+  // loop that sent one request and read its reply before sending the
+  // next would wait forever. Receive deadlines on every socket bound
+  // the test if that ever regresses.
+  SocketPair first, second;
+  for (SocketPair* sp : {&first, &second}) {
+    SetShardSocketTimeout(sp->a(), 10);
+    SetShardSocketTimeout(sp->b(), 10);
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  int received = 0;
+  const auto peer = [&](int fd, uint64_t value) {
+    ShardFrame request;
+    ASSERT_TRUE(RecvFrame(fd, &request).ok());
+    std::unique_lock<std::mutex> lock(mu);
+    ++received;
+    cv.notify_all();
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return received == 2; }));
+    lock.unlock();
+    ReplyAck(fd, value);
+  };
+  std::thread p1(peer, first.b(), 1);
+  std::thread p2(peer, second.b(), 2);
+  ShardFrame reply;
+  std::vector<uint64_t> acked;
+  const std::vector<ShardReply> replies =
+      Exchange({{first.a(), ShardMessageType::kFlush},
+                {second.a(), ShardMessageType::kFlush}},
+               &reply, RecordAcks(&acked));
+  p1.join();
+  p2.join();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(replies[0].status.ok()) << replies[0].status.ToString();
+  EXPECT_TRUE(replies[1].status.ok()) << replies[1].status.ToString();
+  EXPECT_EQ(acked, (std::vector<uint64_t>{1, 2}));
 }
 
 // ---- Payload codecs -------------------------------------------------------
@@ -412,7 +588,7 @@ class ShardServerFixture : public ::testing::Test {
       ShardSessionRole role = ShardSessionRole::kWriter;
       serve_status_ = ServerHandshake(sp_.b(), secret, &role);
       if (serve_status_.ok()) {
-        serve_status_ = ShardServer(sp_.b(), state, role, 30).Serve();
+        serve_status_ = ShardServer(sp_.b(), state, role).Serve();
       }
     });
     if (handshake) {
@@ -1639,14 +1815,12 @@ class ReaderSessionFixture : public ::testing::Test {
  protected:
   void Start() {
     writer_thread_ = std::thread([this] {
-      writer_status_ = ShardServer(wp_.b(), &state_,
-                                   ShardSessionRole::kWriter, 30)
-                           .Serve();
+      writer_status_ =
+          ShardServer(wp_.b(), &state_, ShardSessionRole::kWriter).Serve();
     });
     reader_thread_ = std::thread([this] {
-      reader_status_ = ShardServer(rp_.b(), &state_,
-                                   ShardSessionRole::kReader, 30)
-                           .Serve();
+      reader_status_ =
+          ShardServer(rp_.b(), &state_, ShardSessionRole::kReader).Serve();
     });
   }
   void TearDown() override {

@@ -1,22 +1,20 @@
 // gz_shard: one shard of a multi-process sharded deployment.
 //
-//   --listen host:port   bind and serve the shard as a multi-session
-//                        listener — one authenticated writer (the
-//                        coordinator, full protocol) plus up to
-//                        --max-sessions-1 authenticated readers (PING /
-//                        STATS_EX / MIGRATE_EXTRACT only), the serving
-//                        tier's data plane. Port 0 asks the kernel for
-//                        a free port; --port-file PATH publishes the
-//                        bound port (for harnesses that need to
-//                        discover it). A coordinator's local: endpoint
-//                        spawns `gz_shard --listen 127.0.0.1:0` itself;
-//                        a tcp:// endpoint dials one started by hand.
-//                        A dropped writer connection discards the
-//                        in-memory instance — exactly the state loss of
-//                        a SIGKILLed shard, recovered the same way
-//                        (reconnect + checkpoint restore + replay) —
-//                        while reader sessions ride through. An orderly
-//                        SHUTDOWN from the writer retires the process.
+//   --listen host:port   bind and serve the shard as a multi-session listener —
+//                        one authenticated writer (the coordinator, full
+//                        protocol) plus up to --max-sessions-1 authenticated
+//                        readers (PING / STATS_EX / MIGRATE_EXTRACT / SUBSCRIBE
+//                        only), the serving tier's data plane. Port 0 asks the
+//                        kernel for a free port; --port-file PATH publishes the
+//                        bound port (for harnesses that need to discover it). A
+//                        coordinator's local: endpoint spawns `gz_shard
+//                        --listen 127.0.0.1:0` itself; a tcp:// endpoint dials
+//                        one started by hand. A dropped writer connection
+//                        discards the in-memory instance — exactly the state
+//                        loss of a SIGKILLed shard, recovered the same way
+//                        (reconnect + checkpoint restore + replay) — while
+//                        reader sessions ride through. An orderly SHUTDOWN from
+//                        the writer retires the process.
 //
 // Every session starts with the authenticated HELLO handshake
 // (--auth-secret SECRET or --auth-secret-file PATH, else
@@ -40,7 +38,7 @@ int Usage() {
       stderr,
       "usage: gz_shard --listen host:port [--port-file PATH]\n"
       "       [--auth-secret SECRET | --auth-secret-file PATH]\n"
-      "       [--max-sessions N] [--reader-timeout SECONDS]\n"
+      "       [--max-sessions N]\n"
       "  --listen      bind host:port (port 0 = kernel-assigned) and\n"
       "                serve one writer plus concurrent reader sessions\n"
       "  --port-file   write the bound port here once listening\n"
@@ -48,9 +46,7 @@ int Usage() {
       "                $GZ_SHARD_AUTH_SECRET); required on untrusted\n"
       "                networks\n"
       "  --max-sessions   concurrent session bound, writer included\n"
-      "                   (default 17, or $GZ_SHARD_MAX_SESSIONS)\n"
-      "  --reader-timeout per-read deadline for reader sessions, seconds\n"
-      "                   (default 30, or $GZ_SHARD_READER_TIMEOUT)\n");
+      "                   (default 17, or $GZ_SHARD_MAX_SESSIONS)\n");
   return 2;
 }
 
@@ -66,12 +62,8 @@ int RunListener(const gz::tools::Flags& flags, const std::string& secret) {
   options.auth_secret = secret;
   options.max_sessions = static_cast<int>(
       flags.GetInt("max-sessions", EnvOr("GZ_SHARD_MAX_SESSIONS", 17)));
-  options.reader_timeout_seconds = static_cast<int>(flags.GetInt(
-      "reader-timeout", EnvOr("GZ_SHARD_READER_TIMEOUT", 30)));
-  if (options.max_sessions < 1 || options.reader_timeout_seconds < 1) {
-    std::fprintf(stderr,
-                 "gz_shard: --max-sessions and --reader-timeout must be "
-                 "positive\n");
+  if (options.max_sessions < 1) {
+    std::fprintf(stderr, "gz_shard: --max-sessions must be positive\n");
     return 2;
   }
   gz::ShardListener listener(std::move(options));
@@ -95,8 +87,8 @@ int RunListener(const gz::tools::Flags& flags, const std::string& secret) {
 
 int main(int argc, char** argv) {
   gz::tools::Flags flags(argc, argv);
-  if (!flags.AllKnown({"listen", "port-file", "max-sessions",
-                       "reader-timeout", "auth-secret", "auth-secret-file"}) ||
+  if (!flags.AllKnown({"listen", "port-file", "max-sessions", "auth-secret",
+                       "auth-secret-file"}) ||
       !flags.Has("listen")) {
     return Usage();
   }
