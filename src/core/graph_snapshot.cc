@@ -364,10 +364,6 @@ Status GraphSnapshot::Summary(int round, uint64_t block_nodes,
   return Status::Ok();
 }
 
-Status GraphSnapshot::LoadAllRounds() const {
-  return lazy_ == nullptr ? Status::Ok() : lazy_->LoadAll();
-}
-
 Status GraphSnapshot::load_status() const {
   return lazy_ == nullptr ? Status::Ok() : lazy_->failed();
 }

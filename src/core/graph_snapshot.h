@@ -48,10 +48,11 @@
 //   every round not loaded yet, and nothing is ever built from a round
 //   that did not load. Everything that needs whole node sketches
 //   (Merge, ToggleEdge, serialization, ==) loads every remaining round
-//   first (LoadAllRounds()), so it sees exactly the
-//   bytes an eager capture holds. Seal() loads every remaining round
-//   too: after it the capture never calls its loader again, which is
-//   what the store's owner must ensure before the store changes.
+//   first, so it sees exactly the bytes an eager capture holds, and a
+//   failed load makes it return that load's status (or compare
+//   unequal). Seal() loads every remaining round too: after it the
+//   capture never calls its loader again, which is what the store's
+//   owner must ensure before the store changes.
 #ifndef GZ_CORE_GRAPH_SNAPSHOT_H_
 #define GZ_CORE_GRAPH_SNAPSHOT_H_
 
@@ -158,10 +159,6 @@ class GraphSnapshot {
   // otherwise loads the summary part, as Round() loads a round.
   Status Summary(int round, uint64_t block_nodes, const BlockRunner& run,
                  RoundView* view) const;
-  // Loads every round not loaded yet; the first failed load's status
-  // (Ok for an eager snapshot). Callers that need whole sketches from a
-  // snapshot whose loads can fail call it first and surface the error.
-  Status LoadAllRounds() const;
   // The first failed load's status: Ok while every load succeeded.
   Status load_status() const;
 
@@ -218,11 +215,6 @@ class GraphSnapshot {
   // The whole snapshot, [0, V) x [0, R).
   size_t SerializedSize() const;
   std::vector<uint8_t> Serialize() const;
-  // Any range of this snapshot's nodes, whole records. The unit of
-  // elastic migration and replica repair: folding a shard's own
-  // extracted range back into it zeroes that range, which is how
-  // linearity expresses "move".
-  std::vector<uint8_t> ExtractNodeRange(uint64_t lo, uint64_t hi) const;
   // Whole snapshots only: InvalidArgument for any other range or part,
   // for malformed bytes, or for a size that does not match the header.
   static Result<GraphSnapshot> Deserialize(const uint8_t* data, size_t size);
@@ -286,6 +278,8 @@ class GraphSnapshot {
   // loading every remaining round; no-op when already eager. A failed
   // load leaves the snapshot lazy and returns its status.
   Status MakeEager();
+  // The whole records of the nodes [lo, hi), materialized.
+  std::vector<uint8_t> ExtractNodeRange(uint64_t lo, uint64_t hi) const;
   // Streams the records of [lo, hi) through `sink`.
   Status SaveRange(const ByteSink& sink, uint64_t lo, uint64_t hi) const;
 

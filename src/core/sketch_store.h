@@ -105,10 +105,10 @@ class InMemorySketchStore : public SketchStore {
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override { return 0; }
 
+ private:
   // `node`'s sketch as a copy-on-write handle, shared with the store.
   CowSketch Share(NodeId node);
 
- private:
   std::vector<CowSketch> sketches_;
   // One lock per node; 40 B each is negligible next to the sketches.
   std::unique_ptr<std::mutex[]> locks_;

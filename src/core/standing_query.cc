@@ -35,10 +35,6 @@ uint64_t StandingQueryRegistry::Add(const StandingQuerySpec& spec) {
   return id;
 }
 
-bool StandingQueryRegistry::Remove(uint64_t query_id) {
-  return queries_.erase(query_id) > 0;
-}
-
 bool StandingQueryRegistry::HasUnevaluated() const {
   for (const auto& [id, entry] : queries_) {
     (void)id;

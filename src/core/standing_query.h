@@ -101,11 +101,9 @@ using StandingQueryNotifier =
 
 class StandingQueryRegistry {
  public:
-  // Registers a query; the returned id names it in notifications and
-  // Remove(). Ids are never reused.
+  // Registers a query; the returned id names it in notifications. Ids
+  // are never reused.
   uint64_t Add(const StandingQuerySpec& spec);
-  // Unregisters; false when the id is unknown (already removed).
-  bool Remove(uint64_t query_id);
   size_t size() const { return queries_.size(); }
 
   // True when some registered query has never been evaluated — a

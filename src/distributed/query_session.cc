@@ -482,11 +482,6 @@ uint64_t QuerySession::AddStandingQuery(const StandingQuerySpec& spec) {
   return registry_.Add(spec);
 }
 
-bool QuerySession::RemoveStandingQuery(uint64_t query_id) {
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  return registry_.Remove(query_id);
-}
-
 uint64_t QuerySession::watch_notifications() const {
   std::lock_guard<std::mutex> lock(watch_mu_);
   return registry_.notifications();

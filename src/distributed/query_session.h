@@ -217,10 +217,9 @@ class QuerySession {
   //
   // While a watch runs, the watcher thread owns the request/reply
   // connections: the owner must not call Snapshot(), Connectivity(),
-  // PollPositions(), or Connect() until StopWatch() returns. Add and
-  // Remove are safe at any time.
+  // PollPositions(), or Connect() until StopWatch() returns.
+  // AddStandingQuery is safe at any time.
   uint64_t AddStandingQuery(const StandingQuerySpec& spec);
-  bool RemoveStandingQuery(uint64_t query_id);
 
   // Spawns the watcher. Fails if already watching or never connected.
   // Notify-stream subscription failures are NOT fatal (the cadence
@@ -339,7 +338,7 @@ class QuerySession {
   // ---- Watch state ------------------------------------------------
   // watch_mu_ guards the registry, watch_error_, and the notify-stream
   // list; the watcher thread holds it across a whole evaluation cycle,
-  // so Add/Remove may briefly block behind a refresh.
+  // so AddStandingQuery may briefly block behind a refresh.
   mutable std::mutex watch_mu_;
   StandingQueryRegistry registry_;
   Status watch_error_;

@@ -218,12 +218,13 @@ Status ShardCluster::Update(const GraphUpdate* updates, size_t count) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   for (size_t i = 0; i < count; ++i) {
     // Fail fast at the API boundary, as GraphZeppelin does: a
-    // malformed edge already aborts inside ShardFor (EdgeToIndex), and
+    // malformed edge already aborts inside RouteToShard (EdgeToIndex), and
     // a garbage type byte must abort HERE rather than make a shard
     // drop the whole frame it rides in.
     GZ_CHECK_MSG(static_cast<uint8_t>(updates[i].type) <= 1,
                  "invalid GraphUpdate type byte");
-    shards_[ShardFor(updates[i].edge)].route_buf.push_back(updates[i]);
+    shards_[RouteToShard(updates[i].edge, base_.num_nodes, table_)]
+        .route_buf.push_back(updates[i]);
   }
   for (Shard& shard : shards_) {
     std::vector<GraphUpdate>& buf = shard.route_buf;
@@ -478,11 +479,6 @@ Status ShardCluster::BeginRemoveShard(int shard) {
   return Status::Ok();
 }
 
-int ShardCluster::migration_target() const {
-  GZ_CHECK(migration_.has_value());
-  return migration_->target;
-}
-
 Status ShardCluster::PumpMigration() {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   if (!migration_.has_value()) {
@@ -582,19 +578,6 @@ void ShardCluster::KillReplica(int shard, int replica, bool observed) {
   Replica& rep = shards_[shard].replicas[replica];
   rep.proc->Terminate();
   if (observed) rep.down = true;
-}
-
-Status ShardCluster::CorruptReplicaForTest(
-    int shard, int replica, const std::vector<uint8_t>& delta_bytes) {
-  GZ_CHECK(shard >= 0 && shard < num_shards());
-  GZ_CHECK(replica >= 0 && replica < replication_);
-  GZ_CHECK_MSG(!shard_removed(shard), "shard already removed");
-  // Deliberately bypasses the pending-delta log AND delta_seq_sent:
-  // the fold lands on the shard but the coordinator's books never hear
-  // of it. The replica's content and reported delta_seq now both
-  // disagree with the books — silent divergence.
-  return Call(shards_[shard].replicas[replica], ShardMessageType::kMergeDelta,
-              delta_bytes.data(), delta_bytes.size());
 }
 
 Status ShardCluster::RestartReplica(int shard, int replica) {
@@ -858,9 +841,11 @@ Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
   Status first_error = Status::Ok();
   for (const int s : ActiveShards()) {
     // Reference: the lowest-index live replica whose reported position
-    // matches the books exactly. A diverged replica (an unlogged fold
-    // moved its delta sequence past what the coordinator ever sent)
-    // fails this check and becomes a repair target instead.
+    // matches the books exactly. A replica left holding part of an
+    // interrupted repair (each repair fold moved its delta sequence past
+    // the books, and the sync that resets it never ran) fails this check
+    // and becomes a repair target instead. The check reads positions,
+    // not content: see the trust rule in shard_cluster.h.
     int ref = -1;
     for (int r = 0; r < replication_ && ref < 0; ++r) {
       Replica& rep = shards_[s].replicas[r];

@@ -150,12 +150,10 @@ class ShardCluster {
   // Spawns and configures every shard process (all replicas).
   Status Start();
 
-  // Shard an update routes to under the current table: a pure function
-  // of (edge, table), identical for every shard and for any external
-  // partitioner holding the same table.
-  int ShardFor(const Edge& e) const {
-    return RouteToShard(e, base_.num_nodes, table_);
-  }
+  // The current table. An update routes to
+  // RouteToShard(edge, num_nodes, routing_table()): a pure function of
+  // (edge, table), identical for any external partitioner holding the
+  // same table.
   const RoutingTable& routing_table() const { return table_; }
 
   // Routes the span: each shard's slice is appended once to the shard's
@@ -203,6 +201,14 @@ class ShardCluster {
   // path converges. Linear diffs commute with concurrent ingestion and
   // with an in-flight migration, so the stream never pauses.
   // `repaired_chunks` (optional) counts chunks whose content differed.
+  //
+  // Trust rule: the reference is the lowest-index live replica whose
+  // reported position (update count, delta sequence) matches the
+  // books, and its content is taken as the truth. Nothing checks that
+  // content: a checkpoint body carries no checksum, so a checkpoint
+  // that rotted on disk and was restored into replica 0 would pass the
+  // position check, become the reference, and have its divergence
+  // copied into the healthy replicas. At R = 1 nothing detects it.
   Status Reconcile(uint64_t* repaired_chunks = nullptr);
   // Replica count per shard (ShardClusterOptions::replication_factor).
   int replication() const { return replication_; }
@@ -218,11 +224,6 @@ class ShardCluster {
     const std::vector<Replica>& replicas = shards_[shard].replicas;
     return replicas.empty() || replicas[replica].down;
   }
-  // Test hook: folds `delta_bytes` (a serialized node range) into
-  // one replica as an UNLOGGED kMergeDelta — silent divergence, exactly
-  // the corruption Reconcile() exists to detect and repair.
-  Status CorruptReplicaForTest(int shard, int replica,
-                               const std::vector<uint8_t>& delta_bytes);
 
   // --- Elastic resharding --------------------------------------------------
   // Adds a fresh shard (new highest id) at `endpoint` ("" = all
@@ -236,8 +237,8 @@ class ShardCluster {
   Result<int> SplitShard(int shard,
                          const std::string& endpoint = std::string());
   // Starts removing `shard`: its slots are dealt to the remaining
-  // shards, then PumpMigration() drains its
-  // state chunk-by-chunk into a successor and finally shuts it down.
+  // shards, then PumpMigration() drains its state chunk-by-chunk into
+  // the lowest-id surviving shard and finally shuts it down.
   Status BeginRemoveShard(int shard);
   // Advances the active migration by one step (one node-range chunk,
   // or the final shutdown/bookkeeping step). Interleave with Update()
@@ -246,8 +247,6 @@ class ShardCluster {
   // pumping — the migration converges to the same bytes.
   Status PumpMigration();
   bool migration_active() const { return migration_.has_value(); }
-  // The survivor the active removal drains into.
-  int migration_target() const;
 
   // Lifecycle.
   // Respawn one replica, restore its acked checkpoint (if any), replay

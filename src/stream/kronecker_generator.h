@@ -8,7 +8,8 @@
 // visit each potential edge {u, v} once and keep it with probability
 // min(1, scale · p_uv), calibrated so the expected edge count matches
 // `density` · V(V-1)/2. This avoids the rejection blowup of sampling a
-// dense graph edge-by-edge while preserving the Kronecker skew.
+// dense graph edge-by-edge while preserving the Kronecker skew. The
+// initiator matrix is Graph500's (A, B, C, D) = (0.57, 0.19, 0.19, 0.05).
 #ifndef GZ_STREAM_KRONECKER_GENERATOR_H_
 #define GZ_STREAM_KRONECKER_GENERATOR_H_
 
@@ -22,12 +23,6 @@ struct KroneckerParams {
   int scale = 10;        // V = 2^scale nodes.
   double density = 0.5;  // Target fraction of all possible edges.
   uint64_t seed = 1;
-  // Graph500 initiator matrix (A, B, C, D); B == C keeps the graph
-  // undirected-symmetric.
-  double a = 0.57;
-  double b = 0.19;
-  double c = 0.19;
-  double d = 0.05;
 };
 
 class KroneckerGenerator {

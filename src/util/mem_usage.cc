@@ -2,21 +2,7 @@
 
 #include <cstdio>
 
-#include <unistd.h>
-
 namespace gz {
-
-size_t CurrentRssBytes() {
-  FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  long total_pages = 0;
-  long rss_pages = 0;
-  int scanned = std::fscanf(f, "%ld %ld", &total_pages, &rss_pages);
-  std::fclose(f);
-  if (scanned != 2) return 0;
-  return static_cast<size_t>(rss_pages) *
-         static_cast<size_t>(sysconf(_SC_PAGESIZE));
-}
 
 const char* FormatBytes(size_t bytes, char* buf, int buf_len) {
   const double b = static_cast<double>(bytes);

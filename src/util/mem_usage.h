@@ -1,16 +1,11 @@
 // Memory accounting helpers. Structures in this library expose exact
-// ByteSize() methods; this header adds process-level RSS for sanity
-// checks in the memory benchmarks (Figure 11).
+// ByteSize() methods; this header formats them for printing.
 #ifndef GZ_UTIL_MEM_USAGE_H_
 #define GZ_UTIL_MEM_USAGE_H_
 
 #include <cstddef>
 
 namespace gz {
-
-// Resident set size of the current process in bytes (from /proc).
-// Returns 0 if the proc file cannot be read.
-size_t CurrentRssBytes();
 
 // Formats a byte count as a human-readable string ("3.40 GiB").
 const char* FormatBytes(size_t bytes, char* buf, int buf_len);

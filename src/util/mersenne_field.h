@@ -1,12 +1,13 @@
-// Arithmetic over Mersenne-prime fields, used by the k-wise-independent
-// hash family and by the standard l0-sampler's checksum (r^idx mod p).
-//
-// Two field sizes mirror the paper's discussion of word widths (Section 3):
+// Mersenne-prime fields. The two primes are the standard l0-sampler's
+// checksum moduli, one per word width (paper Section 3; the sampler
+// reduces with plain `%` on purpose, see l0_standard.h):
 //  * Mersenne31 (p = 2^31 - 1): all arithmetic fits in 64-bit words; used
 //    when the sketched vector has length < 2^31.
 //  * Mersenne61 (p = 2^61 - 1): products need 128-bit intermediates; this
 //    is the "128-bit arithmetic" regime that slows the standard sampler on
 //    long vectors.
+// The Mersenne61 shift-reduction below serves the k-wise-independent hash
+// family (kwise_hash.h).
 #ifndef GZ_UTIL_MERSENNE_FIELD_H_
 #define GZ_UTIL_MERSENNE_FIELD_H_
 
@@ -16,21 +17,6 @@ namespace gz {
 
 inline constexpr uint64_t kMersenne31 = (1ULL << 31) - 1;
 inline constexpr uint64_t kMersenne61 = (1ULL << 61) - 1;
-
-// ---- Mersenne31: 64-bit-only arithmetic -----------------------------------
-
-inline uint64_t Reduce31(uint64_t x) {
-  x = (x & kMersenne31) + (x >> 31);
-  if (x >= kMersenne31) x -= kMersenne31;
-  return x;
-}
-
-inline uint64_t MulMod31(uint64_t a, uint64_t b) {
-  // a, b < 2^31 so the product fits in 64 bits exactly.
-  return Reduce31(a * b);
-}
-
-inline uint64_t AddMod31(uint64_t a, uint64_t b) { return Reduce31(a + b); }
 
 // ---- Mersenne61: needs 128-bit multiply ------------------------------------
 
@@ -51,14 +37,6 @@ inline uint64_t AddMod61(uint64_t a, uint64_t b) {
   if (r >= kMersenne61) r -= kMersenne61;
   return r;
 }
-
-// ---- Modular exponentiation -------------------------------------------------
-
-// r^e mod (2^31 - 1), square-and-multiply with 64-bit words.
-uint64_t PowMod31(uint64_t r, uint64_t e);
-
-// r^e mod (2^61 - 1), square-and-multiply with 128-bit intermediates.
-uint64_t PowMod61(uint64_t r, uint64_t e);
 
 }  // namespace gz
 

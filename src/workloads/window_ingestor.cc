@@ -5,6 +5,9 @@
 namespace gz {
 namespace {
 
+// Emitted updates buffered before the sink is invoked.
+constexpr size_t kEmitSpan = 1024;
+
 size_t NextPow2(size_t x) {
   size_t n = 16;
   while (n < x) n <<= 1;
@@ -17,13 +20,12 @@ WindowIngestor::WindowIngestor(const WindowIngestorParams& params, Sink sink)
     : params_(params), sink_(std::move(sink)) {
   GZ_CHECK_MSG(params_.num_nodes >= 2, "need at least two nodes");
   GZ_CHECK_MSG(params_.window >= 1, "window must hold at least one update");
-  GZ_CHECK_MSG(params_.emit_span >= 1, "emit span must hold at least one");
   GZ_CHECK_MSG(sink_ != nullptr, "window ingestor needs a sink");
   ring_.resize(params_.window);
   // At most W distinct edges are live; 4x slots keeps probes short.
   presence_.resize(NextPow2(params_.window * 4));
   presence_mask_ = presence_.size() - 1;
-  emit_.reserve(params_.emit_span);
+  emit_.reserve(kEmitSpan);
 }
 
 WindowIngestor::Slot* WindowIngestor::FindSlot(uint64_t key) {
@@ -40,7 +42,7 @@ WindowIngestor::Slot* WindowIngestor::FindSlot(uint64_t key) {
 
 void WindowIngestor::Emit(const Edge& e, UpdateType type) {
   emit_.push_back({e, type});
-  if (emit_.size() >= params_.emit_span) Flush();
+  if (emit_.size() >= kEmitSpan) Flush();
 }
 
 void WindowIngestor::ExpireOldest() {
@@ -95,11 +97,6 @@ void WindowIngestor::Flush() {
   if (emit_.empty()) return;
   sink_(emit_.data(), emit_.size());
   emit_.clear();  // Keeps capacity: no realloc on refill.
-}
-
-void WindowIngestor::ExpireAll() {
-  while (ring_count_ > 0) ExpireOldest();
-  Flush();
 }
 
 }  // namespace gz

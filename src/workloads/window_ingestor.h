@@ -21,6 +21,10 @@
 // must fold such a mixed slab to a no-op for that edge, which the
 // XOR-cancellation regression test pins.
 //
+// Emitted updates are buffered and handed to the sink 1024 at a time;
+// Flush() hands over a partial span. One span may mix inserts and
+// expiry deletes.
+//
 // Zero-alloc at steady state: the ring, the presence table and the
 // emit buffer are sized once in the constructor; Observe() allocates
 // nothing.
@@ -39,9 +43,6 @@ struct WindowIngestorParams {
   uint64_t num_nodes = 0;
   // W: number of most-recent observations the window retains.
   size_t window = 0;
-  // Emitted updates buffered before the sink is invoked; Flush() hands
-  // over a partial span. One span may mix inserts and expiry deletes.
-  size_t emit_span = 1024;
 };
 
 class WindowIngestor {
@@ -61,10 +62,6 @@ class WindowIngestor {
   // querying the downstream instance, or the window's most recent
   // transitions are still in this layer's buffer).
   void Flush();
-
-  // Expires every retained observation (the stream ended and the
-  // window should drain to empty), flushing to the sink.
-  void ExpireAll();
 
   // Total observations ever seen; the window covers the last
   // min(observations, W) of them. This is the window's logical

@@ -590,7 +590,6 @@ TEST(GraphSnapshotTest, SummaryRangesCarryEachRoundsDeterministicBucket) {
     ASSERT_TRUE(gz.Init().ok());
     Ingest(&gz, edges);
     const GraphSnapshot snap = gz.Snapshot();
-    GZ_CHECK_OK(snap.LoadAllRounds());
     const int rounds = snap.rounds();
     const std::vector<uint8_t> summary =
         RangeBytes(gz, 3, 21, 1, rounds, RoundPart::kSummary);
@@ -755,7 +754,10 @@ TEST(GraphSnapshotTest, FailedLazyLoadFailsTheQueryAndEveryWholeSketchUse) {
   EXPECT_TRUE(r.failed);
   EXPECT_EQ(r.rounds_used, 2);
   EXPECT_EQ(lazy.load_status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(lazy.LoadAllRounds().code(), StatusCode::kFailedPrecondition);
+  GraphSnapshot::Seal(lazy.lazy_rounds());  // Tries every round left.
+  GraphSnapshot toggled = lazy;
+  EXPECT_EQ(toggled.ToggleEdge(Edge(0, 1)).code(),
+            StatusCode::kFailedPrecondition);
   GraphSnapshot::RoundView view;
   EXPECT_TRUE(lazy.Round(0, n, nullptr, &view).ok());
   EXPECT_EQ(lazy.Round(1, n, nullptr, &view).code(),
@@ -781,7 +783,10 @@ TEST(GraphSnapshotTest, NodeRangeDeltasMoveStateExactly) {
   ep.p = 0.15;
   ep.seed = 7;
   const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
-  const GraphSnapshot a = SnapshotOf(n, 21, edges);
+  GraphZeppelin source(MakeConfig(n, 21));
+  ASSERT_TRUE(source.Init().ok());
+  Ingest(&source, edges);
+  const GraphSnapshot a = source.Snapshot();
   const GraphSnapshot empty = SnapshotOf(n, 21, {});
 
   GraphZeppelin rebuilt(MakeConfig(n, 21));
@@ -791,7 +796,8 @@ TEST(GraphSnapshotTest, NodeRangeDeltasMoveStateExactly) {
   Ingest(&drained, edges);
   for (const auto& [lo, hi] :
        std::vector<std::pair<uint64_t, uint64_t>>{{0, 17}, {17, 48}}) {
-    const std::vector<uint8_t> delta = a.ExtractNodeRange(lo, hi);
+    const std::vector<uint8_t> delta =
+        RangeBytes(source, lo, hi, 0, a.rounds(), RoundPart::kWhole);
     EXPECT_EQ(delta.size(),
               GraphSnapshot::SerializedSizeFor(a.params(), lo, hi));
     ASSERT_TRUE(rebuilt.MergeSerialized(delta.data(), delta.size()).ok());
@@ -815,7 +821,8 @@ TEST(GraphSnapshotTest, NodeRangeDeltaRejectsGarbage) {
   ASSERT_TRUE(gz.Init().ok());
   Ingest(&gz, edges);
   const GraphSnapshot before = gz.Snapshot();
-  const std::vector<uint8_t> delta = before.ExtractNodeRange(4, 20);
+  const std::vector<uint8_t> delta =
+      RangeBytes(gz, 4, 20, 0, before.rounds(), RoundPart::kWhole);
 
   // Truncation, trailing garbage, a bad magic and a params mismatch
   // all bounce without touching the instance.
@@ -901,7 +908,9 @@ TEST(GraphSnapshotTest, EveryTruncationAndHeaderFlipIsACleanStatus) {
       std::string(::testing::TempDir()) + "/decoder_sweep.ckpt";
   ASSERT_TRUE(source->SaveCheckpoint(ckpt).ok());
   const std::vector<std::vector<uint8_t>> inputs = {
-      snap.Serialize(), snap.ExtractNodeRange(5, 11), ReadFile(ckpt)};
+      snap.Serialize(),
+      RangeBytes(*source, 5, 11, 0, snap.rounds(), RoundPart::kWhole),
+      ReadFile(ckpt)};
   EXPECT_EQ(inputs[2], inputs[0]) << "a checkpoint is a whole snapshot";
 
   const std::unique_ptr<GraphZeppelin> gz = make({Edge(3, 4)});

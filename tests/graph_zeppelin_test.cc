@@ -377,17 +377,24 @@ std::vector<GraphUpdate> LazyStream(uint64_t seed) {
   return BuildStream(ErdosRenyiGenerator(ep).Generate(), tp).updates;
 }
 
-// The eager capture at `gz`'s position: its whole records, as
-// WriteNodeRangeTo streams them, deserialized.
-GraphSnapshot EagerCapture(GraphZeppelin& gz) {
+// The whole records of nodes [lo, hi) at `gz`'s position, as
+// WriteNodeRangeTo streams them.
+std::vector<uint8_t> RangeBytes(GraphZeppelin& gz, uint64_t lo, uint64_t hi) {
   std::vector<uint8_t> bytes;
   GZ_CHECK_OK(gz.WriteNodeRangeTo(
-      0, gz.sketch_params().num_nodes, 0, gz.sketch_params().rounds,
-      RoundPart::kWhole, [&bytes](const void* data, size_t n) {
+      lo, hi, 0, gz.sketch_params().rounds, RoundPart::kWhole,
+      [&bytes](const void* data, size_t n) {
         const uint8_t* p = static_cast<const uint8_t*>(data);
         bytes.insert(bytes.end(), p, p + n);
         return Status::Ok();
       }));
+  return bytes;
+}
+
+// The eager capture at `gz`'s position: its whole records, deserialized.
+GraphSnapshot EagerCapture(GraphZeppelin& gz) {
+  const std::vector<uint8_t> bytes =
+      RangeBytes(gz, 0, gz.sketch_params().num_nodes);
   return GraphSnapshot::Deserialize(bytes.data(), bytes.size()).value();
 }
 
@@ -459,7 +466,7 @@ TEST_P(LazyCaptureTest, HeldCaptureSurvivesLaterWrites) {
 
   held = gz->Snapshot();
   want = EagerCapture(*gz);
-  const std::vector<uint8_t> range = want.ExtractNodeRange(0, kLazyNodes / 2);
+  const std::vector<uint8_t> range = RangeBytes(*gz, 0, kLazyNodes / 2);
   ASSERT_TRUE(gz->MergeSerialized(range.data(), range.size()).ok());
   EXPECT_FALSE(EagerCapture(*gz) == want);
   EXPECT_TRUE(held == want) << "after MergeSerialized";

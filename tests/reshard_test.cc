@@ -247,8 +247,9 @@ TEST(ReshardReplicationTest, ReconcileUnderALiveRemovalStaysBitwise) {
   for (int i = 0; i < 8; ++i) feed_burst();
 
   ASSERT_TRUE(cluster.BeginRemoveShard(0).ok());
-  ASSERT_EQ(cluster.migration_target(), 1);
   ASSERT_TRUE(cluster.PumpMigration().ok());
+  // Shard 1, the lowest-id survivor, takes the drained state.
+  ASSERT_GT(cluster.pending_delta_count(1), 0u);
   feed_burst();
   ASSERT_TRUE(cluster.PumpMigration().ok());
 

@@ -741,7 +741,8 @@ TEST_F(ServingTierTcpTest, ChunkedParallelPullsStayBitwiseThroughFailover) {
   // Ingest into shard 1 only: the rebuild still pulls both shards.
   std::vector<GraphUpdate> to_shard1;
   for (size_t i = half; i < updates.size() && to_shard1.size() < 8; ++i) {
-    if (cluster.ShardFor(updates[i].edge) == 1) {
+    if (RouteToShard(updates[i].edge, kNumNodes, cluster.routing_table()) ==
+        1) {
       to_shard1.push_back(updates[i]);
     }
   }
@@ -1271,7 +1272,9 @@ TEST_F(ServingTierTcpTest, HeldSnapshotFailsCleanlyOnceTheSessionMovesOn) {
     EXPECT_NE(held.load_status().message().find("outlived"),
               std::string::npos)
         << held.load_status().ToString();
-    EXPECT_EQ(held.LoadAllRounds().code(), StatusCode::kFailedPrecondition);
+    GraphSnapshot toggled = held;
+    EXPECT_EQ(toggled.ToggleEdge(Edge(0, 1)).code(),
+              StatusCode::kFailedPrecondition);
   };
   QuerySession session(qo);
   ASSERT_TRUE(session.Connect().ok());

@@ -560,7 +560,7 @@ TEST_P(ShardClusterTest, KillTargetMidMigrationRestartConverges) {
 
   ASSERT_TRUE(cluster.BeginRemoveShard(2).ok());
   ASSERT_TRUE(cluster.PumpMigration().ok());
-  const int target = cluster.migration_target();
+  const int target = 0;  // The lowest-id survivor takes the drained state.
   cluster.KillReplica(target, 0);  // Installed chunks not yet checkpointed.
   EXPECT_GT(cluster.pending_delta_count(target), 0u);
 
@@ -608,7 +608,8 @@ TEST_P(ShardClusterTest, TargetDiesUndetectedMidRemovalStillConverges) {
   ASSERT_TRUE(cluster.BeginRemoveShard(0).ok());
   ASSERT_TRUE(cluster.PumpMigration().ok());
   ASSERT_TRUE(cluster.Update(updates.data() + 2 * quarter, quarter).ok());
-  const int target = cluster.migration_target();
+  const int target = 1;  // The lowest-id survivor takes the drained state.
+  ASSERT_GT(cluster.pending_delta_count(target), 0u);
   cluster.KillReplica(target, 0, /*observed=*/false);
   // This pump extracts from the healthy source, then fails to install
   // on the dead target; the coordinator must fence the target itself.
@@ -818,13 +819,38 @@ TEST_P(ShardClusterTest, ReplicaKillDrillRepairsWithZeroStreamPause) {
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
+// A fresh directory under the test temp dir, so a scan of it finds only
+// the checkpoint files one cluster writes.
+std::string MakeCheckpointDir(const char* name) {
+  std::string dir = ::testing::TempDir() + "/" + name + "_XXXXXX";
+  GZ_CHECK(::mkdtemp(dir.data()) != nullptr);
+  return dir;
+}
+
+// The published files in `dir` (no .tmp leftovers), sorted.
+std::vector<std::string> CheckpointFiles(const std::string& dir) {
+  std::vector<std::string> files;
+  DIR* d = ::opendir(dir.c_str());
+  GZ_CHECK(d != nullptr);
+  while (const struct dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name[0] == '.' || name.ends_with(".tmp")) continue;
+    files.push_back(dir + "/" + name);
+  }
+  ::closedir(d);
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
 TEST_P(ShardClusterTest, ReconcileDetectsAndRepairsInjectedDivergence) {
-  // Silent corruption drill: fold a rogue delta into one replica
-  // BEHIND the coordinator's books. Folds from the healthy replica are
-  // unaffected; Reconcile() must detect the divergence (the corrupted
-  // copy cannot be a reference — its position disagrees with the
-  // books), repair it chunk-by-chunk, and converge: a second pass
-  // finds nothing, and the repaired replica serves the shard alone.
+  // Silent corruption drill: a checkpoint rots on disk (one body byte
+  // flipped; a checkpoint body carries no checksum) and a replica
+  // restarts from it. The restore lands at the books' position, so only
+  // its content diverges. Folds from the healthy replica are
+  // unaffected; Reconcile() must detect the divergence (the healthy
+  // replica 0 is the reference), repair it chunk-by-chunk, and
+  // converge: a second pass finds nothing, and the repaired replica
+  // serves the shard alone.
   const uint64_t n = 96;
   ErdosRenyiParams ep;
   ep.num_nodes = n;
@@ -837,41 +863,53 @@ TEST_P(ShardClusterTest, ReconcileDetectsAndRepairsInjectedDivergence) {
   ShardClusterOptions options;
   options.replication_factor = 2;
   options.migrate_nodes_per_chunk = 16;
-  ShardCluster cluster(base, 2, MakeOptions(2 * 2, options));
-  ASSERT_TRUE(cluster.Start().ok());
-  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
-
-  // A rogue same-geometry delta nobody logged.
-  GraphZeppelin rogue(base);
-  ASSERT_TRUE(rogue.Init().ok());
-  for (NodeId u = 0; u + 1 < 10; ++u) {
-    rogue.Update({Edge(u, u + 1), UpdateType::kInsert});
-  }
-  const GraphSnapshot rogue_snap = rogue.Snapshot();
-  const std::vector<uint8_t> delta = rogue_snap.ExtractNodeRange(0, n);
-  ASSERT_TRUE(cluster.CorruptReplicaForTest(0, 1, delta).ok());
-
-  // The healthy replica still answers for the shard.
-  const GraphSnapshot expect = SingleProcessSnapshot(base, updates);
+  options.checkpoint_dir = MakeCheckpointDir("gz_rot_ckpt");
   {
+    ShardCluster cluster(base, 2, MakeOptions(2 * 2, options));
+    ASSERT_TRUE(cluster.Start().ok());
+    ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+    ASSERT_TRUE(cluster.Checkpoint().ok());
+
+    // Rot every checkpoint file; only replica (0, 1) restarts from one.
+    for (const std::string& file : CheckpointFiles(options.checkpoint_dir)) {
+      FILE* f = std::fopen(file.c_str(), "r+b");
+      ASSERT_NE(f, nullptr) << file;
+      ASSERT_EQ(std::fseek(f, GraphSnapshot::kHeaderBytes, SEEK_SET), 0);
+      const int byte = std::fgetc(f);
+      ASSERT_NE(byte, EOF) << file;
+      ASSERT_EQ(std::fseek(f, GraphSnapshot::kHeaderBytes, SEEK_SET), 0);
+      ASSERT_EQ(std::fputc(byte ^ 0x01, f), byte ^ 0x01);
+      ASSERT_EQ(std::fclose(f), 0);
+    }
+    cluster.KillReplica(0, 1);
+    {
+      const Status restarted = cluster.RestartReplica(0, 1);
+      ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+    }
+
+    // The healthy replica still answers for the shard.
+    const GraphSnapshot expect = SingleProcessSnapshot(base, updates);
+    {
+      Result<GraphSnapshot> folded = cluster.Snapshot();
+      ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+      EXPECT_TRUE(folded.value() == expect);
+    }
+
+    uint64_t repaired = 0;
+    ASSERT_TRUE(cluster.Reconcile(&repaired).ok());
+    EXPECT_GT(repaired, 0u) << "the injected divergence went undetected";
+    ASSERT_TRUE(cluster.Reconcile(&repaired).ok());
+    EXPECT_EQ(repaired, 0u) << "a repaired cluster must reconcile clean";
+
+    cluster.KillReplica(0, 0);
     Result<GraphSnapshot> folded = cluster.Snapshot();
     ASSERT_TRUE(folded.ok()) << folded.status().ToString();
-    EXPECT_TRUE(folded.value() == expect);
+    EXPECT_EQ(folded.value().num_updates(), updates.size());
+    EXPECT_TRUE(folded.value() == expect)
+        << "the repaired replica's content still diverges";
+    ASSERT_TRUE(cluster.Shutdown().ok());
   }
-
-  uint64_t repaired = 0;
-  ASSERT_TRUE(cluster.Reconcile(&repaired).ok());
-  EXPECT_GT(repaired, 0u) << "the injected divergence went undetected";
-  ASSERT_TRUE(cluster.Reconcile(&repaired).ok());
-  EXPECT_EQ(repaired, 0u) << "a repaired cluster must reconcile clean";
-
-  cluster.KillReplica(0, 0);
-  Result<GraphSnapshot> folded = cluster.Snapshot();
-  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
-  EXPECT_EQ(folded.value().num_updates(), updates.size());
-  EXPECT_TRUE(folded.value() == expect)
-      << "the repaired replica's content still diverges";
-  ASSERT_TRUE(cluster.Shutdown().ok());
+  ::rmdir(options.checkpoint_dir.c_str());
 }
 
 TEST_P(ShardClusterTest, ReconcileIsANoOpOnAHealthyUnreplicatedCluster) {
@@ -924,9 +962,9 @@ TEST_P(ShardClusterTest, ReplicaCursorsDivergeOverOneSharedLog) {
   ASSERT_TRUE(cluster.Checkpoint().ok());  // Both replicas commit P1.
   ASSERT_TRUE(cluster.Update(updates.data() + p1, p2 - p1).ok());
   ASSERT_TRUE(cluster.BeginRemoveShard(0).ok());
-  ASSERT_EQ(cluster.migration_target(), 1);  // Shard 1 gets the deltas.
   ASSERT_TRUE(cluster.PumpMigration().ok());
-  EXPECT_GT(cluster.pending_delta_count(1), 0u);
+  // Shard 1, the lowest-id survivor, gets the deltas.
+  ASSERT_GT(cluster.pending_delta_count(1), 0u);
 
   // Replica 1 rejoins from empty and commits its own checkpoint at P2;
   // replica 0's cursor stays at P1 and pins the log.
@@ -972,29 +1010,6 @@ TEST_P(ShardClusterTest, ReplicaCursorsDivergeOverOneSharedLog) {
   EXPECT_EQ(cluster.unacked_updates(1), 0u);
   EXPECT_EQ(cluster.pending_delta_count(1), 0u);
   ASSERT_TRUE(cluster.Shutdown().ok());
-}
-
-// A fresh directory under the test temp dir, so a scan of it finds only
-// the checkpoint files one cluster writes.
-std::string MakeCheckpointDir(const char* name) {
-  std::string dir = ::testing::TempDir() + "/" + name + "_XXXXXX";
-  GZ_CHECK(::mkdtemp(dir.data()) != nullptr);
-  return dir;
-}
-
-// The published files in `dir` (no .tmp leftovers), sorted.
-std::vector<std::string> CheckpointFiles(const std::string& dir) {
-  std::vector<std::string> files;
-  DIR* d = ::opendir(dir.c_str());
-  GZ_CHECK(d != nullptr);
-  while (const struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name[0] == '.' || name.ends_with(".tmp")) continue;
-    files.push_back(dir + "/" + name);
-  }
-  ::closedir(d);
-  std::sort(files.begin(), files.end());
-  return files;
 }
 
 TEST_P(ShardClusterTest, CheckpointIsAPlainSnapshotFile) {

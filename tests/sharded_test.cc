@@ -48,10 +48,10 @@ TEST(ShardedTest, ShardRoutingDeterministicAndBounded) {
   ShardCluster sharded(BaseConfig(64, 1), 4);
   for (NodeId u = 0; u < 20; ++u) {
     const Edge e(u, static_cast<NodeId>(u + 10));
-    const int shard = sharded.ShardFor(e);
+    const int shard = RouteToShard(e, 64, sharded.routing_table());
     EXPECT_GE(shard, 0);
     EXPECT_LT(shard, 4);
-    EXPECT_EQ(shard, sharded.ShardFor(e));
+    EXPECT_EQ(shard, RouteToShard(e, 64, sharded.routing_table()));
   }
 }
 
@@ -60,7 +60,7 @@ TEST(ShardedTest, RoutingRoughlyBalanced) {
   int counts[4] = {0, 0, 0, 0};
   for (NodeId u = 0; u < 255; ++u) {
     for (NodeId v = u + 1; v < 256; v += 17) {
-      ++counts[sharded.ShardFor(Edge(u, v))];
+      ++counts[RouteToShard(Edge(u, v), 256, sharded.routing_table())];
     }
   }
   int total = counts[0] + counts[1] + counts[2] + counts[3];
@@ -79,7 +79,8 @@ TEST(ShardedTest, RoutingIdenticalAcrossSubstrates) {
                        OnSubstrate(Substrate::kProcess, 5));
   for (NodeId u = 0; u < 60; ++u) {
     const Edge e(u, static_cast<NodeId>(u + 13));
-    EXPECT_EQ(thread.ShardFor(e), process.ShardFor(e));
+    EXPECT_EQ(RouteToShard(e, 128, thread.routing_table()),
+              RouteToShard(e, 128, process.routing_table()));
   }
 }
 
@@ -103,8 +104,8 @@ TEST(ShardedTest, RoutingIsPureFunctionOfTableAcrossSubstratesAndReshards) {
     for (NodeId u = 0; u < 80; ++u) {
       const Edge e(u, static_cast<NodeId>(u + 11));
       const int expect = RouteToShard(e, n, thread->routing_table());
-      EXPECT_EQ(thread->ShardFor(e), expect) << step;
-      EXPECT_EQ(process->ShardFor(e), expect) << step;
+      EXPECT_EQ(RouteToShard(e, n, process->routing_table()), expect)
+          << step;
     }
   };
   check_agreement("initial");

@@ -244,39 +244,58 @@ TEST_P(SketchStoreTest, CapturesDroppedOnAnotherThreadWhileMerging) {
   EXPECT_TRUE(store->Capture(0) == GraphSnapshot(expect, 0));
 }
 
+// Where `snap` holds node 1's sketch bytes: the sketch's identity, since
+// a clone moves them to a new block and an in-place write does not.
+const uint8_t* Node1Bytes(const GraphSnapshot& snap) {
+  GraphSnapshot::RoundView view;
+  GZ_CHECK_OK(snap.Round(0, snap.num_nodes(), nullptr, &view));
+  return view.node(1);
+}
+
+// A capture at position 0 of `num_nodes` empty sketches but node 1's.
+GraphSnapshot WithNode1(const NodeSketchParams& params, uint64_t num_nodes,
+                        const NodeSketch& node1) {
+  std::vector<NodeSketch> sketches(num_nodes, NodeSketch(params));
+  sketches[1] = node1;
+  return GraphSnapshot(std::move(sketches), 0);
+}
+
 TEST(InMemorySketchStoreTest, ClonesANodeOnlyWhileItIsShared) {
   // Copy-on-write, observed through object identity, for both write
   // paths (MergeDelta and ApplyBatch): a write to a node nobody else
-  // holds lands in place; a write to a held node moves the store to a
-  // clone and leaves the holder's object alone.
+  // holds lands in place; a write to a node a capture holds moves the
+  // store to a clone and leaves the capture's object alone.
   InMemorySketchStore store(MakeParams(4, 12));
   const NodeSketchParams real = store.params();
-  const NodeSketch* before = &*store.Share(1);  // Handle dropped at once.
+  const uint8_t* before = Node1Bytes(store.Capture(0));  // Dropped at once.
   store.MergeDelta(1, SketchOf(real, {3}));
-  EXPECT_EQ(&*store.Share(1), before) << "unshared node was cloned";
+  EXPECT_EQ(Node1Bytes(store.Capture(0)), before) << "unshared node was cloned";
   const uint64_t four = 4;
   store.ApplyBatch(1, &four, 1);
-  EXPECT_EQ(&*store.Share(1), before) << "unshared node was cloned";
+  EXPECT_EQ(Node1Bytes(store.Capture(0)), before) << "unshared node was cloned";
 
-  const CowSketch held = store.Share(1);
+  const GraphSnapshot held = store.Capture(0);
   store.MergeDelta(1, SketchOf(real, {5}));
-  EXPECT_EQ(&*held, before);
-  const NodeSketch* clone = &*store.Share(1);
+  EXPECT_EQ(Node1Bytes(held), before);
+  const uint8_t* clone = Node1Bytes(store.Capture(0));
   EXPECT_NE(clone, before) << "shared node was written in place";
-  EXPECT_EQ(*held, SketchOf(real, {3, 4}));
-  EXPECT_EQ(*store.Share(1), SketchOf(real, {3, 4, 5}));
+  EXPECT_TRUE(held == WithNode1(real, 4, SketchOf(real, {3, 4})));
+  EXPECT_TRUE(store.Capture(0) ==
+              WithNode1(real, 4, SketchOf(real, {3, 4, 5})));
 
   // ApplyBatch into a held node: the clone is shared with a fresh
-  // handle, so the write clones again and both holders stay unchanged.
-  const CowSketch held_clone = store.Share(1);
+  // capture, so the write clones again and both holders stay unchanged.
+  const GraphSnapshot held_clone = store.Capture(0);
   const uint64_t two = 2;
   store.ApplyBatch(1, &two, 1);
-  EXPECT_EQ(&*held, before);
-  EXPECT_EQ(&*held_clone, clone);
-  EXPECT_NE(&*store.Share(1), clone) << "shared node was written in place";
-  EXPECT_EQ(*held, SketchOf(real, {3, 4}));
-  EXPECT_EQ(*held_clone, SketchOf(real, {3, 4, 5}));
-  EXPECT_EQ(*store.Share(1), SketchOf(real, {3, 4, 5, 2}));
+  EXPECT_EQ(Node1Bytes(held), before);
+  EXPECT_EQ(Node1Bytes(held_clone), clone);
+  EXPECT_NE(Node1Bytes(store.Capture(0)), clone)
+      << "shared node was written in place";
+  EXPECT_TRUE(held == WithNode1(real, 4, SketchOf(real, {3, 4})));
+  EXPECT_TRUE(held_clone == WithNode1(real, 4, SketchOf(real, {3, 4, 5})));
+  EXPECT_TRUE(store.Capture(0) ==
+              WithNode1(real, 4, SketchOf(real, {3, 4, 5, 2})));
 }
 
 TEST(OnDiskSketchStoreTest, DiskByteSizeMatchesRecords) {

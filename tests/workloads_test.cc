@@ -191,12 +191,6 @@ TEST(WindowIngestorTest, MatchesExplicitLastWindowGroundTruth) {
     }
   }
   EXPECT_EQ(window.observations(), 400u);
-  // Drain: the stream ended, the window decays to empty.
-  window.ExpireAll();
-  const ConnectivityResult empty = Connectivity(gz.Snapshot(), 1);
-  ASSERT_FALSE(empty.failed);
-  EXPECT_EQ(empty.num_components, n);
-  EXPECT_EQ(window.live_edges(), 0u);
 }
 
 TEST(WindowIngestorTest, ReobservationRefreshesWithoutToggling) {
@@ -231,16 +225,16 @@ TEST(WindowIngestorTest, ReobservationRefreshesWithoutToggling) {
 }
 
 TEST(WindowIngestorTest, MixedInsertAndExpiryDeleteSlabFoldsToEmpty) {
-  // The satellite regression: one emitted slab may carry an edge's
-  // insert AND its own expiry delete (short window, long span). Pushed
-  // through the pooled batch pipeline as a single span, the slab must
-  // fold to the empty sketch — XOR cancellation inside one batch.
+  // The regression: one emitted slab may carry an edge's insert AND
+  // its own expiry delete (short window, long span). Pushed through the
+  // pooled batch pipeline as a single span, every expired edge must
+  // fold to nothing — XOR cancellation inside one batch — leaving only
+  // the window's one live edge.
   const uint64_t n = 16;
   std::vector<GraphUpdate> slab;
   WindowIngestorParams wp;
   wp.num_nodes = n;
   wp.window = 1;  // Every new observation expires the previous one.
-  wp.emit_span = 1024;  // Nothing flushes early: ONE slab at the end.
   size_t sink_calls = 0;
   WindowIngestor window(wp, [&](const GraphUpdate* u, size_t c) {
     ++sink_calls;
@@ -249,9 +243,10 @@ TEST(WindowIngestorTest, MixedInsertAndExpiryDeleteSlabFoldsToEmpty) {
   window.Observe(Edge(0, 1));
   window.Observe(Edge(2, 3));
   window.Observe(Edge(4, 5));
-  window.ExpireAll();
+  window.Observe(Edge(6, 7));  // Expires (4,5); (6,7) stays live.
+  window.Flush();  // Nothing flushed early: ONE slab.
   ASSERT_EQ(sink_calls, 1u);
-  ASSERT_EQ(slab.size(), 6u);  // 3 inserts + 3 expiry deletes, mixed.
+  ASSERT_EQ(slab.size(), 7u);  // 4 inserts + 3 expiry deletes, mixed.
 
   // The precondition this test exists for: the same edge's insert and
   // delete live in the SAME slab.
@@ -268,9 +263,10 @@ TEST(WindowIngestorTest, MixedInsertAndExpiryDeleteSlabFoldsToEmpty) {
   gz.Update(slab.data(), slab.size());  // One span -> batch pipeline.
   GraphZeppelin fresh(BaseConfig(n, 61));
   ASSERT_TRUE(fresh.Init().ok());
-  // Sketch content identical to the never-touched instance. (The
-  // update COUNTS differ by construction — 6 vs 0 — so compare the
-  // sketches, which is what "folds to the empty sketch" means.)
+  fresh.Update({Edge(6, 7), UpdateType::kInsert});
+  // Sketch content identical to an instance that only saw the live
+  // edge. (The update COUNTS differ by construction — 7 vs 1 — so
+  // compare the sketches: the expired edges folded to empty.)
   EXPECT_TRUE(SameSketchContent(gz.Snapshot(), fresh.Snapshot()));
 }
 

@@ -38,6 +38,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -94,40 +95,62 @@ const char* KindName(gz::StandingQueryKind kind) {
   return "unknown";
 }
 
-// The streaming watch loop: registers the requested standing queries,
-// starts the watcher (push-notified unless --no-subscribe), and prints
-// one JSON line per notification. Exits 0 when a bound (--watch-max /
-// --watch-duration / SIGINT) ends the watch, 2 when no watch was
-// requested.
-int RunWatch(const gz::tools::Flags& flags, gz::QuerySession* session) {
+// A node id: decimal digits only, so "a" or "-1" is refused instead of
+// being read as 0 or wrapped.
+bool ParseNodeId(const std::string& text, gz::NodeId* out) {
+  if (text.empty() || text.size() > 10 ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+  if (value > std::numeric_limits<gz::NodeId>::max()) return false;
+  *out = static_cast<gz::NodeId>(value);
+  return true;
+}
+
+// The standing queries the --watch-* flags ask for. False, with a
+// message, when a --watch-connected entry is not U:V of two node ids or
+// no query was asked for.
+bool ParseWatchSpecs(const gz::tools::Flags& flags,
+                     std::vector<gz::StandingQuerySpec>* specs) {
   using namespace gz;
-  std::vector<StandingQuerySpec> specs;
   for (const std::string& pair :
        tools::SplitCommaList(flags.GetString("watch-connected", ""))) {
     const size_t colon = pair.find(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "gz_query: --watch-connected wants U:V, got %s\n",
-                   pair.c_str());
-      return 2;
-    }
     StandingQuerySpec spec;
     spec.kind = StandingQueryKind::kConnected;
-    spec.u = static_cast<NodeId>(std::atoll(pair.substr(0, colon).c_str()));
-    spec.v = static_cast<NodeId>(std::atoll(pair.substr(colon + 1).c_str()));
-    specs.push_back(spec);
+    if (colon == std::string::npos ||
+        !ParseNodeId(pair.substr(0, colon), &spec.u) ||
+        !ParseNodeId(pair.substr(colon + 1), &spec.v)) {
+      std::fprintf(stderr, "gz_query: --watch-connected wants U:V, got %s\n",
+                   pair.c_str());
+      return false;
+    }
+    specs->push_back(spec);
   }
   if (flags.GetBool("watch-count", false)) {
-    specs.push_back({StandingQueryKind::kComponentCount, 0, 0});
+    specs->push_back({StandingQueryKind::kComponentCount, 0, 0});
   }
   if (flags.GetBool("watch-forest", false)) {
-    specs.push_back({StandingQueryKind::kSpanningForest, 0, 0});
+    specs->push_back({StandingQueryKind::kSpanningForest, 0, 0});
   }
-  if (specs.empty()) {
+  if (specs->empty()) {
     std::fprintf(stderr,
                  "gz_query: --watch needs at least one of --watch-count, "
                  "--watch-forest, --watch-connected\n");
-    return 2;
+    return false;
   }
+  return true;
+}
+
+// The streaming watch loop: registers `specs`, starts the watcher
+// (push-notified unless --no-subscribe), and prints one JSON line per
+// notification. Exits 0 when a bound (--watch-max / --watch-duration /
+// SIGINT) ends the watch.
+int RunWatch(const gz::tools::Flags& flags,
+             const std::vector<gz::StandingQuerySpec>& specs,
+             gz::QuerySession* session) {
+  using namespace gz;
   for (const StandingQuerySpec& spec : specs) {
     session->AddStandingQuery(spec);
   }
@@ -231,12 +254,13 @@ int main(int argc, char** argv) {
   const std::string secret = tools::ResolveAuthSecret(flags, "gz_query");
   const int threads = static_cast<int>(flags.GetInt("threads", 0));
   const bool json = flags.GetBool("json", false);
+  const bool watch = flags.GetBool("watch", false);
+  std::vector<StandingQuerySpec> watch_specs;
+  if (watch && !ParseWatchSpecs(flags, &watch_specs)) return 2;
 
   std::unique_ptr<QuerySession> session = Dial(endpoints, secret, "primal");
 
-  if (flags.GetBool("watch", false)) {
-    return RunWatch(flags, session.get());
-  }
+  if (watch) return RunWatch(flags, watch_specs, session.get());
 
   WallTimer refresh_timer;
   const GraphSnapshot* snap = nullptr;
