@@ -13,8 +13,8 @@ namespace {
 
 // Shared by checkpoint files and network frames; bump the trailing
 // version digits on layout changes. GZSNAP02 had no round window,
-// GZSNAP03 no part.
-constexpr char kMagic[8] = {'G', 'Z', 'S', 'N', 'A', 'P', '0', '4'};
+// GZSNAP03 no part, GZSNAP04 stored cumulative column buckets.
+constexpr char kMagic[8] = {'G', 'Z', 'S', 'N', 'A', 'P', '0', '5'};
 constexpr size_t kVersionDigits = 2;
 static_assert(GraphSnapshot::kHeaderBytes ==
                   sizeof(kMagic) +

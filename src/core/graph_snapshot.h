@@ -189,7 +189,7 @@ class GraphSnapshot {
   // records of the nodes [lo, hi), each holding `part` of the rounds
   // [r_lo, r_hi).
   //
-  //   header  magic "GZSNAP04" | u64 num_nodes | u64 seed | i32 cols |
+  //   header  magic "GZSNAP05" | u64 num_nodes | u64 seed | i32 cols |
   //           i32 rounds | u64 lo | u64 hi | u64 num_updates |
   //           i32 r_lo | i32 r_hi | u32 part
   //   body    hi - lo records of (r_hi - r_lo) * unit bytes: round
@@ -203,8 +203,8 @@ class GraphSnapshot {
   // the producer's stream position when the bytes were written; only
   // whole-snapshot loads adopt it, and range folds never touch counts
   // (stream positions stay with the instance that ingested the
-  // updates). Bytes with an older magic (GZSNAP03, GZSNAP02, GZSNAP01)
-  // are refused with InvalidArgument.
+  // updates). Bytes with an older magic (GZSNAP04 to GZSNAP01) are
+  // refused with InvalidArgument.
   static constexpr size_t kHeaderBytes = 68;
   static size_t SerializedSizeFor(const NodeSketchParams& params, uint64_t lo,
                                   uint64_t hi);

@@ -160,7 +160,7 @@ class GraphZeppelin {
   // overwrites this instance's sketch state with such a file, streamed
   // record by record into the store, and adopts its update count; a
   // params mismatch is an InvalidArgument. These are the two ways
-  // GZSNAP04 bytes come in: a whole file here, any node range of whole
+  // GZSNAP05 bytes come in: a whole file here, any node range of whole
   // records through MergeSerialized.
   Status SaveCheckpoint(const std::string& path);
   Status LoadCheckpoint(const std::string& path);

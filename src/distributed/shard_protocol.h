@@ -6,7 +6,7 @@
 // learn where the bytes come from; everything transport-specific —
 // framing integrity, peer authentication — lives here.
 //
-// Frame (v10) = 16-byte header (magic, version, message type, payload
+// Frame (v11) = 16-byte header (magic, version, message type, payload
 // bytes) + payload + a 4-byte CRC32C trailer over header AND payload.
 // The receiver verifies the checksum before any payload decode; a
 // mismatch is a Status error and, because the stream can no longer be
@@ -78,7 +78,7 @@ enum class ShardMessageType : uint16_t {
   kMergeDelta = 14,      // Serialized node range; shard XOR-folds it
                          // in. Reply: kAck{num_updates, delta_seq}.
   kMigrateData = 15,     // Shard -> client: the serialized range
-                         // (GraphSnapshot byte format, GZSNAP04).
+                         // (GraphSnapshot byte format, GZSNAP05).
   // Handshake (first frames on every connection; see Client/Server
   // Handshake below).
   kHello = 16,      // Client -> shard: 16-byte client nonce, optionally
@@ -146,8 +146,9 @@ struct ShardFrameHeader {
   // v10: MIGRATE_EXTRACT names a part too, and sketch state travels as
   // GZSNAP04 ranges that carry it, so a reader pulls every round's
   // deterministic buckets first and a whole round only when a query
-  // needs it.
-  static constexpr uint16_t kVersion = 10;
+  // needs it. v11: sketch state travels as GZSNAP05 ranges, whose
+  // column buckets are stored at their exact depth.
+  static constexpr uint16_t kVersion = 11;
   static constexpr size_t kBytes = 16;
   // CRC32C over header + payload, appended after the payload.
   static constexpr size_t kCrcBytes = 4;

@@ -114,17 +114,22 @@ ColumnSamples SketchLayout::SampleColumns(int round, const uint8_t* slice,
   const uint64_t* gamma_seeds = col_seeds(round) + cols_;
 
   // Scan each column from the deepest (sparsest) row upward: deep rows
-  // are the most likely to hold a single survivor. The first verified
-  // bucket is the column's one sample.
+  // are the most likely to hold a single survivor. Stored row r holds
+  // the updates of depth exactly r, so the paper's bucket r is the
+  // running XOR of the rows passed so far. The first verified bucket is
+  // the column's one sample.
   int count = 0;
   for (int c = 0; c < cols_ && count < max_out; ++c) {
+    const size_t col = static_cast<size_t>(c) * rows_;
+    uint64_t alpha = 0;
+    uint32_t gamma = 0;
     for (int r = rows_ - 1; r >= 0; --r) {
-      const size_t b = static_cast<size_t>(c) * rows_ + r;
-      const uint64_t alpha = alphas[b];
+      alpha ^= alphas[col + r];
+      gamma ^= gammas[col + r];
       if (alpha == 0 || alpha > vector_len_) continue;
       const uint32_t expect =
           static_cast<uint32_t>(XxHash64Word(alpha, gamma_seeds[c]));
-      if (expect == gammas[b]) {
+      if (expect == gamma) {
         out[count++] = alpha - 1;
         break;
       }

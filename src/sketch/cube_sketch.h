@@ -5,11 +5,17 @@
 // of XORs.
 //
 // Geometry: `cols` independent columns (default 7, from delta = 1/100);
-// each column has ceil(log2(n)) + 1 geometric rows. An update to vector
-// index i lands in rows 0..z of column c, where z is the number of
-// trailing zero bits of h1_c(i). One extra deterministic bucket receives
-// every update and is used both for O(1) recovery of singleton vectors
-// and for zero-vector detection.
+// each column has ceil(log2(n)) + 1 geometric rows. In the paper an
+// update to vector index i lands in rows 0..z of column c, where z is
+// the number of trailing zero bits of h1_c(i). Here it is stored once,
+// in row z alone (z capped at rows - 1): stored row r is the XOR of the
+// updates of depth exactly r, and the paper's bucket r is the XOR of
+// stored rows r..rows-1, which the sampler forms as it scans a column
+// from the deepest row up. The map is fixed and invertible, so merges,
+// linearity and every sample are the paper's; an update costs one XOR
+// per column. One extra deterministic bucket receives every update and
+// is used both for O(1) recovery of singleton vectors and for
+// zero-vector detection.
 //
 // Storage: one flat bucket block per sketch, laid out by a SketchLayout
 // that every sketch of one vector family shares. A NodeSketch

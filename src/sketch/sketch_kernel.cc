@@ -1,5 +1,6 @@
 #include "sketch/sketch_kernel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -28,17 +29,12 @@ inline void UpdateOneScalar(const CubeSketchKernelArgs& a, uint64_t idx) {
 
   for (int c = 0; c < a.cols; ++c) {
     const uint64_t h = XxHash64Word(enc, a.col_seeds[c]);
-    // Rows 0..z where z = number of trailing zero bits of h (capped).
-    int depth = (h == 0) ? a.rows - 1 : std::countr_zero(h);
-    if (depth > a.rows - 1) depth = a.rows - 1;
-    const uint32_t checksum =
-        static_cast<uint32_t>(XxHash64Word(enc, a.gamma_seeds[c]));
-    uint64_t* alpha = a.alphas + static_cast<size_t>(c) * a.rows;
-    uint32_t* gamma = a.gammas + static_cast<size_t>(c) * a.rows;
-    for (int r = 0; r <= depth; ++r) {
-      alpha[r] ^= enc;
-      gamma[r] ^= checksum;
-    }
+    // Row z = number of trailing zero bits of h, capped at rows - 1
+    // (countr_zero(0) = 64 >= rows - 1, so h == 0 saturates too).
+    const int depth = std::min(std::countr_zero(h), a.rows - 1);
+    const size_t b = static_cast<size_t>(c) * a.rows + depth;
+    a.alphas[b] ^= enc;
+    a.gammas[b] ^= static_cast<uint32_t>(XxHash64Word(enc, a.gamma_seeds[c]));
   }
 }
 
@@ -56,29 +52,16 @@ void UpdateBatchScalar(const CubeSketchKernelArgs& a) {
 
 // ---- SIMD kernels ----------------------------------------------------
 //
-// Two amortizations over the scalar path:
+// Hashes in lanes: per lane group (4 under AVX2, 8 under AVX-512) one
+// placement hash, one checksum hash, and one capped-tzcnt per column are
+// computed in SIMD instead of per update. Each lane then XORs once into
+// its column's bucket at that depth, as the scalar path does; the
+// scatter is one branchless store per lane, so it stays scalar.
 //
-//  1. Hashes in lanes: per lane group (4 under AVX2, 8 under AVX-512)
-//     one placement hash, one checksum hash, and one capped-tzcnt per
-//     column are computed in SIMD instead of per update.
-//
-//  2. Scatter via a depth-indexed difference accumulator: the scalar
-//     path XORs rows 0..depth per update — a data-dependent inner loop
-//     whose branch mispredicts on every geometric depth draw. Since
-//     bucket row r receives exactly the XOR of all updates with
-//     depth >= r, each update instead XORs once into diff[depth]
-//     (branchless), and one suffix-XOR sweep per column folds the
-//     whole batch into the bucket rows. Pure XOR reassociation:
-//     bit-identical to the scalar writes.
-//
-// Truncating checksums to 32 bits commutes with XOR, so the diff and
-// det accumulators fold full 64-bit lanes and truncate at the end.
-
-// rows = bit_width(vector_len - 1) + 1 <= 65.
-constexpr int kMaxRows = 65;
+// Truncating checksums to 32 bits commutes with XOR, so the det
+// accumulators fold full 64-bit lanes and truncate at the end.
 
 GZ_TARGET_AVX2 void UpdateBatchAvx2(const CubeSketchKernelArgs& a) {
-  GZ_CHECK(a.rows <= kMaxRows);
   const __m256i one = _mm256_set1_epi64x(1);
   const __m256i cap = _mm256_set1_epi64x(a.rows - 1);
   const size_t main = a.count & ~static_cast<size_t>(3);
@@ -106,12 +89,10 @@ GZ_TARGET_AVX2 void UpdateBatchAvx2(const CubeSketchKernelArgs& a) {
   alignas(32) uint64_t enc_lanes[4];
   alignas(32) uint64_t depth_lanes[4];
   alignas(32) uint64_t chk_lanes[4];
-  uint64_t diff_alpha[kMaxRows];
-  uint64_t diff_gamma[kMaxRows];
 
   for (int c = 0; c < a.cols; ++c) {
-    std::memset(diff_alpha, 0, sizeof(uint64_t) * a.rows);
-    std::memset(diff_gamma, 0, sizeof(uint64_t) * a.rows);
+    uint64_t* alpha = a.alphas + static_cast<size_t>(c) * a.rows;
+    uint32_t* gamma = a.gammas + static_cast<size_t>(c) * a.rows;
     for (size_t i = 0; i < main; i += 4) {
       const __m256i enc = _mm256_add_epi64(
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.indices + i)),
@@ -124,19 +105,9 @@ GZ_TARGET_AVX2 void UpdateBatchAvx2(const CubeSketchKernelArgs& a) {
       _mm256_store_si256(reinterpret_cast<__m256i*>(chk_lanes), chk);
       for (int lane = 0; lane < 4; ++lane) {
         const uint64_t d = depth_lanes[lane];
-        diff_alpha[d] ^= enc_lanes[lane];
-        diff_gamma[d] ^= chk_lanes[lane];
+        alpha[d] ^= enc_lanes[lane];
+        gamma[d] ^= static_cast<uint32_t>(chk_lanes[lane]);
       }
-    }
-    uint64_t* alpha = a.alphas + static_cast<size_t>(c) * a.rows;
-    uint32_t* gamma = a.gammas + static_cast<size_t>(c) * a.rows;
-    uint64_t acc_alpha = 0;
-    uint64_t acc_gamma = 0;
-    for (int r = a.rows - 1; r >= 0; --r) {
-      acc_alpha ^= diff_alpha[r];
-      acc_gamma ^= diff_gamma[r];
-      alpha[r] ^= acc_alpha;
-      gamma[r] ^= static_cast<uint32_t>(acc_gamma);
     }
   }
 
@@ -144,7 +115,6 @@ GZ_TARGET_AVX2 void UpdateBatchAvx2(const CubeSketchKernelArgs& a) {
 }
 
 GZ_TARGET_AVX512 void UpdateBatchAvx512(const CubeSketchKernelArgs& a) {
-  GZ_CHECK(a.rows <= kMaxRows);
   const __m512i one = _mm512_set1_epi64(1);
   const __m512i cap = _mm512_set1_epi64(a.rows - 1);
   const size_t main = a.count & ~static_cast<size_t>(7);
@@ -174,12 +144,10 @@ GZ_TARGET_AVX512 void UpdateBatchAvx512(const CubeSketchKernelArgs& a) {
   alignas(64) uint64_t enc_lanes[8];
   alignas(64) uint64_t depth_lanes[8];
   alignas(64) uint64_t chk_lanes[8];
-  uint64_t diff_alpha[kMaxRows];
-  uint64_t diff_gamma[kMaxRows];
 
   for (int c = 0; c < a.cols; ++c) {
-    std::memset(diff_alpha, 0, sizeof(uint64_t) * a.rows);
-    std::memset(diff_gamma, 0, sizeof(uint64_t) * a.rows);
+    uint64_t* alpha = a.alphas + static_cast<size_t>(c) * a.rows;
+    uint32_t* gamma = a.gammas + static_cast<size_t>(c) * a.rows;
     for (size_t i = 0; i < main; i += 8) {
       const __m512i enc = _mm512_add_epi64(
           _mm512_loadu_si512(reinterpret_cast<const void*>(a.indices + i)),
@@ -192,19 +160,9 @@ GZ_TARGET_AVX512 void UpdateBatchAvx512(const CubeSketchKernelArgs& a) {
       _mm512_store_si512(reinterpret_cast<void*>(chk_lanes), chk);
       for (int lane = 0; lane < 8; ++lane) {
         const uint64_t d = depth_lanes[lane];
-        diff_alpha[d] ^= enc_lanes[lane];
-        diff_gamma[d] ^= chk_lanes[lane];
+        alpha[d] ^= enc_lanes[lane];
+        gamma[d] ^= static_cast<uint32_t>(chk_lanes[lane]);
       }
-    }
-    uint64_t* alpha = a.alphas + static_cast<size_t>(c) * a.rows;
-    uint32_t* gamma = a.gammas + static_cast<size_t>(c) * a.rows;
-    uint64_t acc_alpha = 0;
-    uint64_t acc_gamma = 0;
-    for (int r = a.rows - 1; r >= 0; --r) {
-      acc_alpha ^= diff_alpha[r];
-      acc_gamma ^= diff_gamma[r];
-      alpha[r] ^= acc_alpha;
-      gamma[r] ^= static_cast<uint32_t>(acc_gamma);
     }
   }
 

@@ -1,14 +1,13 @@
 // Batched sketch-update kernel with runtime SIMD dispatch.
 //
 // The ingest hot loop is sketch-bound: every update costs
-// (cols + 1) * rounds XxHash64Word calls plus a short XOR scatter, all
+// (cols + 1) * rounds XxHash64Word calls plus one bucket XOR each, all
 // of which the seed implementation ran scalar, one update at a time.
 // This kernel amortizes the hashing over a lane group of updates —
 // 4 lanes under AVX2, 8 under AVX-512 — computing placement hashes,
 // bucket depths (trailing zeros) and checksums in SIMD, and only then
-// performing the scalar scatter-XOR into bucket rows (scatters are
-// short, depth-dependent, and XOR-commutative, so vectorizing them
-// buys nothing).
+// XORing each update into its one bucket per column, the row at its
+// depth (cube_sketch.h), with scalar stores.
 //
 // Every kernel is bitwise-identical to the scalar path: same hash
 // function, same bucket algebra — only the evaluation order of XORs

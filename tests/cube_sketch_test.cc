@@ -2,12 +2,17 @@
 // probability, per-column sampling, serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <set>
 #include <tuple>
 #include <vector>
 
+#include "cumulative_buckets.h"
 #include "sketch/cube_sketch.h"
 #include "util/random.h"
+#include "util/xxhash.h"
 
 namespace gz {
 namespace {
@@ -260,6 +265,147 @@ TEST(CubeSketchColumnSampleTest, IdenticalForScalarAndDispatchedKernel) {
     EXPECT_EQ(SampleColumns(scalar, &scalar_kind),
               SampleColumns(dispatched, &dispatched_kind));
     EXPECT_EQ(scalar_kind, dispatched_kind);
+  }
+}
+
+// --- Exact-depth storage against the paper's cumulative buckets ----------
+
+// A test-only copy of the paper's CubeSketch (Section 3.1) as this repo
+// stored it through GZSNAP04: an update whose depth in column c is z is
+// XORed into rows 0..z, in the serialized round layout, with
+// SketchLayout's seed derivation. Sample() is the bucket scan over those
+// buckets: the deterministic bucket, else each column's deepest
+// verified bucket.
+class CumulativeOracle {
+ public:
+  explicit CumulativeOracle(const CubeSketchParams& p)
+      : vector_len_(p.vector_len),
+        cols_(p.cols),
+        rows_(SketchLayout(p.vector_len, p.cols, {p.seed}).rows()),
+        bytes_(SketchLayout::RoundBytes(p.vector_len, p.cols), 0) {
+    for (int c = 0; c < cols_; ++c) {
+      col_seeds_.push_back(XxHash64Word(0x636f6c5f73656564ULL + c, p.seed));
+    }
+    for (int c = 0; c < cols_; ++c) {
+      gamma_seeds_.push_back(
+          XxHash64Word(0x67616d6d615f7364ULL + c, p.seed));
+    }
+    det_seed_ = XxHash64Word(0x6465745f73656564ULL, p.seed);
+  }
+
+  void Update(uint64_t idx) {
+    const uint64_t enc = idx + 1;
+    const size_t det = static_cast<size_t>(cols_) * rows_;
+    Toggle(det, enc, XxHash64Word(enc, det_seed_));
+    for (int c = 0; c < cols_; ++c) {
+      const uint64_t h = XxHash64Word(enc, col_seeds_[c]);
+      const int depth = std::min(std::countr_zero(h), rows_ - 1);
+      const uint64_t checksum = XxHash64Word(enc, gamma_seeds_[c]);
+      for (int r = 0; r <= depth; ++r) {
+        Toggle(static_cast<size_t>(c) * rows_ + r, enc, checksum);
+      }
+    }
+  }
+
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+
+  std::vector<uint64_t> Sample(SampleKind* kind) const {
+    const size_t det = static_cast<size_t>(cols_) * rows_;
+    uint64_t alpha;
+    uint32_t gamma;
+    Bucket(det, &alpha, &gamma);
+    if (alpha == 0 && gamma == 0) {
+      *kind = SampleKind::kZero;
+      return {};
+    }
+    *kind = SampleKind::kGood;
+    if (alpha != 0 && alpha <= vector_len_ &&
+        static_cast<uint32_t>(XxHash64Word(alpha, det_seed_)) == gamma) {
+      return {alpha - 1};
+    }
+    std::vector<uint64_t> picks;
+    for (int c = 0; c < cols_; ++c) {
+      for (int r = rows_ - 1; r >= 0; --r) {
+        Bucket(static_cast<size_t>(c) * rows_ + r, &alpha, &gamma);
+        if (alpha != 0 && alpha <= vector_len_ &&
+            static_cast<uint32_t>(XxHash64Word(alpha, gamma_seeds_[c])) ==
+                gamma) {
+          picks.push_back(alpha - 1);
+          break;
+        }
+      }
+    }
+    if (picks.empty()) *kind = SampleKind::kFail;
+    return picks;
+  }
+
+ private:
+  // Bucket b's alpha and gamma in the round layout: for b < cols*rows a
+  // column bucket, for b == cols*rows the deterministic one.
+  size_t AlphaOffset(size_t b) const {
+    const size_t column_buckets = static_cast<size_t>(cols_) * rows_;
+    return b < column_buckets ? b * 8 : column_buckets * 12;
+  }
+  size_t GammaOffset(size_t b) const {
+    const size_t column_buckets = static_cast<size_t>(cols_) * rows_;
+    return b < column_buckets ? column_buckets * 8 + b * 4
+                              : column_buckets * 12 + 8;
+  }
+  void Bucket(size_t b, uint64_t* alpha, uint32_t* gamma) const {
+    std::memcpy(alpha, bytes_.data() + AlphaOffset(b), sizeof(*alpha));
+    std::memcpy(gamma, bytes_.data() + GammaOffset(b), sizeof(*gamma));
+  }
+  void Toggle(size_t b, uint64_t enc, uint64_t checksum) {
+    uint64_t alpha;
+    uint32_t gamma;
+    Bucket(b, &alpha, &gamma);
+    alpha ^= enc;
+    gamma ^= static_cast<uint32_t>(checksum);
+    std::memcpy(bytes_.data() + AlphaOffset(b), &alpha, sizeof(alpha));
+    std::memcpy(bytes_.data() + GammaOffset(b), &gamma, sizeof(gamma));
+  }
+
+  uint64_t vector_len_;
+  int cols_;
+  int rows_;
+  std::vector<uint8_t> bytes_;
+  std::vector<uint64_t> col_seeds_;
+  std::vector<uint64_t> gamma_seeds_;
+  uint64_t det_seed_ = 0;
+};
+
+TEST(CubeSketchExactDepthTest, SuffixTransformEqualsCumulativeOracle) {
+  // Under every supported kernel, batches of 1..64 random indices (both
+  // lane widths, every tail length); tiny domains toggle indices back
+  // out. After each batch the stored bytes, suffix-transformed, are the
+  // oracle's bytes, and the sketch samples exactly what the oracle's
+  // scan does.
+  for (SketchKernel k : {SketchKernel::kScalar, SketchKernel::kAvx2,
+                         SketchKernel::kAvx512}) {
+    if (!SketchKernelSupported(k)) continue;
+    for (uint64_t n : {1ULL, 2ULL, 1000ULL, 1ULL << 40}) {
+      const CubeSketchParams params = MakeParams(n, 77 + n);
+      SplitMix64 rng(n * 131 + static_cast<uint64_t>(k));
+      CubeSketch sketch(params);
+      CumulativeOracle oracle(params);
+      for (size_t batch_size = 1; batch_size <= 64; ++batch_size) {
+        std::vector<uint64_t> batch(batch_size);
+        for (uint64_t& idx : batch) {
+          idx = rng.NextBelow(n);
+          oracle.Update(idx);
+        }
+        sketch.UpdateBatchWithKernel(k, batch.data(), batch.size());
+        std::vector<uint8_t> stored(sketch.SerializedSize());
+        sketch.SerializeTo(stored.data());
+        SuffixXorRounds(sketch.layout(), stored.data(), 1);
+        ASSERT_EQ(stored, oracle.bytes())
+            << "kernel=" << SketchKernelName(k) << " n=" << n
+            << " batch_size=" << batch_size;
+        SampleKind kind, oracle_kind;
+        EXPECT_EQ(SampleColumns(sketch, &kind), oracle.Sample(&oracle_kind));
+        EXPECT_EQ(kind, oracle_kind);
+      }
+    }
   }
 }
 

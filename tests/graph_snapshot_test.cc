@@ -27,6 +27,7 @@
 #include "core/connectivity.h"
 #include "core/graph_snapshot.h"
 #include "core/graph_zeppelin.h"
+#include "cumulative_buckets.h"
 #include "sketch_content.h"
 #include "stream/erdos_renyi_generator.h"
 #include "stream/stream_types.h"
@@ -209,16 +210,19 @@ TEST(GraphSnapshotTest, ByteSerializationRoundTripsExactly) {
 }
 
 // The byte format pinned to fixed values: the round-trip suites above
-// would pass for any self-consistent layout, these only for GZSNAP04.
+// would pass for any self-consistent layout, these only for GZSNAP05.
 // V=45 gives cols*rows = 77 (odd: the det bucket sits at 4 mod 8 in a
 // round), V=64 gives 84 (even: a 1,020 B round, 4 mod 8). The header
-// and the record body are pinned apart: the body digests are the ones
-// GZSNAP02 and GZSNAP03 bodies had, so neither the round window nor the
-// part field moved a record byte.
+// and the record body are pinned apart. The body is pinned twice: as
+// stored (column buckets at their exact depth) and suffix-transformed
+// into the paper's cumulative buckets, whose digests are the ones the
+// GZSNAP02, GZSNAP03 and GZSNAP04 bodies had, so the storage change
+// moved no bucket of the sketch the paper defines.
 struct BytePin {
   uint64_t num_nodes;
   const char* header_sha256;
   const char* body_sha256;
+  const char* cumulative_body_sha256;
 };
 
 std::string Sha256Hex(const uint8_t* data, size_t size) {
@@ -262,6 +266,12 @@ TEST_P(GraphSnapshotBytePinTest, SerializeMatchesPinnedSha256) {
   EXPECT_EQ(Sha256Hex(bytes.data() + GraphSnapshot::kHeaderBytes,
                       bytes.size() - GraphSnapshot::kHeaderBytes),
             GetParam().body_sha256);
+  std::vector<uint8_t> cumulative(bytes.begin() + GraphSnapshot::kHeaderBytes,
+                                  bytes.end());
+  SuffixXorRounds(snapshot.layout(), cumulative.data(),
+                  n * snapshot.layout().rounds());
+  EXPECT_EQ(Sha256Hex(cumulative.data(), cumulative.size()),
+            GetParam().cumulative_body_sha256);
 
   // Structure: the leaf's record holds the pendant edge's encoded index
   // (index + 1) in every round's deterministic bucket, which sits right
@@ -285,13 +295,17 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, GraphSnapshotBytePinTest,
     ::testing::Values(
         BytePin{45,
-                "fdd76479c16518e4eae2a9b4dba30582"
-                "167533adada7e7708cdfa2abfc8c03f6",
+                "2ab78024f661a5370d08e14cdbbcc9e5"
+                "62013ef0c812379c164b079ef9af2603",
+                "a9bb79091b25866fd2e512684014a9a2"
+                "ef482745dfe1e93d98135dddf390d793",
                 "10333e86adb627f8494af69920dc16d4"
                 "c4046f663e0c5a1fc25f1b395bbd3d16"},
         BytePin{64,
-                "ee71a6b851bfe9a2493d344205169d66"
-                "af3b01cb62bf9e7355c30a8b124d21db",
+                "7f8652ab95debfa8af12891b21160f96"
+                "ce8e87c7c56670697965d4f24326e8cd",
+                "f3feb80f8fd30dfbd795bc0324607a26"
+                "365d877908b1f5b375ff2519e2b675b3",
                 "57f80ce414ab1d6f2f2c554c998a36d9"
                 "757604d9dd59976b7a6a199b3c6b89c8"}));
 
@@ -419,7 +433,7 @@ TEST(GraphSnapshotTest, RetiredMagicsAreRefused) {
 }
 
 // Bytes in a previous format: `magic`, then the fields of `current`
-// (a GZSNAP04 serialization) up to its first `header_bytes` header
+// (a GZSNAP05 serialization) up to its first `header_bytes` header
 // bytes, then its records.
 std::vector<uint8_t> OlderFormat(const std::vector<uint8_t>& current,
                                  const char* magic, size_t header_bytes) {
@@ -437,7 +451,7 @@ void ExpectVersionRefused(const std::vector<uint8_t>& old, uint64_t n,
   const auto expect_refused = [&version](const Status& s) {
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
     EXPECT_NE(s.message().find(version), std::string::npos) << s.ToString();
-    EXPECT_NE(s.message().find("GZSNAP04"), std::string::npos)
+    EXPECT_NE(s.message().find("GZSNAP05"), std::string::npos)
         << s.ToString();
   };
   expect_refused(GraphSnapshot::Deserialize(old.data(), old.size()).status());
@@ -464,12 +478,22 @@ TEST(GraphSnapshotTest, Gzsnap02IsRefusedNamingTheVersion) {
 }
 
 TEST(GraphSnapshotTest, Gzsnap03IsRefusedNamingTheVersion) {
-  // The previous format: the same fields up to r_hi, no part, a 64-byte
-  // header.
+  // The format before GZSNAP04: the same fields up to r_hi, no part, a
+  // 64-byte header.
   const uint64_t n = 16;
   const GraphSnapshot snapshot = SnapshotOf(n, 3, {Edge(1, 2)});
   ExpectVersionRefused(OlderFormat(snapshot.Serialize(), "GZSNAP03", 64), n,
                        "GZSNAP03");
+}
+
+TEST(GraphSnapshotTest, Gzsnap04IsRefusedNamingTheVersion) {
+  // The previous format: the same 68-byte header, but column buckets
+  // stored cumulatively (row r held every update of depth >= r).
+  const uint64_t n = 16;
+  const GraphSnapshot snapshot = SnapshotOf(n, 3, {Edge(1, 2)});
+  ExpectVersionRefused(OlderFormat(snapshot.Serialize(), "GZSNAP04",
+                                   GraphSnapshot::kHeaderBytes),
+                       n, "GZSNAP04");
 }
 
 // Streams rounds [r_lo, r_hi) of `snap`'s nodes [lo, hi) as SaveToSink

@@ -809,7 +809,7 @@ TEST_F(ServingTierTcpTest, ReplicaLostMidStageFailsOverToItsPeer) {
 
 TEST_F(ServingTierTcpTest, ReplyThatDoesNotFoldVoidsTheRound) {
   // A replica whose first MIGRATE_DATA reply arrives well framed (a
-  // valid CRC) but with a GZSNAP04 header naming another graph: the fold
+  // valid CRC) but with a GZSNAP05 header naming another graph: the fold
   // refuses it, the round's half-folded candidate is discarded, and the
   // second round serves exactly the coordinator's fold.
   StartFleet(2);  // One shard at R=2.

@@ -178,8 +178,8 @@ TEST(ShardProtocolTest, UnknownTypeIsInvalidArgument) {
   EXPECT_EQ(RecvFrame(sp.b(), &frame).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardProtocolTest, V10DefinesExactly19TypesAndRefusesRetiredOnes) {
-  EXPECT_EQ(ShardFrameHeader::kVersion, 10);
+TEST(ShardProtocolTest, V11DefinesExactly19TypesAndRefusesRetiredOnes) {
+  EXPECT_EQ(ShardFrameHeader::kVersion, 11);
   int known = 0;
   for (uint16_t t = 0; t < 64; ++t) {
     SocketPair sp;
@@ -201,9 +201,9 @@ TEST(ShardProtocolTest, V10DefinesExactly19TypesAndRefusesRetiredOnes) {
 }
 
 TEST(ShardProtocolTest, V3HeaderIsAVersionMismatch) {
-  // So is a v4, v5, v6, v7, v8 or v9 peer's: both sides must be rebuilt
-  // together.
-  for (const uint16_t version : {3, 4, 5, 6, 7, 8, 9}) {
+  // So is a v4, v5, v6, v7, v8, v9 or v10 peer's: both sides must be
+  // rebuilt together.
+  for (const uint16_t version : {3, 4, 5, 6, 7, 8, 9, 10}) {
     SocketPair sp;
     WriteRawHeader(sp.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
                    ShardFrameHeader::kMagic, version);
@@ -1126,7 +1126,7 @@ TEST_F(ShardServerFixture, PrefixedCheckpointLeavesShardUnconfigured) {
 
   const std::vector<uint8_t> bytes = ReadFileBytes(plain);
   ASSERT_GT(bytes.size(), GraphSnapshot::kHeaderBytes);
-  ASSERT_EQ(std::memcmp(bytes.data(), "GZSNAP04", 8), 0);
+  ASSERT_EQ(std::memcmp(bytes.data(), "GZSNAP05", 8), 0);
   std::vector<std::string> prefixed;
   for (const auto& [magic, prefix_bytes] :
        {std::pair<const char*, size_t>{"GZSCKP02", 16},
@@ -1174,7 +1174,7 @@ TEST_F(ShardServerFixture, PrefixedCheckpointLeavesShardUnconfigured) {
 }
 
 TEST_F(ShardServerFixture, RestoreAdoptsTheDeltaSequenceConfigCarries) {
-  // The checkpoint file holds the stream position (its GZSNAP04 update
+  // The checkpoint file holds the stream position (its GZSNAP05 update
   // count); the delta sequence number it covers comes from CONFIG,
   // which the coordinator fills from the checkpoint's ack.
   StartServer();

@@ -255,10 +255,10 @@ TEST(SketchKernelTest, DepthSaturatedLanesMixedInOneLaneGroup) {
     EXPECT_EQ(scalar.det_gamma, simd.det_gamma);
   }
 
-  // The saturated index alone must write every row of column 0 (the
-  // h == 0 depth cap), under every kernel.
+  // The saturated index alone sits in column 0's last row only (the
+  // h == 0 depth cap), under every kernel; as the paper's cumulative
+  // bucket (the suffix XOR of the stored rows) it fills every row.
   for (SketchKernel k : SupportedKernels()) {
-    std::vector<uint64_t> just_one = {saturating_idx};
     // Pad with copies so SIMD kernels process it inside a full lane
     // group (even count of toggles cancels; odd count survives).
     std::vector<uint64_t> nine(9, saturating_idx);
@@ -277,8 +277,12 @@ TEST(SketchKernelTest, DepthSaturatedLanesMixedInOneLaneGroup) {
     args.det_alpha = &b.det_alpha;
     args.det_gamma = &b.det_gamma;
     CubeSketchUpdateBatch(k, args);
-    for (int r = 0; r < rows; ++r) {
-      EXPECT_EQ(b.alphas[r], saturating_idx + 1)
+    uint64_t suffix = 0;
+    for (int r = rows - 1; r >= 0; --r) {
+      EXPECT_EQ(b.alphas[r], r == rows - 1 ? saturating_idx + 1 : 0)
+          << "kernel=" << SketchKernelName(k) << " row=" << r;
+      suffix ^= b.alphas[r];
+      EXPECT_EQ(suffix, saturating_idx + 1)
           << "kernel=" << SketchKernelName(k) << " row=" << r;
     }
   }
