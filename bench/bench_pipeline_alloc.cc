@@ -6,13 +6,14 @@
 //
 // Method: global operator new/delete are overridden with a counting
 // hook (the C++ analogue of malloc_count). Phase 1 ingests the whole
-// stream once to warm the BatchPool, gutters and the disk store's
-// per-thread delta sketches and record buffers; phase 2 re-ingests with
-// the counter armed. Pool recycling means phase 2 must allocate nothing
-// — on the leaf and gutter-tree paths (the tree's internal flush
-// buffers are recycled per level the way leaf gutters recycle slabs),
-// over both the RAM and the on-disk store. Enforced with GZ_CHECK, so a
-// regression fails the run, not just a JSON field.
+// stream once to warm the BatchPool, gutters, the RAM store's node
+// sketches (each node's first write clones the shared zero) and the disk
+// store's per-thread delta sketches and record buffers; phase 2
+// re-ingests with the counter armed. Pool recycling means phase 2 must
+// allocate nothing — on the leaf and gutter-tree paths (the tree's
+// internal flush buffers are recycled per level the way leaf gutters
+// recycle slabs), over both the RAM and the on-disk store. Enforced
+// with GZ_CHECK, so a regression fails the run, not just a JSON field.
 //
 // Sketch-state gates ride along: copying a node sketch is exactly one
 // allocation (its bucket block; the seeds live in a shared layout);
@@ -104,8 +105,9 @@ int main() {
     GZ_CHECK_OK(gz.Init());
 
     // Phase 1: warm-up pass. Grows the BatchPool to the pipeline's peak
-    // depth and lets every thread that applies batches build the disk
-    // store's per-thread delta sketch and record buffer.
+    // depth, gives every node the stream touches its own sketch in the
+    // RAM store, and lets every thread that applies batches build the
+    // disk store's per-thread delta sketch and record buffer.
     gz.Update(w.stream.updates.data(), n_updates);
     gz.Flush();
 

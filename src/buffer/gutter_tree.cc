@@ -131,6 +131,15 @@ void GutterTree::InsertBatch(const GraphUpdate* updates, size_t count) {
   }
 }
 
+void GutterTree::InsertNodes(const NodeUpdate* updates, size_t count) {
+  GZ_CHECK_MSG(initialized_, "Init() not called");
+  const uint64_t n = params_.num_nodes;
+  for (size_t i = 0; i < count; ++i) {
+    const NodeUpdate& h = updates[i];
+    InsertRecord(h.node, EdgeToIndex(Edge(h.node, h.other), n));
+  }
+}
+
 void GutterTree::Partition(const Internal& v,
                            const std::vector<Record>& records) {
   // This level's recycled buckets; delivery below only recurses into

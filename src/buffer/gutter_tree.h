@@ -56,6 +56,7 @@ class GutterTree : public GutteringSystem {
 
   void Insert(NodeId node, uint64_t edge_index) override;
   void InsertBatch(const GraphUpdate* updates, size_t count) override;
+  void InsertNodes(const NodeUpdate* updates, size_t count) override;
   void ForceFlush() override;
   uint64_t num_nodes() const override { return params_.num_nodes; }
   size_t RamByteSize() const override;
@@ -94,7 +95,7 @@ class GutterTree : public GutteringSystem {
     std::vector<std::vector<Record>> buckets;    // Partition output.
   };
 
-  // Non-virtual insert body shared by Insert and InsertBatch.
+  // Non-virtual insert body shared by Insert and the bulk paths.
   void InsertRecord(NodeId node, uint64_t edge_index);
 
   // Builds the vertex at [lo, hi) and returns its id in internals_.

@@ -24,12 +24,14 @@ class GutteringSystem {
   // twice, once per endpoint (paper Figure 8, edge_update()).
   virtual void Insert(NodeId node, uint64_t edge_index) = 0;
 
-  // Bulk path: buffers a span of stream updates, inserting each edge's
-  // index for both endpoints. This is what GraphZeppelin::Update feeds
-  // after batching at the API boundary; implementations override it to
-  // skip the per-half-update virtual dispatch. The default simply loops
-  // over Insert.
-  virtual void InsertBatch(const GraphUpdate* updates, size_t count);
+  // Bulk paths, one virtual call per span rather than per half-update.
+  // InsertBatch buffers a span of stream updates, inserting each edge's
+  // index for both endpoints: what GraphZeppelin::Update feeds after
+  // batching at the API boundary. InsertNodes buffers each node update's
+  // edge index for its one node: what GraphZeppelin::UpdateNodes feeds
+  // on a shard, which is sent only the halves of the nodes it owns.
+  virtual void InsertBatch(const GraphUpdate* updates, size_t count) = 0;
+  virtual void InsertNodes(const NodeUpdate* updates, size_t count) = 0;
 
   // Forces every buffered update out as batches (possibly small ones).
   // Called at query time (paper cleanup()).

@@ -94,6 +94,22 @@ void LeafGutters::InsertBatch(const GraphUpdate* updates, size_t count) {
   }
 }
 
+void LeafGutters::InsertNodes(const NodeUpdate* updates, size_t count) {
+  // Edge() refuses a self-loop; EdgeToIndex checks both ids < n.
+  const uint64_t n = params_.num_nodes;
+  if (params_.nodes_per_group == 1) {
+    for (size_t i = 0; i < count; ++i) {
+      const NodeUpdate& h = updates[i];
+      InsertSolo(h.node, EdgeToIndex(Edge(h.node, h.other), n));
+    }
+  } else {
+    for (size_t i = 0; i < count; ++i) {
+      const NodeUpdate& h = updates[i];
+      InsertGrouped(h.node, EdgeToIndex(Edge(h.node, h.other), n));
+    }
+  }
+}
+
 void LeafGutters::FlushGroup(uint64_t group) {
   if (params_.nodes_per_group == 1) {
     UpdateBatch*& gutter = solo_gutters_[group];

@@ -43,6 +43,7 @@ class LeafGutters : public GutteringSystem {
 
   void Insert(NodeId node, uint64_t edge_index) override;
   void InsertBatch(const GraphUpdate* updates, size_t count) override;
+  void InsertNodes(const NodeUpdate* updates, size_t count) override;
   void ForceFlush() override;
   uint64_t num_nodes() const override { return params_.num_nodes; }
   size_t RamByteSize() const override;

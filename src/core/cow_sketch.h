@@ -50,6 +50,9 @@ class CowSketch {
   const NodeSketch& operator*() const { return rep_->sketch; }
   const NodeSketch* operator->() const { return &rep_->sketch; }
 
+  // Whether both handles point at one sketch.
+  bool Shares(const CowSketch& other) const { return rep_ == other.rep_; }
+
   // The sketch, writable: cloned first if any other handle shares it.
   NodeSketch& Mutable() {
     if (rep_->refs.load(std::memory_order_acquire) != 1) {

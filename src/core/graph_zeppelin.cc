@@ -145,6 +145,14 @@ void GraphZeppelin::Update(const GraphUpdate* updates, size_t count) {
   num_updates_ += count;
 }
 
+void GraphZeppelin::UpdateNodes(const NodeUpdate* updates, size_t count) {
+  GZ_CHECK_MSG(initialized_, "Init() not called");
+  DrainIngestSpan();
+  if (!unsealed_.empty()) SealCaptures();
+  gutters_->InsertNodes(updates, count);
+  num_updates_ += count;
+}
+
 void GraphZeppelin::Flush() {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   DrainIngestSpan();

@@ -96,6 +96,13 @@ class GraphZeppelin {
   // but skips the API-boundary copy and per-update dispatch.
   void Update(const GraphUpdate* updates, size_t count);
 
+  // Bulk ingestion of node updates: each item toggles its edge in its
+  // one node's sketch only, and counts as one toward
+  // num_updates_ingested(). A shard ingests this way: it is sent the
+  // halves of the updates whose node it owns (shard_protocol.h). Every
+  // item must name two distinct nodes below num_nodes.
+  void UpdateNodes(const NodeUpdate* updates, size_t count);
+
   // Forces all buffered updates through the workers and blocks until
   // every sketch is up to date (paper cleanup()). Implied by
   // ListSpanningForest(); exposed so benchmarks can separate ingestion

@@ -34,27 +34,34 @@ void SketchStore::ApplyBatch(NodeId node, const uint64_t* indices,
 // ---------------- InMemorySketchStore ---------------------------------
 
 InMemorySketchStore::InMemorySketchStore(const NodeSketchParams& params)
-    : SketchStore(params) {
-  // One sketch per node, never shared at birth: ingestion merges in
-  // place until a snapshot takes a reference.
-  sketches_.reserve(params.num_nodes);
-  for (uint64_t i = 0; i < params.num_nodes; ++i) {
-    sketches_.emplace_back(zero_);
-  }
+    : SketchStore(params), shared_zero_(zero_) {
+  // Every node shares the zero until its first write clones it; after
+  // that, ingestion merges in place until a snapshot takes a reference.
+  sketches_.assign(params.num_nodes, shared_zero_);
   locks_ = std::make_unique<std::mutex[]>(params.num_nodes);
+}
+
+NodeSketch& InMemorySketchStore::Writable(NodeId node) {
+  if (sketches_[node].Shares(shared_zero_)) {
+    materialized_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return sketches_[node].Mutable();
 }
 
 void InMemorySketchStore::ApplyBatch(NodeId node, const uint64_t* indices,
                                      size_t count) {
   GZ_CHECK(node < num_nodes());
   std::lock_guard<std::mutex> lock(locks_[node]);
-  sketches_[node].Mutable().UpdateBatch(indices, count);
+  Writable(node).UpdateBatch(indices, count);
 }
 
 void InMemorySketchStore::MergeDelta(NodeId node, const NodeSketch& delta) {
   GZ_CHECK(node < num_nodes());
+  // A zero delta (a node range's untouched node) changes nothing, so it
+  // must not give the node a sketch of its own.
+  if (delta == zero_) return;
   std::lock_guard<std::mutex> lock(locks_[node]);
-  sketches_[node].Mutable().Merge(delta);
+  Writable(node).Merge(delta);
 }
 
 void InMemorySketchStore::Load(NodeId node, NodeSketch* out) {
@@ -118,12 +125,19 @@ void InMemorySketchStore::Store(NodeId node, const NodeSketch& sketch) {
   GZ_CHECK(node < num_nodes());
   GZ_CHECK(sketch.params() == params());
   std::lock_guard<std::mutex> lock(locks_[node]);
-  sketches_[node].Mutable() = sketch;
+  if (!(sketch == zero_)) {
+    Writable(node) = sketch;
+  } else if (!sketches_[node].Shares(shared_zero_)) {
+    sketches_[node] = shared_zero_;
+    materialized_.fetch_sub(1, std::memory_order_relaxed);
+  }
 }
 
 size_t InMemorySketchStore::RamByteSize() const {
   return sizeof(*this) +
-         num_nodes() * (zero_.ByteSize() + sizeof(std::mutex));
+         num_nodes() * (sizeof(CowSketch) + sizeof(std::mutex)) +
+         (materialized_.load(std::memory_order_relaxed) + 1) *
+             zero_.ByteSize();
 }
 
 // ---------------- OnDiskSketchStore ------------------------------------

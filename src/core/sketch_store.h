@@ -7,7 +7,10 @@
 // per-update I/O cost.
 //
 // Every sketch a store creates copies one zero sketch, so the graph's
-// seeds are hashed once per store.
+// seeds are hashed once per store. The in-RAM store goes further: every
+// node starts as a handle to one shared zero sketch and gets a sketch
+// of its own on its first write, so a store holds only the nodes it was
+// sent (a shard holds the nodes it owns).
 //
 // Thread safety: every method is safe to call concurrently from many
 // Graph Workers; stores lock per node. The in-RAM store runs a batch
@@ -101,15 +104,27 @@ class InMemorySketchStore : public SketchStore {
   // Copies only the buckets, never a whole round.
   void ReadSummaries(NodeId node, int r_lo, int r_hi, uint8_t* out) override;
   GraphSnapshot Capture(uint64_t num_updates) override;
+  // An all-zero `sketch` puts the node back on the shared zero.
   void Store(NodeId node, const NodeSketch& sketch) override;
+  // Handles, locks and one sketch per node written so far, plus the
+  // shared zero: O(1), read from a counter.
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override { return 0; }
 
  private:
   // `node`'s sketch as a copy-on-write handle, shared with the store.
   CowSketch Share(NodeId node);
+  // `node`'s own sketch, cloned from the shared zero on its first write.
+  // Caller holds the node's lock.
+  NodeSketch& Writable(NodeId node);
 
   std::vector<CowSketch> sketches_;
+  // The sketch every untouched node shares. The store's own handle keeps
+  // its count above 1, so Writable() always clones it and never writes
+  // into it, even when no node shares it any more.
+  const CowSketch shared_zero_;
+  // Nodes not on the shared zero.
+  std::atomic<uint64_t> materialized_{0};
   // One lock per node; 40 B each is negligible next to the sketches.
   std::unique_ptr<std::mutex[]> locks_;
 };

@@ -384,7 +384,7 @@ Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
   lease->reached = r_hi;
   // Range folds carry no counts; the positions supply them.
   merged_ = GraphSnapshot::Lazy(
-      lease->zero, view.total_updates,
+      lease->zero, view.total_updates / 2,
       [lease](int round, RoundPart part, uint64_t,
               const GraphSnapshot::BlockRunner&, std::vector<uint8_t>* buf) {
         std::lock_guard<std::mutex> lock(lease->mu);

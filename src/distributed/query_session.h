@@ -76,10 +76,15 @@
 // once its shard is back.
 //
 // Honest limitation: a QuerySession computes the merged snapshot's
-// update count as the sum over the shards it can see, so after a
-// removal the retired shard's ingested count (which the
+// update count as half the node updates summed over the shards it can
+// see, so after a removal the retired shard's ingested count (which the
 // coordinator carries forward separately) is missing from
-// num_updates() — the sketch CONTENT is still exact. Sessions must
+// num_updates() — the sketch CONTENT is still exact. Each stream
+// update reaches two shards as two node updates, one per endpoint's
+// owner, so a cut taken mid-ingest may hold only one half of an edge
+// whose endpoints live on different shards (and num_updates() rounds
+// down); a cut of a quiescent cluster holds both halves of every
+// update, so quiescent reads are exact. Sessions must
 // also re-Connect() after the cluster adds or removes listeners; a
 // vanished listener whose shard has no other live replica surfaces as
 // an error from Snapshot().
@@ -246,6 +251,7 @@ class QuerySession {
     // cluster, not an error.
     bool skew = false;
     ShardWatermarks marks;  // One entry per shard (not per conn).
+    // Node updates summed over the shards: two per stream update.
     uint64_t total_updates = 0;
     // shard id -> answering conn indices serving it (replicas). Built
     // once per sweep; both position checks and pull failover walk it —

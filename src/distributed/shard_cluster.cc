@@ -203,12 +203,12 @@ Status ShardCluster::Start() {
 }
 
 Status ShardCluster::SendUpdateFrames(const Replica& replica,
-                                      const GraphUpdate* updates,
+                                      const NodeUpdate* updates,
                                       size_t count) {
   for (size_t off = 0; off < count; off += kMaxUpdatesPerFrame) {
     const size_t n = std::min(kMaxUpdatesPerFrame, count - off);
     Status s = SendFrame(replica.proc->fd(), ShardMessageType::kUpdateBatch,
-                         updates + off, n * sizeof(GraphUpdate));
+                         updates + off, n * sizeof(NodeUpdate));
     if (!s.ok()) return s;
   }
   return Status::Ok();
@@ -217,17 +217,20 @@ Status ShardCluster::SendUpdateFrames(const Replica& replica,
 Status ShardCluster::Update(const GraphUpdate* updates, size_t count) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   for (size_t i = 0; i < count; ++i) {
-    // Fail fast at the API boundary, as GraphZeppelin does: a
-    // malformed edge already aborts inside RouteToShard (EdgeToIndex), and
-    // a garbage type byte must abort HERE rather than make a shard
-    // drop the whole frame it rides in.
+    // Fail fast at the API boundary, as GraphZeppelin does: a malformed
+    // edge or a garbage type byte must abort HERE rather than make a
+    // shard drop the whole frame it rides in.
+    const Edge& e = updates[i].edge;
+    GZ_CHECK_MSG(e.u < e.v && e.v < base_.num_nodes,
+                 "u < v && v < num_nodes");
     GZ_CHECK_MSG(static_cast<uint8_t>(updates[i].type) <= 1,
                  "invalid GraphUpdate type byte");
-    shards_[RouteToShard(updates[i].edge, base_.num_nodes, table_)]
-        .route_buf.push_back(updates[i]);
+    // Each endpoint's half goes to the shard owning that node.
+    shards_[NodeOwner(e.u, table_)].route_buf.push_back({e.u, e.v});
+    shards_[NodeOwner(e.v, table_)].route_buf.push_back({e.v, e.u});
   }
   for (Shard& shard : shards_) {
-    std::vector<GraphUpdate>& buf = shard.route_buf;
+    std::vector<NodeUpdate>& buf = shard.route_buf;
     if (buf.empty()) continue;
     GZ_CHECK_MSG(!shard.replicas.empty(),
                  "table routed an update to a removed shard");
@@ -434,9 +437,9 @@ Result<int> ShardCluster::SplitShard(int shard, const std::string& endpoint) {
   table_ = TableWithShardSplit(old_table, shard, id);
   // Only the coordinator's table changes. No state migrates: an empty
   // shard is a zero sketch, and zero is the XOR identity. The split
-  // source keeps what it ingested — every shard's store holds all V
-  // node sketches whatever their content, so moving part of it would
-  // balance nothing.
+  // source keeps what it ingested, its earlier contribution to the
+  // moved nodes included, and the fold stays exact: it is the XOR of
+  // every shard, whichever holds which node's halves.
   for (int r = 0; r < replication_ && s.ok(); ++r) {
     s = SpawnAndConfigure(id, r, /*restore=*/false, nullptr);
   }
@@ -553,8 +556,8 @@ Status ShardCluster::PumpMigration() {
   Status s = Call(retiring_rep, ShardMessageType::kStatsEx, nullptr, 0,
                   &retiring);
   if (!s.ok()) return s;
-  // Commit point: nothing below can fail, so the update count lands
-  // exactly once.
+  // Commit point: nothing below can fail, so the node-update count
+  // lands exactly once.
   migrated_updates_ += retiring.stats.num_updates;
   for (int r = 0; r < replication_; ++r) {
     Replica& rep = source.replicas[r];
@@ -705,8 +708,8 @@ bool ShardCluster::AtBooksPosition(const Shard& shard,
 void ShardCluster::CommitCheckpoint(int shard, int replica,
                                     const ShardAck& ack) {
   // The checkpoint covers everything sent before it (the socket is FIFO
-  // and the shard single-threaded): every logged update up to the acked
-  // stream position and every delta up to the acked sequence number.
+  // and the shard single-threaded): every logged node update up to the
+  // acked position and every delta up to the acked sequence number.
   Shard& books = shards_[shard];
   Replica& rep = books.replicas[replica];
   rep.has_checkpoint = true;
@@ -874,11 +877,13 @@ Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
 }
 
 uint64_t ShardCluster::TotalUpdates() const {
-  // Pure bookkeeping, no RPC: a shard's eventual update count is every
-  // update routed to it, including updates waiting for a down replica.
-  uint64_t total = migrated_updates_;
-  for (const int s : ActiveShards()) total += shards_[s].position();
-  return total;
+  // Pure bookkeeping, no RPC: a shard's eventual position is every node
+  // update routed to it, including those waiting for a down replica.
+  // Update() routes both halves of every stream update before it
+  // returns, so the sum is exactly two per stream update.
+  uint64_t node_updates = migrated_updates_;
+  for (const int s : ActiveShards()) node_updates += shards_[s].position();
+  return node_updates / 2;
 }
 
 NodeSketchParams ShardCluster::SketchParams() const {

@@ -2,13 +2,16 @@
 // paper sketches in its conclusion ("sketches can be updated
 // independently ... they can be partitioned throughout a distributed
 // cluster without sacrificing stream ingestion rate"). Owns N shards
-// (one GraphZeppelin each, same seed/geometry), routes update spans to
-// them through a slot table, folds query-time snapshots by XOR-ing
-// every shard's node-range replies round by round (the pull engine
-// reader sessions share, range_pull.h), and manages replica
-// lifecycle: spawn, checkpoints, orderly shutdown, restart-from-
-// checkpoint of a crashed replica — and elastic resharding: shards can
-// be split or removed WITHOUT pausing the stream.
+// (one GraphZeppelin each, same seed/geometry), each owning the nodes
+// whose routing slots the table gives it: an update on (u, v) is sent
+// as the node update {u, v} to u's owner and {v, u} to v's, so a shard
+// creates and keeps only its own ~V/N node sketches and gutters. It
+// folds query-time snapshots by XOR-ing every shard's node-range
+// replies round by round (the pull engine reader sessions share,
+// range_pull.h), and manages replica lifecycle: spawn, checkpoints,
+// orderly shutdown, restart-from-checkpoint of a crashed replica — and
+// elastic resharding: shards can be split or removed WITHOUT pausing
+// the stream.
 //
 // Where a shard lives is its endpoint's business (shard_endpoint.h):
 // every shard is a ShardListener dialed over TCP, run by a gz_shard
@@ -20,11 +23,13 @@
 //
 // Durability model: the coordinator keeps one set of books per shard
 // id, because every replica of a shard is sent the same stream. The
-// shard's update log holds every update routed to it from stream
-// position `log_start` on; its pending-delta log holds every migration
+// shard's update log holds every node update routed to it from position
+// `log_start` on; a shard's position, its checkpoint acks and its
+// STATS_EX count node updates, and the stream position is half their
+// sum over all shards. Its pending-delta log holds every migration
 // delta sent to it, under a per-shard sequence number. A replica keeps
-// only its cursor into those logs: the stream position and delta
-// sequence number its last checkpoint's ack reported. Both logs are
+// only its cursor into those logs: the position and delta sequence
+// number its last checkpoint's ack reported. Both logs are
 // trimmed to the lowest cursor over the shard's replicas, so a replica
 // without a checkpoint (or fenced with a stale one) pins them. A
 // checkpoint is a plain GraphSnapshot file, and each replica has two
@@ -55,17 +60,18 @@
 // pause, no checkpoint restore, no replay.
 // R = 1 is bitwise-identical to the pre-replication cluster.
 //
-// Elasticity model: routing is a pure function of (edge, table); see
+// Elasticity model: routing is a pure function of (node, table); see
 // RoutingTable. A reshard changes the table in the coordinator only —
 // no shard holds the table, and no frame carries it: a shard's
 // content is whatever it was sent, and the fold is the XOR of all of
 // them. Growing the cluster (SplitShard) moves routing slots and
 // nothing else: the fold is the XOR of all shards whichever shard holds
-// which contribution, so a new shard starts as a zero sketch. Only a
-// removal migrates sketch state, draining the leaving shard's [0, V) in
-// node-range chunks: each chunk is extracted from the source (read-only
-// RPC), XOR-folded into the target, and XOR-folded BACK into the source
-// to cancel it there. Because every step is a linear XOR, a chunk
+// which contribution, so a new shard starts as a zero sketch (and the
+// split source keeps its earlier halves of the nodes it hands over).
+// Only a removal migrates sketch state, draining the leaving shard's
+// [0, V) in node-range chunks: each chunk is extracted from the source
+// (read-only RPC), XOR-folded into the target, and XOR-folded BACK into
+// the source to cancel it there. Because every step is a linear XOR, a chunk
 // "move" commutes with concurrent ingestion and with crash-replay;
 // there is no flush barrier, no destructive clear, and the global
 // folded snapshot is exact at every chunk boundary. Migration advances
@@ -129,6 +135,8 @@ struct ShardClusterOptions {
 };
 
 struct ShardStats {
+  // Node updates the shard ingested: two per stream update summed over
+  // all shards, one to each endpoint's owner.
   uint64_t num_updates = 0;
   uint64_t ram_bytes = 0;
   // The shard's migration-delta count. Together with num_updates it
@@ -150,15 +158,15 @@ class ShardCluster {
   // Spawns and configures every shard process (all replicas).
   Status Start();
 
-  // The current table. An update routes to
-  // RouteToShard(edge, num_nodes, routing_table()): a pure function of
-  // (edge, table), identical for any external partitioner holding the
-  // same table.
+  // The current table. An update on (u, v) routes its halves to
+  // NodeOwner(u, routing_table()) and NodeOwner(v, routing_table()):
+  // pure functions of (node, table), identical for any external
+  // partitioner holding the same table.
   const RoutingTable& routing_table() const { return table_; }
 
-  // Routes the span: each shard's slice is appended once to the shard's
-  // update log, then framed (one sendmsg, no copy) onto each live
-  // replica's socket. A replica that
+  // Routes the span as node updates, two per update: each shard's slice
+  // is appended once to the shard's update log, then framed (one
+  // sendmsg, no copy) onto each live replica's socket. A replica that
   // fails mid-send is fenced and the log keeps its updates; the call
   // still returns Ok because no update was lost. Reconcile() (or
   // RestartReplica()) drains the backlog.
@@ -308,15 +316,15 @@ class ShardCluster {
     std::vector<Replica> replicas;  // Empty marks a removed id.
     // Routing buffer (capacity persists across spans); the fan-out to
     // replicas happens at send time.
-    std::vector<GraphUpdate> route_buf;
-    // Every update routed to the shard from stream position log_start
-    // on; log_start is the lowest replica cursor.
+    std::vector<NodeUpdate> route_buf;
+    // Every node update routed to the shard from position log_start on;
+    // log_start is the lowest replica cursor.
     uint64_t log_start = 0;
-    std::vector<GraphUpdate> log;
+    std::vector<NodeUpdate> log;
     // Migration deltas past the lowest replica delta cursor.
     std::vector<PendingDelta> deltas;
     uint64_t delta_seq_sent = 0;  // Total ever sent.
-    // Every update ever routed to the shard.
+    // Every node update ever routed to the shard.
     uint64_t position() const { return log_start + log.size(); }
   };
   // A removal in flight: `source` drains [0, V) into `target`.
@@ -354,7 +362,7 @@ class ShardCluster {
   // (-1 if none). What the send paths target.
   int FirstUnfencedReplica(int shard) const;
   // Sends `updates` to one replica as update frames.
-  Status SendUpdateFrames(const Replica& replica, const GraphUpdate* updates,
+  Status SendUpdateFrames(const Replica& replica, const NodeUpdate* updates,
                           size_t count);
   // The cluster-wide barriers (flush, checkpoint): one Exchange() of
   // `type` (payload from `payload_for`, if given) with every replica of
@@ -385,12 +393,13 @@ class ShardCluster {
   // Whether a replica's reported position is exactly the shard's books.
   bool AtBooksPosition(const Shard& shard, const ShardStatsEx& ex) const;
   // Moves one replica's cursor to its acked checkpoint (ack = its
-  // stream position and delta sequence number) and flips its acked
+  // position and delta sequence number) and flips its acked
   // slot to the one just written, then trims the shard's logs to what
   // every replica's checkpoint covers.
   void CommitCheckpoint(int shard, int replica, const ShardAck& ack);
-  // The cluster's stream position: every active shard's books plus
-  // what removed shards ingested — the count Snapshot() reports.
+  // The cluster's stream position: half the node updates in every
+  // active shard's books plus what removed shards ingested — the count
+  // Snapshot() reports.
   uint64_t TotalUpdates() const;
   // The sketch params every shard runs with: base_'s geometry, with
   // rounds = 0 resolved exactly as a shard resolves it.
@@ -414,8 +423,8 @@ class ShardCluster {
   // Indexed by shard id; ids are never reused, so the vector never
   // shrinks except to roll back a failed grow.
   std::vector<Shard> shards_;
-  // Stream positions of removed shards: their ingested counts fold into
-  // every Snapshot() so the aggregate update count survives removal.
+  // Positions (node updates) of removed shards: they fold into every
+  // Snapshot() so the aggregate update count survives removal.
   uint64_t migrated_updates_ = 0;
   std::optional<Migration> migration_;
   uint64_t updates_since_checkpoint_ = 0;  // Drives auto-checkpointing.

@@ -134,6 +134,19 @@ ShardMessageType ReplyType(ShardMessageType request) {
                                          : T::kAck;
 }
 
+// The slot a node hashes to; pure in the node id.
+uint32_t RouteSlot(NodeId node) {
+  // kNumSlots is a power of two, so the mask takes the hash's low bits
+  // uniformly — no modulo bias for any downstream shard count (the old
+  // hash % num_shards was biased whenever num_shards was not a power
+  // of two; slot ownership is balanced by construction instead).
+  static_assert((RoutingTable::kNumSlots &
+                 (RoutingTable::kNumSlots - 1)) == 0,
+                "slot reduction must be a mask");
+  return static_cast<uint32_t>(XxHash64Word(node, 0x7368617264ULL) &
+                               (RoutingTable::kNumSlots - 1));
+}
+
 }  // namespace
 
 Status WriteFull(int fd, const void* data, size_t size) {
@@ -771,24 +784,10 @@ Status DecodeShardStatsEx(const uint8_t* data, size_t size,
   return Status::Ok();
 }
 
-uint32_t RouteSlot(const Edge& e, uint64_t num_nodes) {
-  const uint64_t idx = EdgeToIndex(e, num_nodes);
-  // kNumSlots is a power of two, so the mask takes the hash's low bits
-  // uniformly — no modulo bias for any downstream shard count (the old
-  // hash % num_shards was biased whenever num_shards was not a power
-  // of two; slot ownership is balanced by construction instead).
-  static_assert((RoutingTable::kNumSlots &
-                 (RoutingTable::kNumSlots - 1)) == 0,
-                "slot reduction must be a mask");
-  return static_cast<uint32_t>(XxHash64Word(idx, 0x7368617264ULL) &
-                               (RoutingTable::kNumSlots - 1));
-}
-
-int RouteToShard(const Edge& e, uint64_t num_nodes,
-                 const RoutingTable& table) {
+int NodeOwner(NodeId node, const RoutingTable& table) {
   GZ_CHECK_MSG(table.owners.size() == RoutingTable::kNumSlots,
                "routing with an unset table");
-  return table.owners[RouteSlot(e, num_nodes)];
+  return table.owners[RouteSlot(node)];
 }
 
 RoutingTable MakeRoutingTable(int num_shards) {

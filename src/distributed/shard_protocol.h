@@ -6,12 +6,12 @@
 // learn where the bytes come from; everything transport-specific —
 // framing integrity, peer authentication — lives here.
 //
-// Frame (v11) = 16-byte header (magic, version, message type, payload
+// Frame (v12) = 16-byte header (magic, version, message type, payload
 // bytes) + payload + a 4-byte CRC32C trailer over header AND payload.
 // The receiver verifies the checksum before any payload decode; a
 // mismatch is a Status error and, because the stream can no longer be
 // trusted byte-for-byte, the connection is fenced. Updates travel as
-// bare GraphUpdate slabs — the exact in-memory layout the coordinator
+// bare NodeUpdate slabs — the exact in-memory layout the coordinator
 // routes, so a routing buffer is framed with one sendmsg and never
 // copied — and sketch state travels in one form, a serialized
 // GraphSnapshot node range x round window of whole rounds or of their
@@ -46,14 +46,14 @@
 
 namespace gz {
 
-// GraphUpdate slabs cross the process boundary as raw bytes; pin the
+// NodeUpdate slabs cross the process boundary as raw bytes; pin the
 // layout the two sides must agree on.
-static_assert(sizeof(GraphUpdate) == 12, "wire layout of GraphUpdate");
+static_assert(sizeof(NodeUpdate) == 8, "wire layout of NodeUpdate");
 
 enum class ShardMessageType : uint16_t {
   // Coordinator -> shard.
   kConfig = 1,       // Config payload; shard Init()s (+ checkpoint restore).
-  kUpdateBatch = 2,  // Flat GraphUpdate slab. Fire-and-forget.
+  kUpdateBatch = 2,  // Flat NodeUpdate slab. Fire-and-forget.
   kFlush = 3,        // Drain gutters + workers.
   kCheckpoint = 5,   // Payload: file path. Shard saves a GraphSnapshot
                      // file there. Reply: kAck{num_updates, delta_seq}.
@@ -147,8 +147,10 @@ struct ShardFrameHeader {
   // GZSNAP04 ranges that carry it, so a reader pulls every round's
   // deterministic buckets first and a whole round only when a query
   // needs it. v11: sketch state travels as GZSNAP05 ranges, whose
-  // column buckets are stored at their exact depth.
-  static constexpr uint16_t kVersion = 11;
+  // column buckets are stored at their exact depth. v12: UPDATE_BATCH
+  // carries 8-byte node updates, each routed to the shard owning its
+  // node, so a shard's positions count node updates.
+  static constexpr uint16_t kVersion = 12;
   static constexpr size_t kBytes = 16;
   // CRC32C over header + payload, appended after the payload.
   static constexpr size_t kCrcBytes = 4;
@@ -310,14 +312,17 @@ Status ServerHandshake(int fd, const std::string& secret,
 
 // ---- Routing --------------------------------------------------------------
 
-// The routing table: the edge hash picks one of kNumSlots virtual
+// The routing table: a node's hash picks one of kNumSlots virtual
 // slots (a power of two, so the reduction is a mask — no modulo bias
-// for ANY shard count), and the table assigns each slot to a shard id.
-// Elastic operations reassign slots.
+// for ANY shard count), and the table assigns each slot to a shard id,
+// the node's owner. A stream update on (u, v) is two node updates:
+// {u, v} goes to u's owner and {v, u} to v's, so a shard touches only
+// the sketches of the ~V/k nodes it owns. Elastic operations reassign
+// slots.
 // The table is the coordinator's private bookkeeping: no shard needs
-// it, because a shard's sketch content is the XOR of whatever updates
-// it was sent, and the fold over all shards is the same whichever
-// shard ingested which update.
+// it, because a shard's sketch content is the XOR of whatever node
+// updates it was sent, and the fold over all shards is the same
+// whichever shard ingested which half.
 struct RoutingTable {
   static constexpr uint32_t kNumSlots = 256;
   // Shard ids are small non-negative integers; this caps what a wire
@@ -336,14 +341,10 @@ struct RoutingTable {
 // so every shard owns floor or ceil of kNumSlots/num_shards slots.
 RoutingTable MakeRoutingTable(int num_shards);
 
-// The slot an edge hashes to; pure in (edge, num_nodes).
-uint32_t RouteSlot(const Edge& e, uint64_t num_nodes);
-
-// The shard an update belongs to: a pure function of (edge, table),
-// so the coordinator and any external stream partitioner holding the
-// same table agree on every placement.
-int RouteToShard(const Edge& e, uint64_t num_nodes,
-                 const RoutingTable& table);
+// The shard that owns `node`: a pure function of (node, table), so the
+// coordinator and any external stream partitioner holding the same
+// table agree on every placement.
+int NodeOwner(NodeId node, const RoutingTable& table);
 
 // Pure rebalance steps, each returning a new table. Together they
 // maintain the invariant that EVERY live shard owns at least one slot
@@ -420,7 +421,7 @@ Status DecodeSyncPosition(const uint8_t* data, size_t size,
 // kStatsReply payload: everything a serving-tier client needs to key a
 // snapshot cache and build same-params zero snapshots without ever
 // having seen the shard's config. (num_updates, delta_seq) is the
-// shard's watermark: num_updates counts ingested stream updates,
+// shard's watermark: num_updates counts ingested node updates,
 // delta_seq counts folded migration deltas — which change sketch
 // content without changing the update count, so both are needed.
 struct ShardStatsEx {

@@ -216,28 +216,27 @@ Status ShardServer::HandleUpdateBatch(const ShardFrame& frame) {
     if (state_->async_error.ok()) state_->async_error = std::move(error);
     return Status::Ok();
   };
-  if (frame.payload.size() % sizeof(GraphUpdate) != 0) {
+  if (frame.payload.size() % sizeof(NodeUpdate) != 0) {
     return defer(Status::InvalidArgument(
-        "update batch payload is not a whole number of updates"));
+        "update batch payload is not a whole number of node updates"));
   }
-  const size_t count = frame.payload.size() / sizeof(GraphUpdate);
-  const GraphUpdate* updates =
-      reinterpret_cast<const GraphUpdate*>(frame.payload.data());
+  const size_t count = frame.payload.size() / sizeof(NodeUpdate);
+  const NodeUpdate* updates =
+      reinterpret_cast<const NodeUpdate*>(frame.payload.data());
   // Validate before ingesting: GraphZeppelin treats a malformed update
   // as a programmer error (GZ_CHECK), but here the bytes came off a
-  // socket and must bounce, not abort. Placement is not checked: the
-  // shard never sees the routing table, and any update it is sent is a
-  // correct contribution to the XOR fold.
+  // socket and must bounce, not abort. Ownership is not checked: the
+  // shard never sees the routing table, and any node update it is sent
+  // is a correct contribution to the XOR fold.
   const uint64_t n = state_->gz->config().num_nodes;
   for (size_t i = 0; i < count; ++i) {
-    const GraphUpdate& u = updates[i];
-    if (!(u.edge.u < u.edge.v && u.edge.v < n) ||
-        (u.type != UpdateType::kInsert && u.type != UpdateType::kDelete)) {
+    const NodeUpdate& u = updates[i];
+    if (u.node == u.other || u.node >= n || u.other >= n) {
       return defer(Status::InvalidArgument(
-          "update batch contains an out-of-range update"));
+          "update batch contains an out-of-range node update"));
     }
   }
-  state_->gz->Update(updates, count);
+  state_->gz->UpdateNodes(updates, count);
   state_->NotifyPositionChanged();
   return Status::Ok();
 }

@@ -46,6 +46,15 @@ struct GraphUpdate {
   }
 };
 
+// One endpoint's half of a stream update: edge {node, other} toggles in
+// `node`'s sketch. Insert and delete are the same XOR toggle, so no type
+// rides along. A GraphUpdate on (u, v) is the node updates {u, v} and
+// {v, u}; a sharded cluster sends each to the shard owning its node.
+struct NodeUpdate {
+  NodeId node = 0;
+  NodeId other = 0;
+};
+
 // Number of possible undirected edges among `num_nodes` vertices.
 inline EdgeIndex NumPossibleEdges(uint64_t num_nodes) {
   return num_nodes * (num_nodes - 1) / 2;

@@ -128,6 +128,39 @@ TEST_P(GraphZeppelinConfigTest, RandomStreamMatchesExactChecker) {
   EXPECT_EQ(gz.num_updates_ingested(), stream.updates.size());
 }
 
+TEST_P(GraphZeppelinConfigTest, BothHalvesAsNodeUpdatesEqualTheStream) {
+  // UpdateNodes is what a shard ingests: each item toggles its edge in
+  // its one node's sketch and counts once. Both halves of every update,
+  // in any order, make the sketches of the stream itself, with solo and
+  // grouped gutters alike.
+  const auto [buffering, storage] = GetParam();
+  const uint64_t n = 48;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.15;
+  ep.seed = 25;
+  const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
+  std::vector<GraphUpdate> updates;
+  std::vector<NodeUpdate> halves;
+  for (const Edge& e : edges) {
+    updates.push_back({e, UpdateType::kInsert});
+    halves.push_back({e.v, e.u});
+  }
+  for (const Edge& e : edges) halves.push_back({e.u, e.v});
+  for (const uint64_t group : {1, 4}) {
+    GraphZeppelinConfig config = MakeConfig(n, 27, buffering, storage);
+    config.nodes_per_gutter_group = group;
+    GraphZeppelin whole(config), split(config);
+    ASSERT_TRUE(whole.Init().ok());
+    ASSERT_TRUE(split.Init().ok());
+    whole.Update(updates.data(), updates.size());
+    split.UpdateNodes(halves.data(), halves.size());
+    EXPECT_EQ(split.num_updates_ingested(), 2 * updates.size());
+    whole.SetUpdatesIngested(2 * updates.size());
+    EXPECT_TRUE(split.Snapshot() == whole.Snapshot()) << "group " << group;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, GraphZeppelinConfigTest,
     ::testing::Combine(::testing::Values(Buffering::kLeafOnly,
@@ -169,6 +202,13 @@ TEST(GraphZeppelinTest, DoubleInitFails) {
 TEST(GraphZeppelinTest, ByteSizeAccounting) {
   GraphZeppelin ram(MakeConfig(64, 2, Buffering::kLeafOnly, Storage::kRam));
   ASSERT_TRUE(ram.Init().ok());
+  // Untouched nodes share one zero sketch: Init allocates none of their
+  // own, and a path through every node gives each one.
+  EXPECT_LT(ram.RamByteSize(), ram.node_sketch_bytes() * 2);
+  for (NodeId u = 0; u + 1 < 64; ++u) {
+    ram.Update({Edge(u, u + 1), UpdateType::kInsert});
+  }
+  ram.Flush();
   EXPECT_GT(ram.RamByteSize(), ram.node_sketch_bytes() * 64);
   EXPECT_EQ(ram.DiskByteSize(), 0u);
 

@@ -536,7 +536,8 @@ TEST_F(ServingTierTcpTest, StalledPreAuthPeerDoesNotBlockTheWriter) {
 
   Result<ShardStats> stats = cluster.Stats(0);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.value().num_updates, updates.size());
+  // The one shard owns every node: both halves of every update.
+  EXPECT_EQ(stats.value().num_updates, 2 * updates.size());
   // A well-behaved reader admitted alongside the two stalled peers is
   // served normally.
   QuerySession session(ReaderOptions());
@@ -738,11 +739,13 @@ TEST_F(ServingTierTcpTest, ChunkedParallelPullsStayBitwiseThroughFailover) {
   EXPECT_EQ(session.range_pulls(), 2 * 2 * kChunks);
   EXPECT_TRUE(*served == FoldedSnapshot(&cluster));
 
-  // Ingest into shard 1 only: the rebuild still pulls both shards.
+  // Ingest into shard 1 only (both endpoints owned by it): the rebuild
+  // still pulls both shards.
   std::vector<GraphUpdate> to_shard1;
   for (size_t i = half; i < updates.size() && to_shard1.size() < 8; ++i) {
-    if (RouteToShard(updates[i].edge, kNumNodes, cluster.routing_table()) ==
-        1) {
+    const Edge& e = updates[i].edge;
+    if (NodeOwner(e.u, cluster.routing_table()) == 1 &&
+        NodeOwner(e.v, cluster.routing_table()) == 1) {
       to_shard1.push_back(updates[i]);
     }
   }

@@ -79,6 +79,16 @@ std::vector<GraphUpdate> ToggleStream(const EdgeList& edges, int reps) {
   return updates;
 }
 
+// `snap` with `extra` more updates counted and the same sketches: a
+// merge with a zero snapshot, whose count merges add.
+GraphSnapshot PlusUpdates(GraphSnapshot snap, uint64_t extra) {
+  const GraphSnapshot zero(
+      std::vector<NodeSketch>(snap.num_nodes(), NodeSketch(snap.params())),
+      extra);
+  GZ_CHECK_OK(snap.Merge(zero));
+  return snap;
+}
+
 // Ground truth: one in-process GraphZeppelin ingesting the same stream.
 GraphSnapshot SingleProcessSnapshot(const GraphZeppelinConfig& base,
                                     const std::vector<GraphUpdate>& updates) {
@@ -334,6 +344,7 @@ TEST_P(ShardClusterTest, StatsReportPerShardStreamPositions) {
   }
   ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
   ASSERT_TRUE(cluster.Flush().ok());
+  // Shard positions count node updates: two per stream update.
   uint64_t total = 0;
   for (int s = 0; s < cluster.num_shards(); ++s) {
     Result<ShardStats> stats = cluster.Stats(s);
@@ -341,7 +352,156 @@ TEST_P(ShardClusterTest, StatsReportPerShardStreamPositions) {
     total += stats.value().num_updates;
     EXPECT_GT(stats.value().ram_bytes, 0u);
   }
-  EXPECT_EQ(total, updates.size());
+  EXPECT_EQ(total, 2 * updates.size());
+  EXPECT_EQ(FoldedSnapshot(&cluster).num_updates(), updates.size());
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+// Every edge of the complete graph on `n` nodes, inserted once.
+std::vector<GraphUpdate> CompleteGraphStream(uint64_t n) {
+  std::vector<GraphUpdate> updates;
+  for (NodeId u = 0; u + 1 < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      updates.push_back({Edge(u, v), UpdateType::kInsert});
+    }
+  }
+  return updates;
+}
+
+// ---- Node ownership -------------------------------------------------------
+
+TEST_P(ShardClusterTest, ShardsHoldOnlyTheNodeSketchesTheyOwn) {
+  // A dense stream touches every node, so an unsharded instance holds V
+  // node sketches. A shard is sent only the halves of the nodes it owns
+  // and holds only those (plus the shared zero): at least one sketch
+  // per node it does not own below the unsharded instance.
+  const uint64_t n = 64;
+  const std::vector<GraphUpdate> updates = CompleteGraphStream(n);
+  const GraphZeppelinConfig base = BaseConfig(n, 401);
+  GraphZeppelin single(base);
+  ASSERT_TRUE(single.Init().ok());
+  single.Update(updates.data(), updates.size());
+  single.Flush();
+  const uint64_t unsharded = single.RamByteSize();
+
+  ShardCluster cluster(base, 2, MakeOptions(2));
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  for (int s = 0; s < 2; ++s) {
+    uint64_t owned = 0;
+    for (NodeId u = 0; u < n; ++u) {
+      owned += NodeOwner(u, cluster.routing_table()) == s;
+    }
+    ASSERT_GT(owned, 0u);
+    ASSERT_LT(owned, n);
+    Result<ShardStats> stats = cluster.Stats(s);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_LE(stats.value().ram_bytes + (n - owned) * single.node_sketch_bytes(),
+              unsharded)
+        << "shard " << s << " owns " << owned << " of " << n << " nodes";
+    // Each owned node's n - 1 halves, and nothing else.
+    EXPECT_EQ(stats.value().num_updates, owned * (n - 1));
+  }
+  EXPECT_TRUE(FoldedSnapshot(&cluster) == single.Snapshot());
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_P(ShardClusterTest, RestoredAndRejoinedReplicasHoldWhatTheirPeerHolds) {
+  // Restore + replay and rejoin + reconcile rebuild a replica's content
+  // without giving it a sketch for any node it does not own: afterwards
+  // it reports its healthy peer's ram_bytes exactly. The stream leaves
+  // every gutter below its flush threshold, so each replica's batch
+  // pool holds one slab per owned node whatever the worker timing.
+  const uint64_t n = 64;
+  const std::vector<GraphUpdate> updates = CompleteGraphStream(n);
+  const GraphZeppelinConfig base = BaseConfig(n, 409);
+  {
+    GraphZeppelin probe(base);
+    ASSERT_TRUE(probe.Init().ok());
+    ASSERT_LT(n - 1, probe.node_sketch_bytes() / 2 / sizeof(uint64_t))
+        << "a node's halves would fill its gutter";
+  }
+  ShardClusterOptions options;
+  options.replication_factor = 2;
+  ShardCluster cluster(base, 2, MakeOptions(2 * 2, options));
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  Result<ShardStats> peer = cluster.Stats(1);  // Replica (1, 0).
+  ASSERT_TRUE(peer.ok()) << peer.status().ToString();
+
+  // Restore + replay: replica (1, 1) has no checkpoint, so it replays
+  // the whole log. Fencing replica 0 makes Stats() read replica 1.
+  cluster.KillReplica(1, 1);
+  ASSERT_TRUE(cluster.RestartReplica(1, 1).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  cluster.KillReplica(1, 0);
+  Result<ShardStats> restored = cluster.Stats(1);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value().ram_bytes, peer.value().ram_bytes);
+
+  // Rejoin + reconcile: replica (1, 0) comes back empty and is repaired
+  // by range folds, which skip the zero records of nodes it does not
+  // own. It has ingested nothing, so its pool holds no slab yet.
+  uint64_t repaired = 0;
+  ASSERT_TRUE(cluster.Reconcile(&repaired).ok());
+  EXPECT_GT(repaired, 0u);
+  Result<ShardStats> rejoined = cluster.Stats(1);
+  ASSERT_TRUE(rejoined.ok()) << rejoined.status().ToString();
+  EXPECT_LT(rejoined.value().ram_bytes, peer.value().ram_bytes);
+  // The stream again (which toggles every edge back out) gives it its
+  // slabs; its sketches were all there already.
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  rejoined = cluster.Stats(1);
+  ASSERT_TRUE(rejoined.ok()) << rejoined.status().ToString();
+  EXPECT_EQ(rejoined.value().ram_bytes, peer.value().ram_bytes);
+
+  std::vector<GraphUpdate> twice = updates;
+  twice.insert(twice.end(), updates.begin(), updates.end());
+  EXPECT_TRUE(FoldedSnapshot(&cluster) == SingleProcessSnapshot(base, twice));
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_P(ShardClusterTest, RemovingASplitSourceMatchesBitwise) {
+  // A split leaves the source holding its earlier halves of the nodes
+  // it hands over; removing the source then migrates those along with
+  // everything else, and the fold stays exact.
+  const uint64_t n = 96;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.06;
+  ep.seed = 421;
+  const std::vector<GraphUpdate> updates =
+      ToggleStream(ErdosRenyiGenerator(ep).Generate(), 3);
+  const size_t third = updates.size() / 3;
+
+  const GraphZeppelinConfig base = BaseConfig(n, 431);
+  ShardClusterOptions options;
+  options.migrate_nodes_per_chunk = 16;
+  ShardCluster cluster(base, 2, MakeOptions(2, options));
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.Update(updates.data(), third).ok());
+  Result<int> child = cluster.SplitShard(0, SubstrateEndpoint(GetParam()));
+  ASSERT_TRUE(child.ok()) << child.status().ToString();
+  ASSERT_TRUE(cluster.Update(updates.data() + third, third).ok());
+
+  ASSERT_TRUE(cluster.BeginRemoveShard(0).ok());
+  size_t fed = 2 * third;
+  while (cluster.migration_active()) {
+    const size_t count = std::min<size_t>(third / 8 + 1, updates.size() - fed);
+    ASSERT_TRUE(cluster.Update(updates.data() + fed, count).ok());
+    fed += count;
+    ASSERT_TRUE(cluster.PumpMigration().ok());
+  }
+  EXPECT_TRUE(cluster.shard_removed(0));
+  ASSERT_TRUE(cluster.Update(updates.data() + fed, updates.size() - fed).ok());
+
+  Result<GraphSnapshot> folded = cluster.Snapshot();
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_EQ(folded.value().num_updates(), updates.size());
+  EXPECT_TRUE(folded.value() == SingleProcessSnapshot(base, updates));
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
@@ -1038,8 +1198,14 @@ TEST_P(ShardClusterTest, CheckpointIsAPlainSnapshotFile) {
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     Result<GraphSnapshot> folded = cluster.Snapshot();
     ASSERT_TRUE(folded.ok()) << folded.status().ToString();
-    EXPECT_TRUE(loaded.value() == folded.value());
-    EXPECT_TRUE(loaded.value() == SingleProcessSnapshot(base, updates));
+    // The one shard owns every node, so it was sent both halves of every
+    // update: its checkpoint counts twice the stream's updates.
+    EXPECT_EQ(loaded.value().num_updates(), 2 * updates.size());
+    EXPECT_TRUE(loaded.value() ==
+                PlusUpdates(folded.value(), updates.size()));
+    EXPECT_TRUE(loaded.value() ==
+                PlusUpdates(SingleProcessSnapshot(base, updates),
+                            updates.size()));
     ASSERT_TRUE(cluster.Shutdown().ok());
   }
   EXPECT_TRUE(CheckpointFiles(options.checkpoint_dir).empty());
@@ -1075,8 +1241,8 @@ TEST_P(ShardClusterTest, RestartNeverReadsTheUnackedCheckpointSlot) {
         cluster.Update(updates.data() + p2, updates.size() - p2).ok());
     cluster.KillReplica(0, 0);
 
-    // The unacked slot is the file at P1 (one shard: its count is the
-    // stream position).
+    // The unacked slot is the file at P1 (one shard: its count is both
+    // halves of every update, twice the stream position).
     const std::vector<std::string> files =
         CheckpointFiles(options.checkpoint_dir);
     ASSERT_EQ(files.size(), 2u);
@@ -1084,7 +1250,7 @@ TEST_P(ShardClusterTest, RestartNeverReadsTheUnackedCheckpointSlot) {
     for (const std::string& file : files) {
       Result<GraphSnapshot> loaded = GraphSnapshot::LoadFromFile(file);
       ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      if (loaded.value().num_updates() == p1) unacked = file;
+      if (loaded.value().num_updates() == 2 * p1) unacked = file;
     }
     ASSERT_FALSE(unacked.empty());
     FILE* f = std::fopen(unacked.c_str(), "wb");

@@ -178,8 +178,8 @@ TEST(ShardProtocolTest, UnknownTypeIsInvalidArgument) {
   EXPECT_EQ(RecvFrame(sp.b(), &frame).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardProtocolTest, V11DefinesExactly19TypesAndRefusesRetiredOnes) {
-  EXPECT_EQ(ShardFrameHeader::kVersion, 11);
+TEST(ShardProtocolTest, V12DefinesExactly19TypesAndRefusesRetiredOnes) {
+  EXPECT_EQ(ShardFrameHeader::kVersion, 12);
   int known = 0;
   for (uint16_t t = 0; t < 64; ++t) {
     SocketPair sp;
@@ -201,9 +201,9 @@ TEST(ShardProtocolTest, V11DefinesExactly19TypesAndRefusesRetiredOnes) {
 }
 
 TEST(ShardProtocolTest, V3HeaderIsAVersionMismatch) {
-  // So is a v4, v5, v6, v7, v8, v9 or v10 peer's: both sides must be
-  // rebuilt together.
-  for (const uint16_t version : {3, 4, 5, 6, 7, 8, 9, 10}) {
+  // So is a v4, v5, v6, v7, v8, v9, v10 or v11 peer's: both sides must
+  // be rebuilt together.
+  for (const uint16_t version : {3, 4, 5, 6, 7, 8, 9, 10, 11}) {
     SocketPair sp;
     WriteRawHeader(sp.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
                    ShardFrameHeader::kMagic, version);
@@ -632,7 +632,7 @@ class ShardServerFixture : public ::testing::Test {
     ASSERT_EQ(frame.type, ShardMessageType::kAck);
   }
 
-  // Frames `bytes` as an UPDATE_BATCH (a bare GraphUpdate slab).
+  // Frames `bytes` as an UPDATE_BATCH (a bare NodeUpdate slab).
   void SendUpdateBatch(const void* bytes, size_t size) {
     ASSERT_TRUE(
         SendFrame(sp_.a(), ShardMessageType::kUpdateBatch, bytes, size).ok());
@@ -691,7 +691,7 @@ TEST_F(ShardServerFixture, RaggedUpdateBatchErrorIsStickyAcrossBarriers) {
   // would truncate the unacked log that is the only repair material.
   StartServer();
   Configure();
-  const uint8_t ragged[13] = {0};  // Not a multiple of sizeof(GraphUpdate).
+  const uint8_t ragged[13] = {0};  // Not a multiple of sizeof(NodeUpdate).
   SendUpdateBatch(ragged, sizeof(ragged));
   ASSERT_TRUE(
       SendFrame(sp_.a(), ShardMessageType::kFlush, nullptr, 0).ok());
@@ -708,13 +708,51 @@ TEST_F(ShardServerFixture, RaggedUpdateBatchErrorIsStickyAcrossBarriers) {
   EXPECT_EQ(frame.type, ShardMessageType::kAck);
 }
 
+TEST_F(ShardServerFixture, V11UpdateBatchIsRaggedAndDeferred) {
+  // A v11 UPDATE_BATCH carried 12-byte GraphUpdates; one of them is not
+  // a whole number of 8-byte node updates, so it is dropped and the
+  // error deferred to the next barrier.
+  StartServer();
+  Configure();
+  const GraphUpdate v11{Edge(0, 1), UpdateType::kInsert};
+  static_assert(sizeof(v11) % sizeof(NodeUpdate) != 0);
+  SendUpdateBatch(&v11, sizeof(v11));
+  ASSERT_TRUE(
+      SendFrame(sp_.a(), ShardMessageType::kFlush, nullptr, 0).ok());
+  ExpectErrorReply(StatusCode::kInvalidArgument);
+}
+
+TEST_F(ShardServerFixture, MalformedNodeUpdatesAreDeferredNotApplied) {
+  // A self-loop, or a node or other id >= num_nodes, would GZ_CHECK-abort
+  // if ingested. Each drops its whole batch (the valid item in front of
+  // it included) and poisons the barriers; the shard keeps serving and
+  // its instance ingested nothing.
+  const NodeUpdate bad_items[] = {{5, 5}, {16, 3}, {3, 16}};
+  for (const NodeUpdate& bad : bad_items) {
+    sp_.Reset();  // A fresh instance per item.
+    stopped_ = false;
+    StartServer();
+    Configure(/*num_nodes=*/16);
+    const NodeUpdate batch[2] = {{0, 1}, bad};
+    SendUpdateBatch(batch, sizeof(batch));
+    ASSERT_TRUE(
+        SendFrame(sp_.a(), ShardMessageType::kFlush, nullptr, 0).ok());
+    ExpectErrorReply(StatusCode::kInvalidArgument);
+    ASSERT_TRUE(
+        SendFrame(sp_.a(), ShardMessageType::kPing, nullptr, 0).ok());
+    ShardFrame frame;
+    ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+    EXPECT_EQ(frame.type, ShardMessageType::kAck);
+    StopServer();  // The join orders the read below after the session.
+    EXPECT_EQ(state_->gz->num_updates_ingested(), 0u);
+  }
+}
+
 TEST_F(ShardServerFixture, OutOfRangeUpdateDropsBatchAndPoisonsBarriers) {
   StartServer();
   Configure(/*num_nodes=*/16);
-  GraphUpdate bad;
-  bad.edge.u = 3;
-  bad.edge.v = 99;  // >= num_nodes; would GZ_CHECK-abort if ingested.
-  bad.type = UpdateType::kInsert;
+  // other >= num_nodes; would GZ_CHECK-abort if ingested.
+  const NodeUpdate bad{3, 99};
   SendUpdateBatch(&bad, sizeof(bad));
   ASSERT_TRUE(
       SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
@@ -735,7 +773,7 @@ TEST_F(ShardServerFixture, UpdateBatchBeforeConfigDefersErrorToo) {
   // Even "shard not configured" must not draw an unsolicited reply to
   // a fire-and-forget frame — the reply stream would shift by one.
   StartServer();
-  GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
+  const NodeUpdate u{0, 1};
   SendUpdateBatch(&u, sizeof(u));
   Configure();  // Acks normally: the drop above queued no reply.
   ASSERT_TRUE(
@@ -936,9 +974,8 @@ TEST_F(ShardServerFixture, SummaryExtractIsTheWholeExtractsBuckets) {
   // deterministic bucket of the same round in its whole reply.
   StartServer();
   Configure(/*num_nodes=*/16);
-  GraphUpdate updates[3] = {{Edge(0, 1), UpdateType::kInsert},
-                            {Edge(1, 9), UpdateType::kInsert},
-                            {Edge(12, 15), UpdateType::kInsert}};
+  const NodeUpdate updates[6] = {{0, 1},  {1, 0},  {1, 9},
+                                 {9, 1}, {12, 15}, {15, 12}};
   SendUpdateBatch(updates, sizeof(updates));
   const int rounds = NodeSketch::DefaultRounds(16);
   const auto extract = [this, rounds](RoundPart part) {
@@ -1040,9 +1077,8 @@ TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
   // exactly.
   StartServer();
   Configure(/*num_nodes=*/16);
-  GraphUpdate updates[3] = {{Edge(0, 1), UpdateType::kInsert},
-                            {Edge(1, 9), UpdateType::kInsert},
-                            {Edge(12, 15), UpdateType::kInsert}};
+  const NodeUpdate updates[6] = {{0, 1},  {1, 0},  {1, 9},
+                                 {9, 1}, {12, 15}, {15, 12}};
   SendUpdateBatch(updates, sizeof(updates));
 
   auto request_snapshot = [this](GraphSnapshot* out) {
@@ -1062,7 +1098,7 @@ TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
   };
   GraphSnapshot source;
   request_snapshot(&source);
-  EXPECT_EQ(source.num_updates(), 3u);
+  EXPECT_EQ(source.num_updates(), 6u);  // Node updates.
 
   GraphZeppelinConfig twin_config;
   twin_config.num_nodes = 16;
@@ -1113,7 +1149,7 @@ TEST_F(ShardServerFixture, PrefixedCheckpointLeavesShardUnconfigured) {
   // wrap restores.
   StartServer();
   Configure(/*num_nodes=*/16);
-  GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
+  const NodeUpdate u{0, 1};
   SendUpdateBatch(&u, sizeof(u));
   const std::string plain = ::testing::TempDir() + "/gz_v8_ckpt.bin";
   ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kCheckpoint, plain.data(),
@@ -1177,10 +1213,10 @@ TEST_F(ShardServerFixture, RestoreAdoptsTheDeltaSequenceConfigCarries) {
   // The checkpoint file holds the stream position (its GZSNAP05 update
   // count); the delta sequence number it covers comes from CONFIG,
   // which the coordinator fills from the checkpoint's ack.
+  // Positions count node updates: these are two.
   StartServer();
   Configure(/*num_nodes=*/16);
-  GraphUpdate updates[2] = {{Edge(0, 1), UpdateType::kInsert},
-                            {Edge(2, 5), UpdateType::kInsert}};
+  const NodeUpdate updates[2] = {{0, 1}, {5, 2}};
   SendUpdateBatch(updates, sizeof(updates));
   const std::string path = ::testing::TempDir() + "/gz_delta_seq_ckpt.bin";
   ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kCheckpoint, path.data(),
@@ -1251,8 +1287,8 @@ std::vector<uint8_t> RepresentativePayload(ShardMessageType type) {
       return EncodeShardConfig(sc);
     }
     case ShardMessageType::kUpdateBatch: {
-      std::vector<uint8_t> payload(sizeof(GraphUpdate));
-      GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
+      std::vector<uint8_t> payload(sizeof(NodeUpdate));
+      const NodeUpdate u{0, 1};
       std::memcpy(payload.data(), &u, sizeof(u));
       return payload;
     }
@@ -1357,7 +1393,7 @@ TEST_F(ShardServerFixture, CorruptedFrameFencesTheServerConnection) {
   // poisoned frame was never acted on.
   StartServer();
   Configure(/*num_nodes=*/16);
-  GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
+  const NodeUpdate u{0, 1};
   std::vector<uint8_t> payload(sizeof(u));
   std::memcpy(payload.data(), &u, sizeof(u));
   std::vector<uint8_t> bytes =
@@ -1422,7 +1458,7 @@ TEST_F(ShardServerFixture, UpdateBatchCannotBeInjectedBeforeAuth) {
   // UPDATE_BATCH as its first frame gets an error and a dead
   // connection — the frame never reaches the ingest path.
   StartServer(/*handshake=*/false, "server-secret");
-  GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
+  const NodeUpdate u{0, 1};
   ASSERT_TRUE(
       SendFrame(sp_.a(), ShardMessageType::kUpdateBatch, &u, sizeof(u)).ok());
   ExpectErrorReply(StatusCode::kFailedPrecondition);
@@ -1515,12 +1551,11 @@ TEST(ShardEndpointTest, QuerySessionsRefuseNonTcpEndpoints) {
 
 TEST(ShardProtocolTest, RoutingIsDeterministicAndBounded) {
   const RoutingTable table = MakeRoutingTable(5);
-  for (NodeId u = 0; u < 40; ++u) {
-    const Edge e(u, static_cast<NodeId>(u + 7));
-    const int shard = RouteToShard(e, 64, table);
+  for (NodeId u = 0; u < 64; ++u) {
+    const int shard = NodeOwner(u, table);
     EXPECT_GE(shard, 0);
     EXPECT_LT(shard, 5);
-    EXPECT_EQ(shard, RouteToShard(e, 64, table));
+    EXPECT_EQ(shard, NodeOwner(u, table));
   }
 }
 
@@ -1853,10 +1888,10 @@ class ReaderSessionFixture : public ::testing::Test {
     ASSERT_EQ(frame.type, ShardMessageType::kAck);
   }
 
-  // One insert through the writer, then a flush (its ack is the
+  // One node update through the writer, then a flush (its ack is the
   // barrier that makes the update visible to reader stats).
   void IngestOneEdge() {
-    GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
+    const NodeUpdate u{0, 1};
     ASSERT_TRUE(SendFrame(wp_.a(), ShardMessageType::kUpdateBatch, &u,
                           sizeof(u))
                     .ok());
@@ -1927,7 +1962,7 @@ TEST_F(ReaderSessionFixture, ReaderCannotMutateAndSessionSurvives) {
   };
   // The whole write surface: ingest, reconfigure, checkpoint,
   // migration fold-in, retire.
-  GraphUpdate u{Edge(2, 3), UpdateType::kInsert};
+  const NodeUpdate u{2, 3};
   expect_refused(ShardMessageType::kUpdateBatch, &u, sizeof(u));
   expect_refused(ShardMessageType::kFlush, nullptr, 0);
   expect_refused(ShardMessageType::kCheckpoint, nullptr, 0);

@@ -46,21 +46,22 @@ ConnectivityResult Components(ShardCluster* cluster) {
 
 TEST(ShardedTest, ShardRoutingDeterministicAndBounded) {
   ShardCluster sharded(BaseConfig(64, 1), 4);
-  for (NodeId u = 0; u < 20; ++u) {
-    const Edge e(u, static_cast<NodeId>(u + 10));
-    const int shard = RouteToShard(e, 64, sharded.routing_table());
+  for (NodeId u = 0; u < 64; ++u) {
+    const int shard = NodeOwner(u, sharded.routing_table());
     EXPECT_GE(shard, 0);
     EXPECT_LT(shard, 4);
-    EXPECT_EQ(shard, RouteToShard(e, 64, sharded.routing_table()));
+    EXPECT_EQ(shard, NodeOwner(u, sharded.routing_table()));
   }
 }
 
 TEST(ShardedTest, RoutingRoughlyBalanced) {
+  // Counts node updates: each edge sends one to each endpoint's owner.
   ShardCluster sharded(BaseConfig(256, 2), 4);
   int counts[4] = {0, 0, 0, 0};
   for (NodeId u = 0; u < 255; ++u) {
     for (NodeId v = u + 1; v < 256; v += 17) {
-      ++counts[RouteToShard(Edge(u, v), 256, sharded.routing_table())];
+      ++counts[NodeOwner(u, sharded.routing_table())];
+      ++counts[NodeOwner(v, sharded.routing_table())];
     }
   }
   int total = counts[0] + counts[1] + counts[2] + counts[3];
@@ -77,20 +78,19 @@ TEST(ShardedTest, RoutingIdenticalAcrossSubstrates) {
                       OnSubstrate(Substrate::kThread, 5));
   ShardCluster process(BaseConfig(128, 5), 5,
                        OnSubstrate(Substrate::kProcess, 5));
-  for (NodeId u = 0; u < 60; ++u) {
-    const Edge e(u, static_cast<NodeId>(u + 13));
-    EXPECT_EQ(RouteToShard(e, 128, thread.routing_table()),
-              RouteToShard(e, 128, process.routing_table()));
+  for (NodeId u = 0; u < 128; ++u) {
+    EXPECT_EQ(NodeOwner(u, thread.routing_table()),
+              NodeOwner(u, process.routing_table()));
   }
 }
 
 TEST(ShardedTest, RoutingIsPureFunctionOfTableAcrossSubstratesAndReshards) {
   // The regression the epoch table exists for: routing must be a pure
-  // function of (edge, table) that coordinator, shards and any
+  // function of (node, table) that coordinator, shards and any
   // external partitioner share — on every substrate, through elastic
   // reshard operations, with no hidden substrate- or history-dependent
   // state. Both clusters run the same reshard schedule; after every
-  // step their tables are identical and every edge routes identically
+  // step their tables are identical and every node routes identically
   // (and identically to the raw pure function).
   const uint64_t n = 128;
   const std::unique_ptr<ShardCluster> thread =
@@ -101,11 +101,9 @@ TEST(ShardedTest, RoutingIsPureFunctionOfTableAcrossSubstratesAndReshards) {
   auto check_agreement = [&](const char* step) {
     ASSERT_TRUE(thread->routing_table() == process->routing_table())
         << step;
-    for (NodeId u = 0; u < 80; ++u) {
-      const Edge e(u, static_cast<NodeId>(u + 11));
-      const int expect = RouteToShard(e, n, thread->routing_table());
-      EXPECT_EQ(RouteToShard(e, n, process->routing_table()), expect)
-          << step;
+    for (NodeId u = 0; u < n; ++u) {
+      const int expect = NodeOwner(u, thread->routing_table());
+      EXPECT_EQ(NodeOwner(u, process->routing_table()), expect) << step;
     }
   };
   check_agreement("initial");
@@ -175,13 +173,16 @@ TEST_P(ShardedSubstrateTest, UpdateCountsSumToTotal) {
       ++ingested;
     }
   }
+  // Shard positions count node updates: two per stream update.
   uint64_t sum = 0;
   for (int s = 0; s < sharded->num_shards(); ++s) {
     Result<ShardStats> stats = sharded->Stats(s);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     sum += stats.value().num_updates;
   }
-  EXPECT_EQ(sum, static_cast<uint64_t>(ingested));
+  EXPECT_EQ(sum, 2 * static_cast<uint64_t>(ingested));
+  EXPECT_EQ(FoldedSnapshot(sharded.get()).num_updates(),
+            static_cast<uint64_t>(ingested));
 }
 
 TEST_P(ShardedSubstrateTest, ForestDecompositionOverShardedSnapshot) {

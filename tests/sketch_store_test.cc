@@ -264,11 +264,16 @@ TEST(InMemorySketchStoreTest, ClonesANodeOnlyWhileItIsShared) {
   // Copy-on-write, observed through object identity, for both write
   // paths (MergeDelta and ApplyBatch): a write to a node nobody else
   // holds lands in place; a write to a node a capture holds moves the
-  // store to a clone and leaves the capture's object alone.
+  // store to a clone and leaves the capture's object alone. A node's
+  // first write always clones: before it, the node shares the zero.
   InMemorySketchStore store(MakeParams(4, 12));
   const NodeSketchParams real = store.params();
-  const uint8_t* before = Node1Bytes(store.Capture(0));  // Dropped at once.
+  const uint8_t* zero = Node1Bytes(store.Capture(0));  // Dropped at once.
   store.MergeDelta(1, SketchOf(real, {3}));
+  const uint8_t* before = Node1Bytes(store.Capture(0));
+  EXPECT_NE(before, zero) << "first write landed in the shared zero";
+  store.MergeDelta(1, SketchOf(real, {1}));
+  store.MergeDelta(1, SketchOf(real, {1}));  // Toggles 1 back out.
   EXPECT_EQ(Node1Bytes(store.Capture(0)), before) << "unshared node was cloned";
   const uint64_t four = 4;
   store.ApplyBatch(1, &four, 1);
@@ -298,6 +303,76 @@ TEST(InMemorySketchStoreTest, ClonesANodeOnlyWhileItIsShared) {
               WithNode1(real, 4, SketchOf(real, {3, 4, 5, 2})));
 }
 
+TEST(InMemorySketchStoreTest, RamGrowsOneSketchPerFirstWrittenNode) {
+  // Every node starts on one shared zero sketch; only a node's first
+  // write gives it a sketch of its own, and RamByteSize counts exactly
+  // those.
+  InMemorySketchStore store(MakeParams(8, 13));
+  const NodeSketchParams real = store.params();
+  const NodeSketch zero(real);
+  const size_t sketch = zero.ByteSize();
+  const size_t empty = store.RamByteSize();
+
+  // Reads, captures and zero writes leave every node on the zero.
+  NodeSketch out(real);
+  store.Load(3, &out);
+  std::vector<uint8_t> rounds(zero.layout().round_bytes() * real.rounds);
+  store.ReadRounds(3, 0, real.rounds, rounds.data());
+  std::vector<uint8_t> buckets(GraphSnapshot::kSummaryBytes * real.rounds);
+  store.ReadSummaries(3, 0, real.rounds, buckets.data());
+  const GraphSnapshot early = store.Capture(0);
+  store.Store(4, zero);
+  store.MergeDelta(5, zero);
+  EXPECT_EQ(store.RamByteSize(), empty);
+
+  const uint64_t idx = 6;
+  store.ApplyBatch(2, &idx, 1);
+  EXPECT_EQ(store.RamByteSize(), empty + sketch);
+  store.ApplyBatch(2, &idx, 1);  // Written before: no new sketch.
+  store.MergeDelta(5, SketchOf(real, {7}));
+  store.Store(6, SketchOf(real, {1}));
+  EXPECT_EQ(store.RamByteSize(), empty + 3 * sketch);
+  {
+    // A write to a held node clones it, but the old sketch is the
+    // capture's now: the store still holds one per written node.
+    const GraphSnapshot held = store.Capture(0);
+    store.MergeDelta(5, SketchOf(real, {8}));
+    EXPECT_EQ(store.RamByteSize(), empty + 3 * sketch);
+  }
+  store.MergeDelta(5, zero);
+  store.Store(4, zero);
+  EXPECT_EQ(store.RamByteSize(), empty + 3 * sketch);
+  // Storing the zero puts a written node back on the shared zero.
+  store.Store(6, zero);
+  EXPECT_EQ(store.RamByteSize(), empty + 2 * sketch);
+  store.Load(6, &out);
+  EXPECT_TRUE(out == zero);
+  EXPECT_TRUE(early == GraphSnapshot(std::vector<NodeSketch>(8, zero), 0));
+}
+
+TEST(InMemorySketchStoreTest, LastUntouchedNodeNeverWritesTheSharedZero) {
+  // With V = 2, once node 0 has its own sketch only node 1 shares the
+  // zero. The store keeps a handle of its own, so node 1's first write
+  // still clones instead of writing into the zero in place — after
+  // which storing a zero would hand node 0 node 1's sketch.
+  InMemorySketchStore store(MakeParams(2, 17));
+  const NodeSketchParams real = store.params();
+  const NodeSketch zero(real);
+  const size_t empty = store.RamByteSize();
+  const GraphSnapshot early = store.Capture(0);
+  const uint64_t idx = 0;  // The one edge of a 2-node graph.
+  store.ApplyBatch(0, &idx, 1);
+  store.ApplyBatch(1, &idx, 1);
+  EXPECT_EQ(store.RamByteSize(), empty + 2 * zero.ByteSize());
+  store.Store(0, zero);
+  NodeSketch out(real);
+  store.Load(0, &out);
+  EXPECT_TRUE(out == zero) << "the shared zero was written";
+  store.Load(1, &out);
+  EXPECT_TRUE(out == SketchOf(real, {0}));
+  EXPECT_TRUE(early == GraphSnapshot(std::vector<NodeSketch>(2, zero), 0));
+}
+
 TEST(OnDiskSketchStoreTest, DiskByteSizeMatchesRecords) {
   const NodeSketchParams params = MakeParams(10, 6);
   OnDiskSketchStore store(params, TempPath("store_size.bin"));
@@ -321,6 +396,8 @@ TEST(InMemorySketchStoreTest, RamByteSizeCountsSketches) {
   const NodeSketchParams params = MakeParams(8, 8);
   InMemorySketchStore store(params);
   NodeSketch prototype(store.params());
+  const uint64_t index = 0;
+  for (NodeId i = 0; i < 8; ++i) store.ApplyBatch(i, &index, 1);
   EXPECT_GE(store.RamByteSize(), prototype.ByteSize() * 8);
 }
 
