@@ -236,13 +236,18 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
 
   for (int round = first_round; round < last_round && !complete; ++round) {
     result.rounds_used = round - first_round + 1;
-    // The round's summaries first: a lazy snapshot loads them now,
-    // spread over the pool in the sampling phase's node blocks, and the
-    // whole round only if they leave some component undecided. A round
-    // that fails to load ends the query as failed: no answer mixes in
-    // other bytes.
+    // Round 0's samples, when the snapshot holds them, decide every
+    // node there exactly: each is still a singleton. Otherwise the
+    // round's summaries first: a lazy snapshot loads them now, spread
+    // over the pool in the sampling phase's node blocks, and the whole
+    // round only if they leave some component undecided. A round that
+    // fails to load ends the query as failed: no answer mixes in other
+    // bytes.
+    GraphSnapshot::RoundView held;
+    const bool sampled = round == 0 && snapshot.Samples(&held);
     GraphSnapshot::RoundView summaries;
-    if (!snapshot.Summary(round, kSampleBlockNodes, load_blocks, &summaries)
+    if (!sampled &&
+        !snapshot.Summary(round, kSampleBlockNodes, load_blocks, &summaries)
              .ok()) {
       break;
     }
@@ -325,13 +330,13 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
 
     // Phase 2: gather every live component's candidate cut edges, in
     // parallel over contiguous node-id blocks: singletons are sampled
-    // here, multi-member components read their phase-1 samples. Per-block
-    // result slots keep the gathered candidate order equal to the
-    // sequential order (ascending representative, then column)
-    // regardless of which thread ran which block. With `whole` null a
-    // block samples from the summaries and stops at its first
-    // undecided representative; it is then sampled again, after 1b,
-    // from the whole round.
+    // here (or read from the held samples), multi-member components
+    // read their phase-1 samples. Per-block result slots keep the
+    // gathered candidate order equal to the sequential order (ascending
+    // representative, then column) regardless of which thread ran which
+    // block. With `whole` null a block samples from the summaries and
+    // stops at its first undecided representative; it is then sampled
+    // again, after 1b, from the whole round.
     const auto sample_block = [&](size_t b,
                                   const GraphSnapshot::RoundView* whole) {
       SampleBlock& out = blocks[b];
@@ -352,12 +357,16 @@ ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
           s = samples[slot_of[i]];
         } else {
           got = own;
-          s = whole != nullptr
-                  ? layout.SampleColumns(round, whole->node(node), own, cols)
-                  : layout.SampleDeterministic(round, summaries.node(node),
-                                               own);
+          if (sampled) {
+            s = GraphSnapshot::ReadSamples(held.node(node), own);
+          } else if (whole != nullptr) {
+            s = layout.SampleColumns(round, whole->node(node), own, cols);
+          } else {
+            s = layout.SampleDeterministic(round, summaries.node(node), own);
+          }
         }
-        if (whole == nullptr && s.kind == SampleKind::kFail) {
+        // A held sample is final; a summary's kFail is undecided.
+        if (whole == nullptr && s.kind == SampleKind::kFail && !sampled) {
           out.undecided = true;
           return;
         }

@@ -29,6 +29,10 @@
 // empty, is such a round. So a reader snapshot pulls a whole round only
 // where a summary did not decide, and a round-lazy capture of an
 // on-disk store reads from the file only the rounds a query reaches.
+// A snapshot that holds round 0's samples (GraphSnapshot::Samples: a
+// reader's, sampled by the shards) answers round 0, where every node is
+// a singleton, from them alone: each is exactly the SampleColumns
+// result on the node's whole subsketch.
 // Rounds use independent subsketches because query answers feed back
 // into later merges (adaptivity).
 //

@@ -38,12 +38,76 @@ struct Header {
 // One record of `part` of the window [r_lo, r_hi).
 size_t RecordBytes(const NodeSketchParams& params, int r_lo, int r_hi,
                    RoundPart part) {
-  const size_t unit =
-      part == RoundPart::kWhole
-          ? SketchLayout::RoundBytes(NumPossibleEdges(params.num_nodes),
-                                     params.cols)
-          : GraphSnapshot::kSummaryBytes;
+  size_t unit = GraphSnapshot::kSummaryBytes;
+  if (part == RoundPart::kWhole) {
+    unit = SketchLayout::RoundBytes(NumPossibleEdges(params.num_nodes),
+                                    params.cols);
+  } else if (part == RoundPart::kSamples) {
+    unit = GraphSnapshot::SamplesBytes(params.cols);
+  }
   return unit * static_cast<size_t>(r_hi - r_lo);
+}
+
+const char* PartName(RoundPart part) {
+  return part == RoundPart::kWhole     ? "whole rounds"
+         : part == RoundPart::kSummary ? "round summaries"
+                                       : "round samples";
+}
+
+// Samples records carry a tag byte, three zero bytes and a u32 count
+// ahead of their coordinates.
+constexpr size_t kSamplesCountOffset = 4;
+constexpr size_t kSamplesHeadBytes = 8;
+
+uint32_t SamplesCount(const uint8_t* record) {
+  uint32_t count;
+  std::memcpy(&count, record + kSamplesCountOffset, sizeof(count));
+  return count;
+}
+
+// Whether the `bytes` at `p` are all zero: an OR over 8-byte words with
+// no early exit, which the compiler vectorizes (a byte-wise scan cost
+// more than sampling the slice).
+bool AllZero(const uint8_t* p, size_t bytes) {
+  uint64_t acc = 0;
+  size_t i = 0;
+  for (; i + sizeof(uint64_t) <= bytes; i += sizeof(uint64_t)) {
+    uint64_t word;
+    std::memcpy(&word, p + i, sizeof(word));
+    acc |= word;
+  }
+  for (; i < bytes; ++i) acc |= p[i];
+  return acc == 0;
+}
+
+// Why the samples record at `record` is not one WriteSamples() could
+// have written for a sketch of `vector_len` coordinates in `cols`
+// columns, or null when it is.
+const char* BadSamples(const uint8_t* record, int cols, uint64_t vector_len) {
+  const uint8_t tag = record[0];
+  const uint32_t count = SamplesCount(record);
+  if (tag > 1 + static_cast<int>(SampleKind::kFail)) {
+    return "unknown samples tag";
+  }
+  if (count > static_cast<uint32_t>(cols)) {
+    return "samples count exceeds the columns";
+  }
+  // Only a good sample has coordinates, and it has at least one.
+  const bool good = tag == 1 + static_cast<int>(SampleKind::kGood);
+  if (good != (count > 0)) return "samples count does not match the tag";
+  for (size_t b = 1; b < kSamplesCountOffset; ++b) {
+    if (record[b] != 0) return "nonzero samples padding";
+  }
+  for (uint32_t k = 0; k < static_cast<uint32_t>(cols); ++k) {
+    uint64_t coordinate;
+    std::memcpy(&coordinate, record + kSamplesHeadBytes + 8 * k,
+                sizeof(coordinate));
+    if (k < count && coordinate >= vector_len) {
+      return "samples coordinate past the vector length";
+    }
+    if (k >= count && coordinate != 0) return "nonzero unused samples slot";
+  }
+  return nullptr;
 }
 
 void WriteHeader(const Header& h, uint8_t* out) {
@@ -103,8 +167,7 @@ Status ParseHeader(const uint8_t* in, Header* h) {
       !(0 <= h->r_lo && h->r_lo < h->r_hi && h->r_hi <= rounds)) {
     return Status::InvalidArgument("malformed GraphSnapshot header");
   }
-  if (part != static_cast<uint32_t>(RoundPart::kWhole) &&
-      part != static_cast<uint32_t>(RoundPart::kSummary)) {
+  if (part > static_cast<uint32_t>(RoundPart::kSamples)) {
     return Status::InvalidArgument("GraphSnapshot header names unknown part " +
                                    std::to_string(part));
   }
@@ -218,10 +281,29 @@ Status ReadRecords(
 // again, so views into it stay valid without the lock.
 class GraphSnapshot::LazyRounds {
  public:
-  LazyRounds(const NodeSketch& zero, RoundLoader load)
-      : zero_(zero), load_(std::move(load)), rounds_(zero.rounds()) {}
+  LazyRounds(const NodeSketch& zero, RoundLoader load,
+             std::vector<uint8_t> samples)
+      : zero_(zero),
+        load_(std::move(load)),
+        samples_(std::move(samples)),
+        rounds_(zero.rounds()) {
+    GZ_CHECK_MSG(samples_.empty() ||
+                     samples_.size() == zero_.params().num_nodes *
+                                            SamplesBytes(zero_.params().cols),
+                 "wrong-sized round samples");
+  }
 
   const NodeSketch& zero() const { return zero_; }
+
+  // Round 0's samples into *view, if they were handed over. They never
+  // change, so no lock is needed.
+  bool Samples(RoundView* view) const {
+    if (samples_.empty()) return false;
+    view->flat_ = samples_.data();
+    view->stride_ = SamplesBytes(zero_.params().cols);
+    view->round_ = 0;
+    return true;
+  }
 
   // `part` of round `round` into *view (node i's slice, or its
   // deterministic bucket), loading it first if no call has; a summary
@@ -293,6 +375,8 @@ class GraphSnapshot::LazyRounds {
 
   const NodeSketch zero_;  // Params and the shared layout.
   const RoundLoader load_;
+  // Round 0's samples as handed to Lazy(), or empty.
+  const std::vector<uint8_t> samples_;
   std::vector<PerRound> rounds_;
   std::mutex mu_;
   Status failed_;  // The first failed load, for load_status().
@@ -319,10 +403,12 @@ GraphSnapshot::GraphSnapshot(std::vector<CowSketch> sketches,
 }
 
 GraphSnapshot GraphSnapshot::Lazy(const NodeSketch& zero,
-                                  uint64_t num_updates, RoundLoader load) {
+                                  uint64_t num_updates, RoundLoader load,
+                                  std::vector<uint8_t> samples) {
   GraphSnapshot snapshot;
   snapshot.num_updates_ = num_updates;
-  snapshot.lazy_ = std::make_shared<LazyRounds>(zero, std::move(load));
+  snapshot.lazy_ = std::make_shared<LazyRounds>(zero, std::move(load),
+                                                std::move(samples));
   return snapshot;
 }
 
@@ -362,6 +448,10 @@ Status GraphSnapshot::Summary(int round, uint64_t block_nodes,
   view->round_ = round;
   view->offset_ = layout().det_offset();
   return Status::Ok();
+}
+
+bool GraphSnapshot::Samples(RoundView* view) const {
+  return lazy_ != nullptr && lazy_->Samples(view);
 }
 
 Status GraphSnapshot::load_status() const {
@@ -467,6 +557,27 @@ size_t GraphSnapshot::SerializedSizeFor(const NodeSketchParams& params,
   return kHeaderBytes + (hi - lo) * RecordBytes(params, r_lo, r_hi, part);
 }
 
+void GraphSnapshot::WriteSamples(const SketchLayout& layout, int round,
+                                 const uint8_t* slice, uint8_t* record) {
+  std::memset(record, 0, SamplesBytes(layout.cols()));
+  if (AllZero(slice, layout.round_bytes())) return;  // Untouched.
+  const ColumnSamples s = layout.SampleColumns(
+      round, slice, reinterpret_cast<uint64_t*>(record + kSamplesHeadBytes),
+      layout.cols());
+  record[0] = static_cast<uint8_t>(1 + static_cast<int>(s.kind));
+  const uint32_t count = static_cast<uint32_t>(s.count);
+  std::memcpy(record + kSamplesCountOffset, &count, sizeof(count));
+}
+
+ColumnSamples GraphSnapshot::ReadSamples(const uint8_t* record,
+                                         uint64_t* out) {
+  // An untouched slice is all zero, which samples kZero.
+  if (record[0] == 0) return {SampleKind::kZero, 0};
+  const int count = static_cast<int>(SamplesCount(record));
+  std::memcpy(out, record + kSamplesHeadBytes, count * sizeof(uint64_t));
+  return {static_cast<SampleKind>(record[0] - 1), count};
+}
+
 size_t GraphSnapshot::SerializedSize() const {
   return SerializedSizeFor(params(), 0, num_nodes());
 }
@@ -541,13 +652,23 @@ Status GraphSnapshot::FoldSerialized(
         std::to_string(r_lo) + ", " + std::to_string(r_hi) + ")");
   }
   if (header.part != part) {
-    return Status::InvalidArgument(
-        header.part == RoundPart::kSummary
-            ? "serialized range holds round summaries, not whole rounds"
-            : "serialized range holds whole rounds, not round summaries");
+    return Status::InvalidArgument(std::string("serialized range holds ") +
+                                   PartName(header.part) + ", not " +
+                                   PartName(part));
+  }
+  const size_t record = RecordBytes(params, r_lo, r_hi, part);
+  if (part == RoundPart::kSamples) {
+    const size_t unit = SamplesBytes(params.cols);
+    const uint64_t vector_len = NumPossibleEdges(params.num_nodes);
+    const uint8_t* end = data + size;
+    for (const uint8_t* p = data + kHeaderBytes; p < end; p += unit) {
+      if (const char* why = BadSamples(p, params.cols, vector_len)) {
+        return Status::InvalidArgument(
+            std::string("malformed samples record: ") + why);
+      }
+    }
   }
   // Past this point nothing can fail, so a fold never stops half-way.
-  const size_t record = RecordBytes(params, r_lo, r_hi, part);
   const uint8_t* cursor = data + kHeaderBytes;
   for (uint64_t i = header.lo; i < header.hi; ++i) {
     fold(static_cast<NodeId>(i), cursor);

@@ -12,11 +12,11 @@
 // fold a cluster (distributed/range_pull.h). Sketches are per node and
 // per round, so every transfer of sketch state has one serialized form,
 // the records of a node range [lo, hi) x round window [r_lo, r_hi), of
-// whole rounds or
-// of their deterministic buckets alone: a shard's reply, a migration or
-// repair delta, and a checkpoint file (the whole range [0, V) x [0, R))
-// are all the same bytes, and a reader pulls the summaries of every
-// round first and a whole round only when a query needs it.
+// whole rounds, of their deterministic buckets alone or of their
+// samples: a shard's reply, a migration or repair delta, and a
+// checkpoint file (the whole range [0, V) x [0, R)) are all the same
+// bytes, and a reader pulls round 0's samples and the summaries of
+// every later round first and a whole round only when a query needs it.
 //
 // All query algorithms (connectivity, spanning-forest decomposition,
 // bipartiteness, MSF weight) consume `const GraphSnapshot&` and only
@@ -42,7 +42,10 @@
 //   the buffers. A round's summary is loaded the same way (Summary()),
 //   into a V x 12-byte buffer, unless its whole round is loaded
 //   already. A query whose last round its summaries decide loads only
-//   the rounds before it whole.
+//   the rounds before it whole. A reader session's snapshot also holds
+//   round 0's samples, handed over at construction (Samples()), from
+//   which Boruvka answers every singleton of that round without loading
+//   it.
 //   A load may fail (a reader's cluster moved on): the snapshot then
 //   keeps the first failure as load_status(), Round() returns it for
 //   every round not loaded yet, and nothing is ever built from a round
@@ -71,12 +74,15 @@
 namespace gz {
 
 // The part of each round that a serialized range or a lazy load
-// carries: the whole round slice, or its deterministic bucket alone
-// (SketchLayout::kDetBucketBytes bytes), the round's summary. A summary
-// decides every component whose bucket sum is zero or a verified
-// singleton (SketchLayout::SampleDeterministic). The values are the
-// wire encoding.
-enum class RoundPart : uint32_t { kWhole = 0, kSummary = 1 };
+// carries: the whole round slice; its deterministic bucket alone
+// (SketchLayout::kDetBucketBytes bytes), the round's summary; or the
+// round's samples, the producer's SketchLayout::SampleColumns() result
+// on its own slice (GraphSnapshot::WriteSamples). A summary decides
+// every component whose bucket sum is zero or a verified singleton
+// (SketchLayout::SampleDeterministic); samples are a node's exact
+// answer wherever no other producer's slice of that node is nonzero.
+// The values are the wire encoding.
+enum class RoundPart : uint32_t { kWhole = 0, kSummary = 1, kSamples = 2 };
 
 class GraphSnapshot {
  public:
@@ -100,19 +106,25 @@ class GraphSnapshot {
   // i * round_stride (the padding zero). kSummary: V * kSummaryBytes
   // bytes, node i's deterministic bucket at i * kSummaryBytes; or, from
   // a loader that cannot read a summary more cheaply, the whole round
-  // as for kWhole (the size tells which). `run` spreads work in blocks
-  // of `block_nodes` nodes over a query pool. Called at most once per
-  // round and part, and never for a part of a round loaded whole, from
-  // any thread; a non-Ok status fails the round (and the snapshot's
-  // load_status()).
+  // as for kWhole (the size tells which). Never kSamples: a snapshot
+  // holds only the samples handed to Lazy(). `run` spreads work in
+  // blocks of `block_nodes` nodes over a query pool. Called at most
+  // once per round and part, and never for a part of a round loaded
+  // whole, from any thread; a non-Ok status fails the round (and the
+  // snapshot's load_status()).
   using RoundLoader = std::function<Status(
       int round, RoundPart part, uint64_t block_nodes, const BlockRunner& run,
       std::vector<uint8_t>* out)>;
   static constexpr size_t kSummaryBytes = SketchLayout::kDetBucketBytes;
   // A round-lazy snapshot of the sketches `load` reads, all built with
   // `zero`'s params (`zero` is the empty sketch; it lends its layout).
+  // `samples`, unless empty, is round 0's samples: V * SamplesBytes(cols)
+  // bytes, node i's valid record (one FoldSerialized() passed) at
+  // i * SamplesBytes(cols), each exact for its node's round-0 slice of
+  // the sketches `load` reads.
   static GraphSnapshot Lazy(const NodeSketch& zero, uint64_t num_updates,
-                            RoundLoader load);
+                            RoundLoader load,
+                            std::vector<uint8_t> samples = {});
 
   GraphSnapshot(GraphSnapshot&&) = default;
   GraphSnapshot& operator=(GraphSnapshot&&) = default;
@@ -128,9 +140,10 @@ class GraphSnapshot {
   int rounds() const { return params().rounds; }
   uint64_t num_updates() const { return num_updates_; }
 
-  // One round of every node's sketch: node i's round_bytes slice, or
-  // for a summary its kSummaryBytes deterministic bucket. Valid while
-  // the snapshot (or a copy sharing its sketches) lives.
+  // One round of every node's sketch: node i's round_bytes slice, for
+  // a summary its kSummaryBytes deterministic bucket, or for samples its
+  // SamplesBytes(cols) record. Valid while the snapshot (or a copy
+  // sharing its sketches) lives.
   class RoundView {
    public:
     const uint8_t* node(NodeId i) const {
@@ -159,6 +172,12 @@ class GraphSnapshot {
   // otherwise loads the summary part, as Round() loads a round.
   Status Summary(int round, uint64_t block_nodes, const BlockRunner& run,
                  RoundView* view) const;
+  // Round 0's samples, into *view, when the snapshot holds them (only a
+  // lazy one does: those handed to Lazy()): node(i) is node i's record,
+  // which ReadSamples() turns into exactly what SampleColumns() returns
+  // on node i's whole round-0 slice. Returns false, with *view
+  // untouched, otherwise; nothing is ever loaded.
+  bool Samples(RoundView* view) const;
   // The first failed load's status: Ok while every load succeeded.
   Status load_status() const;
 
@@ -195,9 +214,20 @@ class GraphSnapshot {
   //   body    hi - lo records of (r_hi - r_lo) * unit bytes: round
   //           r_lo's bytes, then r_lo + 1's, ... The unit is round_bytes
   //           for part 0 (RoundPart::kWhole; a whole record is
-  //           [0, rounds), the node sketch's serialized form) and the
+  //           [0, rounds), the node sketch's serialized form), the
   //           12-byte deterministic bucket for part 1
-  //           (RoundPart::kSummary). Any other part is InvalidArgument.
+  //           (RoundPart::kSummary), and a SamplesBytes(cols) samples
+  //           record (below) for part 2 (RoundPart::kSamples). Any other
+  //           part is InvalidArgument.
+  //
+  // A samples record (u8 tag | 3 zero bytes | u32 count | cols x u64
+  // coordinates, 64 bytes at cols = 7) is one node's samples of one
+  // round as its producer holds them. Tag 0, untouched: the producer's
+  // slice of that node and round is all zero bytes, and the record is
+  // all zero. Tag 1 + SampleKind: SampleColumns() on that slice, with
+  // `count` coordinates (1..cols for kGood, none for kZero and kFail),
+  // each below the sketch's vector length, and every unused slot zero.
+  // FoldSerialized refuses any other record.
   //
   // A whole snapshot is [0, V) x [0, R) of whole rounds. num_updates is
   // the producer's stream position when the bytes were written; only
@@ -212,6 +242,18 @@ class GraphSnapshot {
                                   uint64_t hi, int r_lo, int r_hi,
                                   RoundPart part = RoundPart::kWhole);
 
+  // The samples record codec. SamplesBytes is one record's size;
+  // WriteSamples writes the record of round `round`'s slice at `slice`
+  // (round_bytes) into `record`, both 8-aligned; ReadSamples returns the
+  // SampleColumns() result a valid record carries, its coordinates
+  // copied to out (cols slots), and kZero for an untouched one.
+  static constexpr size_t SamplesBytes(int cols) {
+    return 8 + 8 * static_cast<size_t>(cols);
+  }
+  static void WriteSamples(const SketchLayout& layout, int round,
+                           const uint8_t* slice, uint8_t* record);
+  static ColumnSamples ReadSamples(const uint8_t* record, uint64_t* out);
+
   // The whole snapshot, [0, V) x [0, R).
   size_t SerializedSize() const;
   std::vector<uint8_t> Serialize() const;
@@ -221,10 +263,10 @@ class GraphSnapshot {
 
   // The fold behind every consumer of serialized bytes: validates `data`
   // in full against `params`, the round window [r_lo, r_hi) and the part
-  // the caller expects (InvalidArgument on any mismatch), then hands
-  // each node's record bytes ((r_hi - r_lo) units of round_bytes, or of
-  // kSummaryBytes for a summary) to `fold` in order. `fold` never sees
-  // bytes that failed validation.
+  // the caller expects, and every samples record (InvalidArgument on any
+  // mismatch or bad record), then hands each node's record bytes
+  // ((r_hi - r_lo) units of round_bytes, kSummaryBytes or SamplesBytes)
+  // to `fold` in order. `fold` never sees bytes that failed validation.
   static Status FoldSerialized(
       const uint8_t* data, size_t size, const NodeSketchParams& params,
       int r_lo, int r_hi,
@@ -249,7 +291,8 @@ class GraphSnapshot {
   // File forms, always whole snapshots, streamed one record at a time.
   // SaveToFile publishes atomically (see SaveStream). LoadFromFile
   // distinguishes a missing file (NotFound), a malformed header, partial
-  // range or summary part (InvalidArgument) and a short body (IoError).
+  // range or a summary or samples part (InvalidArgument) and a short
+  // body (IoError).
   Status SaveToFile(const std::string& path) const;
   static Result<GraphSnapshot> LoadFromFile(const std::string& path);
 

@@ -185,13 +185,25 @@ Status GraphZeppelin::WriteNodeRangeTo(
     return Status::InvalidArgument("bad round window");
   }
   Flush();
+  const SketchLayout& layout = store_->layout();
+  // Samples are taken from one round at a time, read into an 8-aligned
+  // slice.
+  std::vector<uint8_t> slice(part == RoundPart::kSamples ? layout.round_stride()
+                                                         : 0);
+  const size_t samples_bytes = GraphSnapshot::SamplesBytes(layout.cols());
   return GraphSnapshot::SaveToSink(
       write, store_->params(), lo, hi, r_lo, r_hi, num_updates_,
-      [this, r_lo, r_hi, part](NodeId i, uint8_t* record) {
+      [&](NodeId i, uint8_t* record) {
         if (part == RoundPart::kWhole) {
           store_->ReadRounds(i, r_lo, r_hi, record);
-        } else {
+        } else if (part == RoundPart::kSummary) {
           store_->ReadSummaries(i, r_lo, r_hi, record);
+        } else {
+          for (int r = r_lo; r < r_hi; ++r) {
+            store_->ReadRounds(i, r, r + 1, slice.data());
+            GraphSnapshot::WriteSamples(layout, r, slice.data(),
+                                        record + (r - r_lo) * samples_bytes);
+          }
         }
       },
       part);

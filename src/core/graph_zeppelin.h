@@ -137,12 +137,14 @@ class GraphZeppelin {
   // under a header carrying num_updates_ingested() — so even an
   // out-of-core sketch store never materializes them, and a window reads
   // only its rounds, or only their deterministic buckets, from the store
-  // (SketchStore::ReadRounds, ReadSummaries). A shard answers
-  // MIGRATE_EXTRACT this way straight into its socket, and a checkpoint
-  // is whole rounds of [0, V) x [0, R) written to a file. The byte count
-  // is GraphSnapshot::SerializedSizeFor(sketch_params(), lo, hi, r_lo,
-  // r_hi, part), known before the first call. The range comes off the
-  // wire, so a bad one is an InvalidArgument, not a check failure.
+  // (SketchStore::ReadRounds, ReadSummaries); samples are taken from the
+  // rounds it reads, one at a time (GraphSnapshot::WriteSamples). A
+  // shard answers MIGRATE_EXTRACT this way straight into its socket, and
+  // a checkpoint is whole rounds of [0, V) x [0, R) written to a file.
+  // The byte count is GraphSnapshot::SerializedSizeFor(sketch_params(),
+  // lo, hi, r_lo, r_hi, part), known before the first call. The range
+  // comes off the wire, so a bad one is an InvalidArgument, not a check
+  // failure.
   Status WriteNodeRangeTo(
       uint64_t lo, uint64_t hi, int r_lo, int r_hi, RoundPart part,
       const std::function<Status(const void* data, size_t size)>& write);

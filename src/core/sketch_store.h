@@ -86,6 +86,8 @@ class SketchStore {
 
   // Normalized: rounds filled in when the config left them automatic.
   const NodeSketchParams& params() const { return zero_.params(); }
+  // The graph's shared sketch layout: geometry and seeds.
+  const SketchLayout& layout() const { return zero_.layout(); }
   uint64_t num_nodes() const { return params().num_nodes; }
 
  protected:

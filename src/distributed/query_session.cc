@@ -56,7 +56,8 @@ struct QuerySession::Lease {
   const NodeSketch zero;            // The snapshot's params and layout.
   ShardWatermarks marks;
   // Per round: its folded whole buffer and its folded summary until the
-  // snapshot takes them, and whether the whole round was ever pulled.
+  // snapshot takes them (neither for a round the snapshot holds as
+  // samples), and whether the whole round was ever pulled.
   std::vector<std::vector<uint8_t>> pulled;
   std::vector<std::vector<uint8_t>> summaries;
   std::vector<bool> have;
@@ -268,7 +269,8 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
 Status QuerySession::PullStable(
     int r_lo, int r_hi, const ShardWatermarks* required, PositionView* view,
     std::vector<std::vector<uint8_t>>* rounds,
-    std::vector<std::vector<uint8_t>>* summaries) {
+    std::vector<std::vector<uint8_t>>* summaries,
+    std::vector<std::vector<uint8_t>>* samples) {
   Status last = Status::Ok();
   std::vector<ShardStatsEx> t0, t1;
   std::vector<Status> answers0, answers1;
@@ -290,10 +292,7 @@ Status QuerySession::PullStable(
       continue;
     }
     if (required == nullptr) {
-      if (Cached(*view)) {
-        rounds->clear();
-        return Status::Ok();
-      }
+      if (Cached(*view)) return Status::Ok();
       // Positions only grow, so the stale cache goes before the
       // candidate is built.
       Revoke();
@@ -302,14 +301,23 @@ Status QuerySession::PullStable(
     // t0 == t1 check would be unverified); any live replica may serve a
     // chunk, since replicas are bitwise-equal at the position t0 == t1
     // certifies.
-    Status round_error;
-    const int whole_hi = std::min(r_hi, view->params.rounds);
-    std::vector<RoundPull> pulls = {{r_lo, whole_hi, RoundPart::kWhole, rounds}};
+    const int num_rounds = view->params.rounds;
+    const int window_hi = std::min(r_hi, num_rounds);
+    rounds->clear();
+    bool overlap = false;
+    std::vector<RoundPull> pulls;
+    if (samples != nullptr) {
+      samples->clear();
+      pulls.push_back(
+          {r_lo, window_hi, RoundPart::kSamples, samples, &overlap});
+    } else {
+      pulls.push_back({r_lo, window_hi, RoundPart::kWhole, rounds});
+    }
     if (summaries != nullptr) {
       summaries->clear();
-      if (whole_hi < view->params.rounds) {
+      if (window_hi < num_rounds) {
         pulls.push_back(
-            {whole_hi, view->params.rounds, RoundPart::kSummary, summaries});
+            {window_hi, num_rounds, RoundPart::kSummary, summaries});
       }
     }
     // Replica i of a shard is conn i (-1 when conn i serves another
@@ -321,16 +329,28 @@ Status QuerySession::PullStable(
       std::vector<int>& shard_fds = fds.emplace_back(conns_.size(), -1);
       for (const size_t conn : conns) shard_fds[conn] = conns_[conn]->fd();
     }
-    PullTally tally;
-    s = PullAndFold(
-        view->params, fds, pulls, options_.nodes_per_chunk, &reply_buf_,
-        [&](size_t, size_t conn, const Status& error) {
-          conn_alive_[conn] = false;
-          conn_error_ = error;
-        },
-        &tally, &round_error);
-    range_pulls_ += tally.replies;
-    bytes_pulled_ += tally.bytes;
+    Status round_error;
+    const auto pull_and_fold = [&](const std::vector<RoundPull>& wave) {
+      PullTally tally;
+      const Status folded = PullAndFold(
+          view->params, fds, wave, options_.nodes_per_chunk, &reply_buf_,
+          [&](size_t, size_t conn, const Status& error) {
+            conn_alive_[conn] = false;
+            conn_error_ = error;
+          },
+          &tally, &round_error);
+      range_pulls_ += tally.replies;
+      bytes_pulled_ += tally.bytes;
+      return folded;
+    };
+    s = pull_and_fold(pulls);
+    if (s.ok() && round_error.ok() && overlap) {
+      // Some node was touched on two shards (a split moved its slot, or
+      // a removal's heir does not own it), so no one shard's samples are
+      // its answer: the window whole instead, under the same t0.
+      samples->clear();
+      s = pull_and_fold({{r_lo, window_hi, RoundPart::kWhole, rounds}});
+    }
     if (!s.ok()) return s;
     if (!round_error.ok()) {
       last = round_error;
@@ -361,11 +381,13 @@ Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
   }
   last_refresh_rounds_ = 0;
   PositionView view;
-  std::vector<std::vector<uint8_t>> fresh, summaries;
+  // With no round asked for whole, round 0 comes as samples.
+  std::vector<std::vector<uint8_t>> fresh, summaries, samples;
   Status s = PullStable(0, std::max(1, first_rounds), nullptr, &view, &fresh,
-                        &summaries);
+                        &summaries, first_rounds == 0 ? &samples : nullptr);
   if (!s.ok()) return s;
-  if (fresh.empty()) {  // The cache is the cluster's position.
+  // PullStable keeps the cache only when it is the cluster's position.
+  if (merged_.valid()) {
     *out = &merged_;
     return Status::Ok();
   }
@@ -377,8 +399,10 @@ Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
   lease->pulled = std::move(fresh);
   lease->pulled.resize(rounds);
   lease->summaries.resize(rounds);
+  // The summaries are of the last rounds, after the whole or sampled
+  // ones.
   std::move(summaries.begin(), summaries.end(),
-            lease->summaries.begin() + r_hi);
+            lease->summaries.end() - summaries.size());
   lease->have.assign(rounds, false);
   std::fill(lease->have.begin(), lease->have.begin() + r_hi, true);
   lease->reached = r_hi;
@@ -394,9 +418,10 @@ Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
               "later Snapshot(), Connect(), StartWatch() or the "
               "session's end); take a new Snapshot()");
         }
-        // Every round the first pull did not take whole came with its
-        // summary; a round pulled whole serves its summary too.
-        if (part == RoundPart::kSummary && !lease->have[round]) {
+        // Every round the first pull took neither whole nor as samples
+        // came with its summary; any other round serves its summary
+        // from the whole round.
+        if (part == RoundPart::kSummary && !lease->summaries[round].empty()) {
           *buf = std::move(lease->summaries[round]);
           return Status::Ok();
         }
@@ -406,7 +431,8 @@ Status QuerySession::Refresh(int first_rounds, const GraphSnapshot** out) {
         }
         *buf = std::move(lease->pulled[round]);
         return Status::Ok();
-      });
+      },
+      samples.empty() ? std::vector<uint8_t>{} : std::move(samples[0]));
   lease_ = std::move(lease);
   marks_ = std::move(view.marks);
   *out = &merged_;
@@ -418,7 +444,7 @@ Status QuerySession::PullRound(Lease* lease, int round) {
   PositionView view;
   std::vector<std::vector<uint8_t>> window;
   const Status s = PullStable(round, round + 1, &lease->marks, &view, &window,
-                              /*summaries=*/nullptr);
+                              /*summaries=*/nullptr, /*samples=*/nullptr);
   if (!s.ok()) return s;
   lease->pulled[round] = std::move(window[0]);
   lease->have[round] = true;

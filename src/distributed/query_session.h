@@ -10,20 +10,28 @@
 // shard's sketch state is a pure function of its watermark, so an
 // unmoved position is answered with zero pulls — a split that moves no
 // content included, since routing never reaches a shard. A moved one is
-// rebuilt cold: ingest hashes edges over routing slots dealt across all
-// shards, so any span of updates moves every shard.
+// rebuilt cold: every shard's slice of a node is pulled again, since
+// ingest sends each endpoint's half of an update to the shard owning
+// that node, so a span of updates usually moves every shard.
 //
 // Pulls: the snapshot is round-lazy (GraphSnapshot::Lazy). Boruvka
-// reads one sketch round per step, each from its summary first (every
-// node's 12-byte deterministic bucket), and usually stops after two,
-// the last of which only proves every cut empty, from its summary
-// alone. So a cold rebuild pulls round 0 whole and the summaries of
-// rounds [1, R) from every shard's nodes [0, V) (two range requests per
-// chunk, through the pull engine ShardCluster::Snapshot() uses too,
-// range_pull.h) and XOR-folds them into one buffer per round and part. A query pulls a later round
-// whole, from every shard, only when some component's summary does not
-// decide it; anything that needs whole sketches (==, Serialize, Merge,
-// a forest peel) pulls every remaining round, one at a time.
+// reads one sketch round per step and usually stops after two. Round 0
+// needs only each singleton's samples; every later round starts from
+// its summary (every node's 12-byte deterministic bucket), and the last
+// one only proves every cut empty, from its summary alone. So a cold
+// rebuild pulls, from every shard's nodes [0, V), round 0's samples
+// (each node's SampleColumns() result on the shard's own slice, or
+// "untouched") and the summaries of rounds [1, R): two range requests
+// per chunk, through the pull engine ShardCluster::Snapshot() uses too
+// (range_pull.h). Summaries XOR-fold into one buffer per round; samples
+// fold by copy, since a node touched on one shard only has that shard's
+// samples as its answer. A node touched on two shards (a split moved
+// its slot, or a removal's heir does not own it) makes the refresh pull
+// round 0 whole from every shard instead, in the same seqlock round.
+// A query pulls a later round whole, from every shard, only when some
+// component's summary does not decide it; anything that needs whole
+// sketches (==, Serialize, Merge, a forest peel) pulls every round not
+// yet whole, one at a time.
 //
 // Consistency protocol (a seqlock over shard positions): one refresh
 // reads every shard's STATS_EX position (t0), pulls and folds the first
@@ -170,7 +178,8 @@ class QuerySession {
 
   // Returns the merged snapshot at the cluster's current position:
   // the cached one when nothing moved (zero pulls), else a cold rebuild
-  // of round 0 and every later round's summary. *out stays valid until
+  // of round 0's samples (round 0 whole where shards overlap) and every
+  // later round's summary. *out stays valid until
   // the next Snapshot() call. Fails when a shard is
   // unreachable/unconfigured, or when the position kept moving for 16
   // refresh rounds.
@@ -201,10 +210,11 @@ class QuerySession {
   Status PollPositions(bool* fresh);
 
   // Observability: chunk replies received and their payload bytes,
-  // headers included (discarded rounds, summaries and later rounds
-  // included), the whole sketch rounds of the current snapshot pulled so
-  // far, and the seqlock rounds the last Snapshot() needed (1 = stable
-  // at once).
+  // headers included (discarded rounds, samples, summaries and later
+  // rounds included), the whole sketch rounds of the current snapshot
+  // pulled so far (none after a cold pull that took round 0 as
+  // samples), and the seqlock rounds the last Snapshot() needed (1 =
+  // stable at once).
   uint64_t range_pulls() const { return range_pulls_; }
   uint64_t bytes_pulled() const { return bytes_pulled_; }
   int rounds_pulled() const;
@@ -279,21 +289,26 @@ class QuerySession {
   bool Cached(const PositionView& view) const;
   // The seqlock round behind Snapshot() and every later round: a t0
   // position sweep, PullAndFold() (range_pull.h) of the whole rounds
-  // [r_lo, min(r_hi, R)) and, with `summaries`, of the summaries of the
-  // rounds after them into *summaries, in the same waves, and a t1
-  // sweep that must equal t0; *view is the position the rounds belong to. Replica skew, a moved
-  // position, a replica lost mid-pull or a reply that does not fold
-  // retries it, at most 16 times (then ResourceExhausted). With
-  // `required` (a later round), a sweep that finds other marks returns
-  // FailedPrecondition at once. Without (a refresh), a t0 position the
-  // cache already holds returns Ok with *rounds empty, and otherwise the
-  // cache is dropped before the pull.
+  // [r_lo, min(r_hi, R)) into *rounds (with `samples`, of their samples
+  // into *samples instead) and, with `summaries`, of the summaries of
+  // the rounds after them into *summaries, in the same waves, and a t1
+  // sweep that must equal t0; *view is the position the rounds belong
+  // to. If the samples overlap (a node touched on two shards), the
+  // window is pulled whole into *rounds, and *samples emptied, before
+  // the t1 sweep. Replica skew, a moved position, a
+  // replica lost mid-pull or a reply that does not fold retries it, at
+  // most 16 times (then ResourceExhausted). With `required` (a later
+  // round), a sweep that finds other marks returns FailedPrecondition at
+  // once. Without (a refresh), a t0 position the cache already holds
+  // returns Ok with the cache kept, and otherwise the cache is dropped
+  // before the pull.
   Status PullStable(int r_lo, int r_hi, const ShardWatermarks* required,
                     PositionView* view,
                     std::vector<std::vector<uint8_t>>* rounds,
-                    std::vector<std::vector<uint8_t>>* summaries);
-  // Snapshot() with a first pull of at least `first_rounds` whole
-  // rounds.
+                    std::vector<std::vector<uint8_t>>* summaries,
+                    std::vector<std::vector<uint8_t>>* samples);
+  // Snapshot() with a first pull of `first_rounds` whole rounds; with
+  // none, round 0 comes as samples.
   Status Refresh(int first_rounds, const GraphSnapshot** out);
 
   // What the current lazy snapshot's loader shares with this session:

@@ -1,10 +1,12 @@
 #include "distributed/range_pull.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <utility>
 
 #include "sketch/cube_sketch.h"
+#include "util/check.h"
 
 namespace gz {
 
@@ -24,22 +26,35 @@ Status PullAndFold(const NodeSketchParams& params,
   // bytes per node.
   std::vector<std::function<void(NodeId, const uint8_t*)>> folds;
   for (const RoundPull& pull : pulls) {
-    const bool whole = pull.part == RoundPart::kWhole;
-    const size_t unit = whole ? round_bytes : GraphSnapshot::kSummaryBytes;
-    const size_t slot = whole ? stride : GraphSnapshot::kSummaryBytes;
+    const RoundPart part = pull.part;
+    size_t unit = GraphSnapshot::kSummaryBytes;
+    size_t slot = unit;
+    if (part == RoundPart::kWhole) {
+      unit = round_bytes;
+      slot = stride;
+    } else if (part == RoundPart::kSamples) {
+      GZ_CHECK_MSG(pull.overlap != nullptr, "samples pull without a flag");
+      unit = slot = GraphSnapshot::SamplesBytes(params.cols);
+    }
     // Sized in place: copying one zeroed prototype into every round
     // would allocate and free one more V-sized buffer per pull.
     pull.rounds->assign(pull.r_hi - pull.r_lo, {});
     for (std::vector<uint8_t>& buf : *pull.rounds) buf.resize(num_nodes * slot);
-    folds.push_back([&pull, whole, unit, slot](NodeId i,
-                                               const uint8_t* record) {
+    folds.push_back([&pull, part, unit, slot](NodeId i,
+                                              const uint8_t* record) {
       for (int r = pull.r_lo; r < pull.r_hi; ++r) {
         uint8_t* dst = (*pull.rounds)[r - pull.r_lo].data() + i * slot;
         const uint8_t* src = record + (r - pull.r_lo) * unit;
-        if (whole) {
+        if (part == RoundPart::kWhole) {
           XorBytes(dst, src, unit);
-        } else {
+        } else if (part == RoundPart::kSummary) {
           XorDetBucket(dst, src);
+        } else if (src[0] != 0) {  // A touched node's samples.
+          if (dst[0] != 0) {
+            *pull.overlap = true;
+          } else {
+            std::memcpy(dst, src, unit);
+          }
         }
       }
     });

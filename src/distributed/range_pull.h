@@ -4,6 +4,13 @@
 // reply XOR-folded into one buffer per round, so the buffers hold the
 // cluster's sketch (sketch linearity, paper Section 3.1).
 //
+// Samples do not add up, so they fold by copy: a node's record lands in
+// its empty slot, and a record from a second shard that also touched
+// the node raises the pull's overlap flag instead. A node touched on
+// one shard only is exact, since the XOR of its slices would be that
+// shard's slice; the caller treats an overlap by pulling the round
+// whole.
+//
 // Pulls run in waves, each one Exchange() (shard_protocol.h) that sends
 // every shard's first live replica one request per pull, for its next
 // chunk of nodes, then folds the replies in send order, so a shard
@@ -29,13 +36,17 @@
 namespace gz {
 
 // `part` of rounds [r_lo, r_hi), folded into (*rounds)[r - r_lo]: one
-// zeroed buffer per round, V x round_stride for whole rounds and
-// V x kSummaryBytes for summaries.
+// zeroed buffer per round, V x round_stride for whole rounds,
+// V x kSummaryBytes for summaries and V x SamplesBytes(cols) for
+// samples (a zero record: untouched on every shard so far). A samples
+// pull needs `overlap`, set once some node arrives touched from two
+// shards.
 struct RoundPull {
   int r_lo;
   int r_hi;
   RoundPart part;
   std::vector<std::vector<uint8_t>>* rounds;
+  bool* overlap = nullptr;
 };
 
 // Replies received and their payload bytes, headers included.

@@ -722,8 +722,7 @@ Status DecodeMigrateExtract(const uint8_t* data, size_t size, uint64_t* lo,
     return Status::InvalidArgument(
         "migrate-extract round window is empty or reversed");
   }
-  if (part_value != static_cast<uint32_t>(RoundPart::kWhole) &&
-      part_value != static_cast<uint32_t>(RoundPart::kSummary)) {
+  if (part_value > static_cast<uint32_t>(RoundPart::kSamples)) {
     return Status::InvalidArgument("migrate-extract names unknown part " +
                                    std::to_string(part_value));
   }

@@ -6,7 +6,7 @@
 // learn where the bytes come from; everything transport-specific —
 // framing integrity, peer authentication — lives here.
 //
-// Frame (v12) = 16-byte header (magic, version, message type, payload
+// Frame (v13) = 16-byte header (magic, version, message type, payload
 // bytes) + payload + a 4-byte CRC32C trailer over header AND payload.
 // The receiver verifies the checksum before any payload decode; a
 // mismatch is a Status error and, because the stream can no longer be
@@ -14,8 +14,9 @@
 // bare NodeUpdate slabs — the exact in-memory layout the coordinator
 // routes, so a routing buffer is framed with one sendmsg and never
 // copied — and sketch state travels in one form, a serialized
-// GraphSnapshot node range x round window of whole rounds or of their
-// deterministic buckets (MIGRATE_EXTRACT / MIGRATE_DATA / MERGE_DELTA; a
+// GraphSnapshot node range x round window of whole rounds, of their
+// deterministic buckets or of their samples (MIGRATE_EXTRACT /
+// MIGRATE_DATA / MERGE_DELTA; a
 // whole snapshot is whole rounds of [0, V) x [0, R)), the same
 // self-describing bytes checkpoint files hold. The routing table never
 // crosses the wire (see RoutingTable).
@@ -70,7 +71,8 @@ enum class ShardMessageType : uint16_t {
   // Elastic resharding (coordinator -> shard, except kMigrateData).
   kMigrateExtract = 13,  // u64s [lo, hi), i32s [r_lo, r_hi), u32 part:
                          // serialize that part (RoundPart: 0 = whole
-                         // rounds, 1 = deterministic buckets only) of
+                         // rounds, 1 = deterministic buckets only, 2 =
+                         // the shard's samples of each round) of
                          // those rounds of that node range of the
                          // shard's state (whole rounds of [0, V) x
                          // [0, R) = the whole snapshot). Reply:
@@ -149,8 +151,12 @@ struct ShardFrameHeader {
   // needs it. v11: sketch state travels as GZSNAP05 ranges, whose
   // column buckets are stored at their exact depth. v12: UPDATE_BATCH
   // carries 8-byte node updates, each routed to the shard owning its
-  // node, so a shard's positions count node updates.
-  static constexpr uint16_t kVersion = 12;
+  // node, so a shard's positions count node updates. v13:
+  // MIGRATE_EXTRACT may name part 2, each node's samples of each round
+  // as the shard holds it (or "untouched"), so a reader pulls round 0 as
+  // one samples record per node (64 bytes at 7 columns) instead of its
+  // whole slice (1860 bytes at kron11).
+  static constexpr uint16_t kVersion = 13;
   static constexpr size_t kBytes = 16;
   // CRC32C over header + payload, appended after the payload.
   static constexpr size_t kCrcBytes = 4;

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -653,49 +654,56 @@ TEST(GraphSnapshotTest, SummaryRangesCarryEachRoundsDeterministicBucket) {
   }
 }
 
-TEST(GraphSnapshotTest, WholeRecordConsumersRefuseSummaryBytes) {
-  // Summaries of the whole range [0, V) x [0, R) have a whole-snapshot
-  // header but for the part: Deserialize, LoadFromFile,
+TEST(GraphSnapshotTest, WholeRecordConsumersRefuseSummaryAndSamplesBytes) {
+  // Summaries or samples of the whole range [0, V) x [0, R) have a
+  // whole-snapshot header but for the part: Deserialize, LoadFromFile,
   // GraphZeppelin::MergeSerialized and a whole-window fold all refuse
-  // them, and a summary fold refuses whole rounds.
+  // them, and a summary or samples fold refuses whole rounds and the
+  // other part.
   const uint64_t n = 16;
   GraphZeppelin gz(MakeConfig(n, 3));
   ASSERT_TRUE(gz.Init().ok());
   Ingest(&gz, {Edge(1, 2), Edge(2, 9)});
   const int rounds = gz.sketch_params().rounds;
-  const std::vector<uint8_t> summary =
-      RangeBytes(gz, 0, n, 0, rounds, RoundPart::kSummary);
   const std::vector<uint8_t> whole =
       RangeBytes(gz, 0, n, 0, rounds, RoundPart::kWhole);
   const auto no_fold = [](NodeId, const uint8_t*) { FAIL(); };
-  EXPECT_EQ(GraphSnapshot::Deserialize(summary.data(), summary.size())
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
   const GraphSnapshot snap =
       GraphSnapshot::Deserialize(whole.data(), whole.size()).value();
-  EXPECT_EQ(GraphSnapshot::FoldSerialized(summary.data(), summary.size(),
-                                          snap.params(), 0, rounds, no_fold)
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(GraphSnapshot::FoldSerialized(whole.data(), whole.size(),
-                                          snap.params(), 0, rounds, no_fold,
-                                          RoundPart::kSummary)
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(gz.MergeSerialized(summary.data(), summary.size()).code(),
-            StatusCode::kInvalidArgument);
-  const std::string path =
-      std::string(::testing::TempDir()) + "/summary_part.snap";
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(summary.data(), 1, summary.size(), f),
-            summary.size());
-  std::fclose(f);
-  EXPECT_EQ(GraphSnapshot::LoadFromFile(path).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(gz.LoadCheckpoint(path).code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
+  for (const RoundPart part : {RoundPart::kSummary, RoundPart::kSamples}) {
+    SCOPED_TRACE(static_cast<int>(part));
+    const RoundPart other = part == RoundPart::kSummary
+                                ? RoundPart::kSamples
+                                : RoundPart::kSummary;
+    const std::vector<uint8_t> bytes = RangeBytes(gz, 0, n, 0, rounds, part);
+    EXPECT_EQ(
+        GraphSnapshot::Deserialize(bytes.data(), bytes.size()).status().code(),
+        StatusCode::kInvalidArgument);
+    for (const RoundPart expect : {RoundPart::kWhole, other}) {
+      EXPECT_EQ(GraphSnapshot::FoldSerialized(bytes.data(), bytes.size(),
+                                              snap.params(), 0, rounds,
+                                              no_fold, expect)
+                    .code(),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(GraphSnapshot::FoldSerialized(whole.data(), whole.size(),
+                                            snap.params(), 0, rounds, no_fold,
+                                            part)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(gz.MergeSerialized(bytes.data(), bytes.size()).code(),
+              StatusCode::kInvalidArgument);
+    const std::string path =
+        std::string(::testing::TempDir()) + "/partial_part.snap";
+    FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    EXPECT_EQ(GraphSnapshot::LoadFromFile(path).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(gz.LoadCheckpoint(path).code(), StatusCode::kInvalidArgument);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(GraphSnapshotTest, UnknownPartAndTruncatedSummaryAreInvalidArgument) {
@@ -713,12 +721,13 @@ TEST(GraphSnapshotTest, UnknownPartAndTruncatedSummaryAreInvalidArgument) {
       RangeBytes(gz, 2, 9, 1, rounds, RoundPart::kSummary);
   const std::vector<uint8_t> whole =
       RangeBytes(gz, 0, n, 0, rounds, RoundPart::kWhole);
-  for (const uint32_t unknown : {2u, 3u, 0xFFFFFFFFu}) {
+  for (const uint32_t unknown : {3u, 4u, 0xFFFFFFFFu}) {
     for (const std::vector<uint8_t>* bytes : {&summary, &whole}) {
       std::vector<uint8_t> bad = *bytes;
       std::memcpy(bad.data() + 64, &unknown, 4);
       const int r_lo = bytes == &summary ? 1 : 0;
-      for (const RoundPart part : {RoundPart::kWhole, RoundPart::kSummary}) {
+      for (const RoundPart part : {RoundPart::kWhole, RoundPart::kSummary,
+                                   RoundPart::kSamples}) {
         EXPECT_EQ(GraphSnapshot::FoldSerialized(bad.data(), bad.size(),
                                                 params, r_lo, rounds, no_fold,
                                                 part)
@@ -743,6 +752,289 @@ TEST(GraphSnapshotTest, UnknownPartAndTruncatedSummaryAreInvalidArgument) {
                   .code(),
               StatusCode::kInvalidArgument)
         << "cut " << cut;
+  }
+}
+
+TEST(GraphSnapshotTest, SamplesRangesCarryEachNodesSampleColumns) {
+  // A samples range holds, per node and round, SampleColumns() on the
+  // producer's slice, from the RAM and the disk store alike. A node
+  // whose slice is all zero bytes, never touched or its updates
+  // cancelled, is untouched: an all-zero record, which reads as kZero.
+  const uint64_t n = 24;
+  EdgeList edges;
+  for (NodeId i = 0; i + 1 < 12; ++i) edges.emplace_back(i, i + 1);
+  edges.emplace_back(20, 23);
+  for (const auto storage : {GraphZeppelinConfig::Storage::kRam,
+                             GraphZeppelinConfig::Storage::kDisk}) {
+    GraphZeppelinConfig config = MakeConfig(n, 9);
+    config.storage = storage;
+    GraphZeppelin gz(config);
+    ASSERT_TRUE(gz.Init().ok());
+    Ingest(&gz, edges);
+    // Nodes 16 and 17 share one edge, inserted and deleted again.
+    gz.Update({Edge(16, 17), UpdateType::kInsert});
+    gz.Update({Edge(16, 17), UpdateType::kDelete});
+    const GraphSnapshot snap = gz.Snapshot();
+    const SketchLayout& layout = snap.layout();
+    const int rounds = snap.rounds();
+    const int cols = layout.cols();
+    const size_t unit = GraphSnapshot::SamplesBytes(cols);
+    EXPECT_EQ(unit, 64u);
+    const std::vector<uint8_t> samples =
+        RangeBytes(gz, 3, 21, 0, rounds, RoundPart::kSamples);
+    ASSERT_EQ(samples.size(),
+              GraphSnapshot::SerializedSizeFor(snap.params(), 3, 21, 0, rounds,
+                                               RoundPart::kSamples));
+    EXPECT_EQ(samples.size(), GraphSnapshot::kHeaderBytes + 18 * rounds * unit);
+    uint32_t part = 0;
+    std::memcpy(&part, samples.data() + 64, 4);
+    EXPECT_EQ(part, 2u);
+    int good = 0;
+    int untouched = 0;
+    std::vector<uint64_t> want(cols), got(cols);
+    ASSERT_TRUE(
+        GraphSnapshot::FoldSerialized(
+            samples.data(), samples.size(), snap.params(), 0, rounds,
+            [&](NodeId i, const uint8_t* record) {
+              for (int r = 0; r < rounds; ++r) {
+                GraphSnapshot::RoundView whole;
+                ASSERT_TRUE(snap.Round(r, n, nullptr, &whole).ok());
+                const uint8_t* rec = record + r * unit;
+                const ColumnSamples w =
+                    layout.SampleColumns(r, whole.node(i), want.data(), cols);
+                const ColumnSamples g =
+                    GraphSnapshot::ReadSamples(rec, got.data());
+                EXPECT_EQ(g.kind, w.kind) << "node " << i << " round " << r;
+                ASSERT_EQ(g.count, w.count) << "node " << i << " round " << r;
+                for (int k = 0; k < g.count; ++k) EXPECT_EQ(got[k], want[k]);
+                const uint8_t* slice = whole.node(i);
+                const bool zero_slice =
+                    std::all_of(slice, slice + layout.round_bytes(),
+                                [](uint8_t b) { return b == 0; });
+                EXPECT_EQ(std::all_of(rec, rec + unit,
+                                      [](uint8_t b) { return b == 0; }),
+                          zero_slice)
+                    << "node " << i << " round " << r;
+                if (i == 16 || i == 17) {
+                  EXPECT_TRUE(zero_slice);
+                }
+                untouched += zero_slice;
+                good += g.kind == SampleKind::kGood;
+              }
+            },
+            RoundPart::kSamples)
+            .ok());
+    EXPECT_GT(good, 0);
+    // Nodes 12 to 19 have no edge left.
+    EXPECT_GE(untouched, 8 * rounds);
+  }
+}
+
+TEST(GraphSnapshotTest, BadSamplesRecordsAreInvalidArgument) {
+  // Every samples record a producer could not have written fails the
+  // whole fold with InvalidArgument before any record is folded: an
+  // unknown tag, a count past the columns or not matching its tag, a
+  // coordinate past the vector length, nonzero padding or unused slots,
+  // and an untouched record with any nonzero byte.
+  const uint64_t n = 16;
+  GraphZeppelin gz(MakeConfig(n, 3));
+  ASSERT_TRUE(gz.Init().ok());
+  Ingest(&gz, {Edge(1, 2), Edge(2, 9)});
+  const NodeSketchParams params = gz.sketch_params();
+  const int cols = params.cols;
+  const size_t unit = GraphSnapshot::SamplesBytes(cols);
+  std::vector<uint8_t> good = RangeBytes(gz, 0, n, 0, 1, RoundPart::kSamples);
+  const auto record = [unit](std::vector<uint8_t>* bytes, NodeId i) {
+    return bytes->data() + GraphSnapshot::kHeaderBytes + i * unit;
+  };
+  // Node 9's one edge is a verified singleton: one good sample. Node 0
+  // is untouched.
+  const auto count_of = [](const uint8_t* at) {
+    uint32_t count;
+    std::memcpy(&count, at + 4, sizeof(count));
+    return count;
+  };
+  ASSERT_EQ(record(&good, 9)[0], 1 + static_cast<int>(SampleKind::kGood));
+  ASSERT_EQ(count_of(record(&good, 9)), 1u);
+  ASSERT_TRUE(std::all_of(record(&good, 0), record(&good, 0) + unit,
+                          [](uint8_t b) { return b == 0; }));
+  int folded = 0;
+  ASSERT_TRUE(GraphSnapshot::FoldSerialized(
+                  good.data(), good.size(), params, 0, 1,
+                  [&folded](NodeId, const uint8_t*) { ++folded; },
+                  RoundPart::kSamples)
+                  .ok());
+  EXPECT_EQ(folded, static_cast<int>(n));
+  const auto set_u64 = [](uint8_t* at, uint64_t value) {
+    std::memcpy(at, &value, sizeof(value));
+  };
+  const auto set_count = [](uint8_t* at, uint32_t count) {
+    std::memcpy(at + 4, &count, sizeof(count));
+  };
+  const uint64_t vector_len = NumPossibleEdges(n);
+  using Edit = std::function<void(std::vector<uint8_t>*)>;
+  std::vector<std::pair<std::string, Edit>> cases = {
+      {"unknown tag 4", [&](auto* b) { record(b, 9)[0] = 4; }},
+      {"unknown tag 255", [&](auto* b) { record(b, 9)[0] = 255; }},
+      {"count past the columns",
+       [&](auto* b) { set_count(record(b, 9), cols + 1); }},
+      {"count at the u32 maximum",
+       [&](auto* b) { set_count(record(b, 9), UINT32_MAX); }},
+      {"good sample with count 0",
+       [&](auto* b) {
+         set_count(record(b, 9), 0);
+         set_u64(record(b, 9) + 8, 0);
+       }},
+      {"zero sample with a count",
+       [&](auto* b) {
+         record(b, 9)[0] = 1 + static_cast<int>(SampleKind::kZero);
+       }},
+      {"fail sample with a count",
+       [&](auto* b) {
+         record(b, 9)[0] = 1 + static_cast<int>(SampleKind::kFail);
+       }},
+      {"coordinate at the vector length",
+       [&](auto* b) { set_u64(record(b, 9) + 8, vector_len); }},
+      {"coordinate at the u64 maximum",
+       [&](auto* b) { set_u64(record(b, 9) + 8, UINT64_MAX); }},
+      {"nonzero unused slot",
+       [&](auto* b) { set_u64(record(b, 9) + 8 + 8 * (cols - 1), 1); }},
+      {"untouched record with a count",
+       [&](auto* b) { set_count(record(b, 0), 1); }},
+      {"untouched record with a coordinate",
+       [&](auto* b) { set_u64(record(b, 0) + 8, 1); }},
+  };
+  for (size_t pad = 1; pad < 4; ++pad) {
+    cases.push_back({"nonzero padding byte " + std::to_string(pad),
+                     [&, pad](auto* b) { record(b, 9)[pad] = 1; }});
+    cases.push_back({"untouched record with padding byte " +
+                         std::to_string(pad),
+                     [&, pad](auto* b) { record(b, 0)[pad] = 1; }});
+  }
+  const auto no_fold = [](NodeId, const uint8_t*) { FAIL(); };
+  for (const auto& [name, edit] : cases) {
+    std::vector<uint8_t> bad = good;
+    edit(&bad);
+    EXPECT_EQ(GraphSnapshot::FoldSerialized(bad.data(), bad.size(), params, 0,
+                                            1, no_fold, RoundPart::kSamples)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
+}
+
+TEST(GraphSnapshotTest, SamplesRecordsServeCountsPastOneByte) {
+  // A samples record's u32 count serves every column count a config
+  // accepts: at 512 columns the hub of a star samples more edges than a
+  // byte counts, and every record reads back as SampleColumns() on its
+  // slice.
+  const uint64_t n = 32;
+  GraphZeppelinConfig config = MakeConfig(n, 4);
+  config.cols = 512;
+  GraphZeppelin gz(config);
+  ASSERT_TRUE(gz.Init().ok());
+  EdgeList star;
+  for (NodeId i = 1; i < n; ++i) star.emplace_back(0, i);
+  Ingest(&gz, star);
+  const GraphSnapshot snap = gz.Snapshot();
+  const SketchLayout& layout = snap.layout();
+  const std::vector<uint8_t> samples =
+      RangeBytes(gz, 0, n, 0, 1, RoundPart::kSamples);
+  GraphSnapshot::RoundView round0;
+  ASSERT_TRUE(snap.Round(0, n, nullptr, &round0).ok());
+  std::vector<uint64_t> want(config.cols), got(config.cols);
+  int hub_count = 0;
+  ASSERT_TRUE(GraphSnapshot::FoldSerialized(
+                  samples.data(), samples.size(), snap.params(), 0, 1,
+                  [&](NodeId i, const uint8_t* record) {
+                    const ColumnSamples w = layout.SampleColumns(
+                        0, round0.node(i), want.data(), config.cols);
+                    const ColumnSamples g =
+                        GraphSnapshot::ReadSamples(record, got.data());
+                    EXPECT_EQ(g.kind, w.kind) << "node " << i;
+                    ASSERT_EQ(g.count, w.count) << "node " << i;
+                    for (int k = 0; k < g.count; ++k) {
+                      EXPECT_EQ(got[k], want[k]);
+                    }
+                    if (i == 0) hub_count = g.count;
+                  },
+                  RoundPart::kSamples)
+                  .ok());
+  EXPECT_GT(hub_count, 255);
+}
+
+// Boruvka's answer, field by field.
+void ExpectSameAnswer(const ConnectivityResult& got,
+                      const ConnectivityResult& want) {
+  EXPECT_EQ(got.failed, want.failed);
+  EXPECT_EQ(got.rounds_used, want.rounds_used);
+  EXPECT_EQ(got.num_components, want.num_components);
+  EXPECT_EQ(got.spanning_forest, want.spanning_forest);
+  EXPECT_EQ(got.component_of, want.component_of);
+}
+
+TEST(GraphSnapshotTest, HeldSamplesAnswerEverySingletonExactly) {
+  // A lazy snapshot holding round 0's samples answers exactly as the
+  // eager snapshot they were taken from, at 1 and 4 threads and from a
+  // later first round, and Boruvka never loads round 0 (every node is a
+  // singleton there). The graph crosses the engine's parallel
+  // thresholds.
+  const uint64_t n = 2048;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.003;
+  ep.seed = 9;
+  const GraphSnapshot eager =
+      SnapshotOf(n, 23, ErdosRenyiGenerator(ep).Generate());
+  const SketchLayout& layout = eager.layout();
+  const size_t unit = GraphSnapshot::SamplesBytes(layout.cols());
+  std::vector<uint8_t> samples(n * unit);
+  GraphSnapshot::RoundView round0;
+  ASSERT_TRUE(eager.Round(0, n, nullptr, &round0).ok());
+  for (NodeId i = 0; i < n; ++i) {
+    GraphSnapshot::WriteSamples(layout, 0, round0.node(i),
+                                samples.data() + i * unit);
+  }
+  auto loads = std::make_shared<std::vector<int>>(eager.rounds(), 0);
+  const auto lazy = [&](std::vector<uint8_t> held) {
+    return GraphSnapshot::Lazy(
+        NodeSketch(eager.params()), eager.num_updates(),
+        [&eager, loads, n](int round, RoundPart part, uint64_t,
+                           const GraphSnapshot::BlockRunner&,
+                           std::vector<uint8_t>* out) {
+          ++(*loads)[round];
+          const bool whole = part == RoundPart::kWhole;
+          const size_t slot = whole ? eager.layout().round_stride()
+                                    : GraphSnapshot::kSummaryBytes;
+          const size_t bytes = whole ? eager.layout().round_bytes()
+                                     : GraphSnapshot::kSummaryBytes;
+          GraphSnapshot::RoundView view;
+          GZ_CHECK_OK(whole ? eager.Round(round, n, nullptr, &view)
+                            : eager.Summary(round, n, nullptr, &view));
+          out->assign(n * slot, 0);
+          for (NodeId i = 0; i < n; ++i) {
+            std::memcpy(out->data() + i * slot, view.node(i), bytes);
+          }
+          return Status::Ok();
+        },
+        std::move(held));
+  };
+  GraphSnapshot::RoundView view;
+  EXPECT_FALSE(eager.Samples(&view));
+  EXPECT_FALSE(lazy({}).Samples(&view));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    std::fill(loads->begin(), loads->end(), 0);
+    const ConnectivityResult want = Connectivity(eager, threads);
+    ASSERT_FALSE(want.failed);
+    const GraphSnapshot held = lazy(samples);
+    ASSERT_TRUE(held.Samples(&view));
+    ExpectSameAnswer(Connectivity(held, threads), want);
+    EXPECT_EQ((*loads)[0], 0);
+    ExpectSameAnswer(BoruvkaConnectivity(held, 2, -1, threads),
+                     BoruvkaConnectivity(eager, 2, -1, threads));
+    EXPECT_EQ((*loads)[0], 0);
+    EXPECT_TRUE(held == eager);
   }
 }
 

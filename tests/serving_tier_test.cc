@@ -7,12 +7,14 @@
 // snapshot must be BITWISE identical to the coordinator's full fold —
 // after ingest, a split, a live removal, replica failover, and
 // concurrent reader sessions. A reader snapshot is round-lazy: a cold
-// Snapshot() pulls round 0 whole and every later round's summary, and a
-// query pulls a later round whole only where its summaries do not
-// decide it (and ==, which reads every round, pulls every remaining
-// round), each at the snapshot's position or not at all. While a removal migrates, a reader answer may
-// be torn across shards (see query_session.h); the chaos drill below
-// checks only that such answers stay well formed.
+// Snapshot() pulls every shard's samples of round 0 (round 0 whole when
+// some node was touched on two shards) and every later round's summary,
+// and a query pulls a later round whole only where its summaries do not
+// decide it (and ==, which reads every round, pulls every round not yet
+// whole), each at the snapshot's position or not at all. While a removal
+// migrates, a reader answer may be torn across shards (see
+// query_session.h); the chaos drill below checks only that such answers
+// stay well formed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,8 +95,8 @@ std::vector<GraphUpdate> BuildStream(uint64_t seed) {
 // nodes-per-chunk granularity.
 constexpr uint64_t kChunk = 16;
 constexpr uint64_t kChunksPerShard = (kNumNodes + kChunk - 1) / kChunk;
-// Range replies of one shard's cold pull: round 0 whole and the later
-// rounds' summaries, one request each per chunk.
+// Range replies of one shard's cold pull: round 0's samples and the
+// later rounds' summaries, one request each per chunk.
 constexpr uint64_t kColdPullsPerShard = 2 * kChunksPerShard;
 
 // A one-connection relay on a loopback port in front of the listener at
@@ -916,12 +918,33 @@ uint64_t LaterRounds(const std::vector<bool>& read) {
   return static_cast<uint64_t>(std::count(read.begin() + 1, read.end(), true));
 }
 
+// `served` holds round 0's samples, and each node's reads back exactly
+// as SampleColumns() reads `full`'s round 0 slice of that node.
+void ExpectSameSamples(const GraphSnapshot& served, const GraphSnapshot& full) {
+  GraphSnapshot::RoundView held, whole;
+  ASSERT_TRUE(served.Samples(&held));
+  ASSERT_TRUE(full.Round(0, full.num_nodes(), nullptr, &whole).ok());
+  const int cols = full.layout().cols();
+  std::vector<uint64_t> got(cols), want(cols);
+  for (NodeId i = 0; i < full.num_nodes(); ++i) {
+    const ColumnSamples g =
+        GraphSnapshot::ReadSamples(held.node(i), got.data());
+    const ColumnSamples w =
+        full.layout().SampleColumns(0, whole.node(i), want.data(), cols);
+    EXPECT_EQ(g.kind, w.kind) << "node " << i;
+    ASSERT_EQ(g.count, w.count) << "node " << i;
+    for (int k = 0; k < g.count; ++k) EXPECT_EQ(got[k], want[k]);
+  }
+}
+
 TEST_F(ServingTierTcpTest, LazyReaderSnapshotEqualsTheFold) {
-  // The cold Snapshot() pulls round 0 and the summaries of every shard,
-  // a query pulls exactly the later rounds its summaries leave
-  // undecided (one pull per shard per round, even with two threads
-  // querying copies at once), its answers equal the eager fold's at 1
-  // and 4 threads, and the whole snapshot is the fold bitwise.
+  // The cold Snapshot() pulls round 0's samples and the summaries of
+  // every shard, and holds each node's samples exactly as SampleColumns()
+  // reads the fold's round 0; a query pulls exactly the later rounds its
+  // summaries leave undecided (one pull per shard per round, even with
+  // two threads querying copies at once), its answers equal the eager
+  // fold's at 1 and 4 threads, and the whole snapshot is the fold
+  // bitwise.
   StartFleet(2);
   ShardClusterOptions options;
   options.auth_secret = kSecret;
@@ -955,7 +978,8 @@ TEST_F(ServingTierTcpTest, LazyReaderSnapshotEqualsTheFold) {
   const Status s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(session.range_pulls(), 2 * kColdPullsPerShard);
-  EXPECT_EQ(session.rounds_pulled(), 1);
+  EXPECT_EQ(session.rounds_pulled(), 0);
+  ExpectSameSamples(*served, full);
   ExpectSameAnswer(Connectivity(*served, 1), want1);
   ExpectSameAnswer(Connectivity(*served, 4), want4);
   EXPECT_EQ(session.range_pulls(),
@@ -979,24 +1003,24 @@ TEST_F(ServingTierTcpTest, LazyReaderSnapshotEqualsTheFold) {
   ExpectSameAnswer(BoruvkaConnectivity(*served, kLaterRound, -1, 1), late1);
   EXPECT_EQ(session.range_pulls(), pulled);
   EXPECT_EQ(session.rounds_pulled(),
-            static_cast<int>(1 + LaterRounds(both_read)));
+            static_cast<int>(LaterRounds(both_read)));
   EXPECT_TRUE(served->load_status().ok());
 
-  // Every remaining round, once each.
+  // Every remaining round, round 0 included, once each.
   EXPECT_TRUE(*served == full);
   EXPECT_EQ(served->Serialize(), full.Serialize());
   EXPECT_EQ(session.range_pulls(),
-            2 * (kColdPullsPerShard + (rounds - 1) * kChunksPerShard));
+            2 * (kColdPullsPerShard + rounds * kChunksPerShard));
   EXPECT_EQ(session.rounds_pulled(), rounds);
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
-TEST_F(ServingTierTcpTest, QueryBytesAreRoundZeroSummariesAndRoundsItRead) {
-  // A cold query's pull bytes, summed over shards: per shard, round 0
-  // whole (V x round_bytes), the summaries of the other R - 1 rounds
-  // (V x (R - 1) x 12) and one range header per chunk for each, plus
-  // V x round_bytes and a header per chunk for each later round pulled
-  // whole.
+TEST_F(ServingTierTcpTest, QueryBytesAreSamplesSummariesAndRoundsItRead) {
+  // A cold query's pull bytes, summed over shards: per shard, round 0's
+  // samples (V x 64 at 7 columns), the summaries of the other R - 1
+  // rounds (V x (R - 1) x 12) and one range header per chunk for each,
+  // plus V x round_bytes and a header per chunk for each later round
+  // pulled whole.
   StartFleet(2);
   ShardClusterOptions options;
   options.auth_secret = kSecret;
@@ -1020,14 +1044,15 @@ TEST_F(ServingTierTcpTest, QueryBytesAreRoundZeroSummariesAndRoundsItRead) {
   const uint64_t round_bytes = served->layout().round_bytes();
   const uint64_t rounds = served->rounds();
   const uint64_t headers = kChunksPerShard * GraphSnapshot::kHeaderBytes;
+  const uint64_t samples = kNumNodes * 64 + headers;
   const uint64_t whole_round = kNumNodes * round_bytes + headers;
   const uint64_t summaries =
       kNumNodes * (rounds - 1) * GraphSnapshot::kSummaryBytes + headers;
   EXPECT_EQ(session.bytes_pulled(),
-            2 * ((1 + later) * whole_round + summaries));
+            2 * (samples + summaries + later * whole_round));
   EXPECT_EQ(session.range_pulls(),
             2 * (kColdPullsPerShard + later * kChunksPerShard));
-  EXPECT_EQ(session.rounds_pulled(), static_cast<int>(1 + later));
+  EXPECT_EQ(session.rounds_pulled(), static_cast<int>(later));
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
@@ -1072,7 +1097,154 @@ TEST_F(ServingTierTcpTest, UndecidedRoundOneIsTheOneLaterRoundPulled) {
   EXPECT_EQ(cc.value().num_components, kNumNodes - 79);
   EXPECT_EQ(session.range_pulls(),
             2 * (kColdPullsPerShard + kChunksPerShard));
-  EXPECT_EQ(session.rounds_pulled(), 2);
+  EXPECT_EQ(session.rounds_pulled(), 1);
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_F(ServingTierTcpTest, NodeWhoseEdgesCancelledComesBackUntouched) {
+  // Node 5's edges are inserted and deleted again, so its owner holds an
+  // all-zero slice of it. The shard marks a node untouched by its bytes,
+  // so the reader's record of node 5 is all zero, no two shards overlap,
+  // and the answer is the fold's.
+  StartFleet(2);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  ShardCluster cluster(BaseConfig(197), 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  constexpr NodeId kCancelled = 5;
+  std::vector<GraphUpdate> updates;
+  for (const GraphUpdate& u : BuildStream(197)) {
+    if (u.edge.u != kCancelled && u.edge.v != kCancelled) updates.push_back(u);
+  }
+  for (const UpdateType type : {UpdateType::kInsert, UpdateType::kDelete}) {
+    for (const NodeId other : {1, 40, 77, 90}) {
+      updates.push_back({Edge(kCancelled, other), type});
+    }
+  }
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  const GraphSnapshot full = FoldedSnapshot(&cluster);
+
+  QuerySession session(ReaderOptions());
+  ASSERT_TRUE(session.Connect().ok());
+  const GraphSnapshot* served = nullptr;
+  ASSERT_TRUE(session.Snapshot(&served).ok());
+  EXPECT_EQ(session.last_refresh_rounds(), 1);
+  EXPECT_EQ(session.range_pulls(), 2 * kColdPullsPerShard);
+  EXPECT_EQ(session.rounds_pulled(), 0);
+  GraphSnapshot::RoundView held;
+  ASSERT_TRUE(served->Samples(&held));
+  const uint8_t* record = held.node(kCancelled);
+  EXPECT_TRUE(
+      std::all_of(record, record + 64, [](uint8_t b) { return b == 0; }));
+  ExpectSameSamples(*served, full);
+  const ConnectivityResult want = Connectivity(full, 1);
+  ExpectSameAnswer(Connectivity(*served, 1), want);
+  EXPECT_EQ(want.component_of[kCancelled], kCancelled);
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_F(ServingTierTcpTest, SplitThatMovesContentPullsRoundZeroWhole) {
+  // A split moves routing slots, not state: after it, the child ingests
+  // updates of nodes whose earlier content shard 0 still holds, so those
+  // nodes arrive touched from two shards. The reader sees the overlap
+  // in its samples wave and, in the same seqlock round, pulls round 0
+  // whole from every shard instead; its answers are the fold's.
+  StartFleet(2);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  ShardCluster cluster(BaseConfig(199), 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  std::vector<std::string> grown_endpoints;
+  GZ_CHECK_OK(StartListenerShards(
+      DefaultShardBinary(), 1, ::testing::TempDir(),
+      ::testing::TempDir() + "/gz_serving_o", kSecret, &listeners_,
+      &grown_endpoints));
+  const std::vector<GraphUpdate> updates = BuildStream(199);
+  const size_t half = updates.size() / 2;
+  ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  ASSERT_TRUE(cluster.SplitShard(0, grown_endpoints[0]).ok());
+  ASSERT_TRUE(
+      cluster.Update(updates.data() + half, updates.size() - half).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  const GraphSnapshot full = FoldedSnapshot(&cluster);
+
+  QuerySessionOptions qo = ReaderOptions();
+  qo.endpoints.push_back(grown_endpoints[0]);
+  QuerySession session(qo);
+  ASSERT_TRUE(session.Connect().ok());
+  const GraphSnapshot* served = nullptr;
+  ASSERT_TRUE(session.Snapshot(&served).ok());
+  EXPECT_EQ(session.last_refresh_rounds(), 1);
+  EXPECT_EQ(session.rounds_pulled(), 1);
+  GraphSnapshot::RoundView held;
+  EXPECT_FALSE(served->Samples(&held));
+  // Per shard: the samples wave and the summaries, then round 0 whole.
+  const uint64_t headers = kChunksPerShard * GraphSnapshot::kHeaderBytes;
+  const uint64_t samples = kNumNodes * 64 + headers;
+  const uint64_t summaries = kNumNodes * (full.rounds() - 1) *
+                                 GraphSnapshot::kSummaryBytes +
+                             headers;
+  const uint64_t whole_round =
+      kNumNodes * full.layout().round_bytes() + headers;
+  EXPECT_EQ(session.range_pulls(), 3 * (kColdPullsPerShard + kChunksPerShard));
+  EXPECT_EQ(session.bytes_pulled(), 3 * (samples + summaries + whole_round));
+  ExpectSameAnswer(Connectivity(*served, 1), Connectivity(full, 1));
+  ExpectSameAnswer(Connectivity(*served, 4), Connectivity(full, 4));
+  EXPECT_TRUE(*served == full);
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+TEST_F(ServingTierTcpTest, BadSamplesRecordVoidsTheRound) {
+  // A replica's first samples reply arrives well framed but with a
+  // nonzero padding byte in its first record: the fold refuses it as
+  // malformed, the round is discarded, and the second round serves
+  // exactly the coordinator's fold.
+  StartFleet(2);  // One shard at R=2.
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  options.replication_factor = 2;
+  ShardCluster cluster(BaseConfig(157), 1, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(157);
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+
+  std::atomic<bool> rewritten{false};
+  ReaderRelay relay(endpoints_[0], [&rewritten](ShardFrame* frame,
+                                                bool reply) {
+    uint32_t part = 0;
+    if (reply && frame->type == ShardMessageType::kMigrateData &&
+        !rewritten.load() &&
+        frame->payload.size() > GraphSnapshot::kHeaderBytes) {
+      std::memcpy(&part, frame->payload.data() + 64, sizeof(part));
+    }
+    if (part == static_cast<uint32_t>(RoundPart::kSamples)) {
+      frame->payload[GraphSnapshot::kHeaderBytes + 2] = 1;
+      rewritten.store(true);
+    }
+    return true;
+  });
+  QuerySessionOptions qo = ReaderOptions();
+  qo.endpoints = {relay.endpoint(), endpoints_[1]};
+  QuerySession session(qo);
+  ASSERT_TRUE(session.Connect().ok());
+  const GraphSnapshot* served = nullptr;
+  const Status s = session.Snapshot(&served);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(rewritten.load());
+  EXPECT_EQ(session.last_refresh_rounds(), 2);
+  // The first round stopped after the wave that carried the bad reply
+  // and the first summary chunk.
+  EXPECT_EQ(session.range_pulls(), 2 + kColdPullsPerShard);
+  const GraphSnapshot full = FoldedSnapshot(&cluster);
+  ExpectSameSamples(*served, full);
+  ExpectSameAnswer(Connectivity(*served, 1), Connectivity(full, 1));
+  EXPECT_TRUE(*served == full);
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
@@ -1109,7 +1281,7 @@ TEST_F(ServingTierTcpTest, LaterRoundFailsOverWhenItsReplicaDies) {
             kColdPullsPerShard + LaterRounds(read) * kChunksPerShard);
   EXPECT_TRUE(*served == full);
   EXPECT_EQ(session.range_pulls(),
-            kColdPullsPerShard + (full.rounds() - 1) * kChunksPerShard);
+            kColdPullsPerShard + full.rounds() * kChunksPerShard);
   cluster.Shutdown();  // One child is already gone; best effort.
 }
 
@@ -1236,13 +1408,16 @@ TEST_F(ServingTierTcpTest, KConnectivityRetriesWhenItsPeelFindsAMove) {
   ASSERT_FALSE(want.sketch_failed);
   EXPECT_EQ(got.value().certified_connectivity, want.certified_connectivity);
   EXPECT_EQ(got.value().certificate, want.certificate);
-  // Attempt 1: the cold pull, then round `moved` (pulled, discarded).
-  // Attempt 2: rounds [0, moved] whole and the later summaries at once,
-  // then the peel pulls each of the R - moved - 1 remaining rounds.
+  // Attempt 1: the cold pull, whose samples and summaries decide the
+  // forest, then the peel loads every round in order: round 0 whole, and
+  // round `moved` = 1 (pulled, discarded). Attempt 2: rounds [0, moved]
+  // whole and the later summaries at once, then the peel pulls each of
+  // the R - moved - 1 remaining rounds.
+  EXPECT_EQ(moved, 1);
   const int rounds = full.rounds();
   EXPECT_EQ(session.range_pulls(),
             2 * kColdPullsPerShard +
-                static_cast<uint64_t>(1 + rounds - moved - 1) *
+                static_cast<uint64_t>(2 + rounds - moved - 1) *
                     kChunksPerShard);
   EXPECT_EQ(session.rounds_pulled(), rounds);
   const GraphSnapshot* served = nullptr;

@@ -178,8 +178,8 @@ TEST(ShardProtocolTest, UnknownTypeIsInvalidArgument) {
   EXPECT_EQ(RecvFrame(sp.b(), &frame).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardProtocolTest, V12DefinesExactly19TypesAndRefusesRetiredOnes) {
-  EXPECT_EQ(ShardFrameHeader::kVersion, 12);
+TEST(ShardProtocolTest, V13DefinesExactly19TypesAndRefusesRetiredOnes) {
+  EXPECT_EQ(ShardFrameHeader::kVersion, 13);
   int known = 0;
   for (uint16_t t = 0; t < 64; ++t) {
     SocketPair sp;
@@ -201,9 +201,9 @@ TEST(ShardProtocolTest, V12DefinesExactly19TypesAndRefusesRetiredOnes) {
 }
 
 TEST(ShardProtocolTest, V3HeaderIsAVersionMismatch) {
-  // So is a v4, v5, v6, v7, v8, v9, v10 or v11 peer's: both sides must
-  // be rebuilt together.
-  for (const uint16_t version : {3, 4, 5, 6, 7, 8, 9, 10, 11}) {
+  // So is a v4, v5, v6, v7, v8, v9, v10, v11 or v12 peer's: both sides
+  // must be rebuilt together.
+  for (const uint16_t version : {3, 4, 5, 6, 7, 8, 9, 10, 11, 12}) {
     SocketPair sp;
     WriteRawHeader(sp.a(), static_cast<uint16_t>(ShardMessageType::kPing), 0,
                    ShardFrameHeader::kMagic, version);
@@ -916,8 +916,14 @@ TEST(ShardProtocolTest, MigrateExtractCarriesItsPartAndRefusesUnknownOnes) {
                                    &r_lo, &r_hi, &part)
                   .ok());
   EXPECT_EQ(part, RoundPart::kSummary);
+  const std::vector<uint8_t> samples =
+      EncodeMigrateExtract(2, 9, 0, 1, RoundPart::kSamples);
+  ASSERT_TRUE(DecodeMigrateExtract(samples.data(), samples.size(), &lo, &hi,
+                                   &r_lo, &r_hi, &part)
+                  .ok());
+  EXPECT_EQ(part, RoundPart::kSamples);
   // The part is the payload's last u32, after the round window.
-  for (const uint32_t unknown : {2u, 0xFFFFFFFFu}) {
+  for (const uint32_t unknown : {3u, 0xFFFFFFFFu}) {
     std::vector<uint8_t> bad = summary;
     std::memcpy(bad.data() + bad.size() - 4, &unknown, 4);
     EXPECT_EQ(DecodeMigrateExtract(bad.data(), bad.size(), &lo, &hi, &r_lo,
@@ -1014,6 +1020,77 @@ TEST_F(ShardServerFixture, SummaryExtractIsTheWholeExtractsBuckets) {
           RoundPart::kSummary)
           .ok());
   EXPECT_GT(nonzero, 0);
+}
+
+TEST_F(ShardServerFixture, SamplesExtractIsTheShardsSampleColumns) {
+  // The shard's samples reply holds, per node and round, the samples
+  // record of the same round's slice in its whole reply: untouched
+  // (all zero) for a node it holds no bytes of, else SampleColumns().
+  // A record the shard could not have written fails the fold, never
+  // aborts it.
+  StartServer();
+  Configure(/*num_nodes=*/16);
+  const NodeUpdate updates[6] = {{0, 1},  {1, 0},  {1, 9},
+                                 {9, 1}, {12, 15}, {15, 12}};
+  SendUpdateBatch(updates, sizeof(updates));
+  const int rounds = NodeSketch::DefaultRounds(16);
+  const auto extract = [this, rounds](RoundPart part) {
+    const std::vector<uint8_t> req =
+        EncodeMigrateExtract(0, 16, 0, rounds, part);
+    GZ_CHECK_OK(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
+                          req.data(), req.size()));
+    ShardFrame frame;
+    GZ_CHECK_OK(RecvFrame(sp_.a(), &frame));
+    GZ_CHECK(frame.type == ShardMessageType::kMigrateData);
+    return frame.payload;
+  };
+  const std::vector<uint8_t> whole = extract(RoundPart::kWhole);
+  const std::vector<uint8_t> samples = extract(RoundPart::kSamples);
+  const GraphSnapshot snap =
+      GraphSnapshot::Deserialize(whole.data(), whole.size()).value();
+  const size_t unit = GraphSnapshot::SamplesBytes(snap.layout().cols());
+  ASSERT_EQ(samples.size(),
+            GraphSnapshot::kHeaderBytes + 16 * rounds * unit);
+  std::vector<uint8_t> want(unit);
+  int touched = 0;
+  ASSERT_TRUE(GraphSnapshot::FoldSerialized(
+                  samples.data(), samples.size(), snap.params(), 0, rounds,
+                  [&](NodeId i, const uint8_t* record) {
+                    for (int r = 0; r < rounds; ++r) {
+                      GraphSnapshot::RoundView view;
+                      ASSERT_TRUE(snap.Round(r, 16, nullptr, &view).ok());
+                      GraphSnapshot::WriteSamples(snap.layout(), r,
+                                                  view.node(i), want.data());
+                      EXPECT_EQ(std::memcmp(record + r * unit, want.data(),
+                                            unit),
+                                0)
+                          << "node " << i << " round " << r;
+                      touched += want[0] != 0;
+                    }
+                  },
+                  RoundPart::kSamples)
+                  .ok());
+  // Nodes 0, 1, 9, 12 and 15 in every round; the rest untouched.
+  EXPECT_EQ(touched, 5 * rounds);
+  const auto no_fold = [](NodeId, const uint8_t*) { FAIL(); };
+  const size_t node1 = GraphSnapshot::kHeaderBytes + 1 * rounds * unit;
+  const size_t node2 = GraphSnapshot::kHeaderBytes + 2 * rounds * unit;
+  for (const auto& [offset, value] :
+       {std::pair<size_t, uint8_t>{node1, 9},          // Unknown tag.
+        std::pair<size_t, uint8_t>{node1 + 4, 200},    // Count > cols.
+        std::pair<size_t, uint8_t>{node1 + 7, 1},      // Count > cols.
+        std::pair<size_t, uint8_t>{node1 + 2, 1},      // Padding.
+        std::pair<size_t, uint8_t>{node2 + 4, 1},      // Untouched count.
+        std::pair<size_t, uint8_t>{node2 + 63, 1}}) {  // Untouched slot.
+    std::vector<uint8_t> bad = samples;
+    bad[offset] = value;
+    EXPECT_EQ(GraphSnapshot::FoldSerialized(bad.data(), bad.size(),
+                                            snap.params(), 0, rounds, no_fold,
+                                            RoundPart::kSamples)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "byte " << offset;
+  }
 }
 
 TEST_F(ShardServerFixture, BadRoundWindowIsRefusedBeforeAnyReplyBytes) {

@@ -1,9 +1,8 @@
 // gz_query: a serving-tier client. Dials every shard listener of a
 // cluster as an authenticated *reader* session (QuerySession), pulls a
-// consistent merged snapshot keyed by the shards' watermarks (round 0
-// and every round's summary, then only the rounds a query reads
-// whole), and
-// answers graph queries from it — without touching the coordinator,
+// consistent merged snapshot keyed by the shards' watermarks (round 0's
+// samples and every later round's summary, then only the rounds a
+// query reads whole), and answers graph queries from it — without touching the coordinator,
 // whose write path keeps streaming unimpeded.
 //
 // Replicated clusters need no extra flags: list every replica's
